@@ -14,8 +14,18 @@ coarse aggregation rejects far more often than the process-iteration level,
 and MiniFE/MiniMD application-level pooling is always rejected.
 """
 
+import time
+
+import numpy as np
+
 from repro.core.aggregation import AggregationLevel
 from repro.core.normality import NormalityStudy
+from repro.stats.moments import skewness_kurtosis
+
+#: the battery's moment kernel must stay at least this many times faster
+#: than the ``** 3`` / ``** 4`` formulation on the paper-scale
+#: application-iteration matrix (measured 17-21x on numpy 2.4, x86-64)
+MIN_MOMENT_KERNEL_SPEEDUP = 5.0
 
 
 def _study_all_levels(dataset):
@@ -50,3 +60,47 @@ def test_section41_miniqmc(benchmark, miniqmc_ds):
     # pass (much) less often than the per-process-iteration level
     pooled = study.application_iteration_pass_counts()["shapiro_wilk"] / 200.0
     assert pooled < rates["shapiro_wilk"]
+
+
+def _pow_skewness_kurtosis(matrix):
+    """The moment kernel written with ``**``: float ``** 3`` / ``** 4`` go
+    through libm ``pow`` (``** 2`` is a plain square)."""
+    deviations = matrix - matrix.mean(axis=-1, keepdims=True)
+    m2 = np.mean(deviations**2, axis=-1)
+    m3 = np.mean(deviations**3, axis=-1)
+    m4 = np.mean(deviations**4, axis=-1)
+    safe_m2 = np.where(m2 > 0, m2, 1.0)
+    b1 = np.where(m2 > 0, m3 / np.power(safe_m2, 1.5), 0.0)
+    b2 = np.where(m2 > 0, m4 / (safe_m2 * safe_m2), 0.0)
+    return b1, b2
+
+
+def test_moment_kernel_speedup_guard():
+    """Regression guard for the normality battery's moment kernel: on the
+    paper-scale application-iteration matrix (200 iterations x 3840
+    samples) ``skewness_kurtosis`` must stay >= 5x the ``**``
+    formulation.  A ratio of two kernels timed back to back in one process
+    is robust on noisy runners where absolute times are not."""
+    rng = np.random.default_rng(20230421)
+    matrix = 25.0e-3 + rng.gamma(2.0, 1.0e-4, size=(200, 3840))
+
+    def best(kernel, repeats: int = 7) -> float:
+        kernel(matrix)  # warm-up
+        elapsed = np.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            kernel(matrix)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    expected = _pow_skewness_kurtosis(matrix)
+    for mine, reference in zip(skewness_kurtosis(matrix), expected):
+        np.testing.assert_allclose(mine, reference, rtol=1e-12)
+    fast, slow = best(skewness_kurtosis), best(_pow_skewness_kurtosis)
+    speedup = slow / fast
+    assert speedup >= MIN_MOMENT_KERNEL_SPEEDUP, (
+        f"skewness_kurtosis is only {speedup:.1f}x the ** formulation "
+        f"({fast * 1e3:.1f} ms vs {slow * 1e3:.1f} ms on 200x3840); the "
+        f"multiply-based moment kernel has regressed below the "
+        f"{MIN_MOMENT_KERNEL_SPEEDUP}x guard"
+    )

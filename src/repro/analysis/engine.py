@@ -164,10 +164,18 @@ class ColumnarAnalyzer:
         self.context = context
 
     def __call__(self, columns, slices) -> list:
-        split = {
-            p.name: p.accumulate_columns_split(columns, slices, self.context)
-            for p in self.passes
-        }
+        from repro.core.aggregation import hold_block_groups, release_block_groups
+
+        hold_block_groups(columns, slices)
+        try:
+            split = {
+                p.name: p.accumulate_columns_split(columns, slices, self.context)
+                for p in self.passes
+            }
+        finally:
+            # every pass has folded this block — drop its grouping memo so
+            # the block's matrix view does not outlive the call
+            release_block_groups(columns)
         return [
             {name: states[k] for name, states in split.items()}
             for k in range(len(slices))

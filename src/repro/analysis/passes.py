@@ -307,10 +307,10 @@ class NormalityPass(AnalysisPass):
             return super().accumulate_columns_split(columns, slices, context)
         matrix, iterations = block
         n_shards, n_iterations, n_threads = matrix.shape
-        # one fused battery over every group of every shard in the block —
-        # per-row outcomes are bit-identical to the per-shard battery.run
+        # one battery over every group of every shard in the block — per-row
+        # outcomes are bit-identical to the per-shard battery.run
         battery = NormalityBattery(alpha=self.alpha)
-        report = battery.run_fused(matrix.reshape(n_shards * n_iterations, n_threads))
+        report = battery.run(matrix.reshape(n_shards * n_iterations, n_threads))
         passed = {name: report.outcomes[name].passed for name in TEST_NAMES}
         values = np.asarray(columns["compute_time_s"], dtype=np.float64)
         iters = [int(i) for i in iterations]

@@ -295,6 +295,34 @@ class ShardSlice(NamedTuple):
         return (self.trial, -1 if self.process is None else self.process)
 
 
+# per-block grouping memo: within one columnar analysis step several passes
+# group the same column block — the first call pays the layout checks, the
+# rest hit this cache.  A column mapping cannot carry a weakref finalizer, so
+# entries live only between :func:`hold_block_groups` and
+# :func:`release_block_groups`.  Keyed by the columns' identity (the entry
+# keeps them alive, so threads analysing distinct blocks never share an
+# entry) and checked against the very objects held, so a call with other
+# slices over the same columns groups afresh.
+_BLOCK_GROUPS: Dict[int, list] = {}
+_UNGROUPED = object()
+
+
+def hold_block_groups(
+    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
+) -> None:
+    """Memoize :func:`campaign_block_groups` for this exact block.
+
+    The grouping is computed on first use; pair every call with
+    :func:`release_block_groups` (in a ``finally``).
+    """
+    _BLOCK_GROUPS[id(columns)] = [columns, slices, _UNGROUPED]
+
+
+def release_block_groups(columns: Mapping[str, np.ndarray]) -> None:
+    """Drop a block's memoized grouping (no-op if none is held)."""
+    _BLOCK_GROUPS.pop(id(columns), None)
+
+
 def campaign_block_groups(
     columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -315,7 +343,19 @@ def campaign_block_groups(
     ``(n_shards, n_iterations, n_threads)`` and ``iterations`` the shared
     ascending iteration ids, or ``None`` when the block is not in canonical
     dense order (the caller falls back to the generic per-shard path).
+    Served from the memo while the block is held (:func:`hold_block_groups`).
     """
+    entry = _BLOCK_GROUPS.get(id(columns))
+    if entry is None or entry[0] is not columns or entry[1] is not slices:
+        return _campaign_block_groups(columns, slices)
+    if entry[2] is _UNGROUPED:
+        entry[2] = _campaign_block_groups(columns, slices)
+    return entry[2]
+
+
+def _campaign_block_groups(
+    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     n_shards = len(slices)
     if n_shards == 0:
         return None

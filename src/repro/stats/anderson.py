@@ -103,7 +103,7 @@ def anderson_darling(x, *, sorted_x=None) -> AndersonDarlingResult:
         Array of shape ``(..., n)`` with ``n >= 8`` samples per group.
     sorted_x:
         Optional presorted copy of ``x`` along the last axis (shared with
-        Shapiro–Wilk by the fused battery).  Must equal
+        Shapiro–Wilk by the normality battery).  Must equal
         ``np.sort(x, axis=-1)``; the result is unchanged.
 
     Returns

@@ -133,34 +133,14 @@ class NormalityBattery:
         groups:
             Array of shape ``(n_groups, n)`` (or ``(n,)`` for a single group)
             of samples; every row is tested independently.
-        """
-        arr = np.asarray(groups, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2:
-            raise ValueError("groups must be 1-D or 2-D")
-        if arr.shape[-1] < 8:
-            raise ValueError(
-                f"the battery requires at least 8 samples per group, got {arr.shape[-1]}"
-            )
-        report = NormalityReport(
-            alpha=self.alpha, n_groups=arr.shape[0], group_size=arr.shape[1]
-        )
-        for name in self.tests:
-            report.outcomes[name] = self._run_single(name, arr)
-        return report
 
-    # ------------------------------------------------------------------
-    def run_fused(self, groups) -> NormalityReport:
-        """Run the battery sharing intermediates across the three tests.
-
-        One deviations pass supplies skewness and kurtosis to D'Agostino,
-        and one ``np.sort`` of the sample matrix is shared by Shapiro–Wilk
-        and Anderson–Darling — the dominant costs when the battery runs on
-        a whole campaign's group matrix at once (the columnar analysis
-        path).  Every shared intermediate is produced by exactly the
-        operations the tests would perform themselves, so the outcomes are
-        bit-identical to :meth:`run`.
+        The three tests share their intermediates: one deviations pass
+        (:func:`~repro.stats.moments.skewness_kurtosis`) supplies skewness
+        and kurtosis to D'Agostino, and one ``np.sort`` of the sample matrix
+        is shared by Shapiro–Wilk and Anderson–Darling.  Each shared
+        intermediate is bit-identical to what the test would compute on its
+        own, so every outcome equals that of the test function called
+        directly on ``groups``.
         """
         arr = np.asarray(groups, dtype=np.float64)
         if arr.ndim == 1:

@@ -49,8 +49,8 @@ def skewness_test(x, *, b1=None) -> tuple[np.ndarray, np.ndarray]:
     """D'Agostino's transformed skewness statistic ``Z1`` and its p-value.
 
     Requires at least 8 samples per group (as SciPy does).  ``b1`` accepts
-    a precomputed skewness array (the fused battery shares one deviations
-    pass across tests); passing it changes nothing numerically because
+    a precomputed skewness array (the battery shares one deviations pass
+    across tests); passing it changes nothing numerically because
     :func:`~repro.stats.moments.skewness` is deterministic.
     """
     arr = np.asarray(x, dtype=np.float64)
@@ -124,8 +124,8 @@ def dagostino_k2(x, *, b1=None, b2=None) -> DAgostinoResult:
     x:
         Array of shape ``(..., n)`` with ``n >= 8`` samples per group.
     b1, b2:
-        Optional precomputed skewness / Pearson kurtosis arrays (the fused
-        battery path shares one deviations pass across both component
+        Optional precomputed skewness / Pearson kurtosis arrays (the
+        normality battery shares one deviations pass across both component
         tests); omitting them reproduces the standalone computation.
 
     Returns

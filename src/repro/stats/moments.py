@@ -21,11 +21,26 @@ def _as_float_array(x) -> np.ndarray:
     return arr
 
 
+def _deviation_power(deviations: np.ndarray, order: int) -> np.ndarray:
+    """``deviations ** order`` with orders 3 and 4 as plain multiplications.
+
+    numpy squares a float array for ``** 2`` but sends ``** 3`` / ``** 4``
+    through libm ``pow``, which is roughly 15-20x slower; ``d2 * d`` and
+    ``d2 * d2`` (``d2 = d * d``) agree with it to within an ulp or two.
+    """
+    if order == 3:
+        return deviations * deviations * deviations
+    if order == 4:
+        squared = deviations * deviations
+        return squared * squared
+    return deviations**order
+
+
 def central_moment(x, order: int) -> np.ndarray:
     """``order``-th central sample moment along the last axis."""
     arr = _as_float_array(x)
     mean = arr.mean(axis=-1, keepdims=True)
-    return np.mean((arr - mean) ** order, axis=-1)
+    return np.mean(_deviation_power(arr - mean, order), axis=-1)
 
 
 def skewness(x) -> np.ndarray:
@@ -51,16 +66,19 @@ def skewness_kurtosis(x) -> "tuple[np.ndarray, np.ndarray]":
     """Skewness ``g1`` and Pearson kurtosis ``b2`` from one deviations pass.
 
     Bit-identical to calling :func:`skewness` and :func:`kurtosis`
-    separately: the shared mean/deviation tensor goes through exactly the
-    same ``**``/``mean`` operations, only computed once instead of five
-    times.  This is the moment kernel of the fused normality battery.
+    separately: the deviations are computed once and their square once,
+    and the cube and fourth power are the same products
+    :func:`central_moment` forms (``d2 * d`` and ``d2 * d2``), so every
+    moment matches element for element.  This is the moment kernel of the
+    normality battery.
     """
     arr = _as_float_array(x)
     mean = arr.mean(axis=-1, keepdims=True)
     deviations = arr - mean
-    m2 = np.mean(deviations ** 2, axis=-1)
-    m3 = np.mean(deviations ** 3, axis=-1)
-    m4 = np.mean(deviations ** 4, axis=-1)
+    squared = deviations * deviations
+    m2 = np.mean(squared, axis=-1)
+    m3 = np.mean(squared * deviations, axis=-1)
+    m4 = np.mean(squared * squared, axis=-1)
     safe_m2 = np.where(m2 > 0, m2, 1.0)
     b1 = np.where(m2 > 0, m3 / np.power(safe_m2, 1.5), 0.0)
     b2 = np.where(m2 > 0, m4 / (safe_m2 * safe_m2), 0.0)

@@ -109,7 +109,7 @@ def shapiro_wilk(x, *, sorted_x=None) -> ShapiroWilkResult:
     x:
         Array of shape ``(..., n)`` with ``3 <= n <= 5000``.
     sorted_x:
-        Optional presorted copy of ``x`` along the last axis — the fused
+        Optional presorted copy of ``x`` along the last axis — the normality
         battery sorts once and shares the matrix with Anderson–Darling.
         Must equal ``np.sort(x, axis=-1)``; the result is unchanged.
 

@@ -1,11 +1,15 @@
 """Unit tests for the analysis-pass registry, shard aggregation and passes."""
 
+import pickle
+import threading
+
 import numpy as np
 import pytest
 
 from repro.analysis import (
     AnalysisContext,
     AnalysisPass,
+    ColumnarAnalyzer,
     available_analyses,
     get_analysis,
     register_analysis,
@@ -20,7 +24,13 @@ from repro.analysis.passes import (
     PercentilesPass,
     ReclaimablePass,
 )
-from repro.core.aggregation import AggregationLevel, aggregate, aggregate_shard
+from repro.core import aggregation
+from repro.core.aggregation import (
+    AggregationLevel,
+    ShardSlice,
+    aggregate,
+    aggregate_shard,
+)
 from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.laggard import IterationClass
 from repro.core.timing import TimingDataset, TimingShard
@@ -281,3 +291,131 @@ class TestSketchExemplars:
         result = run_analyses(shards, [pass_], context)["laggards"]
         assert all(len(pool) <= 4 for pool in result.candidates.values())
         assert result.exemplar(IterationClass.LAGGARD) is not None
+
+
+def _column_block(shard_list):
+    """The shards' columns concatenated into one block, plus their slices."""
+    columns = {
+        name: np.concatenate([np.asarray(shard.columns[name]) for shard in shard_list])
+        for name in shard_list[0].columns
+    }
+    slices, start = [], 0
+    for shard in shard_list:
+        slices.append(
+            ShardSlice(shard.trial, shard.process, start, start + shard.n_samples)
+        )
+        start += shard.n_samples
+    return columns, slices
+
+
+def _partial_bytes(partials):
+    # one pickle round-trip first normalises object-identity topology
+    # without touching a value (see tests/integration/test_columnar_analysis)
+    return pickle.dumps(pickle.loads(pickle.dumps(partials)))
+
+
+class TestBlockGroupingMemo:
+    """``ColumnarAnalyzer`` groups each column block once for all passes."""
+
+    @pytest.fixture
+    def layout_calls(self, monkeypatch):
+        calls = []
+        layout = aggregation._campaign_block_groups
+
+        def counting(columns, slices):
+            calls.append(id(columns))
+            return layout(columns, slices)
+
+        monkeypatch.setattr(aggregation, "_campaign_block_groups", counting)
+        return calls
+
+    def test_layout_checked_once_per_call(self, shards, context, layout_calls):
+        columns, slices = _column_block(shards)
+        passes = resolve_analyses(BUILTIN)
+        assert aggregation.campaign_block_groups(columns, slices) is not None
+        layout_calls.clear()
+        # without the analyzer every grouping pass pays its own check
+        for p in passes:
+            p.accumulate_columns_split(columns, slices, context)
+        assert len(layout_calls) == len(BUILTIN) - 1  # histogram needs none
+        layout_calls.clear()
+        mapper = ColumnarAnalyzer(passes, context)
+        partials = mapper(columns, slices)
+        assert len(partials) == len(slices)
+        assert layout_calls == [id(columns)]
+        mapper(columns, slices)
+        assert layout_calls == [id(columns)] * 2
+
+    def test_other_slices_bypass_a_held_block(self, shards, layout_calls):
+        columns, slices = _column_block(shards)
+        aggregation.hold_block_groups(columns, slices)
+        try:
+            held = aggregation.campaign_block_groups(columns, slices)
+            assert aggregation.campaign_block_groups(columns, slices) is held
+            # a partial slice list cannot tile the block: no dense reshape
+            assert aggregation.campaign_block_groups(columns, slices[:1]) is None
+        finally:
+            aggregation.release_block_groups(columns)
+        assert layout_calls == [id(columns)] * 2
+        assert aggregation._BLOCK_GROUPS == {}
+
+    def test_memo_does_not_change_partials(self, shards, context):
+        columns, slices = _column_block(shards)
+        passes = resolve_analyses(BUILTIN)
+        split = [p.accumulate_columns_split(columns, slices, context) for p in passes]
+        direct = [
+            {p.name: states[k] for p, states in zip(passes, split)}
+            for k in range(len(slices))
+        ]
+        memoized = ColumnarAnalyzer(passes, context)(columns, slices)
+        assert _partial_bytes(memoized) == _partial_bytes(direct)
+
+    def test_memo_released_after_call(self, shards, context):
+        columns, slices = _column_block(shards)
+        ColumnarAnalyzer(resolve_analyses(BUILTIN), context)(columns, slices)
+        assert aggregation._BLOCK_GROUPS == {}
+
+    def test_memo_released_when_a_pass_raises(self, shards, context, layout_calls):
+        class Exploding(NormalityPass):
+            name = "exploding"
+
+            def accumulate_columns_split(self, columns, slices, context):
+                super().accumulate_columns_split(columns, slices, context)
+                raise RuntimeError("boom")
+
+        columns, slices = _column_block(shards)
+        passes = (*resolve_analyses(["percentiles", "laggards"]), Exploding())
+        with pytest.raises(RuntimeError, match="boom"):
+            ColumnarAnalyzer(passes, context)(columns, slices)
+        assert aggregation._BLOCK_GROUPS == {}
+        assert layout_calls == [id(columns)]
+
+    def test_concurrent_blocks_match_serial(self, shards, context):
+        blocks = [_column_block(shards[:2]), _column_block(shards[2:])]
+        mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
+        serial = [_partial_bytes(mapper(*block)) for block in blocks]
+        rounds = 10
+        barrier = threading.Barrier(len(blocks))
+        results = [[] for _ in blocks]
+        errors = []
+
+        def work(index):
+            try:
+                for _ in range(rounds):
+                    barrier.wait()
+                    results[index].append(_partial_bytes(mapper(*blocks[index])))
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [
+            threading.Thread(target=work, args=(index,)) for index in range(len(blocks))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        for index, expected in enumerate(serial):
+            assert results[index] == [expected] * rounds
+        assert aggregation._BLOCK_GROUPS == {}
