@@ -53,7 +53,7 @@ True
 shards out across a worker pool with bit-identical results;
 ``session.stream()`` iterates shard-by-shard without materialising the dense
 dataset; ``repro.experiments.register_backend`` plugs in new execution
-strategies alongside the built-in ``vectorized``, ``batched``, ``event`` and ``chunked``
+strategies alongside the built-in ``vectorized``, ``event`` and ``campaign``
 backends.
 
 Scenarios name full experimental settings and feed the same session::

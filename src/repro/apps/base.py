@@ -8,6 +8,9 @@ A :class:`ProxyApplication` answers two questions for the campaign runner:
 * ``thread_compute_times(...)`` — the per-thread compute time of one
   process-iteration including application-level variability, execution
   jitter and OS noise; used by the vectorised campaign path.
+* ``thread_compute_times_campaign(...)`` — the same for a whole chunk of
+  (trial, process) shards as one ``(shards, iterations, threads)`` tensor;
+  used by the campaign tensor backend.
 
 Both paths share the same underlying work decomposition, so they agree in
 distribution; the integration tests check that the closed-form path matches
@@ -53,12 +56,6 @@ class ProxyApplication(ABC):
     name: str = "abstract"
     #: name of the instrumented compute region (e.g. ``'matvec'``)
     region: str = "compute"
-    #: whether the app's campaign hooks draw whole shard-major tensors
-    #: (``True`` for all built-ins); ``False`` routes the ``"campaign"``
-    #: backend through the generic campaign-kernel fallback — per-shard
-    #: cost draws, whole-campaign schedule fold — which is correct for
-    #: any third-party application that only implements the per-shard API
-    campaign_tensor: bool = False
 
     def __init__(self, config: Optional[ApplicationConfig] = None) -> None:
         self.config = config if config is not None else ApplicationConfig()
@@ -104,86 +101,32 @@ class ProxyApplication(ABC):
         return np.zeros(self.config.n_threads)
 
     # ------------------------------------------------------------------
-    # batched work decomposition (the ``"batched"`` campaign backend)
+    # per-shard planes (stacked by the default campaign hooks)
     # ------------------------------------------------------------------
     def item_costs_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Cost matrix ``(n_iterations, n_items)`` of a whole shard's loops.
 
-        The generic fallback stacks per-iteration :meth:`item_costs` calls
-        (same draws, same order); applications whose per-iteration
-        randomness factors into a single distribution override this with one
-        2-D draw so an entire (trial, process) shard costs a handful of
-        NumPy calls.  Batched overrides draw in a *different order* than the
-        per-iteration path, so the ``"batched"`` backend is statistically —
-        not bit- — identical to ``"vectorized"``.
+        The default stacks per-iteration :meth:`item_costs` calls (same
+        draws, same order); applications whose per-iteration randomness
+        factors into a single distribution override this with one 2-D draw
+        so an entire (trial, process) shard costs a handful of NumPy calls.
         """
         return np.stack(
             [self.item_costs(process, it, rng) for it in range(n_iterations)]
         )
-
-    def base_thread_times_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-thread pure compute times ``(n_iterations, n_threads)`` of a
-        shard, folded through the schedule's batch kernel.
-
-        Every built-in schedule vectorises this fold over the whole cost
-        matrix — the static clauses closed-form, dynamic/guided through the
-        row-vectorised work-queue replay — and each kernel is bit-identical
-        per row to its per-iteration ``simulate``, so the batched and
-        per-iteration paths diverge only in random draw *order*, never in
-        the schedule fold itself."""
-        costs = self.item_costs_batch(process, n_iterations, rng)
-        return self.config.schedule.simulate_batch(costs, self.config.n_threads)
 
     def application_delays_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Application-level delays ``(n_iterations, n_threads)`` of a shard.
 
-        Generic fallback: stacked per-iteration :meth:`application_delays`.
+        The default stacks per-iteration :meth:`application_delays` calls.
         """
         return np.stack(
             [self.application_delays(process, it, rng) for it in range(n_iterations)]
         )
-
-    def thread_compute_times_batch(
-        self,
-        *,
-        process: int,
-        rng: np.random.Generator,
-        noise: Optional[OSNoiseModel] = None,
-        n_iterations: Optional[int] = None,
-    ) -> np.ndarray:
-        """Measured compute times of a whole (trial, process) shard at once.
-
-        The batched analogue of :meth:`thread_compute_times`: returns the
-        ``(n_iterations, n_threads)`` matrix with schedule busy times,
-        application delays, execution jitter and OS noise all applied as
-        whole-matrix operations (one jitter draw, one
-        :meth:`~repro.cluster.noise.OSNoiseModel.batch_delays` call).  The
-        per-iteration path interleaves its draws iteration by iteration, so
-        the two paths agree in distribution, not bit-for-bit.
-        """
-        n_iter = self.config.n_iterations if n_iterations is None else n_iterations
-        if n_iter < 1:
-            raise ValueError("n_iterations must be >= 1")
-        base = self.base_thread_times_batch(process, n_iter, rng)
-        extra = self.application_delays_batch(process, n_iter, rng)
-        if extra.shape != base.shape:
-            raise ValueError(
-                "application_delays_batch must return one value per "
-                "(iteration, thread)"
-            )
-        times = base + extra
-        if noise is not None:
-            if noise.spec.enabled and noise.spec.jitter_fraction > 0:
-                jitter = rng.normal(1.0, noise.spec.jitter_fraction, size=times.shape)
-                times = times * np.clip(jitter, 0.5, None)
-            times = times + noise.batch_delays(times, rng)
-        return times
 
     # ------------------------------------------------------------------
     # whole-campaign tensor decomposition (the ``"campaign"`` backend)
@@ -193,27 +136,61 @@ class ProxyApplication(ABC):
     ) -> None:
         """Hook invoked once per shard chunk before its campaign draws.
 
-        The tensor analogue of :meth:`begin_process`: applications with
-        per-process state draw it here for *all* ``shards`` — a sequence of
-        ``(trial, process)`` pairs — in one shard-major vectorised draw.
-        Only consulted when :attr:`campaign_tensor` is true; the generic
-        fallback calls :meth:`begin_process` per shard instead.
+        The chunk analogue of :meth:`begin_process` for ``shards``, a
+        sequence of ``(trial, process)`` pairs.  The default calls
+        :meth:`begin_process` for every shard under its absolute
+        ``("shard", trial, process)`` scope, so chunking cannot change the
+        draws.  All of a chunk's shards begin before any cost is drawn, so
+        the default per-shard plane hooks re-begin each shard's state right
+        before drawing its planes (:meth:`_resume_shard`).  Applications
+        that draw every shard's state in one go (MiniQMC's walker
+        populations) override this and keep one state per shard.
         """
+        for trial, process in shards:
+            with maybe_scope(rng, "shard", int(trial), int(process)):
+                self.begin_process(int(process), rng)
+
+    def _resume_shard(self, rng: np.random.Generator, trial: int, process: int) -> None:
+        """Make one shard's :meth:`begin_process` state current again.
+
+        Replays ``begin_process`` under the shard's original
+        ``("state", "shard", trial, process)`` path, which restores exactly
+        the state the default :meth:`begin_campaign` began it with.  A no-op
+        for stateless apps, for apps that override :meth:`begin_campaign`
+        and for plain ``Generator`` callers.
+        """
+        cls = type(self)
+        if (
+            cls.begin_process is ProxyApplication.begin_process
+            or cls.begin_campaign is not ProxyApplication.begin_campaign
+            or not hasattr(rng, "rooted")
+        ):
+            return
+        with rng.rooted("state"), rng.scope("shard", trial, process):
+            self.begin_process(process, rng)
 
     def item_costs_campaign(
         self, shards: Sequence[tuple], n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Cost tensor ``(n_shards, n_iterations, n_items)`` of many shards.
 
-        The generic fallback stacks :meth:`item_costs_batch` planes under an
-        absolute per-shard draw scope, so chunking the shard axis cannot
-        change the draws.  Tensor applications override this with one 3-D
-        shard-major draw.
+        The default stacks :meth:`item_costs_batch` planes, each under its
+        absolute ``("shard", trial, process)`` scope, so chunking the shard
+        axis cannot change the draws.  The planes must share one item
+        count: applications whose loop length differs per process can only
+        run on the per-iteration ``"vectorized"`` backend.
         """
         planes = []
         for trial, process in shards:
+            self._resume_shard(rng, int(trial), int(process))
             with maybe_scope(rng, "shard", int(trial), int(process)):
                 planes.append(self.item_costs_batch(int(process), n_iterations, rng))
+        if len({plane.shape for plane in planes}) > 1:
+            raise ValueError(
+                f"application {self.name!r} has item counts that differ per "
+                "process, which the campaign backend's shard-stacked cost "
+                "tensor cannot hold; run it on the 'vectorized' backend"
+            )
         return np.stack(planes)
 
     def base_thread_times_campaign(
@@ -232,11 +209,12 @@ class ProxyApplication(ABC):
     ) -> np.ndarray:
         """Application delays ``(n_shards, n_iterations, n_threads)``.
 
-        Generic fallback: stacked per-shard :meth:`application_delays_batch`
-        under absolute per-shard scopes (chunk-invariant).
+        The default stacks :meth:`application_delays_batch` planes under
+        absolute per-shard scopes (chunk-invariant).
         """
         planes = []
         for trial, process in shards:
+            self._resume_shard(rng, int(trial), int(process))
             with maybe_scope(rng, "shard", int(trial), int(process)):
                 planes.append(
                     self.application_delays_batch(int(process), n_iterations, rng)
@@ -312,80 +290,25 @@ class ProxyApplication(ABC):
     ) -> np.ndarray:
         """Measured compute times of many (trial, process) shards at once.
 
-        The whole-campaign analogue of :meth:`thread_compute_times_batch`:
-        returns the ``(n_shards, n_iterations, n_threads)`` tensor with one
+        Returns the ``(n_shards, n_iterations, n_threads)`` tensor with one
         schedule fold over the entire chunk and per-shard scoped jitter and
         noise draws.  Draws are keyed by absolute purpose (``rng`` is
         normally the campaign backend's
         :class:`~repro.sim.random.PurposeSplitRNG`), so any partition of the
         shard axis — serial or across worker processes — produces
-        bit-identical samples.  Applications without
-        :attr:`campaign_tensor` fall back to whole per-shard
-        :meth:`thread_compute_times_batch` calls under absolute per-shard
-        scopes — same chunk-invariance, no 3-D overrides required.
+        bit-identical samples.  Applications that only implement the
+        per-shard hooks run through the same driver: the default
+        ``*_campaign`` hooks stack their planes.
         """
         n_iter = self.config.n_iterations if n_iterations is None else n_iterations
         if n_iter < 1:
             raise ValueError("n_iterations must be >= 1")
         shards = [(int(trial), int(process)) for trial, process in shards]
-        if not self.campaign_tensor:
-            return self._campaign_fallback(shards, n_iter, rng, noise)
         with maybe_scope(rng, "state"):
             self.begin_campaign(shards, rng)
         with maybe_scope(rng, "costs"):
             base = self.base_thread_times_campaign(shards, n_iter, rng)
         return self.finalize_campaign_times(base, shards, n_iter, rng, noise)
-
-    def _campaign_fallback(
-        self,
-        shards: Sequence[tuple],
-        n_iterations: int,
-        rng: np.random.Generator,
-        noise: Optional[OSNoiseModel],
-    ) -> np.ndarray:
-        """Generic 3-D campaign kernel for apps without tensor overrides.
-
-        Only the *draws* remain per shard: each shard's process state, cost
-        matrix and application delays are gathered under its absolute
-        ``("shard", trial, process)`` scope (so any chunking of the shard
-        axis replays identical draws), then the stacked
-        ``(n_shards, n_iterations, n_items)`` cost tensor folds through the
-        schedule's whole-campaign kernel and jitter/OS noise apply plane by
-        plane under the same absolute shard scopes — the same shape of
-        work the tensor applications get, without any 3-D overrides.
-        Versus running :meth:`thread_compute_times_batch` shard by shard
-        the samples agree in distribution (the jitter/noise draw order
-        differs), and the schedule fold itself is bit-identical per plane.
-        Shards whose item counts differ (rare heterogeneous apps) fall back
-        to per-plane ``simulate_batch`` folds — same kernels, same draws.
-        """
-        costs = []
-        extras = []
-        for trial, process in shards:
-            with maybe_scope(rng, "shard", trial, process):
-                self.begin_process(process, rng)
-                costs.append(self.item_costs_batch(process, n_iterations, rng))
-                extras.append(
-                    self.application_delays_batch(process, n_iterations, rng)
-                )
-        extra = np.stack(extras)
-        if len({plane.shape for plane in costs}) == 1:
-            base = self.config.schedule.simulate_campaign(
-                np.stack(costs), self.config.n_threads
-            )
-        else:  # ragged item counts across shards: per-plane batch folds
-            base = np.stack(
-                [
-                    self.config.schedule.simulate_batch(plane, self.config.n_threads)
-                    for plane in costs
-                ]
-            )
-        if extra.shape != base.shape:
-            raise ValueError(
-                "application_delays_batch must return one value per "
-                "(iteration, thread)"
-            )
-        return self._apply_campaign_noise(base + extra, shards, rng, noise)
 
     # ------------------------------------------------------------------
     # sampling (vectorised campaign path)

@@ -137,21 +137,17 @@ class MiniFEApp(ProxyApplication):
         return delays
 
     # ------------------------------------------------------------------
-    # batched work model (the ``"batched"`` campaign backend)
+    # whole-campaign work model (the ``"campaign"`` backend)
     # ------------------------------------------------------------------
-    def base_thread_times_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """The matrix never changes between iterations: broadcast the cached
-        per-thread busy-time row instead of re-simulating the schedule."""
-        row = self.base_thread_times(process, 0, rng)
-        return np.broadcast_to(row, (n_iterations, row.size))
-
     def application_delays_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
         """All of the shard's straggler events in three vectorised draws:
-        which iterations straggle, which thread is the victim, how long."""
+        which iterations straggle, which thread is the victim, how long.
+
+        The default ``application_delays_campaign`` stacks these planes,
+        each under its absolute ``("shard", trial, process)`` scope, so any
+        chunking or worker assignment replays identical events."""
         cfg = self.config
         delays = np.zeros((n_iterations, cfg.n_threads))
         hit = rng.uniform(size=n_iterations) < cfg.straggler_probability
@@ -162,11 +158,6 @@ class MiniFEApp(ProxyApplication):
                 cfg.straggler_min_s, cfg.straggler_max_s, size=n_hit
             )
         return delays
-
-    # ------------------------------------------------------------------
-    # whole-campaign work model (the ``"campaign"`` backend)
-    # ------------------------------------------------------------------
-    campaign_tensor = True
 
     def item_costs_campaign(self, shards, n_iterations, rng):
         """Deterministic matrix: broadcast the pencil costs (zero draws)."""
@@ -180,10 +171,6 @@ class MiniFEApp(ProxyApplication):
         campaign kernel replays identical rows to identical sums)."""
         row = self.base_thread_times(0, 0, rng)
         return np.broadcast_to(row, (len(shards), n_iterations, row.size))
-
-    # straggler delays use the generic per-shard campaign fallback: each
-    # shard's three draws sit under its absolute ("shard", trial, process)
-    # scope, so any chunking or worker assignment replays identical events
 
     # ------------------------------------------------------------------
     # reference kernel

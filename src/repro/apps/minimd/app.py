@@ -143,7 +143,7 @@ class MiniMDApp(ProxyApplication):
         )
 
     # ------------------------------------------------------------------
-    # batched work model (the ``"batched"`` campaign backend)
+    # per-shard planes (the ``"campaign"`` backend)
     # ------------------------------------------------------------------
     def item_costs_batch(
         self, process: int, n_iterations: int, rng: np.random.Generator
@@ -173,13 +173,8 @@ class MiniMDApp(ProxyApplication):
             delays[:n_warm] = np.clip(centre + spread, 0.0, None)
         return delays
 
-    # ------------------------------------------------------------------
-    # whole-campaign work model (the ``"campaign"`` backend)
-    # ------------------------------------------------------------------
-    campaign_tensor = True
-
-    # costs and warm-up delays use the generic per-shard campaign hooks:
-    # each shard's 2-D batch draws sit under its absolute
+    # costs and warm-up delays reach the campaign through the default
+    # *_campaign hooks: each shard's 2-D plane draws sit under its absolute
     # ("shard", trial, process) scope, so any chunking or worker assignment
     # replays identical fluctuations and warm-up settling
 

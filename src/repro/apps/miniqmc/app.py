@@ -138,23 +138,9 @@ class MiniQMCApp(ProxyApplication):
         draws = rng.normal(mean, sd, size=cfg.n_threads)
         return np.clip(draws, 0.2 * self.mover_mean_s, None) * cfg.sweeps_per_iteration
 
-    def item_costs_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """A shard's per-walker mover times as one 2-D normal draw (the
-        ``"batched"`` campaign backend); same truncation as the
-        per-iteration path."""
-        cfg = self.config
-        mean = self.mover_mean_s * self._process_mean_scale
-        sd = self.mover_mean_s * self.mover_relative_sd * self._process_sd_scale
-        draws = rng.normal(mean, sd, size=(n_iterations, cfg.n_threads))
-        return np.clip(draws, 0.2 * self.mover_mean_s, None) * cfg.sweeps_per_iteration
-
     # ------------------------------------------------------------------
     # whole-campaign work model (the ``"campaign"`` backend)
     # ------------------------------------------------------------------
-    campaign_tensor = True
-
     def begin_campaign(self, shards, rng) -> None:
         """Walker-population statistics of *all* shards (the tensor analogue
         of :meth:`begin_process`).
@@ -163,7 +149,7 @@ class MiniQMCApp(ProxyApplication):
         of a shard, so they are taken from the *same* per-shard ``"work"``
         streams :meth:`begin_process` consumes under the per-shard backends
         — the campaign backend's mixture components are then bit-identical
-        to the vectorized/batched ones, and distributional agreement holds
+        to the vectorized ones, and distributional agreement holds
         even for small process ensembles.  Two scalar draws per shard keep
         this chunk-invariant (each shard's stream is touched exactly once,
         whatever the chunking).

@@ -278,7 +278,7 @@ class OSNoiseModel:
         per-core phase bookkeeping — the fast campaign paths use this, the
         event-driven path uses :meth:`delay_over`.  ``work_s`` may have any
         shape — the vectorized backend passes ``(n_threads,)`` slices, the
-        batched backend one ``(n_iterations, n_threads)`` matrix per shard —
+        campaign backend one ``(n_iterations, n_threads)`` plane per shard —
         and every registered source draws for the whole batch in one call;
         the returned delays match the input shape.
         """

@@ -58,8 +58,9 @@ class RegionInstrumenter:
             "end_ns": [],
             "compute_time_s": [],
         }
-        #: already-columnar blocks appended by :meth:`record_block`, kept as
-        #: arrays so batched recording never round-trips through Python lists
+        #: already-columnar blocks appended by :meth:`record_campaign` /
+        #: :meth:`record_columns`, kept as arrays so tensor recording never
+        #: round-trips through Python lists
         self._blocks: List[Dict[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
@@ -119,52 +120,6 @@ class RegionInstrumenter:
         self._rows["end_ns"].extend((times * 1e9).astype(np.int64).tolist())
         self._rows["compute_time_s"].extend(times.tolist())
 
-    def record_block(
-        self,
-        *,
-        trial: int,
-        process: int,
-        compute_times_s: np.ndarray,
-        first_iteration: int = 0,
-    ) -> None:
-        """Record a whole ``(n_iterations, n_threads)`` block columnar-ly.
-
-        The batched campaign backend produces an entire (trial, process)
-        shard as one matrix; this appends it as ready-made column arrays —
-        iteration ids via ``np.repeat``, thread ids via ``np.tile``, values
-        flattened — so shard construction does no per-iteration Python work
-        and no list churn.  Iterations are numbered from
-        ``first_iteration``; row order matches ``n_iterations`` consecutive
-        :meth:`record_compute_times` calls.
-        """
-        times = np.asarray(compute_times_s, dtype=np.float64)
-        if times.ndim != 2:
-            raise ValueError(
-                "compute_times_s must be 2-D (iterations x threads), "
-                f"got shape {times.shape}"
-            )
-        if np.any(times < 0):
-            raise ValueError("compute times must be non-negative")
-        n_iterations, n_threads = times.shape
-        n = times.size
-        # own the values: ravel() of a contiguous input is a view, and the
-        # caller may reuse (or mutate) its matrix after recording
-        flat = times.reshape(-1).copy()
-        self._flush_rows()
-        self._blocks.append(
-            {
-                "trial": np.full(n, trial, dtype=np.int32),
-                "process": np.full(n, process, dtype=np.int32),
-                "iteration": np.repeat(
-                    np.arange(first_iteration, first_iteration + n_iterations), n_threads
-                ),
-                "thread": np.tile(np.arange(n_threads), n_iterations),
-                "start_ns": np.zeros(n, dtype=np.int64),
-                "end_ns": (flat * 1e9).astype(np.int64),
-                "compute_time_s": flat,
-            }
-        )
-
     def record_campaign(
         self,
         *,
@@ -180,8 +135,8 @@ class RegionInstrumenter:
         ids via ``np.repeat`` over the shard axis, iteration/thread ids via
         one ``repeat``/``tile`` shared by every shard — so a chunk costs one
         block regardless of how many shards it spans.  Row order equals
-        consecutive :meth:`record_block` calls per shard, so datasets merge
-        bit-identically with per-shard recording.
+        consecutive per-iteration :meth:`record_compute_times` calls per
+        shard, so datasets merge bit-identically with per-shard recording.
         """
         times = np.asarray(compute_times_s, dtype=np.float64)
         if times.ndim != 3:

@@ -3,7 +3,7 @@
 * :mod:`~repro.experiments.config` — campaign configurations (the paper's
   §3.2 setup is :meth:`CampaignConfig.paper_scale`).
 * :mod:`~repro.experiments.backends` — the pluggable execution-backend
-  registry (``vectorized`` / ``batched`` / ``event`` / ``chunked`` built-ins,
+  registry (``vectorized`` / ``event`` / ``campaign`` built-ins,
   :func:`register_backend` for extensions).
 * :mod:`~repro.experiments.executor` — parallel sharded execution
   (:class:`ShardExecutor`); bit-identical to serial at any worker count.

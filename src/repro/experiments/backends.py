@@ -13,21 +13,8 @@ campaign layer without touching it.  Three backends ship with the package:
   entry/exit barriers and every noise preemption happen as events, and the
   timestamps come from the per-core monotonic clocks.  Slower; used by the
   examples and by integration tests that check the backends agree.
-* ``"chunked"`` — the vectorized math, exposed as a lazy stream of
-  per-(trial, process) :class:`~repro.core.timing.TimingShard` chunks instead
-  of one eagerly-materialised dense dataset.  This is the memory-bounded
-  streaming path of :class:`~repro.experiments.session.CampaignSession`.
-* ``"batched"`` — the whole-shard kernel: one (trial, process) shard is
-  sampled as a few large-array operations over an
-  ``(n_iterations, n_threads)`` matrix instead of ``n_iterations`` small
-  per-iteration passes.  Fastest by a wide margin for *every* schedule
-  clause — static folds closed-form, dynamic/guided through the
-  row-vectorised work-queue replay (bit-identical per row to the
-  per-iteration ``simulate``).  Draws its randomness in a different order
-  than ``"vectorized"``, so the two agree in distribution but not
-  bit-for-bit (the batched backend pins its own digests).
-* ``"campaign"`` — the whole-campaign tensor kernel: the batched math lifted
-  one more axis, sampling *all* (trial, process) shards as
+* ``"campaign"`` — the whole-campaign tensor kernel: the closed-form math
+  lifted from one iteration to *all* (trial, process) shards, sampled as
   ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold and
   one columnar instrumenter assembly for an entire shard chunk
   (``chunk_shards`` bounds peak memory).  Draw streams are keyed by
@@ -35,11 +22,15 @@ campaign layer without touching it.  Three backends ship with the package:
   *and any worker count*: with ``max_workers > 1`` whole chunks fold in
   parallel on a process pool, returning their columns through shared
   memory (or spilling straight into a
-  :class:`~repro.io.shard_store.ShardStore`).  Like ``"batched"`` it
-  agrees with ``"vectorized"`` in distribution, not bit-for-bit, and pins
-  its own digests.  :meth:`CampaignTensorBackend.run_many` additionally
-  lets several compatible campaigns (scenario-matrix sweeps, concurrent
-  service jobs) share one tensor execution.
+  :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness in a
+  different order than ``"vectorized"``, so the two agree in distribution,
+  not bit-for-bit, and it pins its own digests.
+  :meth:`CampaignTensorBackend.run_many` additionally lets several
+  compatible campaigns (scenario-matrix sweeps, concurrent service jobs)
+  share one tensor execution.
+
+``"vectorized"`` is the readable per-iteration reference, ``"event"`` the
+clock/noise microstructure and ``"campaign"`` the production kernel.
 
 Every backend decomposes its campaign into *shards* (:meth:`shard_specs` /
 :meth:`run_shard`).  A shard re-derives all of its random streams from the
@@ -112,22 +103,14 @@ class CampaignBackend(ABC):
     Subclasses implement the shard decomposition (:meth:`shard_specs`) and
     the per-shard execution (:meth:`run_shard`); the base class provides the
     serial drivers (:meth:`run`, :meth:`iter_shards`) on top of them.
+
+    A backend whose unit of work is a whole shard chunk rather than a shard
+    defines ``iter_shards_parallel``; the parallel executor then hands it
+    the worker count instead of fanning single shards out across its pool.
     """
 
     #: registered backend name (set by :func:`register_backend`)
     name: str = "abstract"
-    #: whether the backend is primarily consumed as a shard stream
-    streaming: bool = False
-    #: whether shards may be fanned out across the parallel executor's
-    #: worker pool; ``False`` forces the executor onto the serial path that
-    #: defers to :meth:`iter_shards` (backends whose unit of work is the
-    #: whole campaign, not a shard)
-    parallelizable: bool = True
-    #: whether the backend parallelizes at *chunk* granularity instead —
-    #: ``True`` means the executor may call :meth:`iter_shards_parallel`
-    #: (the campaign tensor backend: shards are not units of work, but whole
-    #: shard chunks fold independently on a worker pool)
-    chunk_parallel: bool = False
 
     # ------------------------------------------------------------------
     # shard decomposition
@@ -197,9 +180,9 @@ def register_backend(name=None, *, replace: bool = False):
     """Class decorator registering a :class:`CampaignBackend` by name.
 
     Usable bare (``@register_backend`` — uses the class's ``name``) or with
-    an explicit name (``@register_backend("chunked")``).  Registering a name
-    twice raises unless ``replace=True`` (or the class is identical, which
-    makes module re-imports idempotent).
+    an explicit name (``@register_backend("my-backend")``).  Registering a
+    name twice raises unless ``replace=True`` (or the class is identical,
+    which makes module re-imports idempotent).
     """
 
     def decorator(cls: Type[CampaignBackend]) -> Type[CampaignBackend]:
@@ -294,61 +277,6 @@ class VectorizedBackend(CampaignBackend):
         return TimingShard.from_dataset(
             instrumenter.dataset(), trial=trial, process=process
         )
-
-
-@register_backend("batched")
-class BatchedBackend(VectorizedBackend):
-    """Whole-shard closed-form sampling over an iteration × thread matrix.
-
-    Shards exactly like the vectorized backend — per (trial, process), with
-    all streams re-derived by name, so parallel execution stays
-    bit-identical to serial at any worker count.  Within a shard, the
-    application's :meth:`~repro.apps.base.ProxyApplication.thread_compute_times_batch`
-    samples every iteration at once: the schedule folds the full cost matrix
-    through its batch kernel, jitter is one 2-D draw, every noise source
-    contributes one whole-matrix ``batch_extra``, and the shard's columns
-    are assembled with a single columnar
-    :meth:`~repro.core.instrument.RegionInstrumenter.record_block`.
-
-    The per-iteration path interleaves its random draws iteration by
-    iteration while this backend draws them population by population, so the
-    sampled values differ bit-wise from ``"vectorized"`` while agreeing in
-    distribution (property-tested over apps × schedules × noise profiles).
-    """
-
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
-        if spec.process is None:
-            raise ValueError(f"{self.name} backend shards per process, got {spec}")
-        app = build_application(config)
-        trial, process = spec.trial, spec.process
-        work_rng = streams.get(app.name, "work", trial, process)
-        noise_rng = streams.get(app.name, "noise", trial, process)
-        noise = config.machine.build_noise_model(noise_rng)
-        app.begin_process(process, work_rng)
-        times = app.thread_compute_times_batch(
-            process=process, rng=work_rng, noise=noise
-        )
-        instrumenter = RegionInstrumenter(region=app.region, application=app.name)
-        instrumenter.record_block(trial=trial, process=process, compute_times_s=times)
-        return TimingShard.from_dataset(
-            instrumenter.dataset(), trial=trial, process=process
-        )
-
-
-@register_backend("chunked")
-class ChunkedBackend(VectorizedBackend):
-    """Streaming variant of the vectorized backend.
-
-    Identical per-shard math (so a merged chunked run is bit-identical to a
-    vectorized run), but meant to be consumed shard-by-shard through
-    :meth:`CampaignBackend.iter_shards` /
-    :meth:`~repro.experiments.session.CampaignSession.stream`, keeping at most
-    one (trial, process) chunk in memory at a time.
-    """
-
-    streaming = True
 
 
 @register_backend("event")
@@ -654,17 +582,21 @@ def _spill_campaign_chunk(config: "CampaignConfig", chunk, store_dir: str, tag: 
     return str(path), entry
 
 
-def _fold_group_chunk(group: List["CampaignConfig"], chunk_entries):
-    """Worker body of one *grouped* execution chunk.
+def _fold_group_chunk(group: List["CampaignConfig"], chunk_entries, context=None):
+    """One chunk of a *grouped* execution: the shared per-chunk body of the
+    serial ``CampaignTensorBackend._run_group`` and of its pool workers.
 
-    Mirrors ``CampaignTensorBackend._run_group``'s per-chunk logic: split
-    the chunk into per-config contiguous segments, share one
-    ``simulate_campaign`` fold across every tensor segment, finalize each
-    segment under its own config's purpose streams.  Returns
+    ``chunk_entries`` are ``(config_index, (trial, process))`` pairs, split
+    here into per-config contiguous segments.  Every segment draws its cost
+    planes, one ``simulate_campaign`` folds all of them, and each segment is
+    finalized under its own config's purpose streams.  ``context`` maps a
+    config index to its ``(app, rng, noise, shards)`` context; workers
+    default to the per-worker :func:`_worker_context` cache.  Returns
     ``(config_index, shards, columns)`` triples.
     """
-    def context(config_index: int):
-        return _worker_context(group[config_index])
+    if context is None:
+        def context(config_index: int):
+            return _worker_context(group[config_index])
 
     n_iterations = group[0].iterations
     n_threads = group[0].threads
@@ -674,40 +606,27 @@ def _fold_group_chunk(group: List["CampaignConfig"], chunk_entries):
             segments[-1][1].append(tuple(shard))
         else:
             segments.append((config_index, [tuple(shard)]))
-    results = []
-    folded: List[Tuple[int, List[Tuple[int, int]], Optional[np.ndarray]]] = []
     cost_planes: List[np.ndarray] = []
-    schedule = None
     for config_index, shards in segments:
-        app, rng, noise, _ = context(config_index)
-        if schedule is None:
-            schedule = app.config.schedule
-        if not app.campaign_tensor:
-            times = app.thread_compute_times_campaign(
-                shards=shards, rng=rng, noise=noise
-            )
-            results.append((config_index, shards, _chunk_columns(app, shards, times)))
-            folded.append((config_index, shards, None))
-            continue
+        app, rng, _, _ = context(config_index)
         with maybe_scope(rng, "state"):
             app.begin_campaign(shards, rng)
         with maybe_scope(rng, "costs"):
             costs = app.item_costs_campaign(shards, n_iterations, rng)
         cost_planes.append(np.asarray(costs, dtype=np.float64))
-        folded.append((config_index, shards, cost_planes[-1]))
-    if cost_planes:
-        busy_all = schedule.simulate_campaign(
-            np.concatenate(cost_planes, axis=0), n_threads
-        )
-        offset = 0
-        for config_index, shards, costs in folded:
-            if costs is None:
-                continue
-            app, rng, noise, _ = context(config_index)
-            base = busy_all[offset : offset + len(shards)]
-            offset += len(shards)
-            times = app.finalize_campaign_times(base, shards, n_iterations, rng, noise)
-            results.append((config_index, shards, _chunk_columns(app, shards, times)))
+    # the shared fold: deterministic, plane-bit-identical to per-config folds
+    schedule = context(segments[0][0])[0].config.schedule
+    busy_all = schedule.simulate_campaign(
+        np.concatenate(cost_planes, axis=0), n_threads
+    )
+    results = []
+    offset = 0
+    for config_index, shards in segments:
+        app, rng, noise, _ = context(config_index)
+        base = busy_all[offset : offset + len(shards)]
+        offset += len(shards)
+        times = app.finalize_campaign_times(base, shards, n_iterations, rng, noise)
+        results.append((config_index, shards, _chunk_columns(app, shards, times)))
     return results
 
 
@@ -726,11 +645,10 @@ def _fold_group_chunk_shm(group: List["CampaignConfig"], chunk_entries):
 class CampaignTensorBackend(CampaignBackend):
     """Whole-campaign tensor sampling: every shard in one (chunked) pass.
 
-    The batched shard kernel lifted one axis: all (trial, process) shards of
-    a campaign are sampled together as ``(n_shards, n_iterations,
-    n_threads)`` arrays — one schedule fold through
-    :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign` and one
-    columnar
+    All (trial, process) shards of a campaign are sampled together as
+    ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold
+    through :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign`
+    and one columnar
     :meth:`~repro.core.instrument.RegionInstrumenter.record_campaign`
     assembly per chunk.  ``chunk_shards`` bounds how many shards are
     resident at once; the results are **bit-identical for every chunking
@@ -739,25 +657,20 @@ class CampaignTensorBackend(CampaignBackend):
     only on its absolute (scope path, method, occurrence) identity, never
     on what folded before it.
 
-    Randomness is necessarily ordered differently than both
-    ``"vectorized"`` (per iteration) and ``"batched"`` (per shard), so this
-    backend agrees with them in distribution — property-tested — while
-    pinning its own smoke digests.  The schedule fold itself keeps per-row
-    bit-identity with ``simulate_batch``/``simulate``.
+    Randomness is necessarily ordered differently than ``"vectorized"``
+    (per iteration), so this backend agrees with it in distribution —
+    property-tested — while pinning its own smoke digests.  The schedule
+    fold itself keeps per-row bit-identity with ``simulate_batch`` /
+    ``simulate``.
 
-    The campaign is one unit of work per *chunk*, not per shard, so the
-    executor's shard fan-out is bypassed (``parallelizable = False``);
-    parallelism happens at chunk granularity instead (``chunk_parallel =
-    True``): :meth:`iter_shards_parallel` / the parallel :meth:`run` /
-    :meth:`run_many` fold whole chunks on a worker pool and ship the
-    columns back through shared memory (or straight into a
-    :class:`~repro.io.shard_store.ShardStore` when spilling).
-    :meth:`run_shard` is unavailable by construction.
+    The campaign is one unit of work per *chunk*, not per shard, so
+    :meth:`run_shard` is unavailable by construction and the executor
+    hands parallel runs to :meth:`iter_shards_parallel` instead of fanning
+    shards out: it, the parallel :meth:`run` and :meth:`run_many` fold
+    whole chunks on a worker pool and ship the columns back through shared
+    memory (or straight into a :class:`~repro.io.shard_store.ShardStore`
+    when spilling).
     """
-
-    streaming = True
-    parallelizable = False
-    chunk_parallel = True
 
     #: default shard-chunk size: large enough that benchmark-scale campaigns
     #: (4 shards) run in one pass, small enough that a paper-scale MiniFE
@@ -799,25 +712,27 @@ class CampaignTensorBackend(CampaignBackend):
         shards = [(spec.trial, spec.process) for spec in self.shard_specs(config)]
         return app, rng, noise, shards
 
-    def _emit_shards(
-        self, app: ProxyApplication, chunk: List[Tuple[int, int]], times: np.ndarray
-    ) -> Iterator[TimingShard]:
-        """One columnar assembly for the chunk, sliced into per-shard views."""
-        columns = _chunk_columns(app, chunk, times)
-        per_shard = times.shape[1] * times.shape[2]
-        yield from _slice_chunk_shards(chunk, columns, per_shard)
-
-    def iter_shards(
+    def _serial_chunks(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[TimingShard]:
-        """Yield the campaign's shards, sampled a whole chunk at a time."""
+    ) -> Iterator[Tuple[ProxyApplication, List[Tuple[int, int]], np.ndarray]]:
+        """Sample the campaign one chunk at a time, in trial-major order:
+        yields ``(app, chunk, times)``."""
         app, rng, noise, shards = self._context(config, streams)
         for start in range(0, len(shards), self.chunk_shards):
             chunk = shards[start : start + self.chunk_shards]
             times = app.thread_compute_times_campaign(
                 shards=chunk, rng=rng, noise=noise
             )
-            yield from self._emit_shards(app, chunk, times)
+            yield app, chunk, times
+
+    def iter_shards(
+        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
+    ) -> Iterator[TimingShard]:
+        """Yield the campaign's shards, sampled a whole chunk at a time."""
+        per_shard = config.iterations * config.threads
+        for app, chunk, times in self._serial_chunks(config, streams):
+            columns = _chunk_columns(app, chunk, times)
+            yield from _slice_chunk_shards(chunk, columns, per_shard)
 
     def run(
         self,
@@ -839,33 +754,21 @@ class CampaignTensorBackend(CampaignBackend):
         Passing explicit ``streams`` forces the serial path (workers
         rebuild their streams from ``config.seed``).
         """
-        workers = int(getattr(config, "max_workers", 1) or 1)
-        if streams is None and workers > 1:
-            chunks = self._parallel_chunks(config, workers)
-            if len(chunks) > 1:
-                app = build_application(config)
-                instrumenter = RegionInstrumenter(
-                    region=app.region,
-                    application=app.name,
-                    metadata=self.metadata(config),
-                )
-                for columns in self._iter_parallel_columns(
-                    config, chunks, min(workers, len(chunks)), mode
-                ):
-                    instrumenter.record_columns(columns)
-                return instrumenter.dataset()
-        app, rng, noise, shards = self._context(config, streams)
+        meta = self.metadata(config)
         instrumenter = RegionInstrumenter(
-            region=app.region,
-            application=app.name,
-            metadata=self.metadata(config),
+            region=meta["region"], application=meta["application"], metadata=meta
         )
-        for start in range(0, len(shards), self.chunk_shards):
-            chunk = shards[start : start + self.chunk_shards]
-            times = app.thread_compute_times_campaign(
-                shards=chunk, rng=rng, noise=noise
-            )
-            instrumenter.record_campaign(shards=chunk, compute_times_s=times)
+        workers = int(getattr(config, "max_workers", 1) or 1)
+        parallel = streams is None and workers > 1
+        chunks = self._parallel_chunks(config, workers) if parallel else []
+        if len(chunks) > 1:
+            for columns in self._iter_parallel_columns(
+                config, chunks, min(workers, len(chunks)), mode
+            ):
+                instrumenter.record_columns(columns)
+        else:
+            for _, chunk, times in self._serial_chunks(config, streams):
+                instrumenter.record_campaign(shards=chunk, compute_times_s=times)
         return instrumenter.dataset()
 
     # ------------------------------------------------------------------
@@ -1017,12 +920,7 @@ class CampaignTensorBackend(CampaignBackend):
         chunks = self._parallel_chunks(config, max(1, int(workers)))
         workers = max(1, min(int(workers), len(chunks)))
         if workers <= 1 or len(chunks) <= 1:
-            app, rng, noise, shards = self._context(config, None)
-            for start in range(0, len(shards), self.chunk_shards):
-                chunk = shards[start : start + self.chunk_shards]
-                times = app.thread_compute_times_campaign(
-                    shards=chunk, rng=rng, noise=noise
-                )
+            for app, chunk, times in self._serial_chunks(config):
                 columns = _chunk_columns(app, chunk, times)
                 yield mapper(columns, _chunk_slices(chunk, per_shard))
             return
@@ -1118,60 +1016,20 @@ class CampaignTensorBackend(CampaignBackend):
     ) -> List[List[TimingShard]]:
         """Shared tensor execution of one compatible config group."""
         contexts = [self._context(config, None) for config in group]
-        n_iterations = group[0].iterations
-        n_threads = group[0].threads
-        schedule = contexts[0][0].config.schedule
         # concatenated shard axis: (config index, trial, process), config-major
         entries = [
             (config_index, shard)
             for config_index, (_, _, _, shards) in enumerate(contexts)
             for shard in shards
         ]
+        per_shard = group[0].iterations * group[0].threads
         out: List[List[TimingShard]] = [[] for _ in group]
         for start in range(0, len(entries), self.chunk_shards):
             chunk = entries[start : start + self.chunk_shards]
-            # per-config contiguous segments of this chunk
-            segments: List[Tuple[int, List[Tuple[int, int]]]] = []
-            for config_index, shard in chunk:
-                if segments and segments[-1][0] == config_index:
-                    segments[-1][1].append(shard)
-                else:
-                    segments.append((config_index, [shard]))
-            folded: List[Tuple[int, List[Tuple[int, int]], Optional[np.ndarray]]] = []
-            cost_planes: List[np.ndarray] = []
-            for config_index, shards in segments:
-                app, rng, noise, _ = contexts[config_index]
-                if not app.campaign_tensor:
-                    # generic apps have no separable cost tensor: run their
-                    # segment whole (still chunk-invariant, just unshared)
-                    times = app.thread_compute_times_campaign(
-                        shards=shards, rng=rng, noise=noise
-                    )
-                    out[config_index].extend(self._emit_shards(app, shards, times))
-                    folded.append((config_index, shards, None))
-                    continue
-                with maybe_scope(rng, "state"):
-                    app.begin_campaign(shards, rng)
-                with maybe_scope(rng, "costs"):
-                    costs = app.item_costs_campaign(shards, n_iterations, rng)
-                cost_planes.append(np.asarray(costs, dtype=np.float64))
-                folded.append((config_index, shards, cost_planes[-1]))
-            if cost_planes:
-                # the shared fold: one simulate_campaign over every tensor
-                # segment of the chunk (deterministic, plane-bit-identical
-                # to per-config folds)
-                busy_all = schedule.simulate_campaign(
-                    np.concatenate(cost_planes, axis=0), n_threads
+            for config_index, shards, columns in _fold_group_chunk(
+                group, chunk, contexts.__getitem__
+            ):
+                out[config_index].extend(
+                    _slice_chunk_shards(shards, columns, per_shard)
                 )
-                offset = 0
-                for config_index, shards, costs in folded:
-                    if costs is None:
-                        continue
-                    app, rng, noise, _ = contexts[config_index]
-                    base = busy_all[offset : offset + len(shards)]
-                    offset += len(shards)
-                    times = app.finalize_campaign_times(
-                        base, shards, n_iterations, rng, noise
-                    )
-                    out[config_index].extend(self._emit_shards(app, shards, times))
         return out

@@ -3,7 +3,7 @@
 The campaign execution API lives in three places since the v2 redesign:
 
 * :mod:`repro.experiments.backends` — the pluggable backend registry
-  (``vectorized`` / ``event`` / ``chunked`` built-ins, ``register_backend``
+  (``vectorized`` / ``event`` / ``campaign`` built-ins, ``register_backend``
   for extensions).
 * :mod:`repro.experiments.executor` — parallel sharded execution.
 * :mod:`repro.experiments.session` — the :class:`CampaignSession` facade::

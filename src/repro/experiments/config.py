@@ -28,7 +28,7 @@ class CampaignConfig:
     machine: MachineConfig = field(default_factory=manzano)
     #: execution backend name, resolved against the backend registry
     #: (:func:`repro.experiments.backends.available_backends`); the built-ins
-    #: are ``"vectorized"``, ``"batched"``, ``"event"`` and ``"chunked"``
+    #: are ``"vectorized"``, ``"event"`` and ``"campaign"``
     backend: str = "vectorized"
     #: worker-pool size for parallel sharded execution (1 = serial); results
     #: are bit-identical at any worker count

@@ -125,22 +125,16 @@ class ShardExecutor:
         """
         specs = backend.shard_specs(config)
         workers = self._resolve_workers(config, len(specs))
-        if not getattr(backend, "parallelizable", True):
-            if getattr(backend, "chunk_parallel", False) and workers > 1:
-                # chunk fan-out: the backend's unit of work is a whole shard
-                # chunk, which it folds on its own worker pool and streams
-                # back shard by shard in trial-major order (bit-identical to
-                # serial — the shard-keyed draw streams guarantee it)
-                parallel = backend.iter_shards_parallel(
-                    config, workers=workers, mode=self.mode
-                )
-                for spec, shard in zip(specs, parallel):
-                    yield spec, (shard if mapper is None else mapper(shard))
-                return
-            # the backend's unit of work is the whole campaign and it has no
-            # chunk-parallel path, so fanning shards out would re-run it per
-            # shard; its iter_shards already streams incrementally
-            workers = 1
+        iter_parallel = getattr(backend, "iter_shards_parallel", None)
+        if iter_parallel is not None and workers > 1:
+            # chunk fan-out: the backend's unit of work is a whole shard
+            # chunk, which it folds on its own worker pool and streams back
+            # shard by shard in trial-major order (bit-identical to serial —
+            # the shard-keyed draw streams guarantee it)
+            parallel = iter_parallel(config, workers=workers, mode=self.mode)
+            for spec, shard in zip(specs, parallel):
+                yield spec, (shard if mapper is None else mapper(shard))
+            return
         if workers <= 1:
             # defer to the backend's own serial driver so overrides of
             # iter_shards (e.g. replaying pre-recorded shards) are honoured
@@ -205,12 +199,13 @@ class ShardExecutor:
         consumer still sees every shard; :meth:`run_to_store` is the
         variant that swallows the iterator.
         """
-        if store is not None and not getattr(backend, "parallelizable", True):
+        iter_parallel = getattr(backend, "iter_shards_parallel", None)
+        if store is not None and iter_parallel is not None:
             workers = self._resolve_workers(config, len(backend.shard_specs(config)))
-            if getattr(backend, "chunk_parallel", False) and workers > 1:
+            if workers > 1:
                 # the backend handles the spill itself (direct worker->store
                 # in process mode, parent-side extend in thread mode)
-                for shard in backend.iter_shards_parallel(
+                for shard in iter_parallel(
                     config, workers=workers, mode=self.mode, store=store
                 ):
                     if on_shard is not None:

@@ -90,8 +90,8 @@ def segment_sums_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     segments along the last axis exactly as in :func:`segment_sums`, shared
     by every row.  Returns ``(n_rows, n_segments)``.  Each segment is summed
     left-to-right, so every row matches what :func:`segment_sums` returns
-    for it — this is what keeps the batched schedule kernels bit-identical
-    to their per-iteration counterparts.
+    for it — this is what keeps the row-vectorised schedule kernels
+    bit-identical to their per-iteration counterparts.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
@@ -119,7 +119,7 @@ def segment_sums_3d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     plane is summed left-to-right, so ``out[s]`` is bit-identical to
     ``segment_sums_2d(values[s], offsets)`` — the property that keeps the
     campaign backend's whole-tensor schedule fold bit-identical to the
-    per-shard batched kernels.
+    per-shard ``simulate_batch`` kernels.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)

@@ -53,7 +53,7 @@ class Scenario:
         Optional OpenMP schedule clause (``"static"``, ``"dynamic,4"``,
         ``"guided"``); ``None`` keeps each application's default.
     backend:
-        Optional campaign-backend name (``"batched"``, ``"event"``, ...)
+        Optional campaign-backend name (``"campaign"``, ``"event"``, ...)
         pinning the execution strategy; ``None`` keeps the campaign default
         (and an explicit ``backend=`` override to
         :meth:`campaign_config` wins over both).
@@ -395,14 +395,6 @@ _BUILTIN_SCENARIOS = (
         name="manzano-guided",
         schedule="guided",
         description="Guided loop schedule on the paper platform",
-    ),
-    Scenario(
-        name="manzano-dynamic-batched",
-        schedule="dynamic,4",
-        backend="batched",
-        description="Dynamic schedule driven through the batched backend's "
-        "row-vectorized work-queue kernel (CI smoke of the batched "
-        "dynamic path)",
     ),
     Scenario(
         name="manzano-campaign-batched",

@@ -162,7 +162,7 @@ def _sum_per_window(
 
     Fast path: one vectorised ``reduceat``
     (:func:`~repro.openmp.schedule.segment_sums`) instead of the seed's
-    per-window ``np.split`` list comprehension — with the batched campaign
+    per-window ``np.split`` list comprehension — with the campaign tensor
     kernel a single call covers an entire ``(n_iterations, n_threads)``
     shard, i.e. thousands of windows.
 

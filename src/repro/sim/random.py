@@ -188,6 +188,24 @@ class PurposeSplitRNG:
             self._scope.pop()
             self._counts.pop()
 
+    @contextmanager
+    def rooted(self, *name):
+        """Enter a scope at the root, as if no other scope were open.
+
+        Replays the draws of another stage's scope path from inside the
+        current one: the campaign hooks re-begin a shard's per-process state
+        under its original ``("state", "shard", trial, process)`` path from
+        within the cost and delay stages.
+        """
+        if not name:
+            raise ValueError("rooted() requires at least one name component")
+        saved = self._scope, self._counts
+        self._scope, self._counts = [tuple(name)], [{}, {}]
+        try:
+            yield self
+        finally:
+            self._scope, self._counts = saved
+
     def generator(self, method: str) -> np.random.Generator:
         """A fresh generator keyed by ``method``'s occurrence in this scope."""
         if not any(part and part[0] == "shard" for part in self._scope):

@@ -4,7 +4,7 @@ The campaign backend samples *all* (trial, process) shards as
 ``(n_shards, n_iterations, n_threads)`` tensors — one schedule fold, one
 draw per noise source, one columnar assembly per shard chunk.  Its
 randomness is ordered shard-major across the whole campaign, so it is not
-bit-identical to ``"vectorized"`` or ``"batched"``; it pins its own
+bit-identical to ``"vectorized"``; it pins its own
 reference digests here (distributional agreement with the vectorized path
 is property-tested in ``tests/property/test_prop_campaign.py``).  What this
 module pins exactly:
@@ -89,8 +89,10 @@ class TestRegistration:
         assert "campaign" in available_backends()
         backend = get_backend("campaign")
         assert backend.name == "campaign"
-        assert backend.parallelizable is False
-        assert backend.chunk_parallel is True
+        # its unit of work is a shard chunk: the executor hands parallel
+        # runs to iter_shards_parallel instead of fanning shards out
+        assert callable(getattr(backend, "iter_shards_parallel", None))
+        assert not hasattr(get_backend("vectorized"), "iter_shards_parallel")
         assert backend.chunk_shards == CampaignTensorBackend.DEFAULT_CHUNK_SHARDS
 
     def test_metadata_carries_backend_label(self):
@@ -124,6 +126,16 @@ class TestPinnedDigests:
         assert _digest(dataset) == CAMPAIGN_SCHEDULE_SMOKE_DIGESTS[
             (application, schedule)
         ]
+
+    @pytest.mark.parametrize("application", ["minimd", "miniqmc"])
+    @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
+    def test_one_item_per_thread_apps_are_schedule_invariant(
+        self, application, schedule
+    ):
+        # one loop item per thread: the work-queue hand-out is thread k gets
+        # chunk k, identical to static, so the digest must not move
+        dataset = CampaignSession(_smoke(application, schedule=schedule)).run().dataset
+        assert _digest(dataset) == CAMPAIGN_SMOKE_DIGESTS[application]
 
     @pytest.mark.parametrize("application", APPLICATIONS)
     def test_campaign_shape_matches_vectorized(self, application):
@@ -191,10 +203,10 @@ class TestParallelExecution:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("max_workers", [2, 4])
     def test_executor_chunk_parallel_is_bit_identical(self, max_workers, mode):
-        # parallelizable=False but chunk_parallel=True: the executor must
-        # not fan individual shards across a pool (each worker would re-run
-        # the whole tensor pass) — instead the backend folds whole shard
-        # chunks on its own pool, bit-identically to the serial run
+        # the backend has iter_shards_parallel: the executor must not fan
+        # individual shards across a pool (run_shard is not a unit of work)
+        # — instead the backend folds whole shard chunks on its own pool,
+        # bit-identically to the serial run
         serial = CampaignSession(_smoke("minife", trials=3)).run().dataset
         parallel = CampaignSession(
             _smoke("minife", trials=3, max_workers=max_workers),
@@ -245,6 +257,35 @@ class TestParallelBitIdentity:
         )
         for name in serial.columns:
             assert np.array_equal(serial.column(name), parallel.column(name)), name
+
+    @pytest.mark.parametrize("application", APPLICATIONS)
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_every_app_is_bit_identical_on_an_uneven_pool(self, application, mode):
+        # 8 shards over 3 workers: chunks of 3, 3 and 2 shards, so a chunk
+        # boundary splits a trial; per-shard app state (MiniQMC's walker
+        # populations) must not leak across it
+        if mode == "process" and not _HAS_FORK:
+            pytest.skip("needs the fork start method")
+        serial = CampaignSession(_smoke(application, trials=4)).run().dataset
+        parallel = CampaignSession(
+            _smoke(application, trials=4, max_workers=3), executor_mode=mode
+        ).run(use_cache=False).dataset
+        for name in serial.columns:
+            assert np.array_equal(serial.column(name), parallel.column(name)), name
+
+    @pytest.mark.parametrize("application", APPLICATIONS)
+    def test_parallel_stream_merges_to_the_serial_run(self, application):
+        from repro.core.timing import TimingDataset
+
+        serial = get_backend("campaign").run(_smoke(application, trials=3))
+        config = _smoke(application, trials=3, max_workers=2)
+        streamed = list(CampaignSession(config, executor_mode="thread").stream())
+        assert [(s.trial, s.process) for s in streamed] == [
+            (trial, process) for trial in range(3) for process in range(2)
+        ]
+        merged = TimingDataset.merge(streamed)
+        for name in serial.columns:
+            assert np.array_equal(serial.column(name), merged.column(name)), name
 
     @pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
     @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
@@ -381,18 +422,22 @@ class TestGroupedExecution:
 
 
 class TestRecordCampaign:
-    def test_record_campaign_matches_per_shard_record_block(self):
+    def test_record_campaign_matches_per_iteration_recording(self):
         rng = np.random.default_rng(5)
         times = np.abs(rng.normal(25e-3, 1e-3, size=(3, 7, 5)))
         shards = [(0, 0), (0, 1), (1, 0)]
         tensor = RegionInstrumenter(region="r", application="a")
         tensor.record_campaign(shards=shards, compute_times_s=times)
-        blockwise = RegionInstrumenter(region="r", application="a")
+        rowwise = RegionInstrumenter(region="r", application="a")
         for (trial, process), plane in zip(shards, times):
-            blockwise.record_block(
-                trial=trial, process=process, compute_times_s=plane
-            )
-        a, b = tensor.dataset(), blockwise.dataset()
+            for iteration, row in enumerate(plane):
+                rowwise.record_compute_times(
+                    trial=trial,
+                    process=process,
+                    iteration=iteration,
+                    compute_times_s=row,
+                )
+        a, b = tensor.dataset(), rowwise.dataset()
         assert a.columns == b.columns
         for name in a.columns:
             assert np.array_equal(a.column(name), b.column(name)), name
@@ -419,3 +464,64 @@ class TestRecordCampaign:
         buffer[:] = 9.0
         recorded = instrumenter.dataset().column("compute_time_s")
         np.testing.assert_array_equal(recorded, np.full(6, 1e-3))
+
+    def test_record_campaign_interleaves_with_row_records(self):
+        instrumenter = RegionInstrumenter()
+        instrumenter.record_compute_times(
+            trial=0, process=0, iteration=0, compute_times_s=[1e-3, 2e-3]
+        )
+        instrumenter.record_campaign(
+            shards=[(0, 1)],
+            compute_times_s=np.full((1, 2, 2), 3e-3),
+            first_iteration=1,
+        )
+        dataset = instrumenter.dataset()
+        assert instrumenter.n_records == 6
+        assert dataset.column("process").tolist() == [0, 0, 1, 1, 1, 1]
+        assert dataset.column("iteration").tolist() == [0, 0, 1, 1, 2, 2]
+
+    def test_reset_discards_blocks(self):
+        instrumenter = RegionInstrumenter()
+        instrumenter.record_campaign(
+            shards=[(0, 0)], compute_times_s=np.ones((1, 2, 2))
+        )
+        instrumenter.reset()
+        assert instrumenter.n_records == 0
+
+    def test_record_columns_appends_an_assembled_block(self):
+        # the parallel path assembles a chunk's columns in a worker and the
+        # parent appends them: same rows as recording the tensor in place
+        times = np.abs(np.random.default_rng(3).normal(1e-3, 1e-4, (2, 3, 4)))
+        shards = [(0, 0), (0, 1)]
+        worker = RegionInstrumenter()
+        worker.record_campaign(shards=shards, compute_times_s=times)
+        block = worker.dataset()
+        parent = RegionInstrumenter()
+        direct = RegionInstrumenter()
+        for instrumenter in (parent, direct):
+            instrumenter.record_compute_times(
+                trial=0, process=0, iteration=0, compute_times_s=np.ones(4)
+            )
+        parent.record_columns({name: block.column(name) for name in block.columns})
+        direct.record_campaign(shards=shards, compute_times_s=times)
+        assert parent.n_records == 4 + times.size
+        a, b = parent.dataset(), direct.dataset()
+        for name in b.columns:
+            assert np.array_equal(a.column(name), b.column(name)), name
+
+    def test_record_columns_rejects_bad_input(self):
+        source = RegionInstrumenter()
+        source.record_campaign(shards=[(0, 0)], compute_times_s=np.ones((1, 2, 2)))
+        dataset = source.dataset()
+        columns = {name: dataset.column(name) for name in dataset.columns}
+        instrumenter = RegionInstrumenter()
+        missing = dict(columns)
+        del missing["thread"]
+        with pytest.raises(ValueError, match="columns must be exactly"):
+            instrumenter.record_columns(missing)
+        with pytest.raises(ValueError, match="columns must be exactly"):
+            instrumenter.record_columns({**columns, "core": columns["thread"]})
+        ragged = dict(columns, thread=columns["thread"][:-1])
+        with pytest.raises(ValueError, match="column lengths differ"):
+            instrumenter.record_columns(ragged)
+        assert instrumenter.n_records == 0

@@ -53,8 +53,8 @@ class TestParallelBitIdentical:
         parallel = CampaignSession(config.parallel(2)).run().dataset
         _assert_bit_identical(serial, parallel)
 
-    def test_chunked_parallel_stream_matches_serial_stream(self):
-        config = CampaignConfig.smoke().with_backend("chunked")
+    def test_parallel_stream_matches_serial_stream(self):
+        config = CampaignConfig.smoke().with_backend("vectorized")
         serial_shards = list(CampaignSession(config).stream())
         parallel_shards = list(CampaignSession(config.parallel(4)).stream())
         assert [s.sort_key for s in serial_shards] == [

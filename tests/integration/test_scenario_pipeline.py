@@ -110,18 +110,18 @@ class TestScenarioExecution:
         assert "scenario" not in plain.dataset.metadata
 
     def test_scenario_backend_pin_survives_cli_defaults(self):
-        # manzano-dynamic-batched pins backend="batched"; the CLI must not
+        # manzano-campaign-batched pins backend="campaign"; the CLI must not
         # silently override it with its own default when --backend is absent
         from repro.experiments.runner import _configure, build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["--scenario", "manzano-dynamic-batched"])
+        args = parser.parse_args(["--scenario", "manzano-campaign-batched"])
         config = _configure(args, "minife")
-        assert config.backend == "batched"
+        assert config.backend == "campaign"
         assert config.schedule == "dynamic,4"
         # an explicit flag still wins over the scenario pin
         args = parser.parse_args(
-            ["--scenario", "manzano-dynamic-batched", "--backend", "event"]
+            ["--scenario", "manzano-campaign-batched", "--backend", "event"]
         )
         assert _configure(args, "minife").backend == "event"
         # scenario-less runs keep the vectorized default

@@ -1,9 +1,8 @@
 """Distributional agreement of the campaign and vectorized backends.
 
 The whole-campaign tensor backend draws its randomness shard-major across
-the entire campaign — a different order again than both the per-iteration
-vectorized path and the per-shard batched kernel — so bit-identity is
-impossible by design.  What must hold, over every application, schedule
+the entire campaign — a different order than the per-iteration vectorized
+path — so bit-identity is impossible by design.  What must hold, over every application, schedule
 clause and noise profile, is that it samples the *same distribution*: same
 location, same spread, and no detectable distributional drift under a
 two-sample Kolmogorov-Smirnov test.
@@ -104,18 +103,3 @@ def test_noise_off_paths_are_deterministic_and_equal():
     base_c = np.min(c, axis=0)
     np.testing.assert_allclose(base_c, base_v, rtol=0, atol=0)
 
-
-def test_campaign_agrees_with_batched_in_distribution():
-    """The two lifted kernels (per-shard batched, whole-campaign tensor)
-    must also agree with each other — one deterministic KS check on the
-    default recipe."""
-    config = CampaignConfig(
-        application="miniqmc", trials=1, processes=2, iterations=48, threads=16,
-        seed=1303,
-    )
-    batched = get_backend("batched").run(config.with_backend("batched"))
-    campaign = get_backend("campaign").run(config.with_backend("campaign"))
-    result = scipy_stats.ks_2samp(
-        batched.compute_times_s, campaign.compute_times_s
-    )
-    assert result.pvalue > KS_ALPHA

@@ -164,14 +164,26 @@ class TestMiniFEApp:
             MiniFEConfig(straggler_min_s=2e-3, straggler_max_s=1e-3)
 
 
-class TestBatchedWorkModel:
-    def test_base_thread_times_batch_broadcasts_cached_row(self):
+class TestCampaignWorkModel:
+    def test_base_thread_times_campaign_broadcasts_cached_row(self):
         app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=5))
         rng = np.random.default_rng(0)
-        batch = app.base_thread_times_batch(0, 5, rng)
-        assert batch.shape == (5, 8)
+        tensor = app.base_thread_times_campaign([(0, 0), (0, 1), (1, 0)], 5, rng)
+        assert tensor.shape == (3, 5, 8)
         row = app.base_thread_times(0, 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(batch, np.tile(row, (5, 1)))
+        np.testing.assert_array_equal(tensor, np.tile(row, (3, 5, 1)))
+
+    def test_thread_compute_times_campaign_shape_and_positivity(self):
+        app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=6))
+        shards = [(0, 0), (0, 1), (1, 0)]
+        times = app.thread_compute_times_campaign(
+            shards=shards, rng=np.random.default_rng(4)
+        )
+        assert times.shape == (3, 6, 8)
+        assert np.all(np.isfinite(times)) and np.all(times > 0)
+        # delays only add to the pure schedule fold
+        base = app.base_thread_times_campaign(shards, 6, np.random.default_rng(4))
+        assert np.all(times >= base)
 
     def test_application_delays_batch_straggler_statistics(self):
         app = MiniFEApp(
@@ -187,9 +199,3 @@ class TestBatchedWorkModel:
         values = delays[struck]
         assert np.all(values >= app.config.straggler_min_s)
         assert np.all(values <= app.config.straggler_max_s)
-
-    def test_thread_compute_times_batch_shape_and_positivity(self):
-        app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=6))
-        times = app.thread_compute_times_batch(process=0, rng=np.random.default_rng(2))
-        assert times.shape == (6, 8)
-        assert np.all(times > 0)

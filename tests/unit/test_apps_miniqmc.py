@@ -14,6 +14,7 @@ from repro.apps.miniqmc import (
 )
 from repro.apps.miniqmc.app import TARGET_IQR_S, TARGET_MEDIAN_ARRIVAL_S
 from repro.apps.miniqmc.spline import cubic_bspline_weights
+from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 
 class TestSplines:
@@ -113,15 +114,24 @@ class TestMiniQMCApp:
             MiniQMCApp(MiniQMCConfig(process_sd_spread=1.5))
 
 
-class TestBatchedWorkModel:
-    def test_item_costs_batch_matches_single_draw_statistics(self):
+class TestCampaignWorkModel:
+    def test_item_costs_campaign_matches_single_draw_statistics(self):
         app = MiniQMCApp(MiniQMCConfig(n_threads=48, n_iterations=50))
-        app.begin_process(0, np.random.default_rng(0))
-        batch = app.item_costs_batch(0, 50, np.random.default_rng(1))
-        assert batch.shape == (50, 48)
+        streams = RandomStreams(0)
+        rng = PurposeSplitRNG(streams, app.name, "campaign")
+        shards = [(0, 0), (0, 1)]
+        app.begin_campaign(shards, rng)
+        costs = app.item_costs_campaign(shards, 50, rng)
+        assert costs.shape == (2, 50, 48)
         # same truncation floor as the per-iteration path
-        assert np.all(batch >= 0.2 * app.mover_mean_s)
-        singles = np.stack(
-            [app.item_costs(0, it, np.random.default_rng(2)) for it in range(50)]
-        )
-        assert batch.mean() == pytest.approx(singles.mean(), rel=0.02)
+        assert np.all(costs >= 0.2 * app.mover_mean_s)
+        singles_rng = np.random.default_rng(2)
+        for plane, (trial, process) in zip(costs, shards):
+            # begin_campaign reads each shard's per-process "work" stream, so
+            # the per-iteration path sees the same walker population
+            work_rng = streams.fresh(app.name, "work", trial, process)
+            app.begin_process(process, work_rng)
+            singles = np.stack(
+                [app.item_costs(process, it, singles_rng) for it in range(50)]
+            )
+            assert plane.mean() == pytest.approx(singles.mean(), rel=0.02)

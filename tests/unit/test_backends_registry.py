@@ -18,7 +18,7 @@ from repro.experiments.config import CampaignConfig
 
 class TestRegistry:
     def test_builtins_are_registered(self):
-        assert {"vectorized", "batched", "event", "chunked"} <= set(available_backends())
+        assert {"vectorized", "event", "campaign"} <= set(available_backends())
 
     def test_get_backend_returns_named_instances(self):
         for name in available_backends():
@@ -36,6 +36,26 @@ class TestRegistry:
         assert "warp-drive" in message
         for name in available_backends():
             assert name in message
+
+    @pytest.mark.parametrize("retired", ["batched", "chunked"])
+    def test_retired_backend_names_are_unknown(self, retired):
+        # the per-shard kernel and the streaming flavour of vectorized were
+        # folded into "campaign"/"vectorized": old configs fail loudly,
+        # naming the backends that remain
+        for build in (get_backend, lambda name: CampaignConfig(backend=name)):
+            with pytest.raises(ValueError) as excinfo:
+                build(retired)
+            message = str(excinfo.value)
+            assert retired in message
+            assert "campaign, event, vectorized" in message
+
+    @pytest.mark.parametrize("retired", ["batched", "chunked"])
+    def test_cli_rejects_retired_backend_names(self, retired, capsys):
+        from repro.experiments.runner import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--backend", retired])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -139,12 +159,11 @@ class TestShardSpecs:
         assert specs[0] == ShardSpec(trial=0, process=0)
         assert specs[-1] == ShardSpec(trial=2, process=1)
 
-    def test_chunked_shares_vectorized_decomposition(self):
+    def test_campaign_shares_vectorized_decomposition(self):
         config = CampaignConfig.smoke()
-        assert get_backend("chunked").shard_specs(config) == get_backend(
+        assert get_backend("campaign").shard_specs(config) == get_backend(
             "vectorized"
         ).shard_specs(config)
-        assert get_backend("chunked").streaming
 
     def test_event_shards_per_trial(self):
         config = CampaignConfig.smoke().scaled(trials=4)

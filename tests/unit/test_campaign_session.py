@@ -71,18 +71,27 @@ class TestSessionFacade:
         assert isinstance(session.analyze(), ThreadTimingAnalyzer)
 
 
-class TestChunkedBackend:
-    def test_chunked_merge_equals_vectorized_dense_output(self, smoke_config):
-        vectorized = CampaignSession(smoke_config).run().dataset
-        chunked = CampaignSession(smoke_config.with_backend("chunked")).run().dataset
-        _assert_columns_equal(vectorized, chunked)
-        np.testing.assert_array_equal(vectorized.to_dense(), chunked.to_dense())
-
-    def test_chunked_stream_is_lazy(self, smoke_config):
-        stream = CampaignSession(smoke_config.with_backend("chunked")).stream()
+class TestShardStream:
+    def test_stream_is_lazy(self, smoke_config):
+        stream = CampaignSession(smoke_config.with_backend("vectorized")).stream()
         first = next(stream)
         assert (first.trial, first.process) == (0, 0)
         assert first.n_samples == smoke_config.iterations * smoke_config.threads
+
+
+    @pytest.mark.parametrize("backend", ["campaign", "event", "vectorized"])
+    def test_stream_merges_to_the_dense_run_on_every_backend(
+        self, smoke_config, backend
+    ):
+        config = smoke_config.with_backend(backend)
+        session = CampaignSession(config)
+        merged = TimingDataset.merge(
+            list(session.stream()),
+            metadata=session.backend_for().metadata(config),
+        )
+        dense = session.run(use_cache=False).dataset
+        assert dense.is_dense()
+        _assert_columns_equal(merged, dense)
 
 
 class TestResultCaching:

@@ -229,6 +229,18 @@ class TestScenarioRegistry:
             "cloudvm-default",
         } <= set(available_scenarios())
 
+    def test_every_pinned_backend_is_registered(self):
+        from repro.experiments.backends import available_backends
+
+        pinned = {
+            name: get_scenario(name).backend
+            for name in available_scenarios()
+            if get_scenario(name).backend is not None
+        }
+        assert pinned, "the catalog pins at least one backend"
+        for name, backend in pinned.items():
+            assert backend in available_backends(), name
+
     def test_unknown_scenario_lists_registered(self):
         with pytest.raises(ValueError, match="registered scenarios"):
             get_scenario("perlmutter-default")

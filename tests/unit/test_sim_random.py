@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.random import RandomStreams
+from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 
 class TestRandomStreams:
@@ -90,3 +90,25 @@ class TestNamedDerivation:
 
     def test_derive_preserves_seed(self):
         assert RandomStreams(42).derive("sub").seed == 42
+
+
+class TestPurposeSplitRooted:
+    def test_rooted_scope_replays_a_sibling_stage_and_restores_the_stack(self):
+        rng = PurposeSplitRNG(RandomStreams(5), "app", "campaign")
+        with rng.scope("state"), rng.scope("shard", 0, 1):
+            original = rng.normal(size=3)
+        with rng.scope("costs"), rng.scope("shard", 0, 1):
+            before = rng.normal(size=3)
+            with rng.rooted("state"), rng.scope("shard", 0, 1):
+                replayed = rng.normal(size=3)
+            # the costs stage's numbering resumes where it left off
+            after = rng.normal(size=3)
+        np.testing.assert_array_equal(replayed, original)
+        assert not np.array_equal(before, original)
+        with rng.scope("costs"), rng.scope("shard", 0, 1):
+            np.testing.assert_array_equal(rng.normal(size=3), before)
+            np.testing.assert_array_equal(rng.normal(size=3), after)
+        with pytest.raises(ValueError):
+            with rng.rooted():
+                pass
+
