@@ -3,11 +3,11 @@
 The §4 analyses used to require the entire merged
 :class:`~repro.core.timing.TimingDataset` in memory.  This subpackage
 refactors them into a registry of :class:`AnalysisPass` objects following a
-``prepare → accumulate(shard) → merge → finalize`` lifecycle, so a
-campaign's :class:`~repro.core.timing.TimingShard` stream — serial or
-parallel — is analysed in one pass without materialising the merged
-dataset (and, in sketch mode, with accumulator memory independent of the
-shard count):
+``prepare → accumulate_columns_split(block) → merge → finalize``
+lifecycle over canonical column blocks, so a campaign's shards or column
+blocks — serial or parallel — are analysed in one pass without
+materialising the merged dataset (and, in sketch mode, with accumulator
+memory independent of the shard count):
 
 >>> from repro.experiments import CampaignConfig, CampaignSession
 >>> session = CampaignSession(CampaignConfig.smoke())
@@ -21,8 +21,8 @@ subclass :class:`AnalysisPass` and register with :func:`register_analysis`
 — the third registry of the campaign layer, after execution backends and
 scenarios.
 
-In ``exact`` mode (default) every pass is bit-identical to the legacy
-in-memory :class:`~repro.core.analyzer.ThreadTimingAnalyzer`; with
+In ``exact`` mode (default) every pass is bit-identical to the dense
+reference analyses over :func:`~repro.core.aggregation.aggregate`; with
 ``exact=False`` the passes switch to bounded sketches whose memory is
 independent of the shard count (documented tolerance on sketched
 percentiles).
@@ -41,7 +41,6 @@ from repro.analysis.base import (
 from repro.analysis.engine import (
     AnalysisResults,
     ColumnarAnalyzer,
-    ShardAnalyzer,
     product_payload,
     run_analyses,
     run_campaign_analyses,
@@ -66,7 +65,6 @@ __all__ = [
     "AnalysisPass",
     "AnalysisResults",
     "ColumnarAnalyzer",
-    "ShardAnalyzer",
     "analysis_title",
     "available_analyses",
     "get_analysis",

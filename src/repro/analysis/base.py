@@ -1,19 +1,22 @@
 """The analysis-pass protocol, context and registry.
 
-An :class:`AnalysisPass` is a shard-mergeable analysis: instead of requiring
-the whole merged :class:`~repro.core.timing.TimingDataset` in memory, it
-follows the map-reduce-style lifecycle
+An :class:`AnalysisPass` is a mergeable analysis: instead of requiring the
+whole merged :class:`~repro.core.timing.TimingDataset` in memory, it follows
+the map-reduce-style lifecycle
 
-``prepare → accumulate(shard) → merge → finalize``
+``prepare → accumulate_columns_split(block) → merge → finalize``
 
 * :meth:`AnalysisPass.prepare` creates an empty accumulator *state* for one
   campaign (a plain picklable object — states travel between executor
   workers).
-* :meth:`AnalysisPass.accumulate` folds one
-  :class:`~repro.core.timing.TimingShard` into a state.
-* :meth:`AnalysisPass.merge` combines two states (any grouping of shards,
+* :meth:`AnalysisPass.accumulate_columns_split` folds a canonical
+  :class:`~repro.core.aggregation.ColumnBlock` into one partial state per
+  (trial, process) slice — the only way a pass sees data.
+  :meth:`AnalysisPass.accumulate` folds a single shard through the same
+  method, as a one-slice block.
+* :meth:`AnalysisPass.merge` combines two states (any grouping of slices,
   any order — the built-in passes are written so the finalised product does
-  not depend on how the shards were batched).
+  not depend on how the campaign was chunked).
 * :meth:`AnalysisPass.finalize` turns the merged state into the pass's
   product (a :class:`~repro.stats.percentiles.PercentileSeries`, a
   histogram, a laggard summary, ...).
@@ -36,7 +39,6 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Type,
     Union,
@@ -44,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.aggregation import ShardSlice, release_shard_groups
+from repro.core.aggregation import ColumnBlock, ShardSlice, canonical_block
 from repro.core.timing import TimingDataset, TimingShard
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -55,15 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
 class AnalysisContext:
     """Campaign-level facts every pass may rely on while streaming.
 
-    Shards carry only their own rows; the context supplies the global frame
+    Blocks carry only their own rows; the context supplies the global frame
     (the full trial/process/iteration index sets, thread count, application
-    label and dataset metadata) so passes can place per-shard partials —
+    label and dataset metadata) so passes can place per-slice partials —
     e.g. the early-bird pass needs each group's *global* index to reproduce
-    the deterministic strided subset of the in-memory path.
+    the deterministic strided subset of the dense path.
 
     ``exact`` selects the bit-identical accumulation mode: passes keep exact
     per-group (never per-sample-merged) vectors and produce results
-    bit-identical to the legacy in-memory analyzer.  With ``exact=False``
+    bit-identical to the dense reference analyses.  With ``exact=False``
     the passes switch to bounded-memory accumulators (sketches and running
     tallies) whose outputs agree within documented tolerances.
     """
@@ -134,16 +136,14 @@ class AnalysisContext:
         )
 
     # ------------------------------------------------------------------
-    def group_indices(self, keys: Sequence[Tuple[int, int, int]]) -> np.ndarray:
-        """Global process-iteration group index of each (trial, process,
-        iteration) key, matching the dense aggregation's row order."""
-        if len(keys) == 0:
-            return np.empty(0, dtype=np.int64)
-        arr = np.asarray(keys, dtype=np.int64)
-        t = np.searchsorted(np.asarray(self.trials), arr[:, 0])
-        p = np.searchsorted(np.asarray(self.processes), arr[:, 1])
-        i = np.searchsorted(np.asarray(self.iterations), arr[:, 2])
-        return (t * self.n_processes + p) * self.n_iterations + i
+    def group_indices(self, block: ColumnBlock) -> np.ndarray:
+        """Global process-iteration group index of every group of ``block``
+        (in ``block.cube`` order), matching the dense aggregation's rows."""
+        t = np.searchsorted(self.trials, [sl.trial for sl in block.slices])
+        p = np.searchsorted(self.processes, [sl.process for sl in block.slices])
+        i = np.searchsorted(self.iterations, block.iterations)
+        first = (t * self.n_processes + p) * self.n_iterations
+        return (first[:, np.newaxis] + i).ravel()
 
 
 class AnalysisPass(ABC):
@@ -166,8 +166,18 @@ class AnalysisPass(ABC):
         return {}
 
     @abstractmethod
-    def accumulate(self, state: Any, shard: TimingShard, context: AnalysisContext) -> Any:
-        """Fold one shard into ``state`` (may mutate and return it)."""
+    def accumulate_columns_split(
+        self, block: ColumnBlock, context: AnalysisContext
+    ) -> list:
+        """One partial state per slice of a canonical column block.
+
+        ``block`` (see :func:`~repro.core.aggregation.canonical_block`)
+        holds one (trial, process) per slice, its ``cube[s]`` that slice's
+        process-iteration groups.  Element ``s`` of the returned list is the
+        state of slice ``s`` alone; the engine merges these partials in
+        serial slice order whatever block they came from, which is what
+        makes the products independent of how the campaign was chunked.
+        """
 
     @abstractmethod
     def merge(self, state: Any, other: Any) -> Any:
@@ -177,61 +187,12 @@ class AnalysisPass(ABC):
     def finalize(self, state: Any, context: AnalysisContext) -> Any:
         """Turn the merged state into the pass's product."""
 
-    # ------------------------------------------------------------------
-    # columnar fast path
-    # ------------------------------------------------------------------
-    def accumulate_columns_split(
-        self,
-        columns: Mapping[str, np.ndarray],
-        slices: Sequence[ShardSlice],
-        context: AnalysisContext,
-    ) -> list:
-        """Per-shard partial states from one multi-shard column block.
-
-        A *column block* is the flat timing columns of several shards
-        concatenated in serial shard order, addressed by one
-        :class:`~repro.core.aggregation.ShardSlice` per shard.  The
-        contract: element ``k`` of the returned list must equal the state
-        ``accumulate(prepare(context), shard_k, context)`` would produce
-        for the corresponding shard — the engine reduces columnar partials
-        with the same merge fold as the shard-streaming path, which is
-        what keeps the two paths bit-identical (exact mode) /
-        identical-state (sketch mode) for any chunking.
-
-        This generic fallback slices the block into shards and replays the
-        per-shard protocol; the built-in passes override it with a single
-        vectorised group-by over the whole block.
-        """
-        states = []
-        for sl in slices:
-            shard = TimingShard(
-                trial=sl.trial,
-                process=sl.process,
-                columns={
-                    name: arr[sl.start : sl.stop] for name, arr in columns.items()
-                },
-            )
-            try:
-                states.append(self.accumulate(self.prepare(context), shard, context))
-            finally:
-                release_shard_groups(shard)
-        return states
-
-    def accumulate_columns(
-        self,
-        state: Any,
-        columns: Mapping[str, np.ndarray],
-        slices: Sequence[ShardSlice],
-        context: AnalysisContext,
+    def accumulate(
+        self, state: Any, shard: TimingShard, context: AnalysisContext
     ) -> Any:
-        """Fold a whole column block into ``state``.
-
-        Merge-of-splits convenience over
-        :meth:`accumulate_columns_split`; drivers that must preserve
-        per-shard partial granularity (the engine's reducers) call the
-        split form directly.
-        """
-        for partial in self.accumulate_columns_split(columns, slices, context):
+        """Fold one shard into ``state`` (the shard as a one-slice block)."""
+        block = canonical_block(shard.columns, [ShardSlice.of(shard)])
+        for partial in self.accumulate_columns_split(block, context):
             state = self.merge(state, partial)
         return state
 

@@ -1,23 +1,28 @@
-"""The streaming analysis engine: fold campaign shards through passes.
+"""The streaming analysis engine: fold campaign data through passes.
 
-Two drivers are provided:
+Every driver maps its input onto canonical column blocks
+(:func:`~repro.core.aggregation.canonical_block`) with
+:class:`ColumnarAnalyzer` and reduces the resulting per-slice partials:
 
+* :func:`run_columnar_analyses` — fold ``(columns, slices)`` blocks (store
+  groups, :meth:`CampaignResult.iter_column_blocks
+  <repro.experiments.session.CampaignResult.iter_column_blocks>`).
 * :func:`run_analyses` — fold an existing shard iterable (e.g.
-  ``CampaignSession.stream()`` or an in-memory list) through a set of
-  passes serially.
+  ``CampaignSession.stream()`` or an in-memory list), each shard as a
+  one-slice block.
 * :func:`run_campaign_analyses` — execute a campaign *and* analyse it in
-  one parallel pass: each executor worker runs its shard and immediately
-  folds it into fresh per-pass accumulator states, returning only the
-  partials to the parent; the merged dataset is never materialised.  Note
-  that in exact mode the ``percentiles``/``normality`` partials carry the
-  shard's sample values (exact order statistics need them), so truly
-  bounded memory requires ``exact=False``.
+  one parallel pass: each executor worker folds the block or shard it
+  produced into per-pass partials, returning only those to the parent; the
+  merged dataset is never materialised.  Note that in exact mode the
+  ``percentiles``/``normality`` partials carry the samples (exact order
+  statistics need them), so truly bounded memory requires ``exact=False``.
 
-Both drivers build the same reduction: one partial state per shard, merged
-in the serial (trial-major) shard order.  Because partials are merged in a
-deterministic order — and the exact-mode accumulators key their segments by
-shard position anyway — the analysis results are bit-identical whether the
-campaign ran serially, on a thread pool or on a process pool.
+All drivers build the same reduction: one partial state per (trial,
+process) slice, merged in the serial (trial-major) order.  Because partials
+are merged in a deterministic order — and the exact-mode accumulators key
+their segments by slice position anyway — the analysis results are
+bit-identical whether the campaign ran serially, on a thread pool or on a
+process pool.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.analysis.base import (
     resolve_analyses,
 )
 from repro.analysis.report import assemble_feasibility_report
+from repro.core.aggregation import ShardSlice, canonical_block
 from repro.core.timing import TimingShard
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -116,45 +122,16 @@ def product_payload(product: Any) -> Any:
     return repr(product)
 
 
-class ShardAnalyzer:
-    """Picklable per-shard mapper: fold one shard into fresh pass states.
-
-    Instances travel to executor workers (passes hold only parameters, the
-    context is a frozen dataclass), so the reduction's map step runs where
-    the shard was produced.
-    """
-
-    def __init__(
-        self, passes: Sequence[AnalysisPass], context: AnalysisContext
-    ) -> None:
-        self.passes = tuple(passes)
-        self.context = context
-
-    def __call__(self, shard: TimingShard) -> Dict[str, Any]:
-        from repro.core.aggregation import release_shard_groups
-
-        try:
-            return {
-                p.name: p.accumulate(p.prepare(self.context), shard, self.context)
-                for p in self.passes
-            }
-        finally:
-            # every pass has folded this shard — drop its grouping memo now
-            # rather than waiting for the shard itself to be collected (the
-            # session may keep its shards cached)
-            release_shard_groups(shard)
-
-
 class ColumnarAnalyzer:
-    """Picklable block mapper: per-shard partials from one column block.
+    """Picklable block mapper: per-slice partials from one column block.
 
-    The columnar analogue of :class:`ShardAnalyzer`: instead of folding one
-    shard at a time it hands each pass a whole multi-shard column block
-    (``columns`` plus one :class:`~repro.core.aggregation.ShardSlice` per
-    shard) and transposes the per-pass split results into one
-    ``{pass_name: state}`` partial per shard.  Those partials feed the same
-    merge fold as the shard-streaming path — the structural guarantee behind
-    the bit-identity contract.
+    Builds the block's canonical form once
+    (:func:`~repro.core.aggregation.canonical_block`), hands it to every
+    pass and transposes the per-pass split results into one
+    ``{pass_name: state}`` partial per canonical (trial, process) slice.
+    Instances travel to executor workers (passes hold only parameters, the
+    context is a frozen dataclass), so the map step runs where the block
+    was produced.
     """
 
     def __init__(
@@ -164,22 +141,19 @@ class ColumnarAnalyzer:
         self.context = context
 
     def __call__(self, columns, slices) -> list:
-        from repro.core.aggregation import hold_block_groups, release_block_groups
-
-        hold_block_groups(columns, slices)
-        try:
-            split = {
-                p.name: p.accumulate_columns_split(columns, slices, self.context)
-                for p in self.passes
-            }
-        finally:
-            # every pass has folded this block — drop its grouping memo so
-            # the block's matrix view does not outlive the call
-            release_block_groups(columns)
+        block = canonical_block(columns, slices)
+        split = {
+            p.name: p.accumulate_columns_split(block, self.context)
+            for p in self.passes
+        }
         return [
             {name: states[k] for name, states in split.items()}
-            for k in range(len(slices))
+            for k in range(len(block.slices))
         ]
+
+    def shard(self, shard: TimingShard) -> list:
+        """Per-slice partials of one shard (a one-slice block)."""
+        return self(shard.columns, [ShardSlice.of(shard)])
 
 
 def run_columnar_analyses(
@@ -190,9 +164,9 @@ def run_columnar_analyses(
     """Fold an iterable of ``(columns, slices)`` blocks through passes.
 
     Blocks must arrive in serial (trial-major) shard order, like the shard
-    iterables of :func:`run_analyses` — the per-shard partials of each block
-    then merge in exactly the order the shard-streaming path would have
-    produced, keeping sketch states identical as well.
+    iterables of :func:`run_analyses` — the per-slice partials of each block
+    then merge in serial order, so sketch states do not depend on how the
+    campaign was chunked into blocks.
     """
     passes = resolve_analyses(analyses)
     mapper = ColumnarAnalyzer(passes, context)
@@ -205,7 +179,7 @@ def _reduce_partials(
     partials: Iterable[Dict[str, Any]],
     context: AnalysisContext,
 ) -> AnalysisResults:
-    """Merge per-shard partial states (in the given order) and finalize."""
+    """Merge per-slice partial states (in the given order) and finalize."""
     merged: Optional[Dict[str, Any]] = None
     for partial in partials:
         if merged is None:
@@ -226,8 +200,9 @@ def run_analyses(
 ) -> AnalysisResults:
     """Fold an iterable of shards through the requested passes (serial)."""
     passes = resolve_analyses(analyses)
-    mapper = ShardAnalyzer(passes, context)
-    return _reduce_partials(passes, (mapper(shard) for shard in shards), context)
+    mapper = ColumnarAnalyzer(passes, context)
+    partials = (partial for shard in shards for partial in mapper.shard(shard))
+    return _reduce_partials(passes, partials, context)
 
 
 def run_campaign_analyses(
@@ -248,8 +223,9 @@ def run_campaign_analyses(
     ``config.max_workers > 1`` only partials cross the process boundary and
     no shards are ever assembled.  Everything else goes through
     :meth:`~repro.experiments.executor.ShardExecutor.map_shards`, which
-    likewise accumulates worker-side.  Both routes reduce one partial per
-    shard in serial order, so their results are bit-identical.
+    folds each shard as a one-slice block, likewise worker-side.  Both
+    routes reduce one partial per (trial, process) in serial order, so
+    their results are bit-identical.
     """
     from repro.experiments.executor import ShardExecutor
 
@@ -260,16 +236,12 @@ def run_campaign_analyses(
         )
     if executor is None:
         executor = ShardExecutor()
-    blocks = None
-    if hasattr(executor, "map_blocks"):
-        blocks = executor.map_blocks(
-            backend, config, ColumnarAnalyzer(passes, context)
+    mapper = ColumnarAnalyzer(passes, context)
+    blocks = executor.map_blocks(backend, config, mapper)
+    if blocks is None:
+        blocks = (
+            partials
+            for _, partials in executor.map_shards(backend, config, mapper.shard)
         )
-    if blocks is not None:
-        partials = (partial for chunk in blocks for partial in chunk)
-        return _reduce_partials(passes, partials, context)
-    mapper = ShardAnalyzer(passes, context)
-    partials = (
-        partial for _, partial in executor.map_shards(backend, config, mapper)
-    )
+    partials = (partial for chunk in blocks for partial in chunk)
     return _reduce_partials(passes, partials, context)

@@ -1,8 +1,10 @@
-"""The built-in analysis passes: every §4 product, shard-mergeable.
+"""The built-in analysis passes: every §4 product, mergeable.
 
-Each pass ports one :class:`~repro.core.analyzer.ThreadTimingAnalyzer`
-product onto the ``prepare → accumulate(shard) → merge → finalize``
-lifecycle of :class:`~repro.analysis.base.AnalysisPass`:
+Each pass computes one §4 product on the
+``prepare → accumulate_columns_split(block) → merge → finalize`` lifecycle
+of :class:`~repro.analysis.base.AnalysisPass`, with a single accumulation
+body that reads the canonical block's ``(n_slices, n_iterations,
+n_threads)`` cube:
 
 ============  ====================================================  =========
 name          product                                               paper
@@ -15,13 +17,15 @@ reclaimable   :class:`~repro.core.reclaimable.ReclaimableSummary`   §4.2
 earlybird     dict of mean early-bird gains                         Fig 1/2
 ============  ====================================================  =========
 
-Exactness contract (checked by the pinned-digest integration tests): with
+Exactness contract (checked by the pinned-digest integration tests and
+against the dense :func:`~repro.core.aggregation.aggregate` oracles): with
 ``context.exact`` (the default) every pass produces results *bit-identical*
-to the in-memory analyzer, for any shard decomposition and any shard order.
-The trick is that accumulators never merge floating-point partials — they
-keep exact per-shard segments keyed by the shard's serial sort position and
-re-assemble the dense-order arrays at finalize.  With ``exact=False`` the
-passes switch to bounded accumulators (:class:`~repro.stats.sketch.PercentileSketch`,
+to the dense reference analyses, for any shard decomposition and any shard
+order.  The trick is that accumulators never merge floating-point partials —
+they keep exact per-slice segments keyed by the slice's serial (trial,
+process) position and re-assemble the dense-order arrays at finalize.  With
+``exact=False`` the passes switch to bounded accumulators
+(:class:`~repro.stats.sketch.PercentileSketch`,
 :class:`~repro.stats.streaming.StreamingMoments`, lattice histograms) whose
 memory is independent of the shard count; sketched percentiles then agree
 within the sketch's documented rank tolerance (≈ ``1 / capacity``).
@@ -35,11 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.base import AnalysisContext, AnalysisPass, register_analysis
-from repro.core.aggregation import (
-    AggregationLevel,
-    aggregate_shard,
-    campaign_block_groups,
-)
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import (
     DEFAULT_LAGGARD_THRESHOLD_S,
@@ -47,11 +46,9 @@ from repro.core.laggard import (
     IterationClass,
     LaggardAnalysis,
     group_laggard_codes,
-    group_laggard_metrics,
 )
 from repro.core.normality import stratified_subsample
 from repro.core.reclaimable import ReclaimableSummary, idle_ratio, reclaimable_time
-from repro.core.timing import TimingShard
 from repro.stats.battery import TEST_NAMES, NormalityBattery
 from repro.stats.histogram import FixedWidthHistogram
 from repro.stats.percentiles import DEFAULT_PERCENTILES, PercentileSeries, percentile_table
@@ -66,7 +63,7 @@ DEFAULT_EARLYBIRD_MAX_GROUPS = 200
 
 
 def _sorted_segments(segments: List[Tuple[Tuple[int, int], Any]]) -> List[Any]:
-    """Segment payloads ordered by the shards' serial (trial-major) position."""
+    """Segment payloads ordered by the slices' serial (trial-major) position."""
     return [payload for _, payload in sorted(segments, key=lambda item: item[0])]
 
 
@@ -91,29 +88,11 @@ class PercentilesPass(AnalysisPass):
         # PercentileSketch (bounded)
         return {}
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
-        grouped = aggregate_shard(shard, AggregationLevel.APPLICATION_ITERATION)
-        for key, row in zip(grouped.keys, grouped.values):
-            iteration = int(key[0])
-            if context.exact:
-                state.setdefault(iteration, []).append((shard.sort_key, row))
-            else:
-                sketch = state.get(iteration)
-                if sketch is None:
-                    sketch = state[iteration] = PercentileSketch(self.sketch_capacity)
-                sketch.update(row)
-        return state
-
-    def accumulate_columns_split(self, columns, slices, context):
-        block = campaign_block_groups(columns, slices)
-        if block is None:
-            return super().accumulate_columns_split(columns, slices, context)
-        matrix, iterations = block
-        iters = [int(i) for i in iterations]
+    def accumulate_columns_split(self, block, context):
+        iters = [int(i) for i in block.iterations]
         states = []
-        for s, sl in enumerate(slices):
+        for sl, rows in zip(block.slices, block.cube):
             key = sl.sort_key
-            rows = matrix[s]
             if context.exact:
                 state = {
                     iteration: [(key, rows[i])]
@@ -146,7 +125,7 @@ class PercentilesPass(AnalysisPass):
         values = np.empty((len(levels), len(iterations)))
         payloads = [state[iteration] for iteration in iterations]
         if all(isinstance(payload, list) for payload in payloads):
-            # exact: shard segments re-assembled in serial order give the
+            # exact: slice segments re-assembled in serial order give the
             # dense path's per-iteration rows, bit for bit; regular campaigns
             # (equal-size iteration groups) take one vectorized percentile
             # call over the stacked matrix instead of one call per iteration
@@ -189,17 +168,8 @@ class HistogramPass(AnalysisPass):
     def prepare(self, context: AnalysisContext) -> StreamingHistogram:
         return StreamingHistogram(self.bin_width_s, unit="s")
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
-        return state.update(np.asarray(shard.columns["compute_time_s"]))
-
-    def accumulate_columns_split(self, columns, slices, context):
-        # one lattice update per shard slice; needs no dense-layout check
-        # because the histogram only consumes the flat sample column
-        values = np.asarray(columns["compute_time_s"])
-        return [
-            self.prepare(context).update(values[sl.start : sl.stop])
-            for sl in slices
-        ]
+    def accumulate_columns_split(self, block, context):
+        return [self.prepare(context).update(rows.ravel()) for rows in block.cube]
 
     def merge(self, state, other):
         return state.merge(other)
@@ -278,53 +248,25 @@ class NormalityPass(AnalysisPass):
             "group_size": 0,
         }
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
+    def accumulate_columns_split(self, block, context):
+        matrix = block.cube
+        n_slices, n_iterations, n_threads = matrix.shape
+        # one battery over every group of every slice in the block
         battery = NormalityBattery(alpha=self.alpha)
-        grouped = aggregate_shard(shard, AggregationLevel.PROCESS_ITERATION)
-        report = battery.run(grouped.values)
-        for name in TEST_NAMES:
-            state["pass_counts"][name] += int(np.sum(report.outcomes[name].passed))
-        state["n_groups"] += grouped.n_groups
-        state["group_size"] = grouped.group_size
-        app_row = aggregate_shard(shard, AggregationLevel.APPLICATION).values[0]
-        if context.exact:
-            state["segments"].append((shard.sort_key, app_row))
-            if self.application_iteration:
-                by_iter = aggregate_shard(
-                    shard, AggregationLevel.APPLICATION_ITERATION
-                )
-                for key, row in zip(by_iter.keys, by_iter.values):
-                    state["iteration_segments"].setdefault(int(key[0]), []).append(
-                        (shard.sort_key, row)
-                    )
-        else:
-            state["segments"].update(app_row)
-        return state
-
-    def accumulate_columns_split(self, columns, slices, context):
-        block = campaign_block_groups(columns, slices)
-        if block is None:
-            return super().accumulate_columns_split(columns, slices, context)
-        matrix, iterations = block
-        n_shards, n_iterations, n_threads = matrix.shape
-        # one battery over every group of every shard in the block — per-row
-        # outcomes are bit-identical to the per-shard battery.run
-        battery = NormalityBattery(alpha=self.alpha)
-        report = battery.run(matrix.reshape(n_shards * n_iterations, n_threads))
+        report = battery.run(matrix.reshape(n_slices * n_iterations, n_threads))
         passed = {name: report.outcomes[name].passed for name in TEST_NAMES}
-        values = np.asarray(columns["compute_time_s"], dtype=np.float64)
-        iters = [int(i) for i in iterations]
+        iters = [int(i) for i in block.iterations]
         states = []
-        for s, sl in enumerate(slices):
+        for s, sl in enumerate(block.slices):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             for name in TEST_NAMES:
                 state["pass_counts"][name] = int(np.sum(passed[name][rows]))
             state["n_groups"] = n_iterations
             state["group_size"] = n_threads
-            # dense-ordered rows: the shard's application-level vector is its
-            # raw sample slice, and its per-iteration vectors are matrix rows
-            app_row = values[sl.start : sl.stop]
+            # the slice's application-level vector is its whole cube, and its
+            # per-iteration vectors are the cube's rows
+            app_row = matrix[s].ravel()
             if context.exact:
                 state["segments"].append((sl.sort_key, app_row))
                 if self.application_iteration:
@@ -355,7 +297,7 @@ class NormalityPass(AnalysisPass):
     ) -> Tuple[Dict[str, int], int]:
         """Battery pass counts at the application-iteration level.
 
-        Each iteration's row is its shard segments re-assembled in serial
+        Each iteration's row is its slice segments re-assembled in serial
         order — the dense path's pooled per-iteration vector, bit for bit —
         so the counts match
         :meth:`NormalityStudy.application_iteration_pass_counts` exactly.
@@ -519,49 +461,11 @@ class LaggardsPass(AnalysisPass):
             },
         }
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
-        grouped = aggregate_shard(shard, AggregationLevel.PROCESS_ITERATION)
-        median, maximum, gap, iqr, has_laggard, classes = group_laggard_metrics(
-            grouped.values, threshold_s=self.threshold_s, wide_iqr_s=self.wide_iqr_s
-        )
-        state["n_groups"] += grouped.n_groups
-        state["laggard_count"] += int(np.sum(has_laggard))
-        for cls in classes:
-            state["class_counts"][cls.value] += 1
-        if context.exact:
-            members = list(IterationClass)
-            codes = np.array([members.index(cls) for cls in classes], dtype=np.int8)
-            state["segments"].append(
-                (
-                    shard.sort_key,
-                    (grouped.keys, median, maximum, gap, iqr, has_laggard, codes),
-                )
-            )
-        else:
-            # bounded mode: running moments instead of per-group segments,
-            # plus a bounded pool of exemplar candidates per class so the
-            # figure generators can still pick representative groups
-            state["gap"].update(gap)
-            state["iqr"].update(iqr)
-            state["median"].update(median)
-            keys = [tuple(int(part) for part in key) for key in grouped.keys]
-            for cls in IterationClass:
-                mask = [c is cls for c in classes]
-                if any(mask):
-                    state["candidates"][cls.value].update(
-                        gap[mask], [k for k, m in zip(keys, mask) if m]
-                    )
-        return state
-
-    def accumulate_columns_split(self, columns, slices, context):
-        block = campaign_block_groups(columns, slices)
-        if block is None:
-            return super().accumulate_columns_split(columns, slices, context)
-        matrix, iterations = block
-        n_shards, n_iterations, n_threads = matrix.shape
-        flat = matrix.reshape(n_shards * n_iterations, n_threads)
-        # the same per-group operations group_laggard_metrics applies, over
-        # the whole block at once (codes instead of a per-group enum list)
+    def accumulate_columns_split(self, block, context):
+        n_slices, n_iterations, n_threads = block.cube.shape
+        flat = block.cube.reshape(n_slices * n_iterations, n_threads)
+        # the per-group operations of group_laggard_metrics, over the whole
+        # block at once (codes instead of a per-group enum list)
         median = np.median(flat, axis=-1)
         maximum = np.max(flat, axis=-1)
         gap = maximum - median
@@ -569,9 +473,9 @@ class LaggardsPass(AnalysisPass):
         iqr = q75 - q25
         has_laggard = gap > self.threshold_s
         codes = group_laggard_codes(iqr, has_laggard, wide_iqr_s=self.wide_iqr_s)
-        iters = [int(i) for i in iterations]
+        iters = [int(i) for i in block.iterations]
         states = []
-        for s, sl in enumerate(slices):
+        for s, sl in enumerate(block.slices):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             counts = np.bincount(codes[rows], minlength=len(IterationClass))
@@ -688,34 +592,14 @@ class ReclaimablePass(AnalysisPass):
             "n_threads": 0,
         }
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
-        grouped = aggregate_shard(shard, AggregationLevel.PROCESS_ITERATION)
-        reclaim = reclaimable_time(grouped.values)
-        ratios = idle_ratio(grouped.values)
-        state["n_threads"] = grouped.group_size
-        if context.exact:
-            state["segments"].append((shard.sort_key, (reclaim, ratios)))
-        else:
-            # bounded mode: running moments and a median sketch instead of
-            # per-group segments
-            state["reclaim"].update(reclaim)
-            state["ratio"].update(ratios)
-            state["median_sketch"].update(reclaim)
-        return state
-
-    def accumulate_columns_split(self, columns, slices, context):
-        block = campaign_block_groups(columns, slices)
-        if block is None:
-            return super().accumulate_columns_split(columns, slices, context)
-        matrix, _ = block
-        n_shards, n_iterations, n_threads = matrix.shape
-        flat = matrix.reshape(n_shards * n_iterations, n_threads)
-        # both metrics reduce along the thread axis only, so the block-level
-        # call gives every shard's per-group values bit for bit
+    def accumulate_columns_split(self, block, context):
+        n_slices, n_iterations, n_threads = block.cube.shape
+        flat = block.cube.reshape(n_slices * n_iterations, n_threads)
+        # both metrics reduce along the thread axis only
         reclaim = reclaimable_time(flat)
         ratios = idle_ratio(flat)
         states = []
-        for s, sl in enumerate(slices):
+        for s, sl in enumerate(block.slices):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             state["n_threads"] = n_threads
@@ -769,10 +653,11 @@ class ReclaimablePass(AnalysisPass):
 class EarlybirdPass(AnalysisPass):
     """Early-bird gain quantification over the deterministic strided subset.
 
-    Reproduces :meth:`ThreadTimingAnalyzer.earlybird` exactly: the global
-    group index of each shard group (via the context) determines whether it
-    lies on the evaluation stride, so the evaluated subset — and therefore
-    every mean — is identical to the in-memory path regardless of sharding.
+    The global index of each process-iteration group (via the context)
+    determines whether it lies on the evaluation stride, so the evaluated
+    subset — and therefore every mean — is that of the dense
+    ``aggregate(dataset, PROCESS_ITERATION).values[::stride]`` regardless
+    of sharding.
     Memory is bounded by ``max_groups`` in both accumulation modes.
     """
 
@@ -795,16 +680,6 @@ class EarlybirdPass(AnalysisPass):
     def _stride(self, context: AnalysisContext) -> int:
         return max(context.n_groups // self.max_groups, 1)
 
-    def accumulate(self, state, shard: TimingShard, context: AnalysisContext):
-        grouped = aggregate_shard(shard, AggregationLevel.PROCESS_ITERATION)
-        indices = context.group_indices(grouped.keys)
-        stride = self._stride(context)
-        selected = np.flatnonzero(indices % stride == 0)
-        if len(selected):
-            results = self.model.evaluate_groups(grouped.values[selected])
-            state.update(self._result_rows(indices[selected], results))
-        return state
-
     @staticmethod
     def _result_rows(indices: np.ndarray, results: Dict[str, np.ndarray]):
         """Pairs of (global group index, metrics 4-tuple) from batch results."""
@@ -818,24 +693,18 @@ class EarlybirdPass(AnalysisPass):
         ).tolist()
         return zip((int(g) for g in indices.tolist()), (tuple(r) for r in rows))
 
-    def accumulate_columns_split(self, columns, slices, context):
-        block = campaign_block_groups(columns, slices)
-        if block is None:
-            return super().accumulate_columns_split(columns, slices, context)
-        matrix, iterations = block
-        n_shards, n_iterations, n_threads = matrix.shape
-        iters = [int(i) for i in iterations]
-        keys = [(sl.trial, sl.process, it) for sl in slices for it in iters]
-        indices = context.group_indices(keys)
+    def accumulate_columns_split(self, block, context):
+        n_slices, n_iterations, n_threads = block.cube.shape
+        indices = context.group_indices(block)
         stride = self._stride(context)
         selected = np.flatnonzero(indices % stride == 0)
-        states = [self.prepare(context) for _ in slices]
+        states = [self.prepare(context) for _ in block.slices]
         if len(selected):
-            flat = matrix.reshape(n_shards * n_iterations, n_threads)
+            flat = block.cube.reshape(n_slices * n_iterations, n_threads)
             results = self.model.evaluate_groups(flat[selected])
-            shard_of = (selected // n_iterations).tolist()
+            slice_of = (selected // n_iterations).tolist()
             for s, (idx, row) in zip(
-                shard_of, self._result_rows(indices[selected], results)
+                slice_of, self._result_rows(indices[selected], results)
             ):
                 states[s][idx] = row
         return states

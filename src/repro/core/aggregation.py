@@ -11,29 +11,25 @@ The paper tests normality of thread arrival times when aggregated at:
    granularity of Table 1.
 
 :func:`aggregate` turns a :class:`~repro.core.timing.TimingDataset` into a
-:class:`GroupedSamples` matrix for any of the three levels;
-:func:`aggregate_shard` does the same for a single
-:class:`~repro.core.timing.TimingShard` without materialising a dataset —
-the group-by is a vectorised sort/``bincount``/``reshape``, no per-key
-Python loop — which is what lets the streaming analysis passes of
-:mod:`repro.analysis` consume campaign shards directly.
+:class:`GroupedSamples` matrix for any of the three levels — the dense
+reference grouping.  The analysis passes of :mod:`repro.analysis` never
+materialise it: they fold :class:`ColumnBlock` s, whose
+``(n_slices, n_iterations, n_threads)`` cube holds the process-iteration
+groups of one (trial, process) per slice; the coarser levels are the
+cube's rows pooled in slice order.
+:func:`canonical_block` is the only way into that form — zero-copy for the
+blocks campaign producers emit, a stable per-slice re-sort for anything else.
 """
 
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.timing import TimingDataset, TimingShard
-
-# re-exported for the analysis layer: the 2-D scatter-add primitive lives
-# next to the schedule batch kernels that are its hottest consumers (and in
-# a leaf module, which keeps this package's import graph acyclic)
-from repro.openmp.schedule import scatter_add_2d  # noqa: F401
 
 
 class AggregationLevel(enum.Enum):
@@ -160,109 +156,6 @@ def aggregate(
     return GroupedSamples(level=level, keys=keys, values=values)
 
 
-# per-shard grouping memo: several analysis passes group the same shard at
-# the same level within one accumulate step — the first call pays the
-# argsort, the rest hit this cache.  Keyed by object identity and evicted
-# when the shard is garbage-collected; long-lived shard holders (e.g. the
-# streaming engine folding session-cached shards) release eagerly with
-# :func:`release_shard_groups` once a shard's accumulate step is done.
-_SHARD_GROUPS: Dict[int, Dict[AggregationLevel, GroupedSamples]] = {}
-
-
-def release_shard_groups(shard: TimingShard) -> None:
-    """Drop a shard's cached groupings (no-op if none are cached).
-
-    The memo otherwise lives as long as the shard object does; callers that
-    keep shards around after analysing them (cached campaign results) call
-    this to return the grouping matrices immediately.
-    """
-    _SHARD_GROUPS.pop(id(shard), None)
-
-
-def aggregate_shard(
-    shard: TimingShard, level: AggregationLevel | str
-) -> GroupedSamples:
-    """Group a single campaign shard's samples at one of the paper's levels.
-
-    The shard-streaming analogue of :func:`aggregate`: instead of scattering
-    into a dense 4-D array, the shard's rows are ordered by a composite
-    (trial, process, iteration, thread) code — one vectorised ``argsort``
-    plus a ``bincount`` size check, no per-key Python loop — and reshaped
-    into the ``(n_groups, group_size)`` matrix.  Row order inside each group
-    is thread-ascending, exactly matching the dense path, so per-group
-    statistics computed from shard aggregation are bit-identical to the
-    merged-dataset path.
-
-    Groups are *local to the shard*: a (trial, process) shard yields one
-    process-iteration group per iteration, and per-iteration groups covering
-    only that shard's samples (the streaming passes merge those partials
-    across shards).
-    """
-    if isinstance(level, str):
-        level = AggregationLevel.from_name(level)
-    cached = _SHARD_GROUPS.get(id(shard))
-    if cached is None:
-        cached = _SHARD_GROUPS[id(shard)] = {}
-        weakref.finalize(shard, _SHARD_GROUPS.pop, id(shard), None)
-    if level in cached:
-        return cached[level]
-    cached[level] = grouped = _aggregate_shard(shard, level)
-    return grouped
-
-
-def _aggregate_shard(shard: TimingShard, level: AggregationLevel) -> GroupedSamples:
-    columns: Mapping[str, np.ndarray] = shard.columns
-    trial = np.asarray(columns["trial"], dtype=np.int64)
-    process = np.asarray(columns["process"], dtype=np.int64)
-    iteration = np.asarray(columns["iteration"], dtype=np.int64)
-    thread = np.asarray(columns["thread"], dtype=np.int64)
-    values = np.asarray(columns["compute_time_s"], dtype=np.float64)
-
-    if level is AggregationLevel.APPLICATION:
-        key_columns: Tuple[np.ndarray, ...] = ()
-        minor_columns: Tuple[np.ndarray, ...] = (trial, process, iteration, thread)
-    elif level is AggregationLevel.APPLICATION_ITERATION:
-        key_columns = (iteration,)
-        minor_columns = (trial, process, thread)
-    elif level is AggregationLevel.PROCESS_ITERATION:
-        key_columns = (trial, process, iteration)
-        minor_columns = (thread,)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unsupported level {level}")
-
-    # composite integer code: group key columns (major) then the remaining
-    # dense axes (minor), so one argsort lands every group contiguously with
-    # rows in the dense path's order
-    ordered = (*key_columns, *minor_columns)
-    spans = [int(col.max()) + 1 if len(col) else 1 for col in ordered]
-    code = np.zeros(len(values), dtype=np.int64)
-    for col, span in zip(ordered, spans):
-        code = code * span + col
-    order = np.argsort(code, kind="stable")
-
-    if not key_columns:
-        return GroupedSamples(
-            level=level, keys=[()], values=values[order][np.newaxis, :]
-        )
-
-    group_code = np.zeros(len(values), dtype=np.int64)
-    for col, span in zip(key_columns, spans[: len(key_columns)]):
-        group_code = group_code * span + col
-    unique_codes, inverse = np.unique(group_code, return_inverse=True)
-    sizes = np.bincount(inverse, minlength=len(unique_codes))
-    if len(set(sizes.tolist())) != 1:
-        raise ValueError(
-            "shard groups have unequal sizes; aggregation requires a dense shard"
-        )
-    group_size = int(sizes[0])
-    matrix = values[order].reshape(len(unique_codes), group_size)
-    key_starts = order[::group_size]
-    keys = [
-        tuple(int(col[row]) for col in key_columns) for row in key_starts
-    ]
-    return GroupedSamples(level=level, keys=keys, values=matrix)
-
-
 def per_iteration_samples(dataset: TimingDataset) -> np.ndarray:
     """Matrix ``(n_iterations, samples_per_iteration)`` (percentile-plot input)."""
     grouped = aggregate(dataset, AggregationLevel.APPLICATION_ITERATION)
@@ -272,11 +165,12 @@ def per_iteration_samples(dataset: TimingDataset) -> np.ndarray:
 class ShardSlice(NamedTuple):
     """Address of one shard's rows inside a multi-shard column block.
 
-    The columnar analysis path ships a chunk of shards as one set of flat
-    columns plus one :class:`ShardSlice` per shard; ``start:stop`` delimits
-    the shard's rows in every column.  Mirrors the identity attributes of
-    :class:`~repro.core.timing.TimingShard` so per-shard partials built from
-    a slice carry the same ordering key as shard-streaming partials.
+    A column block is several shards' flat columns concatenated, plus one
+    :class:`ShardSlice` per shard; ``start:stop`` delimits the shard's rows
+    in every column.  Mirrors the identity attributes of
+    :class:`~repro.core.timing.TimingShard` (``process=None``: all processes
+    of the trial), so partials built from a slice carry the shard's serial
+    ordering key.
     """
 
     trial: int
@@ -295,109 +189,141 @@ class ShardSlice(NamedTuple):
         return (self.trial, -1 if self.process is None else self.process)
 
 
-# per-block grouping memo: within one columnar analysis step several passes
-# group the same column block — the first call pays the layout checks, the
-# rest hit this cache.  A column mapping cannot carry a weakref finalizer, so
-# entries live only between :func:`hold_block_groups` and
-# :func:`release_block_groups`.  Keyed by the columns' identity (the entry
-# keeps them alive, so threads analysing distinct blocks never share an
-# entry) and checked against the very objects held, so a call with other
-# slices over the same columns groups afresh.
-_BLOCK_GROUPS: Dict[int, list] = {}
-_UNGROUPED = object()
+
+    @classmethod
+    def of(cls, shard: TimingShard) -> "ShardSlice":
+        """The slice addressing all of ``shard``'s own columns."""
+        return cls(shard.trial, shard.process, 0, shard.n_samples)
 
 
-def hold_block_groups(
-    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
-) -> None:
-    """Memoize :func:`campaign_block_groups` for this exact block.
+class ColumnBlock(NamedTuple):
+    """A canonical column block: what every analysis pass folds.
 
-    The grouping is computed on first use; pair every call with
-    :func:`release_block_groups` (in a ``finally``).
+    ``slices`` hold one (trial, process) each, and each slice's rows are in
+    dense order — iteration-major, thread-minor, with the same ascending
+    iteration and thread ids in every slice.  ``cube[s]`` is slice ``s``'s
+    ``(n_iterations, n_threads)`` matrix of compute times (seconds), i.e.
+    its process-iteration groups, and a view of ``columns`` whenever the
+    producer already emitted the layout.
     """
-    _BLOCK_GROUPS[id(columns)] = [columns, slices, _UNGROUPED]
+
+    columns: Mapping[str, np.ndarray]
+    slices: Sequence[ShardSlice]
+    cube: np.ndarray
+    iterations: np.ndarray
 
 
-def release_block_groups(columns: Mapping[str, np.ndarray]) -> None:
-    """Drop a block's memoized grouping (no-op if none is held)."""
-    _BLOCK_GROUPS.pop(id(columns), None)
-
-
-def campaign_block_groups(
+def canonical_block(
     columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Group a whole column block as one dense reshape, if its layout allows.
+) -> ColumnBlock:
+    """The canonical :class:`ColumnBlock` of ``columns`` addressed by ``slices``.
 
     Campaign producers (``record_campaign``, the tensor backend's chunk
-    workers, the shard store's group payloads) emit rows in canonical dense
-    order: iteration-major, thread-minor, threads ``0..T-1``, iterations
-    ascending and identical for every shard.  For such a block the
-    process-iteration group-by of *every shard at once* is a single
-    ``values.reshape(n_shards, n_iterations, n_threads)`` — no per-shard
-    argsort — and, because :func:`aggregate_shard`'s stable composite-code
-    argsort is the identity permutation on dense-ordered rows, each
-    ``matrix[s]`` is bit-identical to that shard's
-    ``aggregate_shard(..., PROCESS_ITERATION).values``.
+    workers, the shard store's group payloads) already emit canonical
+    blocks; for those the cube is a zero-copy reshape of the sample column.
+    Anything else — event-backend ``process=None`` shards, dataset-backed
+    shards, rows in any order — has its rows stable-sorted inside each
+    declared slice and is re-sliced per (trial, process), so the cube is
+    the same one the producer would have emitted.
 
-    Returns ``(matrix, iterations)`` with ``matrix`` of shape
-    ``(n_shards, n_iterations, n_threads)`` and ``iterations`` the shared
-    ascending iteration ids, or ``None`` when the block is not in canonical
-    dense order (the caller falls back to the generic per-shard path).
-    Served from the memo while the block is held (:func:`hold_block_groups`).
+    Raises ``ValueError`` on rows outside their slice's declared trial /
+    process and on non-dense rows (a missing or repeated (iteration,
+    thread) of some (trial, process)).
     """
-    entry = _BLOCK_GROUPS.get(id(columns))
-    if entry is None or entry[0] is not columns or entry[1] is not slices:
-        return _campaign_block_groups(columns, slices)
-    if entry[2] is _UNGROUPED:
-        entry[2] = _campaign_block_groups(columns, slices)
-    return entry[2]
+    if not slices:
+        raise ValueError("a column block needs at least one slice")
+    block = _producer_block(columns, slices)
+    return block if block is not None else _resliced_block(columns, slices)
 
 
-def _campaign_block_groups(
+def _producer_block(
     columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    n_shards = len(slices)
-    if n_shards == 0:
-        return None
+) -> Optional[ColumnBlock]:
+    """The block as given, if it already is canonical (else ``None``)."""
+    n_slices = len(slices)
     values = np.asarray(columns["compute_time_s"], dtype=np.float64)
-    iteration = np.asarray(columns["iteration"])
-    thread = np.asarray(columns["thread"])
-    trial = np.asarray(columns["trial"])
-    process = np.asarray(columns["process"])
     size = slices[0].n_samples
-    if size <= 0 or n_shards * size != len(values):
+    if size <= 0 or n_slices * size != len(values):
         return None
     for index, sl in enumerate(slices):
         if sl.start != index * size or sl.stop != sl.start + size:
             return None
-    n_threads = int(thread[:size].max()) + 1 if size else 0
-    if n_threads <= 0 or size % n_threads:
-        return None
-    n_iterations = size // n_threads
-    try:
-        thread_cube = thread.reshape(n_shards, n_iterations, n_threads)
-        iter_cube = iteration.reshape(n_shards, n_iterations, n_threads)
-        trial_rows = trial.reshape(n_shards, size)
-        process_rows = process.reshape(n_shards, size)
-    except ValueError:
-        return None
-    if not np.array_equal(
-        thread_cube, np.broadcast_to(np.arange(n_threads), thread_cube.shape)
-    ):
-        return None
-    iterations = iter_cube[0, :, 0]
-    if np.any(np.diff(iterations) <= 0):
-        return None
-    if not np.array_equal(
-        iter_cube, np.broadcast_to(iterations[:, np.newaxis], iter_cube.shape)
-    ):
-        return None
-    slice_trials = np.array([sl.trial for sl in slices])
-    slice_procs = np.array(
-        [-1 if sl.process is None else sl.process for sl in slices]
+    layout = _cube(
+        values,
+        np.asarray(columns["iteration"]),
+        np.asarray(columns["thread"]),
+        n_slices,
     )
-    if not np.array_equal(trial_rows, np.broadcast_to(slice_trials[:, np.newaxis], trial_rows.shape)):
+    if layout is None:
         return None
-    if not np.array_equal(process_rows, np.broadcast_to(slice_procs[:, np.newaxis], process_rows.shape)):
+    # (trial, process or -1) of every slice
+    declared = np.array([sl.sort_key for sl in slices])
+    for k, name in enumerate(("trial", "process")):
+        rows = np.asarray(columns[name]).reshape(n_slices, size)
+        if not np.array_equal(rows, np.broadcast_to(declared[:, k, None], rows.shape)):
+            return None
+    return ColumnBlock(columns, slices, *layout)
+
+
+def _resliced_block(
+    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
+) -> ColumnBlock:
+    """Sort each slice's rows into dense order and split it per process."""
+    rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
+    owner = np.repeat(np.arange(len(slices)), [sl.n_samples for sl in slices])
+    declared = np.array([sl.sort_key for sl in slices])[owner]
+    trial = np.asarray(columns["trial"])[rows]
+    process = np.asarray(columns["process"])[rows]
+    if np.any(trial != declared[:, 0]) or np.any(
+        (declared[:, 1] != -1) & (process != declared[:, 1])
+    ):
+        raise ValueError("block rows lie outside their slice's trial/process")
+    iteration = np.asarray(columns["iteration"])[rows]
+    thread = np.asarray(columns["thread"])[rows]
+    order = np.lexsort((thread, iteration, process, owner))
+    owner, process = owner[order], process[order]
+    starts = np.flatnonzero(
+        np.r_[True, (owner[1:] != owner[:-1]) | (process[1:] != process[:-1])]
+    )
+    size = len(rows) // len(starts)
+    layout = None
+    if size and np.all(np.diff(np.r_[starts, len(rows)]) == size):
+        permutation = rows[order]
+        columns = {name: np.asarray(arr)[permutation] for name, arr in columns.items()}
+        values = np.asarray(columns["compute_time_s"], dtype=np.float64)
+        layout = _cube(values, iteration[order], thread[order], len(starts))
+    if layout is None:
+        raise ValueError(
+            "block rows are not dense: every (trial, process) needs each "
+            "(iteration, thread) exactly once"
+        )
+    resliced = [
+        ShardSlice(
+            slices[owner[start]].trial, int(process[start]), k * size, (k + 1) * size
+        )
+        for k, start in enumerate(starts)
+    ]
+    return ColumnBlock(columns, resliced, *layout)
+
+
+def _cube(
+    values: np.ndarray, iteration: np.ndarray, thread: np.ndarray, n_slices: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(cube, iterations)`` if ``n_slices`` equal runs of rows each list the
+    same ascending iterations, each with the same ascending threads."""
+    size = len(values) // n_slices
+    n_threads = int(np.argmax(iteration[:size] != iteration[0])) or size
+    if size % n_threads:
         return None
-    return values.reshape(n_shards, n_iterations, n_threads), iterations
+    shape = (n_slices, size // n_threads, n_threads)
+    threads = thread[:n_threads]
+    iterations = iteration[:size:n_threads]
+    if np.any(np.diff(threads) <= 0) or np.any(np.diff(iterations) <= 0):
+        return None
+    if not np.array_equal(thread.reshape(shape), np.broadcast_to(threads, shape)):
+        return None
+    if not np.array_equal(
+        iteration.reshape(shape), np.broadcast_to(iterations[:, np.newaxis], shape)
+    ):
+        return None
+    return values.reshape(shape), iterations

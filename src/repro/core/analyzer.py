@@ -15,9 +15,11 @@ application's :class:`~repro.core.timing.TimingDataset`:
 Since the analysis layer was refactored onto the streaming engine
 (:mod:`repro.analysis`), this class is a thin compatibility facade: each
 product runs the corresponding registered analysis pass in exact mode over
-the dataset wrapped as a single shard, and :meth:`report` is assembled by
-the same :func:`~repro.analysis.report.assemble_feasibility_report` the
-shard-streaming path uses — which is what makes
+the dataset as one canonical column block (one slice per (trial,
+process), built once and shared by every pass), and :meth:`report` is
+assembled by the same
+:func:`~repro.analysis.report.assemble_feasibility_report` the streaming
+path uses — which is what makes
 ``CampaignSession.analyze(analyses=...)`` bit-identical to this in-memory
 path (pinned-digest tests in ``tests/integration/test_streaming_analysis.py``).
 Campaign-scale consumers should prefer the streaming engine; this facade
@@ -28,7 +30,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.aggregation import AggregationLevel, GroupedSamples, aggregate
+import numpy as np
+
+from repro.core.aggregation import (
+    AggregationLevel,
+    ColumnBlock,
+    GroupedSamples,
+    ShardSlice,
+    aggregate,
+    canonical_block,
+)
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import (
     DEFAULT_LAGGARD_THRESHOLD_S,
@@ -39,7 +50,7 @@ from repro.core.laggard import (
 from repro.core.normality import NormalityStudy
 from repro.core.reclaimable import ReclaimableSummary
 from repro.core.report import FeasibilityReport
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 from repro.stats.histogram import FixedWidthHistogram, fixed_width_histogram
 from repro.stats.percentiles import DEFAULT_PERCENTILES, PercentileSeries
 
@@ -81,27 +92,41 @@ class ThreadTimingAnalyzer:
         self._grouped: Dict[AggregationLevel, GroupedSamples] = {}
         self._normality: Optional[NormalityStudy] = None
         self._products: Dict[str, object] = {}
-        self._shard: Optional[TimingShard] = None
+        self._block: Optional[ColumnBlock] = None
 
     # ------------------------------------------------------------------
     # streaming-engine plumbing
     # ------------------------------------------------------------------
-    def _dataset_shard(self) -> TimingShard:
-        """The dataset wrapped as a single shard (cached, so all passes
-        share one per-shard aggregation memo)."""
-        if self._shard is None:
-            trial = int(self.dataset.trials[0]) if self.dataset.n_trials else 0
-            self._shard = TimingShard.from_dataset(
-                self.dataset, trial=trial, process=None
-            )
-        return self._shard
+    def _dataset_block(self) -> ColumnBlock:
+        """The dataset as one canonical column block (built once)."""
+        if self._block is None:
+            dataset = self.dataset
+            columns = {name: dataset.column(name) for name in dataset.columns}
+            trial = columns["trial"]
+            if np.any(trial[1:] < trial[:-1]):
+                order = np.argsort(trial, kind="stable")
+                columns = {name: arr[order] for name, arr in columns.items()}
+                trial = columns["trial"]
+            trials = dataset.trials
+            starts = np.searchsorted(trial, trials, side="left")
+            stops = np.searchsorted(trial, trials, side="right")
+            slices = [
+                ShardSlice(int(t), None, int(start), int(stop))
+                for t, start, stop in zip(trials, starts, stops)
+            ]
+            self._block = canonical_block(columns, slices)
+        return self._block
 
     def _run_pass(self, analysis_pass):
-        """Run one pass in exact mode over the dataset as a single shard."""
-        from repro.analysis import AnalysisContext
+        """Run one pass in exact mode over the dataset's block."""
+        from repro.analysis import AnalysisContext, run_columnar_analyses
 
         context = AnalysisContext.from_dataset(self.dataset, exact=True)
-        return analysis_pass.run([self._dataset_shard()], context)
+        block = self._dataset_block()
+        results = run_columnar_analyses(
+            [(block.columns, block.slices)], [analysis_pass], context
+        )
+        return results[analysis_pass.name]
 
     def _product(self, name: str):
         """Finalized product of one report pass (computed once, cached)."""

@@ -198,14 +198,15 @@ class CampaignResult:
     def iter_column_blocks(self):
         """Stream the campaign as columnar ``(columns, slices)`` blocks.
 
-        The analysis engine's preferred input
+        The analysis engine's input
         (:func:`~repro.analysis.engine.run_columnar_analyses`): store-backed
         results yield each on-disk group as one zero-copy mmap block
         (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`);
-        in-memory results wrap each shard as a single-shard block — the
-        passes still take their vectorised group-by route, just one shard at
-        a time.  Blocks arrive in serial (trial-major) shard order, so the
-        reduction matches :meth:`iter_shards` state for state.
+        in-memory results yield each shard as a one-slice block, which
+        :func:`~repro.core.aggregation.canonical_block` re-slices per
+        (trial, process) where the shard is not already canonical
+        (dataset-backed results, event-backend shards).  Blocks arrive in
+        serial (trial-major) shard order.
         """
         from repro.core.aggregation import ShardSlice
 
@@ -213,14 +214,7 @@ class CampaignResult:
             yield from self.store.iter_column_blocks()
             return
         for shard in self.iter_shards():
-            yield shard.columns, [
-                ShardSlice(
-                    trial=shard.trial,
-                    process=shard.process,
-                    start=0,
-                    stop=shard.n_samples,
-                )
-            ]
+            yield shard.columns, [ShardSlice.of(shard)]
 
     def __iter__(self) -> Iterator[TimingShard]:
         return self.iter_shards()

@@ -336,11 +336,10 @@ class ShardStore:
         one :class:`numpy.memmap` view covering the whole group (all shards
         concatenated, exactly the bytes on disk) and ``slices`` is one
         :class:`~repro.core.aggregation.ShardSlice` per stored shard, in
-        append order.  This is the store-side producer of the columnar
-        analysis fast path: a group *is already* a column block, so analyses
-        can fold it through
-        :meth:`~repro.analysis.base.AnalysisPass.accumulate_columns_split`
-        without ever assembling per-shard objects.  The views are file
+        append order.  A group of campaign shards *is already* a canonical
+        column block (:func:`~repro.core.aggregation.canonical_block`), so
+        analyses fold it with no copy and without ever assembling per-shard
+        objects.  The views are file
         backed (clean pages, evictable), so streaming group blocks keeps the
         same bounded working set as :meth:`iter_shards`.
         """

@@ -249,10 +249,10 @@ class CampaignService:
         Blocks until the job is terminal (raising, as
         :meth:`JobHandle.result` does, for failed or cancelled jobs), then
         folds the job's result through every registered pass — on the
-        execution pool, through the columnar fast path
+        execution pool, over its column blocks
         (:func:`~repro.analysis.run_columnar_analyses` over
         :meth:`CampaignResult.iter_column_blocks`), so exact-mode products
-        are bit-identical to the per-shard streaming engine.  The payload
+        are bit-identical to every other route through the engine.  The payload
         is computed once per job and memoised; concurrent callers share
         one computation.
         """
@@ -275,7 +275,7 @@ class CampaignService:
         }
 
     def _compute_analyses(self, result: CampaignResult) -> Dict[str, object]:
-        """Synchronous analysis body (worker thread): columnar fold."""
+        """Synchronous analysis body (worker thread): block fold."""
         context = AnalysisContext.from_dataset(result.dataset)
         return run_columnar_analyses(
             result.iter_column_blocks(), "all", context

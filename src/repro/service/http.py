@@ -14,7 +14,7 @@ to remote clients:
                           produced shard as it lands, then a ``done`` event
 ``GET /jobs/<id>/analyses`` block until terminal, then every finalized
                           analysis-pass product as JSON (computed once per
-                          job via the columnar fast path; ``409`` for
+                          job over its column blocks; ``409`` for
                           failed or cancelled jobs)
 ``POST /jobs/<id>/cancel``request cooperative cancellation
 ``GET /stats``            service counters (queue depth, coalescing, caches)

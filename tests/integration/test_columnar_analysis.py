@@ -1,10 +1,11 @@
 """Bit-identity matrix of the columnar analysis fast path.
 
-The fused columnar kernel must be indistinguishable from the per-shard
-streaming path: bit-identical products in exact mode and identical
-accumulator states in sketch mode — for any ``chunk_shards``, any worker
-count, and every producer (fused campaign execution, in-memory results,
-out-of-core store groups, and the generic per-shard fallback).
+Every producer of column blocks must be indistinguishable from folding
+the campaign's shards one at a time: bit-identical products in exact mode
+and identical accumulator states in sketch mode — for any
+``chunk_shards``, any worker count, and every producer (fused campaign
+execution, in-memory results, out-of-core store groups, and
+dataset-backed results that need re-slicing).
 """
 
 import pickle
@@ -126,9 +127,9 @@ class TestInMemoryBlocks:
         )
         assert _products(results) == ref
 
-    def test_dataset_backed_blocks_use_identical_fallback(self):
-        """Dataset-derived shards (``process=None``, not block-shaped) must
-        take the generic per-shard fallback and still match exactly."""
+    def test_dataset_backed_blocks_match_shard_fold(self):
+        """Dataset-derived shards (``process=None``, not block-shaped) are
+        re-sliced per (trial, process) and still match exactly."""
         dataset = CampaignSession(CONFIG).run().dataset
         result = CampaignResult(CONFIG, dataset=dataset)
         context = AnalysisContext.from_dataset(dataset)

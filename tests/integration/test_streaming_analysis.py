@@ -94,8 +94,9 @@ class TestStreamingEqualsInMemory:
             forward["percentiles"].values, backward["percentiles"].values
         )
 
-    def test_sketch_mode_close_to_exact_with_bounded_memory(self):
-        session = CampaignSession(CampaignConfig.smoke("minife"))
+    @pytest.mark.parametrize("backend", ["campaign", "event"])
+    def test_sketch_mode_close_to_exact_with_bounded_memory(self, backend):
+        session = CampaignSession(CampaignConfig.smoke("minife").with_backend(backend))
         exact = session.analyze(analyses="all").report().as_dict()
         sketched = session.analyze(analyses="all", exact=False).report().as_dict()
         # integer tallies stay exact in sketch mode

@@ -1,10 +1,14 @@
 """Property-based tests of the mergeable streaming accumulators (hypothesis)."""
 
+import pickle
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.analysis import AnalysisContext, run_analyses
+from repro.core.timing import TimingDataset, TimingShard
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.moments import kurtosis, skewness
 from repro.stats.sketch import PercentileSketch
@@ -150,3 +154,54 @@ def _merged_halves(chunks, capacity):
     for chunk in chunks[half:]:
         right.update(chunk)
     return left.merge(right)
+
+
+def _exact_product_bytes(results):
+    # one pickle round-trip normalises object-identity topology without
+    # touching a value (see tests/integration/test_columnar_analysis)
+    return {
+        name: pickle.dumps(pickle.loads(pickle.dumps(results[name])))
+        for name in results
+    }
+
+
+@given(
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(8, 12),
+    st.sampled_from(["process", "trial"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_exact_products_independent_of_shard_layout(
+    n_trials, n_processes, n_iterations, n_threads, granularity, seed
+):
+    """Any dense campaign, cut into (trial, process) or whole-trial shards
+    with rows in any order, gives the exact products of the canonical
+    (trial, process) fold, byte for byte."""
+    rng = np.random.default_rng(seed)
+    shape = (n_trials, n_processes, n_iterations, n_threads)
+    times = rng.lognormal(-4.0, 0.3, size=shape)
+    dataset = TimingDataset.from_compute_times(times, {"application": "prop"})
+    context = AnalysisContext.from_dataset(dataset, exact=True)
+
+    def shard(trial, process, permute):
+        part = dataset.select(trial=trial, process=process)
+        order = rng.permutation(len(part)) if permute else np.arange(len(part))
+        columns = {name: part.column(name)[order] for name in part.columns}
+        return TimingShard(trial=trial, process=process, columns=columns)
+
+    canonical = [
+        shard(int(t), int(p), permute=False)
+        for t in dataset.trials
+        for p in dataset.processes
+    ]
+    if granularity == "process":
+        layout = [shard(sh.trial, sh.process, permute=True) for sh in canonical]
+    else:
+        layout = [shard(int(t), None, permute=True) for t in dataset.trials]
+    layout = [layout[i] for i in rng.permutation(len(layout))]
+    assert _exact_product_bytes(
+        run_analyses(layout, "all", context)
+    ) == _exact_product_bytes(run_analyses(canonical, "all", context))

@@ -1,14 +1,16 @@
-"""Unit tests for the analysis-pass registry, shard aggregation and passes."""
+"""Unit tests for the analysis-pass registry, canonical blocks and passes."""
 
 import pickle
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
+    DEFAULT_EARLYBIRD_MAX_GROUPS,
     AnalysisContext,
-    AnalysisPass,
     ColumnarAnalyzer,
     available_analyses,
     get_analysis,
@@ -20,20 +22,28 @@ from repro.analysis import (
 from repro.analysis.passes import (
     HistogramPass,
     LaggardsPass,
-    NormalityPass,
     PercentilesPass,
-    ReclaimablePass,
 )
 from repro.core import aggregation
 from repro.core.aggregation import (
     AggregationLevel,
     ShardSlice,
     aggregate,
-    aggregate_shard,
+    canonical_block,
+    per_iteration_samples,
 )
 from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.core.laggard import IterationClass
+from repro.core.earlybird import EarlyBirdModel
+from repro.core.laggard import IterationClass, analyze_laggards
+from repro.core.normality import NormalityStudy
+from repro.core.reclaimable import summarize_reclaimable
 from repro.core.timing import TimingDataset, TimingShard
+from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
+from repro.stats.histogram import fixed_width_histogram
+from repro.stats.percentiles import percentile_table
+
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 BUILTIN = ("earlybird", "histogram", "laggards", "normality", "percentiles", "reclaimable")
 
@@ -80,28 +90,19 @@ class TestRegistry:
                 pass
 
     def test_custom_pass_round_trip(self, shards, context):
-        @register_analysis("sample-count")
-        class SampleCountPass(AnalysisPass):
-            title = "total sample count"
-
-            def prepare(self, context):
-                return 0
-
-            def accumulate(self, state, shard, context):
-                return state + shard.n_samples
-
-            def merge(self, a, b):
-                return a + b
-
-            def finalize(self, state, context):
-                return state
-
+        """The README's custom pass, registered verbatim, so it cannot rot."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        (source,) = [b for b in blocks if '@register_analysis("max-arrival")' in b]
+        namespace = {}
+        exec(source, namespace)
+        expected = max(float(s.columns["compute_time_s"].max()) for s in shards)
         try:
-            results = run_analyses(shards, ["sample-count"], context)
-            assert results["sample-count"] == sum(s.n_samples for s in shards)
+            results = run_analyses(shards, ["max-arrival"], context)
+            assert results["max-arrival"] == expected
+            assert namespace["MaxArrivalPass"]().run(shards, context) == expected
         finally:
-            unregister_analysis("sample-count")
-        assert "sample-count" not in available_analyses()
+            unregister_analysis("max-arrival")
+        assert "max-arrival" not in available_analyses()
 
     def test_resolve_analyses_forms(self):
         passes = resolve_analyses("all")
@@ -112,27 +113,82 @@ class TestRegistry:
             resolve_analyses(["laggards", "laggards"])
 
 
-class TestAggregateShard:
-    @pytest.mark.parametrize("level", list(AggregationLevel))
-    def test_whole_dataset_shard_matches_aggregate(self, dataset, level):
-        shard = TimingShard.from_dataset(dataset, trial=0, process=None)
-        expected = aggregate(dataset, level)
-        actual = aggregate_shard(shard, level)
-        assert actual.keys == expected.keys
-        np.testing.assert_array_equal(actual.values, expected.values)
+def _trial_block(dataset, perm=None):
+    """The dataset's columns with one ``process=None`` slice per trial
+    (rows optionally permuted inside each trial's slice)."""
+    columns = {name: dataset.column(name) for name in dataset.columns}
+    trial = columns["trial"]
+    slices = []
+    for t in dataset.trials:
+        rows = np.flatnonzero(trial == t)
+        slices.append(ShardSlice(int(t), None, int(rows[0]), int(rows[-1]) + 1))
+    if perm is not None:
+        order = np.concatenate(
+            [sl.start + perm.permutation(sl.n_samples) for sl in slices]
+        )
+        columns = {name: arr[order] for name, arr in columns.items()}
+    return columns, slices
+
+
+def _assert_dense_cube(block, dataset):
+    expected = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
+    assert [(sl.trial, sl.process) for sl in block.slices] == [
+        (int(t), int(p)) for t in dataset.trials for p in dataset.processes
+    ]
+    np.testing.assert_array_equal(block.iterations, dataset.iterations)
+    np.testing.assert_array_equal(
+        block.cube.reshape(expected.values.shape), expected.values
+    )
+    for s, sl in enumerate(block.slices):
+        np.testing.assert_array_equal(
+            block.columns["compute_time_s"][sl.start : sl.stop], block.cube[s].ravel()
+        )
+
+
+class TestCanonicalBlock:
+    def test_whole_dataset_is_resliced_per_process(self, dataset):
+        _assert_dense_cube(canonical_block(*_trial_block(dataset)), dataset)
 
     def test_row_order_does_not_matter(self, dataset):
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(len(dataset))
-        shuffled = TimingShard(
-            trial=0,
-            process=None,
-            columns={name: dataset.column(name)[perm] for name in dataset.columns},
-        )
-        expected = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-        actual = aggregate_shard(shuffled, AggregationLevel.PROCESS_ITERATION)
-        assert actual.keys == expected.keys
-        np.testing.assert_array_equal(actual.values, expected.values)
+        columns, slices = _trial_block(dataset, perm=np.random.default_rng(0))
+        _assert_dense_cube(canonical_block(columns, slices), dataset)
+
+    def test_event_backend_process_none_shards(self):
+        config = CampaignConfig.smoke("minife").with_backend("event")
+        result = CampaignSession(config).run()
+        assert all(shard.process is None for shard in result.shards)
+        for shard in result.shards:
+            block = canonical_block(shard.columns, [ShardSlice.of(shard)])
+            _assert_dense_cube(block, shard.to_dataset())
+
+    def test_producer_blocks_are_zero_copy(self, shards):
+        columns, slices = _column_block(shards)
+        block = canonical_block(columns, slices)
+        assert block.columns is columns and block.slices is slices
+        assert np.shares_memory(block.cube, columns["compute_time_s"])
+
+    def test_non_dense_rows_rejected(self, shards):
+        columns, slices = _column_block(shards[:1])
+        short = slices[0]._replace(stop=slices[0].stop - 1)
+        with pytest.raises(ValueError, match="not dense"):
+            canonical_block(columns, [short])
+        repeated = dict(columns, thread=np.array(columns["thread"]))
+        repeated["thread"][1] = repeated["thread"][0]
+        with pytest.raises(ValueError, match="not dense"):
+            canonical_block(repeated, slices)
+
+    def test_rows_outside_declared_slice_rejected(self, shards):
+        columns, slices = _column_block(shards[:1])
+        (sl,) = slices
+        with pytest.raises(ValueError, match="outside"):
+            canonical_block(columns, [sl._replace(trial=sl.trial + 1)])
+        with pytest.raises(ValueError, match="outside"):
+            canonical_block(columns, [sl._replace(process=sl.process + 1)])
+
+    def test_empty_slice_list_rejected(self, shards):
+        columns, _ = _column_block(shards)
+        with pytest.raises(ValueError):
+            canonical_block(columns, [])
 
     def test_group_lookup_is_indexed(self, dataset):
         grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
@@ -146,50 +202,99 @@ class TestAggregateShard:
             grouped.group((9, 9, 9))
 
 
-class TestPassesAgainstLegacy:
-    """Every pass folded over real shards equals the in-memory analyzer."""
+SMOKE_CASES = [
+    f"{app}-{backend}"
+    for app in ("minife", "minimd", "miniqmc")
+    for backend in ("campaign", "event")
+]
 
-    def test_percentiles(self, dataset, shards, context):
+
+@pytest.fixture(scope="module", params=["lagdemo", *SMOKE_CASES])
+def case(request, dataset, shards, context):
+    """``(dataset, shards, context)``: the laggard demo's (trial, process)
+    shards, or a smoke campaign's own shards (``process=None`` per trial on
+    the event backend)."""
+    if request.param == "lagdemo":
+        return dataset, shards, context
+    app, backend = request.param.split("-")
+    result = CampaignSession(CampaignConfig.smoke(app).with_backend(backend)).run()
+    return (
+        result.dataset,
+        list(result.shards),
+        AnalysisContext.from_dataset(result.dataset, exact=True),
+    )
+
+
+class TestPassesAgainstDenseOracles:
+    """Every pass folded over real shards equals the dense reference
+    analysis over :func:`aggregate`, bit for bit."""
+
+    def test_percentiles(self, case):
+        ds, shards, context = case
         series = run_analyses(shards, ["percentiles"], context)["percentiles"]
-        legacy = ThreadTimingAnalyzer(dataset).percentile_series()
-        np.testing.assert_array_equal(series.values, legacy.values)
-        assert series.percentiles == legacy.percentiles
+        expected = percentile_table(
+            per_iteration_samples(ds) * 1.0e3, series.percentiles, axis=-1
+        )
+        np.testing.assert_array_equal(series.values, expected)
 
-    def test_histogram(self, dataset, shards, context):
+    def test_histogram(self, case):
+        ds, shards, context = case
         hist = run_analyses(shards, [HistogramPass(50e-6)], context)["histogram"]
-        legacy = ThreadTimingAnalyzer(dataset).application_histogram(50e-6)
-        np.testing.assert_array_equal(hist.counts, legacy.counts)
-        np.testing.assert_array_equal(hist.edges, legacy.edges)
+        expected = fixed_width_histogram(ds.compute_times_s, 50e-6)
+        np.testing.assert_array_equal(hist.counts, expected.counts)
+        np.testing.assert_array_equal(hist.edges, expected.edges)
 
-    def test_laggards(self, dataset, shards, context):
+    def test_laggards(self, case):
+        ds, shards, context = case
         result = run_analyses(shards, ["laggards"], context)["laggards"]
-        legacy = ThreadTimingAnalyzer(dataset).laggards()
-        assert result.laggard_fraction == legacy.laggard_fraction
-        assert result.analysis.keys == legacy.keys
-        np.testing.assert_array_equal(result.analysis.gap_s, legacy.gap_s)
-        assert result.analysis.classes == legacy.classes
+        expected = analyze_laggards(ds)
+        assert result.laggard_fraction == expected.laggard_fraction
+        assert result.analysis.keys == expected.keys
+        for name in ("median_s", "max_s", "gap_s", "iqr_s", "has_laggard"):
+            np.testing.assert_array_equal(
+                getattr(result.analysis, name), getattr(expected, name)
+            )
+        assert result.analysis.classes == expected.classes
 
-    def test_reclaimable(self, dataset, shards, context):
+    def test_reclaimable(self, case):
+        ds, shards, context = case
         summary = run_analyses(shards, ["reclaimable"], context)["reclaimable"]
-        assert summary == ThreadTimingAnalyzer(dataset).reclaimable()
+        assert summary == summarize_reclaimable(ds)
 
-    def test_normality(self, dataset, shards, context):
+    def test_normality(self, case):
+        ds, shards, context = case
         result = run_analyses(shards, ["normality"], context)["normality"]
-        study = ThreadTimingAnalyzer(dataset).normality()
+        study = NormalityStudy(ds)
         assert result.application_rejected == study.application_rejects_normality()
-        assert result.process_iteration_pass_rates == study.process_iteration_pass_rates()
+        assert (
+            result.application_pass_rates
+            == study.level_result(AggregationLevel.APPLICATION).pass_rates
+        )
+        assert (
+            result.application_iteration_pass_counts
+            == study.application_iteration_pass_counts()
+        )
+        assert result.n_iterations == ds.n_iterations
+        assert (
+            result.process_iteration_pass_rates == study.process_iteration_pass_rates()
+        )
 
-    def test_earlybird(self, dataset, shards, context):
+    def test_earlybird(self, case):
+        ds, shards, context = case
         result = run_analyses(shards, ["earlybird"], context)["earlybird"]
-        legacy = ThreadTimingAnalyzer(dataset).earlybird()
-        for key in ("mean_improvement_s", "mean_speedup", "mean_hidden_s"):
-            assert result[key] == legacy[key]
+        groups = aggregate(ds, AggregationLevel.PROCESS_ITERATION).values
+        stride = max(len(groups) // DEFAULT_EARLYBIRD_MAX_GROUPS, 1)
+        expected = EarlyBirdModel().evaluate_groups(groups[::stride])
+        assert result["groups_evaluated"] == len(groups[::stride])
+        for key in ("improvement_s", "speedup", "hidden_s", "potential_overlap_s"):
+            assert result[f"mean_{key}"] == float(np.mean(expected[key]))
 
-    def test_full_report(self, dataset, shards, context):
+    def test_full_report(self, case):
+        ds, shards, context = case
         results = run_analyses(shards, "all", context)
         streaming = results.report().as_dict()
-        legacy = ThreadTimingAnalyzer(dataset).report().as_dict()
-        assert streaming == legacy
+        facade = ThreadTimingAnalyzer(ds).report().as_dict()
+        assert streaming == facade
 
 
 class TestShardOrderInvariance:
@@ -314,81 +419,36 @@ def _partial_bytes(partials):
     return pickle.dumps(pickle.loads(pickle.dumps(partials)))
 
 
-class TestBlockGroupingMemo:
-    """``ColumnarAnalyzer`` groups each column block once for all passes."""
+class TestColumnarAnalyzer:
+    """``ColumnarAnalyzer`` builds each block's canonical form once."""
 
-    @pytest.fixture
-    def layout_calls(self, monkeypatch):
+    def test_layout_checked_once_per_call(self, shards, context, monkeypatch):
         calls = []
-        layout = aggregation._campaign_block_groups
+        layout = aggregation._producer_block
 
         def counting(columns, slices):
             calls.append(id(columns))
             return layout(columns, slices)
 
-        monkeypatch.setattr(aggregation, "_campaign_block_groups", counting)
-        return calls
-
-    def test_layout_checked_once_per_call(self, shards, context, layout_calls):
+        monkeypatch.setattr(aggregation, "_producer_block", counting)
         columns, slices = _column_block(shards)
-        passes = resolve_analyses(BUILTIN)
-        assert aggregation.campaign_block_groups(columns, slices) is not None
-        layout_calls.clear()
-        # without the analyzer every grouping pass pays its own check
-        for p in passes:
-            p.accumulate_columns_split(columns, slices, context)
-        assert len(layout_calls) == len(BUILTIN) - 1  # histogram needs none
-        layout_calls.clear()
-        mapper = ColumnarAnalyzer(passes, context)
+        mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
         partials = mapper(columns, slices)
         assert len(partials) == len(slices)
-        assert layout_calls == [id(columns)]
+        assert calls == [id(columns)]
         mapper(columns, slices)
-        assert layout_calls == [id(columns)] * 2
+        assert calls == [id(columns)] * 2
 
-    def test_other_slices_bypass_a_held_block(self, shards, layout_calls):
-        columns, slices = _column_block(shards)
-        aggregation.hold_block_groups(columns, slices)
-        try:
-            held = aggregation.campaign_block_groups(columns, slices)
-            assert aggregation.campaign_block_groups(columns, slices) is held
-            # a partial slice list cannot tile the block: no dense reshape
-            assert aggregation.campaign_block_groups(columns, slices[:1]) is None
-        finally:
-            aggregation.release_block_groups(columns)
-        assert layout_calls == [id(columns)] * 2
-        assert aggregation._BLOCK_GROUPS == {}
+    def test_block_partials_equal_one_shard_partials(self, shards, context):
+        mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
+        whole = mapper(*_column_block(shards))
+        one_by_one = [partial for shard in shards for partial in mapper.shard(shard)]
+        assert _partial_bytes(whole) == _partial_bytes(one_by_one)
 
-    def test_memo_does_not_change_partials(self, shards, context):
-        columns, slices = _column_block(shards)
-        passes = resolve_analyses(BUILTIN)
-        split = [p.accumulate_columns_split(columns, slices, context) for p in passes]
-        direct = [
-            {p.name: states[k] for p, states in zip(passes, split)}
-            for k in range(len(slices))
-        ]
-        memoized = ColumnarAnalyzer(passes, context)(columns, slices)
-        assert _partial_bytes(memoized) == _partial_bytes(direct)
-
-    def test_memo_released_after_call(self, shards, context):
-        columns, slices = _column_block(shards)
-        ColumnarAnalyzer(resolve_analyses(BUILTIN), context)(columns, slices)
-        assert aggregation._BLOCK_GROUPS == {}
-
-    def test_memo_released_when_a_pass_raises(self, shards, context, layout_calls):
-        class Exploding(NormalityPass):
-            name = "exploding"
-
-            def accumulate_columns_split(self, columns, slices, context):
-                super().accumulate_columns_split(columns, slices, context)
-                raise RuntimeError("boom")
-
-        columns, slices = _column_block(shards)
-        passes = (*resolve_analyses(["percentiles", "laggards"]), Exploding())
-        with pytest.raises(RuntimeError, match="boom"):
-            ColumnarAnalyzer(passes, context)(columns, slices)
-        assert aggregation._BLOCK_GROUPS == {}
-        assert layout_calls == [id(columns)]
+    def test_trial_shards_yield_one_partial_per_process(self, dataset, context):
+        mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
+        partials = mapper(*_trial_block(dataset))
+        assert len(partials) == dataset.n_trials * dataset.n_processes
 
     def test_concurrent_blocks_match_serial(self, shards, context):
         blocks = [_column_block(shards[:2]), _column_block(shards[2:])]
@@ -418,4 +478,3 @@ class TestBlockGroupingMemo:
         assert not errors
         for index, expected in enumerate(serial):
             assert results[index] == [expected] * rounds
-        assert aggregation._BLOCK_GROUPS == {}
