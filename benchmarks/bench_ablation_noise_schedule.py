@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.apps.minife.app import MiniFEApp, MiniFEConfig
-from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
+from repro.analysis import REPORT_ANALYSES, analyze_dataset
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.openmp.schedule import DynamicSchedule
 
 
@@ -36,10 +36,17 @@ def _ablation_config(application, *, noise):
     return config
 
 
+def _run(config):
+    return CampaignSession(config).run().dataset
+
+
+def _laggards(dataset):
+    return analyze_dataset(dataset, ["laggards"])["laggards"].analysis
+
+
 def test_noise_off_removes_minimd_laggards(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minimd", noise=False))
-    analyzer = ThreadTimingAnalyzer(dataset)
-    laggards = analyzer.laggards()
+    dataset = benchmark(_run, _ablation_config("minimd", noise=False))
+    laggards = _laggards(dataset)
     steady = [
         bool(has)
         for key, has in zip(laggards.keys, laggards.has_laggard)
@@ -49,9 +56,8 @@ def test_noise_off_removes_minimd_laggards(benchmark):
 
 
 def test_noise_on_restores_minimd_laggards(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minimd", noise=True))
-    analyzer = ThreadTimingAnalyzer(dataset)
-    laggards = analyzer.laggards()
+    dataset = benchmark(_run, _ablation_config("minimd", noise=True))
+    laggards = _laggards(dataset)
     steady = [
         bool(has)
         for key, has in zip(laggards.keys, laggards.has_laggard)
@@ -61,8 +67,8 @@ def test_noise_on_restores_minimd_laggards(benchmark):
 
 
 def test_noise_off_minife_laggards_come_from_the_application(benchmark):
-    dataset = benchmark(run_campaign, _ablation_config("minife", noise=False))
-    fraction = ThreadTimingAnalyzer(dataset).laggards().laggard_fraction
+    dataset = benchmark(_run, _ablation_config("minife", noise=False))
+    fraction = _laggards(dataset).laggard_fraction
     # only the application-level straggler model remains (~18 %)
     assert 0.08 < fraction < 0.30
 
@@ -72,11 +78,13 @@ def test_dynamic_schedule_rebalances_minife(benchmark):
 
     def build_dataset():
         config = _ablation_config("minife", noise=False)
-        dataset_static = run_campaign(config)
+        dataset_static = _run(config)
         return dataset_static
 
     static_ds = benchmark(build_dataset)
-    static_report = ThreadTimingAnalyzer(static_ds).report(include_earlybird=False)
+    static_report = analyze_dataset(static_ds, REPORT_ANALYSES).report(
+        include_earlybird=False
+    )
     # without execution jitter the only spread left in the static campaign is
     # the deterministic work imbalance plus the application stragglers
     assert static_report.mean_iqr_ms < 0.2

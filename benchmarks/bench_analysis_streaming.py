@@ -4,7 +4,7 @@ Benchmarks the two ways of producing a feasibility report for the same
 benchmark-scale MiniFE campaign:
 
 * **merged** — run the campaign, merge the shards into the dense
-  ``TimingDataset``, analyse with the in-memory ``ThreadTimingAnalyzer``;
+  ``TimingDataset``, analyse it with ``analyze_dataset``;
 * **streaming** — fold the shard stream through the registered analysis
   passes (``CampaignSession.analyze(analyses=...)``), never materialising
   the merged dataset.
@@ -43,12 +43,12 @@ from repro.analysis import (
     NormalityPass,
     PercentilesPass,
     ReclaimablePass,
+    analyze_dataset,
     resolve_analyses,
     run_analyses,
     run_columnar_analyses,
 )
 from repro.core.aggregation import ShardSlice
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
@@ -125,7 +125,7 @@ def _config(trials: int = 2) -> CampaignConfig:
 
 def _merged_report(config: CampaignConfig):
     dataset = CampaignSession(config).run(use_cache=False).dataset
-    return ThreadTimingAnalyzer(dataset).report(include_earlybird=False)
+    return analyze_dataset(dataset, ANALYSES).report(include_earlybird=False)
 
 
 def _streaming_report(config: CampaignConfig, exact: bool = True):

@@ -12,20 +12,19 @@ from repro.experiments.paper import SECTION4_METRICS
 
 
 @pytest.mark.parametrize("application", ["minife", "minimd", "miniqmc"])
-def test_figure3_histogram(benchmark, bench_datasets, application):
-    dataset = bench_datasets[application]
-    figure = benchmark(figure3_histogram, dataset)
+def test_figure3_histogram(benchmark, bench_results, bench_runs, application):
+    figure = benchmark(figure3_histogram, bench_results[application])
     histogram = figure["histogram"]
     assert histogram.bin_width == pytest.approx(10.0e-6)
-    assert histogram.total == dataset.n_samples
+    assert histogram.total == bench_runs[application].n_samples
     expected_peak_ms = SECTION4_METRICS[application]["mean_median_arrival_ms"]
     assert figure["peak_ms"] == pytest.approx(expected_peak_ms, rel=0.15)
 
 
-def test_figure3_miniqmc_is_broadest(bench_datasets):
+def test_figure3_miniqmc_is_broadest(bench_results):
     spreads = {
-        name: figure3_histogram(ds)["histogram"].spread()
-        for name, ds in bench_datasets.items()
+        name: figure3_histogram(results)["histogram"].spread()
+        for name, results in bench_results.items()
     }
     assert spreads["miniqmc"] > 3 * spreads["minife"]
     assert spreads["miniqmc"] > 3 * spreads["minimd"]

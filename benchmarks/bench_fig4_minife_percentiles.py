@@ -13,8 +13,8 @@ from repro.experiments.figures import figure4_minife_percentiles
 from repro.experiments.paper import SECTION4_METRICS
 
 
-def test_figure4_minife_percentiles(benchmark, minife_ds):
-    figure = benchmark(figure4_minife_percentiles, minife_ds)
+def test_figure4_minife_percentiles(benchmark, bench_results):
+    figure = benchmark(figure4_minife_percentiles, bench_results["minife"])
     paper = SECTION4_METRICS["minife"]
     assert figure["mean_median_ms"] == pytest.approx(
         paper["mean_median_arrival_ms"], rel=0.05

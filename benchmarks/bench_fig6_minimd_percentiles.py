@@ -11,8 +11,8 @@ from repro.experiments.figures import figure6_minimd_percentiles
 from repro.experiments.paper import SECTION4_METRICS
 
 
-def test_figure6_minimd_percentiles(benchmark, minimd_ds):
-    figure = benchmark(figure6_minimd_percentiles, minimd_ds)
+def test_figure6_minimd_percentiles(benchmark, bench_results):
+    figure = benchmark(figure6_minimd_percentiles, bench_results["minimd"])
     paper = SECTION4_METRICS["minimd"]
     assert figure["warmup_mean_iqr_ms"] > 3 * figure["steady_mean_iqr_ms"]
     assert figure["warmup_mean_iqr_ms"] == pytest.approx(

@@ -12,8 +12,10 @@ from repro.experiments.figures import figure7_minimd_classes
 from repro.experiments.paper import SECTION4_METRICS
 
 
-def test_figure7_minimd_classes(benchmark, minimd_ds):
-    figure = benchmark(figure7_minimd_classes, minimd_ds)
+def test_figure7_minimd_classes(benchmark, bench_results, bench_runs):
+    figure = benchmark(
+        figure7_minimd_classes, bench_results["minimd"], shards=bench_runs["minimd"]
+    )
     steady_laggard = figure["steady_laggard_fraction"]
     # rare but present: an order of magnitude rarer than MiniFE's 22 %
     assert 0.0 < steady_laggard < 0.15

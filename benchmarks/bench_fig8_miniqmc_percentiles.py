@@ -11,8 +11,8 @@ from repro.experiments.figures import figure8_miniqmc_percentiles
 from repro.experiments.paper import SECTION4_METRICS
 
 
-def test_figure8_miniqmc_percentiles(benchmark, miniqmc_ds):
-    figure = benchmark(figure8_miniqmc_percentiles, miniqmc_ds)
+def test_figure8_miniqmc_percentiles(benchmark, bench_results):
+    figure = benchmark(figure8_miniqmc_percentiles, bench_results["miniqmc"])
     paper = SECTION4_METRICS["miniqmc"]
     assert figure["mean_median_ms"] == pytest.approx(
         paper["mean_median_arrival_ms"], rel=0.05

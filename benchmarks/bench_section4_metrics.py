@@ -15,8 +15,8 @@ import pytest
 from repro.experiments.tables import minimd_phase_table, section4_metrics_table
 
 
-def test_section4_metrics_table(benchmark, bench_datasets):
-    rows = benchmark(section4_metrics_table, bench_datasets)
+def test_section4_metrics_table(benchmark, bench_results):
+    rows = benchmark(section4_metrics_table, bench_results)
     by_app = {row["application"]: row for row in rows}
 
     reclaim = {app: by_app[app]["mean_reclaimable_ms (measured)"] for app in by_app}
@@ -35,8 +35,8 @@ def test_section4_metrics_table(benchmark, bench_datasets):
         assert measured == pytest.approx(paper, rel=0.10)
 
 
-def test_minimd_phase_metrics(benchmark, minimd_ds):
-    rows = benchmark(minimd_phase_table, minimd_ds)
+def test_minimd_phase_metrics(benchmark, bench_results):
+    rows = benchmark(minimd_phase_table, bench_results["minimd"])
     warmup, steady = rows
     assert warmup["mean_iqr_ms (measured)"] > 3 * steady["mean_iqr_ms (measured)"]
     assert warmup["mean_iqr_ms (measured)"] == pytest.approx(

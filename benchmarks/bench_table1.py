@@ -40,6 +40,6 @@ def _assert_table1_shape(rows):
         assert measured_order == paper_order
 
 
-def test_table1_regeneration(benchmark, bench_datasets):
-    rows = benchmark(table1, bench_datasets)
+def test_table1_regeneration(benchmark, bench_results):
+    rows = benchmark(table1, bench_results)
     _assert_table1_shape(rows)

@@ -4,8 +4,8 @@ Every benchmark regenerates one of the paper's tables or figures from a
 *benchmark-scale* campaign: the full 48-thread teams and 200 application
 iterations (the dimensions the figures depend on) but 2 trials × 2 processes
 instead of 10 × 8, so the whole suite runs in minutes.  The campaign datasets
-are built once per session; the benchmarked functions are the analysis /
-generation steps.
+are built and analysed once per session; the benchmarked functions are the
+analysis / generation steps.
 
 Every benchmark also *asserts the qualitative claim* the corresponding paper
 artefact makes before timing it, so ``pytest benchmarks/ --benchmark-only``
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 
@@ -30,19 +29,22 @@ def bench_config() -> CampaignConfig:
 
 
 @pytest.fixture(scope="session")
-def bench_datasets(bench_config):
-    """Benchmark-scale datasets for all three applications."""
-    session = CampaignSession(bench_config)
-    return {
-        name: result.dataset
-        for name, result in session.run_all(APPLICATIONS).items()
-    }
+def bench_runs(bench_config):
+    """Benchmark-scale campaign results for all three applications (each
+    also serves as the ``shards`` of the exemplar figures 5/7/9)."""
+    return CampaignSession(bench_config).run_all(APPLICATIONS)
 
 
 @pytest.fixture(scope="session")
-def bench_analyzers(bench_datasets):
-    """One analyzer per application (shared caches across benchmarks)."""
-    return {name: ThreadTimingAnalyzer(ds) for name, ds in bench_datasets.items()}
+def bench_datasets(bench_runs):
+    """Benchmark-scale datasets for all three applications."""
+    return {name: result.dataset for name, result in bench_runs.items()}
+
+
+@pytest.fixture(scope="session")
+def bench_results(bench_runs):
+    """Exact-mode analysis results (every registered pass) per application."""
+    return {name: result.analyze() for name, result in bench_runs.items()}
 
 
 @pytest.fixture(scope="session")

@@ -23,12 +23,12 @@ import argparse
 
 import numpy as np
 
-from repro.core import ThreadTimingAnalyzer, TimeoutStrategy, compare_strategies
+from repro.core import TimeoutStrategy, aggregate, compare_strategies
 from repro.core.laggard import IterationClass
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure5_minife_classes
 from repro.experiments.paper import SECTION4_METRICS
+from repro.experiments.session import CampaignSession
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
 
@@ -57,12 +57,12 @@ def main() -> None:
         f"running MiniFE campaign: {config.trials} trials x {config.processes} "
         f"processes x {config.iterations} iterations x {config.threads} threads"
     )
-    dataset = run_campaign(config)
-    analyzer = ThreadTimingAnalyzer(dataset)
+    result = CampaignSession(config).run()
+    results = result.analyze()
     paper = SECTION4_METRICS["minife"]
 
     # ------------------------------------------------------------------ Figure 4
-    series = analyzer.percentile_series()
+    series = results["percentiles"]
     print("\nFigure 4 analogue — per-iteration arrival percentiles (ms):")
     print(ascii_percentile_plot(series, width=70, height=16))
     print(
@@ -73,7 +73,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ Figure 5
-    figure5 = figure5_minife_classes(dataset)
+    figure5 = figure5_minife_classes(results, shards=result)
     print(
         f"\nFigure 5 analogue — {100 * figure5['no_laggard_fraction']:.1f}% of "
         f"process-iterations contain no laggard, "
@@ -87,16 +87,15 @@ def main() -> None:
             print(ascii_histogram(histogram, max_rows=14))
 
     # ------------------------------------------------------- reclaimable time
-    reclaimable = analyzer.reclaimable()
+    reclaimable = results["reclaimable"]
     print(
         f"\nreclaimable time: {reclaimable.mean_reclaimable_s * 1e3:.2f} ms per "
         f"process-iteration on average (idle ratio {reclaimable.mean_idle_ratio:.4f})"
     )
 
     # ------------------------------------------------------------- strategies
-    grouped = analyzer.grouped("process_iteration")
-    laggards = analyzer.laggards()
-    key = laggards.exemplar(IterationClass.LAGGARD)
+    grouped = aggregate(result.dataset, "process_iteration")
+    key = results["laggards"].exemplar(IterationClass.LAGGARD)
     if key is not None:
         arrivals = grouped.group(key)
         buffer_bytes = int(args.buffer_mb * 1024 * 1024)
@@ -124,7 +123,7 @@ def main() -> None:
         ]
         print(ascii_table(rows))
 
-    print("\n" + analyzer.report().summary())
+    print("\n" + results.report().summary())
 
 
 if __name__ == "__main__":

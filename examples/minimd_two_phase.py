@@ -22,10 +22,10 @@ import argparse
 
 import numpy as np
 
-from repro.core import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
+from repro.analysis import AnalysisResults
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure7_minimd_classes
+from repro.experiments.session import CampaignSession
 from repro.experiments.tables import minimd_phase_table
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
@@ -40,8 +40,8 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def _steady_laggard_fraction(analyzer: ThreadTimingAnalyzer, warmup: int = 19) -> float:
-    laggards = analyzer.laggards()
+def _steady_laggard_fraction(results: AnalysisResults, warmup: int = 19) -> float:
+    laggards = results["laggards"].analysis
     steady = [
         bool(has)
         for key, has in zip(laggards.keys, laggards.has_laggard)
@@ -62,16 +62,16 @@ def main() -> None:
     )
 
     print("running MiniMD campaign (OS-noise model enabled)...")
-    noisy = run_campaign(base_config)
-    noisy_analyzer = ThreadTimingAnalyzer(noisy)
+    noisy = CampaignSession(base_config).run()
+    noisy_results = noisy.analyze(["percentiles", "laggards"])
 
     print("\nFigure 6 analogue — per-iteration arrival percentiles (ms):")
-    print(ascii_percentile_plot(noisy_analyzer.percentile_series(), width=70, height=16))
+    print(ascii_percentile_plot(noisy_results["percentiles"], width=70, height=16))
 
     print("\ntwo-phase IQR comparison (paper §4.2.2):")
-    print(ascii_table(minimd_phase_table(noisy)))
+    print(ascii_table(minimd_phase_table(noisy_results)))
 
-    figure7 = figure7_minimd_classes(noisy)
+    figure7 = figure7_minimd_classes(noisy_results, shards=noisy)
     print(
         f"\npost-warm-up classes: {100 * figure7['steady_no_laggard_fraction']:.1f}% "
         f"no laggard vs {100 * figure7['steady_laggard_fraction']:.1f}% laggard "
@@ -95,19 +95,18 @@ def main() -> None:
         seed=args.seed,
     )
     quiet_config.machine = quiet_config.machine.without_noise()
-    quiet = run_campaign(quiet_config)
-    quiet_analyzer = ThreadTimingAnalyzer(quiet)
+    quiet_results = CampaignSession(quiet_config).run().analyze(["percentiles", "laggards"])
 
     rows = [
         {
             "campaign": "noise enabled",
-            "steady-state laggard %": 100 * _steady_laggard_fraction(noisy_analyzer),
-            "mean IQR (ms)": noisy_analyzer.percentile_series().iqr[19:].mean(),
+            "steady-state laggard %": 100 * _steady_laggard_fraction(noisy_results),
+            "mean IQR (ms)": noisy_results["percentiles"].iqr[19:].mean(),
         },
         {
             "campaign": "noise disabled",
-            "steady-state laggard %": 100 * _steady_laggard_fraction(quiet_analyzer),
-            "mean IQR (ms)": quiet_analyzer.percentile_series().iqr[19:].mean(),
+            "steady-state laggard %": 100 * _steady_laggard_fraction(quiet_results),
+            "mean IQR (ms)": quiet_results["percentiles"].iqr[19:].mean(),
         },
     ]
     print("\nOS-noise ablation (post-warm-up iterations only):")

@@ -23,13 +23,13 @@ import argparse
 
 import numpy as np
 
-from repro.core import BinnedStrategy, BulkStrategy, FineGrainedStrategy, ThreadTimingAnalyzer
+from repro.core import BinnedStrategy, BulkStrategy, FineGrainedStrategy, aggregate
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass
 from repro.core.strategies import compare_strategies
-from repro.experiments.campaign import run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.figures import figure9_miniqmc_histogram
+from repro.experiments.session import CampaignSession
 from repro.viz import ascii_histogram, ascii_percentile_plot, ascii_table
 
 
@@ -54,20 +54,20 @@ def main() -> None:
         seed=args.seed,
     )
     print("running MiniQMC campaign...")
-    dataset = run_campaign(config)
-    analyzer = ThreadTimingAnalyzer(dataset)
+    result = CampaignSession(config).run()
+    results = result.analyze(["percentiles", "laggards", "reclaimable"])
 
     print("\nFigure 8 analogue — per-iteration mover percentiles (ms):")
-    print(ascii_percentile_plot(analyzer.percentile_series(), width=70, height=16))
+    print(ascii_percentile_plot(results["percentiles"], width=70, height=16))
 
-    figure9 = figure9_miniqmc_histogram(dataset)
+    figure9 = figure9_miniqmc_histogram(results, shards=result)
     print(
         f"\nFigure 9 analogue — one process-iteration, 1 ms bins "
         f"(spread {figure9['spread_ms']:.1f} ms):"
     )
     print(ascii_histogram(figure9["histogram"], max_rows=20, unit_scale=1e3))
 
-    reclaimable = analyzer.reclaimable()
+    reclaimable = results["reclaimable"]
     print(
         f"\nreclaimable time: {reclaimable.mean_reclaimable_s * 1e3:.1f} ms per "
         f"iteration; idle ratio {reclaimable.mean_idle_ratio:.3f} — "
@@ -75,8 +75,8 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------ buffer sweep
-    grouped = analyzer.grouped("process_iteration")
-    exemplar = analyzer.laggards().exemplar(IterationClass.WIDE)
+    grouped = aggregate(result.dataset, "process_iteration")
+    exemplar = results["laggards"].exemplar(IterationClass.WIDE)
     arrivals = grouped.group(exemplar) if exemplar is not None else grouped.values[0]
 
     print("\nHow much of the message can early-bird delivery hide?")

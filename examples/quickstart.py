@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from repro import CampaignConfig, CampaignSession
-from repro.core import ThreadTimingAnalyzer, compare_strategies
+from repro.analysis import HistogramPass
+from repro.core import TimingDataset, aggregate, compare_strategies
 from repro.core.instrument import PythonThreadRegion
 from repro.viz import ascii_histogram, ascii_table
 
@@ -60,23 +61,25 @@ def run_simulated_campaign():
         application="minife", trials=1, processes=2, iterations=40, threads=48,
         seed=2023,
     )
-    session = CampaignSession(config)
-    analyzer = session.run().analyze()
-    report = analyzer.report()
-    print(report.summary())
+    result = CampaignSession(config).run()
+    results = result.analyze(
+        ["percentiles", "laggards", "reclaimable", "normality", "earlybird",
+         HistogramPass(50e-6)]
+    )
+    print(results.report().summary())
     print()
     print("Application-level arrival histogram (Figure 3a analogue, 50 µs bins):")
-    print(ascii_histogram(analyzer.application_histogram(50e-6), max_rows=18))
+    print(ascii_histogram(results["histogram"], max_rows=18))
     print()
-    return analyzer
+    return result.dataset
 
 
-def evaluate_strategies(analyzer: ThreadTimingAnalyzer) -> None:
+def evaluate_strategies(dataset: TimingDataset) -> None:
     """Step 3: what do these arrivals mean for partitioned communication?"""
     print("=" * 72)
     print("Step 3: early-bird delivery strategies on one measured iteration")
     print("=" * 72)
-    grouped = analyzer.grouped("process_iteration")
+    grouped = aggregate(dataset, "process_iteration")
     arrivals = grouped.values[len(grouped.values) // 2]
     comparison = compare_strategies(arrivals, buffer_bytes=8 * 1024 * 1024)
     rows = []
@@ -96,8 +99,8 @@ def evaluate_strategies(analyzer: ThreadTimingAnalyzer) -> None:
 
 def main() -> None:
     measure_real_thread_pool()
-    analyzer = run_simulated_campaign()
-    evaluate_strategies(analyzer)
+    dataset = run_simulated_campaign()
+    evaluate_strategies(dataset)
 
 
 if __name__ == "__main__":

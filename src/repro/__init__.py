@@ -13,8 +13,8 @@ contribution (thread-timing instrumentation and analysis) on top:
     Simulated OpenMP runtime: thread teams, loop schedules, barriers and
     ``parallel for nowait`` regions.
 ``repro.mpi``
-    Simulated MPI layer: communicators, point-to-point, collectives and
-    MPI-4.0-style partitioned communication on a LogGP network model.
+    Simulated MPI-4.0-style partitioned communication on a LogGP network
+    model (the transfer the early-bird feasibility model evaluates).
 ``repro.stats``
     Batch-vectorised normality tests (D'Agostino K², Shapiro–Wilk,
     Anderson–Darling) and distribution utilities, validated against SciPy.
@@ -82,12 +82,9 @@ __all__ = [
     "TimingDataset",
     "TimingRecord",
     "TimingShard",
-    "ThreadTimingAnalyzer",
     "CampaignConfig",
     "CampaignSession",
     "register_backend",
-    "quick_campaign",
-    "run_campaign",
     "Scenario",
     "ScenarioMatrix",
     "register_scenario",
@@ -104,21 +101,21 @@ __all__ = [
     "register_analysis",
     "get_analysis",
     "available_analyses",
+    "analyze_dataset",
     "run_analyses",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis import (
         AnalysisPass,
+        analyze_dataset,
         available_analyses,
         get_analysis,
         register_analysis,
         run_analyses,
     )
-    from repro.core.analyzer import ThreadTimingAnalyzer
     from repro.core.timing import TimingDataset, TimingRecord, TimingShard
     from repro.experiments.backends import register_backend
-    from repro.experiments.campaign import quick_campaign, run_campaign
     from repro.experiments.config import CampaignConfig
     from repro.experiments.session import CampaignSession
     from repro.scenarios.machines import (
@@ -144,12 +141,9 @@ _LAZY_EXPORTS = {
     "TimingDataset": ("repro.core.timing", "TimingDataset"),
     "TimingRecord": ("repro.core.timing", "TimingRecord"),
     "TimingShard": ("repro.core.timing", "TimingShard"),
-    "ThreadTimingAnalyzer": ("repro.core.analyzer", "ThreadTimingAnalyzer"),
     "CampaignConfig": ("repro.experiments.config", "CampaignConfig"),
     "CampaignSession": ("repro.experiments.session", "CampaignSession"),
     "register_backend": ("repro.experiments.backends", "register_backend"),
-    "quick_campaign": ("repro.experiments.campaign", "quick_campaign"),
-    "run_campaign": ("repro.experiments.campaign", "run_campaign"),
     "Scenario": ("repro.scenarios.scenario", "Scenario"),
     "ScenarioMatrix": ("repro.scenarios.scenario", "ScenarioMatrix"),
     "register_scenario": ("repro.scenarios.scenario", "register_scenario"),
@@ -166,6 +160,7 @@ _LAZY_EXPORTS = {
     "register_analysis": ("repro.analysis", "register_analysis"),
     "get_analysis": ("repro.analysis", "get_analysis"),
     "available_analyses": ("repro.analysis", "available_analyses"),
+    "analyze_dataset": ("repro.analysis", "analyze_dataset"),
     "run_analyses": ("repro.analysis", "run_analyses"),
 }
 

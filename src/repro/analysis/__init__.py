@@ -15,6 +15,12 @@ memory independent of the shard count):
 ...                                     "reclaimable", "normality"])
 >>> results.report(include_earlybird=False)
 
+:func:`analyze_dataset` folds an already-materialised
+:class:`~repro.core.timing.TimingDataset` through the same passes (as one
+column block), and every driver returns the same product type,
+:class:`AnalysisResults`, which the figure and table generators of
+:mod:`repro.experiments` read.
+
 Built-in passes (``available_analyses()``): ``percentiles``, ``histogram``,
 ``normality``, ``laggards``, ``reclaimable``, ``earlybird``.  Custom passes
 subclass :class:`AnalysisPass` and register with :func:`register_analysis`
@@ -41,6 +47,7 @@ from repro.analysis.base import (
 from repro.analysis.engine import (
     AnalysisResults,
     ColumnarAnalyzer,
+    analyze_dataset,
     product_payload,
     run_analyses,
     run_campaign_analyses,
@@ -71,6 +78,7 @@ __all__ = [
     "register_analysis",
     "resolve_analyses",
     "unregister_analysis",
+    "analyze_dataset",
     "product_payload",
     "run_analyses",
     "run_campaign_analyses",

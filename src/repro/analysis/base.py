@@ -124,7 +124,8 @@ class AnalysisContext:
     def from_dataset(
         cls, dataset: TimingDataset, *, exact: bool = True
     ) -> "AnalysisContext":
-        """Context of an already-materialised dataset (facade path)."""
+        """Context of an already-materialised dataset (see
+        :func:`~repro.analysis.engine.analyze_dataset`)."""
         return cls(
             application=dataset.application,
             trials=tuple(int(t) for t in dataset.trials),

@@ -7,6 +7,9 @@ Every driver maps its input onto canonical column blocks
 * :func:`run_columnar_analyses` — fold ``(columns, slices)`` blocks (store
   groups, :meth:`CampaignResult.iter_column_blocks
   <repro.experiments.session.CampaignResult.iter_column_blocks>`).
+* :func:`analyze_dataset` — fold a materialised
+  :class:`~repro.core.timing.TimingDataset` as one block, one slice per
+  trial.
 * :func:`run_analyses` — fold an existing shard iterable (e.g.
   ``CampaignSession.stream()`` or an in-memory list), each shard as a
   one-slice block.
@@ -40,14 +43,16 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.analysis.base import (
     AnalysisContext,
     AnalysisPass,
     resolve_analyses,
 )
 from repro.analysis.report import assemble_feasibility_report
-from repro.core.aggregation import ShardSlice, canonical_block
-from repro.core.timing import TimingShard
+from repro.core.aggregation import ColumnBlock, ShardSlice, canonical_block
+from repro.core.timing import TimingDataset, TimingShard
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.core.report import FeasibilityReport
@@ -172,6 +177,45 @@ def run_columnar_analyses(
     mapper = ColumnarAnalyzer(passes, context)
     partials = (partial for block in blocks for partial in mapper(*block))
     return _reduce_partials(passes, partials, context)
+
+
+def _dataset_block(dataset: TimingDataset) -> ColumnBlock:
+    """The dataset as one canonical column block, one slice per trial."""
+    columns = {name: dataset.column(name) for name in dataset.columns}
+    trial = columns["trial"]
+    if np.any(trial[1:] < trial[:-1]):
+        order = np.argsort(trial, kind="stable")
+        columns = {name: arr[order] for name, arr in columns.items()}
+        trial = columns["trial"]
+    trials = dataset.trials
+    starts = np.searchsorted(trial, trials, side="left")
+    stops = np.searchsorted(trial, trials, side="right")
+    slices = [
+        ShardSlice(int(t), None, int(start), int(stop))
+        for t, start, stop in zip(trials, starts, stops)
+    ]
+    return canonical_block(columns, slices)
+
+
+def analyze_dataset(
+    dataset: TimingDataset,
+    analyses: Union[None, str, Iterable[Union[str, AnalysisPass]]] = "all",
+    *,
+    exact: bool = True,
+) -> AnalysisResults:
+    """Fold a materialised dataset through the requested passes.
+
+    The dataset is one canonical column block (a stable sort by trial, one
+    slice per trial), so the products are bit-identical to folding the
+    same campaign's shards or store groups.
+
+    >>> results = analyze_dataset(dataset)
+    >>> results["percentiles"].mean_median()
+    >>> results.report()
+    """
+    block = _dataset_block(dataset)
+    context = AnalysisContext.from_dataset(dataset, exact=exact)
+    return run_columnar_analyses([(block.columns, block.slices)], analyses, context)
 
 
 def _reduce_partials(

@@ -1,11 +1,11 @@
 """Assemble a :class:`~repro.core.report.FeasibilityReport` from pass outputs.
 
-The report used to be built inside :class:`~repro.core.analyzer.ThreadTimingAnalyzer`
-from in-memory components; with the streaming engine the same report is
-assembled from the finalized products of the ``percentiles``, ``laggards``,
-``reclaimable``, ``normality`` and (optionally) ``earlybird`` passes — the
-analyzer facade and :meth:`CampaignSession.analyze(analyses=...)` both end
-up here, which is what makes the two paths field-for-field identical.
+The report is assembled from the finalized products of the
+``percentiles``, ``laggards``, ``reclaimable``, ``normality`` and
+(optionally) ``earlybird`` passes; every analysis driver
+(:func:`~repro.analysis.engine.analyze_dataset`,
+:meth:`CampaignSession.analyze`, the fused campaign route) ends up here,
+which is what makes their reports field-for-field identical.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ def assemble_feasibility_report(
 
     ``products`` must contain the :data:`REPORT_ANALYSES` outputs; the
     early-bird block is filled when ``include_earlybird`` and an
-    ``earlybird`` product is present, and zeroed otherwise (matching the
-    legacy ``report(include_earlybird=False)`` behaviour).
+    ``earlybird`` product is present, and zeroed otherwise.
     """
     missing = [name for name in REPORT_ANALYSES if name not in products]
     if missing:

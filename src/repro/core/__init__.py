@@ -17,12 +17,17 @@ Layer map (bottom → top):
 * :mod:`~repro.core.earlybird` / :mod:`~repro.core.strategies` — the
   early-bird feasibility model: what the measured arrival distributions imply
   for partitioned-communication delivery strategies (Figures 1/2, §5).
-* :mod:`~repro.core.analyzer` — :class:`ThreadTimingAnalyzer`, the facade
-  that produces a per-application feasibility report.
+* :mod:`~repro.core.report` — :class:`FeasibilityReport`, the
+  per-application summary.
+
+The dense modules here (:func:`aggregate`, :class:`NormalityStudy`, the
+laggard and reclaimable summaries) are the reference oracles and numeric
+primitives; campaign analyses run as registered passes in
+:mod:`repro.analysis` (:func:`~repro.analysis.analyze_dataset` for a
+materialised dataset).
 """
 
 from repro.core.aggregation import AggregationLevel, GroupedSamples, aggregate
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.earlybird import EarlyBirdModel, OverlapWindow
 from repro.core.endtoend import EndToEndModel, EndToEndProjection, StrategyProjection
 from repro.core.instrument import PythonThreadRegion, RegionInstrumenter
@@ -76,6 +81,5 @@ __all__ = [
     "DeliveryOutcome",
     "StrategyComparison",
     "compare_strategies",
-    "ThreadTimingAnalyzer",
     "FeasibilityReport",
 ]

@@ -10,10 +10,10 @@
 * :mod:`~repro.experiments.session` — :class:`CampaignSession`, the fluent
   front door: ``CampaignSession(config).run("minife").analyze().report()``,
   shard streaming via ``stream()``, config-hash-keyed result caching.
-* :mod:`~repro.experiments.campaign` — deprecated module-level shims
-  (``run_campaign`` & friends) delegating to the session.
-* :mod:`~repro.experiments.figures` — per-figure data generators (Fig. 1–9).
-* :mod:`~repro.experiments.tables` — Table 1 and the §4.2 scalar-metric table.
+* :mod:`~repro.experiments.figures` — per-figure data generators (Fig. 1–9),
+  reading :class:`~repro.analysis.AnalysisResults`.
+* :mod:`~repro.experiments.tables` — Table 1 and the §4.2 scalar-metric
+  table, reading :class:`~repro.analysis.AnalysisResults`.
 * :mod:`~repro.experiments.paper` — the paper's reported values, for
   paper-vs-measured comparison.
 * :mod:`~repro.experiments.runner` — the ``repro-campaign`` CLI (also
@@ -28,7 +28,6 @@ from repro.experiments.backends import (
     get_backend,
     register_backend,
 )
-from repro.experiments.campaign import quick_campaign, run_all_campaigns, run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.paper import PAPER_REFERENCE
@@ -54,9 +53,6 @@ __all__ = [
     "config_cache_key",
     "campaign_cache_path",
     "campaign_store_path",
-    "run_campaign",
-    "run_all_campaigns",
-    "quick_campaign",
     "table1",
     "section4_metrics_table",
     "PAPER_REFERENCE",

@@ -5,36 +5,31 @@ returning a :class:`FigureData` that carries the raw series plus enough
 labelling to render it (ASCII in the examples, CSV for external plotting)
 and to assert its qualitative shape in the benchmarks.
 
-Figure sources come in two flavours, and every generator accepts either:
-
-* a merged :class:`~repro.core.timing.TimingDataset` (the legacy in-memory
-  path), or
-* the :class:`~repro.analysis.AnalysisResults` of a streaming run (exact
-  mode), which is what the CLI default path feeds — the merged dataset is
-  never materialised.  The exemplar histograms of Figures 5/7/9 need raw
-  samples a finalized product cannot carry, so those generators take the
-  campaign's ``shards`` alongside (histogram binning is order-independent,
-  making the shard-scan bit-identical to the dense path).
+Every §4 generator reads the :class:`~repro.analysis.AnalysisResults` of an
+analysis run (``CampaignSession.analyze`` or
+:func:`~repro.analysis.analyze_dataset`); the merged dataset is never
+needed.  The exemplar histograms of Figures 5/7/9 need raw samples a
+finalized product cannot carry, so those generators also take the
+campaign's ``shards`` — a shard sequence, a
+:class:`~repro.experiments.session.CampaignResult` or a
+:class:`~repro.io.shard_store.ShardStore` — and scan out the exemplar
+group (histogram binning is order-independent, so the scan is
+bit-identical to binning the merged dataset's group).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.engine import AnalysisResults
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, LaggardAnalysis
-from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.paper import FIGURE_PARAMETERS
 from repro.stats.histogram import FixedWidthHistogram, fixed_width_histogram
 from repro.stats.percentiles import PercentileSeries
-
-#: every figure generator accepts either source flavour
-FigureSource = Union[TimingDataset, AnalysisResults]
 
 
 @dataclass
@@ -104,34 +99,20 @@ def figure2_potential_overlap(
 
 
 # ----------------------------------------------------------------------
-# source plumbing: datasets and streaming results interchangeably
+# exemplar plumbing: laggard products and shard scans
 # ----------------------------------------------------------------------
-def _laggards_product(source: FigureSource):
+def _laggards_product(results: AnalysisResults):
     """The laggard product behind Figures 5/7/9's exemplars.
 
-    Returns a :class:`~repro.core.laggard.LaggardAnalysis` (dense datasets,
-    or exact-mode streaming results) — or the sketch-mode
+    Returns a :class:`~repro.core.laggard.LaggardAnalysis` (exact-mode
+    results) — or the sketch-mode
     :class:`~repro.analysis.passes.LaggardsResult`, whose bounded candidate
     pools still answer ``laggard_fraction`` and ``exemplar`` queries.
     """
-    if isinstance(source, AnalysisResults):
-        product = source["laggards"]
-        if product.analysis is not None:
-            return product.analysis
-        return product
-    return ThreadTimingAnalyzer(source).laggards()
-
-
-def _laggard_analysis(source: FigureSource) -> LaggardAnalysis:
-    """The per-group laggard analysis behind Figures 5/7/9's exemplars."""
-    laggards = _laggards_product(source)
-    if isinstance(laggards, LaggardAnalysis):
-        return laggards
-    raise ValueError(
-        "the streaming laggards product carries no per-group analysis "
-        "(sketch mode?); re-run the 'laggards' pass in exact mode to "
-        "generate exemplar figures"
-    )
+    product = results["laggards"]
+    if product.analysis is not None:
+        return product.analysis
+    return product
 
 
 def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
@@ -142,10 +123,10 @@ def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
     anyway, so figures built from this match the merged-dataset path bit for
     bit.  Works for per-(trial, process) executor shards, the per-trial
     shards a cache hit derives, and anything exposing ``iter_shards()`` —
-    a :class:`~repro.io.shard_store.ShardStore` or a store-backed
+    a :class:`~repro.io.shard_store.ShardStore` or a
     :class:`~repro.experiments.session.CampaignResult` — which is streamed
     in its own (already serial) order with only the matched samples copied
-    out, so each group's memory mappings are released as the scan advances.
+    out, so a store's memory mappings are released as the scan advances.
     """
     trial, process, iteration = (int(part) for part in key)
     if hasattr(shards, "iter_shards"):
@@ -176,38 +157,23 @@ def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
 
 
 def _group_histogram(
-    source: FigureSource,
-    key: Tuple[int, int, int],
-    bin_width_s: float,
-    shards: Optional[Sequence[TimingShard]],
+    shards, key: Tuple[int, int, int], bin_width_s: float
 ) -> FixedWidthHistogram:
-    """Histogram of one process-iteration from whichever source is at hand."""
-    if isinstance(source, AnalysisResults):
-        if shards is None:
-            raise ValueError(
-                "exemplar histograms from streaming results need the "
-                "campaign's shards (pass shards=result.shards)"
-            )
-        return fixed_width_histogram(
-            _group_samples(shards, key), bin_width_s, unit="s"
-        )
-    return ThreadTimingAnalyzer(source).process_iteration_histogram(key, bin_width_s)
+    """Histogram of one process-iteration scanned out of the shards."""
+    return fixed_width_histogram(_group_samples(shards, key), bin_width_s, unit="s")
 
 
 # ----------------------------------------------------------------------
 # Figure 3 — application-level histograms
 # ----------------------------------------------------------------------
-def figure3_histogram(source: FigureSource) -> FigureData:
-    """Figure 3: application-level arrival histogram with 10 µs bins."""
-    bin_width = FIGURE_PARAMETERS["figure3"]["bin_width_s"]
-    if isinstance(source, AnalysisResults):
-        histogram = source["histogram"]
-    else:
-        histogram = ThreadTimingAnalyzer(source).application_histogram(bin_width)
+def figure3_histogram(results: AnalysisResults) -> FigureData:
+    """Figure 3: application-level arrival histogram (the ``histogram``
+    pass, 10 µs bins by default)."""
+    histogram = results["histogram"]
     return FigureData(
         figure_id="figure3",
         title="Application thread arrival time histogram",
-        application=source.application,
+        application=results.application,
         payload={
             "histogram": histogram,
             "peak_ms": histogram.mode_center * 1e3,
@@ -219,16 +185,13 @@ def figure3_histogram(source: FigureSource) -> FigureData:
 # ----------------------------------------------------------------------
 # Figures 4 / 6 / 8 — percentile plots
 # ----------------------------------------------------------------------
-def percentile_figure(source: FigureSource, figure_id: str) -> FigureData:
+def percentile_figure(results: AnalysisResults, figure_id: str) -> FigureData:
     """Shared generator of the three percentile plots."""
-    if isinstance(source, AnalysisResults):
-        series = source["percentiles"]
-    else:
-        series = ThreadTimingAnalyzer(source).percentile_series()
+    series = results["percentiles"]
     return FigureData(
         figure_id=figure_id,
         title="Per-iteration thread arrival percentiles",
-        application=source.application,
+        application=results.application,
         payload={
             "series": series,
             "mean_median_ms": series.mean_median(),
@@ -239,14 +202,16 @@ def percentile_figure(source: FigureSource, figure_id: str) -> FigureData:
     )
 
 
-def figure4_minife_percentiles(source: FigureSource) -> FigureData:
+def figure4_minife_percentiles(results: AnalysisResults) -> FigureData:
     """Figure 4: MiniFE mat-vec arrival percentiles per iteration."""
-    return percentile_figure(source, "figure4")
+    return percentile_figure(results, "figure4")
 
 
-def figure6_minimd_percentiles(source: FigureSource, warmup_iterations: int = 19) -> FigureData:
+def figure6_minimd_percentiles(
+    results: AnalysisResults, warmup_iterations: int = 19
+) -> FigureData:
     """Figure 6: MiniMD force-loop percentiles per iteration (two-phase)."""
-    data = percentile_figure(source, "figure6")
+    data = percentile_figure(results, "figure6")
     series: PercentileSeries = data["series"]  # type: ignore[assignment]
     data.payload["warmup_mean_iqr_ms"] = float(series.iqr[:warmup_iterations].mean())
     data.payload["steady_mean_iqr_ms"] = float(series.iqr[warmup_iterations:].mean())
@@ -254,28 +219,23 @@ def figure6_minimd_percentiles(source: FigureSource, warmup_iterations: int = 19
     return data
 
 
-def figure8_miniqmc_percentiles(source: FigureSource) -> FigureData:
+def figure8_miniqmc_percentiles(results: AnalysisResults) -> FigureData:
     """Figure 8: MiniQMC mover percentiles per iteration."""
-    return percentile_figure(source, "figure8")
+    return percentile_figure(results, "figure8")
 
 
 # ----------------------------------------------------------------------
 # Figures 5 / 7 / 9 — example process-iteration histograms per class
 # ----------------------------------------------------------------------
-def figure5_minife_classes(
-    source: FigureSource,
-    *,
-    shards: Optional[Sequence[TimingShard]] = None,
-) -> FigureData:
+def figure5_minife_classes(results: AnalysisResults, *, shards) -> FigureData:
     """Figure 5: MiniFE no-laggard vs laggard example histograms (50 µs bins).
 
-    From streaming results, pass the campaign's ``shards`` so the exemplar
-    histograms can be binned without a merged dataset.  Sketch-mode results
-    answer from the laggards pass's bounded candidate pools — exemplars are
-    then approximate (within one candidate-pool quantile spacing) but the
-    fractions stay exact.
+    The exemplar histograms are binned from the campaign's ``shards``.
+    Sketch-mode results answer from the laggards pass's bounded candidate
+    pools — exemplars are then approximate (within one candidate-pool
+    quantile spacing) but the fractions stay exact.
     """
-    laggards = _laggards_product(source)
+    laggards = _laggards_product(results)
     bin_width = FIGURE_PARAMETERS["figure5"]["bin_width_s"]
     payload: Dict[str, object] = {
         "laggard_fraction": laggards.laggard_fraction,
@@ -285,25 +245,23 @@ def figure5_minife_classes(
         key = laggards.exemplar(cls)
         payload[f"{label}_exemplar"] = key
         payload[f"{label}_histogram"] = (
-            _group_histogram(source, key, bin_width, shards) if key is not None else None
+            _group_histogram(shards, key, bin_width) if key is not None else None
         )
     return FigureData(
         figure_id="figure5",
         title="MiniFE thread arrival distribution classes",
-        application=source.application,
+        application=results.application,
         payload=payload,
     )
 
 
 def figure7_minimd_classes(
-    source: FigureSource,
-    warmup_iterations: int = 19,
-    *,
-    shards: Optional[Sequence[TimingShard]] = None,
+    results: AnalysisResults, warmup_iterations: int = 19, *, shards
 ) -> FigureData:
     """Figure 7: MiniMD initial / no-laggard / laggard example histograms.
 
-    Sketch-mode streaming results lack the dense per-group arrays: the
+    The exemplar histograms are binned from the campaign's ``shards``.
+    Sketch-mode results lack the dense per-group arrays: the
     warm-up/steady split is then approximated from the laggards pass's
     bounded candidate pools (keys filtered by iteration) and the steady
     laggard fraction by the campaign-wide laggard fraction — an exact tally
@@ -311,7 +269,7 @@ def figure7_minimd_classes(
     """
     wide_bin = FIGURE_PARAMETERS["figure7a"]["bin_width_s"]
     tight_bin = FIGURE_PARAMETERS["figure7bc"]["bin_width_s"]
-    laggards = _laggards_product(source)
+    laggards = _laggards_product(results)
 
     if isinstance(laggards, LaggardAnalysis):
         # (a) initial behaviour: any process-iteration from the warm-up phase
@@ -359,7 +317,7 @@ def figure7_minimd_classes(
             return candidates[len(candidates) // 2] if candidates else None
 
     initial_hist = (
-        _group_histogram(source, warmup_keys[len(warmup_keys) // 2], wide_bin, shards)
+        _group_histogram(shards, warmup_keys[len(warmup_keys) // 2], wide_bin)
         if warmup_keys
         else None
     )
@@ -374,24 +332,23 @@ def figure7_minimd_classes(
         key = steady_exemplar(want)
         payload[f"{label}_exemplar"] = key
         payload[f"{label}_histogram"] = (
-            _group_histogram(source, key, tight_bin, shards) if key is not None else None
+            _group_histogram(shards, key, tight_bin) if key is not None else None
         )
     return FigureData(
         figure_id="figure7",
         title="MiniMD thread arrival distribution classes",
-        application=source.application,
+        application=results.application,
         payload=payload,
     )
 
 
-def figure9_miniqmc_histogram(
-    source: FigureSource,
-    *,
-    shards: Optional[Sequence[TimingShard]] = None,
-) -> FigureData:
-    """Figure 9: a representative MiniQMC process-iteration histogram (1 ms bins)."""
+def figure9_miniqmc_histogram(results: AnalysisResults, *, shards) -> FigureData:
+    """Figure 9: a representative MiniQMC process-iteration histogram (1 ms bins).
+
+    The histogram is binned from the campaign's ``shards``.
+    """
     bin_width = FIGURE_PARAMETERS["figure9"]["bin_width_s"]
-    laggards = _laggards_product(source)
+    laggards = _laggards_product(results)
     key = laggards.exemplar(IterationClass.WIDE)
     if key is None:
         if isinstance(laggards, LaggardAnalysis):
@@ -403,11 +360,11 @@ def figure9_miniqmc_histogram(
                     break
     if key is None:
         raise ValueError("no exemplar candidates available for figure 9")
-    histogram = _group_histogram(source, key, bin_width, shards)
+    histogram = _group_histogram(shards, key, bin_width)
     return FigureData(
         figure_id="figure9",
         title="MiniQMC thread arrival distribution example",
-        application=source.application,
+        application=results.application,
         payload={
             "histogram": histogram,
             "exemplar": key,

@@ -45,11 +45,15 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis import REPORT_ANALYSES, analysis_title, available_analyses
-from repro.core.analyzer import ThreadTimingAnalyzer
+from repro.analysis import (
+    REPORT_ANALYSES,
+    AnalysisResults,
+    analysis_title,
+    available_analyses,
+)
 from repro.experiments.backends import available_backends
 from repro.experiments.config import CampaignConfig
-from repro.experiments.session import CampaignSession
+from repro.experiments.session import CampaignResult, CampaignSession
 from repro.experiments.figures import (
     figure3_histogram,
     figure5_minife_classes,
@@ -355,25 +359,17 @@ def _run_streaming_analyses(
 
 
 def _write_figures(
-    sources: Dict[str, object],
+    sources: Dict[str, AnalysisResults],
     output: Path,
     report_lines: List[str],
-    shards_by_app: Optional[Dict[str, Sequence]] = None,
+    runs: Dict[str, CampaignResult],
 ) -> None:
-    """Regenerate the figures from datasets or streaming analysis results.
+    """Regenerate the figures from the analysis results.
 
-    With :class:`~repro.analysis.AnalysisResults` sources, the exemplar
-    histograms of Figures 5/7/9 are binned straight from the campaign's
-    shards (``shards_by_app``) — no merged dataset anywhere.
+    The exemplar histograms of Figures 5/7/9 are binned straight from the
+    campaign results' shards (``runs``) — no merged dataset anywhere.
     """
-    from repro.analysis.engine import AnalysisResults
-
-    shards_by_app = shards_by_app or {}
     figure_dir = output / "figures"
-
-    def shards_for(name: str):
-        return shards_by_app.get(name)
-
     for name, source in sources.items():
         fig3 = figure3_histogram(source)
         export_histogram_csv(fig3["histogram"], figure_dir / f"figure3_{name}.csv")
@@ -383,26 +379,23 @@ def _write_figures(
         report_lines.append(ascii_histogram(fig3["histogram"], max_rows=25))
         report_lines.append(f"\n--- {name}: percentile plot (Figures 4/6/8) ---")
         report_lines.append(ascii_percentile_plot(series_fig["series"]))
-        if isinstance(source, AnalysisResults):
-            report = source.report(include_earlybird="earlybird" in source)
-        else:
-            report = ThreadTimingAnalyzer(source).report()
+        report = source.report(include_earlybird="earlybird" in source)
         report_lines.append("\n" + report.summary())
     if "minife" in sources:
-        fig5 = figure5_minife_classes(sources["minife"], shards=shards_for("minife"))
+        fig5 = figure5_minife_classes(sources["minife"], shards=runs["minife"])
         for label in ("no_laggard", "laggard"):
             hist = fig5[f"{label}_histogram"]
             if hist is not None:
                 export_histogram_csv(hist, figure_dir / f"figure5_{label}.csv")
     if "minimd" in sources:
-        fig7 = figure7_minimd_classes(sources["minimd"], shards=shards_for("minimd"))
+        fig7 = figure7_minimd_classes(sources["minimd"], shards=runs["minimd"])
         for label in ("initial", "no_laggard", "laggard"):
             hist = fig7.payload.get(f"{label}_histogram")
             if hist is not None:
                 export_histogram_csv(hist, figure_dir / f"figure7_{label}.csv")
     if "miniqmc" in sources:
         fig9 = figure9_miniqmc_histogram(
-            sources["miniqmc"], shards=shards_for("miniqmc")
+            sources["miniqmc"], shards=runs["miniqmc"]
         )
         export_histogram_csv(fig9["histogram"], figure_dir / "figure9_miniqmc.csv")
 
@@ -466,8 +459,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # the default path streams: every table/figure below reads the exact-mode
     # analysis products (plus raw shards for the exemplar histograms), and a
     # merged dataset is only materialised when --save-datasets asks for one
-    products: Dict[str, object] = {}
-    shards_by_app: Dict[str, Sequence] = {}
+    products: Dict[str, AnalysisResults] = {}
+    runs: Dict[str, CampaignResult] = {}
     report_lines: List[str] = []
     for application in applications:
         config = _configure(args, application)
@@ -499,11 +492,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             products[application] = session.analyze(
                 application, analyses="all", exact=False
             )
-            shards_by_app[application] = result.store
         else:
             result = session.run()
             products[application] = session.analyze(application, analyses="all")
-            shards_by_app[application] = result.shards
+        runs[application] = result
         elapsed = time.perf_counter() - started
         origin = " (cached)" if result.from_cache else ""
         print(
@@ -542,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_lines.append(ascii_table(phase_rows))
 
     # figures
-    _write_figures(products, output, report_lines, shards_by_app=shards_by_app)
+    _write_figures(products, output, report_lines, runs)
 
     report = "\n".join(report_lines)
     (output / "report.txt").write_text(report)

@@ -17,11 +17,14 @@ keeps the shards and merges them into a dense
 exposes the same execution as a lazy shard iterator for memory-bounded
 consumers.
 
-``analyze(analyses=[...])`` drives the streaming analysis engine
-(:mod:`repro.analysis`): the campaign's shards are folded through the
-requested registered passes — in parallel, with only per-pass partial
-states returning from the workers — and the merged dataset is never
-materialised.
+``analyze()`` drives the streaming analysis engine (:mod:`repro.analysis`):
+the campaign's shards or column blocks are folded through the requested
+registered passes (all of them by default) — in parallel, with only
+per-pass partial states returning from the workers — and the merged
+dataset is never materialised.  Both :meth:`CampaignSession.analyze` and
+:meth:`CampaignResult.analyze` return the one analysis product type,
+:class:`~repro.analysis.AnalysisResults`, which the figure and table
+generators read.
 
 With a ``cache_dir``, results are cached on disk through
 :mod:`repro.io.dataset_io`, keyed by a stable hash of everything that
@@ -29,7 +32,7 @@ determines the samples (:func:`config_cache_key`) — re-running an identical
 configuration loads the ``.npz`` instead of recomputing 768 000 samples.
 Streaming analyses get their own cache layer: each pass's *finalized
 product* is pickled under a key derived from (config hash, pass name, pass
-parameters, exact flag), so repeating an ``analyze(analyses=...)`` call
+parameters, exact flag), so repeating an ``analyze()`` call
 loads products directly — no campaign execution, no shard folding.  The
 session counts ``analysis_cache_hits`` / ``analysis_cache_misses``.
 """
@@ -52,7 +55,6 @@ from typing import (
     Union,
 )
 
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.backends import CampaignBackend, get_backend
 from repro.experiments.executor import ShardExecutor
@@ -152,7 +154,6 @@ class CampaignResult:
         )
         self._metadata = metadata
         self._dataset = dataset
-        self._analyzer: Optional[ThreadTimingAnalyzer] = None
 
     # ------------------------------------------------------------------
     @property
@@ -251,14 +252,24 @@ class CampaignResult:
         return self.dataset.n_samples
 
     # ------------------------------------------------------------------
-    def analyze(self, **kwargs) -> ThreadTimingAnalyzer:
-        """The §4 analysis driver for this campaign's dataset (cached)."""
-        if self._analyzer is None or kwargs:
-            analyzer = ThreadTimingAnalyzer(self.dataset, **kwargs)
-            if kwargs:
-                return analyzer
-            self._analyzer = analyzer
-        return self._analyzer
+    def analyze(
+        self,
+        analyses: Union[str, Iterable[Union[str, "AnalysisPass"]]] = "all",
+        *,
+        exact: bool = True,
+    ) -> "AnalysisResults":
+        """Fold this campaign's column blocks through analysis passes.
+
+        Streams :meth:`iter_column_blocks` (no merged dataset is built), so
+        the products are bit-identical to
+        :func:`~repro.analysis.analyze_dataset` over :attr:`dataset`.
+        """
+        from repro.analysis import AnalysisContext, run_columnar_analyses
+
+        context = AnalysisContext.from_config(
+            self.config, exact=exact, metadata=self.metadata
+        )
+        return run_columnar_analyses(self.iter_column_blocks(), analyses, context)
 
     def report(self, include_earlybird: bool = True) -> "FeasibilityReport":
         """Shortcut for ``analyze().report()``."""
@@ -733,97 +744,79 @@ class CampaignSession:
         self,
         application: Optional[str] = None,
         *,
-        analyses: Union[None, str, Iterable[Union[str, "AnalysisPass"]]] = None,
+        analyses: Union[str, Iterable[Union[str, "AnalysisPass"]]] = "all",
         exact: bool = True,
-    ) -> Union[ThreadTimingAnalyzer, "AnalysisResults"]:
-        """Analyse ``application``'s campaign.
+    ) -> "AnalysisResults":
+        """Analyse ``application``'s campaign through the streaming engine.
 
-        Without ``analyses`` this returns the legacy in-memory
-        :class:`~repro.core.analyzer.ThreadTimingAnalyzer` over the merged
-        dataset (running the campaign first if needed).
-
-        With ``analyses`` — registered pass names, pass instances, or
-        ``"all"`` — the campaign's shards are streamed through the analysis
-        engine instead: per-shard accumulation happens in the executor
+        ``analyses`` names registered passes, pass instances, or ``"all"``
+        (default).  If this session already ran the application's campaign,
+        its result's column blocks are folded
+        (:meth:`CampaignResult.analyze`); otherwise the campaign runs fused
+        with the analysis — per-shard accumulation happens in the executor
         workers (``config.max_workers``), only the per-pass partial states
-        are merged in the parent, and the merged dataset is never built.
-        If this session already ran the application's campaign, the cached
-        shards are re-used instead of re-executing it.  Returns the
-        :class:`~repro.analysis.AnalysisResults`.  ``exact`` selects the
-        bit-identical accumulators (default; exact percentiles/normality
-        keep sample-sized state) versus the bounded-memory sketches
-        (``exact=False``).
+        are merged in the parent, and neither a merged dataset nor a session
+        result is built.  ``exact`` selects the bit-identical accumulators
+        (default; exact percentiles/normality keep sample-sized state)
+        versus the bounded-memory sketches (``exact=False``).
         """
+        from repro.analysis import (
+            AnalysisContext,
+            AnalysisResults,
+            resolve_analyses,
+            run_campaign_analyses,
+        )
+
         config = self.config_for(application)
         result = self._results.get(config.application)
-        if analyses is not None:
-            from repro.analysis import (
-                AnalysisContext,
-                AnalysisResults,
-                resolve_analyses,
-                run_campaign_analyses,
-                run_columnar_analyses,
-            )
-
-            passes = resolve_analyses(analyses)
-            products: Dict[str, object] = {}
-            missing = list(passes)
-            if self.cache_dir is not None:
-                missing = []
-                for p in passes:
-                    hit, product = self._load_analysis_product(
-                        self._analysis_cache_path(config, p, exact)
-                    )
-                    if hit:
-                        products[p.name] = product
-                        self.analysis_cache_hits += 1
-                    else:
-                        missing.append(p)
-                        self.analysis_cache_misses += 1
-            context: Optional[AnalysisContext] = None
-            if missing:
-                if result is not None:
-                    # the campaign already ran in this session — fold its
-                    # columns through the passes instead of re-executing it
-                    context = AnalysisContext.from_config(
-                        config, exact=exact, metadata=result.metadata
-                    )
-                    # column blocks stream (store-backed results yield each
-                    # on-disk group as one zero-copy mmap block)
-                    fresh = run_columnar_analyses(
-                        result.iter_column_blocks(), missing, context
-                    )
+        passes = resolve_analyses(analyses)
+        products: Dict[str, object] = {}
+        missing = list(passes)
+        if self.cache_dir is not None:
+            missing = []
+            for p in passes:
+                hit, product = self._load_analysis_product(
+                    self._analysis_cache_path(config, p, exact)
+                )
+                if hit:
+                    products[p.name] = product
+                    self.analysis_cache_hits += 1
                 else:
-                    backend = get_backend(config.backend)
-                    fresh = run_campaign_analyses(
-                        backend,
-                        config,
-                        missing,
-                        executor=self._executor(),
-                        exact=exact,
-                    )
-                context = fresh.context
-                for p in missing:
-                    products[p.name] = fresh[p.name]
-                    self._store_analysis_product(
-                        self._analysis_cache_path(config, p, exact), fresh[p.name]
-                    )
-            if context is None:
-                # every product came from the cache — rebuild the campaign
-                # frame (cheap; no samples involved) for report assembly
-                metadata = (
-                    result.metadata
-                    if result is not None
-                    else get_backend(config.backend).metadata(config)
+                    missing.append(p)
+                    self.analysis_cache_misses += 1
+        context: Optional[AnalysisContext] = None
+        if missing:
+            if result is not None:
+                # the campaign already ran in this session — fold its
+                # columns through the passes instead of re-executing it
+                fresh = result.analyze(missing, exact=exact)
+            else:
+                fresh = run_campaign_analyses(
+                    get_backend(config.backend),
+                    config,
+                    missing,
+                    executor=self._executor(),
+                    exact=exact,
                 )
-                context = AnalysisContext.from_config(
-                    config, exact=exact, metadata=metadata
+            context = fresh.context
+            for p in missing:
+                products[p.name] = fresh[p.name]
+                self._store_analysis_product(
+                    self._analysis_cache_path(config, p, exact), fresh[p.name]
                 )
-            ordered = {p.name: products[p.name] for p in passes}
-            return AnalysisResults(ordered, context)
-        if result is None:
-            result = self.run(application)
-        return result.analyze()
+        if context is None:
+            # every product came from the cache — rebuild the campaign
+            # frame (cheap; no samples involved) for report assembly
+            metadata = (
+                result.metadata
+                if result is not None
+                else get_backend(config.backend).metadata(config)
+            )
+            context = AnalysisContext.from_config(
+                config, exact=exact, metadata=metadata
+            )
+        ordered = {p.name: products[p.name] for p in passes}
+        return AnalysisResults(ordered, context)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,29 +6,23 @@
   IQR, laggard fraction, reclaimable time, idle ratio) per application,
   paper vs measured.
 * :func:`section41_normality_table` — the §4.1 coarse-level outcomes.
+* :func:`minimd_phase_table` — the §4.2.2 MiniMD warm-up/steady IQR split.
 
-Every generator accepts its per-application sources as either merged
-:class:`~repro.core.timing.TimingDataset` objects (the legacy in-memory
-path) or streaming :class:`~repro.analysis.AnalysisResults` (exact mode) —
-the CLI default path feeds the latter, so no table forces a dataset merge.
+Every generator reads per-application
+:class:`~repro.analysis.AnalysisResults` (``CampaignSession.analyze`` or
+:func:`~repro.analysis.analyze_dataset`), so no table forces a dataset
+merge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, List
 
 from repro.analysis.engine import AnalysisResults
-from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.core.timing import TimingDataset
 from repro.experiments.paper import SECTION4_METRICS, SECTION41_NORMALITY, TABLE1_PASS_PERCENT
 from repro.stats.battery import TEST_LABELS, TEST_NAMES
 
 APP_LABELS = {"minife": "MiniFE", "minimd": "MiniMD", "miniqmc": "MiniQMC"}
-
-#: one application's table source: merged dataset or streaming results
-TableSource = Union[TimingDataset, AnalysisResults]
 
 
 def _label(name: str) -> str:
@@ -36,15 +30,12 @@ def _label(name: str) -> str:
 
 
 def table1(
-    datasets: Dict[str, TableSource], *, include_paper: bool = True
+    results: Dict[str, AnalysisResults], *, include_paper: bool = True
 ) -> List[Dict[str, object]]:
     """Rows of Table 1: measured pass percentages (and the paper's)."""
     rows: List[Dict[str, object]] = []
-    for name, source in datasets.items():
-        if isinstance(source, AnalysisResults):
-            rates = source["normality"].process_iteration_pass_rates
-        else:
-            rates = ThreadTimingAnalyzer(source).normality().process_iteration_pass_rates()
+    for name, source in results.items():
+        rates = source["normality"].process_iteration_pass_rates
         row: Dict[str, object] = {"application": _label(name)}
         for test in TEST_NAMES:
             row[f"{TEST_LABELS[test]} (measured %)"] = 100.0 * rates[test]
@@ -55,15 +46,12 @@ def table1(
 
 
 def section4_metrics_table(
-    datasets: Dict[str, TableSource], *, include_paper: bool = True
+    results: Dict[str, AnalysisResults], *, include_paper: bool = True
 ) -> List[Dict[str, object]]:
     """Rows of the §4.2 scalar-metric comparison."""
     rows: List[Dict[str, object]] = []
-    for name, source in datasets.items():
-        if isinstance(source, AnalysisResults):
-            report = source.report(include_earlybird=False)
-        else:
-            report = ThreadTimingAnalyzer(source).report(include_earlybird=False)
+    for name, source in results.items():
+        report = source.report(include_earlybird=False)
         row: Dict[str, object] = {
             "application": _label(name),
             "mean_median_arrival_ms (measured)": report.mean_median_arrival_ms,
@@ -90,25 +78,20 @@ def section4_metrics_table(
 
 
 def section41_normality_table(
-    datasets: Dict[str, TableSource], *, include_paper: bool = True
+    results: Dict[str, AnalysisResults], *, include_paper: bool = True
 ) -> List[Dict[str, object]]:
     """Rows of the §4.1 application/application-iteration outcomes."""
     rows: List[Dict[str, object]] = []
-    for name, source in datasets.items():
-        if isinstance(source, AnalysisResults):
-            product = source["normality"]
-            rejected = product.application_rejected
-            app_iter_passes = product.application_iteration_pass_counts
-            if app_iter_passes is None:
-                raise ValueError(
-                    "the streaming normality product carries no "
-                    "application-iteration counts (sketch mode?); re-run the "
-                    "'normality' pass in exact mode for the Section 4.1 table"
-                )
-        else:
-            study = ThreadTimingAnalyzer(source).normality()
-            rejected = study.application_rejects_normality()
-            app_iter_passes = study.application_iteration_pass_counts()
+    for name, source in results.items():
+        product = source["normality"]
+        rejected = product.application_rejected
+        app_iter_passes = product.application_iteration_pass_counts
+        if app_iter_passes is None:
+            raise ValueError(
+                "the streaming normality product carries no "
+                "application-iteration counts (sketch mode?); re-run the "
+                "'normality' pass in exact mode for the Section 4.1 table"
+            )
         row: Dict[str, object] = {
             "application": _label(name),
             "application level rejected (measured)": rejected,
@@ -124,28 +107,42 @@ def section41_normality_table(
     return rows
 
 
-def minimd_phase_table(dataset: TableSource, warmup_iterations: int = 19) -> List[Dict[str, object]]:
-    """The §4.2.2 two-phase IQR comparison for MiniMD (Figure 6's sections)."""
-    if isinstance(dataset, AnalysisResults):
-        series = dataset["percentiles"]
-    else:
-        series = ThreadTimingAnalyzer(dataset).percentile_series()
-    warmup = series.iqr_summary(slice(0, warmup_iterations))
-    steady = series.iqr_summary(slice(warmup_iterations, None))
+def minimd_phase_table(
+    results: AnalysisResults, warmup_iterations: int = 19
+) -> List[Dict[str, object]]:
+    """The §4.2.2 two-phase IQR comparison for MiniMD (Figure 6's sections).
+
+    A section whose iteration window is empty (a campaign of at most
+    ``warmup_iterations`` iterations has no steady state) has no row.
+    """
+    series = results["percentiles"]
     paper = SECTION4_METRICS["minimd"]
-    return [
-        {
-            "section": "iterations 1-19 (warm-up)",
-            "mean_iqr_ms (measured)": warmup["mean"],
-            "max_iqr_ms (measured)": warmup["max"],
-            "mean_iqr_ms (paper)": paper["warmup_mean_iqr_ms"],
-            "max_iqr_ms (paper)": paper["warmup_max_iqr_ms"],
-        },
-        {
-            "section": "remaining iterations",
-            "mean_iqr_ms (measured)": steady["mean"],
-            "max_iqr_ms (measured)": steady["max"],
-            "mean_iqr_ms (paper)": paper["mean_iqr_ms"],
-            "max_iqr_ms (paper)": paper["max_iqr_ms"],
-        },
-    ]
+    sections = (
+        (
+            "iterations 1-19 (warm-up)",
+            slice(0, warmup_iterations),
+            paper["warmup_mean_iqr_ms"],
+            paper["warmup_max_iqr_ms"],
+        ),
+        (
+            "remaining iterations",
+            slice(warmup_iterations, None),
+            paper["mean_iqr_ms"],
+            paper["max_iqr_ms"],
+        ),
+    )
+    rows: List[Dict[str, object]] = []
+    for label, window, paper_mean, paper_max in sections:
+        if series.iqr[window].size == 0:
+            continue
+        measured = series.iqr_summary(window)
+        rows.append(
+            {
+                "section": label,
+                "mean_iqr_ms (measured)": measured["mean"],
+                "max_iqr_ms (measured)": measured["max"],
+                "mean_iqr_ms (paper)": paper_mean,
+                "max_iqr_ms (paper)": paper_max,
+            }
+        )
+    return rows

@@ -4,24 +4,19 @@ The paper's early-bird question is ultimately a communication question: given
 the measured thread arrival times, how much sooner can message contents be
 delivered if each thread initiates transmission of its own partition (MPI 4.0
 partitioned communication) instead of waiting for the slowest thread (classic
-bulk-synchronous send)?  Answering it quantitatively needs an MPI model:
+bulk-synchronous send)?  Answering it quantitatively needs a model of the
+transfer itself:
 
 * :mod:`~repro.mpi.datatypes` — element types and buffer descriptors.
 * :mod:`~repro.mpi.network` — a LogGP-style network/NIC model with an
   Omni-Path-like preset (the paper's interconnect).
-* :mod:`~repro.mpi.comm` / :mod:`~repro.mpi.p2p` /
-  :mod:`~repro.mpi.collectives` — simulated communicators, point-to-point
-  messaging and collectives on the discrete-event engine.
 * :mod:`~repro.mpi.partitioned` — MPI-4.0-style partitioned transfers
   (``Psend_init`` / ``Pready`` / ``Parrived``), in both an event-driven form
   and the closed-form variant the early-bird feasibility model evaluates.
 """
 
-from repro.mpi.collectives import allreduce_time, barrier_time, bcast_time
-from repro.mpi.comm import Communicator, Rank
 from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
 from repro.mpi.network import NetworkModel, NICModel, omni_path
-from repro.mpi.p2p import Message, MessageQueue
 from repro.mpi.partitioned import (
     PartitionedRecvRequest,
     PartitionedSendRequest,
@@ -38,15 +33,8 @@ __all__ = [
     "NetworkModel",
     "NICModel",
     "omni_path",
-    "Communicator",
-    "Rank",
-    "Message",
-    "MessageQueue",
     "PartitionedSendRequest",
     "PartitionedRecvRequest",
     "PartitionedTransfer",
     "partitioned_completion_times",
-    "barrier_time",
-    "bcast_time",
-    "allreduce_time",
 ]

@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.analysis import AnalysisContext, run_columnar_analyses
 from repro.core.timing import TimingDataset
 from repro.experiments.backends import campaign_group_key, get_backend
 from repro.experiments.config import CampaignConfig
@@ -250,9 +249,8 @@ class CampaignService:
         :meth:`JobHandle.result` does, for failed or cancelled jobs), then
         folds the job's result through every registered pass — on the
         execution pool, over its column blocks
-        (:func:`~repro.analysis.run_columnar_analyses` over
-        :meth:`CampaignResult.iter_column_blocks`), so exact-mode products
-        are bit-identical to every other route through the engine.  The payload
+        (:meth:`CampaignResult.analyze`), so exact-mode products are
+        bit-identical to every other route through the engine.  The payload
         is computed once per job and memoised; concurrent callers share
         one computation.
         """
@@ -276,10 +274,7 @@ class CampaignService:
 
     def _compute_analyses(self, result: CampaignResult) -> Dict[str, object]:
         """Synchronous analysis body (worker thread): block fold."""
-        context = AnalysisContext.from_dataset(result.dataset)
-        return run_columnar_analyses(
-            result.iter_column_blocks(), "all", context
-        ).as_payload()
+        return result.analyze().as_payload()
 
     # ------------------------------------------------------------------
     # stats

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.timing import TimingDataset
-from repro.experiments.campaign import quick_campaign
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 
 
 @pytest.fixture(scope="session")
@@ -21,14 +21,15 @@ def rng() -> np.random.Generator:
 
 
 def _smoke_dataset(application: str) -> TimingDataset:
-    return quick_campaign(
-        application,
+    config = CampaignConfig(
+        application=application,
         trials=1,
         processes=2,
         iterations=30,
         threads=48,
         seed=202304,
     )
+    return CampaignSession(config).run().dataset
 
 
 @pytest.fixture(scope="session")

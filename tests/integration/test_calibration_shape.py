@@ -9,16 +9,18 @@ the tests check mechanisms, not calibration luck.
 import numpy as np
 import pytest
 
-from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import quick_campaign
+from repro.analysis import analyze_dataset
+from repro.core.normality import NormalityStudy
+from repro.experiments.config import CampaignConfig
 from repro.experiments.paper import SECTION4_METRICS, TABLE1_PASS_PERCENT
+from repro.experiments.session import CampaignSession
 
 
 @pytest.fixture(scope="module")
 def reports(request):
     datasets = request.getfixturevalue("all_datasets")
     return {
-        name: ThreadTimingAnalyzer(ds).report(include_earlybird=False)
+        name: analyze_dataset(ds).report(include_earlybird=False)
         for name, ds in datasets.items()
     }
 
@@ -33,9 +35,10 @@ def miniqmc_multiprocess_dataset():
     between-process variance heterogeneity that drives the rejection is not
     yet resolvable, so this test uses a dozen populations.
     """
-    return quick_campaign(
-        "miniqmc", trials=2, processes=6, iterations=30, threads=48, seed=424242
+    config = CampaignConfig(
+        application="miniqmc", trials=2, processes=6, iterations=30, threads=48, seed=424242
     )
+    return CampaignSession(config).run().dataset
 
 
 class TestMedianArrivals:
@@ -60,7 +63,7 @@ class TestDistributionShape:
         )
 
     def test_minimd_two_phase_behaviour(self, all_datasets):
-        series = ThreadTimingAnalyzer(all_datasets["minimd"]).percentile_series()
+        series = analyze_dataset(all_datasets["minimd"], ["percentiles"])["percentiles"]
         warmup = series.iqr_summary(slice(0, 19))
         steady = series.iqr_summary(slice(19, None))
         assert warmup["mean"] > 3 * steady["mean"]
@@ -71,8 +74,7 @@ class TestLaggards:
         assert 0.08 <= reports["minife"].laggard_fraction <= 0.40
 
     def test_minimd_steady_laggards_are_rare(self, all_datasets):
-        analyzer = ThreadTimingAnalyzer(all_datasets["minimd"])
-        laggards = analyzer.laggards()
+        laggards = analyze_dataset(all_datasets["minimd"], ["laggards"])["laggards"].analysis
         steady = [
             has
             for key, has in zip(laggards.keys, laggards.has_laggard)
@@ -99,7 +101,7 @@ class TestNormalityClasses:
     def test_application_level_rejected_for_miniqmc_with_many_processes(
         self, miniqmc_multiprocess_dataset
     ):
-        study = ThreadTimingAnalyzer(miniqmc_multiprocess_dataset).normality()
+        study = NormalityStudy(miniqmc_multiprocess_dataset)
         assert study.application_rejects_normality()
         # while the individual process-iterations remain overwhelmingly normal
         rates = study.process_iteration_pass_rates()

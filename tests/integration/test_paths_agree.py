@@ -8,10 +8,14 @@ and (b) with noise enabled they must agree in distribution.
 import numpy as np
 import pytest
 
-from repro.core.analyzer import ThreadTimingAnalyzer
-from repro.experiments.campaign import run_campaign
+from repro.analysis import analyze_dataset
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.stats.histogram import fixed_width_histogram, histogram_overlap
+
+
+def _dataset(config):
+    return CampaignSession(config).run().dataset
 
 
 def _config(application, backend, noise, seed=77):
@@ -32,8 +36,8 @@ def _config(application, backend, noise, seed=77):
 class TestBackendAgreement:
     @pytest.mark.parametrize("application", ["minife", "miniqmc"])
     def test_noise_free_backends_agree_closely(self, application):
-        vector = run_campaign(_config(application, "vectorized", noise=False))
-        event = run_campaign(_config(application, "event", noise=False))
+        vector = _dataset(_config(application, "vectorized", noise=False))
+        event = _dataset(_config(application, "event", noise=False))
         assert len(vector) == len(event)
         v = np.sort(vector.compute_times_s)
         e = np.sort(event.compute_times_s)
@@ -43,19 +47,19 @@ class TestBackendAgreement:
         np.testing.assert_allclose(v.mean(), e.mean(), rtol=1e-3)
 
     def test_noisy_backends_agree_in_distribution(self):
-        vector = run_campaign(_config("minimd", "vectorized", noise=True))
-        event = run_campaign(_config("minimd", "event", noise=True))
+        vector = _dataset(_config("minimd", "vectorized", noise=True))
+        event = _dataset(_config("minimd", "event", noise=True))
         hist_v = fixed_width_histogram(vector.compute_times_s, 0.25e-3)
         hist_e = fixed_width_histogram(event.compute_times_s, 0.25e-3)
         assert histogram_overlap(hist_v, hist_e) > 0.7
-        report_v = ThreadTimingAnalyzer(vector).report(include_earlybird=False)
-        report_e = ThreadTimingAnalyzer(event).report(include_earlybird=False)
+        report_v = analyze_dataset(vector).report(include_earlybird=False)
+        report_e = analyze_dataset(event).report(include_earlybird=False)
         assert report_v.mean_median_arrival_ms == pytest.approx(
             report_e.mean_median_arrival_ms, rel=0.02
         )
 
     def test_event_backend_records_raw_clock_readings(self):
-        dataset = run_campaign(_config("minife", "event", noise=False))
+        dataset = _dataset(_config("minife", "event", noise=False))
         assert "start_ns" in dataset.columns
         starts = dataset.column("start_ns")
         ends = dataset.column("end_ns")

@@ -1,11 +1,11 @@
-"""Integration: the streaming analysis engine vs the in-memory analyzer.
+"""Integration: the streaming analysis engine vs the merged dataset.
 
 The acceptance criterion of the analysis-layer refactor: every registered
 pass, folded over campaign shards (serially, in parallel, in any order),
-produces results identical to the legacy in-memory path.  The digests below
-pin the full ``FeasibilityReport.as_dict()`` payload (canonical JSON,
-sha256) of the seed smoke campaigns for all three applications — both the
-``ThreadTimingAnalyzer`` facade and ``CampaignSession.analyze(analyses=...)``
+produces results identical to folding the merged dataset.  The digests
+below pin the full ``FeasibilityReport.as_dict()`` payload (canonical JSON,
+sha256) of the seed smoke campaigns for all three applications — both
+``analyze_dataset`` over the merged dataset and ``CampaignSession.analyze``
 must reproduce them bit-for-bit in exact mode.
 """
 
@@ -15,8 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, run_analyses
-from repro.core.analyzer import ThreadTimingAnalyzer
+from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import main as runner_main
 from repro.experiments.session import CampaignSession
@@ -40,7 +39,7 @@ class TestPinnedReportDigests:
     @pytest.mark.parametrize("application", sorted(REPORT_DIGESTS))
     def test_in_memory_report_matches_pin(self, application):
         dataset = CampaignSession(CampaignConfig.smoke(application)).run().dataset
-        report = ThreadTimingAnalyzer(dataset).report()
+        report = analyze_dataset(dataset).report()
         assert _digest(report) == REPORT_DIGESTS[application]
 
     @pytest.mark.parametrize("application", sorted(REPORT_DIGESTS))
@@ -54,10 +53,8 @@ class TestStreamingEqualsInMemory:
     def test_streaming_never_merges_but_agrees_field_for_field(self):
         session = CampaignSession(CampaignConfig.smoke("minife"))
         streaming = session.analyze(analyses="all").report().as_dict()
-        legacy = (
-            ThreadTimingAnalyzer(session.run().dataset).report().as_dict()
-        )
-        assert streaming == legacy
+        merged = analyze_dataset(session.run().dataset).report().as_dict()
+        assert streaming == merged
 
     def test_parallel_workers_bit_identical_to_serial(self):
         serial = CampaignSession(CampaignConfig.smoke("minimd")).analyze(
@@ -78,8 +75,8 @@ class TestStreamingEqualsInMemory:
         config = CampaignConfig.smoke("minife").with_backend("event")
         session = CampaignSession(config)
         streaming = session.analyze(analyses="all").report().as_dict()
-        legacy = ThreadTimingAnalyzer(session.run().dataset).report().as_dict()
-        assert streaming == legacy
+        merged = analyze_dataset(session.run().dataset).report().as_dict()
+        assert streaming == merged
 
     def test_shard_order_invariance_of_merged_accumulators(self):
         session = CampaignSession(CampaignConfig.smoke("miniqmc"))

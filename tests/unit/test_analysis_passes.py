@@ -12,6 +12,7 @@ from repro.analysis import (
     DEFAULT_EARLYBIRD_MAX_GROUPS,
     AnalysisContext,
     ColumnarAnalyzer,
+    analyze_dataset,
     available_analyses,
     get_analysis,
     register_analysis,
@@ -32,7 +33,6 @@ from repro.core.aggregation import (
     canonical_block,
     per_iteration_samples,
 )
-from repro.core.analyzer import ThreadTimingAnalyzer
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, analyze_laggards
 from repro.core.normality import NormalityStudy
@@ -293,8 +293,8 @@ class TestPassesAgainstDenseOracles:
         ds, shards, context = case
         results = run_analyses(shards, "all", context)
         streaming = results.report().as_dict()
-        facade = ThreadTimingAnalyzer(ds).report().as_dict()
-        assert streaming == facade
+        merged = analyze_dataset(ds).report().as_dict()
+        assert streaming == merged
 
 
 class TestShardOrderInvariance:
@@ -314,14 +314,14 @@ class TestShardOrderInvariance:
     def test_bounded_mode_fractions_stay_exact(self, dataset, shards):
         context = AnalysisContext.from_dataset(dataset, exact=False)
         results = run_analyses(shards, ["laggards", "reclaimable"], context)
-        legacy = ThreadTimingAnalyzer(dataset)
+        exact = analyze_dataset(dataset, ["laggards", "reclaimable"])
         assert (
             results["laggards"].laggard_fraction
-            == legacy.laggards().laggard_fraction
+            == exact["laggards"].laggard_fraction
         )
         assert results["laggards"].analysis is None
         assert results["reclaimable"].mean_reclaimable_s == pytest.approx(
-            legacy.reclaimable().mean_reclaimable_s, rel=1e-9
+            exact["reclaimable"].mean_reclaimable_s, rel=1e-9
         )
 
 

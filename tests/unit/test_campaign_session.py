@@ -1,11 +1,12 @@
-"""Unit tests for the CampaignSession facade, result caching and shims."""
+"""Unit tests for the CampaignSession facade and result caching."""
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.core.analyzer import ThreadTimingAnalyzer
+from repro.analysis import AnalysisResults, analyze_dataset
 from repro.core.timing import TimingDataset, TimingShard
-from repro.experiments.campaign import quick_campaign, run_all_campaigns, run_campaign
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignResult, CampaignSession, config_cache_key
 from repro.io.dataset_io import load_shards, save_shards
@@ -31,8 +32,7 @@ class TestSessionFacade:
         assert isinstance(dataset, TimingDataset)
         assert dataset.n_samples == smoke_config.samples_per_application
         assert result.dataset is dataset  # merged exactly once
-        assert result.analyze() is result.analyze()
-        assert isinstance(result.analyze(), ThreadTimingAnalyzer)
+        assert isinstance(result.analyze(), AnalysisResults)
 
     def test_result_iterates_over_shards(self, smoke_config):
         result = CampaignSession(smoke_config).run()
@@ -68,7 +68,38 @@ class TestSessionFacade:
     def test_dataset_and_analyze_run_on_demand(self, smoke_config):
         session = CampaignSession(smoke_config)
         assert session.dataset().n_samples == smoke_config.samples_per_application
-        assert isinstance(session.analyze(), ThreadTimingAnalyzer)
+        assert isinstance(session.analyze(), AnalysisResults)
+
+    def test_analyze_without_run_stores_no_result(self, smoke_config):
+        session = CampaignSession(smoke_config)
+        results = session.analyze()
+        assert isinstance(results, AnalysisResults)
+        assert sorted(results) == sorted(
+            ["earlybird", "histogram", "laggards", "normality", "percentiles", "reclaimable"]
+        )
+        assert "minife" not in session
+
+    @pytest.mark.parametrize("origin", ["shards", "dataset", "store"])
+    def test_result_analyze_equals_analyze_dataset(self, smoke_config, tmp_path, origin):
+        session = CampaignSession(smoke_config.with_backend("event"))
+        if origin == "store":
+            result = session.run(store=tmp_path / "store")
+        else:
+            result = session.run()
+        if origin == "dataset":
+            result = CampaignResult(result.config, dataset=result.dataset)
+        analyzed = result.analyze()
+        merged = analyze_dataset(result.dataset)
+        assert json.dumps(analyzed.as_payload(), sort_keys=True) == json.dumps(
+            merged.as_payload(), sort_keys=True
+        )
+        assert analyzed.report().as_dict() == merged.report().as_dict()
+        np.testing.assert_array_equal(
+            analyzed["percentiles"].values, merged["percentiles"].values
+        )
+        np.testing.assert_array_equal(
+            analyzed["histogram"].counts, merged["histogram"].counts
+        )
 
 
 class TestShardStream:
@@ -305,30 +336,3 @@ class TestShardIO:
         path = save_dataset(dataset, tmp_path / "dense")
         with pytest.raises(ValueError, match="shard"):
             load_shards(path)
-
-
-class TestDeprecationShims:
-    def test_run_campaign_warns_and_matches_session(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            old = run_campaign(smoke_config)
-        new = CampaignSession(smoke_config).run().dataset
-        _assert_columns_equal(old, new)
-        assert old.metadata == new.metadata
-
-    def test_quick_campaign_warns_and_matches_session(self):
-        with pytest.warns(DeprecationWarning, match="quick_campaign"):
-            old = quick_campaign(
-                "minife", trials=1, processes=1, iterations=5, threads=8, seed=3
-            )
-        config = CampaignConfig(
-            application="minife", trials=1, processes=1, iterations=5, threads=8, seed=3
-        )
-        _assert_columns_equal(old, CampaignSession(config).run().dataset)
-
-    def test_run_all_campaigns_warns_and_matches_session(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="run_all_campaigns"):
-            old = run_all_campaigns(smoke_config, applications=["minife"])
-        assert set(old) == {"minife"}
-        _assert_columns_equal(
-            old["minife"], CampaignSession(smoke_config).run("minife").dataset
-        )

@@ -1,13 +1,14 @@
-"""Unit tests for the analyzer facade and the feasibility report."""
+"""Unit tests for the dataset analysis entry point and the feasibility report."""
 
 import numpy as np
 import pytest
 
-from repro.core.aggregation import AggregationLevel
-from repro.core.analyzer import ThreadTimingAnalyzer
+from repro.analysis import EarlybirdPass, HistogramPass, analyze_dataset
+from repro.core.aggregation import AggregationLevel, aggregate
 from repro.core.laggard import IterationClass
 from repro.core.report import FeasibilityReport
 from repro.core.timing import TimingDataset
+from repro.stats.histogram import fixed_width_histogram
 
 
 @pytest.fixture(scope="module")
@@ -19,37 +20,34 @@ def laggard_dataset():
     return TimingDataset.from_compute_times(times, {"application": "lagdemo"})
 
 
-class TestAnalyzer:
-    def test_grouping_is_cached(self, laggard_dataset):
-        analyzer = ThreadTimingAnalyzer(laggard_dataset)
-        assert analyzer.grouped("process_iteration") is analyzer.grouped(
-            AggregationLevel.PROCESS_ITERATION
-        )
-
+class TestAnalyzeDataset:
     def test_laggard_fraction_matches_construction(self, laggard_dataset):
-        analyzer = ThreadTimingAnalyzer(laggard_dataset)
-        assert analyzer.laggards().laggard_fraction == pytest.approx(0.5)
+        results = analyze_dataset(laggard_dataset, ["laggards"])
+        assert results["laggards"].laggard_fraction == pytest.approx(0.5)
 
     def test_percentile_series_in_ms(self, laggard_dataset):
-        series = ThreadTimingAnalyzer(laggard_dataset).percentile_series()
+        series = analyze_dataset(laggard_dataset, ["percentiles"])["percentiles"]
         assert series.unit == "ms"
         assert series.mean_median() == pytest.approx(25.0, rel=0.02)
 
     def test_application_histogram_bin_width(self, laggard_dataset):
-        hist = ThreadTimingAnalyzer(laggard_dataset).application_histogram(10e-6)
+        hist = analyze_dataset(laggard_dataset, [HistogramPass(10e-6)])["histogram"]
         assert hist.bin_width == pytest.approx(10e-6)
         assert hist.total == laggard_dataset.n_samples
 
     def test_exemplar_histogram_of_laggard_class(self, laggard_dataset):
-        analyzer = ThreadTimingAnalyzer(laggard_dataset)
-        hist = analyzer.exemplar_histogram(IterationClass.LAGGARD, 50e-6)
-        assert hist is not None
+        laggards = analyze_dataset(laggard_dataset, ["laggards"])["laggards"]
+        key = laggards.exemplar(IterationClass.LAGGARD)
+        assert key is not None
+        grouped = aggregate(laggard_dataset, AggregationLevel.PROCESS_ITERATION)
+        hist = fixed_width_histogram(grouped.group(key), 50e-6, unit="s")
         assert hist.total == laggard_dataset.n_threads
         # the laggard produces an occupied bin ~4 ms above the main mass
         assert hist.spread() > 3.5e-3
 
     def test_earlybird_summary_fields(self, laggard_dataset):
-        summary = ThreadTimingAnalyzer(laggard_dataset).earlybird(max_groups=10)
+        results = analyze_dataset(laggard_dataset, [EarlybirdPass(max_groups=10)])
+        summary = results["earlybird"]
         assert set(summary) >= {
             "mean_improvement_s",
             "mean_speedup",
@@ -61,15 +59,15 @@ class TestAnalyzer:
 
 class TestFeasibilityReport:
     def test_report_consistency_with_components(self, laggard_dataset):
-        analyzer = ThreadTimingAnalyzer(laggard_dataset)
-        report = analyzer.report()
+        results = analyze_dataset(laggard_dataset)
+        report = results.report()
         assert report.application == "lagdemo"
         assert report.n_samples == laggard_dataset.n_samples
         assert report.laggard_fraction == pytest.approx(
-            analyzer.laggards().laggard_fraction
+            results["laggards"].laggard_fraction
         )
         assert report.mean_reclaimable_ms == pytest.approx(
-            analyzer.reclaimable().mean_reclaimable_s * 1e3
+            results["reclaimable"].mean_reclaimable_s * 1e3
         )
         assert set(report.process_iteration_pass_rates) == {
             "dagostino",
@@ -105,7 +103,7 @@ class TestFeasibilityReport:
         assert "unlikely" in none.recommendation
 
     def test_as_dict_and_summary(self, laggard_dataset):
-        report = ThreadTimingAnalyzer(laggard_dataset).report()
+        report = analyze_dataset(laggard_dataset).report()
         payload = report.as_dict()
         assert payload["application"] == "lagdemo"
         assert "pass_rate_dagostino" in payload
@@ -114,6 +112,6 @@ class TestFeasibilityReport:
         assert "recommendation" in text
 
     def test_report_without_earlybird_skips_model(self, laggard_dataset):
-        report = ThreadTimingAnalyzer(laggard_dataset).report(include_earlybird=False)
+        report = analyze_dataset(laggard_dataset).report(include_earlybird=False)
         assert report.earlybird_buffer_bytes == 0
         assert report.earlybird_mean_speedup == 1.0

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, run_analyses
+from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
 from repro.core.timing import TimingShard
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.experiments.figures import (
     FIGURE_GENERATORS,
     figure1_earlybird_timeline,
@@ -26,6 +27,24 @@ from repro.experiments.tables import (
     section41_normality_table,
     table1,
 )
+
+
+def _shards(dataset):
+    """The dataset's per-(trial, process) shards."""
+    return [
+        TimingShard.from_dataset(
+            dataset.select(trial=int(t), process=int(p)),
+            trial=int(t),
+            process=int(p),
+        )
+        for t in dataset.trials
+        for p in dataset.processes
+    ]
+
+
+@pytest.fixture(scope="module")
+def all_results(all_datasets):
+    return {name: analyze_dataset(ds) for name, ds in all_datasets.items()}
 
 
 class TestCampaignConfig:
@@ -75,28 +94,37 @@ class TestPaperReference:
 
 
 class TestTables:
-    def test_table1_rows(self, all_datasets):
-        rows = table1(all_datasets)
+    def test_table1_rows(self, all_results):
+        rows = table1(all_results)
         assert len(rows) == 3
         for row in rows:
             measured = [v for k, v in row.items() if "measured" in k]
             assert all(0.0 <= value <= 100.0 for value in measured)
             assert any("paper" in key for key in row)
 
-    def test_section4_metrics_rows(self, all_datasets):
-        rows = section4_metrics_table(all_datasets)
+    def test_section4_metrics_rows(self, all_results):
+        rows = section4_metrics_table(all_results)
         by_app = {row["application"]: row for row in rows}
         assert by_app["MiniQMC"]["mean_iqr_ms (measured)"] > by_app["MiniFE"][
             "mean_iqr_ms (measured)"
         ]
 
-    def test_section41_rows(self, all_datasets):
-        rows = section41_normality_table(all_datasets)
+    def test_section41_rows(self, all_results):
+        rows = section41_normality_table(all_results)
         assert {row["application"] for row in rows} == {"MiniFE", "MiniMD", "MiniQMC"}
 
-    def test_minimd_phase_table(self, minimd_dataset):
-        rows = minimd_phase_table(minimd_dataset)
+    def test_minimd_phase_table(self, all_results):
+        rows = minimd_phase_table(all_results["minimd"])
         assert rows[0]["mean_iqr_ms (measured)"] > rows[1]["mean_iqr_ms (measured)"]
+
+    def test_minimd_phase_table_omits_empty_steady_window(self):
+        # 12 smoke iterations all fall inside the 19-iteration warm-up
+        results = CampaignSession(CampaignConfig.smoke("minimd")).analyze(
+            analyses=["percentiles"]
+        )
+        rows = minimd_phase_table(results)
+        assert [row["section"] for row in rows] == ["iterations 1-19 (warm-up)"]
+        assert rows[0]["max_iqr_ms (measured)"] >= rows[0]["mean_iqr_ms (measured)"]
 
 
 class TestFigureGenerators:
@@ -107,30 +135,32 @@ class TestFigureGenerators:
         fig2 = figure2_potential_overlap(arrivals)
         assert fig2["total_overlap_s"] == pytest.approx(7 * 4e-3)
 
-    def test_figure3_histogram_bins(self, minife_dataset):
-        fig = figure3_histogram(minife_dataset)
+    def test_figure3_histogram_bins(self, all_results, minife_dataset):
+        fig = figure3_histogram(all_results["minife"])
         assert fig["histogram"].bin_width == pytest.approx(10e-6)
         assert fig["samples"] == minife_dataset.n_samples
 
-    def test_percentile_figures(self, minife_dataset, minimd_dataset, miniqmc_dataset):
-        assert figure4_minife_percentiles(minife_dataset)["skew_direction"] == "early"
-        fig6 = figure6_minimd_percentiles(minimd_dataset)
+    def test_percentile_figures(self, all_results):
+        assert figure4_minife_percentiles(all_results["minife"])["skew_direction"] == "early"
+        fig6 = figure6_minimd_percentiles(all_results["minimd"])
         assert fig6["warmup_mean_iqr_ms"] > fig6["steady_mean_iqr_ms"]
-        fig8 = figure8_miniqmc_percentiles(miniqmc_dataset)
+        fig8 = figure8_miniqmc_percentiles(all_results["miniqmc"])
         assert fig8["mean_iqr_ms"] > 5.0
 
-    def test_figure5_classes(self, minife_dataset):
-        fig = figure5_minife_classes(minife_dataset)
+    def test_figure5_classes(self, all_results, minife_dataset):
+        fig = figure5_minife_classes(all_results["minife"], shards=_shards(minife_dataset))
         assert 0.0 < fig["laggard_fraction"] < 1.0
         assert fig["no_laggard_histogram"] is not None
 
-    def test_figure7_classes(self, minimd_dataset):
-        fig = figure7_minimd_classes(minimd_dataset)
+    def test_figure7_classes(self, all_results, minimd_dataset):
+        fig = figure7_minimd_classes(all_results["minimd"], shards=_shards(minimd_dataset))
         assert fig["initial_histogram"] is not None
         assert fig["steady_laggard_fraction"] < 0.5
 
-    def test_figure9_histogram(self, miniqmc_dataset):
-        fig = figure9_miniqmc_histogram(miniqmc_dataset)
+    def test_figure9_histogram(self, all_results, miniqmc_dataset):
+        fig = figure9_miniqmc_histogram(
+            all_results["miniqmc"], shards=_shards(miniqmc_dataset)
+        )
         assert fig["histogram"].bin_width == pytest.approx(1e-3)
         assert fig["spread_ms"] > 10.0
 
@@ -167,6 +197,14 @@ class TestRunnerCLI:
         assert (tmp_path / "dataset_minife.npz").exists()
         assert (tmp_path / "figures" / "figure3_minife.csv").exists()
 
+    def test_main_default_apps_at_smoke_scale(self, tmp_path):
+        # MiniMD's smoke campaign is shorter than its warm-up: the phase
+        # table keeps only the warm-up row instead of failing
+        assert main(["--scale", "smoke", "--output", str(tmp_path)]) == 0
+        phases = (tmp_path / "minimd_phases.csv").read_text().splitlines()
+        assert len(phases) == 2
+        assert (tmp_path / "figures" / "figure9_miniqmc.csv").exists()
+
 
 class TestSketchModeFigures:
     """Figures 5/7/9 generated from bounded (sketch-mode) streaming results.
@@ -178,22 +216,14 @@ class TestSketchModeFigures:
 
     @staticmethod
     def _sketch(dataset):
-        shards = [
-            TimingShard.from_dataset(
-                dataset.select(trial=int(t), process=int(p)),
-                trial=int(t),
-                process=int(p),
-            )
-            for t in dataset.trials
-            for p in dataset.processes
-        ]
+        shards = _shards(dataset)
         context = AnalysisContext.from_dataset(dataset, exact=False)
         return run_analyses(shards, ["laggards"], context), shards
 
-    def test_figure5_sketch_matches_exact_fraction(self, minife_dataset):
+    def test_figure5_sketch_matches_exact_fraction(self, all_results, minife_dataset):
         results, shards = self._sketch(minife_dataset)
         sketch = figure5_minife_classes(results, shards=shards)
-        exact = figure5_minife_classes(minife_dataset)
+        exact = figure5_minife_classes(all_results["minife"], shards=shards)
         assert sketch["laggard_fraction"] == exact["laggard_fraction"]
         for label in ("no_laggard", "laggard"):
             if sketch[f"{label}_exemplar"] is not None:

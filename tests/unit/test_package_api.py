@@ -16,11 +16,9 @@ class TestTopLevelApi:
         assert repro.TimingDataset is importlib.import_module(
             "repro.core.timing"
         ).TimingDataset
-        assert repro.ThreadTimingAnalyzer is importlib.import_module(
-            "repro.core.analyzer"
-        ).ThreadTimingAnalyzer
-        assert callable(repro.quick_campaign)
-        assert callable(repro.run_campaign)
+        assert repro.analyze_dataset is importlib.import_module(
+            "repro.analysis.engine"
+        ).analyze_dataset
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -41,7 +39,6 @@ class TestTopLevelApi:
             "repro.stats",
             "repro.core",
             "repro.apps",
-            "repro.workloads",
             "repro.experiments",
             "repro.io",
             "repro.viz",
@@ -54,13 +51,12 @@ class TestTopLevelApi:
     def test_readme_quickstart_snippet_runs(self):
         """The README's code block must stay executable."""
         from repro import CampaignConfig, CampaignSession
-        from repro.core import compare_strategies
+        from repro.core import aggregate, compare_strategies
 
         session = CampaignSession(CampaignConfig.smoke())
         report = session.run("minife").analyze().report()
         assert "minife" in report.summary()
-        analyzer = session.analyze("minife")
-        arrivals = analyzer.grouped("process_iteration").values[0]
+        arrivals = aggregate(session.dataset("minife"), "process_iteration").values[0]
         comparison = compare_strategies(arrivals, buffer_bytes=8 << 20)
         assert comparison.speedup_over_bulk()["bulk"] == pytest.approx(1.0)
 
