@@ -56,6 +56,36 @@ class TestAnalyzeDataset:
         }
         assert summary["mean_speedup"] >= 1.0
 
+    def test_row_order_does_not_change_products(self, laggard_dataset):
+        order = np.random.default_rng(3).permutation(laggard_dataset.n_samples)
+        shuffled = TimingDataset(
+            {name: laggard_dataset.column(name)[order] for name in laggard_dataset.columns},
+            laggard_dataset.metadata,
+        )
+        expected = analyze_dataset(laggard_dataset)
+        actual = analyze_dataset(shuffled)
+        assert actual.as_payload() == expected.as_payload()
+        assert actual.report().as_dict() == expected.report().as_dict()
+
+    def test_only_requested_passes_run(self, laggard_dataset):
+        results = analyze_dataset(laggard_dataset, ["laggards", "percentiles"])
+        assert list(results) == ["laggards", "percentiles"]
+        assert results.application == "lagdemo"
+
+    def test_unknown_analysis_rejected(self, laggard_dataset):
+        with pytest.raises(ValueError):
+            analyze_dataset(laggard_dataset, ["no-such-pass"])
+
+    def test_sketch_mode_keeps_exact_fractions(self, laggard_dataset):
+        sketch = analyze_dataset(laggard_dataset, ["laggards"], exact=False)
+        assert sketch.context.exact is False
+        assert analyze_dataset(laggard_dataset, ["laggards"]).context.exact is True
+        assert sketch["laggards"].laggard_fraction == pytest.approx(0.5)
+
+    def test_report_needs_the_core_passes(self, laggard_dataset):
+        with pytest.raises(ValueError, match="feasibility report needs"):
+            analyze_dataset(laggard_dataset, ["percentiles"]).report()
+
 
 class TestFeasibilityReport:
     def test_report_consistency_with_components(self, laggard_dataset):
