@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works in offline environments whose setuptools/pip lack
-the ``wheel`` package required by PEP 517 editable builds (pip then falls back
-to the legacy ``setup.py develop`` path).
+The project metadata lives in ``pyproject.toml``.  This file lets
+``python setup.py develop`` install the package in place where pip cannot
+build an editable wheel: setuptools older than 70.1 needs the ``wheel``
+package for that, and offline environments may lack it.
 """
 
 from setuptools import setup

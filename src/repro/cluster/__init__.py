@@ -6,8 +6,8 @@ models the parts of that platform that shape per-thread timing measurements:
 
 * :class:`~repro.cluster.topology.Cluster` /
   :class:`~repro.cluster.topology.Node` /
-  :class:`~repro.cluster.topology.Core` — the physical layout, including a
-  ``networkx`` graph used by the network model for hop counts.
+  :class:`~repro.cluster.topology.Core` — the physical layout, including
+  the two-level switch tree whose hop counts the network model uses.
 * :class:`~repro.cluster.clock.MonotonicClock` — the per-core
   ``clock_gettime(CLOCK_MONOTONIC)`` analogue: monotonic on one core, *not*
   synchronised across cores/sockets (no ``tsc_reliable``), which is exactly

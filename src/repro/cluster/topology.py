@@ -1,21 +1,20 @@
-"""Physical cluster layout: cores, sockets, nodes and the interconnect graph.
+"""Physical cluster layout: cores, sockets, nodes and the interconnect.
 
 The layout serves two purposes:
 
 1. Thread placement — every simulated OpenMP thread is pinned to a
    :class:`Core`, which owns the thread's monotonic clock and receives that
    core's OS noise.
-2. Network distances — the interconnect is a ``networkx`` graph (node ↔
-   switch) used by :class:`repro.mpi.network.NetworkModel` to derive per-hop
-   latency between ranks.
+2. Network distances — the interconnect is a fixed two-level tree (nodes
+   under leaf switches under one root switch) whose hop counts
+   (:meth:`Cluster.hops_between`) :class:`repro.mpi.network.NetworkModel`
+   turns into per-hop latency between ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,8 @@ class Cluster:
             raise ValueError("cluster needs at least one node")
         if sockets_per_node < 1 or cores_per_socket < 1:
             raise ValueError("sockets_per_node and cores_per_socket must be >= 1")
+        if nodes_per_switch < 1:
+            raise ValueError("nodes_per_switch must be >= 1")
         self.name = name
         self.frequency_ghz = frequency_ghz
         self.nodes: List[Node] = []
@@ -123,23 +124,6 @@ class Cluster:
                 sockets.append(Socket(node_id, socket_id, cores))
             self.nodes.append(Node(node_id, sockets, memory_gb))
         self.nodes_per_switch = nodes_per_switch
-        self.graph = self._build_graph()
-
-    # ------------------------------------------------------------------
-    def _build_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        n_switches = (len(self.nodes) + self.nodes_per_switch - 1) // self.nodes_per_switch
-        for switch in range(n_switches):
-            graph.add_node(("switch", switch), kind="switch")
-        if n_switches > 1:
-            graph.add_node(("root", 0), kind="root")
-            for switch in range(n_switches):
-                graph.add_edge(("switch", switch), ("root", 0))
-        for node in self.nodes:
-            graph.add_node(("node", node.node_id), kind="node")
-            switch = node.node_id // self.nodes_per_switch
-            graph.add_edge(("node", node.node_id), ("switch", switch))
-        return graph
 
     # ------------------------------------------------------------------
     @property
@@ -167,12 +151,16 @@ class Cluster:
 
     # ------------------------------------------------------------------
     def hops_between(self, node_a: int, node_b: int) -> int:
-        """Number of network hops between two nodes (0 if the same node)."""
+        """Number of network hops between two nodes on the two-level tree.
+
+        0 on the same node, 2 under the same leaf switch (node → switch →
+        node), 4 across switches (up through the root switch and down).
+        """
         if node_a == node_b:
             return 0
-        return nx.shortest_path_length(
-            self.graph, ("node", node_a), ("node", node_b)
-        )
+        if node_a // self.nodes_per_switch == node_b // self.nodes_per_switch:
+            return 2
+        return 4
 
     def place_processes(
         self, n_processes: int, threads_per_process: int

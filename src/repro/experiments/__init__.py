@@ -34,7 +34,6 @@ from repro.experiments.paper import PAPER_REFERENCE
 from repro.experiments.session import (
     CampaignResult,
     CampaignSession,
-    campaign_cache_path,
     campaign_store_path,
     config_cache_key,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "get_backend",
     "available_backends",
     "config_cache_key",
-    "campaign_cache_path",
     "campaign_store_path",
     "table1",
     "section4_metrics_table",

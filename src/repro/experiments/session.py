@@ -26,10 +26,15 @@ dataset is never materialised.  Both :meth:`CampaignSession.analyze` and
 :class:`~repro.analysis.AnalysisResults`, which the figure and table
 generators read.
 
-With a ``cache_dir``, results are cached on disk through
-:mod:`repro.io.dataset_io`, keyed by a stable hash of everything that
-determines the samples (:func:`config_cache_key`) — re-running an identical
-configuration loads the ``.npz`` instead of recomputing 768 000 samples.
+With a ``cache_dir``, every campaign is cached on disk as one
+:class:`~repro.io.shard_store.ShardStore` directory
+(:func:`campaign_store_path`), keyed by a stable hash of everything that
+determines the samples (:func:`config_cache_key`).  One function writes the
+entries (:func:`write_campaign_store`) and one reads them
+(:func:`open_cached_campaign`); the campaign service shares both, so
+re-running an identical configuration — in memory, out of core or through
+the service — reopens the stored shards instead of recomputing 768 000
+samples.
 Streaming analyses get their own cache layer: each pass's *finalized
 product* is pickled under a key derived from (config hash, pass name, pass
 parameters, exact flag), so repeating an ``analyze()`` call
@@ -46,6 +51,7 @@ import os
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -90,28 +96,14 @@ def config_cache_key(config: "CampaignConfig") -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def campaign_cache_path(
-    cache_dir: Optional[Path], config: "CampaignConfig"
-) -> Optional[Path]:
-    """The ``.npz`` cache file for ``config`` under ``cache_dir``.
-
-    Shared by :class:`CampaignSession` and the campaign service
-    (:mod:`repro.service`) so both layers hit the same cache entries.
-    Returns ``None`` when caching is disabled (``cache_dir is None``).
-    """
-    if cache_dir is None:
-        return None
-    return cache_dir / f"campaign_{config.application}_{config_cache_key(config)}.npz"
-
-
 def campaign_store_path(
     cache_dir: Optional[Path], config: "CampaignConfig"
 ) -> Optional[Path]:
-    """The spilled shard-store directory for ``config`` under ``cache_dir``.
+    """The campaign cache entry (a shard-store directory) for ``config``.
 
-    The out-of-core sibling of :func:`campaign_cache_path`, keyed by the
-    same sample-determining hash so a stored campaign and a dense cached
-    one describe the same data.
+    Shared by :class:`CampaignSession` and the campaign service
+    (:mod:`repro.service`) so both layers hit the same entries.  Returns
+    ``None`` when caching is disabled (``cache_dir is None``).
     """
     if cache_dir is None:
         return None
@@ -122,8 +114,9 @@ class CampaignResult:
     """Outcome of one application's campaign, merged on demand.
 
     Holds the shards the executor produced (fresh run), an already-merged
-    dataset (cache hit), or a spilled
-    :class:`~repro.io.shard_store.ShardStore` (out-of-core run).  Iterating
+    dataset (grouped execution, :meth:`CampaignSession.adopt`), or a
+    :class:`~repro.io.shard_store.ShardStore` (out-of-core run or cache
+    hit).  Iterating
     yields the shards; :attr:`dataset` merges them — once — into the dense
     :class:`~repro.core.timing.TimingDataset` every in-memory analysis
     consumes.  Store-backed results keep nothing dense resident:
@@ -162,7 +155,7 @@ class CampaignResult:
 
     @property
     def shards(self) -> Tuple[TimingShard, ...]:
-        """The campaign's shards (derived from the dataset on cache hits).
+        """The campaign's shards (derived per trial from an adopted dataset).
 
         Store-backed results materialise the full shard tuple here (the
         views stay memory-mapped, but holding them keeps the whole store
@@ -275,15 +268,112 @@ class CampaignResult:
         """Shortcut for ``analyze().report()``."""
         return self.analyze().report(include_earlybird=include_earlybird)
 
-    def save(self, path: Union[str, Path]) -> Path:
-        """Persist the merged dataset as ``.npz`` (see :mod:`repro.io`)."""
-        from repro.io.dataset_io import save_dataset
-
-        return save_dataset(self.dataset, path)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         origin = "cache" if self.from_cache else "run"
         return f"CampaignResult({self.application!r}, from={origin})"
+
+
+def write_campaign_store(
+    path: Path,
+    shards: Union[Iterable[TimingShard], Callable[["ShardStore"], object]],
+    metadata: Dict[str, object],
+    *,
+    tier: Optional["CacheTier"] = None,
+    spill_threshold_bytes: Optional[int] = None,
+) -> Path:
+    """Write one campaign cache entry: a finalized shard store at ``path``.
+
+    ``shards`` is an iterable of shards, or a callable that fills the
+    staged store itself (the executor's direct worker-to-store spill,
+    :meth:`~repro.experiments.executor.ShardExecutor.run_to_store`).  The
+    store is built in a sibling ``*.tmp-*`` directory, finalized with
+    ``metadata`` and published atomically over whatever sat at ``path``, so
+    a concurrent reader never sees a partially-built store and a race
+    between two writers resolves to one winner; the entry is then admitted
+    to ``tier``.  ``spill_threshold_bytes`` bounds the write buffer
+    (``None`` keeps the store default).  Returns ``path``.
+    """
+    import shutil
+    import threading
+
+    from repro.io.shard_store import (
+        DEFAULT_SPILL_THRESHOLD_BYTES,
+        ShardStore,
+        publish_store,
+    )
+
+    threshold = (
+        DEFAULT_SPILL_THRESHOLD_BYTES
+        if spill_threshold_bytes is None
+        else int(spill_threshold_bytes)
+    )
+    # per-writer staging names: the service's job threads share a pid
+    staged_path = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+    )
+    retired_path = staged_path.with_name(f"{staged_path.name}.old")
+    shutil.rmtree(staged_path, ignore_errors=True)
+    try:
+        staged = ShardStore.create(staged_path, spill_threshold_bytes=threshold)
+        if callable(shards):
+            shards(staged)
+        else:
+            staged.extend(shards)
+        staged.finalize(metadata)
+        # move the previous entry aside with one atomic rename rather than
+        # deleting it in place, where a racing writer's fresh entry could
+        # be half-deleted
+        try:
+            os.rename(path, retired_path)
+        except FileNotFoundError:
+            pass
+        publish_store(staged_path, path)
+    finally:
+        shutil.rmtree(staged_path, ignore_errors=True)
+        shutil.rmtree(retired_path, ignore_errors=True)
+    if tier is not None:
+        tier.admit(path)
+    return path
+
+
+def open_cached_campaign(
+    path: Optional[Path],
+    config: "CampaignConfig",
+    *,
+    tier: Optional["CacheTier"] = None,
+) -> Optional[CampaignResult]:
+    """Look up one campaign cache entry: the store at ``path`` as a result.
+
+    Returns ``None`` on a miss.  An entry that cannot be served — an
+    unreadable manifest, a foreign format version, an incomplete store, a
+    missing or truncated group file (:meth:`ShardStore.verify`) — is a miss
+    too, and is removed so the caller recomputes and rewrites it.  A hit
+    bumps the entry's LRU clock in ``tier`` and comes back as a
+    store-backed ``CampaignResult(from_cache=True)``.  The cache key
+    deliberately excludes the scenario label (it cannot change the
+    samples), so the entry may carry the label of whichever scenario
+    populated it: the hit is re-stamped with ``config``'s label.
+    """
+    if path is None or not path.exists():
+        return None
+    import shutil
+
+    from repro.io.shard_store import ShardStore
+
+    try:
+        store = ShardStore.open(path).verify()
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        # unreadable or malformed on disk: heal by recomputing
+        shutil.rmtree(path, ignore_errors=True)
+        return None
+    if tier is not None:
+        tier.touch(path)
+    metadata = store.metadata
+    metadata.pop("scenario", None)
+    scenario = getattr(config, "scenario", None)
+    if scenario is not None:
+        metadata["scenario"] = scenario
+    return CampaignResult(config, store=store, metadata=metadata, from_cache=True)
 
 
 class CampaignSession:
@@ -295,7 +385,8 @@ class CampaignSession:
         Base campaign configuration.  ``run("minimd")`` retargets it with
         :meth:`~repro.experiments.config.CampaignConfig.for_application`.
     cache_dir:
-        Directory for config-hash-keyed ``.npz`` result caching; ``None``
+        Directory of the config-hash-keyed campaign cache (one shard store
+        per configuration, see :func:`campaign_store_path`); ``None``
         (default) disables caching.
     cache_max_bytes:
         Size budget of the cache tier: every write is admitted through a
@@ -344,16 +435,8 @@ class CampaignSession:
     def cache_key(self, application: Optional[str] = None) -> str:
         return config_cache_key(self.config_for(application))
 
-    def _cache_path(self, config: "CampaignConfig") -> Optional[Path]:
-        return campaign_cache_path(self.cache_dir, config)
-
     def _store_path(self, config: "CampaignConfig") -> Optional[Path]:
         return campaign_store_path(self.cache_dir, config)
-
-    def _admit(self, path: Optional[Path]) -> None:
-        """Register a fresh cache write with the tier (evicting over budget)."""
-        if self.cache_tier is not None and path is not None:
-            self.cache_tier.admit(path)
 
     def _executor(self) -> ShardExecutor:
         return ShardExecutor(mode=self.executor_mode)
@@ -483,7 +566,8 @@ class CampaignSession:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-        self._admit(path)
+        if self.cache_tier is not None:
+            self.cache_tier.admit(path)
 
     # ------------------------------------------------------------------
     # execution
@@ -491,58 +575,17 @@ class CampaignSession:
     def cached(self, application: Optional[str] = None) -> Optional[CampaignResult]:
         """Load one application's campaign from the result cache.
 
-        Returns ``None`` on a miss (or without a ``cache_dir``), leaving the
+        Returns a store-backed result (see :func:`open_cached_campaign`),
+        or ``None`` on a miss (or without a ``cache_dir``), leaving the
         caller free to execute the campaign however it likes — see
         :meth:`adopt` for handing the result back.
         """
         config = self.config_for(application)
-        cache_path = self._cache_path(config)
-        if cache_path is None:
-            return None
-        from repro.io.dataset_io import try_load_dataset
-
-        dataset = try_load_dataset(cache_path)
-        if dataset is None:  # missing — or corrupt, removed for recompute
-            return None
-        if self.cache_tier is not None:
-            self.cache_tier.touch(cache_path)
-        # the cache key deliberately excludes the scenario label (it
-        # cannot change the samples), so a hit may carry the label of
-        # whichever scenario populated the entry — re-stamp it
-        scenario = getattr(config, "scenario", None)
-        if dataset.metadata.get("scenario") != scenario:
-            dataset = dataset.with_metadata(scenario=scenario)
-        result = CampaignResult(config, dataset=dataset, from_cache=True)
-        self._results[config.application] = result
-        return result
-
-    def cached_store(
-        self, application: Optional[str] = None
-    ) -> Optional[CampaignResult]:
-        """Reopen a previously spilled, finalized shard store as a result.
-
-        The out-of-core sibling of :meth:`cached`: returns a store-backed
-        :class:`CampaignResult` when a complete store directory exists for
-        the configuration, ``None`` otherwise.
-        """
-        config = self.config_for(application)
-        store_path = self._store_path(config)
-        if store_path is None:
-            return None
-        from repro.io.shard_store import MANIFEST_NAME, ShardStore
-
-        if not (store_path / MANIFEST_NAME).exists():
-            return None
-        try:
-            store = ShardStore.open(store_path)
-            if not store.complete:
-                return None  # an interrupted writer's leftovers; rebuild
-        except Exception:
-            return None
-        if self.cache_tier is not None:
-            self.cache_tier.touch(store_path)
-        result = CampaignResult(config, store=store, from_cache=True)
-        self._results[config.application] = result
+        result = open_cached_campaign(
+            self._store_path(config), config, tier=self.cache_tier
+        )
+        if result is not None:
+            self._results[config.application] = result
         return result
 
     def adopt(
@@ -554,15 +597,16 @@ class CampaignSession:
         (:meth:`~repro.scenarios.scenario.ScenarioMatrix.run` running several
         compatible configs through one
         :meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`
-        tensor pass): the dataset is cached and registered exactly as if
-        :meth:`run` had produced it.
+        tensor pass): the dataset's per-trial shards are cached and the
+        result registered exactly as if :meth:`run` had produced it.
         """
         config = self.config_for(application)
         result = CampaignResult(config, dataset=dataset)
-        cache_path = self._cache_path(config)
-        if cache_path is not None:
-            result.save(cache_path)
-            self._admit(cache_path)
+        path = self._store_path(config)
+        if path is not None:
+            write_campaign_store(
+                path, result.shards, dataset.metadata, tier=self.cache_tier
+            )
         self._results[config.application] = result
         return result
 
@@ -576,19 +620,21 @@ class CampaignSession:
     ) -> CampaignResult:
         """Run (or load from cache) one application's campaign.
 
-        ``store`` selects the out-of-core spill path: shards land in a
-        :class:`~repro.io.shard_store.ShardStore` as the executor produces
-        them instead of accumulating in memory, and the returned result is
-        store-backed (stream it with
-        :meth:`CampaignResult.iter_shards`).
+        With a ``cache_dir`` every configuration has one cache entry, a
+        shard store at :func:`campaign_store_path`: a miss writes it, and
+        with ``use_cache`` a hit reopens it as a store-backed result
+        (``from_cache=True``) whichever ``store`` mode wrote or asks for it.
 
-        * ``None`` (default) — in-memory run with the usual ``.npz`` cache.
-        * ``True`` — auto-managed store under ``cache_dir`` (required):
-          built in a sibling temp directory, finalized, then atomically
-          published and admitted to the cache tier; with ``use_cache`` an
-          existing complete store is reopened instead of re-running.
-        * a path — explicit store directory (complete stores are reused
-          under ``use_cache``, anything else is rebuilt in place).
+        ``store`` only chooses the shape of a freshly run result:
+
+        * ``None`` (default) — in-memory run; the result holds the shards.
+        * ``True`` — out-of-core run: shards spill into the cache entry
+          (``cache_dir`` required) as the executor produces them instead of
+          accumulating in memory, and the returned result is store-backed
+          (stream it with :meth:`CampaignResult.iter_shards`).
+        * a path — the same, into an explicit store directory (a complete
+          store there is reused under ``use_cache``, anything else is
+          rebuilt).
         * a :class:`~repro.io.shard_store.ShardStore` — caller-managed;
           shards are appended and the store finalized, nothing published.
 
@@ -597,28 +643,26 @@ class CampaignSession:
         """
         config = self.config_for(application)
         backend = get_backend(config.backend)
-        if store is None:
-            if use_cache:
-                result = self.cached(application)
-                if result is not None:
-                    return result
-            shards = self._executor().run(backend, config)
-            result = CampaignResult(
-                config, shards=shards, metadata=backend.metadata(config)
+        if store is not None:
+            return self._run_to_store(
+                config,
+                backend,
+                store,
+                use_cache=use_cache,
+                spill_threshold_bytes=spill_threshold_bytes,
             )
-            cache_path = self._cache_path(config)
-            if cache_path is not None:
-                result.save(cache_path)
-                self._admit(cache_path)
-            self._results[config.application] = result
-            return result
-        return self._run_to_store(
-            config,
-            backend,
-            store,
-            use_cache=use_cache,
-            spill_threshold_bytes=spill_threshold_bytes,
-        )
+        if use_cache:
+            result = self.cached(application)
+            if result is not None:
+                return result
+        shards = self._executor().run(backend, config)
+        metadata = backend.metadata(config)
+        path = self._store_path(config)
+        if path is not None:
+            write_campaign_store(path, shards, metadata, tier=self.cache_tier)
+        result = CampaignResult(config, shards=shards, metadata=metadata)
+        self._results[config.application] = result
+        return result
 
     def _run_to_store(
         self,
@@ -630,65 +674,38 @@ class CampaignSession:
         spill_threshold_bytes: Optional[int],
     ) -> CampaignResult:
         """The out-of-core arm of :meth:`run` (see its ``store`` docs)."""
-        from repro.io.shard_store import (
-            DEFAULT_SPILL_THRESHOLD_BYTES,
-            ShardStore,
-            publish_store,
-        )
-
-        threshold = (
-            DEFAULT_SPILL_THRESHOLD_BYTES
-            if spill_threshold_bytes is None
-            else int(spill_threshold_bytes)
-        )
-        metadata = backend.metadata(config)
+        from repro.io.shard_store import ShardStore
 
         if isinstance(store, ShardStore):
             # caller-managed store: fill, finalize, wrap
             self._executor().run_to_store(backend, config, store)
-            store.finalize(metadata)
+            store.finalize(backend.metadata(config))
             result = CampaignResult(config, store=store)
             self._results[config.application] = result
             return result
 
         if store is True:
-            final = self._store_path(config)
-            if final is None:
+            path = self._store_path(config)
+            if path is None:
                 raise ValueError(
                     "run(store=True) needs a cache_dir to place the store under"
                 )
         else:
-            final = Path(store)
-
-        if use_cache:
-            try:
-                existing = ShardStore.open(final)
-                if existing.complete:
-                    if self.cache_tier is not None:
-                        self.cache_tier.touch(final)
-                    result = CampaignResult(config, store=existing, from_cache=True)
-                    self._results[config.application] = result
-                    return result
-            except Exception:
-                pass  # missing or unreadable — rebuild below
-
-        # build in a sibling temp directory and publish atomically, so a
-        # concurrent reader never sees a partially-built store and a race
-        # between two writers resolves to one winner
-        import shutil
-
-        staged_path = final.with_name(f"{final.name}.tmp-{os.getpid()}")
-        shutil.rmtree(staged_path, ignore_errors=True)
-        try:
-            staged = ShardStore.create(staged_path, spill_threshold_bytes=threshold)
-            self._executor().run_to_store(backend, config, staged)
-            staged.finalize(metadata)
-            shutil.rmtree(final, ignore_errors=True)
-            publish_store(staged_path, final)
-        finally:
-            shutil.rmtree(staged_path, ignore_errors=True)
-        self._admit(final)
-        result = CampaignResult(config, store=ShardStore.open(final))
+            path = Path(store)
+        result = (
+            open_cached_campaign(path, config, tier=self.cache_tier)
+            if use_cache
+            else None
+        )
+        if result is None:
+            write_campaign_store(
+                path,
+                lambda staged: self._executor().run_to_store(backend, config, staged),
+                backend.metadata(config),
+                tier=self.cache_tier,
+                spill_threshold_bytes=spill_threshold_bytes,
+            )
+            result = CampaignResult(config, store=ShardStore.open(path))
         self._results[config.application] = result
         return result
 

@@ -1,21 +1,15 @@
 """Dataset and shard persistence.
 
-NumPy ``.npz`` + JSON metadata round-trips (:mod:`repro.io.dataset_io`,
-always written atomically), CSV export, the spillable memory-mapped
-:class:`~repro.io.shard_store.ShardStore` for out-of-core campaigns, and
+The spillable memory-mapped :class:`~repro.io.shard_store.ShardStore` —
+the one format of the campaign cache and the out-of-core campaigns — and
 the size-bounded LRU :class:`~repro.io.cache_tier.CacheTier` managing the
-shared cache directory.
+shared cache directory.  :mod:`repro.io.dataset_io` is the user-facing
+export: NumPy ``.npz`` + JSON metadata round-trips (written atomically)
+and CSV.
 """
 
 from repro.io.cache_tier import CacheTier
-from repro.io.dataset_io import (
-    dataset_to_csv,
-    load_dataset,
-    load_shards,
-    save_dataset,
-    save_shards,
-    try_load_dataset,
-)
+from repro.io.dataset_io import dataset_to_csv, load_dataset, save_dataset
 from repro.io.schema import DATASET_FORMAT_VERSION, validate_columns
 from repro.io.shard_store import (
     DEFAULT_SPILL_THRESHOLD_BYTES,
@@ -26,9 +20,6 @@ from repro.io.shard_store import (
 __all__ = [
     "save_dataset",
     "load_dataset",
-    "try_load_dataset",
-    "save_shards",
-    "load_shards",
     "dataset_to_csv",
     "DATASET_FORMAT_VERSION",
     "validate_columns",

@@ -1,10 +1,9 @@
 """Size-bounded, LRU-evicted management of the shared campaign cache.
 
-The ``cache_dir`` the session and the service share holds three artifact
-kinds — campaign ``.npz`` datasets (``campaign_*``), pickled analysis-pass
-products (``analysis_*``) and spilled shard stores (``*.store``
-directories).  :class:`CacheTier` promotes that directory into a real
-storage tier:
+The ``cache_dir`` the session and the service share holds two artifact
+kinds — campaigns, one shard store per configuration (``*.store``
+directories), and pickled analysis-pass products (``analysis_*``).
+:class:`CacheTier` promotes that directory into a real storage tier:
 
 * **recency tracking** — every cache hit bumps the entry's mtime
   (:meth:`touch`), so the modification time *is* the LRU clock;
@@ -110,8 +109,6 @@ class CacheTier:
         name = path.name
         if name.endswith(".store") and path.is_dir():
             return "store"
-        if name.startswith("campaign_"):
-            return "campaign"
         if name.startswith("analysis_"):
             return "analysis"
         return "other"

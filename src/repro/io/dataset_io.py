@@ -1,12 +1,11 @@
-"""Save / load / export timing datasets and campaign shards.
+"""Save / load / export timing datasets.
 
-Datasets are stored as a single compressed ``.npz`` holding the columns plus
-a JSON-encoded metadata string, so a full paper-scale campaign (768 000 rows
-per application) stays a few megabytes and round-trips exactly.  Campaign
-shards (:class:`~repro.core.timing.TimingShard`, the unit of the sharded
-execution backends) round-trip through the same container with per-shard
-prefixed columns and a shard index, via :func:`save_shards` /
-:func:`load_shards`.
+The user-facing dataset export (the CLI's ``--save-datasets``): a single
+compressed ``.npz`` holding the columns plus a JSON-encoded metadata
+string, so a full paper-scale campaign (768 000 rows per application)
+stays a few megabytes and round-trips exactly, and a CSV export.  The
+campaign cache does not use this format — it keeps campaigns as
+:class:`~repro.io.shard_store.ShardStore` directories.
 """
 
 from __future__ import annotations
@@ -14,40 +13,22 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from repro.core.timing import TimingDataset, TimingShard
-from repro.io.schema import DATASET_FORMAT_VERSION, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, validate_columns
+from repro.core.timing import TimingDataset
+from repro.io.schema import DATASET_FORMAT_VERSION, validate_columns
 
 PathLike = Union[str, Path]
-
-
-def _atomic_savez(target: Path, payload: dict) -> None:
-    """Write an ``.npz`` via a sibling temp file + :func:`os.replace`.
-
-    Shared-cache safety: a writer crashing mid-write leaves only a
-    ``*.tmp-<pid>`` sibling (swept by the cache tier once stale), never a
-    truncated archive at the final path — concurrent readers either see the
-    old complete file or the new complete file.
-    """
-    tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
-    try:
-        # savez_compressed on a file *object*: passing the tmp path would
-        # make numpy append another .npz suffix
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_dataset(dataset: TimingDataset, path: PathLike) -> Path:
     """Write ``dataset`` to ``path`` (``.npz`` appended if absent).
 
-    The write is atomic (temp file + rename), so a crashed writer cannot
-    poison shared cache entries with a truncated archive.
+    The write is atomic (temp file + :func:`os.replace`): a writer crashing
+    mid-write leaves only a ``*.tmp-<pid>`` sibling, never a truncated
+    archive at ``path``.
     """
     target = Path(path)
     if target.suffix != ".npz":
@@ -61,7 +42,15 @@ def save_dataset(dataset: TimingDataset, path: PathLike) -> Path:
             {"format_version": DATASET_FORMAT_VERSION, "metadata": dataset.metadata}
         )
     )
-    _atomic_savez(target, payload)
+    tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
+    try:
+        # savez_compressed on a file *object*: passing the tmp path would
+        # make numpy append another .npz suffix
+        with open(tmp, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
     return target
 
 
@@ -85,90 +74,6 @@ def load_dataset(path: PathLike) -> TimingDataset:
             metadata = decoded.get("metadata", {})
     validate_columns(columns)
     return TimingDataset(columns, metadata)
-
-
-def try_load_dataset(path: PathLike) -> Optional[TimingDataset]:
-    """Corruption-tolerant :func:`load_dataset` for cache entries.
-
-    Returns ``None`` when the entry is missing — or unreadable: a truncated
-    archive a pre-atomic-write crash left behind, a bad zip, a format-version
-    mismatch.  Unreadable entries are removed so they cannot poison later
-    cache hits; the caller simply recomputes and overwrites.
-    """
-    source = Path(path)
-    if not source.exists():
-        return None
-    try:
-        return load_dataset(source)
-    except Exception:
-        try:
-            source.unlink()
-        except OSError:
-            pass
-        return None
-
-
-def save_shards(shards: Sequence[TimingShard], path: PathLike) -> Path:
-    """Write campaign shards to one ``.npz`` (``.npz`` appended if absent).
-
-    Each shard's columns are stored under a ``shard<i>__`` prefix; a JSON
-    shard index records every shard's (trial, process) address so
-    :func:`load_shards` restores them exactly.
-    """
-    shards = list(shards)
-    if not shards:
-        raise ValueError("cannot save zero shards")
-    target = Path(path)
-    if target.suffix != ".npz":
-        target = target.with_suffix(".npz")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    index = []
-    for i, shard in enumerate(shards):
-        validate_columns(dict(shard.columns))
-        for name, values in shard.columns.items():
-            payload[f"shard{i}__{name}"] = np.asarray(values)
-        index.append(
-            {
-                "trial": int(shard.trial),
-                "process": None if shard.process is None else int(shard.process),
-                "columns": sorted(shard.columns),
-            }
-        )
-    payload["__shards__"] = np.array(
-        json.dumps({"format_version": DATASET_FORMAT_VERSION, "shards": index})
-    )
-    _atomic_savez(target, payload)
-    return target
-
-
-def load_shards(path: PathLike) -> List[TimingShard]:
-    """Load campaign shards previously written by :func:`save_shards`."""
-    source = Path(path)
-    if not source.exists():
-        raise FileNotFoundError(source)
-    with np.load(source, allow_pickle=False) as archive:
-        if "__shards__" not in archive.files:
-            raise ValueError(f"{source} is not a shard archive (no shard index)")
-        decoded = json.loads(str(archive["__shards__"]))
-        version = decoded.get("format_version")
-        if version != DATASET_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported shard format version {version!r} "
-                f"(expected {DATASET_FORMAT_VERSION})"
-            )
-        shards = []
-        for i, entry in enumerate(decoded["shards"]):
-            columns = {name: archive[f"shard{i}__{name}"] for name in entry["columns"]}
-            validate_columns(columns)
-            shards.append(
-                TimingShard(
-                    trial=int(entry["trial"]),
-                    process=None if entry["process"] is None else int(entry["process"]),
-                    columns=columns,
-                )
-            )
-    return shards
 
 
 def dataset_to_csv(dataset: TimingDataset, path: PathLike, *, unit: str = "ms") -> Path:

@@ -64,6 +64,9 @@ DEFAULT_SPILL_THRESHOLD_BYTES = 64 * 1024 * 1024
 
 MANIFEST_NAME = "manifest.json"
 
+#: publication attempts before a non-store directory at the target raises
+_PUBLISH_ATTEMPTS = 64
+
 _MODES = ("w", "a", "r")
 
 
@@ -448,6 +451,31 @@ class ShardStore:
             merged_metadata.update(metadata)
         return TimingDataset.merge(self.iter_shards(), metadata=merged_metadata)
 
+    def verify(self) -> "ShardStore":
+        """Check that the store is complete and every group file intact.
+
+        Each group file must exist and hold exactly the 16-byte magic plus
+        its columns' bytes as the manifest records them; a truncated or
+        missing group would otherwise only surface as an mmap error on the
+        first read.  Raises ``ValueError``; returns ``self``.
+        """
+        if not self.complete:
+            raise ValueError(f"shard store at {self.path} is incomplete")
+        for group in self._manifest["groups"]:  # type: ignore[union-attr]
+            path = self.path / group["file"]
+            expected = len(GROUP_MAGIC) + int(group["n_samples"]) * sum(
+                np.dtype(column["dtype"]).itemsize for column in group["columns"]
+            )
+            try:
+                size = path.stat().st_size
+            except OSError:
+                raise ValueError(f"group file {path} is missing") from None
+            if size != expected:
+                raise ValueError(
+                    f"group file {path} holds {size} bytes, expected {expected}"
+                )
+        return self
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -528,19 +556,26 @@ def publish_store(staged: PathLike, final: PathLike) -> Path:
     ``os.rename`` makes the publication atomic; if another tenant won the
     race (``final`` already exists), the staged copy is discarded and the
     winner's store is used — both are bit-identical by construction, so
-    dropping the loser is safe.
+    dropping the loser is safe.  Concurrent writers may move the winner's
+    store aside between this writer's rename and its check, so a failed
+    publication is retried a bounded number of times before it raises.
     """
     import shutil
 
     staged_path, final_path = Path(staged), Path(final)
     final_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        os.rename(staged_path, final_path)
-    except OSError:
-        if not (final_path / MANIFEST_NAME).exists():
-            raise
-        shutil.rmtree(staged_path, ignore_errors=True)
-    return final_path
+    attempts = _PUBLISH_ATTEMPTS
+    while True:
+        try:
+            os.rename(staged_path, final_path)
+            return final_path
+        except OSError:
+            if (final_path / MANIFEST_NAME).exists():
+                shutil.rmtree(staged_path, ignore_errors=True)
+                return final_path
+            attempts -= 1
+            if attempts == 0:
+                raise
 
 
 __all__ = [

@@ -397,7 +397,7 @@ _BUILTIN_SCENARIOS = (
         description="Guided loop schedule on the paper platform",
     ),
     Scenario(
-        name="manzano-campaign-batched",
+        name="manzano-campaign",
         schedule="dynamic,4",
         backend="campaign",
         description="Dynamic schedule driven through the whole-campaign "

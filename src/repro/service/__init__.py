@@ -18,7 +18,8 @@ into a long-running *server* that many concurrent clients can share:
 * :mod:`repro.service.dedup` — request coalescing: concurrent submissions
   with the same :func:`~repro.experiments.session.config_cache_key` attach
   to one in-flight computation and all receive its results; completed
-  results are served straight from the session's ``.npz`` dataset cache.
+  results are served straight from the campaign cache shared with the
+  session (one shard store per config hash).
 * :mod:`repro.service.api` — the in-process async client API:
   ``handle = await service.submit(...)``, ``await handle.result()`` and
   ``async for shard in handle.stream()`` with shards arriving as the

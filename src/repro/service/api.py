@@ -3,9 +3,10 @@
 :class:`CampaignService` is the front door for concurrent clients: it
 accepts scenario names or :class:`~repro.experiments.config.CampaignConfig`
 objects, coalesces identical in-flight submissions, serves completed
-configurations straight out of the session's config-hash ``.npz`` cache,
-and executes everything else on a bounded worker pool — streaming shards
-back the moment the executor produces them::
+configurations straight out of the campaign cache it shares with
+:class:`~repro.experiments.session.CampaignSession` (one shard store per
+config hash), and executes everything else on a bounded worker pool —
+streaming shards back the moment the executor produces them::
 
     service = CampaignService(workers=2, max_queue=32, cache_dir="cache/")
     async with service:
@@ -39,8 +40,10 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import (
     CampaignResult,
-    campaign_cache_path,
+    campaign_store_path,
     config_cache_key,
+    open_cached_campaign,
+    write_campaign_store,
 )
 from repro.service.dedup import RequestCoalescer
 from repro.service.jobs import Job, JobHandle, JobState, dataset_digest
@@ -67,12 +70,13 @@ class CampaignService:
         Admission bound: submissions beyond this many *waiting* jobs raise
         :class:`~repro.service.queue.RejectedError`.
     cache_dir:
-        Directory shared with :class:`~repro.experiments.session.CampaignSession`
-        for config-hash-keyed ``.npz`` results; completed configurations
-        are served from it without re-execution (``cache_hits`` counter).
-        ``None`` disables caching.  Writes go through the atomic
-        temp-file protocol and corrupt entries are detected and recomputed,
-        so many service workers and sessions can share one directory.
+        Campaign cache shared with
+        :class:`~repro.experiments.session.CampaignSession` (one shard store
+        per config hash); completed configurations are served from it
+        without re-execution (``cache_hits`` counter).  ``None`` disables
+        caching.  Entries are published atomically and corrupt ones are
+        detected and recomputed, so many service workers and sessions can
+        share one directory.
     cache_max_bytes:
         Size budget of the shared cache tier
         (:class:`~repro.io.cache_tier.CacheTier`): every write LRU-evicts
@@ -341,6 +345,59 @@ class CampaignService:
         else:
             await loop.run_in_executor(self._pool, self._produce_group, group, loop)
 
+    def _serve_cached(self, job: Job, post) -> bool:
+        """Serve ``job`` from its cache entry; ``False`` on a miss.
+
+        Ticks ``cache_hits`` or ``cache_misses`` (with a ``cache_dir``); a
+        corrupt entry is removed by the lookup and counts as a miss.
+        """
+        if self.cache_dir is None:
+            return False
+        result = None
+        if job.use_cache:
+            result = open_cached_campaign(
+                campaign_store_path(self.cache_dir, job.config),
+                job.config,
+                tier=self.cache_tier,
+            )
+        if result is None:
+            self._count("cache_misses")
+            return False
+        self._count("cache_hits")
+        if job.cancel_requested.is_set():
+            post(job._mark_cancelled)
+        else:
+            self._deliver_all(job, result, post, from_cache=True)
+        return True
+
+    def _cache(self, config: CampaignConfig, shards, metadata) -> None:
+        """Write a freshly computed campaign into the cache (if enabled)."""
+        if self.cache_dir is not None:
+            write_campaign_store(
+                campaign_store_path(self.cache_dir, config),
+                shards,
+                metadata,
+                tier=self.cache_tier,
+            )
+
+    @staticmethod
+    def _deliver_all(
+        job: Job, result: CampaignResult, post, *, from_cache: bool
+    ) -> None:
+        """Post a finished result's shards, then its completion."""
+        shards = result.shards
+        post(setattr, job.progress, "shards_total", len(shards))
+        for shard in shards:
+            post(job._deliver, shard)
+        post(
+            functools.partial(
+                job._finish,
+                result,
+                dataset_digest(result.dataset),
+                from_cache=from_cache,
+            )
+        )
+
     def _produce(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
         """Synchronous job body (worker thread).
 
@@ -357,38 +414,9 @@ class CampaignService:
                 raise _CancelledBetweenShards()
 
         try:
+            if self._serve_cached(job, post):
+                return
             config = job.config
-            cache_path = campaign_cache_path(self.cache_dir, config)
-            if cache_path is not None and job.use_cache:
-                from repro.io.dataset_io import try_load_dataset
-
-                # corruption-tolerant: a truncated or stale entry loads as
-                # None (and is removed) — the job falls through to recompute
-                dataset = try_load_dataset(cache_path)
-                if dataset is not None:
-                    self._count("cache_hits")
-                    if self.cache_tier is not None:
-                        self.cache_tier.touch(cache_path)
-                    scenario = getattr(config, "scenario", None)
-                    if dataset.metadata.get("scenario") != scenario:
-                        dataset = dataset.with_metadata(scenario=scenario)
-                    result = CampaignResult(config, dataset=dataset, from_cache=True)
-                    shards = result.shards  # derived per trial on cache hits
-                    post(setattr, job.progress, "shards_total", len(shards))
-                    for shard in shards:
-                        check_cancel()
-                        post(job._deliver, shard)
-                    post(
-                        functools.partial(
-                            job._finish,
-                            result,
-                            dataset_digest(dataset),
-                            from_cache=True,
-                        )
-                    )
-                    return
-            if self.cache_dir is not None:
-                self._count("cache_misses")
             backend = get_backend(config.backend)
             executor = ShardExecutor(mode=self.executor_mode)
             shards = []
@@ -399,12 +427,7 @@ class CampaignService:
             check_cancel()
             metadata = backend.metadata(config)
             dataset = TimingDataset.merge(shards, metadata=metadata)
-            if cache_path is not None:
-                from repro.io.dataset_io import save_dataset
-
-                save_dataset(dataset, cache_path)  # atomic temp + replace
-                if self.cache_tier is not None:
-                    self.cache_tier.admit(cache_path)
+            self._cache(config, shards, metadata)
             result = CampaignResult(
                 config, shards=shards, dataset=dataset, metadata=metadata
             )
@@ -425,25 +448,22 @@ class CampaignService:
         — the group key ignores seeds and machines); the remaining members
         run through **one**
         :meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`
-        tensor pass.  Each job's cancel flag is polled at the pass and
-        delivery boundaries; a failure of the shared pass fails every
-        not-yet-finished member.
+        tensor pass, and each caches its dataset's per-trial shards.  Each
+        job's cancel flag is polled at the pass and delivery boundaries; a
+        failure of the shared pass fails every not-yet-finished member.
         """
 
         def post(callback, *args) -> None:
             loop.call_soon_threadsafe(callback, *args)
 
-        live = []
-        for job in jobs:
-            cache_path = campaign_cache_path(self.cache_dir, job.config)
-            if cache_path is not None and job.use_cache and cache_path.exists():
-                self._produce(job, loop)  # full cache-hit flow, per job
-            else:
-                live.append(job)
         pending = []
-        for job in live:
-            if self.cache_dir is not None:
-                self._count("cache_misses")
+        for job in jobs:
+            try:
+                if self._serve_cached(job, post):
+                    continue  # cache hit, served on its own
+            except Exception as error:  # surfaced through handle.result()
+                post(job._fail, error)
+                continue
             if job.cancel_requested.is_set():
                 post(job._mark_cancelled)
             else:
@@ -459,26 +479,9 @@ class CampaignService:
                 if job.cancel_requested.is_set():
                     post(job._mark_cancelled)
                     continue
-                cache_path = campaign_cache_path(self.cache_dir, job.config)
-                if cache_path is not None:
-                    from repro.io.dataset_io import save_dataset
-
-                    save_dataset(dataset, cache_path)  # atomic temp + replace
-                    if self.cache_tier is not None:
-                        self.cache_tier.admit(cache_path)
                 result = CampaignResult(job.config, dataset=dataset)
-                shards = result.shards  # derived per trial, as on cache hits
-                post(setattr, job.progress, "shards_total", len(shards))
-                for shard in shards:
-                    post(job._deliver, shard)
-                post(
-                    functools.partial(
-                        job._finish,
-                        result,
-                        dataset_digest(dataset),
-                        from_cache=False,
-                    )
-                )
+                self._cache(job.config, result.shards, dataset.metadata)
+                self._deliver_all(job, result, post, from_cache=False)
         except BaseException as error:  # surfaced through handle.result()
             for job in pending:
                 if not job.finished:

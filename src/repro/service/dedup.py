@@ -9,8 +9,8 @@ the job's shard replay in :meth:`Job.subscribe
 <repro.service.jobs.Job.subscribe>`, still observes the full shard
 stream).  Jobs unregister themselves the moment they reach a terminal
 state — *completed* identical requests are not coalesced, they are served
-from the session's ``.npz`` dataset cache instead (counted separately by
-the service).
+from the campaign cache the service shares with the session instead
+(counted separately by the service).
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ CAMPAIGN_SMOKE_DIGESTS = {
 # Same smoke recipe under explicit work-queue schedule clauses (MiniFE is
 # the app whose 200-pencil loop makes the clause matter); re-recorded with
 # the shard-keyed streams above.  The "dynamic,4" entry doubles as the
-# digest of the ``manzano-campaign-batched`` scenario at smoke scale.
+# digest of the ``manzano-campaign`` scenario at smoke scale.
 CAMPAIGN_SCHEDULE_SMOKE_DIGESTS = {
     ("minife", "dynamic"): "72af0d3efc013179108eb566e8d875bfbc1d124e0dcb2bc673fe896fa1733ff0",
     ("minife", "dynamic,4"): "2af151e1a05561807064884cd19332f17de63b4c733fbed90525856cd231d552",
@@ -147,7 +147,7 @@ class TestPinnedDigests:
             assert np.array_equal(campaign.column(column), vectorized.column(column))
 
     def test_scenario_pins_the_campaign_backend(self):
-        scenario = get_scenario("manzano-campaign-batched")
+        scenario = get_scenario("manzano-campaign")
         assert scenario.backend == "campaign"
         assert scenario.schedule == "dynamic,4"
         dataset = scenario.session(scale="smoke").run().dataset

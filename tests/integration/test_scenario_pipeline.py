@@ -86,18 +86,21 @@ class TestScenarioExecution:
         )
         assert all(result.from_cache for result in rerun.values())
 
-    def test_cache_hit_restamps_scenario_label(self, tmp_path):
+    @pytest.mark.parametrize("store", [None, True])
+    def test_cache_hit_restamps_scenario_label(self, tmp_path, store):
         # two scenarios with identical physics share a cache entry (the key
         # excludes the label); the hit must carry the *requesting* scenario
+        # whether the run is in memory or out of core
         from repro.scenarios import Scenario
 
         first = get_scenario("manzano-default").session(
             scale="smoke", cache_dir=tmp_path
         )
-        assert first.run().dataset.metadata["scenario"] == "manzano-default"
+        assert first.run(store=store).metadata["scenario"] == "manzano-default"
         twin = Scenario(name="manzano-twin")
-        hit = twin.session(scale="smoke", cache_dir=tmp_path).run()
+        hit = twin.session(scale="smoke", cache_dir=tmp_path).run(store=store)
         assert hit.from_cache
+        assert hit.metadata["scenario"] == "manzano-twin"
         assert hit.dataset.metadata["scenario"] == "manzano-twin"
         # a plain (scenario-less) config drops the label entirely
         from dataclasses import replace
@@ -105,23 +108,24 @@ class TestScenarioExecution:
         unlabeled = replace(
             get_scenario("manzano-default").campaign_config("smoke"), scenario=None
         )
-        plain = CampaignSession(unlabeled, cache_dir=tmp_path).run()
+        plain = CampaignSession(unlabeled, cache_dir=tmp_path).run(store=store)
         assert plain.from_cache
+        assert "scenario" not in plain.metadata
         assert "scenario" not in plain.dataset.metadata
 
     def test_scenario_backend_pin_survives_cli_defaults(self):
-        # manzano-campaign-batched pins backend="campaign"; the CLI must not
+        # manzano-campaign pins backend="campaign"; the CLI must not
         # silently override it with its own default when --backend is absent
         from repro.experiments.runner import _configure, build_parser
 
         parser = build_parser()
-        args = parser.parse_args(["--scenario", "manzano-campaign-batched"])
+        args = parser.parse_args(["--scenario", "manzano-campaign"])
         config = _configure(args, "minife")
         assert config.backend == "campaign"
         assert config.schedule == "dynamic,4"
         # an explicit flag still wins over the scenario pin
         args = parser.parse_args(
-            ["--scenario", "manzano-campaign-batched", "--backend", "event"]
+            ["--scenario", "manzano-campaign", "--backend", "event"]
         )
         assert _configure(args, "minife").backend == "event"
         # scenario-less runs keep the vectorized default

@@ -22,7 +22,7 @@ from repro.experiments.backends import (
     unregister_backend,
 )
 from repro.experiments.config import CampaignConfig
-from repro.experiments.session import CampaignSession
+from repro.experiments.session import CampaignSession, campaign_store_path
 from repro.scenarios import get_scenario
 from repro.service import (
     CampaignHTTPServer,
@@ -35,6 +35,8 @@ from repro.service import (
 
 GATED_BACKEND = "integration-test-gated"
 SCENARIO = "manzano-default"
+#: the service-smoke digest of ``SCENARIO`` at smoke scale
+PINNED_DIGEST = "bb2fcafc7160d7099ca5ef6dac0ecd53bff0aad663032aed63a90c0242740980"
 
 
 def _session_digest(config: CampaignConfig) -> str:
@@ -200,6 +202,58 @@ class TestAsyncAPI:
 
         digest = asyncio.run(scenario())
         assert digest == _session_digest(config)
+
+    def test_cache_hit_replays_the_miss(self, tmp_path):
+        """A hit streams the shards the miss stored and analyses identically."""
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                runs = []
+                for _ in range(2):
+                    handle = await service.submit(SCENARIO, scale="smoke")
+                    digests = [shard_digest(s) async for s in handle.stream()]
+                    await handle.result()
+                    analyses = await service.job_analyses(handle.job)
+                    runs.append((handle, digests, analyses))
+                miss, miss_digests, miss_analyses = runs[0]
+                hit, hit_digests, hit_analyses = runs[1]
+                assert not miss.job.from_cache and hit.job.from_cache
+                assert hit_digests == miss_digests
+                assert hit.job.progress.shards_total == len(miss_digests)
+                assert hit.digest == miss.digest == PINNED_DIGEST
+                assert json.dumps(hit_analyses["analyses"], sort_keys=True) == (
+                    json.dumps(miss_analyses["analyses"], sort_keys=True)
+                )
+                # the one cache entry is a shard store; nothing else is written
+                assert [p.suffix for p in tmp_path.iterdir()] == [".store"]
+
+        asyncio.run(scenario())
+
+    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
+        """A truncated group file is healed: counted as a miss, recomputed."""
+        config = get_scenario(SCENARIO).campaign_config("smoke")
+        CampaignSession(config, cache_dir=tmp_path).run()
+        group = campaign_store_path(tmp_path, config) / "group-00000.bin"
+        group.write_bytes(group.read_bytes()[:64])
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                first = await service.submit(SCENARIO, scale="smoke")
+                await first.result()
+                assert not first.job.from_cache
+                assert first.digest == PINNED_DIGEST
+                second = await service.submit(SCENARIO, scale="smoke")
+                await second.result()
+                assert second.job.from_cache  # the rewritten entry is healthy
+                assert second.digest == PINNED_DIGEST
+                stats = service.stats()
+                assert (stats["cache_misses"], stats["cache_hits"]) == (1, 1)
+
+        asyncio.run(scenario())
 
 
 async def _http_request(host, port, method, path, body=None):

@@ -32,24 +32,23 @@ def _entry(root, name, nbytes, age_s=0.0):
 class TestInventory:
     def test_entries_sorted_least_recently_used_first(self, tmp_path):
         tier = CacheTier(tmp_path)
-        _entry(tmp_path, "campaign_b.npz", KB, age_s=10)
-        _entry(tmp_path, "campaign_a.npz", KB, age_s=30)
+        _entry(tmp_path, "analysis_b.pkl", KB, age_s=10)
+        _entry(tmp_path, "analysis_a.pkl", KB, age_s=30)
         _entry(tmp_path, "analysis_c.pkl", KB, age_s=20)
         assert [e.path.name for e in tier.entries()] == [
-            "campaign_a.npz",
+            "analysis_a.pkl",
             "analysis_c.pkl",
-            "campaign_b.npz",
+            "analysis_b.pkl",
         ]
 
     def test_kind_classification_and_store_dir_sizing(self, tmp_path):
         tier = CacheTier(tmp_path)
-        _entry(tmp_path, "campaign_x.npz", KB)
         _entry(tmp_path, "analysis_x.pkl", 2 * KB)
         _entry(tmp_path, "shards_x.store", 4 * KB)
         _entry(tmp_path, "notes.txt", 16)
         stats = tier.stats()
-        assert stats["entries"] == 4
-        assert stats["by_kind"]["campaign"] == {"entries": 1, "bytes": KB}
+        assert stats["entries"] == 3
+        assert set(stats["by_kind"]) == {"analysis", "store", "other"}
         assert stats["by_kind"]["analysis"] == {"entries": 1, "bytes": 2 * KB}
         # a .store directory is one unit, sized as its file tree
         assert stats["by_kind"]["store"] == {"entries": 1, "bytes": 4 * KB}
@@ -59,34 +58,34 @@ class TestInventory:
 
     def test_lock_and_inflight_tmp_files_are_not_entries(self, tmp_path):
         tier = CacheTier(tmp_path)
-        _entry(tmp_path, "campaign_x.npz", KB)
+        _entry(tmp_path, "analysis_x.pkl", KB)
         (tmp_path / ".tier.lock").write_text("1")
-        (tmp_path / "campaign_y.npz.tmp-42").write_bytes(b"\0" * KB)
-        assert [e.path.name for e in tier.entries()] == ["campaign_x.npz"]
+        (tmp_path / "analysis_y.pkl.tmp-42").write_bytes(b"\0" * KB)
+        assert [e.path.name for e in tier.entries()] == ["analysis_x.pkl"]
 
 
 class TestEviction:
     def test_prunes_lru_first_until_under_budget(self, tmp_path):
         tier = CacheTier(tmp_path, max_bytes=2 * KB + 512)
-        _entry(tmp_path, "campaign_old.npz", KB, age_s=30)
-        _entry(tmp_path, "campaign_mid.npz", KB, age_s=20)
-        _entry(tmp_path, "campaign_new.npz", KB, age_s=10)
+        _entry(tmp_path, "analysis_old.pkl", KB, age_s=30)
+        _entry(tmp_path, "analysis_mid.pkl", KB, age_s=20)
+        _entry(tmp_path, "analysis_new.pkl", KB, age_s=10)
         evicted = tier.prune()
-        assert [p.name for p in evicted] == ["campaign_old.npz"]
+        assert [p.name for p in evicted] == ["analysis_old.pkl"]
         assert tier.total_bytes == 2 * KB
 
     def test_store_directories_are_evicted_whole(self, tmp_path):
         tier = CacheTier(tmp_path, max_bytes=KB)
         store = _entry(tmp_path, "shards_big.store", 4 * KB, age_s=20)
-        keep = _entry(tmp_path, "campaign_new.npz", KB, age_s=5)
+        keep = _entry(tmp_path, "analysis_new.pkl", KB, age_s=5)
         assert tier.prune() == [store]
         assert not store.exists()
         assert keep.exists()
 
     def test_touch_rescues_an_entry_from_eviction(self, tmp_path):
         tier = CacheTier(tmp_path, max_bytes=KB)
-        oldest = _entry(tmp_path, "campaign_a.npz", KB, age_s=30)
-        newer = _entry(tmp_path, "campaign_b.npz", KB, age_s=10)
+        oldest = _entry(tmp_path, "analysis_a.pkl", KB, age_s=30)
+        newer = _entry(tmp_path, "analysis_b.pkl", KB, age_s=10)
         tier.touch(oldest)  # cache hit: now most recently used
         assert tier.prune() == [newer]
         assert oldest.exists()
@@ -97,14 +96,14 @@ class TestEviction:
         assert tier.admit(huge) == []
         assert huge.exists()  # over budget, but not a self-eviction
         # the next admission displaces it
-        fresh = _entry(tmp_path, "campaign_fresh.npz", KB)
+        fresh = _entry(tmp_path, "analysis_fresh.pkl", KB)
         assert tier.admit(fresh) == [huge]
         assert fresh.exists() and not huge.exists()
 
     def test_no_budget_means_no_eviction(self, tmp_path, monkeypatch):
         monkeypatch.delenv(CACHE_MAX_BYTES_ENV, raising=False)
         tier = CacheTier(tmp_path)
-        entry = _entry(tmp_path, "campaign_x.npz", 8 * KB)
+        entry = _entry(tmp_path, "analysis_x.pkl", 8 * KB)
         assert tier.admit(entry) == []
         assert tier.prune() == []
         assert entry.exists()
@@ -113,16 +112,16 @@ class TestEviction:
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, str(KB))
         tier = CacheTier(tmp_path)
         assert tier.max_bytes == KB
-        _entry(tmp_path, "campaign_a.npz", KB, age_s=20)
-        _entry(tmp_path, "campaign_b.npz", KB, age_s=10)
-        assert [p.name for p in tier.prune()] == ["campaign_a.npz"]
+        _entry(tmp_path, "analysis_a.pkl", KB, age_s=20)
+        _entry(tmp_path, "analysis_b.pkl", KB, age_s=10)
+        assert [p.name for p in tier.prune()] == ["analysis_a.pkl"]
 
 
 class TestCrashTolerance:
     def test_stale_tmp_debris_is_swept_fresh_kept(self, tmp_path):
         tier = CacheTier(tmp_path, max_bytes=64 * KB, stale_after_s=5.0)
-        stale = _entry(tmp_path, "campaign_x.npz.tmp-1", KB, age_s=60)
-        fresh = _entry(tmp_path, "campaign_y.npz.tmp-2", KB, age_s=0)
+        stale = _entry(tmp_path, "analysis_x.pkl.tmp-1", KB, age_s=60)
+        fresh = _entry(tmp_path, "analysis_y.pkl.tmp-2", KB, age_s=0)
         tier.prune()
         assert not stale.exists()
         assert fresh.exists()
@@ -132,16 +131,16 @@ class TestCrashTolerance:
         lock = tmp_path / ".tier.lock"
         lock.write_text("dead-writer")
         time.sleep(0.05)
-        _entry(tmp_path, "campaign_a.npz", KB, age_s=20)
-        _entry(tmp_path, "campaign_b.npz", KB, age_s=10)
+        _entry(tmp_path, "analysis_a.pkl", KB, age_s=20)
+        _entry(tmp_path, "analysis_b.pkl", KB, age_s=10)
         # the abandoned lock does not wedge eviction
-        assert [p.name for p in tier.prune()] == ["campaign_a.npz"]
+        assert [p.name for p in tier.prune()] == ["analysis_a.pkl"]
         assert not lock.exists()
 
     def test_contended_lock_skips_pruning(self, tmp_path):
         tier = CacheTier(tmp_path, max_bytes=KB)
         (tmp_path / ".tier.lock").write_text("other-pruner")
-        entry = _entry(tmp_path, "campaign_a.npz", 4 * KB, age_s=20)
+        entry = _entry(tmp_path, "analysis_a.pkl", 4 * KB, age_s=20)
         with tier._lock(timeout_s=0.1) as held:
             assert not held
         assert entry.exists()
@@ -149,11 +148,11 @@ class TestCrashTolerance:
 
 class TestCLI:
     def test_stats_and_prune(self, tmp_path, capsys):
-        _entry(tmp_path, "campaign_a.npz", KB, age_s=20)
+        _entry(tmp_path, "analysis_a.pkl", KB, age_s=20)
         _entry(tmp_path, "shards_b.store", 4 * KB, age_s=10)
         assert cache_main(["--cache-dir", str(tmp_path), "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "campaign" in out and "store" in out
+        assert "analysis" in out and "store" in out
 
         assert (
             cache_main(
@@ -162,11 +161,11 @@ class TestCLI:
             == 0
         )
         out = capsys.readouterr().out
-        assert "evicted campaign_a.npz" in out
-        assert not (tmp_path / "campaign_a.npz").exists()
+        assert "evicted analysis_a.pkl" in out
+        assert not (tmp_path / "analysis_a.pkl").exists()
         assert (tmp_path / "shards_b.store").exists()
 
     def test_prune_without_budget_warns(self, tmp_path, capsys):
-        _entry(tmp_path, "campaign_a.npz", KB)
+        _entry(tmp_path, "analysis_a.pkl", KB)
         assert cache_main(["--cache-dir", str(tmp_path), "--prune"]) == 0
         assert "no budget" in capsys.readouterr().out

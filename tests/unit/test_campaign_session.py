@@ -8,8 +8,12 @@ import pytest
 from repro.analysis import AnalysisResults, analyze_dataset
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.config import CampaignConfig
-from repro.experiments.session import CampaignResult, CampaignSession, config_cache_key
-from repro.io.dataset_io import load_shards, save_shards
+from repro.experiments.session import (
+    CampaignResult,
+    CampaignSession,
+    campaign_store_path,
+    config_cache_key,
+)
 
 
 def _assert_columns_equal(a: TimingDataset, b: TimingDataset) -> None:
@@ -129,12 +133,14 @@ class TestResultCaching:
     def test_cache_round_trip(self, smoke_config, tmp_path):
         first = CampaignSession(smoke_config, cache_dir=tmp_path).run()
         assert not first.from_cache
-        cached_files = list(tmp_path.glob("campaign_minife_*.npz"))
-        assert len(cached_files) == 1
+        assert first.store is None  # in-memory result; the entry is on disk
+        cached_files = list(tmp_path.glob("shards_minife_*.store"))
+        assert cached_files == [campaign_store_path(tmp_path, smoke_config)]
         second = CampaignSession(smoke_config, cache_dir=tmp_path).run()
         assert second.from_cache
+        assert second.store.path == cached_files[0]
         _assert_columns_equal(first.dataset, second.dataset)
-        assert second.dataset.metadata["application"] == "minife"
+        assert second.dataset.metadata == first.dataset.metadata
 
     def test_use_cache_false_recomputes(self, smoke_config, tmp_path):
         CampaignSession(smoke_config, cache_dir=tmp_path).run()
@@ -142,14 +148,60 @@ class TestResultCaching:
         assert not again.from_cache
 
     def test_cached_result_reconstructs_shards(self, smoke_config, tmp_path):
-        CampaignSession(smoke_config, cache_dir=tmp_path).run()
+        first = CampaignSession(smoke_config, cache_dir=tmp_path).run()
         cached = CampaignSession(smoke_config, cache_dir=tmp_path).run()
         shards = list(cached)
-        assert len(shards) == smoke_config.trials
+        # a hit streams exactly the shards the run stored
+        assert [(s.trial, s.process) for s in shards] == [
+            (s.trial, s.process) for s in first.shards
+        ]
+        for stored, original in zip(shards, first.shards):
+            for name in original.columns:
+                np.testing.assert_array_equal(
+                    stored.columns[name], original.columns[name]
+                )
         merged = TimingDataset.merge(shards)
         np.testing.assert_array_equal(
             merged.compute_times_s, cached.dataset.compute_times_s
         )
+
+    def test_in_memory_and_store_runs_share_one_entry(self, smoke_config, tmp_path):
+        first = CampaignSession(smoke_config, cache_dir=tmp_path).run()
+        second = CampaignSession(smoke_config, cache_dir=tmp_path).run(store=True)
+        assert second.from_cache
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            campaign_store_path(tmp_path, smoke_config).name
+        ]
+        assert not list(tmp_path.glob("*.npz"))
+        _assert_columns_equal(first.dataset, second.dataset)
+        # ... and the other way round: a spilled run serves an in-memory hit
+        other = tmp_path / "other"
+        spilled = CampaignSession(smoke_config, cache_dir=other).run(store=True)
+        hit = CampaignSession(smoke_config, cache_dir=other).run()
+        assert not spilled.from_cache and hit.from_cache
+        _assert_columns_equal(spilled.dataset, hit.dataset)
+
+    def test_cache_hit_analyses_match_the_fresh_run(self, smoke_config, tmp_path):
+        fresh = CampaignSession(smoke_config, cache_dir=tmp_path).run()
+        hit = CampaignSession(smoke_config, cache_dir=tmp_path).run()
+        assert hit.from_cache
+        assert json.dumps(hit.analyze().as_payload(), sort_keys=True) == json.dumps(
+            fresh.analyze().as_payload(), sort_keys=True
+        )
+
+    def test_adopted_dataset_is_cached_as_per_trial_shards(
+        self, smoke_config, tmp_path
+    ):
+        dataset = CampaignSession(smoke_config).run().dataset
+        adopted = CampaignSession(smoke_config, cache_dir=tmp_path).adopt(dataset)
+        assert not adopted.from_cache
+        hit = CampaignSession(smoke_config, cache_dir=tmp_path).cached()
+        assert hit is not None and hit.from_cache
+        assert [(s.trial, s.process) for s in hit.iter_shards()] == [
+            (trial, None) for trial in range(smoke_config.trials)
+        ]
+        _assert_columns_equal(hit.dataset, dataset)
+        assert hit.dataset.metadata == dataset.metadata
 
     def test_cache_key_stability_and_sensitivity(self, smoke_config):
         assert config_cache_key(smoke_config) == config_cache_key(
@@ -307,32 +359,3 @@ class TestAnalysisProductCaching:
         p.knob = Opaque()
         with pytest.warns(RuntimeWarning, match="no stable description"):
             assert session._analysis_cache_path(smoke_config, p, True) is None
-
-
-class TestShardIO:
-    def test_shard_round_trip(self, smoke_config, tmp_path):
-        shards = list(CampaignSession(smoke_config).stream())
-        path = save_shards(shards, tmp_path / "shards")
-        assert path.suffix == ".npz"
-        restored = load_shards(path)
-        assert len(restored) == len(shards)
-        for original, loaded in zip(shards, restored):
-            assert (original.trial, original.process) == (loaded.trial, loaded.process)
-            for name in original.columns:
-                np.testing.assert_array_equal(
-                    np.asarray(original.columns[name]), loaded.columns[name]
-                )
-        merged = TimingDataset.merge(restored)
-        assert merged.n_samples == smoke_config.samples_per_application
-
-    def test_save_zero_shards_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_shards([], tmp_path / "empty")
-
-    def test_load_rejects_plain_dataset_archive(self, smoke_config, tmp_path):
-        from repro.io.dataset_io import save_dataset
-
-        dataset = CampaignSession(smoke_config).run().dataset
-        path = save_dataset(dataset, tmp_path / "dense")
-        with pytest.raises(ValueError, match="shard"):
-            load_shards(path)

@@ -24,6 +24,8 @@ class TestCluster:
             Cluster(0)
         with pytest.raises(ValueError):
             Cluster(1, sockets_per_node=0)
+        with pytest.raises(ValueError):
+            Cluster(2, nodes_per_switch=0)
 
     def test_cores_ordered_socket_major(self):
         cluster = Cluster(1, sockets_per_node=2, cores_per_socket=3)
@@ -44,6 +46,35 @@ class TestCluster:
         same_switch = cluster.hops_between(0, 1)
         cross_switch = cluster.hops_between(0, 63)
         assert cross_switch > same_switch
+
+    def test_hops_match_the_two_level_tree_for_every_pair(self):
+        # 7 nodes, 3 per leaf switch: switches hold {0,1,2}, {3,4,5}, {6}
+        cluster = Cluster(
+            7, sockets_per_node=1, cores_per_socket=1, nodes_per_switch=3
+        )
+        switch = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 2}
+        for a in range(7):
+            for b in range(7):
+                expected = 0 if a == b else (2 if switch[a] == switch[b] else 4)
+                assert cluster.hops_between(a, b) == expected, (a, b)
+
+    def test_runner_import_does_not_load_networkx(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys, repro.experiments.runner; "
+            "sys.exit(1 if 'networkx' in sys.modules else 0)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=120
+        )
+        assert run.returncode == 0, run.stderr.decode()[-2000:]
 
     def test_place_processes_packs_nodes(self):
         cluster = Cluster(2, sockets_per_node=2, cores_per_socket=24)

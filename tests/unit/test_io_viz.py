@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.timing import TimingDataset
+from repro.experiments.config import CampaignConfig
+from repro.experiments.session import (
+    CampaignSession,
+    campaign_store_path,
+    open_cached_campaign,
+    write_campaign_store,
+)
 from repro.io import dataset_to_csv, load_dataset, save_dataset, validate_columns
-from repro.io.dataset_io import try_load_dataset
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.percentiles import PercentileSeries
 from repro.viz import (
@@ -132,35 +138,15 @@ class TestCsvExport:
         assert header == "a,b,c"
 
 
-class TestAtomicCacheWrites:
-    """Crash-safe ``.npz`` writes and corruption-tolerant cache loads."""
-
+class TestAtomicExport:
     def test_save_leaves_no_tmp_sibling(self, small_dataset, tmp_path):
-        target = save_dataset(small_dataset, tmp_path / "campaign_x.npz")
+        target = save_dataset(small_dataset, tmp_path / "dataset_x.npz")
         assert target.exists()
-        assert [p.name for p in tmp_path.iterdir()] == ["campaign_x.npz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset_x.npz"]
 
-    def test_try_load_missing_returns_none(self, tmp_path):
-        assert try_load_dataset(tmp_path / "absent.npz") is None
-
-    def test_truncated_archive_recovered_not_raised(self, small_dataset, tmp_path):
-        """A pre-atomic-write crash artifact: half an archive at the path."""
-        target = save_dataset(small_dataset, tmp_path / "campaign_x.npz")
-        blob = target.read_bytes()
-        target.write_bytes(blob[: len(blob) // 2])
-        assert try_load_dataset(target) is None
-        assert not target.exists()  # removed so it cannot poison later hits
-
-    def test_garbage_bytes_recovered(self, tmp_path):
-        target = tmp_path / "campaign_x.npz"
-        target.write_bytes(b"this is not a zip archive")
-        assert try_load_dataset(target) is None
-        assert not target.exists()
-
-    def test_format_version_mismatch_recovered(self, small_dataset, tmp_path):
-        target = save_dataset(small_dataset, tmp_path / "campaign_x.npz")
-        columns = {n: small_dataset.column(n) for n in small_dataset.columns}
-        payload = dict(columns)
+    def test_format_version_mismatch_rejected(self, small_dataset, tmp_path):
+        target = tmp_path / "dataset_x.npz"
+        payload = {n: small_dataset.column(n) for n in small_dataset.columns}
         payload["__metadata__"] = np.array(
             json.dumps({"format_version": 999, "metadata": {}})
         )
@@ -168,25 +154,130 @@ class TestAtomicCacheWrites:
             np.savez_compressed(handle, **payload)
         with pytest.raises(ValueError, match="format version"):
             load_dataset(target)
-        assert try_load_dataset(target) is None
-        assert not target.exists()
 
-    def test_session_recomputes_over_corrupt_cache(self, tmp_path):
+
+class TestAtomicCacheWrites:
+    """Crash-safe campaign cache writes and corruption-tolerant lookups."""
+
+    @pytest.fixture()
+    def config(self):
+        return CampaignConfig.smoke("minife")
+
+    @pytest.fixture()
+    def entry(self, config, tmp_path):
+        """A cached smoke campaign: its store path and its digest."""
+        result = CampaignSession(config, cache_dir=tmp_path).run()
+        path = campaign_store_path(tmp_path, config)
+        assert path.is_dir()
+        return path, result.dataset.compute_times_s.tobytes()
+
+    def test_write_leaves_no_tmp_sibling(self, entry, tmp_path):
+        path, _ = entry
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert not [p for p in path.iterdir() if ".tmp-" in p.name]
+
+    def test_lookup_missing_returns_none(self, config, tmp_path):
+        assert open_cached_campaign(tmp_path / "absent.store", config) is None
+        assert open_cached_campaign(None, config) is None
+
+    def test_intact_entry_is_a_hit(self, config, entry):
+        path, digest = entry
+        hit = open_cached_campaign(path, config)
+        assert hit.from_cache
+        assert hit.dataset.compute_times_s.tobytes() == digest
+
+    @pytest.mark.parametrize("garbage", ["this is not json", "[]", "{}"])
+    def test_garbage_manifest_recovered(self, config, entry, garbage):
+        path, _ = entry
+        (path / "manifest.json").write_text(garbage)
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()  # removed so it cannot poison later hits
+
+    def test_truncated_group_recovered(self, config, entry):
+        """A group file cut short would otherwise fail on the first mmap."""
+        path, _ = entry
+        group = path / "group-00000.bin"
+        blob = group.read_bytes()
+        group.write_bytes(blob[: len(blob) // 2])
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+
+    def test_grown_group_recovered(self, config, entry):
+        path, _ = entry
+        with open(path / "group-00000.bin", "ab") as handle:
+            handle.write(b"\0")
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+
+    def test_missing_group_recovered(self, config, entry):
+        path, _ = entry
+        (path / "group-00000.bin").unlink()
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+
+    def test_format_version_mismatch_recovered(self, config, entry):
+        path, _ = entry
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["format_version"] = 999
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+
+    def test_incomplete_store_recovered(self, config, entry):
+        path, _ = entry
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["complete"] = False
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+
+    def test_concurrent_writers_publish_one_intact_entry(self, config, tmp_path):
+        """Writers racing on one entry (service job threads share a pid)."""
+        import sys
+        import threading
+
+        result = CampaignSession(config).run()
+        path = campaign_store_path(tmp_path, config)
+        errors = []
+
+        def write():
+            try:
+                for _ in range(10):
+                    write_campaign_store(path, result.shards, result.metadata)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        hit = open_cached_campaign(path, config)
+        assert hit is not None
+        np.testing.assert_array_equal(
+            hit.dataset.compute_times_s, result.dataset.compute_times_s
+        )
+
+    @pytest.mark.parametrize("store", [None, True])
+    def test_session_recomputes_over_corrupt_cache(
+        self, config, entry, tmp_path, store
+    ):
         """End to end: a poisoned cache entry heals on the next run."""
-        from repro.experiments.config import CampaignConfig
-        from repro.experiments.session import CampaignSession, campaign_cache_path
+        path, digest = entry
+        group = path / "group-00000.bin"
+        group.write_bytes(group.read_bytes()[:100])
 
-        config = CampaignConfig.smoke("minife")
-        session = CampaignSession(config, cache_dir=tmp_path)
-        digest_first = session.run().dataset.compute_times_s.tobytes()
-
-        cache_path = campaign_cache_path(tmp_path, session.config_for())
-        assert cache_path.exists()
-        cache_path.write_bytes(b"corrupted beyond repair")
-
-        fresh = CampaignSession(config, cache_dir=tmp_path)
-        result = fresh.run()
+        result = CampaignSession(config, cache_dir=tmp_path).run(store=store)
         assert not result.from_cache  # the poisoned entry was discarded
-        assert result.dataset.compute_times_s.tobytes() == digest_first
-        reloaded = CampaignSession(config, cache_dir=tmp_path).run()
+        assert result.dataset.compute_times_s.tobytes() == digest
+        reloaded = CampaignSession(config, cache_dir=tmp_path).run(store=store)
         assert reloaded.from_cache  # ... and rewritten healthy
+        assert reloaded.dataset.compute_times_s.tobytes() == digest

@@ -203,6 +203,18 @@ class TestPublish:
         assert not staged.exists()
         assert ShardStore.open(final).n_shards == 1
 
+    def test_publishing_over_a_non_store_directory_raises(self, tmp_path, shards):
+        final = tmp_path / "final.store"
+        final.mkdir()
+        (final / "stray.txt").write_text("not a store")
+        staged = tmp_path / "final.store.tmp-789"
+        store = ShardStore.create(staged, spill_threshold_bytes=1)
+        store.append(shards[0])
+        store.finalize()
+        with pytest.raises(OSError):
+            publish_store(staged, final)
+        assert ShardStore.open(staged).complete  # the staged copy survives
+
 
 class TestCampaignRoundTrip:
     @pytest.mark.parametrize("application", sorted(SEED_DIGESTS))
