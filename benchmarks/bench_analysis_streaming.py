@@ -24,11 +24,14 @@ same campaign folded as one whole column block (``run_columnar_analyses``)
 on a paper-scale campaign, per pass set, tagging each ``bench.json`` entry
 with ``analysis_path``/``analysis_passes``/``samples_per_second`` for the
 CI benchmark table; ``test_columnar_analysis_speedup_guard`` is the ≥2x
-regression guard on the pure group-fold pass set.
+regression guard on the pure group-fold pass set, and
+``test_sketch_percentiles_cost_guard`` keeps the sketch-mode percentiles
+fold (one row-batched sketch per slice) within 2x of the exact-mode fold.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import time
 
@@ -59,6 +62,10 @@ ANALYSES = ("percentiles", "histogram", "laggards", "reclaimable", "normality")
 #: guard threshold: one whole column block must fold at least this much
 #: faster than the same shards as one-shard blocks on the group-fold pass set
 MIN_COLUMNAR_ANALYSIS_SPEEDUP = 2.0
+
+#: guard threshold: the sketch-mode percentiles fold may cost at most this
+#: multiple of the exact-mode fold on the paper-scale campaign
+MAX_SKETCH_PERCENTILES_COST_RATIO = 2.0
 
 #: the pass sets of the one-shard-blocks vs columnar sweep.  ``group-fold``
 #: is the subset whose per-block cost is pure Python dispatch and
@@ -251,4 +258,34 @@ def test_columnar_analysis_speedup_guard():
         f"fold ({one_shard:.3f}s vs {columnar:.3f}s on the group-fold pass "
         f"set); block amortisation has regressed below the "
         f"{MIN_COLUMNAR_ANALYSIS_SPEEDUP}x guard"
+    )
+
+
+def test_sketch_percentiles_cost_guard():
+    """Regression guard for the row-batched percentile sketch: on a
+    paper-scale MiniFE campaign (80 slices x 200 iterations x 48 threads)
+    folded as one column block, the sketch-mode ``percentiles`` pass
+    (bounded memory, what every out-of-core run uses) must cost at most
+    2x the exact-mode pass.  One sketch per slice holds all of its
+    iterations as rows, so sketch mode does the same per-slice work as
+    exact mode's segment lists (measured ~1x); a sketch per
+    (slice, iteration) pair cost ~5x."""
+    _, block, context = _paper_scale_inputs()
+    sketch_context = dataclasses.replace(context, exact=False)
+
+    def best(ctx, repeats: int = 3) -> float:
+        run_columnar_analyses(iter([block]), [PercentilesPass()], ctx)  # warm-up
+        elapsed = np.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run_columnar_analyses(iter([block]), [PercentilesPass()], ctx)
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    exact, sketch = best(context), best(sketch_context)
+    ratio = sketch / exact
+    assert ratio <= MAX_SKETCH_PERCENTILES_COST_RATIO, (
+        f"sketch-mode percentiles fold costs {ratio:.1f}x the exact-mode fold "
+        f"({sketch:.3f}s vs {exact:.3f}s on the paper-scale campaign); above "
+        f"the {MAX_SKETCH_PERCENTILES_COST_RATIO}x guard"
     )

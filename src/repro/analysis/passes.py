@@ -28,7 +28,12 @@ process) position and re-assemble the dense-order arrays at finalize.  With
 (:class:`~repro.stats.sketch.PercentileSketch`,
 :class:`~repro.stats.streaming.StreamingMoments`, lattice histograms) whose
 memory is independent of the shard count; sketched percentiles then agree
-within the sketch's documented rank tolerance (≈ ``1 / capacity``).
+within the sketch's documented rank tolerance (≈ ``1 / capacity``).  The
+percentiles pass keeps one row-batched sketch per slice (one row per
+iteration), so a sketch-mode merge is one sketch merge per slice, not one
+per (slice, iteration).  Each mode's state carries only its own
+accumulators: exact states hold segments, sketch states hold sketches and
+running tallies.
 """
 
 from __future__ import annotations
@@ -83,70 +88,60 @@ class PercentilesPass(AnalysisPass):
         self.percentiles = tuple(percentiles)
         self.sketch_capacity = int(sketch_capacity)
 
-    def prepare(self, context: AnalysisContext) -> Dict[int, Any]:
-        # iteration id -> list of (sort_key, samples) segments (exact) or a
-        # PercentileSketch (bounded)
-        return {}
+    def prepare(self, context: AnalysisContext) -> Any:
+        # exact: iteration id -> list of (sort_key, samples) segments;
+        # bounded: one row-batched sketch, one row per iteration
+        return {} if context.exact else PercentileSketch(self.sketch_capacity)
 
     def accumulate_columns_split(self, block, context):
+        if not context.exact:
+            # sketch rows are iterations: every slice must list the same ones
+            if not np.array_equal(block.iterations, context.iterations):
+                raise ValueError(
+                    "sketch-mode percentiles need every slice to cover the "
+                    "campaign's iterations"
+                )
+            return [
+                PercentileSketch(self.sketch_capacity).update(rows)
+                for rows in block.cube
+            ]
         iters = [int(i) for i in block.iterations]
-        states = []
-        for sl, rows in zip(block.slices, block.cube):
-            key = sl.sort_key
-            if context.exact:
-                state = {
-                    iteration: [(key, rows[i])]
-                    for i, iteration in enumerate(iters)
-                }
-            else:
-                state = self.prepare(context)
-                for i, iteration in enumerate(iters):
-                    sketch = state[iteration] = PercentileSketch(self.sketch_capacity)
-                    sketch.update(rows[i])
-            states.append(state)
-        return states
+        return [
+            {iteration: [(sl.sort_key, rows[i])] for i, iteration in enumerate(iters)}
+            for sl, rows in zip(block.slices, block.cube)
+        ]
 
     def merge(self, state, other):
+        if isinstance(state, PercentileSketch):
+            return state.merge(other)
         for iteration, payload in other.items():
-            mine = state.get(iteration)
-            if mine is None:
-                state[iteration] = payload
-            elif isinstance(payload, list):
-                mine.extend(payload)
-            else:
-                state[iteration] = mine.merge(payload)
+            state.setdefault(iteration, []).extend(payload)
         return state
 
     def finalize(self, state, context: AnalysisContext) -> PercentileSeries:
-        iterations = sorted(state)
-        if not iterations:
+        if not (state.n if isinstance(state, PercentileSketch) else len(state)):
             raise ValueError("percentiles pass saw no shards")
         levels = list(self.percentiles)
-        values = np.empty((len(levels), len(iterations)))
-        payloads = [state[iteration] for iteration in iterations]
-        if all(isinstance(payload, list) for payload in payloads):
+        if isinstance(state, PercentileSketch):
+            # one query over every iteration row, scaled after the percentile
+            values = state.quantile(levels) * 1.0e3
+        else:
             # exact: slice segments re-assembled in serial order give the
             # dense path's per-iteration rows, bit for bit; regular campaigns
             # (equal-size iteration groups) take one vectorized percentile
             # call over the stacked matrix instead of one call per iteration
             rows = [
-                np.concatenate(_sorted_segments(payload)) * 1.0e3
-                for payload in payloads
+                np.concatenate(_sorted_segments(state[iteration])) * 1.0e3
+                for iteration in sorted(state)
             ]
             if len({len(row) for row in rows}) == 1:
-                values[:] = percentile_table(np.stack(rows), levels, axis=-1)
+                values = percentile_table(np.stack(rows), levels, axis=-1)
             else:
-                for col, row_ms in enumerate(rows):
-                    values[:, col] = percentile_table(row_ms, levels, axis=-1)
-        else:
-            for col, payload in enumerate(payloads):
-                if isinstance(payload, list):
-                    row_ms = np.concatenate(_sorted_segments(payload)) * 1.0e3
-                    values[:, col] = percentile_table(row_ms, levels, axis=-1)
-                else:
-                    values[:, col] = payload.quantile(levels) * 1.0e3
+                values = np.column_stack(
+                    [percentile_table(row_ms, levels, axis=-1) for row_ms in rows]
+                )
         return PercentileSeries(
-            iterations=np.arange(len(iterations)),
+            iterations=np.arange(values.shape[1]),
             percentiles=tuple(levels),
             values=values,
             unit="ms",
@@ -446,20 +441,25 @@ class LaggardsPass(AnalysisPass):
         self.candidate_capacity = int(candidate_capacity)
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
-        return {
-            "segments": [],  # exact mode only
+        state: Dict[str, Any] = {
             "n_groups": 0,
             "laggard_count": 0,
             "class_counts": {cls.value: 0 for cls in IterationClass},
-            "gap": StreamingMoments(),
-            "iqr": StreamingMoments(),
-            "median": StreamingMoments(),
-            # bounded mode only: per-class (gap, key) exemplar candidates
-            "candidates": {
-                cls.value: BoundedTopK(self.candidate_capacity)
-                for cls in IterationClass
-            },
         }
+        if context.exact:
+            state["segments"] = []
+        else:
+            state.update(
+                gap=StreamingMoments(),
+                iqr=StreamingMoments(),
+                median=StreamingMoments(),
+                # per-class (gap, key) exemplar candidates
+                candidates={
+                    cls.value: BoundedTopK(self.candidate_capacity)
+                    for cls in IterationClass
+                },
+            )
+        return state
 
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
@@ -514,11 +514,13 @@ class LaggardsPass(AnalysisPass):
         return states
 
     def merge(self, state, other):
-        state["segments"].extend(other["segments"])
         state["n_groups"] += other["n_groups"]
         state["laggard_count"] += other["laggard_count"]
         for name, count in other["class_counts"].items():
             state["class_counts"][name] += count
+        if "segments" in state:
+            state["segments"].extend(other["segments"])
+            return state
         for key in ("gap", "iqr", "median"):
             state[key] = state[key].merge(other[key])
         for name, pool in other["candidates"].items():
@@ -529,7 +531,7 @@ class LaggardsPass(AnalysisPass):
         if state["n_groups"] == 0:
             raise ValueError("laggards pass saw no shards")
         analysis: Optional[LaggardAnalysis] = None
-        if state["segments"]:
+        if "segments" in state:
             parts = _sorted_segments(state["segments"])
             keys: List[Tuple[int, ...]] = []
             for part in parts:
@@ -584,8 +586,9 @@ class ReclaimablePass(AnalysisPass):
         self.sketch_capacity = int(sketch_capacity)
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
+        if context.exact:
+            return {"segments": [], "n_threads": 0}
         return {
-            "segments": [],  # exact mode only
             "reclaim": StreamingMoments(),
             "ratio": StreamingMoments(),
             "median_sketch": PercentileSketch(self.sketch_capacity),
@@ -613,18 +616,20 @@ class ReclaimablePass(AnalysisPass):
         return states
 
     def merge(self, state, other):
-        state["segments"].extend(other["segments"])
+        state["n_threads"] = max(state["n_threads"], other["n_threads"])
+        if "segments" in state:
+            state["segments"].extend(other["segments"])
+            return state
         state["reclaim"] = state["reclaim"].merge(other["reclaim"])
         state["ratio"] = state["ratio"].merge(other["ratio"])
         state["median_sketch"] = state["median_sketch"].merge(other["median_sketch"])
-        state["n_threads"] = max(state["n_threads"], other["n_threads"])
         return state
 
     def finalize(self, state, context: AnalysisContext) -> ReclaimableSummary:
-        if not state["segments"] and state["reclaim"].count == 0:
+        if not state["n_threads"]:
             raise ValueError("reclaimable pass saw no shards")
         n_threads = state["n_threads"]
-        if state["segments"]:
+        if "segments" in state:
             parts = _sorted_segments(state["segments"])
             reclaim = np.concatenate([p[0] for p in parts])
             ratios = np.concatenate([p[1] for p in parts])

@@ -163,7 +163,11 @@ class CampaignHTTPServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # RFC 9110: 1*DIGIT — no sign, exponent or separators
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(f"invalid Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(f"request body too large ({length} bytes)")
         body = await reader.readexactly(length) if length else b""

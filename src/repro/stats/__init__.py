@@ -18,8 +18,9 @@ Public entry points
 * :mod:`~repro.stats.percentiles` / :mod:`~repro.stats.histogram` — the
   percentile-plot and fixed-bin-width histogram primitives behind Figures 3–9.
 * :mod:`~repro.stats.streaming` / :mod:`~repro.stats.sketch` — mergeable
-  one-pass accumulators (moments, lattice histograms, percentile sketches)
-  behind the shard-streaming analysis passes of :mod:`repro.analysis`.
+  one-pass accumulators (moments, lattice histograms, the row-batched KLL
+  percentile sketch — one per slice, its iterations as rows) behind the
+  bounded-memory analysis passes of :mod:`repro.analysis`.
 """
 
 from repro.stats.anderson import AndersonDarlingResult, anderson_darling
@@ -29,7 +30,7 @@ from repro.stats.histogram import FixedWidthHistogram, fixed_width_histogram
 from repro.stats.moments import kurtosis, skewness, standardize
 from repro.stats.percentiles import PercentileSeries, iqr, percentile_table
 from repro.stats.shapiro import ShapiroWilkResult, shapiro_wilk
-from repro.stats.sketch import BoundedTopK, P2Quantile, PercentileSketch
+from repro.stats.sketch import BoundedTopK, PercentileSketch
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "FixedWidthHistogram",
     "StreamingMoments",
     "StreamingHistogram",
-    "P2Quantile",
     "PercentileSketch",
     "BoundedTopK",
 ]

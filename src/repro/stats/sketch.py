@@ -1,29 +1,30 @@
-"""Quantile sketches: P² marker estimation and a mergeable percentile sketch.
+"""Mergeable quantile sketches for the bounded-memory analysis passes.
 
 The streaming analysis passes need per-group percentiles without holding the
 merged campaign in memory.  Two tools are provided:
 
-* :class:`P2Quantile` — the classic Jain/Chlamtac P² estimator: five markers
-  tracking one quantile of a stream in O(1) memory.  It is *not* mergeable
-  (marker positions depend on arrival order), so the shard-parallel passes
-  use it only for single-stream consumers; it is exposed here because it is
-  the textbook baseline the mergeable sketch is validated against.
-* :class:`PercentileSketch` — the accumulator the passes actually use.  In
-  ``exact`` mode it stores every sample (the bit-identical fallback: a
-  quantile query equals ``np.percentile`` over the pooled samples,
-  regardless of shard order).  In compressed mode it is a KLL-style
-  multi-level compactor: retained values live on levels of geometrically
-  decaying capacity, where a level-``h`` value stands for ``2**h`` original
-  samples.  A level over its capacity is sorted and every other element is
-  promoted one level up (the deterministic even/odd choice alternates via a
-  per-level parity counter), so the total retained state stays at or below
-  ``capacity`` values while quantile queries interpolate the *weighted* CDF
-  of the survivors.  The sketch is exact until the first compaction (the
-  bottom level's budget is the full capacity), always answers ``minimum`` /
-  ``maximum`` exactly (tracked as scalars), and merging is level-wise
-  concatenation plus the same compaction sweep — rank error stays bounded
-  by the compaction schedule (roughly ``levels / capacity`` of rank, at or
-  below the old strided recompression's error; property-tested).
+* :class:`PercentileSketch` — a KLL-style multi-level compactor (Karnin,
+  Lang & Liberty, FOCS 2016) over one *or many* streams.  Retained values
+  live on levels of geometrically decaying capacity, where a level-``h``
+  value stands for ``2**h`` original samples.  A level over its budget is
+  sorted and every other element is promoted one level up (the
+  deterministic even/odd choice alternates via a per-level parity counter),
+  so the retained state stays at or below ``capacity`` values per stream
+  while quantile queries interpolate the *weighted* CDF of the survivors.
+  The sketch is exact until the first compaction (the bottom level's budget
+  is the full capacity), always answers ``minimum`` / ``maximum`` exactly,
+  and merging is level-wise concatenation plus the same compaction sweep —
+  rank error stays bounded by the compaction schedule (roughly
+  ``levels / capacity`` of rank; property-tested).
+
+  The sketch is *row-batched*: a 2-D ``(n_rows, m)`` update feeds
+  ``n_rows`` streams in lockstep, one per row.  Every compaction decision
+  (level sizes, parities, budgets) depends only on the per-row sample
+  count, which all rows share, so each level is an ``(n_rows, m_h)`` array
+  and row ``r`` replays, bit for bit, a sketch fed row ``r`` alone.  The
+  percentiles pass keeps one sketch per (trial, process) slice with the
+  slice's iterations as rows instead of one sketch per (slice, iteration).
+  A 1-D update is a single row and keeps 1-D result shapes.
 * :class:`BoundedTopK` — a keyed companion: a bounded, mergeable pool of
   ``(value, key)`` candidates spanning the stream's value range, for
   queries that must answer with a *key* (e.g. the exemplar
@@ -33,195 +34,114 @@ merged campaign in memory.  Two tools are provided:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 
-class P2Quantile:
-    """Jain & Chlamtac's P² single-quantile estimator (five markers).
-
-    >>> sketch = P2Quantile(0.5)
-    >>> for x in data: sketch.update(x)
-    >>> sketch.value  # approximate median
-    """
-
-    __slots__ = ("q", "n", "_initial", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        self.q = float(q)
-        self.n = 0
-        self._initial: List[float] = []
-        self._heights = np.zeros(5)
-        self._positions = np.arange(1.0, 6.0)
-        self._desired = np.array([1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0])
-        self._rates = np.array([0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0])
-
-    # ------------------------------------------------------------------
-    def update(self, value: float) -> "P2Quantile":
-        """Observe one sample (returns ``self``)."""
-        x = float(value)
-        self.n += 1
-        if self.n <= 5:
-            self._initial.append(x)
-            if self.n == 5:
-                self._heights = np.sort(np.array(self._initial))
-            return self
-        heights = self._heights
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = int(np.searchsorted(heights, x, side="right")) - 1
-            cell = min(cell, 3)
-        self._positions[cell + 1 :] += 1.0
-        self._desired += self._rates
-        # adjust the three interior markers with the parabolic (P²) formula
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            left = self._positions[i] - self._positions[i - 1]
-            right = self._positions[i + 1] - self._positions[i]
-            if (d >= 1.0 and right > 1.0) or (d <= -1.0 and left > 1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-        return self
-
-    def update_batch(self, values: Sequence[float]) -> "P2Quantile":
-        for value in np.asarray(values, dtype=np.float64).ravel():
-            self.update(float(value))
-        return self
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    # ------------------------------------------------------------------
-    @property
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self.n == 0:
-            raise ValueError("no samples observed")
-        if self.n <= 5:
-            return float(
-                np.percentile(np.array(self._initial), 100.0 * self.q)
-            )
-        return float(self._heights[2])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"P2Quantile(q={self.q}, n={self.n})"
-
-
 class PercentileSketch:
-    """Mergeable KLL-style quantile sketch with an exact fallback.
+    """Mergeable, row-batched KLL-style quantile sketch.
 
     Parameters
     ----------
     capacity:
-        Maximum number of retained support values in compressed mode,
-        across all compactor levels.  While the total sample count stays at
-        or below the capacity the sketch *is* exact (the bottom level's
-        budget is the full capacity, so nothing compacts before then).
-    exact:
-        Keep every sample (unbounded memory, bit-identical quantiles —
-        ``quantile`` equals ``np.percentile`` over the pooled samples
-        independent of shard order).
+        Maximum number of retained support values per row, across all
+        compactor levels.  While the per-row sample count stays at or below
+        the capacity the sketch *is* exact (the bottom level's budget is the
+        full capacity, so nothing compacts before then).
 
-    Compressed mode keeps values on *levels*: a value on level ``h`` stands
-    for ``2**h`` of the original samples.  When level ``h`` exceeds its
-    budget it is sorted and every other element is promoted to level
-    ``h + 1`` (the other half is discarded); the even/odd choice alternates
+    Values are kept on *levels*: a value on level ``h`` stands for ``2**h``
+    of the original samples.  When level ``h`` exceeds its budget it is
+    sorted and every other element is promoted to level ``h + 1`` (the
+    other half is discarded); the even/odd choice alternates
     deterministically via a per-level parity counter, so equal states fold
     equal streams identically — no randomness, reproducible campaigns.
     Level budgets decay geometrically from the top (the KLL schedule),
     which is what bounds both the state and the rank error; compaction is
     *lazy* — nothing is discarded while the total retained count fits in
     ``capacity``, keeping the sketch as accurate as the budget allows.
+
+    A 2-D ``(n_rows, m)`` update adds ``m`` samples to each of ``n_rows``
+    independent streams; every later update and merge must carry the same
+    row count.  Queries then answer per row (``quantile`` returns
+    ``(len(percentiles), n_rows)``).  A 1-D update is one row, and its
+    queries keep 1-D shapes (a scalar percentile gives a scalar).
     """
 
-    __slots__ = (
-        "capacity",
-        "exact",
-        "n",
-        "_support",
-        "_levels",
-        "_parity",
-        "_min",
-        "_max",
-    )
+    __slots__ = ("capacity", "n", "_levels", "_parity", "_min", "_max", "_batched")
 
     #: per-level budget decay of the KLL schedule (top level is largest)
     _DECAY = 0.5
 
-    def __init__(self, capacity: int = 2048, *, exact: bool = False) -> None:
+    #: rows per step of an uncompacted quantile query
+    _QUERY_ROWS = 16
+
+    def __init__(self, capacity: int = 2048) -> None:
         if capacity < 8:
             raise ValueError("capacity must be >= 8")
         self.capacity = int(capacity)
-        self.exact = bool(exact)
+        #: samples per row
         self.n = 0
-        self._support = np.empty(0, dtype=np.float64)
-        self._levels: List[np.ndarray] = [np.empty(0, dtype=np.float64)]
-        self._parity: List[int] = [0]
-        self._min = float("inf")
-        self._max = float("-inf")
+        # per level, a list of (n_rows, m) column chunks joined lazily (see
+        # _level): a merge appends references instead of copying the level.
+        # No level before the first sample.
+        self._levels: List[List[np.ndarray]] = []
+        self._parity: List[int] = []
+        # exact per-row extremes (scalars until the first sample)
+        self._min = np.inf
+        self._max = -np.inf
+        self._batched = False
+
+    @property
+    def n_rows(self) -> int:
+        """Number of streams (rows) the sketch holds (0 before any sample)."""
+        return self._levels[0][0].shape[0] if self._levels else 0
 
     # ------------------------------------------------------------------
     def update(self, samples) -> "PercentileSketch":
-        """Fold a batch of samples in (returns ``self``)."""
-        arr = np.asarray(samples, dtype=np.float64).ravel()
-        if arr.size == 0:
+        """Fold a batch of samples in (returns ``self``).
+
+        A 2-D array adds one batch per row; anything else is one row.
+        """
+        arr = np.asarray(samples, dtype=np.float64)
+        batched = arr.ndim == 2
+        rows = arr if batched else arr.reshape(1, -1)
+        if rows.size == 0:
             return self
-        self.n += int(arr.size)
-        if self.exact:
-            self._support = np.concatenate([self._support, arr])
-            return self
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
-        self._levels[0] = np.concatenate([self._levels[0], arr])
+        if not self._levels:
+            self._levels, self._parity = [[]], [0]
+            self._batched = batched
+        elif len(rows) != self.n_rows:
+            raise ValueError(f"expected {self.n_rows} rows, got {len(rows)}")
+        # a copy: the sketch never holds on to the caller's buffer
+        self._levels[0].append(np.array(rows))
+        self._min = np.minimum(self._min, rows.min(axis=1))
+        self._max = np.maximum(self._max, rows.max(axis=1))
+        self.n += rows.shape[1]
         self._compact()
         return self
 
     def merge(self, other: "PercentileSketch") -> "PercentileSketch":
-        """New sketch summarising the union of both sample sets."""
-        if self.exact != other.exact:
-            raise ValueError("cannot merge exact and compressed sketches")
-        merged = PercentileSketch(
-            min(self.capacity, other.capacity), exact=self.exact
-        )
+        """New sketch summarising the union of both sample sets, row by row."""
+        if self.n and other.n and self.n_rows != other.n_rows:
+            raise ValueError(
+                f"cannot merge sketches of {self.n_rows} and {other.n_rows} rows"
+            )
+        merged = PercentileSketch(min(self.capacity, other.capacity))
         merged.n = self.n + other.n
-        if self.exact:
-            merged._support = np.concatenate([self._support, other._support])
+        if not merged.n:
             return merged
-        merged._min = min(self._min, other._min)
-        merged._max = max(self._max, other._max)
-        empty = np.empty(0, dtype=np.float64)
+        merged._batched = self._batched or other._batched
+        merged._min = np.minimum(self._min, other._min)
+        merged._max = np.maximum(self._max, other._max)
         for h in range(max(len(self._levels), len(other._levels))):
-            mine = self._levels[h] if h < len(self._levels) else empty
-            theirs = other._levels[h] if h < len(other._levels) else empty
-            if h == len(merged._levels):
-                merged._levels.append(empty)
-                merged._parity.append(0)
-            merged._levels[h] = np.concatenate([mine, theirs])
-            merged._parity[h] = (
-                self._parity[h] if h < len(self._parity) else 0
-            ) + (other._parity[h] if h < len(other._parity) else 0)
+            mine = self._levels[h] if h < len(self._levels) else []
+            theirs = other._levels[h] if h < len(other._levels) else []
+            merged._levels.append(mine + theirs)
+            merged._parity.append(
+                (self._parity[h] if h < len(self._parity) else 0)
+                + (other._parity[h] if h < len(other._parity) else 0)
+            )
         merged._compact()
         return merged
 
@@ -240,25 +160,37 @@ class PercentileSketch:
         budget = int(np.ceil(top * self._DECAY ** (n_levels - 1 - h)))
         return max(budget, 2)
 
+    def _level(self, h: int) -> np.ndarray:
+        """Level ``h`` as one ``(n_rows, m_h)`` array (its chunks joined once)."""
+        chunks = self._levels[h]
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks, axis=1)]
+        return chunks[0]
+
+    def _widths(self) -> List[int]:
+        """Retained values per row on each level."""
+        return [sum(chunk.shape[1] for chunk in level) for level in self._levels]
+
     def _compact_level(self, h: int) -> None:
         """Promote half of level ``h`` one level up, discarding the rest."""
-        buf = np.sort(self._levels[h], kind="stable")
+        buf = np.sort(self._level(h), axis=1, kind="stable")
         parity = self._parity[h]
         self._parity[h] = parity + 1
-        keep = buf[:0]
-        if buf.size % 2:
+        keep = buf[:, :0]
+        if buf.shape[1] % 2:
             # odd buffer: hold one element back (alternating ends) so the
             # promoted pairs cover the rest exactly — weight is conserved
             if parity & 1:
-                keep, buf = buf[:1], buf[1:]
+                keep, buf = buf[:, :1], buf[:, 1:]
             else:
-                keep, buf = buf[-1:], buf[:-1]
-        promoted = buf[(parity & 1) :: 2]
-        self._levels[h] = keep
+                keep, buf = buf[:, -1:], buf[:, :-1]
+        # copies, not views: a view would keep the whole sorted buffer alive
+        promoted = buf[:, (parity & 1) :: 2].copy()
+        self._levels[h] = [keep.copy()]
         if h + 1 == len(self._levels):
-            self._levels.append(np.empty(0, dtype=np.float64))
+            self._levels.append([])
             self._parity.append(0)
-        self._levels[h + 1] = np.concatenate([self._levels[h + 1], promoted])
+        self._levels[h + 1].append(promoted)
 
     def _compact(self) -> None:
         """Lazy compaction sweep (the space-efficient KLL variant).
@@ -270,97 +202,118 @@ class PercentileSketch:
         if every level is individually within budget, the lowest level
         holding at least a pair is compacted to restore the invariant.
         """
-        while sum(len(level) for level in self._levels) > self.capacity:
-            n_levels = len(self._levels)
-            pick = None
-            for h in range(n_levels):
-                if len(self._levels[h]) > self._level_budget(h, n_levels):
-                    pick = h
-                    break
-            if pick is None:
-                for h, level in enumerate(self._levels):
-                    if len(level) >= 2:
-                        pick = h
-                        break
-            if pick is None:  # pragma: no cover - every level is a singleton
-                break
-            self._compact_level(pick)
-
-    def _weighted(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Retained values sorted ascending with their sample weights."""
-        values = np.concatenate(self._levels)
-        weights = np.concatenate(
-            [
-                np.full(level.size, 1 << h, dtype=np.int64)
-                for h, level in enumerate(self._levels)
+        widths = self._widths()
+        while sum(widths) > self.capacity:
+            n_levels = len(widths)
+            over = [
+                h for h, w in enumerate(widths) if w > self._level_budget(h, n_levels)
             ]
-        )
-        order = np.argsort(values, kind="stable")
-        return values[order], weights[order]
+            pairs = [h for h, w in enumerate(widths) if w >= 2]
+            if not (over or pairs):  # pragma: no cover - every level a singleton
+                break
+            self._compact_level((over or pairs)[0])
+            widths = self._widths()
+
+    def _rows_result(self, result):
+        """``result`` (row axis last) in the caller's shape: batched sketches
+        keep the row axis, a 1-D sketch drops it."""
+        return result if self._batched else result[..., 0][()]
 
     # ------------------------------------------------------------------
     def quantile(self, percentile) -> np.ndarray:
         """Approximate percentile(s) of the accumulated samples (0..100).
 
-        Exact mode — and compressed mode before the first compaction —
-        returns exactly ``np.percentile`` of the pooled samples.  After
-        compaction the query interpolates the weighted CDF of the retained
-        values (each level-``h`` survivor counts ``2**h`` samples), with
-        the extremes pinned to the exact minimum/maximum.
+        Before the first compaction this is exactly ``np.percentile`` of
+        each row's pooled samples.  After compaction the query interpolates
+        each row's weighted CDF of the retained values (each level-``h``
+        survivor counts ``2**h`` samples), with the extremes pinned to the
+        exact minimum/maximum.  A batched sketch answers with shape
+        ``(len(percentiles), n_rows)`` (``(n_rows,)`` for a scalar).
         """
         if self.n == 0:
             raise ValueError("no samples observed")
-        if self.exact:
-            return np.percentile(self._support, percentile)
         if len(self._levels) == 1:
-            # never compacted: every sample is retained at weight one
-            return np.percentile(self._levels[0], percentile)
+            # never compacted: every sample is retained at weight one.  The
+            # chunks are joined _QUERY_ROWS rows at a time: joining the whole
+            # level would double the sketch's memory at its peak.
+            chunks, step = self._levels[0], self._QUERY_ROWS
+            result = np.concatenate(
+                [
+                    np.percentile(
+                        np.concatenate([c[lo : lo + step] for c in chunks], axis=1),
+                        percentile,
+                        axis=1,
+                    )
+                    for lo in range(0, self.n_rows, step)
+                ],
+                axis=-1,
+            )
+            return self._rows_result(result)
         q = np.asarray(percentile, dtype=np.float64)
         if np.any((q < 0.0) | (q > 100.0)):
             raise ValueError("percentiles must be in [0, 100]")
-        values, weights = self._weighted()
+        levels = [self._level(h) for h in range(len(self._levels))]
+        values = np.concatenate(levels, axis=1)
+        weights = np.concatenate(
+            [
+                np.full(level.shape[1], 1 << h, dtype=np.int64)
+                for h, level in enumerate(levels)
+            ]
+        )
+        order = np.argsort(values, axis=1, kind="stable")
+        values = np.take_along_axis(values, order, axis=1)
+        weights = weights[order]
         # each survivor stands for a block of `weight` consecutive ranks;
         # anchor it at the block's midpoint rank and interpolate linearly,
         # with the exact extremes pinned at ranks 0 and n-1
-        cum = np.cumsum(weights)
-        mids = cum - (weights + 1.0) / 2.0
-        ranks = np.concatenate([[-0.5], mids, [self.n - 0.5]])
-        anchors = np.concatenate([[self._min], values, [self._max]])
-        result = np.interp(q / 100.0 * (self.n - 1), ranks, anchors)
-        if q.ndim == 0:
-            return result[()]
-        return result
+        mids = np.cumsum(weights, axis=1) - (weights + 1.0) / 2.0
+        position = q / 100.0 * (self.n - 1)
+        result = np.stack(
+            [
+                np.interp(
+                    position,
+                    np.concatenate([[-0.5], mid, [self.n - 0.5]]),
+                    np.concatenate([[lo], row, [hi]]),
+                )
+                for mid, row, lo, hi in zip(mids, values, self._min, self._max)
+            ],
+            axis=-1,
+        )
+        return self._rows_result(result)
 
     @property
     def support(self) -> np.ndarray:
-        """The retained (sorted in compressed mode) support values."""
-        if self.exact:
-            return self._support
-        values = np.sort(np.concatenate(self._levels), kind="stable")
-        if values.size:
-            values[0] = min(float(values[0]), self._min)
-            values[-1] = max(float(values[-1]), self._max)
-        return values
+        """The retained support values, sorted per row, extremes pinned."""
+        if self.n == 0:
+            return np.empty(0, dtype=np.float64)
+        values = np.sort(
+            np.concatenate([c for level in self._levels for c in level], axis=1),
+            axis=1,
+            kind="stable",
+        )
+        values[:, 0] = np.minimum(values[:, 0], self._min)
+        values[:, -1] = np.maximum(values[:, -1], self._max)
+        return values if self._batched else values[0]
 
     @property
-    def minimum(self) -> float:
-        if self.exact:
-            return float(self._support.min())
+    def minimum(self):
+        """Exact minimum (per row for a batched sketch)."""
         if self.n == 0:
             raise ValueError("no samples observed")
-        return float(self._min)
+        return self._min if self._batched else float(self._min[0])
 
     @property
-    def maximum(self) -> float:
-        if self.exact:
-            return float(self._support.max())
+    def maximum(self):
+        """Exact maximum (per row for a batched sketch)."""
         if self.n == 0:
             raise ValueError("no samples observed")
-        return float(self._max)
+        return self._max if self._batched else float(self._max[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "exact" if self.exact else f"capacity={self.capacity}"
-        return f"PercentileSketch(n={self.n}, {mode})"
+        return (
+            f"PercentileSketch(n={self.n}, rows={self.n_rows}, "
+            f"capacity={self.capacity})"
+        )
 
 
 class BoundedTopK:

@@ -16,6 +16,8 @@ import pytest
 from repro.analysis import (
     AnalysisContext,
     ColumnarAnalyzer,
+    PercentilesPass,
+    available_analyses,
     resolve_analyses,
     run_analyses,
     run_campaign_analyses,
@@ -34,10 +36,23 @@ CONFIG = CampaignConfig(
     trials=2,
     processes=2,
     iterations=10,
-    threads=8,
+    threads=24,
     seed=5,
     backend="campaign",
 )
+
+#: (exact, analyses factory) per accumulation mode.  ``sketch-cap64``
+#: shrinks the percentile sketch below the campaign's 96 samples per
+#: iteration, so its row-batched compactor really compacts.
+MODES = {
+    "exact": (True, lambda: "all"),
+    "sketch": (False, lambda: "all"),
+    "sketch-cap64": (
+        False,
+        lambda: [PercentilesPass(sketch_capacity=64)]
+        + [name for name in available_analyses() if name != "percentiles"],
+    ),
+}
 
 
 def _products(results):
@@ -57,29 +72,44 @@ def _products(results):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-shard streaming products for both accumulation modes."""
+    """Per-shard streaming products for every accumulation mode."""
     backend = CampaignTensorBackend()
     out = {}
-    for exact in (True, False):
+    for mode, (exact, analyses) in MODES.items():
         context = AnalysisContext.from_config(
             CONFIG, exact=exact, metadata=backend.metadata(CONFIG)
         )
-        results = run_analyses(backend.iter_shards(CONFIG), "all", context)
-        out[exact] = (_products(results), context)
+        results = run_analyses(backend.iter_shards(CONFIG), analyses(), context)
+        out[mode] = (_products(results), context)
     return out
 
 
+def test_capped_percentile_sketch_compacts(reference):
+    """The ``sketch-cap64`` mode exercises compaction: the folded sketch
+    retains fewer values per iteration than it saw."""
+    _, context = reference["sketch-cap64"]
+    percentiles = PercentilesPass(sketch_capacity=64)
+    state = percentiles.prepare(context)
+    for shard in CampaignTensorBackend().iter_shards(CONFIG):
+        state = percentiles.accumulate(state, shard, context)
+    assert state.n == CONFIG.trials * CONFIG.processes * CONFIG.threads
+    retained = state.support.shape
+    assert retained[0] == CONFIG.iterations
+    assert retained[1] <= 64 < state.n
+
+
 class TestFusedCampaignMatrix:
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sketch"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_per_shard_path(self, reference, workers, chunk_shards, exact):
-        ref, _ = reference[exact]
+    def test_matches_per_shard_path(self, reference, workers, chunk_shards, mode):
+        ref, _ = reference[mode]
+        exact, analyses = MODES[mode]
         backend = CampaignTensorBackend(chunk_shards=chunk_shards)
         results = run_campaign_analyses(
             backend,
             CONFIG.parallel(workers),
-            "all",
+            analyses(),
             executor=ShardExecutor(mode="process"),
             exact=exact,
         )
@@ -87,9 +117,9 @@ class TestFusedCampaignMatrix:
 
 
 class TestStoreBackedBlocks:
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sketch"])
-    def test_store_groups_match_per_shard_path(self, tmp_path, reference, exact):
-        ref, context = reference[exact]
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_store_groups_match_per_shard_path(self, tmp_path, reference, mode):
+        ref, context = reference[mode]
         backend = CampaignTensorBackend()
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
         for shard in backend.iter_shards(CONFIG):
@@ -98,7 +128,7 @@ class TestStoreBackedBlocks:
         reopened = ShardStore.open(tmp_path / "c.store")
         assert reopened.n_groups > 1  # the reduction really crosses groups
         results = run_columnar_analyses(
-            reopened.iter_column_blocks(), "all", context
+            reopened.iter_column_blocks(), MODES[mode][1](), context
         )
         assert _products(results) == ref
 
@@ -118,12 +148,12 @@ class TestStoreBackedBlocks:
 
 
 class TestInMemoryBlocks:
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sketch"])
-    def test_session_result_blocks_match_per_shard_path(self, reference, exact):
-        ref, context = reference[exact]
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_session_result_blocks_match_per_shard_path(self, reference, mode):
+        ref, context = reference[mode]
         result = CampaignSession(CONFIG).run()
         results = run_columnar_analyses(
-            result.iter_column_blocks(), "all", context
+            result.iter_column_blocks(), MODES[mode][1](), context
         )
         assert _products(results) == ref
 
@@ -145,7 +175,7 @@ class TestShardOrderInvariance:
         """Exact-mode scope: per-shard columnar partials reduced in reverse
         shard order finalize to the same report (the segment keys carry the
         serial order, so merge order cannot matter)."""
-        ref, context = reference[True]
+        ref, context = reference["exact"]
         backend = CampaignTensorBackend()
         shards = list(backend.iter_shards(CONFIG))
         columns = {

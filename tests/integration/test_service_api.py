@@ -369,6 +369,36 @@ class TestHTTPFrontEnd:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_bad_request(self, length):
+        """A Content-Length that is not a plain digit string is a 400
+        naming the header, not a 500 from ``int()`` / ``readexactly``."""
+
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(
+                    (
+                        "POST /jobs HTTP/1.1\r\n"
+                        f"Host: {server.host}\r\n"
+                        f"Content-Length: {length}\r\n"
+                        "Connection: close\r\n\r\n{}"
+                    ).encode()
+                )
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert int(head.split(None, 2)[1]) == 400
+                assert "Content-Length" in json.loads(body)["error"]
+                assert service.stats()["submitted"] == 0
+
+        asyncio.run(scenario())
+
     def test_analyses_endpoint_conflicts_on_cancelled_job(self, gated_backend):
         """``GET /jobs/<id>/analyses`` on a non-``done`` terminal job is a
         409, not a 500: there is no dataset to analyse."""

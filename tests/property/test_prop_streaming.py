@@ -60,14 +60,65 @@ def test_streaming_histogram_is_exact_under_any_sharding(samples, n_parts, width
 
 @given(sample_vectors, st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
-def test_exact_sketch_quantiles_equal_numpy_percentile(samples, n_parts):
-    sketch = PercentileSketch(exact=True)
+def test_uncompacted_sketch_quantiles_equal_numpy_percentile(samples, n_parts):
+    """Below capacity nothing compacts, so merged partial sketches answer
+    exactly ``np.percentile`` of the pooled samples."""
+    sketch = PercentileSketch(512)
     for part in np.array_split(samples, n_parts):
-        sketch = sketch.merge(PercentileSketch(exact=True).update(part))
+        sketch = sketch.merge(PercentileSketch(512).update(part))
     levels = [5.0, 50.0, 95.0]
     np.testing.assert_array_equal(
         sketch.quantile(levels), np.percentile(samples, levels)
     )
+
+
+#: a stream of row-batched steps: ("update" | "merge", columns in the batch)
+sketch_steps = st.lists(
+    st.tuples(st.sampled_from(["update", "merge"]), st.integers(0, 300)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([8, 64, 512]),
+    st.integers(1, 5),
+    sketch_steps,
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_sketch_rows_replay_one_dimensional_sketches(
+    seed, capacity, n_rows, steps
+):
+    """Row ``r`` of a row-batched sketch is bit-identical to a 1-D sketch
+    fed row ``r`` alone, through any sequence of updates and merges —
+    compaction decisions depend only on the shared per-row counts."""
+    rng = np.random.default_rng(seed)
+    batched = PercentileSketch(capacity)
+    singles = [PercentileSketch(capacity) for _ in range(n_rows)]
+    for step, width in steps:
+        block = rng.lognormal(-4.0, 0.3, size=(n_rows, width))
+        if step == "update":
+            batched.update(block)
+            for row, single in zip(block, singles):
+                single.update(row)
+        else:
+            batched = batched.merge(PercentileSketch(capacity).update(block))
+            singles = [
+                single.merge(PercentileSketch(capacity).update(row))
+                for row, single in zip(block, singles)
+            ]
+    assert all(single.n == batched.n for single in singles)
+    if batched.n == 0:
+        return
+    levels = [0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0]
+    rows_q = batched.quantile(levels)
+    assert rows_q.shape == (len(levels), n_rows)
+    for r, single in enumerate(singles):
+        np.testing.assert_array_equal(rows_q[:, r], single.quantile(levels))
+        np.testing.assert_array_equal(batched.support[r], single.support)
+        assert batched.minimum[r] == single.minimum
+        assert batched.maximum[r] == single.maximum
 
 
 @given(sample_vectors)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.moments import kurtosis, skewness
-from repro.stats.sketch import BoundedTopK, P2Quantile, PercentileSketch
+from repro.stats.sketch import BoundedTopK, PercentileSketch
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
 
@@ -119,33 +119,17 @@ class TestFixedWidthHistogramMerge:
             a.merge(b)
 
 
-class TestP2Quantile:
-    def test_tracks_median_of_large_stream(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(10.0, 2.0, size=20000)
-        sketch = P2Quantile(0.5)
-        sketch.update_batch(data)
-        assert sketch.value == pytest.approx(float(np.median(data)), rel=5e-3)
-
-    def test_small_streams_are_exact(self):
-        sketch = P2Quantile(0.5)
-        sketch.update_batch([5.0, 1.0, 3.0])
-        assert sketch.value == 3.0
-
-    def test_invalid_quantile_rejected(self):
-        with pytest.raises(ValueError):
-            P2Quantile(1.5)
-
-
 class TestPercentileSketch:
-    def test_exact_mode_is_bit_identical(self, samples):
-        sketch = PercentileSketch(exact=True)
+    def test_uncompacted_sketch_is_bit_identical(self, samples):
+        # a capacity covering the stream never compacts: np.percentile exactly
+        sketch = PercentileSketch(len(samples))
         for chunk in np.array_split(samples, 7):
             sketch.update(chunk)
         levels = [5.0, 25.0, 50.0, 75.0, 95.0]
         np.testing.assert_array_equal(
             sketch.quantile(levels), np.percentile(samples, levels)
         )
+        np.testing.assert_array_equal(sketch.support, np.sort(samples))
 
     def test_compressed_mode_is_bounded_and_close(self, samples):
         sketch = PercentileSketch(256)
@@ -170,9 +154,52 @@ class TestPercentileSketch:
             merged.quantile(50.0), np.percentile(samples, 50.0), rtol=0.05
         )
 
-    def test_mode_mismatch_rejected(self):
+    def test_one_dimensional_results_keep_their_shapes(self, samples):
+        sketch = PercentileSketch(64).update(samples)
+        assert np.ndim(sketch.quantile(50.0)) == 0
+        assert sketch.quantile([25.0, 75.0]).shape == (2,)
+        assert sketch.support.ndim == 1
+        assert isinstance(sketch.minimum, float)
+
+    @pytest.mark.parametrize("capacity", [64, 512], ids=["compacted", "uncompacted"])
+    def test_rows_are_independent_streams(self, samples, capacity):
+        rows = samples.reshape(20, 250)
+        sketch = PercentileSketch(capacity)
+        for chunk in np.array_split(rows, 4, axis=1):
+            sketch.update(chunk)
+        assert sketch.n == 250 and sketch.n_rows == 20
+        assert sketch.quantile([5.0, 50.0, 95.0]).shape == (3, 20)
+        assert sketch.quantile(50.0).shape == (20,)
+        assert sketch.support.shape[0] == 20
+        assert sketch.support.shape[1] <= capacity
+        np.testing.assert_array_equal(sketch.minimum, rows.min(axis=1))
+        np.testing.assert_array_equal(sketch.maximum, rows.max(axis=1))
+        for r in (0, 17, 19):
+            single = PercentileSketch(capacity)
+            for chunk in np.array_split(rows[r], 4):
+                single.update(chunk)
+            np.testing.assert_array_equal(
+                sketch.quantile([5.0, 50.0, 95.0])[:, r],
+                single.quantile([5.0, 50.0, 95.0]),
+            )
+
+    def test_row_count_mismatch_rejected(self):
+        sketch = PercentileSketch(64).update(np.ones((3, 4)))
         with pytest.raises(ValueError):
-            PercentileSketch(exact=True).merge(PercentileSketch(64))
+            sketch.update(np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            sketch.merge(PercentileSketch(64).update(np.ones((2, 4))))
+
+    def test_empty_sketch_merges_as_identity(self, samples):
+        rows = samples.reshape(10, 500)
+        sketch = PercentileSketch(64).update(rows)
+        empty = PercentileSketch(64)
+        for merged in (empty.merge(sketch), sketch.merge(empty)):
+            np.testing.assert_array_equal(
+                merged.quantile([5.0, 95.0]), sketch.quantile([5.0, 95.0])
+            )
+        with pytest.raises(ValueError):
+            PercentileSketch(64).quantile(50.0)
 
 
 class TestBoundedTopK:
