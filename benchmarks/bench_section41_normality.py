@@ -20,12 +20,29 @@ import numpy as np
 
 from repro.core.aggregation import AggregationLevel
 from repro.core.normality import NormalityStudy
+from repro.stats._normal import ndtr
 from repro.stats.moments import skewness_kurtosis
 
 #: the battery's moment kernel must stay at least this many times faster
 #: than the ``** 3`` / ``** 4`` formulation on the paper-scale
 #: application-iteration matrix (measured 17-21x on numpy 2.4, x86-64)
 MIN_MOMENT_KERNEL_SPEEDUP = 5.0
+
+#: the numpy ``ndtr`` may cost at most this many times ``scipy.special.ndtr``
+#: on the sorted paper-scale process-iteration matrix (measured 3-4x on
+#: numpy 2.4 / SciPy 1.17, x86-64 with AVX-512)
+MAX_NDTR_SLOWDOWN = 6.0
+
+
+def _best_time(kernel, matrix, repeats: int = 7) -> float:
+    """Best of ``repeats`` timed calls after one warm-up call."""
+    kernel(matrix)
+    elapsed = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        kernel(matrix)
+        elapsed = min(elapsed, time.perf_counter() - start)
+    return elapsed
 
 
 def _study_all_levels(dataset):
@@ -84,23 +101,37 @@ def test_moment_kernel_speedup_guard():
     rng = np.random.default_rng(20230421)
     matrix = 25.0e-3 + rng.gamma(2.0, 1.0e-4, size=(200, 3840))
 
-    def best(kernel, repeats: int = 7) -> float:
-        kernel(matrix)  # warm-up
-        elapsed = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            kernel(matrix)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        return elapsed
-
     expected = _pow_skewness_kurtosis(matrix)
     for mine, reference in zip(skewness_kurtosis(matrix), expected):
         np.testing.assert_allclose(mine, reference, rtol=1e-12)
-    fast, slow = best(skewness_kurtosis), best(_pow_skewness_kurtosis)
+    fast = _best_time(skewness_kurtosis, matrix)
+    slow = _best_time(_pow_skewness_kurtosis, matrix)
     speedup = slow / fast
     assert speedup >= MIN_MOMENT_KERNEL_SPEEDUP, (
         f"skewness_kurtosis is only {speedup:.1f}x the ** formulation "
         f"({fast * 1e3:.1f} ms vs {slow * 1e3:.1f} ms on 200x3840); the "
         f"multiply-based moment kernel has regressed below the "
         f"{MIN_MOMENT_KERNEL_SPEEDUP}x guard"
+    )
+
+
+def test_ndtr_cost_guard():
+    """Regression guard for the battery's numpy normal CDF: on the sorted,
+    standardized paper-scale process-iteration matrix (16 000 groups x 48
+    threads, what Anderson–Darling evaluates) the chunked Cody kernel must
+    stay within 6x ``scipy.special.ndtr``, timed back to back."""
+    from scipy import special
+
+    rng = np.random.default_rng(20230421)
+    matrix = np.sort(25.0e-3 + rng.gamma(2.0, 1.0e-4, size=(16000, 48)), axis=-1)
+    matrix -= matrix.mean(axis=-1, keepdims=True)
+    matrix /= matrix.std(axis=-1, ddof=1, keepdims=True)
+    np.testing.assert_allclose(ndtr(matrix), special.ndtr(matrix), rtol=1e-13)
+    ours = _best_time(ndtr, matrix)
+    theirs = _best_time(special.ndtr, matrix)
+    slowdown = ours / theirs
+    assert slowdown <= MAX_NDTR_SLOWDOWN, (
+        f"numpy ndtr is {slowdown:.1f}x scipy.special.ndtr ({ours * 1e3:.1f} ms "
+        f"vs {theirs * 1e3:.1f} ms on 16000x48); the chunked kernel has "
+        f"regressed past the {MAX_NDTR_SLOWDOWN}x guard"
     )

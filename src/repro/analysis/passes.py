@@ -72,6 +72,40 @@ def _sorted_segments(segments: List[Tuple[Tuple[int, int], Any]]) -> List[Any]:
     return [payload for _, payload in sorted(segments, key=lambda item: item[0])]
 
 
+def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
+    """One ``(sort_key, (iterations, cube[s]))`` exact segment per slice.
+
+    Each segment owns its iteration labels, so a slice's partial pickles the
+    same whichever block it came in.
+    """
+    return [
+        (sl.sort_key, (block.iterations.copy(), rows))
+        for sl, rows in zip(block.slices, block.cube)
+    ]
+
+
+def _iteration_rows(segments) -> Any:
+    """Every iteration's samples pooled across slices, in serial slice order.
+
+    ``segments`` are :func:`_slice_segments` entries.  The slices' matrices
+    are stacked in serial order and their rows regrouped by a stable
+    argsort of the rows' iteration labels, so the ``k``-th row is the
+    concatenation, slice by slice, of the ``k``-th iteration's samples — the
+    dense path's pooled per-iteration vector, bit for bit — whether or not
+    every slice lists the same iterations.  Returns an ``(n_iterations, n)``
+    matrix when every iteration pools the same number of samples, else a
+    list of 1-D rows.
+    """
+    parts = _sorted_segments(segments)
+    labels = np.concatenate([iterations for iterations, _ in parts])
+    counts = np.unique(labels, return_counts=True)[1]
+    order = np.argsort(labels, kind="stable")
+    rows = np.concatenate([cube for _, cube in parts])[order]
+    if np.all(counts == counts[0]):
+        return rows.reshape(len(counts), -1)
+    return [part.ravel() for part in np.split(rows, np.cumsum(counts)[:-1])]
+
+
 # ----------------------------------------------------------------------
 @register_analysis("percentiles")
 class PercentilesPass(AnalysisPass):
@@ -89,9 +123,9 @@ class PercentilesPass(AnalysisPass):
         self.sketch_capacity = int(sketch_capacity)
 
     def prepare(self, context: AnalysisContext) -> Any:
-        # exact: iteration id -> list of (sort_key, samples) segments;
+        # exact: one (sort_key, (iterations, samples)) segment per slice;
         # bounded: one row-batched sketch, one row per iteration
-        return {} if context.exact else PercentileSketch(self.sketch_capacity)
+        return [] if context.exact else PercentileSketch(self.sketch_capacity)
 
     def accumulate_columns_split(self, block, context):
         if not context.exact:
@@ -105,17 +139,12 @@ class PercentilesPass(AnalysisPass):
                 PercentileSketch(self.sketch_capacity).update(rows)
                 for rows in block.cube
             ]
-        iters = [int(i) for i in block.iterations]
-        return [
-            {iteration: [(sl.sort_key, rows[i])] for i, iteration in enumerate(iters)}
-            for sl, rows in zip(block.slices, block.cube)
-        ]
+        return [[segment] for segment in _slice_segments(block)]
 
     def merge(self, state, other):
         if isinstance(state, PercentileSketch):
             return state.merge(other)
-        for iteration, payload in other.items():
-            state.setdefault(iteration, []).extend(payload)
+        state.extend(other)
         return state
 
     def finalize(self, state, context: AnalysisContext) -> PercentileSeries:
@@ -126,19 +155,15 @@ class PercentilesPass(AnalysisPass):
             # one query over every iteration row, scaled after the percentile
             values = state.quantile(levels) * 1.0e3
         else:
-            # exact: slice segments re-assembled in serial order give the
-            # dense path's per-iteration rows, bit for bit; regular campaigns
-            # (equal-size iteration groups) take one vectorized percentile
-            # call over the stacked matrix instead of one call per iteration
-            rows = [
-                np.concatenate(_sorted_segments(state[iteration])) * 1.0e3
-                for iteration in sorted(state)
-            ]
-            if len({len(row) for row in rows}) == 1:
-                values = percentile_table(np.stack(rows), levels, axis=-1)
+            # exact: the dense path's per-iteration rows, bit for bit; regular
+            # campaigns (equal-size iteration groups) take one vectorized
+            # percentile call over the whole matrix
+            rows = _iteration_rows(state)
+            if isinstance(rows, np.ndarray):
+                values = percentile_table(rows * 1.0e3, levels, axis=-1)
             else:
                 values = np.column_stack(
-                    [percentile_table(row_ms, levels, axis=-1) for row_ms in rows]
+                    [percentile_table(row * 1.0e3, levels, axis=-1) for row in rows]
                 )
         return PercentileSeries(
             iterations=np.arange(values.shape[1]),
@@ -235,9 +260,9 @@ class NormalityPass(AnalysisPass):
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
         return {
+            # exact: one (sort_key, (iterations, samples)) segment per slice,
+            # the source of both the application and the iteration rows
             "segments": [] if context.exact else PercentileSketch(self.sketch_capacity),
-            # iteration id -> (sort_key, values) segments; exact mode only
-            "iteration_segments": {},
             "pass_counts": {name: 0 for name in TEST_NAMES},
             "n_groups": 0,
             "group_size": 0,
@@ -250,27 +275,20 @@ class NormalityPass(AnalysisPass):
         battery = NormalityBattery(alpha=self.alpha)
         report = battery.run(matrix.reshape(n_slices * n_iterations, n_threads))
         passed = {name: report.outcomes[name].passed for name in TEST_NAMES}
-        iters = [int(i) for i in block.iterations]
+        segments = _slice_segments(block)
         states = []
-        for s, sl in enumerate(block.slices):
+        for s, segment in enumerate(segments):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             for name in TEST_NAMES:
                 state["pass_counts"][name] = int(np.sum(passed[name][rows]))
             state["n_groups"] = n_iterations
             state["group_size"] = n_threads
-            # the slice's application-level vector is its whole cube, and its
-            # per-iteration vectors are the cube's rows
-            app_row = matrix[s].ravel()
             if context.exact:
-                state["segments"].append((sl.sort_key, app_row))
-                if self.application_iteration:
-                    for i, iteration in enumerate(iters):
-                        state["iteration_segments"][iteration] = [
-                            (sl.sort_key, matrix[s, i])
-                        ]
+                state["segments"].append(segment)
             else:
-                state["segments"].update(app_row)
+                # the slice's application-level vector is its whole cube
+                state["segments"].update(matrix[s].ravel())
             states.append(state)
         return states
 
@@ -279,8 +297,6 @@ class NormalityPass(AnalysisPass):
             state["segments"].extend(other["segments"])
         else:
             state["segments"] = state["segments"].merge(other["segments"])
-        for iteration, payload in other["iteration_segments"].items():
-            state["iteration_segments"].setdefault(iteration, []).extend(payload)
         for name in TEST_NAMES:
             state["pass_counts"][name] += other["pass_counts"][name]
         state["n_groups"] += other["n_groups"]
@@ -288,21 +304,15 @@ class NormalityPass(AnalysisPass):
         return state
 
     def _iteration_counts(
-        self, battery: NormalityBattery, segments: Dict[int, List]
+        self, battery: NormalityBattery, segments: List
     ) -> Tuple[Dict[str, int], int]:
         """Battery pass counts at the application-iteration level.
 
-        Each iteration's row is its slice segments re-assembled in serial
-        order — the dense path's pooled per-iteration vector, bit for bit —
-        so the counts match
+        Each iteration's row is the dense path's pooled per-iteration
+        vector, bit for bit (:func:`_iteration_rows`), so the counts match
         :meth:`NormalityStudy.application_iteration_pass_counts` exactly.
         """
-        rows = np.stack(
-            [
-                np.concatenate(_sorted_segments(segments[iteration]))
-                for iteration in sorted(segments)
-            ]
-        )
+        rows = _iteration_rows(segments)
         report = battery.run(rows)
         counts = {
             name: int(np.sum(report.outcomes[name].passed)) for name in TEST_NAMES
@@ -313,8 +323,11 @@ class NormalityPass(AnalysisPass):
         if state["n_groups"] == 0:
             raise ValueError("normality pass saw no shards")
         battery = NormalityBattery(alpha=self.alpha)
-        if isinstance(state["segments"], list):
-            app_row = np.concatenate(_sorted_segments(state["segments"]))
+        exact = isinstance(state["segments"], list)
+        if exact:
+            app_row = np.concatenate(
+                [cube.ravel() for _, cube in _sorted_segments(state["segments"])]
+            )
         else:
             app_row = state["segments"].support
         subsampled = stratified_subsample(
@@ -326,9 +339,9 @@ class NormalityPass(AnalysisPass):
         }
         iteration_counts: Optional[Dict[str, int]] = None
         n_iterations = 0
-        if state["iteration_segments"]:
+        if exact and self.application_iteration:
             iteration_counts, n_iterations = self._iteration_counts(
-                battery, state["iteration_segments"]
+                battery, state["segments"]
             )
         return NormalityResult(
             alpha=self.alpha,

@@ -21,7 +21,10 @@ to remote clients:
 ========================  ====================================================
 
 Every response carries ``Connection: close`` — one request per connection
-keeps the parser honest and the streaming endpoint trivially correct.  The
+keeps the parser honest and the streaming endpoint trivially correct.
+Requests are bounded: a body over :data:`MAX_BODY_BYTES` or a malformed
+``Content-Length`` is a ``400``, and more than :data:`MAX_HEADER_LINES`
+header lines or a header line over :data:`MAX_LINE_BYTES` is a ``431``.  The
 stream endpoint is the HTTP face of ``async for shard in handle.stream()``:
 shards are serialised as summaries (trial, process, sample count, shard
 digest) rather than raw arrays, which is what the CLI progress printer and
@@ -47,15 +50,36 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
 #: request bodies larger than this are rejected (submissions are tiny)
 MAX_BODY_BYTES = 1 << 20
 
+#: longest request or header line (the connection reader's buffer limit)
+MAX_LINE_BYTES = 1 << 16
+
+#: requests with more header lines than this are rejected (431)
+MAX_HEADER_LINES = 100
+
 
 class _BadRequest(Exception):
-    """Maps to a 400 response with the message as the error field."""
+    """Maps to a 4xx response (``status``, 400 by default) with the message
+    as the error field."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str, status: int) -> str:
+    """One CRLF-terminated line; ``status`` answers one over the length limit."""
+    try:
+        return (await reader.readline()).decode("latin-1")
+    except ValueError as error:  # readline's form of LimitOverrunError
+        message = f"{what} longer than {MAX_LINE_BYTES} bytes"
+        raise _BadRequest(message, status) from error
 
 
 class CampaignHTTPServer:
@@ -91,7 +115,7 @@ class CampaignHTTPServer:
         if not self.service.started:
             await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         # resolve the actual port when an ephemeral one was requested
         sockets = self._server.sockets or []
@@ -133,7 +157,7 @@ class CampaignHTTPServer:
             method, path, body = await self._read_request(reader)
             await self._route(writer, method, path, body)
         except _BadRequest as error:
-            await self._send_json(writer, 400, {"error": str(error)})
+            await self._send_json(writer, error.status, {"error": str(error)})
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange
         except Exception as error:  # defensive: keep the server alive
@@ -151,18 +175,20 @@ class CampaignHTTPServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = (await _read_line(reader, "request line", 400)).strip()
         parts = request_line.split()
         if len(parts) != 3:
             raise _BadRequest(f"malformed request line: {request_line!r}")
         method, target, _version = parts
         headers: Dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1")
+        for _ in range(MAX_HEADER_LINES + 1):
+            line = await _read_line(reader, "header line", 431)
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(f"more than {MAX_HEADER_LINES} header lines", 431)
         raw_length = headers.get("content-length", "0") or "0"
         # RFC 9110: 1*DIGIT — no sign, exponent or separators
         if not (raw_length.isascii() and raw_length.isdigit()):
@@ -354,4 +380,4 @@ class CampaignHTTPServer:
         return f"CampaignHTTPServer({self.url}, {state})"
 
 
-__all__ = ["CampaignHTTPServer", "MAX_BODY_BYTES"]
+__all__ = ["CampaignHTTPServer", "MAX_BODY_BYTES", "MAX_HEADER_LINES", "MAX_LINE_BYTES"]

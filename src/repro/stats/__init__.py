@@ -6,7 +6,9 @@ application (48 samples each) plus coarser aggregations.  SciPy implements all
 three, but only one sample at a time; this subpackage provides **batch
 vectorised** implementations (one call handles a ``(groups, n)`` matrix) that
 are validated against SciPy in the test suite and used to regenerate Table 1
-at full paper scale in seconds.
+at full paper scale in seconds.  They need numpy only: the normal CDF, its
+inverse and the χ²₂ survival function come from :mod:`repro.stats._normal`,
+and SciPy is the test suite's oracle, not a dependency.
 
 Public entry points
 -------------------

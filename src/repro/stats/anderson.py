@@ -18,6 +18,10 @@ significance level:
   critical value table (identical to ``scipy.stats.anderson``).
 * ``pvalue`` — the D'Agostino & Stephens (1986) approximation, convenient for
   plotting and for the battery's uniform interface.
+
+The normal CDF is the numpy :func:`repro.stats._normal.ndtr` (chunked, so
+its temporaries stay small on a paper-scale matrix); SciPy is the test
+suite's oracle, not a dependency.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.special import ndtr  # type: ignore[import-untyped]
+
+from repro.stats._normal import ndtr
 
 
 #: Stephens (1974) critical values of A*² for the normal case with estimated
@@ -119,13 +124,20 @@ def anderson_darling(x, *, sorted_x=None) -> AndersonDarlingResult:
     std = sorted_arr.std(axis=-1, ddof=1, keepdims=True)
     degenerate = (std <= 0).reshape(std.shape[:-1])
     safe_std = np.where(std > 0, std, 1.0)
-    y = (sorted_arr - mean) / safe_std
+    # two full-size work arrays besides the sorted copy: ``y`` becomes
+    # ln(1 - Φ(y_(n+1-i))) once ``cdf`` holds Φ, and ``cdf`` becomes the
+    # weighted sum's terms
+    y = sorted_arr - mean
+    y /= safe_std
     cdf = ndtr(y)
     eps = np.finfo(np.float64).tiny
-    log_cdf = np.log(np.clip(cdf, eps, 1.0))
-    log_sf = np.log(np.clip(1.0 - cdf[..., ::-1], eps, 1.0))
+    log_sf = np.subtract(1.0, cdf[..., ::-1], out=y)
+    np.log(np.clip(log_sf, eps, 1.0, out=log_sf), out=log_sf)
+    terms = np.log(np.clip(cdf, eps, 1.0, out=cdf), out=cdf)
+    terms += log_sf
     i = np.arange(1, n + 1, dtype=np.float64)
-    a2 = -n - np.sum((2.0 * i - 1.0) / n * (log_cdf + log_sf), axis=-1)
+    terms *= (2.0 * i - 1.0) / n
+    a2 = -n - np.sum(terms, axis=-1)
     a2_star = a2 * (1.0 + 0.75 / n + 2.25 / (n * n))
     pvalue = _approximate_pvalue(a2_star)
     # Constant groups: force a rejection (A² is undefined; the measurement

@@ -7,8 +7,10 @@ The omnibus statistic combines a transformed skewness statistic (D'Agostino
 .. math:: K^2 = Z_1(\\sqrt{b_1})^2 + Z_2(b_2)^2 \\sim \\chi^2_2
 
 Implementation follows D'Agostino, Belanger & D'Agostino Jr. (1990), the same
-formulation as ``scipy.stats.normaltest`` / ``skewtest`` / ``kurtosistest``;
-the test suite asserts agreement with SciPy to ~1e-10.
+formulation as ``scipy.stats.normaltest`` / ``skewtest`` / ``kurtosistest``.
+The normal CDF and the χ²₂ survival function come from the numpy module
+:mod:`repro.stats._normal`; SciPy is the test suite's oracle (agreement to
+~1e-10), not a dependency.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr  # type: ignore[import-untyped]
 
+from repro.stats._normal import chdtrc, ndtr
 from repro.stats.moments import kurtosis, skewness
 
 
@@ -45,20 +47,8 @@ class DAgostinoResult:
         return self.pvalue > alpha
 
 
-def skewness_test(x, *, b1=None) -> tuple[np.ndarray, np.ndarray]:
-    """D'Agostino's transformed skewness statistic ``Z1`` and its p-value.
-
-    Requires at least 8 samples per group (as SciPy does).  ``b1`` accepts
-    a precomputed skewness array (the battery shares one deviations pass
-    across tests); passing it changes nothing numerically because
-    :func:`~repro.stats.moments.skewness` is deterministic.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.shape[-1]
-    if n < 8:
-        raise ValueError(f"skewness test requires n >= 8 samples, got {n}")
-    if b1 is None:
-        b1 = skewness(arr)
+def _z_skew(b1: np.ndarray, n: int) -> np.ndarray:
+    """D'Agostino's transformed skewness statistic ``Z1`` of skewness ``b1``."""
     y = b1 * np.sqrt(((n + 1.0) * (n + 3.0)) / (6.0 * (n - 2.0)))
     beta2 = (
         3.0
@@ -72,24 +62,11 @@ def skewness_test(x, *, b1=None) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.sqrt(2.0 / (w2 - 1.0))
     y = np.where(y == 0, 1.0, y)  # keep log argument finite; sign restored below
     z = delta * np.log(y / alpha + np.sqrt((y / alpha) ** 2 + 1.0))
-    z = np.where(b1 == 0, 0.0, z)
-    pvalue = 2.0 * (1.0 - ndtr(np.abs(z)))
-    return z, pvalue
+    return np.where(b1 == 0, 0.0, z)
 
 
-def kurtosis_test(x, *, b2=None) -> tuple[np.ndarray, np.ndarray]:
-    """Anscombe–Glynn transformed kurtosis statistic ``Z2`` and its p-value.
-
-    Requires at least 5 samples per group (as SciPy does; SciPy warns for
-    n < 20, we simply compute).  ``b2`` accepts a precomputed Pearson
-    kurtosis array (see :func:`skewness_test`).
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    n = arr.shape[-1]
-    if n < 5:
-        raise ValueError(f"kurtosis test requires n >= 5 samples, got {n}")
-    if b2 is None:
-        b2 = kurtosis(arr, fisher=False)
+def _z_kurtosis(b2: np.ndarray, n: int) -> np.ndarray:
+    """Anscombe–Glynn transformed kurtosis statistic ``Z2`` of kurtosis ``b2``."""
     expected = 3.0 * (n - 1.0) / (n + 1.0)
     variance = (
         24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
@@ -111,9 +88,42 @@ def kurtosis_test(x, *, b2=None) -> tuple[np.ndarray, np.ndarray]:
     ratio = (1.0 - 2.0 / a) / safe_denom
     term2 = np.sign(ratio) * np.abs(ratio) ** (1.0 / 3.0)
     z = (term1 - term2) / np.sqrt(2.0 / (9.0 * a))
-    z = np.where(denom == 0, 0.0, z)
-    pvalue = 2.0 * (1.0 - ndtr(np.abs(z)))
-    return z, pvalue
+    return np.where(denom == 0, 0.0, z)
+
+
+def _check_skewness_n(n: int) -> None:
+    if n < 8:
+        raise ValueError(f"skewness test requires n >= 8 samples, got {n}")
+
+
+def skewness_test(x, *, b1=None) -> tuple[np.ndarray, np.ndarray]:
+    """D'Agostino's transformed skewness statistic ``Z1`` and its p-value.
+
+    Requires at least 8 samples per group (as SciPy does).  ``b1`` accepts
+    a precomputed skewness array (the battery shares one deviations pass
+    across tests); passing it changes nothing numerically because
+    :func:`~repro.stats.moments.skewness` is deterministic.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.shape[-1]
+    _check_skewness_n(n)
+    z = _z_skew(skewness(arr) if b1 is None else b1, n)
+    return z, 2.0 * (1.0 - ndtr(np.abs(z)))
+
+
+def kurtosis_test(x, *, b2=None) -> tuple[np.ndarray, np.ndarray]:
+    """Anscombe–Glynn transformed kurtosis statistic ``Z2`` and its p-value.
+
+    Requires at least 5 samples per group (as SciPy does; SciPy warns for
+    n < 20, we simply compute).  ``b2`` accepts a precomputed Pearson
+    kurtosis array (see :func:`skewness_test`).
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.shape[-1]
+    if n < 5:
+        raise ValueError(f"kurtosis test requires n >= 5 samples, got {n}")
+    z = _z_kurtosis(kurtosis(arr, fisher=False) if b2 is None else b2, n)
+    return z, 2.0 * (1.0 - ndtr(np.abs(z)))
 
 
 def dagostino_k2(x, *, b1=None, b2=None) -> DAgostinoResult:
@@ -134,8 +144,11 @@ def dagostino_k2(x, *, b1=None, b2=None) -> DAgostinoResult:
         Per-group statistic, p-value and component Z scores.
     """
     arr = np.asarray(x, dtype=np.float64)
-    z_skew, _ = skewness_test(arr, b1=b1)
-    z_kurt, _ = kurtosis_test(arr, b2=b2)
+    n = arr.shape[-1]
+    _check_skewness_n(n)
+    # only the Z scores enter K²: the component p-values are not computed
+    z_skew = _z_skew(skewness(arr) if b1 is None else b1, n)
+    z_kurt = _z_kurtosis(kurtosis(arr, fisher=False) if b2 is None else b2, n)
     k2 = z_skew * z_skew + z_kurt * z_kurt
     pvalue = chdtrc(2.0, k2)
     return DAgostinoResult(

@@ -13,16 +13,18 @@ once and applied to the whole sorted matrix — this is what makes a 16 000 ×
 Validated against ``scipy.stats.shapiro`` in the test suite (the two use the
 same approximation; small differences < 1e-4 in W stem from SciPy's Fortran
 implementation of the order-statistic correlation and are asserted to stay
-below that tolerance).
+below that tolerance).  SciPy is only that oracle: the normal quantiles and
+CDF come from the numpy module :mod:`repro.stats._normal`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri  # type: ignore[import-untyped]
+
+from repro.stats._normal import ndtr, ndtri
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,13 @@ _C5 = np.array([0.0038915, -0.083751, -0.31082, -1.5861])
 _C6 = np.array([0.0030302, -0.082676, -0.48030])
 
 
+@lru_cache(maxsize=32)
 def shapiro_weights(n: int) -> np.ndarray:
-    """Royston's approximate Shapiro–Wilk weight vector for sample size ``n``."""
+    """Royston's approximate Shapiro–Wilk weight vector for sample size ``n``.
+
+    Memoised for the most recent sample sizes (the quantiles are a Python
+    loop), so the returned array is shared and read-only.
+    """
     if n < 3:
         raise ValueError(f"Shapiro–Wilk requires n >= 3, got {n}")
     if n > 5000:
@@ -74,6 +81,7 @@ def shapiro_weights(n: int) -> np.ndarray:
             a[1:-1] = m[1:-1] / np.sqrt(phi)
         a[-1] = a_n
         a[0] = -a_n
+    a.flags.writeable = False
     return a
 
 

@@ -32,6 +32,7 @@ from repro.service import (
     dataset_digest,
     shard_digest,
 )
+from repro.service.http import MAX_HEADER_LINES, MAX_LINE_BYTES
 
 GATED_BACKEND = "integration-test-gated"
 SCENARIO = "manzano-default"
@@ -395,6 +396,57 @@ class TestHTTPFrontEnd:
                 head, _, body = raw.partition(b"\r\n\r\n")
                 assert int(head.split(None, 2)[1]) == 400
                 assert "Content-Length" in json.loads(body)["error"]
+                assert service.stats()["submitted"] == 0
+
+        asyncio.run(scenario())
+
+    @staticmethod
+    async def _raw_exchange(server, head: bytes):
+        """Send ``head`` on a raw socket; the response's status and JSON body."""
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(head)
+        await writer.drain()
+        raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+        writer.close()
+        await writer.wait_closed()
+        status_line, _, body = raw.partition(b"\r\n\r\n")
+        return int(status_line.split(None, 2)[1]), json.loads(body)
+
+    @pytest.mark.parametrize(
+        "n_headers, status", [(MAX_HEADER_LINES, 200), (MAX_HEADER_LINES + 1, 431)]
+    )
+    def test_header_count_is_capped(self, n_headers, status):
+        """Up to ``MAX_HEADER_LINES`` header lines are served; one more is a
+        431 naming the limit, not an unbounded read."""
+
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                extra = "".join(f"X-Filler-{k}: {k}\r\n" for k in range(n_headers - 1))
+                head = f"GET /healthz HTTP/1.1\r\nHost: {server.host}\r\n{extra}\r\n"
+                got, payload = await self._raw_exchange(server, head.encode())
+                assert got == status
+                if status == 431:
+                    assert str(MAX_HEADER_LINES) in payload["error"]
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("where, status", [("header", 431), ("request", 400)])
+    def test_overlong_line_is_a_client_error(self, where, status):
+        """A line longer than the reader's limit is a 4xx (431 for a header
+        line, 400 for the request line), not the catch-all 500."""
+
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                long = "a" * (MAX_LINE_BYTES + 10)
+                if where == "header":
+                    head = f"GET /healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"
+                else:
+                    head = f"GET /{long} HTTP/1.1\r\n\r\n"
+                got, payload = await self._raw_exchange(server, head.encode())
+                assert got == status
+                assert f"{where} line longer than" in payload["error"]
                 assert service.stats()["submitted"] == 0
 
         asyncio.run(scenario())

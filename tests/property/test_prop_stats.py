@@ -1,10 +1,13 @@
 """Property-based tests of the statistics layer (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
+from repro.stats import anderson, dagostino, shapiro
 from repro.stats.anderson import anderson_darling
 from repro.stats.battery import NormalityBattery
 from repro.stats.dagostino import dagostino_k2
@@ -109,3 +112,46 @@ def test_iqr_nonnegative_and_bounded_by_range(groups):
     ranges = groups.max(axis=-1) - groups.min(axis=-1)
     assert np.all(values >= -1e-12)
     assert np.all(values <= ranges + 1e-12)
+
+
+#: batch families the battery meets: normal, skewed and heavy-tailed
+_FAMILIES = {
+    "normal": lambda rng, size: rng.normal(size=size),
+    "lognormal": lambda rng, size: rng.lognormal(sigma=0.5, size=size),
+    "exponential": lambda rng, size: rng.exponential(size=size),
+    "student_t3": lambda rng, size: rng.standard_t(3, size=size),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(_FAMILIES)),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 40), st.integers(8, 400)),
+)
+@settings(max_examples=60, deadline=None)
+def test_battery_masks_unchanged_with_scipy_special(family, seed, shape):
+    """The numpy special functions decide every group as ``scipy.special``
+    does: swapping SciPy's ``ndtr``/``ndtri``/``chdtrc`` into the three
+    test modules leaves every pass mask unchanged (thread times on a
+    ~25 ms offset, as the campaigns produce them)."""
+    groups = 25e-3 + 1e-4 * _FAMILIES[family](np.random.default_rng(seed), shape)
+    battery = NormalityBattery()
+    ours = battery.run(groups)
+    with pytest.MonkeyPatch.context() as patch:
+        for module, names in (
+            (anderson, ("ndtr",)),
+            (shapiro, ("ndtr", "ndtri")),
+            (dagostino, ("ndtr", "chdtrc")),
+        ):
+            for name in names:
+                patch.setattr(module, name, getattr(special, name))
+        shapiro.shapiro_weights.cache_clear()
+        try:
+            theirs = battery.run(groups)
+        finally:
+            shapiro.shapiro_weights.cache_clear()
+    for name, outcome in ours.outcomes.items():
+        np.testing.assert_array_equal(outcome.passed, theirs.outcomes[name].passed)
+        np.testing.assert_allclose(
+            outcome.pvalue, theirs.outcomes[name].pvalue, rtol=1e-9, atol=1e-12
+        )

@@ -20,6 +20,7 @@ from repro.analysis import (
     run_analyses,
     unregister_analysis,
 )
+from repro.analysis import passes
 from repro.analysis.passes import (
     HistogramPass,
     LaggardsPass,
@@ -310,6 +311,57 @@ class TestShardOrderInvariance:
         )
         np.testing.assert_array_equal(a["histogram"].counts, b["histogram"].counts)
         assert a["laggards"].analysis.keys == b["laggards"].analysis.keys
+
+    def test_iteration_split_shards_keep_exact_products(self, dataset, context):
+        """Slices whose shards list different iteration sets (each (trial,
+        process) split unevenly by iteration, shards shuffled) still give
+        the dense per-iteration rows: percentiles and the
+        application-iteration normality counts equal the dense oracles."""
+        shards = [
+            TimingShard.from_dataset(
+                dataset.select(trial=int(t), process=int(p)).select_iterations(part),
+                trial=int(t),
+                process=int(p),
+            )
+            for t in dataset.trials
+            for p in dataset.processes
+            for part in (slice(0, 3 + int(p)), slice(3 + int(p), None))
+        ]
+        np.random.default_rng(11).shuffle(shards)
+        results = run_analyses(shards, ["percentiles", "normality"], context)
+        series = results["percentiles"]
+        expected = percentile_table(
+            per_iteration_samples(dataset) * 1.0e3, series.percentiles, axis=-1
+        )
+        np.testing.assert_array_equal(series.values, expected)
+        assert (
+            results["normality"].application_iteration_pass_counts
+            == NormalityStudy(dataset).application_iteration_pass_counts()
+        )
+
+    def test_iteration_rows_pool_ragged_iteration_sets(self):
+        """Iterations pooled from different numbers of slices come back as
+        1-D rows, each the serial-order concatenation of its slices' rows."""
+        rng = np.random.default_rng(5)
+        labels = {(0, 0): [0, 1, 2], (0, 1): [1, 2], (1, 0): [0, 1, 2]}
+        cubes = {key: rng.normal(size=(len(its), 4)) for key, its in labels.items()}
+        def segments(keys):
+            return [(key, (np.array(labels[key]), cubes[key])) for key in keys]
+
+        rows = passes._iteration_rows(segments([(1, 0), (0, 1), (0, 0)]))
+        expected = [
+            np.concatenate(
+                [cubes[key][its.index(i)] for key, its in sorted(labels.items()) if i in its]
+            )
+            for i in range(3)
+        ]
+        assert isinstance(rows, list) and len(rows) == 3
+        for row, want in zip(rows, expected):
+            np.testing.assert_array_equal(row, want)
+        np.testing.assert_array_equal(
+            passes._iteration_rows(segments([(1, 0), (0, 0)])),
+            np.concatenate([cubes[(0, 0)], cubes[(1, 0)]], axis=1),
+        )
 
     def test_bounded_mode_fractions_stay_exact(self, dataset, shards):
         context = AnalysisContext.from_dataset(dataset, exact=False)
