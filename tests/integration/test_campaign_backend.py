@@ -65,6 +65,12 @@ CAMPAIGN_SCHEDULE_SMOKE_DIGESTS = {
     ("minife", "dynamic"): "72af0d3efc013179108eb566e8d875bfbc1d124e0dcb2bc673fe896fa1733ff0",
     ("minife", "dynamic,4"): "2af151e1a05561807064884cd19332f17de63b4c733fbed90525856cd231d552",
     ("minife", "guided"): "6247d45687080ced6825e53e91189a0131d685e602bfae911a6b83dfbede864b",
+    # one loop item per thread: both clauses give the same bits, but they
+    # reach them through the chunked-static and the work-queue 3-D folds
+    ("minimd", "static,4"): "a1dfb454951fba6b370d7bcc94074945e14c0d37a9026a9d4055fc826d02ee2e",
+    ("minimd", "dynamic,4"): "a1dfb454951fba6b370d7bcc94074945e14c0d37a9026a9d4055fc826d02ee2e",
+    ("miniqmc", "static,4"): "46851b348a32bc3c7a50e6dd4e6f32af22b5a0fe2409c147e3440a602bfea489",
+    ("miniqmc", "dynamic,4"): "46851b348a32bc3c7a50e6dd4e6f32af22b5a0fe2409c147e3440a602bfea489",
 }
 
 APPLICATIONS = sorted(CAMPAIGN_SMOKE_DIGESTS)
