@@ -1,6 +1,6 @@
 """Ablation A2 — OS noise on/off and loop-schedule choice.
 
-Design-choice checks called out in DESIGN.md:
+Design-choice checks:
 
 * with the OS-noise model disabled, MiniFE's laggard iterations drop to
   (almost) none beyond the application-level stragglers, and MiniMD's

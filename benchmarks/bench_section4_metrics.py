@@ -1,8 +1,8 @@
 """§4.2 (S1) — scalar metrics: median arrival, IQR, laggard %, reclaimable
 time, idle ratio.
 
-Paper values and the definition caveat are recorded in
-``repro.experiments.paper`` and DESIGN.md; the assertions here are the
+Paper values are recorded in ``repro.experiments.paper`` and the definition
+caveat in ``repro.core.reclaimable``; the assertions here are the
 qualitative claims the §5 discussion rests on:
 
 * MiniQMC has by far the largest reclaimable time per iteration;

@@ -1,18 +1,17 @@
 """Proxy applications (MiniFE, MiniMD, MiniQMC).
 
-Each application provides three things:
+The paper measures only when each thread of a timed compute region finishes,
+so each application provides the two things that shape those arrival times:
 
-1. **A real (reduced-scale) kernel** — the numerical code the paper times
-   (27-point-stencil CSR mat-vec, Lennard-Jones force loop, QMC walker
-   moves), runnable directly for examples and validated in unit tests.
-2. **A work model** — how the timed loop's iterations map to threads and how
+1. **A work model** — how the timed loop's iterations map to threads and how
    much compute each costs at the paper's problem sizes (200³ MiniFE mesh,
-   128³ MiniMD box, one mover per thread for MiniQMC).  This is what shapes
-   the thread-arrival distributions.
-3. **A calibrated cost/noise model** — per-unit costs and application-level
+   128³ MiniMD box, one mover per thread for MiniQMC), folded through the
+   configured OpenMP loop schedule.
+2. **A calibrated cost/noise model** — per-unit costs and application-level
    variability tuned so the simulated campaign reproduces the paper's
    measured distribution *shapes* (medians, IQRs, laggard rates, normality
-   classes); see DESIGN.md §5 for the calibration targets and mechanisms.
+   classes); each application module's "Calibration" notes give its
+   targets.
 
 Use :func:`get_application` to construct one by name.
 """

@@ -199,8 +199,8 @@ class ProxyApplication(ABC):
         """Pure compute times ``(n_shards, n_iterations, n_threads)`` of many
         shards, folded through the schedule's whole-campaign kernel — one
         :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign` call
-        for the entire chunk, each plane bit-identical to the per-shard
-        ``simulate_batch`` fold."""
+        for the entire chunk, each row bit-identical to the per-iteration
+        ``simulate`` fold."""
         costs = self.item_costs_campaign(shards, n_iterations, rng)
         return self.config.schedule.simulate_campaign(costs, self.config.n_threads)
 
@@ -351,18 +351,6 @@ class ProxyApplication(ABC):
                 # statistically equivalent vectorised noise (campaign fast path)
                 times = times + noise.batch_delays(times, rng)
         return times
-
-    # ------------------------------------------------------------------
-    # reference kernel
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def run_reference_kernel(self, rng: np.random.Generator) -> Dict[str, float]:
-        """Execute a reduced-scale version of the timed kernel.
-
-        Returns a dictionary of checkable quantities (norms, energies, ...).
-        Used by unit tests and by the quickstart example to show that the
-        simulated work models correspond to real numerical kernels.
-        """
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

@@ -5,30 +5,16 @@ function of highest order" — at a compute volume of 200³ matrix elements per
 process.  This subpackage provides:
 
 * :mod:`~repro.apps.minife.mesh` — the structured brick mesh and the analytic
-  27-point-stencil sparsity counts used by the work model.
-* :mod:`~repro.apps.minife.csr` / :mod:`~repro.apps.minife.matvec` — a real
-  CSR assembly and mat-vec kernel (reduced scale) with the same thread
-  decomposition as the work model.
-* :mod:`~repro.apps.minife.cg` — a conjugate-gradient driver using the kernel
-  (the solver MiniFE's timed region lives inside).
+  per-pencil 27-point-stencil sparsity counts used by the work model.
 * :mod:`~repro.apps.minife.app` — :class:`MiniFEApp`, the calibrated proxy
   used by the campaign.
 """
 
 from repro.apps.minife.app import MiniFEApp, MiniFEConfig
-from repro.apps.minife.cg import conjugate_gradient
-from repro.apps.minife.csr import CSRMatrix, build_stencil_csr
-from repro.apps.minife.matvec import csr_matvec, rowblock_partition, threaded_matvec
 from repro.apps.minife.mesh import BrickMesh
 
 __all__ = [
     "MiniFEApp",
     "MiniFEConfig",
     "BrickMesh",
-    "CSRMatrix",
-    "build_stencil_csr",
-    "csr_matvec",
-    "threaded_matvec",
-    "rowblock_partition",
-    "conjugate_gradient",
 ]

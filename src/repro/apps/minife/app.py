@@ -25,15 +25,12 @@ Calibration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.apps.base import ApplicationConfig, ProxyApplication
-from repro.apps.minife.cg import conjugate_gradient
-from repro.apps.minife.csr import build_stencil_csr
-from repro.apps.minife.matvec import csr_matvec, threaded_matvec
 from repro.apps.minife.mesh import BrickMesh
 
 #: The paper's mean median arrival time for MiniFE (seconds).
@@ -57,10 +54,6 @@ class MiniFEConfig(ApplicationConfig):
     #: straggler delay range in seconds
     straggler_min_s: float = 1.0e-3
     straggler_max_s: float = 4.0e-3
-    #: reduced-scale mesh used by the reference kernel
-    kernel_nx: int = 16
-    kernel_ny: int = 16
-    kernel_nz: int = 16
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -171,29 +164,6 @@ class MiniFEApp(ProxyApplication):
         campaign kernel replays identical rows to identical sums)."""
         row = self.base_thread_times(0, 0, rng)
         return np.broadcast_to(row, (len(shards), n_iterations, row.size))
-
-    # ------------------------------------------------------------------
-    # reference kernel
-    # ------------------------------------------------------------------
-    def run_reference_kernel(self, rng: np.random.Generator) -> Dict[str, float]:
-        """Assemble a reduced-scale stencil matrix, run a threaded mat-vec and
-        a short CG solve; returns verification quantities."""
-        cfg = self.config
-        matrix = build_stencil_csr(cfg.kernel_nx, cfg.kernel_ny, cfg.kernel_nz)
-        x = rng.standard_normal(matrix.n_rows)
-        reference = csr_matvec(matrix, x)
-        threaded = threaded_matvec(matrix, x, cfg.n_threads)
-        matvec_error = float(np.max(np.abs(reference - threaded.y)))
-        b = np.ones(matrix.n_rows)
-        cg = conjugate_gradient(matrix, b, tol=1e-8, max_iterations=500)
-        return {
-            "rows": float(matrix.n_rows),
-            "nonzeros": float(matrix.nnz),
-            "matvec_block_mismatch": matvec_error,
-            "cg_iterations": float(cg.iterations),
-            "cg_residual": cg.residual_norm,
-            "cg_converged": float(cg.converged),
-        }
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

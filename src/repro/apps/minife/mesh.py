@@ -1,4 +1,4 @@
-"""Structured brick mesh and analytic 27-point stencil sparsity counts.
+"""Structured brick mesh and its analytic 27-point stencil sparsity counts.
 
 MiniFE assembles a hexahedral-element Laplace problem on an ``nx × ny × nz``
 node grid; the resulting matrix has a 27-point stencil: row ``(x, y, z)``
@@ -10,14 +10,13 @@ mat-vec early — the paper's "early threads ... potentially due to work
 distribution imbalance".
 
 For the 200³ production volume the matrix has 8 × 10⁶ rows; building it is
-unnecessary because every count the work model needs is available in closed
-form here, in O(nx·ny + nz) time.
+unnecessary because the per-pencil counts the work model needs are available
+in closed form here, in O(ny·nz) time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -46,66 +45,6 @@ class BrickMesh:
         if min(self.nx, self.ny, self.nz) < 1:
             raise ValueError("mesh dimensions must be >= 1")
 
-    # ------------------------------------------------------------------
-    @property
-    def n_rows(self) -> int:
-        """Number of matrix rows (= mesh nodes)."""
-        return self.nx * self.ny * self.nz
-
-    @property
-    def rows_per_plane(self) -> int:
-        """Rows in one z-plane."""
-        return self.nx * self.ny
-
-    @property
-    def total_nonzeros(self) -> int:
-        """Total stencil nonzeros: ``(3nx−2)(3ny−2)(3nz−2)`` for n ≥ 2 axes."""
-        return int(
-            _axis_widths(self.nx).sum()
-            * _axis_widths(self.ny).sum()
-            * _axis_widths(self.nz).sum()
-        )
-
-    # ------------------------------------------------------------------
-    def node_index(self, x: int, y: int, z: int) -> int:
-        """Natural-ordering row index of node ``(x, y, z)``."""
-        if not (0 <= x < self.nx and 0 <= y < self.ny and 0 <= z < self.nz):
-            raise IndexError(f"node ({x},{y},{z}) outside the mesh")
-        return (z * self.ny + y) * self.nx + x
-
-    def node_coords(self, index: int) -> Tuple[int, int, int]:
-        """Inverse of :meth:`node_index`."""
-        if not 0 <= index < self.n_rows:
-            raise IndexError(f"row {index} outside the mesh")
-        x = index % self.nx
-        y = (index // self.nx) % self.ny
-        z = index // (self.nx * self.ny)
-        return x, y, z
-
-    def row_nonzeros(self, index: int) -> int:
-        """Stencil nonzeros of one row."""
-        x, y, z = self.node_coords(index)
-        wx = _axis_widths(self.nx)[x]
-        wy = _axis_widths(self.ny)[y]
-        wz = _axis_widths(self.nz)[z]
-        return int(wx * wy * wz)
-
-    # ------------------------------------------------------------------
-    def plane_pattern_nonzeros(self) -> np.ndarray:
-        """Per-row nonzero pattern of one *interior* z-plane, natural order.
-
-        The actual count of row ``(x, y, z)`` is this pattern value times the
-        z-width factor ``w(z)/3``... more precisely the pattern stores
-        ``w(x)·w(y)`` so a row's nonzeros are ``pattern · w(z)``.
-        """
-        wx = _axis_widths(self.nx)
-        wy = _axis_widths(self.ny)
-        return np.outer(wy, wx).ravel()
-
-    def z_widths(self) -> np.ndarray:
-        """The z-axis width factor ``w(z)`` per plane."""
-        return _axis_widths(self.nz)
-
     def pencil_nonzeros(self) -> np.ndarray:
         """Nonzeros of every (z, y) pencil (a contiguous run of ``nx`` rows).
 
@@ -117,35 +56,3 @@ class BrickMesh:
         wy = _axis_widths(self.ny)
         wz = _axis_widths(self.nz)
         return (np.outer(wz, wy) * wx_sum).ravel()
-
-    def cumulative_nonzeros(self, n_first_rows: int) -> float:
-        """Total nonzeros of the first ``n_first_rows`` rows (natural order)."""
-        if not 0 <= n_first_rows <= self.n_rows:
-            raise ValueError("n_first_rows outside [0, n_rows]")
-        pattern = self.plane_pattern_nonzeros()
-        pattern_cumsum = np.concatenate(([0.0], np.cumsum(pattern)))
-        plane_total = pattern.sum()
-        wz = self.z_widths()
-        full_planes = n_first_rows // self.rows_per_plane
-        remainder = n_first_rows % self.rows_per_plane
-        total = float((wz[:full_planes] * plane_total).sum())
-        if remainder:
-            total += float(wz[full_planes] * pattern_cumsum[remainder])
-        return total
-
-    def rowblock_nonzeros(self, n_blocks: int) -> np.ndarray:
-        """Nonzeros of each of ``n_blocks`` near-equal contiguous row blocks.
-
-        This is the per-thread work of a ``schedule(static)`` mat-vec.
-        """
-        if n_blocks < 1:
-            raise ValueError("n_blocks must be >= 1")
-        base = self.n_rows // n_blocks
-        remainder = self.n_rows % n_blocks
-        sizes = np.full(n_blocks, base, dtype=np.int64)
-        sizes[:remainder] += 1
-        boundaries = np.concatenate(([0], np.cumsum(sizes)))
-        cumulative = np.array(
-            [self.cumulative_nonzeros(int(b)) for b in boundaries]
-        )
-        return np.diff(cumulative)

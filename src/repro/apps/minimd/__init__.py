@@ -4,30 +4,18 @@ The paper times MiniMD's Lennard-Jones forcing function — "the most
 computationally intensive section of the application" — at a compute volume
 of 128³.  This subpackage provides:
 
-* :mod:`~repro.apps.minimd.lattice` — FCC lattice setup (positions,
-  velocities, box geometry).
-* :mod:`~repro.apps.minimd.neighbor` — cell-list neighbour search plus the
-  analytic expected-neighbour-count model used at production scale.
-* :mod:`~repro.apps.minimd.forces` — the Lennard-Jones force/energy kernel.
-* :mod:`~repro.apps.minimd.integrate` — velocity-Verlet integration (the loop
-  the timed region sits inside).
+* :mod:`~repro.apps.minimd.neighbor` — the analytic expected-neighbour-count
+  model that sets the per-atom force cost at production scale.
 * :mod:`~repro.apps.minimd.app` — :class:`MiniMDApp`, the calibrated proxy
   used by the campaign (including the two-phase warm-up behaviour of
   Figure 6).
 """
 
 from repro.apps.minimd.app import MiniMDApp, MiniMDConfig
-from repro.apps.minimd.forces import lennard_jones_forces
-from repro.apps.minimd.integrate import velocity_verlet_step
-from repro.apps.minimd.lattice import fcc_lattice
-from repro.apps.minimd.neighbor import build_neighbor_lists, expected_neighbors
+from repro.apps.minimd.neighbor import expected_neighbors
 
 __all__ = [
     "MiniMDApp",
     "MiniMDConfig",
-    "fcc_lattice",
-    "build_neighbor_lists",
     "expected_neighbors",
-    "lennard_jones_forces",
-    "velocity_verlet_step",
 ]

@@ -34,10 +34,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.apps.base import ApplicationConfig, ProxyApplication
-from repro.apps.minimd.forces import lennard_jones_forces
-from repro.apps.minimd.integrate import run_md
-from repro.apps.minimd.lattice import DEFAULT_DENSITY, fcc_lattice
-from repro.apps.minimd.neighbor import DEFAULT_CUTOFF, build_neighbor_lists, expected_neighbors
+from repro.apps.minimd.neighbor import DEFAULT_CUTOFF, DEFAULT_DENSITY, expected_neighbors
 
 #: The paper's mean median arrival time for MiniMD (seconds).
 TARGET_MEDIAN_ARRIVAL_S = 24.74e-3
@@ -62,9 +59,6 @@ class MiniMDConfig(ApplicationConfig):
     warmup_spread_s: float = 1.0e-3
     #: atoms-per-thread relative variation (neighbour-count fluctuation)
     work_imbalance_fraction: float = 0.0015
-    #: reduced-scale kernel: unit cells per dimension
-    kernel_cells: int = 5
-    kernel_steps: int = 5
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -177,28 +171,6 @@ class MiniMDApp(ProxyApplication):
     # *_campaign hooks: each shard's 2-D plane draws sit under its absolute
     # ("shard", trial, process) scope, so any chunking or worker assignment
     # replays identical fluctuations and warm-up settling
-
-    # ------------------------------------------------------------------
-    # reference kernel
-    # ------------------------------------------------------------------
-    def run_reference_kernel(self, rng: np.random.Generator) -> Dict[str, float]:
-        """Run a short reduced-scale LJ melt; returns verification quantities."""
-        cfg = self.config
-        cells = (cfg.kernel_cells,) * 3
-        box = fcc_lattice(cells, density=cfg.density, rng=rng)
-        # zero skin so the measured neighbour count is directly comparable to
-        # the analytic expectation used by the production-scale work model
-        lists = build_neighbor_lists(box, cutoff=cfg.cutoff, skin=0.0)
-        initial = lennard_jones_forces(box, lists)
-        final = run_md(box, n_steps=cfg.kernel_steps, cutoff=cfg.cutoff)
-        return {
-            "atoms": float(box.n_atoms),
-            "mean_neighbors": float(lists.counts().mean()),
-            "expected_neighbors": self.pairs_per_atom,
-            "initial_potential": initial.potential_energy,
-            "net_force_magnitude": float(np.abs(initial.forces.sum(axis=0)).max()),
-            "final_total_energy": final.total_energy,
-        }
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

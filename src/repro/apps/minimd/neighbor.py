@@ -1,29 +1,18 @@
-"""Neighbour lists: cell-list construction plus the analytic count model.
+"""The analytic neighbour-count model behind MiniMD's per-atom force cost.
 
-MiniMD rebuilds neighbour lists every few timesteps; between rebuilds the
-force kernel iterates over each atom's stored neighbours.  Two things matter
-for the work model:
-
-* the **expected neighbour count** per atom, which sets the per-atom force
-  cost at production scale (:func:`expected_neighbors`), and
-* the **rebuild cost and its variability**, which is what widens the thread
-  arrival distribution during the application's first iterations (the paper's
-  Figure 6, iterations one through nineteen).
+MiniMD's force kernel iterates over each atom's stored neighbours, so the
+**expected neighbour count** per atom (:func:`expected_neighbors`) sets the
+per-atom cost of the timed region at production scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
 import numpy as np
 
-from repro.apps.minimd.lattice import LatticeBox
-
+#: Standard LJ melt reduced density used by MiniMD's default input.
+DEFAULT_DENSITY = 0.8442
 #: MiniMD's default force cutoff (reduced units).
 DEFAULT_CUTOFF = 2.5
-#: Default neighbour-list skin distance.
-DEFAULT_SKIN = 0.3
 
 
 def expected_neighbors(
@@ -38,70 +27,3 @@ def expected_neighbors(
         raise ValueError("density and cutoff must be positive")
     full = 4.0 / 3.0 * np.pi * cutoff**3 * density
     return full / 2.0 if half_list else full
-
-
-@dataclass
-class NeighborLists:
-    """Per-atom neighbour lists (half lists: ``j > i`` only)."""
-
-    neighbors: List[np.ndarray]
-    cutoff: float
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.neighbors)
-
-    def counts(self) -> np.ndarray:
-        return np.array([len(n) for n in self.neighbors])
-
-    @property
-    def total_pairs(self) -> int:
-        return int(self.counts().sum())
-
-
-def build_neighbor_lists(
-    box: LatticeBox, cutoff: float = DEFAULT_CUTOFF, skin: float = DEFAULT_SKIN
-) -> NeighborLists:
-    """Cell-list neighbour search with periodic boundaries (reduced scale).
-
-    Builds half lists (``j > i``), the storage MiniMD's force kernel expects.
-    Cost is O(N) for homogeneous densities; intended for the reference kernel
-    (≤ ~10⁵ atoms), not the 128³ production volume.
-    """
-    if cutoff <= 0 or skin < 0:
-        raise ValueError("cutoff must be positive and skin non-negative")
-    reach = cutoff + skin
-    positions = box.positions
-    lengths = box.box_length
-    n_atoms = positions.shape[0]
-    n_cells = np.maximum((lengths // reach).astype(int), 1)
-    cell_size = lengths / n_cells
-    cell_of = (positions // cell_size).astype(int) % n_cells
-    buckets: Dict[tuple, List[int]] = {}
-    for idx, cell in enumerate(map(tuple, cell_of)):
-        buckets.setdefault(cell, []).append(idx)
-
-    reach_sq = reach * reach
-    neighbors: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_atoms
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    for idx in range(n_atoms):
-        cell = cell_of[idx]
-        # deduplicate neighbour cells: with fewer than three cells per
-        # dimension the ±1 offsets wrap onto the same cell
-        neighbor_cells = {tuple((cell + off) % n_cells) for off in offsets}
-        candidates: List[int] = []
-        for key in neighbor_cells:
-            candidates.extend(buckets.get(key, ()))
-        cand = np.array([c for c in candidates if c > idx], dtype=np.int64)
-        if cand.size == 0:
-            continue
-        delta = positions[cand] - positions[idx]
-        delta -= lengths * np.round(delta / lengths)  # minimum image
-        dist_sq = np.einsum("ij,ij->i", delta, delta)
-        neighbors[idx] = cand[dist_sq < reach_sq]
-    return NeighborLists(neighbors=neighbors, cutoff=cutoff)

@@ -3,29 +3,15 @@
 The paper times "the entirety of the computation for the individual threaded
 'movers'": each OpenMP thread owns a mover (a walker plus its wavefunction
 buffers) and advances it through a sweep of single-particle moves.  This
-subpackage provides:
-
-* :mod:`~repro.apps.miniqmc.spline` — a cost/evaluation model of the B-spline
-  single-particle orbitals (the dominant kernel inside a move).
-* :mod:`~repro.apps.miniqmc.walkers` — walker state (electron positions).
-* :mod:`~repro.apps.miniqmc.mover` — the VMC mover kernel: propose, evaluate,
-  accept/reject; the per-walker acceptance history is what spreads the
-  per-thread compute times.
-* :mod:`~repro.apps.miniqmc.app` — :class:`MiniQMCApp`, the calibrated proxy
-  used by the campaign.
+subpackage provides :mod:`~repro.apps.miniqmc.app` —
+:class:`MiniQMCApp`, the calibrated proxy used by the campaign, whose
+per-walker mover times are normals around per-process walker-population
+statistics.
 """
 
 from repro.apps.miniqmc.app import MiniQMCApp, MiniQMCConfig
-from repro.apps.miniqmc.mover import VMCMover, run_mover_sweep
-from repro.apps.miniqmc.spline import SplineOrbitalModel
-from repro.apps.miniqmc.walkers import Walker, WalkerEnsemble
 
 __all__ = [
     "MiniQMCApp",
     "MiniQMCConfig",
-    "SplineOrbitalModel",
-    "Walker",
-    "WalkerEnsemble",
-    "VMCMover",
-    "run_mover_sweep",
 ]

@@ -29,7 +29,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.apps.base import ApplicationConfig, ProxyApplication
-from repro.apps.miniqmc.mover import run_mover_sweep
 from repro.sim.random import maybe_scope
 
 #: The paper's mean median arrival time for MiniQMC (seconds).
@@ -60,9 +59,6 @@ class MiniQMCConfig(ApplicationConfig):
     #: (application / application-iteration level) distribution reject
     #: normality while individual process-iterations remain normal (§4.1)
     process_sd_spread: float = 0.35
-    #: reduced-scale kernel parameters
-    kernel_electrons: int = 8
-    kernel_orbitals: int = 8
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -200,19 +196,6 @@ class MiniQMCApp(ProxyApplication):
                 )
         draws = np.clip(planes, 0.2 * self.mover_mean_s, None)
         return draws * cfg.sweeps_per_iteration
-
-    # ------------------------------------------------------------------
-    # reference kernel
-    # ------------------------------------------------------------------
-    def run_reference_kernel(self, rng: np.random.Generator) -> Dict[str, float]:
-        """Run one reduced-scale mover sweep; returns verification quantities."""
-        cfg = self.config
-        return run_mover_sweep(
-            n_electrons=cfg.kernel_electrons,
-            n_sweeps=cfg.sweeps_per_iteration,
-            n_orbitals=cfg.kernel_orbitals,
-            seed=int(rng.integers(0, 2**31 - 1)),
-        )
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

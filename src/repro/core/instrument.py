@@ -11,7 +11,7 @@ Two instrumenters are provided:
   demonstrate the measurement procedure end-to-end on real threads; because of
   the GIL and the coarse scheduling granularity of CPython the absolute values
   are *not* comparable to native OpenMP measurements (this is exactly the
-  limitation that motivates the simulated substrate — see DESIGN.md).
+  limitation that motivates the simulated substrate).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ Definitions, taken verbatim from the paper's text:
   iteration multiplied by number of threads", i.e.
   ``Σ_t (max − t_i) / (n_threads × max)``.
 
-See DESIGN.md §"Known internal inconsistencies" — the paper's reported
-absolute values for these two metrics cannot both hold under this (textual)
-definition together with the reported medians; we therefore report measured
-values under the definition above and preserve the qualitative ordering.
+The paper's reported absolute values for these two metrics cannot both hold
+under this (textual) definition together with the reported medians; we
+therefore report measured values under the definition above and preserve the
+qualitative ordering.
 """
 
 from __future__ import annotations

@@ -660,7 +660,7 @@ class CampaignTensorBackend(CampaignBackend):
     Randomness is necessarily ordered differently than ``"vectorized"``
     (per iteration), so this backend agrees with it in distribution —
     property-tested — while pinning its own smoke digests.  The schedule
-    fold itself keeps per-row bit-identity with ``simulate_batch`` /
+    fold itself keeps per-row bit-identity with the per-iteration
     ``simulate``.
 
     The campaign is one unit of work per *chunk*, not per shard, so

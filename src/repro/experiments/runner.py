@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -51,6 +52,7 @@ from repro.analysis import (
     analysis_title,
     available_analyses,
 )
+from repro.apps import APPLICATIONS
 from repro.experiments.backends import available_backends
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignResult, CampaignSession
@@ -68,6 +70,7 @@ from repro.experiments.tables import (
     table1,
 )
 from repro.io.dataset_io import save_dataset
+from repro.openmp.schedule import schedule_from_name
 from repro.scenarios import (
     available_machines,
     available_noise_profiles,
@@ -93,6 +96,32 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not (number > 0 and math.isfinite(number)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
+    return number
+
+
+def _schedule_clause(value: str) -> str:
+    """Check an OpenMP schedule clause at parse time; keep the text."""
+    try:
+        schedule_from_name(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(
+            f"invalid schedule clause {value!r}: {error}"
+        ) from None
+    return value
+
+
+def _application(value: str) -> str:
+    if value.strip().lower() not in APPLICATIONS:
+        raise argparse.ArgumentTypeError(
+            f"unknown application {value!r}; available: {', '.join(sorted(APPLICATIONS))}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-campaign",
@@ -103,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--apps",
         nargs="+",
+        type=_application,
         default=None,
         help="applications to run (default: all three proxies)",
     )
@@ -112,10 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
         default="benchmark",
         help="campaign size preset (default: benchmark)",
     )
-    parser.add_argument("--trials", type=int, default=None, help="override trial count")
-    parser.add_argument("--processes", type=int, default=None, help="override process count")
-    parser.add_argument("--iterations", type=int, default=None, help="override iteration count")
-    parser.add_argument("--threads", type=int, default=None, help="override thread count")
+    parser.add_argument(
+        "--trials", type=_positive_int, default=None, help="override trial count"
+    )
+    parser.add_argument(
+        "--processes", type=_positive_int, default=None, help="override process count"
+    )
+    parser.add_argument(
+        "--iterations", type=_positive_int, default=None, help="override iteration count"
+    )
+    parser.add_argument(
+        "--threads", type=_positive_int, default=None, help="override thread count"
+    )
     parser.add_argument("--seed", type=int, default=None, help="override the campaign seed")
     parser.add_argument(
         "--backend",
@@ -156,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--spill-mb",
-        type=float,
+        type=_positive_float,
         default=256.0,
         metavar="MB",
         help="with --out-of-core: in-memory shard buffer bound before a "
@@ -178,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--schedule",
+        type=_schedule_clause,
         default=None,
         metavar="CLAUSE",
         help="OpenMP schedule clause override ('static', 'dynamic,4', 'guided')",

@@ -7,7 +7,9 @@ and a closing timestamp/barrier.  The pieces:
 * :class:`~repro.openmp.schedule.StaticSchedule` /
   :class:`~repro.openmp.schedule.DynamicSchedule` /
   :class:`~repro.openmp.schedule.GuidedSchedule` — loop iteration-to-thread
-  assignment policies (OpenMP ``schedule(...)`` clauses).
+  assignment policies (OpenMP ``schedule(...)`` clauses), each with two
+  folds: ``simulate`` for one loop instance (the per-iteration oracle) and
+  ``simulate_campaign`` for a whole campaign's cost tensor.
 * :class:`~repro.openmp.barrier.Barrier` — a reusable barrier on the
   discrete-event engine.
 * :class:`~repro.openmp.team.ThreadTeam` — the thread pool of one process,

@@ -1,16 +1,22 @@
 """OpenMP loop schedules.
 
-A schedule maps loop iterations (work items) to threads.  Two interfaces are
-exposed because the execution simulator has two paths:
+A schedule maps loop iterations (work items) to threads.  Every schedule
+offers the same two folds of a per-item cost array into per-thread busy
+times, one per execution path:
 
-* :meth:`LoopSchedule.static_assignment` — for schedules whose assignment is
-  known before execution (``static`` and ``static,chunk``), return the item
-  indices of every thread.
-* :meth:`LoopSchedule.simulate` — for work-stealing-style schedules
-  (``dynamic``, ``guided``) the assignment depends on execution order; the
-  closed-form simulation replays the "grab the next chunk when idle" policy
-  against the per-item cost vector and returns both the per-thread busy time
-  and the realised assignment.
+* :meth:`LoopSchedule.simulate` — one loop instance (a 1-D cost vector).
+  This is the per-iteration oracle: besides the busy times it returns the
+  realised assignment, which the event-driven runtime reads.  For
+  work-stealing-style schedules (``dynamic``, ``guided``) the assignment
+  depends on execution order, so the fold replays the "grab the next chunk
+  when idle" policy against the costs.
+* :meth:`LoopSchedule.simulate_campaign` — a whole campaign's
+  ``(n_shards, n_instances, n_items)`` cost tensor at once (the
+  ``"campaign"`` backend), every row bit-identical to :meth:`simulate`.
+
+:meth:`LoopSchedule.static_assignment` additionally returns the item indices
+of every thread for schedules whose assignment is known before execution
+(``static`` and ``static,chunk``).
 
 The default for the proxy applications is ``static`` — the OpenMP default for
 ``parallel for`` in the Mantevo apps the paper instruments — which is exactly
@@ -23,47 +29,21 @@ import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 
-def scatter_add_2d(
-    target: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-    *,
-    unique: bool = False,
-) -> np.ndarray:
-    """``target[rows, cols] += values`` with explicit duplicate semantics.
-
-    The campaign kernels scatter per-chunk sums into ``(instances, threads)``
-    matrices; this is the one place that codifies how.  With ``unique=True``
-    the caller asserts every ``(row, col)`` pair occurs at most once, so the
-    buffered fancy-indexed add is safe — and much faster than ``np.add.at``
-    (the work-queue kernel's per-chunk scatter picks exactly one thread per
-    row).  With the default ``unique=False`` duplicates accumulate through
-    the unbuffered ``np.add.at`` (the round-robin static kernel deals many
-    chunks to the same thread).  ``rows``/``cols`` may broadcast against
-    ``values``.  Returns ``target`` (mutated in place).
-
-    Defined here (a leaf module, like :func:`segment_sums`) and re-exported
-    by :mod:`repro.core.aggregation` for the analysis layer.
-    """
-    if unique:
-        target[rows, cols] += values
-    else:
-        np.add.at(target, (rows, cols), values)
-    return target
-
-
 def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums of contiguous blocks, in one ``np.add.reduceat`` call.
+    """Per-segment sums of contiguous blocks along the last axis, in one
+    ``np.add.reduceat`` call.
 
     ``offsets`` has ``n_segments + 1`` monotone entries covering
-    ``values[offsets[0]:offsets[-1]]``; segment ``k`` is
-    ``values[offsets[k]:offsets[k+1]]``.  Empty segments (``offsets[k] ==
+    ``values[..., offsets[0]:offsets[-1]]``; segment ``k`` is
+    ``values[..., offsets[k]:offsets[k+1]]``, shared by every leading index,
+    and the result has shape ``values.shape[:-1] + (n_segments,)``.  Each
+    segment is summed left-to-right, so every row of an N-D input matches
+    what a 1-D call returns for it.  Empty segments (``offsets[k] ==
     offsets[k+1]``) sum to zero — ``np.add.reduceat`` alone would return the
     element *at* the boundary for those, so they are masked out explicitly.
     """
@@ -71,68 +51,16 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     sizes = np.diff(offsets)
     if np.any(sizes < 0):
         raise ValueError("offsets must be monotonically non-decreasing")
-    out = np.zeros(len(sizes), dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
+    out = np.zeros(arr.shape[:-1] + (len(sizes),), dtype=np.float64)
     nonempty = sizes > 0
     if nonempty.any():
         # slice to the covered range (reduceat would otherwise fold any
         # tail beyond offsets[-1] into the last segment); dropping empty
         # segments keeps the remaining starts strictly increasing and
         # contiguous, exactly what reduceat expects
-        arr = np.asarray(values, dtype=np.float64)[: offsets[-1]]
-        out[nonempty] = np.add.reduceat(arr, offsets[:-1][nonempty])
-    return out
-
-
-def segment_sums_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`segment_sums` of a 2-D matrix, in one ``reduceat``.
-
-    ``values`` has shape ``(n_rows, n_values)``; ``offsets`` addresses
-    segments along the last axis exactly as in :func:`segment_sums`, shared
-    by every row.  Returns ``(n_rows, n_segments)``.  Each segment is summed
-    left-to-right, so every row matches what :func:`segment_sums` returns
-    for it — this is what keeps the row-vectorised schedule kernels
-    bit-identical to their per-iteration counterparts.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
-    if np.any(sizes < 0):
-        raise ValueError("offsets must be monotonically non-decreasing")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("values must be a 2-D matrix (rows x items)")
-    out = np.zeros((arr.shape[0], len(sizes)), dtype=np.float64)
-    nonempty = sizes > 0
-    if nonempty.any():
-        out[:, nonempty] = np.add.reduceat(
-            arr[:, : offsets[-1]], offsets[:-1][nonempty], axis=1
-        )
-    return out
-
-
-def segment_sums_3d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """:func:`segment_sums_2d` with a leading shard axis, in one ``reduceat``.
-
-    ``values`` has shape ``(n_shards, n_rows, n_values)`` — a whole
-    campaign's per-item costs at once; ``offsets`` addresses segments along
-    the last axis exactly as in :func:`segment_sums`, shared by every
-    (shard, row) plane.  Returns ``(n_shards, n_rows, n_segments)``.  Each
-    plane is summed left-to-right, so ``out[s]`` is bit-identical to
-    ``segment_sums_2d(values[s], offsets)`` — the property that keeps the
-    campaign backend's whole-tensor schedule fold bit-identical to the
-    per-shard ``simulate_batch`` kernels.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
-    if np.any(sizes < 0):
-        raise ValueError("offsets must be monotonically non-decreasing")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError("values must be a 3-D tensor (shards x rows x items)")
-    out = np.zeros((arr.shape[0], arr.shape[1], len(sizes)), dtype=np.float64)
-    nonempty = sizes > 0
-    if nonempty.any():
-        out[:, :, nonempty] = np.add.reduceat(
-            arr[:, :, : offsets[-1]], offsets[:-1][nonempty], axis=2
+        out[..., nonempty] = np.add.reduceat(
+            arr[..., : offsets[-1]], offsets[:-1][nonempty], axis=-1
         )
     return out
 
@@ -160,7 +88,7 @@ def _dynamic_chunk_layout(n_items: int, chunk: int) -> Tuple[np.ndarray, np.ndar
 
     ``sizes`` are the hand-out chunk lengths; ``bounds`` are the cumulative
     boundaries clamped to ``n_items`` (the last chunk may be short).  Both
-    arrays are shared and read-only: every ``simulate``/``simulate_batch``
+    arrays are shared and read-only: every ``simulate``/``simulate_campaign``
     call on a ``dynamic`` clause re-asks for the same ``(n_items, chunk)``
     layout, so it is computed once.
     """
@@ -242,8 +170,22 @@ class ScheduleOutcome:
     chunks: List[Tuple[int, int, int]]
 
 
+#: what each axis of a cost array holds, by dimensionality
+_COST_AXES = {
+    1: "one entry per iteration",
+    3: "shards x instances x items",
+}
+
+
 class LoopSchedule(ABC):
-    """Abstract iteration-to-thread assignment policy."""
+    """Abstract iteration-to-thread assignment policy.
+
+    Every schedule has exactly two folds: :meth:`simulate` replays one loop
+    instance (the per-iteration oracle, which also returns the realised
+    assignment) and :meth:`simulate_campaign` folds a whole campaign's
+    ``(n_shards, n_instances, n_items)`` cost tensor at once, every row
+    bit-identical to :meth:`simulate`.
+    """
 
     #: schedule kind string, e.g. ``"static"``
     kind: str = "abstract"
@@ -252,42 +194,16 @@ class LoopSchedule(ABC):
     def simulate(self, costs: np.ndarray, n_threads: int) -> ScheduleOutcome:
         """Replay the schedule on ``costs`` (one entry per loop iteration)."""
 
-    def simulate_batch(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
-        """Per-thread busy time of many independent loop instances at once.
-
-        ``costs`` has shape ``(n_instances, n_items)`` — one row per
-        application iteration of a campaign shard; the return value is the
-        ``(n_instances, n_threads)`` busy-time matrix.  The base
-        implementation replays each row through :meth:`simulate` — the
-        fallback for custom schedules; every built-in schedule overrides it
-        with a vectorised whole-matrix kernel (closed-form folds for the
-        static clauses, the row-vectorised work-queue replay for
-        dynamic/guided).  Every row is bit-identical to
-        ``simulate(costs[i], n_threads).busy_time``.
-        """
-        arr = self._validate_batch(costs, n_threads)
-        busy = np.empty((arr.shape[0], n_threads), dtype=np.float64)
-        for i in range(arr.shape[0]):
-            busy[i] = self.simulate(arr[i], n_threads).busy_time
-        return busy
-
+    @abstractmethod
     def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
         """Per-thread busy time of a whole campaign's loop instances at once.
 
         ``costs`` has shape ``(n_shards, n_instances, n_items)`` — one plane
-        per (trial, process) shard; the return value is the
-        ``(n_shards, n_instances, n_threads)`` busy-time tensor.  The base
-        implementation flattens the leading axes through
-        :meth:`simulate_batch` (a zero-copy view for contiguous input), so
-        one call folds the entire campaign — static clauses via one
-        closed-form ``reduceat``, dynamic/guided via one row-vectorised
-        work-queue replay over all ``n_shards * n_instances`` rows.  Every
-        plane is bit-identical to ``simulate_batch(costs[s], n_threads)``.
+        per (trial, process) shard, one row per application iteration; the
+        return value is the ``(n_shards, n_instances, n_threads)`` busy-time
+        tensor.  Every row is bit-identical to
+        ``simulate(costs[s, i], n_threads).busy_time``.
         """
-        arr = self._validate_campaign(costs, n_threads)
-        n_shards, n_instances, n_items = arr.shape
-        flat = self.simulate_batch(arr.reshape(n_shards * n_instances, n_items), n_threads)
-        return flat.reshape(n_shards, n_instances, n_threads)
 
     def static_assignment(
         self, n_items: int, n_threads: int
@@ -297,36 +213,10 @@ class LoopSchedule(ABC):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _validate(costs: np.ndarray, n_threads: int) -> np.ndarray:
+    def _validate(costs: np.ndarray, n_threads: int, ndim: int = 1) -> np.ndarray:
         arr = np.asarray(costs, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("costs must be a 1-D array (one entry per iteration)")
-        if np.any(arr < 0):
-            raise ValueError("per-iteration costs must be non-negative")
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        return arr
-
-    @staticmethod
-    def _validate_batch(costs: np.ndarray, n_threads: int) -> np.ndarray:
-        arr = np.asarray(costs, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(
-                "batch costs must be a 2-D matrix (instances x loop items)"
-            )
-        if np.any(arr < 0):
-            raise ValueError("per-iteration costs must be non-negative")
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        return arr
-
-    @staticmethod
-    def _validate_campaign(costs: np.ndarray, n_threads: int) -> np.ndarray:
-        arr = np.asarray(costs, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(
-                "campaign costs must be a 3-D tensor (shards x instances x items)"
-            )
+        if arr.ndim != ndim:
+            raise ValueError(f"costs must be a {ndim}-D array ({_COST_AXES[ndim]})")
         if np.any(arr < 0):
             raise ValueError("per-iteration costs must be non-negative")
         if n_threads < 1:
@@ -357,8 +247,8 @@ class StaticSchedule(LoopSchedule):
     def _block_offsets(n_items: int, n_threads: int) -> np.ndarray:
         """Boundaries of the ``n_threads`` contiguous near-equal blocks —
         the single source of the chunk-less split policy, shared by
-        :meth:`static_assignment`, :meth:`simulate` and
-        :meth:`simulate_batch`.  Memoized (read-only array)."""
+        :meth:`static_assignment` and both folds.  Memoized (read-only
+        array)."""
         return _static_block_offsets(int(n_items), int(n_threads))
 
     def static_assignment(self, n_items: int, n_threads: int) -> List[np.ndarray]:
@@ -391,38 +281,25 @@ class StaticSchedule(LoopSchedule):
         ]
         return ScheduleOutcome(assignment=assignment, busy_time=busy, chunks=chunks)
 
-    def simulate_batch(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
-        """Closed-form batch kernel: the assignment is cost-independent, so
-        the whole ``(n_instances, n_items)`` matrix folds through one
-        row-wise ``reduceat`` instead of ``n_instances`` replays."""
-        arr = self._validate_batch(costs, n_threads)
-        n_items = arr.shape[1]
-        if self.chunk is None:
-            return segment_sums_2d(arr, self._block_offsets(n_items, n_threads))
-        chunk_sums = segment_sums_2d(arr, self._chunk_offsets(n_items))
-        busy = np.zeros((arr.shape[0], n_threads), dtype=np.float64)
-        threads_of = np.arange(chunk_sums.shape[1]) % n_threads
-        # round-robin deals many chunks to the same thread: duplicates must
-        # accumulate (unique=False)
-        scatter_add_2d(
-            busy,
-            np.arange(arr.shape[0])[:, None],
-            threads_of[None, :],
-            chunk_sums,
-        )
-        return busy
-
     def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
-        """Whole-campaign closed form: the chunk-less split folds the full
-        ``(n_shards, n_instances, n_items)`` tensor through one
-        :func:`segment_sums_3d` without even the flattening view; the
-        round-robin clause reuses the 2-D scatter kernel on the flattened
-        rows (same adds in the same order, so planes stay bit-identical to
-        :meth:`simulate_batch`)."""
-        arr = self._validate_campaign(costs, n_threads)
+        """Closed form: the assignment is cost-independent, so the chunk-less
+        split folds the whole tensor through one :func:`segment_sums`; the
+        round-robin clause sums chunks over the flattened ``(rows, items)``
+        view and scatters them to their dealt threads in one ``np.add.at``."""
+        arr = self._validate(costs, n_threads, ndim=3)
+        n_shards, n_instances, n_items = arr.shape
         if self.chunk is None:
-            return segment_sums_3d(arr, self._block_offsets(arr.shape[2], n_threads))
-        return super().simulate_campaign(arr, n_threads)
+            return segment_sums(arr, self._block_offsets(n_items, n_threads))
+        rows = arr.reshape(n_shards * n_instances, n_items)
+        chunk_sums = segment_sums(rows, self._chunk_offsets(n_items))
+        busy = np.zeros((rows.shape[0], n_threads), dtype=np.float64)
+        threads_of = np.arange(chunk_sums.shape[1]) % n_threads
+        # round-robin deals many chunks to the same thread: the unbuffered
+        # np.add.at accumulates the duplicates
+        np.add.at(
+            busy, (np.arange(rows.shape[0])[:, None], threads_of[None, :]), chunk_sums
+        )
+        return busy.reshape(n_shards, n_instances, n_threads)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StaticSchedule(chunk={self.chunk})"
@@ -434,8 +311,8 @@ class _WorkQueueSchedule(LoopSchedule):
     def _chunk_layout(self, n_items: int, n_threads: int) -> Tuple[np.ndarray, np.ndarray]:
         """Memoized ``(sizes, bounds)`` chunk decomposition (read-only,
         shared).  Chunk boundaries depend only on the loop geometry — never
-        on the realised costs — which is what makes the whole-matrix
-        work-queue replay of :meth:`simulate_batch` possible."""
+        on the realised costs — which is what makes the row-vectorised
+        work-queue replay of :meth:`simulate_campaign` possible."""
         raise NotImplementedError
 
     def _chunk_sizes(self, n_items: int, n_threads: int) -> np.ndarray:
@@ -480,64 +357,60 @@ class _WorkQueueSchedule(LoopSchedule):
         assignment = list(np.split(order, np.cumsum(counts)[:-1]))
         return ScheduleOutcome(assignment=assignment, busy_time=busy, chunks=chunks)
 
-    def simulate_batch(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
-        """Row-vectorised work-queue replay of many loop instances at once.
+    def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
+        """Row-vectorised work-queue replay of every loop instance at once.
 
         Chunk boundaries depend only on ``(n_items, n_threads[, chunk])``,
         so every row shares the same hand-out sequence; only *which thread*
-        grabs chunk ``k`` depends on the realised costs.  The kernel
-        therefore pre-sums all per-chunk costs for the whole
-        ``(n_instances, n_items)`` matrix in one :func:`segment_sums_2d`
-        call and replays the "idle thread grabs the next chunk" policy for
-        all rows simultaneously: an ``(n_instances, n_threads)``
-        available-time matrix, one ``argmin`` per chunk (first-minimum ==
-        lowest thread id, exactly the heap's ``(time, thread)`` tie-break)
-        and one unique-index scatter-add per chunk.  ``n_instances`` heap
-        replays collapse into ``n_chunks`` vectorised steps, and every row
-        stays bit-identical to ``simulate(costs[i], n_threads).busy_time``
-        (same chunk sums, same adds in the same order — Hypothesis-pinned in
+        grabs chunk ``k`` depends on the realised costs.  The tensor is
+        flattened to its ``(rows, items)`` view and replayed by
+        :meth:`_workqueue_replay`: ``n_shards * n_instances`` heap replays
+        collapse into ``n_chunks`` vectorised steps, every row bit-identical
+        to ``simulate(row, n_threads).busy_time`` (same chunk sums, same
+        adds in the same order — Hypothesis-pinned in
         ``tests/property/test_prop_schedule.py``).
         """
-        arr = self._validate_batch(costs, n_threads)
-        busy, _ = self._workqueue_replay(arr, n_threads, want_picks=False)
-        return busy
-
-    def simulate_batch_details(
-        self, costs: np.ndarray, n_threads: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batch busy times plus the realised chunk-to-thread assignment.
-
-        Returns ``(busy, picks)`` where ``picks[i, k]`` is the thread that
-        executed hand-out chunk ``k`` of row ``i`` — the batch analogue of
-        ``ScheduleOutcome.chunks`` (used by the bit-equality tests and by
-        traces; :meth:`simulate_batch` skips building it).
-        """
-        arr = self._validate_batch(costs, n_threads)
-        return self._workqueue_replay(arr, n_threads, want_picks=True)
+        arr = self._validate(costs, n_threads, ndim=3)
+        n_shards, n_instances, n_items = arr.shape
+        busy, _ = self._workqueue_replay(
+            arr.reshape(n_shards * n_instances, n_items), n_threads, want_picks=False
+        )
+        return busy.reshape(n_shards, n_instances, n_threads)
 
     def _workqueue_replay(
         self, arr: np.ndarray, n_threads: int, want_picks: bool
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        n_instances, n_items = arr.shape
+        """Replay the "idle thread grabs the next chunk" policy for all rows
+        of an ``(n_rows, n_items)`` matrix simultaneously.
+
+        Pre-sums every row's chunks in one :func:`segment_sums`, then keeps
+        an ``(n_rows, n_threads)`` available-time matrix: one ``argmin`` per
+        chunk (first minimum == lowest thread id, exactly the heap's
+        ``(time, thread)`` tie-break) and one fancy-indexed add per chunk.
+        Returns ``(busy, picks)``; with ``want_picks`` ``picks[i, k]`` is
+        the thread that executed hand-out chunk ``k`` of row ``i`` (the
+        analogue of ``ScheduleOutcome.chunks``), otherwise ``None``.
+        """
+        n_rows, n_items = arr.shape
         _, bounds = self._chunk_layout(n_items, n_threads)
         # non-empty chunks form a prefix (sizes are positive; clamping only
         # flattens the tail), matching the heap replay's early break
         n_chunks = int(np.count_nonzero(np.diff(bounds)))
-        chunk_costs = segment_sums_2d(arr, bounds)
-        available = np.zeros((n_instances, n_threads), dtype=np.float64)
-        busy = np.zeros((n_instances, n_threads), dtype=np.float64)
-        picks = (
-            np.empty((n_instances, n_chunks), dtype=np.int64) if want_picks else None
-        )
-        rows = np.arange(n_instances)
+        chunk_costs = segment_sums(arr, bounds)
+        available = np.zeros((n_rows, n_threads), dtype=np.float64)
+        busy = np.zeros((n_rows, n_threads), dtype=np.float64)
+        picks = np.empty((n_rows, n_chunks), dtype=np.int64) if want_picks else None
+        rows = np.arange(n_rows)
         for k in range(n_chunks):
             # first minimum per row == lowest thread id among the earliest
             # available, the heap's (time, thread) ordering
             thread = np.argmin(available, axis=1)
             cost = chunk_costs[:, k]
-            # each row scatters to exactly one (row, thread) cell: unique
-            scatter_add_2d(available, rows, thread, cost, unique=True)
-            scatter_add_2d(busy, rows, thread, cost, unique=True)
+            # each row adds to exactly one (row, thread) cell, so the
+            # buffered fancy-indexed add is safe (and far faster than
+            # np.add.at)
+            available[rows, thread] += cost
+            busy[rows, thread] += cost
             if picks is not None:
                 picks[:, k] = thread
         return busy, picks

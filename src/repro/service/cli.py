@@ -38,16 +38,11 @@ import urllib.request
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.experiments.runner import _positive_int
+
 #: the serve subcommand's default bind (shared with submit's default URL)
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
 
 
 # ----------------------------------------------------------------------

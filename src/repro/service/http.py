@@ -23,13 +23,15 @@ to remote clients:
 Every response carries ``Connection: close`` — one request per connection
 keeps the parser honest and the streaming endpoint trivially correct.
 Requests are bounded: a body over :data:`MAX_BODY_BYTES` or a malformed
-``Content-Length`` is a ``400``, and more than :data:`MAX_HEADER_LINES`
-header lines or a header line over :data:`MAX_LINE_BYTES` is a ``431``.  The
-stream endpoint is the HTTP face of ``async for shard in handle.stream()``:
-shards are serialised as summaries (trial, process, sample count, shard
-digest) rather than raw arrays, which is what the CLI progress printer and
-the CI smoke check consume; the full dataset digest arrives with the
-``done`` event and is compared against the pinned scenario-matrix digests.
+``Content-Length`` is a ``400``; more than :data:`MAX_HEADER_LINES` header
+lines or a header line over :data:`MAX_LINE_BYTES` is a ``431``; a client
+that has not sent its whole request within :data:`REQUEST_READ_TIMEOUT_S`
+gets a ``408``.  The stream endpoint is the HTTP face of
+``async for shard in handle.stream()``: shards are serialised as summaries
+(trial, process, sample count, shard digest) rather than raw arrays, which is
+what the CLI progress printer and the CI smoke check consume; the full
+dataset digest arrives with the ``done`` event and is compared against the
+pinned scenario-matrix digests.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -62,6 +65,10 @@ MAX_LINE_BYTES = 1 << 16
 
 #: requests with more header lines than this are rejected (431)
 MAX_HEADER_LINES = 100
+
+#: seconds a client has to send its whole request (request line, headers
+#: and body); a client that stalls longer gets a 408 and the connection closes
+REQUEST_READ_TIMEOUT_S = 30
 
 
 class _BadRequest(Exception):
@@ -154,7 +161,13 @@ class CampaignHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            method, path, body = await self._read_request(reader)
+            try:
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError as error:  # not the builtin on py3.10
+                message = f"request not received within {REQUEST_READ_TIMEOUT_S} s"
+                raise _BadRequest(message, 408) from error
             await self._route(writer, method, path, body)
         except _BadRequest as error:
             await self._send_json(writer, error.status, {"error": str(error)})
@@ -380,4 +393,10 @@ class CampaignHTTPServer:
         return f"CampaignHTTPServer({self.url}, {state})"
 
 
-__all__ = ["CampaignHTTPServer", "MAX_BODY_BYTES", "MAX_HEADER_LINES", "MAX_LINE_BYTES"]
+__all__ = [
+    "CampaignHTTPServer",
+    "MAX_BODY_BYTES",
+    "MAX_HEADER_LINES",
+    "MAX_LINE_BYTES",
+    "REQUEST_READ_TIMEOUT_S",
+]

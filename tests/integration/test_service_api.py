@@ -32,6 +32,7 @@ from repro.service import (
     dataset_digest,
     shard_digest,
 )
+from repro.service import http as service_http
 from repro.service.http import MAX_HEADER_LINES, MAX_LINE_BYTES
 
 GATED_BACKEND = "integration-test-gated"
@@ -448,6 +449,34 @@ class TestHTTPFrontEnd:
                 assert got == status
                 assert f"{where} line longer than" in payload["error"]
                 assert service.stats()["submitted"] == 0
+
+        asyncio.run(scenario())
+
+    def test_stalled_request_times_out_while_others_are_served(self, monkeypatch):
+        """A client that stalls mid-request line gets a 408 and a closed
+        connection after the read deadline; a concurrent ``/healthz`` is
+        answered meanwhile."""
+        monkeypatch.setattr(service_http, "REQUEST_READ_TIMEOUT_S", 0.2)
+
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(b"GET /hea")  # no CRLF: the request line stalls
+                await writer.drain()
+                status, payload = await _http_request(
+                    server.host, server.port, "GET", "/healthz"
+                )
+                assert status == 200 and json.loads(payload) == {"status": "ok"}
+                # read(-1) returns only at EOF: the server closed the socket
+                raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert int(head.split(None, 2)[1]) == 408
+                assert "within 0.2 s" in json.loads(body)["error"]
 
         asyncio.run(scenario())
 

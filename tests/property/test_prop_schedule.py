@@ -84,30 +84,48 @@ float_elements = st.floats(0.0, 1e-2, allow_nan=False)
 
 
 @st.composite
-def cost_matrices(draw):
-    n_instances = draw(st.integers(1, 6))
+def cost_tensors(draw):
+    n_shards = draw(st.integers(1, 3))
+    n_instances = draw(st.integers(1, 4))
     # includes n_items < n_threads (threads go up to 64 below) and the
     # empty loop
     n_items = draw(st.integers(0, 80))
     elements = draw(st.sampled_from([tie_elements, float_elements]))
     return draw(
-        hnp.arrays(np.float64, (n_instances, n_items), elements=elements)
+        hnp.arrays(np.float64, (n_shards, n_instances, n_items), elements=elements)
     )
 
 
-@given(costs=cost_matrices(), n_threads=threads_strategy, schedule=workqueue_schedules)
+@given(costs=cost_tensors(), n_threads=threads_strategy, schedule=workqueue_schedules)
 @settings(max_examples=150, deadline=None)
-def test_workqueue_batch_bit_identical_to_per_row_replay(costs, n_threads, schedule):
-    """simulate_batch must be *bit*-identical per row to simulate — busy
+def test_workqueue_campaign_bit_identical_to_per_row_replay(costs, n_threads, schedule):
+    """simulate_campaign must be *bit*-identical per row to simulate — busy
     times and the realised chunk-to-thread assignment — including under
     all-equal costs (thread-id tie-breaks) and rows with fewer items than
     threads."""
-    busy, picks = schedule.simulate_batch_details(costs, n_threads)
-    assert np.array_equal(busy, schedule.simulate_batch(costs, n_threads))
-    assert busy.shape == (costs.shape[0], n_threads)
-    for i, row in enumerate(costs):
+    busy = schedule.simulate_campaign(costs, n_threads)
+    assert busy.shape == costs.shape[:2] + (n_threads,)
+    n_shards, n_instances, n_items = costs.shape
+    rows = costs.reshape(n_shards * n_instances, n_items)
+    replayed, picks = schedule._workqueue_replay(rows, n_threads, want_picks=True)
+    assert np.array_equal(replayed, busy.reshape(n_shards * n_instances, n_threads))
+    for i, row in enumerate(rows):
         outcome = schedule.simulate(row, n_threads)
-        assert np.array_equal(busy[i], outcome.busy_time), f"row {i} busy diverged"
+        assert np.array_equal(replayed[i], outcome.busy_time), f"row {i} busy diverged"
         assert picks[i].tolist() == [thread for thread, _, _ in outcome.chunks], (
             f"row {i} chunk assignment diverged"
         )
+
+
+@given(
+    costs=cost_tensors(),
+    n_threads=threads_strategy,
+    schedule=st.sampled_from([StaticSchedule(), StaticSchedule(1), StaticSchedule(4)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_static_campaign_bit_identical_to_per_row_simulate(costs, n_threads, schedule):
+    """The closed-form static folds (one reduceat; round-robin chunks via
+    np.add.at) must reproduce simulate's busy times bit for bit."""
+    busy = schedule.simulate_campaign(costs, n_threads)
+    for index in np.ndindex(*costs.shape[:2]):
+        assert np.array_equal(busy[index], schedule.simulate(costs[index], n_threads).busy_time)

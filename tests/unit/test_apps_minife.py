@@ -1,121 +1,54 @@
-"""Unit tests for the MiniFE substrate (mesh, CSR, mat-vec, CG, proxy app)."""
+"""Unit tests for the MiniFE cost model (mesh sparsity counts, proxy app)."""
 
 import numpy as np
 import pytest
 
-from repro.apps.minife import (
-    BrickMesh,
-    MiniFEApp,
-    MiniFEConfig,
-    build_stencil_csr,
-    conjugate_gradient,
-    csr_matvec,
-    rowblock_partition,
-    threaded_matvec,
-)
+from repro.apps.minife import BrickMesh, MiniFEApp, MiniFEConfig
 from repro.apps.minife.app import TARGET_MEDIAN_ARRIVAL_S
+from repro.openmp.schedule import StaticSchedule
+
+
+def _brute_force_pencil_nonzeros(nx, ny, nz):
+    """Count every node's in-mesh 27-point neighbours, summed per (z, y)."""
+    counts = np.zeros((nz, ny))
+    for z in range(nz):
+        for y in range(ny):
+            for x in range(nx):
+                counts[z, y] += sum(
+                    0 <= x + dx < nx and 0 <= y + dy < ny and 0 <= z + dz < nz
+                    for dx in (-1, 0, 1)
+                    for dy in (-1, 0, 1)
+                    for dz in (-1, 0, 1)
+                )
+    return counts.ravel()
 
 
 class TestBrickMesh:
-    def test_row_nonzeros_by_position(self):
-        mesh = BrickMesh(5, 5, 5)
-        corner = mesh.row_nonzeros(mesh.node_index(0, 0, 0))
-        edge = mesh.row_nonzeros(mesh.node_index(1, 0, 0))
-        face = mesh.row_nonzeros(mesh.node_index(1, 1, 0))
-        interior = mesh.row_nonzeros(mesh.node_index(2, 2, 2))
-        assert (corner, edge, face, interior) == (8, 12, 18, 27)
+    @pytest.mark.parametrize(
+        "shape", [(5, 4, 3), (1, 4, 3), (4, 1, 3), (4, 3, 1), (2, 2, 2), (1, 1, 1)]
+    )
+    def test_pencil_nonzeros_match_brute_force_count(self, shape):
+        np.testing.assert_array_equal(
+            BrickMesh(*shape).pencil_nonzeros(), _brute_force_pencil_nonzeros(*shape)
+        )
 
     def test_total_nonzeros_formula(self):
         mesh = BrickMesh(6, 7, 8)
-        assert mesh.total_nonzeros == (3 * 6 - 2) * (3 * 7 - 2) * (3 * 8 - 2)
-
-    def test_cumulative_nonzeros_matches_row_sum(self):
-        mesh = BrickMesh(4, 3, 5)
-        explicit = np.cumsum([mesh.row_nonzeros(r) for r in range(mesh.n_rows)])
-        for k in (0, 1, 7, 12, 25, mesh.n_rows):
-            expected = 0 if k == 0 else explicit[k - 1]
-            assert mesh.cumulative_nonzeros(k) == pytest.approx(expected)
-
-    def test_rowblock_nonzeros_sum_to_total(self):
-        mesh = BrickMesh(10, 10, 10)
-        blocks = mesh.rowblock_nonzeros(7)
-        assert blocks.sum() == pytest.approx(mesh.total_nonzeros)
+        total = (3 * 6 - 2) * (3 * 7 - 2) * (3 * 8 - 2)
+        assert mesh.pencil_nonzeros().sum() == total
 
     def test_boundary_blocks_carry_less_work(self):
         """The mechanism behind MiniFE's early threads (§4.2.1)."""
         mesh = BrickMesh(40, 40, 40)
-        blocks = mesh.rowblock_nonzeros(8)
+        blocks = StaticSchedule().simulate(mesh.pencil_nonzeros(), 8).busy_time
         interior = blocks[1:-1]
         assert blocks[0] < interior.min()
         assert blocks[-1] < interior.min()
 
-    def test_pencil_nonzeros_consistent_with_total(self):
-        mesh = BrickMesh(7, 6, 5)
-        assert mesh.pencil_nonzeros().sum() == pytest.approx(mesh.total_nonzeros)
-
-    def test_node_index_round_trip(self):
-        mesh = BrickMesh(4, 5, 6)
-        for idx in (0, 13, 57, mesh.n_rows - 1):
-            assert mesh.node_index(*mesh.node_coords(idx)) == idx
-
-    def test_out_of_range_rejected(self):
-        mesh = BrickMesh(2, 2, 2)
-        with pytest.raises(IndexError):
-            mesh.node_index(2, 0, 0)
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+    def test_empty_axis_rejected(self, shape):
         with pytest.raises(ValueError):
-            mesh.cumulative_nonzeros(1000)
-
-
-class TestStencilKernel:
-    def test_csr_structure_matches_mesh_counts(self):
-        mesh = BrickMesh(5, 4, 3)
-        matrix = build_stencil_csr(5, 4, 3)
-        assert matrix.n_rows == mesh.n_rows
-        assert matrix.nnz == mesh.total_nonzeros
-        np.testing.assert_array_equal(
-            matrix.row_nnz(), [mesh.row_nonzeros(r) for r in range(mesh.n_rows)]
-        )
-
-    def test_matrix_is_symmetric(self):
-        dense = build_stencil_csr(4, 4, 4).to_dense()
-        np.testing.assert_allclose(dense, dense.T)
-
-    def test_matvec_matches_dense_product(self, rng):
-        matrix = build_stencil_csr(4, 5, 3)
-        x = rng.standard_normal(matrix.n_rows)
-        np.testing.assert_allclose(
-            csr_matvec(matrix, x), matrix.to_dense() @ x, rtol=1e-12
-        )
-
-    def test_threaded_matvec_equals_serial(self, rng):
-        matrix = build_stencil_csr(6, 6, 6)
-        x = rng.standard_normal(matrix.n_rows)
-        result = threaded_matvec(matrix, x, 7)
-        np.testing.assert_allclose(result.y, csr_matvec(matrix, x), rtol=1e-12)
-        assert result.total_nonzeros == matrix.nnz
-
-    def test_rowblock_partition_covers_rows(self):
-        blocks = rowblock_partition(100, 7)
-        assert blocks[0][0] == 0 and blocks[-1][1] == 100
-        covered = sum(end - start for start, end in blocks)
-        assert covered == 100
-
-    def test_cg_solves_stencil_system(self):
-        matrix = build_stencil_csr(5, 5, 5)
-        b = np.ones(matrix.n_rows)
-        result = conjugate_gradient(matrix, b, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(csr_matvec(matrix, result.x), b, atol=1e-6)
-
-    def test_cg_callback_invoked(self):
-        matrix = build_stencil_csr(3, 3, 3)
-        iterations = []
-        conjugate_gradient(
-            matrix,
-            np.ones(matrix.n_rows),
-            callback=lambda it, res, x: iterations.append(it),
-        )
-        assert iterations and iterations[0] == 1
+            BrickMesh(*shape)
 
 
 class TestMiniFEApp:
@@ -141,12 +74,6 @@ class TestMiniFEApp:
         assert config.straggler_min_s <= delays.max() <= config.straggler_max_s
         quiet = MiniFEApp(MiniFEConfig(straggler_probability=0.0))
         assert np.all(quiet.application_delays(0, 0, np.random.default_rng(1)) == 0.0)
-
-    def test_reference_kernel_verifies_matvec_and_cg(self):
-        app = MiniFEApp(MiniFEConfig(kernel_nx=8, kernel_ny=8, kernel_nz=8))
-        result = app.run_reference_kernel(np.random.default_rng(2))
-        assert result["matvec_block_mismatch"] < 1e-10
-        assert result["cg_converged"] == 1.0
 
     def test_describe_includes_calibration(self):
         info = MiniFEApp().describe()

@@ -1,34 +1,27 @@
-"""Unit tests for the MiniMD substrate (lattice, neighbours, forces, proxy app)."""
+"""Unit tests for the MiniMD cost model (neighbour counts, proxy app)."""
 
 import numpy as np
 import pytest
 
-from repro.apps.minimd import (
-    MiniMDApp,
-    MiniMDConfig,
-    build_neighbor_lists,
-    expected_neighbors,
-    fcc_lattice,
-    lennard_jones_forces,
-)
+from repro.apps.minimd import MiniMDApp, MiniMDConfig, expected_neighbors
 from repro.apps.minimd.app import TARGET_MEDIAN_ARRIVAL_S, TARGET_WARMUP_MEDIAN_S
-from repro.apps.minimd.integrate import run_md
-from repro.apps.minimd.lattice import DEFAULT_DENSITY
+from repro.apps.minimd.neighbor import DEFAULT_DENSITY
+
+FCC_BASIS = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 
 
-class TestLattice:
-    def test_atom_count_and_density(self):
-        box = fcc_lattice((3, 3, 3))
-        assert box.n_atoms == 4 * 27
-        assert box.density == pytest.approx(DEFAULT_DENSITY, rel=1e-12)
-
-    def test_velocities_have_zero_total_momentum(self, rng):
-        box = fcc_lattice((2, 2, 2), rng=rng)
-        np.testing.assert_allclose(box.velocities.sum(axis=0), 0.0, atol=1e-12)
-
-    def test_invalid_cells_rejected(self):
-        with pytest.raises(ValueError):
-            fcc_lattice((0, 1, 1))
+def _fcc_half_list_pairs_per_atom(cells, density, cutoff):
+    """Mean minimum-image half-list pair count on a periodic FCC lattice."""
+    spacing = (4.0 / density) ** (1.0 / 3.0)
+    grid = np.stack(
+        np.meshgrid(*(np.arange(cells),) * 3, indexing="ij"), axis=-1
+    ).reshape(-1, 1, 3)
+    positions = ((grid + FCC_BASIS) * spacing).reshape(-1, 3)
+    length = cells * spacing
+    delta = positions[:, None, :] - positions[None, :, :]
+    delta -= length * np.round(delta / length)
+    within = np.einsum("ijk,ijk->ij", delta, delta) < cutoff**2
+    return np.triu(within, k=1).sum() / len(positions)
 
 
 class TestNeighbors:
@@ -37,52 +30,15 @@ class TestNeighbors:
         assert full == pytest.approx(4.0 / 3.0 * np.pi * 2.5**3 * 0.8442)
         assert expected_neighbors(0.8442, 2.5) == pytest.approx(full / 2.0)
 
-    def test_cell_list_counts_match_expectation(self):
-        box = fcc_lattice((4, 4, 4))
-        lists = build_neighbor_lists(box, cutoff=2.5, skin=0.0)
-        measured = lists.counts().mean()
-        expected = expected_neighbors(box.density, 2.5)
+    def test_lattice_pair_count_matches_expectation(self):
+        measured = _fcc_half_list_pairs_per_atom(4, DEFAULT_DENSITY, 2.5)
+        expected = expected_neighbors(DEFAULT_DENSITY, 2.5)
         assert measured == pytest.approx(expected, rel=0.15)
 
-    def test_half_lists_store_each_pair_once(self):
-        box = fcc_lattice((3, 3, 3))
-        lists = build_neighbor_lists(box)
-        for i, neighbors in enumerate(lists.neighbors):
-            assert np.all(neighbors > i)
-
-    def test_invalid_cutoff_rejected(self):
+    @pytest.mark.parametrize("density, cutoff", [(0.0, 2.5), (0.8442, 0.0), (-1.0, 2.5)])
+    def test_non_positive_inputs_rejected(self, density, cutoff):
         with pytest.raises(ValueError):
-            build_neighbor_lists(fcc_lattice((2, 2, 2)), cutoff=0.0)
-
-
-class TestForces:
-    def test_perfect_lattice_has_vanishing_net_forces(self):
-        box = fcc_lattice((3, 3, 3))
-        lists = build_neighbor_lists(box)
-        result = lennard_jones_forces(box, lists)
-        # by symmetry every atom's force is ~0 on an undisturbed fcc lattice
-        np.testing.assert_allclose(result.forces, 0.0, atol=1e-9)
-        assert result.potential_energy < 0.0  # bound crystal
-
-    def test_newtons_third_law_total_force(self, rng):
-        box = fcc_lattice((3, 3, 3), rng=rng)
-        # perturb positions so forces are non-trivial
-        perturbed = box.positions + rng.normal(0.0, 0.05, size=box.positions.shape)
-        box = type(box)(positions=perturbed % box.box_length,
-                        velocities=box.velocities, box_length=box.box_length)
-        lists = build_neighbor_lists(box)
-        result = lennard_jones_forces(box, lists)
-        np.testing.assert_allclose(result.forces.sum(axis=0), 0.0, atol=1e-9)
-        assert result.pairs_within_cutoff > 0
-
-    def test_energy_conservation_over_short_run(self):
-        box = fcc_lattice((3, 3, 3), rng=np.random.default_rng(0), temperature=0.2)
-        lists = build_neighbor_lists(box)
-        initial = lennard_jones_forces(box, lists)
-        state = run_md(box, n_steps=10, dt=0.002, rebuild_every=0)
-        e0 = initial.potential_energy + 0.5 * float(np.sum(box.velocities**2))
-        drift = abs(state.total_energy - e0) / abs(e0)
-        assert drift < 5e-3
+            expected_neighbors(density, cutoff)
 
 
 class TestMiniMDApp:
@@ -111,15 +67,6 @@ class TestMiniMDApp:
     def test_atoms_per_process_partition(self):
         app = MiniMDApp(MiniMDConfig(problem_cells=16, n_job_processes=4))
         assert app.atoms_per_process == 4 * 16**3 // 4
-
-    def test_reference_kernel_quantities(self):
-        app = MiniMDApp(MiniMDConfig(kernel_cells=3, kernel_steps=3))
-        result = app.run_reference_kernel(np.random.default_rng(3))
-        assert result["atoms"] == 4 * 27
-        assert result["net_force_magnitude"] < 1e-6
-        assert result["mean_neighbors"] == pytest.approx(
-            result["expected_neighbors"], rel=0.25
-        )
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

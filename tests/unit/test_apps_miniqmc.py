@@ -1,80 +1,11 @@
-"""Unit tests for the MiniQMC substrate (splines, walkers, movers, proxy app)."""
+"""Unit tests for the MiniQMC cost model (mover-time normals, proxy app)."""
 
 import numpy as np
 import pytest
 
-from repro.apps.miniqmc import (
-    MiniQMCApp,
-    MiniQMCConfig,
-    SplineOrbitalModel,
-    VMCMover,
-    Walker,
-    WalkerEnsemble,
-    run_mover_sweep,
-)
+from repro.apps.miniqmc import MiniQMCApp, MiniQMCConfig
 from repro.apps.miniqmc.app import TARGET_IQR_S, TARGET_MEDIAN_ARRIVAL_S
-from repro.apps.miniqmc.spline import cubic_bspline_weights
 from repro.sim.random import PurposeSplitRNG, RandomStreams
-
-
-class TestSplines:
-    def test_bspline_weights_form_partition_of_unity(self):
-        for t in (0.0, 0.25, 0.5, 0.99):
-            assert cubic_bspline_weights(t).sum() == pytest.approx(1.0)
-
-    def test_bspline_weights_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            cubic_bspline_weights(1.5)
-
-    def test_constant_coefficient_field_reproduced_exactly(self):
-        model = SplineOrbitalModel(grid=6, n_orbitals=3, rng=np.random.default_rng(0))
-        model.coefficients[...] = 2.5
-        values = model.evaluate(np.array([0.3, 0.7, 0.1]))
-        np.testing.assert_allclose(values, 2.5, rtol=1e-12)
-
-    def test_evaluation_is_periodic(self):
-        model = SplineOrbitalModel(grid=8, n_orbitals=4, rng=np.random.default_rng(1))
-        a = model.evaluate(np.array([0.1, 0.2, 0.3]))
-        b = model.evaluate(np.array([1.1, -0.8, 0.3]))
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
-    def test_flops_scale_with_orbitals(self):
-        small = SplineOrbitalModel(grid=8, n_orbitals=4).flops_per_evaluation()
-        large = SplineOrbitalModel(grid=8, n_orbitals=64).flops_per_evaluation()
-        assert large > small
-
-
-class TestWalkersAndMovers:
-    def test_ensemble_creation(self):
-        ensemble = WalkerEnsemble.create(5, 16, np.random.default_rng(0))
-        assert ensemble.n_walkers == 5
-        assert ensemble.total_electrons() == 80
-
-    def test_walker_shape_validation(self):
-        with pytest.raises(ValueError):
-            Walker(electrons=np.zeros((3, 2)))
-
-    def test_mover_sweep_counts_every_proposal(self):
-        result = run_mover_sweep(n_electrons=6, n_sweeps=3, seed=1)
-        assert result["proposed"] == 18
-        assert 0.0 <= result["acceptance_ratio"] <= 1.0
-        assert result["orbital_evaluations"] == 2 * result["proposed"]
-
-    def test_accepted_moves_change_positions(self):
-        rng = np.random.default_rng(2)
-        orbitals = SplineOrbitalModel(grid=8, n_orbitals=8, rng=rng)
-        walker = Walker(electrons=rng.uniform(size=(4, 3)))
-        before = walker.electrons.copy()
-        mover = VMCMover(orbitals=orbitals, rng=rng)
-        stats = mover.sweep(walker, n_sweeps=2)
-        if stats.accepted > 0:
-            assert not np.allclose(before, walker.electrons)
-        assert walker.age == 1
-
-    def test_invalid_mover_parameters(self):
-        orbitals = SplineOrbitalModel(grid=8, n_orbitals=2)
-        with pytest.raises(ValueError):
-            VMCMover(orbitals=orbitals, timestep=0.0)
 
 
 class TestMiniQMCApp:
@@ -102,10 +33,6 @@ class TestMiniQMCApp:
             scales.append((app._process_mean_scale, app._process_sd_scale))
         assert len({round(s[1], 6) for s in scales}) > 1
         assert all(0.5 <= mean <= 1.5 for mean, _ in scales)
-
-    def test_reference_kernel_runs(self):
-        result = MiniQMCApp().run_reference_kernel(np.random.default_rng(3))
-        assert result["proposed"] > 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

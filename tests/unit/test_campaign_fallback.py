@@ -32,9 +32,6 @@ class ToyApp(ProxyApplication):
     def item_costs(self, process, iteration, rng):
         return rng.lognormal(mean=-9.0, sigma=0.3, size=64)
 
-    def run_reference_kernel(self, rng):
-        return {"norm": 1.0}
-
 
 class RaggedApp(ToyApp):
     """Item counts differ per process: no shard-stacked cost tensor."""

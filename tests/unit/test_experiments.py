@@ -174,6 +174,47 @@ class TestRunnerCLI:
         assert args.apps is None
         assert args.scenario is None
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--trials", "0"),
+            ("--processes", "0"),
+            ("--iterations", "0"),
+            ("--threads", "-3"),
+            ("--max-workers", "0"),
+            ("--schedule", "static,x"),
+            ("--schedule", "static,0"),
+            ("--schedule", "fancy"),
+            ("--apps", "nope"),
+            ("--spill-mb", "0"),
+            ("--spill-mb", "-1"),
+            ("--spill-mb", "nan"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, option, value, tmp_path, capsys):
+        output = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scale", "smoke", option, value, "--output", str(output)])
+        assert excinfo.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_checked_arguments_keep_their_text(self):
+        args = build_parser().parse_args(
+            ["--apps", "MiniFE", "minimd", "--schedule", "Dynamic,4", "--spill-mb", "0.5"]
+        )
+        assert args.apps == ["MiniFE", "minimd"]
+        assert args.schedule == "Dynamic,4"
+        assert args.spill_mb == 0.5
+
+    def test_service_cli_rejects_non_positive_workers(self, capsys):
+        from repro.service.cli import build_serve_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(["--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
     def test_main_smoke_run_writes_outputs(self, tmp_path):
         exit_code = main(
             [

@@ -9,7 +9,6 @@ from repro.openmp.schedule import (
     StaticSchedule,
     schedule_from_name,
     segment_sums,
-    segment_sums_2d,
 )
 
 
@@ -32,22 +31,24 @@ class TestSegmentSums:
             segment_sums(np.arange(4.0), [0, 3, 1])
 
 
-class TestSegmentSums2D:
-    def test_rows_match_1d_segment_sums(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(size=(6, 17))
-        offsets = [0, 4, 4, 11, 15]
-        batched = segment_sums_2d(values, offsets)
-        for i, row in enumerate(values):
-            np.testing.assert_array_equal(batched[i], segment_sums(row, offsets))
+class TestSegmentSumsND:
+    """N-D input reduces over the last axis, row for row like 1-D calls."""
 
-    def test_requires_2d_input(self):
-        with pytest.raises(ValueError):
-            segment_sums_2d(np.arange(4.0), [0, 2, 4])
+    @pytest.mark.parametrize("shape", [(6, 17), (2, 3, 17)])
+    def test_rows_match_1d_segment_sums(self, shape):
+        rng = np.random.default_rng(3)
+        values = rng.uniform(size=shape)
+        offsets = [0, 4, 4, 11, 15]
+        batched = segment_sums(values, offsets)
+        assert batched.shape == shape[:-1] + (4,)
+        for index in np.ndindex(*shape[:-1]):
+            np.testing.assert_array_equal(
+                batched[index], segment_sums(values[index], offsets)
+            )
 
     def test_decreasing_offsets_rejected(self):
         with pytest.raises(ValueError):
-            segment_sums_2d(np.ones((2, 4)), [0, 3, 1])
+            segment_sums(np.ones((2, 4)), [0, 3, 1])
 
 
 def _coverage_ok(assignment, n_items):
@@ -127,8 +128,8 @@ class TestGuidedSchedule:
         assert _coverage_ok(outcome.assignment, 100)
 
 
-class TestSimulateBatch:
-    """The batch kernels must be row-for-row bit-identical to simulate()."""
+class TestSimulateCampaign:
+    """The campaign folds must be row-for-row bit-identical to simulate()."""
 
     SCHEDULES = [
         StaticSchedule(),
@@ -139,53 +140,58 @@ class TestSimulateBatch:
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: repr(s))
     @pytest.mark.parametrize("n_items, n_threads", [(40, 7), (5, 8), (48, 48)])
-    def test_batch_matches_per_row_simulate(self, schedule, n_items, n_threads):
+    def test_campaign_matches_per_row_simulate(self, schedule, n_items, n_threads):
         rng = np.random.default_rng(11)
-        costs = rng.uniform(0.5, 1.5, size=(5, n_items))
-        batched = schedule.simulate_batch(costs, n_threads)
-        assert batched.shape == (5, n_threads)
-        for i, row in enumerate(costs):
+        costs = rng.uniform(0.5, 1.5, size=(2, 5, n_items))
+        folded = schedule.simulate_campaign(costs, n_threads)
+        assert folded.shape == (2, 5, n_threads)
+        for index in np.ndindex(2, 5):
             np.testing.assert_array_equal(
-                batched[i], schedule.simulate(row, n_threads).busy_time
+                folded[index], schedule.simulate(costs[index], n_threads).busy_time
             )
 
-    def test_batch_rejects_1d_costs(self):
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: repr(s))
+    def test_campaign_rejects_non_3d_costs(self, schedule):
+        with pytest.raises(ValueError, match="3-D"):
+            schedule.simulate_campaign(np.ones((2, 8)), 2)
+
+    def test_campaign_rejects_negative_costs(self):
         with pytest.raises(ValueError):
-            StaticSchedule().simulate_batch(np.ones(8), 2)
+            StaticSchedule().simulate_campaign(-np.ones((1, 2, 8)), 2)
 
-    def test_batch_rejects_negative_costs(self):
-        with pytest.raises(ValueError):
-            StaticSchedule().simulate_batch(-np.ones((2, 8)), 2)
+    def test_simulate_rejects_non_1d_costs(self):
+        with pytest.raises(ValueError, match="1-D"):
+            StaticSchedule().simulate(np.ones((2, 8)), 2)
 
 
-class TestWorkQueueBatchKernel:
-    """The row-vectorized work-queue replay (dynamic/guided simulate_batch)."""
+class TestWorkQueueReplay:
+    """The row-vectorized work-queue replay behind dynamic/guided campaigns."""
 
     def test_ties_break_to_lowest_thread_id(self):
         # equal costs: chunk k must land on thread k while idle threads
         # remain, exactly as the heap's (time, thread) ordering dictates
         costs = np.full((3, 6), 1.0e-3)
-        busy, picks = DynamicSchedule(1).simulate_batch_details(costs, 8)
+        busy, picks = DynamicSchedule(1)._workqueue_replay(costs, 8, want_picks=True)
         assert picks.tolist() == [[0, 1, 2, 3, 4, 5]] * 3
         np.testing.assert_array_equal(busy[:, 6:], 0.0)
 
     def test_fewer_items_than_threads(self):
-        costs = np.random.default_rng(0).uniform(0.5, 1.5, size=(4, 3))
-        busy = GuidedSchedule().simulate_batch(costs, 16)
-        for i, row in enumerate(costs):
+        costs = np.random.default_rng(0).uniform(0.5, 1.5, size=(1, 4, 3))
+        busy = GuidedSchedule().simulate_campaign(costs, 16)
+        for i, row in enumerate(costs[0]):
             np.testing.assert_array_equal(
-                busy[i], GuidedSchedule().simulate(row, 16).busy_time
+                busy[0, i], GuidedSchedule().simulate(row, 16).busy_time
             )
 
     def test_empty_loop_gives_zero_busy_times(self):
-        busy = DynamicSchedule(4).simulate_batch(np.empty((3, 0)), 5)
-        np.testing.assert_array_equal(busy, np.zeros((3, 5)))
+        busy = DynamicSchedule(4).simulate_campaign(np.empty((2, 3, 0)), 5)
+        np.testing.assert_array_equal(busy, np.zeros((2, 3, 5)))
 
-    def test_details_picks_match_simulate_chunks(self):
+    def test_picks_match_simulate_chunks(self):
         rng = np.random.default_rng(7)
         costs = rng.uniform(0.0, 1.0, size=(6, 41))
         for schedule in (DynamicSchedule(5), GuidedSchedule(2)):
-            _, picks = schedule.simulate_batch_details(costs, 7)
+            _, picks = schedule._workqueue_replay(costs, 7, want_picks=True)
             for i, row in enumerate(costs):
                 outcome = schedule.simulate(row, 7)
                 assert picks[i].tolist() == [t for t, _, _ in outcome.chunks]
