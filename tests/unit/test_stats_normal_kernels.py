@@ -8,6 +8,7 @@ Anderson–Darling kernel allocates so an unchunked ``ndtr`` cannot return.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ EPS = np.finfo(np.float64).eps
 
 #: the battery's whole range: standardized samples of any group, tails included
 GRID = np.linspace(-37.0, 9.0, 46_001)
+
+#: ``x.hex() ndtr(x).hex()`` per line: ulp-neighbours of the branch edges
+#: ``±0.46875·√2`` and ``±4·√2`` and of the underflow edge ``±26.543·√2``,
+#: the far tail down to -37, a ±10 grid, random points, ±0, ±inf and NaN
+NDTR_PINS = Path(__file__).parent / "data" / "ndtr_pins.txt"
 
 
 def _libm_ndtr(x: np.ndarray) -> np.ndarray:
@@ -90,6 +96,16 @@ class TestNdtr:
         cuts = [0, 5, CHUNK_SIZE + 3, x.size]
         pieces = np.concatenate([ndtr(x[a:b]) for a, b in zip(cuts, cuts[1:])])
         np.testing.assert_array_equal(whole, pieces)
+
+    def test_pinned_values_bit_for_bit(self):
+        """The kernel's exact bits at ~1000 points, edges and tails included:
+        a rewrite of the branch evaluation may not move a single ulp."""
+        pairs = [line.split() for line in NDTR_PINS.read_text().splitlines()]
+        x = np.array([float.fromhex(a) for a, _ in pairs])
+        got = [float(v).hex() for v in ndtr(x).tolist()]
+        assert len(pairs) > 1000
+        assert got == [b for _, b in pairs]
+        assert [float(ndtr(v)).hex() for v in x[::97]] == [b for _, b in pairs[::97]]
 
 
 class TestNdtriAndWeights:
