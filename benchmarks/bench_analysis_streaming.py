@@ -26,7 +26,10 @@ with ``analysis_path``/``analysis_passes``/``samples_per_second`` for the
 CI benchmark table; ``test_columnar_analysis_speedup_guard`` is the ≥2x
 regression guard on the pure group-fold pass set, and
 ``test_sketch_percentiles_cost_guard`` keeps the sketch-mode percentiles
-fold (one row-batched sketch per slice) within 2x of the exact-mode fold.
+fold (one row-batched sketch per slice) within 2x of the exact-mode fold,
+and ``test_sorted_order_statistics_cost_guard`` keeps the laggard order
+statistics read off one sort of the block within half the cost of
+``np.median`` plus ``np.percentile``.
 """
 
 from __future__ import annotations
@@ -51,10 +54,11 @@ from repro.analysis import (
     run_analyses,
     run_columnar_analyses,
 )
-from repro.core.aggregation import ShardSlice
+from repro.core.aggregation import ShardSlice, canonical_block
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
+from repro.stats.percentiles import sorted_median, sorted_percentiles
 
 #: the report-producing passes (earlybird excluded to keep both sides equal)
 ANALYSES = ("percentiles", "histogram", "laggards", "reclaimable", "normality")
@@ -66,6 +70,11 @@ MIN_COLUMNAR_ANALYSIS_SPEEDUP = 2.0
 #: guard threshold: the sketch-mode percentiles fold may cost at most this
 #: multiple of the exact-mode fold on the paper-scale campaign
 MAX_SKETCH_PERCENTILES_COST_RATIO = 2.0
+
+#: guard threshold: the laggard order statistics read off a presorted
+#: matrix, the sort included, may cost at most this multiple of
+#: ``np.median`` plus ``np.percentile([75, 25])`` on the same matrix
+MAX_SORTED_ORDER_STATISTICS_COST_RATIO = 0.5
 
 #: the pass sets of the one-shard-blocks vs columnar sweep.  ``group-fold``
 #: is the subset whose per-block cost is pure Python dispatch and
@@ -288,4 +297,46 @@ def test_sketch_percentiles_cost_guard():
         f"sketch-mode percentiles fold costs {ratio:.1f}x the exact-mode fold "
         f"({sketch:.3f}s vs {exact:.3f}s on the paper-scale campaign); above "
         f"the {MAX_SKETCH_PERCENTILES_COST_RATIO}x guard"
+    )
+
+
+def test_sorted_order_statistics_cost_guard():
+    """Regression guard for the shared block sort: on the paper-scale
+    MiniFE process-iteration matrix (16 000 groups x 48 threads), the
+    laggards pass's median and quartiles read off ``np.sort`` of the
+    matrix (:func:`sorted_median`, :func:`sorted_percentiles`, the sort
+    included) must cost at most 0.5x ``np.median`` plus
+    ``np.percentile([75, 25])`` of the unsorted matrix, and equal them
+    bit for bit.  Sorting 48-element rows is cheap next to numpy's
+    per-row partition and its bookkeeping (measured ~0.1x)."""
+    _, (columns, slices), _ = _paper_scale_inputs()
+    cube = canonical_block(columns, slices).cube
+    matrix = cube.reshape(-1, cube.shape[-1])
+    assert matrix.shape == (16000, 48)
+
+    def partitioned():
+        return np.median(matrix, axis=-1), np.percentile(matrix, [75.0, 25.0], axis=-1)
+
+    def presorted():
+        ordered = np.sort(matrix, axis=-1)
+        return sorted_median(ordered), sorted_percentiles(ordered, [75.0, 25.0])
+
+    for ours, theirs in zip(presorted(), partitioned()):
+        np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    def best(fn, repeats: int = 7) -> float:
+        fn()  # warm-up
+        elapsed = np.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            elapsed = min(elapsed, time.perf_counter() - start)
+        return elapsed
+
+    old, new = best(partitioned), best(presorted)
+    ratio = new / old
+    assert ratio <= MAX_SORTED_ORDER_STATISTICS_COST_RATIO, (
+        f"order statistics off one sort cost {ratio:.2f}x np.median + "
+        f"np.percentile ({new * 1e3:.1f} ms vs {old * 1e3:.1f} ms on 16000x48); "
+        f"above the {MAX_SORTED_ORDER_STATISTICS_COST_RATIO}x guard"
     )

@@ -34,6 +34,17 @@ iteration), so a sketch-mode merge is one sketch merge per slice, not one
 per (slice, iteration).  Each mode's state carries only its own
 accumulators: exact states hold segments, sketch states hold sketches and
 running tallies.
+
+Each block is sorted at most once: the laggard order statistics (median,
+max, quartiles) and the normality battery's Shapiro–Wilk and
+Anderson–Darling read the block's shared
+:attr:`~repro.core.aggregation.ColumnBlock.sorted_cube`, through
+:func:`~repro.stats.percentiles.sorted_percentiles` and
+:func:`~repro.stats.percentiles.sorted_median`, which equal
+``np.percentile`` / ``np.median`` bit for bit.  The exact percentiles
+finalize sorts its regrouped iteration rows in place and indexes them the
+same way.  The early-bird pass only collects its strided groups' rows while
+folding and replays the injection model once over all of them at finalize.
 """
 
 from __future__ import annotations
@@ -53,10 +64,15 @@ from repro.core.laggard import (
     group_laggard_codes,
 )
 from repro.core.normality import stratified_subsample
-from repro.core.reclaimable import ReclaimableSummary, idle_ratio, reclaimable_time
+from repro.core.reclaimable import ReclaimableSummary, reclaim_and_idle_ratio
 from repro.stats.battery import TEST_NAMES, NormalityBattery
 from repro.stats.histogram import FixedWidthHistogram
-from repro.stats.percentiles import DEFAULT_PERCENTILES, PercentileSeries, percentile_table
+from repro.stats.percentiles import (
+    DEFAULT_PERCENTILES,
+    PercentileSeries,
+    sorted_median,
+    sorted_percentiles,
+)
 from repro.stats.sketch import BoundedTopK, PercentileSketch
 from repro.stats.streaming import StreamingHistogram, StreamingMoments
 
@@ -155,16 +171,20 @@ class PercentilesPass(AnalysisPass):
             # one query over every iteration row, scaled after the percentile
             values = state.quantile(levels) * 1.0e3
         else:
-            # exact: the dense path's per-iteration rows, bit for bit; regular
-            # campaigns (equal-size iteration groups) take one vectorized
-            # percentile call over the whole matrix
+            # exact: the dense path's per-iteration rows, bit for bit, sorted
+            # in place (they are a fresh regrouping) and scaled after the
+            # sort, which ×1e3 cannot reorder; regular campaigns (equal-size
+            # iteration groups) sort and index the whole matrix at once
+            def table(matrix: np.ndarray) -> np.ndarray:
+                matrix.sort(axis=-1)
+                matrix *= 1.0e3
+                return sorted_percentiles(matrix, levels)
+
             rows = _iteration_rows(state)
             if isinstance(rows, np.ndarray):
-                values = percentile_table(rows * 1.0e3, levels, axis=-1)
+                values = table(rows)
             else:
-                values = np.column_stack(
-                    [percentile_table(row * 1.0e3, levels, axis=-1) for row in rows]
-                )
+                values = np.column_stack([table(row) for row in rows])
         return PercentileSeries(
             iterations=np.arange(values.shape[1]),
             percentiles=tuple(levels),
@@ -271,9 +291,13 @@ class NormalityPass(AnalysisPass):
     def accumulate_columns_split(self, block, context):
         matrix = block.cube
         n_slices, n_iterations, n_threads = matrix.shape
-        # one battery over every group of every slice in the block
+        # one battery over every group of every slice in the block, on the
+        # block's shared sort
         battery = NormalityBattery(alpha=self.alpha)
-        report = battery.run(matrix.reshape(n_slices * n_iterations, n_threads))
+        report = battery.run(
+            matrix.reshape(n_slices * n_iterations, n_threads),
+            sorted_x=block.sorted_cube.reshape(n_slices * n_iterations, n_threads),
+        )
         passed = {name: report.outcomes[name].passed for name in TEST_NAMES}
         segments = _slice_segments(block)
         states = []
@@ -476,13 +500,14 @@ class LaggardsPass(AnalysisPass):
 
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
-        flat = block.cube.reshape(n_slices * n_iterations, n_threads)
+        ordered = block.sorted_cube.reshape(n_slices * n_iterations, n_threads)
         # the per-group operations of group_laggard_metrics, over the whole
-        # block at once (codes instead of a per-group enum list)
-        median = np.median(flat, axis=-1)
-        maximum = np.max(flat, axis=-1)
+        # block at once (codes instead of a per-group enum list), read off
+        # the block's shared sort bit for bit
+        median = sorted_median(ordered)
+        maximum = ordered[:, -1].copy()
         gap = maximum - median
-        q75, q25 = np.percentile(flat, [75.0, 25.0], axis=-1)
+        q75, q25 = sorted_percentiles(ordered, [75.0, 25.0])
         iqr = q75 - q25
         has_laggard = gap > self.threshold_s
         codes = group_laggard_codes(iqr, has_laggard, wide_iqr_s=self.wide_iqr_s)
@@ -612,8 +637,7 @@ class ReclaimablePass(AnalysisPass):
         n_slices, n_iterations, n_threads = block.cube.shape
         flat = block.cube.reshape(n_slices * n_iterations, n_threads)
         # both metrics reduce along the thread axis only
-        reclaim = reclaimable_time(flat)
-        ratios = idle_ratio(flat)
+        reclaim, ratios = reclaim_and_idle_ratio(flat)
         states = []
         for s, sl in enumerate(block.slices):
             state = self.prepare(context)
@@ -675,8 +699,11 @@ class EarlybirdPass(AnalysisPass):
     determines whether it lies on the evaluation stride, so the evaluated
     subset — and therefore every mean — is that of the dense
     ``aggregate(dataset, PROCESS_ITERATION).values[::stride]`` regardless
-    of sharding.
-    Memory is bounded by ``max_groups`` in both accumulation modes.
+    of sharding.  Accumulation only keeps the selected groups' arrival
+    rows, keyed by global index; finalize replays the FIFO injection model
+    once over all of them (:meth:`EarlyBirdModel.evaluate_groups`, whose
+    per-group results do not depend on the batch).  Memory is bounded by
+    ``max_groups`` rows in both accumulation modes.
     """
 
     title = "mean early-bird delivery gains (Figures 1/2 quantified)"
@@ -692,39 +719,24 @@ class EarlybirdPass(AnalysisPass):
         self.model = model if model is not None else EarlyBirdModel()
         self.max_groups = int(max_groups)
 
-    def prepare(self, context: AnalysisContext) -> Dict[int, Tuple[float, ...]]:
+    def prepare(self, context: AnalysisContext) -> Dict[int, np.ndarray]:
+        # global group index -> that group's arrival row
         return {}
 
     def _stride(self, context: AnalysisContext) -> int:
         return max(context.n_groups // self.max_groups, 1)
 
-    @staticmethod
-    def _result_rows(indices: np.ndarray, results: Dict[str, np.ndarray]):
-        """Pairs of (global group index, metrics 4-tuple) from batch results."""
-        rows = np.column_stack(
-            [
-                results["improvement_s"],
-                results["speedup"],
-                results["hidden_s"],
-                results["potential_overlap_s"],
-            ]
-        ).tolist()
-        return zip((int(g) for g in indices.tolist()), (tuple(r) for r in rows))
-
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
         indices = context.group_indices(block)
-        stride = self._stride(context)
-        selected = np.flatnonzero(indices % stride == 0)
+        selected = np.flatnonzero(indices % self._stride(context) == 0)
         states = [self.prepare(context) for _ in block.slices]
-        if len(selected):
-            flat = block.cube.reshape(n_slices * n_iterations, n_threads)
-            results = self.model.evaluate_groups(flat[selected])
-            slice_of = (selected // n_iterations).tolist()
-            for s, (idx, row) in zip(
-                slice_of, self._result_rows(indices[selected], results)
-            ):
-                states[s][idx] = row
+        # a copy: the state must not pin the block's (possibly mapped) cube
+        rows = block.cube.reshape(n_slices * n_iterations, n_threads)[selected]
+        for k, index, row in zip(
+            (selected // n_iterations).tolist(), indices[selected].tolist(), rows
+        ):
+            states[k][index] = row
         return states
 
     def merge(self, state, other):
@@ -734,12 +746,14 @@ class EarlybirdPass(AnalysisPass):
     def finalize(self, state, context: AnalysisContext) -> Dict[str, float]:
         if not state:
             raise ValueError("earlybird pass saw no shards")
-        rows = np.array([state[idx] for idx in sorted(state)])
+        results = self.model.evaluate_groups(
+            np.array([state[idx] for idx in sorted(state)])
+        )
         return {
-            "mean_improvement_s": float(np.mean(rows[:, 0])),
-            "mean_speedup": float(np.mean(rows[:, 1])),
-            "mean_hidden_s": float(np.mean(rows[:, 2])),
-            "mean_potential_overlap_s": float(np.mean(rows[:, 3])),
-            "groups_evaluated": float(len(rows)),
+            "mean_improvement_s": float(np.mean(results["improvement_s"])),
+            "mean_speedup": float(np.mean(results["speedup"])),
+            "mean_hidden_s": float(np.mean(results["hidden_s"])),
+            "mean_potential_overlap_s": float(np.mean(results["potential_overlap_s"])),
+            "groups_evaluated": float(len(state)),
             "buffer_bytes": float(self.model.buffer_bytes),
         }

@@ -16,7 +16,9 @@ reference grouping.  The analysis passes of :mod:`repro.analysis` never
 materialise it: they fold :class:`ColumnBlock` s, whose
 ``(n_slices, n_iterations, n_threads)`` cube holds the process-iteration
 groups of one (trial, process) per slice; the coarser levels are the
-cube's rows pooled in slice order.
+cube's rows pooled in slice order.  A block's
+:attr:`~ColumnBlock.sorted_cube` sorts every group once, on first use, for
+all the passes that read order statistics.
 :func:`canonical_block` is the only way into that form — zero-copy for the
 blocks campaign producers emit, a stable per-slice re-sort for anything else.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,7 +199,8 @@ class ShardSlice(NamedTuple):
         return cls(shard.trial, shard.process, 0, shard.n_samples)
 
 
-class ColumnBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
     """A canonical column block: what every analysis pass folds.
 
     ``slices`` hold one (trial, process) each, and each slice's rows are in
@@ -211,6 +215,15 @@ class ColumnBlock(NamedTuple):
     slices: Sequence[ShardSlice]
     cube: np.ndarray
     iterations: np.ndarray
+
+    @cached_property
+    def sorted_cube(self) -> np.ndarray:
+        """``np.sort(cube, axis=-1)``: every group's samples in ascending
+        order, read-only, built on first use and shared by every pass that
+        reads order statistics of the block."""
+        ordered = np.sort(self.cube, axis=-1)
+        ordered.flags.writeable = False
+        return ordered
 
 
 def canonical_block(

@@ -192,8 +192,8 @@ def group_laggard_metrics(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[IterationClass]]:
     """Per-group laggard metrics of a ``(n_groups, n_threads)`` matrix.
 
-    Shared by :func:`analyze_laggards` and the shard-streaming laggard pass,
-    so both paths compute identical per-group values.  Returns
+    The dense reference of the streaming laggards pass, which reads the
+    same statistics off each block's shared sort, bit for bit.  Returns
     ``(median, max, gap, iqr, has_laggard, classes)``.
     """
     median = np.median(values, axis=-1)

@@ -37,17 +37,24 @@ def reclaimable_time(arrivals_s) -> np.ndarray:
     return np.sum(maxima - arr, axis=-1)
 
 
-def idle_ratio(arrivals_s) -> np.ndarray:
-    """Idle ratio of each group: ``Σ_t (max − t_i) / (n × max)`` along the last axis."""
+def reclaim_and_idle_ratio(arrivals_s) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`reclaimable_time` and :func:`idle_ratio` of each group from one
+    maxima reduction, bit-identical to calling the two separately."""
     arr = np.asarray(arrivals_s, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     n = arr.shape[-1]
-    maxima = arr.max(axis=-1)
-    reclaim = reclaimable_time(arr)
+    maxima = arr.max(axis=-1, keepdims=True)
+    reclaim = np.sum(maxima - arr, axis=-1)
+    maxima = maxima[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(maxima > 0, reclaim / (n * np.where(maxima > 0, maxima, 1.0)), 0.0)
-    return ratio
+    return reclaim, ratio
+
+
+def idle_ratio(arrivals_s) -> np.ndarray:
+    """Idle ratio of each group: ``Σ_t (max − t_i) / (n × max)`` along the last axis."""
+    return reclaim_and_idle_ratio(arrivals_s)[1]
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,7 @@ def summarize_reclaimable(
         grouped = aggregate(dataset_or_groups, AggregationLevel.PROCESS_ITERATION)
     else:
         grouped = dataset_or_groups
-    reclaim = reclaimable_time(grouped.values)
-    ratios = idle_ratio(grouped.values)
+    reclaim, ratios = reclaim_and_idle_ratio(grouped.values)
     n_threads = grouped.group_size
     return ReclaimableSummary(
         mean_reclaimable_s=float(np.mean(reclaim)),
@@ -104,8 +110,7 @@ def per_iteration_reclaimable(dataset: TimingDataset) -> Tuple[np.ndarray, np.nd
     benchmarks.
     """
     grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-    reclaim = reclaimable_time(grouped.values)
-    ratios = idle_ratio(grouped.values)
+    reclaim, ratios = reclaim_and_idle_ratio(grouped.values)
     iterations = np.array([key[-1] for key in grouped.keys])
     unique = np.unique(iterations)
     mean_reclaim = np.array([reclaim[iterations == it].mean() for it in unique])

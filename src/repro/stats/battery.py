@@ -125,7 +125,7 @@ class NormalityBattery:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
 
     # ------------------------------------------------------------------
-    def run(self, groups) -> NormalityReport:
+    def run(self, groups, *, sorted_x=None) -> NormalityReport:
         """Run the battery.
 
         Parameters
@@ -133,11 +133,14 @@ class NormalityBattery:
         groups:
             Array of shape ``(n_groups, n)`` (or ``(n,)`` for a single group)
             of samples; every row is tested independently.
+        sorted_x:
+            Optional ``np.sort(groups, axis=-1)`` the caller already holds
+            (e.g. a block's shared sorted cube); sorted here when omitted.
 
         The three tests share their intermediates: one deviations pass
         (:func:`~repro.stats.moments.skewness_kurtosis`) supplies skewness
-        and kurtosis to D'Agostino, and one ``np.sort`` of the sample matrix
-        is shared by Shapiro–Wilk and Anderson–Darling.  Each shared
+        and kurtosis to D'Agostino, and one sort of the sample matrix is
+        shared by Shapiro–Wilk and Anderson–Darling.  Each shared
         intermediate is bit-identical to what the test would compute on its
         own, so every outcome equals that of the test function called
         directly on ``groups``.
@@ -151,10 +154,12 @@ class NormalityBattery:
             raise ValueError(
                 f"the battery requires at least 8 samples per group, got {arr.shape[-1]}"
             )
-        b1 = b2 = sorted_x = None
+        b1 = b2 = None
         if "dagostino" in self.tests:
             b1, b2 = skewness_kurtosis(arr)
-        if "shapiro_wilk" in self.tests or "anderson_darling" in self.tests:
+        if sorted_x is not None:
+            sorted_x = np.asarray(sorted_x, dtype=np.float64).reshape(arr.shape)
+        elif "shapiro_wilk" in self.tests or "anderson_darling" in self.tests:
             sorted_x = np.sort(arr, axis=-1)
         report = NormalityReport(
             alpha=self.alpha, n_groups=arr.shape[0], group_size=arr.shape[1]

@@ -5,6 +5,11 @@ percentiles of the 3840 thread-arrival samples collected for that iteration
 (48 threads × 8 processes × 10 trials).  :func:`percentile_table` produces
 exactly that matrix; :class:`PercentileSeries` wraps it with convenience
 accessors for the analysis layer (IQR trajectories, section means, ...).
+
+:func:`sorted_percentiles` and :func:`sorted_median` read the same order
+statistics off rows that are already sorted, bit for bit equal to
+``np.percentile`` / ``np.median`` of the unsorted rows: the analysis passes
+sort each block once and derive every order statistic from that sort.
 """
 
 from __future__ import annotations
@@ -23,6 +28,52 @@ def iqr(x, axis: int = -1) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     q75, q25 = np.percentile(arr, [75.0, 25.0], axis=axis)
     return q75 - q25
+
+
+def sorted_percentiles(sorted_x, q) -> np.ndarray:
+    """``np.percentile(x, q, axis=-1)`` given ``sorted_x = np.sort(x, axis=-1)``.
+
+    The arithmetic is numpy's ``linear`` method after its partition: the
+    virtual index ``(n - 1) q / 100``, its floor and ceiling clamped to the
+    row, and the two-sided lerp that switches to ``b - (b - a)(1 - t)`` at
+    ``t >= 0.5``.  A row whose last element is NaN gives NaN, as in numpy.
+    The result has numpy's shape: ``q``'s shape followed by the row shape.
+    """
+    arr = np.asarray(sorted_x)
+    n = arr.shape[-1]
+    virtual = (n - 1) * np.true_divide(q, 100)
+    floor = np.floor(virtual)
+    # numpy's clamps: -1 (the last element) past the end, 0 before the start
+    lower, upper = (
+        np.where(virtual >= n - 1, -1, np.where(virtual < 0, 0, index)).astype(np.intp)
+        for index in (floor, floor + 1)
+    )
+    gamma = np.reshape(virtual - lower, np.shape(virtual) + (1,) * (arr.ndim - 1))
+    rows = np.moveaxis(arr, -1, 0)
+    a, b = rows[lower], rows[upper]
+    diff = b - a
+    result = np.asarray(a + diff * gamma)
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    last = arr[..., -1]
+    np.copyto(result, last, where=np.isnan(last))
+    return result[()] if result.ndim == 0 else result
+
+
+def sorted_median(sorted_x) -> np.ndarray:
+    """``np.median(x, axis=-1)`` given ``sorted_x = np.sort(x, axis=-1)``.
+
+    The middle element, or the mean ``(a + b) / 2`` of the two middle
+    elements, as numpy computes it after its partition; NaN rows give NaN.
+    """
+    arr = np.asarray(sorted_x)
+    half = arr.shape[-1] // 2
+    if arr.shape[-1] % 2:
+        result = np.array(arr[..., half], dtype=np.float64)
+    else:
+        result = np.asarray((arr[..., half - 1] + arr[..., half]) / 2)
+    last = arr[..., -1]
+    np.copyto(result, last, where=np.isnan(last))
+    return result[()] if result.ndim == 0 else result
 
 
 def percentile_table(

@@ -38,6 +38,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.stats.percentiles import sorted_percentiles
+
 
 class PercentileSketch:
     """Mergeable, row-batched KLL-style quantile sketch.
@@ -234,21 +236,17 @@ class PercentileSketch:
             raise ValueError("no samples observed")
         if len(self._levels) == 1:
             # never compacted: every sample is retained at weight one.  The
-            # chunks are joined _QUERY_ROWS rows at a time: joining the whole
-            # level would double the sketch's memory at its peak.
+            # chunks are joined _QUERY_ROWS rows at a time (joining the whole
+            # level would double the sketch's memory at its peak), each
+            # join sorted in place and read by sorted_percentiles, which is
+            # np.percentile bit for bit
             chunks, step = self._levels[0], self._QUERY_ROWS
-            result = np.concatenate(
-                [
-                    np.percentile(
-                        np.concatenate([c[lo : lo + step] for c in chunks], axis=1),
-                        percentile,
-                        axis=1,
-                    )
-                    for lo in range(0, self.n_rows, step)
-                ],
-                axis=-1,
-            )
-            return self._rows_result(result)
+            parts = []
+            for lo in range(0, self.n_rows, step):
+                rows = np.concatenate([c[lo : lo + step] for c in chunks], axis=1)
+                rows.sort(axis=1)
+                parts.append(sorted_percentiles(rows, percentile))
+            return self._rows_result(np.concatenate(parts, axis=-1))
         q = np.asarray(percentile, dtype=np.float64)
         if np.any((q < 0.0) | (q > 100.0)):
             raise ValueError("percentiles must be in [0, 100]")

@@ -13,7 +13,7 @@ from repro.stats.battery import NormalityBattery
 from repro.stats.dagostino import dagostino_k2
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.moments import kurtosis, skewness
-from repro.stats.percentiles import iqr
+from repro.stats.percentiles import iqr, sorted_median, sorted_percentiles
 from repro.stats.shapiro import shapiro_wilk
 
 #: groups of n in [8, 64] samples with values in a physical range (µs..s)
@@ -155,3 +155,75 @@ def test_battery_masks_unchanged_with_scipy_special(family, seed, shape):
         np.testing.assert_allclose(
             outcome.pvalue, theirs.outcomes[name].pvalue, rtol=1e-9, atol=1e-12
         )
+
+
+#: the paper's percentile levels and the range ends
+_PAPER_LEVELS = (0.0, 5.0, 25.0, 50.0, 75.0, 95.0, 100.0)
+
+#: values with many exact ties; ``+ 0.0`` folds -0.0 into 0.0, because
+#: signed zeros compare equal and neither sort nor partition orders them
+_tied_values = st.one_of(
+    st.sampled_from([0.0, 1.0e-3, 0.5, 2.5, 25.0e-3]),
+    st.floats(-1.0e3, 1.0e3, allow_nan=False, allow_infinity=False),
+).map(lambda v: v + 0.0)
+
+
+def _rows(seed: int, n_rows: int, n: int) -> np.ndarray:
+    """A seeded ``(n_rows, n)`` matrix of tied values (for the long rows)."""
+    rng = np.random.default_rng(seed)
+    pool = rng.choice([0.0, 1.0e-3, 0.5, 25.0e-3], size=(n_rows, n))
+    return np.where(rng.random((n_rows, n)) < 0.5, pool, rng.normal(size=(n_rows, n)))
+
+
+@st.composite
+def _tied_matrices(draw):
+    n_rows = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return _rows(draw(st.integers(0, 2**32 - 1)), n_rows, 3840)
+    n = draw(st.integers(1, 100))
+    return draw(hnp.arrays(np.float64, (n_rows, n), elements=_tied_values))
+
+
+_levels = st.lists(
+    st.one_of(st.sampled_from(_PAPER_LEVELS), st.floats(0.0, 100.0)),
+    min_size=1,
+    max_size=7,
+)
+
+
+def _assert_bitwise_equal(ours, theirs) -> None:
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+    np.testing.assert_array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+
+@given(_tied_matrices(), _levels)
+@settings(max_examples=120, deadline=None)
+def test_sorted_order_statistics_equal_numpy_bitwise(x, levels):
+    """Order statistics read off ``np.sort(x)`` are numpy's, bit for bit,
+    for odd and even row lengths, ties, the range ends and n = 3840."""
+    ordered = np.sort(x, axis=-1)
+    _assert_bitwise_equal(
+        sorted_percentiles(ordered, levels), np.percentile(x, levels, axis=-1)
+    )
+    _assert_bitwise_equal(sorted_median(ordered), np.median(x, axis=-1))
+    _assert_bitwise_equal(
+        sorted_percentiles(ordered[0], levels[0]), np.percentile(x[0], levels[0])
+    )
+
+
+@given(_tied_matrices(), _levels, st.data())
+@settings(max_examples=60, deadline=None)
+def test_sorted_order_statistics_of_a_nan_row_are_nan(x, levels, data):
+    """A row holding NaN gives NaN, as numpy does; the other rows are
+    untouched."""
+    row = data.draw(st.integers(0, x.shape[0] - 1))
+    x = x.copy()
+    x[row, data.draw(st.integers(0, x.shape[1] - 1))] = np.nan
+    ordered = np.sort(x, axis=-1)
+    with np.errstate(invalid="ignore"):
+        ours = sorted_percentiles(ordered, levels), sorted_median(ordered)
+        theirs = np.percentile(x, levels, axis=-1), np.median(x, axis=-1)
+    for a, b in zip(ours, theirs):
+        assert np.all(np.isnan(a[..., row]))
+        _assert_bitwise_equal(a, b)

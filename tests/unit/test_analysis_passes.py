@@ -18,10 +18,12 @@ from repro.analysis import (
     register_analysis,
     resolve_analyses,
     run_analyses,
+    run_columnar_analyses,
     unregister_analysis,
 )
 from repro.analysis import passes
 from repro.analysis.passes import (
+    EarlybirdPass,
     HistogramPass,
     LaggardsPass,
     PercentilesPass,
@@ -530,3 +532,49 @@ class TestColumnarAnalyzer:
         assert not errors
         for index, expected in enumerate(serial):
             assert results[index] == [expected] * rounds
+
+
+class TestSharedSortAndDeferredEarlybird:
+    """One sort per block; the early-bird replay runs once, at finalize."""
+
+    def test_sorted_cube_is_built_once_and_read_only(self, shards):
+        block = canonical_block(*_column_block(shards))
+        ordered = block.sorted_cube
+        assert ordered is block.sorted_cube
+        assert not ordered.flags.writeable
+        np.testing.assert_array_equal(ordered, np.sort(block.cube, axis=-1))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sketch"])
+    @pytest.mark.parametrize(
+        "per_block", [1, 3, None], ids=["1-slice", "3-slices", "one-block"]
+    )
+    def test_deferred_replay_equals_strided_batch(
+        self, dataset, shards, exact, per_block
+    ):
+        max_groups = 7
+        context = AnalysisContext.from_dataset(dataset, exact=exact)
+        size = per_block or len(shards)
+        blocks = [
+            _column_block(shards[i : i + size]) for i in range(0, len(shards), size)
+        ]
+        earlybird = EarlybirdPass(max_groups=max_groups)
+        groups = aggregate(dataset, AggregationLevel.PROCESS_ITERATION).values
+        selected = groups[:: max(len(groups) // max_groups, 1)]
+        assert 1 < len(selected) < len(groups)
+        # accumulation keeps the selected rows only, no model results
+        partials = [
+            state
+            for block in blocks
+            for state in earlybird.accumulate_columns_split(
+                canonical_block(*block), context
+            )
+        ]
+        kept = {index: row for state in partials for index, row in state.items()}
+        np.testing.assert_array_equal(
+            np.array([kept[index] for index in sorted(kept)]), selected
+        )
+        result = run_columnar_analyses(blocks, [earlybird], context)["earlybird"]
+        expected = EarlyBirdModel().evaluate_groups(selected)
+        assert result["groups_evaluated"] == len(selected)
+        for key in ("improvement_s", "speedup", "hidden_s", "potential_overlap_s"):
+            assert result[f"mean_{key}"] == float(np.mean(expected[key]))

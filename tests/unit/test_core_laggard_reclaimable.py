@@ -11,6 +11,7 @@ from repro.core.laggard import (
 from repro.core.reclaimable import (
     idle_ratio,
     per_iteration_reclaimable,
+    reclaim_and_idle_ratio,
     reclaimable_time,
     summarize_reclaimable,
 )
@@ -89,6 +90,16 @@ class TestReclaimable:
         arrivals = np.array([[1.0, 2.0, 4.0]])
         expected = 5.0 / (3 * 4.0)
         assert idle_ratio(arrivals)[0] == pytest.approx(expected)
+
+    def test_one_pass_helper_is_bit_identical(self):
+        arrivals = 25e-3 + np.random.default_rng(3).gamma(2.0, 1e-4, size=(64, 48))
+        arrivals[0] = 0.0
+        reclaim, ratio = reclaim_and_idle_ratio(arrivals)
+        np.testing.assert_array_equal(reclaim, reclaimable_time(arrivals))
+        maxima = arrivals.max(axis=-1)
+        with np.errstate(invalid="ignore"):
+            expected = np.where(maxima > 0, reclaim / (48 * maxima), 0.0)
+        np.testing.assert_array_equal(ratio, expected)
 
     def test_identical_arrivals_have_zero_idle(self):
         arrivals = np.full((5, 8), 3.0)

@@ -22,6 +22,19 @@ class TestNormalityBattery:
             assert skewed.pass_rate(name) < 0.05
         assert skewed.rejected_all() or max(skewed.pass_rates().values()) < 0.05
 
+    @pytest.mark.parametrize("shape", [(40, 48), (48,)], ids=["batch", "one-group"])
+    def test_presorted_input_changes_nothing(self, shape):
+        x = 25e-3 + np.random.default_rng(7).gamma(2.0, 1e-4, size=shape)
+        battery = NormalityBattery()
+        fresh = battery.run(x)
+        shared = battery.run(x, sorted_x=np.sort(x, axis=-1))
+        for name in TEST_NAMES:
+            for field in ("statistic", "pvalue", "passed"):
+                np.testing.assert_array_equal(
+                    getattr(shared.outcomes[name], field),
+                    getattr(fresh.outcomes[name], field),
+                )
+
     def test_single_group_input(self, rng):
         report = NormalityBattery().run(rng.normal(size=48))
         assert report.n_groups == 1
