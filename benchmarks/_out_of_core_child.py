@@ -8,7 +8,10 @@ mark is cumulative across scales, a child's is exactly one measurement.
 
 The digest is computed the same way in both modes (per-shard
 ``compute_time_s`` bytes in campaign order), so equal digests mean the
-spilled campaign is bit-identical to the in-memory one.
+spilled campaign is bit-identical to the in-memory one.  With
+``--analyses`` the child then folds every registered analysis pass over
+the finished campaign (``CampaignResult.analyze``), so the peak RSS covers
+the analyses as well; ``elapsed_s`` still times the campaign alone.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ def measure(args: argparse.Namespace) -> dict:
             digest.update(column.tobytes())
             samples += column.size
         elapsed = time.perf_counter() - start
+        analyses = []
+        if args.analyses:
+            analyses = sorted(result.analyze("all", exact=False))
     return {
         "mode": args.mode,
         "trials": args.trials,
@@ -78,6 +84,7 @@ def measure(args: argparse.Namespace) -> dict:
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
         ) / 1024,
         "digest": digest.hexdigest(),
+        "analyses": analyses,
     }
 
 
@@ -94,6 +101,11 @@ def main(argv=None) -> int:
     parser.add_argument("--max-workers", type=int, default=1)
     parser.add_argument("--spill-mb", type=int, default=8)
     parser.add_argument("--workdir", default=None)
+    parser.add_argument(
+        "--analyses",
+        action="store_true",
+        help="fold every registered analysis pass after the campaign",
+    )
     json.dump(measure(parser.parse_args(argv)), sys.stdout)
     print()
     return 0

@@ -13,10 +13,11 @@ Scales are multiples of a ~50 k-sample base campaign on the trials axis
 (1x / 10x / 100x — the 100x campaign is ~5 M samples, the same growth
 factor the paper's campaign would need for 100x more trials).
 
-Two CI guards ride along (run without ``--benchmark-only`` in the guard
+CI guards ride along (run without ``--benchmark-only`` in the guard
 step): the 100x spilled campaign must stay inside ``MEMORY_BUDGET_MB``,
-and at 1x the spill path must stay within 2x of in-memory throughput while
-matching its digest bit-for-bit.
+both alone and with every analysis pass folded over its store, and at 1x
+the spill path must stay within 2x of in-memory throughput while matching
+its digest bit-for-bit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,9 @@ _CHILD = Path(__file__).with_name("_out_of_core_child.py")
 
 
 @lru_cache(maxsize=None)
-def _measure(mode: str, factor: int, workers: int = 1) -> dict:
+def _measure(
+    mode: str, factor: int, workers: int = 1, analyses: bool = False
+) -> dict:
     """Run one child measurement (cached per process: guards reuse bench runs)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -60,7 +63,8 @@ def _measure(mode: str, factor: int, workers: int = 1) -> dict:
             str(BASE_TRIALS * factor),
             "--max-workers",
             str(workers),
-        ],
+        ]
+        + (["--analyses"] if analyses else []),
         check=True,
         capture_output=True,
         text=True,
@@ -110,6 +114,22 @@ def test_out_of_core_memory_guard():
     result = _measure("ooc", 100)
     assert result["peak_rss_mb"] < MEMORY_BUDGET_MB, (
         f"100x spilled campaign peaked at {result['peak_rss_mb']:.0f} MB "
+        f"(budget {MEMORY_BUDGET_MB} MB)"
+    )
+
+
+def test_out_of_core_analyses_memory_guard():
+    """Every analysis pass folded over the 100x store stays inside the budget.
+
+    The analyses read the spilled campaign group by group; what they keep
+    until finalize must not grow the process past the same RAM budget as
+    the campaign itself (the pooled iteration rows hold 38 400 samples
+    each at this scale).
+    """
+    result = _measure("ooc", 100, analyses=True)
+    assert len(result["analyses"]) == 6
+    assert result["peak_rss_mb"] < MEMORY_BUDGET_MB, (
+        f"analyses over the 100x store peaked at {result['peak_rss_mb']:.0f} MB "
         f"(budget {MEMORY_BUDGET_MB} MB)"
     )
 
