@@ -67,7 +67,7 @@ def measure(args: argparse.Namespace) -> dict:
         elapsed = time.perf_counter() - start
         analyses = []
         if args.analyses:
-            analyses = sorted(result.analyze("all", exact=False))
+            analyses = sorted(result.analyze("all"))
     return {
         "mode": args.mode,
         "trials": args.trials,

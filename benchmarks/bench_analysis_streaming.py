@@ -9,14 +9,10 @@ benchmark-scale MiniFE campaign:
   passes (``CampaignSession.analyze(analyses=...)``), never materialising
   the merged dataset.
 
-Qualitative claims asserted before timing:
-
-* both paths produce field-for-field identical reports in exact mode (the
-  refactor's acceptance criterion), and
-* in bounded (sketch) mode the merged accumulator state stays essentially
-  the same size when the campaign grows 3x in shard count — peak
-  accumulator memory is independent of the number of shards, while the
-  dataset the merged path must hold grows linearly.
+Both paths must produce field-for-field identical reports (the
+refactor's acceptance criterion), asserted before timing.  The memory the
+analyses need out of core is guarded by
+``bench_out_of_core.py::test_out_of_core_analyses_memory_guard``.
 
 The columnar sweep (``analysis-columnar`` group) additionally times the
 shard stream folded as one-shard blocks (``run_analyses``) against the
@@ -25,17 +21,13 @@ on a paper-scale campaign, per pass set, tagging each ``bench.json`` entry
 with ``analysis_path``/``analysis_passes``/``samples_per_second`` for the
 CI benchmark table; ``test_columnar_analysis_speedup_guard`` is the ≥2x
 regression guard on the pure group-fold pass set, and
-``test_sketch_percentiles_cost_guard`` keeps the sketch-mode percentiles
-fold (one row-batched sketch per slice) within 2x of the exact-mode fold,
-and ``test_sorted_order_statistics_cost_guard`` keeps the laggard order
+``test_sorted_order_statistics_cost_guard`` keeps the laggard order
 statistics read off one sort of the block within half the cost of
 ``np.median`` plus ``np.percentile``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import pickle
 import time
 
 import numpy as np
@@ -50,7 +42,6 @@ from repro.analysis import (
     PercentilesPass,
     ReclaimablePass,
     analyze_dataset,
-    resolve_analyses,
     run_analyses,
     run_columnar_analyses,
 )
@@ -66,10 +57,6 @@ ANALYSES = ("percentiles", "histogram", "laggards", "reclaimable", "normality")
 #: guard threshold: one whole column block must fold at least this much
 #: faster than the same shards as one-shard blocks on the group-fold pass set
 MIN_COLUMNAR_ANALYSIS_SPEEDUP = 2.0
-
-#: guard threshold: the sketch-mode percentiles fold may cost at most this
-#: multiple of the exact-mode fold on the paper-scale campaign
-MAX_SKETCH_PERCENTILES_COST_RATIO = 2.0
 
 #: guard threshold: the laggard order statistics read off a presorted
 #: matrix, the sort included, may cost at most this multiple of
@@ -116,9 +103,7 @@ def _paper_scale_inputs():
             ShardSlice(shard.trial, shard.process, start, start + shard.n_samples)
         )
         start += shard.n_samples
-    context = AnalysisContext.from_config(
-        config, exact=True, metadata=backend.metadata(config)
-    )
+    context = AnalysisContext.from_config(config, metadata=backend.metadata(config))
     return shards, (columns, slices), context
 
 
@@ -144,39 +129,9 @@ def _merged_report(config: CampaignConfig):
     return analyze_dataset(dataset, ANALYSES).report(include_earlybird=False)
 
 
-def _streaming_report(config: CampaignConfig, exact: bool = True):
-    results = CampaignSession(config).analyze(analyses=ANALYSES, exact=exact)
+def _streaming_report(config: CampaignConfig):
+    results = CampaignSession(config).analyze(analyses=ANALYSES)
     return results.report(include_earlybird=False)
-
-
-def _merged_accumulator_bytes(config: CampaignConfig) -> int:
-    """Pickled size of the fully merged (pre-finalize) pass states in
-    bounded mode — the streaming path's peak retained analysis state.
-
-    Sketch capacities are set low enough that every sketch is saturated at
-    the small campaign already: beyond saturation the retained state is a
-    function of the sketch capacity, not of how many shards streamed
-    through it.
-    """
-    backend = get_backend(config.backend)
-    context = AnalysisContext.from_config(
-        config, exact=False, metadata=backend.metadata(config)
-    )
-    passes = resolve_analyses(
-        [
-            PercentilesPass(sketch_capacity=128),
-            HistogramPass(),
-            LaggardsPass(),
-            ReclaimablePass(sketch_capacity=128),
-            NormalityPass(sketch_capacity=1024),
-        ]
-    )
-    merged = {p.name: p.prepare(context) for p in passes}
-    for shard in backend.iter_shards(config):
-        merged = {
-            p.name: p.accumulate(merged[p.name], shard, context) for p in passes
-        }
-    return len(pickle.dumps(merged))
 
 
 @pytest.mark.benchmark(group="analysis-streaming")
@@ -194,24 +149,6 @@ def test_streaming_pass_analysis(benchmark):
     assert _streaming_report(config).as_dict() == _merged_report(config).as_dict()
     report = benchmark(_streaming_report, config)
     assert report.n_samples == config.samples_per_application
-
-
-@pytest.mark.benchmark(group="analysis-streaming-memory")
-def test_accumulator_memory_independent_of_shard_count(benchmark):
-    small, large = _config(trials=2), _config(trials=6)
-    small_bytes = _merged_accumulator_bytes(small)
-    large_bytes = benchmark(_merged_accumulator_bytes, large)
-    dataset_growth = (
-        large.samples_per_application / small.samples_per_application
-    )
-    assert dataset_growth == pytest.approx(3.0)
-    # bounded accumulators: 3x the shards, ~1x the retained state (sketches
-    # saturate at their capacity; only integer tallies grow)
-    assert large_bytes < 1.2 * small_bytes
-    # and the retained state is a small fraction of the merged dataset the
-    # in-memory path must hold (5 int/float columns x 8 bytes per sample)
-    merged_dataset_bytes = large.samples_per_application * 8 * 5
-    assert large_bytes < 0.1 * merged_dataset_bytes
 
 
 @pytest.mark.benchmark(group="analysis-columnar")
@@ -267,36 +204,6 @@ def test_columnar_analysis_speedup_guard():
         f"fold ({one_shard:.3f}s vs {columnar:.3f}s on the group-fold pass "
         f"set); block amortisation has regressed below the "
         f"{MIN_COLUMNAR_ANALYSIS_SPEEDUP}x guard"
-    )
-
-
-def test_sketch_percentiles_cost_guard():
-    """Regression guard for the row-batched percentile sketch: on a
-    paper-scale MiniFE campaign (80 slices x 200 iterations x 48 threads)
-    folded as one column block, the sketch-mode ``percentiles`` pass
-    (bounded memory, what every out-of-core run uses) must cost at most
-    2x the exact-mode pass.  One sketch per slice holds all of its
-    iterations as rows, so sketch mode does the same per-slice work as
-    exact mode's segment lists (measured ~1x); a sketch per
-    (slice, iteration) pair cost ~5x."""
-    _, block, context = _paper_scale_inputs()
-    sketch_context = dataclasses.replace(context, exact=False)
-
-    def best(ctx, repeats: int = 3) -> float:
-        run_columnar_analyses(iter([block]), [PercentilesPass()], ctx)  # warm-up
-        elapsed = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run_columnar_analyses(iter([block]), [PercentilesPass()], ctx)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        return elapsed
-
-    exact, sketch = best(context), best(sketch_context)
-    ratio = sketch / exact
-    assert ratio <= MAX_SKETCH_PERCENTILES_COST_RATIO, (
-        f"sketch-mode percentiles fold costs {ratio:.1f}x the exact-mode fold "
-        f"({sketch:.3f}s vs {exact:.3f}s on the paper-scale campaign); above "
-        f"the {MAX_SKETCH_PERCENTILES_COST_RATIO}x guard"
     )
 
 

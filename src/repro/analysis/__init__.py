@@ -6,8 +6,7 @@ refactors them into a registry of :class:`AnalysisPass` objects following a
 ``prepare → accumulate_columns_split(block) → merge → finalize``
 lifecycle over canonical column blocks, so a campaign's shards or column
 blocks — serial or parallel — are analysed in one pass without
-materialising the merged dataset (and, in sketch mode, with accumulator
-memory independent of the shard count):
+materialising the merged dataset:
 
 >>> from repro.experiments import CampaignConfig, CampaignSession
 >>> session = CampaignSession(CampaignConfig.smoke())
@@ -27,11 +26,11 @@ subclass :class:`AnalysisPass` and register with :func:`register_analysis`
 — the third registry of the campaign layer, after execution backends and
 scenarios.
 
-In ``exact`` mode (default) every pass is bit-identical to the dense
-reference analyses over :func:`~repro.core.aggregation.aggregate`; with
-``exact=False`` the passes switch to bounded sketches whose memory is
-independent of the shard count (documented tolerance on sketched
-percentiles).
+Every pass is bit-identical to the dense reference analyses over
+:func:`~repro.core.aggregation.aggregate`, in memory and out of core.  A
+campaign analysed through the shard store keeps re-readable handles on its
+samples rather than the samples themselves, and the finalizes read them
+back one bounded batch of iterations at a time.
 """
 
 from repro.analysis.base import (
@@ -55,7 +54,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.passes import (
     DEFAULT_EARLYBIRD_MAX_GROUPS,
-    DEFAULT_SKETCH_CAPACITY,
     EarlybirdPass,
     HistogramPass,
     LaggardsPass,
@@ -85,7 +83,6 @@ __all__ = [
     "run_columnar_analyses",
     "assemble_feasibility_report",
     "REPORT_ANALYSES",
-    "DEFAULT_SKETCH_CAPACITY",
     "DEFAULT_EARLYBIRD_MAX_GROUPS",
     "PercentilesPass",
     "HistogramPass",

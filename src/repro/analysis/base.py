@@ -62,12 +62,6 @@ class AnalysisContext:
     label and dataset metadata) so passes can place per-slice partials —
     e.g. the early-bird pass needs each group's *global* index to reproduce
     the deterministic strided subset of the dense path.
-
-    ``exact`` selects the bit-identical accumulation mode: passes keep exact
-    per-group (never per-sample-merged) vectors and produce results
-    bit-identical to the dense reference analyses.  With ``exact=False``
-    the passes switch to bounded-memory accumulators (sketches and running
-    tallies) whose outputs agree within documented tolerances.
     """
 
     application: str = "unknown"
@@ -75,7 +69,6 @@ class AnalysisContext:
     processes: Tuple[int, ...] = ()
     iterations: Tuple[int, ...] = ()
     n_threads: int = 0
-    exact: bool = True
     metadata: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -106,7 +99,6 @@ class AnalysisContext:
         cls,
         config: "CampaignConfig",
         *,
-        exact: bool = True,
         metadata: Optional[Mapping[str, object]] = None,
     ) -> "AnalysisContext":
         """Context of a campaign described by its configuration."""
@@ -116,14 +108,11 @@ class AnalysisContext:
             processes=tuple(range(config.processes)),
             iterations=tuple(range(config.iterations)),
             n_threads=config.threads,
-            exact=exact,
             metadata=dict(metadata or {}),
         )
 
     @classmethod
-    def from_dataset(
-        cls, dataset: TimingDataset, *, exact: bool = True
-    ) -> "AnalysisContext":
+    def from_dataset(cls, dataset: TimingDataset) -> "AnalysisContext":
         """Context of an already-materialised dataset (see
         :func:`~repro.analysis.engine.analyze_dataset`)."""
         return cls(
@@ -132,7 +121,6 @@ class AnalysisContext:
             processes=tuple(int(p) for p in dataset.processes),
             iterations=tuple(int(i) for i in dataset.iterations),
             n_threads=dataset.n_threads,
-            exact=exact,
             metadata=dict(dataset.metadata),
         )
 

@@ -16,14 +16,17 @@ Every driver maps its input onto canonical column blocks
 * :func:`run_campaign_analyses` — execute a campaign *and* analyse it in
   one parallel pass: each executor worker folds the block or shard it
   produced into per-pass partials, returning only those to the parent; the
-  merged dataset is never materialised.  Note that in exact mode the
-  ``percentiles``/``normality`` partials carry the samples (exact order
-  statistics need them), so truly bounded memory requires ``exact=False``.
+  merged dataset is never materialised.  The ``percentiles``/``normality``
+  partials carry their slices' samples (exact order statistics need them),
+  so such a run holds every sample, as the in-memory path does.  Bounded
+  memory means analysing through the shard store: store-backed partials
+  hold re-readable handles instead
+  (:class:`~repro.io.shard_store.StoredRows`).
 
 All drivers build the same reduction: one partial state per (trial,
 process) slice, merged in the serial (trial-major) order.  Because partials
-are merged in a deterministic order — and the exact-mode accumulators key
-their segments by slice position anyway — the analysis results are
+are merged in a deterministic order — and the accumulators key their
+segments by slice position anyway — the analysis results are
 bit-identical whether the campaign ran serially, on a thread pool or on a
 process pool.
 """
@@ -170,7 +173,7 @@ def run_columnar_analyses(
 
     Blocks must arrive in serial (trial-major) shard order, like the shard
     iterables of :func:`run_analyses` — the per-slice partials of each block
-    then merge in serial order, so sketch states do not depend on how the
+    then merge in serial order, so the states do not depend on how the
     campaign was chunked into blocks.
     """
     passes = resolve_analyses(analyses)
@@ -200,8 +203,6 @@ def _dataset_block(dataset: TimingDataset) -> ColumnBlock:
 def analyze_dataset(
     dataset: TimingDataset,
     analyses: Union[None, str, Iterable[Union[str, AnalysisPass]]] = "all",
-    *,
-    exact: bool = True,
 ) -> AnalysisResults:
     """Fold a materialised dataset through the requested passes.
 
@@ -214,7 +215,7 @@ def analyze_dataset(
     >>> results.report()
     """
     block = _dataset_block(dataset)
-    context = AnalysisContext.from_dataset(dataset, exact=exact)
+    context = AnalysisContext.from_dataset(dataset)
     return run_columnar_analyses([(block.columns, block.slices)], analyses, context)
 
 
@@ -256,7 +257,6 @@ def run_campaign_analyses(
     *,
     context: Optional[AnalysisContext] = None,
     executor: Optional["ShardExecutor"] = None,
-    exact: bool = True,
 ) -> AnalysisResults:
     """Execute a campaign and stream its shards through analysis passes.
 
@@ -276,7 +276,7 @@ def run_campaign_analyses(
     passes = resolve_analyses(analyses)
     if context is None:
         context = AnalysisContext.from_config(
-            config, exact=exact, metadata=backend.metadata(config)
+            config, metadata=backend.metadata(config)
         )
     if executor is None:
         executor = ShardExecutor()

@@ -18,22 +18,22 @@ earlybird     dict of mean early-bird gains                         Fig 1/2
 ============  ====================================================  =========
 
 Exactness contract (checked by the pinned-digest integration tests and
-against the dense :func:`~repro.core.aggregation.aggregate` oracles): with
-``context.exact`` (the default) every pass produces results *bit-identical*
-to the dense reference analyses, for any shard decomposition and any shard
-order.  The trick is that accumulators never merge floating-point partials —
-they keep exact per-slice segments keyed by the slice's serial (trial,
-process) position and re-assemble the dense-order arrays at finalize.  With
-``exact=False`` the passes switch to bounded accumulators
-(:class:`~repro.stats.sketch.PercentileSketch`,
-:class:`~repro.stats.streaming.StreamingMoments`, lattice histograms) whose
-memory is independent of the shard count; sketched percentiles then agree
-within the sketch's documented rank tolerance (≈ ``1 / capacity``).  The
-percentiles pass keeps one row-batched sketch per slice (one row per
-iteration), so a sketch-mode merge is one sketch merge per slice, not one
-per (slice, iteration).  Each mode's state carries only its own
-accumulators: exact states hold segments, sketch states hold sketches and
-running tallies.
+against the dense :func:`~repro.core.aggregation.aggregate` oracles): every
+pass produces results *bit-identical* to the dense reference analyses, for
+any shard decomposition and any shard order.  The trick is that
+accumulators never merge floating-point partials — they keep exact
+per-slice segments keyed by the slice's serial (trial, process) position
+and re-assemble the dense-order arrays at finalize.
+
+The percentiles and normality segments stand for their slices' samples:
+a view of the block's cube in memory, or, for a block read from a shard
+store, a :class:`~repro.io.shard_store.StoredRows` handle that re-reads the
+samples at finalize, so a store-backed analysis does not keep the store's
+pages resident.  Their finalizes pool the iteration rows
+:data:`BATCH_SAMPLES` samples at a time (:func:`_iteration_batches`),
+and the normality pass reads the application-level group into one buffer,
+so the memory a finalize needs beyond the held segments is one batch of
+pooled rows or one application row.
 
 Each block is sorted at most once: the laggard order statistics (median,
 max, quartiles) and the normality battery's Shapiro–Wilk and
@@ -41,16 +41,18 @@ Anderson–Darling read the block's shared
 :attr:`~repro.core.aggregation.ColumnBlock.sorted_cube`, through
 :func:`~repro.stats.percentiles.sorted_percentiles` and
 :func:`~repro.stats.percentiles.sorted_median`, which equal
-``np.percentile`` / ``np.median`` bit for bit.  The exact percentiles
+``np.percentile`` / ``np.median`` bit for bit.  The percentiles
 finalize sorts its regrouped iteration rows in place and indexes them the
-same way.  The early-bird pass only collects its strided groups' rows while
-folding and replays the injection model once over all of them at finalize.
+same way, one batch at a time.  The early-bird pass only collects its
+strided groups' rows while folding and replays the injection model once
+over all of them at finalize.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+import sys
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from repro.core.laggard import (
     LaggardAnalysis,
     group_laggard_codes,
 )
-from repro.core.normality import stratified_subsample
+from repro.core.normality import stratified_ranks, stratified_subsample
 from repro.core.reclaimable import ReclaimableSummary, reclaim_and_idle_ratio
 from repro.stats.battery import TEST_NAMES, NormalityBattery
 from repro.stats.histogram import FixedWidthHistogram
@@ -73,11 +75,12 @@ from repro.stats.percentiles import (
     sorted_median,
     sorted_percentiles,
 )
-from repro.stats.sketch import BoundedTopK, PercentileSketch
-from repro.stats.streaming import StreamingHistogram, StreamingMoments
+from repro.stats.streaming import StreamingHistogram
 
-#: default bounded-mode sketch capacity (per accumulator)
-DEFAULT_SKETCH_CAPACITY = 4096
+#: samples of pooled iteration rows the percentiles and normality
+#: finalizes hold at once (whole rows, at least one): 17 iterations of the
+#: paper-scale campaign's 3840-sample rows
+BATCH_SAMPLES = 1 << 16
 
 #: default size of the early-bird pass's deterministic strided group subset
 DEFAULT_EARLYBIRD_MAX_GROUPS = 200
@@ -89,37 +92,95 @@ def _sorted_segments(segments: List[Tuple[Tuple[int, int], Any]]) -> List[Any]:
 
 
 def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
-    """One ``(sort_key, (iterations, cube[s]))`` exact segment per slice.
+    """One ``(sort_key, (iterations, rows))`` exact segment per slice.
 
-    Each segment owns its iteration labels, so a slice's partial pickles the
-    same whichever block it came in.
+    ``rows`` is the slice's ``cube[s]``, or, when the block's columns come
+    from a shard-store group, a
+    :class:`~repro.io.shard_store.StoredRows` handle on the same samples
+    (:meth:`~repro.io.shard_store.GroupColumns.stored_rows`); both read as
+    ``rows[start:stop]``.  Each segment owns its iteration labels, so a
+    slice's partial pickles the same whichever block it came in.
     """
+    stored_rows = getattr(block.columns, "stored_rows", None)
+    shape = block.cube.shape[1:]
     return [
-        (sl.sort_key, (block.iterations.copy(), rows))
+        (
+            sl.sort_key,
+            (
+                block.iterations.copy(),
+                rows if stored_rows is None else stored_rows(sl, shape),
+            ),
+        )
         for sl, rows in zip(block.slices, block.cube)
     ]
 
 
-def _iteration_rows(segments) -> Any:
-    """Every iteration's samples pooled across slices, in serial slice order.
+_Batch = Union[np.ndarray, List[np.ndarray]]
 
-    ``segments`` are :func:`_slice_segments` entries.  The slices' matrices
-    are stacked in serial order and their rows regrouped by a stable
-    argsort of the rows' iteration labels, so the ``k``-th row is the
-    concatenation, slice by slice, of the ``k``-th iteration's samples — the
-    dense path's pooled per-iteration vector, bit for bit — whether or not
-    every slice lists the same iterations.  Returns an ``(n_iterations, n)``
-    matrix when every iteration pools the same number of samples, else a
-    list of 1-D rows.
+
+def _iteration_batches(
+    segments, max_samples: int = BATCH_SAMPLES
+) -> Iterator[_Batch]:
+    """Every iteration's samples pooled across slices, as many iterations
+    at a time as fit in ``max_samples`` samples (at least one).
+
+    ``segments`` are :func:`_slice_segments` entries.  The ``k``-th pooled
+    row is the concatenation, slice by slice in serial order, of the
+    ``k``-th iteration's samples — the dense path's pooled per-iteration
+    vector, bit for bit — whether or not every slice lists the same
+    iterations (iteration-split or ragged campaigns).  A batch is an
+    ``(n, m)`` matrix when its iterations pool the same number of samples,
+    else a list of 1-D rows; it is a fresh array the caller may sort in
+    place.  Only the batch's rows are read, so a finalize holds about
+    ``max_samples`` pooled samples.
     """
     parts = _sorted_segments(segments)
-    labels = np.concatenate([iterations for iterations, _ in parts])
-    counts = np.unique(labels, return_counts=True)[1]
-    order = np.argsort(labels, kind="stable")
-    rows = np.concatenate([cube for _, cube in parts])[order]
-    if np.all(counts == counts[0]):
-        return rows.reshape(len(counts), -1)
-    return [part.ravel() for part in np.split(rows, np.cumsum(counts)[:-1])]
+    labels = [np.asarray(iterations) for iterations, _ in parts]
+    iterations = np.unique(np.concatenate(labels))
+    n = len(iterations)
+    samples = sum(int(np.prod(rows.shape)) for _, rows in parts)
+    size = max(1, max_samples * n // samples)
+    regular = all(len(its) == n for its in labels)
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        if regular:
+            yield np.concatenate([rows[start:stop] for _, rows in parts], axis=1)
+            continue
+        pooled: List[List[np.ndarray]] = [[] for _ in range(start, stop)]
+        for its, (_, rows) in zip(labels, parts):
+            lo = np.searchsorted(its, iterations[start])
+            hi = np.searchsorted(its, iterations[stop - 1], side="right")
+            positions = np.searchsorted(iterations, its[lo:hi]) - start
+            for k, row in zip(positions, rows[lo:hi]):
+                pooled[k].append(row)
+        batch = [np.concatenate(rows) for rows in pooled]
+        yield np.stack(batch) if len({len(row) for row in batch}) == 1 else batch
+
+
+def _iteration_rows(segments) -> _Batch:
+    """All pooled iteration rows as one batch (see :func:`_iteration_batches`)."""
+    return next(_iteration_batches(segments, max_samples=sys.maxsize))
+
+
+def _application_row(segments, limit: int) -> np.ndarray:
+    """The application-level group, stratified to at most ``limit`` samples.
+
+    Every slice's samples are read, in serial order, into one preallocated
+    buffer; above ``limit`` it is sorted in place and its strided ranks are
+    indexed directly — :func:`~repro.core.normality.stratified_subsample`'s
+    result without a second sorted copy.
+    """
+    parts = [rows for _, rows in _sorted_segments(segments)]
+    sizes = [int(np.prod(rows.shape)) for rows in parts]
+    row = np.empty(sum(sizes))
+    start = 0
+    for rows, size in zip(parts, sizes):
+        row[start : start + size].reshape(rows.shape)[...] = rows[:]
+        start += size
+    if len(row) <= limit:
+        return row
+    row.sort()
+    return row[stratified_ranks(len(row), limit)]
 
 
 # ----------------------------------------------------------------------
@@ -129,62 +190,42 @@ class PercentilesPass(AnalysisPass):
 
     title = "per-iteration percentile trajectories (Figures 4/6/8)"
 
-    def __init__(
-        self,
-        percentiles: Tuple[float, ...] = DEFAULT_PERCENTILES,
-        *,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    ) -> None:
+    def __init__(self, percentiles: Tuple[float, ...] = DEFAULT_PERCENTILES) -> None:
         self.percentiles = tuple(percentiles)
-        self.sketch_capacity = int(sketch_capacity)
 
     def prepare(self, context: AnalysisContext) -> Any:
-        # exact: one (sort_key, (iterations, samples)) segment per slice;
-        # bounded: one row-batched sketch, one row per iteration
-        return [] if context.exact else PercentileSketch(self.sketch_capacity)
+        # one (sort_key, (iterations, samples)) segment per slice
+        return []
 
     def accumulate_columns_split(self, block, context):
-        if not context.exact:
-            # sketch rows are iterations: every slice must list the same ones
-            if not np.array_equal(block.iterations, context.iterations):
-                raise ValueError(
-                    "sketch-mode percentiles need every slice to cover the "
-                    "campaign's iterations"
-                )
-            return [
-                PercentileSketch(self.sketch_capacity).update(rows)
-                for rows in block.cube
-            ]
         return [[segment] for segment in _slice_segments(block)]
 
     def merge(self, state, other):
-        if isinstance(state, PercentileSketch):
-            return state.merge(other)
         state.extend(other)
         return state
 
     def finalize(self, state, context: AnalysisContext) -> PercentileSeries:
-        if not (state.n if isinstance(state, PercentileSketch) else len(state)):
+        if not state:
             raise ValueError("percentiles pass saw no shards")
         levels = list(self.percentiles)
-        if isinstance(state, PercentileSketch):
-            # one query over every iteration row, scaled after the percentile
-            values = state.quantile(levels) * 1.0e3
-        else:
-            # exact: the dense path's per-iteration rows, bit for bit, sorted
-            # in place (they are a fresh regrouping) and scaled after the
-            # sort, which ×1e3 cannot reorder; regular campaigns (equal-size
-            # iteration groups) sort and index the whole matrix at once
-            def table(matrix: np.ndarray) -> np.ndarray:
-                matrix.sort(axis=-1)
-                matrix *= 1.0e3
-                return sorted_percentiles(matrix, levels)
 
-            rows = _iteration_rows(state)
-            if isinstance(rows, np.ndarray):
-                values = table(rows)
-            else:
-                values = np.column_stack([table(row) for row in rows])
+        # the dense path's per-iteration rows, bit for bit, sorted in place
+        # (each batch is a fresh regrouping) and scaled after the sort,
+        # which ×1e3 cannot reorder
+        def table(matrix: np.ndarray) -> np.ndarray:
+            matrix.sort(axis=-1)
+            matrix *= 1.0e3
+            return sorted_percentiles(matrix, levels)
+
+        values = np.concatenate(
+            [
+                table(batch)
+                if isinstance(batch, np.ndarray)
+                else np.column_stack([table(row) for row in batch])
+                for batch in _iteration_batches(state)
+            ],
+            axis=1,
+        )
         return PercentileSeries(
             iterations=np.arange(values.shape[1]),
             percentiles=tuple(levels),
@@ -226,9 +267,8 @@ class NormalityResult:
     ``application_iteration_pass_counts`` is the §4.1 middle level (how many
     application iterations pass each test — the Section 4.1 table's
     "app-iterations passing D'Agostino" column).  It pools samples *across*
-    shards per iteration, which only the exact accumulators can reassemble
-    bit-identically; in sketch mode (or when the pass was built with
-    ``application_iteration=False``) it is ``None``.
+    shards per iteration; it is ``None`` when the pass was built with
+    ``application_iteration=False``.
     """
 
     alpha: float
@@ -267,22 +307,23 @@ class NormalityPass(AnalysisPass):
         alpha: float = 0.05,
         *,
         max_application_samples: int = 5000,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
         application_iteration: bool = True,
     ) -> None:
         self.alpha = float(alpha)
+        #: the application-level group and each application-iteration row
+        #: are stratified down to this many samples (Shapiro–Wilk's
+        #: approximation is defined up to n = 5000)
         self.max_application_samples = int(max_application_samples)
-        self.sketch_capacity = int(sketch_capacity)
-        #: exact mode only: also run the battery at the application-iteration
-        #: level (pooled across shards per iteration; the §4.1 table's
-        #: "iterations passing" counts)
+        #: also run the battery at the application-iteration level (pooled
+        #: across shards per iteration; the §4.1 table's "iterations
+        #: passing" counts)
         self.application_iteration = bool(application_iteration)
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
         return {
-            # exact: one (sort_key, (iterations, samples)) segment per slice,
-            # the source of both the application and the iteration rows
-            "segments": [] if context.exact else PercentileSketch(self.sketch_capacity),
+            # one (sort_key, (iterations, samples)) segment per slice, the
+            # source of both the application and the iteration rows
+            "segments": [],
             "pass_counts": {name: 0 for name in TEST_NAMES},
             "n_groups": 0,
             "group_size": 0,
@@ -299,28 +340,20 @@ class NormalityPass(AnalysisPass):
             sorted_x=block.sorted_cube.reshape(n_slices * n_iterations, n_threads),
         )
         passed = {name: report.outcomes[name].passed for name in TEST_NAMES}
-        segments = _slice_segments(block)
         states = []
-        for s, segment in enumerate(segments):
+        for s, segment in enumerate(_slice_segments(block)):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             for name in TEST_NAMES:
                 state["pass_counts"][name] = int(np.sum(passed[name][rows]))
             state["n_groups"] = n_iterations
             state["group_size"] = n_threads
-            if context.exact:
-                state["segments"].append(segment)
-            else:
-                # the slice's application-level vector is its whole cube
-                state["segments"].update(matrix[s].ravel())
+            state["segments"].append(segment)
             states.append(state)
         return states
 
     def merge(self, state, other):
-        if isinstance(state["segments"], list):
-            state["segments"].extend(other["segments"])
-        else:
-            state["segments"] = state["segments"].merge(other["segments"])
+        state["segments"].extend(other["segments"])
         for name in TEST_NAMES:
             state["pass_counts"][name] += other["pass_counts"][name]
         state["n_groups"] += other["n_groups"]
@@ -333,37 +366,37 @@ class NormalityPass(AnalysisPass):
         """Battery pass counts at the application-iteration level.
 
         Each iteration's row is the dense path's pooled per-iteration
-        vector, bit for bit (:func:`_iteration_rows`), so the counts match
+        vector, bit for bit (:func:`_iteration_batches`), stratified like
+        the dense oracle's, so the counts match
         :meth:`NormalityStudy.application_iteration_pass_counts` exactly.
         """
-        rows = _iteration_rows(segments)
-        report = battery.run(rows)
-        counts = {
-            name: int(np.sum(report.outcomes[name].passed)) for name in TEST_NAMES
-        }
-        return counts, len(rows)
+        counts = dict.fromkeys(TEST_NAMES, 0)
+        n_iterations = 0
+        for batch in _iteration_batches(segments):
+            # ragged batches (iterations pooling unequal sample counts) run
+            # row by row
+            for rows in [batch] if isinstance(batch, np.ndarray) else batch:
+                report = battery.run(
+                    stratified_subsample(rows, self.max_application_samples)
+                )
+                for name in TEST_NAMES:
+                    counts[name] += int(np.sum(report.outcomes[name].passed))
+                n_iterations += report.n_groups
+        return counts, n_iterations
 
     def finalize(self, state, context: AnalysisContext) -> NormalityResult:
         if state["n_groups"] == 0:
             raise ValueError("normality pass saw no shards")
         battery = NormalityBattery(alpha=self.alpha)
-        exact = isinstance(state["segments"], list)
-        if exact:
-            app_row = np.concatenate(
-                [cube.ravel() for _, cube in _sorted_segments(state["segments"])]
-            )
-        else:
-            app_row = state["segments"].support
-        subsampled = stratified_subsample(
-            app_row[np.newaxis, :], self.max_application_samples
+        app_report = battery.run(
+            _application_row(state["segments"], self.max_application_samples)
         )
-        app_report = battery.run(subsampled)
         rates = {
             name: state["pass_counts"][name] / state["n_groups"] for name in TEST_NAMES
         }
         iteration_counts: Optional[Dict[str, int]] = None
         n_iterations = 0
-        if exact and self.application_iteration:
+        if self.application_iteration:
             iteration_counts, n_iterations = self._iteration_counts(
                 battery, state["segments"]
             )
@@ -384,15 +417,10 @@ class NormalityPass(AnalysisPass):
 class LaggardsResult:
     """Streaming laggard-analysis product.
 
-    Scalar fractions are exact in both accumulation modes (they are integer
-    tallies); the gap/IQR summary statistics are exact in ``exact`` mode and
-    running-moment approximations otherwise.  ``analysis`` carries the full
-    per-group :class:`~repro.core.laggard.LaggardAnalysis` in exact mode
-    (``None`` in bounded mode, which keeps memory independent of campaign
-    size).  In bounded mode, ``candidates`` carries one
-    :class:`~repro.stats.sketch.BoundedTopK` pool of ``(gap, key)``
-    exemplar candidates per iteration class, so :meth:`exemplar` — the
-    selection behind Figures 5/7/9 — still answers with bounded memory.
+    The fractions are integer tallies and the gap/IQR summary statistics
+    come from the re-assembled dense arrays; ``analysis`` carries the full
+    per-group :class:`~repro.core.laggard.LaggardAnalysis` behind the
+    exemplar selection of Figures 5/7/9.
     """
 
     n_groups: int
@@ -405,29 +433,16 @@ class LaggardsResult:
     mean_iqr_s: float
     max_iqr_s: float
     mean_median_s: float
-    analysis: Optional[LaggardAnalysis] = None
-    candidates: Optional[Dict[str, "BoundedTopK"]] = None
+    analysis: LaggardAnalysis
 
     @property
     def laggard_fraction(self) -> float:
         return self.laggard_count / self.n_groups if self.n_groups else 0.0
 
     def exemplar(self, iteration_class: IterationClass) -> Optional[Tuple[int, ...]]:
-        """Key of the most typical group of a class (median gap within class).
-
-        Exact mode delegates to the per-group analysis (bit-identical to the
-        dense path); bounded mode answers from the class's candidate pool —
-        the retained candidate whose gap is closest to the pool's median, at
-        most one quantile spacing away from the exact choice.
-        """
-        if self.analysis is not None:
-            return self.analysis.exemplar(iteration_class)
-        if not self.candidates:
-            return None
-        pool = self.candidates.get(iteration_class.value)
-        if pool is None or len(pool) == 0:
-            return None
-        return pool.nearest(float(pool.quantile(50.0)))
+        """Key of the most typical group of a class (median gap within class),
+        from the per-group analysis (bit-identical to the dense path)."""
+        return self.analysis.exemplar(iteration_class)
 
     def class_fraction(self, iteration_class: IterationClass) -> float:
         if not self.n_groups:
@@ -461,42 +476,23 @@ class LaggardsPass(AnalysisPass):
 
     title = "laggard fractions and iteration classes (§4.2, Figures 5/7)"
 
-    #: bounded-mode exemplar candidates retained per iteration class
-    DEFAULT_CANDIDATE_CAPACITY = 256
-
     def __init__(
         self,
         threshold_s: float = DEFAULT_LAGGARD_THRESHOLD_S,
         wide_iqr_s: float = DEFAULT_WIDE_IQR_S,
-        *,
-        candidate_capacity: int = DEFAULT_CANDIDATE_CAPACITY,
     ) -> None:
         if threshold_s <= 0:
             raise ValueError("threshold_s must be positive")
         self.threshold_s = float(threshold_s)
         self.wide_iqr_s = float(wide_iqr_s)
-        self.candidate_capacity = int(candidate_capacity)
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
-        state: Dict[str, Any] = {
+        return {
             "n_groups": 0,
             "laggard_count": 0,
             "class_counts": {cls.value: 0 for cls in IterationClass},
+            "segments": [],
         }
-        if context.exact:
-            state["segments"] = []
-        else:
-            state.update(
-                gap=StreamingMoments(),
-                iqr=StreamingMoments(),
-                median=StreamingMoments(),
-                # per-class (gap, key) exemplar candidates
-                candidates={
-                    cls.value: BoundedTopK(self.candidate_capacity)
-                    for cls in IterationClass
-                },
-            )
-        return state
 
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
@@ -521,33 +517,20 @@ class LaggardsPass(AnalysisPass):
                 state["class_counts"][cls.value] = int(counts[k])
             state["n_groups"] = n_iterations
             state["laggard_count"] = int(np.sum(has_laggard[rows]))
-            keys = [(sl.trial, sl.process, it) for it in iters]
-            if context.exact:
-                state["segments"].append(
+            state["segments"].append(
+                (
+                    sl.sort_key,
                     (
-                        sl.sort_key,
-                        (
-                            keys,
-                            median[rows],
-                            maximum[rows],
-                            gap[rows],
-                            iqr[rows],
-                            has_laggard[rows],
-                            codes[rows],
-                        ),
-                    )
+                        [(sl.trial, sl.process, it) for it in iters],
+                        median[rows],
+                        maximum[rows],
+                        gap[rows],
+                        iqr[rows],
+                        has_laggard[rows],
+                        codes[rows],
+                    ),
                 )
-            else:
-                state["gap"].update(gap[rows])
-                state["iqr"].update(iqr[rows])
-                state["median"].update(median[rows])
-                for k, cls in enumerate(IterationClass):
-                    mask = codes[rows] == k
-                    if mask.any():
-                        state["candidates"][cls.value].update(
-                            gap[rows][mask],
-                            [key for key, m in zip(keys, mask) if m],
-                        )
+            )
             states.append(state)
         return states
 
@@ -556,60 +539,41 @@ class LaggardsPass(AnalysisPass):
         state["laggard_count"] += other["laggard_count"]
         for name, count in other["class_counts"].items():
             state["class_counts"][name] += count
-        if "segments" in state:
-            state["segments"].extend(other["segments"])
-            return state
-        for key in ("gap", "iqr", "median"):
-            state[key] = state[key].merge(other[key])
-        for name, pool in other["candidates"].items():
-            state["candidates"][name] = state["candidates"][name].merge(pool)
+        state["segments"].extend(other["segments"])
         return state
 
     def finalize(self, state, context: AnalysisContext) -> LaggardsResult:
         if state["n_groups"] == 0:
             raise ValueError("laggards pass saw no shards")
-        analysis: Optional[LaggardAnalysis] = None
-        if "segments" in state:
-            parts = _sorted_segments(state["segments"])
-            keys: List[Tuple[int, ...]] = []
-            for part in parts:
-                keys.extend(part[0])
-            members = list(IterationClass)
-            analysis = LaggardAnalysis(
-                keys=keys,
-                median_s=np.concatenate([p[1] for p in parts]),
-                max_s=np.concatenate([p[2] for p in parts]),
-                gap_s=np.concatenate([p[3] for p in parts]),
-                iqr_s=np.concatenate([p[4] for p in parts]),
-                has_laggard=np.concatenate([p[5] for p in parts]),
-                classes=[members[c] for p in parts for c in p[6]],
-                threshold_s=self.threshold_s,
-                wide_iqr_s=self.wide_iqr_s,
-            )
-        if analysis is not None:
-            # exact summary statistics from the re-assembled dense arrays
-            mean_gap = float(np.mean(analysis.gap_s))
-            max_gap = float(np.max(analysis.gap_s))
-            mean_iqr = float(np.mean(analysis.iqr_s))
-            max_iqr = float(np.max(analysis.iqr_s))
-            mean_median = float(np.mean(analysis.median_s))
-        else:
-            mean_gap, max_gap = state["gap"].mean, state["gap"].maximum
-            mean_iqr, max_iqr = state["iqr"].mean, state["iqr"].maximum
-            mean_median = state["median"].mean
+        parts = _sorted_segments(state["segments"])
+        keys: List[Tuple[int, ...]] = []
+        for part in parts:
+            keys.extend(part[0])
+        members = list(IterationClass)
+        analysis = LaggardAnalysis(
+            keys=keys,
+            median_s=np.concatenate([p[1] for p in parts]),
+            max_s=np.concatenate([p[2] for p in parts]),
+            gap_s=np.concatenate([p[3] for p in parts]),
+            iqr_s=np.concatenate([p[4] for p in parts]),
+            has_laggard=np.concatenate([p[5] for p in parts]),
+            classes=[members[c] for p in parts for c in p[6]],
+            threshold_s=self.threshold_s,
+            wide_iqr_s=self.wide_iqr_s,
+        )
+        # summary statistics from the re-assembled dense arrays
         return LaggardsResult(
             n_groups=state["n_groups"],
             laggard_count=state["laggard_count"],
             class_counts=dict(state["class_counts"]),
             threshold_s=self.threshold_s,
             wide_iqr_s=self.wide_iqr_s,
-            mean_gap_s=mean_gap,
-            max_gap_s=max_gap,
-            mean_iqr_s=mean_iqr,
-            max_iqr_s=max_iqr,
-            mean_median_s=mean_median,
+            mean_gap_s=float(np.mean(analysis.gap_s)),
+            max_gap_s=float(np.max(analysis.gap_s)),
+            mean_iqr_s=float(np.mean(analysis.iqr_s)),
+            max_iqr_s=float(np.max(analysis.iqr_s)),
+            mean_median_s=float(np.mean(analysis.median_s)),
             analysis=analysis,
-            candidates=None if analysis is not None else dict(state["candidates"]),
         )
 
 
@@ -620,18 +584,8 @@ class ReclaimablePass(AnalysisPass):
 
     title = "reclaimable time and idle ratio (§4.2)"
 
-    def __init__(self, *, sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
-        self.sketch_capacity = int(sketch_capacity)
-
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
-        if context.exact:
-            return {"segments": [], "n_threads": 0}
-        return {
-            "reclaim": StreamingMoments(),
-            "ratio": StreamingMoments(),
-            "median_sketch": PercentileSketch(self.sketch_capacity),
-            "n_threads": 0,
-        }
+        return {"segments": [], "n_threads": 0}
 
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
@@ -643,49 +597,29 @@ class ReclaimablePass(AnalysisPass):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             state["n_threads"] = n_threads
-            if context.exact:
-                state["segments"].append((sl.sort_key, (reclaim[rows], ratios[rows])))
-            else:
-                state["reclaim"].update(reclaim[rows])
-                state["ratio"].update(ratios[rows])
-                state["median_sketch"].update(reclaim[rows])
+            state["segments"].append((sl.sort_key, (reclaim[rows], ratios[rows])))
             states.append(state)
         return states
 
     def merge(self, state, other):
         state["n_threads"] = max(state["n_threads"], other["n_threads"])
-        if "segments" in state:
-            state["segments"].extend(other["segments"])
-            return state
-        state["reclaim"] = state["reclaim"].merge(other["reclaim"])
-        state["ratio"] = state["ratio"].merge(other["ratio"])
-        state["median_sketch"] = state["median_sketch"].merge(other["median_sketch"])
+        state["segments"].extend(other["segments"])
         return state
 
     def finalize(self, state, context: AnalysisContext) -> ReclaimableSummary:
         if not state["n_threads"]:
             raise ValueError("reclaimable pass saw no shards")
         n_threads = state["n_threads"]
-        if "segments" in state:
-            parts = _sorted_segments(state["segments"])
-            reclaim = np.concatenate([p[0] for p in parts])
-            ratios = np.concatenate([p[1] for p in parts])
-            return ReclaimableSummary(
-                mean_reclaimable_s=float(np.mean(reclaim)),
-                median_reclaimable_s=float(np.median(reclaim)),
-                max_reclaimable_s=float(np.max(reclaim)),
-                mean_idle_ratio=float(np.mean(ratios)),
-                mean_per_thread_idle_s=float(np.mean(reclaim) / n_threads),
-                n_groups=len(reclaim),
-                n_threads=n_threads,
-            )
+        parts = _sorted_segments(state["segments"])
+        reclaim = np.concatenate([p[0] for p in parts])
+        ratios = np.concatenate([p[1] for p in parts])
         return ReclaimableSummary(
-            mean_reclaimable_s=state["reclaim"].mean,
-            median_reclaimable_s=float(state["median_sketch"].quantile(50.0)),
-            max_reclaimable_s=state["reclaim"].maximum,
-            mean_idle_ratio=state["ratio"].mean,
-            mean_per_thread_idle_s=state["reclaim"].mean / n_threads,
-            n_groups=state["reclaim"].count,
+            mean_reclaimable_s=float(np.mean(reclaim)),
+            median_reclaimable_s=float(np.median(reclaim)),
+            max_reclaimable_s=float(np.max(reclaim)),
+            mean_idle_ratio=float(np.mean(ratios)),
+            mean_per_thread_idle_s=float(np.mean(reclaim) / n_threads),
+            n_groups=len(reclaim),
             n_threads=n_threads,
         )
 
@@ -703,7 +637,7 @@ class EarlybirdPass(AnalysisPass):
     rows, keyed by global index; finalize replays the FIFO injection model
     once over all of them (:meth:`EarlyBirdModel.evaluate_groups`, whose
     per-group results do not depend on the batch).  Memory is bounded by
-    ``max_groups`` rows in both accumulation modes.
+    ``max_groups`` rows.
     """
 
     title = "mean early-bird delivery gains (Figures 1/2 quantified)"

@@ -33,9 +33,13 @@ def stratified_subsample(values: np.ndarray, limit: int) -> np.ndarray:
     n = values.shape[-1]
     if n <= limit:
         return values
-    stride = n / limit
-    idx = np.floor(np.arange(limit) * stride).astype(np.int64)
-    return np.sort(values, axis=-1)[..., idx]
+    return np.sort(values, axis=-1)[..., stratified_ranks(n, limit)]
+
+
+def stratified_ranks(n: int, limit: int) -> np.ndarray:
+    """The ``limit`` evenly strided ranks out of ``n`` sorted samples that
+    :func:`stratified_subsample` keeps."""
+    return np.floor(np.arange(limit) * (n / limit)).astype(np.int64)
 
 
 @dataclass
@@ -71,9 +75,10 @@ class NormalityStudy:
         Significance level (5 % in the paper).
     max_application_samples:
         The application-level group can contain hundreds of thousands of
-        samples; Shapiro–Wilk's approximation is only defined to n = 5000, so
-        the application-level battery tests a deterministic stratified
-        subsample of at most this many values (the paper's conclusion —
+        samples, and an application-iteration group pools every trial's and
+        process's threads; Shapiro–Wilk's approximation is only defined to
+        n = 5000, so both levels test a deterministic stratified subsample
+        of at most this many values per group (the paper's conclusion —
         rejection — is insensitive to this: rejection only becomes *easier*
         with more samples).
     """
@@ -103,7 +108,7 @@ class NormalityStudy:
         if level not in self._results:
             grouped = aggregate(self.dataset, level)
             values = grouped.values
-            if level is AggregationLevel.APPLICATION:
+            if level is not AggregationLevel.PROCESS_ITERATION:
                 values = self._subsample(values, self.max_application_samples)
             report = self.battery.run(values)
             self._results[level] = LevelResult(

@@ -1,6 +1,6 @@
 """Early-bird delivery strategies (§5's discussion, ablation A1).
 
-The paper's discussion sketches several ways an application could exploit the
+The paper's discussion outlines several ways an application could exploit the
 measured idle time; this module makes them concrete so their completion times
 can be compared on measured (or synthetic) arrival vectors:
 

@@ -101,18 +101,9 @@ def figure2_potential_overlap(
 # ----------------------------------------------------------------------
 # exemplar plumbing: laggard products and shard scans
 # ----------------------------------------------------------------------
-def _laggards_product(results: AnalysisResults):
-    """The laggard product behind Figures 5/7/9's exemplars.
-
-    Returns a :class:`~repro.core.laggard.LaggardAnalysis` (exact-mode
-    results) — or the sketch-mode
-    :class:`~repro.analysis.passes.LaggardsResult`, whose bounded candidate
-    pools still answer ``laggard_fraction`` and ``exemplar`` queries.
-    """
-    product = results["laggards"]
-    if product.analysis is not None:
-        return product.analysis
-    return product
+def _laggards_product(results: AnalysisResults) -> LaggardAnalysis:
+    """The per-group laggard analysis behind Figures 5/7/9's exemplars."""
+    return results["laggards"].analysis
 
 
 def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
@@ -231,9 +222,6 @@ def figure5_minife_classes(results: AnalysisResults, *, shards) -> FigureData:
     """Figure 5: MiniFE no-laggard vs laggard example histograms (50 µs bins).
 
     The exemplar histograms are binned from the campaign's ``shards``.
-    Sketch-mode results answer from the laggards pass's bounded candidate
-    pools — exemplars are then approximate (within one candidate-pool
-    quantile spacing) but the fractions stay exact.
     """
     laggards = _laggards_product(results)
     bin_width = FIGURE_PARAMETERS["figure5"]["bin_width_s"]
@@ -261,60 +249,28 @@ def figure7_minimd_classes(
     """Figure 7: MiniMD initial / no-laggard / laggard example histograms.
 
     The exemplar histograms are binned from the campaign's ``shards``.
-    Sketch-mode results lack the dense per-group arrays: the
-    warm-up/steady split is then approximated from the laggards pass's
-    bounded candidate pools (keys filtered by iteration) and the steady
-    laggard fraction by the campaign-wide laggard fraction — an exact tally
-    that differs from the steady-only fraction just by the warm-up share.
     """
     wide_bin = FIGURE_PARAMETERS["figure7a"]["bin_width_s"]
     tight_bin = FIGURE_PARAMETERS["figure7bc"]["bin_width_s"]
     laggards = _laggards_product(results)
 
-    if isinstance(laggards, LaggardAnalysis):
-        # (a) initial behaviour: any process-iteration from the warm-up phase
-        warmup_keys = [key for key in laggards.keys if key[-1] < warmup_iterations]
+    # (a) initial behaviour: any process-iteration from the warm-up phase
+    warmup_keys = [key for key in laggards.keys if key[-1] < warmup_iterations]
 
-        # (b)/(c): post-warm-up laggard statistics
-        steady_indices = [
-            i for i, key in enumerate(laggards.keys) if key[-1] >= warmup_iterations
+    # (b)/(c): post-warm-up laggard statistics
+    steady_indices = [
+        i for i, key in enumerate(laggards.keys) if key[-1] >= warmup_iterations
+    ]
+    steady_has_laggard = laggards.has_laggard[steady_indices]
+    steady_fraction = float(np.mean(steady_has_laggard)) if steady_indices else 0.0
+
+    def steady_exemplar(want_laggard: bool):
+        candidates = [
+            laggards.keys[i]
+            for i in steady_indices
+            if bool(laggards.has_laggard[i]) == want_laggard
         ]
-        steady_has_laggard = laggards.has_laggard[steady_indices]
-        steady_fraction = (
-            float(np.mean(steady_has_laggard)) if steady_indices else 0.0
-        )
-
-        def steady_exemplar(want_laggard: bool):
-            candidates = [
-                laggards.keys[i]
-                for i in steady_indices
-                if bool(laggards.has_laggard[i]) == want_laggard
-            ]
-            return candidates[len(candidates) // 2] if candidates else None
-
-    else:  # sketch mode: answer from the bounded candidate pools
-        pools = laggards.candidates or {}
-        pooled_keys = [key for pool in pools.values() for key in pool.keys]
-        warmup_keys = sorted(
-            key for key in pooled_keys if key[-1] < warmup_iterations
-        )
-        steady_fraction = laggards.laggard_fraction
-
-        def steady_exemplar(want_laggard: bool):
-            names = (
-                (IterationClass.LAGGARD.value, IterationClass.WIDE.value)
-                if want_laggard
-                else (IterationClass.NO_LAGGARD.value,)
-            )
-            candidates = sorted(
-                key
-                for name in names
-                for pool in (pools.get(name),)
-                if pool is not None
-                for key in pool.keys
-                if key[-1] >= warmup_iterations
-            )
-            return candidates[len(candidates) // 2] if candidates else None
+        return candidates[len(candidates) // 2] if candidates else None
 
     initial_hist = (
         _group_histogram(shards, warmup_keys[len(warmup_keys) // 2], wide_bin)
@@ -351,15 +307,7 @@ def figure9_miniqmc_histogram(results: AnalysisResults, *, shards) -> FigureData
     laggards = _laggards_product(results)
     key = laggards.exemplar(IterationClass.WIDE)
     if key is None:
-        if isinstance(laggards, LaggardAnalysis):
-            key = laggards.keys[len(laggards.keys) // 2]
-        else:  # sketch mode: fall back to any class's exemplar
-            for cls in IterationClass:
-                key = laggards.exemplar(cls)
-                if key is not None:
-                    break
-    if key is None:
-        raise ValueError("no exemplar candidates available for figure 9")
+        key = laggards.keys[len(laggards.keys) // 2]
     histogram = _group_histogram(shards, key, bin_width)
     return FigureData(
         figure_id="figure9",

@@ -24,9 +24,10 @@ pass products land in ``analyses_<app>.json``::
 
 ``--out-of-core`` runs the whole pipeline against the spillable shard store
 (:mod:`repro.io.shard_store`): shards flush to disk as they are produced,
-analyses use the bounded-memory sketch accumulators, and the figure
-generators stream memory-mapped views — a campaign far larger than RAM
-completes within a fixed budget::
+the analyses keep re-readable handles on the stored samples instead of the
+samples, and the figure generators stream memory-mapped views — a campaign
+far larger than RAM completes within a fixed budget, with outputs
+byte-identical to the in-memory run::
 
     python -m repro --scale paper --trials 1000 --out-of-core --spill-mb 256
 
@@ -189,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-of-core",
         action="store_true",
         help="spill campaign shards to an on-disk store as they are "
-        "produced and stream every analysis/figure from memory-mapped "
-        "views (bounded RAM; implies sketch-mode analyses)",
+        "produced and stream every analysis/figure from it (bounded RAM; "
+        "outputs identical to the in-memory run)",
     )
     parser.add_argument(
         "--spill-mb",
@@ -230,12 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         "shards through these registered passes (see --list-analyses) "
         "without materialising the merged dataset, writing "
         "analyses_<app>.json; 'all' selects every registered pass",
-    )
-    parser.add_argument(
-        "--sketch",
-        action="store_true",
-        help="with --analyses: use bounded-memory sketch accumulators "
-        "instead of the exact (bit-identical) ones",
     )
     parser.add_argument(
         "--list-analyses",
@@ -372,15 +367,12 @@ def _run_streaming_analyses(
         config = _configure(args, application)
         started = time.perf_counter()
         session = CampaignSession(config, cache_dir=args.cache_dir)
-        results = session.analyze(
-            application, analyses=analyses, exact=not args.sketch
-        )
+        results = session.analyze(application, analyses=analyses)
         elapsed = time.perf_counter() - started
-        mode = "sketch" if args.sketch else "exact"
         print(
             f"[repro-campaign] analysed {application} via streaming passes "
             f"[{', '.join(sorted(results))}] in {elapsed:.1f} s "
-            f"({mode} mode, {config.max_workers} worker(s))",
+            f"({config.max_workers} worker(s))",
             flush=True,
         )
         payload = {name: _product_payload(results[name]) for name in sorted(results)}
@@ -495,7 +487,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "engine never materialises the merged datasets)"
             )
         return _run_streaming_analyses(args, applications, output)
-    # the default path streams: every table/figure below reads the exact-mode
+    # the default path streams: every table/figure below reads the
     # analysis products (plus raw shards for the exemplar histograms), and a
     # merged dataset is only materialised when --save-datasets asks for one
     products: Dict[str, AnalysisResults] = {}
@@ -521,19 +513,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config, cache_dir=args.cache_dir, cache_max_bytes=cache_max_bytes
         )
         if args.out_of_core:
-            # shards spill to the store as they arrive; analyses run the
-            # bounded-memory sketches (exact accumulators buffer samples);
-            # figures stream mmap views straight off the store
+            # shards spill to the store as they arrive; analyses and figures
+            # read them back off the store
             result = session.run(
                 store=True,
                 spill_threshold_bytes=max(1, int(args.spill_mb * 2**20)),
             )
-            products[application] = session.analyze(
-                application, analyses="all", exact=False
-            )
         else:
             result = session.run()
-            products[application] = session.analyze(application, analyses="all")
+        products[application] = session.analyze(application, analyses="all")
         runs[application] = result
         elapsed = time.perf_counter() - started
         origin = " (cached)" if result.from_cache else ""
@@ -554,18 +542,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report_lines.append(ascii_table(table_rows))
     report_lines.append("\n=== Section 4.2 scalar metrics (paper vs measured) ===")
     report_lines.append(ascii_table(metric_rows))
-    if args.out_of_core:
-        # the coarse-level table needs per-iteration pass counts, which the
-        # sketch-mode normality accumulator does not retain
-        report_lines.append(
-            "\n=== Section 4.1 coarse-level normality: skipped "
-            "(--out-of-core runs sketch-mode analyses) ==="
-        )
-    else:
-        normality_rows = section41_normality_table(products)
-        export_rows_csv(normality_rows, output / "section41_normality.csv")
-        report_lines.append("\n=== Section 4.1 coarse-level normality ===")
-        report_lines.append(ascii_table(normality_rows))
+    normality_rows = section41_normality_table(products)
+    export_rows_csv(normality_rows, output / "section41_normality.csv")
+    report_lines.append("\n=== Section 4.1 coarse-level normality ===")
+    report_lines.append(ascii_table(normality_rows))
     if "minimd" in products:
         phase_rows = minimd_phase_table(products["minimd"])
         export_rows_csv(phase_rows, output / "minimd_phases.csv")

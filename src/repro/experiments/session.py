@@ -37,7 +37,7 @@ the service — reopens the stored shards instead of recomputing 768 000
 samples.
 Streaming analyses get their own cache layer: each pass's *finalized
 product* is pickled under a key derived from (config hash, pass name, pass
-parameters, exact flag), so repeating an ``analyze()`` call
+parameters), so repeating an ``analyze()`` call
 loads products directly — no campaign execution, no shard folding.  The
 session counts ``analysis_cache_hits`` / ``analysis_cache_misses``.
 """
@@ -248,20 +248,18 @@ class CampaignResult:
     def analyze(
         self,
         analyses: Union[str, Iterable[Union[str, "AnalysisPass"]]] = "all",
-        *,
-        exact: bool = True,
     ) -> "AnalysisResults":
         """Fold this campaign's column blocks through analysis passes.
 
         Streams :meth:`iter_column_blocks` (no merged dataset is built), so
         the products are bit-identical to
-        :func:`~repro.analysis.analyze_dataset` over :attr:`dataset`.
+        :func:`~repro.analysis.analyze_dataset` over :attr:`dataset`.  A
+        store-backed result's passes hold re-readable handles on the stored
+        samples, not the mapped groups, until they finalize.
         """
         from repro.analysis import AnalysisContext, run_columnar_analyses
 
-        context = AnalysisContext.from_config(
-            self.config, exact=exact, metadata=self.metadata
-        )
+        context = AnalysisContext.from_config(self.config, metadata=self.metadata)
         return run_columnar_analyses(self.iter_column_blocks(), analyses, context)
 
     def report(self, include_earlybird: bool = True) -> "FeasibilityReport":
@@ -505,13 +503,12 @@ class CampaignSession:
         return f"{type(value).__qualname__}({';'.join(parts)})"
 
     def _analysis_cache_path(
-        self, config: "CampaignConfig", analysis_pass: "AnalysisPass", exact: bool
+        self, config: "CampaignConfig", analysis_pass: "AnalysisPass"
     ) -> Optional[Path]:
         """Cache file of one pass's finalized product, or ``None`` without a
         ``cache_dir``.  The key hashes everything that determines the
         product: the campaign's sample-determining config hash, the pass
-        name, the pass's parameters (its instance attributes) and the
-        exact/sketch flag."""
+        name and the pass's parameters (its instance attributes)."""
         if self.cache_dir is None:
             return None
         descriptions = []
@@ -532,7 +529,7 @@ class CampaignSession:
             descriptions.append(f"{name}={described}")
         params = ";".join(descriptions)
         blob = "|".join(
-            (config_cache_key(config), analysis_pass.name, params, str(bool(exact)))
+            (config_cache_key(config), analysis_pass.name, params)
         )
         key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         return (
@@ -762,7 +759,6 @@ class CampaignSession:
         application: Optional[str] = None,
         *,
         analyses: Union[str, Iterable[Union[str, "AnalysisPass"]]] = "all",
-        exact: bool = True,
     ) -> "AnalysisResults":
         """Analyse ``application``'s campaign through the streaming engine.
 
@@ -773,9 +769,8 @@ class CampaignSession:
         with the analysis — per-shard accumulation happens in the executor
         workers (``config.max_workers``), only the per-pass partial states
         are merged in the parent, and neither a merged dataset nor a session
-        result is built.  ``exact`` selects the bit-identical accumulators
-        (default; exact percentiles/normality keep sample-sized state)
-        versus the bounded-memory sketches (``exact=False``).
+        result is built (the percentiles/normality partials then carry the
+        samples; a store-backed result carries re-readable handles instead).
         """
         from repro.analysis import (
             AnalysisContext,
@@ -793,7 +788,7 @@ class CampaignSession:
             missing = []
             for p in passes:
                 hit, product = self._load_analysis_product(
-                    self._analysis_cache_path(config, p, exact)
+                    self._analysis_cache_path(config, p)
                 )
                 if hit:
                     products[p.name] = product
@@ -806,20 +801,19 @@ class CampaignSession:
             if result is not None:
                 # the campaign already ran in this session — fold its
                 # columns through the passes instead of re-executing it
-                fresh = result.analyze(missing, exact=exact)
+                fresh = result.analyze(missing)
             else:
                 fresh = run_campaign_analyses(
                     get_backend(config.backend),
                     config,
                     missing,
                     executor=self._executor(),
-                    exact=exact,
                 )
             context = fresh.context
             for p in missing:
                 products[p.name] = fresh[p.name]
                 self._store_analysis_product(
-                    self._analysis_cache_path(config, p, exact), fresh[p.name]
+                    self._analysis_cache_path(config, p), fresh[p.name]
                 )
         if context is None:
             # every product came from the cache — rebuild the campaign
@@ -829,9 +823,7 @@ class CampaignSession:
                 if result is not None
                 else get_backend(config.backend).metadata(config)
             )
-            context = AnalysisContext.from_config(
-                config, exact=exact, metadata=metadata
-            )
+            context = AnalysisContext.from_config(config, metadata=metadata)
         ordered = {p.name: products[p.name] for p in passes}
         return AnalysisResults(ordered, context)
 

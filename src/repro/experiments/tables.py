@@ -89,8 +89,9 @@ def section41_normality_table(
         if app_iter_passes is None:
             raise ValueError(
                 "the streaming normality product carries no "
-                "application-iteration counts (sketch mode?); re-run the "
-                "'normality' pass in exact mode for the Section 4.1 table"
+                "application-iteration counts (the pass ran with "
+                "application_iteration=False); re-run the 'normality' pass "
+                "with application_iteration=True for the Section 4.1 table"
             )
         row: Dict[str, object] = {
             "application": _label(name),

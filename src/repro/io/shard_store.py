@@ -36,7 +36,13 @@ Durability and sharing:
 * round-trips are **bit-identical**: columns are stored as raw bytes of the
   arrays that were appended, so a stored-and-reloaded campaign merges into
   the same dataset — and the same digest — as the in-memory run (pinned in
-  the test suite).
+  the test suite);
+* a reader that must keep a shard's samples past the scan (the analyses
+  hold every slice until they finalize) keeps a :class:`StoredRows` handle
+  instead of the mapped view: the group's open file, an offset and a shape.
+  The pages are then free to leave memory, and because the file is held
+  open, not its path, an eviction that unlinks the group cannot break the
+  later re-read.
 """
 
 from __future__ import annotations
@@ -135,6 +141,85 @@ def write_group_payload(
         "shards": shards_meta,
         "columns": columns_meta,
     }
+
+
+class _GroupFile:
+    """A group file held open for re-reads; closed with its last holder."""
+
+    __slots__ = ("fd",)
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def __del__(self) -> None:
+        os.close(self.fd)
+
+    def __reduce__(self):
+        # the descriptor means nothing in another process
+        raise TypeError("an open shard-store group file cannot be pickled")
+
+    def read_into(self, out: np.ndarray, offset: int) -> None:
+        """Fill the contiguous array ``out`` from byte ``offset`` on."""
+        view = memoryview(out).cast("B")
+        while view:
+            count = os.preadv(self.fd, [view], offset)
+            if count == 0:
+                raise ValueError("shard-store group file ended early")
+            view = view[count:]
+            offset += count
+
+
+class StoredRows:
+    """One stored slice's samples as ``shape`` rows, read from disk on demand.
+
+    Indexing with a row slice (``rows[start:stop]``) reads those rows into a
+    fresh float64 array, so a holder treats it like the ``(n_iterations,
+    n_threads)`` cube it stands for without keeping any of it in memory.
+    Built by :meth:`GroupColumns.stored_rows`.
+    """
+
+    __slots__ = ("_file", "_offset", "_dtype", "shape")
+
+    def __init__(
+        self, file: _GroupFile, offset: int, dtype: np.dtype, shape: Tuple[int, ...]
+    ) -> None:
+        self._file = file
+        self._offset = int(offset)
+        self._dtype = np.dtype(dtype)
+        self.shape = tuple(int(n) for n in shape)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError("stored rows are read as one contiguous range")
+        count = max(stop - start, 0)
+        width = int(np.prod(self.shape[1:]))
+        out = np.empty(count * width, dtype=self._dtype)
+        self._file.read_into(out, self._offset + start * width * self._dtype.itemsize)
+        return out.astype(np.float64, copy=False).reshape((count,) + self.shape[1:])
+
+
+class GroupColumns(dict):
+    """One group's columns, name → zero-copy mmap view, with the file kept open.
+
+    A plain mapping for every reader of :meth:`ShardStore.group_columns`;
+    :meth:`stored_rows` additionally hands out a slice's samples as a
+    :class:`StoredRows` handle, for readers that keep them past the scan.
+    """
+
+    def __init__(self, columns: Dict[str, np.ndarray], file: _GroupFile, group: dict):
+        super().__init__(columns)
+        self._file = file
+        (self._samples,) = [
+            column for column in group["columns"] if column["name"] == "compute_time_s"
+        ]
+
+    def stored_rows(self, sl, shape: Tuple[int, ...]) -> StoredRows:
+        """The ``compute_time_s`` samples of slice ``sl`` (rows
+        ``sl.start:sl.stop`` of the group) as a ``shape`` handle."""
+        dtype = np.dtype(self._samples["dtype"])
+        offset = int(self._samples["offset"]) + sl.start * dtype.itemsize
+        return StoredRows(self._file, offset, dtype, shape)
 
 
 class ShardStore:
@@ -335,7 +420,8 @@ class ShardStore:
         """One group's full columns as zero-copy mmap views, plus its shard
         addressing.
 
-        Returns ``(columns, slices)``: ``columns`` maps each column name to
+        Returns ``(columns, slices)``: ``columns`` (a :class:`GroupColumns`)
+        maps each column name to
         one :class:`numpy.memmap` view covering the whole group (all shards
         concatenated, exactly the bytes on disk) and ``slices`` is one
         :class:`~repro.core.aggregation.ShardSlice` per stored shard, in
@@ -353,16 +439,20 @@ class ShardStore:
         with open(path, "rb") as handle:
             if handle.read(len(GROUP_MAGIC)) != GROUP_MAGIC:
                 raise ValueError(f"{path} is not a shard-store group file")
-            columns = {
-                column["name"]: np.memmap(
-                    handle,
-                    dtype=np.dtype(column["dtype"]),
-                    mode="r",
-                    offset=int(column["offset"]),
-                    shape=(length,),
-                )
-                for column in group["columns"]
-            }
+            columns = GroupColumns(
+                {
+                    column["name"]: np.memmap(
+                        handle,
+                        dtype=np.dtype(column["dtype"]),
+                        mode="r",
+                        offset=int(column["offset"]),
+                        shape=(length,),
+                    )
+                    for column in group["columns"]
+                },
+                _GroupFile(os.dup(handle.fileno())),
+                group,
+            )
         slices = []
         start = 0
         for entry in group["shards"]:
@@ -579,7 +669,9 @@ def publish_store(staged: PathLike, final: PathLike) -> Path:
 
 
 __all__ = [
+    "GroupColumns",
     "ShardStore",
+    "StoredRows",
     "publish_store",
     "write_group_payload",
     "STORE_FORMAT_VERSION",

@@ -253,7 +253,7 @@ class CampaignService:
         :meth:`JobHandle.result` does, for failed or cancelled jobs), then
         folds the job's result through every registered pass — on the
         execution pool, over its column blocks
-        (:meth:`CampaignResult.analyze`), so exact-mode products are
+        (:meth:`CampaignResult.analyze`), so the products are
         bit-identical to every other route through the engine.  The payload
         is computed once per job and memoised; concurrent callers share
         one computation.

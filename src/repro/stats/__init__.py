@@ -19,10 +19,8 @@ Public entry points
   pass rates the way Table 1 does.
 * :mod:`~repro.stats.percentiles` / :mod:`~repro.stats.histogram` — the
   percentile-plot and fixed-bin-width histogram primitives behind Figures 3–9.
-* :mod:`~repro.stats.streaming` / :mod:`~repro.stats.sketch` — mergeable
-  one-pass accumulators (moments, lattice histograms, the row-batched KLL
-  percentile sketch — one per slice, its iterations as rows) behind the
-  bounded-memory analysis passes of :mod:`repro.analysis`.
+* :mod:`~repro.stats.streaming` — the mergeable lattice histogram behind
+  the histogram pass of :mod:`repro.analysis`.
 """
 
 from repro.stats.anderson import AndersonDarlingResult, anderson_darling
@@ -32,8 +30,7 @@ from repro.stats.histogram import FixedWidthHistogram, fixed_width_histogram
 from repro.stats.moments import kurtosis, skewness, standardize
 from repro.stats.percentiles import PercentileSeries, iqr, percentile_table
 from repro.stats.shapiro import ShapiroWilkResult, shapiro_wilk
-from repro.stats.sketch import BoundedTopK, PercentileSketch
-from repro.stats.streaming import StreamingHistogram, StreamingMoments
+from repro.stats.streaming import StreamingHistogram
 
 __all__ = [
     "dagostino_k2",
@@ -55,8 +52,5 @@ __all__ = [
     "PercentileSeries",
     "fixed_width_histogram",
     "FixedWidthHistogram",
-    "StreamingMoments",
     "StreamingHistogram",
-    "PercentileSketch",
-    "BoundedTopK",
 ]

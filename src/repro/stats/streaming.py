@@ -1,27 +1,17 @@
-"""One-pass, mergeable accumulators for sharded campaign analysis.
+"""A one-pass, mergeable histogram for sharded campaign analysis.
 
 The streaming analysis engine (:mod:`repro.analysis`) folds campaign shards
 into per-pass accumulators instead of materialising the merged
-:class:`~repro.core.timing.TimingDataset`.  That requires *mergeable*
-summaries: statistics that can be computed per shard and combined in any
-order without revisiting the samples.  This module provides two of them:
-
-* :class:`StreamingMoments` — count, mean and the second-to-fourth central
-  moment sums, updated one batch at a time and merged with Chan's parallel
-  update formulas (the higher-moment generalisation due to Pébay).  Exposes
-  the same "biased" skewness/kurtosis definitions as
-  :mod:`repro.stats.moments`.
-* :class:`StreamingHistogram` — fixed-bin-width counts on the absolute
-  lattice ``k * bin_width``.  Because every
-  :func:`~repro.stats.histogram.fixed_width_histogram` aligns its origin to
-  that lattice (``origin = floor(min / width) * width``), per-shard
-  histograms merge *exactly*: bin counts are integers on a shared grid, and
-  the finalised histogram reproduces the edges the merged-dataset call would
-  have produced (the exact minimum and maximum are tracked alongside the
-  counts).
-
-Percentile sketches — the third mergeable primitive — live in
-:mod:`repro.stats.sketch`.
+:class:`~repro.core.timing.TimingDataset`.  The histogram pass needs a
+*mergeable* summary: one computed per shard and combined in any order
+without revisiting the samples.  :class:`StreamingHistogram` keeps
+fixed-bin-width counts on the absolute lattice ``k * bin_width``.  Because
+every :func:`~repro.stats.histogram.fixed_width_histogram` aligns its
+origin to that lattice (``origin = floor(min / width) * width``),
+per-shard histograms merge *exactly*: bin counts are integers on a shared
+grid, and the finalised histogram reproduces the edges the merged-dataset
+call would have produced (the exact minimum and maximum are tracked
+alongside the counts).
 """
 
 from __future__ import annotations
@@ -35,136 +25,6 @@ from repro.stats.histogram import (
     fixed_width_histogram,
     lattice_layout,
 )
-
-
-class StreamingMoments:
-    """Mergeable one-pass moments (count, mean, M2, M3, M4, min, max).
-
-    ``update`` folds one batch of samples in; ``merge`` combines two
-    accumulators via the pairwise update of Chan et al. (extended to the
-    third and fourth moments by Pébay), so per-shard accumulators pooled in
-    any order agree with the moments of the pooled samples to floating-point
-    accuracy.
-
-    The derived :attr:`skewness` (Fisher–Pearson ``g1``) and
-    :attr:`kurtosis` (Pearson ``b2``) match the biased definitions of
-    :mod:`repro.stats.moments`.
-    """
-
-    __slots__ = ("n", "mean", "m2", "m3", "m4", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.m3 = 0.0
-        self.m4 = 0.0
-        self.minimum = np.inf
-        self.maximum = -np.inf
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_samples(cls, samples) -> "StreamingMoments":
-        """Accumulator equivalent to one ``update`` with ``samples``."""
-        acc = cls()
-        acc.update(samples)
-        return acc
-
-    def update(self, samples) -> "StreamingMoments":
-        """Fold a batch of samples in (vectorised; returns ``self``)."""
-        arr = np.asarray(samples, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return self
-        batch = StreamingMoments()
-        batch.n = int(arr.size)
-        batch.mean = float(arr.mean())
-        deltas = arr - batch.mean
-        sq = deltas * deltas
-        batch.m2 = float(sq.sum())
-        batch.m3 = float((sq * deltas).sum())
-        batch.m4 = float((sq * sq).sum())
-        batch.minimum = float(arr.min())
-        batch.maximum = float(arr.max())
-        self._combine(batch)
-        return self
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        """New accumulator equivalent to pooling both sample sets."""
-        merged = StreamingMoments()
-        merged._combine(self)
-        merged._combine(other)
-        return merged
-
-    def _combine(self, other: "StreamingMoments") -> None:
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.n = other.n
-            self.mean = other.mean
-            self.m2, self.m3, self.m4 = other.m2, other.m3, other.m4
-            self.minimum, self.maximum = other.minimum, other.maximum
-            return
-        na, nb = float(self.n), float(other.n)
-        n = na + nb
-        delta = other.mean - self.mean
-        delta_n = delta / n
-        m2 = self.m2 + other.m2 + delta * delta_n * na * nb
-        m3 = (
-            self.m3
-            + other.m3
-            + delta * delta_n * delta_n * na * nb * (na - nb)
-            + 3.0 * delta_n * (na * other.m2 - nb * self.m2)
-        )
-        m4 = (
-            self.m4
-            + other.m4
-            + delta * delta_n**3 * na * nb * (na * na - na * nb + nb * nb)
-            + 6.0 * delta_n * delta_n * (na * na * other.m2 + nb * nb * self.m2)
-            + 4.0 * delta_n * (na * other.m3 - nb * self.m3)
-        )
-        self.mean += delta_n * nb
-        self.m2, self.m3, self.m4 = m2, m3, m4
-        self.n = int(n)
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    # ------------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        return self.n
-
-    def variance(self, ddof: int = 0) -> float:
-        """Sample variance (population by default, matching the biased moments)."""
-        if self.n - ddof <= 0:
-            return 0.0
-        return self.m2 / (self.n - ddof)
-
-    def std(self, ddof: int = 0) -> float:
-        return float(np.sqrt(self.variance(ddof)))
-
-    @property
-    def skewness(self) -> float:
-        """Fisher–Pearson ``g1 = m3 / m2**1.5`` (biased central moments)."""
-        if self.n == 0 or self.m2 <= 0.0:
-            return 0.0
-        m2 = self.m2 / self.n
-        m3 = self.m3 / self.n
-        return float(m3 / np.power(m2, 1.5))
-
-    @property
-    def kurtosis(self) -> float:
-        """Pearson ``b2 = m4 / m2**2`` (subtract 3 for the Fisher form)."""
-        if self.n == 0 or self.m2 <= 0.0:
-            return 0.0
-        m2 = self.m2 / self.n
-        m4 = self.m4 / self.n
-        return float(m4 / (m2 * m2))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"StreamingMoments(n={self.n}, mean={self.mean:.6g}, "
-            f"std={self.std():.6g})"
-        )
 
 
 class StreamingHistogram:

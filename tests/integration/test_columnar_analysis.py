@@ -1,14 +1,14 @@
 """Bit-identity matrix of the columnar analysis fast path.
 
 Every producer of column blocks must be indistinguishable from folding
-the campaign's shards one at a time: bit-identical products in exact mode
-and identical accumulator states in sketch mode — for any
+the campaign's shards one at a time: bit-identical products for any
 ``chunk_shards``, any worker count, and every producer (fused campaign
 execution, in-memory results, out-of-core store groups, and
 dataset-backed results that need re-slicing).
 """
 
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ import pytest
 from repro.analysis import (
     AnalysisContext,
     ColumnarAnalyzer,
-    PercentilesPass,
-    available_analyses,
     resolve_analyses,
     run_analyses,
     run_campaign_analyses,
@@ -29,7 +27,7 @@ from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignResult, CampaignSession
-from repro.io.shard_store import ShardStore
+from repro.io.shard_store import ShardStore, StoredRows
 
 CONFIG = CampaignConfig(
     application="minife",
@@ -40,20 +38,6 @@ CONFIG = CampaignConfig(
     seed=5,
     backend="campaign",
 )
-
-#: (exact, analyses factory) per accumulation mode.  ``sketch-cap64``
-#: shrinks the percentile sketch below the campaign's 96 samples per
-#: iteration, so its row-batched compactor really compacts.
-MODES = {
-    "exact": (True, lambda: "all"),
-    "sketch": (False, lambda: "all"),
-    "sketch-cap64": (
-        False,
-        lambda: [PercentilesPass(sketch_capacity=64)]
-        + [name for name in available_analyses() if name != "percentiles"],
-    ),
-}
-
 
 def _products(results):
     """Canonical pickled product bytes per pass — byte-equality is the bar.
@@ -72,54 +56,31 @@ def _products(results):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-shard streaming products for every accumulation mode."""
+    """Per-shard streaming products and their context."""
     backend = CampaignTensorBackend()
-    out = {}
-    for mode, (exact, analyses) in MODES.items():
-        context = AnalysisContext.from_config(
-            CONFIG, exact=exact, metadata=backend.metadata(CONFIG)
-        )
-        results = run_analyses(backend.iter_shards(CONFIG), analyses(), context)
-        out[mode] = (_products(results), context)
-    return out
-
-
-def test_capped_percentile_sketch_compacts(reference):
-    """The ``sketch-cap64`` mode exercises compaction: the folded sketch
-    retains fewer values per iteration than it saw."""
-    _, context = reference["sketch-cap64"]
-    percentiles = PercentilesPass(sketch_capacity=64)
-    state = percentiles.prepare(context)
-    for shard in CampaignTensorBackend().iter_shards(CONFIG):
-        state = percentiles.accumulate(state, shard, context)
-    assert state.n == CONFIG.trials * CONFIG.processes * CONFIG.threads
-    retained = state.support.shape
-    assert retained[0] == CONFIG.iterations
-    assert retained[1] <= 64 < state.n
+    context = AnalysisContext.from_config(CONFIG, metadata=backend.metadata(CONFIG))
+    results = run_analyses(backend.iter_shards(CONFIG), "all", context)
+    return _products(results), context
 
 
 class TestFusedCampaignMatrix:
-    @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_matches_per_shard_path(self, reference, workers, chunk_shards, mode):
-        ref, _ = reference[mode]
-        exact, analyses = MODES[mode]
+    def test_matches_per_shard_path(self, reference, workers, chunk_shards):
+        ref, _ = reference
         backend = CampaignTensorBackend(chunk_shards=chunk_shards)
         results = run_campaign_analyses(
             backend,
             CONFIG.parallel(workers),
-            analyses(),
+            "all",
             executor=ShardExecutor(mode="process"),
-            exact=exact,
         )
         assert _products(results) == ref
 
 
 class TestStoreBackedBlocks:
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_store_groups_match_per_shard_path(self, tmp_path, reference, mode):
-        ref, context = reference[mode]
+    def test_store_groups_match_per_shard_path(self, tmp_path, reference):
+        ref, context = reference
         backend = CampaignTensorBackend()
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
         for shard in backend.iter_shards(CONFIG):
@@ -127,9 +88,35 @@ class TestStoreBackedBlocks:
         store.finalize()
         reopened = ShardStore.open(tmp_path / "c.store")
         assert reopened.n_groups > 1  # the reduction really crosses groups
-        results = run_columnar_analyses(
-            reopened.iter_column_blocks(), MODES[mode][1](), context
+        results = run_columnar_analyses(reopened.iter_column_blocks(), "all", context)
+        assert _products(results) == ref
+
+    def test_store_unlinked_between_fold_and_finalize(self, tmp_path, reference):
+        """Store-backed partials hold the group files open, not their
+        mapped pages or paths: deleting the store after the fold leaves the
+        finalized products equal to the in-memory ones."""
+        ref, context = reference
+        path = tmp_path / "c.store"
+        store = ShardStore.create(path, spill_threshold_bytes=4096)
+        for shard in CampaignTensorBackend().iter_shards(CONFIG):
+            store.append(shard)
+        store.finalize()
+        reopened = ShardStore.open(path)
+        held = ColumnarAnalyzer(resolve_analyses(["percentiles"]), context)(
+            *next(reopened.iter_column_blocks())
         )
+        assert all(
+            isinstance(rows, StoredRows)
+            for partial in held
+            for _, (_, rows) in partial["percentiles"]
+        )
+
+        def blocks_then_unlink():
+            yield from reopened.iter_column_blocks()
+            shutil.rmtree(path)
+
+        results = run_columnar_analyses(blocks_then_unlink(), "all", context)
+        assert not path.exists()
         assert _products(results) == ref
 
     def test_group_columns_are_mmap_views(self, tmp_path):
@@ -148,13 +135,10 @@ class TestStoreBackedBlocks:
 
 
 class TestInMemoryBlocks:
-    @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_session_result_blocks_match_per_shard_path(self, reference, mode):
-        ref, context = reference[mode]
+    def test_session_result_blocks_match_per_shard_path(self, reference):
+        ref, context = reference
         result = CampaignSession(CONFIG).run()
-        results = run_columnar_analyses(
-            result.iter_column_blocks(), MODES[mode][1](), context
-        )
+        results = run_columnar_analyses(result.iter_column_blocks(), "all", context)
         assert _products(results) == ref
 
     def test_dataset_backed_blocks_match_shard_fold(self):
@@ -172,10 +156,10 @@ class TestInMemoryBlocks:
 
 class TestShardOrderInvariance:
     def test_exact_columnar_partials_merge_order_free(self, reference):
-        """Exact-mode scope: per-shard columnar partials reduced in reverse
-        shard order finalize to the same report (the segment keys carry the
-        serial order, so merge order cannot matter)."""
-        ref, context = reference["exact"]
+        """Per-shard columnar partials reduced in reverse shard order
+        finalize to the same report (the segment keys carry the serial
+        order, so merge order cannot matter)."""
+        ref, context = reference
         backend = CampaignTensorBackend()
         shards = list(backend.iter_shards(CONFIG))
         columns = {

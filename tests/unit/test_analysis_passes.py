@@ -37,7 +37,7 @@ from repro.core.aggregation import (
     per_iteration_samples,
 )
 from repro.core.earlybird import EarlyBirdModel
-from repro.core.laggard import IterationClass, analyze_laggards
+from repro.core.laggard import analyze_laggards
 from repro.core.normality import NormalityStudy
 from repro.core.reclaimable import summarize_reclaimable
 from repro.core.timing import TimingDataset, TimingShard
@@ -73,7 +73,7 @@ def shards(dataset):
 
 @pytest.fixture(scope="module")
 def context(dataset):
-    return AnalysisContext.from_dataset(dataset, exact=True)
+    return AnalysisContext.from_dataset(dataset)
 
 
 class TestRegistry:
@@ -224,7 +224,7 @@ def case(request, dataset, shards, context):
     return (
         result.dataset,
         list(result.shards),
-        AnalysisContext.from_dataset(result.dataset, exact=True),
+        AnalysisContext.from_dataset(result.dataset),
     )
 
 
@@ -365,18 +365,47 @@ class TestShardOrderInvariance:
             np.concatenate([cubes[(0, 0)], cubes[(1, 0)]], axis=1),
         )
 
-    def test_bounded_mode_fractions_stay_exact(self, dataset, shards):
-        context = AnalysisContext.from_dataset(dataset, exact=False)
-        results = run_analyses(shards, ["laggards", "reclaimable"], context)
-        exact = analyze_dataset(dataset, ["laggards", "reclaimable"])
-        assert (
-            results["laggards"].laggard_fraction
-            == exact["laggards"].laggard_fraction
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_iteration_batches_end_with_a_short_batch(self, dataset, shards, size):
+        """With 10 iterations, not a multiple of the batch size, the
+        batches still give the dense pooled rows, the last batch short."""
+        segments = [
+            segment
+            for shard in reversed(shards)
+            for segment in passes._slice_segments(
+                canonical_block(shard.columns, [ShardSlice.of(shard)])
+            )
+        ]
+        # each iteration pools 4 slices x 32 threads
+        batches = list(passes._iteration_batches(segments, size * 128))
+        assert [len(batch) for batch in batches] == [size] * (10 // size) + [10 % size]
+        np.testing.assert_array_equal(
+            np.concatenate(batches), per_iteration_samples(dataset)
         )
-        assert results["laggards"].analysis is None
-        assert results["reclaimable"].mean_reclaimable_s == pytest.approx(
-            exact["reclaimable"].mean_reclaimable_s, rel=1e-9
-        )
+
+    def test_normality_subsamples_large_iteration_rows(self):
+        """Iteration rows above ``max_application_samples`` (5760 pooled
+        samples here) are stratified like the dense oracle's, instead of
+        overflowing Shapiro–Wilk's n <= 5000."""
+        rng = np.random.default_rng(3)
+        times = rng.normal(25e-3, 0.1e-3, size=(3, 40, 3, 48))
+        times[:, :, 1] = rng.lognormal(-3.7, 0.5, size=(3, 40, 48))
+        big = TimingDataset.from_compute_times(times, {"application": "wide"})
+        big_shards = [
+            TimingShard.from_dataset(
+                big.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
+            )
+            for t in big.trials
+            for p in big.processes
+        ]
+        result = run_analyses(
+            big_shards, ["normality"], AnalysisContext.from_dataset(big)
+        )["normality"]
+        study = NormalityStudy(big)
+        counts = study.application_iteration_pass_counts()
+        assert result.application_iteration_pass_counts == counts
+        assert counts["dagostino"] == 2
+        assert result.application_rejected == study.application_rejects_normality()
 
 
 class TestPassValidation:
@@ -394,62 +423,6 @@ class TestPassValidation:
         results = run_analyses(shards, ["percentiles"], context)
         with pytest.raises(ValueError):
             results.report()
-
-
-class TestSketchExemplars:
-    """Bounded-mode exemplar selection from the candidate pools."""
-
-    def test_candidate_pools_only_in_sketch_mode(self, dataset, shards, context):
-        exact = run_analyses(shards, ["laggards"], context)["laggards"]
-        assert exact.candidates is None
-
-        sketch_context = AnalysisContext.from_dataset(dataset, exact=False)
-        sketch = run_analyses(shards, ["laggards"], sketch_context)["laggards"]
-        assert sketch.analysis is None
-        assert set(sketch.candidates) == {cls.value for cls in IterationClass}
-
-    def test_sketch_exemplar_is_a_real_member_of_its_class(
-        self, dataset, shards, context
-    ):
-        """The approximate exemplar must carry an exact-classified key.
-
-        Groups are classified whole (each (trial, process, iteration) group
-        lives inside one shard), so every pooled candidate's class agrees
-        with the exact analysis — only *which* member is picked is
-        approximate.
-        """
-        analysis = run_analyses(shards, ["laggards"], context)["laggards"].analysis
-        sketch_context = AnalysisContext.from_dataset(dataset, exact=False)
-        sketch = run_analyses(shards, ["laggards"], sketch_context)["laggards"]
-        for cls in IterationClass:
-            exact_keys = {
-                analysis.keys[i]
-                for i, c in enumerate(analysis.classes)
-                if c is cls
-            }
-            key = sketch.exemplar(cls)
-            if exact_keys:
-                assert key in exact_keys
-            else:
-                assert key is None
-
-    def test_shard_order_does_not_change_pool_membership(self, dataset, shards):
-        context = AnalysisContext.from_dataset(dataset, exact=False)
-        forward = run_analyses(shards, ["laggards"], context)["laggards"]
-        backward = run_analyses(list(reversed(shards)), ["laggards"], context)[
-            "laggards"
-        ]
-        for cls in IterationClass:
-            assert sorted(forward.candidates[cls.value].keys) == sorted(
-                backward.candidates[cls.value].keys
-            )
-
-    def test_tiny_capacity_still_selects(self, dataset, shards):
-        context = AnalysisContext.from_dataset(dataset, exact=False)
-        pass_ = LaggardsPass(candidate_capacity=4)
-        result = run_analyses(shards, [pass_], context)["laggards"]
-        assert all(len(pool) <= 4 for pool in result.candidates.values())
-        assert result.exemplar(IterationClass.LAGGARD) is not None
 
 
 def _column_block(shard_list):
@@ -544,15 +517,13 @@ class TestSharedSortAndDeferredEarlybird:
         assert not ordered.flags.writeable
         np.testing.assert_array_equal(ordered, np.sort(block.cube, axis=-1))
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "sketch"])
     @pytest.mark.parametrize(
         "per_block", [1, 3, None], ids=["1-slice", "3-slices", "one-block"]
     )
     def test_deferred_replay_equals_strided_batch(
-        self, dataset, shards, exact, per_block
+        self, dataset, shards, context, per_block
     ):
         max_groups = 7
-        context = AnalysisContext.from_dataset(dataset, exact=exact)
         size = per_block or len(shards)
         blocks = [
             _column_block(shards[i : i + size]) for i in range(0, len(shards), size)

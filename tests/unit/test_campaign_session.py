@@ -257,11 +257,10 @@ class TestAnalysisProductCaching:
         assert session.analysis_cache_misses == 1
         assert sorted(results) == ["laggards", "percentiles"]
 
-    def test_exact_flag_and_config_key_the_cache(self, smoke_config, tmp_path):
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
-        session.analyze(analyses=["percentiles"])
-        session.analyze(analyses=["percentiles"], exact=False)
-        assert session.analysis_cache_misses == 2
+    def test_config_keys_the_cache(self, smoke_config, tmp_path):
+        CampaignSession(smoke_config, cache_dir=tmp_path).analyze(
+            analyses=["percentiles"]
+        )
         other = CampaignSession(
             CampaignConfig.smoke(seed=8), cache_dir=tmp_path
         )
@@ -282,7 +281,7 @@ class TestAnalysisProductCaching:
 
         session = CampaignSession(smoke_config, cache_dir=tmp_path)
         paths = {
-            session._analysis_cache_path(smoke_config, get_analysis("earlybird"), True)
+            session._analysis_cache_path(smoke_config, get_analysis("earlybird"))
             for _ in range(3)
         }
         assert len(paths) == 1
@@ -307,11 +306,11 @@ class TestAnalysisProductCaching:
         session = CampaignSession(smoke_config, cache_dir=tmp_path)
         a, b = get_analysis("percentiles"), get_analysis("percentiles")
         a.big, b.big = np.arange(10_000), np.arange(10_000) * 2
-        path_a = session._analysis_cache_path(smoke_config, a, True)
-        path_b = session._analysis_cache_path(smoke_config, b, True)
+        path_a = session._analysis_cache_path(smoke_config, a)
+        path_b = session._analysis_cache_path(smoke_config, b)
         assert path_a != path_b
         b.big = np.arange(10_000)
-        assert session._analysis_cache_path(smoke_config, b, True) == path_a
+        assert session._analysis_cache_path(smoke_config, b) == path_a
 
     def test_container_parameters_describe_their_contents(self, smoke_config, tmp_path):
         # repr() of a list/dict elides nested big arrays and embeds object
@@ -343,8 +342,8 @@ class TestAnalysisProductCaching:
         described = session._describe_param(p.knob)
         assert "0x" not in described and "threshold=0.5" in described
         assert session._analysis_cache_path(
-            smoke_config, p, True
-        ) == session._analysis_cache_path(smoke_config, p, True)
+            smoke_config, p
+        ) == session._analysis_cache_path(smoke_config, p)
 
     def test_indescribable_parameters_disable_caching_with_a_warning(
         self, smoke_config, tmp_path
@@ -358,4 +357,4 @@ class TestAnalysisProductCaching:
         p = get_analysis("percentiles")
         p.knob = Opaque()
         with pytest.warns(RuntimeWarning, match="no stable description"):
-            assert session._analysis_cache_path(smoke_config, p, True) is None
+            assert session._analysis_cache_path(smoke_config, p) is None

@@ -76,12 +76,6 @@ class TestAnalyzeDataset:
         with pytest.raises(ValueError):
             analyze_dataset(laggard_dataset, ["no-such-pass"])
 
-    def test_sketch_mode_keeps_exact_fractions(self, laggard_dataset):
-        sketch = analyze_dataset(laggard_dataset, ["laggards"], exact=False)
-        assert sketch.context.exact is False
-        assert analyze_dataset(laggard_dataset, ["laggards"]).context.exact is True
-        assert sketch["laggards"].laggard_fraction == pytest.approx(0.5)
-
     def test_report_needs_the_core_passes(self, laggard_dataset):
         with pytest.raises(ValueError, match="feasibility report needs"):
             analyze_dataset(laggard_dataset, ["percentiles"]).report()

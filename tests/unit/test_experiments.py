@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
+from repro.analysis import analyze_dataset
 from repro.core.timing import TimingShard
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
@@ -245,41 +245,3 @@ class TestRunnerCLI:
         phases = (tmp_path / "minimd_phases.csv").read_text().splitlines()
         assert len(phases) == 2
         assert (tmp_path / "figures" / "figure9_miniqmc.csv").exists()
-
-
-class TestSketchModeFigures:
-    """Figures 5/7/9 generated from bounded (sketch-mode) streaming results.
-
-    This is the out-of-core path: no merged dataset, only streamed shards
-    plus sketch analysis products whose exemplars come from the laggards
-    pass's bounded candidate pools.
-    """
-
-    @staticmethod
-    def _sketch(dataset):
-        shards = _shards(dataset)
-        context = AnalysisContext.from_dataset(dataset, exact=False)
-        return run_analyses(shards, ["laggards"], context), shards
-
-    def test_figure5_sketch_matches_exact_fraction(self, all_results, minife_dataset):
-        results, shards = self._sketch(minife_dataset)
-        sketch = figure5_minife_classes(results, shards=shards)
-        exact = figure5_minife_classes(all_results["minife"], shards=shards)
-        assert sketch["laggard_fraction"] == exact["laggard_fraction"]
-        for label in ("no_laggard", "laggard"):
-            if sketch[f"{label}_exemplar"] is not None:
-                assert sketch[f"{label}_histogram"] is not None
-                assert sketch[f"{label}_histogram"].total > 0
-
-    def test_figure7_sketch_from_candidate_pools(self, minimd_dataset):
-        results, shards = self._sketch(minimd_dataset)
-        fig = figure7_minimd_classes(results, shards=shards)
-        assert fig["initial_histogram"] is not None
-        assert 0.0 <= fig["steady_laggard_fraction"] <= 1.0
-        assert fig["steady_laggard_fraction"] == results["laggards"].laggard_fraction
-
-    def test_figure9_sketch_exemplar(self, miniqmc_dataset):
-        results, shards = self._sketch(miniqmc_dataset)
-        fig = figure9_miniqmc_histogram(results, shards=shards)
-        assert fig["histogram"].total > 0
-        assert fig["exemplar"] is not None
