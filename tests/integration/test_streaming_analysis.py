@@ -11,6 +11,7 @@ must reproduce them bit-for-bit.
 
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ class TestPinnedReportDigests:
     @pytest.mark.parametrize("application", sorted(REPORT_DIGESTS))
     def test_streaming_report_matches_pin(self, application):
         session = CampaignSession(CampaignConfig.smoke(application))
+        results = session.analyze(analyses="all")
+        assert _digest(results.report()) == REPORT_DIGESTS[application]
+
+    @pytest.mark.parametrize("application", sorted(REPORT_DIGESTS))
+    def test_out_of_core_report_matches_pin(self, application, tmp_path):
+        """Analyses folded over a spilled store (one shard per group) reach
+        the same report as the in-memory run."""
+        session = CampaignSession(
+            CampaignConfig.smoke(application), cache_dir=tmp_path
+        )
+        result = session.run(store=True, spill_threshold_bytes=1)
+        assert result.store is not None and result.store.n_groups > 1
         results = session.analyze(analyses="all")
         assert _digest(results.report()) == REPORT_DIGESTS[application]
 
@@ -90,6 +103,18 @@ class TestStreamingEqualsInMemory:
         np.testing.assert_array_equal(
             forward["percentiles"].values, backward["percentiles"].values
         )
+
+
+    @pytest.mark.parametrize("backend", ["campaign", "event"])
+    def test_out_of_core_products_equal_in_memory(self, backend, tmp_path):
+        config = CampaignConfig.smoke("minife").with_backend(backend)
+        in_memory = CampaignSession(config).analyze(analyses="all")
+        session = CampaignSession(config, cache_dir=tmp_path)
+        assert session.run(store=True).store is not None
+        spilled = session.analyze(analyses="all")
+        assert sorted(spilled) == sorted(in_memory)
+        for name in in_memory:
+            assert pickle.dumps(spilled[name]) == pickle.dumps(in_memory[name])
 
 
 class TestAnalysesCLI:

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+import sys
 import threading
 from pathlib import Path
 
@@ -37,12 +38,13 @@ from repro.core.aggregation import (
     per_iteration_samples,
 )
 from repro.core.earlybird import EarlyBirdModel
-from repro.core.laggard import analyze_laggards
-from repro.core.normality import NormalityStudy
+from repro.core.laggard import IterationClass, analyze_laggards
+from repro.core.normality import NormalityStudy, stratified_subsample
 from repro.core.reclaimable import summarize_reclaimable
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
+from repro.io.shard_store import ShardStore, StoredRows
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.percentiles import percentile_table
 
@@ -406,6 +408,221 @@ class TestShardOrderInvariance:
         assert result.application_iteration_pass_counts == counts
         assert counts["dagostino"] == 2
         assert result.application_rejected == study.application_rejects_normality()
+
+
+LAYOUTS = ["regular", "iteration-split", "ragged"]
+
+#: ragged layout: the iterations each (trial, process) keeps
+RAGGED_ITERATIONS = {(0, 1): slice(2, None), (1, 1): slice(0, 6)}
+
+
+def _layout_shards(dataset, layout):
+    """The dataset's samples as shards of one layout, shuffled: one shard
+    per (trial, process); each (trial, process) split unevenly by
+    iteration; or two (trial, process) keeping only some iterations, so
+    those iterations pool fewer samples."""
+    shards = []
+    for t in dataset.trials:
+        for p in dataset.processes:
+            part = dataset.select(trial=int(t), process=int(p))
+            if layout == "iteration-split":
+                pieces = [slice(0, 3 + int(p)), slice(3 + int(p), None)]
+            elif layout == "ragged":
+                pieces = [RAGGED_ITERATIONS.get((int(t), int(p)), slice(None))]
+            else:
+                pieces = [slice(None)]
+            shards.extend(
+                TimingShard.from_dataset(
+                    part.select_iterations(piece), trial=int(t), process=int(p)
+                )
+                for piece in pieces
+            )
+    np.random.default_rng(13).shuffle(shards)
+    return shards
+
+
+def _segments(shards):
+    return [
+        segment
+        for shard in shards
+        for segment in passes._slice_segments(
+            canonical_block(shard.columns, [ShardSlice.of(shard)])
+        )
+    ]
+
+
+def _pooled_rows(dataset, shards):
+    """Each iteration's samples, (trial, process) by (trial, process) in
+    serial order, from the slices that hold that iteration."""
+    held = {
+        (shard.trial, shard.process, int(i))
+        for shard in shards
+        for i in np.unique(shard.columns["iteration"])
+    }
+    return [
+        np.concatenate(
+            [
+                dataset.select(trial=int(t), process=int(p), iteration=int(i)).compute_times_s
+                for t in dataset.trials
+                for p in dataset.processes
+                if (int(t), int(p), int(i)) in held
+            ]
+        )
+        for i in dataset.iterations
+    ]
+
+
+def _rows_of(batches):
+    return [row for batch in batches for row in batch]
+
+
+class TestIterationBatches:
+    """The pooled iteration rows the percentiles and normality finalizes
+    read, batch by batch, for every slice layout."""
+
+    @pytest.mark.parametrize("max_samples", [1, 300, sys.maxsize], ids=["row", "few", "all"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_batches_give_the_dense_pooled_rows(self, dataset, layout, max_samples):
+        shards = _layout_shards(dataset, layout)
+        segments = _segments(shards)
+        batches = list(passes._iteration_batches(segments, max_samples))
+        total = sum(shard.n_samples for shard in shards)
+        size = max(1, max_samples * dataset.n_iterations // total)
+        assert all(len(batch) <= size for batch in batches)
+        assert sum(len(batch) for batch in batches) == dataset.n_iterations
+        expected = _pooled_rows(dataset, shards)
+        got = _rows_of(batches)
+        assert len(got) == len(expected)
+        for row, want in zip(got, expected):
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ragged_iterations_come_back_as_row_lists(self, dataset, layout):
+        shards = _layout_shards(dataset, layout)
+        batch = passes._iteration_rows(_segments(shards))
+        if layout == "ragged":
+            assert isinstance(batch, list)
+            assert {len(row) for row in batch} == {96, 128}
+        else:
+            assert isinstance(batch, np.ndarray)
+            np.testing.assert_array_equal(batch, per_iteration_samples(dataset))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_sorting_a_batch_leaves_the_segments_untouched(self, dataset, layout):
+        segments = _segments(_layout_shards(dataset, layout))
+        before = _rows_of(passes._iteration_batches(segments, 300))
+        for batch in passes._iteration_batches(segments, 300):
+            for row in [batch] if isinstance(batch, np.ndarray) else batch:
+                row.sort(axis=-1)
+                row[...] = 0.0
+        after = _rows_of(passes._iteration_batches(segments, 300))
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("max_samples", [1, 300, sys.maxsize], ids=["row", "few", "all"])
+    def test_store_backed_segments_read_the_same_batches(
+        self, tmp_path, dataset, shards, max_samples
+    ):
+        store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
+        store.extend(shards)
+        store.finalize()
+        segments = [
+            segment
+            for block in ShardStore.open(tmp_path / "c.store").iter_column_blocks()
+            for segment in passes._slice_segments(canonical_block(*block))
+        ]
+        assert len(segments) == len(shards)
+        assert all(isinstance(rows, StoredRows) for _, (_, rows) in segments)
+        batches = list(passes._iteration_batches(segments, max_samples))
+        np.testing.assert_array_equal(
+            np.concatenate(batches), per_iteration_samples(dataset)
+        )
+
+    @pytest.mark.parametrize("limit", [100, 1000, 5000])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_application_row_is_the_stratified_sample(self, dataset, layout, limit):
+        shards = _layout_shards(dataset, layout)
+        samples = np.concatenate([shard.columns["compute_time_s"] for shard in shards])
+        row = passes._application_row(_segments(shards), limit)
+        if len(samples) > limit:
+            np.testing.assert_array_equal(row, stratified_subsample(samples, limit))
+        else:
+            assert len(row) == len(samples)
+            np.testing.assert_array_equal(np.sort(row), np.sort(samples))
+
+
+class TestExemplars:
+    """The exemplar groups behind Figures 5/7/9, picked from the streamed
+    per-group laggard analysis."""
+
+    @pytest.mark.parametrize("cls", list(IterationClass), ids=lambda c: c.value)
+    def test_exemplar_is_the_dense_exemplar_of_its_class(self, case, cls):
+        ds, shards, context = case
+        result = run_analyses(shards, ["laggards"], context)["laggards"]
+        dense = analyze_laggards(ds)
+        key = result.exemplar(cls)
+        assert key == dense.exemplar(cls)
+        members = [k for k, c in zip(dense.keys, dense.classes) if c is cls]
+        assert result.class_fraction(cls) == len(members) / len(dense.keys)
+        if key is None:
+            assert not members
+        else:
+            assert key in members
+
+    def test_exemplars_are_shard_order_free(self, shards, context):
+        shuffled = list(shards)
+        np.random.default_rng(17).shuffle(shuffled)
+        a = run_analyses(shards, ["laggards"], context)["laggards"]
+        b = run_analyses(shuffled, ["laggards"], context)["laggards"]
+        assert a.exemplar(IterationClass.LAGGARD) is not None
+        for cls in IterationClass:
+            assert a.exemplar(cls) == b.exemplar(cls)
+
+
+class TestLargeIterationRows:
+    """Application-iteration rows above Shapiro–Wilk's n <= 5000 (5760
+    pooled samples: 3 trials x 40 processes x 48 threads)."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = np.random.default_rng(3)
+        times = rng.normal(25e-3, 0.1e-3, size=(3, 40, 3, 48))
+        times[:, :, 1] = rng.lognormal(-3.7, 0.5, size=(3, 40, 48))
+        big = TimingDataset.from_compute_times(times, {"application": "wide"})
+        shards = [
+            TimingShard.from_dataset(
+                big.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
+            )
+            for t in big.trials
+            for p in big.processes
+        ]
+        return big, shards
+
+    @pytest.mark.parametrize("limit", [500, 2000, 5000])
+    def test_pass_matches_the_oracle_at_every_limit(self, wide, limit):
+        big, shards = wide
+        result = run_analyses(
+            shards,
+            [passes.NormalityPass(max_application_samples=limit)],
+            AnalysisContext.from_dataset(big),
+        )["normality"]
+        study = NormalityStudy(big, max_application_samples=limit)
+        assert (
+            result.application_iteration_pass_counts
+            == study.application_iteration_pass_counts()
+        )
+        assert result.n_iterations == 3
+        assert result.application_rejected == study.application_rejects_normality()
+        assert (
+            result.application_pass_rates
+            == study.level_result(AggregationLevel.APPLICATION).pass_rates
+        )
+
+    def test_oracle_summary_covers_every_level(self, wide):
+        big, _ = wide
+        summary = NormalityStudy(big).summary()
+        assert "/3 iterations pass" in summary
+        assert "process-iteration level" in summary
 
 
 class TestPassValidation:

@@ -1,5 +1,7 @@
 """Unit tests for campaign configuration, tables, figures and the CLI."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,85 @@ class TestRunnerCLI:
         phases = (tmp_path / "minimd_phases.csv").read_text().splitlines()
         assert len(phases) == 2
         assert (tmp_path / "figures" / "figure9_miniqmc.csv").exists()
+
+    @pytest.mark.parametrize("application", ["minife", "minimd", "miniqmc"])
+    def test_out_of_core_outputs_equal_in_memory(self, application, tmp_path, capsys):
+        """Every table, figure and the report of an out-of-core run are
+        byte-identical to the in-memory run's; only ``cache/`` differs."""
+        common = ["--scale", "smoke", "--apps", application]
+        memory, spilled = tmp_path / "memory", tmp_path / "spilled"
+        assert main([*common, "--output", str(memory)]) == 0
+        assert (
+            main([*common, "--out-of-core", "--max-workers", "2", "--output", str(spilled)])
+            == 0
+        )
+        capsys.readouterr()
+
+        def outputs(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file() and path.relative_to(root).parts[0] != "cache"
+            }
+
+        expected = outputs(memory)
+        assert Path("section41_normality.csv") in expected
+        assert outputs(spilled) == expected
+
+
+class TestStoredFigures:
+    """Figures 5/7/9 from an out-of-core run: exemplars picked from the
+    store-backed analyses and histograms scanned out of the store equal
+    the in-memory figures."""
+
+    @staticmethod
+    def _stored(dataset, tmp_path):
+        config = CampaignConfig(
+            application=dataset.application,
+            trials=1,
+            processes=2,
+            iterations=30,
+            threads=48,
+            seed=202304,
+        )
+        session = CampaignSession(config, cache_dir=tmp_path)
+        result = session.run(store=True, spill_threshold_bytes=1)
+        assert result.store is not None and result.store.n_groups > 1
+        return session.analyze(analyses=["laggards"]), result
+
+    @staticmethod
+    def _assert_same_payload(got, want):
+        assert sorted(got.payload) == sorted(want.payload)
+        for key, value in want.payload.items():
+            if hasattr(value, "counts"):
+                np.testing.assert_array_equal(got[key].counts, value.counts)
+                np.testing.assert_array_equal(got[key].edges, value.edges)
+            else:
+                assert got[key] == value
+
+    def test_figure5_from_the_store(self, all_results, minife_dataset, tmp_path):
+        results, stored = self._stored(minife_dataset, tmp_path)
+        got = figure5_minife_classes(results, shards=stored)
+        want = figure5_minife_classes(
+            all_results["minife"], shards=_shards(minife_dataset)
+        )
+        assert want["laggard_histogram"] is not None
+        self._assert_same_payload(got, want)
+
+    def test_figure7_from_the_store(self, all_results, minimd_dataset, tmp_path):
+        results, stored = self._stored(minimd_dataset, tmp_path)
+        got = figure7_minimd_classes(results, shards=stored)
+        want = figure7_minimd_classes(
+            all_results["minimd"], shards=_shards(minimd_dataset)
+        )
+        assert want["initial_histogram"] is not None
+        self._assert_same_payload(got, want)
+
+    def test_figure9_from_the_store(self, all_results, miniqmc_dataset, tmp_path):
+        results, stored = self._stored(miniqmc_dataset, tmp_path)
+        got = figure9_miniqmc_histogram(results, shards=stored)
+        want = figure9_miniqmc_histogram(
+            all_results["miniqmc"], shards=_shards(miniqmc_dataset)
+        )
+        assert want["exemplar"] is not None
+        self._assert_same_payload(got, want)

@@ -1,10 +1,15 @@
 """Unit tests for the spillable, memory-mapped campaign shard store."""
 
+import gc
 import json
+import os
+import pickle
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.core.aggregation import canonical_block
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession, campaign_store_path
@@ -12,7 +17,9 @@ from repro.io.shard_store import (
     DEFAULT_SPILL_THRESHOLD_BYTES,
     MANIFEST_NAME,
     STORE_FORMAT_VERSION,
+    GroupColumns,
     ShardStore,
+    StoredRows,
     publish_store,
 )
 from repro.service.jobs import dataset_digest
@@ -240,3 +247,129 @@ class TestCampaignRoundTrip:
             tmp_path / "cache", session.config_for("minife")
         )
         assert dataset_digest(second.dataset) == SEED_DIGESTS["minife"]
+
+
+class TestStoredRows:
+    """Re-readable handles on a stored slice's samples: what a store-backed
+    analysis keeps between its fold and its finalize instead of the mapped
+    pages."""
+
+    @staticmethod
+    def _blocks(path, shards, spill_threshold_bytes=DEFAULT_SPILL_THRESHOLD_BYTES):
+        store = ShardStore.create(path, spill_threshold_bytes=spill_threshold_bytes)
+        store.extend(shards)
+        store.finalize()
+        return [
+            canonical_block(*block)
+            for block in ShardStore.open(path).iter_column_blocks()
+        ]
+
+    @staticmethod
+    def _handles(block):
+        return [
+            (block.columns.stored_rows(sl, cube.shape), cube)
+            for sl, cube in zip(block.slices, block.cube)
+        ]
+
+    @pytest.mark.parametrize("threshold", [1, 2048, DEFAULT_SPILL_THRESHOLD_BYTES])
+    def test_handles_read_back_every_slice(self, tmp_path, shards, threshold):
+        blocks = self._blocks(tmp_path / "c.store", shards, threshold)
+        assert sum(len(block.slices) for block in blocks) == len(shards)
+        for block in blocks:
+            assert isinstance(block.columns, GroupColumns)
+            for rows, cube in self._handles(block):
+                assert isinstance(rows, StoredRows)
+                assert rows.shape == cube.shape == (4, 8)
+                np.testing.assert_array_equal(rows[:], cube)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            slice(None),
+            slice(0, 1),
+            slice(1, 3),
+            slice(2, None),
+            slice(3, 3),
+            slice(-2, None),
+            slice(0, 100),
+        ],
+        ids=["all", "first", "middle", "tail", "empty", "negative", "past-the-end"],
+    )
+    def test_row_ranges_read_the_same_rows_as_the_cube(self, tmp_path, shards, rows):
+        (block,) = self._blocks(tmp_path / "c.store", shards)
+        for handle, cube in self._handles(block):
+            got = handle[rows]
+            assert got.shape == cube[rows].shape
+            np.testing.assert_array_equal(got, cube[rows])
+
+    def test_strided_reads_rejected(self, tmp_path, shards):
+        (block,) = self._blocks(tmp_path / "c.store", shards)
+        handle, _ = self._handles(block)[0]
+        with pytest.raises(ValueError, match="contiguous"):
+            handle[::2]
+
+    def test_reads_are_fresh_writable_float64_arrays(self, tmp_path, shards):
+        (block,) = self._blocks(tmp_path / "c.store", shards)
+        handle, cube = self._handles(block)[1]
+        first = handle[:]
+        assert first.dtype == np.float64
+        assert not isinstance(first, np.memmap)
+        assert first.flags.writeable
+        first.sort(axis=1)
+        first[...] = -1.0
+        np.testing.assert_array_equal(handle[:], cube)
+
+    def test_reads_survive_unlinking_the_store(self, tmp_path, shards):
+        path = tmp_path / "c.store"
+        (block,) = self._blocks(path, shards)
+        handles = self._handles(block)
+        expected = [np.array(cube) for _, cube in handles]
+        del block
+        shutil.rmtree(path)
+        assert not path.exists()
+        for (handle, _), want in zip(handles, expected):
+            np.testing.assert_array_equal(handle[:], want)
+
+    def test_handles_outlive_the_mapped_views(self, tmp_path, shards):
+        (block,) = self._blocks(tmp_path / "c.store", shards)
+        expected = [np.array(cube) for cube in block.cube]
+        handles = [handle for handle, _ in self._handles(block)]
+        del block
+        gc.collect()
+        for handle, want in zip(handles, expected):
+            np.testing.assert_array_equal(handle[:], want)
+
+    def test_open_group_file_cannot_be_pickled(self, tmp_path, shards):
+        (block,) = self._blocks(tmp_path / "c.store", shards)
+        handle, _ = self._handles(block)[0]
+        with pytest.raises(TypeError, match="cannot be pickled"):
+            pickle.dumps(handle)
+
+    def test_truncated_group_file_raises(self, tmp_path, shards):
+        path = tmp_path / "c.store"
+        (block,) = self._blocks(path, shards)
+        handle, _ = self._handles(block)[-1]
+        del block
+        gc.collect()
+        (group_file,) = [p for p in path.iterdir() if p.name != MANIFEST_NAME]
+        os.truncate(group_file, 0)
+        with pytest.raises(ValueError, match="ended early"):
+            handle[:]
+
+    def test_group_columns_map_every_column_to_a_view(self, tmp_path, shards):
+        path = tmp_path / "c.store"
+        store = ShardStore.create(path)
+        store.extend(shards)
+        store.finalize()
+        (group,) = ShardStore.open(path)._read_manifest()["groups"]
+        columns, slices = ShardStore.open(path).group_columns(group)
+        assert isinstance(columns, dict)
+        assert set(columns) == set(shards[0].columns)
+        for name, view in columns.items():
+            assert isinstance(view, np.memmap)
+            np.testing.assert_array_equal(
+                view, np.concatenate([shard.columns[name] for shard in shards])
+            )
+        assert [(sl.trial, sl.process) for sl in slices] == [
+            (shard.trial, shard.process) for shard in shards
+        ]
