@@ -33,7 +33,10 @@ pages resident.  Their finalizes pool the iteration rows
 :data:`BATCH_SAMPLES` samples at a time (:func:`_iteration_batches`),
 and the normality pass reads the application-level group into one buffer,
 so the memory a finalize needs beyond the held segments is one batch of
-pooled rows or one application row.
+pooled rows or one application row.  That row holds every sample of the
+application (8 B each), and the laggards pass keeps per-group arrays and
+keys for the exemplar selection, so an analysis's memory grows with the
+campaign even when the samples stay on disk.
 
 Each block is sorted at most once: the laggard order statistics (median,
 max, quartiles) and the normality battery's Shapiro–Wilk and
@@ -131,30 +134,44 @@ def _iteration_batches(
     iterations (iteration-split or ragged campaigns).  A batch is an
     ``(n, m)`` matrix when its iterations pool the same number of samples,
     else a list of 1-D rows; it is a fresh array the caller may sort in
-    place.  Only the batch's rows are read, so a finalize holds about
-    ``max_samples`` pooled samples.
+    place.  Every layout takes the same path: each batch reads its rows
+    slice by slice, and one stable sort by pooled row plus one gather
+    regroup them.  Only the batch's rows are read, so a finalize holds
+    about ``max_samples`` pooled samples.
     """
     parts = _sorted_segments(segments)
     labels = [np.asarray(iterations) for iterations, _ in parts]
     iterations = np.unique(np.concatenate(labels))
     n = len(iterations)
-    samples = sum(int(np.prod(rows.shape)) for _, rows in parts)
+    # each slice's rows as pooled-row positions, and the slices' row widths
+    positions = [np.searchsorted(iterations, its) for its in labels]
+    widths = np.array([int(np.prod(rows.shape[1:])) for _, rows in parts])
+    samples = int(np.dot([len(p) for p in positions], widths))
     size = max(1, max_samples * n // samples)
-    regular = all(len(its) == n for its in labels)
-    for start in range(0, n, size):
-        stop = min(start + size, n)
-        if regular:
-            yield np.concatenate([rows[start:stop] for _, rows in parts], axis=1)
-            continue
-        pooled: List[List[np.ndarray]] = [[] for _ in range(start, stop)]
-        for its, (_, rows) in zip(labels, parts):
-            lo = np.searchsorted(its, iterations[start])
-            hi = np.searchsorted(its, iterations[stop - 1], side="right")
-            positions = np.searchsorted(iterations, its[lo:hi]) - start
-            for k, row in zip(positions, rows[lo:hi]):
-                pooled[k].append(row)
-        batch = [np.concatenate(rows) for rows in pooled]
-        yield np.stack(batch) if len({len(row) for row in batch}) == 1 else batch
+    edges = np.append(np.arange(0, n, size), n)
+    # bounds[s, b]: slice s's first row at or after pooled row edges[b]
+    bounds = np.array([np.searchsorted(p, edges) for p in positions])
+    for b in range(len(edges) - 1):
+        lo, hi = bounds[:, b].tolist(), bounds[:, b + 1].tolist()
+        # the batch's rows slice by slice, then regrouped by pooled row: the
+        # stable sort keeps each pooled row's pieces in serial order
+        src = np.concatenate(
+            [rows[i:j].reshape(-1) for (_, rows), i, j in zip(parts, lo, hi)]
+        )
+        key = np.concatenate([p[i:j] for p, i, j in zip(positions, lo, hi)])
+        key -= edges[b]
+        lengths = np.repeat(widths, bounds[:, b + 1] - bounds[:, b])
+        order = np.argsort(key, kind="stable")
+        moved = lengths[order]
+        shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved)
+        index = np.repeat(shift, moved)
+        index += np.arange(len(src))
+        pooled = src[index]
+        sizes = np.bincount(key, weights=lengths).astype(np.int64)
+        if np.all(sizes == sizes[0]):
+            yield pooled.reshape(len(sizes), -1)
+        else:
+            yield np.split(pooled, np.cumsum(sizes[:-1]))
 
 
 def _iteration_rows(segments) -> _Batch:
