@@ -2,8 +2,10 @@
 
 :class:`ShardStore` is the out-of-core backbone of the campaign layer: a
 columnar on-disk format that lets a campaign far larger than RAM stream
-through execution, analysis passes and the figure generators with only a
-bounded working set resident.
+through execution and the figure generators with only a bounded working
+set resident.  The analysis passes read it group by group as well, but
+what they keep until they finalize grows with the campaign (see the last
+point below and :mod:`repro.analysis.passes`).
 
 Layout — one *directory* per store::
 
@@ -42,11 +44,15 @@ Durability and sharing:
   instead of the mapped view: the group's open file, an offset and a shape.
   The pages are then free to leave memory, and because the file is held
   open, not its path, an eviction that unlinks the group cannot break the
-  later re-read.
+  later re-read.  The price: such a reader holds one open file per group
+  (:meth:`~ShardStore.iter_column_blocks` checks the open-file limit before
+  it starts), and an unlinked group's disk space is only freed when its
+  last handle is dropped.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -141,6 +147,37 @@ def write_group_payload(
         "shards": shards_meta,
         "columns": columns_meta,
     }
+
+
+def _check_open_file_limit(path: Path, groups: List[dict]) -> None:
+    """Refuse a scan of ``groups`` whose open files would pass the limit.
+
+    A full hold needs one descriptor per group, plus the group being mapped
+    and the one before it (the file being opened and one mapping per
+    column each).
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - platforms without rlimits
+        return
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft == resource.RLIM_INFINITY or not groups:
+        return
+    try:
+        in_use = len(os.listdir("/dev/fd"))
+    except OSError:  # pragma: no cover - no descriptor listing
+        in_use = 0
+    needed = len(groups) + 2 * (1 + max(len(g["columns"]) for g in groups))
+    if in_use + needed > soft:
+        raise OSError(
+            errno.EMFILE,
+            f"analysing the shard store {path} keeps each of its "
+            f"{len(groups)} group files open until the analyses finalize: "
+            f"{needed} open files beyond the {in_use} in use, more than the "
+            f"open-file limit (RLIMIT_NOFILE) of {soft} allows; raise the "
+            "limit (ulimit -n) or store fewer, larger groups (a larger spill "
+            "threshold, --spill-mb)",
+        )
 
 
 class _GroupFile:
@@ -498,6 +535,13 @@ class ShardStore:
         out-of-core campaign without materialising shards; the same
         snapshot/flush semantics as :meth:`iter_shards` apply, and roughly
         one group's pages are hot at a time.
+
+        Each block keeps its group file open while it, or a
+        :class:`StoredRows` handle on it, is held — and the analyses hold
+        them all until they finalize.  So the scan first checks that one
+        descriptor per group fits the process's open-file limit and raises
+        ``OSError(EMFILE)`` naming the remedies if it does not, rather than
+        failing partway through the fold.
         """
         if self.mode == "r":
             manifest = self._read_manifest()
@@ -505,7 +549,9 @@ class ShardStore:
         else:
             self.flush()
             manifest = self._manifest
-        for group in list(manifest["groups"]):  # type: ignore[index]
+        groups = list(manifest["groups"])  # type: ignore[index]
+        _check_open_file_limit(self.path, groups)
+        for group in groups:
             yield self.group_columns(group)
 
     def iter_shards(self) -> Iterator[TimingShard]:

@@ -1,5 +1,7 @@
 """Unit tests for the spillable, memory-mapped campaign shard store."""
 
+import contextlib
+import errno
 import gc
 import json
 import os
@@ -9,8 +11,10 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.analysis import AnalysisContext, run_columnar_analyses
 from repro.core.aggregation import canonical_block
 from repro.core.timing import TimingDataset, TimingShard
+from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession, campaign_store_path
 from repro.io.shard_store import (
@@ -373,3 +377,64 @@ class TestStoredRows:
         assert [(sl.trial, sl.process) for sl in slices] == [
             (shard.trial, shard.process) for shard in shards
         ]
+
+
+class TestOpenFileLimit:
+    """A store-backed analysis holds one open file per group until it
+    finalizes, so a store scan checks the open-file limit before the fold."""
+
+    CONFIG = CampaignConfig(
+        application="minife",
+        trials=16,
+        processes=2,
+        iterations=4,
+        threads=8,
+        seed=5,
+        backend="campaign",
+    )
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        path = tmp_path / "c.store"
+        store = ShardStore.create(path, spill_threshold_bytes=1)
+        store.extend(list(CampaignTensorBackend().iter_shards(self.CONFIG)))
+        store.finalize()
+        return ShardStore.open(path)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _spare_descriptors(count):
+        """Lower the soft open-file limit to ``count`` above those in use."""
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        in_use = len(os.listdir("/dev/fd"))
+        resource.setrlimit(resource.RLIMIT_NOFILE, (in_use + count, hard))
+        try:
+            yield
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+    def _analyze(self, store):
+        context = AnalysisContext.from_config(
+            self.CONFIG, metadata=CampaignTensorBackend().metadata(self.CONFIG)
+        )
+        results = run_columnar_analyses(store.iter_column_blocks(), "all", context)
+        return {name: pickle.dumps(results[name]) for name in results}
+
+    def test_more_groups_than_the_limit_fail_before_the_fold(self, store):
+        assert store.n_groups == 32
+        with self._spare_descriptors(store.n_groups // 2):
+            with pytest.raises(OSError, match="open-file limit") as raised:
+                self._analyze(store)
+        assert raised.value.errno == errno.EMFILE
+        assert "--spill-mb" in str(raised.value)
+
+    def test_a_limit_the_check_accepts_covers_the_whole_fold(self, store):
+        expected = self._analyze(store)
+        # one descriptor per group plus two groups' mappings (the group
+        # file and its seven columns each): exactly what the check asks for
+        with self._spare_descriptors(store.n_groups + 2 * 8):
+            assert self._analyze(store) == expected
+        with self._spare_descriptors(store.n_groups + 2 * 8 - 1):
+            with pytest.raises(OSError, match="open-file limit"):
+                self._analyze(store)
