@@ -4,9 +4,11 @@ Every driver maps its input onto canonical column blocks
 (:func:`~repro.core.aggregation.canonical_block`) with
 :class:`ColumnarAnalyzer` and reduces the resulting per-slice partials:
 
-* :func:`run_columnar_analyses` — fold ``(columns, slices)`` blocks (store
-  groups, :meth:`CampaignResult.iter_column_blocks
-  <repro.experiments.session.CampaignResult.iter_column_blocks>`).
+* :func:`run_columnar_analyses` — fold ``(columns, slices)`` blocks: store
+  groups, or :meth:`CampaignResult.iter_column_blocks
+  <repro.experiments.session.CampaignResult.iter_column_blocks>`, which
+  serves an in-memory campaign one block per ``campaign`` chunk and a
+  dataset-backed result as one block.
 * :func:`analyze_dataset` — fold a materialised
   :class:`~repro.core.timing.TimingDataset` as one block, one slice per
   trial.

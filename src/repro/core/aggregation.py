@@ -191,12 +191,16 @@ class ShardSlice(NamedTuple):
         :attr:`~repro.core.timing.TimingShard.sort_key`)."""
         return (self.trial, -1 if self.process is None else self.process)
 
-
-
     @classmethod
     def of(cls, shard: TimingShard) -> "ShardSlice":
         """The slice addressing all of ``shard``'s own columns."""
         return cls(shard.trial, shard.process, 0, shard.n_samples)
+
+    def shard(self, columns: Mapping[str, np.ndarray]) -> TimingShard:
+        """This slice's rows of a block's ``columns`` as a zero-copy shard."""
+        rows = slice(self.start, self.stop)
+        views = {name: array[rows] for name, array in columns.items()}
+        return TimingShard(self.trial, self.process, views)
 
 
 @dataclass(frozen=True, eq=False)

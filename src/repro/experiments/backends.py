@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.apps import get_application
 from repro.apps.base import ProxyApplication
+from repro.core.aggregation import ShardSlice
 from repro.core.instrument import RegionInstrumenter
 from repro.core.timing import TimingDataset, TimingShard
 from repro.sim.random import PurposeSplitRNG, RandomStreams, maybe_scope
@@ -402,21 +403,19 @@ def _chunk_columns(
     return {name: dataset.column(name) for name in dataset.columns}
 
 
-def _slice_chunk_shards(
+def _chunk_slices(chunk: List[Tuple[int, int]], per_shard: int) -> List[ShardSlice]:
+    """One :class:`~repro.core.aggregation.ShardSlice` per chunk shard."""
+    return [
+        ShardSlice(trial, process, index * per_shard, (index + 1) * per_shard)
+        for index, (trial, process) in enumerate(chunk)
+    ]
+
+
+def _chunk_shards(
     chunk: List[Tuple[int, int]], columns: Dict[str, np.ndarray], per_shard: int
 ) -> List[TimingShard]:
-    """Per-shard column views out of one chunk's assembled block."""
-    shards = []
-    for index, (trial, process) in enumerate(chunk):
-        rows = slice(index * per_shard, (index + 1) * per_shard)
-        shards.append(
-            TimingShard(
-                trial=trial,
-                process=process,
-                columns={name: array[rows] for name, array in columns.items()},
-            )
-        )
-    return shards
+    """Per-shard zero-copy column views out of one chunk's assembled block."""
+    return [sl.shard(columns) for sl in _chunk_slices(chunk, per_shard)]
 
 
 def _pack_blocks(
@@ -541,21 +540,6 @@ def _run_campaign_chunk_shm(config: "CampaignConfig", chunk):
     return _pack_blocks([_campaign_chunk_columns(config, chunk)])
 
 
-def _chunk_slices(chunk: List[Tuple[int, int]], per_shard: int):
-    """One :class:`~repro.core.aggregation.ShardSlice` per chunk shard."""
-    from repro.core.aggregation import ShardSlice
-
-    return [
-        ShardSlice(
-            trial=trial,
-            process=process,
-            start=index * per_shard,
-            stop=(index + 1) * per_shard,
-        )
-        for index, (trial, process) in enumerate(chunk)
-    ]
-
-
 def _campaign_chunk_partials(config: "CampaignConfig", chunk, mapper):
     """Worker body of the fused execute-and-analyse path: fold one chunk and
     apply a columnar block mapper to it in place.
@@ -576,7 +560,7 @@ def _spill_campaign_chunk(config: "CampaignConfig", chunk, store_dir: str, tag: 
 
     columns = _campaign_chunk_columns(config, chunk)
     per_shard = config.iterations * config.threads
-    shards = _slice_chunk_shards([tuple(s) for s in chunk], columns, per_shard)
+    shards = _chunk_shards(chunk, columns, per_shard)
     path = Path(store_dir) / f"chunk-{tag:05d}-{os.getpid()}.payload"
     entry = write_group_payload(path, shards)
     return str(path), entry
@@ -725,14 +709,43 @@ class CampaignTensorBackend(CampaignBackend):
             )
             yield app, chunk, times
 
+    def iter_column_blocks(
+        self,
+        config: "CampaignConfig",
+        streams: Optional[RandomStreams] = None,
+        *,
+        workers: int = 1,
+        mode: str = "process",
+    ) -> Iterator[Tuple[Dict[str, np.ndarray], List[ShardSlice]]]:
+        """One ``(columns, slices)`` block per chunk, in trial-major order.
+
+        ``workers > 1`` folds the chunks on a pool (``mode`` as in the
+        executor), bit-identical to the serial chunks; explicit ``streams``
+        force the serial path (workers rebuild theirs from ``config.seed``).
+        """
+        per_shard = config.iterations * config.threads
+        chunks = self._pool_chunks(config, workers) if streams is None else []
+        if chunks:
+            pooled = self._iter_parallel_columns(
+                config, chunks, min(workers, len(chunks)), mode
+            )
+            blocks = zip(chunks, pooled)
+        else:
+            blocks = (
+                (chunk, _chunk_columns(app, chunk, times))
+                for app, chunk, times in self._serial_chunks(config, streams)
+            )
+        for chunk, columns in blocks:
+            yield columns, _chunk_slices(chunk, per_shard)
+
     def iter_shards(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
     ) -> Iterator[TimingShard]:
-        """Yield the campaign's shards, sampled a whole chunk at a time."""
-        per_shard = config.iterations * config.threads
-        for app, chunk, times in self._serial_chunks(config, streams):
-            columns = _chunk_columns(app, chunk, times)
-            yield from _slice_chunk_shards(chunk, columns, per_shard)
+        """Yield the campaign's shards, sampled a whole chunk at a time
+        (zero-copy views of :meth:`iter_column_blocks`)."""
+        for columns, slices in self.iter_column_blocks(config, streams):
+            for sl in slices:
+                yield sl.shard(columns)
 
     def run(
         self,
@@ -759,9 +772,8 @@ class CampaignTensorBackend(CampaignBackend):
             region=meta["region"], application=meta["application"], metadata=meta
         )
         workers = int(getattr(config, "max_workers", 1) or 1)
-        parallel = streams is None and workers > 1
-        chunks = self._parallel_chunks(config, workers) if parallel else []
-        if len(chunks) > 1:
+        chunks = self._pool_chunks(config, workers) if streams is None else []
+        if chunks:
             for columns in self._iter_parallel_columns(
                 config, chunks, min(workers, len(chunks)), mode
             ):
@@ -789,6 +801,14 @@ class CampaignTensorBackend(CampaignBackend):
         workers = max(1, min(int(workers), len(shards)))
         size = self._parallel_chunk_size(len(shards), workers)
         return [shards[start : start + size] for start in range(0, len(shards), size)]
+
+    def _pool_chunks(
+        self, config: "CampaignConfig", workers: int
+    ) -> List[List[Tuple[int, int]]]:
+        """The chunks a ``workers``-wide run folds on a pool, or ``[]`` when
+        it runs serially (one worker or one chunk)."""
+        chunks = self._parallel_chunks(config, workers) if workers > 1 else []
+        return chunks if len(chunks) > 1 else []
 
     def _map_chunks_pooled(self, tasks, workers: int, mode: str, *, discard=None):
         """Run ``(fn, args)`` tasks on a pool; yield results in submission
@@ -860,37 +880,29 @@ class CampaignTensorBackend(CampaignBackend):
         """Stream the campaign's shards with chunks folded on a worker pool.
 
         Shards arrive in trial-major order (chunks are delivered in
-        submission order), bit-identical to :meth:`iter_shards`.  With a
-        ``store`` and process workers, each worker spills its chunk straight
-        into the store's on-disk group format and the parent merely adopts
-        the finished file — the sample arrays never cross the process
-        boundary, and the yielded shards are the store's zero-copy mmap
-        views.  Closing the iterator cancels queued chunks at the next
-        chunk boundary.
+        submission order), bit-identical to :meth:`iter_shards`: zero-copy
+        views of :meth:`iter_column_blocks`.  With a ``store`` and process
+        workers, each worker spills its chunk straight into the store's
+        on-disk group format and the parent merely adopts the finished
+        file — the sample arrays never cross the process boundary, and the
+        yielded shards are the store's zero-copy mmap views.  Closing the
+        iterator cancels queued chunks at the next chunk boundary.
         """
-        chunks = self._parallel_chunks(config, workers)
-        workers = max(1, min(int(workers), len(chunks)))
-        if workers <= 1 or len(chunks) <= 1:
-            for shard in self.iter_shards(config):
-                if store is not None:
-                    store.append(shard)
-                yield shard
-            return
-        per_shard = config.iterations * config.threads
-        if store is not None and mode == "process":
+        chunks = self._pool_chunks(config, workers)
+        if store is not None and mode == "process" and chunks:
             tasks = [
                 (_spill_campaign_chunk, (config, chunk, str(store.path), index))
                 for index, chunk in enumerate(chunks)
             ]
             for payload, entry in self._map_chunks_pooled(
-                tasks, workers, mode, discard=_discard_payload_result
+                tasks, min(workers, len(chunks)), mode, discard=_discard_payload_result
             ):
                 adopted = store.adopt_group(payload, entry)
                 yield from store.iter_group(adopted)
             return
-        blocks = self._iter_parallel_columns(config, chunks, workers, mode)
-        for chunk, columns in zip(chunks, blocks):
-            shards = _slice_chunk_shards(chunk, columns, per_shard)
+        blocks = self.iter_column_blocks(config, workers=workers, mode=mode)
+        for columns, slices in blocks:
+            shards = [sl.shard(columns) for sl in slices]
             if store is not None:
                 store.extend(shards)
             yield from shards
@@ -916,18 +928,15 @@ class CampaignTensorBackend(CampaignBackend):
         """
         if workers is None:
             workers = int(getattr(config, "max_workers", 1) or 1)
-        per_shard = config.iterations * config.threads
-        chunks = self._parallel_chunks(config, max(1, int(workers)))
-        workers = max(1, min(int(workers), len(chunks)))
-        if workers <= 1 or len(chunks) <= 1:
-            for app, chunk, times in self._serial_chunks(config):
-                columns = _chunk_columns(app, chunk, times)
-                yield mapper(columns, _chunk_slices(chunk, per_shard))
+        chunks = self._pool_chunks(config, int(workers))
+        if not chunks:
+            for block in self.iter_column_blocks(config):
+                yield mapper(*block)
             return
         tasks = [
             (_campaign_chunk_partials, (config, chunk, mapper)) for chunk in chunks
         ]
-        yield from self._map_chunks_pooled(tasks, workers, mode)
+        yield from self._map_chunks_pooled(tasks, min(workers, len(chunks)), mode)
 
     # ------------------------------------------------------------------
     # grouped execution (scenario-matrix sweeps, coalesced service jobs)
@@ -997,7 +1006,7 @@ class CampaignTensorBackend(CampaignBackend):
             for results in self._map_chunks_pooled(tasks, workers, mode):
                 for config_index, shards, columns in results:
                     out[config_index].extend(
-                        _slice_chunk_shards(shards, columns, per_shard)
+                        _chunk_shards(shards, columns, per_shard)
                     )
             return out
         tasks = [(_fold_group_chunk_shm, (group, chunk)) for chunk in chunks]
@@ -1007,7 +1016,7 @@ class CampaignTensorBackend(CampaignBackend):
             blocks = _unpack_blocks(segment_name, descriptors)
             for (config_index, shards), columns in zip(meta, blocks):
                 out[config_index].extend(
-                    _slice_chunk_shards(shards, columns, per_shard)
+                    _chunk_shards(shards, columns, per_shard)
                 )
         return out
 
@@ -1030,6 +1039,6 @@ class CampaignTensorBackend(CampaignBackend):
                 group, chunk, contexts.__getitem__
             ):
                 out[config_index].extend(
-                    _slice_chunk_shards(shards, columns, per_shard)
+                    _chunk_shards(shards, columns, per_shard)
                 )
         return out

@@ -29,7 +29,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Type
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import ShardSlice
+from repro.core.timing import TimingShard
 from repro.sim.random import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -185,8 +186,8 @@ class ShardExecutor:
 
         ``on_shard`` is invoked in the caller's process with each shard
         immediately before it is yielded — a convenience for driving
-        callbacks from consumers like :meth:`run` / :meth:`run_merged` that
-        would otherwise swallow the iterator.
+        callbacks from consumers like :meth:`run` that would otherwise
+        swallow the iterator.
 
         ``store`` (a :class:`~repro.io.shard_store.ShardStore`) receives
         every shard via ``append`` the moment it arrives — the out-of-core
@@ -218,6 +219,21 @@ class ShardExecutor:
             if on_shard is not None:
                 on_shard(shard)
             yield shard
+
+    def iter_blocks(
+        self, backend: "CampaignBackend", config: "CampaignConfig"
+    ) -> Iterator[tuple]:
+        """Yield the campaign's ``(columns, slices)`` blocks in serial order:
+        the chunk producer's own blocks
+        (:meth:`~repro.experiments.backends.CampaignTensorBackend.iter_column_blocks`
+        at this executor's worker count and mode), else one one-slice block
+        per :meth:`iter_shards` shard."""
+        if getattr(backend, "iter_shards_parallel", None) is None:
+            for shard in self.iter_shards(backend, config):
+                yield shard.columns, [ShardSlice.of(shard)]
+            return
+        workers = self._resolve_workers(config, len(backend.shard_specs(config)))
+        yield from backend.iter_column_blocks(config, workers=workers, mode=self.mode)
 
     def map_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig", mapper
@@ -286,19 +302,6 @@ class ShardExecutor:
             pass
         store.flush()
         return store
-
-    def run_merged(
-        self,
-        backend: "CampaignBackend",
-        config: "CampaignConfig",
-        *,
-        on_shard: Optional[Callable[[TimingShard], None]] = None,
-    ) -> TimingDataset:
-        """Run all shards and merge them into one dataset."""
-        return TimingDataset.merge(
-            self.iter_shards(backend, config, on_shard=on_shard),
-            metadata=backend.metadata(config),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardExecutor(max_workers={self.max_workers}, mode={self.mode!r})"

@@ -12,7 +12,7 @@ Behind ``run()`` the session resolves the configured backend from the
 registry (:mod:`repro.experiments.backends`), fans the backend's shards out
 across the parallel executor (:mod:`repro.experiments.executor`) when
 ``config.max_workers > 1``, and hands back a :class:`CampaignResult` that
-keeps the shards and merges them into a dense
+keeps the producer's column blocks and merges them into a dense
 :class:`~repro.core.timing.TimingDataset` only on demand.  ``stream()``
 exposes the same execution as a lazy shard iterator for memory-bounded
 consumers.
@@ -113,38 +113,38 @@ def campaign_store_path(
 class CampaignResult:
     """Outcome of one application's campaign, merged on demand.
 
-    Holds the shards the executor produced (fresh run), an already-merged
-    dataset (grouped execution, :meth:`CampaignSession.adopt`), or a
+    Holds the ``(columns, slices)`` column blocks the executor produced
+    (fresh run: one per ``campaign`` chunk, one per shard for the other
+    backends), an already-merged dataset (grouped execution,
+    :meth:`CampaignSession.adopt`), or a
     :class:`~repro.io.shard_store.ShardStore` (out-of-core run or cache
-    hit).  Iterating
-    yields the shards; :attr:`dataset` merges them — once — into the dense
-    :class:`~repro.core.timing.TimingDataset` every in-memory analysis
-    consumes.  Store-backed results keep nothing dense resident:
-    :meth:`iter_shards` streams memory-mapped views group by group, and
-    :attr:`n_samples` / :attr:`metadata` come straight from the store's
-    manifest.
+    hit).  Iterating yields the shards — zero-copy views of the blocks;
+    :attr:`dataset` merges them — once — into the dense
+    :class:`~repro.core.timing.TimingDataset`.  Store-backed results keep
+    nothing dense resident: :meth:`iter_shards` streams memory-mapped views
+    group by group, and :attr:`n_samples` / :attr:`metadata` come straight
+    from the store's manifest.
     """
 
     def __init__(
         self,
         config: "CampaignConfig",
         *,
-        shards: Optional[Sequence[TimingShard]] = None,
+        blocks: Optional[Iterable[tuple]] = None,
         dataset: Optional[TimingDataset] = None,
         store: Optional["ShardStore"] = None,
         metadata: Optional[Dict[str, object]] = None,
         from_cache: bool = False,
     ) -> None:
-        if shards is None and dataset is None and store is None:
+        if blocks is None and dataset is None and store is None:
             raise ValueError(
-                "a result needs shards, an already-merged dataset, or a store"
+                "a result needs column blocks, an already-merged dataset, or a store"
             )
         self.config = config
         self.from_cache = from_cache
         self.store = store
-        self._shards: Optional[Tuple[TimingShard, ...]] = (
-            tuple(shards) if shards is not None else None
-        )
+        self._blocks = tuple(blocks) if blocks is not None else None
+        self._shards: Optional[Tuple[TimingShard, ...]] = None
         self._metadata = metadata
         self._dataset = dataset
 
@@ -155,7 +155,8 @@ class CampaignResult:
 
     @property
     def shards(self) -> Tuple[TimingShard, ...]:
-        """The campaign's shards (derived per trial from an adopted dataset).
+        """The campaign's shards: zero-copy views of the held blocks, or
+        derived per trial from an adopted dataset.
 
         Store-backed results materialise the full shard tuple here (the
         views stay memory-mapped, but holding them keeps the whole store
@@ -163,7 +164,13 @@ class CampaignResult:
         :meth:`iter_shards`.
         """
         if self._shards is None:
-            if self.store is not None:
+            if self._blocks is not None:
+                self._shards = tuple(
+                    sl.shard(columns)
+                    for columns, slices in self._blocks
+                    for sl in slices
+                )
+            elif self.store is not None:
                 self._shards = tuple(self.store.iter_shards())
             else:
                 dataset = self.dataset
@@ -179,13 +186,11 @@ class CampaignResult:
         """Stream the campaign's shards with a bounded working set.
 
         Store-backed results stream zero-copy mmap views one group at a
-        time; in-memory results just iterate what they hold.  This is the
-        iteration every out-of-core consumer (analysis engine, figure
-        generators) should use.
+        time; in-memory results iterate :attr:`shards`.  This is the
+        iteration every out-of-core consumer (figure generators) should
+        use.
         """
-        if self._shards is not None:
-            return iter(self._shards)
-        if self.store is not None:
+        if self._shards is None and self._blocks is None and self.store is not None:
             return self.store.iter_shards()
         return iter(self.shards)
 
@@ -193,22 +198,29 @@ class CampaignResult:
         """Stream the campaign as columnar ``(columns, slices)`` blocks.
 
         The analysis engine's input
-        (:func:`~repro.analysis.engine.run_columnar_analyses`): store-backed
-        results yield each on-disk group as one zero-copy mmap block
-        (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`);
-        in-memory results yield each shard as a one-slice block, which
-        :func:`~repro.core.aggregation.canonical_block` re-slices per
-        (trial, process) where the shard is not already canonical
-        (dataset-backed results, event-backend shards).  Blocks arrive in
-        serial (trial-major) shard order.
-        """
-        from repro.core.aggregation import ShardSlice
+        (:func:`~repro.analysis.engine.run_columnar_analyses`), in serial
+        (trial-major) shard order:
 
-        if self._shards is None and self.store is not None:
+        * in-memory results yield the blocks their producer made — one
+          multi-slice block per ``campaign`` chunk, one one-slice block per
+          shard for the other backends (which
+          :func:`~repro.core.aggregation.canonical_block` re-slices per
+          (trial, process) where needed, e.g. event-backend shards);
+        * store-backed results yield each on-disk group as one zero-copy
+          mmap block
+          (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`);
+        * dataset-backed results yield the dataset as one canonical block,
+          the one :func:`~repro.analysis.analyze_dataset` folds.
+        """
+        if self._blocks is not None:
+            yield from self._blocks
+        elif self.store is not None:
             yield from self.store.iter_column_blocks()
-            return
-        for shard in self.iter_shards():
-            yield shard.columns, [ShardSlice.of(shard)]
+        else:
+            from repro.analysis.engine import _dataset_block
+
+            block = _dataset_block(self._dataset)
+            yield block.columns, block.slices
 
     def __iter__(self) -> Iterator[TimingShard]:
         return self.iter_shards()
@@ -217,14 +229,9 @@ class CampaignResult:
     def dataset(self) -> TimingDataset:
         """The dense timing dataset (shards merged on first access)."""
         if self._dataset is None:
-            if self._shards is not None:
-                self._dataset = TimingDataset.merge(
-                    self._shards, metadata=self._metadata
-                )
-            else:
-                self._dataset = TimingDataset.merge(
-                    self.store.iter_shards(), metadata=self.metadata
-                )
+            self._dataset = TimingDataset.merge(
+                self.iter_shards(), metadata=self.metadata
+            )
         return self._dataset
 
     @property
@@ -624,7 +631,8 @@ class CampaignSession:
 
         ``store`` only chooses the shape of a freshly run result:
 
-        * ``None`` (default) — in-memory run; the result holds the shards.
+        * ``None`` (default) — in-memory run; the result holds the column
+          blocks the executor produced.
         * ``True`` — out-of-core run: shards spill into the cache entry
           (``cache_dir`` required) as the executor produces them instead of
           accumulating in memory, and the returned result is store-backed
@@ -652,12 +660,15 @@ class CampaignSession:
             result = self.cached(application)
             if result is not None:
                 return result
-        shards = self._executor().run(backend, config)
-        metadata = backend.metadata(config)
+        blocks = self._executor().iter_blocks(backend, config)
+        result = CampaignResult(
+            config, blocks=blocks, metadata=backend.metadata(config)
+        )
         path = self._store_path(config)
         if path is not None:
-            write_campaign_store(path, shards, metadata, tier=self.cache_tier)
-        result = CampaignResult(config, shards=shards, metadata=metadata)
+            write_campaign_store(
+                path, result.shards, result.metadata, tier=self.cache_tier
+            )
         self._results[config.application] = result
         return result
 

@@ -510,14 +510,7 @@ class ShardStore:
     def _iter_group(self, group: dict) -> Iterator[TimingShard]:
         columns, slices = self.group_columns(group)
         for sl in slices:
-            yield TimingShard(
-                trial=sl.trial,
-                process=sl.process,
-                columns={
-                    name: array[sl.start : sl.stop]
-                    for name, array in columns.items()
-                },
-            )
+            yield sl.shard(columns)
 
     def iter_group(self, entry: Dict[str, object]) -> Iterator[TimingShard]:
         """Zero-copy mmap shard views of one group (``entry`` as stored in

@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.core.timing import TimingDataset
 from repro.experiments.backends import campaign_group_key, get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
@@ -419,23 +418,19 @@ class CampaignService:
             config = job.config
             backend = get_backend(config.backend)
             executor = ShardExecutor(mode=self.executor_mode)
-            shards = []
-            for shard in executor.iter_shards(backend, config):
-                check_cancel()
-                shards.append(shard)
-                post(job._deliver, shard)
+            blocks = []
+            for columns, slices in executor.iter_blocks(backend, config):
+                blocks.append((columns, slices))
+                for sl in slices:
+                    check_cancel()
+                    post(job._deliver, sl.shard(columns))
             check_cancel()
-            metadata = backend.metadata(config)
-            dataset = TimingDataset.merge(shards, metadata=metadata)
-            self._cache(config, shards, metadata)
             result = CampaignResult(
-                config, shards=shards, dataset=dataset, metadata=metadata
+                config, blocks=blocks, metadata=backend.metadata(config)
             )
-            post(
-                functools.partial(
-                    job._finish, result, dataset_digest(dataset), from_cache=False
-                )
-            )
+            self._cache(config, result.shards, result.metadata)
+            digest = dataset_digest(result.dataset)
+            post(functools.partial(job._finish, result, digest, from_cache=False))
         except _CancelledBetweenShards:
             post(job._mark_cancelled)
         except BaseException as error:  # surfaced through handle.result()

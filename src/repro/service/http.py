@@ -161,6 +161,22 @@ class CampaignHTTPServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
+            await self._respond(reader, writer)
+        except ConnectionError:
+            pass  # client went away mid-exchange
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+
+    async def _respond(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Read one request and answer it: 4xx for a malformed request,
+        500 (keeping the server alive) for a handler bug."""
+        try:
             try:
                 method, path, body = await asyncio.wait_for(
                     self._read_request(reader), REQUEST_READ_TIMEOUT_S
@@ -171,19 +187,10 @@ class CampaignHTTPServer:
             await self._route(writer, method, path, body)
         except _BadRequest as error:
             await self._send_json(writer, error.status, {"error": str(error)})
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-exchange
+        except ConnectionError:
+            raise
         except Exception as error:  # defensive: keep the server alive
-            try:
-                await self._send_json(writer, 500, {"error": repr(error)})
-            except ConnectionError:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+            await self._send_json(writer, 500, {"error": repr(error)})
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -209,7 +216,11 @@ class CampaignHTTPServer:
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(f"request body too large ({length} bytes)")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as error:
+            message = f"body ended after {len(error.partial)} of {length} bytes"
+            raise _BadRequest(message) from error
         path = target.split("?", 1)[0]
         return method.upper(), path, body
 
@@ -294,7 +305,8 @@ class CampaignHTTPServer:
                 },
             )
             return
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            # OverflowError: an infinite "priority" (json reads Infinity)
             raise _BadRequest(str(error)) from error
         await self._send_json(
             writer, 202, {"coalesced": handle.coalesced, **handle.status()}

@@ -153,6 +153,65 @@ class TestInMemoryBlocks:
         )
         assert got == ref
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
+    def test_chunk_blocks_match_per_shard_path(
+        self, reference, chunk_shards, workers, mode
+    ):
+        ref, context = reference
+        backend = CampaignTensorBackend(chunk_shards=chunk_shards)
+        config = CONFIG.parallel(workers)
+        blocks = ShardExecutor(mode=mode).iter_blocks(backend, config)
+        result = CampaignResult(config, blocks=blocks)
+        results = run_columnar_analyses(result.iter_column_blocks(), "all", context)
+        assert _products(results) == ref
+
+    def test_blocks_are_the_campaign_chunks(self):
+        backend = CampaignTensorBackend(chunk_shards=3)
+        result = CampaignResult(
+            CONFIG, blocks=ShardExecutor().iter_blocks(backend, CONFIG)
+        )
+        blocks = list(result.iter_column_blocks())
+        assert [len(slices) for _, slices in blocks] == [3, 1]
+        per_shard = CONFIG.iterations * CONFIG.threads
+        for columns, slices in blocks:
+            assert len(columns["compute_time_s"]) == len(slices) * per_shard
+        assert [(sl.trial, sl.process) for _, slices in blocks for sl in slices] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shards_are_views_of_the_blocks(self, workers):
+        backend = CampaignTensorBackend(chunk_shards=3)
+        config = CONFIG.parallel(workers)
+        result = CampaignResult(
+            config, blocks=ShardExecutor().iter_blocks(backend, config)
+        )
+        blocks = list(result.iter_column_blocks())
+        assert len(blocks) == 2
+        owners = [columns for columns, slices in blocks for _ in slices]
+        assert len(result.shards) == len(owners)
+        for shard, columns in zip(result.shards, owners):
+            for name, array in shard.columns.items():
+                assert np.shares_memory(array, columns[name])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_vectorized_yields_one_slice_blocks(self, workers):
+        config = CONFIG.with_backend("vectorized").parallel(workers)
+        result = CampaignSession(config, executor_mode="thread").run()
+        blocks = list(result.iter_column_blocks())
+        assert len(blocks) == CONFIG.trials * CONFIG.processes
+        assert all(len(slices) == 1 for _, slices in blocks)
+
+    def test_dataset_backed_result_is_one_block(self):
+        dataset = CampaignSession(CONFIG).run().dataset
+        blocks = list(CampaignResult(CONFIG, dataset=dataset).iter_column_blocks())
+        assert len(blocks) == 1
+        columns, slices = blocks[0]
+        assert len(slices) == CONFIG.trials * CONFIG.processes
+        assert len(columns["compute_time_s"]) == dataset.n_samples
+
 
 class TestShardOrderInvariance:
     def test_exact_columnar_partials_merge_order_free(self, reference):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
@@ -84,9 +85,12 @@ class TestShardExecutor:
         config = CampaignConfig.smoke().parallel(3).scaled(trials=2, processes=2)
         assert ShardExecutor()._resolve_workers(config, 4) == 3
 
-    def test_run_merged_matches_backend_run(self):
+    def test_merged_pool_shards_match_backend_run(self):
         config = CampaignConfig.smoke()
         backend = get_backend(config.backend)
-        merged = ShardExecutor(2).run_merged(backend, config)
+        merged = TimingDataset.merge(
+            ShardExecutor(2).iter_shards(backend, config),
+            metadata=backend.metadata(config),
+        )
         _assert_bit_identical(merged, backend.run(config))
         assert merged.metadata == backend.run(config).metadata

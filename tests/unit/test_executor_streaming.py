@@ -11,7 +11,7 @@ finished.
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingShard
+from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
@@ -129,12 +129,14 @@ class TestIncrementalContract:
         )
         assert [id(s) for s in seen] == [id(s) for s in yielded]
 
-    def test_run_merged_forwards_on_shard(self, config):
+    def test_merged_iter_shards_forwards_on_shard(self, config):
         executor = ShardExecutor(max_workers=1)
         backend = CountingBackend()
         calls = []
-        dataset = executor.run_merged(
-            backend, config, on_shard=lambda s: calls.append(s.n_samples)
+        dataset = TimingDataset.merge(
+            executor.iter_shards(
+                backend, config, on_shard=lambda s: calls.append(s.n_samples)
+            )
         )
         assert len(calls) == 6
         assert sum(calls) == dataset.n_samples
