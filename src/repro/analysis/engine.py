@@ -16,8 +16,8 @@ Every driver maps its input onto canonical column blocks
   ``CampaignSession.stream()`` or an in-memory list), each shard as a
   one-slice block.
 * :func:`run_campaign_analyses` — execute a campaign *and* analyse it in
-  one parallel pass: each executor worker folds the block or shard it
-  produced into per-pass partials, returning only those to the parent; the
+  one parallel pass: each executor worker folds the block it produced into
+  per-pass partials, returning only those to the parent; the
   merged dataset is never materialised.  The ``percentiles``/``normality``
   partials carry their slices' samples (exact order statistics need them),
   so such a run holds every sample, as the in-memory path does.  Bounded
@@ -260,18 +260,14 @@ def run_campaign_analyses(
     context: Optional[AnalysisContext] = None,
     executor: Optional["ShardExecutor"] = None,
 ) -> AnalysisResults:
-    """Execute a campaign and stream its shards through analysis passes.
+    """Execute a campaign and stream its column blocks through analysis passes.
 
-    Backends with a chunk-block path (the campaign tensor backend) take the
-    fused columnar route: each chunk's column block folds into per-pass
-    partials right where it was produced —
+    Each unit's block (a ``campaign`` chunk, or one shard of the per-shard
+    backends) folds into per-pass partials right where it was produced —
     :meth:`~repro.experiments.executor.ShardExecutor.map_blocks` — so with
-    ``config.max_workers > 1`` only partials cross the process boundary and
-    no shards are ever assembled.  Everything else goes through
-    :meth:`~repro.experiments.executor.ShardExecutor.map_shards`, which
-    folds each shard as a one-slice block, likewise worker-side.  Both
-    routes reduce one partial per (trial, process) in serial order, so
-    their results are bit-identical.
+    ``config.max_workers > 1`` only partials cross the process boundary.
+    The partials, one per (trial, process), reduce in serial order, so the
+    result does not depend on the chunking or the worker count.
     """
     from repro.experiments.executor import ShardExecutor
 
@@ -284,10 +280,5 @@ def run_campaign_analyses(
         executor = ShardExecutor()
     mapper = ColumnarAnalyzer(passes, context)
     blocks = executor.map_blocks(backend, config, mapper)
-    if blocks is None:
-        blocks = (
-            partials
-            for _, partials in executor.map_shards(backend, config, mapper.shard)
-        )
-    partials = (partial for chunk in blocks for partial in chunk)
+    partials = (partial for block in blocks for partial in block)
     return _reduce_partials(passes, partials, context)

@@ -20,8 +20,8 @@ campaign layer without touching it.  Three backends ship with the package:
   (``chunk_shards`` bounds peak memory).  Draw streams are keyed by
   absolute shard scope, so results are bit-identical across any chunking
   *and any worker count*: with ``max_workers > 1`` whole chunks fold in
-  parallel on a process pool, returning their columns through shared
-  memory (or spilling straight into a
+  parallel on the executor's worker pool, returning their columns through
+  shared memory (or spilling straight into a
   :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness in a
   different order than ``"vectorized"``, so the two agree in distribution,
   not bit-for-bit, and it pins its own digests.
@@ -35,23 +35,17 @@ clock/noise microstructure and ``"campaign"`` the production kernel.
 Every backend decomposes its campaign into *shards* (:meth:`shard_specs` /
 :meth:`run_shard`).  A shard re-derives all of its random streams from the
 campaign's root seed by name, which makes shards order-independent: the
-parallel executor can run them in any order on any worker and the merged
-result stays bit-identical to a serial run.
+parallel executor can run a backend's units of work (:meth:`work_units` /
+:meth:`unit_block`: one shard each, or one shard chunk for ``"campaign"``)
+in any order on any worker and the merged result stays bit-identical to a
+serial run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import multiprocessing
-import os
 import threading
 from abc import ABC, abstractmethod
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import resource_tracker, shared_memory
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
@@ -61,6 +55,13 @@ from repro.apps.base import ProxyApplication
 from repro.core.aggregation import ShardSlice
 from repro.core.instrument import RegionInstrumenter
 from repro.core.timing import TimingDataset, TimingShard
+from repro.experiments.executor import (
+    ShardExecutor,
+    discard_shm,
+    map_pooled,
+    pack_blocks,
+    unpack_blocks,
+)
 from repro.sim.random import PurposeSplitRNG, RandomStreams, maybe_scope
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -103,11 +104,14 @@ class CampaignBackend(ABC):
 
     Subclasses implement the shard decomposition (:meth:`shard_specs`) and
     the per-shard execution (:meth:`run_shard`); the base class provides the
-    serial drivers (:meth:`run`, :meth:`iter_shards`) on top of them.
+    serial drivers (:meth:`run`, :meth:`iter_shards`,
+    :meth:`iter_column_blocks`) on top of them.
 
-    A backend whose unit of work is a whole shard chunk rather than a shard
-    defines ``iter_shards_parallel``; the parallel executor then hands it
-    the worker count instead of fanning single shards out across its pool.
+    The executor (:class:`~repro.experiments.executor.ShardExecutor`) pools
+    a campaign's *units of work*: :meth:`work_units` cuts them and
+    :meth:`unit_block` produces one unit's column block inside a worker.
+    By default a unit is one :meth:`run_shard` shard, as a one-slice block;
+    a backend whose unit is a whole shard chunk overrides both.
     """
 
     #: registered backend name (set by :func:`register_backend`)
@@ -138,6 +142,14 @@ class CampaignBackend(ABC):
         for spec in self.shard_specs(config):
             yield self.run_shard(config, spec, streams)
 
+    def iter_column_blocks(
+        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
+    ) -> Iterator[Tuple[Dict[str, np.ndarray], List[ShardSlice]]]:
+        """Lazily yield the campaign's ``(columns, slices)`` blocks in
+        serial order: one one-slice block per :meth:`iter_shards` shard."""
+        for shard in self.iter_shards(config, streams):
+            yield shard.columns, [ShardSlice.of(shard)]
+
     def run(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
     ) -> TimingDataset:
@@ -145,6 +157,23 @@ class CampaignBackend(ABC):
         return TimingDataset.merge(
             self.iter_shards(config, streams), metadata=self.metadata(config)
         )
+
+    # ------------------------------------------------------------------
+    # units of pooled work
+    # ------------------------------------------------------------------
+    def work_units(self, config: "CampaignConfig", workers: int) -> List[object]:
+        """The picklable units a ``workers``-wide pool runs, in serial
+        order: the campaign's shard specs."""
+        return self.shard_specs(config)
+
+    def unit_block(
+        self, config: "CampaignConfig", unit
+    ) -> Tuple[Dict[str, np.ndarray], List[ShardSlice]]:
+        """One unit's ``(columns, slices)`` block, built from nothing but
+        ``config`` and ``unit`` (it runs in a pool worker): the unit's
+        :meth:`run_shard` shard as a one-slice block."""
+        shard = self.run_shard(config, unit, RandomStreams(config.seed))
+        return shard.columns, [ShardSlice.of(shard)]
 
     # ------------------------------------------------------------------
     def metadata(self, config: "CampaignConfig") -> Dict[str, object]:
@@ -368,30 +397,15 @@ def campaign_group_key(config: "CampaignConfig") -> Tuple:
 
 
 # ----------------------------------------------------------------------
-# chunk-parallel plumbing of the campaign tensor backend
+# chunk plumbing of the campaign tensor backend
 #
-# Workers are module-level functions (picklable) that rebuild the whole
-# execution context from the picklable CampaignConfig: the shard-keyed
-# PurposeSplitRNG makes a chunk's draws depend only on which shards it
-# contains, so any worker can fold any chunk and the assembled campaign is
-# bit-identical to a serial run.  Process workers ship their columns back
-# through one multiprocessing.shared_memory segment per chunk (created only
-# *after* the fold succeeds, so a crashed fold leaves nothing in /dev/shm)
-# instead of pickling (n_shards, n_iterations, n_threads)-sized arrays —
-# the parent attaches, copies the columns once, and unlinks.  When spilling
-# out of core, workers skip the parent entirely and write their chunk
-# straight into the ShardStore's on-disk group format.
+# Pool workers rebuild the whole execution context from the picklable
+# CampaignConfig: the shard-keyed PurposeSplitRNG makes a chunk's draws
+# depend only on which shards it contains, so any worker can fold any chunk
+# and the assembled campaign is bit-identical to a serial run.  The
+# executor's pool driver moves the chunks' columns (shared memory in
+# process mode) or spills them straight into a ShardStore.
 # ----------------------------------------------------------------------
-def _make_pool(mode: str, workers: int):
-    if mode == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-
 def _chunk_columns(
     app: ProxyApplication, chunk: List[Tuple[int, int]], times: np.ndarray
 ) -> Dict[str, np.ndarray]:
@@ -418,87 +432,6 @@ def _chunk_shards(
     return [sl.shard(columns) for sl in _chunk_slices(chunk, per_shard)]
 
 
-def _pack_blocks(
-    blocks: List[Dict[str, np.ndarray]],
-) -> Tuple[str, List[List[Tuple[str, str, Tuple[int, ...], int]]]]:
-    """Pack column blocks into one shared-memory segment (worker side).
-
-    Returns the segment name plus per-block ``(column, dtype, shape,
-    offset)`` descriptors.  Created only after the fold finished, so a
-    worker that dies mid-fold never leaves a segment behind.
-    """
-    total = sum(
-        np.ascontiguousarray(array).nbytes
-        for block in blocks
-        for array in block.values()
-    )
-    segment = shared_memory.SharedMemory(create=True, size=max(1, total))
-    # The parent's attach re-registers the segment with the (fork-shared)
-    # resource tracker and its unlink unregisters it, so drop the creation
-    # registration here — otherwise the tracker double-counts and warns
-    # about a "leaked" segment at shutdown.
-    resource_tracker.unregister(segment._name, "shared_memory")
-    try:
-        descriptors: List[List[Tuple[str, str, Tuple[int, ...], int]]] = []
-        offset = 0
-        for block in blocks:
-            entries = []
-            for name in sorted(block):
-                array = np.ascontiguousarray(block[name])
-                view = np.ndarray(
-                    array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
-                )
-                view[...] = array
-                entries.append((name, array.dtype.str, array.shape, offset))
-                offset += array.nbytes
-            descriptors.append(entries)
-        return segment.name, descriptors
-    finally:
-        segment.close()
-
-
-def _unpack_blocks(segment_name: str, descriptors) -> List[Dict[str, np.ndarray]]:
-    """Copy packed column blocks out of shared memory and unlink it (parent
-    side).  One copy per column — the fork-shared resource tracker then
-    forgets the segment cleanly."""
-    segment = shared_memory.SharedMemory(name=segment_name)
-    try:
-        blocks = []
-        for entries in descriptors:
-            block = {}
-            for name, dtype, shape, offset in entries:
-                view = np.ndarray(
-                    tuple(shape),
-                    dtype=np.dtype(dtype),
-                    buffer=segment.buf,
-                    offset=offset,
-                )
-                block[name] = view.copy()
-            blocks.append(block)
-        return blocks
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _discard_shm(segment_name: str) -> None:
-    """Unlink an undelivered worker segment (cancelled consumer)."""
-    try:
-        segment = shared_memory.SharedMemory(name=segment_name)
-    except FileNotFoundError:
-        return
-    segment.close()
-    segment.unlink()
-
-
-def _discard_shm_result(result) -> None:
-    _discard_shm(result[0])
-
-
-def _discard_payload_result(result) -> None:
-    Path(result[0]).unlink(missing_ok=True)
-
-
 #: per-worker execution-context cache.  Pool workers are reused across
 #: chunks, so rebuilding the application per chunk would redo its one-time
 #: setup — cost calibration, the deterministic busy-row fold MiniFE caches
@@ -523,47 +456,6 @@ def _worker_context(config: "CampaignConfig") -> tuple:
     if len(cache) > _WORKER_CONTEXT_SLOTS:
         cache.pop(0)
     return context
-
-
-def _campaign_chunk_columns(
-    config: "CampaignConfig", chunk: List[Tuple[int, int]]
-) -> Dict[str, np.ndarray]:
-    """Fold one shard chunk and assemble its column block (worker body)."""
-    app, rng, noise, _ = _worker_context(config)
-    chunk = [tuple(shard) for shard in chunk]
-    times = app.thread_compute_times_campaign(shards=chunk, rng=rng, noise=noise)
-    return _chunk_columns(app, chunk, times)
-
-
-def _run_campaign_chunk_shm(config: "CampaignConfig", chunk):
-    """Process-pool worker: fold a chunk, ship its columns via shared memory."""
-    return _pack_blocks([_campaign_chunk_columns(config, chunk)])
-
-
-def _campaign_chunk_partials(config: "CampaignConfig", chunk, mapper):
-    """Worker body of the fused execute-and-analyse path: fold one chunk and
-    apply a columnar block mapper to it in place.
-
-    Only the mapper's per-shard results (analysis-pass partial states)
-    travel back to the parent — no shard assembly, no shared-memory copy of
-    the sample columns at all."""
-    chunk = [tuple(shard) for shard in chunk]
-    columns = _campaign_chunk_columns(config, chunk)
-    per_shard = config.iterations * config.threads
-    return mapper(columns, _chunk_slices(chunk, per_shard))
-
-
-def _spill_campaign_chunk(config: "CampaignConfig", chunk, store_dir: str, tag: int):
-    """Process-pool worker: fold a chunk and spill it as a finished
-    shard-store group payload — the arrays never travel to the parent."""
-    from repro.io.shard_store import write_group_payload
-
-    columns = _campaign_chunk_columns(config, chunk)
-    per_shard = config.iterations * config.threads
-    shards = _chunk_shards(chunk, columns, per_shard)
-    path = Path(store_dir) / f"chunk-{tag:05d}-{os.getpid()}.payload"
-    entry = write_group_payload(path, shards)
-    return str(path), entry
 
 
 def _fold_group_chunk(group: List["CampaignConfig"], chunk_entries, context=None):
@@ -618,9 +510,7 @@ def _fold_group_chunk_shm(group: List["CampaignConfig"], chunk_entries):
     """Process-pool worker: a grouped chunk's segments, packed in one
     shared-memory segment."""
     results = _fold_group_chunk(group, chunk_entries)
-    segment_name, descriptors = _pack_blocks(
-        [columns for _, _, columns in results]
-    )
+    segment_name, descriptors = pack_blocks([columns for _, _, columns in results])
     meta = [(config_index, shards) for config_index, shards, _ in results]
     return meta, segment_name, descriptors
 
@@ -648,12 +538,10 @@ class CampaignTensorBackend(CampaignBackend):
     ``simulate``.
 
     The campaign is one unit of work per *chunk*, not per shard, so
-    :meth:`run_shard` is unavailable by construction and the executor
-    hands parallel runs to :meth:`iter_shards_parallel` instead of fanning
-    shards out: it, the parallel :meth:`run` and :meth:`run_many` fold
-    whole chunks on a worker pool and ship the columns back through shared
-    memory (or straight into a :class:`~repro.io.shard_store.ShardStore`
-    when spilling).
+    :meth:`run_shard` is unavailable by construction: :meth:`work_units`
+    cuts the campaign into chunks and :meth:`unit_block` folds one, and the
+    executor's pool runs them for a parallel session, :meth:`run` and
+    :meth:`run_many` alike.
     """
 
     #: default shard-chunk size: large enough that benchmark-scale campaigns
@@ -710,33 +598,12 @@ class CampaignTensorBackend(CampaignBackend):
             yield app, chunk, times
 
     def iter_column_blocks(
-        self,
-        config: "CampaignConfig",
-        streams: Optional[RandomStreams] = None,
-        *,
-        workers: int = 1,
-        mode: str = "process",
+        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
     ) -> Iterator[Tuple[Dict[str, np.ndarray], List[ShardSlice]]]:
-        """One ``(columns, slices)`` block per chunk, in trial-major order.
-
-        ``workers > 1`` folds the chunks on a pool (``mode`` as in the
-        executor), bit-identical to the serial chunks; explicit ``streams``
-        force the serial path (workers rebuild theirs from ``config.seed``).
-        """
+        """One ``(columns, slices)`` block per chunk, in trial-major order."""
         per_shard = config.iterations * config.threads
-        chunks = self._pool_chunks(config, workers) if streams is None else []
-        if chunks:
-            pooled = self._iter_parallel_columns(
-                config, chunks, min(workers, len(chunks)), mode
-            )
-            blocks = zip(chunks, pooled)
-        else:
-            blocks = (
-                (chunk, _chunk_columns(app, chunk, times))
-                for app, chunk, times in self._serial_chunks(config, streams)
-            )
-        for chunk, columns in blocks:
-            yield columns, _chunk_slices(chunk, per_shard)
+        for app, chunk, times in self._serial_chunks(config, streams):
+            yield _chunk_columns(app, chunk, times), _chunk_slices(chunk, per_shard)
 
     def iter_shards(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
@@ -761,8 +628,8 @@ class CampaignTensorBackend(CampaignBackend):
         trial-major order, so the rows equal the merged :meth:`iter_shards`
         stream bit-for-bit; only the assembly cost differs.
 
-        ``config.max_workers > 1`` folds the chunks on a worker pool
-        (``mode`` as in the executor: ``"process"`` or ``"thread"``) —
+        ``config.max_workers > 1`` folds the chunks on the executor's
+        worker pool (``mode``: ``"process"`` or ``"thread"``) —
         bit-identical to serial thanks to the shard-keyed draw streams.
         Passing explicit ``streams`` forces the serial path (workers
         rebuild their streams from ``config.seed``).
@@ -771,12 +638,8 @@ class CampaignTensorBackend(CampaignBackend):
         instrumenter = RegionInstrumenter(
             region=meta["region"], application=meta["application"], metadata=meta
         )
-        workers = int(getattr(config, "max_workers", 1) or 1)
-        chunks = self._pool_chunks(config, workers) if streams is None else []
-        if chunks:
-            for columns in self._iter_parallel_columns(
-                config, chunks, min(workers, len(chunks)), mode
-            ):
+        if streams is None and config.max_workers > 1:
+            for columns, _ in ShardExecutor(mode=mode).iter_blocks(self, config):
                 instrumenter.record_columns(columns)
         else:
             for _, chunk, times in self._serial_chunks(config, streams):
@@ -784,7 +647,7 @@ class CampaignTensorBackend(CampaignBackend):
         return instrumenter.dataset()
 
     # ------------------------------------------------------------------
-    # chunk-parallel drivers
+    # units of pooled work: shard chunks
     # ------------------------------------------------------------------
     def _parallel_chunk_size(self, n_shards: int, workers: int) -> int:
         """Effective chunk size of a parallel run: never above
@@ -794,149 +657,26 @@ class CampaignTensorBackend(CampaignBackend):
         per_worker = -(-n_shards // workers)  # ceil
         return max(1, min(self.chunk_shards, per_worker))
 
-    def _parallel_chunks(
+    def work_units(
         self, config: "CampaignConfig", workers: int
     ) -> List[List[Tuple[int, int]]]:
+        """The shard chunks a ``workers``-wide pool folds, in trial-major
+        order (sized by :meth:`_parallel_chunk_size`)."""
         shards = [(spec.trial, spec.process) for spec in self.shard_specs(config)]
         workers = max(1, min(int(workers), len(shards)))
         size = self._parallel_chunk_size(len(shards), workers)
         return [shards[start : start + size] for start in range(0, len(shards), size)]
 
-    def _pool_chunks(
-        self, config: "CampaignConfig", workers: int
-    ) -> List[List[Tuple[int, int]]]:
-        """The chunks a ``workers``-wide run folds on a pool, or ``[]`` when
-        it runs serially (one worker or one chunk)."""
-        chunks = self._parallel_chunks(config, workers) if workers > 1 else []
-        return chunks if len(chunks) > 1 else []
-
-    def _map_chunks_pooled(self, tasks, workers: int, mode: str, *, discard=None):
-        """Run ``(fn, args)`` tasks on a pool; yield results in submission
-        order through a bounded in-flight window (~2 x workers).
-
-        A worker process that dies mid-task surfaces as a clear
-        ``RuntimeError`` (never a hang); closing the consumer cancels the
-        queued tasks at the next chunk boundary, and ``discard`` releases
-        any undelivered completed results (shared-memory segments, spilled
-        payload files) so nothing leaks.
-        """
-        pool = _make_pool(mode, workers)
-        task_iter = iter(tasks)
-        pending: deque = deque()
-
-        def submit_next() -> None:
-            for fn, args in itertools.islice(task_iter, 1):
-                pending.append(pool.submit(fn, *args))
-
-        try:
-            for _ in range(2 * workers):
-                submit_next()
-            while pending:
-                future = pending.popleft()
-                try:
-                    result = future.result()
-                except BrokenProcessPool as exc:
-                    raise RuntimeError(
-                        "a campaign chunk worker died mid-fold (the pool is "
-                        "broken); re-run serially (max_workers=1) to isolate "
-                        "the failing chunk"
-                    ) from exc
-                submit_next()
-                yield result
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            for future in pending:
-                if future.cancelled():
-                    continue
-                try:
-                    result = future.result()
-                except Exception:
-                    continue
-                if discard is not None:
-                    discard(result)
-
-    def _iter_parallel_columns(
-        self, config: "CampaignConfig", chunks, workers: int, mode: str
-    ) -> Iterator[Dict[str, np.ndarray]]:
-        """Fold chunks on a pool; yield each chunk's column block in order."""
-        if mode == "thread":
-            tasks = [(_campaign_chunk_columns, (config, chunk)) for chunk in chunks]
-            yield from self._map_chunks_pooled(tasks, workers, mode)
-            return
-        tasks = [(_run_campaign_chunk_shm, (config, chunk)) for chunk in chunks]
-        for segment_name, descriptors in self._map_chunks_pooled(
-            tasks, workers, mode, discard=_discard_shm_result
-        ):
-            yield _unpack_blocks(segment_name, descriptors)[0]
-
-    def iter_shards_parallel(
-        self,
-        config: "CampaignConfig",
-        *,
-        workers: int,
-        mode: str = "process",
-        store=None,
-    ) -> Iterator[TimingShard]:
-        """Stream the campaign's shards with chunks folded on a worker pool.
-
-        Shards arrive in trial-major order (chunks are delivered in
-        submission order), bit-identical to :meth:`iter_shards`: zero-copy
-        views of :meth:`iter_column_blocks`.  With a ``store`` and process
-        workers, each worker spills its chunk straight into the store's
-        on-disk group format and the parent merely adopts the finished
-        file — the sample arrays never cross the process boundary, and the
-        yielded shards are the store's zero-copy mmap views.  Closing the
-        iterator cancels queued chunks at the next chunk boundary.
-        """
-        chunks = self._pool_chunks(config, workers)
-        if store is not None and mode == "process" and chunks:
-            tasks = [
-                (_spill_campaign_chunk, (config, chunk, str(store.path), index))
-                for index, chunk in enumerate(chunks)
-            ]
-            for payload, entry in self._map_chunks_pooled(
-                tasks, min(workers, len(chunks)), mode, discard=_discard_payload_result
-            ):
-                adopted = store.adopt_group(payload, entry)
-                yield from store.iter_group(adopted)
-            return
-        blocks = self.iter_column_blocks(config, workers=workers, mode=mode)
-        for columns, slices in blocks:
-            shards = [sl.shard(columns) for sl in slices]
-            if store is not None:
-                store.extend(shards)
-            yield from shards
-
-    def map_chunk_blocks(
-        self,
-        config: "CampaignConfig",
-        mapper,
-        *,
-        workers: Optional[int] = None,
-        mode: str = "process",
-    ) -> Iterator[list]:
-        """Fold chunks and apply ``mapper(columns, slices)`` where they land.
-
-        The fused execute-and-analyse driver: each chunk's column block is
-        handed to ``mapper`` (e.g. the analysis engine's
-        ``ColumnarAnalyzer``) right where the fold produced it — inside the
-        pool worker when ``workers > 1`` — and only the mapper's result is
-        delivered, in submission (trial-major) order.  When only analyses
-        are requested this skips shard assembly and the shared-memory
-        column copy entirely.  ``mapper`` must be picklable for process
-        pools.
-        """
-        if workers is None:
-            workers = int(getattr(config, "max_workers", 1) or 1)
-        chunks = self._pool_chunks(config, int(workers))
-        if not chunks:
-            for block in self.iter_column_blocks(config):
-                yield mapper(*block)
-            return
-        tasks = [
-            (_campaign_chunk_partials, (config, chunk, mapper)) for chunk in chunks
-        ]
-        yield from self._map_chunks_pooled(tasks, min(workers, len(chunks)), mode)
+    def unit_block(
+        self, config: "CampaignConfig", chunk
+    ) -> Tuple[Dict[str, np.ndarray], List[ShardSlice]]:
+        """Fold one shard chunk and assemble its column block, under the
+        per-worker context cache."""
+        app, rng, noise, _ = _worker_context(config)
+        chunk = [tuple(shard) for shard in chunk]
+        times = app.thread_compute_times_campaign(shards=chunk, rng=rng, noise=noise)
+        per_shard = config.iterations * config.threads
+        return _chunk_columns(app, chunk, times), _chunk_slices(chunk, per_shard)
 
     # ------------------------------------------------------------------
     # grouped execution (scenario-matrix sweeps, coalesced service jobs)
@@ -969,9 +709,7 @@ class CampaignTensorBackend(CampaignBackend):
                 results[index] = self.run(configs[index], mode=mode)
                 continue
             group = [configs[i] for i in indices]
-            workers = max(
-                int(getattr(config, "max_workers", 1) or 1) for config in group
-            )
+            workers = max(config.max_workers for config in group)
             if workers > 1:
                 shard_lists = self._run_group_parallel(group, workers, mode)
             else:
@@ -999,25 +737,27 @@ class CampaignTensorBackend(CampaignBackend):
         chunks = [entries[start : start + size] for start in range(0, len(entries), size)]
         if workers <= 1 or len(chunks) <= 1:
             return self._run_group(group)
-        per_shard = group[0].iterations * group[0].threads
-        out: List[List[TimingShard]] = [[] for _ in group]
         if mode == "thread":
             tasks = [(_fold_group_chunk, (group, chunk)) for chunk in chunks]
-            for results in self._map_chunks_pooled(tasks, workers, mode):
-                for config_index, shards, columns in results:
-                    out[config_index].extend(
-                        _chunk_shards(shards, columns, per_shard)
+            folded = map_pooled(tasks, workers, mode)
+        else:
+            tasks = [(_fold_group_chunk_shm, (group, chunk)) for chunk in chunks]
+            folded = (
+                [
+                    (config_index, shards, columns)
+                    for (config_index, shards), columns in zip(
+                        meta, unpack_blocks(segment_name, descriptors)
                     )
-            return out
-        tasks = [(_fold_group_chunk_shm, (group, chunk)) for chunk in chunks]
-        for meta, segment_name, descriptors in self._map_chunks_pooled(
-            tasks, workers, mode, discard=lambda result: _discard_shm(result[1])
-        ):
-            blocks = _unpack_blocks(segment_name, descriptors)
-            for (config_index, shards), columns in zip(meta, blocks):
-                out[config_index].extend(
-                    _chunk_shards(shards, columns, per_shard)
+                ]
+                for meta, segment_name, descriptors in map_pooled(
+                    tasks, workers, mode, discard=lambda result: discard_shm(result[1])
                 )
+            )
+        per_shard = group[0].iterations * group[0].threads
+        out: List[List[TimingShard]] = [[] for _ in group]
+        for results in folded:
+            for config_index, shards, columns in results:
+                out[config_index].extend(_chunk_shards(shards, columns, per_shard))
         return out
 
     def _run_group(

@@ -1,13 +1,32 @@
-"""Parallel sharded campaign execution.
+"""The one worker pool of campaign execution.
 
-:class:`ShardExecutor` fans a backend's shards out across a
-:mod:`concurrent.futures` worker pool.  Every worker rebuilds the campaign's
-:class:`~repro.sim.random.RandomStreams` from the root seed and re-derives its
-shard's streams *by name*, so the draws are independent of which worker runs
-which shard and of completion order — a parallel campaign is bit-identical to
-a serial one.
+:class:`ShardExecutor` runs a backend's campaign, serially or on a
+:mod:`concurrent.futures` worker pool of ``config.max_workers`` workers.  A
+backend says only how to cut its campaign into units of work
+(:meth:`~repro.experiments.backends.CampaignBackend.work_units`) and how to
+produce one unit's ``(columns, slices)`` column block
+(:meth:`~repro.experiments.backends.CampaignBackend.unit_block`): one
+``run_shard`` shard for the per-shard backends, one shard chunk for the
+campaign tensor backend.  Every worker re-derives its unit's draws from the
+campaign's root seed by name, so a block does not depend on which worker
+produced it or when — a pooled campaign is bit-identical to a serial one.
 
-Two pool modes are supported:
+The executor's whole surface is one method per thing a caller does with the
+blocks, and all three feed the units through :func:`map_pooled`, the one
+bounded-window pool driver, with :func:`_run_unit` as the one worker body:
+
+* :meth:`ShardExecutor.iter_blocks` yields the blocks; in process mode their
+  columns come back through one shared-memory segment per unit;
+* :meth:`ShardExecutor.map_blocks` applies a picklable ``mapper(columns,
+  slices)`` where each block lands (the analysis engine's
+  ``ColumnarAnalyzer``: only per-pass partials come back);
+* :meth:`ShardExecutor.run_to_store` spills them into a
+  :class:`~repro.io.shard_store.ShardStore`: each worker writes its block as
+  a finished group payload and the parent adopts the file.
+
+``config.max_workers <= 1`` (or a single unit) runs the backend's serial
+:meth:`~repro.experiments.backends.CampaignBackend.iter_column_blocks`, with
+no pool.  Two pool modes are supported:
 
 * ``"process"`` (default) — a :class:`~concurrent.futures.ProcessPoolExecutor`
   using the cheap ``fork`` start method where available.  This is the mode
@@ -15,293 +34,316 @@ Two pool modes are supported:
   cores.
 * ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; useful
   where processes are unavailable (restricted sandboxes) or for backends
-  whose shards release the GIL.
-
-``max_workers <= 1`` (or a single shard) short-circuits to plain serial
-execution with no pool overhead.
+  whose units release the GIL.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Type
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
+from multiprocessing import resource_tracker, shared_memory
+from pathlib import Path
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.aggregation import ShardSlice
-from repro.core.timing import TimingShard
-from repro.sim.random import RandomStreams
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.experiments.backends import CampaignBackend, ShardSpec
+    from repro.experiments.backends import CampaignBackend
     from repro.experiments.config import CampaignConfig
     from repro.io.shard_store import ShardStore
 
 _MODES = ("process", "thread")
 
 
-def _run_shard_task(
-    backend_cls: Type["CampaignBackend"], config: "CampaignConfig", spec: "ShardSpec"
-) -> TimingShard:
-    """Worker entry point (module-level so process pools can pickle it).
+def make_pool(mode: str, workers: int):
+    """The worker pool of ``mode`` (``fork``-started processes where the
+    platform has them)."""
+    if mode == "thread":
+        return ThreadPoolExecutor(max_workers=workers)
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
-    Receives the backend *class* rather than a registry name: unpickling the
-    class in a spawn-started worker imports its defining module, so
-    user-registered backends work in process pools on platforms without
-    ``fork``.
+
+def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
+    """Run ``(fn, args)`` tasks on a pool; yield results in submission
+    order through a bounded in-flight window (~2 x workers).
+
+    A worker process that dies mid-task surfaces as a clear
+    ``RuntimeError`` (never a hang); closing the consumer cancels the
+    queued tasks at the next task boundary, and ``discard`` releases any
+    undelivered completed results (shared-memory segments, spilled payload
+    files) so nothing leaks.
     """
-    return backend_cls().run_shard(config, spec, RandomStreams(config.seed))
+    pool = make_pool(mode, workers)
+    task_iter = iter(tasks)
+    pending: deque = deque()
+
+    def submit_next() -> None:
+        for fn, args in itertools.islice(task_iter, 1):
+            pending.append(pool.submit(fn, *args))
+
+    try:
+        for _ in range(2 * workers):
+            submit_next()
+        while pending:
+            future = pending.popleft()
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                raise RuntimeError(
+                    "a campaign pool worker died mid-unit (the pool is "
+                    "broken); re-run serially (max_workers=1) to isolate "
+                    "the failing unit"
+                ) from exc
+            submit_next()
+            yield result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        for future in pending:
+            if future.cancelled():
+                continue
+            try:
+                result = future.result()
+            except Exception:
+                continue
+            if discard is not None:
+                discard(result)
 
 
-def _map_shard_task(
-    backend_cls: Type["CampaignBackend"],
-    config: "CampaignConfig",
-    spec: "ShardSpec",
-    mapper,
-):
-    """Worker entry point for :meth:`ShardExecutor.map_shards`.
+# ----------------------------------------------------------------------
+# shared-memory transport: process workers ship column blocks back through
+# one multiprocessing.shared_memory segment per unit, created only *after*
+# the block is built (so a crashed worker leaves nothing in /dev/shm),
+# instead of pickling them; the parent attaches, copies the columns once
+# and unlinks
+# ----------------------------------------------------------------------
+def pack_blocks(
+    blocks: List[Dict[str, np.ndarray]],
+) -> Tuple[str, List[List[Tuple[str, str, Tuple[int, ...], int]]]]:
+    """Pack column blocks into one shared-memory segment (worker side).
 
-    Runs the shard *and* applies ``mapper`` to it inside the worker, so only
-    the mapped result (e.g. small analysis-pass partial states) travels back
-    to the parent — the shard's sample arrays never cross the process
-    boundary.
+    Returns the segment name plus per-block ``(column, dtype, shape,
+    offset)`` descriptors, in each block's column order.
     """
-    return mapper(_run_shard_task(backend_cls, config, spec))
+    total = sum(
+        np.ascontiguousarray(array).nbytes
+        for block in blocks
+        for array in block.values()
+    )
+    segment = shared_memory.SharedMemory(create=True, size=max(1, total))
+    # The parent's attach re-registers the segment with the (fork-shared)
+    # resource tracker and its unlink unregisters it, so drop the creation
+    # registration here — otherwise the tracker double-counts and warns
+    # about a "leaked" segment at shutdown.
+    resource_tracker.unregister(segment._name, "shared_memory")
+    try:
+        descriptors: List[List[Tuple[str, str, Tuple[int, ...], int]]] = []
+        offset = 0
+        for block in blocks:
+            entries = []
+            for name, array in block.items():
+                array = np.ascontiguousarray(array)
+                view = np.ndarray(
+                    array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
+                )
+                view[...] = array
+                entries.append((name, array.dtype.str, array.shape, offset))
+                offset += array.nbytes
+            descriptors.append(entries)
+        return segment.name, descriptors
+    finally:
+        segment.close()
+
+
+def unpack_blocks(segment_name: str, descriptors) -> List[Dict[str, np.ndarray]]:
+    """Copy packed column blocks out of shared memory and unlink it (parent
+    side).  One copy per column — the fork-shared resource tracker then
+    forgets the segment cleanly."""
+    segment = shared_memory.SharedMemory(name=segment_name)
+    try:
+        blocks = []
+        for entries in descriptors:
+            block = {}
+            for name, dtype, shape, offset in entries:
+                view = np.ndarray(
+                    tuple(shape),
+                    dtype=np.dtype(dtype),
+                    buffer=segment.buf,
+                    offset=offset,
+                )
+                block[name] = view.copy()
+            blocks.append(block)
+        return blocks
+    finally:
+        segment.close()
+        segment.unlink()
+
+
+def discard_shm(segment_name: str) -> None:
+    """Unlink an undelivered worker segment (cancelled consumer)."""
+    try:
+        segment = shared_memory.SharedMemory(name=segment_name)
+    except FileNotFoundError:
+        return
+    segment.close()
+    segment.unlink()
+
+
+# ----------------------------------------------------------------------
+# the one worker body and what it applies where a block lands
+# ----------------------------------------------------------------------
+def _run_unit(backend: "CampaignBackend", config: "CampaignConfig", unit, apply):
+    """Worker entry point (module-level so process pools can pickle it):
+    produce one unit's block and apply ``apply(columns, slices)`` to it
+    right there (``None``: the block itself is the result).
+
+    ``backend`` travels pickled: unpickling it in a spawn-started worker
+    imports its defining module, so user-registered backends work in
+    process pools on platforms without ``fork``.
+    """
+    columns, slices = backend.unit_block(config, unit)
+    return (columns, slices) if apply is None else apply(columns, slices)
+
+
+def _share_block(columns, slices):
+    """Process-mode transport of a block: its columns in shared memory."""
+    segment_name, descriptors = pack_blocks([columns])
+    return segment_name, descriptors, slices
+
+
+class _SpillPayload:
+    """Worker-side spill: write a block as a finished shard-store group
+    payload inside the store's directory (so the parent's adopting rename
+    stays on one filesystem)."""
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+
+    def __call__(self, columns, slices):
+        from repro.io.shard_store import write_group_payload
+
+        name = f"unit-{os.getpid()}-{os.urandom(8).hex()}.payload"
+        path = os.path.join(self.directory, name)
+        try:
+            entry = write_group_payload(path, [sl.shard(columns) for sl in slices])
+        except BaseException:
+            Path(path).unlink(missing_ok=True)
+            raise
+        return path, entry
+
+
+def _discard_shared(result) -> None:
+    discard_shm(result[0])
+
+
+def _discard_payload(result) -> None:
+    Path(result[0]).unlink(missing_ok=True)
 
 
 class ShardExecutor:
-    """Runs a backend's shards, serially or on a worker pool.
+    """Runs a backend's campaign, serially or on a worker pool.
 
-    Parameters
-    ----------
-    max_workers:
-        Pool size; ``None`` defers to ``config.max_workers`` at run time and
-        ``1`` forces serial execution.
-    mode:
-        ``"process"`` or ``"thread"`` (see module docstring).
+    The pool size is ``config.max_workers``, capped by the campaign's unit
+    count; ``mode`` is ``"process"`` or ``"thread"`` (see module docstring).
     """
 
-    def __init__(
-        self, max_workers: Optional[int] = None, *, mode: str = "process"
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+    def __init__(self, *, mode: str = "process") -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        self.max_workers = max_workers
         self.mode = mode
 
     # ------------------------------------------------------------------
-    def _resolve_workers(self, config: "CampaignConfig", n_shards: int) -> int:
-        workers = (
-            self.max_workers
-            if self.max_workers is not None
-            else getattr(config, "max_workers", 1) or 1
-        )
-        return max(1, min(int(workers), n_shards))
-
-    def _make_pool(self, workers: int):
-        if self.mode == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = None
-        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-    # ------------------------------------------------------------------
-    def _iter_mapped(
-        self, backend: "CampaignBackend", config: "CampaignConfig", mapper
-    ) -> Iterator[tuple]:
-        """Shared driver behind :meth:`iter_shards` and :meth:`map_shards`:
-        run every shard (applying ``mapper`` where it was produced when one
-        is given) and yield ``(spec, result)`` in serial order.
-
-        With a pool, all shards are submitted through a bounded in-flight
-        window — keeping the pool saturated (plus slack for head-of-line
-        blocking) without retaining every completed result, so a slow
-        consumer holds at most ~2*workers results, not the whole campaign —
-        and yielded in submission order as they complete.
-        """
-        specs = backend.shard_specs(config)
-        workers = self._resolve_workers(config, len(specs))
-        iter_parallel = getattr(backend, "iter_shards_parallel", None)
-        if iter_parallel is not None and workers > 1:
-            # chunk fan-out: the backend's unit of work is a whole shard
-            # chunk, which it folds on its own worker pool and streams back
-            # shard by shard in trial-major order (bit-identical to serial —
-            # the shard-keyed draw streams guarantee it)
-            parallel = iter_parallel(config, workers=workers, mode=self.mode)
-            for spec, shard in zip(specs, parallel):
-                yield spec, (shard if mapper is None else mapper(shard))
-            return
+    def _pooled(
+        self, backend: "CampaignBackend", config: "CampaignConfig", apply, discard=None
+    ) -> Optional[Iterator]:
+        """``apply``'s result for every unit, produced on the pool and
+        yielded in serial order — or ``None`` when the run is serial (one
+        worker, or one unit)."""
+        workers = config.max_workers
+        units = backend.work_units(config, workers) if workers > 1 else []
+        workers = min(workers, len(units))
         if workers <= 1:
-            # defer to the backend's own serial driver so overrides of
-            # iter_shards (e.g. replaying pre-recorded shards) are honoured
-            for spec, shard in zip(specs, backend.iter_shards(config)):
-                yield spec, (shard if mapper is None else mapper(shard))
-            return
-        backend_cls = type(backend)
-
-        def submit(pool, spec):
-            if mapper is None:
-                return pool.submit(_run_shard_task, backend_cls, config, spec)
-            return pool.submit(_map_shard_task, backend_cls, config, spec, mapper)
-
-        with self._make_pool(workers) as pool:
-            spec_iter = iter(specs)
-            pending = deque(
-                (spec, submit(pool, spec))
-                for spec in itertools.islice(spec_iter, 2 * workers)
-            )
-            try:
-                while pending:
-                    spec, future = pending.popleft()
-                    result = future.result()
-                    for next_spec in itertools.islice(spec_iter, 1):
-                        pending.append((next_spec, submit(pool, next_spec)))
-                    yield spec, result
-            finally:
-                for _, future in pending:
-                    future.cancel()
-
-    def iter_shards(
-        self,
-        backend: "CampaignBackend",
-        config: "CampaignConfig",
-        *,
-        on_shard: Optional[Callable[[TimingShard], None]] = None,
-        store: Optional["ShardStore"] = None,
-    ) -> Iterator[TimingShard]:
-        """Yield the campaign's shards in serial (trial-major) order.
-
-        **Incremental contract**: each shard is yielded as soon as it is
-        available — after its own computation, *before* later shards have
-        run (pooled execution keeps at most ~``2 * workers`` undelivered
-        results in flight).  Consumers that need live progress (the campaign
-        service's shard streaming, progress bars) can therefore react
-        per-shard while the campaign is still executing; nothing buffers the
-        whole campaign.
-
-        ``on_shard`` is invoked in the caller's process with each shard
-        immediately before it is yielded — a convenience for driving
-        callbacks from consumers like :meth:`run` that would otherwise
-        swallow the iterator.
-
-        ``store`` (a :class:`~repro.io.shard_store.ShardStore`) receives
-        every shard via ``append`` the moment it arrives — the out-of-core
-        spill path: with the campaign tensor backend each ``chunk_shards``
-        block lands in the store as the chunk completes, so nothing ever
-        accumulates a shard list.  When that backend runs chunk-parallel in
-        process mode, its workers spill their chunks *directly* into the
-        store's on-disk format and the parent only adopts the finished
-        files (the shards yielded here are the store's mmap views).  The
-        consumer still sees every shard; :meth:`run_to_store` is the
-        variant that swallows the iterator.
-        """
-        iter_parallel = getattr(backend, "iter_shards_parallel", None)
-        if store is not None and iter_parallel is not None:
-            workers = self._resolve_workers(config, len(backend.shard_specs(config)))
-            if workers > 1:
-                # the backend handles the spill itself (direct worker->store
-                # in process mode, parent-side extend in thread mode)
-                for shard in iter_parallel(
-                    config, workers=workers, mode=self.mode, store=store
-                ):
-                    if on_shard is not None:
-                        on_shard(shard)
-                    yield shard
-                return
-        for _, shard in self._iter_mapped(backend, config, None):
-            if store is not None:
-                store.append(shard)
-            if on_shard is not None:
-                on_shard(shard)
-            yield shard
+            return None
+        tasks = ((_run_unit, (backend, config, unit, apply)) for unit in units)
+        return map_pooled(tasks, workers, self.mode, discard=discard)
 
     def iter_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig"
     ) -> Iterator[tuple]:
-        """Yield the campaign's ``(columns, slices)`` blocks in serial order:
-        the chunk producer's own blocks
-        (:meth:`~repro.experiments.backends.CampaignTensorBackend.iter_column_blocks`
-        at this executor's worker count and mode), else one one-slice block
-        per :meth:`iter_shards` shard."""
-        if getattr(backend, "iter_shards_parallel", None) is None:
-            for shard in self.iter_shards(backend, config):
-                yield shard.columns, [ShardSlice.of(shard)]
+        """Yield the campaign's ``(columns, slices)`` blocks in serial
+        (trial-major) order, one per unit.
+
+        **Incremental contract**: each block is yielded as soon as it is
+        available — after its own unit ran, *before* later units have (a
+        pool keeps at most ~``2 * workers`` undelivered results in flight).
+        Consumers that need live progress (the campaign service's shard
+        streaming) can react per block while the campaign still runs;
+        closing the iterator cancels the queued units.
+        """
+        shared = self.mode == "process"
+        results = self._pooled(
+            backend,
+            config,
+            _share_block if shared else None,
+            _discard_shared if shared else None,
+        )
+        if results is None:
+            yield from backend.iter_column_blocks(config)
             return
-        workers = self._resolve_workers(config, len(backend.shard_specs(config)))
-        yield from backend.iter_column_blocks(config, workers=workers, mode=self.mode)
+        with closing(results):
+            for result in results:
+                if shared:
+                    segment_name, descriptors, slices = result
+                    result = unpack_blocks(segment_name, descriptors)[0], slices
+                yield result
 
     def map_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig", mapper
-    ) -> Optional[Iterator[list]]:
-        """Apply a columnar block mapper chunk by chunk, if the backend can.
+    ) -> Iterator[object]:
+        """Apply ``mapper(columns, slices)`` to every block where it lands,
+        yielding the results in serial (trial-major) order.
 
-        ``mapper(columns, slices)`` receives whole multi-shard column blocks
-        (see :meth:`CampaignTensorBackend.map_chunk_blocks`) and its results
-        are yielded per chunk in serial (trial-major) order; with a pool the
-        mapper runs inside the workers, so per-shard analysis partials are
-        the only thing crossing the process boundary.  Returns ``None`` for
-        backends without a chunk-block path — callers fall back to
-        :meth:`map_shards`.
+        With a pool the mapper runs inside the workers, so a mapper that
+        reduces each block to a small summary — the streaming analysis
+        engine's per-pass partial states — is the only thing crossing the
+        process boundary.  ``mapper`` must be picklable for process mode.
         """
-        map_chunks = getattr(backend, "map_chunk_blocks", None)
-        if map_chunks is None:
-            return None
-        workers = self._resolve_workers(config, len(backend.shard_specs(config)))
-        return map_chunks(config, mapper, workers=workers, mode=self.mode)
-
-    def map_shards(
-        self, backend: "CampaignBackend", config: "CampaignConfig", mapper
-    ) -> Iterator[tuple]:
-        """Apply ``mapper`` to every shard, yielding ``(spec, result)`` pairs
-        in serial (trial-major) order.
-
-        With a pool, the mapping runs inside the workers
-        (:func:`_map_shard_task`), so a mapper that reduces each shard to a
-        small summary — the streaming analysis engine's per-pass partial
-        states — keeps the parent's memory bounded: shard sample arrays are
-        produced, consumed and dropped worker-side.  ``mapper`` must be
-        picklable for the process-pool mode.
-        """
-        return self._iter_mapped(backend, config, mapper)
-
-    def run(
-        self,
-        backend: "CampaignBackend",
-        config: "CampaignConfig",
-        *,
-        on_shard: Optional[Callable[[TimingShard], None]] = None,
-    ) -> List[TimingShard]:
-        """All shards of the campaign, ordered.
-
-        ``on_shard`` (if given) observes each shard incrementally, before
-        the campaign finishes — see :meth:`iter_shards`.
-        """
-        return list(self.iter_shards(backend, config, on_shard=on_shard))
+        results = self._pooled(backend, config, mapper)
+        if results is None:
+            return (mapper(*block) for block in backend.iter_column_blocks(config))
+        return results
 
     def run_to_store(
-        self,
-        backend: "CampaignBackend",
-        config: "CampaignConfig",
-        store: "ShardStore",
-        *,
-        on_shard: Optional[Callable[[TimingShard], None]] = None,
+        self, backend: "CampaignBackend", config: "CampaignConfig", store: "ShardStore"
     ) -> "ShardStore":
         """Spill the whole campaign into ``store`` with bounded memory.
 
-        Drives :meth:`iter_shards` appending each shard as it arrives and
-        drops it immediately — peak memory is the executor's in-flight
-        window plus the store's spill buffer, independent of campaign size.
-        Returns the (flushed, not yet finalized) store.
+        Pool workers write each unit's block straight into the store's
+        on-disk group format and the parent adopts the finished files — the
+        sample arrays never travel to the parent.  A serial run appends
+        each block's shards as it is produced, through the store's spill
+        buffer.  Returns the (flushed, not yet finalized) store.
         """
-        for _ in self.iter_shards(backend, config, on_shard=on_shard, store=store):
-            pass
+        payloads = self._pooled(
+            backend, config, _SpillPayload(str(store.path)), _discard_payload
+        )
+        if payloads is None:
+            for columns, slices in backend.iter_column_blocks(config):
+                store.extend([sl.shard(columns) for sl in slices])
+        else:
+            with closing(payloads):
+                for payload, entry in payloads:
+                    store.adopt_group(payload, entry)
         store.flush()
         return store
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardExecutor(max_workers={self.max_workers}, mode={self.mode!r})"
+        return f"ShardExecutor(mode={self.mode!r})"

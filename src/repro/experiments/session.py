@@ -9,9 +9,9 @@ unifies what used to be three module-level functions behind a fluent API::
     >>> report = session.run("minife").analyze().report()
 
 Behind ``run()`` the session resolves the configured backend from the
-registry (:mod:`repro.experiments.backends`), fans the backend's shards out
-across the parallel executor (:mod:`repro.experiments.executor`) when
-``config.max_workers > 1``, and hands back a :class:`CampaignResult` that
+registry (:mod:`repro.experiments.backends`), fans the backend's units of
+work out across the executor's pool (:mod:`repro.experiments.executor`)
+when ``config.max_workers > 1``, and hands back a :class:`CampaignResult` that
 keeps the producer's column blocks and merges them into a dense
 :class:`~repro.core.timing.TimingDataset` only on demand.  ``stream()``
 exposes the same execution as a lazy shard iterator for memory-bounded
@@ -720,13 +720,16 @@ class CampaignSession:
     def stream(self, application: Optional[str] = None) -> Iterator[TimingShard]:
         """Lazily yield the campaign's shards in serial (trial-major) order.
 
-        Streams straight from the executor without retaining earlier shards,
-        so paper-scale campaigns can be consumed with one (trial, process)
-        chunk resident at a time.  Bypasses the result cache.
+        Yields zero-copy views of the executor's column blocks without
+        retaining earlier blocks, so paper-scale campaigns can be consumed
+        with one unit of work (a shard, or a ``campaign`` chunk) resident
+        at a time.  Bypasses the result cache.
         """
         config = self.config_for(application)
         backend = get_backend(config.backend)
-        yield from self._executor().iter_shards(backend, config)
+        for columns, slices in self._executor().iter_blocks(backend, config):
+            for sl in slices:
+                yield sl.shard(columns)
 
     def run_all(
         self,
@@ -842,6 +845,6 @@ class CampaignSession:
         return (
             f"CampaignSession({self.config.application!r}, "
             f"backend={self.config.backend!r}, "
-            f"max_workers={getattr(self.config, 'max_workers', 1)}, "
+            f"max_workers={self.config.max_workers}, "
             f"results={sorted(self._results)})"
         )

@@ -93,7 +93,7 @@ def write_group_payload(
 
     Exactly the format :meth:`ShardStore.flush` spills (16-byte magic, then
     per sorted column name the shards' arrays concatenated into one raw
-    blob), minus the manifest bookkeeping — so a parallel chunk worker can
+    blob), minus the manifest bookkeeping — so a pool worker can
     serialise its shards straight into the store's on-disk layout and the
     parent merely adopts the finished file
     (:meth:`ShardStore.adopt_group`) instead of round-tripping the arrays.
@@ -415,14 +415,13 @@ class ShardStore:
         """Adopt a finished group payload file without copying its bytes.
 
         ``payload`` must have been written with :func:`write_group_payload`
-        (a parallel chunk worker spills its chunk this way, into the store
+        (a pool worker spills its unit of work this way, into the store
         directory so the rename stays on one filesystem) and ``entry`` is
         the manifest entry that call returned.  Any buffered shards flush
         first so append order is preserved, then the payload is renamed
         into place as the next group file and its entry joins the manifest
         — the same tmp-then-publish protocol :meth:`flush` uses, so readers
-        never observe a half-adopted group.  Returns the adopted entry
-        (pass it to :meth:`iter_group` for the group's mmap shard views).
+        never observe a half-adopted group.  Returns the adopted entry.
         """
         self._check_writable()
         self.flush()
@@ -507,16 +506,6 @@ class ShardStore:
             start = stop
         return columns, slices
 
-    def _iter_group(self, group: dict) -> Iterator[TimingShard]:
-        columns, slices = self.group_columns(group)
-        for sl in slices:
-            yield sl.shard(columns)
-
-    def iter_group(self, entry: Dict[str, object]) -> Iterator[TimingShard]:
-        """Zero-copy mmap shard views of one group (``entry`` as stored in
-        the manifest or returned by :meth:`adopt_group`)."""
-        return self._iter_group(entry)
-
     def iter_column_blocks(self):
         """Stream the store group by group as ``(columns, slices)`` blocks.
 
@@ -566,7 +555,9 @@ class ShardStore:
             self.flush()
             manifest = self._manifest
         for group in list(manifest["groups"]):  # type: ignore[index]
-            yield from self._iter_group(group)
+            columns, slices = self.group_columns(group)
+            for sl in slices:
+                yield sl.shard(columns)
 
     def __iter__(self) -> Iterator[TimingShard]:
         return self.iter_shards()

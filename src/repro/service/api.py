@@ -18,11 +18,12 @@ streaming shards back the moment the executor produces them::
 Execution bridges the synchronous campaign machinery into asyncio with
 ``loop.run_in_executor``: each claimed job occupies one thread of a pool
 sized to the worker count, iterates
-:meth:`ShardExecutor.iter_shards <repro.experiments.executor.ShardExecutor.iter_shards>`
-(the documented incremental shard contract) and posts every shard back to
-the event loop, where the job broadcasts it to stream subscribers.  The
-thread polls the job's cancel flag between shards, so cancellation stops a
-running job at the next shard boundary.
+:meth:`ShardExecutor.iter_blocks <repro.experiments.executor.ShardExecutor.iter_blocks>`
+(the documented incremental block contract) and posts every block's shards
+(zero-copy views) back to the event loop, where the job broadcasts them to
+stream subscribers.  The thread polls the job's cancel flag between shards,
+so cancellation stops a running job at the next shard boundary (closing the
+executor's iterator cancels its queued units).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class CampaignService:
     workers:
         Concurrent jobs (asyncio worker tasks, each backed by one thread
         of the execution pool).  Within a job, ``config.max_workers`` still
-        fans shards across the parallel executor.
+        fans the campaign's units of work across the executor's pool.
     max_queue:
         Admission bound: submissions beyond this many *waiting* jobs raise
         :class:`~repro.service.queue.RejectedError`.

@@ -37,6 +37,7 @@ from repro.experiments.backends import (
     get_backend,
 )
 from repro.experiments.config import CampaignConfig
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignSession
 from repro.scenarios import get_scenario
@@ -95,10 +96,14 @@ class TestRegistration:
         assert "campaign" in available_backends()
         backend = get_backend("campaign")
         assert backend.name == "campaign"
-        # its unit of work is a shard chunk: the executor hands parallel
-        # runs to iter_shards_parallel instead of fanning shards out
-        assert callable(getattr(backend, "iter_shards_parallel", None))
-        assert not hasattr(get_backend("vectorized"), "iter_shards_parallel")
+        # its unit of pooled work is a shard chunk, not a shard
+        config = _smoke("minife", trials=3)
+        assert backend.work_units(config, 2) == [
+            [(0, 0), (0, 1), (1, 0)],
+            [(1, 1), (2, 0), (2, 1)],
+        ]
+        vectorized = get_backend("vectorized")
+        assert vectorized.work_units(config, 2) == vectorized.shard_specs(config)
         assert backend.chunk_shards == CampaignTensorBackend.DEFAULT_CHUNK_SHARDS
 
     def test_metadata_carries_backend_label(self):
@@ -209,10 +214,8 @@ class TestParallelExecution:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("max_workers", [2, 4])
     def test_executor_chunk_parallel_is_bit_identical(self, max_workers, mode):
-        # the backend has iter_shards_parallel: the executor must not fan
-        # individual shards across a pool (run_shard is not a unit of work)
-        # — instead the backend folds whole shard chunks on its own pool,
-        # bit-identically to the serial run
+        # run_shard is not a unit of work: the executor's pool folds whole
+        # shard chunks, bit-identically to the serial run
         serial = CampaignSession(_smoke("minife", trials=3)).run().dataset
         parallel = CampaignSession(
             _smoke("minife", trials=3, max_workers=max_workers),
@@ -221,28 +224,29 @@ class TestParallelExecution:
         assert np.array_equal(serial.compute_times_s, parallel.compute_times_s)
 
     def test_executor_routes_through_the_chunk_parallel_path(self, monkeypatch):
-        calls = {"parallel": 0}
-        original = CampaignTensorBackend.iter_shards_parallel
+        calls = {"pooled": 0}
+        original = executor_module.map_pooled
 
-        def counting(self, config, **kwargs):
-            calls["parallel"] += 1
-            return original(self, config, **kwargs)
+        def counting(tasks, workers, mode, **kwargs):
+            calls["pooled"] += 1
+            return original(tasks, workers, mode, **kwargs)
 
-        monkeypatch.setattr(
-            CampaignTensorBackend, "iter_shards_parallel", counting
-        )
-        shards = list(ShardExecutor(max_workers=4, mode="thread").iter_shards(
+        monkeypatch.setattr(executor_module, "map_pooled", counting)
+        blocks = list(ShardExecutor(mode="thread").iter_blocks(
             get_backend("campaign"), _smoke("minife", trials=3, max_workers=4)
         ))
-        assert calls["parallel"] == 1
-        assert len(shards) == 6
+        assert calls["pooled"] == 1
+        # 6 shards on 4 workers: chunks of 2 shards
+        assert [len(slices) for _, slices in blocks] == [2, 2, 2]
 
     def test_executor_streams_per_process_shards(self):
         config = _smoke("minimd", max_workers=4)
-        shards = list(ShardExecutor(mode="thread").iter_shards(
+        blocks = ShardExecutor(mode="thread").iter_blocks(
             get_backend("campaign"), config
-        ))
-        assert [(s.trial, s.process) for s in shards] == [(0, 0), (0, 1)]
+        )
+        assert [(sl.trial, sl.process) for _, slices in blocks for sl in slices] == [
+            (0, 0), (0, 1)
+        ]
 
 
 class TestParallelBitIdentity:
@@ -298,7 +302,7 @@ class TestParallelBitIdentity:
     @pytest.mark.parametrize("max_workers", [1, 2, 4])
     def test_store_spill_matrix(self, tmp_path, max_workers, chunk_shards):
         # process workers spill their chunks straight into the store's
-        # on-disk group format; the live stream and the finalized store
+        # on-disk group format; the filled store and the finalized store
         # must both match the serial run
         from repro.core.timing import TimingDataset
         from repro.io.shard_store import ShardStore
@@ -306,12 +310,10 @@ class TestParallelBitIdentity:
         serial = get_backend("campaign").run(_smoke("minife", trials=3))
         backend = CampaignTensorBackend(chunk_shards=chunk_shards)
         store = ShardStore(tmp_path / "store", mode="w", spill_threshold_bytes=1)
-        live = TimingDataset.merge(backend.iter_shards_parallel(
-            _smoke("minife", trials=3, max_workers=max_workers),
-            workers=max_workers,
-            mode="process",
-            store=store,
-        ))
+        ShardExecutor(mode="process").run_to_store(
+            backend, _smoke("minife", trials=3, max_workers=max_workers), store
+        )
+        live = TimingDataset.merge(store.iter_shards())
         assert np.array_equal(serial.compute_times_s, live.compute_times_s)
         store.finalize()
         reread = TimingDataset.merge(
@@ -340,26 +342,74 @@ class TestParallelBitIdentity:
                 assert np.array_equal(dataset.column(name), solo.column(name)), name
 
 
-@pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
-class TestWorkerCrash:
-    def test_dead_worker_raises_and_leaks_no_shared_memory(self, monkeypatch):
-        # a worker killed mid-fold must surface as a RuntimeError (not a
-        # hang) and leave /dev/shm untouched — segments are only created
-        # after a fold succeeds
-        import repro.experiments.backends as backends_module
+def _pooled_smoke(backend_name: str) -> CampaignConfig:
+    """Smoke MiniFE on 2 process workers: 6 trials x 2 processes, so the
+    pool has undelivered units when a consumer stops early."""
+    return CampaignConfig.smoke("minife").with_backend(backend_name).scaled(
+        trials=6
+    ).parallel(2)
 
-        def die_mid_fold(config, chunk):
+
+@pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
+@pytest.mark.parametrize("backend_name", ["campaign", "vectorized"])
+class TestWorkerCrash:
+    def test_dead_worker_raises_and_leaks_no_shared_memory(
+        self, monkeypatch, backend_name
+    ):
+        # a worker killed mid-unit must surface as a RuntimeError (not a
+        # hang) and leave /dev/shm untouched — segments are only created
+        # after a unit's block is built
+        backend = get_backend(backend_name)
+
+        def die_mid_unit(self, config, unit):
             os._exit(1)
 
-        monkeypatch.setattr(
-            backends_module, "_campaign_chunk_columns", die_mid_fold
-        )
+        monkeypatch.setattr(type(backend), "unit_block", die_mid_unit)
         before = _shm_entries()
         with pytest.raises(RuntimeError, match="worker died"):
-            get_backend("campaign").run(
-                _smoke("minife", trials=3, max_workers=2), mode="process"
+            CampaignSession(_pooled_smoke(backend_name)).run(use_cache=False)
+        assert _shm_entries() - before == set()
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
+@pytest.mark.parametrize("backend_name", ["campaign", "vectorized"])
+class TestEarlyClose:
+    """A consumer that stops after the first unit leaves no undelivered
+    shared-memory segment and no orphaned spill payload behind."""
+
+    def test_closing_iter_blocks_after_the_first_block(self, backend_name):
+        before = _shm_entries()
+        blocks = ShardExecutor(mode="process").iter_blocks(
+            get_backend(backend_name), _pooled_smoke(backend_name)
+        )
+        next(blocks)
+        blocks.close()
+        assert _shm_entries() - before == set()
+
+    def test_abandoning_a_store_fill_after_the_first_unit(
+        self, tmp_path, monkeypatch, backend_name
+    ):
+        from repro.io.shard_store import ShardStore
+
+        class Abandoned(Exception):
+            pass
+
+        adopt_group = ShardStore.adopt_group
+
+        def adopt_then_abandon(self, payload, entry):
+            adopt_group(self, payload, entry)
+            raise Abandoned
+
+        monkeypatch.setattr(ShardStore, "adopt_group", adopt_then_abandon)
+        store = ShardStore(tmp_path / "store", mode="w")
+        before = _shm_entries()
+        with pytest.raises(Abandoned):
+            ShardExecutor(mode="process").run_to_store(
+                get_backend(backend_name), _pooled_smoke(backend_name), store
             )
         assert _shm_entries() - before == set()
+        assert store.n_groups == 1
+        assert list((tmp_path / "store").glob("*.payload")) == []
 
 
 class TestGroupedExecution:

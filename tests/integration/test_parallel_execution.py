@@ -8,6 +8,7 @@ import pytest
 from repro.core.timing import TimingDataset
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignSession
 
@@ -68,28 +69,50 @@ class TestParallelBitIdentical:
                 )
 
 
+def _pool_sizes(monkeypatch):
+    """Record the worker count of every pool the executor builds."""
+    sizes = []
+    make_pool = executor_module.make_pool
+
+    def recording(mode, workers):
+        sizes.append(workers)
+        return make_pool(mode, workers)
+
+    monkeypatch.setattr(executor_module, "make_pool", recording)
+    return sizes
+
+
+def _run_blocks(config, mode="thread"):
+    backend = get_backend(config.backend)
+    return list(ShardExecutor(mode=mode).iter_blocks(backend, config))
+
+
 class TestShardExecutor:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            ShardExecutor(0)
+            CampaignConfig.smoke().parallel(0)
         with pytest.raises(ValueError):
-            ShardExecutor(2, mode="fiber")
+            ShardExecutor(mode="fiber")
 
-    def test_worker_count_capped_by_shard_count(self):
-        config = CampaignConfig.smoke()  # 1 trial x 2 processes = 2 shards
-        executor = ShardExecutor(16)
-        backend = get_backend(config.backend)
-        assert executor._resolve_workers(config, len(backend.shard_specs(config))) == 2
+    def test_worker_count_capped_by_unit_count(self, monkeypatch):
+        sizes = _pool_sizes(monkeypatch)
+        _run_blocks(CampaignConfig.smoke().parallel(16))  # 1 trial x 2 processes
+        assert sizes == [2]
 
-    def test_executor_defers_to_config_max_workers(self):
-        config = CampaignConfig.smoke().parallel(3).scaled(trials=2, processes=2)
-        assert ShardExecutor()._resolve_workers(config, 4) == 3
+    def test_worker_count_comes_from_the_config(self, monkeypatch):
+        sizes = _pool_sizes(monkeypatch)
+        _run_blocks(CampaignConfig.smoke().parallel(3).scaled(trials=2, processes=2))
+        assert sizes == [3]
 
-    def test_merged_pool_shards_match_backend_run(self):
-        config = CampaignConfig.smoke()
+    def test_merged_pool_blocks_match_backend_run(self):
+        config = CampaignConfig.smoke().parallel(2)
         backend = get_backend(config.backend)
         merged = TimingDataset.merge(
-            ShardExecutor(2).iter_shards(backend, config),
+            (
+                sl.shard(columns)
+                for columns, slices in _run_blocks(config, mode="process")
+                for sl in slices
+            ),
             metadata=backend.metadata(config),
         )
         _assert_bit_identical(merged, backend.run(config))

@@ -1,11 +1,10 @@
-"""Regression tests for the executor's incremental shard contract.
+"""Regression tests for the executor's incremental block contract.
 
-``ShardExecutor.iter_shards`` documents that each shard is yielded as soon
-as it is available — before later shards have run — and that ``on_shard``
-observes shards live.  The campaign service's shard streaming (and any
-progress UI) depends on this: if the executor ever buffered the whole
-campaign before yielding, streams would only "arrive" after the campaign
-finished.
+``ShardExecutor.iter_blocks`` documents that each unit's block is yielded
+as soon as it is available — before later units have run.  The campaign
+service's shard streaming (and any progress UI) depends on this: if the
+executor ever buffered the whole campaign before yielding, streams would
+only "arrive" after the campaign finished.
 """
 
 import numpy as np
@@ -73,70 +72,55 @@ def config(counting_backend):
     return config
 
 
+def _keys(blocks):
+    return [(sl.trial, sl.process) for _, slices in blocks for sl in slices]
+
+
 class TestIncrementalContract:
-    def test_serial_shards_arrive_before_campaign_finishes(self, config):
-        """Consuming one shard must not force the remaining five to run."""
-        executor = ShardExecutor(max_workers=1)
-        backend = CountingBackend()
-        iterator = executor.iter_shards(backend, config)
+    def test_serial_blocks_arrive_before_campaign_finishes(self, config):
+        """Consuming one block must not force the remaining five to run."""
+        iterator = ShardExecutor().iter_blocks(CountingBackend(), config)
         first = next(iterator)
-        assert first.trial == 0 and first.process == 0
+        assert _keys([first]) == [(0, 0)]
         assert CountingBackend.computed == 1  # five shards still pending
         second = next(iterator)
-        assert (second.trial, second.process) == (0, 1)
+        assert _keys([second]) == [(0, 1)]
         assert CountingBackend.computed == 2
         rest = list(iterator)
         assert len(rest) == 4
         assert CountingBackend.computed == 6
 
-    def test_pooled_shards_arrive_within_inflight_window(self, config):
+    def test_pooled_blocks_arrive_within_inflight_window(self, config):
         """Thread-pool mode may run ahead, but only by the bounded window."""
         config.max_workers = 2
-        executor = ShardExecutor(mode="thread")
-        backend = CountingBackend()
-        iterator = executor.iter_shards(backend, config)
+        iterator = ShardExecutor(mode="thread").iter_blocks(CountingBackend(), config)
         next(iterator)
-        # with 2 workers the in-flight window is 2 * workers = 4 shards;
+        # with 2 workers the in-flight window is 2 * workers = 4 units;
         # the first yield must happen long before all 6 have run
         assert CountingBackend.computed <= 5
         assert len(list(iterator)) == 5
 
-    def test_on_shard_observes_shards_live(self, config):
-        """``run(on_shard=...)`` fires per shard, before the campaign ends."""
-        executor = ShardExecutor(max_workers=1)
-        backend = CountingBackend()
+    def test_blocks_are_observed_live(self, config):
+        """Each block is delivered before the later units have run."""
         observed = []
-
-        def on_shard(shard):
-            # at observation time, shards after this one have not run yet
-            observed.append((shard.trial, shard.process, CountingBackend.computed))
-
-        shards = executor.run(backend, config, on_shard=on_shard)
-        assert len(shards) == 6
-        assert [(t, p) for t, p, _ in observed] == [
-            (t, p) for t in range(2) for p in range(3)
+        for block in ShardExecutor().iter_blocks(CountingBackend(), config):
+            # at delivery time, units after this one have not run yet
+            observed.append((_keys([block]), CountingBackend.computed))
+        assert [keys for keys, _ in observed] == [
+            [(t, p)] for t in range(2) for p in range(3)
         ]
-        assert [count for _, _, count in observed] == [1, 2, 3, 4, 5, 6]
+        assert [count for _, count in observed] == [1, 2, 3, 4, 5, 6]
 
-    def test_on_shard_order_matches_yield_order(self, config):
-        executor = ShardExecutor(max_workers=1)
-        backend = CountingBackend()
-        seen = []
-        yielded = list(
-            executor.iter_shards(
-                backend, config, on_shard=lambda s: seen.append(s)
-            )
-        )
-        assert [id(s) for s in seen] == [id(s) for s in yielded]
+    def test_pooled_blocks_arrive_in_serial_order(self, config):
+        config.max_workers = 2
+        blocks = ShardExecutor(mode="thread").iter_blocks(CountingBackend(), config)
+        assert _keys(blocks) == [(t, p) for t in range(2) for p in range(3)]
 
-    def test_merged_iter_shards_forwards_on_shard(self, config):
-        executor = ShardExecutor(max_workers=1)
-        backend = CountingBackend()
-        calls = []
+    def test_merged_blocks_cover_the_campaign(self, config):
+        blocks = list(ShardExecutor().iter_blocks(CountingBackend(), config))
         dataset = TimingDataset.merge(
-            executor.iter_shards(
-                backend, config, on_shard=lambda s: calls.append(s.n_samples)
-            )
+            sl.shard(columns) for columns, slices in blocks for sl in slices
         )
-        assert len(calls) == 6
-        assert sum(calls) == dataset.n_samples
+        sizes = [sl.n_samples for _, slices in blocks for sl in slices]
+        assert len(sizes) == 6
+        assert sum(sizes) == dataset.n_samples
