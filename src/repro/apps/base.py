@@ -1,6 +1,6 @@
 """Common interface of the proxy applications.
 
-A :class:`ProxyApplication` answers two questions for the campaign runner:
+A :class:`ProxyApplication` answers three questions for the campaign runner:
 
 * ``item_costs(process, iteration, rng)`` — the pure compute cost of every
   iteration of the *timed loop* (the unit the OpenMP schedule distributes);
@@ -12,7 +12,7 @@ A :class:`ProxyApplication` answers two questions for the campaign runner:
   (trial, process) shards as one ``(shards, iterations, threads)`` tensor;
   used by the campaign tensor backend.
 
-Both paths share the same underlying work decomposition, so they agree in
+All three paths share the same underlying work decomposition, so they agree in
 distribution; the integration tests check that the closed-form path matches
 the event-driven path exactly when noise is disabled.
 """
@@ -264,12 +264,10 @@ class ProxyApplication(ABC):
     ) -> np.ndarray:
         """Apply delays, jitter and OS noise to a folded busy-time tensor.
 
-        Split out of :meth:`thread_compute_times_campaign` so grouped
-        executions (several compatible configs sharing one schedule fold —
-        ``ScenarioMatrix`` sweeps, coalesced service jobs) can hoist the fold
-        and still draw each config's delays/jitter/noise under the exact
-        scopes a solo run uses, keeping grouped results bit-identical to
-        per-config runs.
+        The last step of :meth:`thread_compute_times_campaign`, after the
+        schedule fold: the per-shard delays, jitter and noise are drawn
+        under the ``delays``/``jitter``/``noise`` scopes of ``rng``, so any
+        partition of the shard axis draws the same values.
         """
         with maybe_scope(rng, "delays"):
             extra = self.application_delays_campaign(shards, n_iterations, rng)

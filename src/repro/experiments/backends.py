@@ -24,10 +24,9 @@ campaign layer without touching it.  Three backends ship with the package:
   shared memory (or spilling straight into a
   :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness in a
   different order than ``"vectorized"``, so the two agree in distribution,
-  not bit-for-bit, and it pins its own digests.
-  :meth:`CampaignTensorBackend.run_many` additionally lets several
-  compatible campaigns (scenario-matrix sweeps, concurrent service jobs)
-  share one tensor execution.
+  not bit-for-bit, and it pins its own digests.  Every campaign runs on
+  its own: a scenario sweep or a queue of service jobs is one
+  campaign after another through the executor.
 
 ``"vectorized"`` is the readable per-iteration reference, ``"event"`` the
 clock/noise microstructure and ``"campaign"`` the production kernel.
@@ -55,14 +54,8 @@ from repro.apps.base import ProxyApplication
 from repro.core.aggregation import ShardSlice
 from repro.core.instrument import RegionInstrumenter
 from repro.core.timing import TimingDataset, TimingShard
-from repro.experiments.executor import (
-    ShardExecutor,
-    discard_shm,
-    map_pooled,
-    pack_blocks,
-    unpack_blocks,
-)
-from repro.sim.random import PurposeSplitRNG, RandomStreams, maybe_scope
+from repro.experiments.executor import ShardExecutor
+from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.experiments.config import CampaignConfig
@@ -381,21 +374,6 @@ class EventBackend(CampaignBackend):
         )
 
 
-def campaign_group_key(config: "CampaignConfig") -> Tuple:
-    """Grouping key for campaigns that can share one tensor execution.
-
-    Two configs with equal keys run the same application geometry under the
-    same loop schedule for the same number of iterations and threads — so
-    their cost tensors concatenate along the shard axis and fold through
-    *one* ``simulate_campaign`` call.  Seeds, machines and noise profiles may
-    differ freely: every draw comes from per-config purpose streams, so
-    grouped execution stays bit-identical to per-config runs.
-    """
-    schedule = getattr(config, "schedule", None)
-    normalized = str(schedule).strip().lower() if schedule is not None else None
-    return (config.application, config.threads, config.iterations, normalized)
-
-
 # ----------------------------------------------------------------------
 # chunk plumbing of the campaign tensor backend
 #
@@ -425,13 +403,6 @@ def _chunk_slices(chunk: List[Tuple[int, int]], per_shard: int) -> List[ShardSli
     ]
 
 
-def _chunk_shards(
-    chunk: List[Tuple[int, int]], columns: Dict[str, np.ndarray], per_shard: int
-) -> List[TimingShard]:
-    """Per-shard zero-copy column views out of one chunk's assembled block."""
-    return [sl.shard(columns) for sl in _chunk_slices(chunk, per_shard)]
-
-
 #: per-worker execution-context cache.  Pool workers are reused across
 #: chunks, so rebuilding the application per chunk would redo its one-time
 #: setup — cost calibration, the deterministic busy-row fold MiniFE caches
@@ -456,63 +427,6 @@ def _worker_context(config: "CampaignConfig") -> tuple:
     if len(cache) > _WORKER_CONTEXT_SLOTS:
         cache.pop(0)
     return context
-
-
-def _fold_group_chunk(group: List["CampaignConfig"], chunk_entries, context=None):
-    """One chunk of a *grouped* execution: the shared per-chunk body of the
-    serial ``CampaignTensorBackend._run_group`` and of its pool workers.
-
-    ``chunk_entries`` are ``(config_index, (trial, process))`` pairs, split
-    here into per-config contiguous segments.  Every segment draws its cost
-    planes, one ``simulate_campaign`` folds all of them, and each segment is
-    finalized under its own config's purpose streams.  ``context`` maps a
-    config index to its ``(app, rng, noise, shards)`` context; workers
-    default to the per-worker :func:`_worker_context` cache.  Returns
-    ``(config_index, shards, columns)`` triples.
-    """
-    if context is None:
-        def context(config_index: int):
-            return _worker_context(group[config_index])
-
-    n_iterations = group[0].iterations
-    n_threads = group[0].threads
-    segments: List[Tuple[int, List[Tuple[int, int]]]] = []
-    for config_index, shard in chunk_entries:
-        if segments and segments[-1][0] == config_index:
-            segments[-1][1].append(tuple(shard))
-        else:
-            segments.append((config_index, [tuple(shard)]))
-    cost_planes: List[np.ndarray] = []
-    for config_index, shards in segments:
-        app, rng, _, _ = context(config_index)
-        with maybe_scope(rng, "state"):
-            app.begin_campaign(shards, rng)
-        with maybe_scope(rng, "costs"):
-            costs = app.item_costs_campaign(shards, n_iterations, rng)
-        cost_planes.append(np.asarray(costs, dtype=np.float64))
-    # the shared fold: deterministic, plane-bit-identical to per-config folds
-    schedule = context(segments[0][0])[0].config.schedule
-    busy_all = schedule.simulate_campaign(
-        np.concatenate(cost_planes, axis=0), n_threads
-    )
-    results = []
-    offset = 0
-    for config_index, shards in segments:
-        app, rng, noise, _ = context(config_index)
-        base = busy_all[offset : offset + len(shards)]
-        offset += len(shards)
-        times = app.finalize_campaign_times(base, shards, n_iterations, rng, noise)
-        results.append((config_index, shards, _chunk_columns(app, shards, times)))
-    return results
-
-
-def _fold_group_chunk_shm(group: List["CampaignConfig"], chunk_entries):
-    """Process-pool worker: a grouped chunk's segments, packed in one
-    shared-memory segment."""
-    results = _fold_group_chunk(group, chunk_entries)
-    segment_name, descriptors = pack_blocks([columns for _, _, columns in results])
-    meta = [(config_index, shards) for config_index, shards, _ in results]
-    return meta, segment_name, descriptors
 
 
 @register_backend("campaign")
@@ -540,8 +454,7 @@ class CampaignTensorBackend(CampaignBackend):
     The campaign is one unit of work per *chunk*, not per shard, so
     :meth:`run_shard` is unavailable by construction: :meth:`work_units`
     cuts the campaign into chunks and :meth:`unit_block` folds one, and the
-    executor's pool runs them for a parallel session, :meth:`run` and
-    :meth:`run_many` alike.
+    executor's pool runs them for a parallel session and :meth:`run` alike.
     """
 
     #: default shard-chunk size: large enough that benchmark-scale campaigns
@@ -677,108 +590,3 @@ class CampaignTensorBackend(CampaignBackend):
         times = app.thread_compute_times_campaign(shards=chunk, rng=rng, noise=noise)
         per_shard = config.iterations * config.threads
         return _chunk_columns(app, chunk, times), _chunk_slices(chunk, per_shard)
-
-    # ------------------------------------------------------------------
-    # grouped execution (scenario-matrix sweeps, coalesced service jobs)
-    # ------------------------------------------------------------------
-    def run_many(
-        self, configs: List["CampaignConfig"], *, mode: str = "process"
-    ) -> List[TimingDataset]:
-        """Run several campaigns, sharing tensor execution where compatible.
-
-        Configs with equal :func:`campaign_group_key` concatenate their cost
-        tensors along the shard axis and fold the schedule *once* per chunk
-        (plus one columnar assembly per config segment); incompatible
-        configs run individually.  Returns the merged datasets in input
-        order, each **bit-identical** to ``run(config)`` — all draws come
-        from per-config purpose streams, only the deterministic fold and the
-        assembly are shared.
-
-        Any config requesting ``max_workers > 1`` makes its group fold
-        chunks on a worker pool (``mode`` as in the executor) — grouped,
-        parallel and solo runs all produce identical bits.
-        """
-        configs = list(configs)
-        groups: Dict[Tuple, List[int]] = {}
-        for index, config in enumerate(configs):
-            groups.setdefault(campaign_group_key(config), []).append(index)
-        results: List[Optional[TimingDataset]] = [None] * len(configs)
-        for indices in groups.values():
-            if len(indices) == 1:
-                index = indices[0]
-                results[index] = self.run(configs[index], mode=mode)
-                continue
-            group = [configs[i] for i in indices]
-            workers = max(config.max_workers for config in group)
-            if workers > 1:
-                shard_lists = self._run_group_parallel(group, workers, mode)
-            else:
-                shard_lists = self._run_group(group)
-            for index, shards in zip(indices, shard_lists):
-                results[index] = TimingDataset.merge(
-                    shards, metadata=self.metadata(configs[index])
-                )
-        return results  # type: ignore[return-value]
-
-    def _run_group_parallel(
-        self, group: List["CampaignConfig"], workers: int, mode: str
-    ) -> List[List[TimingShard]]:
-        """Chunk-parallel variant of :meth:`_run_group`: the concatenated
-        shard axis is chunked and each chunk's shared fold runs on a worker
-        (``_fold_group_chunk``) — the shard-keyed streams make the result
-        bit-identical to the serial grouped pass and to solo runs."""
-        entries = [
-            (config_index, (spec.trial, spec.process))
-            for config_index, config in enumerate(group)
-            for spec in self.shard_specs(config)
-        ]
-        workers = max(1, min(int(workers), len(entries)))
-        size = self._parallel_chunk_size(len(entries), workers)
-        chunks = [entries[start : start + size] for start in range(0, len(entries), size)]
-        if workers <= 1 or len(chunks) <= 1:
-            return self._run_group(group)
-        if mode == "thread":
-            tasks = [(_fold_group_chunk, (group, chunk)) for chunk in chunks]
-            folded = map_pooled(tasks, workers, mode)
-        else:
-            tasks = [(_fold_group_chunk_shm, (group, chunk)) for chunk in chunks]
-            folded = (
-                [
-                    (config_index, shards, columns)
-                    for (config_index, shards), columns in zip(
-                        meta, unpack_blocks(segment_name, descriptors)
-                    )
-                ]
-                for meta, segment_name, descriptors in map_pooled(
-                    tasks, workers, mode, discard=lambda result: discard_shm(result[1])
-                )
-            )
-        per_shard = group[0].iterations * group[0].threads
-        out: List[List[TimingShard]] = [[] for _ in group]
-        for results in folded:
-            for config_index, shards, columns in results:
-                out[config_index].extend(_chunk_shards(shards, columns, per_shard))
-        return out
-
-    def _run_group(
-        self, group: List["CampaignConfig"]
-    ) -> List[List[TimingShard]]:
-        """Shared tensor execution of one compatible config group."""
-        contexts = [self._context(config, None) for config in group]
-        # concatenated shard axis: (config index, trial, process), config-major
-        entries = [
-            (config_index, shard)
-            for config_index, (_, _, _, shards) in enumerate(contexts)
-            for shard in shards
-        ]
-        per_shard = group[0].iterations * group[0].threads
-        out: List[List[TimingShard]] = [[] for _ in group]
-        for start in range(0, len(entries), self.chunk_shards):
-            chunk = entries[start : start + self.chunk_shards]
-            for config_index, shards, columns in _fold_group_chunk(
-                group, chunk, contexts.__getitem__
-            ):
-                out[config_index].extend(
-                    _chunk_shards(shards, columns, per_shard)
-                )
-        return out

@@ -125,19 +125,16 @@ def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
 # instead of pickling them; the parent attaches, copies the columns once
 # and unlinks
 # ----------------------------------------------------------------------
-def pack_blocks(
-    blocks: List[Dict[str, np.ndarray]],
-) -> Tuple[str, List[List[Tuple[str, str, Tuple[int, ...], int]]]]:
-    """Pack column blocks into one shared-memory segment (worker side).
+def pack_block(
+    columns: Dict[str, np.ndarray],
+) -> Tuple[str, List[Tuple[str, str, Tuple[int, ...], int]]]:
+    """Pack one column block into a shared-memory segment (worker side).
 
-    Returns the segment name plus per-block ``(column, dtype, shape,
-    offset)`` descriptors, in each block's column order.
+    Returns the segment name plus one ``(column, dtype, shape, offset)``
+    descriptor per column, in the block's column order.
     """
-    total = sum(
-        np.ascontiguousarray(array).nbytes
-        for block in blocks
-        for array in block.values()
-    )
+    arrays = {name: np.ascontiguousarray(array) for name, array in columns.items()}
+    total = sum(array.nbytes for array in arrays.values())
     segment = shared_memory.SharedMemory(create=True, size=max(1, total))
     # The parent's attach re-registers the segment with the (fork-shared)
     # resource tracker and its unlink unregisters it, so drop the creation
@@ -145,43 +142,33 @@ def pack_blocks(
     # about a "leaked" segment at shutdown.
     resource_tracker.unregister(segment._name, "shared_memory")
     try:
-        descriptors: List[List[Tuple[str, str, Tuple[int, ...], int]]] = []
+        descriptors: List[Tuple[str, str, Tuple[int, ...], int]] = []
         offset = 0
-        for block in blocks:
-            entries = []
-            for name, array in block.items():
-                array = np.ascontiguousarray(array)
-                view = np.ndarray(
-                    array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
-                )
-                view[...] = array
-                entries.append((name, array.dtype.str, array.shape, offset))
-                offset += array.nbytes
-            descriptors.append(entries)
+        for name, array in arrays.items():
+            view = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
+            )
+            view[...] = array
+            descriptors.append((name, array.dtype.str, array.shape, offset))
+            offset += array.nbytes
         return segment.name, descriptors
     finally:
         segment.close()
 
 
-def unpack_blocks(segment_name: str, descriptors) -> List[Dict[str, np.ndarray]]:
-    """Copy packed column blocks out of shared memory and unlink it (parent
-    side).  One copy per column — the fork-shared resource tracker then
-    forgets the segment cleanly."""
+def unpack_block(segment_name: str, descriptors) -> Dict[str, np.ndarray]:
+    """Copy a packed column block out of shared memory and unlink it
+    (parent side).  One copy per column — the fork-shared resource tracker
+    then forgets the segment cleanly."""
     segment = shared_memory.SharedMemory(name=segment_name)
     try:
-        blocks = []
-        for entries in descriptors:
-            block = {}
-            for name, dtype, shape, offset in entries:
-                view = np.ndarray(
-                    tuple(shape),
-                    dtype=np.dtype(dtype),
-                    buffer=segment.buf,
-                    offset=offset,
-                )
-                block[name] = view.copy()
-            blocks.append(block)
-        return blocks
+        columns = {}
+        for name, dtype, shape, offset in descriptors:
+            view = np.ndarray(
+                tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
+            )
+            columns[name] = view.copy()
+        return columns
     finally:
         segment.close()
         segment.unlink()
@@ -215,7 +202,7 @@ def _run_unit(backend: "CampaignBackend", config: "CampaignConfig", unit, apply)
 
 def _share_block(columns, slices):
     """Process-mode transport of a block: its columns in shared memory."""
-    segment_name, descriptors = pack_blocks([columns])
+    segment_name, descriptors = pack_block(columns)
     return segment_name, descriptors, slices
 
 
@@ -302,7 +289,7 @@ class ShardExecutor:
             for result in results:
                 if shared:
                     segment_name, descriptors, slices = result
-                    result = unpack_blocks(segment_name, descriptors)[0], slices
+                    result = unpack_block(segment_name, descriptors), slices
                 yield result
 
     def map_blocks(
@@ -340,8 +327,12 @@ class ShardExecutor:
                 store.extend([sl.shard(columns) for sl in slices])
         else:
             with closing(payloads):
-                for payload, entry in payloads:
-                    store.adopt_group(payload, entry)
+                for payload in payloads:
+                    try:
+                        store.adopt_group(*payload)
+                    except BaseException:
+                        _discard_payload(payload)
+                        raise
         store.flush()
         return store
 

@@ -113,14 +113,12 @@ def campaign_store_path(
 class CampaignResult:
     """Outcome of one application's campaign, merged on demand.
 
-    Holds the ``(columns, slices)`` column blocks the executor produced
-    (fresh run: one per ``campaign`` chunk, one per shard for the other
-    backends), an already-merged dataset (grouped execution,
-    :meth:`CampaignSession.adopt`), or a
-    :class:`~repro.io.shard_store.ShardStore` (out-of-core run or cache
-    hit).  Iterating yields the shards — zero-copy views of the blocks;
-    :attr:`dataset` merges them — once — into the dense
-    :class:`~repro.core.timing.TimingDataset`.  Store-backed results keep
+    Holds either the ``(columns, slices)`` column blocks the executor
+    produced (fresh run: one per ``campaign`` chunk, one per shard for the
+    other backends) or a :class:`~repro.io.shard_store.ShardStore`
+    (out-of-core run or cache hit).  Iterating yields the shards —
+    zero-copy views of the blocks; :attr:`dataset` merges them — once —
+    into the dense :class:`~repro.core.timing.TimingDataset`.  Store-backed results keep
     nothing dense resident: :meth:`iter_shards` streams memory-mapped views
     group by group, and :attr:`n_samples` / :attr:`metadata` come straight
     from the store's manifest.
@@ -131,22 +129,20 @@ class CampaignResult:
         config: "CampaignConfig",
         *,
         blocks: Optional[Iterable[tuple]] = None,
-        dataset: Optional[TimingDataset] = None,
         store: Optional["ShardStore"] = None,
         metadata: Optional[Dict[str, object]] = None,
         from_cache: bool = False,
     ) -> None:
-        if blocks is None and dataset is None and store is None:
-            raise ValueError(
-                "a result needs column blocks, an already-merged dataset, or a store"
-            )
+        if (blocks is None) == (store is None):
+            raise ValueError("a result holds either column blocks or a store")
         self.config = config
         self.from_cache = from_cache
         self.store = store
         self._blocks = tuple(blocks) if blocks is not None else None
         self._shards: Optional[Tuple[TimingShard, ...]] = None
         self._metadata = metadata
-        self._dataset = dataset
+        #: the merged :attr:`dataset`, once something asked for it
+        self._dataset: Optional[TimingDataset] = None
 
     # ------------------------------------------------------------------
     @property
@@ -155,8 +151,7 @@ class CampaignResult:
 
     @property
     def shards(self) -> Tuple[TimingShard, ...]:
-        """The campaign's shards: zero-copy views of the held blocks, or
-        derived per trial from an adopted dataset.
+        """The campaign's shards: zero-copy views of the held blocks.
 
         Store-backed results materialise the full shard tuple here (the
         views stay memory-mapped, but holding them keeps the whole store
@@ -170,16 +165,8 @@ class CampaignResult:
                     for columns, slices in self._blocks
                     for sl in slices
                 )
-            elif self.store is not None:
-                self._shards = tuple(self.store.iter_shards())
             else:
-                dataset = self.dataset
-                self._shards = tuple(
-                    TimingShard.from_dataset(
-                        dataset.select(trial=int(trial)), trial=int(trial), process=None
-                    )
-                    for trial in dataset.trials
-                )
+                self._shards = tuple(self.store.iter_shards())
         return self._shards
 
     def iter_shards(self) -> Iterator[TimingShard]:
@@ -190,7 +177,7 @@ class CampaignResult:
         iteration every out-of-core consumer (figure generators) should
         use.
         """
-        if self._shards is None and self._blocks is None and self.store is not None:
+        if self._shards is None and self._blocks is None:
             return self.store.iter_shards()
         return iter(self.shards)
 
@@ -208,19 +195,12 @@ class CampaignResult:
           (trial, process) where needed, e.g. event-backend shards);
         * store-backed results yield each on-disk group as one zero-copy
           mmap block
-          (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`);
-        * dataset-backed results yield the dataset as one canonical block,
-          the one :func:`~repro.analysis.analyze_dataset` folds.
+          (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`).
         """
         if self._blocks is not None:
             yield from self._blocks
-        elif self.store is not None:
-            yield from self.store.iter_column_blocks()
         else:
-            from repro.analysis.engine import _dataset_block
-
-            block = _dataset_block(self._dataset)
-            yield block.columns, block.slices
+            yield from self.store.iter_column_blocks()
 
     def __iter__(self) -> Iterator[TimingShard]:
         return self.iter_shards()
@@ -239,8 +219,6 @@ class CampaignResult:
         """Campaign metadata, without forcing a shard merge."""
         if self._metadata is not None:
             return dict(self._metadata)
-        if self._dataset is not None:
-            return dict(self._dataset.metadata)
         if self.store is not None:
             return self.store.metadata
         return {}
@@ -580,9 +558,7 @@ class CampaignSession:
         """Load one application's campaign from the result cache.
 
         Returns a store-backed result (see :func:`open_cached_campaign`),
-        or ``None`` on a miss (or without a ``cache_dir``), leaving the
-        caller free to execute the campaign however it likes — see
-        :meth:`adopt` for handing the result back.
+        or ``None`` on a miss (or without a ``cache_dir``).
         """
         config = self.config_for(application)
         result = open_cached_campaign(
@@ -590,28 +566,6 @@ class CampaignSession:
         )
         if result is not None:
             self._results[config.application] = result
-        return result
-
-    def adopt(
-        self, dataset: TimingDataset, application: Optional[str] = None
-    ) -> CampaignResult:
-        """Store an externally-executed dataset as this session's result.
-
-        Used by grouped campaign execution
-        (:meth:`~repro.scenarios.scenario.ScenarioMatrix.run` running several
-        compatible configs through one
-        :meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`
-        tensor pass): the dataset's per-trial shards are cached and the
-        result registered exactly as if :meth:`run` had produced it.
-        """
-        config = self.config_for(application)
-        result = CampaignResult(config, dataset=dataset)
-        path = self._store_path(config)
-        if path is not None:
-            write_campaign_store(
-                path, result.shards, dataset.metadata, tier=self.cache_tier
-            )
-        self._results[config.application] = result
         return result
 
     def run(

@@ -288,47 +288,18 @@ class ScenarioMatrix:
 
         Returns results keyed by scenario name.  ``overrides`` (seed,
         backend, max_workers, dimension overrides) apply to every entry, so
-        ``max_workers=8`` fans each campaign's shards across the parallel
-        executor.
-
-        Entries resolving to the ``"campaign"`` backend that miss the result
-        cache are executed *together*: compatible configs (same application
-        geometry and schedule — see
-        :func:`~repro.experiments.backends.campaign_group_key`) share one
-        whole-campaign tensor pass through
-        :meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`,
-        and each dataset is cached and registered with its session exactly
-        as a solo run would be (the samples are bit-identical either way).
+        ``max_workers=8`` fans each campaign's units of work across the
+        parallel executor.  Each entry is its own ``session.run`` — the
+        sweep is :func:`run_scenarios` over :meth:`expand`.
         """
-        from repro.experiments.backends import get_backend
-
-        scenarios = self.expand()
-        sessions = {
-            scenario.name: scenario.session(
-                scale, cache_dir=cache_dir, executor_mode=executor_mode, **overrides
-            )
-            for scenario in scenarios
-        }
-        results: Dict[str, "CampaignResult"] = {}
-        shared: List[Tuple[str, "CampaignSession"]] = []
-        for scenario in scenarios:
-            session = sessions[scenario.name]
-            if session.config.backend == "campaign":
-                result = session.cached() if use_cache else None
-                if result is not None:
-                    results[scenario.name] = result
-                else:
-                    shared.append((scenario.name, session))
-            else:
-                results[scenario.name] = session.run(use_cache=use_cache)
-        if shared:
-            backend = get_backend("campaign")
-            datasets = backend.run_many(
-                [session.config for _, session in shared], mode=executor_mode
-            )
-            for (name, session), dataset in zip(shared, datasets):
-                results[name] = session.adopt(dataset)
-        return {scenario.name: results[scenario.name] for scenario in scenarios}
+        return run_scenarios(
+            self.expand(),
+            scale,
+            cache_dir=cache_dir,
+            executor_mode=executor_mode,
+            use_cache=use_cache,
+            **overrides,
+        )
 
 
 def run_scenarios(

@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.experiments.backends import campaign_group_key, get_backend
+from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import (
@@ -314,36 +314,14 @@ class CampaignService:
     async def _execute(self, job: Job) -> None:
         """Worker-task handler: run one claimed job on the thread pool.
 
-        When the claimed job uses the ``"campaign"`` backend, every
-        *compatible* job still waiting in the queue (same
-        :func:`~repro.experiments.backends.campaign_group_key` — the
-        application geometry and schedule that let cost tensors concatenate)
-        is claimed along with it and the whole group executes as one
-        whole-campaign tensor pass
-        (:meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`),
-        each job's samples bit-identical to a solo run.  The drain happens
-        on the event-loop thread before any await, so no worker can race
-        for the claimed peers.
+        Every job runs on its own through :meth:`_produce` — the same
+        executor path as :meth:`CampaignSession.run`, streaming its shards
+        as they are produced and polling its cancel flag between them.
         """
-        loop = asyncio.get_running_loop()
-        group = [job]
-        if job.config.backend == "campaign":
-            key = campaign_group_key(job.config)
-            group.extend(
-                self._scheduler.queue.drain_waiting(
-                    lambda other: other.state is JobState.QUEUED
-                    and not other.cancel_requested.is_set()
-                    and other.config.backend == "campaign"
-                    and campaign_group_key(other.config) == key
-                )
-            )
-        for member in group:
-            member._mark_running()
+        job._mark_running()
         assert self._pool is not None
-        if len(group) == 1:
-            await loop.run_in_executor(self._pool, self._produce, job, loop)
-        else:
-            await loop.run_in_executor(self._pool, self._produce_group, group, loop)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(self._pool, self._produce, job, loop)
 
     def _serve_cached(self, job: Job, post) -> bool:
         """Serve ``job`` from its cache entry; ``False`` on a miss.
@@ -366,37 +344,14 @@ class CampaignService:
         self._count("cache_hits")
         if job.cancel_requested.is_set():
             post(job._mark_cancelled)
-        else:
-            self._deliver_all(job, result, post, from_cache=True)
-        return True
-
-    def _cache(self, config: CampaignConfig, shards, metadata) -> None:
-        """Write a freshly computed campaign into the cache (if enabled)."""
-        if self.cache_dir is not None:
-            write_campaign_store(
-                campaign_store_path(self.cache_dir, config),
-                shards,
-                metadata,
-                tier=self.cache_tier,
-            )
-
-    @staticmethod
-    def _deliver_all(
-        job: Job, result: CampaignResult, post, *, from_cache: bool
-    ) -> None:
-        """Post a finished result's shards, then its completion."""
+            return True
         shards = result.shards
         post(setattr, job.progress, "shards_total", len(shards))
         for shard in shards:
             post(job._deliver, shard)
-        post(
-            functools.partial(
-                job._finish,
-                result,
-                dataset_digest(result.dataset),
-                from_cache=from_cache,
-            )
-        )
+        digest = dataset_digest(result.dataset)
+        post(functools.partial(job._finish, result, digest, from_cache=True))
+        return True
 
     def _produce(self, job: Job, loop: asyncio.AbstractEventLoop) -> None:
         """Synchronous job body (worker thread).
@@ -429,59 +384,19 @@ class CampaignService:
             result = CampaignResult(
                 config, blocks=blocks, metadata=backend.metadata(config)
             )
-            self._cache(config, result.shards, result.metadata)
+            if self.cache_dir is not None:
+                write_campaign_store(
+                    campaign_store_path(self.cache_dir, config),
+                    result.shards,
+                    result.metadata,
+                    tier=self.cache_tier,
+                )
             digest = dataset_digest(result.dataset)
             post(functools.partial(job._finish, result, digest, from_cache=False))
         except _CancelledBetweenShards:
             post(job._mark_cancelled)
         except BaseException as error:  # surfaced through handle.result()
             post(job._fail, error)
-
-    def _produce_group(self, jobs, loop: asyncio.AbstractEventLoop) -> None:
-        """Synchronous grouped job body (worker thread).
-
-        Cache-hit members are served individually (their entries may differ
-        — the group key ignores seeds and machines); the remaining members
-        run through **one**
-        :meth:`~repro.experiments.backends.CampaignTensorBackend.run_many`
-        tensor pass, and each caches its dataset's per-trial shards.  Each
-        job's cancel flag is polled at the pass and delivery boundaries; a
-        failure of the shared pass fails every not-yet-finished member.
-        """
-
-        def post(callback, *args) -> None:
-            loop.call_soon_threadsafe(callback, *args)
-
-        pending = []
-        for job in jobs:
-            try:
-                if self._serve_cached(job, post):
-                    continue  # cache hit, served on its own
-            except Exception as error:  # surfaced through handle.result()
-                post(job._fail, error)
-                continue
-            if job.cancel_requested.is_set():
-                post(job._mark_cancelled)
-            else:
-                pending.append(job)
-        if not pending:
-            return
-        try:
-            backend = get_backend("campaign")
-            datasets = backend.run_many(
-                [job.config for job in pending], mode=self.executor_mode
-            )
-            for job, dataset in zip(pending, datasets):
-                if job.cancel_requested.is_set():
-                    post(job._mark_cancelled)
-                    continue
-                result = CampaignResult(job.config, dataset=dataset)
-                self._cache(job.config, result.shards, dataset.metadata)
-                self._deliver_all(job, result, post, from_cache=False)
-        except BaseException as error:  # surfaced through handle.result()
-            for job in pending:
-                if not job.finished:
-                    post(job._fail, error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

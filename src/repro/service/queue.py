@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Awaitable, Callable, List, Optional
+from typing import Awaitable, Callable, List
 
-from repro.service.jobs import Job, JobState
+from repro.service.jobs import Job
 
 
 class RejectedError(RuntimeError):
@@ -74,32 +74,6 @@ class JobQueue:
         _, _, job = await self._heap.get()
         self._depth -= 1
         return job
-
-    def drain_waiting(self, predicate: Callable[[Job], bool]) -> List[Job]:
-        """Synchronously claim every waiting job matching ``predicate``.
-
-        Non-matching jobs are re-queued with their original priority and
-        sequence keys, so their relative order is untouched.  Must run on
-        the event-loop thread with no ``await`` in between (the queue is
-        not locked); the grouped campaign execution path uses this to pull
-        compatible jobs out of the queue the moment one of them is claimed
-        by a worker.
-        """
-        claimed: List[Job] = []
-        kept = []
-        while True:
-            try:
-                entry = self._heap.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if predicate(entry[2]):
-                claimed.append(entry[2])
-            else:
-                kept.append(entry)
-        for entry in kept:
-            self._heap.put_nowait(entry)
-        self._depth -= len(claimed)
-        return claimed
 
     def __len__(self) -> int:
         return self._depth
@@ -182,8 +156,6 @@ class JobScheduler:
             job = await self.queue.get()
             if job.finished:
                 continue  # cancelled while queued
-            if job.state is not JobState.QUEUED:
-                continue  # claimed by a grouped execution while waiting
             if job.cancel_requested.is_set():
                 job._mark_cancelled()
                 continue

@@ -69,3 +69,26 @@ def synthetic_dataset() -> TimingDataset:
 @pytest.fixture()
 def smoke_config() -> CampaignConfig:
     return CampaignConfig.smoke()
+
+
+@pytest.fixture()
+def campaign_folds(monkeypatch) -> list:
+    """Records every whole-campaign schedule fold
+    (``simulate_campaign``, on any schedule class that defines one) as
+    its schedule's class name, in call order."""
+    from repro.openmp.schedule import LoopSchedule
+
+    folds: list = []
+    pending = [LoopSchedule]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "simulate_campaign" not in vars(cls):
+            continue
+
+        def counting(self, *args, _fold=vars(cls)["simulate_campaign"], **kwargs):
+            folds.append(type(self).__name__)
+            return _fold(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "simulate_campaign", counting)
+    return folds

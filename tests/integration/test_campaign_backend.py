@@ -12,12 +12,12 @@ module pins exactly:
 * same seed → same arrays, for every ``chunk_shards`` value (the
   purpose-split draw streams make chunked consumption a contiguous
   continuation, so chunking can never move a digest);
-* grouped execution (``run_many``, the scenario-matrix sharing path, the
-  service's job grouping) → bit-identical to solo runs;
+* a scenario sweep runs every entry solo → bit-identical to each
+  scenario's own session run;
 * chunk-parallel execution (``max_workers > 1`` folds whole shard chunks
   on a worker pool, returning columns through shared memory) → bit-identical
-  to serial for every worker count × chunk size, solo and grouped, in
-  memory and spilled to a :class:`~repro.io.shard_store.ShardStore`;
+  to serial for every worker count × chunk size, in memory and spilled to
+  a :class:`~repro.io.shard_store.ShardStore`;
 * a worker that dies mid-fold surfaces as a clear ``RuntimeError`` (never a
   hang) and leaks no shared-memory segments.
 """
@@ -33,7 +33,6 @@ from repro.core.instrument import RegionInstrumenter
 from repro.experiments.backends import (
     CampaignTensorBackend,
     available_backends,
-    campaign_group_key,
     get_backend,
 )
 from repro.experiments.config import CampaignConfig
@@ -250,9 +249,8 @@ class TestParallelExecution:
 
 
 class TestParallelBitIdentity:
-    """The acceptance matrix: workers x chunk_shards, solo and grouped,
-    in memory and spilled to a store — every cell bit-identical to the
-    plain serial run."""
+    """The acceptance matrix: workers x chunk_shards, in memory and spilled
+    to a store — every cell bit-identical to the plain serial run."""
 
     @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
     @pytest.mark.parametrize("max_workers", [1, 2, 4])
@@ -320,26 +318,6 @@ class TestParallelBitIdentity:
             ShardStore(tmp_path / "store", mode="r").iter_shards()
         )
         assert np.array_equal(serial.compute_times_s, reread.compute_times_s)
-
-    @pytest.mark.skipif(not _HAS_FORK, reason="needs the fork start method")
-    @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
-    @pytest.mark.parametrize("max_workers", [1, 2, 4])
-    def test_grouped_run_many_matrix(self, max_workers, chunk_shards):
-        backend = CampaignTensorBackend(chunk_shards=chunk_shards)
-        grouped = backend.run_many(
-            [
-                _smoke("minife", trials=2, max_workers=max_workers),
-                _smoke("minife", trials=2, seed=99, max_workers=max_workers),
-            ],
-            mode="process",
-        )
-        solos = [
-            get_backend("campaign").run(_smoke("minife", trials=2)),
-            get_backend("campaign").run(_smoke("minife", trials=2, seed=99)),
-        ]
-        for dataset, solo in zip(grouped, solos):
-            for name in solo.columns:
-                assert np.array_equal(dataset.column(name), solo.column(name)), name
 
 
 def _pooled_smoke(backend_name: str) -> CampaignConfig:
@@ -412,64 +390,81 @@ class TestEarlyClose:
         assert list((tmp_path / "store").glob("*.payload")) == []
 
 
-class TestGroupedExecution:
-    def test_group_key_ignores_seed_and_machine(self):
-        a = _smoke("minife")
-        b = _smoke("minife", seed=99)
-        assert campaign_group_key(a) == campaign_group_key(b)
-        assert campaign_group_key(a) != campaign_group_key(_smoke("minimd"))
-        assert campaign_group_key(a) != campaign_group_key(
-            _smoke("minife", schedule="dynamic,4")
+@pytest.mark.parametrize("mode", ["process", "thread"])
+@pytest.mark.parametrize("backend_name", ["campaign", "vectorized"])
+def test_failed_adoption_removes_the_delivered_payload(
+    tmp_path, monkeypatch, backend_name, mode
+):
+    # a store that cannot adopt a delivered spill payload (a full disk
+    # while it flushes) must not keep that payload next to its groups
+    import errno
+
+    if mode == "process" and not _HAS_FORK:
+        pytest.skip("needs the fork start method")
+
+    from repro.io.shard_store import ShardStore
+
+    def adopt_on_a_full_disk(self, payload, entry):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ShardStore, "adopt_group", adopt_on_a_full_disk)
+    store = ShardStore(tmp_path / "store", mode="w")
+    before = _shm_entries()
+    with pytest.raises(OSError) as raised:
+        ShardExecutor(mode=mode).run_to_store(
+            get_backend(backend_name), _pooled_smoke(backend_name), store
         )
+    assert raised.value.errno == errno.ENOSPC
+    assert list((tmp_path / "store").glob("*.payload")) == []
+    assert _shm_entries() - before == set()
 
-    def test_run_many_is_bit_identical_to_solo_runs(self):
-        backend = get_backend("campaign")
-        configs = [
-            _smoke("minife"),
-            _smoke("minife", seed=99),
-            _smoke("minife", schedule="dynamic,4"),
-            _smoke("miniqmc"),
-        ]
-        grouped = backend.run_many(configs)
-        for config, dataset in zip(configs, grouped):
-            solo = backend.run(config)
-            for name in solo.columns:
-                assert np.array_equal(dataset.column(name), solo.column(name)), name
 
-    def test_scenario_matrix_shares_one_tensor_pass(self, monkeypatch):
-        # two compatible campaign-backend entries must reach the backend as
-        # ONE run_many call (sharing the fold), not one run() per session
-        calls = {"run_many": 0, "run": 0}
-        original_run_many = CampaignTensorBackend.run_many
-        original_run = CampaignTensorBackend.run
-
-        def counting_run_many(self, configs, **kwargs):
-            calls["run_many"] += 1
-            return original_run_many(self, configs, **kwargs)
-
-        def counting_run(self, config, streams=None, **kwargs):
-            calls["run"] += 1
-            return original_run(self, config, streams, **kwargs)
-
-        monkeypatch.setattr(CampaignTensorBackend, "run_many", counting_run_many)
-        monkeypatch.setattr(CampaignTensorBackend, "run", counting_run)
+class TestScenarioSweep:
+    def test_scenario_matrix_runs_every_entry_solo(self, campaign_folds):
+        # every entry runs its own session: MiniFE's campaign hook
+        # broadcasts one cached busy row, so no whole-campaign schedule
+        # fold runs, and each dataset is the solo run's, bit for bit
         matrix = ScenarioMatrix(applications=("minife",), noises=(None, "heavy-tail"))
         results = matrix.run(scale="smoke", backend="campaign")
-        assert calls["run_many"] == 1
-        assert calls["run"] == 0  # both entries shared the grouped pass
+        assert campaign_folds == []
+        assert list(results) == [scenario.name for scenario in matrix]
         for scenario in matrix:
             solo = scenario.session(scale="smoke", backend="campaign").run()
-            assert np.array_equal(
-                results[scenario.name].dataset.compute_times_s,
-                solo.dataset.compute_times_s,
-            )
+            for name in solo.dataset.columns:
+                assert np.array_equal(
+                    results[scenario.name].dataset.column(name),
+                    solo.dataset.column(name),
+                ), name
 
-    def test_scenario_matrix_grouped_results_hit_the_cache(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_scenario_matrix_pools_each_entry(self, mode):
+        if mode == "process" and not _HAS_FORK:
+            pytest.skip("needs the fork start method")
+        matrix = ScenarioMatrix(applications=("minimd",), noises=(None, "storm"))
+        serial = matrix.run(scale="smoke", backend="campaign", trials=2)
+        pooled = matrix.run(
+            scale="smoke",
+            backend="campaign",
+            trials=2,
+            max_workers=2,
+            executor_mode=mode,
+        )
+        for name, result in serial.items():
+            for column in result.dataset.columns:
+                assert np.array_equal(
+                    pooled[name].dataset.column(column), result.dataset.column(column)
+                ), (name, column)
+
+    def test_scenario_matrix_results_hit_the_cache(self, tmp_path):
         matrix = ScenarioMatrix(applications=("minife",), noises=(None, "none"))
         first = matrix.run(scale="smoke", backend="campaign", cache_dir=tmp_path)
         assert not any(result.from_cache for result in first.values())
         second = matrix.run(scale="smoke", backend="campaign", cache_dir=tmp_path)
         assert all(result.from_cache for result in second.values())
+        fresh = matrix.run(
+            scale="smoke", backend="campaign", cache_dir=tmp_path, use_cache=False
+        )
+        assert not any(result.from_cache for result in fresh.values())
         for name in first:
             assert np.array_equal(
                 first[name].dataset.compute_times_s,

@@ -3,8 +3,8 @@
 Every producer of column blocks must be indistinguishable from folding
 the campaign's shards one at a time: bit-identical products for any
 ``chunk_shards``, any worker count, and every producer (fused campaign
-execution, in-memory results, out-of-core store groups, and
-dataset-backed results that need re-slicing).
+execution, in-memory results, out-of-core store groups, and a merged
+dataset that needs re-slicing).
 """
 
 import pickle
@@ -21,8 +21,9 @@ from repro.analysis import (
     run_campaign_analyses,
     run_columnar_analyses,
 )
-from repro.analysis.engine import _reduce_partials
+from repro.analysis.engine import _dataset_block, _reduce_partials, analyze_dataset
 from repro.core.aggregation import ShardSlice
+from repro.core.timing import TimingShard
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
@@ -141,17 +142,24 @@ class TestInMemoryBlocks:
         results = run_columnar_analyses(result.iter_column_blocks(), "all", context)
         assert _products(results) == ref
 
-    def test_dataset_backed_blocks_match_shard_fold(self):
+    def test_dataset_block_matches_shard_fold(self):
         """Dataset-derived shards (``process=None``, not block-shaped) are
         re-sliced per (trial, process) and still match exactly."""
         dataset = CampaignSession(CONFIG).run().dataset
-        result = CampaignResult(CONFIG, dataset=dataset)
+        shards = [
+            TimingShard.from_dataset(
+                dataset.select(trial=int(trial)), trial=int(trial), process=None
+            )
+            for trial in dataset.trials
+        ]
         context = AnalysisContext.from_dataset(dataset)
-        ref = _products(run_analyses(result.iter_shards(), "all", context))
+        ref = _products(run_analyses(shards, "all", context))
+        block = _dataset_block(dataset)
         got = _products(
-            run_columnar_analyses(result.iter_column_blocks(), "all", context)
+            run_columnar_analyses([(block.columns, block.slices)], "all", context)
         )
         assert got == ref
+        assert _products(analyze_dataset(dataset)) == ref
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -204,11 +212,21 @@ class TestInMemoryBlocks:
         assert len(blocks) == CONFIG.trials * CONFIG.processes
         assert all(len(slices) == 1 for _, slices in blocks)
 
-    def test_dataset_backed_result_is_one_block(self):
+    def test_analyze_dataset_folds_one_block(self, monkeypatch):
+        from repro.analysis import engine
+
+        folded = []
+        fold = engine.run_columnar_analyses
+
+        def recording_fold(blocks, *args, **kwargs):
+            folded.extend(blocks)
+            return fold(folded, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_columnar_analyses", recording_fold)
         dataset = CampaignSession(CONFIG).run().dataset
-        blocks = list(CampaignResult(CONFIG, dataset=dataset).iter_column_blocks())
-        assert len(blocks) == 1
-        columns, slices = blocks[0]
+        engine.analyze_dataset(dataset)
+        assert len(folded) == 1
+        columns, slices = folded[0]
         assert len(slices) == CONFIG.trials * CONFIG.processes
         assert len(columns["compute_time_s"]) == dataset.n_samples
 

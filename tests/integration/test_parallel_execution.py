@@ -117,3 +117,25 @@ class TestShardExecutor:
         )
         _assert_bit_identical(merged, backend.run(config))
         assert merged.metadata == backend.run(config).metadata
+
+
+class TestSharedMemoryTransport:
+    """A process worker ships its unit's block through one shared-memory
+    segment, which the parent copies out of and unlinks."""
+
+    @pytest.mark.parametrize("backend_name", ["campaign", "event"])
+    def test_block_round_trips_and_unlinks_its_segment(self, backend_name):
+        from multiprocessing import shared_memory
+
+        config = CampaignConfig.smoke().with_backend(backend_name)
+        backend = get_backend(backend_name)
+        columns, _ = backend.unit_block(config, backend.work_units(config, 1)[0])
+        segment_name, descriptors = executor_module.pack_block(columns)
+        unpacked = executor_module.unpack_block(segment_name, descriptors)
+        assert list(unpacked) == list(columns)
+        for name, array in columns.items():
+            assert unpacked[name].dtype == np.asarray(array).dtype, name
+            np.testing.assert_array_equal(unpacked[name], array)
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segment_name)
+        executor_module.discard_shm(segment_name)  # already gone: a no-op

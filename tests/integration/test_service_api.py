@@ -133,6 +133,78 @@ class TestAsyncAPI:
         assert shared_digest == _session_digest(scenario_config)
         assert distinct_digest == _session_digest(distinct_config)
 
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_queued_campaign_jobs_each_run_solo(self, campaign_folds, max_workers):
+        """Three distinct ``campaign`` jobs queued behind one worker each
+        run on their own: every job streams its per-(trial, process)
+        shards, no whole-campaign schedule fold runs (MiniFE broadcasts
+        one cached busy row), and every digest is the session's."""
+        configs = [
+            get_scenario(SCENARIO).campaign_config(
+                "smoke", backend="campaign", seed=seed, max_workers=max_workers
+            )
+            for seed in (7, 8, 9)
+        ]
+
+        async def collect(handle):
+            return [shard async for shard in handle.stream()]
+
+        async def scenario():
+            async with CampaignService(workers=1, executor_mode="thread") as service:
+                # submit never yields to the event loop, so all three jobs
+                # wait in the queue before the worker claims the first
+                handles = [await service.submit(config) for config in configs]
+                assert service.stats()["queue_depth"] == 3
+                streams = await asyncio.gather(*(collect(h) for h in handles))
+                return [handle.digest for handle in handles], streams
+
+        digests, streams = asyncio.run(scenario())
+        assert campaign_folds == []
+        for config, digest, shards in zip(configs, digests, streams):
+            assert [(s.trial, s.process) for s in shards] == [
+                (trial, process)
+                for trial in range(config.trials)
+                for process in range(config.processes)
+            ]
+            assert digest == _session_digest(config)
+
+    def test_queued_campaign_jobs_cache_what_they_streamed(self, tmp_path):
+        """Queued ``campaign`` jobs each write their own cache entry: a
+        later hit replays the miss's per-(trial, process) shards."""
+        configs = [
+            get_scenario(SCENARIO).campaign_config(
+                "smoke", backend="campaign", seed=seed
+            )
+            for seed in (7, 8)
+        ]
+
+        async def collect(handle):
+            return [
+                ((s.trial, s.process), shard_digest(s))
+                async for s in handle.stream()
+            ]
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                misses = [await service.submit(config) for config in configs]
+                missed = await asyncio.gather(*(collect(h) for h in misses))
+                hits = [await service.submit(config) for config in configs]
+                replayed = await asyncio.gather(*(collect(h) for h in hits))
+                assert not any(h.job.from_cache for h in misses)
+                assert all(h.job.from_cache for h in hits)
+                return missed, replayed
+
+        missed, replayed = asyncio.run(scenario())
+        assert replayed == missed
+        for config, shards in zip(configs, missed):
+            assert [key for key, _ in shards] == [
+                (trial, process)
+                for trial in range(config.trials)
+                for process in range(config.processes)
+            ]
+
     def test_stream_yields_shards_before_job_finishes(self, gated_backend):
         config = _gated_config()
         gated_backend.reset(config)

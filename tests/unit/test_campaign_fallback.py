@@ -107,18 +107,13 @@ class TestChunkInvariance:
 
     def test_stateful_app_draws_each_shard_with_its_own_state(self):
         """Every shard of a chunk begins before any plane is drawn; the
-        planes must still see their own shard's state, solo and grouped."""
+        planes must still see their own shard's state."""
         with registered(StatefulApp):
             config = _config(StatefulApp, iterations=6)
             solo = CampaignTensorBackend(chunk_shards=1).run(config)
-            other = _config(StatefulApp, iterations=6, seed=99)
-            grouped = CampaignTensorBackend(chunk_shards=8).run_many([config, other])
+            chunked = CampaignTensorBackend(chunk_shards=8).run(config)
             np.testing.assert_array_equal(
-                grouped[0].compute_times_s, solo.compute_times_s
-            )
-            np.testing.assert_array_equal(
-                grouped[1].compute_times_s,
-                CampaignTensorBackend(chunk_shards=1).run(other).compute_times_s,
+                chunked.compute_times_s, solo.compute_times_s
             )
 
     def test_iter_shards_matches_run(self, app_cls=ToyApp):
@@ -192,9 +187,9 @@ class TestDistributionalAgreement:
             assert dataset.n_samples == 3 * 2 * 15 * 16
 
 
-    @pytest.mark.parametrize("entry_point", ["iter_shards", "run_many", "workers"])
+    @pytest.mark.parametrize("entry_point", ["iter_shards", "workers"])
     def test_ragged_rejection_reaches_every_campaign_entry_point(self, entry_point):
-        """Streaming, grouped and pooled runs surface the same error as
+        """Streaming and pooled runs surface the same error as
         ``run`` rather than a shape error from a later stage."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=4)
@@ -202,8 +197,6 @@ class TestDistributionalAgreement:
             with pytest.raises(ValueError, match="'unit-ragged'.*'vectorized'"):
                 if entry_point == "iter_shards":
                     list(backend.iter_shards(config))
-                elif entry_point == "run_many":
-                    backend.run_many([config, _config(RaggedApp, iterations=4, seed=5)])
                 else:
                     CampaignTensorBackend(chunk_shards=2).run(
                         _config(RaggedApp, iterations=4, max_workers=2), mode="thread"

@@ -69,6 +69,19 @@ class TestSessionFacade:
         merged = TimingDataset.merge(shards, metadata=backend.metadata(smoke_config))
         _assert_columns_equal(merged, session.run().dataset)
 
+    @pytest.mark.parametrize("sources", ["neither", "both"])
+    def test_result_holds_blocks_or_a_store(self, smoke_config, tmp_path, sources):
+        blocks = CampaignSession(smoke_config).run().iter_column_blocks()
+        store = CampaignSession(smoke_config).run(store=tmp_path / "store").store
+        kwargs = {} if sources == "neither" else {"blocks": blocks, "store": store}
+        with pytest.raises(ValueError, match="either column blocks or a store"):
+            CampaignResult(smoke_config, **kwargs)
+
+    def test_result_has_no_dataset_form(self, smoke_config):
+        dataset = CampaignSession(smoke_config).run().dataset
+        with pytest.raises(TypeError):
+            CampaignResult(smoke_config, dataset=dataset)
+
     def test_dataset_and_analyze_run_on_demand(self, smoke_config):
         session = CampaignSession(smoke_config)
         assert session.dataset().n_samples == smoke_config.samples_per_application
@@ -83,15 +96,13 @@ class TestSessionFacade:
         )
         assert "minife" not in session
 
-    @pytest.mark.parametrize("origin", ["shards", "dataset", "store"])
+    @pytest.mark.parametrize("origin", ["shards", "store"])
     def test_result_analyze_equals_analyze_dataset(self, smoke_config, tmp_path, origin):
         session = CampaignSession(smoke_config.with_backend("event"))
         if origin == "store":
             result = session.run(store=tmp_path / "store")
         else:
             result = session.run()
-        if origin == "dataset":
-            result = CampaignResult(result.config, dataset=result.dataset)
         analyzed = result.analyze()
         merged = analyze_dataset(result.dataset)
         assert json.dumps(analyzed.as_payload(), sort_keys=True) == json.dumps(
@@ -188,20 +199,6 @@ class TestResultCaching:
         assert json.dumps(hit.analyze().as_payload(), sort_keys=True) == json.dumps(
             fresh.analyze().as_payload(), sort_keys=True
         )
-
-    def test_adopted_dataset_is_cached_as_per_trial_shards(
-        self, smoke_config, tmp_path
-    ):
-        dataset = CampaignSession(smoke_config).run().dataset
-        adopted = CampaignSession(smoke_config, cache_dir=tmp_path).adopt(dataset)
-        assert not adopted.from_cache
-        hit = CampaignSession(smoke_config, cache_dir=tmp_path).cached()
-        assert hit is not None and hit.from_cache
-        assert [(s.trial, s.process) for s in hit.iter_shards()] == [
-            (trial, None) for trial in range(smoke_config.trials)
-        ]
-        _assert_columns_equal(hit.dataset, dataset)
-        assert hit.dataset.metadata == dataset.metadata
 
     def test_cache_key_stability_and_sensitivity(self, smoke_config):
         assert config_cache_key(smoke_config) == config_cache_key(
