@@ -44,8 +44,10 @@ from repro.service.jobs import (
     JobHandle,
     JobProgress,
     JobState,
+    ResultEvictedError,
     dataset_digest,
     shard_digest,
+    streamed_digest,
 )
 from repro.service.queue import JobQueue, JobScheduler, RejectedError
 
@@ -61,6 +63,8 @@ __all__ = [
     "JobState",
     "RejectedError",
     "RequestCoalescer",
+    "ResultEvictedError",
     "dataset_digest",
     "shard_digest",
+    "streamed_digest",
 ]

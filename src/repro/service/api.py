@@ -33,7 +33,7 @@ import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
@@ -46,7 +46,7 @@ from repro.experiments.session import (
     write_campaign_store,
 )
 from repro.service.dedup import RequestCoalescer
-from repro.service.jobs import Job, JobHandle, JobState, dataset_digest
+from repro.service.jobs import Job, JobHandle, JobState, streamed_digest
 from repro.service.queue import JobScheduler, RejectedError
 
 #: campaign-size presets a submission may name (mirrors the CLI's --scale)
@@ -256,29 +256,56 @@ class CampaignService:
         (:meth:`CampaignResult.analyze`), so the products are
         bit-identical to every other route through the engine.  The payload
         is computed once per job and memoised; concurrent callers share
-        one computation.
+        one computation.  Once it is memoised, a fresh job whose samples
+        the cache holds swaps its in-memory result for that store-backed
+        entry, so a finished job keeps no samples on the heap.  A cache
+        hit whose entry was evicted before the fold raises
+        :class:`~repro.service.jobs.ResultEvictedError`.
         """
         await job.wait()
-        result = job.result_or_raise()
+        job.result_or_raise()
         if job.id not in self._analyses:
             lock = self._analyses_locks.setdefault(job.id, asyncio.Lock())
-            async with lock:
-                if job.id not in self._analyses:
-                    assert self._pool is not None
-                    loop = asyncio.get_running_loop()
-                    self._analyses[job.id] = await loop.run_in_executor(
-                        self._pool, self._compute_analyses, result
-                    )
-            self._analyses_locks.pop(job.id, None)
+            try:
+                async with lock:
+                    if job.id not in self._analyses:
+                        assert self._pool is not None
+                        loop = asyncio.get_running_loop()
+                        payload, result = await loop.run_in_executor(
+                            self._pool, self._compute_analyses, job
+                        )
+                        self._analyses[job.id] = payload
+                        job.result = result
+            finally:
+                self._analyses_locks.pop(job.id, None)
         return {
             "job_id": job.id,
             "digest": job.digest,
             "analyses": self._analyses[job.id],
         }
 
-    def _compute_analyses(self, result: CampaignResult) -> Dict[str, object]:
-        """Synchronous analysis body (worker thread): block fold."""
-        return result.analyze().as_payload()
+    def _compute_analyses(
+        self, job: Job
+    ) -> Tuple[Dict[str, object], CampaignResult]:
+        """Synchronous analysis body (worker thread).
+
+        Folds the job's result over its column blocks — the in-memory
+        ones of a fresh job, which are faster to fold than the store —
+        and returns the payload with the result the job keeps: the
+        published cache entry in place of in-memory blocks when there is
+        one, else the result itself.
+        """
+        with job.reading_result() as result:
+            payload = result.analyze().as_payload()
+        if self.cache_dir is not None and result.store is None:
+            stored = open_cached_campaign(
+                campaign_store_path(self.cache_dir, job.config),
+                job.config,
+                tier=self.cache_tier,
+            )
+            if stored is not None:
+                result = stored
+        return payload, result
 
     # ------------------------------------------------------------------
     # stats
@@ -345,11 +372,12 @@ class CampaignService:
         if job.cancel_requested.is_set():
             post(job._mark_cancelled)
             return True
-        shards = result.shards
+        # read the store once, without caching its views on the result
+        shards = list(result.iter_shards())
         post(setattr, job.progress, "shards_total", len(shards))
         for shard in shards:
             post(job._deliver, shard)
-        digest = dataset_digest(result.dataset)
+        digest = streamed_digest(shards)
         post(functools.partial(job._finish, result, digest, from_cache=True))
         return True
 
@@ -375,11 +403,14 @@ class CampaignService:
             backend = get_backend(config.backend)
             executor = ShardExecutor(mode=self.executor_mode)
             blocks = []
+            shards = []
             for columns, slices in executor.iter_blocks(backend, config):
                 blocks.append((columns, slices))
                 for sl in slices:
                     check_cancel()
-                    post(job._deliver, sl.shard(columns))
+                    shard = sl.shard(columns)
+                    shards.append(shard)
+                    post(job._deliver, shard)
             check_cancel()
             result = CampaignResult(
                 config, blocks=blocks, metadata=backend.metadata(config)
@@ -387,11 +418,11 @@ class CampaignService:
             if self.cache_dir is not None:
                 write_campaign_store(
                     campaign_store_path(self.cache_dir, config),
-                    result.shards,
+                    shards,
                     result.metadata,
                     tier=self.cache_tier,
                 )
-            digest = dataset_digest(result.dataset)
+            digest = streamed_digest(shards)
             post(functools.partial(job._finish, result, digest, from_cache=False))
         except _CancelledBetweenShards:
             post(job._mark_cancelled)

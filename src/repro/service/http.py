@@ -12,10 +12,13 @@ to remote clients:
 ``GET /jobs/<id>/result`` block until terminal, then the final status
 ``GET /jobs/<id>/stream`` newline-delimited JSON: one ``shard`` event per
                           produced shard as it lands, then a ``done`` event
+                          (``410`` when a done job's cache entry, which
+                          its shards are replayed from, was evicted)
 ``GET /jobs/<id>/analyses`` block until terminal, then every finalized
                           analysis-pass product as JSON (computed once per
                           job over its column blocks; ``409`` for
-                          failed or cancelled jobs)
+                          failed or cancelled jobs, ``410`` for a cache
+                          hit whose entry was evicted before the fold)
 ``POST /jobs/<id>/cancel``request cooperative cancellation
 ``GET /stats``            service counters (queue depth, coalescing, caches)
 ========================  ====================================================
@@ -41,7 +44,13 @@ import json
 from typing import Dict, Optional, Tuple
 
 from repro.service.api import CampaignService
-from repro.service.jobs import _END, Job, JobState, shard_digest
+from repro.service.jobs import (
+    _END,
+    Job,
+    JobState,
+    ResultEvictedError,
+    shard_digest,
+)
 from repro.service.queue import RejectedError
 
 _REASONS = {
@@ -52,6 +61,7 @@ _REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     409: "Conflict",
+    410: "Gone",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -314,6 +324,11 @@ class CampaignHTTPServer:
 
     async def _stream(self, writer: asyncio.StreamWriter, job: Job) -> None:
         """Newline-delimited JSON shard stream (one event per line)."""
+        try:
+            queue = job.subscribe()
+        except ResultEvictedError as error:
+            await self._send_json(writer, 410, {"error": str(error), **job.status()})
+            return
         await self._send_headers(
             writer, 200, content_type="application/x-ndjson"
         )
@@ -324,7 +339,6 @@ class CampaignHTTPServer:
             await writer.drain()
 
         try:
-            queue = job.subscribe()
             while True:
                 shard = await queue.get()
                 if shard is _END:
@@ -362,7 +376,11 @@ class CampaignHTTPServer:
                 },
             )
             return
-        payload = await self.service.job_analyses(job)
+        try:
+            payload = await self.service.job_analyses(job)
+        except ResultEvictedError as error:
+            await self._send_json(writer, 410, {"error": str(error), **job.status()})
+            return
         await self._send_json(writer, 200, payload)
 
     # ------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The campaign service's job model.
 
 A submitted campaign request becomes a :class:`Job`: one unit of scheduled
-work with a lifecycle (:class:`JobState`), a priority, live progress
-counters (:class:`JobProgress`) and a list of buffered shards that both the
-final result and late stream subscribers are served from.  Clients never
-touch jobs directly — they hold :class:`JobHandle`\\ s, which several
-concurrent clients can share when their submissions coalesce onto one job
-(see :mod:`repro.service.dedup`).
+work with a lifecycle (:class:`JobState`), a priority and live progress
+counters (:class:`JobProgress`).  While it runs, a job buffers the shards
+it has delivered so late stream subscribers can catch up; once done, it
+drops that buffer and replays its shards from its result instead.
+Clients never touch jobs directly — they hold :class:`JobHandle`\\ s,
+which several concurrent clients can share when their submissions
+coalesce onto one job (see :mod:`repro.service.dedup`).
 
 Threading model: the service's event loop owns every job's mutable state.
 The worker *thread* that actually executes campaign shards posts its
@@ -22,16 +23,20 @@ boundary, never mid-shard.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from threading import Event as ThreadEvent
 from typing import (
     TYPE_CHECKING,
     AsyncIterator,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
 )
@@ -54,6 +59,21 @@ def dataset_digest(dataset: TimingDataset) -> str:
     """
     blob = np.ascontiguousarray(dataset.compute_times_s, dtype=np.float64).tobytes()
     return hashlib.sha256(blob).hexdigest()
+
+
+def streamed_digest(shards: Iterable[TimingShard]) -> str:
+    """:func:`dataset_digest` of the shards' merge, without merging them.
+
+    Hashes each shard's ``compute_time_s`` column in ``sort_key`` order —
+    the order :meth:`TimingDataset.merge` concatenates in — so no dense
+    dataset is ever built.
+    """
+    digest = hashlib.sha256()
+    for shard in sorted(shards, key=lambda shard: shard.sort_key):
+        digest.update(
+            np.ascontiguousarray(shard.columns["compute_time_s"], dtype=np.float64)
+        )
+    return digest.hexdigest()
 
 
 def shard_digest(shard: TimingShard) -> str:
@@ -83,6 +103,26 @@ TERMINAL_STATES = frozenset(
 
 class JobCancelledError(RuntimeError):
     """Raised by :meth:`JobHandle.result` when the job was cancelled."""
+
+
+class ResultEvictedError(RuntimeError):
+    """A done job's samples can no longer be replayed.
+
+    Raised by :meth:`Job.subscribe` (and :attr:`Job.shards`) when the
+    cache entry a finished job reads its shards back from was evicted
+    from the cache tier, and by
+    :meth:`~repro.service.api.CampaignService.job_analyses` when a cache
+    hit's entry went before its analyses were folded; resubmitting the
+    config recomputes it.
+    """
+
+    def __init__(self, job_id: str, entry: Path) -> None:
+        super().__init__(
+            f"job {job_id}: its cache entry {entry} was evicted; "
+            "resubmit the campaign to recompute it"
+        )
+        self.job_id = job_id
+        self.entry = entry
 
 
 #: end-of-stream sentinel pushed into subscriber queues
@@ -180,8 +220,31 @@ class Job:
 
     @property
     def shards(self) -> List[TimingShard]:
-        """The shards delivered so far (all of them once the job is done)."""
-        return list(self._shards)
+        """The shards delivered so far (all of them once the job is done).
+
+        A done job reads them back from its result — from disk when that
+        is a store-backed cache entry, raising :class:`ResultEvictedError`
+        if the entry was evicted meanwhile.
+        """
+        if self.state is not JobState.DONE:
+            return list(self._shards)
+        with self.reading_result() as result:
+            return list(result.iter_shards())
+
+    @contextlib.contextmanager
+    def reading_result(self) -> Iterator[CampaignResult]:
+        """The done job's result, for a read that may touch its store.
+
+        A store file that vanished under the read means the cache tier
+        evicted the entry: that surfaces as :class:`ResultEvictedError`.
+        """
+        result = self.result_or_raise()
+        try:
+            yield result
+        except FileNotFoundError as error:
+            if result.store is None:
+                raise
+            raise ResultEvictedError(self.id, result.store.path) from error
 
     def add_done_callback(self, callback: Callable[["Job"], None]) -> None:
         """Run ``callback(job)`` when the job reaches a terminal state."""
@@ -228,6 +291,8 @@ class Job:
         self.result = result
         self.digest = digest
         self.from_cache = from_cache
+        # the result serves late subscribers from here on
+        self._shards.clear()
         self._settle(JobState.DONE)
 
     def _fail(self, error: BaseException) -> None:
@@ -261,15 +326,17 @@ class Job:
         return True
 
     def subscribe(self) -> asyncio.Queue:
-        """A queue receiving this job's shards (buffered ones replayed).
+        """A queue receiving this job's shards (delivered ones replayed).
 
         Late subscribers first receive every already-delivered shard, then
         live ones, then the end-of-stream sentinel — so a coalesced client
         that attached mid-run still observes the full shard sequence in
-        serial order.
+        serial order.  A done job replays all of :attr:`shards` up front,
+        so an evicted entry raises :class:`ResultEvictedError` here, before
+        anything is queued.
         """
         queue: asyncio.Queue = asyncio.Queue()
-        for shard in self._shards:
+        for shard in self.shards:
             queue.put_nowait(shard)
         if self.finished:
             queue.put_nowait(_END)

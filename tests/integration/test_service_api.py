@@ -8,8 +8,10 @@ makes the streaming/cancellation ordering deterministic.
 """
 
 import asyncio
+import gc
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from repro.experiments.backends import (
 )
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession, campaign_store_path
+from repro.io.cache_tier import CacheTier
 from repro.scenarios import get_scenario
 from repro.service import (
     CampaignHTTPServer,
     CampaignService,
     JobCancelledError,
     JobState,
+    ResultEvictedError,
     dataset_digest,
     shard_digest,
 )
@@ -330,6 +334,115 @@ class TestAsyncAPI:
         asyncio.run(scenario())
 
 
+    def test_failed_fold_releases_its_lock(self):
+        """A fold that raises drops the job's analyses lock; a retry works."""
+
+        async def scenario():
+            async with CampaignService(workers=1, executor_mode="thread") as service:
+                compute = service._compute_analyses
+                calls = []
+
+                def flaky(*args):
+                    calls.append(args)
+                    if len(calls) == 1:
+                        raise RuntimeError("fold failed")
+                    return compute(*args)
+
+                service._compute_analyses = flaky
+                handle = await service.submit(SCENARIO, scale="smoke")
+                with pytest.raises(RuntimeError, match="fold failed"):
+                    await service.job_analyses(handle.job)
+                assert service._analyses_locks == {}
+                payload = await service.job_analyses(handle.job)
+                assert payload["digest"] == PINNED_DIGEST
+                assert len(payload["analyses"]) == 6
+                assert service._analyses_locks == {}
+                assert len(calls) == 2
+
+        asyncio.run(scenario())
+
+
+def _seed_configs(seeds, scale="smoke"):
+    return [
+        get_scenario(SCENARIO).campaign_config(scale, backend="campaign", seed=seed)
+        for seed in seeds
+    ]
+
+
+class TestRetention:
+    """What a finished job keeps: its status, digest and analyses payload,
+    with its samples in the cache entry rather than on the heap."""
+
+    def test_analysed_jobs_read_their_samples_back_from_the_store(self, tmp_path):
+        configs = _seed_configs((21, 22, 23))
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                for config in configs:
+                    handle = await service.submit(config)
+                    live = [shard_digest(s) async for s in handle.stream()]
+                    await service.job_analyses(handle.job)
+                    job = handle.job
+                    assert not job.from_cache
+                    assert job.result.store is not None
+                    assert job._shards == []
+                    assert job.result._dataset is None
+                    # a late subscriber replays the live stream from disk
+                    replayed = [shard_digest(s) async for s in handle.stream()]
+                    assert replayed == live
+                    assert [shard_digest(s) for s in job.shards] == live
+                    assert len(live) == job.progress.shards_total
+                    assert job.digest == _session_digest(config)
+                    assert job.result._dataset is None
+
+        asyncio.run(scenario())
+
+    def test_jobs_without_a_cache_keep_their_blocks(self):
+        configs = _seed_configs((21, 22))
+
+        async def scenario():
+            async with CampaignService(workers=1, executor_mode="thread") as service:
+                for config in configs:
+                    handle = await service.submit(config)
+                    await service.job_analyses(handle.job)
+                    result = handle.job.result
+                    assert result.store is None
+                    assert result._blocks is not None
+                    assert handle.job._shards == []
+                    assert result._dataset is None
+                    assert handle.digest == _session_digest(config)
+
+        asyncio.run(scenario())
+
+    def test_retained_memory_per_analysed_job_is_bounded(self, tmp_path):
+        """Twenty more benchmark-scale jobs, analyses fetched, each keep
+        far less than their 1.5 MB of samples (traced heap growth)."""
+        n_warm, n_jobs = 3, 20
+        configs = _seed_configs(range(100, 100 + n_warm + n_jobs), "benchmark")
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                for index, config in enumerate(configs):
+                    if index == n_warm:
+                        gc.collect()
+                        before = tracemalloc.get_traced_memory()[0]
+                    handle = await service.submit(config)
+                    await service.job_analyses(handle.job)
+                gc.collect()
+                return (tracemalloc.get_traced_memory()[0] - before) / n_jobs
+
+        tracemalloc.start()
+        try:
+            per_job = asyncio.run(scenario())
+        finally:
+            tracemalloc.stop()
+        assert per_job < 0.25e6, f"{per_job / 1e6:.2f} MB retained per job"
+
+
 async def _http_request(host, port, method, path, body=None):
     """Minimal HTTP/1.1 client: one request, read to EOF (Connection: close)."""
     reader, writer = await asyncio.open_connection(host, port)
@@ -574,5 +687,89 @@ class TestHTTPFrontEnd:
                 error = json.loads(body)
                 assert error["state"] == "cancelled"
                 assert "analyses need a completed job" in error["error"]
+
+        asyncio.run(scenario())
+
+    def test_stream_of_an_evicted_job_is_gone(self, tmp_path):
+        """A done job whose cache entry was evicted cannot replay: its
+        stream is a 410 with the job status, not a half-written stream."""
+        job_a, job_b = _seed_configs((31, 32))
+        probe = tmp_path / "probe"
+        CampaignSession(job_a, cache_dir=probe).run()
+        entry_bytes = CacheTier(probe).total_bytes
+
+        async def scenario():
+            service = CampaignService(
+                workers=1,
+                executor_mode="thread",
+                cache_dir=tmp_path / "cache",
+                cache_max_bytes=entry_bytes * 3 // 2,
+            )
+            async with CampaignHTTPServer(service, port=0) as server:
+                first = await service.submit(job_a)
+                await service.job_analyses(first.job)
+                entry = first.job.result.store.path
+                assert entry.exists()
+                second = await service.submit(job_b)
+                await service.job_analyses(second.job)
+                assert not entry.exists()  # B's write evicted A
+
+                with pytest.raises(ResultEvictedError) as raised:
+                    first.job.subscribe()
+                assert first.job.id in str(raised.value)
+                assert str(entry) in str(raised.value)
+
+                status, body = await _http_request(
+                    server.host, server.port,
+                    "GET", f"/jobs/{first.job.id}/stream",
+                )
+                assert status == 410
+                gone = json.loads(body)
+                assert gone["state"] == "done"
+                assert gone["digest"] == first.digest
+                assert "evicted" in gone["error"]
+                # A's analyses were memoised before the eviction
+                status, body = await _http_request(
+                    server.host, server.port,
+                    "GET", f"/jobs/{first.job.id}/analyses",
+                )
+                assert status == 200
+                assert json.loads(body)["digest"] == first.digest
+                # B's entry is intact and still streams
+                status, body = await _http_request(
+                    server.host, server.port,
+                    "GET", f"/jobs/{second.job.id}/stream",
+                )
+                assert status == 200
+                events = [json.loads(line) for line in body.splitlines()]
+                assert events[-1]["digest"] == second.digest
+
+        asyncio.run(scenario())
+
+    def test_analyses_of_an_evicted_cache_hit_are_gone(self, tmp_path):
+        """A cache hit folds its analyses from its entry: if the tier
+        evicts the entry first, ``/analyses`` is a 410, not a 500."""
+        config = get_scenario(SCENARIO).campaign_config("smoke")
+        CampaignSession(config, cache_dir=tmp_path).run()
+
+        async def scenario():
+            service = CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            )
+            async with CampaignHTTPServer(service, port=0) as server:
+                handle = await service.submit(config)
+                await handle.result()
+                assert handle.job.from_cache
+                assert CacheTier(tmp_path, max_bytes=0).prune() == [
+                    handle.job.result.store.path
+                ]
+                status, body = await _http_request(
+                    server.host, server.port,
+                    "GET", f"/jobs/{handle.job.id}/analyses",
+                )
+                assert status == 410
+                gone = json.loads(body)
+                assert gone["state"] == "done"
+                assert handle.job.id in gone["error"]
 
         asyncio.run(scenario())

@@ -11,8 +11,10 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.aggregation import ShardSlice
 from repro.core.timing import TimingShard
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignResult
 from repro.service import (
     Job,
     JobCancelledError,
@@ -202,9 +204,13 @@ class TestJobScheduler:
         async def scenario():
             async def handler(job):
                 job._mark_running()
-                for trial in range(3):
-                    job._deliver(_shard(trial=trial))
-                job._finish(None, "", from_cache=False)
+                shards = [_shard(trial=trial) for trial in range(3)]
+                for shard in shards:
+                    job._deliver(shard)
+                blocks = [(shard.columns, [ShardSlice.of(shard)]) for shard in shards]
+                job._finish(
+                    CampaignResult(job.config, blocks=blocks), "", from_cache=False
+                )
 
             scheduler = JobScheduler(handler, workers=1, max_queue=8)
             job = _job("replayed")
@@ -212,7 +218,9 @@ class TestJobScheduler:
             await scheduler.start()
             await job.wait()
             await scheduler.stop()
-            # subscribing after completion still yields the full sequence
+            # subscribing after completion still yields the full sequence,
+            # replayed from the job's result once the buffer is dropped
+            assert job._shards == []
             handle = JobHandle(job)
             trials = [shard.trial async for shard in handle.stream()]
             assert trials == [0, 1, 2]
