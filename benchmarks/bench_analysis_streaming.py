@@ -104,7 +104,7 @@ def _paper_scale_inputs():
         )
         start += shard.n_samples
     context = AnalysisContext.from_config(config, metadata=backend.metadata(config))
-    return shards, (columns, slices), context
+    return shards, canonical_block(columns, slices), context
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +216,8 @@ def test_sorted_order_statistics_cost_guard():
     ``np.percentile([75, 25])`` of the unsorted matrix, and equal them
     bit for bit.  Sorting 48-element rows is cheap next to numpy's
     per-row partition and its bookkeeping (measured ~0.1x)."""
-    _, (columns, slices), _ = _paper_scale_inputs()
-    cube = canonical_block(columns, slices).cube
+    _, block, _ = _paper_scale_inputs()
+    cube = block.cube
     matrix = cube.reshape(-1, cube.shape[-1])
     assert matrix.shape == (16000, 48)
 

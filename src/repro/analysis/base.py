@@ -13,7 +13,7 @@ the map-reduce-style lifecycle
   :class:`~repro.core.aggregation.ColumnBlock` into one partial state per
   (trial, process) slice — the only way a pass sees data.
   :meth:`AnalysisPass.accumulate` folds a single shard through the same
-  method, as a one-slice block.
+  method, as its block.
 * :meth:`AnalysisPass.merge` combines two states (any grouping of slices,
   any order — the built-in passes are written so the finalised product does
   not depend on how the campaign was chunked).
@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.aggregation import ColumnBlock, ShardSlice, canonical_block
+from repro.core.aggregation import ColumnBlock, shard_block
 from repro.core.timing import TimingDataset, TimingShard
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -160,8 +160,8 @@ class AnalysisPass(ABC):
     ) -> list:
         """One partial state per slice of a canonical column block.
 
-        ``block`` (see :func:`~repro.core.aggregation.canonical_block`)
-        holds one (trial, process) per slice, its ``cube[s]`` that slice's
+        ``block`` (a :class:`~repro.core.aggregation.ColumnBlock`) holds
+        one (trial, process) per slice, its ``cube[s]`` that slice's
         process-iteration groups.  Element ``s`` of the returned list is the
         state of slice ``s`` alone; the engine merges these partials in
         serial slice order whatever block they came from, which is what
@@ -179,9 +179,8 @@ class AnalysisPass(ABC):
     def accumulate(
         self, state: Any, shard: TimingShard, context: AnalysisContext
     ) -> Any:
-        """Fold one shard into ``state`` (the shard as a one-slice block)."""
-        block = canonical_block(shard.columns, [ShardSlice.of(shard)])
-        for partial in self.accumulate_columns_split(block, context):
+        """Fold one shard into ``state`` (the shard as its block)."""
+        for partial in self.accumulate_columns_split(shard_block(shard), context):
             state = self.merge(state, partial)
         return state
 

@@ -1,20 +1,19 @@
 """The streaming analysis engine: fold campaign data through passes.
 
-Every driver maps its input onto canonical column blocks
-(:func:`~repro.core.aggregation.canonical_block`) with
+Every driver folds :class:`~repro.core.aggregation.ColumnBlock` s with
 :class:`ColumnarAnalyzer` and reduces the resulting per-slice partials:
 
-* :func:`run_columnar_analyses` — fold ``(columns, slices)`` blocks: store
-  groups, or :meth:`CampaignResult.iter_column_blocks
+* :func:`run_columnar_analyses` — fold blocks: store groups, or
+  :meth:`CampaignResult.iter_column_blocks
   <repro.experiments.session.CampaignResult.iter_column_blocks>`, which
-  serves an in-memory campaign one block per ``campaign`` chunk and a
-  dataset-backed result as one block.
+  serves an in-memory campaign one block per ``campaign`` chunk.
 * :func:`analyze_dataset` — fold a materialised
-  :class:`~repro.core.timing.TimingDataset` as one block, one slice per
-  trial.
+  :class:`~repro.core.timing.TimingDataset` as one block
+  (:func:`~repro.core.aggregation.canonical_block` of its columns, one
+  declared slice per trial).
 * :func:`run_analyses` — fold an existing shard iterable (e.g.
-  ``CampaignSession.stream()`` or an in-memory list), each shard as a
-  one-slice block.
+  ``CampaignSession.stream()`` or an in-memory list), each shard as its
+  block (:func:`~repro.core.aggregation.shard_block`).
 * :func:`run_campaign_analyses` — execute a campaign *and* analyse it in
   one parallel pass: each executor worker folds the block it produced into
   per-pass partials, returning only those to the parent; the
@@ -35,6 +34,7 @@ process pool.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -44,7 +44,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -56,7 +55,12 @@ from repro.analysis.base import (
     resolve_analyses,
 )
 from repro.analysis.report import assemble_feasibility_report
-from repro.core.aggregation import ColumnBlock, ShardSlice, canonical_block
+from repro.core.aggregation import (
+    ColumnBlock,
+    ShardSlice,
+    canonical_block,
+    shard_block,
+)
 from repro.core.timing import TimingDataset, TimingShard
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -135,10 +139,9 @@ def product_payload(product: Any) -> Any:
 class ColumnarAnalyzer:
     """Picklable block mapper: per-slice partials from one column block.
 
-    Builds the block's canonical form once
-    (:func:`~repro.core.aggregation.canonical_block`), hands it to every
-    pass and transposes the per-pass split results into one
-    ``{pass_name: state}`` partial per canonical (trial, process) slice.
+    Hands the block to every pass and transposes the per-pass split
+    results into one ``{pass_name: state}`` partial per (trial, process)
+    slice.
     Instances travel to executor workers (passes hold only parameters, the
     context is a frozen dataclass), so the map step runs where the block
     was produced.
@@ -150,8 +153,10 @@ class ColumnarAnalyzer:
         self.passes = tuple(passes)
         self.context = context
 
-    def __call__(self, columns, slices) -> list:
-        block = canonical_block(columns, slices)
+    def __call__(self, block: ColumnBlock) -> list:
+        # fold a fresh handle on the block: the passes' shared sort is
+        # cached on it and dies with this call, not with the caller's block
+        block = dataclasses.replace(block)
         split = {
             p.name: p.accumulate_columns_split(block, self.context)
             for p in self.passes
@@ -161,17 +166,13 @@ class ColumnarAnalyzer:
             for k in range(len(block.slices))
         ]
 
-    def shard(self, shard: TimingShard) -> list:
-        """Per-slice partials of one shard (a one-slice block)."""
-        return self(shard.columns, [ShardSlice.of(shard)])
-
 
 def run_columnar_analyses(
-    blocks: Iterable[Tuple[Mapping[str, Any], Sequence[Any]]],
+    blocks: Iterable[ColumnBlock],
     analyses: Union[None, str, Iterable[Union[str, AnalysisPass]]],
     context: AnalysisContext,
 ) -> AnalysisResults:
-    """Fold an iterable of ``(columns, slices)`` blocks through passes.
+    """Fold an iterable of column blocks through passes.
 
     Blocks must arrive in serial (trial-major) shard order, like the shard
     iterables of :func:`run_analyses` — the per-slice partials of each block
@@ -180,12 +181,13 @@ def run_columnar_analyses(
     """
     passes = resolve_analyses(analyses)
     mapper = ColumnarAnalyzer(passes, context)
-    partials = (partial for block in blocks for partial in mapper(*block))
+    partials = (partial for block in blocks for partial in mapper(block))
     return _reduce_partials(passes, partials, context)
 
 
 def _dataset_block(dataset: TimingDataset) -> ColumnBlock:
-    """The dataset as one canonical column block, one slice per trial."""
+    """The dataset as one canonical column block (one declared slice per
+    trial, re-sliced per process)."""
     columns = {name: dataset.column(name) for name in dataset.columns}
     trial = columns["trial"]
     if np.any(trial[1:] < trial[:-1]):
@@ -218,7 +220,7 @@ def analyze_dataset(
     """
     block = _dataset_block(dataset)
     context = AnalysisContext.from_dataset(dataset)
-    return run_columnar_analyses([(block.columns, block.slices)], analyses, context)
+    return run_columnar_analyses([block], analyses, context)
 
 
 def _reduce_partials(
@@ -248,7 +250,7 @@ def run_analyses(
     """Fold an iterable of shards through the requested passes (serial)."""
     passes = resolve_analyses(analyses)
     mapper = ColumnarAnalyzer(passes, context)
-    partials = (partial for shard in shards for partial in mapper.shard(shard))
+    partials = (partial for shard in shards for partial in mapper(shard_block(shard)))
     return _reduce_partials(passes, partials, context)
 
 

@@ -97,24 +97,22 @@ def _sorted_segments(segments: List[Tuple[Tuple[int, int], Any]]) -> List[Any]:
 def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
     """One ``(sort_key, (iterations, rows))`` exact segment per slice.
 
-    ``rows`` is the slice's ``cube[s]``, or, when the block's columns come
-    from a shard-store group, a
-    :class:`~repro.io.shard_store.StoredRows` handle on the same samples
-    (:meth:`~repro.io.shard_store.GroupColumns.stored_rows`); both read as
-    ``rows[start:stop]``.  Each segment owns its iteration labels, so a
-    slice's partial pickles the same whichever block it came in.
+    ``rows`` is the slice's ``cube[s]``, or, for a block read from a
+    shard-store group, a :class:`~repro.io.shard_store.StoredRows` handle
+    on the same samples (:meth:`~repro.io.shard_store.StoredRows.row`);
+    both read as ``rows[start:stop]``.  Each segment owns its iteration
+    labels, so a slice's partial pickles the same whichever block it came
+    in.
     """
-    stored_rows = getattr(block.columns, "stored_rows", None)
-    shape = block.cube.shape[1:]
     return [
         (
             sl.sort_key,
             (
                 block.iterations.copy(),
-                rows if stored_rows is None else stored_rows(sl, shape),
+                rows if block.stored is None else block.stored.row(s),
             ),
         )
-        for sl, rows in zip(block.slices, block.cube)
+        for s, (sl, rows) in enumerate(zip(block.slices, block.cube))
     ]
 
 
@@ -134,10 +132,12 @@ def _iteration_batches(
     iterations (iteration-split or ragged campaigns).  A batch is an
     ``(n, m)`` matrix when its iterations pool the same number of samples,
     else a list of 1-D rows; it is a fresh array the caller may sort in
-    place.  Every layout takes the same path: each batch reads its rows
-    slice by slice, and one stable sort by pooled row plus one gather
-    regroup them.  Only the batch's rows are read, so a finalize holds
-    about ``max_samples`` pooled samples.
+    place.  Every layout takes the same path: each slice's rows are copied
+    straight to their pooled destination, at the offset a per-row running
+    count of the samples already placed gives (one strided copy per slice
+    when its rows are contiguous and share that offset, as in a regular
+    campaign).  Only the batch's rows are read, so a finalize holds about
+    ``max_samples`` pooled samples.
     """
     parts = _sorted_segments(segments)
     labels = [np.asarray(iterations) for iterations, _ in parts]
@@ -146,32 +146,47 @@ def _iteration_batches(
     # each slice's rows as pooled-row positions, and the slices' row widths
     positions = [np.searchsorted(iterations, its) for its in labels]
     widths = np.array([int(np.prod(rows.shape[1:])) for _, rows in parts])
-    samples = int(np.dot([len(p) for p in positions], widths))
-    size = max(1, max_samples * n // samples)
+    # placed[s, k]: samples slice s adds to pooled row k
+    placed = np.zeros((len(parts), n), dtype=np.int64)
+    for s, p in enumerate(positions):
+        placed[s, p] = widths[s]
+    size = max(1, max_samples * n // int(placed.sum()))
     edges = np.append(np.arange(0, n, size), n)
     # bounds[s, b]: slice s's first row at or after pooled row edges[b]
     bounds = np.array([np.searchsorted(p, edges) for p in positions])
+    widths = widths.tolist()
     for b in range(len(edges) - 1):
         lo, hi = bounds[:, b].tolist(), bounds[:, b + 1].tolist()
-        # the batch's rows slice by slice, then regrouped by pooled row: the
-        # stable sort keeps each pooled row's pieces in serial order
-        src = np.concatenate(
-            [rows[i:j].reshape(-1) for (_, rows), i, j in zip(parts, lo, hi)]
-        )
-        key = np.concatenate([p[i:j] for p, i, j in zip(positions, lo, hi)])
-        key -= edges[b]
-        lengths = np.repeat(widths, bounds[:, b + 1] - bounds[:, b])
-        order = np.argsort(key, kind="stable")
-        moved = lengths[order]
-        shift = (np.cumsum(lengths) - lengths)[order] - (np.cumsum(moved) - moved)
-        index = np.repeat(shift, moved)
-        index += np.arange(len(src))
-        pooled = src[index]
-        sizes = np.bincount(key, weights=lengths).astype(np.int64)
-        if np.all(sizes == sizes[0]):
-            yield pooled.reshape(len(sizes), -1)
-        else:
-            yield np.split(pooled, np.cumsum(sizes[:-1]))
+        counts = placed[:, edges[b] : edges[b + 1]]
+        sizes = counts.sum(axis=0)
+        # the running count: where each slice's piece starts in each row
+        offsets = np.cumsum(counts, axis=0) - counts
+        covered = counts > 0
+        # slices whose rows of the batch all start at one column offset
+        aligned = (
+            np.where(covered, offsets, -1).max(axis=1)
+            == np.where(covered, offsets, np.iinfo(np.int64).max).min(axis=1)
+        ).tolist()
+        regular = bool(np.all(sizes == sizes[0]))
+        pooled = np.empty(int(sizes.sum()))
+        matrix = pooled.reshape(len(sizes), -1) if regular else None
+        starts = np.cumsum(sizes) - sizes
+        for (_, rows), p, at, flat, width, i, j in zip(
+            parts, positions, offsets, aligned, widths, lo, hi
+        ):
+            if i == j:
+                continue
+            data = rows[i:j].reshape(j - i, width)
+            first, last = int(p[i]) - edges[b], int(p[j - 1]) - edges[b] + 1
+            if regular and flat and last - first == j - i:
+                # contiguous rows at one column offset: one strided copy
+                column = int(at[first])
+                matrix[first:last, column : column + width] = data
+                continue
+            for k, row in zip((p[i:j] - edges[b]).tolist(), data):
+                start = int(starts[k] + at[k])
+                pooled[start : start + width] = row
+        yield matrix if regular else np.split(pooled, starts[1:])
 
 
 def _iteration_rows(segments) -> _Batch:

@@ -19,8 +19,9 @@ groups of one (trial, process) per slice; the coarser levels are the
 cube's rows pooled in slice order.  A block's
 :attr:`~ColumnBlock.sorted_cube` sorts every group once, on first use, for
 all the passes that read order statistics.
-:func:`canonical_block` is the only way into that form — zero-copy for the
-blocks campaign producers emit, a stable per-slice re-sort for anything else.
+Campaign producers emit blocks directly (:func:`campaign_block`: the
+sampled tensor *is* the cube); :func:`canonical_block` re-slices flat
+column input (event-backend shards, datasets) into the same form.
 """
 
 from __future__ import annotations
@@ -28,11 +29,21 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import CubeColumns, TimingDataset, TimingShard
 
 
 class AggregationLevel(enum.Enum):
@@ -168,9 +179,9 @@ def per_iteration_samples(dataset: TimingDataset) -> np.ndarray:
 class ShardSlice(NamedTuple):
     """Address of one shard's rows inside a multi-shard column block.
 
-    A column block is several shards' flat columns concatenated, plus one
-    :class:`ShardSlice` per shard; ``start:stop`` delimits the shard's rows
-    in every column.  Mirrors the identity attributes of
+    A block's samples are several shards' rows laid end to end (the cube's
+    slices in order, ``n_iterations * n_threads`` rows each); ``start:stop``
+    delimits one shard's rows.  Mirrors the identity attributes of
     :class:`~repro.core.timing.TimingShard` (``process=None``: all processes
     of the trial), so partials built from a slice carry the shard's serial
     ordering key.
@@ -196,29 +207,73 @@ class ShardSlice(NamedTuple):
         """The slice addressing all of ``shard``'s own columns."""
         return cls(shard.trial, shard.process, 0, shard.n_samples)
 
-    def shard(self, columns: Mapping[str, np.ndarray]) -> TimingShard:
-        """This slice's rows of a block's ``columns`` as a zero-copy shard."""
-        rows = slice(self.start, self.stop)
-        views = {name: array[rows] for name, array in columns.items()}
-        return TimingShard(self.trial, self.process, views)
+    def shard(self, block: "ColumnBlock") -> TimingShard:
+        """This address's rows of ``block`` as a shard: a lazy view over
+        the block's cube (:class:`~repro.core.timing.CubeColumns`)."""
+        return TimingShard(self.trial, self.process, CubeColumns(block.rows(self)))
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnBlock:
-    """A canonical column block: what every analysis pass folds.
+    """A campaign's samples, in memory and in the shard store: what every
+    analysis pass folds.
 
-    ``slices`` hold one (trial, process) each, and each slice's rows are in
-    dense order — iteration-major, thread-minor, with the same ascending
-    iteration and thread ids in every slice.  ``cube[s]`` is slice ``s``'s
-    ``(n_iterations, n_threads)`` matrix of compute times (seconds), i.e.
-    its process-iteration groups, and a view of ``columns`` whenever the
-    producer already emitted the layout.
+    ``cube[s]`` is slice ``s``'s ``(n_iterations, n_threads)`` matrix of
+    compute times (seconds), its process-iteration groups; ``slices[s]`` is
+    its (trial, process).  Every slice lists the same ascending
+    ``iterations`` and ``threads``, so the id columns are a base plus the
+    shape: :attr:`columns` and the views of :meth:`iter_shards` derive them
+    only when read.  ``planes`` are per-sample arrays shaped like the cube
+    that a backend really measured (the event backend's ``start_ns`` /
+    ``end_ns``); ``shard_slices`` are the producer's shards over the same
+    rows (an event shard spans its trial's processes; default: ``slices``);
+    ``stored`` (:class:`~repro.io.shard_store.StoredRows`) is set on blocks
+    read from a shard store, for re-reading a slice's samples later.
     """
 
-    columns: Mapping[str, np.ndarray]
-    slices: Sequence[ShardSlice]
     cube: np.ndarray
+    slices: Tuple[ShardSlice, ...]
     iterations: np.ndarray
+    threads: np.ndarray
+    planes: Mapping[str, np.ndarray] = field(default_factory=dict)
+    shard_slices: Tuple[ShardSlice, ...] = ()
+    stored: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        shard_slices = tuple(self.shard_slices or self.slices)
+        object.__setattr__(self, "shard_slices", shard_slices)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.cube.size)
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The block's flat columns, built on demand (ids included)."""
+        return dict(CubeColumns(self))
+
+    def iter_shards(self) -> Iterator[TimingShard]:
+        """The producer's shards (:attr:`shard_slices`) as lazy views."""
+        return (sl.shard(self) for sl in self.shard_slices)
+
+    def rows(self, shard: ShardSlice) -> "ColumnBlock":
+        """The rows of ``shard`` (one of :attr:`shard_slices`) as a block of
+        their own: views of this block's arrays."""
+        size = self.cube.shape[1] * self.cube.shape[2]
+        rows = slice(shard.start // size, shard.stop // size)
+        slices = [
+            sl._replace(start=k * size, stop=(k + 1) * size)
+            for k, sl in enumerate(self.slices[rows])
+        ]
+        return ColumnBlock(
+            self.cube[rows],
+            tuple(slices),
+            self.iterations,
+            self.threads,
+            {name: plane[rows] for name, plane in self.planes.items()},
+            (shard._replace(start=0, stop=len(slices) * size),),
+            None if self.stored is None else self.stored.rows_from(rows.start),
+        )
 
     @cached_property
     def sorted_cube(self) -> np.ndarray:
@@ -230,18 +285,54 @@ class ColumnBlock:
         return ordered
 
 
+def campaign_block(
+    shards: Sequence[Tuple[int, int]],
+    compute_times_s: np.ndarray,
+) -> ColumnBlock:
+    """The block of a ``(n_shards, n_iterations, n_threads)`` tensor of
+    compute times sampled for the (trial, process) ``shards``: the tensor is
+    the cube, without a copy if it is contiguous float64."""
+    times = np.ascontiguousarray(compute_times_s, dtype=np.float64)
+    if times.ndim != 3:
+        raise ValueError(f"compute_times_s must be 3-D, got shape {times.shape}")
+    if len(shards) != times.shape[0]:
+        raise ValueError(f"got {len(shards)} shard ids for {times.shape[0]} planes")
+    if np.any(times < 0):
+        raise ValueError("compute times must be non-negative")
+    n_shards, n_iterations, n_threads = times.shape
+    size = n_iterations * n_threads
+    slices = tuple(
+        ShardSlice(int(trial), int(process), k * size, (k + 1) * size)
+        for k, (trial, process) in enumerate(shards)
+    )
+    return ColumnBlock(
+        times,
+        slices,
+        np.arange(n_iterations, dtype=np.int32),
+        np.arange(n_threads, dtype=np.int32),
+    )
+
+
+def shard_block(shard: TimingShard) -> ColumnBlock:
+    """The block of one shard: the block a shard view reads, else
+    :func:`canonical_block` of its columns."""
+    if isinstance(shard.columns, CubeColumns):
+        return shard.columns.block
+    return canonical_block(shard.columns, [ShardSlice.of(shard)])
+
+
 def canonical_block(
     columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
 ) -> ColumnBlock:
-    """The canonical :class:`ColumnBlock` of ``columns`` addressed by ``slices``.
+    """The canonical :class:`ColumnBlock` of flat ``columns`` addressed by
+    ``slices``.
 
-    Campaign producers (``record_campaign``, the tensor backend's chunk
-    workers, the shard store's group payloads) already emit canonical
-    blocks; for those the cube is a zero-copy reshape of the sample column.
-    Anything else — event-backend ``process=None`` shards, dataset-backed
-    shards, rows in any order — has its rows stable-sorted inside each
-    declared slice and is re-sliced per (trial, process), so the cube is
-    the same one the producer would have emitted.
+    For column input that is not a cube already — event-backend
+    ``process=None`` shards, dataset-backed shards, rows in any order: each
+    declared slice's rows are stable-sorted into dense order and re-sliced
+    per (trial, process), so the cube is the one a campaign producer would
+    have emitted.  Columns beyond the ids and ``compute_time_s`` become
+    planes; the declared slices become the block's ``shard_slices``.
 
     Raises ``ValueError`` on rows outside their slice's declared trial /
     process and on non-dense rows (a missing or repeated (iteration,
@@ -249,45 +340,9 @@ def canonical_block(
     """
     if not slices:
         raise ValueError("a column block needs at least one slice")
-    block = _producer_block(columns, slices)
-    return block if block is not None else _resliced_block(columns, slices)
-
-
-def _producer_block(
-    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
-) -> Optional[ColumnBlock]:
-    """The block as given, if it already is canonical (else ``None``)."""
-    n_slices = len(slices)
-    values = np.asarray(columns["compute_time_s"], dtype=np.float64)
-    size = slices[0].n_samples
-    if size <= 0 or n_slices * size != len(values):
-        return None
-    for index, sl in enumerate(slices):
-        if sl.start != index * size or sl.stop != sl.start + size:
-            return None
-    layout = _cube(
-        values,
-        np.asarray(columns["iteration"]),
-        np.asarray(columns["thread"]),
-        n_slices,
-    )
-    if layout is None:
-        return None
-    # (trial, process or -1) of every slice
-    declared = np.array([sl.sort_key for sl in slices])
-    for k, name in enumerate(("trial", "process")):
-        rows = np.asarray(columns[name]).reshape(n_slices, size)
-        if not np.array_equal(rows, np.broadcast_to(declared[:, k, None], rows.shape)):
-            return None
-    return ColumnBlock(columns, slices, *layout)
-
-
-def _resliced_block(
-    columns: Mapping[str, np.ndarray], slices: Sequence[ShardSlice]
-) -> ColumnBlock:
-    """Sort each slice's rows into dense order and split it per process."""
+    sizes = [sl.n_samples for sl in slices]
     rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
-    owner = np.repeat(np.arange(len(slices)), [sl.n_samples for sl in slices])
+    owner = np.repeat(np.arange(len(slices)), sizes)
     declared = np.array([sl.sort_key for sl in slices])[owner]
     trial = np.asarray(columns["trial"])[rows]
     process = np.asarray(columns["process"])[rows]
@@ -305,30 +360,43 @@ def _resliced_block(
     size = len(rows) // len(starts)
     layout = None
     if size and np.all(np.diff(np.r_[starts, len(rows)]) == size):
-        permutation = rows[order]
-        columns = {name: np.asarray(arr)[permutation] for name, arr in columns.items()}
-        values = np.asarray(columns["compute_time_s"], dtype=np.float64)
-        layout = _cube(values, iteration[order], thread[order], len(starts))
+        layout = _layout(iteration[order], thread[order], len(starts))
     if layout is None:
         raise ValueError(
             "block rows are not dense: every (trial, process) needs each "
             "(iteration, thread) exactly once"
         )
+    shape, iterations, threads = layout
+    permutation = rows[order]
+    planes = {
+        name: np.asarray(values)[permutation].reshape(shape)
+        for name, values in columns.items()
+        if name not in ("trial", "process", "iteration", "thread", "compute_time_s")
+    }
+    cube = np.asarray(columns["compute_time_s"], dtype=np.float64)[permutation]
     resliced = [
         ShardSlice(
             slices[owner[start]].trial, int(process[start]), k * size, (k + 1) * size
         )
         for k, start in enumerate(starts)
     ]
-    return ColumnBlock(columns, resliced, *layout)
+    # each declared slice's rows are contiguous after the sort by owner
+    bounds = np.cumsum([0, *sizes]).tolist()
+    shard_slices = [
+        sl._replace(start=bounds[k], stop=bounds[k + 1]) for k, sl in enumerate(slices)
+    ]
+    return ColumnBlock(
+        cube.reshape(shape), resliced, iterations, threads, planes, shard_slices
+    )
 
 
-def _cube(
-    values: np.ndarray, iteration: np.ndarray, thread: np.ndarray, n_slices: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(cube, iterations)`` if ``n_slices`` equal runs of rows each list the
-    same ascending iterations, each with the same ascending threads."""
-    size = len(values) // n_slices
+def _layout(
+    iteration: np.ndarray, thread: np.ndarray, n_slices: int
+) -> Optional[Tuple[Tuple[int, int, int], np.ndarray, np.ndarray]]:
+    """``(shape, iterations, threads)`` if ``n_slices`` equal runs of rows
+    each list the same ascending iterations, each with the same ascending
+    threads."""
+    size = len(iteration) // n_slices
     n_threads = int(np.argmax(iteration[:size] != iteration[0])) or size
     if size % n_threads:
         return None
@@ -343,4 +411,4 @@ def _cube(
         iteration.reshape(shape), np.broadcast_to(iterations[:, np.newaxis], shape)
     ):
         return None
-    return values.reshape(shape), iterations
+    return shape, iterations.astype(np.int32), threads.astype(np.int32)

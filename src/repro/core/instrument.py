@@ -59,8 +59,7 @@ class RegionInstrumenter:
             "compute_time_s": [],
         }
         #: already-columnar blocks appended by :meth:`record_campaign` /
-        #: :meth:`record_columns`, kept as arrays so tensor recording never
-        #: round-trips through Python lists
+        #: :meth:`record_columns`, kept as arrays
         self._blocks: List[Dict[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
@@ -130,58 +129,30 @@ class RegionInstrumenter:
         """Record a whole ``(n_shards, n_iterations, n_threads)`` tensor as
         one columnar block.
 
-        The whole-campaign backend produces many (trial, process) shards in
-        one chunk; this assembles all their columns at once — trial/process
-        ids via ``np.repeat`` over the shard axis, iteration/thread ids via
-        one ``repeat``/``tile`` shared by every shard — so a chunk costs one
-        block regardless of how many shards it spans.  Row order equals
-        consecutive per-iteration :meth:`record_compute_times` calls per
-        shard, so datasets merge bit-identically with per-shard recording.
+        The tensor is copied into a :func:`~repro.core.aggregation.campaign_block`
+        (which validates it) and its columns, ids derived from the shape,
+        are appended with the derived ``start_ns = 0`` / ``end_ns`` of
+        :meth:`record_compute_times`.  Row order equals consecutive
+        per-iteration :meth:`record_compute_times` calls per shard, so
+        datasets merge bit-identically with per-shard recording.
         """
-        times = np.asarray(compute_times_s, dtype=np.float64)
-        if times.ndim != 3:
-            raise ValueError(
-                "compute_times_s must be 3-D (shards x iterations x threads), "
-                f"got shape {times.shape}"
-            )
-        if len(shards) != times.shape[0]:
-            raise ValueError(
-                f"got {len(shards)} shard ids for {times.shape[0]} planes"
-            )
-        if np.any(times < 0):
-            raise ValueError("compute times must be non-negative")
-        n_shards, n_iterations, n_threads = times.shape
-        per_shard = n_iterations * n_threads
-        flat = times.reshape(-1).copy()
-        trials = np.asarray([trial for trial, _ in shards], dtype=np.int32)
-        processes = np.asarray([process for _, process in shards], dtype=np.int32)
-        self._flush_rows()
-        self._blocks.append(
-            {
-                "trial": np.repeat(trials, per_shard),
-                "process": np.repeat(processes, per_shard),
-                "iteration": np.tile(
-                    np.repeat(
-                        np.arange(first_iteration, first_iteration + n_iterations),
-                        n_threads,
-                    ),
-                    n_shards,
-                ),
-                "thread": np.tile(np.arange(n_threads), n_shards * n_iterations),
-                "start_ns": np.zeros(times.size, dtype=np.int64),
-                "end_ns": (flat * 1e9).astype(np.int64),
-                "compute_time_s": flat,
-            }
-        )
+        from repro.core.aggregation import campaign_block
+
+        times = np.array(compute_times_s, dtype=np.float64)
+        columns = campaign_block(shards, times).columns
+        flat = columns.pop("compute_time_s")
+        columns["iteration"] += first_iteration
+        columns["start_ns"] = np.zeros(flat.size, dtype=np.int64)
+        columns["end_ns"] = (flat * 1e9).astype(np.int64)
+        columns["compute_time_s"] = flat
+        self.record_columns(columns)
 
     def record_columns(self, columns: Dict[str, np.ndarray]) -> None:
         """Append one pre-assembled columnar block.
 
-        The parallel campaign path assembles a chunk's columns inside a
-        worker process (via :meth:`record_campaign` there) and ships them
-        back as arrays; this appends such a block without re-deriving any
-        ids.  The block must carry exactly the canonical column set, with
-        equal lengths.
+        Appends a block of already-assembled columns (a dataset's, or
+        another instrumenter's) without re-deriving any ids.  The block
+        must carry exactly the canonical column set, with equal lengths.
         """
         if set(columns) != set(self._rows):
             raise ValueError(

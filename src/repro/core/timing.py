@@ -58,6 +58,46 @@ class TimingRecord:
         return self.compute_time_s * 1.0e3
 
 
+class CubeColumns(Mapping):
+    """The flat columns of a :class:`~repro.core.aggregation.ColumnBlock`,
+    derived on access.
+
+    The block's cube holds one ``(n_iterations, n_threads)`` matrix per
+    (trial, process) slice, every slice listing the same iteration and
+    thread ids, so the id columns are built from the shape when read (and
+    not cached); ``compute_time_s`` and the block's planes are flat views.
+    """
+
+    __slots__ = ("block",)
+
+    def __init__(self, block) -> None:
+        self.block = block
+
+    def __iter__(self) -> Iterator[str]:
+        ids = ("trial", "process", "iteration", "thread")
+        return iter((*ids, *self.block.planes, "compute_time_s"))
+
+    def __len__(self) -> int:
+        return 5 + len(self.block.planes)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        block = self.block
+        n_slices, n_iterations, n_threads = block.cube.shape
+        if name == "compute_time_s":
+            return block.cube.reshape(-1)
+        if name in block.planes:
+            return block.planes[name].reshape(-1)
+        if name in ("trial", "process"):
+            ids = np.array([getattr(sl, name) for sl in block.slices], dtype=np.int32)
+            return np.repeat(ids, n_iterations * n_threads)
+        if name == "iteration":
+            labels = np.repeat(block.iterations.astype(np.int32), n_threads)
+            return np.tile(labels, n_slices)
+        if name == "thread":
+            return np.tile(block.threads.astype(np.int32), n_slices * n_iterations)
+        raise KeyError(name)
+
+
 @dataclass(frozen=True)
 class TimingShard:
     """One campaign shard: the timing columns of a (trial, process) slice.
@@ -71,6 +111,8 @@ class TimingShard:
     ``process is None`` marks a shard covering *all* processes of its trial
     (the event-driven backend shards at trial granularity, because the
     per-trial clock domain is consumed across processes).
+    A shard viewed out of a :class:`~repro.core.aggregation.ColumnBlock`
+    holds :class:`CubeColumns`, which derive the ids on access.
     """
 
     trial: int
@@ -78,6 +120,8 @@ class TimingShard:
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        if isinstance(self.columns, CubeColumns):
+            return  # consistent by construction
         required = {"trial", "process", "iteration", "thread", "compute_time_s"}
         missing = required - set(self.columns)
         if missing:
@@ -123,6 +167,13 @@ class TimingDataset:
     metadata:
         Free-form campaign description (application, machine, configuration,
         seed, ...); carried through saves/loads and into reports.
+
+    Inputs are not copied: a column that already has its dtype (int32 ids,
+    int64 clock readings, float64 compute times) is held as given, so the
+    caller must not mutate it afterwards.  Campaign producers hand their
+    samples over as ``(n_slices, n_iterations, n_threads)`` cubes
+    (:class:`~repro.core.aggregation.ColumnBlock`); a dataset is their
+    flat, merged form, built on demand.
     """
 
     def __init__(
@@ -143,11 +194,11 @@ class TimingDataset:
                     f"column {name!r} must be 1-D of length {length}, got shape {arr.shape}"
                 )
             if name in ("trial", "process", "iteration", "thread"):
-                data[name] = arr.astype(np.int32)
+                data[name] = arr.astype(np.int32, copy=False)
             elif name in ("start_ns", "end_ns"):
-                data[name] = arr.astype(np.int64)
+                data[name] = arr.astype(np.int64, copy=False)
             else:
-                data[name] = arr.astype(np.float64)
+                data[name] = arr.astype(np.float64, copy=False)
         if np.any(data["compute_time_s"] < 0):
             raise ValueError("compute times must be non-negative")
         self._data = data
@@ -188,27 +239,17 @@ class TimingDataset:
         ``compute_times_s`` must have shape
         ``(n_trials, n_processes, n_iterations, n_threads)``.
         """
+        from repro.core.aggregation import campaign_block
+
         arr = np.asarray(compute_times_s, dtype=np.float64)
         if arr.ndim != 4:
             raise ValueError(
                 "compute_times_s must be 4-D (trials, processes, iterations, threads)"
             )
         n_trials, n_processes, n_iterations, n_threads = arr.shape
-        trial, process, iteration, thread = np.meshgrid(
-            np.arange(n_trials),
-            np.arange(n_processes),
-            np.arange(n_iterations),
-            np.arange(n_threads),
-            indexing="ij",
-        )
-        columns = {
-            "trial": trial.ravel(),
-            "process": process.ravel(),
-            "iteration": iteration.ravel(),
-            "thread": thread.ravel(),
-            "compute_time_s": arr.ravel(),
-        }
-        return cls(columns, metadata)
+        shards = [(t, p) for t in range(n_trials) for p in range(n_processes)]
+        cube = arr.reshape(-1, n_iterations, n_threads)
+        return cls(campaign_block(shards, cube).columns, metadata)
 
     @classmethod
     def merge(

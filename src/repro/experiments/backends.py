@@ -15,12 +15,12 @@ campaign layer without touching it.  Three backends ship with the package:
   examples and by integration tests that check the backends agree.
 * ``"campaign"`` — the whole-campaign tensor kernel: the closed-form math
   lifted from one iteration to *all* (trial, process) shards, sampled as
-  ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold and
-  one columnar instrumenter assembly for an entire shard chunk
+  ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold for
+  an entire shard chunk, whose sampled tensor is the chunk's column block
   (``chunk_shards`` bounds peak memory).  Draw streams are keyed by
   absolute shard scope, so results are bit-identical across any chunking
   *and any worker count*: with ``max_workers > 1`` whole chunks fold in
-  parallel on the executor's worker pool, returning their columns through
+  parallel on the executor's worker pool, returning their cubes through
   shared memory (or spilling straight into a
   :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness in a
   different order than ``"vectorized"``, so the two agree in distribution,
@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.apps import get_application
 from repro.apps.base import ProxyApplication
-from repro.core.aggregation import ShardSlice
+from repro.core.aggregation import ColumnBlock, campaign_block, shard_block
 from repro.core.instrument import RegionInstrumenter
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.executor import ShardExecutor
@@ -103,7 +103,7 @@ class CampaignBackend(ABC):
     The executor (:class:`~repro.experiments.executor.ShardExecutor`) pools
     a campaign's *units of work*: :meth:`work_units` cuts them and
     :meth:`unit_block` produces one unit's column block inside a worker.
-    By default a unit is one :meth:`run_shard` shard, as a one-slice block;
+    By default a unit is one :meth:`run_shard` shard, as its block;
     a backend whose unit is a whole shard chunk overrides both.
     """
 
@@ -137,11 +137,11 @@ class CampaignBackend(ABC):
 
     def iter_column_blocks(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[Tuple[Dict[str, np.ndarray], List[ShardSlice]]]:
-        """Lazily yield the campaign's ``(columns, slices)`` blocks in
-        serial order: one one-slice block per :meth:`iter_shards` shard."""
+    ) -> Iterator[ColumnBlock]:
+        """Lazily yield the campaign's column blocks in serial order: one
+        block per :meth:`iter_shards` shard."""
         for shard in self.iter_shards(config, streams):
-            yield shard.columns, [ShardSlice.of(shard)]
+            yield shard_block(shard)
 
     def run(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
@@ -159,14 +159,11 @@ class CampaignBackend(ABC):
         order: the campaign's shard specs."""
         return self.shard_specs(config)
 
-    def unit_block(
-        self, config: "CampaignConfig", unit
-    ) -> Tuple[Dict[str, np.ndarray], List[ShardSlice]]:
-        """One unit's ``(columns, slices)`` block, built from nothing but
-        ``config`` and ``unit`` (it runs in a pool worker): the unit's
-        :meth:`run_shard` shard as a one-slice block."""
-        shard = self.run_shard(config, unit, RandomStreams(config.seed))
-        return shard.columns, [ShardSlice.of(shard)]
+    def unit_block(self, config: "CampaignConfig", unit) -> ColumnBlock:
+        """One unit's column block, built from nothing but ``config`` and
+        ``unit`` (it runs in a pool worker): the unit's :meth:`run_shard`
+        shard as a block."""
+        return shard_block(self.run_shard(config, unit, RandomStreams(config.seed)))
 
     # ------------------------------------------------------------------
     def metadata(self, config: "CampaignConfig") -> Dict[str, object]:
@@ -283,23 +280,14 @@ class VectorizedBackend(CampaignBackend):
         noise_rng = streams.get(app.name, "noise", trial, process)
         noise = config.machine.build_noise_model(noise_rng)
         app.begin_process(process, work_rng)
-        instrumenter = RegionInstrumenter(region=app.region, application=app.name)
-        for iteration in range(config.iterations):
-            times = app.thread_compute_times(
-                process=process,
-                iteration=iteration,
-                rng=work_rng,
-                noise=noise,
+        times = [
+            app.thread_compute_times(
+                process=process, iteration=iteration, rng=work_rng, noise=noise
             )
-            instrumenter.record_compute_times(
-                trial=trial,
-                process=process,
-                iteration=iteration,
-                compute_times_s=times,
-            )
-        return TimingShard.from_dataset(
-            instrumenter.dataset(), trial=trial, process=process
-        )
+            for iteration in range(config.iterations)
+        ]
+        block = campaign_block([(trial, process)], np.stack(times)[np.newaxis])
+        return next(block.iter_shards())
 
 
 @register_backend("event")
@@ -380,29 +368,11 @@ class EventBackend(CampaignBackend):
 # Pool workers rebuild the whole execution context from the picklable
 # CampaignConfig: the shard-keyed PurposeSplitRNG makes a chunk's draws
 # depend only on which shards it contains, so any worker can fold any chunk
-# and the assembled campaign is bit-identical to a serial run.  The
-# executor's pool driver moves the chunks' columns (shared memory in
-# process mode) or spills them straight into a ShardStore.
+# and the assembled campaign is bit-identical to a serial run.  A chunk's
+# sampled (n_shards, n_iterations, n_threads) tensor is its block's cube;
+# the executor's pool driver moves the cubes (shared memory in process
+# mode) or spills them straight into a ShardStore.
 # ----------------------------------------------------------------------
-def _chunk_columns(
-    app: ProxyApplication, chunk: List[Tuple[int, int]], times: np.ndarray
-) -> Dict[str, np.ndarray]:
-    """Assemble one chunk's full column block (the zero-copy unit shipped
-    between processes and appended via ``record_columns``)."""
-    instrumenter = RegionInstrumenter(region=app.region, application=app.name)
-    instrumenter.record_campaign(shards=chunk, compute_times_s=times)
-    dataset = instrumenter.dataset()
-    return {name: dataset.column(name) for name in dataset.columns}
-
-
-def _chunk_slices(chunk: List[Tuple[int, int]], per_shard: int) -> List[ShardSlice]:
-    """One :class:`~repro.core.aggregation.ShardSlice` per chunk shard."""
-    return [
-        ShardSlice(trial, process, index * per_shard, (index + 1) * per_shard)
-        for index, (trial, process) in enumerate(chunk)
-    ]
-
-
 #: per-worker execution-context cache.  Pool workers are reused across
 #: chunks, so rebuilding the application per chunk would redo its one-time
 #: setup — cost calibration, the deterministic busy-row fold MiniFE caches
@@ -436,11 +406,11 @@ class CampaignTensorBackend(CampaignBackend):
     All (trial, process) shards of a campaign are sampled together as
     ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold
     through :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign`
-    and one columnar
-    :meth:`~repro.core.instrument.RegionInstrumenter.record_campaign`
-    assembly per chunk.  ``chunk_shards`` bounds how many shards are
-    resident at once; the results are **bit-identical for every chunking
-    and every worker count** because all draws run through the shard-keyed
+    per chunk, whose tensor is the chunk's block's cube as sampled
+    (:func:`~repro.core.aggregation.campaign_block`).  ``chunk_shards``
+    bounds how many shards are resident at once; the results are
+    **bit-identical for every chunking and every worker count** because
+    all draws run through the shard-keyed
     :class:`~repro.sim.random.PurposeSplitRNG` — a draw's value depends
     only on its absolute (scope path, method, occurrence) identity, never
     on what folded before it.
@@ -512,20 +482,19 @@ class CampaignTensorBackend(CampaignBackend):
 
     def iter_column_blocks(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[Tuple[Dict[str, np.ndarray], List[ShardSlice]]]:
-        """One ``(columns, slices)`` block per chunk, in trial-major order."""
-        per_shard = config.iterations * config.threads
-        for app, chunk, times in self._serial_chunks(config, streams):
-            yield _chunk_columns(app, chunk, times), _chunk_slices(chunk, per_shard)
+    ) -> Iterator[ColumnBlock]:
+        """One block per chunk, in trial-major order: the chunk's sampled
+        tensor is the block's cube."""
+        for _, chunk, times in self._serial_chunks(config, streams):
+            yield campaign_block(chunk, times)
 
     def iter_shards(
         self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
     ) -> Iterator[TimingShard]:
         """Yield the campaign's shards, sampled a whole chunk at a time
-        (zero-copy views of :meth:`iter_column_blocks`)."""
-        for columns, slices in self.iter_column_blocks(config, streams):
-            for sl in slices:
-                yield sl.shard(columns)
+        (lazy views of :meth:`iter_column_blocks`)."""
+        for block in self.iter_column_blocks(config, streams):
+            yield from block.iter_shards()
 
     def run(
         self,
@@ -534,12 +503,7 @@ class CampaignTensorBackend(CampaignBackend):
         *,
         mode: str = "process",
     ) -> TimingDataset:
-        """Run the whole campaign as one columnar assembly.
-
-        Chunks append straight into a single instrumenter — no per-shard
-        column slicing, no merge re-concatenation.  Shards are produced in
-        trial-major order, so the rows equal the merged :meth:`iter_shards`
-        stream bit-for-bit; only the assembly cost differs.
+        """Run the whole campaign and merge it into one dataset.
 
         ``config.max_workers > 1`` folds the chunks on the executor's
         worker pool (``mode``: ``"process"`` or ``"thread"``) —
@@ -547,17 +511,12 @@ class CampaignTensorBackend(CampaignBackend):
         Passing explicit ``streams`` forces the serial path (workers
         rebuild their streams from ``config.seed``).
         """
-        meta = self.metadata(config)
-        instrumenter = RegionInstrumenter(
-            region=meta["region"], application=meta["application"], metadata=meta
-        )
         if streams is None and config.max_workers > 1:
-            for columns, _ in ShardExecutor(mode=mode).iter_blocks(self, config):
-                instrumenter.record_columns(columns)
+            blocks = ShardExecutor(mode=mode).iter_blocks(self, config)
         else:
-            for _, chunk, times in self._serial_chunks(config, streams):
-                instrumenter.record_campaign(shards=chunk, compute_times_s=times)
-        return instrumenter.dataset()
+            blocks = self.iter_column_blocks(config, streams)
+        shards = (shard for block in blocks for shard in block.iter_shards())
+        return TimingDataset.merge(shards, metadata=self.metadata(config))
 
     # ------------------------------------------------------------------
     # units of pooled work: shard chunks
@@ -580,13 +539,10 @@ class CampaignTensorBackend(CampaignBackend):
         size = self._parallel_chunk_size(len(shards), workers)
         return [shards[start : start + size] for start in range(0, len(shards), size)]
 
-    def unit_block(
-        self, config: "CampaignConfig", chunk
-    ) -> Tuple[Dict[str, np.ndarray], List[ShardSlice]]:
-        """Fold one shard chunk and assemble its column block, under the
-        per-worker context cache."""
+    def unit_block(self, config: "CampaignConfig", chunk) -> ColumnBlock:
+        """Fold one shard chunk into its block, under the per-worker
+        context cache."""
         app, rng, noise, _ = _worker_context(config)
         chunk = [tuple(shard) for shard in chunk]
         times = app.thread_compute_times_campaign(shards=chunk, rng=rng, noise=noise)
-        per_shard = config.iterations * config.threads
-        return _chunk_columns(app, chunk, times), _chunk_slices(chunk, per_shard)
+        return campaign_block(chunk, times)

@@ -4,7 +4,7 @@
 :mod:`concurrent.futures` worker pool of ``config.max_workers`` workers.  A
 backend says only how to cut its campaign into units of work
 (:meth:`~repro.experiments.backends.CampaignBackend.work_units`) and how to
-produce one unit's ``(columns, slices)`` column block
+produce one unit's :class:`~repro.core.aggregation.ColumnBlock`
 (:meth:`~repro.experiments.backends.CampaignBackend.unit_block`): one
 ``run_shard`` shard for the per-shard backends, one shard chunk for the
 campaign tensor backend.  Every worker re-derives its unit's draws from the
@@ -16,9 +16,9 @@ blocks, and all three feed the units through :func:`map_pooled`, the one
 bounded-window pool driver, with :func:`_run_unit` as the one worker body:
 
 * :meth:`ShardExecutor.iter_blocks` yields the blocks; in process mode their
-  columns come back through one shared-memory segment per unit;
-* :meth:`ShardExecutor.map_blocks` applies a picklable ``mapper(columns,
-  slices)`` where each block lands (the analysis engine's
+  cubes come back through one shared-memory segment per unit;
+* :meth:`ShardExecutor.map_blocks` applies a picklable ``mapper(block)``
+  where each block lands (the analysis engine's
   ``ColumnarAnalyzer``: only per-pass partials come back);
 * :meth:`ShardExecutor.run_to_store` spills them into a
   :class:`~repro.io.shard_store.ShardStore`: each worker writes its block as
@@ -39,6 +39,7 @@ no pool.  Two pool modes are supported:
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -48,9 +49,11 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.core.aggregation import ColumnBlock
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.experiments.backends import CampaignBackend
@@ -119,21 +122,22 @@ def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport: process workers ship column blocks back through
-# one multiprocessing.shared_memory segment per unit, created only *after*
-# the block is built (so a crashed worker leaves nothing in /dev/shm),
-# instead of pickling them; the parent attaches, copies the columns once
-# and unlinks
+# shared-memory transport: process workers ship a block's cube (and its
+# measured planes, if any) back through one multiprocessing.shared_memory
+# segment per unit, created only *after* the block is built (so a crashed
+# worker leaves nothing in /dev/shm), instead of pickling them; the parent
+# attaches, copies the arrays once and unlinks.  The ids travel as the
+# block's slices, so 8 B per sample cross the process boundary
 # ----------------------------------------------------------------------
-def pack_block(
-    columns: Dict[str, np.ndarray],
-) -> Tuple[str, List[Tuple[str, str, Tuple[int, ...], int]]]:
-    """Pack one column block into a shared-memory segment (worker side).
+def pack_block(block: ColumnBlock) -> Tuple[str, list, ColumnBlock]:
+    """Pack one block's arrays into a shared-memory segment (worker side).
 
-    Returns the segment name plus one ``(column, dtype, shape, offset)``
-    descriptor per column, in the block's column order.
+    Returns the segment name, one ``(name, dtype, shape, offset)``
+    descriptor per array (the cube as ``compute_time_s``, then the planes)
+    and the block's array-free skeleton for :func:`unpack_block`.
     """
-    arrays = {name: np.ascontiguousarray(array) for name, array in columns.items()}
+    arrays = {"compute_time_s": block.cube, **block.planes}
+    arrays = {name: np.ascontiguousarray(array) for name, array in arrays.items()}
     total = sum(array.nbytes for array in arrays.values())
     segment = shared_memory.SharedMemory(create=True, size=max(1, total))
     # The parent's attach re-registers the segment with the (fork-shared)
@@ -151,27 +155,29 @@ def pack_block(
             view[...] = array
             descriptors.append((name, array.dtype.str, array.shape, offset))
             offset += array.nbytes
-        return segment.name, descriptors
+        skeleton = dataclasses.replace(block, cube=np.empty(0), planes={})
+        return segment.name, descriptors, skeleton
     finally:
         segment.close()
 
 
-def unpack_block(segment_name: str, descriptors) -> Dict[str, np.ndarray]:
-    """Copy a packed column block out of shared memory and unlink it
-    (parent side).  One copy per column — the fork-shared resource tracker
+def unpack_block(segment_name: str, descriptors, skeleton: ColumnBlock) -> ColumnBlock:
+    """Copy a packed block's arrays out of shared memory and unlink it
+    (parent side).  One copy per array — the fork-shared resource tracker
     then forgets the segment cleanly."""
     segment = shared_memory.SharedMemory(name=segment_name)
     try:
-        columns = {}
+        arrays = {}
         for name, dtype, shape, offset in descriptors:
             view = np.ndarray(
                 tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
             )
-            columns[name] = view.copy()
-        return columns
+            arrays[name] = view.copy()
     finally:
         segment.close()
         segment.unlink()
+    cube = arrays.pop("compute_time_s")
+    return dataclasses.replace(skeleton, cube=cube, planes=arrays)
 
 
 def discard_shm(segment_name: str) -> None:
@@ -189,21 +195,15 @@ def discard_shm(segment_name: str) -> None:
 # ----------------------------------------------------------------------
 def _run_unit(backend: "CampaignBackend", config: "CampaignConfig", unit, apply):
     """Worker entry point (module-level so process pools can pickle it):
-    produce one unit's block and apply ``apply(columns, slices)`` to it
-    right there (``None``: the block itself is the result).
+    produce one unit's block and apply ``apply(block)`` to it right there
+    (``None``: the block itself is the result).
 
     ``backend`` travels pickled: unpickling it in a spawn-started worker
     imports its defining module, so user-registered backends work in
     process pools on platforms without ``fork``.
     """
-    columns, slices = backend.unit_block(config, unit)
-    return (columns, slices) if apply is None else apply(columns, slices)
-
-
-def _share_block(columns, slices):
-    """Process-mode transport of a block: its columns in shared memory."""
-    segment_name, descriptors = pack_block(columns)
-    return segment_name, descriptors, slices
+    block = backend.unit_block(config, unit)
+    return block if apply is None else apply(block)
 
 
 class _SpillPayload:
@@ -214,13 +214,13 @@ class _SpillPayload:
     def __init__(self, directory: str) -> None:
         self.directory = directory
 
-    def __call__(self, columns, slices):
+    def __call__(self, block):
         from repro.io.shard_store import write_group_payload
 
         name = f"unit-{os.getpid()}-{os.urandom(8).hex()}.payload"
         path = os.path.join(self.directory, name)
         try:
-            entry = write_group_payload(path, [sl.shard(columns) for sl in slices])
+            entry = write_group_payload(path, [block])
         except BaseException:
             Path(path).unlink(missing_ok=True)
             raise
@@ -265,8 +265,8 @@ class ShardExecutor:
     def iter_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig"
     ) -> Iterator[tuple]:
-        """Yield the campaign's ``(columns, slices)`` blocks in serial
-        (trial-major) order, one per unit.
+        """Yield the campaign's column blocks in serial (trial-major)
+        order, one per unit.
 
         **Incremental contract**: each block is yielded as soon as it is
         available — after its own unit ran, *before* later units have (a
@@ -279,7 +279,7 @@ class ShardExecutor:
         results = self._pooled(
             backend,
             config,
-            _share_block if shared else None,
+            pack_block if shared else None,
             _discard_shared if shared else None,
         )
         if results is None:
@@ -287,15 +287,12 @@ class ShardExecutor:
             return
         with closing(results):
             for result in results:
-                if shared:
-                    segment_name, descriptors, slices = result
-                    result = unpack_block(segment_name, descriptors), slices
-                yield result
+                yield unpack_block(*result) if shared else result
 
     def map_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig", mapper
     ) -> Iterator[object]:
-        """Apply ``mapper(columns, slices)`` to every block where it lands,
+        """Apply ``mapper(block)`` to every block where it lands,
         yielding the results in serial (trial-major) order.
 
         With a pool the mapper runs inside the workers, so a mapper that
@@ -305,7 +302,7 @@ class ShardExecutor:
         """
         results = self._pooled(backend, config, mapper)
         if results is None:
-            return (mapper(*block) for block in backend.iter_column_blocks(config))
+            return (mapper(block) for block in backend.iter_column_blocks(config))
         return results
 
     def run_to_store(
@@ -316,15 +313,15 @@ class ShardExecutor:
         Pool workers write each unit's block straight into the store's
         on-disk group format and the parent adopts the finished files — the
         sample arrays never travel to the parent.  A serial run appends
-        each block's shards as it is produced, through the store's spill
-        buffer.  Returns the (flushed, not yet finalized) store.
+        each block as it is produced, through the store's spill buffer.
+        Returns the (flushed, not yet finalized) store.
         """
         payloads = self._pooled(
             backend, config, _SpillPayload(str(store.path)), _discard_payload
         )
         if payloads is None:
-            for columns, slices in backend.iter_column_blocks(config):
-                store.extend([sl.shard(columns) for sl in slices])
+            for block in backend.iter_column_blocks(config):
+                store.append_block(block)
         else:
             with closing(payloads):
                 for payload in payloads:

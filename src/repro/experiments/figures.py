@@ -12,9 +12,9 @@ needed.  The exemplar histograms of Figures 5/7/9 need raw samples a
 finalized product cannot carry, so those generators also take the
 campaign's ``shards`` — a shard sequence, a
 :class:`~repro.experiments.session.CampaignResult` or a
-:class:`~repro.io.shard_store.ShardStore` — and scan out the exemplar
-group (histogram binning is order-independent, so the scan is
-bit-identical to binning the merged dataset's group).
+:class:`~repro.io.shard_store.ShardStore` — and read the exemplar group
+as one row of the campaign's cube (the merged dataset's group, bit for
+bit).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.engine import AnalysisResults
+from repro.core.aggregation import shard_block
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, LaggardAnalysis
 from repro.experiments.paper import FIGURE_PARAMETERS
@@ -99,7 +100,7 @@ def figure2_potential_overlap(
 
 
 # ----------------------------------------------------------------------
-# exemplar plumbing: laggard products and shard scans
+# exemplar plumbing: laggard products and cube rows
 # ----------------------------------------------------------------------
 def _laggards_product(results: AnalysisResults) -> LaggardAnalysis:
     """The per-group laggard analysis behind Figures 5/7/9's exemplars."""
@@ -107,44 +108,32 @@ def _laggards_product(results: AnalysisResults) -> LaggardAnalysis:
 
 
 def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
-    """One process-iteration's samples scanned straight out of the shards.
+    """One process-iteration's samples: one row of the campaign's cube,
+    found by address (the slice of its (trial, process), the row of its
+    iteration), a fresh copy equal to the dense path's group.
 
-    Shard segments are concatenated in serial (trial-major) order —
-    the dense path's row order — and histogram binning is order-independent
-    anyway, so figures built from this match the merged-dataset path bit for
-    bit.  Works for per-(trial, process) executor shards, the per-trial
-    shards a cache hit derives, and anything exposing ``iter_shards()`` —
-    a :class:`~repro.io.shard_store.ShardStore` or a
-    :class:`~repro.experiments.session.CampaignResult` — which is streamed
-    in its own (already serial) order with only the matched samples copied
-    out, so a store's memory mappings are released as the scan advances.
+    ``shards`` is a shard sequence (each read as its block, so event
+    ``process=None`` shards are re-sliced per process) or anything with
+    ``iter_column_blocks()`` (a store or a campaign result); a stored row
+    is read alone through the block's :class:`~repro.io.shard_store.StoredRows`.
     """
     trial, process, iteration = (int(part) for part in key)
-    if hasattr(shards, "iter_shards"):
-        iterator = shards.iter_shards()
+    if hasattr(shards, "iter_column_blocks"):
+        blocks = shards.iter_column_blocks()
     else:
-        iterator = iter(sorted(shards, key=lambda s: s.sort_key))
-    parts = []
-    for shard in iterator:
-        # a shard's address narrows the scan: skip other trials/processes
-        # without touching their column data at all
-        if int(shard.trial) != trial:
-            continue
-        if shard.process is not None and int(shard.process) != process:
-            continue
-        columns = shard.columns
-        mask = (
-            (np.asarray(columns["trial"]) == trial)
-            & (np.asarray(columns["process"]) == process)
-            & (np.asarray(columns["iteration"]) == iteration)
-        )
-        if np.any(mask):
-            # copy: the matched values must outlive the shard's (possibly
-            # memory-mapped) backing arrays
-            parts.append(np.array(columns["compute_time_s"])[mask])
-    if not parts:
-        raise KeyError(f"no samples for process-iteration {key} in the shards")
-    return np.concatenate(parts)
+        blocks = (shard_block(shard) for shard in shards)
+    for block in blocks:
+        for s, sl in enumerate(block.slices):
+            if (sl.trial, sl.process) != (trial, process):
+                continue
+            hits = np.flatnonzero(block.iterations == iteration)
+            if not len(hits):
+                continue
+            row = int(hits[0])
+            if block.stored is not None:
+                return block.stored.row(s)[row : row + 1].reshape(-1)
+            return np.array(block.cube[s, row])
+    raise KeyError(f"no samples for process-iteration {key} in the shards")
 
 
 def _group_histogram(

@@ -67,6 +67,7 @@ from repro.experiments.executor import ShardExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis import AnalysisPass, AnalysisResults
+    from repro.core.aggregation import ColumnBlock
     from repro.core.report import FeasibilityReport
     from repro.experiments.config import CampaignConfig
     from repro.io.cache_tier import CacheTier
@@ -113,22 +114,25 @@ def campaign_store_path(
 class CampaignResult:
     """Outcome of one application's campaign, merged on demand.
 
-    Holds either the ``(columns, slices)`` column blocks the executor
-    produced (fresh run: one per ``campaign`` chunk, one per shard for the
-    other backends) or a :class:`~repro.io.shard_store.ShardStore`
-    (out-of-core run or cache hit).  Iterating yields the shards —
-    zero-copy views of the blocks; :attr:`dataset` merges them — once —
-    into the dense :class:`~repro.core.timing.TimingDataset`.  Store-backed results keep
-    nothing dense resident: :meth:`iter_shards` streams memory-mapped views
-    group by group, and :attr:`n_samples` / :attr:`metadata` come straight
-    from the store's manifest.
+    Holds either the :class:`~repro.core.aggregation.ColumnBlock` s the
+    executor produced (fresh run: one per ``campaign`` chunk, one per shard
+    for the other backends) or a :class:`~repro.io.shard_store.ShardStore`
+    (out-of-core run or cache hit).  A block is a cube of compute times
+    plus its slice keys, 8 B per sample (plus the event backend's measured
+    clock planes), so a finished in-memory result holds no id columns.
+    Iterating yields the shards — lazy views of the blocks that derive
+    their id columns on access; :attr:`dataset` merges them — once — into
+    the dense :class:`~repro.core.timing.TimingDataset`.  Store-backed
+    results keep nothing dense resident: :meth:`iter_shards` streams
+    memory-mapped views group by group, and :attr:`n_samples` /
+    :attr:`metadata` come straight from the store's manifest.
     """
 
     def __init__(
         self,
         config: "CampaignConfig",
         *,
-        blocks: Optional[Iterable[tuple]] = None,
+        blocks: Optional[Iterable["ColumnBlock"]] = None,
         store: Optional["ShardStore"] = None,
         metadata: Optional[Dict[str, object]] = None,
         from_cache: bool = False,
@@ -139,7 +143,6 @@ class CampaignResult:
         self.from_cache = from_cache
         self.store = store
         self._blocks = tuple(blocks) if blocks is not None else None
-        self._shards: Optional[Tuple[TimingShard, ...]] = None
         self._metadata = metadata
         #: the merged :attr:`dataset`, once something asked for it
         self._dataset: Optional[TimingDataset] = None
@@ -151,48 +154,29 @@ class CampaignResult:
 
     @property
     def shards(self) -> Tuple[TimingShard, ...]:
-        """The campaign's shards: zero-copy views of the held blocks.
-
-        Store-backed results materialise the full shard tuple here (the
-        views stay memory-mapped, but holding them keeps the whole store
-        mapped) — memory-bounded consumers should prefer
-        :meth:`iter_shards`.
-        """
-        if self._shards is None:
-            if self._blocks is not None:
-                self._shards = tuple(
-                    sl.shard(columns)
-                    for columns, slices in self._blocks
-                    for sl in slices
-                )
-            else:
-                self._shards = tuple(self.store.iter_shards())
-        return self._shards
+        """All of :meth:`iter_shards` at once (a store-backed result's
+        tuple keeps the whole store mapped while it is held)."""
+        return tuple(self.iter_shards())
 
     def iter_shards(self) -> Iterator[TimingShard]:
-        """Stream the campaign's shards with a bounded working set.
-
-        Store-backed results stream zero-copy mmap views one group at a
-        time; in-memory results iterate :attr:`shards`.  This is the
-        iteration every out-of-core consumer (figure generators) should
-        use.
-        """
-        if self._shards is None and self._blocks is None:
+        """Stream the campaign's shards: lazy views of the held blocks, or
+        a store-backed result's mmap views one group at a time (the
+        bounded working set every out-of-core consumer should use)."""
+        if self._blocks is None:
             return self.store.iter_shards()
-        return iter(self.shards)
+        return (shard for block in self._blocks for shard in block.iter_shards())
 
     def iter_column_blocks(self):
-        """Stream the campaign as columnar ``(columns, slices)`` blocks.
+        """Stream the campaign as :class:`~repro.core.aggregation.ColumnBlock` s.
 
         The analysis engine's input
         (:func:`~repro.analysis.engine.run_columnar_analyses`), in serial
         (trial-major) shard order:
 
         * in-memory results yield the blocks their producer made — one
-          multi-slice block per ``campaign`` chunk, one one-slice block per
-          shard for the other backends (which
-          :func:`~repro.core.aggregation.canonical_block` re-slices per
-          (trial, process) where needed, e.g. event-backend shards);
+          multi-slice block per ``campaign`` chunk, one block per shard for
+          the other backends (an event-backend shard's block holds one
+          slice per process of its trial);
         * store-backed results yield each on-disk group as one zero-copy
           mmap block
           (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`).
@@ -258,7 +242,7 @@ class CampaignResult:
 
 def write_campaign_store(
     path: Path,
-    shards: Union[Iterable[TimingShard], Callable[["ShardStore"], object]],
+    blocks: Union[Iterable["ColumnBlock"], Callable[["ShardStore"], object]],
     metadata: Dict[str, object],
     *,
     tier: Optional["CacheTier"] = None,
@@ -266,7 +250,7 @@ def write_campaign_store(
 ) -> Path:
     """Write one campaign cache entry: a finalized shard store at ``path``.
 
-    ``shards`` is an iterable of shards, or a callable that fills the
+    ``blocks`` is an iterable of column blocks, or a callable that fills the
     staged store itself (the executor's direct worker-to-store spill,
     :meth:`~repro.experiments.executor.ShardExecutor.run_to_store`).  The
     store is built in a sibling ``*.tmp-*`` directory, finalized with
@@ -298,10 +282,11 @@ def write_campaign_store(
     shutil.rmtree(staged_path, ignore_errors=True)
     try:
         staged = ShardStore.create(staged_path, spill_threshold_bytes=threshold)
-        if callable(shards):
-            shards(staged)
+        if callable(blocks):
+            blocks(staged)
         else:
-            staged.extend(shards)
+            for block in blocks:
+                staged.append_block(block)
         staged.finalize(metadata)
         # move the previous entry aside with one atomic rename rather than
         # deleting it in place, where a racing writer's fresh entry could
@@ -328,9 +313,10 @@ def open_cached_campaign(
     """Look up one campaign cache entry: the store at ``path`` as a result.
 
     Returns ``None`` on a miss.  An entry that cannot be served — an
-    unreadable manifest, a foreign format version, an incomplete store, a
-    missing or truncated group file (:meth:`ShardStore.verify`) — is a miss
-    too, and is removed so the caller recomputes and rewrites it.  A hit
+    unreadable manifest, a foreign format version (a store written before
+    format v2), an incomplete store, a missing, truncated or corrupted
+    group file (:meth:`ShardStore.verify` checks sizes and crc32s) — is a
+    miss too, and is removed so the caller recomputes and rewrites it.  A hit
     bumps the entry's LRU clock in ``tier`` and comes back as a
     store-backed ``CampaignResult(from_cache=True)``.  The cache key
     deliberately excludes the scenario label (it cannot change the
@@ -621,7 +607,7 @@ class CampaignSession:
         path = self._store_path(config)
         if path is not None:
             write_campaign_store(
-                path, result.shards, result.metadata, tier=self.cache_tier
+                path, result.iter_column_blocks(), result.metadata, tier=self.cache_tier
             )
         self._results[config.application] = result
         return result
@@ -674,16 +660,15 @@ class CampaignSession:
     def stream(self, application: Optional[str] = None) -> Iterator[TimingShard]:
         """Lazily yield the campaign's shards in serial (trial-major) order.
 
-        Yields zero-copy views of the executor's column blocks without
+        Yields lazy views of the executor's column blocks without
         retaining earlier blocks, so paper-scale campaigns can be consumed
         with one unit of work (a shard, or a ``campaign`` chunk) resident
         at a time.  Bypasses the result cache.
         """
         config = self.config_for(application)
         backend = get_backend(config.backend)
-        for columns, slices in self._executor().iter_blocks(backend, config):
-            for sl in slices:
-                yield sl.shard(columns)
+        for block in self._executor().iter_blocks(backend, config):
+            yield from block.iter_shards()
 
     def run_all(
         self,

@@ -11,21 +11,23 @@ Layout — one *directory* per store::
 
     campaign.store/
         manifest.json        # format version, metadata, group index
-        group-00000.bin      # raw little-endian column blobs of group 0
+        group-00000.bin      # group 0: magic, float64 cube, extra planes
         group-00001.bin      # ...
 
-``append(shard)`` buffers shards in memory until their column bytes exceed
-:attr:`~ShardStore.spill_threshold_bytes`, then flushes them as one *group
-file*: per column, the group's shard arrays concatenated into a single raw
-blob (16-byte magic header, then column blobs back to back).  The manifest
-records every group's shard addresses (``trial``/``process``/sample count)
-and per-column ``dtype``/``offset``, so reading needs no file parsing at
-all — ``iter_shards()`` opens one ``np.memmap`` per column per group and
-slices **zero-copy views** out of it, one :class:`~repro.core.timing.TimingShard`
-at a time.  Because the views chain back to the group's mappings, advancing
-the iterator releases each group's pages as soon as its last shard is
-dropped: a full-store scan keeps roughly one group resident, which is what
-bounds the peak RSS of an out-of-core campaign.
+A group file is one :class:`~repro.core.aggregation.ColumnBlock`: the
+16-byte magic, one ``(n_slices, n_iterations, n_threads)`` float64 cube of
+compute times, then any planes a backend really measured (the event
+backend's ``start_ns`` / ``end_ns``), each shaped like the cube — 8 B per
+sample for the campaign and vectorized backends.  The manifest holds the
+ids: per group its slice keys, iterations, threads, shard addresses,
+planes and a ``zlib.crc32`` of the file.  ``append_block`` (or
+``append(shard)``) buffers blocks until their bytes exceed
+:attr:`~ShardStore.spill_threshold_bytes`, then flushes them as one group.
+``iter_column_blocks()`` memory-maps one group at a time as a block and
+``iter_shards()`` views its shards **zero-copy** (ids derived on access);
+advancing releases each group's pages once its last view is dropped, so a
+full-store scan keeps roughly one group resident, which is what bounds
+the peak RSS of an out-of-core campaign.
 
 Durability and sharing:
 
@@ -35,10 +37,14 @@ Durability and sharing:
 * ``iter_shards()`` on a read-only store re-reads the manifest per call
   (snapshot semantics: iteration sees every group flushed before the call
   and is unaffected by concurrent ``append``/``flush``);
-* round-trips are **bit-identical**: columns are stored as raw bytes of the
-  arrays that were appended, so a stored-and-reloaded campaign merges into
-  the same dataset — and the same digest — as the in-memory run (pinned in
-  the test suite);
+* round-trips are **bit-identical**: the cube and planes are stored as raw
+  bytes of the arrays that were appended, so a stored-and-reloaded campaign
+  merges into the same dataset — and the same digest — as the in-memory
+  run (pinned in the test suite);
+* :meth:`~ShardStore.verify` checks every group's size and crc32, so a
+  torn or bit-flipped entry is caught before it is served; a store of an
+  older format version fails to open, and the campaign cache treats both
+  as misses that it removes and recomputes;
 * a reader that must keep a shard's samples past the scan (the analyses
   hold every slice until they finalize) keeps a :class:`StoredRows` handle
   instead of the mapped view: the group's open file, an offset and a shape.
@@ -55,21 +61,22 @@ from __future__ import annotations
 import errno
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.aggregation import ColumnBlock, ShardSlice, shard_block
 from repro.core.timing import TimingDataset, TimingShard
-from repro.io.schema import validate_columns
 
 PathLike = Union[str, Path]
 
 #: on-disk format version of the store directory (manifest + group files)
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 
-#: group files start with this magic; column offsets account for it
-GROUP_MAGIC = b"REPRO-SHARD-GRP1"
+#: group files start with this magic; the cube follows it
+GROUP_MAGIC = b"REPRO-SHARD-GRP2"
 
 #: default in-memory buffer bound before shards spill to a group file (64 MiB)
 DEFAULT_SPILL_THRESHOLD_BYTES = 64 * 1024 * 1024
@@ -82,70 +89,63 @@ _PUBLISH_ATTEMPTS = 64
 _MODES = ("w", "a", "r")
 
 
-def _shard_nbytes(shard: TimingShard) -> int:
-    return int(sum(np.asarray(values).nbytes for values in shard.columns.values()))
-
-
 def write_group_payload(
-    path: PathLike, shards: Sequence[TimingShard]
+    path: PathLike, blocks: Sequence[ColumnBlock]
 ) -> Dict[str, object]:
     """Write one group file's bytes at ``path``; return its manifest entry.
 
-    Exactly the format :meth:`ShardStore.flush` spills (16-byte magic, then
-    per sorted column name the shards' arrays concatenated into one raw
-    blob), minus the manifest bookkeeping — so a pool worker can
-    serialise its shards straight into the store's on-disk layout and the
-    parent merely adopts the finished file
-    (:meth:`ShardStore.adopt_group`) instead of round-tripping the arrays.
-    The entry's ``"file"`` field is left empty for the adopter to fill.
+    Exactly the format :meth:`ShardStore.flush` spills (16-byte magic, the
+    blocks' cubes back to back, then each plane's blocks back to back),
+    minus the manifest bookkeeping — so a pool worker can serialise its
+    block straight into the store's on-disk layout and the parent merely
+    adopts the finished file (:meth:`ShardStore.adopt_group`) instead of
+    round-tripping the arrays.  The blocks must share their iteration and
+    thread ids and their planes.  The entry carries the file's crc32; its
+    ``"file"`` field is left empty for the adopter to fill.
     """
-    shards = list(shards)
-    if not shards:
+    blocks = list(blocks)
+    if not blocks:
         raise ValueError("cannot write an empty group")
-    names = sorted(shards[0].columns)
-    for shard in shards[1:]:
-        if sorted(shard.columns) != names:
-            raise ValueError(
-                "all shards in a group must share the same column set; "
-                f"expected {names}, got {sorted(shard.columns)}"
-            )
-    columns_meta: List[Dict[str, object]] = []
-    shards_meta = [
+    first = blocks[0]
+    planes = {name: plane.dtype for name, plane in first.planes.items()}
+    for block in blocks[1:]:
+        if {name: plane.dtype for name, plane in block.planes.items()} != planes or (
+            block.cube.shape[1:] != first.cube.shape[1:]
+            or np.any(block.iterations != first.iterations)
+            or np.any(block.threads != first.threads)
+        ):
+            raise ValueError("the blocks of a group need the same column set and ids")
+    size = first.cube.shape[1] * first.cube.shape[2]
+    slices = [sl for block in blocks for sl in block.slices]
+    shards = [
         {
-            "trial": int(shard.trial),
-            "process": None if shard.process is None else int(shard.process),
-            "n_samples": int(shard.n_samples),
+            "trial": int(sl.trial),
+            "process": None if sl.process is None else int(sl.process),
+            "n_samples": int(sl.n_samples),
         }
-        for shard in shards
+        for block in blocks
+        for sl in block.shard_slices
     ]
+    crc = zlib.crc32(GROUP_MAGIC)
     with open(path, "wb") as handle:
         handle.write(GROUP_MAGIC)
-        offset = len(GROUP_MAGIC)
-        for name in names:
-            parts = [
-                np.ascontiguousarray(np.asarray(shard.columns[name]))
-                for shard in shards
-            ]
-            dtype = parts[0].dtype
-            for part in parts[1:]:
-                if part.dtype != dtype:
-                    raise ValueError(
-                        f"column {name!r} mixes dtypes across shards "
-                        f"({dtype} vs {part.dtype})"
-                    )
-            nbytes = 0
-            for part in parts:
-                part.tofile(handle)
-                nbytes += part.nbytes
-            columns_meta.append({"name": name, "dtype": dtype.str, "offset": offset})
-            offset += nbytes
+        for name in ["compute_time_s", *planes]:
+            for block in blocks:
+                array = block.cube if name == "compute_time_s" else block.planes[name]
+                data = np.ascontiguousarray(array).data.cast("B")
+                handle.write(data)
+                crc = zlib.crc32(data, crc)
         handle.flush()
         os.fsync(handle.fileno())
     return {
         "file": "",
-        "n_samples": int(sum(s["n_samples"] for s in shards_meta)),
-        "shards": shards_meta,
-        "columns": columns_meta,
+        "n_samples": len(slices) * size,
+        "crc32": crc,
+        "slices": [[int(sl.trial), int(sl.process)] for sl in slices],
+        "iterations": first.iterations.tolist(),
+        "threads": first.threads.tolist(),
+        "planes": [{"name": name, "dtype": t.str} for name, t in planes.items()],
+        "shards": shards,
     }
 
 
@@ -153,8 +153,8 @@ def _check_open_file_limit(path: Path, groups: List[dict]) -> None:
     """Refuse a scan of ``groups`` whose open files would pass the limit.
 
     A full hold needs one descriptor per group, plus the group being mapped
-    and the one before it (the file being opened and one mapping per
-    column each).
+    and the one before it (the file being opened, the cube's mapping and
+    one mapping per plane each).
     """
     try:
         import resource
@@ -167,7 +167,7 @@ def _check_open_file_limit(path: Path, groups: List[dict]) -> None:
         in_use = len(os.listdir("/dev/fd"))
     except OSError:  # pragma: no cover - no descriptor listing
         in_use = 0
-    needed = len(groups) + 2 * (1 + max(len(g["columns"]) for g in groups))
+    needed = len(groups) + 2 * (2 + max(len(g["planes"]) for g in groups))
     if in_use + needed > soft:
         raise OSError(
             errno.EMFILE,
@@ -207,56 +207,46 @@ class _GroupFile:
 
 
 class StoredRows:
-    """One stored slice's samples as ``shape`` rows, read from disk on demand.
+    """Stored samples as ``shape`` rows, read from disk on demand.
 
     Indexing with a row slice (``rows[start:stop]``) reads those rows into a
-    fresh float64 array, so a holder treats it like the ``(n_iterations,
-    n_threads)`` cube it stands for without keeping any of it in memory.
-    Built by :meth:`GroupColumns.stored_rows`.
+    fresh float64 array, so a holder treats it like the array it stands for
+    (a slice's ``(n_iterations, n_threads)`` matrix, or a group's whole
+    cube) without keeping any of it in memory.  A block read from a store
+    carries one on its cube as
+    :attr:`~repro.core.aggregation.ColumnBlock.stored`; :meth:`row` hands
+    out a slice's own handle.
     """
 
-    __slots__ = ("_file", "_offset", "_dtype", "shape")
+    __slots__ = ("_file", "_offset", "shape")
 
-    def __init__(
-        self, file: _GroupFile, offset: int, dtype: np.dtype, shape: Tuple[int, ...]
-    ) -> None:
+    def __init__(self, file: _GroupFile, offset: int, shape: Tuple[int, ...]) -> None:
         self._file = file
         self._offset = int(offset)
-        self._dtype = np.dtype(dtype)
         self.shape = tuple(int(n) for n in shape)
+
+    @property
+    def _row_bytes(self) -> int:
+        return int(np.prod(self.shape[1:])) * 8
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])
         if step != 1:
             raise ValueError("stored rows are read as one contiguous range")
         count = max(stop - start, 0)
-        width = int(np.prod(self.shape[1:]))
-        out = np.empty(count * width, dtype=self._dtype)
-        self._file.read_into(out, self._offset + start * width * self._dtype.itemsize)
-        return out.astype(np.float64, copy=False).reshape((count,) + self.shape[1:])
+        out = np.empty(count * self._row_bytes // 8)
+        self._file.read_into(out, self._offset + start * self._row_bytes)
+        return out.reshape((count,) + self.shape[1:])
 
+    def row(self, index: int) -> "StoredRows":
+        """Row ``index`` as a handle of its own (nothing is read)."""
+        offset = self._offset + index * self._row_bytes
+        return StoredRows(self._file, offset, self.shape[1:])
 
-class GroupColumns(dict):
-    """One group's columns, name → zero-copy mmap view, with the file kept open.
-
-    A plain mapping for every reader of :meth:`ShardStore.group_columns`;
-    :meth:`stored_rows` additionally hands out a slice's samples as a
-    :class:`StoredRows` handle, for readers that keep them past the scan.
-    """
-
-    def __init__(self, columns: Dict[str, np.ndarray], file: _GroupFile, group: dict):
-        super().__init__(columns)
-        self._file = file
-        (self._samples,) = [
-            column for column in group["columns"] if column["name"] == "compute_time_s"
-        ]
-
-    def stored_rows(self, sl, shape: Tuple[int, ...]) -> StoredRows:
-        """The ``compute_time_s`` samples of slice ``sl`` (rows
-        ``sl.start:sl.stop`` of the group) as a ``shape`` handle."""
-        dtype = np.dtype(self._samples["dtype"])
-        offset = int(self._samples["offset"]) + sl.start * dtype.itemsize
-        return StoredRows(self._file, offset, dtype, shape)
+    def rows_from(self, index: int) -> "StoredRows":
+        """Rows ``index:`` as a handle of their own (nothing is read)."""
+        shape = (self.shape[0] - index,) + self.shape[1:]
+        return StoredRows(self._file, self._offset + index * self._row_bytes, shape)
 
 
 class ShardStore:
@@ -292,7 +282,7 @@ class ShardStore:
         self.path = Path(path)
         self.mode = mode
         self.spill_threshold_bytes = int(spill_threshold_bytes)
-        self._buffer: List[TimingShard] = []
+        self._buffer: List[ColumnBlock] = []
         self._buffered_bytes = 0
         manifest_path = self.path / MANIFEST_NAME
         if mode == "r":
@@ -372,22 +362,28 @@ class ShardStore:
         if self._manifest["complete"]:
             raise ValueError("store is finalized; no further appends allowed")
 
-    def append(self, shard: TimingShard) -> None:
-        """Buffer one shard, spilling a group once the threshold is hit."""
+    def append_block(self, block: ColumnBlock) -> None:
+        """Buffer one block, spilling a group once the threshold is hit."""
         self._check_writable()
-        validate_columns(dict(shard.columns))
-        self._buffer.append(shard)
-        self._buffered_bytes += _shard_nbytes(shard)
+        self._buffer.append(block)
+        self._buffered_bytes += block.cube.nbytes + sum(
+            plane.nbytes for plane in block.planes.values()
+        )
         if self._buffered_bytes >= self.spill_threshold_bytes:
             self.flush()
 
+    def append(self, shard: TimingShard) -> None:
+        """Buffer one shard as its block
+        (:func:`~repro.core.aggregation.shard_block`)."""
+        self.append_block(shard_block(shard))
+
     def extend(self, shards: Sequence[TimingShard]) -> None:
-        """Append several shards (e.g. one campaign-backend chunk)."""
+        """Append several shards."""
         for shard in shards:
             self.append(shard)
 
     def flush(self) -> None:
-        """Spill the buffered shards into a new on-disk group (if any)."""
+        """Spill the buffered blocks into a new on-disk group (if any)."""
         if self.mode == "r":
             raise ValueError("store is read-only")
         if not self._buffer:
@@ -417,7 +413,7 @@ class ShardStore:
         ``payload`` must have been written with :func:`write_group_payload`
         (a pool worker spills its unit of work this way, into the store
         directory so the rename stays on one filesystem) and ``entry`` is
-        the manifest entry that call returned.  Any buffered shards flush
+        the manifest entry that call returned.  Any buffered blocks flush
         first so append order is preserved, then the payload is renamed
         into place as the next group file and its entry joins the manifest
         — the same tmp-then-publish protocol :meth:`flush` uses, so readers
@@ -452,66 +448,51 @@ class ShardStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def group_columns(self, group: dict):
-        """One group's full columns as zero-copy mmap views, plus its shard
-        addressing.
-
-        Returns ``(columns, slices)``: ``columns`` (a :class:`GroupColumns`)
-        maps each column name to
-        one :class:`numpy.memmap` view covering the whole group (all shards
-        concatenated, exactly the bytes on disk) and ``slices`` is one
-        :class:`~repro.core.aggregation.ShardSlice` per stored shard, in
-        append order.  A group of campaign shards *is already* a canonical
-        column block (:func:`~repro.core.aggregation.canonical_block`), so
-        analyses fold it with no copy and without ever assembling per-shard
-        objects.  The views are file
-        backed (clean pages, evictable), so streaming group blocks keeps the
-        same bounded working set as :meth:`iter_shards`.
-        """
-        from repro.core.aggregation import ShardSlice
-
+    def group_block(self, group: dict) -> ColumnBlock:
+        """One group as a block: its cube and planes are zero-copy
+        :class:`numpy.memmap` views (clean, evictable pages), its ids come
+        from the manifest, and its ``stored`` :class:`StoredRows` holds the
+        group file open for readers that keep slices past the scan."""
         path = self.path / group["file"]
-        length = int(group["n_samples"])
+        iterations = np.asarray(group["iterations"], dtype=np.int32)
+        threads = np.asarray(group["threads"], dtype=np.int32)
+        shape = (len(group["slices"]), len(iterations), len(threads))
+        size = shape[1] * shape[2]
         with open(path, "rb") as handle:
             if handle.read(len(GROUP_MAGIC)) != GROUP_MAGIC:
                 raise ValueError(f"{path} is not a shard-store group file")
-            columns = GroupColumns(
-                {
-                    column["name"]: np.memmap(
-                        handle,
-                        dtype=np.dtype(column["dtype"]),
-                        mode="r",
-                        offset=int(column["offset"]),
-                        shape=(length,),
-                    )
-                    for column in group["columns"]
-                },
-                _GroupFile(os.dup(handle.fileno())),
-                group,
-            )
-        slices = []
-        start = 0
-        for entry in group["shards"]:
-            stop = start + int(entry["n_samples"])
-            slices.append(
-                ShardSlice(
-                    trial=int(entry["trial"]),
-                    process=(
-                        None if entry["process"] is None else int(entry["process"])
-                    ),
-                    start=start,
-                    stop=stop,
+            offset = len(GROUP_MAGIC)
+            arrays = {}
+            for name, dtype in [("compute_time_s", "<f8")] + [
+                (plane["name"], plane["dtype"]) for plane in group["planes"]
+            ]:
+                arrays[name] = np.memmap(
+                    handle, dtype=np.dtype(dtype), mode="r", offset=offset, shape=shape
                 )
+                offset += arrays[name].nbytes
+            stored = StoredRows(
+                _GroupFile(os.dup(handle.fileno())), len(GROUP_MAGIC), shape
             )
-            start = stop
-        return columns, slices
+        slices = [
+            ShardSlice(int(trial), int(process), k * size, (k + 1) * size)
+            for k, (trial, process) in enumerate(group["slices"])
+        ]
+        bounds = np.cumsum([0] + [e["n_samples"] for e in group["shards"]]).tolist()
+        shard_slices = [
+            ShardSlice(int(e["trial"]), e["process"], bounds[k], bounds[k + 1])
+            for k, e in enumerate(group["shards"])
+        ]
+        cube = arrays.pop("compute_time_s")
+        return ColumnBlock(
+            cube, slices, iterations, threads, arrays, shard_slices, stored
+        )
 
     def iter_column_blocks(self):
-        """Stream the store group by group as ``(columns, slices)`` blocks.
+        """Stream the store group by group as column blocks.
 
         The columnar dual of :meth:`iter_shards`: each stored group is
-        yielded once, as the zero-copy mmap column views plus shard slices
-        of :meth:`group_columns`, in manifest (serial shard) order.  Feed
+        yielded once, as the zero-copy mmap block of :meth:`group_block`,
+        in manifest (serial shard) order.  Feed
         the blocks to
         :func:`~repro.analysis.engine.run_columnar_analyses` to analyse an
         out-of-core campaign without materialising shards; the same
@@ -534,7 +515,7 @@ class ShardStore:
         groups = list(manifest["groups"])  # type: ignore[index]
         _check_open_file_limit(self.path, groups)
         for group in groups:
-            yield self.group_columns(group)
+            yield self.group_block(group)
 
     def iter_shards(self) -> Iterator[TimingShard]:
         """Stream every stored shard as zero-copy memory-mapped views.
@@ -555,9 +536,7 @@ class ShardStore:
             self.flush()
             manifest = self._manifest
         for group in list(manifest["groups"]):  # type: ignore[index]
-            columns, slices = self.group_columns(group)
-            for sl in slices:
-                yield sl.shard(columns)
+            yield from self.group_block(group).iter_shards()
 
     def __iter__(self) -> Iterator[TimingShard]:
         return self.iter_shards()
@@ -574,17 +553,19 @@ class ShardStore:
     def verify(self) -> "ShardStore":
         """Check that the store is complete and every group file intact.
 
-        Each group file must exist and hold exactly the 16-byte magic plus
-        its columns' bytes as the manifest records them; a truncated or
-        missing group would otherwise only surface as an mmap error on the
-        first read.  Raises ``ValueError``; returns ``self``.
+        Each group file must exist, hold exactly the 16-byte magic plus its
+        cube's and planes' bytes as the manifest records them, and match
+        the manifest's crc32 — so a truncated, missing or bit-flipped group
+        fails here instead of surfacing as an mmap error or wrong samples
+        later.  Reads every group once.  Raises ``ValueError``; returns
+        ``self``.
         """
         if not self.complete:
             raise ValueError(f"shard store at {self.path} is incomplete")
         for group in self._manifest["groups"]:  # type: ignore[union-attr]
             path = self.path / group["file"]
-            expected = len(GROUP_MAGIC) + int(group["n_samples"]) * sum(
-                np.dtype(column["dtype"]).itemsize for column in group["columns"]
+            expected = len(GROUP_MAGIC) + int(group["n_samples"]) * (
+                8 + sum(np.dtype(plane["dtype"]).itemsize for plane in group["planes"])
             )
             try:
                 size = path.stat().st_size
@@ -594,6 +575,12 @@ class ShardStore:
                 raise ValueError(
                     f"group file {path} holds {size} bytes, expected {expected}"
                 )
+            crc = 0
+            with open(path, "rb") as handle:
+                while chunk := handle.read(1 << 20):
+                    crc = zlib.crc32(chunk, crc)
+            if crc != group["crc32"]:
+                raise ValueError(f"group file {path} fails its crc32 check")
         return self
 
     # ------------------------------------------------------------------
@@ -619,12 +606,12 @@ class ShardStore:
         stored = sum(
             len(group["shards"]) for group in self._manifest["groups"]  # type: ignore[index]
         )
-        return stored + len(self._buffer)
+        return stored + sum(len(block.shard_slices) for block in self._buffer)
 
     @property
     def n_samples(self) -> int:
         return int(self._manifest["total_samples"]) + sum(  # type: ignore[arg-type]
-            shard.n_samples for shard in self._buffer
+            block.n_samples for block in self._buffer
         )
 
     @property
@@ -637,20 +624,6 @@ class ShardStore:
             except OSError:
                 pass
         return total
-
-    def shard_index(self) -> List[Tuple[int, Optional[int]]]:
-        """Stored ``(trial, process)`` addresses in append order."""
-        addresses: List[Tuple[int, Optional[int]]] = []
-        for group in self._manifest["groups"]:  # type: ignore[index]
-            for entry in group["shards"]:
-                addresses.append(
-                    (
-                        int(entry["trial"]),
-                        None if entry["process"] is None else int(entry["process"]),
-                    )
-                )
-        addresses.extend((shard.trial, shard.process) for shard in self._buffer)
-        return addresses
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ShardStore":
@@ -699,7 +672,6 @@ def publish_store(staged: PathLike, final: PathLike) -> Path:
 
 
 __all__ = [
-    "GroupColumns",
     "ShardStore",
     "StoredRows",
     "publish_store",

@@ -404,11 +404,10 @@ class CampaignService:
             executor = ShardExecutor(mode=self.executor_mode)
             blocks = []
             shards = []
-            for columns, slices in executor.iter_blocks(backend, config):
-                blocks.append((columns, slices))
-                for sl in slices:
+            for block in executor.iter_blocks(backend, config):
+                blocks.append(block)
+                for shard in block.iter_shards():
                     check_cancel()
-                    shard = sl.shard(columns)
                     shards.append(shard)
                     post(job._deliver, shard)
             check_cancel()
@@ -418,7 +417,7 @@ class CampaignService:
             if self.cache_dir is not None:
                 write_campaign_store(
                     campaign_store_path(self.cache_dir, config),
-                    shards,
+                    blocks,
                     result.metadata,
                     tier=self.cache_tier,
                 )

@@ -236,14 +236,14 @@ class TestParallelExecution:
         ))
         assert calls["pooled"] == 1
         # 6 shards on 4 workers: chunks of 2 shards
-        assert [len(slices) for _, slices in blocks] == [2, 2, 2]
+        assert [len(block.slices) for block in blocks] == [2, 2, 2]
 
     def test_executor_streams_per_process_shards(self):
         config = _smoke("minimd", max_workers=4)
         blocks = ShardExecutor(mode="thread").iter_blocks(
             get_backend("campaign"), config
         )
-        assert [(sl.trial, sl.process) for _, slices in blocks for sl in slices] == [
+        assert [(sl.trial, sl.process) for b in blocks for sl in b.slices] == [
             (0, 0), (0, 1)
         ]
 

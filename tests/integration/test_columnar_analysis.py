@@ -22,7 +22,7 @@ from repro.analysis import (
     run_columnar_analyses,
 )
 from repro.analysis.engine import _dataset_block, _reduce_partials, analyze_dataset
-from repro.core.aggregation import ShardSlice
+from repro.core.aggregation import ShardSlice, canonical_block
 from repro.core.timing import TimingShard
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
@@ -104,7 +104,7 @@ class TestStoreBackedBlocks:
         store.finalize()
         reopened = ShardStore.open(path)
         held = ColumnarAnalyzer(resolve_analyses(["percentiles"]), context)(
-            *next(reopened.iter_column_blocks())
+            next(reopened.iter_column_blocks())
         )
         assert all(
             isinstance(rows, StoredRows)
@@ -120,7 +120,7 @@ class TestStoreBackedBlocks:
         assert not path.exists()
         assert _products(results) == ref
 
-    def test_group_columns_are_mmap_views(self, tmp_path):
+    def test_group_blocks_are_mmap_views(self, tmp_path):
         backend = CampaignTensorBackend()
         store = ShardStore.create(tmp_path / "c.store")
         for shard in backend.iter_shards(CONFIG):
@@ -128,11 +128,12 @@ class TestStoreBackedBlocks:
         store.finalize()
         blocks = list(ShardStore.open(tmp_path / "c.store").iter_column_blocks())
         assert blocks
-        for columns, slices in blocks:
+        for block in blocks:
+            slices = list(block.slices)
             assert slices == sorted(slices, key=lambda sl: sl.sort_key)
-            assert slices[-1].stop == len(next(iter(columns.values())))
-            for array in columns.values():
-                assert isinstance(array, np.memmap)
+            assert slices[-1].stop == block.cube.size
+            assert isinstance(block.cube, np.memmap)
+            assert not block.planes  # the campaign backend measures no clocks
 
 
 class TestInMemoryBlocks:
@@ -155,9 +156,7 @@ class TestInMemoryBlocks:
         context = AnalysisContext.from_dataset(dataset)
         ref = _products(run_analyses(shards, "all", context))
         block = _dataset_block(dataset)
-        got = _products(
-            run_columnar_analyses([(block.columns, block.slices)], "all", context)
-        )
+        got = _products(run_columnar_analyses([block], "all", context))
         assert got == ref
         assert _products(analyze_dataset(dataset)) == ref
 
@@ -181,11 +180,12 @@ class TestInMemoryBlocks:
             CONFIG, blocks=ShardExecutor().iter_blocks(backend, CONFIG)
         )
         blocks = list(result.iter_column_blocks())
-        assert [len(slices) for _, slices in blocks] == [3, 1]
-        per_shard = CONFIG.iterations * CONFIG.threads
-        for columns, slices in blocks:
-            assert len(columns["compute_time_s"]) == len(slices) * per_shard
-        assert [(sl.trial, sl.process) for _, slices in blocks for sl in slices] == [
+        assert [len(block.slices) for block in blocks] == [3, 1]
+        for block in blocks:
+            assert block.cube.shape == (
+                len(block.slices), CONFIG.iterations, CONFIG.threads
+            )
+        assert [(sl.trial, sl.process) for b in blocks for sl in b.slices] == [
             (0, 0), (0, 1), (1, 0), (1, 1)
         ]
 
@@ -198,11 +198,10 @@ class TestInMemoryBlocks:
         )
         blocks = list(result.iter_column_blocks())
         assert len(blocks) == 2
-        owners = [columns for columns, slices in blocks for _ in slices]
+        owners = [block for block in blocks for _ in block.slices]
         assert len(result.shards) == len(owners)
-        for shard, columns in zip(result.shards, owners):
-            for name, array in shard.columns.items():
-                assert np.shares_memory(array, columns[name])
+        for shard, block in zip(result.shards, owners):
+            assert np.shares_memory(shard.columns["compute_time_s"], block.cube)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_vectorized_yields_one_slice_blocks(self, workers):
@@ -210,7 +209,7 @@ class TestInMemoryBlocks:
         result = CampaignSession(config, executor_mode="thread").run()
         blocks = list(result.iter_column_blocks())
         assert len(blocks) == CONFIG.trials * CONFIG.processes
-        assert all(len(slices) == 1 for _, slices in blocks)
+        assert all(len(block.slices) == 1 for block in blocks)
 
     def test_analyze_dataset_folds_one_block(self, monkeypatch):
         from repro.analysis import engine
@@ -226,9 +225,9 @@ class TestInMemoryBlocks:
         dataset = CampaignSession(CONFIG).run().dataset
         engine.analyze_dataset(dataset)
         assert len(folded) == 1
-        columns, slices = folded[0]
-        assert len(slices) == CONFIG.trials * CONFIG.processes
-        assert len(columns["compute_time_s"]) == dataset.n_samples
+        (block,) = folded
+        assert len(block.slices) == CONFIG.trials * CONFIG.processes
+        assert block.cube.size == dataset.n_samples
 
 
 class TestShardOrderInvariance:
@@ -255,10 +254,9 @@ class TestShardOrderInvariance:
         passes = resolve_analyses("all")
         mapper = ColumnarAnalyzer(passes, context)
         # partials are mutated by the reduction — map once per direction
-        forward = _reduce_partials(passes, iter(mapper(columns, slices)), context)
-        backward = _reduce_partials(
-            passes, reversed(mapper(columns, slices)), context
-        )
+        block = canonical_block(columns, slices)
+        forward = _reduce_partials(passes, iter(mapper(block)), context)
+        backward = _reduce_partials(passes, reversed(mapper(block)), context)
         assert _products(forward) == ref
         assert forward.report().as_dict() == backward.report().as_dict()
         np.testing.assert_array_equal(

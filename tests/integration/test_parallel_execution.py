@@ -109,9 +109,9 @@ class TestShardExecutor:
         backend = get_backend(config.backend)
         merged = TimingDataset.merge(
             (
-                sl.shard(columns)
-                for columns, slices in _run_blocks(config, mode="process")
-                for sl in slices
+                shard
+                for block in _run_blocks(config, mode="process")
+                for shard in block.iter_shards()
             ),
             metadata=backend.metadata(config),
         )
@@ -129,13 +129,21 @@ class TestSharedMemoryTransport:
 
         config = CampaignConfig.smoke().with_backend(backend_name)
         backend = get_backend(backend_name)
-        columns, _ = backend.unit_block(config, backend.work_units(config, 1)[0])
-        segment_name, descriptors = executor_module.pack_block(columns)
-        unpacked = executor_module.unpack_block(segment_name, descriptors)
-        assert list(unpacked) == list(columns)
+        block = backend.unit_block(config, backend.work_units(config, 1)[0])
+        segment_name, descriptors, skeleton = executor_module.pack_block(block)
+        unpacked = executor_module.unpack_block(segment_name, descriptors, skeleton)
+        assert unpacked.slices == block.slices
+        assert unpacked.shard_slices == block.shard_slices
+        np.testing.assert_array_equal(unpacked.iterations, block.iterations)
+        np.testing.assert_array_equal(unpacked.threads, block.threads)
+        # the cube, plus the event backend's measured clock planes
+        assert list(unpacked.planes) == list(block.planes)
+        assert bool(block.planes) == (backend_name == "event")
+        columns = block.columns
+        assert list(unpacked.columns) == list(columns)
         for name, array in columns.items():
-            assert unpacked[name].dtype == np.asarray(array).dtype, name
-            np.testing.assert_array_equal(unpacked[name], array)
+            assert unpacked.columns[name].dtype == array.dtype, name
+            np.testing.assert_array_equal(unpacked.columns[name], array)
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=segment_name)
         executor_module.discard_shm(segment_name)  # already gone: a no-op

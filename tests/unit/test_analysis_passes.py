@@ -34,8 +34,10 @@ from repro.core.aggregation import (
     AggregationLevel,
     ShardSlice,
     aggregate,
+    campaign_block,
     canonical_block,
     per_iteration_samples,
+    shard_block,
 )
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, analyze_laggards
@@ -166,11 +168,14 @@ class TestCanonicalBlock:
             block = canonical_block(shard.columns, [ShardSlice.of(shard)])
             _assert_dense_cube(block, shard.to_dataset())
 
-    def test_producer_blocks_are_zero_copy(self, shards):
-        columns, slices = _column_block(shards)
-        block = canonical_block(columns, slices)
-        assert block.columns is columns and block.slices is slices
-        assert np.shares_memory(block.cube, columns["compute_time_s"])
+    def test_producer_blocks_are_zero_copy(self):
+        times = np.abs(np.random.default_rng(1).normal(1e-3, 1e-4, (3, 4, 5)))
+        block = campaign_block([(0, 0), (0, 1), (1, 0)], times)
+        assert block.cube is times
+        assert [(sl.trial, sl.process) for sl in block.slices] == [(0, 0), (0, 1), (1, 0)]
+        for shard, plane in zip(block.iter_shards(), times):
+            assert np.shares_memory(shard.columns["compute_time_s"], plane)
+            assert np.shares_memory(shard_block(shard).cube, plane)
 
     def test_non_dense_rows_rejected(self, shards):
         columns, slices = _column_block(shards[:1])
@@ -529,7 +534,7 @@ class TestIterationBatches:
         segments = [
             segment
             for block in ShardStore.open(tmp_path / "c.store").iter_column_blocks()
-            for segment in passes._slice_segments(canonical_block(*block))
+            for segment in passes._slice_segments(block)
         ]
         assert len(segments) == len(shards)
         assert all(isinstance(rows, StoredRows) for _, (_, rows) in segments)
@@ -657,6 +662,11 @@ def _column_block(shard_list):
     return columns, slices
 
 
+def _block(shard_list):
+    """The shards as one canonical block."""
+    return canonical_block(*_column_block(shard_list))
+
+
 def _partial_bytes(partials):
     # one pickle round-trip first normalises object-identity topology
     # without touching a value (see tests/integration/test_columnar_analysis)
@@ -664,40 +674,44 @@ def _partial_bytes(partials):
 
 
 class TestColumnarAnalyzer:
-    """``ColumnarAnalyzer`` builds each block's canonical form once."""
+    """``ColumnarAnalyzer`` folds the blocks it is given as they are."""
 
-    def test_layout_checked_once_per_call(self, shards, context, monkeypatch):
+    def test_producer_blocks_fold_without_a_layout_pass(
+        self, shards, context, monkeypatch
+    ):
         calls = []
-        layout = aggregation._producer_block
+        layout = aggregation._layout
 
-        def counting(columns, slices):
-            calls.append(id(columns))
-            return layout(columns, slices)
+        def counting(*args):
+            calls.append(args)
+            return layout(*args)
 
-        monkeypatch.setattr(aggregation, "_producer_block", counting)
-        columns, slices = _column_block(shards)
+        monkeypatch.setattr(aggregation, "_layout", counting)
+        times = np.stack([shard_block(shard).cube[0] for shard in shards])
+        calls.clear()
+        block = campaign_block([(s.trial, s.process) for s in shards], times)
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
-        partials = mapper(columns, slices)
-        assert len(partials) == len(slices)
-        assert calls == [id(columns)]
-        mapper(columns, slices)
-        assert calls == [id(columns)] * 2
+        partials = mapper(block)
+        assert len(partials) == len(block.slices)
+        assert calls == []
 
     def test_block_partials_equal_one_shard_partials(self, shards, context):
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
-        whole = mapper(*_column_block(shards))
-        one_by_one = [partial for shard in shards for partial in mapper.shard(shard)]
+        whole = mapper(_block(shards))
+        one_by_one = [
+            partial for shard in shards for partial in mapper(shard_block(shard))
+        ]
         assert _partial_bytes(whole) == _partial_bytes(one_by_one)
 
     def test_trial_shards_yield_one_partial_per_process(self, dataset, context):
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
-        partials = mapper(*_trial_block(dataset))
+        partials = mapper(canonical_block(*_trial_block(dataset)))
         assert len(partials) == dataset.n_trials * dataset.n_processes
 
     def test_concurrent_blocks_match_serial(self, shards, context):
-        blocks = [_column_block(shards[:2]), _column_block(shards[2:])]
+        blocks = [_block(shards[:2]), _block(shards[2:])]
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
-        serial = [_partial_bytes(mapper(*block)) for block in blocks]
+        serial = [_partial_bytes(mapper(block)) for block in blocks]
         rounds = 10
         barrier = threading.Barrier(len(blocks))
         results = [[] for _ in blocks]
@@ -707,7 +721,7 @@ class TestColumnarAnalyzer:
             try:
                 for _ in range(rounds):
                     barrier.wait()
-                    results[index].append(_partial_bytes(mapper(*blocks[index])))
+                    results[index].append(_partial_bytes(mapper(blocks[index])))
             except BaseException as exc:  # pragma: no cover - reported below
                 errors.append(exc)
                 barrier.abort()
@@ -728,7 +742,7 @@ class TestSharedSortAndDeferredEarlybird:
     """One sort per block; the early-bird replay runs once, at finalize."""
 
     def test_sorted_cube_is_built_once_and_read_only(self, shards):
-        block = canonical_block(*_column_block(shards))
+        block = _block(shards)
         ordered = block.sorted_cube
         assert ordered is block.sorted_cube
         assert not ordered.flags.writeable
@@ -742,9 +756,7 @@ class TestSharedSortAndDeferredEarlybird:
     ):
         max_groups = 7
         size = per_block or len(shards)
-        blocks = [
-            _column_block(shards[i : i + size]) for i in range(0, len(shards), size)
-        ]
+        blocks = [_block(shards[i : i + size]) for i in range(0, len(shards), size)]
         earlybird = EarlybirdPass(max_groups=max_groups)
         groups = aggregate(dataset, AggregationLevel.PROCESS_ITERATION).values
         selected = groups[:: max(len(groups) // max_groups, 1)]
@@ -753,9 +765,7 @@ class TestSharedSortAndDeferredEarlybird:
         partials = [
             state
             for block in blocks
-            for state in earlybird.accumulate_columns_split(
-                canonical_block(*block), context
-            )
+            for state in earlybird.accumulate_columns_split(block, context)
         ]
         kept = {index: row for state in partials for index, row in state.items()}
         np.testing.assert_array_equal(

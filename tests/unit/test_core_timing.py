@@ -63,6 +63,24 @@ class TestTimingDatasetConstruction:
         with pytest.raises(ValueError):
             TimingDataset.from_records([])
 
+    def test_columns_of_the_right_dtype_are_not_copied(self):
+        n = 6
+        columns = {
+            "trial": np.zeros(n, dtype=np.int32),
+            "process": np.zeros(n, dtype=np.int32),
+            "iteration": np.repeat(np.arange(2, dtype=np.int32), 3),
+            "thread": np.tile(np.arange(3, dtype=np.int32), 2),
+            "end_ns": np.arange(n, dtype=np.int64),
+            "compute_time_s": np.linspace(1e-3, 2e-3, n),
+        }
+        ds = TimingDataset(columns)
+        for name, values in columns.items():
+            assert np.shares_memory(ds.column(name), values), name
+        # other dtypes are converted, which copies
+        widened = TimingDataset(dict(columns, trial=columns["trial"].astype(np.int64)))
+        assert widened.column("trial").dtype == np.int32
+        assert not np.shares_memory(widened.column("trial"), columns["trial"])
+
 
 class TestTimingDatasetAccessors:
     def test_dimension_properties(self):

@@ -73,7 +73,7 @@ def config(counting_backend):
 
 
 def _keys(blocks):
-    return [(sl.trial, sl.process) for _, slices in blocks for sl in slices]
+    return [(sl.trial, sl.process) for block in blocks for sl in block.slices]
 
 
 class TestIncrementalContract:
@@ -119,8 +119,8 @@ class TestIncrementalContract:
     def test_merged_blocks_cover_the_campaign(self, config):
         blocks = list(ShardExecutor().iter_blocks(CountingBackend(), config))
         dataset = TimingDataset.merge(
-            sl.shard(columns) for columns, slices in blocks for sl in slices
+            shard for block in blocks for shard in block.iter_shards()
         )
-        sizes = [sl.n_samples for _, slices in blocks for sl in slices]
+        sizes = [sl.n_samples for block in blocks for sl in block.slices]
         assert len(sizes) == 6
         assert sum(sizes) == dataset.n_samples

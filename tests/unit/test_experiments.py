@@ -303,6 +303,47 @@ class TestStoredFigures:
             else:
                 assert got[key] == value
 
+    @staticmethod
+    def _mask_scan(shards, key):
+        """The exemplar group as a sample scan over id masks."""
+        trial, process, iteration = key
+        parts = []
+        for shard in sorted(shards, key=lambda s: s.sort_key):
+            columns = shard.columns
+            mask = (
+                (np.asarray(columns["trial"]) == trial)
+                & (np.asarray(columns["process"]) == process)
+                & (np.asarray(columns["iteration"]) == iteration)
+            )
+            parts.append(np.asarray(columns["compute_time_s"])[mask])
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("source", ["memory", "store", "event"])
+    def test_group_rows_equal_the_mask_scan(self, tmp_path, source):
+        from repro.experiments.figures import _group_samples
+
+        config = CampaignConfig.smoke("minife").scaled(trials=2, processes=2)
+        if source == "event":
+            config = config.with_backend("event")
+        session = CampaignSession(config, cache_dir=tmp_path)
+        if source == "store":
+            result = session.run(store=True, spill_threshold_bytes=1)
+            assert result.store is not None and result.store.n_groups > 1
+        else:
+            result = session.run(use_cache=False)
+        shards = list(result.iter_shards())
+        if source == "event":
+            assert all(shard.process is None for shard in shards)
+        for key in [(0, 0, 0), (1, 1, config.iterations - 1), (1, 0, 3)]:
+            want = self._mask_scan(shards, key)
+            assert len(want) == config.threads
+            for given in (result, shards):
+                got = _group_samples(given, key)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(KeyError):
+            _group_samples(result, (0, 0, config.iterations))
+
     def test_figure5_from_the_store(self, all_results, minife_dataset, tmp_path):
         results, stored = self._stored(minife_dataset, tmp_path)
         got = figure5_minife_classes(results, shards=stored)

@@ -14,6 +14,8 @@ from repro.experiments.session import (
     write_campaign_store,
 )
 from repro.io import dataset_to_csv, load_dataset, save_dataset, validate_columns
+from repro.io.shard_store import STORE_FORMAT_VERSION, ShardStore
+from repro.service.jobs import dataset_digest
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.percentiles import PercentileSeries
 from repro.viz import (
@@ -231,6 +233,66 @@ class TestAtomicCacheWrites:
         assert open_cached_campaign(path, config) is None
         assert not path.exists()
 
+    @pytest.mark.parametrize("store", [None, True])
+    def test_bit_flip_in_a_group_is_a_miss_that_heals(
+        self, config, entry, tmp_path, store
+    ):
+        """A same-size corruption passes the size check; the crc32 catches it."""
+        path, digest = entry
+        group = path / "group-00000.bin"
+        blob = bytearray(group.read_bytes())
+        blob[len(blob) // 2] ^= 0x10
+        group.write_bytes(bytes(blob))
+        assert group.stat().st_size == len(blob)
+        with pytest.raises(ValueError, match="crc32"):
+            ShardStore.open(path).verify()
+        result = CampaignSession(config, cache_dir=tmp_path).run(store=store)
+        assert not result.from_cache
+        healed = open_cached_campaign(path, config)
+        assert healed is not None and healed.from_cache
+        assert healed.dataset.compute_times_s.tobytes() == digest
+        assert dataset_digest(healed.dataset) == dataset_digest(result.dataset)
+
+    def test_version_1_entry_is_rewritten_as_version_2(self, config, entry, tmp_path):
+        """An entry written by the 40 B/sample format (one raw blob per
+        column) is removed and recomputed in the current format."""
+        path, digest = entry
+        samples = len(digest) // 8
+        group = path / "group-00000.bin"
+        names = ["compute_time_s", "end_ns", "iteration", "process", "start_ns",
+                 "thread", "trial"]
+        sizes = {"compute_time_s": 8, "end_ns": 8, "start_ns": 8}
+        columns, offset = [], 16
+        for name in names:
+            size = sizes.get(name, 4)
+            kind = "<f8" if name == "compute_time_s" else f"<i{size}"
+            columns.append({"name": name, "dtype": kind, "offset": offset})
+            offset += size * samples
+        group.write_bytes(b"REPRO-SHARD-GRP1" + bytes(offset - 16))
+        manifest = {
+            "format_version": 1,
+            "complete": True,
+            "metadata": {},
+            "total_samples": samples,
+            "groups": [
+                {
+                    "file": group.name,
+                    "n_samples": samples,
+                    "shards": [{"trial": 0, "process": None, "n_samples": samples}],
+                    "columns": columns,
+                }
+            ],
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert open_cached_campaign(path, config) is None
+        assert not path.exists()
+        CampaignSession(config, cache_dir=tmp_path).run()
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["format_version"] == STORE_FORMAT_VERSION == 2
+        assert group.stat().st_size == 16 + 8 * samples
+        hit = open_cached_campaign(path, config)
+        assert hit.dataset.compute_times_s.tobytes() == digest
+
     def test_concurrent_writers_publish_one_intact_entry(self, config, tmp_path):
         """Writers racing on one entry (service job threads share a pid)."""
         import sys
@@ -243,7 +305,9 @@ class TestAtomicCacheWrites:
         def write():
             try:
                 for _ in range(10):
-                    write_campaign_store(path, result.shards, result.metadata)
+                    write_campaign_store(
+                        path, result.iter_column_blocks(), result.metadata
+                    )
             except Exception as error:  # pragma: no cover - reported below
                 errors.append(error)
 

@@ -11,7 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.aggregation import ShardSlice
+from repro.core.aggregation import shard_block
 from repro.core.timing import TimingShard
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignResult
@@ -207,7 +207,7 @@ class TestJobScheduler:
                 shards = [_shard(trial=trial) for trial in range(3)]
                 for shard in shards:
                     job._deliver(shard)
-                blocks = [(shard.columns, [ShardSlice.of(shard)]) for shard in shards]
+                blocks = [shard_block(shard) for shard in shards]
                 job._finish(
                     CampaignResult(job.config, blocks=blocks), "", from_cache=False
                 )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import AnalysisContext, run_columnar_analyses
-from repro.core.aggregation import canonical_block
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
@@ -21,7 +20,6 @@ from repro.io.shard_store import (
     DEFAULT_SPILL_THRESHOLD_BYTES,
     MANIFEST_NAME,
     STORE_FORMAT_VERSION,
-    GroupColumns,
     ShardStore,
     StoredRows,
     publish_store,
@@ -93,8 +91,10 @@ class TestFormat:
         store.extend(shards)
         store.flush()
         shard = next(ShardStore.open(tmp_path / "c.store").iter_shards())
-        for values in shard.columns.values():
-            assert isinstance(values, np.memmap)
+        # the samples are mapped; the ids are derived from the manifest
+        assert isinstance(shard.columns["compute_time_s"], np.memmap)
+        for name in ("trial", "process", "iteration", "thread"):
+            assert not isinstance(shard.columns[name], np.memmap)
 
     def test_dataset_merges_with_store_metadata(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=1)
@@ -263,24 +263,19 @@ class TestStoredRows:
         store = ShardStore.create(path, spill_threshold_bytes=spill_threshold_bytes)
         store.extend(shards)
         store.finalize()
-        return [
-            canonical_block(*block)
-            for block in ShardStore.open(path).iter_column_blocks()
-        ]
+        return list(ShardStore.open(path).iter_column_blocks())
 
     @staticmethod
     def _handles(block):
-        return [
-            (block.columns.stored_rows(sl, cube.shape), cube)
-            for sl, cube in zip(block.slices, block.cube)
-        ]
+        return [(block.stored.row(s), cube) for s, cube in enumerate(block.cube)]
 
     @pytest.mark.parametrize("threshold", [1, 2048, DEFAULT_SPILL_THRESHOLD_BYTES])
     def test_handles_read_back_every_slice(self, tmp_path, shards, threshold):
         blocks = self._blocks(tmp_path / "c.store", shards, threshold)
         assert sum(len(block.slices) for block in blocks) == len(shards)
         for block in blocks:
-            assert isinstance(block.columns, GroupColumns)
+            assert isinstance(block.stored, StoredRows)
+            assert block.stored.shape == block.cube.shape
             for rows, cube in self._handles(block):
                 assert isinstance(rows, StoredRows)
                 assert rows.shape == cube.shape == (4, 8)
@@ -360,21 +355,22 @@ class TestStoredRows:
         with pytest.raises(ValueError, match="ended early"):
             handle[:]
 
-    def test_group_columns_map_every_column_to_a_view(self, tmp_path, shards):
+    def test_group_block_maps_the_cube(self, tmp_path, shards):
         path = tmp_path / "c.store"
         store = ShardStore.create(path)
         store.extend(shards)
         store.finalize()
         (group,) = ShardStore.open(path)._read_manifest()["groups"]
-        columns, slices = ShardStore.open(path).group_columns(group)
-        assert isinstance(columns, dict)
+        block = ShardStore.open(path).group_block(group)
+        assert isinstance(block.cube, np.memmap)
+        assert block.cube.shape == (len(shards), 4, 8)
+        columns = block.columns
         assert set(columns) == set(shards[0].columns)
-        for name, view in columns.items():
-            assert isinstance(view, np.memmap)
+        for name, values in columns.items():
             np.testing.assert_array_equal(
-                view, np.concatenate([shard.columns[name] for shard in shards])
+                values, np.concatenate([shard.columns[name] for shard in shards])
             )
-        assert [(sl.trial, sl.process) for sl in slices] == [
+        assert [(sl.trial, sl.process) for sl in block.slices] == [
             (shard.trial, shard.process) for shard in shards
         ]
 
@@ -432,9 +428,9 @@ class TestOpenFileLimit:
     def test_a_limit_the_check_accepts_covers_the_whole_fold(self, store):
         expected = self._analyze(store)
         # one descriptor per group plus two groups' mappings (the group
-        # file and its seven columns each): exactly what the check asks for
-        with self._spare_descriptors(store.n_groups + 2 * 8):
+        # file and its cube each): exactly what the check asks for
+        with self._spare_descriptors(store.n_groups + 2 * 2):
             assert self._analyze(store) == expected
-        with self._spare_descriptors(store.n_groups + 2 * 8 - 1):
+        with self._spare_descriptors(store.n_groups + 2 * 2 - 1):
             with pytest.raises(OSError, match="open-file limit"):
                 self._analyze(store)
