@@ -15,9 +15,10 @@ factor the paper's campaign would need for 100x more trials).
 
 CI guards ride along (run without ``--benchmark-only`` in the guard
 step): the 100x spilled campaign must stay inside ``MEMORY_BUDGET_MB``,
-both alone and with every analysis pass folded over its store, and at 1x
-the spill path must stay within 2x of in-memory throughput while matching
-its digest bit-for-bit.
+both alone and with every analysis pass folded over its store, the
+analysed peak may grow at most ``ANALYSES_BYTES_PER_SAMPLE`` per added
+sample from 10x to 100x, and at 1x the spill path must stay within 2x of
+in-memory throughput while matching its digest bit-for-bit.
 """
 
 from __future__ import annotations
@@ -40,13 +41,26 @@ SCALE_FACTORS = (1, 10, 100)
 MEMORY_BUDGET_MB = 256
 #: the spill path may cost at most this slowdown factor at 1x
 THROUGHPUT_FACTOR = 2.0
+#: bytes the analysed peak may grow per added sample from the 10x to the
+#: 100x spilled campaign: what the analyses keep per process-iteration
+#: group (measured ~1.1 B per sample on a 2-core host); the samples
+#: themselves stay on disk
+ANALYSES_BYTES_PER_SAMPLE = 2.0
+#: spill threshold of the growth measurement: the 10x campaign (~4 MB)
+#: then spills one group as large as each of the 100x campaign's, so the
+#: per-group working set of the fold cancels out of the difference
+GROWTH_SPILL_MB = 4
 
 _CHILD = Path(__file__).with_name("_out_of_core_child.py")
 
 
 @lru_cache(maxsize=None)
 def _measure(
-    mode: str, factor: int, workers: int = 1, analyses: bool = False
+    mode: str,
+    factor: int,
+    workers: int = 1,
+    analyses: bool = False,
+    spill_mb: int = 8,
 ) -> dict:
     """Run one child measurement (cached per process: guards reuse bench runs)."""
     env = dict(os.environ)
@@ -63,6 +77,8 @@ def _measure(
             str(BASE_TRIALS * factor),
             "--max-workers",
             str(workers),
+            "--spill-mb",
+            str(spill_mb),
         ]
         + (["--analyses"] if analyses else []),
         check=True,
@@ -119,18 +135,30 @@ def test_out_of_core_memory_guard():
 
 
 def test_out_of_core_analyses_memory_guard():
-    """Every analysis pass folded over the 100x store stays inside the budget.
+    """Every analysis pass folded over the spilled store stays inside the
+    budget, and grows by at most ``ANALYSES_BYTES_PER_SAMPLE`` per added
+    sample from the 10x to the 100x campaign.
 
-    The analyses read the spilled campaign group by group; what they keep
-    until finalize must not grow the process past the same RAM budget as
-    the campaign itself (the pooled iteration rows hold 38 400 samples
-    each at this scale).
+    The analyses read the spilled campaign group by group and keep handles
+    on the stored samples and a few numbers per process-iteration group,
+    never the samples: the application-level normality row is selected in
+    bounded memory, and a finalize holds one batch of pooled iteration rows
+    (38 400 samples each at 100x).
     """
     result = _measure("ooc", 100, analyses=True)
     assert len(result["analyses"]) == 6
     assert result["peak_rss_mb"] < MEMORY_BUDGET_MB, (
         f"analyses over the 100x store peaked at {result['peak_rss_mb']:.0f} MB "
         f"(budget {MEMORY_BUDGET_MB} MB)"
+    )
+    small = _measure("ooc", 10, analyses=True, spill_mb=GROWTH_SPILL_MB)
+    large = _measure("ooc", 100, analyses=True, spill_mb=GROWTH_SPILL_MB)
+    grown = (large["peak_rss_mb"] - small["peak_rss_mb"]) * 2**20
+    per_sample = grown / (large["samples"] - small["samples"])
+    assert per_sample <= ANALYSES_BYTES_PER_SAMPLE, (
+        f"analysed peak grew {per_sample:.2f} B per sample from 10x "
+        f"({small['peak_rss_mb']:.1f} MB) to 100x ({large['peak_rss_mb']:.1f} MB); "
+        f"bound {ANALYSES_BYTES_PER_SAMPLE} B"
     )
 
 

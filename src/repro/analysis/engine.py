@@ -238,7 +238,9 @@ def _reduce_partials(
                 merged[p.name] = p.merge(merged[p.name], partial[p.name])
     if merged is None:
         raise ValueError("no shards to analyze")
-    products = {p.name: p.finalize(merged[p.name], context) for p in passes}
+    # each state is dropped once its product is built, so the finalizes
+    # after it do not hold it
+    products = {p.name: p.finalize(merged.pop(p.name), context) for p in passes}
     return AnalysisResults(products, context)
 
 

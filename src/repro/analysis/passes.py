@@ -31,12 +31,15 @@ store, a :class:`~repro.io.shard_store.StoredRows` handle that re-reads the
 samples at finalize, so a store-backed analysis does not keep the store's
 pages resident.  Their finalizes pool the iteration rows
 :data:`BATCH_SAMPLES` samples at a time (:func:`_iteration_batches`),
-and the normality pass reads the application-level group into one buffer,
-so the memory a finalize needs beyond the held segments is one batch of
-pooled rows or one application row.  That row holds every sample of the
-application (8 B each), and the laggards pass keeps per-group arrays and
-keys for the exemplar selection, so an analysis's memory grows with the
-campaign even when the samples stay on disk.
+and the normality pass selects the application-level group's stratified
+ranks in a few counting passes over the segments
+(:func:`~repro.stats.selection.select_sorted`), so the memory a finalize
+needs beyond the held segments is one batch of pooled rows or the
+selection's bounded buckets, never the application's samples.  What does
+grow with the campaign is the laggards and reclaimable passes' few
+numbers per process-iteration group (slice keys, iteration indices and
+metric arrays), kept for their means, medians and the exemplar
+selection.
 
 Each block is sorted at most once: the laggard order statistics (median,
 max, quartiles) and the normality battery's Shapiro–Wilk and
@@ -54,6 +57,7 @@ over all of them at finalize.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -78,6 +82,7 @@ from repro.stats.percentiles import (
     sorted_median,
     sorted_percentiles,
 )
+from repro.stats.selection import select_sorted
 from repro.stats.streaming import StreamingHistogram
 
 #: samples of pooled iteration rows the percentiles and normality
@@ -116,6 +121,27 @@ def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
     ]
 
 
+def _extend_segments(segments: List, others: List, labels: int = 0) -> List:
+    """``segments`` extended by ``others``, a merge's segment list.
+
+    Each segment's payload holds its slice's iteration labels at index
+    ``labels`` (a partial owns its copy, see :func:`_slice_segments`); a
+    label array equal to the previous segment's is replaced by that one,
+    so a merged state keeps one array per run of equal labels (one per
+    campaign, when every slice lists the same iterations), not one per
+    slice.
+    """
+    for key, payload in others:
+        if segments:
+            previous = segments[-1][1][labels]
+            if previous is not payload[labels] and np.array_equal(
+                previous, payload[labels]
+            ):
+                payload = payload[:labels] + (previous,) + payload[labels + 1 :]
+        segments.append((key, payload))
+    return segments
+
+
 _Batch = Union[np.ndarray, List[np.ndarray]]
 
 
@@ -145,7 +171,7 @@ def _iteration_batches(
     n = len(iterations)
     # each slice's rows as pooled-row positions, and the slices' row widths
     positions = [np.searchsorted(iterations, its) for its in labels]
-    widths = np.array([int(np.prod(rows.shape[1:])) for _, rows in parts])
+    widths = np.array([math.prod(rows.shape[1:]) for _, rows in parts])
     # placed[s, k]: samples slice s adds to pooled row k
     placed = np.zeros((len(parts), n), dtype=np.int64)
     for s, p in enumerate(positions):
@@ -197,22 +223,23 @@ def _iteration_rows(segments) -> _Batch:
 def _application_row(segments, limit: int) -> np.ndarray:
     """The application-level group, stratified to at most ``limit`` samples.
 
-    Every slice's samples are read, in serial order, into one preallocated
-    buffer; above ``limit`` it is sorted in place and its strided ranks are
-    indexed directly — :func:`~repro.core.normality.stratified_subsample`'s
-    result without a second sorted copy.
+    Up to ``limit`` samples, the row is every slice's samples in serial
+    order.  Above it, the strided ranks of
+    :func:`~repro.core.normality.stratified_subsample` are selected from
+    the segments in a few counting passes
+    (:func:`~repro.stats.selection.select_sorted`), bit for bit the values
+    of the sorted row, without reading the row into memory.
     """
     parts = [rows for _, rows in _sorted_segments(segments)]
-    sizes = [int(np.prod(rows.shape)) for rows in parts]
+    sizes = [math.prod(rows.shape) for rows in parts]
+    if sum(sizes) > limit:
+        return select_sorted(parts, stratified_ranks(sum(sizes), limit))
     row = np.empty(sum(sizes))
     start = 0
     for rows, size in zip(parts, sizes):
         row[start : start + size].reshape(rows.shape)[...] = rows[:]
         start += size
-    if len(row) <= limit:
-        return row
-    row.sort()
-    return row[stratified_ranks(len(row), limit)]
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +260,7 @@ class PercentilesPass(AnalysisPass):
         return [[segment] for segment in _slice_segments(block)]
 
     def merge(self, state, other):
-        state.extend(other)
-        return state
+        return _extend_segments(state, other)
 
     def finalize(self, state, context: AnalysisContext) -> PercentileSeries:
         if not state:
@@ -385,7 +411,7 @@ class NormalityPass(AnalysisPass):
         return states
 
     def merge(self, state, other):
-        state["segments"].extend(other["segments"])
+        _extend_segments(state["segments"], other["segments"])
         for name in TEST_NAMES:
             state["pass_counts"][name] += other["pass_counts"][name]
         state["n_groups"] += other["n_groups"]
@@ -530,16 +556,15 @@ class LaggardsPass(AnalysisPass):
         n_slices, n_iterations, n_threads = block.cube.shape
         ordered = block.sorted_cube.reshape(n_slices * n_iterations, n_threads)
         # the per-group operations of group_laggard_metrics, over the whole
-        # block at once (codes instead of a per-group enum list), read off
-        # the block's shared sort bit for bit
+        # block at once, read off the block's shared sort bit for bit; a
+        # slice keeps its medians, maxima, IQRs and class codes (the gaps
+        # and flags are derived again at finalize)
         median = sorted_median(ordered)
         maximum = ordered[:, -1].copy()
-        gap = maximum - median
         q75, q25 = sorted_percentiles(ordered, [75.0, 25.0])
         iqr = q75 - q25
-        has_laggard = gap > self.threshold_s
+        has_laggard = maximum - median > self.threshold_s
         codes = group_laggard_codes(iqr, has_laggard, wide_iqr_s=self.wide_iqr_s)
-        iters = [int(i) for i in block.iterations]
         states = []
         for s, sl in enumerate(block.slices):
             state = self.prepare(context)
@@ -553,12 +578,11 @@ class LaggardsPass(AnalysisPass):
                 (
                     sl.sort_key,
                     (
-                        [(sl.trial, sl.process, it) for it in iters],
+                        (sl.trial, sl.process),
+                        block.iterations.copy(),
                         median[rows],
                         maximum[rows],
-                        gap[rows],
                         iqr[rows],
-                        has_laggard[rows],
                         codes[rows],
                     ),
                 )
@@ -571,37 +595,35 @@ class LaggardsPass(AnalysisPass):
         state["laggard_count"] += other["laggard_count"]
         for name, count in other["class_counts"].items():
             state["class_counts"][name] += count
-        state["segments"].extend(other["segments"])
+        _extend_segments(state["segments"], other["segments"], labels=1)
         return state
 
     def finalize(self, state, context: AnalysisContext) -> LaggardsResult:
         if state["n_groups"] == 0:
             raise ValueError("laggards pass saw no shards")
         parts = _sorted_segments(state["segments"])
-        keys: List[Tuple[int, ...]] = []
-        for part in parts:
-            keys.extend(part[0])
-        members = list(IterationClass)
         analysis = LaggardAnalysis(
-            keys=keys,
-            median_s=np.concatenate([p[1] for p in parts]),
-            max_s=np.concatenate([p[2] for p in parts]),
-            gap_s=np.concatenate([p[3] for p in parts]),
+            slice_keys=np.array([p[0] for p in parts], dtype=np.int64),
+            slice_sizes=np.array([len(p[1]) for p in parts], dtype=np.int64),
+            iterations=np.concatenate([p[1] for p in parts]),
+            median_s=np.concatenate([p[2] for p in parts]),
+            max_s=np.concatenate([p[3] for p in parts]),
             iqr_s=np.concatenate([p[4] for p in parts]),
-            has_laggard=np.concatenate([p[5] for p in parts]),
-            classes=[members[c] for p in parts for c in p[6]],
+            codes=np.concatenate([p[5] for p in parts]),
             threshold_s=self.threshold_s,
             wide_iqr_s=self.wide_iqr_s,
         )
-        # summary statistics from the re-assembled dense arrays
+        # summary statistics from the re-assembled dense arrays (the gaps
+        # are the fold's elementwise maximum - median, so the same bits)
+        gap = analysis.gap_s
         return LaggardsResult(
             n_groups=state["n_groups"],
             laggard_count=state["laggard_count"],
             class_counts=dict(state["class_counts"]),
             threshold_s=self.threshold_s,
             wide_iqr_s=self.wide_iqr_s,
-            mean_gap_s=float(np.mean(analysis.gap_s)),
-            max_gap_s=float(np.max(analysis.gap_s)),
+            mean_gap_s=float(np.mean(gap)),
+            max_gap_s=float(np.max(gap)),
             mean_iqr_s=float(np.mean(analysis.iqr_s)),
             max_iqr_s=float(np.max(analysis.iqr_s)),
             mean_median_s=float(np.mean(analysis.median_s)),

@@ -109,11 +109,6 @@ class MachineConfig:
 
         return replace(self, noise_spec=noise_profile(profile))
 
-    def with_noise_sources(self, *sources) -> "MachineConfig":
-        """Copy of this configuration composing exactly the given
-        :class:`~repro.cluster.noise.NoiseSourceSpec` declarations."""
-        return replace(self, noise_spec=self.noise_spec.with_sources(*sources))
-
 
 def manzano(n_nodes: int = 2) -> MachineConfig:
     """The paper's test platform (§3.2).

@@ -147,10 +147,6 @@ class NoiseSpec:
         """A copy of this spec with all noise switched off."""
         return replace(self, enabled=False)
 
-    def with_sources(self, *sources: NoiseSourceSpec) -> "NoiseSpec":
-        """A copy of this spec composing exactly the given sources."""
-        return replace(self, sources=tuple(sources))
-
     def build_sources(self) -> Tuple["NoiseSource", ...]:
         """Instantiate this spec's noise sources from the registry.
 

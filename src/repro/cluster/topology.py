@@ -194,12 +194,6 @@ class Cluster:
             core_idx += threads_per_process
         return placements
 
-    def node_of_rank(
-        self, placements: List[List[Core]], rank: int
-    ) -> int:
-        """Node hosting MPI ``rank`` given a placement from :meth:`place_processes`."""
-        return placements[rank][0].node_id
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Cluster({self.name!r}, nodes={self.n_nodes}, "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,28 +42,80 @@ class IterationClass(enum.Enum):
     WIDE = "wide"
 
 
+#: each class's integer code (its ``list(IterationClass)`` index)
+CLASS_CODES = {cls: code for code, cls in enumerate(IterationClass)}
+
+
 @dataclass
 class LaggardAnalysis:
     """Per-group laggard metrics for one dataset.
 
     All arrays have one entry per process-iteration group (the Table-1
-    granularity), in the order of ``keys``.
+    granularity), in key order.  The keys are held as runs, not tuples:
+    run ``r`` is ``slice_sizes[r]`` consecutive groups whose keys start with
+    ``slice_keys[r]`` (a (trial, process) slice), and ``iterations`` holds
+    every group's last key element; :attr:`keys` builds the tuples on
+    demand.  ``codes`` are the groups' :data:`CLASS_CODES`.  The gaps and
+    laggard flags are derived from the maxima and medians when read.
     """
 
-    keys: List[Tuple[int, ...]]
+    slice_keys: np.ndarray
+    slice_sizes: np.ndarray
+    iterations: np.ndarray
     median_s: np.ndarray
     max_s: np.ndarray
-    gap_s: np.ndarray
     iqr_s: np.ndarray
-    has_laggard: np.ndarray
-    classes: List[IterationClass]
+    codes: np.ndarray
     threshold_s: float
     wide_iqr_s: float
+
+    @classmethod
+    def from_keys(cls, keys: Sequence[Tuple[int, ...]], **fields) -> "LaggardAnalysis":
+        """The analysis of groups keyed ``(..., iteration)`` tuples, the key
+        prefixes run-length encoded."""
+        table = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+        prefixes = table[:, :-1]
+        changes = np.any(prefixes[1:] != prefixes[:-1], axis=1)
+        starts = np.flatnonzero(np.r_[len(table) > 0, changes])
+        return cls(
+            slice_keys=prefixes[starts],
+            slice_sizes=np.diff(np.r_[starts, len(table)]),
+            iterations=table[:, -1].copy(),
+            **fields,
+        )
 
     # ------------------------------------------------------------------
     @property
     def n_groups(self) -> int:
-        return len(self.keys)
+        return len(self.iterations)
+
+    @property
+    def gap_s(self) -> np.ndarray:
+        """Each group's latest arrival minus its median."""
+        return self.max_s - self.median_s
+
+    @property
+    def has_laggard(self) -> np.ndarray:
+        """Whether each group's gap exceeds the laggard threshold."""
+        return self.gap_s > self.threshold_s
+
+    @property
+    def keys(self) -> List[Tuple[int, ...]]:
+        """Every group's key tuple, built on demand."""
+        prefixes = np.repeat(self.slice_keys, self.slice_sizes, axis=0)
+        table = np.column_stack([prefixes, self.iterations])
+        return [tuple(key) for key in table.tolist()]
+
+    def key(self, index: int) -> Tuple[int, ...]:
+        """Key tuple of group ``index``."""
+        run = int(np.searchsorted(np.cumsum(self.slice_sizes), index, side="right"))
+        return tuple(self.slice_keys[run].tolist()) + (int(self.iterations[index]),)
+
+    @property
+    def classes(self) -> List[IterationClass]:
+        """Every group's class, built on demand from ``codes``."""
+        members = list(IterationClass)
+        return [members[code] for code in self.codes.tolist()]
 
     @property
     def laggard_fraction(self) -> float:
@@ -72,15 +124,11 @@ class LaggardAnalysis:
 
     def class_fraction(self, iteration_class: IterationClass) -> float:
         """Fraction of groups classified as ``iteration_class``."""
-        return float(
-            np.mean([cls is iteration_class for cls in self.classes])
-        )
+        return float(np.mean(self.codes == CLASS_CODES[iteration_class]))
 
     def class_counts(self) -> Dict[IterationClass, int]:
-        counts = {cls: 0 for cls in IterationClass}
-        for cls in self.classes:
-            counts[cls] += 1
-        return counts
+        counts = np.bincount(self.codes, minlength=len(IterationClass))
+        return {cls: int(counts[code]) for cls, code in CLASS_CODES.items()}
 
     # ------------------------------------------------------------------
     def exemplar(self, iteration_class: IterationClass) -> Optional[Tuple[int, ...]]:
@@ -89,15 +137,12 @@ class LaggardAnalysis:
         Used by the figure generators to pick the single process-iteration
         whose histogram illustrates the class (Figures 5, 7 and 9).
         """
-        indices = [
-            idx for idx, cls in enumerate(self.classes) if cls is iteration_class
-        ]
-        if not indices:
+        indices = np.flatnonzero(self.codes == CLASS_CODES[iteration_class])
+        if not len(indices):
             return None
         gaps = self.gap_s[indices]
         target = np.median(gaps)
-        best = indices[int(np.argmin(np.abs(gaps - target)))]
-        return self.keys[best]
+        return self.key(int(indices[int(np.argmin(np.abs(gaps - target)))]))
 
     def summary(self) -> "LaggardSummary":
         """Scalar summary used by the feasibility report."""
@@ -168,17 +213,15 @@ def analyze_laggards(
         grouped = aggregate(dataset_or_groups, AggregationLevel.PROCESS_ITERATION)
     else:
         grouped = dataset_or_groups
-    median, maximum, gap, iqr, has_laggard, classes = group_laggard_metrics(
+    median, maximum, _, iqr, _, codes = group_laggard_metrics(
         grouped.values, threshold_s=threshold_s, wide_iqr_s=wide_iqr_s
     )
-    return LaggardAnalysis(
-        keys=list(grouped.keys),
+    return LaggardAnalysis.from_keys(
+        grouped.keys,
         median_s=median,
         max_s=maximum,
-        gap_s=gap,
         iqr_s=iqr,
-        has_laggard=has_laggard,
-        classes=classes,
+        codes=codes,
         threshold_s=threshold_s,
         wide_iqr_s=wide_iqr_s,
     )
@@ -189,12 +232,13 @@ def group_laggard_metrics(
     *,
     threshold_s: float = DEFAULT_LAGGARD_THRESHOLD_S,
     wide_iqr_s: float = DEFAULT_WIDE_IQR_S,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[IterationClass]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-group laggard metrics of a ``(n_groups, n_threads)`` matrix.
 
     The dense reference of the streaming laggards pass, which reads the
     same statistics off each block's shared sort, bit for bit.  Returns
-    ``(median, max, gap, iqr, has_laggard, classes)``.
+    ``(median, max, gap, iqr, has_laggard, codes)``, ``codes`` the groups'
+    :data:`CLASS_CODES`.
     """
     median = np.median(values, axis=-1)
     maximum = np.max(values, axis=-1)
@@ -203,9 +247,7 @@ def group_laggard_metrics(
     iqr = q75 - q25
     has_laggard = gap > threshold_s
     codes = group_laggard_codes(iqr, has_laggard, wide_iqr_s=wide_iqr_s)
-    members = list(IterationClass)
-    classes = [members[code] for code in codes.tolist()]
-    return median, maximum, gap, iqr, has_laggard, classes
+    return median, maximum, gap, iqr, has_laggard, codes
 
 
 def group_laggard_codes(
@@ -214,11 +256,10 @@ def group_laggard_codes(
     *,
     wide_iqr_s: float = DEFAULT_WIDE_IQR_S,
 ) -> np.ndarray:
-    """Integer class codes of each group: ``list(IterationClass)`` indices.
+    """Integer class codes of each group: its :data:`CLASS_CODES`.
 
-    ``0`` = NO_LAGGARD, ``1`` = LAGGARD, ``2`` = WIDE — the vectorised form
-    of the classification in :func:`group_laggard_metrics`, small enough to
-    stream through the laggards analysis pass as an ``int8`` column.
+    ``0`` = NO_LAGGARD, ``1`` = LAGGARD, ``2`` = WIDE — the vectorised
+    classification, small enough to keep as an ``int8`` per group.
     """
     codes = np.asarray(has_laggard, dtype=np.int8).copy()
     codes[np.asarray(iqr) > wide_iqr_s] = 2

@@ -218,9 +218,6 @@ class StrategyComparison:
         """Strategy with the earliest completion."""
         return min(self.outcomes.values(), key=lambda o: o.completion_s)
 
-    def completion_table(self) -> Dict[str, float]:
-        return {name: outcome.completion_s for name, outcome in self.outcomes.items()}
-
     def speedup_over_bulk(self) -> Dict[str, float]:
         """Completion-time speed-up of every strategy relative to ``bulk``."""
         if "bulk" not in self.outcomes:

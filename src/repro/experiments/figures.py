@@ -244,26 +244,24 @@ def figure7_minimd_classes(
     laggards = _laggards_product(results)
 
     # (a) initial behaviour: any process-iteration from the warm-up phase
-    warmup_keys = [key for key in laggards.keys if key[-1] < warmup_iterations]
+    warmup = np.flatnonzero(laggards.iterations < warmup_iterations)
 
     # (b)/(c): post-warm-up laggard statistics
-    steady_indices = [
-        i for i, key in enumerate(laggards.keys) if key[-1] >= warmup_iterations
-    ]
-    steady_has_laggard = laggards.has_laggard[steady_indices]
-    steady_fraction = float(np.mean(steady_has_laggard)) if steady_indices else 0.0
+    steady = np.flatnonzero(laggards.iterations >= warmup_iterations)
+    steady_has_laggard = laggards.has_laggard[steady]
+    steady_fraction = float(np.mean(steady_has_laggard)) if len(steady) else 0.0
 
     def steady_exemplar(want_laggard: bool):
-        candidates = [
-            laggards.keys[i]
-            for i in steady_indices
-            if bool(laggards.has_laggard[i]) == want_laggard
-        ]
-        return candidates[len(candidates) // 2] if candidates else None
+        candidates = steady[steady_has_laggard == want_laggard]
+        if not len(candidates):
+            return None
+        return laggards.key(int(candidates[len(candidates) // 2]))
 
     initial_hist = (
-        _group_histogram(shards, warmup_keys[len(warmup_keys) // 2], wide_bin)
-        if warmup_keys
+        _group_histogram(
+            shards, laggards.key(int(warmup[len(warmup) // 2])), wide_bin
+        )
+        if len(warmup)
         else None
     )
 
@@ -296,7 +294,7 @@ def figure9_miniqmc_histogram(results: AnalysisResults, *, shards) -> FigureData
     laggards = _laggards_product(results)
     key = laggards.exemplar(IterationClass.WIDE)
     if key is None:
-        key = laggards.keys[len(laggards.keys) // 2]
+        key = laggards.key(laggards.n_groups // 2)
     histogram = _group_histogram(shards, key, bin_width)
     return FigureData(
         figure_id="figure9",

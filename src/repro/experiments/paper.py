@@ -89,11 +89,6 @@ QUALITATIVE_CLAIMS = {
 }
 
 
-def paper_laggard_fraction(application: str) -> float:
-    """Convenience accessor handling the NaN for MiniQMC."""
-    return SECTION4_METRICS[application]["laggard_fraction"]
-
-
 #: Everything above in one mapping (the import most consumers use).
 PAPER_REFERENCE = {
     "table1_pass_percent": TABLE1_PASS_PERCENT,

@@ -22,16 +22,20 @@ pass products land in ``analyses_<app>.json``::
     python -m repro --analyses percentiles laggards reclaimable normality
     python -m repro --list-analyses --porcelain
 
+Applications run one after another, and each campaign is released once
+its analyses and its exemplar histograms (Figures 5/7/9) are done, so the
+run holds one campaign at a time plus every application's products.
+
 ``--out-of-core`` runs the whole pipeline against the spillable shard store
 (:mod:`repro.io.shard_store`): shards flush to disk as they are produced,
 the analyses keep re-readable handles on the stored samples instead of the
 samples, and the figure generators stream memory-mapped views, with outputs
-byte-identical to the in-memory run.  The samples stay on disk, but the
-exact analyses still grow with the campaign, by about 12 B per sample (the
-application-level normality row and the per-group laggard state), and
-hold one open file per store group until they finalize.  This run, 4.6 M
-samples per application, peaks at about 190 MB on a 2-core host; a larger
-``--spill-mb`` folds larger groups at once (about 370 MB at 256)::
+byte-identical to the in-memory run.  The samples stay on disk; the exact
+analyses keep a few numbers per process-iteration group (about 1 B per
+sample: the laggard and reclaimable statistics; the application-level
+normality row is selected in bounded memory) and hold one open file per
+store group until they finalize.  A larger ``--spill-mb`` folds larger
+groups at once, and the fold's working set grows with the group::
 
     python -m repro --scale paper --trials 60 --out-of-core --spill-mb 64
 
@@ -49,7 +53,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     REPORT_ANALYSES,
@@ -60,8 +64,9 @@ from repro.analysis import (
 from repro.apps import APPLICATIONS
 from repro.experiments.backends import available_backends
 from repro.experiments.config import CampaignConfig
-from repro.experiments.session import CampaignResult, CampaignSession
+from repro.experiments.session import CampaignSession
 from repro.experiments.figures import (
+    FigureData,
     figure3_histogram,
     figure5_minife_classes,
     figure7_minimd_classes,
@@ -195,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="spill campaign shards to an on-disk store as they are "
         "produced and stream every analysis/figure from it (samples on "
-        "disk; the analyses still need ~12 B per sample; outputs identical "
-        "to the in-memory run)",
+        "disk; the analyses keep ~1 B per sample; outputs identical to the "
+        "in-memory run)",
     )
     parser.add_argument(
         "--spill-mb",
@@ -394,16 +399,75 @@ def _run_streaming_analyses(
     return 0
 
 
+#: the exemplar-histogram figure of each application (Figures 5/7/9)
+_EXEMPLAR_FIGURES = {
+    "minife": figure5_minife_classes,
+    "minimd": figure7_minimd_classes,
+    "miniqmc": figure9_miniqmc_histogram,
+}
+
+
+def _run_application(
+    args: argparse.Namespace, application: str, output: Path
+) -> Tuple[AnalysisResults, Optional[FigureData]]:
+    """Run and analyse one application's campaign.
+
+    Returns its analysis products and its exemplar figure (Figures 5/7/9),
+    binned from the campaign's samples while they are alive; the campaign
+    itself is released on return, so no campaign outlives its analysis.
+    """
+    config = _configure(args, application)
+    started = time.perf_counter()
+    workers = f", {config.max_workers} workers" if config.max_workers > 1 else ""
+    scenario = f" [scenario {config.scenario}]" if config.scenario else ""
+    print(
+        f"[repro-campaign] running {application}{scenario}: "
+        f"{config.trials} trials x "
+        f"{config.processes} processes x {config.iterations} iterations x "
+        f"{config.threads} threads on {config.machine.name} "
+        f"({config.backend} backend{workers})",
+        flush=True,
+    )
+    cache_max_bytes = (
+        int(args.cache_max_mb * 2**20) if args.cache_max_mb is not None else None
+    )
+    session = CampaignSession(
+        config, cache_dir=args.cache_dir, cache_max_bytes=cache_max_bytes
+    )
+    if args.out_of_core:
+        # shards spill to the store as they arrive; analyses and figures
+        # read them back off the store
+        result = session.run(
+            store=True,
+            spill_threshold_bytes=max(1, int(args.spill_mb * 2**20)),
+        )
+    else:
+        result = session.run()
+    products = session.analyze(application, analyses="all")
+    generator = _EXEMPLAR_FIGURES.get(application)
+    exemplar = generator(products, shards=result) if generator else None
+    elapsed = time.perf_counter() - started
+    origin = " (cached)" if result.from_cache else ""
+    print(
+        f"[repro-campaign]   {config.samples_per_application} samples "
+        f"in {elapsed:.1f} s{origin}",
+        flush=True,
+    )
+    if args.save_datasets:
+        save_dataset(result.dataset, output / f"dataset_{application}.npz")
+    return products, exemplar
+
+
 def _write_figures(
     sources: Dict[str, AnalysisResults],
     output: Path,
     report_lines: List[str],
-    runs: Dict[str, CampaignResult],
+    exemplars: Dict[str, FigureData],
 ) -> None:
     """Regenerate the figures from the analysis results.
 
-    The exemplar histograms of Figures 5/7/9 are binned straight from the
-    campaign results' shards (``runs``) — no merged dataset anywhere.
+    The exemplar histograms of Figures 5/7/9 (``exemplars``) were binned
+    from each campaign's samples before the campaign was released.
     """
     figure_dir = output / "figures"
     for name, source in sources.items():
@@ -417,23 +481,22 @@ def _write_figures(
         report_lines.append(ascii_percentile_plot(series_fig["series"]))
         report = source.report(include_earlybird="earlybird" in source)
         report_lines.append("\n" + report.summary())
-    if "minife" in sources:
-        fig5 = figure5_minife_classes(sources["minife"], shards=runs["minife"])
+    if "minife" in exemplars:
+        fig5 = exemplars["minife"]
         for label in ("no_laggard", "laggard"):
             hist = fig5[f"{label}_histogram"]
             if hist is not None:
                 export_histogram_csv(hist, figure_dir / f"figure5_{label}.csv")
-    if "minimd" in sources:
-        fig7 = figure7_minimd_classes(sources["minimd"], shards=runs["minimd"])
+    if "minimd" in exemplars:
+        fig7 = exemplars["minimd"]
         for label in ("initial", "no_laggard", "laggard"):
             hist = fig7.payload.get(f"{label}_histogram")
             if hist is not None:
                 export_histogram_csv(hist, figure_dir / f"figure7_{label}.csv")
-    if "miniqmc" in sources:
-        fig9 = figure9_miniqmc_histogram(
-            sources["miniqmc"], shards=runs["miniqmc"]
+    if "miniqmc" in exemplars:
+        export_histogram_csv(
+            exemplars["miniqmc"]["histogram"], figure_dir / "figure9_miniqmc.csv"
         )
-        export_histogram_csv(fig9["histogram"], figure_dir / "figure9_miniqmc.csv")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -493,50 +556,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         return _run_streaming_analyses(args, applications, output)
     # the default path streams: every table/figure below reads the
-    # analysis products (plus raw shards for the exemplar histograms), and a
-    # merged dataset is only materialised when --save-datasets asks for one
+    # analysis products plus each campaign's binned exemplar histograms, and
+    # a merged dataset is only materialised when --save-datasets asks for
+    # one
     products: Dict[str, AnalysisResults] = {}
-    runs: Dict[str, CampaignResult] = {}
+    exemplars: Dict[str, FigureData] = {}
     report_lines: List[str] = []
     for application in applications:
-        config = _configure(args, application)
-        started = time.perf_counter()
-        workers = f", {config.max_workers} workers" if config.max_workers > 1 else ""
-        scenario = f" [scenario {config.scenario}]" if config.scenario else ""
-        print(
-            f"[repro-campaign] running {application}{scenario}: "
-            f"{config.trials} trials x "
-            f"{config.processes} processes x {config.iterations} iterations x "
-            f"{config.threads} threads on {config.machine.name} "
-            f"({config.backend} backend{workers})",
-            flush=True,
-        )
-        cache_max_bytes = (
-            int(args.cache_max_mb * 2**20) if args.cache_max_mb is not None else None
-        )
-        session = CampaignSession(
-            config, cache_dir=args.cache_dir, cache_max_bytes=cache_max_bytes
-        )
-        if args.out_of_core:
-            # shards spill to the store as they arrive; analyses and figures
-            # read them back off the store
-            result = session.run(
-                store=True,
-                spill_threshold_bytes=max(1, int(args.spill_mb * 2**20)),
-            )
-        else:
-            result = session.run()
-        products[application] = session.analyze(application, analyses="all")
-        runs[application] = result
-        elapsed = time.perf_counter() - started
-        origin = " (cached)" if result.from_cache else ""
-        print(
-            f"[repro-campaign]   {config.samples_per_application} samples "
-            f"in {elapsed:.1f} s{origin}",
-            flush=True,
-        )
-        if args.save_datasets:
-            save_dataset(result.dataset, output / f"dataset_{application}.npz")
+        products[application], exemplar = _run_application(args, application, output)
+        if exemplar is not None:
+            exemplars[application] = exemplar
 
     # tables
     table_rows = table1(products)
@@ -558,7 +587,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report_lines.append(ascii_table(phase_rows))
 
     # figures
-    _write_figures(products, output, report_lines, runs)
+    _write_figures(products, output, report_lines, exemplars)
 
     report = "\n".join(report_lines)
     (output / "report.txt").write_text(report)

@@ -65,6 +65,11 @@ from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.backends import CampaignBackend, get_backend
 from repro.experiments.executor import ShardExecutor
 
+#: layout of the pickled analysis products in the cache; part of their
+#: key, so a product pickled by a different layout is recomputed, not
+#: loaded (2: laggard keys and classes held as arrays)
+ANALYSIS_PRODUCT_FORMAT = 2
+
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.analysis import AnalysisPass, AnalysisResults
     from repro.core.aggregation import ColumnBlock
@@ -479,7 +484,8 @@ class CampaignSession:
         """Cache file of one pass's finalized product, or ``None`` without a
         ``cache_dir``.  The key hashes everything that determines the
         product: the campaign's sample-determining config hash, the pass
-        name and the pass's parameters (its instance attributes)."""
+        name, the pass's parameters (its instance attributes) and
+        :data:`ANALYSIS_PRODUCT_FORMAT`."""
         if self.cache_dir is None:
             return None
         descriptions = []
@@ -500,7 +506,12 @@ class CampaignSession:
             descriptions.append(f"{name}={described}")
         params = ";".join(descriptions)
         blob = "|".join(
-            (config_cache_key(config), analysis_pass.name, params)
+            (
+                config_cache_key(config),
+                analysis_pass.name,
+                params,
+                f"format={ANALYSIS_PRODUCT_FORMAT}",
+            )
         )
         key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         return (

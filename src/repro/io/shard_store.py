@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -218,16 +219,13 @@ class StoredRows:
     out a slice's own handle.
     """
 
-    __slots__ = ("_file", "_offset", "shape")
+    __slots__ = ("_file", "_offset", "shape", "_row_bytes")
 
     def __init__(self, file: _GroupFile, offset: int, shape: Tuple[int, ...]) -> None:
         self._file = file
         self._offset = int(offset)
         self.shape = tuple(int(n) for n in shape)
-
-    @property
-    def _row_bytes(self) -> int:
-        return int(np.prod(self.shape[1:])) * 8
+        self._row_bytes = math.prod(self.shape[1:]) * 8
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, step = rows.indices(self.shape[0])

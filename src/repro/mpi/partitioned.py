@@ -246,13 +246,6 @@ class PartitionedSendRequest:
             raise RuntimeError("not all partitions have been marked ready")
         return max(rec.delivery_time for rec in self.records.values())
 
-    def as_transfer(self) -> PartitionedTransfer:
-        """Snapshot of the records as a :class:`PartitionedTransfer`."""
-        return PartitionedTransfer(
-            partitions=[self.records[i] for i in sorted(self.records)],
-            total_bytes=sum(self.partition_bytes),
-        )
-
 
 class PartitionedRecvRequest:
     """Receiver side of a partitioned persistent request (``MPI_Precv_init``)."""

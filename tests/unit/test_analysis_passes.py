@@ -40,7 +40,7 @@ from repro.core.aggregation import (
     shard_block,
 )
 from repro.core.earlybird import EarlyBirdModel
-from repro.core.laggard import IterationClass, analyze_laggards
+from repro.core.laggard import IterationClass, analyze_laggards, group_laggard_metrics
 from repro.core.normality import NormalityStudy, stratified_subsample
 from repro.core.reclaimable import summarize_reclaimable
 from repro.core.timing import TimingDataset, TimingShard
@@ -582,6 +582,58 @@ class TestExemplars:
         assert a.exemplar(IterationClass.LAGGARD) is not None
         for cls in IterationClass:
             assert a.exemplar(cls) == b.exemplar(cls)
+
+
+class TestCompactLaggardState:
+    """The laggards pass keeps arrays, not one key tuple and one class per
+    group, and its analysis still answers as the dense oracle does."""
+
+    def test_partials_hold_slice_keys_and_arrays(self, shards, context):
+        block = shard_block(shards[0])
+        (state,) = LaggardsPass().accumulate_columns_split(block, context)
+        ((_, payload),) = state["segments"]
+        slice_key, iterations, *metrics, codes = payload
+        assert slice_key == (shards[0].trial, shards[0].process)
+        assert isinstance(iterations, np.ndarray)
+        np.testing.assert_array_equal(iterations, block.iterations)
+        assert all(isinstance(array, np.ndarray) for array in metrics)
+        assert codes.dtype == np.int8
+
+    def test_fractions_counts_and_exemplars_equal_the_dense_oracle(self, case):
+        ds, shards, context = case
+        analysis = run_analyses(shards, ["laggards"], context)["laggards"].analysis
+        # the oracle: the dense grouping's per-group metrics, classes and
+        # key tuples, each exemplar picked by hand
+        grouped = aggregate(ds, AggregationLevel.PROCESS_ITERATION)
+        _, _, gap, _, has_laggard, codes = group_laggard_metrics(grouped.values)
+        classes = [list(IterationClass)[code] for code in codes]
+        assert analysis.keys == grouped.keys
+        assert [analysis.key(i) for i in range(analysis.n_groups)] == grouped.keys
+        assert analysis.classes == classes
+        assert analysis.codes.dtype == np.int8
+        assert analysis.laggard_fraction == float(np.mean(has_laggard))
+        assert analysis.class_counts() == {
+            cls: classes.count(cls) for cls in IterationClass
+        }
+        for cls in IterationClass:
+            members = [i for i, c in enumerate(classes) if c is cls]
+            assert analysis.class_fraction(cls) == float(
+                np.mean([c is cls for c in classes])
+            )
+            if not members:
+                assert analysis.exemplar(cls) is None
+                continue
+            gaps = gap[members]
+            best = members[int(np.argmin(np.abs(gaps - np.median(gaps))))]
+            assert analysis.exemplar(cls) == grouped.keys[best]
+
+    def test_the_product_pickles(self, shards, context):
+        analysis = run_analyses(shards, ["laggards"], context)["laggards"].analysis
+        again = pickle.loads(pickle.dumps(analysis))
+        assert again.keys == analysis.keys
+        assert again.exemplar(IterationClass.LAGGARD) == analysis.exemplar(
+            IterationClass.LAGGARD
+        )
 
 
 class TestLargeIterationRows:

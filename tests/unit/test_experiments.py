@@ -1,5 +1,7 @@
 """Unit tests for campaign configuration, tables, figures and the CLI."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,29 @@ class TestRunnerCLI:
         phases = (tmp_path / "minimd_phases.csv").read_text().splitlines()
         assert len(phases) == 2
         assert (tmp_path / "figures" / "figure9_miniqmc.csv").exists()
+
+    @pytest.mark.parametrize("out_of_core", [[], ["--out-of-core"]], ids=["memory", "spilled"])
+    def test_each_campaign_is_released_before_the_next_starts(
+        self, out_of_core, tmp_path, monkeypatch, capsys
+    ):
+        """The CLI bins each application's exemplar figure and drops its
+        campaign result before it runs the next application."""
+        run = CampaignSession.run
+        results, alive_at_start = [], []
+
+        def tracked_run(session, *args, **kwargs):
+            gc.collect()
+            alive_at_start.append([ref() is not None for ref in results])
+            result = run(session, *args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(CampaignSession, "run", tracked_run)
+        argv = ["--scale", "smoke", "--apps", "minife", "minimd", *out_of_core]
+        assert main([*argv, "--output", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert alive_at_start == [[], [False]]
+        assert (tmp_path / "figures" / "figure5_no_laggard.csv").exists()
 
     @pytest.mark.parametrize("application", ["minife", "minimd", "miniqmc"])
     def test_out_of_core_outputs_equal_in_memory(self, application, tmp_path, capsys):
