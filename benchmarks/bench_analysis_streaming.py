@@ -91,7 +91,7 @@ def _paper_scale_inputs():
         threads=48, seed=1, backend="campaign",
     )
     backend = get_backend(config.backend)
-    shards = list(backend.iter_shards(config))
+    shards = list(CampaignSession(config).stream())
     columns = {
         name: np.concatenate([np.asarray(shard.columns[name]) for shard in shards])
         for name in shards[0].columns

@@ -38,8 +38,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.stats.battery import NormalityBattery
 
 #: guard thresholds: how much faster than the vectorized path the campaign
@@ -66,17 +66,16 @@ def _available_cores() -> int:
 
 
 def _run_backend(config):
-    return get_backend(config.backend).run(config)
+    return CampaignSession(config).run(use_cache=False).dataset
 
 
 def _best_rate(config, repeats: int = 3) -> float:
     """Best-of-N samples/sec of one campaign configuration."""
-    runner = get_backend(config.backend)
-    runner.run(config)  # warm-up: calibration, allocator, caches
+    _run_backend(config)  # warm-up: calibration, allocator, caches
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        dataset = runner.run(config)
+        dataset = _run_backend(config)
         best = min(best, time.perf_counter() - start)
     return dataset.n_samples / best
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingShard
+from repro.core.aggregation import campaign_block
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
@@ -51,18 +51,10 @@ class CountingBackend(CampaignBackend):
             for p in range(config.processes)
         ]
 
-    def run_shard(self, config, spec, streams):
+    def unit_block(self, config, spec):
         type(self).computed += 1
-        n = config.iterations * config.threads
-        iteration, thread = np.divmod(np.arange(n), config.threads)
-        columns = {
-            "trial": np.full(n, spec.trial),
-            "process": np.full(n, spec.process),
-            "iteration": iteration,
-            "thread": thread,
-            "compute_time_s": np.full(n, 1.0e-3),
-        }
-        return TimingShard(trial=spec.trial, process=spec.process, columns=columns)
+        times = np.full((1, config.iterations, config.threads), 1.0e-3)
+        return campaign_block([(spec.trial, spec.process)], times)
 
 
 @pytest.fixture(scope="module")

@@ -22,8 +22,8 @@ against the dense :func:`~repro.core.aggregation.aggregate` oracles): every
 pass produces results *bit-identical* to the dense reference analyses, for
 any shard decomposition and any shard order.  The trick is that
 accumulators never merge floating-point partials — they keep exact
-per-slice segments keyed by the slice's serial (trial, process) position
-and re-assemble the dense-order arrays at finalize.
+per-slice segments keyed by the slice's serial (trial, process, first
+iteration) position and re-assemble the dense-order arrays at finalize.
 
 The percentiles and normality segments stand for their slices' samples:
 a view of the block's cube in memory, or, for a block read from a shard
@@ -94,13 +94,21 @@ BATCH_SAMPLES = 1 << 16
 DEFAULT_EARLYBIRD_MAX_GROUPS = 200
 
 
-def _sorted_segments(segments: List[Tuple[Tuple[int, int], Any]]) -> List[Any]:
-    """Segment payloads ordered by the slices' serial (trial-major) position."""
+def _segment_key(sl, block) -> Tuple[int, int, int]:
+    """A slice's serial position: its (trial, process) ``sort_key`` and
+    its block's first iteration label, so the iteration-split pieces of
+    one (trial, process) order by iteration, whatever order they came in."""
+    return sl.sort_key + (int(block.iterations[0]),)
+
+
+def _sorted_segments(segments: List[Tuple[Tuple[int, int, int], Any]]) -> List[Any]:
+    """Segment payloads ordered by :func:`_segment_key`."""
     return [payload for _, payload in sorted(segments, key=lambda item: item[0])]
 
 
-def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
-    """One ``(sort_key, (iterations, rows))`` exact segment per slice.
+def _slice_segments(block) -> List[Tuple[Tuple[int, int, int], Any]]:
+    """One ``(key, (iterations, rows))`` exact segment per slice, keyed by
+    :func:`_segment_key`.
 
     ``rows`` is the slice's ``cube[s]``, or, for a block read from a
     shard-store group, a :class:`~repro.io.shard_store.StoredRows` handle
@@ -111,7 +119,7 @@ def _slice_segments(block) -> List[Tuple[Tuple[int, int], Any]]:
     """
     return [
         (
-            sl.sort_key,
+            _segment_key(sl, block),
             (
                 block.iterations.copy(),
                 rows if block.stored is None else block.stored.row(s),
@@ -253,7 +261,7 @@ class PercentilesPass(AnalysisPass):
         self.percentiles = tuple(percentiles)
 
     def prepare(self, context: AnalysisContext) -> Any:
-        # one (sort_key, (iterations, samples)) segment per slice
+        # one (key, (iterations, samples)) segment per slice
         return []
 
     def accumulate_columns_split(self, block, context):
@@ -379,7 +387,7 @@ class NormalityPass(AnalysisPass):
 
     def prepare(self, context: AnalysisContext) -> Dict[str, Any]:
         return {
-            # one (sort_key, (iterations, samples)) segment per slice, the
+            # one (key, (iterations, samples)) segment per slice, the
             # source of both the application and the iteration rows
             "segments": [],
             "pass_counts": {name: 0 for name in TEST_NAMES},
@@ -576,7 +584,7 @@ class LaggardsPass(AnalysisPass):
             state["laggard_count"] = int(np.sum(has_laggard[rows]))
             state["segments"].append(
                 (
-                    sl.sort_key,
+                    _segment_key(sl, block),
                     (
                         (sl.trial, sl.process),
                         block.iterations.copy(),
@@ -651,7 +659,9 @@ class ReclaimablePass(AnalysisPass):
             state = self.prepare(context)
             rows = slice(s * n_iterations, (s + 1) * n_iterations)
             state["n_threads"] = n_threads
-            state["segments"].append((sl.sort_key, (reclaim[rows], ratios[rows])))
+            state["segments"].append(
+                (_segment_key(sl, block), (reclaim[rows], ratios[rows]))
+            )
             states.append(state)
         return states
 

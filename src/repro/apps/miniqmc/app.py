@@ -146,9 +146,10 @@ class MiniQMCApp(ProxyApplication):
         streams :meth:`begin_process` consumes under the per-shard backends
         — the campaign backend's mixture components are then bit-identical
         to the vectorized ones, and distributional agreement holds
-        even for small process ensembles.  Two scalar draws per shard keep
-        this chunk-invariant (each shard's stream is touched exactly once,
-        whatever the chunking).
+        even for small process ensembles.  Each shard reads a *fresh*
+        generator of its stream (the same first two draws), so the
+        parameters depend only on the shard, whatever the chunking and
+        however often a context re-begins it.
         """
         cfg = self.config
         streams = getattr(rng, "root_streams", None)
@@ -156,7 +157,7 @@ class MiniQMCApp(ProxyApplication):
             means = np.empty(len(shards))
             sds = np.empty(len(shards))
             for index, (trial, process) in enumerate(shards):
-                work_rng = streams.get(self.name, "work", int(trial), int(process))
+                work_rng = streams.fresh(self.name, "work", int(trial), int(process))
                 self.begin_process(int(process), work_rng)
                 means[index] = self._process_mean_scale
                 sds[index] = self._process_sd_scale

@@ -5,7 +5,7 @@ Two instrumenters are provided:
 * :class:`RegionInstrumenter` — collects per-thread enter/exit timestamps from
   the *simulated* OpenMP runtime (:class:`repro.openmp.runtime.OpenMPRuntime`
   executions) and accumulates them into a :class:`~repro.core.timing.TimingDataset`.
-  This is the path the proxy-application campaign uses.
+  The ``event`` campaign backend records through it.
 * :class:`PythonThreadRegion` — applies the same methodology to a real Python
   thread pool using ``time.monotonic_ns()``.  It exists so the quickstart can
   demonstrate the measurement procedure end-to-end on real threads; because of
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.timing import TimingDataset, TimingRecord
-from repro.openmp.forloop import LoopExecution
+from repro.core.timing import TimingDataset
 
 
 class RegionInstrumenter:
@@ -58,9 +57,6 @@ class RegionInstrumenter:
             "end_ns": [],
             "compute_time_s": [],
         }
-        #: already-columnar blocks appended by :meth:`record_campaign` /
-        #: :meth:`record_columns`, kept as arrays
-        self._blocks: List[Dict[str, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     def record_thread(
@@ -84,20 +80,6 @@ class RegionInstrumenter:
         self._rows["end_ns"].append(end_ns)
         self._rows["compute_time_s"].append((end_ns - start_ns) * 1.0e-9)
 
-    def record_execution(
-        self, trial: int, process: int, execution: LoopExecution
-    ) -> None:
-        """Record every thread of one simulated region execution."""
-        for thread in execution.threads:
-            self.record_thread(
-                trial=trial,
-                process=process,
-                iteration=execution.iteration,
-                thread=thread.thread_id,
-                start_ns=thread.start_ns,
-                end_ns=thread.end_ns,
-            )
-
     def record_compute_times(
         self,
         *,
@@ -106,7 +88,8 @@ class RegionInstrumenter:
         iteration: int,
         compute_times_s: Sequence[float],
     ) -> None:
-        """Record derived compute times directly (vectorised campaign path)."""
+        """Record derived compute times directly (one iteration of
+        :class:`PythonThreadRegion`)."""
         times = np.asarray(compute_times_s, dtype=np.float64)
         if np.any(times < 0):
             raise ValueError("compute times must be non-negative")
@@ -119,83 +102,16 @@ class RegionInstrumenter:
         self._rows["end_ns"].extend((times * 1e9).astype(np.int64).tolist())
         self._rows["compute_time_s"].extend(times.tolist())
 
-    def record_campaign(
-        self,
-        *,
-        shards: Sequence[Tuple[int, int]],
-        compute_times_s: np.ndarray,
-        first_iteration: int = 0,
-    ) -> None:
-        """Record a whole ``(n_shards, n_iterations, n_threads)`` tensor as
-        one columnar block.
-
-        The tensor is copied into a :func:`~repro.core.aggregation.campaign_block`
-        (which validates it) and its columns, ids derived from the shape,
-        are appended with the derived ``start_ns = 0`` / ``end_ns`` of
-        :meth:`record_compute_times`.  Row order equals consecutive
-        per-iteration :meth:`record_compute_times` calls per shard, so
-        datasets merge bit-identically with per-shard recording.
-        """
-        from repro.core.aggregation import campaign_block
-
-        times = np.array(compute_times_s, dtype=np.float64)
-        columns = campaign_block(shards, times).columns
-        flat = columns.pop("compute_time_s")
-        columns["iteration"] += first_iteration
-        columns["start_ns"] = np.zeros(flat.size, dtype=np.int64)
-        columns["end_ns"] = (flat * 1e9).astype(np.int64)
-        columns["compute_time_s"] = flat
-        self.record_columns(columns)
-
-    def record_columns(self, columns: Dict[str, np.ndarray]) -> None:
-        """Append one pre-assembled columnar block.
-
-        Appends a block of already-assembled columns (a dataset's, or
-        another instrumenter's) without re-deriving any ids.  The block
-        must carry exactly the canonical column set, with equal lengths.
-        """
-        if set(columns) != set(self._rows):
-            raise ValueError(
-                f"columns must be exactly {sorted(self._rows)}, "
-                f"got {sorted(columns)}"
-            )
-        arrays = {name: np.asarray(columns[name]) for name in self._rows}
-        lengths = {len(values) for values in arrays.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"column lengths differ: {sorted(lengths)}")
-        self._flush_rows()
-        self._blocks.append(arrays)
-
-    def _flush_rows(self) -> None:
-        """Convert any pending per-row appends into a columnar block, so
-        mixed ``record_*`` call sequences keep their chronological order."""
-        if not self._rows["compute_time_s"]:
-            return
-        self._blocks.append(
-            {name: np.asarray(values) for name, values in self._rows.items()}
-        )
-        for values in self._rows.values():
-            values.clear()
-
     # ------------------------------------------------------------------
     @property
     def n_records(self) -> int:
-        return len(self._rows["compute_time_s"]) + sum(
-            len(block["compute_time_s"]) for block in self._blocks
-        )
+        return len(self._rows["compute_time_s"])
 
     def dataset(self) -> TimingDataset:
         """Materialise the accumulated records as a :class:`TimingDataset`."""
         if self.n_records == 0:
             raise ValueError("no records collected yet")
-        self._flush_rows()
-        if len(self._blocks) == 1:
-            columns = dict(self._blocks[0])
-        else:
-            columns = {
-                name: np.concatenate([block[name] for block in self._blocks])
-                for name in self._blocks[0]
-            }
+        columns = {name: np.asarray(values) for name, values in self._rows.items()}
         metadata = {
             "application": self.application,
             "region": self.region,
@@ -207,7 +123,6 @@ class RegionInstrumenter:
         """Discard all collected records."""
         for values in self._rows.values():
             values.clear()
-        self._blocks.clear()
 
 
 @dataclass

@@ -31,21 +31,23 @@ campaign layer without touching it.  Three backends ship with the package:
 ``"vectorized"`` is the readable per-iteration reference, ``"event"`` the
 clock/noise microstructure and ``"campaign"`` the production kernel.
 
-Every backend decomposes its campaign into *shards* (:meth:`shard_specs` /
-:meth:`run_shard`).  A shard re-derives all of its random streams from the
-campaign's root seed by name, which makes shards order-independent: the
-parallel executor can run a backend's units of work (:meth:`work_units` /
-:meth:`unit_block`: one shard each, or one shard chunk for ``"campaign"``)
-in any order on any worker and the merged result stays bit-identical to a
-serial run.
+Every backend decomposes its campaign into *shards* (:meth:`shard_specs`)
+and cuts it into *units of work* (:meth:`work_units`: one shard each, or
+one shard chunk for ``"campaign"``), and produces one unit's column block
+from nothing but the config and the unit (:meth:`unit_block`).  A unit
+re-derives all of its random streams from the campaign's root seed by
+name, so producing it is a pure function of (config, unit): the executor
+runs the units in-process for a serial run and on any worker, in any
+order, for a pooled one, and the merged result is bit-identical.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import threading
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -53,8 +55,7 @@ from repro.apps import get_application
 from repro.apps.base import ProxyApplication
 from repro.core.aggregation import ColumnBlock, campaign_block, shard_block
 from repro.core.instrument import RegionInstrumenter
-from repro.core.timing import TimingDataset, TimingShard
-from repro.experiments.executor import ShardExecutor
+from repro.core.timing import TimingShard
 from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -95,75 +96,33 @@ class ShardSpec:
 class CampaignBackend(ABC):
     """Execution strategy of a measurement campaign.
 
-    Subclasses implement the shard decomposition (:meth:`shard_specs`) and
-    the per-shard execution (:meth:`run_shard`); the base class provides the
-    serial drivers (:meth:`run`, :meth:`iter_shards`,
-    :meth:`iter_column_blocks`) on top of them.
-
-    The executor (:class:`~repro.experiments.executor.ShardExecutor`) pools
-    a campaign's *units of work*: :meth:`work_units` cuts them and
-    :meth:`unit_block` produces one unit's column block inside a worker.
-    By default a unit is one :meth:`run_shard` shard, as its block;
-    a backend whose unit is a whole shard chunk overrides both.
+    A backend is its units of work.  Subclasses implement the shard
+    decomposition (:meth:`shard_specs`) and produce one unit's column block
+    (:meth:`unit_block`); by default a unit is one shard spec, and a
+    backend whose unit is a whole shard chunk overrides :meth:`work_units`
+    too.  The executor (:class:`~repro.experiments.executor.ShardExecutor`)
+    is the only driver: it runs the units in-process for a serial run and
+    on its worker pool for a pooled one.
     """
 
     #: registered backend name (set by :func:`register_backend`)
     name: str = "abstract"
 
-    # ------------------------------------------------------------------
-    # shard decomposition
-    # ------------------------------------------------------------------
     @abstractmethod
     def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
         """The campaign's shards, in serial (trial-major) order."""
 
-    @abstractmethod
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
-        """Execute one shard.  Must only use streams derived by name from
-        ``streams`` so that execution is independent of shard order."""
-
-    # ------------------------------------------------------------------
-    # serial drivers
-    # ------------------------------------------------------------------
-    def iter_shards(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[TimingShard]:
-        """Lazily yield the campaign's shards in serial order."""
-        streams = streams if streams is not None else RandomStreams(config.seed)
-        for spec in self.shard_specs(config):
-            yield self.run_shard(config, spec, streams)
-
-    def iter_column_blocks(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[ColumnBlock]:
-        """Lazily yield the campaign's column blocks in serial order: one
-        block per :meth:`iter_shards` shard."""
-        for shard in self.iter_shards(config, streams):
-            yield shard_block(shard)
-
-    def run(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> TimingDataset:
-        """Run the whole campaign serially and merge into one dataset."""
-        return TimingDataset.merge(
-            self.iter_shards(config, streams), metadata=self.metadata(config)
-        )
-
-    # ------------------------------------------------------------------
-    # units of pooled work
-    # ------------------------------------------------------------------
     def work_units(self, config: "CampaignConfig", workers: int) -> List[object]:
-        """The picklable units a ``workers``-wide pool runs, in serial
-        order: the campaign's shard specs."""
+        """The picklable units a ``workers``-wide pool runs (``workers=1``:
+        a serial run), in serial order: the campaign's shard specs."""
         return self.shard_specs(config)
 
+    @abstractmethod
     def unit_block(self, config: "CampaignConfig", unit) -> ColumnBlock:
-        """One unit's column block, built from nothing but ``config`` and
-        ``unit`` (it runs in a pool worker): the unit's :meth:`run_shard`
-        shard as a block."""
-        return shard_block(self.run_shard(config, unit, RandomStreams(config.seed)))
+        """One unit's column block, a pure function of ``config`` and
+        ``unit``: it must derive every draw by name from
+        ``RandomStreams(config.seed)``, so the block is the same in any
+        process, in any order and on every call."""
 
     # ------------------------------------------------------------------
     def metadata(self, config: "CampaignConfig") -> Dict[str, object]:
@@ -269,11 +228,10 @@ class VectorizedBackend(CampaignBackend):
             for process in range(config.processes)
         ]
 
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
+    def unit_block(self, config: "CampaignConfig", spec: ShardSpec) -> ColumnBlock:
         if spec.process is None:
             raise ValueError(f"{self.name} backend shards per process, got {spec}")
+        streams = RandomStreams(config.seed)
         app = build_application(config)
         trial, process = spec.trial, spec.process
         work_rng = streams.get(app.name, "work", trial, process)
@@ -286,8 +244,7 @@ class VectorizedBackend(CampaignBackend):
             )
             for iteration in range(config.iterations)
         ]
-        block = campaign_block([(trial, process)], np.stack(times)[np.newaxis])
-        return next(block.iter_shards())
+        return campaign_block([(trial, process)], np.stack(times)[np.newaxis])
 
 
 @register_backend("event")
@@ -311,13 +268,12 @@ class EventBackend(CampaignBackend):
     def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
         return [ShardSpec(trial=trial) for trial in range(config.trials)]
 
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
+    def unit_block(self, config: "CampaignConfig", spec: ShardSpec) -> ColumnBlock:
         # imported here: the OpenMP runtime is only needed by this backend
         from repro.openmp.runtime import OpenMPRuntime
         from repro.openmp.team import ThreadTeam
 
+        streams = RandomStreams(config.seed)
         app = build_application(config)
         cluster = config.machine.build_cluster()
         placements = cluster.place_processes(config.processes, config.threads)
@@ -357,8 +313,8 @@ class EventBackend(CampaignBackend):
                         start_ns=thread.start_ns,
                         end_ns=thread.end_ns + extra_ns,
                     )
-        return TimingShard.from_dataset(
-            instrumenter.dataset(), trial=trial, process=None
+        return shard_block(
+            TimingShard.from_dataset(instrumenter.dataset(), trial=trial, process=None)
         )
 
 
@@ -373,30 +329,35 @@ class EventBackend(CampaignBackend):
 # the executor's pool driver moves the cubes (shared memory in process
 # mode) or spills them straight into a ShardStore.
 # ----------------------------------------------------------------------
-#: per-worker execution-context cache.  Pool workers are reused across
-#: chunks, so rebuilding the application per chunk would redo its one-time
-#: setup — cost calibration, the deterministic busy-row fold MiniFE caches
-#: on the app instance — for every chunk, costing more than the fold
-#: itself.  Keyed by config equality; thread-local so thread-pool workers
-#: never share a PurposeSplitRNG (its scope stack is mutable).  Reusing a
-#: context is bit-identical to a fresh one: the shard-keyed draw streams
-#: make every draw depend only on its absolute scope path.
+#: per-thread execution context of the last config a thread folded.  Pool
+#: workers are reused across chunks, and a serial run folds every chunk in
+#: the calling thread, so rebuilding the application per chunk would redo
+#: its one-time setup — cost calibration, the deterministic busy-row fold
+#: MiniFE caches on the app instance — for every chunk, costing more than
+#: the fold itself.  Each pool serves one campaign, so one slot per thread
+#: is enough.  The slot is keyed by a copy of the config, so a caller that
+#: changes its config in place between two runs gets a fresh context;
+#: thread-local so thread-pool workers never share a
+#: PurposeSplitRNG (its scope stack is mutable).  A reused context gives
+#: the blocks a fresh one would only while every draw of a chunk is served
+#: fresh from its absolute scope path (PurposeSplitRNG draws,
+#: RandomStreams.fresh): a generator cached by RandomStreams.get would
+#: carry its state from one chunk into the next.
 _WORKER_STATE = threading.local()
-_WORKER_CONTEXT_SLOTS = 8
 
 
 def _worker_context(config: "CampaignConfig") -> tuple:
-    cache = getattr(_WORKER_STATE, "contexts", None)
-    if cache is None:
-        cache = _WORKER_STATE.contexts = []
-    for cached, context in cache:
-        if cached == config:
-            return context
-    context = CampaignTensorBackend()._context(config, None)
-    cache.append((config, context))
-    if len(cache) > _WORKER_CONTEXT_SLOTS:
-        cache.pop(0)
-    return context
+    """This thread's ``(app, purpose rng, noise model)`` for ``config``."""
+    cached = getattr(_WORKER_STATE, "context", None)
+    if cached is None or cached[0] != config:
+        streams = RandomStreams(config.seed)
+        app = build_application(config)
+        rng = PurposeSplitRNG(streams, app.name, "campaign")
+        noise = config.machine.build_noise_model(
+            streams.get(app.name, "campaign-noise-model")
+        )
+        cached = _WORKER_STATE.context = (copy.deepcopy(config), (app, rng, noise))
+    return cached[1]
 
 
 @register_backend("campaign")
@@ -421,10 +382,10 @@ class CampaignTensorBackend(CampaignBackend):
     fold itself keeps per-row bit-identity with the per-iteration
     ``simulate``.
 
-    The campaign is one unit of work per *chunk*, not per shard, so
-    :meth:`run_shard` is unavailable by construction: :meth:`work_units`
-    cuts the campaign into chunks and :meth:`unit_block` folds one, and the
-    executor's pool runs them for a parallel session and :meth:`run` alike.
+    The campaign is one unit of work per *chunk*, not per shard:
+    :meth:`work_units` cuts the campaign into chunks and :meth:`unit_block`
+    folds one, in-process for a serial run and on the executor's pool for
+    a parallel one.
     """
 
     #: default shard-chunk size: large enough that benchmark-scale campaigns
@@ -447,102 +408,27 @@ class CampaignTensorBackend(CampaignBackend):
             for process in range(config.processes)
         ]
 
-    def run_shard(
-        self, config: "CampaignConfig", spec: ShardSpec, streams: RandomStreams
-    ) -> TimingShard:
-        raise NotImplementedError(
-            "the campaign backend samples whole campaigns, not single shards; "
-            "use iter_shards()/run() (the executor's serial path does)"
-        )
-
     # ------------------------------------------------------------------
-    def _context(self, config: "CampaignConfig", streams: Optional[RandomStreams]):
-        """Per-campaign execution context: app, purpose rng, noise model."""
-        streams = streams if streams is not None else RandomStreams(config.seed)
-        app = build_application(config)
-        rng = PurposeSplitRNG(streams, app.name, "campaign")
-        noise = config.machine.build_noise_model(
-            streams.get(app.name, "campaign-noise-model")
-        )
-        shards = [(spec.trial, spec.process) for spec in self.shard_specs(config)]
-        return app, rng, noise, shards
-
-    def _serial_chunks(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[Tuple[ProxyApplication, List[Tuple[int, int]], np.ndarray]]:
-        """Sample the campaign one chunk at a time, in trial-major order:
-        yields ``(app, chunk, times)``."""
-        app, rng, noise, shards = self._context(config, streams)
-        for start in range(0, len(shards), self.chunk_shards):
-            chunk = shards[start : start + self.chunk_shards]
-            times = app.thread_compute_times_campaign(
-                shards=chunk, rng=rng, noise=noise
-            )
-            yield app, chunk, times
-
-    def iter_column_blocks(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[ColumnBlock]:
-        """One block per chunk, in trial-major order: the chunk's sampled
-        tensor is the block's cube."""
-        for _, chunk, times in self._serial_chunks(config, streams):
-            yield campaign_block(chunk, times)
-
-    def iter_shards(
-        self, config: "CampaignConfig", streams: Optional[RandomStreams] = None
-    ) -> Iterator[TimingShard]:
-        """Yield the campaign's shards, sampled a whole chunk at a time
-        (lazy views of :meth:`iter_column_blocks`)."""
-        for block in self.iter_column_blocks(config, streams):
-            yield from block.iter_shards()
-
-    def run(
-        self,
-        config: "CampaignConfig",
-        streams: Optional[RandomStreams] = None,
-        *,
-        mode: str = "process",
-    ) -> TimingDataset:
-        """Run the whole campaign and merge it into one dataset.
-
-        ``config.max_workers > 1`` folds the chunks on the executor's
-        worker pool (``mode``: ``"process"`` or ``"thread"``) —
-        bit-identical to serial thanks to the shard-keyed draw streams.
-        Passing explicit ``streams`` forces the serial path (workers
-        rebuild their streams from ``config.seed``).
-        """
-        if streams is None and config.max_workers > 1:
-            blocks = ShardExecutor(mode=mode).iter_blocks(self, config)
-        else:
-            blocks = self.iter_column_blocks(config, streams)
-        shards = (shard for block in blocks for shard in block.iter_shards())
-        return TimingDataset.merge(shards, metadata=self.metadata(config))
-
+    # units of work: shard chunks
     # ------------------------------------------------------------------
-    # units of pooled work: shard chunks
-    # ------------------------------------------------------------------
-    def _parallel_chunk_size(self, n_shards: int, workers: int) -> int:
-        """Effective chunk size of a parallel run: never above
-        ``chunk_shards`` (the memory bound), shrunk so every worker gets at
-        least one chunk.  Any chunking is bit-identical, so splitting finer
-        only trades a little assembly overhead for parallel coverage."""
-        per_worker = -(-n_shards // workers)  # ceil
-        return max(1, min(self.chunk_shards, per_worker))
-
     def work_units(
         self, config: "CampaignConfig", workers: int
     ) -> List[List[Tuple[int, int]]]:
-        """The shard chunks a ``workers``-wide pool folds, in trial-major
-        order (sized by :meth:`_parallel_chunk_size`)."""
+        """The shard chunks a ``workers``-wide run folds, in trial-major
+        order.  A chunk holds at most ``chunk_shards`` shards (the memory
+        bound), fewer where that gives every worker at least one chunk: any
+        chunking is bit-identical, so splitting finer only trades a little
+        assembly overhead for parallel coverage."""
         shards = [(spec.trial, spec.process) for spec in self.shard_specs(config)]
         workers = max(1, min(int(workers), len(shards)))
-        size = self._parallel_chunk_size(len(shards), workers)
+        per_worker = -(-len(shards) // workers)  # ceil
+        size = max(1, min(self.chunk_shards, per_worker))
         return [shards[start : start + size] for start in range(0, len(shards), size)]
 
     def unit_block(self, config: "CampaignConfig", chunk) -> ColumnBlock:
-        """Fold one shard chunk into its block, under the per-worker
-        context cache."""
-        app, rng, noise, _ = _worker_context(config)
+        """Fold one shard chunk into its block, under this thread's cached
+        context."""
+        app, rng, noise = _worker_context(config)
         chunk = [tuple(shard) for shard in chunk]
         times = app.thread_compute_times_campaign(shards=chunk, rng=rng, noise=noise)
         return campaign_block(chunk, times)

@@ -6,10 +6,10 @@ backend says only how to cut its campaign into units of work
 (:meth:`~repro.experiments.backends.CampaignBackend.work_units`) and how to
 produce one unit's :class:`~repro.core.aggregation.ColumnBlock`
 (:meth:`~repro.experiments.backends.CampaignBackend.unit_block`): one
-``run_shard`` shard for the per-shard backends, one shard chunk for the
-campaign tensor backend.  Every worker re-derives its unit's draws from the
-campaign's root seed by name, so a block does not depend on which worker
-produced it or when — a pooled campaign is bit-identical to a serial one.
+shard for the per-shard backends, one shard chunk for the campaign tensor
+backend.  A unit re-derives its draws from the campaign's root seed by
+name, so a block does not depend on which worker produced it or when — a
+pooled campaign is bit-identical to a serial one.
 
 The executor's whole surface is one method per thing a caller does with the
 blocks, and all three feed the units through :func:`map_pooled`, the one
@@ -24,9 +24,9 @@ bounded-window pool driver, with :func:`_run_unit` as the one worker body:
   :class:`~repro.io.shard_store.ShardStore`: each worker writes its block as
   a finished group payload and the parent adopts the file.
 
-``config.max_workers <= 1`` (or a single unit) runs the backend's serial
-:meth:`~repro.experiments.backends.CampaignBackend.iter_column_blocks`, with
-no pool.  Two pool modes are supported:
+``config.max_workers <= 1`` (or a single unit) runs the same unit bodies
+in-process, one unit at a time, with no pool.  Two pool modes are
+supported:
 
 * ``"process"`` (default) — a :class:`~concurrent.futures.ProcessPoolExecutor`
   using the cheap ``fork`` start method where available.  This is the mode
@@ -206,6 +206,14 @@ def _run_unit(backend: "CampaignBackend", config: "CampaignConfig", unit, apply)
     return block if apply is None else apply(block)
 
 
+def _serial_blocks(
+    backend: "CampaignBackend", config: "CampaignConfig"
+) -> Iterator[ColumnBlock]:
+    """The campaign's blocks produced in-process, one unit at a time: the
+    pool's unit body, run serially."""
+    return (backend.unit_block(config, unit) for unit in backend.work_units(config, 1))
+
+
 class _SpillPayload:
     """Worker-side spill: write a block as a finished shard-store group
     payload inside the store's directory (so the parent's adopting rename
@@ -283,7 +291,7 @@ class ShardExecutor:
             _discard_shared if shared else None,
         )
         if results is None:
-            yield from backend.iter_column_blocks(config)
+            yield from _serial_blocks(backend, config)
             return
         with closing(results):
             for result in results:
@@ -302,7 +310,7 @@ class ShardExecutor:
         """
         results = self._pooled(backend, config, mapper)
         if results is None:
-            return (mapper(block) for block in backend.iter_column_blocks(config))
+            return (mapper(block) for block in _serial_blocks(backend, config))
         return results
 
     def run_to_store(
@@ -320,7 +328,7 @@ class ShardExecutor:
             backend, config, _SpillPayload(str(store.path)), _discard_payload
         )
         if payloads is None:
-            for block in backend.iter_column_blocks(config):
+            for block in _serial_blocks(backend, config):
                 store.append_block(block)
         else:
             with closing(payloads):

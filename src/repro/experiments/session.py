@@ -9,9 +9,10 @@ unifies what used to be three module-level functions behind a fluent API::
     >>> report = session.run("minife").analyze().report()
 
 Behind ``run()`` the session resolves the configured backend from the
-registry (:mod:`repro.experiments.backends`), fans the backend's units of
-work out across the executor's pool (:mod:`repro.experiments.executor`)
-when ``config.max_workers > 1``, and hands back a :class:`CampaignResult` that
+registry (:mod:`repro.experiments.backends`), has the executor
+(:mod:`repro.experiments.executor`) produce the backend's units of work —
+in-process, or across its pool when ``config.max_workers > 1`` — and
+hands back a :class:`CampaignResult` that
 keeps the producer's column blocks and merges them into a dense
 :class:`~repro.core.timing.TimingDataset` only on demand.  ``stream()``
 exposes the same execution as a lazy shard iterator for memory-bounded

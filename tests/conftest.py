@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.timing import TimingDataset
 from repro.experiments.config import CampaignConfig
+from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignSession
 
 
@@ -92,3 +93,18 @@ def campaign_folds(monkeypatch) -> list:
 
         monkeypatch.setattr(cls, "simulate_campaign", counting)
     return folds
+
+
+@pytest.fixture(scope="session")
+def executor_dataset():
+    """``executor_dataset(backend, config, mode="process")``: ``backend``'s
+    campaign (a backend instance, e.g. ``CampaignTensorBackend(chunk_shards=k)``)
+    run by the executor — serially, or on a ``config.max_workers``-wide pool
+    of ``mode`` — merged into one dataset."""
+
+    def run(backend, config, mode="process"):
+        blocks = ShardExecutor(mode=mode).iter_blocks(backend, config)
+        shards = (shard for block in blocks for shard in block.iter_shards())
+        return TimingDataset.merge(shards, metadata=backend.metadata(config))
+
+    return run

@@ -29,7 +29,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.instrument import RegionInstrumenter
 from repro.experiments.backends import (
     CampaignTensorBackend,
     available_backends,
@@ -113,13 +112,6 @@ class TestRegistration:
         with pytest.raises(ValueError):
             CampaignTensorBackend(chunk_shards=0)
 
-    def test_run_shard_is_not_a_unit_of_work(self):
-        backend = get_backend("campaign")
-        config = _smoke("minife")
-        spec = backend.shard_specs(config)[0]
-        with pytest.raises(NotImplementedError):
-            backend.run_shard(config, spec, None)
-
 
 class TestPinnedDigests:
     @pytest.mark.parametrize("application", APPLICATIONS)
@@ -169,34 +161,84 @@ class TestPinnedDigests:
 class TestChunkInvariance:
     @pytest.mark.parametrize("application", APPLICATIONS)
     @pytest.mark.parametrize("chunk_shards", [1, 2, 3, 8])
-    def test_chunked_run_is_bit_identical(self, application, chunk_shards):
+    def test_chunked_run_is_bit_identical(
+        self, executor_dataset, application, chunk_shards
+    ):
         config = _smoke(application)
-        whole = get_backend("campaign").run(config)
-        chunked = CampaignTensorBackend(chunk_shards=chunk_shards).run(config)
+        whole = executor_dataset(get_backend("campaign"), config)
+        chunked = executor_dataset(
+            CampaignTensorBackend(chunk_shards=chunk_shards), config
+        )
         for name in whole.columns:
             assert np.array_equal(whole.column(name), chunked.column(name)), name
 
     @pytest.mark.parametrize("chunk_shards", [1, 3])
-    def test_chunked_workqueue_run_is_bit_identical(self, chunk_shards):
+    def test_chunked_workqueue_run_is_bit_identical(
+        self, executor_dataset, chunk_shards
+    ):
         config = _smoke("minife", schedule="dynamic,4")
-        whole = get_backend("campaign").run(config)
-        chunked = CampaignTensorBackend(chunk_shards=chunk_shards).run(config)
+        whole = executor_dataset(get_backend("campaign"), config)
+        chunked = executor_dataset(
+            CampaignTensorBackend(chunk_shards=chunk_shards), config
+        )
         assert np.array_equal(whole.compute_times_s, chunked.compute_times_s)
 
     def test_fast_run_matches_streamed_shards(self):
-        # run() assembles all chunks columnar-ly; iter_shards slices them
-        # into per-(trial, process) shards — same rows either way
+        # run() keeps the chunk blocks; stream() slices them into
+        # per-(trial, process) shards — same rows either way
         from repro.core.timing import TimingDataset
 
         config = _smoke("miniqmc")
-        backend = get_backend("campaign")
-        fast = backend.run(config)
+        fast = CampaignSession(config).run(use_cache=False).dataset
         merged = TimingDataset.merge(
-            backend.iter_shards(config), metadata=backend.metadata(config)
+            CampaignSession(config).stream(),
+            metadata=get_backend("campaign").metadata(config),
         )
         for name in fast.columns:
             assert np.array_equal(fast.column(name), merged.column(name)), name
         assert fast.metadata == merged.metadata
+
+
+class TestUnitsArePure:
+    """A unit's block is a pure function of (config, unit): producing it
+    again in the same thread — where ``campaign`` reuses the thread's
+    cached context — gives the same samples."""
+
+    @pytest.mark.parametrize("application", APPLICATIONS)
+    @pytest.mark.parametrize("backend_name", ["vectorized", "event", "campaign"])
+    def test_unit_block_twice_in_one_thread_is_identical(
+        self, backend_name, application
+    ):
+        config = CampaignConfig.smoke(application).with_backend(backend_name)
+        backend = get_backend(backend_name)
+        for unit in backend.work_units(config, 2):
+            first = backend.unit_block(config, unit)
+            second = backend.unit_block(config, unit)
+            assert np.array_equal(first.cube, second.cube), unit
+            assert first.planes.keys() == second.planes.keys()
+            for name, plane in first.planes.items():
+                assert np.array_equal(plane, second.planes[name]), (unit, name)
+
+    def test_serial_miniqmc_runs_in_one_thread_are_identical(self):
+        # both serial runs fold their chunks in this thread, the second
+        # through the context the first one left cached
+        config = _smoke("miniqmc", trials=2)
+        first = CampaignSession(config).run(use_cache=False).dataset
+        second = CampaignSession(config).run(use_cache=False).dataset
+        assert _digest(first) == _digest(second)
+        for name in first.columns:
+            assert np.array_equal(first.column(name), second.column(name)), name
+
+    def test_a_config_changed_in_place_gets_a_fresh_context(self):
+        quiet = _smoke("minimd")
+        quiet.machine = quiet.machine.without_noise()
+        expected = CampaignSession(quiet).run(use_cache=False).dataset
+        config = _smoke("minimd")
+        noisy = CampaignSession(config).run(use_cache=False).dataset
+        config.machine = config.machine.without_noise()
+        changed = CampaignSession(config).run(use_cache=False).dataset
+        assert _digest(noisy) != _digest(expected)
+        assert _digest(changed) == _digest(expected)
 
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -213,8 +255,8 @@ class TestParallelExecution:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("max_workers", [2, 4])
     def test_executor_chunk_parallel_is_bit_identical(self, max_workers, mode):
-        # run_shard is not a unit of work: the executor's pool folds whole
-        # shard chunks, bit-identically to the serial run
+        # the executor's pool folds whole shard chunks, bit-identically to
+        # the serial run
         serial = CampaignSession(_smoke("minife", trials=3)).run().dataset
         parallel = CampaignSession(
             _smoke("minife", trials=3, max_workers=max_workers),
@@ -255,13 +297,13 @@ class TestParallelBitIdentity:
     @pytest.mark.parametrize("chunk_shards", [1, 3, 8])
     @pytest.mark.parametrize("max_workers", [1, 2, 4])
     @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_solo_run_matrix(self, max_workers, chunk_shards, mode):
+    def test_solo_run_matrix(self, executor_dataset, max_workers, chunk_shards, mode):
         if mode == "process" and not _HAS_FORK:
             pytest.skip("needs the fork start method")
-        serial = get_backend("campaign").run(_smoke("minife", trials=3))
+        serial = executor_dataset(get_backend("campaign"), _smoke("minife", trials=3))
         backend = CampaignTensorBackend(chunk_shards=chunk_shards)
-        parallel = backend.run(
-            _smoke("minife", trials=3, max_workers=max_workers), mode=mode
+        parallel = executor_dataset(
+            backend, _smoke("minife", trials=3, max_workers=max_workers), mode
         )
         for name in serial.columns:
             assert np.array_equal(serial.column(name), parallel.column(name)), name
@@ -285,7 +327,7 @@ class TestParallelBitIdentity:
     def test_parallel_stream_merges_to_the_serial_run(self, application):
         from repro.core.timing import TimingDataset
 
-        serial = get_backend("campaign").run(_smoke(application, trials=3))
+        serial = CampaignSession(_smoke(application, trials=3)).run().dataset
         config = _smoke(application, trials=3, max_workers=2)
         streamed = list(CampaignSession(config, executor_mode="thread").stream())
         assert [(s.trial, s.process) for s in streamed] == [
@@ -305,7 +347,7 @@ class TestParallelBitIdentity:
         from repro.core.timing import TimingDataset
         from repro.io.shard_store import ShardStore
 
-        serial = get_backend("campaign").run(_smoke("minife", trials=3))
+        serial = CampaignSession(_smoke("minife", trials=3)).run().dataset
         backend = CampaignTensorBackend(chunk_shards=chunk_shards)
         store = ShardStore(tmp_path / "store", mode="w", spill_threshold_bytes=1)
         ShardExecutor(mode="process").run_to_store(
@@ -470,109 +512,3 @@ class TestScenarioSweep:
                 first[name].dataset.compute_times_s,
                 second[name].dataset.compute_times_s,
             )
-
-
-class TestRecordCampaign:
-    def test_record_campaign_matches_per_iteration_recording(self):
-        rng = np.random.default_rng(5)
-        times = np.abs(rng.normal(25e-3, 1e-3, size=(3, 7, 5)))
-        shards = [(0, 0), (0, 1), (1, 0)]
-        tensor = RegionInstrumenter(region="r", application="a")
-        tensor.record_campaign(shards=shards, compute_times_s=times)
-        rowwise = RegionInstrumenter(region="r", application="a")
-        for (trial, process), plane in zip(shards, times):
-            for iteration, row in enumerate(plane):
-                rowwise.record_compute_times(
-                    trial=trial,
-                    process=process,
-                    iteration=iteration,
-                    compute_times_s=row,
-                )
-        a, b = tensor.dataset(), rowwise.dataset()
-        assert a.columns == b.columns
-        for name in a.columns:
-            assert np.array_equal(a.column(name), b.column(name)), name
-
-    def test_record_campaign_rejects_bad_input(self):
-        instrumenter = RegionInstrumenter()
-        with pytest.raises(ValueError):
-            instrumenter.record_campaign(
-                shards=[(0, 0)], compute_times_s=np.ones((2, 2))
-            )
-        with pytest.raises(ValueError):
-            instrumenter.record_campaign(
-                shards=[(0, 0)], compute_times_s=np.ones((2, 2, 2))
-            )
-        with pytest.raises(ValueError):
-            instrumenter.record_campaign(
-                shards=[(0, 0)], compute_times_s=-np.ones((1, 2, 2))
-            )
-
-    def test_recorded_values_are_decoupled_from_the_input_buffer(self):
-        buffer = np.full((1, 2, 3), 1e-3)
-        instrumenter = RegionInstrumenter()
-        instrumenter.record_campaign(shards=[(0, 0)], compute_times_s=buffer)
-        buffer[:] = 9.0
-        recorded = instrumenter.dataset().column("compute_time_s")
-        np.testing.assert_array_equal(recorded, np.full(6, 1e-3))
-
-    def test_record_campaign_interleaves_with_row_records(self):
-        instrumenter = RegionInstrumenter()
-        instrumenter.record_compute_times(
-            trial=0, process=0, iteration=0, compute_times_s=[1e-3, 2e-3]
-        )
-        instrumenter.record_campaign(
-            shards=[(0, 1)],
-            compute_times_s=np.full((1, 2, 2), 3e-3),
-            first_iteration=1,
-        )
-        dataset = instrumenter.dataset()
-        assert instrumenter.n_records == 6
-        assert dataset.column("process").tolist() == [0, 0, 1, 1, 1, 1]
-        assert dataset.column("iteration").tolist() == [0, 0, 1, 1, 2, 2]
-
-    def test_reset_discards_blocks(self):
-        instrumenter = RegionInstrumenter()
-        instrumenter.record_campaign(
-            shards=[(0, 0)], compute_times_s=np.ones((1, 2, 2))
-        )
-        instrumenter.reset()
-        assert instrumenter.n_records == 0
-
-    def test_record_columns_appends_an_assembled_block(self):
-        # the parallel path assembles a chunk's columns in a worker and the
-        # parent appends them: same rows as recording the tensor in place
-        times = np.abs(np.random.default_rng(3).normal(1e-3, 1e-4, (2, 3, 4)))
-        shards = [(0, 0), (0, 1)]
-        worker = RegionInstrumenter()
-        worker.record_campaign(shards=shards, compute_times_s=times)
-        block = worker.dataset()
-        parent = RegionInstrumenter()
-        direct = RegionInstrumenter()
-        for instrumenter in (parent, direct):
-            instrumenter.record_compute_times(
-                trial=0, process=0, iteration=0, compute_times_s=np.ones(4)
-            )
-        parent.record_columns({name: block.column(name) for name in block.columns})
-        direct.record_campaign(shards=shards, compute_times_s=times)
-        assert parent.n_records == 4 + times.size
-        a, b = parent.dataset(), direct.dataset()
-        for name in b.columns:
-            assert np.array_equal(a.column(name), b.column(name)), name
-
-    def test_record_columns_rejects_bad_input(self):
-        source = RegionInstrumenter()
-        source.record_campaign(shards=[(0, 0)], compute_times_s=np.ones((1, 2, 2)))
-        dataset = source.dataset()
-        columns = {name: dataset.column(name) for name in dataset.columns}
-        instrumenter = RegionInstrumenter()
-        missing = dict(columns)
-        del missing["thread"]
-        with pytest.raises(ValueError, match="columns must be exactly"):
-            instrumenter.record_columns(missing)
-        with pytest.raises(ValueError, match="columns must be exactly"):
-            instrumenter.record_columns({**columns, "core": columns["thread"]})
-        ragged = dict(columns, thread=columns["thread"][:-1])
-        with pytest.raises(ValueError, match="column lengths differ"):
-            instrumenter.record_columns(ragged)
-        assert instrumenter.n_records == 0

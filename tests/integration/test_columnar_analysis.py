@@ -58,9 +58,9 @@ def _products(results):
 @pytest.fixture(scope="module")
 def reference():
     """Per-shard streaming products and their context."""
-    backend = CampaignTensorBackend()
-    context = AnalysisContext.from_config(CONFIG, metadata=backend.metadata(CONFIG))
-    results = run_analyses(backend.iter_shards(CONFIG), "all", context)
+    metadata = CampaignTensorBackend().metadata(CONFIG)
+    context = AnalysisContext.from_config(CONFIG, metadata=metadata)
+    results = run_analyses(CampaignSession(CONFIG).stream(), "all", context)
     return _products(results), context
 
 
@@ -82,9 +82,8 @@ class TestFusedCampaignMatrix:
 class TestStoreBackedBlocks:
     def test_store_groups_match_per_shard_path(self, tmp_path, reference):
         ref, context = reference
-        backend = CampaignTensorBackend()
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
-        for shard in backend.iter_shards(CONFIG):
+        for shard in CampaignSession(CONFIG).stream():
             store.append(shard)
         store.finalize()
         reopened = ShardStore.open(tmp_path / "c.store")
@@ -99,7 +98,7 @@ class TestStoreBackedBlocks:
         ref, context = reference
         path = tmp_path / "c.store"
         store = ShardStore.create(path, spill_threshold_bytes=4096)
-        for shard in CampaignTensorBackend().iter_shards(CONFIG):
+        for shard in CampaignSession(CONFIG).stream():
             store.append(shard)
         store.finalize()
         reopened = ShardStore.open(path)
@@ -121,9 +120,8 @@ class TestStoreBackedBlocks:
         assert _products(results) == ref
 
     def test_group_blocks_are_mmap_views(self, tmp_path):
-        backend = CampaignTensorBackend()
         store = ShardStore.create(tmp_path / "c.store")
-        for shard in backend.iter_shards(CONFIG):
+        for shard in CampaignSession(CONFIG).stream():
             store.append(shard)
         store.finalize()
         blocks = list(ShardStore.open(tmp_path / "c.store").iter_column_blocks())
@@ -236,8 +234,7 @@ class TestShardOrderInvariance:
         finalize to the same report (the segment keys carry the serial
         order, so merge order cannot matter)."""
         ref, context = reference
-        backend = CampaignTensorBackend()
-        shards = list(backend.iter_shards(CONFIG))
+        shards = list(CampaignSession(CONFIG).stream())
         columns = {
             name: np.concatenate(
                 [np.asarray(shard.columns[name]) for shard in shards]

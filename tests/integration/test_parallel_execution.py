@@ -104,7 +104,7 @@ class TestShardExecutor:
         _run_blocks(CampaignConfig.smoke().parallel(3).scaled(trials=2, processes=2))
         assert sizes == [3]
 
-    def test_merged_pool_blocks_match_backend_run(self):
+    def test_merged_pool_blocks_match_the_serial_run(self):
         config = CampaignConfig.smoke().parallel(2)
         backend = get_backend(config.backend)
         merged = TimingDataset.merge(
@@ -115,8 +115,9 @@ class TestShardExecutor:
             ),
             metadata=backend.metadata(config),
         )
-        _assert_bit_identical(merged, backend.run(config))
-        assert merged.metadata == backend.run(config).metadata
+        serial = CampaignSession(CampaignConfig.smoke()).run(use_cache=False).dataset
+        _assert_bit_identical(merged, serial)
+        assert merged.metadata == serial.metadata
 
 
 class TestSharedMemoryTransport:

@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import campaign_block
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
@@ -75,19 +76,12 @@ class GatedBackend(CampaignBackend):
             for p in range(config.processes)
         ]
 
-    def run_shard(self, config, spec, streams):
+    def unit_block(self, config, spec):
         if not type(self).gates[(spec.trial, spec.process)].wait(timeout=30):
             raise TimeoutError(f"gate for shard {spec} never released")
-        n = config.iterations * config.threads
-        iteration, thread = np.divmod(np.arange(n), config.threads)
-        columns = {
-            "trial": np.full(n, spec.trial),
-            "process": np.full(n, spec.process),
-            "iteration": iteration,
-            "thread": thread,
-            "compute_time_s": np.full(n, float(spec.process + 1) * 1.0e-3),
-        }
-        return TimingShard(trial=spec.trial, process=spec.process, columns=columns)
+        value = float(spec.process + 1) * 1.0e-3
+        times = np.full((1, config.iterations, config.threads), value)
+        return campaign_block([(spec.trial, spec.process)], times)
 
 
 @pytest.fixture()

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 
 APPLICATIONS = ("minife", "minimd", "miniqmc")
 SCHEDULES = (None, "static,8", "dynamic,4", "guided")
@@ -32,6 +32,10 @@ NOISE_PROFILES = ("default", "none", "heavy-tail", "bursty")
 #: positive at this threshold is a 1-in-10^4 event per example, and the
 #: test is derandomized, so a pass is stable.
 KS_ALPHA = 1.0e-4
+
+
+def _run(config: CampaignConfig):
+    return CampaignSession(config).run(use_cache=False).dataset
 
 
 @lru_cache(maxsize=None)
@@ -48,7 +52,7 @@ def _campaign_pair(application: str, schedule, profile: str):
     config.machine = config.machine.with_noise_profile(profile)
     samples = {}
     for backend in ("vectorized", "campaign"):
-        dataset = get_backend(backend).run(config.with_backend(backend))
+        dataset = _run(config.with_backend(backend))
         samples[backend] = np.asarray(dataset.compute_times_s)
     return samples["vectorized"], samples["campaign"]
 
@@ -94,8 +98,8 @@ def test_noise_off_paths_are_deterministic_and_equal():
         seed=9,
     )
     config.machine = config.machine.without_noise()
-    vectorized = get_backend("vectorized").run(config.with_backend("vectorized"))
-    campaign = get_backend("campaign").run(config.with_backend("campaign"))
+    vectorized = _run(config.with_backend("vectorized"))
+    campaign = _run(config.with_backend("campaign"))
     v = vectorized.compute_times_s.reshape(6, 16)
     c = campaign.compute_times_s.reshape(6, 16)
     # rows without a straggler event carry the pure schedule fold: identical

@@ -415,6 +415,32 @@ class TestShardOrderInvariance:
         assert result.application_rejected == study.application_rejects_normality()
 
 
+    def test_iteration_split_shards_fold_in_dense_order(self, dataset, context):
+        """Each (trial, process) arriving as two iteration-split shards, in
+        order or reversed, finalizes to the dense group order: the laggard
+        keys and classes are the dense oracle's, and both orders give the
+        same products byte for byte."""
+        pieces = [
+            TimingShard.from_dataset(
+                dataset.select(trial=int(t), process=int(p)).select_iterations(part),
+                trial=int(t),
+                process=int(p),
+            )
+            for t in dataset.trials
+            for p in dataset.processes
+            for part in (slice(0, 4), slice(4, None))
+        ]
+        names = ["laggards", "reclaimable", "percentiles", "normality"]
+        forward = run_analyses(pieces, names, context)
+        backward = run_analyses(pieces[::-1], names, context)
+        dense = analyze_laggards(dataset)
+        for results in (forward, backward):
+            assert results["laggards"].analysis.keys == dense.keys
+            assert results["laggards"].analysis.classes == dense.classes
+        for name in names:
+            assert pickle.dumps(forward[name]) == pickle.dumps(backward[name]), name
+
+
 LAYOUTS = ["regular", "iteration-split", "ragged"]
 
 #: ragged layout: the iterations each (trial, process) keeps

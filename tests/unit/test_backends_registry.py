@@ -1,9 +1,12 @@
 """Unit tests for the campaign backend registry."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import campaign_block
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
@@ -14,6 +17,8 @@ from repro.experiments.backends import (
     unregister_backend,
 )
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
+from repro.sim.random import RandomStreams
 
 
 class TestRegistry:
@@ -93,24 +98,14 @@ class TestRegistry:
                     for p in range(config.processes)
                 ]
 
-            def run_shard(self, config, spec, streams):
-                n = config.iterations * config.threads
-                iteration, thread = np.divmod(np.arange(n), config.threads)
-                columns = {
-                    "trial": np.full(n, spec.trial),
-                    "process": np.full(n, spec.process),
-                    "iteration": iteration,
-                    "thread": thread,
-                    "compute_time_s": np.full(n, 1.0e-3),
-                }
-                return TimingShard(
-                    trial=spec.trial, process=spec.process, columns=columns
-                )
+            def unit_block(self, config, spec):
+                times = np.full((1, config.iterations, config.threads), 1.0e-3)
+                return campaign_block([(spec.trial, spec.process)], times)
 
         try:
             config = CampaignConfig.smoke(application="minife")
             config.backend = "unit-test-constant"
-            dataset = get_backend("unit-test-constant").run(config)
+            dataset = CampaignSession(config).run(use_cache=False).dataset
             assert isinstance(dataset, TimingDataset)
             assert dataset.n_samples == config.samples_per_application
             np.testing.assert_allclose(dataset.compute_times_s, 1.0e-3)
@@ -118,6 +113,69 @@ class TestRegistry:
         finally:
             unregister_backend("unit-test-constant")
         assert "unit-test-constant" not in available_backends()
+
+    def test_backend_without_unit_block_is_abstract(self):
+        class Incomplete(CampaignBackend):
+            def shard_specs(self, config):
+                return []
+
+        with pytest.raises(TypeError, match="unit_block"):
+            Incomplete()
+
+
+class SeededBackend(CampaignBackend):
+    """A user backend of two methods: per-(trial, process) shards whose
+    samples are drawn from a stream named by the shard (module-level, so
+    process pools can pickle it)."""
+
+    def shard_specs(self, config):
+        return [
+            ShardSpec(trial=t, process=p)
+            for t in range(config.trials)
+            for p in range(config.processes)
+        ]
+
+    def unit_block(self, config, spec):
+        rng = RandomStreams(config.seed).get("seeded", spec.trial, spec.process)
+        times = rng.uniform(1e-3, 2e-3, size=(1, config.iterations, config.threads))
+        return campaign_block([(spec.trial, spec.process)], times)
+
+
+@pytest.fixture()
+def seeded_config():
+    register_backend("unit-test-seeded")(SeededBackend)
+    try:
+        yield CampaignConfig.smoke("minife").scaled(trials=3).with_backend(
+            "unit-test-seeded"
+        )
+    finally:
+        unregister_backend("unit-test-seeded")
+
+
+class TestUserBackendContract:
+    """``shard_specs`` and ``unit_block`` are all a backend defines: the
+    executor gives one dataset serially, on either pool and out of core."""
+
+    def test_every_route_gives_one_dataset(self, seeded_config, tmp_path):
+        serial = CampaignSession(seeded_config).run(use_cache=False).dataset
+        assert serial.n_samples == seeded_config.samples_per_application
+        pooled = seeded_config.parallel(2)
+        routes = {
+            "thread": CampaignSession(pooled, executor_mode="thread").run(
+                use_cache=False
+            ),
+            "out-of-core": CampaignSession(
+                pooled, cache_dir=tmp_path, executor_mode="thread"
+            ).run(use_cache=False, store=True),
+        }
+        if "fork" in multiprocessing.get_all_start_methods():
+            routes["process"] = CampaignSession(pooled).run(use_cache=False)
+        for route, result in routes.items():
+            dataset = result.dataset
+            for name in serial.columns:
+                assert np.array_equal(
+                    serial.column(name), dataset.column(name)
+                ), (route, name)
 
 
 class TestConfigValidation:

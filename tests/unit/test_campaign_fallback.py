@@ -18,8 +18,9 @@ import pytest
 
 from repro.apps import APPLICATIONS
 from repro.apps.base import ApplicationConfig, ProxyApplication
-from repro.experiments.backends import CampaignTensorBackend, get_backend
+from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
+from repro.experiments.session import CampaignSession
 from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 
@@ -91,59 +92,66 @@ def _config(app_cls, **overrides):
     return CampaignConfig(**params)
 
 
+def _dataset(config):
+    return CampaignSession(config).run(use_cache=False).dataset
+
+
 class TestChunkInvariance:
     @pytest.mark.parametrize("app_cls", [ToyApp, DelayedApp, StatefulApp])
-    def test_any_chunking_is_bit_identical(self, app_cls):
+    def test_any_chunking_is_bit_identical(self, executor_dataset, app_cls):
         with registered(app_cls):
             config = _config(app_cls, iterations=20)
-            reference = CampaignTensorBackend(chunk_shards=8).run(config)
+            reference = executor_dataset(CampaignTensorBackend(chunk_shards=8), config)
             for chunk_shards in (1, 2, 3):
-                chunked = CampaignTensorBackend(chunk_shards=chunk_shards).run(
-                    config
+                chunked = executor_dataset(
+                    CampaignTensorBackend(chunk_shards=chunk_shards), config
                 )
                 np.testing.assert_array_equal(
                     chunked.compute_times_s, reference.compute_times_s
                 )
 
-    def test_stateful_app_draws_each_shard_with_its_own_state(self):
+    def test_stateful_app_draws_each_shard_with_its_own_state(self, executor_dataset):
         """Every shard of a chunk begins before any plane is drawn; the
         planes must still see their own shard's state."""
         with registered(StatefulApp):
             config = _config(StatefulApp, iterations=6)
-            solo = CampaignTensorBackend(chunk_shards=1).run(config)
-            chunked = CampaignTensorBackend(chunk_shards=8).run(config)
+            solo = executor_dataset(CampaignTensorBackend(chunk_shards=1), config)
+            chunked = executor_dataset(CampaignTensorBackend(chunk_shards=8), config)
             np.testing.assert_array_equal(
                 chunked.compute_times_s, solo.compute_times_s
             )
 
-    def test_iter_shards_matches_run(self, app_cls=ToyApp):
+    def test_stream_matches_run(self, executor_dataset, app_cls=ToyApp):
         with registered(app_cls):
             config = _config(app_cls, iterations=12)
-            backend = CampaignTensorBackend(chunk_shards=2)
             streamed = np.concatenate(
                 [
                     shard.columns["compute_time_s"]
-                    for shard in backend.iter_shards(config)
+                    for shard in CampaignSession(config).stream()
                 ]
             )
             np.testing.assert_array_equal(
                 streamed,
-                CampaignTensorBackend(chunk_shards=2).run(config).compute_times_s,
+                executor_dataset(
+                    CampaignTensorBackend(chunk_shards=2), config
+                ).compute_times_s,
             )
 
 
 class TestParallelWorkers:
     @pytest.mark.parametrize("mode", ["thread", "process"])
     @pytest.mark.parametrize("app_cls", [ToyApp, DelayedApp, StatefulApp])
-    def test_worker_pool_is_bit_identical(self, app_cls, mode):
+    def test_worker_pool_is_bit_identical(self, executor_dataset, app_cls, mode):
         """Per-shard-only apps fold on the chunk worker pool like the
         built-ins; workers rebuild the app from the registry (inherited by
         forked process workers) and replay identical draws."""
         with registered(app_cls):
             config = _config(app_cls, iterations=12)
-            serial = CampaignTensorBackend(chunk_shards=2).run(config)
-            parallel = CampaignTensorBackend(chunk_shards=2).run(
-                _config(app_cls, iterations=12, max_workers=2), mode=mode
+            serial = executor_dataset(CampaignTensorBackend(chunk_shards=2), config)
+            parallel = executor_dataset(
+                CampaignTensorBackend(chunk_shards=2),
+                _config(app_cls, iterations=12, max_workers=2),
+                mode,
             )
             for name in serial.columns:
                 np.testing.assert_array_equal(
@@ -161,12 +169,8 @@ class TestDistributionalAgreement:
         """
         with registered(app_cls):
             config = _config(app_cls)
-            campaign = CampaignTensorBackend().run(config).compute_times_s
-            vectorized = (
-                get_backend("vectorized")
-                .run(config.with_backend("vectorized"))
-                .compute_times_s
-            )
+            campaign = _dataset(config).compute_times_s
+            vectorized = _dataset(config.with_backend("vectorized")).compute_times_s
             assert campaign.shape == vectorized.shape
             assert np.isclose(campaign.mean(), vectorized.mean(), rtol=0.05)
             for percentile in (25, 50, 75, 95):
@@ -182,24 +186,27 @@ class TestDistributionalAgreement:
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=15)
             with pytest.raises(ValueError, match="'unit-ragged'.*'vectorized'"):
-                CampaignTensorBackend().run(config)
-            dataset = get_backend("vectorized").run(config.with_backend("vectorized"))
+                _dataset(config)
+            dataset = _dataset(config.with_backend("vectorized"))
             assert dataset.n_samples == 3 * 2 * 15 * 16
 
 
-    @pytest.mark.parametrize("entry_point", ["iter_shards", "workers"])
-    def test_ragged_rejection_reaches_every_campaign_entry_point(self, entry_point):
+    @pytest.mark.parametrize("entry_point", ["stream", "workers"])
+    def test_ragged_rejection_reaches_every_campaign_entry_point(
+        self, executor_dataset, entry_point
+    ):
         """Streaming and pooled runs surface the same error as
         ``run`` rather than a shape error from a later stage."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=4)
-            backend = CampaignTensorBackend()
             with pytest.raises(ValueError, match="'unit-ragged'.*'vectorized'"):
-                if entry_point == "iter_shards":
-                    list(backend.iter_shards(config))
+                if entry_point == "stream":
+                    list(CampaignSession(config).stream())
                 else:
-                    CampaignTensorBackend(chunk_shards=2).run(
-                        _config(RaggedApp, iterations=4, max_workers=2), mode="thread"
+                    executor_dataset(
+                        CampaignTensorBackend(chunk_shards=2),
+                        _config(RaggedApp, iterations=4, max_workers=2),
+                        "thread",
                     )
 
 

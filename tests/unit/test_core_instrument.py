@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.clock import ClockDomain, ClockSpec
-from repro.cluster.noise import NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Cluster
 from repro.core.instrument import PythonThreadRegion, RegionInstrumenter
-from repro.openmp.runtime import OpenMPRuntime
-from repro.openmp.team import ThreadTeam
 
 
 class TestRegionInstrumenter:
@@ -39,22 +34,6 @@ class TestRegionInstrumenter:
         np.testing.assert_allclose(
             np.sort(ds.compute_times_s), [1e-3, 2e-3, 3e-3]
         )
-
-    def test_record_execution_from_simulated_runtime(self):
-        cluster = Cluster(1, sockets_per_node=1, cores_per_socket=4)
-        team = ThreadTeam(
-            cluster.cores_of(0),
-            ClockDomain(ClockSpec(), np.random.default_rng(0)),
-            OSNoiseModel(NoiseSpec().disabled(), np.random.default_rng(1)),
-        )
-        runtime = OpenMPRuntime(team)
-        execution = runtime.run_region(np.full(4, 1e-3), iteration=7)
-        instr = RegionInstrumenter(application="demo")
-        instr.record_execution(trial=2, process=3, execution=execution)
-        ds = instr.dataset()
-        assert ds.n_threads == 4
-        assert list(ds.iterations) == [7]
-        assert list(ds.trials) == [2]
 
     def test_empty_instrumenter_cannot_build_dataset(self):
         with pytest.raises(ValueError):

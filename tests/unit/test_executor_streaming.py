@@ -10,7 +10,8 @@ only "arrive" after the campaign finished.
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import campaign_block
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
@@ -40,18 +41,10 @@ class CountingBackend(CampaignBackend):
             for p in range(config.processes)
         ]
 
-    def run_shard(self, config, spec, streams):
+    def unit_block(self, config, spec):
         type(self).computed += 1
-        n = config.iterations * config.threads
-        iteration, thread = np.divmod(np.arange(n), config.threads)
-        columns = {
-            "trial": np.full(n, spec.trial),
-            "process": np.full(n, spec.process),
-            "iteration": iteration,
-            "thread": thread,
-            "compute_time_s": np.full(n, 1.0e-3),
-        }
-        return TimingShard(trial=spec.trial, process=spec.process, columns=columns)
+        times = np.full((1, config.iterations, config.threads), 1.0e-3)
+        return campaign_block([(spec.trial, spec.process)], times)
 
 
 @pytest.fixture()

@@ -393,7 +393,7 @@ class TestOpenFileLimit:
     def store(self, tmp_path):
         path = tmp_path / "c.store"
         store = ShardStore.create(path, spill_threshold_bytes=1)
-        store.extend(list(CampaignTensorBackend().iter_shards(self.CONFIG)))
+        store.extend(list(CampaignSession(self.CONFIG).stream()))
         store.finalize()
         return ShardStore.open(path)
 
