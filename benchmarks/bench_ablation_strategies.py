@@ -10,6 +10,11 @@ claims under test:
 * when arrivals are nearly simultaneous (MiniMD steady state) early-bird
   delivery cannot beat the bulk send by much — the motivation for "a more
   sophisticated approach".
+
+The buffer-size sweep checks where the gain comes from: fine-grained
+delivery hides the transfer behind the arrival spread, so its gain over
+bulk grows with the buffer while the transfer is shorter than the spread
+and shrinks once the transfer outlasts it.
 """
 
 import numpy as np
@@ -24,8 +29,13 @@ from repro.core.strategies import (
     TimeoutStrategy,
     compare_strategies,
 )
+from repro.mpi.network import omni_path
 
 BUFFER_BYTES = 8 * 1024 * 1024
+#: buffer sizes (MiB) of the gain sweep: transfers from ~0.1 ms to ~0.3 s on
+#: the Omni-Path-like fabric, either side of a MiniQMC WIDE iteration's
+#: tens-of-milliseconds arrival spread
+GAIN_SWEEP_MB = (1, 16, 64, 256, 1024, 4096)
 
 
 def _arrivals_of_class(dataset, iteration_class):
@@ -89,8 +99,8 @@ def test_strategies_on_minimd_tight_iteration(benchmark, minimd_ds):
 
 @pytest.mark.parametrize("buffer_mb", [1, 8, 64])
 def test_buffer_size_sweep_on_miniqmc(benchmark, miniqmc_ds, buffer_mb):
-    """Crossover behaviour: the larger the message relative to the arrival
-    spread, the smaller the relative early-bird gain."""
+    """Fine-grained delivery never loses to the bulk send, whatever the
+    message size relative to the arrival spread."""
     arrivals = _arrivals_of_class(miniqmc_ds, IterationClass.WIDE)
     comparison = benchmark(
         compare_strategies, arrivals, buffer_bytes=buffer_mb * 1024 * 1024
@@ -98,14 +108,31 @@ def test_buffer_size_sweep_on_miniqmc(benchmark, miniqmc_ds, buffer_mb):
     assert comparison.speedup_over_bulk()["fine_grained"] >= 1.0 - 1e-9
 
 
-def test_gain_shrinks_as_buffer_grows(miniqmc_ds):
-    arrivals = _arrivals_of_class(miniqmc_ds, IterationClass.WIDE)
+def _fine_grained_gains(arrivals):
+    """Relative completion-time gain of fine-grained over bulk delivery, per
+    buffer size of :data:`GAIN_SWEEP_MB`."""
     gains = {}
-    for buffer_mb in (1, 64):
+    for buffer_mb in GAIN_SWEEP_MB:
         comparison = compare_strategies(
             arrivals, buffer_bytes=buffer_mb * 1024 * 1024
         )
         bulk = comparison.outcomes["bulk"]
         fine = comparison.outcomes["fine_grained"]
         gains[buffer_mb] = (bulk.completion_s - fine.completion_s) / bulk.completion_s
-    assert gains[64] < gains[1] + 1e-9
+    return gains
+
+
+def test_gain_rises_then_falls_across_the_crossover(benchmark, miniqmc_ds):
+    """The crossover is the buffer whose transfer takes as long as the
+    arrival spread: below it a larger buffer hides more transfer behind the
+    stragglers, above it the transfer outlasts the spread and the bulk
+    send's own cost dominates both strategies."""
+    arrivals = _arrivals_of_class(miniqmc_ds, IterationClass.WIDE)
+    spread_s = float(np.ptp(arrivals))
+    bandwidth = omni_path().bandwidth_bytes_per_s
+    gains = benchmark(_fine_grained_gains, arrivals)
+    below = [gain for mb, gain in gains.items() if mb * 2**20 / bandwidth < spread_s]
+    above = [gain for mb, gain in gains.items() if mb * 2**20 / bandwidth > spread_s]
+    assert len(below) >= 2 and len(above) >= 2, (spread_s, gains)
+    assert all(a < b for a, b in zip(below, below[1:])), gains
+    assert all(a > b for a, b in zip(above, above[1:])), gains

@@ -2,8 +2,9 @@
 
 Not a paper artefact, but the number a downstream user cares about when
 scaling the reproduction up: samples generated per second on each campaign
-backend (``vectorized`` / ``campaign`` at benchmark scale, ``event``
-reduced), and normality tests per second in the batch battery.
+backend (``campaign`` and the per-iteration reference sampler
+``vectorized`` at benchmark scale, ``event`` reduced), and normality tests
+per second in the batch battery.
 
 Every backend benchmark stores ``samples_per_second`` in the pytest-benchmark
 ``extra_info``, so the CI benchmark job's ``bench.json`` carries per-backend
@@ -12,7 +13,8 @@ each entry with its schedule clause, giving a per-(backend, schedule)
 samples/sec table.
 
 Three regression guards hold the lifted ``campaign`` kernel against the
-per-iteration ``vectorized`` reference, each well under the speedup
+per-iteration ``vectorized`` reference (``tests/oracles/vectorized.py``,
+which the test tree registers), each well under the speedup
 measured best-of-3 on a 2-core host, so they trip only on a real
 regression, not on machine noise:
 
@@ -38,6 +40,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles.vectorized  # noqa: F401  (registers the "vectorized" backend)
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 from repro.stats.battery import NormalityBattery

@@ -6,7 +6,7 @@ submitted several times, concurrently):
 * a constant-time counting backend, isolating the *service* overhead
   (scheduling, coalescing, shard broadcast) from campaign compute — and
   proving the coalescing claim exactly: duplicates never reach the backend;
-* real smoke-scale campaigns on the vectorized backend, the end-to-end
+* real smoke-scale campaigns on the default campaign backend, the end-to-end
   requests/s a deployment would see.
 
 Each records requests/s and p50/p99 submit-to-result latency in

@@ -15,7 +15,14 @@ come from ``examples/paper_reproduction.py --scale paper``.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# the test tree's reference implementations (``oracles``) for the guards
+# that compare the program against them
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession

@@ -39,14 +39,14 @@ def main() -> None:
     network = omni_path()
     engine = SimulationEngine()
 
-    # per-thread compute times for one MiniQMC-like iteration
+    # per-thread compute times for one MiniQMC-like iteration: a campaign of
+    # one (trial, process) shard and one iteration
     app = MiniQMCApp()
     app.config.n_threads = N_THREADS
     rng = np.random.default_rng(7)
-    app.begin_process(0, rng)
-    compute_times = app.thread_compute_times(
-        process=0, iteration=0, rng=rng, noise=machine.build_noise_model(rng)
-    )
+    compute_times = app.thread_compute_times_campaign(
+        shards=[(0, 0)], n_iterations=1, rng=rng, noise=machine.build_noise_model(rng)
+    )[0, 0]
 
     # partitioned request pair: one partition per thread
     receiver = PartitionedRecvRequest(engine, N_THREADS)

@@ -53,8 +53,7 @@ True
 shards out across a worker pool with bit-identical results;
 ``session.stream()`` iterates shard-by-shard without materialising the dense
 dataset; ``repro.experiments.register_backend`` plugs in new execution
-strategies alongside the built-in ``vectorized``, ``event`` and ``campaign``
-backends.
+strategies alongside the built-in ``campaign`` and ``event`` backends.
 
 Scenarios name full experimental settings and feed the same session::
 

@@ -1,18 +1,17 @@
 """Common interface of the proxy applications.
 
-A :class:`ProxyApplication` answers three questions for the campaign runner:
+A :class:`ProxyApplication` answers two questions for the campaign runner:
 
 * ``item_costs(process, iteration, rng)`` — the pure compute cost of every
-  iteration of the *timed loop* (the unit the OpenMP schedule distributes);
+  iteration of the *timed loop* (the unit the OpenMP schedule distributes),
+  with ``application_delays`` the application-level variability on top;
   used by the detailed (discrete-event) execution path.
-* ``thread_compute_times(...)`` — the per-thread compute time of one
-  process-iteration including application-level variability, execution
-  jitter and OS noise; used by the vectorised campaign path.
-* ``thread_compute_times_campaign(...)`` — the same for a whole chunk of
-  (trial, process) shards as one ``(shards, iterations, threads)`` tensor;
-  used by the campaign tensor backend.
+* ``thread_compute_times_campaign(...)`` — the per-thread compute time of a
+  whole chunk of (trial, process) shards as one ``(shards, iterations,
+  threads)`` tensor, including application-level variability, execution
+  jitter and OS noise; used by the campaign tensor backend.
 
-All three paths share the same underlying work decomposition, so they agree in
+Both paths share the same underlying work decomposition, so they agree in
 distribution; the integration tests check that the closed-form path matches
 the event-driven path exactly when noise is disabled.
 """
@@ -26,7 +25,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.cluster.noise import OSNoiseModel
-from repro.cluster.topology import Core
 from repro.openmp.schedule import LoopSchedule, StaticSchedule
 from repro.sim.random import maybe_scope
 
@@ -80,14 +78,6 @@ class ProxyApplication(ABC):
         self, process: int, iteration: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Pure compute cost (seconds) of every item of the timed loop."""
-
-    def base_thread_times(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-thread pure compute time under the configured loop schedule."""
-        costs = self.item_costs(process, iteration, rng)
-        outcome = self.config.schedule.simulate(costs, self.config.n_threads)
-        return outcome.busy_time
 
     def application_delays(
         self, process: int, iteration: int, rng: np.random.Generator
@@ -178,7 +168,7 @@ class ProxyApplication(ABC):
         absolute ``("shard", trial, process)`` scope, so chunking the shard
         axis cannot change the draws.  The planes must share one item
         count: applications whose loop length differs per process can only
-        run on the per-iteration ``"vectorized"`` backend.
+        run on the ``"event"`` backend.
         """
         planes = []
         for trial, process in shards:
@@ -189,7 +179,7 @@ class ProxyApplication(ABC):
             raise ValueError(
                 f"application {self.name!r} has item counts that differ per "
                 "process, which the campaign backend's shard-stacked cost "
-                "tensor cannot hold; run it on the 'vectorized' backend"
+                "tensor cannot hold; run it on the 'event' backend"
             )
         return np.stack(planes)
 
@@ -307,48 +297,6 @@ class ProxyApplication(ABC):
         with maybe_scope(rng, "costs"):
             base = self.base_thread_times_campaign(shards, n_iter, rng)
         return self.finalize_campaign_times(base, shards, n_iter, rng, noise)
-
-    # ------------------------------------------------------------------
-    # sampling (vectorised campaign path)
-    # ------------------------------------------------------------------
-    def thread_compute_times(
-        self,
-        *,
-        process: int,
-        iteration: int,
-        rng: np.random.Generator,
-        noise: Optional[OSNoiseModel] = None,
-        cores: Optional[Sequence[Core]] = None,
-        region_start_s: float = 0.0,
-    ) -> np.ndarray:
-        """Per-thread measured compute time of one process-iteration.
-
-        Combines the schedule's per-thread busy time, application-level
-        delays, execution jitter and OS-noise preemptions.
-        """
-        base = self.base_thread_times(process, iteration, rng)
-        extra = self.application_delays(process, iteration, rng)
-        if extra.shape != base.shape:
-            raise ValueError("application_delays must return one value per thread")
-        times = base + extra
-        if noise is not None:
-            if noise.spec.enabled and noise.spec.jitter_fraction > 0:
-                jitter = rng.normal(1.0, noise.spec.jitter_fraction, size=times.shape)
-                times = times * np.clip(jitter, 0.5, None)
-            if cores is not None:
-                # exact per-core noise (event-path parity)
-                if len(cores) != len(times):
-                    raise ValueError("need exactly one core per thread")
-                times = times + np.array(
-                    [
-                        noise.delay_over(core, region_start_s, float(times[t]))
-                        for t, core in enumerate(cores)
-                    ]
-                )
-            else:
-                # statistically equivalent vectorised noise (campaign fast path)
-                times = times + noise.batch_delays(times, rng)
-        return times
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

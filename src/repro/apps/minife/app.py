@@ -112,9 +112,13 @@ class MiniFEApp(ProxyApplication):
     def base_thread_times(
         self, process: int, iteration: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Per-thread pure mat-vec time (cached: the matrix never changes)."""
+        """Per-thread pure mat-vec time under the configured loop schedule
+        (cached: the matrix never changes)."""
         if self._base_times_cache is None:
-            self._base_times_cache = super().base_thread_times(process, iteration, rng)
+            outcome = self.config.schedule.simulate(
+                self._item_costs, self.config.n_threads
+            )
+            self._base_times_cache = outcome.busy_time
         return self._base_times_cache
 
     def application_delays(

@@ -271,12 +271,11 @@ class OSNoiseModel:
 
         Statistically equivalent to calling :meth:`delay_over` once per entry
         (periodic daemon occurrences + Poisson interrupts), but without the
-        per-core phase bookkeeping — the fast campaign paths use this, the
+        per-core phase bookkeeping — the campaign backend uses this, the
         event-driven path uses :meth:`delay_over`.  ``work_s`` may have any
-        shape — the vectorized backend passes ``(n_threads,)`` slices, the
-        campaign backend one ``(n_iterations, n_threads)`` plane per shard —
-        and every registered source draws for the whole batch in one call;
-        the returned delays match the input shape.
+        shape (the campaign backend passes one ``(n_iterations, n_threads)``
+        plane per shard); every registered source draws for the whole batch
+        in one call, and the returned delays match the input shape.
         """
         work = np.asarray(work_s, dtype=np.float64)
         if np.any(work < 0):
@@ -287,8 +286,8 @@ class OSNoiseModel:
         extra = np.zeros_like(work)
         # each source draws under its own scope when the rng splits draws by
         # purpose (the campaign backend's chunk-invariant PurposeSplitRNG);
-        # plain generators pass through maybe_scope untouched, so the other
-        # backends' draw sequences — and pinned digests — are unchanged
+        # plain generators pass through maybe_scope untouched, so a caller
+        # that samples one batch at a time keeps its plain draw sequence
         from repro.sim.random import maybe_scope
 
         for index, source in enumerate(self.sources):

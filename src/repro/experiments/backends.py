@@ -4,32 +4,27 @@ A :class:`CampaignBackend` turns a :class:`~repro.experiments.config.CampaignCon
 into timing samples.  Backends are registered by name with
 :func:`register_backend` and looked up with :func:`get_backend`, so new
 execution strategies (cached, distributed, GPU-resident, ...) plug into the
-campaign layer without touching it.  Three backends ship with the package:
+campaign layer without touching it.  Two backends ship with the package:
 
-* ``"vectorized"`` — the application's calibrated work/cost/noise models are
-  sampled directly (no event engine).  This is how full paper-scale campaigns
-  (768 000 samples per application) complete in seconds.
-* ``"event"`` — every thread is a process on the discrete-event engine, the
-  entry/exit barriers and every noise preemption happen as events, and the
-  timestamps come from the per-core monotonic clocks.  Slower; used by the
-  examples and by integration tests that check the backends agree.
-* ``"campaign"`` — the whole-campaign tensor kernel: the closed-form math
-  lifted from one iteration to *all* (trial, process) shards, sampled as
+* ``"campaign"`` (the default) — the whole-campaign tensor kernel: the
+  applications' calibrated work/cost/noise models sampled in closed form
+  (no event engine) for *all* (trial, process) shards at once, as
   ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold for
   an entire shard chunk, whose sampled tensor is the chunk's column block
-  (``chunk_shards`` bounds peak memory).  Draw streams are keyed by
-  absolute shard scope, so results are bit-identical across any chunking
-  *and any worker count*: with ``max_workers > 1`` whole chunks fold in
-  parallel on the executor's worker pool, returning their cubes through
-  shared memory (or spilling straight into a
-  :class:`~repro.io.shard_store.ShardStore`).  It draws its randomness in a
-  different order than ``"vectorized"``, so the two agree in distribution,
-  not bit-for-bit, and it pins its own digests.  Every campaign runs on
-  its own: a scenario sweep or a queue of service jobs is one
-  campaign after another through the executor.
-
-``"vectorized"`` is the readable per-iteration reference, ``"event"`` the
-clock/noise microstructure and ``"campaign"`` the production kernel.
+  (``chunk_shards`` bounds peak memory).  This is how full paper-scale
+  campaigns (768 000 samples per application) complete in seconds.  Draw
+  streams are keyed by absolute shard scope, so results are bit-identical
+  across any chunking *and any worker count*: with ``max_workers > 1``
+  whole chunks fold in parallel on the executor's worker pool, returning
+  their cubes through shared memory (or spilling straight into a
+  :class:`~repro.io.shard_store.ShardStore`).  Every campaign runs on its
+  own: a scenario sweep or a queue of service jobs is one campaign after
+  another through the executor.
+* ``"event"`` — every thread is a process on the discrete-event engine, the
+  entry/exit barriers and every noise preemption happen as events, and the
+  timestamps come from the per-core monotonic clocks.  Slower; it is the
+  clock/noise microstructure, used by the examples and by integration tests
+  that check the backends agree.
 
 Every backend decomposes its campaign into *shards* (:meth:`shard_specs`)
 and cuts it into *units of work* (:meth:`work_units`: one shard each, or
@@ -48,8 +43,6 @@ import dataclasses
 import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
-
-import numpy as np
 
 from repro.apps import get_application
 from repro.apps.base import ProxyApplication
@@ -212,41 +205,6 @@ def unregister_backend(name: str) -> None:
 # ----------------------------------------------------------------------
 # built-in backends
 # ----------------------------------------------------------------------
-@register_backend("vectorized")
-class VectorizedBackend(CampaignBackend):
-    """Closed-form sampling of the calibrated work/cost/noise models.
-
-    Shards at (trial, process) granularity: each shard re-derives that
-    process's ``work``/``noise`` streams by name and replays its iterations,
-    exactly as the serial nested loop would.
-    """
-
-    def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
-        return [
-            ShardSpec(trial=trial, process=process)
-            for trial in range(config.trials)
-            for process in range(config.processes)
-        ]
-
-    def unit_block(self, config: "CampaignConfig", spec: ShardSpec) -> ColumnBlock:
-        if spec.process is None:
-            raise ValueError(f"{self.name} backend shards per process, got {spec}")
-        streams = RandomStreams(config.seed)
-        app = build_application(config)
-        trial, process = spec.trial, spec.process
-        work_rng = streams.get(app.name, "work", trial, process)
-        noise_rng = streams.get(app.name, "noise", trial, process)
-        noise = config.machine.build_noise_model(noise_rng)
-        app.begin_process(process, work_rng)
-        times = [
-            app.thread_compute_times(
-                process=process, iteration=iteration, rng=work_rng, noise=noise
-            )
-            for iteration in range(config.iterations)
-        ]
-        return campaign_block([(trial, process)], np.stack(times)[np.newaxis])
-
-
 @register_backend("event")
 class EventBackend(CampaignBackend):
     """Discrete-event execution on the simulated OpenMP runtime.
@@ -262,7 +220,7 @@ class EventBackend(CampaignBackend):
     by iteration — region execution queries the cached timeline instead.
     (Adopting the windowed model changed the backend's noise draw order, so
     its reference digest was re-recorded; distributional agreement with the
-    vectorized path is unchanged.)
+    closed-form sampling is unchanged.)
     """
 
     def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
@@ -376,9 +334,10 @@ class CampaignTensorBackend(CampaignBackend):
     only on its absolute (scope path, method, occurrence) identity, never
     on what folded before it.
 
-    Randomness is necessarily ordered differently than ``"vectorized"``
-    (per iteration), so this backend agrees with it in distribution —
-    property-tested — while pinning its own smoke digests.  The schedule
+    The draws are ordered shard-major, not iteration by iteration, so the
+    samples agree with a per-iteration sampling loop in distribution
+    (property-tested against the tests' reference sampler), not
+    bit-for-bit; the backend pins its own smoke digests.  The schedule
     fold itself keeps per-row bit-identity with the per-iteration
     ``simulate``.
 

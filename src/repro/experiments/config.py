@@ -28,8 +28,8 @@ class CampaignConfig:
     machine: MachineConfig = field(default_factory=manzano)
     #: execution backend name, resolved against the backend registry
     #: (:func:`repro.experiments.backends.available_backends`); the built-ins
-    #: are ``"vectorized"``, ``"event"`` and ``"campaign"``
-    backend: str = "vectorized"
+    #: are ``"campaign"`` (the production kernel) and ``"event"``
+    backend: str = "campaign"
     #: worker-pool size for parallel sharded execution (1 = serial); results
     #: are bit-identical at any worker count
     max_workers: int = 1

@@ -168,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         choices=sorted(available_backends()),
-        # None (not "vectorized") so a scenario's own backend pin is only
+        # None (not "campaign") so a scenario's own backend pin is only
         # overridden when the flag is passed explicitly
         default=None,
         help="execution backend from the registry (default: the scenario's "
-        "backend if one is pinned, else vectorized)",
+        "backend if one is pinned, else campaign)",
     )
     parser.add_argument(
         "--max-workers",

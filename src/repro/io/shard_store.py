@@ -18,7 +18,7 @@ A group file is one :class:`~repro.core.aggregation.ColumnBlock`: the
 16-byte magic, one ``(n_slices, n_iterations, n_threads)`` float64 cube of
 compute times, then any planes a backend really measured (the event
 backend's ``start_ns`` / ``end_ns``), each shaped like the cube — 8 B per
-sample for the campaign and vectorized backends.  The manifest holds the
+sample for the campaign backend.  The manifest holds the
 ids: per group its slice keys, iterations, threads, shard addresses,
 planes and a ``zlib.crc32`` of the file.  ``append_block`` (or
 ``append(shard)``) buffers blocks until their bytes exceed

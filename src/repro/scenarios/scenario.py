@@ -328,8 +328,8 @@ def run_scenarios(
 _BUILTIN_SCENARIOS = (
     Scenario(
         name="manzano-default",
-        description="The paper's §3.2 platform and noise model (reproduces the "
-        "seed campaign bit-identically)",
+        description="The paper's §3.2 platform and noise model (MiniFE on the "
+        "default campaign backend)",
     ),
     Scenario(
         name="manzano-minimd",

@@ -15,7 +15,7 @@ Two thin subcommands in front of the campaign service:
 
       python -m repro submit manzano-default --scale smoke \\
           --url http://127.0.0.1:8642 \\
-          --expect-digest bb2fcafc7160d709...
+          --expect-digest e00daed36dd885b6...
 
   ``--expect-digest`` is what the CI smoke check uses: the streamed job's
   final dataset digest must equal the pinned scenario-matrix digest,

@@ -166,7 +166,7 @@ class PurposeSplitRNG:
 
     def __init__(self, streams: RandomStreams, *scope) -> None:
         #: the *underived* streams this facade was built from.  Draw sites
-        #: that must realize the exact same values as the per-shard backends
+        #: that must realize the exact same values as the event backend
         #: (e.g. per-process application state, whose realization feeds every
         #: downstream cost draw) reach through this to the shared per-shard
         #: streams instead of the purpose-split namespace.

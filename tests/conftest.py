@@ -2,7 +2,9 @@
 
 Campaign datasets are expensive enough to be worth sharing, so the three
 per-application smoke datasets are built once per session.  All fixtures are
-deterministic (fixed seeds).
+deterministic (fixed seeds).  Importing :mod:`oracles.vectorized` registers
+the per-iteration reference sampler as the ``"vectorized"`` backend for every
+test.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles.vectorized  # noqa: F401  (registers the "vectorized" backend)
 from repro.core.timing import TimingDataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor

@@ -41,6 +41,30 @@ def miniqmc_multiprocess_dataset():
     return CampaignSession(config).run().dataset
 
 
+@pytest.fixture(scope="module")
+def minimd_full_run_report():
+    """A MiniMD campaign with the paper's 200 iterations, so its 19 warm-up
+    iterations are the paper's ~10 % share of the process-iterations.
+
+    In the shared 30-iteration smoke fixture 19 of the 30 iterations are
+    warm-up, whose wide settling spread is mostly non-normal, so the Table 1
+    pass rate sits on the 50 % the claim must clear: over 30 seeds the
+    smallest per-test rate averages 0.58-0.59 with either sampler and is
+    0.50 or below on 2 (campaign) and 5 (per-iteration) of them.  At 200
+    iterations it is 0.75-0.83 on each of 10 seeds, with either sampler.
+    """
+    config = CampaignConfig(
+        application="minimd",
+        trials=1,
+        processes=2,
+        iterations=200,
+        threads=48,
+        seed=202304,
+    )
+    dataset = CampaignSession(config).run().dataset
+    return analyze_dataset(dataset).report(include_earlybird=False)
+
+
 class TestMedianArrivals:
     @pytest.mark.parametrize("application", ["minife", "minimd", "miniqmc"])
     def test_mean_median_within_10_percent_of_paper(self, reports, application):
@@ -107,10 +131,10 @@ class TestNormalityClasses:
         rates = study.process_iteration_pass_rates()
         assert min(rates.values()) > 0.85
 
-    def test_table1_qualitative_classes(self, reports):
+    def test_table1_qualitative_classes(self, reports, minimd_full_run_report):
         """MiniFE ≈ never normal, MiniMD mostly normal, MiniQMC ~95 % normal."""
         minife = reports["minife"].process_iteration_pass_rates
-        minimd = reports["minimd"].process_iteration_pass_rates
+        minimd = minimd_full_run_report.process_iteration_pass_rates
         miniqmc = reports["miniqmc"].process_iteration_pass_rates
         assert max(minife.values()) < 0.10
         assert min(minimd.values()) > 0.50

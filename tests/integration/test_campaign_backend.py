@@ -4,9 +4,10 @@ The campaign backend samples *all* (trial, process) shards as
 ``(n_shards, n_iterations, n_threads)`` tensors — one schedule fold, one
 draw per noise source, one columnar assembly per shard chunk.  Its
 randomness is ordered shard-major across the whole campaign, so it is not
-bit-identical to ``"vectorized"``; it pins its own
-reference digests here (distributional agreement with the vectorized path
-is property-tested in ``tests/property/test_prop_campaign.py``).  What this
+bit-identical to the per-iteration reference sampler (``"vectorized"``,
+``tests/oracles/vectorized.py``); it pins its own reference digests
+(``tests/digests.py``; distributional agreement with the reference is
+property-tested in ``tests/property/test_prop_campaign.py``).  What this
 module pins exactly:
 
 * same seed → same arrays, for every ``chunk_shards`` value (the
@@ -29,6 +30,7 @@ import os
 import numpy as np
 import pytest
 
+from digests import CAMPAIGN_SMOKE_DIGESTS
 from repro.experiments.backends import (
     CampaignTensorBackend,
     available_backends,
@@ -41,25 +43,11 @@ from repro.experiments.session import CampaignSession
 from repro.scenarios import get_scenario
 from repro.scenarios.scenario import ScenarioMatrix
 
-# sha256 of the dense compute_times_s array of CampaignConfig.smoke(app)
-# (seed 7, 1 trial x 2 processes x 12 iterations x 16 threads) on the
-# campaign backend.  Re-recorded ONCE when draw streams moved from
-# contiguous continuation to absolute shard keying (the change that makes
-# chunk-parallel execution bit-identical at any worker count): every
-# shard-varying draw now sits under its ("shard", trial, process) scope,
-# which restructured the whole-tensor jitter/noise/straggler draws into
-# per-shard draws.  Serial == parallel == any chunk_shards from here on, so
-# these digests are stable against any future chunking/worker change.
-CAMPAIGN_SMOKE_DIGESTS = {
-    "minife": "e00daed36dd885b6da7460460091db6425d155af7791046d27c19d1e14e584f2",
-    "minimd": "6600a86f66463499c72829eb7b89ebdea5942f73199c651fe8a9c39c08de7cfb",
-    "miniqmc": "51581b1ada86e420bc79754122affab8dbcb824980e8040807abd701e3724491",
-}
-
-# Same smoke recipe under explicit work-queue schedule clauses (MiniFE is
-# the app whose 200-pencil loop makes the clause matter); re-recorded with
-# the shard-keyed streams above.  The "dynamic,4" entry doubles as the
-# digest of the ``manzano-campaign`` scenario at smoke scale.
+# The smoke recipe of CAMPAIGN_SMOKE_DIGESTS (tests/digests.py) under
+# explicit work-queue schedule clauses (MiniFE is the app whose 200-pencil
+# loop makes the clause matter); re-recorded with the shard-keyed streams.
+# The "dynamic,4" entry doubles as the digest of the ``manzano-campaign``
+# scenario at smoke scale.
 CAMPAIGN_SCHEDULE_SMOKE_DIGESTS = {
     ("minife", "dynamic"): "72af0d3efc013179108eb566e8d875bfbc1d124e0dcb2bc673fe896fa1733ff0",
     ("minife", "dynamic,4"): "2af151e1a05561807064884cd19332f17de63b4c733fbed90525856cd231d552",
@@ -142,7 +130,8 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("application", APPLICATIONS)
     def test_campaign_shape_matches_vectorized(self, application):
         campaign = CampaignSession(_smoke(application)).run().dataset
-        vectorized = CampaignSession(CampaignConfig.smoke(application)).run().dataset
+        reference = CampaignConfig.smoke(application).with_backend("vectorized")
+        vectorized = CampaignSession(reference).run().dataset
         assert campaign.n_samples == vectorized.n_samples
         assert campaign.is_dense()
         for column in ("trial", "process", "iteration", "thread"):

@@ -23,9 +23,11 @@ def _assert_bit_identical(a, b):
 
 class TestParallelBitIdentical:
     def test_vectorized_parallel_matches_serial(self):
-        """The ISSUE acceptance check: smoke minife, 4 process workers."""
-        serial = CampaignSession(CampaignConfig.smoke()).run("minife").dataset
-        parallel_config = CampaignConfig.smoke().parallel(4)
+        """The per-iteration reference sampler pools bit-identically too:
+        smoke minife, 4 process workers."""
+        config = CampaignConfig.smoke().with_backend("vectorized")
+        serial = CampaignSession(config).run("minife").dataset
+        parallel_config = config.parallel(4)
         parallel = CampaignSession(parallel_config).run("minife").dataset
         _assert_bit_identical(serial, parallel)
 
@@ -100,8 +102,10 @@ class TestShardExecutor:
         assert sizes == [2]
 
     def test_worker_count_comes_from_the_config(self, monkeypatch):
+        # a per-shard backend: four units of work for the three workers
         sizes = _pool_sizes(monkeypatch)
-        _run_blocks(CampaignConfig.smoke().parallel(3).scaled(trials=2, processes=2))
+        config = CampaignConfig.smoke().with_backend("vectorized")
+        _run_blocks(config.parallel(3).scaled(trials=2, processes=2))
         assert sizes == [3]
 
     def test_merged_pool_blocks_match_the_serial_run(self):

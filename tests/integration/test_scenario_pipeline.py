@@ -1,10 +1,12 @@
 """Scenario subsystem end-to-end: bit-identity, CLI, matrix execution.
 
-The digests below were recorded from the seed's hardwired two-source noise
+The default scenario (and every default-noise campaign) reproduces the
+pinned smoke datasets bit-identically: same seed → same arrays, down to the
+last bit.  The default backend is the campaign kernel, so the default path
+pins the campaign digests; the per-iteration reference sampler still
+reproduces the digests recorded from the seed's hardwired two-source noise
 model *before* ``OSNoiseModel`` was refactored onto the noise-source
-registry.  They pin the acceptance criterion that the default scenario (and
-every default-noise campaign) reproduces the reference datasets
-bit-identically: same seed → same arrays, down to the last bit.
+registry.
 """
 
 import hashlib
@@ -12,29 +14,21 @@ import hashlib
 import numpy as np
 import pytest
 
+from digests import CAMPAIGN_SMOKE_DIGESTS, VECTORIZED_SMOKE_DIGESTS
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import main as runner_main
 from repro.experiments.session import CampaignSession
 from repro.scenarios import ScenarioMatrix, available_scenarios, get_scenario
 
 # sha256 of the dense compute_times_s array of CampaignConfig.smoke(app)
-# (seed 7, 1 trial x 2 processes x 12 iterations x 16 threads).  minimd /
-# miniqmc are unchanged since the pre-scenario-refactor
-# recording; minife was re-recorded when ``StaticSchedule.simulate`` moved
-# its per-thread busy-time summation to ``np.add.reduceat`` (sequential
-# instead of pairwise accumulation shifts MiniFE's pencil-calibration median
-# by one ULP — same physics, different last bit).
-SEED_DIGESTS = {
-    "minife": "bb2fcafc7160d7099ca5ef6dac0ecd53bff0aad663032aed63a90c0242740980",
-    "minimd": "aad69e389dcdd05bee4e48e4e001a4e94e9a7b98124d3c24f49a2ce701cd1568",
-    "miniqmc": "42d6abd256f408648188889ba1df2732b40a30ef1dbdbc4cb929170999478881",
-}
+# on the default backend (the campaign kernel's pins, tests/digests.py)
+SEED_DIGESTS = CAMPAIGN_SMOKE_DIGESTS
 # The event backend's digest was re-recorded when it adopted the
 # WindowedNoiseModel: noise events are now drawn once per (core, trial)
 # timeline window instead of once per delay query, so the draw order (and
 # therefore the bits) changed — same populations, same distribution
 # (tests/integration/test_paths_agree.py still checks distributional
-# agreement with the vectorized path), and per-core noise is now a single
+# agreement with the closed-form path), and per-core noise is now a single
 # consistent realisation instead of independent redraws per query window.
 SEED_EVENT_DIGEST = "d9415bf79ddd3ecdc48bfaec62aacb9cefbca28fd0322557f1abf3127b615a33"
 
@@ -49,6 +43,12 @@ class TestBitIdentity:
     def test_default_campaign_matches_pre_refactor_digest(self, application):
         dataset = CampaignSession(CampaignConfig.smoke(application)).run().dataset
         assert _digest(dataset) == SEED_DIGESTS[application]
+
+    @pytest.mark.parametrize("application", sorted(VECTORIZED_SMOKE_DIGESTS))
+    def test_vectorized_oracle_matches_pre_refactor_digest(self, application):
+        config = CampaignConfig.smoke(application).with_backend("vectorized")
+        dataset = CampaignSession(config).run().dataset
+        assert _digest(dataset) == VECTORIZED_SMOKE_DIGESTS[application]
 
     def test_event_backend_matches_recorded_digest(self):
         config = CampaignConfig.smoke("minife").with_backend("event")
@@ -128,9 +128,9 @@ class TestScenarioExecution:
             ["--scenario", "manzano-campaign", "--backend", "event"]
         )
         assert _configure(args, "minife").backend == "event"
-        # scenario-less runs keep the vectorized default
+        # scenario-less runs keep the campaign default
         args = parser.parse_args(["--apps", "minife"])
-        assert _configure(args, "minife").backend == "vectorized"
+        assert _configure(args, "minife").backend == "campaign"
 
     def test_schedule_override_changes_the_data(self):
         base = get_scenario("manzano-default").campaign_config(

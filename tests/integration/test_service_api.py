@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from digests import CAMPAIGN_SMOKE_DIGESTS
 from repro.core.aggregation import campaign_block
 from repro.core.timing import TimingDataset
 from repro.experiments.backends import (
@@ -42,8 +43,9 @@ from repro.service.http import MAX_HEADER_LINES, MAX_LINE_BYTES
 
 GATED_BACKEND = "integration-test-gated"
 SCENARIO = "manzano-default"
-#: the service-smoke digest of ``SCENARIO`` at smoke scale
-PINNED_DIGEST = "bb2fcafc7160d7099ca5ef6dac0ecd53bff0aad663032aed63a90c0242740980"
+#: the service-smoke digest of ``SCENARIO`` at smoke scale (MiniFE's smoke
+#: recipe on the default campaign backend)
+PINNED_DIGEST = CAMPAIGN_SMOKE_DIGESTS["minife"]
 
 
 def _session_digest(config: CampaignConfig) -> str:

@@ -22,12 +22,16 @@ from repro.experiments.runner import main as runner_main
 from repro.experiments.session import CampaignSession
 
 # sha256 of json.dumps(report.as_dict(), sort_keys=True) for the smoke
-# campaigns (seed 7, 1 trial x 2 processes x 12 iterations x 16 threads),
-# recorded when the analysis layer moved onto the streaming engine
+# campaigns (seed 7, 1 trial x 2 processes x 12 iterations x 16 threads) on
+# the default backend.  First recorded when the analysis layer moved onto
+# the streaming engine; re-recorded once when the default backend became
+# the campaign kernel: its samples are the pinned CAMPAIGN_SMOKE_DIGESTS
+# datasets (tests/digests.py), not the per-iteration sampler's, so every
+# report field computed from them moved with them.
 REPORT_DIGESTS = {
-    "minife": "9c1124f4445eb4b380dc4a6bb479a2b7e02e185eab060eb51a227eca8cece3e3",
-    "minimd": "28c4bc9cf1f7fe30d975175e3a035ca5d9508a434f63e427eca1c50c2fee331a",
-    "miniqmc": "dcd2c2333de48ece5a4f3ebdecf3352a089bd51bebcdd6580c15656897675e39",
+    "minife": "db3cdb87fd59e1f33ca7bb6950e4a492064fd7ee5f93f1d2f75eac98079a8641",
+    "minimd": "58963504cf2db80e06fc2baae275a93b6a93bc21786eb8faba71d29d9df6d5df",
+    "miniqmc": "f0fe313903cc9628bc8ab80fe29ca45436aa6bd2f2332ab06ef669a586d484e0",
 }
 
 
@@ -51,10 +55,13 @@ class TestPinnedReportDigests:
 
     @pytest.mark.parametrize("application", sorted(REPORT_DIGESTS))
     def test_out_of_core_report_matches_pin(self, application, tmp_path):
-        """Analyses folded over a spilled store (one shard per group) reach
-        the same report as the in-memory run."""
+        """Analyses folded over a spilled store (one shard per group: two
+        workers cut the two shards into one-shard chunks) reach the same
+        report as the in-memory run."""
         session = CampaignSession(
-            CampaignConfig.smoke(application), cache_dir=tmp_path
+            CampaignConfig.smoke(application).parallel(2),
+            cache_dir=tmp_path,
+            executor_mode="thread",
         )
         result = session.run(store=True, spill_threshold_bytes=1)
         assert result.store is not None and result.store.n_groups > 1

@@ -41,17 +41,24 @@ class TestNeighbors:
             expected_neighbors(density, cutoff)
 
 
+def _shard_times(app, rng):
+    """One (trial, process) shard's per-thread compute times, noise-free:
+    an ``(n_iterations, n_threads)`` plane of the campaign hook."""
+    return app.thread_compute_times_campaign(shards=[(0, 0)], rng=rng)[0]
+
+
 class TestMiniMDApp:
     def test_calibration_hits_target_median(self):
         app = MiniMDApp()
-        base = app.base_thread_times(0, 50, np.random.default_rng(0))
-        assert np.median(base) == pytest.approx(TARGET_MEDIAN_ARRIVAL_S, rel=0.01)
+        base = app.base_thread_times_campaign([(0, 0)], 51, np.random.default_rng(0))
+        assert np.median(base[0, 50]) == pytest.approx(
+            TARGET_MEDIAN_ARRIVAL_S, rel=0.01
+        )
 
     def test_warmup_phase_widens_and_shifts_arrivals(self):
         app = MiniMDApp()
-        rng = np.random.default_rng(1)
-        warm = app.thread_compute_times(process=0, iteration=3, rng=rng)
-        steady = app.thread_compute_times(process=0, iteration=100, rng=rng)
+        times = _shard_times(app, np.random.default_rng(1))
+        warm, steady = times[3], times[100]
         assert app.in_warmup(3) and not app.in_warmup(100)
         assert warm.std() > 3 * steady.std()
         assert np.median(warm) > np.median(steady)
@@ -59,9 +66,7 @@ class TestMiniMDApp:
 
     def test_steady_phase_is_tight(self):
         app = MiniMDApp()
-        steady = app.thread_compute_times(
-            process=0, iteration=150, rng=np.random.default_rng(2)
-        )
+        steady = _shard_times(app, np.random.default_rng(2))[150]
         assert (steady.max() - steady.min()) < 1.0e-3
 
     def test_atoms_per_process_partition(self):

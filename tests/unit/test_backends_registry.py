@@ -1,16 +1,26 @@
-"""Unit tests for the campaign backend registry."""
+"""Unit tests for the campaign backend registry.
+
+The package registers ``"campaign"`` (the default) and ``"event"``; the test
+tree adds the per-iteration reference sampler as ``"vectorized"``
+(:mod:`oracles.vectorized`), which these tests also use as a registrable
+third-party backend.
+"""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.aggregation import campaign_block
 from repro.core.timing import TimingDataset
+from oracles.vectorized import VectorizedBackend
 from repro.experiments.backends import (
     CampaignBackend,
     ShardSpec,
-    VectorizedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -21,9 +31,40 @@ from repro.experiments.session import CampaignSession
 from repro.sim.random import RandomStreams
 
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _package_only(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with the package on the path and no test tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestRegistry:
     def test_builtins_are_registered(self):
         assert {"vectorized", "event", "campaign"} <= set(available_backends())
+
+    def test_campaign_is_the_default_backend(self):
+        assert CampaignConfig().backend == "campaign"
+        assert CampaignConfig.smoke().backend == "campaign"
+
+    def test_package_ships_campaign_and_event_only(self):
+        probe = _package_only(
+            "-c",
+            "from repro.experiments.backends import available_backends; "
+            "print(','.join(available_backends()))",
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "campaign,event"
+
+    def test_cli_backend_vectorized_is_a_usage_error(self):
+        # argparse takes --backend's choices from the registry, and the
+        # per-iteration reference sampler is registered by the tests only
+        run = _package_only("-m", "repro", "--backend", "vectorized")
+        assert run.returncode == 2
+        assert "invalid choice: 'vectorized'" in run.stderr
 
     def test_get_backend_returns_named_instances(self):
         for name in available_backends():

@@ -312,8 +312,11 @@ class TestStoredFigures:
             iterations=30,
             threads=48,
             seed=202304,
+            # two workers cut the campaign backend's two shards into
+            # one-shard chunks: one store group each
+            max_workers=2,
         )
-        session = CampaignSession(config, cache_dir=tmp_path)
+        session = CampaignSession(config, cache_dir=tmp_path, executor_mode="thread")
         result = session.run(store=True, spill_threshold_bytes=1)
         assert result.store is not None and result.store.n_groups > 1
         return session.analyze(analyses=["laggards"]), result
@@ -350,7 +353,11 @@ class TestStoredFigures:
         config = CampaignConfig.smoke("minife").scaled(trials=2, processes=2)
         if source == "event":
             config = config.with_backend("event")
-        session = CampaignSession(config, cache_dir=tmp_path)
+        if source == "store":
+            # two workers cut the campaign backend's four shards into two
+            # chunks: one store group each
+            config = config.parallel(2)
+        session = CampaignSession(config, cache_dir=tmp_path, executor_mode="thread")
         if source == "store":
             result = session.run(store=True, spill_threshold_bytes=1)
             assert result.store is not None and result.store.n_groups > 1

@@ -11,6 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
+from digests import CAMPAIGN_SMOKE_DIGESTS
 from repro.analysis import AnalysisContext, run_columnar_analyses
 from repro.core.timing import TimingDataset, TimingShard
 from repro.experiments.backends import CampaignTensorBackend
@@ -26,14 +27,10 @@ from repro.io.shard_store import (
 )
 from repro.service.jobs import dataset_digest
 
-# The same smoke-campaign digests the scenario matrix pins
-# (tests/integration/test_scenario_pipeline.py): a campaign that goes
-# through the store must merge back to these bits exactly.
-SEED_DIGESTS = {
-    "minife": "bb2fcafc7160d7099ca5ef6dac0ecd53bff0aad663032aed63a90c0242740980",
-    "minimd": "aad69e389dcdd05bee4e48e4e001a4e94e9a7b98124d3c24f49a2ce701cd1568",
-    "miniqmc": "42d6abd256f408648188889ba1df2732b40a30ef1dbdbc4cb929170999478881",
-}
+# The default-backend smoke digests the scenario matrix pins
+# (tests/digests.py): a campaign that goes through the store must merge
+# back to these bits exactly.
+SEED_DIGESTS = CAMPAIGN_SMOKE_DIGESTS
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +227,11 @@ class TestPublish:
 class TestCampaignRoundTrip:
     @pytest.mark.parametrize("application", sorted(SEED_DIGESTS))
     def test_stored_campaign_matches_pinned_digest(self, tmp_path, application):
-        """A campaign spilled through the store merges back bit-identically."""
-        config = CampaignConfig.smoke(application)
+        """A campaign spilled through the store merges back bit-identically.
+
+        Two workers cut the two-shard smoke campaign into one-shard chunks,
+        so the store holds one group per shard."""
+        config = CampaignConfig.smoke(application).parallel(2)
         session = CampaignSession(config, cache_dir=tmp_path / "cache")
         result = session.run(
             application, store=True, spill_threshold_bytes=1, use_cache=False
