@@ -24,6 +24,8 @@ import pytest
 # that compare the program against them
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
+import oracles.event  # noqa: E402,F401  (registers the "event" backend)
+
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 

@@ -7,11 +7,11 @@ contribution (thread-timing instrumentation and analysis) on top:
 ``repro.sim``
     Deterministic discrete-event simulation engine.
 ``repro.cluster``
-    Machine model: nodes, sockets, cores, per-core monotonic clocks and an
-    OS-noise model (the "Manzano" test platform of the paper is a preset).
+    Machine model: nodes, sockets, cores, the per-core clock population and
+    an OS-noise model (the "Manzano" test platform of the paper is a preset).
 ``repro.openmp``
-    Simulated OpenMP runtime: thread teams, loop schedules, barriers and
-    ``parallel for nowait`` regions.
+    Simulated OpenMP loop schedules (``static``/``dynamic``/``guided``) and
+    barriers.
 ``repro.mpi``
     Simulated MPI-4.0-style partitioned communication on a LogGP network
     model (the transfer the early-bird feasibility model evaluates).
@@ -53,7 +53,7 @@ True
 shards out across a worker pool with bit-identical results;
 ``session.stream()`` iterates shard-by-shard without materialising the dense
 dataset; ``repro.experiments.register_backend`` plugs in new execution
-strategies alongside the built-in ``campaign`` and ``event`` backends.
+strategies alongside the built-in ``campaign`` backend.
 
 Scenarios name full experimental settings and feed the same session::
 

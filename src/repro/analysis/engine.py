@@ -10,7 +10,7 @@ Every driver folds :class:`~repro.core.aggregation.ColumnBlock` s with
 * :func:`analyze_dataset` — fold a materialised
   :class:`~repro.core.timing.TimingDataset` as one block
   (:func:`~repro.core.aggregation.canonical_block` of its columns, one
-  declared slice per trial).
+  declared slice per (trial, process)).
 * :func:`run_analyses` — fold an existing shard iterable (e.g.
   ``CampaignSession.stream()`` or an in-memory list), each shard as its
   block (:func:`~repro.core.aggregation.shard_block`).
@@ -186,20 +186,21 @@ def run_columnar_analyses(
 
 
 def _dataset_block(dataset: TimingDataset) -> ColumnBlock:
-    """The dataset as one canonical column block (one declared slice per
-    trial, re-sliced per process)."""
+    """The dataset as one canonical column block: one declared slice per
+    (trial, process), in serial order."""
     columns = {name: dataset.column(name) for name in dataset.columns}
-    trial = columns["trial"]
-    if np.any(trial[1:] < trial[:-1]):
-        order = np.argsort(trial, kind="stable")
+    key = columns["trial"].astype(np.int64) * (int(columns["process"].max()) + 1)
+    key += columns["process"]
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
         columns = {name: arr[order] for name, arr in columns.items()}
-        trial = columns["trial"]
-    trials = dataset.trials
-    starts = np.searchsorted(trial, trials, side="left")
-    stops = np.searchsorted(trial, trials, side="right")
+        key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    stops = np.r_[starts[1:], len(key)]
+    trial, process = columns["trial"], columns["process"]
     slices = [
-        ShardSlice(int(t), None, int(start), int(stop))
-        for t, start, stop in zip(trials, starts, stops)
+        ShardSlice(int(trial[start]), int(process[start]), int(start), int(stop))
+        for start, stop in zip(starts, stops)
     ]
     return canonical_block(columns, slices)
 
@@ -210,8 +211,8 @@ def analyze_dataset(
 ) -> AnalysisResults:
     """Fold a materialised dataset through the requested passes.
 
-    The dataset is one canonical column block (a stable sort by trial, one
-    slice per trial), so the products are bit-identical to folding the
+    The dataset is one canonical column block (a stable sort by trial and
+    process, one slice per (trial, process)), so the products are bit-identical to folding the
     same campaign's shards or store groups.
 
     >>> results = analyze_dataset(dataset)

@@ -5,15 +5,15 @@ A :class:`ProxyApplication` answers two questions for the campaign runner:
 * ``item_costs(process, iteration, rng)`` — the pure compute cost of every
   iteration of the *timed loop* (the unit the OpenMP schedule distributes),
   with ``application_delays`` the application-level variability on top;
-  used by the detailed (discrete-event) execution path.
+  the per-iteration reference samplers in the test tree replay these.
 * ``thread_compute_times_campaign(...)`` — the per-thread compute time of a
   whole chunk of (trial, process) shards as one ``(shards, iterations,
   threads)`` tensor, including application-level variability, execution
   jitter and OS noise; used by the campaign tensor backend.
 
-Both paths share the same underlying work decomposition, so they agree in
-distribution; the integration tests check that the closed-form path matches
-the event-driven path exactly when noise is disabled.
+Both share the same underlying work decomposition, so the samplers built
+on them agree in distribution; the integration tests check that they agree
+closely when noise is disabled.
 """
 
 from __future__ import annotations
@@ -167,8 +167,7 @@ class ProxyApplication(ABC):
         The default stacks :meth:`item_costs_batch` planes, each under its
         absolute ``("shard", trial, process)`` scope, so chunking the shard
         axis cannot change the draws.  The planes must share one item
-        count: applications whose loop length differs per process can only
-        run on the ``"event"`` backend.
+        count: item counts that differ per process are not supported.
         """
         planes = []
         for trial, process in shards:
@@ -179,7 +178,8 @@ class ProxyApplication(ABC):
             raise ValueError(
                 f"application {self.name!r} has item counts that differ per "
                 "process, which the campaign backend's shard-stacked cost "
-                "tensor cannot hold; run it on the 'event' backend"
+                "tensor cannot hold: item counts that differ per process are "
+                "not supported"
             )
         return np.stack(planes)
 

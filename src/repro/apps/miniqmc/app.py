@@ -143,9 +143,9 @@ class MiniQMCApp(ProxyApplication):
 
         The realized per-process (mean, sd) parameters shape every cost draw
         of a shard, so they are taken from the *same* per-shard ``"work"``
-        streams :meth:`begin_process` consumes under the event backend —
-        the campaign backend's mixture components are then bit-identical
-        to the event backend's, and distributional agreement holds even
+        streams :meth:`begin_process` consumes under the per-iteration
+        reference samplers — the campaign backend's mixture components are
+        then bit-identical to theirs, and distributional agreement holds even
         for small process ensembles.  Each shard reads a *fresh*
         generator of its stream (the same first two draws), so the
         parameters depend only on the shard, whatever the chunking and

@@ -8,8 +8,8 @@ models the parts of that platform that shape per-thread timing measurements:
   :class:`~repro.cluster.topology.Node` /
   :class:`~repro.cluster.topology.Core` — the physical layout, including
   the two-level switch tree whose hop counts the network model uses.
-* :class:`~repro.cluster.clock.MonotonicClock` — the per-core
-  ``clock_gettime(CLOCK_MONOTONIC)`` analogue: monotonic on one core, *not*
+* :class:`~repro.cluster.clock.ClockSpec` — the per-core
+  ``clock_gettime(CLOCK_MONOTONIC)`` population: monotonic on one core, *not*
   synchronised across cores/sockets (no ``tsc_reliable``), which is exactly
   why the paper measures elapsed compute time instead of comparing raw
   timestamps.
@@ -20,15 +20,9 @@ models the parts of that platform that shape per-thread timing measurements:
   :func:`~repro.cluster.config.manzano`.
 """
 
-from repro.cluster.clock import ClockSpec, MonotonicClock
+from repro.cluster.clock import ClockSpec
 from repro.cluster.config import MachineConfig, laptop, manzano
-from repro.cluster.noise import (
-    NoiseEvent,
-    NoiseSourceSpec,
-    NoiseSpec,
-    OSNoiseModel,
-    WindowedNoiseModel,
-)
+from repro.cluster.noise import NoiseSourceSpec, NoiseSpec, OSNoiseModel
 from repro.cluster.topology import Cluster, Core, Node, Socket
 
 __all__ = [
@@ -36,13 +30,10 @@ __all__ = [
     "Node",
     "Socket",
     "Core",
-    "MonotonicClock",
     "ClockSpec",
     "OSNoiseModel",
-    "WindowedNoiseModel",
     "NoiseSpec",
     "NoiseSourceSpec",
-    "NoiseEvent",
     "MachineConfig",
     "manzano",
     "laptop",

@@ -1,29 +1,19 @@
-"""Per-core monotonic clock model.
+"""The per-core clock population of a machine.
 
 The paper (§3.1) measures time with ``clock_gettime(CLOCK_MONOTONIC)``, which
 POSIX only guarantees to be monotonic *per core*: without ``tsc_reliable``
 there is no ordering guarantee across the cores and sockets of a node.  The
 authors therefore derive *compute time* (exit − enter on the same core), which
-cancels the per-core offset.
-
-:class:`MonotonicClock` reproduces those semantics so the instrumentation
-layer can be tested against them:
-
-* every core's clock has a private epoch offset (time since "an undefined
-  event in the past"),
-* a small relative drift, and
-* bounded read jitter (granularity of the clock source),
-* reads on one core never go backwards, even when jitter is negative.
+cancels the per-core offset.  :class:`ClockSpec` describes the population:
+every core's clock has a private epoch offset (time since "an undefined
+event in the past"), a small relative drift and bounded read jitter.  The
+samplers draw compute times directly, so only the discrete-event reference
+in the test tree reads clocks built from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
-
-from repro.cluster.topology import Core
 
 
 @dataclass(frozen=True)
@@ -55,101 +45,3 @@ class ClockSpec:
     def __post_init__(self) -> None:
         if self.max_offset_s < 0 or self.drift_ppm < 0 or self.read_jitter_ns < 0:
             raise ValueError("ClockSpec parameters must be non-negative")
-
-
-class MonotonicClock:
-    """The ``CLOCK_MONOTONIC`` source of a single core.
-
-    Parameters
-    ----------
-    offset_s:
-        Epoch offset of this core's clock.
-    drift:
-        Relative frequency error (e.g. ``1e-6`` = 1 ppm fast).
-    read_jitter_ns:
-        Uniform read jitter half-width in nanoseconds.
-    rng:
-        Generator used for jitter draws.
-    """
-
-    __slots__ = ("offset_s", "drift", "read_jitter_ns", "_rng", "_last_reading")
-
-    def __init__(
-        self,
-        offset_s: float = 0.0,
-        drift: float = 0.0,
-        read_jitter_ns: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        self.offset_s = float(offset_s)
-        self.drift = float(drift)
-        self.read_jitter_ns = float(read_jitter_ns)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._last_reading = -np.inf
-
-    def read_ns(self, true_time_s: float) -> int:
-        """Read the clock at physical time ``true_time_s``; returns nanoseconds.
-
-        Guaranteed monotonically non-decreasing across successive reads on
-        this core, exactly as IEEE POSIX.1-2017 requires.
-        """
-        raw = (self.offset_s + true_time_s * (1.0 + self.drift)) * 1.0e9
-        if self.read_jitter_ns > 0.0:
-            raw += self._rng.uniform(-self.read_jitter_ns, self.read_jitter_ns)
-        reading = max(raw, self._last_reading)
-        self._last_reading = reading
-        return int(round(reading))
-
-    def read_s(self, true_time_s: float) -> float:
-        """Read the clock and return seconds (float)."""
-        return self.read_ns(true_time_s) * 1.0e-9
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MonotonicClock(offset={self.offset_s:.3f}s, "
-            f"drift={self.drift * 1e6:.2f}ppm)"
-        )
-
-
-class ClockDomain:
-    """The collection of per-core clocks of a machine.
-
-    Creates one :class:`MonotonicClock` per core, with offsets/drifts drawn
-    from a :class:`ClockSpec`.  With ``tsc_reliable=True`` every core shares
-    one offset (raw timestamps become comparable across cores).
-    """
-
-    def __init__(
-        self,
-        spec: ClockSpec,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        self.spec = spec
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._clocks: Dict[Tuple[int, int, int], MonotonicClock] = {}
-        self._shared_offset = float(self._rng.uniform(0.0, spec.max_offset_s))
-
-    def clock_for(self, core: Core) -> MonotonicClock:
-        """Return (and cache) the clock of ``core``."""
-        key = core.global_id
-        if key not in self._clocks:
-            if self.spec.tsc_reliable:
-                offset = self._shared_offset
-                drift = 0.0
-            else:
-                offset = float(self._rng.uniform(0.0, self.spec.max_offset_s))
-                drift = float(self._rng.normal(0.0, self.spec.drift_ppm * 1e-6))
-            self._clocks[key] = MonotonicClock(
-                offset_s=offset,
-                drift=drift,
-                read_jitter_ns=self.spec.read_jitter_ns,
-                rng=np.random.default_rng(self._rng.integers(0, 2**63 - 1)),
-            )
-        return self._clocks[key]
-
-    def cross_core_comparable(self) -> bool:
-        """Whether raw timestamps may be compared across cores."""
-        return self.spec.tsc_reliable
-
-    def __len__(self) -> int:
-        return len(self._clocks)

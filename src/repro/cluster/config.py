@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cluster.clock import ClockDomain, ClockSpec
-from repro.cluster.noise import NoiseSpec, OSNoiseModel, WindowedNoiseModel
+from repro.cluster.clock import ClockSpec
+from repro.cluster.noise import NoiseSpec, OSNoiseModel
 from repro.cluster.topology import Cluster
 
 
@@ -67,27 +67,8 @@ class MachineConfig:
             name=self.name,
         )
 
-    def build_clock_domain(self, rng: Optional[np.random.Generator] = None) -> ClockDomain:
-        """Instantiate the per-core clock population."""
-        return ClockDomain(self.clock_spec, rng=rng)
-
-    def build_noise_model(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        windowed: bool = False,
-        window_s: float = 1.0,
-    ) -> OSNoiseModel:
-        """Instantiate the OS-noise model (one per process/trial).
-
-        ``windowed=True`` builds a
-        :class:`~repro.cluster.noise.WindowedNoiseModel`: per-core event
-        timelines pre-generated ``window_s`` seconds at a time, the variant
-        the event-driven backend uses so region execution stops drawing
-        noise events query by query.
-        """
-        if windowed:
-            return WindowedNoiseModel(self.noise_spec, rng=rng, window_s=window_s)
+    def build_noise_model(self, rng: Optional[np.random.Generator] = None) -> OSNoiseModel:
+        """Instantiate the OS-noise model (one per process/trial)."""
         return OSNoiseModel(self.noise_spec, rng=rng)
 
     def without_noise(self) -> "MachineConfig":

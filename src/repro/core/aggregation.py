@@ -20,8 +20,8 @@ cube's rows pooled in slice order.  A block's
 :attr:`~ColumnBlock.sorted_cube` sorts every group once, on first use, for
 all the passes that read order statistics.
 Campaign producers emit blocks directly (:func:`campaign_block`: the
-sampled tensor *is* the cube); :func:`canonical_block` re-slices flat
-column input (event-backend shards, datasets) into the same form.
+sampled tensor *is* the cube); :func:`canonical_block` sorts flat column
+input (a dataset's rows) into the same form.
 """
 
 from __future__ import annotations
@@ -182,13 +182,12 @@ class ShardSlice(NamedTuple):
     A block's samples are several shards' rows laid end to end (the cube's
     slices in order, ``n_iterations * n_threads`` rows each); ``start:stop``
     delimits one shard's rows.  Mirrors the identity attributes of
-    :class:`~repro.core.timing.TimingShard` (``process=None``: all processes
-    of the trial), so partials built from a slice carry the shard's serial
-    ordering key.
+    :class:`~repro.core.timing.TimingShard`, so partials built from a slice
+    carry the shard's serial ordering key.
     """
 
     trial: int
-    process: Optional[int]
+    process: int
     start: int
     stop: int
 
@@ -200,7 +199,7 @@ class ShardSlice(NamedTuple):
     def sort_key(self) -> Tuple[int, int]:
         """Position in the serial (trial-major) shard order (=
         :attr:`~repro.core.timing.TimingShard.sort_key`)."""
-        return (self.trial, -1 if self.process is None else self.process)
+        return (self.trial, self.process)
 
     @classmethod
     def of(cls, shard: TimingShard) -> "ShardSlice":
@@ -220,28 +219,19 @@ class ColumnBlock:
 
     ``cube[s]`` is slice ``s``'s ``(n_iterations, n_threads)`` matrix of
     compute times (seconds), its process-iteration groups; ``slices[s]`` is
-    its (trial, process).  Every slice lists the same ascending
-    ``iterations`` and ``threads``, so the id columns are a base plus the
-    shape: :attr:`columns` and the views of :meth:`iter_shards` derive them
-    only when read.  ``planes`` are per-sample arrays shaped like the cube
-    that a backend really measured (the event backend's ``start_ns`` /
-    ``end_ns``); ``shard_slices`` are the producer's shards over the same
-    rows (an event shard spans its trial's processes; default: ``slices``);
-    ``stored`` (:class:`~repro.io.shard_store.StoredRows`) is set on blocks
-    read from a shard store, for re-reading a slice's samples later.
+    its (trial, process), one campaign shard.  Every slice lists the same
+    ascending ``iterations`` and ``threads``, so the id columns are a base
+    plus the shape: :attr:`columns` and the views of :meth:`iter_shards`
+    derive them only when read.  ``stored``
+    (:class:`~repro.io.shard_store.StoredRows`) is set on blocks read from a
+    shard store, for re-reading a slice's samples later.
     """
 
     cube: np.ndarray
     slices: Tuple[ShardSlice, ...]
     iterations: np.ndarray
     threads: np.ndarray
-    planes: Mapping[str, np.ndarray] = field(default_factory=dict)
-    shard_slices: Tuple[ShardSlice, ...] = ()
     stored: Optional[Any] = None
-
-    def __post_init__(self) -> None:
-        shard_slices = tuple(self.shard_slices or self.slices)
-        object.__setattr__(self, "shard_slices", shard_slices)
 
     @property
     def n_samples(self) -> int:
@@ -253,26 +243,20 @@ class ColumnBlock:
         return dict(CubeColumns(self))
 
     def iter_shards(self) -> Iterator[TimingShard]:
-        """The producer's shards (:attr:`shard_slices`) as lazy views."""
-        return (sl.shard(self) for sl in self.shard_slices)
+        """The block's shards, one per slice, as lazy views."""
+        return (sl.shard(self) for sl in self.slices)
 
     def rows(self, shard: ShardSlice) -> "ColumnBlock":
-        """The rows of ``shard`` (one of :attr:`shard_slices`) as a block of
-        their own: views of this block's arrays."""
+        """The rows of ``shard`` (one of :attr:`slices`) as a block of their
+        own: views of this block's arrays."""
         size = self.cube.shape[1] * self.cube.shape[2]
-        rows = slice(shard.start // size, shard.stop // size)
-        slices = [
-            sl._replace(start=k * size, stop=(k + 1) * size)
-            for k, sl in enumerate(self.slices[rows])
-        ]
+        k = shard.start // size
         return ColumnBlock(
-            self.cube[rows],
-            tuple(slices),
+            self.cube[k : k + 1],
+            (shard._replace(start=0, stop=size),),
             self.iterations,
             self.threads,
-            {name: plane[rows] for name, plane in self.planes.items()},
-            (shard._replace(start=0, stop=len(slices) * size),),
-            None if self.stored is None else self.stored.rows_from(rows.start),
+            None if self.stored is None else self.stored.rows_from(k),
         )
 
     @cached_property
@@ -327,16 +311,15 @@ def canonical_block(
     """The canonical :class:`ColumnBlock` of flat ``columns`` addressed by
     ``slices``.
 
-    For column input that is not a cube already — event-backend
-    ``process=None`` shards, dataset-backed shards, rows in any order: each
-    declared slice's rows are stable-sorted into dense order and re-sliced
-    per (trial, process), so the cube is the one a campaign producer would
-    have emitted.  Columns beyond the ids and ``compute_time_s`` become
-    planes; the declared slices become the block's ``shard_slices``.
+    For column input that is not a cube already — dataset-backed shards,
+    rows in any order: each declared (trial, process) slice's rows are
+    stable-sorted into dense (iteration, thread) order, so the cube is the
+    one a campaign producer would have emitted.  Columns beyond the ids and
+    ``compute_time_s`` (a dataset's raw clock readings) are not kept.
 
     Raises ``ValueError`` on rows outside their slice's declared trial /
     process and on non-dense rows (a missing or repeated (iteration,
-    thread) of some (trial, process)).
+    thread) of some slice, or slices of unequal size).
     """
     if not slices:
         raise ValueError("a column block needs at least one slice")
@@ -344,50 +327,28 @@ def canonical_block(
     rows = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
     owner = np.repeat(np.arange(len(slices)), sizes)
     declared = np.array([sl.sort_key for sl in slices])[owner]
-    trial = np.asarray(columns["trial"])[rows]
-    process = np.asarray(columns["process"])[rows]
-    if np.any(trial != declared[:, 0]) or np.any(
-        (declared[:, 1] != -1) & (process != declared[:, 1])
+    if np.any(np.asarray(columns["trial"])[rows] != declared[:, 0]) or np.any(
+        np.asarray(columns["process"])[rows] != declared[:, 1]
     ):
         raise ValueError("block rows lie outside their slice's trial/process")
     iteration = np.asarray(columns["iteration"])[rows]
     thread = np.asarray(columns["thread"])[rows]
-    order = np.lexsort((thread, iteration, process, owner))
-    owner, process = owner[order], process[order]
-    starts = np.flatnonzero(
-        np.r_[True, (owner[1:] != owner[:-1]) | (process[1:] != process[:-1])]
-    )
-    size = len(rows) // len(starts)
+    order = np.lexsort((thread, iteration, owner))
     layout = None
-    if size and np.all(np.diff(np.r_[starts, len(rows)]) == size):
-        layout = _layout(iteration[order], thread[order], len(starts))
+    if sizes[0] and len(set(sizes)) == 1:
+        layout = _layout(iteration[order], thread[order], len(slices))
     if layout is None:
         raise ValueError(
             "block rows are not dense: every (trial, process) needs each "
             "(iteration, thread) exactly once"
         )
     shape, iterations, threads = layout
-    permutation = rows[order]
-    planes = {
-        name: np.asarray(values)[permutation].reshape(shape)
-        for name, values in columns.items()
-        if name not in ("trial", "process", "iteration", "thread", "compute_time_s")
-    }
-    cube = np.asarray(columns["compute_time_s"], dtype=np.float64)[permutation]
-    resliced = [
-        ShardSlice(
-            slices[owner[start]].trial, int(process[start]), k * size, (k + 1) * size
-        )
-        for k, start in enumerate(starts)
-    ]
-    # each declared slice's rows are contiguous after the sort by owner
-    bounds = np.cumsum([0, *sizes]).tolist()
-    shard_slices = [
-        sl._replace(start=bounds[k], stop=bounds[k + 1]) for k, sl in enumerate(slices)
-    ]
-    return ColumnBlock(
-        cube.reshape(shape), resliced, iterations, threads, planes, shard_slices
+    cube = np.asarray(columns["compute_time_s"], dtype=np.float64)[rows[order]]
+    size = sizes[0]
+    rebased = tuple(
+        sl._replace(start=k * size, stop=(k + 1) * size) for k, sl in enumerate(slices)
     )
+    return ColumnBlock(cube.reshape(shape), rebased, iterations, threads)
 
 
 def _layout(

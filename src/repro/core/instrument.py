@@ -2,10 +2,10 @@
 
 Two instrumenters are provided:
 
-* :class:`RegionInstrumenter` — collects per-thread enter/exit timestamps from
-  the *simulated* OpenMP runtime (:class:`repro.openmp.runtime.OpenMPRuntime`
-  executions) and accumulates them into a :class:`~repro.core.timing.TimingDataset`.
-  The ``event`` campaign backend records through it.
+* :class:`RegionInstrumenter` — accumulates per-thread enter/exit timestamps
+  (raw monotonic readings) or derived compute times into a
+  :class:`~repro.core.timing.TimingDataset`.  The discrete-event reference
+  sampler in the test tree records its simulated clocks through it.
 * :class:`PythonThreadRegion` — applies the same methodology to a real Python
   thread pool using ``time.monotonic_ns()``.  It exists so the quickstart can
   demonstrate the measurement procedure end-to-end on real threads; because of

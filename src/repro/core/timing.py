@@ -65,7 +65,7 @@ class CubeColumns(Mapping):
     The block's cube holds one ``(n_iterations, n_threads)`` matrix per
     (trial, process) slice, every slice listing the same iteration and
     thread ids, so the id columns are built from the shape when read (and
-    not cached); ``compute_time_s`` and the block's planes are flat views.
+    not cached); ``compute_time_s`` is a flat view of the cube.
     """
 
     __slots__ = ("block",)
@@ -74,19 +74,16 @@ class CubeColumns(Mapping):
         self.block = block
 
     def __iter__(self) -> Iterator[str]:
-        ids = ("trial", "process", "iteration", "thread")
-        return iter((*ids, *self.block.planes, "compute_time_s"))
+        return iter(("trial", "process", "iteration", "thread", "compute_time_s"))
 
     def __len__(self) -> int:
-        return 5 + len(self.block.planes)
+        return 5
 
     def __getitem__(self, name: str) -> np.ndarray:
         block = self.block
         n_slices, n_iterations, n_threads = block.cube.shape
         if name == "compute_time_s":
             return block.cube.reshape(-1)
-        if name in block.planes:
-            return block.planes[name].reshape(-1)
         if name in ("trial", "process"):
             ids = np.array([getattr(sl, name) for sl in block.slices], dtype=np.int32)
             return np.repeat(ids, n_iterations * n_threads)
@@ -102,21 +99,15 @@ class CubeColumns(Mapping):
 class TimingShard:
     """One campaign shard: the timing columns of a (trial, process) slice.
 
-    Shards are the unit of work of the sharded campaign backends and of the
-    parallel executor: each holds the columns of one trial/process chunk and
-    knows where it belongs, so a set of shards can be merged back into a
+    Each shard holds the columns of one process of one trial and knows where
+    it belongs, so a set of shards can be merged back into a
     :class:`TimingDataset` in the deterministic serial order regardless of the
-    order in which workers produced them.
-
-    ``process is None`` marks a shard covering *all* processes of its trial
-    (the event-driven backend shards at trial granularity, because the
-    per-trial clock domain is consumed across processes).
-    A shard viewed out of a :class:`~repro.core.aggregation.ColumnBlock`
+    order in which workers produced them.  A shard viewed out of a :class:`~repro.core.aggregation.ColumnBlock`
     holds :class:`CubeColumns`, which derive the ids on access.
     """
 
     trial: int
-    process: Optional[int]
+    process: int
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
@@ -137,11 +128,11 @@ class TimingShard:
     @property
     def sort_key(self) -> Tuple[int, int]:
         """Position of this shard in the serial (trial-major) row order."""
-        return (self.trial, -1 if self.process is None else self.process)
+        return (self.trial, self.process)
 
     @classmethod
     def from_dataset(
-        cls, dataset: "TimingDataset", *, trial: int, process: Optional[int]
+        cls, dataset: "TimingDataset", *, trial: int, process: int
     ) -> "TimingShard":
         """Wrap an already-built dataset slice as a shard."""
         columns = {name: dataset.column(name) for name in dataset.columns}

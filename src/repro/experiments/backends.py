@@ -4,36 +4,31 @@ A :class:`CampaignBackend` turns a :class:`~repro.experiments.config.CampaignCon
 into timing samples.  Backends are registered by name with
 :func:`register_backend` and looked up with :func:`get_backend`, so new
 execution strategies (cached, distributed, GPU-resident, ...) plug into the
-campaign layer without touching it.  Two backends ship with the package:
+campaign layer without touching it.  One backend ships with the package,
+``"campaign"`` (the default): the whole-campaign tensor kernel.  It samples
+the applications' calibrated work/cost/noise models in closed form (no event
+engine) for *all* (trial, process) shards at once, as
+``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold for an
+entire shard chunk, whose sampled tensor is the chunk's column block
+(``chunk_shards`` bounds peak memory).  This is how full paper-scale
+campaigns (768 000 samples per application) complete in seconds.  Draw
+streams are keyed by absolute shard scope, so results are bit-identical
+across any chunking *and any worker count*: with ``max_workers > 1`` whole
+chunks fold in parallel on the executor's worker pool, returning their cubes
+through shared memory (or spilling straight into a
+:class:`~repro.io.shard_store.ShardStore`).  Every campaign runs on its own:
+a scenario sweep or a queue of service jobs is one campaign after another
+through the executor.
 
-* ``"campaign"`` (the default) — the whole-campaign tensor kernel: the
-  applications' calibrated work/cost/noise models sampled in closed form
-  (no event engine) for *all* (trial, process) shards at once, as
-  ``(n_shards, n_iterations, n_threads)`` arrays — one schedule fold for
-  an entire shard chunk, whose sampled tensor is the chunk's column block
-  (``chunk_shards`` bounds peak memory).  This is how full paper-scale
-  campaigns (768 000 samples per application) complete in seconds.  Draw
-  streams are keyed by absolute shard scope, so results are bit-identical
-  across any chunking *and any worker count*: with ``max_workers > 1``
-  whole chunks fold in parallel on the executor's worker pool, returning
-  their cubes through shared memory (or spilling straight into a
-  :class:`~repro.io.shard_store.ShardStore`).  Every campaign runs on its
-  own: a scenario sweep or a queue of service jobs is one campaign after
-  another through the executor.
-* ``"event"`` — every thread is a process on the discrete-event engine, the
-  entry/exit barriers and every noise preemption happen as events, and the
-  timestamps come from the per-core monotonic clocks.  Slower; it is the
-  clock/noise microstructure, used by the examples and by integration tests
-  that check the backends agree.
-
-Every backend decomposes its campaign into *shards* (:meth:`shard_specs`)
-and cuts it into *units of work* (:meth:`work_units`: one shard each, or
-one shard chunk for ``"campaign"``), and produces one unit's column block
-from nothing but the config and the unit (:meth:`unit_block`).  A unit
-re-derives all of its random streams from the campaign's root seed by
-name, so producing it is a pure function of (config, unit): the executor
-runs the units in-process for a serial run and on any worker, in any
-order, for a pooled one, and the merged result is bit-identical.
+Every backend decomposes its campaign into (trial, process) *shards*
+(:meth:`shard_specs`), cuts it into *units of work* (:meth:`work_units`: one
+shard each by default, one shard chunk for ``"campaign"``) and produces one
+unit's column block from nothing but the config and the unit
+(:meth:`unit_block`).  A unit re-derives all of its random streams from the
+campaign's root seed by name, so producing it is a pure function of
+(config, unit): the executor runs the units in-process for a serial run and
+on any worker, in any order, for a pooled one, and the merged result is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -46,9 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 from repro.apps import get_application
 from repro.apps.base import ProxyApplication
-from repro.core.aggregation import ColumnBlock, campaign_block, shard_block
-from repro.core.instrument import RegionInstrumenter
-from repro.core.timing import TimingShard
+from repro.core.aggregation import ColumnBlock, campaign_block
 from repro.sim.random import PurposeSplitRNG, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
@@ -76,22 +69,17 @@ def build_application(config: "CampaignConfig") -> ProxyApplication:
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """Address of one unit of campaign work.
-
-    ``process is None`` addresses all processes of the trial (used by
-    backends that can only shard at trial granularity).
-    """
+    """Address of one campaign shard: one process of one trial."""
 
     trial: int
-    process: Optional[int] = None
+    process: int
 
 
 class CampaignBackend(ABC):
     """Execution strategy of a measurement campaign.
 
-    A backend is its units of work.  Subclasses implement the shard
-    decomposition (:meth:`shard_specs`) and produce one unit's column block
-    (:meth:`unit_block`); by default a unit is one shard spec, and a
+    A backend is its units of work.  Subclasses produce one unit's column
+    block (:meth:`unit_block`); by default a unit is one shard spec, and a
     backend whose unit is a whole shard chunk overrides :meth:`work_units`
     too.  The executor (:class:`~repro.experiments.executor.ShardExecutor`)
     is the only driver: it runs the units in-process for a serial run and
@@ -101,9 +89,14 @@ class CampaignBackend(ABC):
     #: registered backend name (set by :func:`register_backend`)
     name: str = "abstract"
 
-    @abstractmethod
     def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
-        """The campaign's shards, in serial (trial-major) order."""
+        """The campaign's (trial, process) shards, in serial (trial-major)
+        order."""
+        return [
+            ShardSpec(trial=trial, process=process)
+            for trial in range(config.trials)
+            for process in range(config.processes)
+        ]
 
     def work_units(self, config: "CampaignConfig", workers: int) -> List[object]:
         """The picklable units a ``workers``-wide pool runs (``workers=1``:
@@ -203,80 +196,6 @@ def unregister_backend(name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# built-in backends
-# ----------------------------------------------------------------------
-@register_backend("event")
-class EventBackend(CampaignBackend):
-    """Discrete-event execution on the simulated OpenMP runtime.
-
-    Shards at trial granularity: the per-trial clock domain draws per-core
-    clocks lazily as processes touch their cores, so splitting a trial across
-    workers would change the draw order.  Within a shard the processes run in
-    serial order, which keeps results bit-identical to a fully serial run.
-
-    Noise is served from a :class:`~repro.cluster.noise.WindowedNoiseModel`:
-    each (core, trial) owns one pre-generated event timeline extended a whole
-    window at a time, so ``run_region`` stops drawing noise events iteration
-    by iteration — region execution queries the cached timeline instead.
-    (Adopting the windowed model changed the backend's noise draw order, so
-    its reference digest was re-recorded; distributional agreement with the
-    closed-form sampling is unchanged.)
-    """
-
-    def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
-        return [ShardSpec(trial=trial) for trial in range(config.trials)]
-
-    def unit_block(self, config: "CampaignConfig", spec: ShardSpec) -> ColumnBlock:
-        # imported here: the OpenMP runtime is only needed by this backend
-        from repro.openmp.runtime import OpenMPRuntime
-        from repro.openmp.team import ThreadTeam
-
-        streams = RandomStreams(config.seed)
-        app = build_application(config)
-        cluster = config.machine.build_cluster()
-        placements = cluster.place_processes(config.processes, config.threads)
-        instrumenter = RegionInstrumenter(region=app.region, application=app.name)
-        trial = spec.trial
-        clock_domain = config.machine.build_clock_domain(streams.get("clocks", trial))
-        for process in range(config.processes):
-            work_rng = streams.get(app.name, "work", trial, process)
-            noise_rng = streams.get(app.name, "noise", trial, process)
-            team_rng = streams.get(app.name, "team", trial, process)
-            # windowed: one pre-generated noise timeline per (core, trial)
-            # window instead of a fresh draw per delay query
-            noise = config.machine.build_noise_model(noise_rng, windowed=True)
-            app.begin_process(process, work_rng)
-            team = ThreadTeam(placements[process], clock_domain, noise, rng=team_rng)
-            runtime = OpenMPRuntime(team)
-            for iteration in range(config.iterations):
-                costs = app.item_costs(process, iteration, work_rng)
-                delays = app.application_delays(process, iteration, work_rng)
-                execution = runtime.run_region(
-                    costs,
-                    schedule=app.config.schedule,
-                    region=app.region,
-                    iteration=iteration,
-                    detailed=True,
-                )
-                # application-level delays act after the loop body (e.g. a
-                # straggler thread's extra stall) — add them to the recorded
-                # exit timestamps
-                for thread in execution.threads:
-                    extra_ns = int(round(delays[thread.thread_id] * 1e9))
-                    instrumenter.record_thread(
-                        trial=trial,
-                        process=process,
-                        iteration=iteration,
-                        thread=thread.thread_id,
-                        start_ns=thread.start_ns,
-                        end_ns=thread.end_ns + extra_ns,
-                    )
-        return shard_block(
-            TimingShard.from_dataset(instrumenter.dataset(), trial=trial, process=None)
-        )
-
-
-# ----------------------------------------------------------------------
 # chunk plumbing of the campaign tensor backend
 #
 # Pool workers rebuild the whole execution context from the picklable
@@ -358,14 +277,6 @@ class CampaignTensorBackend(CampaignBackend):
         self.chunk_shards = (
             int(chunk_shards) if chunk_shards is not None else self.DEFAULT_CHUNK_SHARDS
         )
-
-    # ------------------------------------------------------------------
-    def shard_specs(self, config: "CampaignConfig") -> List[ShardSpec]:
-        return [
-            ShardSpec(trial=trial, process=process)
-            for trial in range(config.trials)
-            for process in range(config.processes)
-        ]
 
     # ------------------------------------------------------------------
     # units of work: shard chunks

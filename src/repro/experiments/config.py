@@ -27,8 +27,8 @@ class CampaignConfig:
     seed: int = 20230421  # arXiv submission date of the paper
     machine: MachineConfig = field(default_factory=manzano)
     #: execution backend name, resolved against the backend registry
-    #: (:func:`repro.experiments.backends.available_backends`); the built-ins
-    #: are ``"campaign"`` (the production kernel) and ``"event"``
+    #: (:func:`repro.experiments.backends.available_backends`); the built-in
+    #: is ``"campaign"`` (the production kernel)
     backend: str = "campaign"
     #: worker-pool size for parallel sharded execution (1 = serial); results
     #: are bit-identical at any worker count

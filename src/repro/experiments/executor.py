@@ -49,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -122,62 +122,45 @@ def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport: process workers ship a block's cube (and its
-# measured planes, if any) back through one multiprocessing.shared_memory
-# segment per unit, created only *after* the block is built (so a crashed
-# worker leaves nothing in /dev/shm), instead of pickling them; the parent
-# attaches, copies the arrays once and unlinks.  The ids travel as the
-# block's slices, so 8 B per sample cross the process boundary
+# shared-memory transport: process workers ship a block's cube back
+# through one multiprocessing.shared_memory segment per unit, created only
+# *after* the block is built (so a crashed worker leaves nothing in
+# /dev/shm), instead of pickling it; the parent attaches, copies the cube
+# once and unlinks.  The ids travel as the block's slices, so 8 B per
+# sample cross the process boundary
 # ----------------------------------------------------------------------
-def pack_block(block: ColumnBlock) -> Tuple[str, list, ColumnBlock]:
-    """Pack one block's arrays into a shared-memory segment (worker side).
+def pack_block(block: ColumnBlock) -> Tuple[str, ColumnBlock]:
+    """Pack one block's cube into a shared-memory segment (worker side).
 
-    Returns the segment name, one ``(name, dtype, shape, offset)``
-    descriptor per array (the cube as ``compute_time_s``, then the planes)
-    and the block's array-free skeleton for :func:`unpack_block`.
+    Returns the segment name and the block's cube-free skeleton for
+    :func:`unpack_block`.
     """
-    arrays = {"compute_time_s": block.cube, **block.planes}
-    arrays = {name: np.ascontiguousarray(array) for name, array in arrays.items()}
-    total = sum(array.nbytes for array in arrays.values())
-    segment = shared_memory.SharedMemory(create=True, size=max(1, total))
+    cube = np.ascontiguousarray(block.cube, dtype=np.float64)
+    segment = shared_memory.SharedMemory(create=True, size=max(1, cube.nbytes))
     # The parent's attach re-registers the segment with the (fork-shared)
     # resource tracker and its unlink unregisters it, so drop the creation
     # registration here — otherwise the tracker double-counts and warns
     # about a "leaked" segment at shutdown.
     resource_tracker.unregister(segment._name, "shared_memory")
     try:
-        descriptors: List[Tuple[str, str, Tuple[int, ...], int]] = []
-        offset = 0
-        for name, array in arrays.items():
-            view = np.ndarray(
-                array.shape, dtype=array.dtype, buffer=segment.buf, offset=offset
-            )
-            view[...] = array
-            descriptors.append((name, array.dtype.str, array.shape, offset))
-            offset += array.nbytes
-        skeleton = dataclasses.replace(block, cube=np.empty(0), planes={})
-        return segment.name, descriptors, skeleton
+        np.ndarray(cube.shape, dtype=np.float64, buffer=segment.buf)[...] = cube
+        return segment.name, dataclasses.replace(block, cube=np.empty(0))
     finally:
         segment.close()
 
 
-def unpack_block(segment_name: str, descriptors, skeleton: ColumnBlock) -> ColumnBlock:
-    """Copy a packed block's arrays out of shared memory and unlink it
-    (parent side).  One copy per array — the fork-shared resource tracker
-    then forgets the segment cleanly."""
+def unpack_block(segment_name: str, skeleton: ColumnBlock) -> ColumnBlock:
+    """Copy a packed block's cube out of shared memory and unlink it
+    (parent side).  One copy — the fork-shared resource tracker then
+    forgets the segment cleanly."""
+    shape = (len(skeleton.slices), len(skeleton.iterations), len(skeleton.threads))
     segment = shared_memory.SharedMemory(name=segment_name)
     try:
-        arrays = {}
-        for name, dtype, shape, offset in descriptors:
-            view = np.ndarray(
-                tuple(shape), dtype=np.dtype(dtype), buffer=segment.buf, offset=offset
-            )
-            arrays[name] = view.copy()
+        cube = np.ndarray(shape, dtype=np.float64, buffer=segment.buf).copy()
     finally:
         segment.close()
         segment.unlink()
-    cube = arrays.pop("compute_time_s")
-    return dataclasses.replace(skeleton, cube=cube, planes=arrays)
+    return dataclasses.replace(skeleton, cube=cube)
 
 
 def discard_shm(segment_name: str) -> None:

@@ -112,8 +112,7 @@ def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
     found by address (the slice of its (trial, process), the row of its
     iteration), a fresh copy equal to the dense path's group.
 
-    ``shards`` is a shard sequence (each read as its block, so event
-    ``process=None`` shards are re-sliced per process) or anything with
+    ``shards`` is a shard sequence (each read as its block) or anything with
     ``iter_column_blocks()`` (a store or a campaign result); a stored row
     is read alone through the block's :class:`~repro.io.shard_store.StoredRows`.
     """

@@ -121,11 +121,11 @@ class CampaignResult:
     """Outcome of one application's campaign, merged on demand.
 
     Holds either the :class:`~repro.core.aggregation.ColumnBlock` s the
-    executor produced (fresh run: one per ``campaign`` chunk, one per shard
-    for the other backends) or a :class:`~repro.io.shard_store.ShardStore`
+    executor produced (fresh run: one per unit of work, e.g. one per
+    ``campaign`` chunk) or a :class:`~repro.io.shard_store.ShardStore`
     (out-of-core run or cache hit).  A block is a cube of compute times
-    plus its slice keys, 8 B per sample (plus the event backend's measured
-    clock planes), so a finished in-memory result holds no id columns.
+    plus its slice keys, 8 B per sample, so a finished in-memory result
+    holds no id columns.
     Iterating yields the shards — lazy views of the blocks that derive
     their id columns on access; :attr:`dataset` merges them — once — into
     the dense :class:`~repro.core.timing.TimingDataset`.  Store-backed
@@ -180,9 +180,8 @@ class CampaignResult:
         (trial-major) shard order:
 
         * in-memory results yield the blocks their producer made — one
-          multi-slice block per ``campaign`` chunk, one block per shard for
-          the other backends (an event-backend shard's block holds one
-          slice per process of its trial);
+          block per unit of work (a multi-slice block per ``campaign``
+          chunk);
         * store-backed results yield each on-disk group as one zero-copy
           mmap block
           (:meth:`~repro.io.shard_store.ShardStore.iter_column_blocks`).

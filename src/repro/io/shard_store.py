@@ -11,16 +11,14 @@ Layout — one *directory* per store::
 
     campaign.store/
         manifest.json        # format version, metadata, group index
-        group-00000.bin      # group 0: magic, float64 cube, extra planes
+        group-00000.bin      # group 0: magic, float64 cube
         group-00001.bin      # ...
 
 A group file is one :class:`~repro.core.aggregation.ColumnBlock`: the
-16-byte magic, one ``(n_slices, n_iterations, n_threads)`` float64 cube of
-compute times, then any planes a backend really measured (the event
-backend's ``start_ns`` / ``end_ns``), each shaped like the cube — 8 B per
-sample for the campaign backend.  The manifest holds the
-ids: per group its slice keys, iterations, threads, shard addresses,
-planes and a ``zlib.crc32`` of the file.  ``append_block`` (or
+16-byte magic, then one ``(n_slices, n_iterations, n_threads)`` float64
+cube of compute times — 8 B per sample.  The manifest holds the ids: per
+group its (trial, process) slice keys, iterations, threads and a
+``zlib.crc32`` of the file.  ``append_block`` (or
 ``append(shard)``) buffers blocks until their bytes exceed
 :attr:`~ShardStore.spill_threshold_bytes`, then flushes them as one group.
 ``iter_column_blocks()`` memory-maps one group at a time as a block and
@@ -37,13 +35,13 @@ Durability and sharing:
 * ``iter_shards()`` on a read-only store re-reads the manifest per call
   (snapshot semantics: iteration sees every group flushed before the call
   and is unaffected by concurrent ``append``/``flush``);
-* round-trips are **bit-identical**: the cube and planes are stored as raw
-  bytes of the arrays that were appended, so a stored-and-reloaded campaign
+* round-trips are **bit-identical**: the cube is stored as the raw bytes
+  of the arrays that were appended, so a stored-and-reloaded campaign
   merges into the same dataset — and the same digest — as the in-memory
   run (pinned in the test suite);
 * :meth:`~ShardStore.verify` checks every group's size and crc32, so a
-  torn or bit-flipped entry is caught before it is served; a store of an
-  older format version fails to open, and the campaign cache treats both
+  torn or bit-flipped entry is caught before it is served; a store of
+  another format version fails to open, and the campaign cache treats both
   as misses that it removes and recomputes;
 * a reader that must keep a shard's samples past the scan (the analyses
   hold every slice until they finalize) keeps a :class:`StoredRows` handle
@@ -74,7 +72,7 @@ from repro.core.timing import TimingDataset, TimingShard
 PathLike = Union[str, Path]
 
 #: on-disk format version of the store directory (manifest + group files)
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 
 #: group files start with this magic; the cube follows it
 GROUP_MAGIC = b"REPRO-SHARD-GRP2"
@@ -95,47 +93,34 @@ def write_group_payload(
 ) -> Dict[str, object]:
     """Write one group file's bytes at ``path``; return its manifest entry.
 
-    Exactly the format :meth:`ShardStore.flush` spills (16-byte magic, the
-    blocks' cubes back to back, then each plane's blocks back to back),
-    minus the manifest bookkeeping — so a pool worker can serialise its
+    Exactly the format :meth:`ShardStore.flush` spills (16-byte magic, then
+    the blocks' cubes back to back), minus the manifest bookkeeping — so a pool worker can serialise its
     block straight into the store's on-disk layout and the parent merely
     adopts the finished file (:meth:`ShardStore.adopt_group`) instead of
     round-tripping the arrays.  The blocks must share their iteration and
-    thread ids and their planes.  The entry carries the file's crc32; its
+    thread ids.  The entry carries the file's crc32; its
     ``"file"`` field is left empty for the adopter to fill.
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("cannot write an empty group")
     first = blocks[0]
-    planes = {name: plane.dtype for name, plane in first.planes.items()}
     for block in blocks[1:]:
-        if {name: plane.dtype for name, plane in block.planes.items()} != planes or (
+        if (
             block.cube.shape[1:] != first.cube.shape[1:]
             or np.any(block.iterations != first.iterations)
             or np.any(block.threads != first.threads)
         ):
-            raise ValueError("the blocks of a group need the same column set and ids")
+            raise ValueError("the blocks of a group need the same ids")
     size = first.cube.shape[1] * first.cube.shape[2]
     slices = [sl for block in blocks for sl in block.slices]
-    shards = [
-        {
-            "trial": int(sl.trial),
-            "process": None if sl.process is None else int(sl.process),
-            "n_samples": int(sl.n_samples),
-        }
-        for block in blocks
-        for sl in block.shard_slices
-    ]
     crc = zlib.crc32(GROUP_MAGIC)
     with open(path, "wb") as handle:
         handle.write(GROUP_MAGIC)
-        for name in ["compute_time_s", *planes]:
-            for block in blocks:
-                array = block.cube if name == "compute_time_s" else block.planes[name]
-                data = np.ascontiguousarray(array).data.cast("B")
-                handle.write(data)
-                crc = zlib.crc32(data, crc)
+        for block in blocks:
+            data = np.ascontiguousarray(block.cube, dtype=np.float64).data.cast("B")
+            handle.write(data)
+            crc = zlib.crc32(data, crc)
         handle.flush()
         os.fsync(handle.fileno())
     return {
@@ -145,8 +130,6 @@ def write_group_payload(
         "slices": [[int(sl.trial), int(sl.process)] for sl in slices],
         "iterations": first.iterations.tolist(),
         "threads": first.threads.tolist(),
-        "planes": [{"name": name, "dtype": t.str} for name, t in planes.items()],
-        "shards": shards,
     }
 
 
@@ -154,8 +137,8 @@ def _check_open_file_limit(path: Path, groups: List[dict]) -> None:
     """Refuse a scan of ``groups`` whose open files would pass the limit.
 
     A full hold needs one descriptor per group, plus the group being mapped
-    and the one before it (the file being opened, the cube's mapping and
-    one mapping per plane each).
+    and the one before it (the file being opened and the cube's mapping
+    each).
     """
     try:
         import resource
@@ -168,7 +151,7 @@ def _check_open_file_limit(path: Path, groups: List[dict]) -> None:
         in_use = len(os.listdir("/dev/fd"))
     except OSError:  # pragma: no cover - no descriptor listing
         in_use = 0
-    needed = len(groups) + 2 * (2 + max(len(g["planes"]) for g in groups))
+    needed = len(groups) + 2 * 2
     if in_use + needed > soft:
         raise OSError(
             errno.EMFILE,
@@ -364,9 +347,7 @@ class ShardStore:
         """Buffer one block, spilling a group once the threshold is hit."""
         self._check_writable()
         self._buffer.append(block)
-        self._buffered_bytes += block.cube.nbytes + sum(
-            plane.nbytes for plane in block.planes.values()
-        )
+        self._buffered_bytes += block.cube.nbytes
         if self._buffered_bytes >= self.spill_threshold_bytes:
             self.flush()
 
@@ -447,8 +428,8 @@ class ShardStore:
     # reading
     # ------------------------------------------------------------------
     def group_block(self, group: dict) -> ColumnBlock:
-        """One group as a block: its cube and planes are zero-copy
-        :class:`numpy.memmap` views (clean, evictable pages), its ids come
+        """One group as a block: its cube is a zero-copy
+        :class:`numpy.memmap` view (clean, evictable pages), its ids come
         from the manifest, and its ``stored`` :class:`StoredRows` holds the
         group file open for readers that keep slices past the scan."""
         path = self.path / group["file"]
@@ -459,31 +440,17 @@ class ShardStore:
         with open(path, "rb") as handle:
             if handle.read(len(GROUP_MAGIC)) != GROUP_MAGIC:
                 raise ValueError(f"{path} is not a shard-store group file")
-            offset = len(GROUP_MAGIC)
-            arrays = {}
-            for name, dtype in [("compute_time_s", "<f8")] + [
-                (plane["name"], plane["dtype"]) for plane in group["planes"]
-            ]:
-                arrays[name] = np.memmap(
-                    handle, dtype=np.dtype(dtype), mode="r", offset=offset, shape=shape
-                )
-                offset += arrays[name].nbytes
+            cube = np.memmap(
+                handle, dtype="<f8", mode="r", offset=len(GROUP_MAGIC), shape=shape
+            )
             stored = StoredRows(
                 _GroupFile(os.dup(handle.fileno())), len(GROUP_MAGIC), shape
             )
-        slices = [
+        slices = tuple(
             ShardSlice(int(trial), int(process), k * size, (k + 1) * size)
             for k, (trial, process) in enumerate(group["slices"])
-        ]
-        bounds = np.cumsum([0] + [e["n_samples"] for e in group["shards"]]).tolist()
-        shard_slices = [
-            ShardSlice(int(e["trial"]), e["process"], bounds[k], bounds[k + 1])
-            for k, e in enumerate(group["shards"])
-        ]
-        cube = arrays.pop("compute_time_s")
-        return ColumnBlock(
-            cube, slices, iterations, threads, arrays, shard_slices, stored
         )
+        return ColumnBlock(cube, slices, iterations, threads, stored)
 
     def iter_column_blocks(self):
         """Stream the store group by group as column blocks.
@@ -552,7 +519,7 @@ class ShardStore:
         """Check that the store is complete and every group file intact.
 
         Each group file must exist, hold exactly the 16-byte magic plus its
-        cube's and planes' bytes as the manifest records them, and match
+        cube's bytes as the manifest records them, and match
         the manifest's crc32 — so a truncated, missing or bit-flipped group
         fails here instead of surfacing as an mmap error or wrong samples
         later.  Reads every group once.  Raises ``ValueError``; returns
@@ -562,9 +529,7 @@ class ShardStore:
             raise ValueError(f"shard store at {self.path} is incomplete")
         for group in self._manifest["groups"]:  # type: ignore[union-attr]
             path = self.path / group["file"]
-            expected = len(GROUP_MAGIC) + int(group["n_samples"]) * (
-                8 + sum(np.dtype(plane["dtype"]).itemsize for plane in group["planes"])
-            )
+            expected = len(GROUP_MAGIC) + 8 * int(group["n_samples"])
             try:
                 size = path.stat().st_size
             except OSError:
@@ -602,9 +567,9 @@ class ShardStore:
     @property
     def n_shards(self) -> int:
         stored = sum(
-            len(group["shards"]) for group in self._manifest["groups"]  # type: ignore[index]
+            len(group["slices"]) for group in self._manifest["groups"]  # type: ignore[index]
         )
-        return stored + sum(len(block.shard_slices) for block in self._buffer)
+        return stored + sum(len(block.slices) for block in self._buffer)
 
     @property
     def n_samples(self) -> int:

@@ -5,8 +5,7 @@ offers the same two folds of a per-item cost array into per-thread busy
 times, one per execution path:
 
 * :meth:`LoopSchedule.simulate` — one loop instance (a 1-D cost vector).
-  This is the per-iteration oracle: besides the busy times it returns the
-  realised assignment, which the event-driven runtime reads.  For
+  Besides the busy times it returns the realised assignment.  For
   work-stealing-style schedules (``dynamic``, ``guided``) the assignment
   depends on execution order, so the fold replays the "grab the next chunk
   when idle" policy against the costs.
@@ -69,7 +68,7 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _static_block_offsets(n_items: int, n_threads: int) -> np.ndarray:
     """Memoized boundaries of the chunk-less static split (read-only).
 
-    The per-iteration execution paths (event backend, ``base_thread_times``)
+    The per-iteration paths (MiniFE's calibration, the reference samplers)
     ask for the same ``(n_items, n_threads)`` split every call; the answer
     never changes, so it is computed once and shared.
     """

@@ -53,7 +53,7 @@ class Scenario:
         Optional OpenMP schedule clause (``"static"``, ``"dynamic,4"``,
         ``"guided"``); ``None`` keeps each application's default.
     backend:
-        Optional campaign-backend name (``"campaign"``, ``"event"``, ...)
+        Optional campaign-backend name (``"campaign"``, or any registered one)
         pinning the execution strategy; ``None`` keeps the campaign default
         (and an explicit ``backend=`` override to
         :meth:`campaign_config` wins over both).

@@ -9,13 +9,9 @@ new machine personalities (heavy-tailed SMI storms, bursty cron fleets,
 virtualised network interrupts, ...) plug into the noise model without
 touching the cluster layer.
 
-A source answers the two questions the model asks:
-
-* :meth:`NoiseSource.events_in` — the discrete noise events on one core in a
-  window, for the event-driven execution path;
-* :meth:`NoiseSource.batch_extra` — statistically equivalent total extra
-  delay for a batch of independent compute windows, for the vectorised
-  campaign fast path.
+A source answers the one question the model asks,
+:meth:`NoiseSource.batch_extra`: the total extra delay its events add to
+each window of a batch of independent compute windows.
 
 The two built-ins ``periodic-daemon`` and ``poisson-interrupts`` reproduce
 the seed's populations bit-identically (same draw order, same guards), which
@@ -29,14 +25,12 @@ catalog refers to by name.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Tuple, Type
+from typing import Callable, Dict, Tuple, Type
 
 import numpy as np
 
-from repro.cluster.noise import NoiseEvent, NoiseSourceSpec, NoiseSpec
+from repro.cluster.noise import NoiseSourceSpec, NoiseSpec
 from repro.openmp.schedule import segment_sums
-
-CoreKey = Tuple[int, int, int]
 
 
 class NoiseSource(ABC):
@@ -52,21 +46,10 @@ class NoiseSource(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        """Noise events of this source on ``core_key`` in ``[start_s, end_s)``."""
-
-    @abstractmethod
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Total extra delay per entry of ``work`` (independent windows)."""
 
     # ------------------------------------------------------------------
-    @property
-    def horizon_s(self) -> float:
-        """Look-ahead this source needs beyond the compute window."""
-        return 0.0
-
     def params(self) -> Dict[str, float]:
         """The source's constructor parameters (for specs and reports)."""
         return {}
@@ -191,8 +174,8 @@ def _sum_per_window(
 class PeriodicDaemonSource(NoiseSource):
     """Timer ticks, kernel threads, monitoring agents.
 
-    A fixed period, a fixed (small) duration and a per-core phase drawn
-    lazily on first touch — exactly the seed's periodic population.
+    A fixed period and a fixed (small) duration — exactly the seed's
+    periodic population.
     """
 
     def __init__(self, period_s: float = 0.010, duration_s: float = 4.0e-6) -> None:
@@ -201,35 +184,9 @@ class PeriodicDaemonSource(NoiseSource):
             raise ValueError("duration_s requires a non-zero period_s")
         self.period_s = float(period_s)
         self.duration_s = float(duration_s)
-        self._phases: Dict[CoreKey, float] = {}
 
     def params(self) -> Dict[str, float]:
         return {"period_s": self.period_s, "duration_s": self.duration_s}
-
-    @property
-    def horizon_s(self) -> float:
-        return self.period_s
-
-    def _phase_for(self, core_key: CoreKey, rng: np.random.Generator) -> float:
-        if core_key not in self._phases:
-            self._phases[core_key] = (
-                float(rng.uniform(0.0, self.period_s)) if self.period_s > 0 else 0.0
-            )
-        return self._phases[core_key]
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        if self.period_s <= 0 or self.duration_s <= 0:
-            return []
-        phase = self._phase_for(core_key, rng)
-        first = np.ceil((start_s - phase) / self.period_s)
-        tick = phase + first * self.period_s
-        events: List[NoiseEvent] = []
-        while tick < end_s:
-            events.append(NoiseEvent(tick, self.duration_s))
-            tick += self.period_s
-        return events
 
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.period_s <= 0 or self.duration_s <= 0:
@@ -259,23 +216,6 @@ class PoissonInterruptSource(NoiseSource):
 
     def params(self) -> Dict[str, float]:
         return {"rate_hz": self.rate_hz, "mean_s": self.mean_s, "max_s": self.max_s}
-
-    @property
-    def horizon_s(self) -> float:
-        return self.max_s
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        if self.rate_hz <= 0 or self.mean_s <= 0:
-            return []
-        window = end_s - start_s
-        n = int(rng.poisson(self.rate_hz * window))
-        if n == 0:
-            return []
-        starts = start_s + rng.uniform(0.0, window, size=n)
-        durations = np.minimum(rng.exponential(self.mean_s, size=n), self.max_s)
-        return [NoiseEvent(float(s), float(d)) for s, d in zip(starts, durations)]
 
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.rate_hz <= 0 or self.mean_s <= 0:
@@ -323,26 +263,9 @@ class ParetoInterruptSource(NoiseSource):
             "max_s": self.max_s,
         }
 
-    @property
-    def horizon_s(self) -> float:
-        return self.max_s
-
     def _durations(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # (1 + Pareto(alpha)) * scale is a Pareto with minimum `scale`
         return np.minimum(self.scale_s * (1.0 + rng.pareto(self.alpha, size=n)), self.max_s)
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        if self.rate_hz <= 0 or self.scale_s <= 0:
-            return []
-        window = end_s - start_s
-        n = int(rng.poisson(self.rate_hz * window))
-        if n == 0:
-            return []
-        starts = start_s + rng.uniform(0.0, window, size=n)
-        durations = self._durations(n, rng)
-        return [NoiseEvent(float(s), float(d)) for s, d in zip(starts, durations)]
 
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.rate_hz <= 0 or self.scale_s <= 0:
@@ -359,8 +282,7 @@ class ParetoInterruptSource(NoiseSource):
 class CronBurstSource(NoiseSource):
     """Bursty cron-style daemons: long quiet periods, then a volley.
 
-    Fires every ``period_s`` (per-core phase, like the periodic daemon); each
-    firing launches a Poisson-sized burst of back-to-back jobs with
+    Fires every ``period_s`` (like the periodic daemon); each firing launches a Poisson-sized burst of back-to-back jobs with
     exponentially distributed durations (capped).  Models log rotation,
     telemetry uploads and health-check fleets that wake together.
     """
@@ -381,7 +303,6 @@ class CronBurstSource(NoiseSource):
         self.burst_mean = float(burst_mean)
         self.duration_s = float(duration_s)
         self.max_s = float(max_s)
-        self._phases: Dict[CoreKey, float] = {}
 
     def params(self) -> Dict[str, float]:
         return {
@@ -390,42 +311,6 @@ class CronBurstSource(NoiseSource):
             "duration_s": self.duration_s,
             "max_s": self.max_s,
         }
-
-    @property
-    def horizon_s(self) -> float:
-        return self.period_s + self.max_s
-
-    def _phase_for(self, core_key: CoreKey, rng: np.random.Generator) -> float:
-        if core_key not in self._phases:
-            self._phases[core_key] = (
-                float(rng.uniform(0.0, self.period_s)) if self.period_s > 0 else 0.0
-            )
-        return self._phases[core_key]
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        if self.period_s <= 0 or self.burst_mean <= 0 or self.duration_s <= 0:
-            return []
-        phase = self._phase_for(core_key, rng)
-        # start one period early: a burst fired just before the window can
-        # still have jobs landing inside it
-        first = np.ceil((start_s - phase) / self.period_s) - 1.0
-        tick = phase + first * self.period_s
-        events: List[NoiseEvent] = []
-        while tick < end_s:
-            n = int(rng.poisson(self.burst_mean))
-            cursor = tick
-            for duration in np.minimum(
-                rng.exponential(self.duration_s, size=n), self.max_s
-            ):
-                if cursor >= end_s:
-                    break
-                if cursor >= start_s:
-                    events.append(NoiseEvent(float(cursor), float(duration)))
-                cursor += float(duration)
-            tick += self.period_s
-        return events
 
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.period_s <= 0 or self.burst_mean <= 0 or self.duration_s <= 0:
@@ -478,34 +363,6 @@ class NetworkStormSource(NoiseSource):
             "span_s": self.span_s,
         }
 
-    @property
-    def horizon_s(self) -> float:
-        return self.span_s + self.packet_s
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        if self.storm_rate_hz <= 0 or self.packets_mean <= 0 or self.packet_s <= 0:
-            return []
-        # widen the arrival window by one span so storms that broke just
-        # before start_s still contribute their in-window packets; clip every
-        # packet to [start_s, end_s) to honour the events_in contract
-        window = end_s - start_s + self.span_s
-        n_storms = int(rng.poisson(self.storm_rate_hz * window))
-        events: List[NoiseEvent] = []
-        for _ in range(n_storms):
-            storm_start = start_s - self.span_s + float(rng.uniform(0.0, window))
-            n_packets = int(rng.poisson(self.packets_mean))
-            if n_packets == 0:
-                continue
-            offsets = np.sort(rng.uniform(0.0, self.span_s, size=n_packets))
-            events.extend(
-                NoiseEvent(float(t), self.packet_s)
-                for t in storm_start + offsets
-                if start_s <= t < end_s
-            )
-        return events
-
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if self.storm_rate_hz <= 0 or self.packets_mean <= 0 or self.packet_s <= 0:
             return np.zeros_like(work)
@@ -517,11 +374,6 @@ class NetworkStormSource(NoiseSource):
 @register_noise_source("silent")
 class SilentSource(NoiseSource):
     """A source that never fires — the explicit 'no noise' population."""
-
-    def events_in(
-        self, core_key: CoreKey, start_s: float, end_s: float, rng: np.random.Generator
-    ) -> List[NoiseEvent]:
-        return []
 
     def batch_extra(self, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.zeros_like(work)

@@ -2,9 +2,9 @@
 
 Campaign datasets are expensive enough to be worth sharing, so the three
 per-application smoke datasets are built once per session.  All fixtures are
-deterministic (fixed seeds).  Importing :mod:`oracles.vectorized` registers
-the per-iteration reference sampler as the ``"vectorized"`` backend for every
-test.
+deterministic (fixed seeds).  Importing :mod:`oracles.vectorized` and
+:mod:`oracles.event` registers the per-iteration and discrete-event reference
+samplers as the ``"vectorized"`` and ``"event"`` backends for every test.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles.event  # noqa: F401  (registers the "event" backend)
 import oracles.vectorized  # noqa: F401  (registers the "vectorized" backend)
 from repro.core.timing import TimingDataset
 from repro.experiments.config import CampaignConfig

@@ -131,7 +131,6 @@ class TestStoreBackedBlocks:
             assert slices == sorted(slices, key=lambda sl: sl.sort_key)
             assert slices[-1].stop == block.cube.size
             assert isinstance(block.cube, np.memmap)
-            assert not block.planes  # the campaign backend measures no clocks
 
 
 class TestInMemoryBlocks:
@@ -142,14 +141,17 @@ class TestInMemoryBlocks:
         assert _products(results) == ref
 
     def test_dataset_block_matches_shard_fold(self):
-        """Dataset-derived shards (``process=None``, not block-shaped) are
-        re-sliced per (trial, process) and still match exactly."""
+        """Dataset-derived shards (flat columns, not block-shaped) are
+        sorted into (trial, process) slices and still match exactly."""
         dataset = CampaignSession(CONFIG).run().dataset
         shards = [
             TimingShard.from_dataset(
-                dataset.select(trial=int(trial)), trial=int(trial), process=None
+                dataset.select(trial=int(trial), process=int(process)),
+                trial=int(trial),
+                process=int(process),
             )
             for trial in dataset.trials
+            for process in dataset.processes
         ]
         context = AnalysisContext.from_dataset(dataset)
         ref = _products(run_analyses(shards, "all", context))

@@ -57,6 +57,26 @@ class TestParallelBitIdentical:
         parallel = CampaignSession(config.parallel(2)).run().dataset
         _assert_bit_identical(serial, parallel)
 
+    def test_event_oracle_cli_writes_the_same_outputs_pooled(self, tmp_path):
+        """The executor pools the event reference's per-trial units like any
+        backend's: a two-trial smoke CLI run writes the same files serially
+        and on two process workers."""
+        from repro.experiments.runner import main
+
+        outputs = []
+        for extra in ([], ["--max-workers", "2"]):
+            out = tmp_path / f"run{len(outputs)}"
+            argv = ["--scale", "smoke", "--backend", "event", "--trials", "2"]
+            assert main([*argv, "--output", str(out), *extra]) == 0
+            outputs.append(
+                {
+                    path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*"))
+                    if path.is_file() and "cache" not in path.relative_to(out).parts
+                }
+            )
+        assert outputs[0] and outputs[0] == outputs[1]
+
     def test_parallel_stream_matches_serial_stream(self):
         config = CampaignConfig.smoke().with_backend("vectorized")
         serial_shards = list(CampaignSession(config).stream())
@@ -135,15 +155,12 @@ class TestSharedMemoryTransport:
         config = CampaignConfig.smoke().with_backend(backend_name)
         backend = get_backend(backend_name)
         block = backend.unit_block(config, backend.work_units(config, 1)[0])
-        segment_name, descriptors, skeleton = executor_module.pack_block(block)
-        unpacked = executor_module.unpack_block(segment_name, descriptors, skeleton)
+        segment_name, skeleton = executor_module.pack_block(block)
+        assert skeleton.cube.size == 0  # only the cube crosses the boundary
+        unpacked = executor_module.unpack_block(segment_name, skeleton)
         assert unpacked.slices == block.slices
-        assert unpacked.shard_slices == block.shard_slices
         np.testing.assert_array_equal(unpacked.iterations, block.iterations)
         np.testing.assert_array_equal(unpacked.threads, block.threads)
-        # the cube, plus the event backend's measured clock planes
-        assert list(unpacked.planes) == list(block.planes)
-        assert bool(block.planes) == (backend_name == "event")
         columns = block.columns
         assert list(unpacked.columns) == list(columns)
         for name, array in columns.items():

@@ -1,4 +1,5 @@
-"""Integration: the vectorised and event-driven execution paths agree.
+"""Integration: the per-iteration and discrete-event reference samplers
+agree.
 
 The two backends share the application work models and the noise/clock
 populations, so (a) with noise disabled they must agree essentially exactly,
@@ -8,6 +9,7 @@ and (b) with noise enabled they must agree in distribution.
 import numpy as np
 import pytest
 
+from oracles.event import record_trial
 from repro.analysis import analyze_dataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
@@ -59,8 +61,11 @@ class TestBackendAgreement:
         )
 
     def test_event_backend_records_raw_clock_readings(self):
-        dataset = _dataset(_config("minife", "event", noise=False))
+        # the backend's samples are the compute times of these readings
+        config = _config("minife", "event", noise=False)
+        dataset = record_trial(config, trial=0)
         assert "start_ns" in dataset.columns
+        assert np.array_equal(dataset.compute_times_s, _dataset(config).compute_times_s)
         starts = dataset.column("start_ns")
         ends = dataset.column("end_ns")
         assert np.all(ends >= starts)

@@ -16,7 +16,7 @@ Importing this module registers the backend (``tests/conftest.py`` and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,16 +85,7 @@ class VectorizedBackend(CampaignBackend):
     exactly as the serial nested loop would.
     """
 
-    def shard_specs(self, config) -> List[ShardSpec]:
-        return [
-            ShardSpec(trial=trial, process=process)
-            for trial in range(config.trials)
-            for process in range(config.processes)
-        ]
-
     def unit_block(self, config, spec: ShardSpec) -> ColumnBlock:
-        if spec.process is None:
-            raise ValueError(f"{self.name} backend shards per process, got {spec}")
         streams = RandomStreams(config.seed)
         app = build_application(config)
         trial, process = spec.trial, spec.process

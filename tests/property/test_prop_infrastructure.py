@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.cluster.clock import MonotonicClock
+from oracles.event import MonotonicClock, WindowedNoiseModel
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
 from repro.cluster.topology import Core
 from repro.core.aggregation import AggregationLevel, aggregate
@@ -39,8 +39,8 @@ def test_noise_delays_nonnegative_for_any_workload(work, seed):
     model = OSNoiseModel(NoiseSpec(), np.random.default_rng(seed))
     batch = model.batch_delays(work)
     assert np.all(batch >= 0.0)
-    core = Core(0, 0, 0)
-    assert model.delay_over(core, 0.0, float(work[0])) >= 0.0
+    timeline = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(seed))
+    assert timeline.delay_over(Core(0, 0, 0), 0.0, float(work[0])) >= 0.0
 
 
 @st.composite

@@ -3,8 +3,8 @@
 Two invariants the scenario matrix relies on:
 
 * every registered noise source — at default *and* randomly rescaled
-  parameters — produces non-negative, finite delays on both execution paths
-  (batch and event), for any workload;
+  parameters — produces non-negative, finite delays on both samplers (the
+  batch path and the event reference's timelines), for any workload;
 * a ``without_noise()`` machine adds exactly zero delay, for every
   registered scenario's machine.
 """
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles.event import WindowedNoiseModel, events_in
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
 from repro.cluster.topology import Core
 from repro.scenarios import (
@@ -51,7 +52,7 @@ def test_any_registered_source_yields_physical_delays(kind, work, seed, rescale)
     assert extra.shape == work.shape
     assert np.all(extra >= 0.0)
     assert np.all(np.isfinite(extra))
-    for event in source.events_in(CORE.global_id, 0.0, 0.5, rng):
+    for event in events_in(source, CORE.global_id, 0.0, 0.5, rng, {}):
         assert np.isfinite(event.start) and np.isfinite(event.duration)
         assert event.duration >= 0.0
 
@@ -66,7 +67,8 @@ def test_any_noise_profile_model_yields_physical_delays(profile, work, seed):
     model = OSNoiseModel(noise_profile(profile), np.random.default_rng(seed))
     batch = model.batch_delays(work)
     assert np.all(batch >= 0.0) and np.all(np.isfinite(batch))
-    scalar = model.delay_over(CORE, 0.0, float(work[0]))
+    timeline = WindowedNoiseModel(noise_profile(profile), np.random.default_rng(seed))
+    scalar = timeline.delay_over(CORE, 0.0, float(work[0]))
     assert scalar >= 0.0 and np.isfinite(scalar)
 
 
@@ -80,9 +82,10 @@ def test_without_noise_machines_add_zero_delay_for_every_scenario(name, work, se
     machine = get_scenario(name).machine_config().without_noise()
     model = machine.build_noise_model(np.random.default_rng(seed))
     assert not model.batch_delays(work).any()
-    assert model.delay_over(CORE, 0.0, float(work[0])) == 0.0
-    assert model.sample_wall_time(CORE, 0.0, float(work[0])) == float(work[0])
-    assert model.events_in(CORE, 0.0, 1.0) == []
+    timeline = WindowedNoiseModel(machine.noise_spec, np.random.default_rng(seed))
+    assert timeline.delay_over(CORE, 0.0, float(work[0])) == 0.0
+    assert timeline.jittered_compute(float(work[0])) == float(work[0])
+    assert timeline.events_in(CORE, 0.0, 1.0) == []
 
 
 @given(

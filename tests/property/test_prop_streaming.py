@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import AnalysisContext, run_analyses
+from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
 from repro.core.timing import TimingDataset, TimingShard
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.streaming import StreamingHistogram
@@ -47,16 +47,16 @@ def _exact_product_bytes(results):
     st.integers(1, 3),
     st.integers(1, 5),
     st.integers(8, 12),
-    st.sampled_from(["process", "trial"]),
+    st.sampled_from(["process", "dataset"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=25, deadline=None)
 def test_exact_products_independent_of_shard_layout(
     n_trials, n_processes, n_iterations, n_threads, granularity, seed
 ):
-    """Any dense campaign, cut into (trial, process) or whole-trial shards
-    with rows in any order, gives the exact products of the canonical
-    (trial, process) fold, byte for byte."""
+    """Any dense campaign, cut into (trial, process) shards or held as one
+    dataset, with rows in any order, gives the exact products of the
+    canonical (trial, process) fold, byte for byte."""
     rng = np.random.default_rng(seed)
     shape = (n_trials, n_processes, n_iterations, n_threads)
     times = rng.lognormal(-4.0, 0.3, size=shape)
@@ -76,9 +76,15 @@ def test_exact_products_independent_of_shard_layout(
     ]
     if granularity == "process":
         layout = [shard(sh.trial, sh.process, permute=True) for sh in canonical]
+        layout = [layout[i] for i in rng.permutation(len(layout))]
+        products = run_analyses(layout, "all", context)
     else:
-        layout = [shard(int(t), None, permute=True) for t in dataset.trials]
-    layout = [layout[i] for i in rng.permutation(len(layout))]
-    assert _exact_product_bytes(
-        run_analyses(layout, "all", context)
-    ) == _exact_product_bytes(run_analyses(canonical, "all", context))
+        order = rng.permutation(len(dataset))
+        shuffled = TimingDataset(
+            {name: dataset.column(name)[order] for name in dataset.columns},
+            dataset.metadata,
+        )
+        products = analyze_dataset(shuffled)
+    assert _exact_product_bytes(products) == _exact_product_bytes(
+        run_analyses(canonical, "all", context)
+    )

@@ -120,15 +120,16 @@ class TestRegistry:
             resolve_analyses(["laggards", "laggards"])
 
 
-def _trial_block(dataset, perm=None):
-    """The dataset's columns with one ``process=None`` slice per trial
-    (rows optionally permuted inside each trial's slice)."""
+def _process_slices(dataset, perm=None):
+    """The dataset's columns with one slice per (trial, process) (rows
+    optionally permuted inside each slice)."""
     columns = {name: dataset.column(name) for name in dataset.columns}
-    trial = columns["trial"]
+    trial, process = columns["trial"], columns["process"]
     slices = []
     for t in dataset.trials:
-        rows = np.flatnonzero(trial == t)
-        slices.append(ShardSlice(int(t), None, int(rows[0]), int(rows[-1]) + 1))
+        for q in dataset.processes:
+            rows = np.flatnonzero((trial == t) & (process == q))
+            slices.append(ShardSlice(int(t), int(q), int(rows[0]), int(rows[-1]) + 1))
     if perm is not None:
         order = np.concatenate(
             [sl.start + perm.permutation(sl.n_samples) for sl in slices]
@@ -153,19 +154,28 @@ def _assert_dense_cube(block, dataset):
 
 
 class TestCanonicalBlock:
-    def test_whole_dataset_is_resliced_per_process(self, dataset):
-        _assert_dense_cube(canonical_block(*_trial_block(dataset)), dataset)
+    def test_whole_dataset_is_one_slice_per_process(self, dataset):
+        _assert_dense_cube(canonical_block(*_process_slices(dataset)), dataset)
 
     def test_row_order_does_not_matter(self, dataset):
-        columns, slices = _trial_block(dataset, perm=np.random.default_rng(0))
+        columns, slices = _process_slices(dataset, perm=np.random.default_rng(0))
         _assert_dense_cube(canonical_block(columns, slices), dataset)
 
-    def test_event_backend_process_none_shards(self):
+    def test_trial_wide_slice_rejected(self, dataset):
+        # a slice addresses one process: rows of its trial's other
+        # processes lie outside it
+        columns, slices = _process_slices(dataset)
+        first, second = slices[:2]
+        assert (first.trial, first.stop) == (second.trial, second.start)
+        with pytest.raises(ValueError, match="outside"):
+            canonical_block(columns, [first._replace(stop=second.stop)])
+
+    def test_event_backend_blocks_hold_one_slice_per_process(self):
         config = CampaignConfig.smoke("minife").with_backend("event")
         result = CampaignSession(config).run()
-        assert all(shard.process is None for shard in result.shards)
+        assert [(s.trial, s.process) for s in result.shards] == [(0, 0), (0, 1)]
         for shard in result.shards:
-            block = canonical_block(shard.columns, [ShardSlice.of(shard)])
+            block = canonical_block(dict(shard.columns), [ShardSlice.of(shard)])
             _assert_dense_cube(block, shard.to_dataset())
 
     def test_producer_blocks_are_zero_copy(self):
@@ -222,8 +232,7 @@ SMOKE_CASES = [
 @pytest.fixture(scope="module", params=["lagdemo", *SMOKE_CASES])
 def case(request, dataset, shards, context):
     """``(dataset, shards, context)``: the laggard demo's (trial, process)
-    shards, or a smoke campaign's own shards (``process=None`` per trial on
-    the event backend)."""
+    shards, or a smoke campaign's own shards."""
     if request.param == "lagdemo":
         return dataset, shards, context
     app, backend = request.param.split("-")
@@ -781,9 +790,9 @@ class TestColumnarAnalyzer:
         ]
         assert _partial_bytes(whole) == _partial_bytes(one_by_one)
 
-    def test_trial_shards_yield_one_partial_per_process(self, dataset, context):
+    def test_dataset_block_yields_one_partial_per_process(self, dataset, context):
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
-        partials = mapper(canonical_block(*_trial_block(dataset)))
+        partials = mapper(canonical_block(*_process_slices(dataset)))
         assert len(partials) == dataset.n_trials * dataset.n_processes
 
     def test_concurrent_blocks_match_serial(self, shards, context):

@@ -1,9 +1,9 @@
 """Unit tests for the campaign backend registry.
 
-The package registers ``"campaign"`` (the default) and ``"event"``; the test
-tree adds the per-iteration reference sampler as ``"vectorized"``
-(:mod:`oracles.vectorized`), which these tests also use as a registrable
-third-party backend.
+The package registers ``"campaign"`` (the default); the test tree adds the
+per-iteration and discrete-event reference samplers as ``"vectorized"`` and
+``"event"`` (:mod:`oracles.vectorized`, :mod:`oracles.event`), which these
+tests also use as registrable third-party backends.
 """
 
 import multiprocessing
@@ -32,6 +32,7 @@ from repro.sim.random import RandomStreams
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+TESTS = Path(__file__).resolve().parents[1]
 
 
 def _package_only(*args: str) -> subprocess.CompletedProcess:
@@ -50,21 +51,44 @@ class TestRegistry:
         assert CampaignConfig().backend == "campaign"
         assert CampaignConfig.smoke().backend == "campaign"
 
-    def test_package_ships_campaign_and_event_only(self):
+    def test_package_ships_campaign_only(self):
         probe = _package_only(
             "-c",
             "from repro.experiments.backends import available_backends; "
             "print(','.join(available_backends()))",
         )
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.strip() == "campaign,event"
+        assert probe.stdout.strip() == "campaign"
 
-    def test_cli_backend_vectorized_is_a_usage_error(self):
+    @pytest.mark.parametrize("oracle", ["vectorized", "event"])
+    def test_cli_backend_vectorized_is_a_usage_error(self, oracle):
         # argparse takes --backend's choices from the registry, and the
-        # per-iteration reference sampler is registered by the tests only
-        run = _package_only("-m", "repro", "--backend", "vectorized")
+        # reference samplers are registered by the tests only
+        run = _package_only("-m", "repro", "--backend", oracle)
         assert run.returncode == 2
-        assert "invalid choice: 'vectorized'" in run.stderr
+        assert f"invalid choice: '{oracle}'" in run.stderr
+
+    def test_default_cli_import_loads_no_event_stack_or_oracle(self):
+        # with the test tree importable too: the runner must not pull in
+        # the discrete-event runtime or a reference sampler
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.experiments.runner; print(*sorted(sys.modules))",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert probe.returncode == 0, probe.stderr
+        loaded = set(probe.stdout.split())
+        assert "repro.experiments.runner" in loaded
+        for name in ("repro.openmp.runtime", "repro.openmp.team", "repro.openmp.forloop"):
+            assert name not in loaded
+        assert not {name for name in loaded if name.split(".")[0] == "oracles"}
 
     def test_get_backend_returns_named_instances(self):
         for name in available_backends():
@@ -264,7 +288,12 @@ class TestShardSpecs:
             "vectorized"
         ).shard_specs(config)
 
-    def test_event_shards_per_trial(self):
+    def test_event_shards_per_process_and_works_per_trial(self):
         config = CampaignConfig.smoke().scaled(trials=4)
-        specs = get_backend("event").shard_specs(config)
-        assert specs == [ShardSpec(trial=t) for t in range(4)]
+        backend = get_backend("event")
+        assert backend.shard_specs(config) == get_backend("campaign").shard_specs(config)
+        assert backend.work_units(config, 2) == [0, 1, 2, 3]
+
+    def test_shard_spec_needs_a_process(self):
+        with pytest.raises(TypeError):
+            ShardSpec(trial=0)

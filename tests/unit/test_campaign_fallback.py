@@ -182,11 +182,11 @@ class TestDistributionalAgreement:
 
     def test_ragged_item_counts_are_rejected(self):
         """Item counts that differ per process cannot stack into one cost
-        tensor: the error names the app and points to the ``event``
-        backend, which runs it."""
+        tensor: the error names the app and the limitation (the
+        discrete-event reference sampler still runs such an app)."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=15)
-            with pytest.raises(ValueError, match="'unit-ragged'.*'event'"):
+            with pytest.raises(ValueError, match="'unit-ragged'.*differ per process are not supported"):
                 _dataset(config)
             dataset = _dataset(config.with_backend("event"))
             assert dataset.n_samples == 3 * 2 * 15 * 16
@@ -200,7 +200,7 @@ class TestDistributionalAgreement:
         ``run`` rather than a shape error from a later stage."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=4)
-            with pytest.raises(ValueError, match="'unit-ragged'.*'event'"):
+            with pytest.raises(ValueError, match="'unit-ragged'.*differ per process are not supported"):
                 if entry_point == "stream":
                     list(CampaignSession(config).stream())
                 else:

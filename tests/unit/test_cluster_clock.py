@@ -1,9 +1,11 @@
-"""Unit tests for the per-core monotonic clock model."""
+"""Unit tests for the per-core clock population (:class:`ClockSpec`) and
+the discrete-event reference's monotonic clocks built from it."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.clock import ClockDomain, ClockSpec, MonotonicClock
+from oracles.event import ClockDomain, MonotonicClock
+from repro.cluster.clock import ClockSpec
 from repro.cluster.topology import Core
 
 

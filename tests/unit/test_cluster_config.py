@@ -25,12 +25,11 @@ class TestBuilders:
         assert cluster.n_nodes == 3
         assert cluster.cores_per_node == 48
 
-    def test_build_noise_and_clock_models(self):
+    def test_build_noise_model_and_clock_spec(self):
         config = manzano()
         noise = config.build_noise_model(np.random.default_rng(0))
-        clocks = config.build_clock_domain(np.random.default_rng(0))
         assert noise.spec.enabled
-        assert not clocks.cross_core_comparable()
+        assert not config.clock_spec.tsc_reliable
 
     def test_without_noise_is_a_disabled_copy(self):
         config = manzano()

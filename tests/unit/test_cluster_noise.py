@@ -1,15 +1,12 @@
-"""Unit tests for the OS-noise model."""
+"""Unit tests for the OS-noise model: the batch path the samplers draw
+from, and the discrete-event reference's per-core timelines
+(:class:`oracles.event.WindowedNoiseModel`) it must agree with."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.noise import (
-    NoiseEvent,
-    NoiseSpec,
-    OSNoiseModel,
-    WindowedNoiseModel,
-    total_noise,
-)
+from oracles.event import WindowedNoiseModel
+from repro.cluster.noise import NoiseSpec, OSNoiseModel
 from repro.cluster.topology import Core
 
 CORE = Core(0, 0, 0)
@@ -35,56 +32,57 @@ class TestEvents:
             interrupt_rate_hz=0.0,
             jitter_fraction=0.0,
         )
-        model = OSNoiseModel(spec, np.random.default_rng(0))
+        model = WindowedNoiseModel(spec, np.random.default_rng(0))
         events = model.events_in(CORE, 0.0, 0.1)
         assert 9 <= len(events) <= 11
         gaps = np.diff([e.start for e in events])
         np.testing.assert_allclose(gaps, 0.01, rtol=1e-9)
 
     def test_disabled_model_produces_no_events_or_delay(self):
-        model = OSNoiseModel(NoiseSpec().disabled(), np.random.default_rng(0))
+        model = WindowedNoiseModel(NoiseSpec().disabled(), np.random.default_rng(0))
         assert model.events_in(CORE, 0.0, 1.0) == []
         assert model.delay_over(CORE, 0.0, 0.05) == 0.0
-
-    def test_total_noise_sums_durations(self):
-        events = [NoiseEvent(0.0, 1e-3), NoiseEvent(0.5, 2e-3)]
-        assert total_noise(events) == pytest.approx(3e-3)
+        batch = OSNoiseModel(NoiseSpec().disabled(), np.random.default_rng(0))
+        assert not batch.batch_delays(np.full(8, 0.05)).any()
 
 
 class TestDelays:
     def test_delay_is_nonnegative_and_bounded(self):
-        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(1))
+        model = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(1))
         delays = [model.delay_over(CORE, i * 0.03, 0.025) for i in range(200)]
         assert all(d >= 0.0 for d in delays)
         # one window cannot accumulate more noise than physically available
         assert max(delays) < 0.025
 
     def test_zero_work_has_zero_delay(self):
-        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(2))
+        model = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(2))
         assert model.delay_over(CORE, 0.0, 0.0) == 0.0
+        assert not OSNoiseModel(NoiseSpec()).batch_delays(np.zeros(4)).any()
 
     def test_negative_work_rejected(self):
-        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(2))
+        model = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(2))
         with pytest.raises(ValueError):
             model.delay_over(CORE, 0.0, -1.0)
+        with pytest.raises(ValueError):
+            OSNoiseModel(NoiseSpec()).batch_delays(np.array([0.01, -1.0]))
 
     def test_jittered_compute_disabled_is_identity(self):
-        model = OSNoiseModel(NoiseSpec().disabled(), np.random.default_rng(3))
+        model = WindowedNoiseModel(NoiseSpec().disabled(), np.random.default_rng(3))
         assert model.jittered_compute(0.02) == 0.02
 
     def test_jittered_compute_spread_matches_fraction(self):
         spec = NoiseSpec(jitter_fraction=0.01)
-        model = OSNoiseModel(spec, np.random.default_rng(4))
+        model = WindowedNoiseModel(spec, np.random.default_rng(4))
         samples = np.array([model.jittered_compute(1.0) for _ in range(2000)])
         assert samples.std() == pytest.approx(0.01, rel=0.15)
 
     def test_batch_delays_statistically_match_scalar_path(self):
         spec = NoiseSpec(jitter_fraction=0.0)
-        scalar_model = OSNoiseModel(spec, np.random.default_rng(5))
+        scalar_model = WindowedNoiseModel(spec, np.random.default_rng(5))
         batch_model = OSNoiseModel(spec, np.random.default_rng(6))
         work = np.full(4000, 0.025)
         scalar = np.array(
-            [scalar_model.delay_over(CORE, 0.0, w) for w in work[:1000]]
+            [scalar_model.delay_over(CORE, i * 0.03, w) for i, w in enumerate(work[:1000])]
         )
         batch = batch_model.batch_delays(work)
         assert batch.shape == work.shape
@@ -93,18 +91,19 @@ class TestDelays:
         # periodic daemon plus rare interrupts)
         assert abs(batch.mean() - scalar.mean()) < 5e-4
 
-    def test_sample_wall_time_at_least_work(self):
-        model = OSNoiseModel(NoiseSpec(jitter_fraction=0.0), np.random.default_rng(7))
-        wall = model.sample_wall_time(CORE, 0.0, 0.025)
-        assert wall >= 0.025
+    def test_batch_delays_keep_the_work_shape(self):
+        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(7))
+        work = np.full((3, 5, 8), 0.025)
+        delays = model.batch_delays(work)
+        assert delays.shape == work.shape and np.all(delays >= 0.0)
 
 
 class TestWindowedNoiseModel:
-    """Pre-generated per-core timelines (the event backend's noise path)."""
+    """Pre-generated per-core timelines (the event reference's noise path)."""
 
     def test_overlapping_queries_see_one_consistent_realisation(self):
-        # the base model redraws events per query; the windowed model must
-        # serve the *same* events for the same window, every time
+        # the timeline must serve the *same* events for the same window,
+        # every time
         model = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(0))
         first = model.events_in(CORE, 0.0, 0.2)
         again = model.events_in(CORE, 0.0, 0.2)
@@ -179,21 +178,20 @@ class TestWindowedNoiseModel:
         with pytest.raises(ValueError):
             WindowedNoiseModel(NoiseSpec(), window_s=0.0)
 
-    def test_windowed_factory_shares_spec_sources_and_rng(self):
-        base = OSNoiseModel(NoiseSpec(), np.random.default_rng(6))
-        windowed = base.windowed(window_s=0.5)
-        assert isinstance(windowed, WindowedNoiseModel)
-        assert windowed.spec is base.spec
-        assert windowed.sources == base.sources
+    def test_timeline_composes_the_spec_sources(self):
+        spec = NoiseSpec()
+        windowed = WindowedNoiseModel(spec, np.random.default_rng(6), window_s=0.5)
+        assert windowed.spec is spec
+        assert [s.kind for s in windowed.sources] == [s.kind for s in spec.build_sources()]
         assert windowed.window_s == 0.5
 
-    def test_mean_delay_agrees_with_per_query_model(self):
+    def test_mean_delay_agrees_with_batch_model(self):
         # same populations, different draw schedule: long-run injected noise
-        # per window must agree between the two models
+        # per window must agree between the timeline and the batch path
         spec = NoiseSpec(jitter_fraction=0.0)
-        per_query = OSNoiseModel(spec, np.random.default_rng(7))
+        batch = OSNoiseModel(spec, np.random.default_rng(7))
         windowed = WindowedNoiseModel(spec, np.random.default_rng(8))
         work = 0.025
-        a = np.array([per_query.delay_over(CORE, i * 0.03, work) for i in range(2000)])
+        a = batch.batch_delays(np.full(20000, work))
         b = np.array([windowed.delay_over(CORE, i * 0.03, work) for i in range(2000)])
         assert abs(a.mean() - b.mean()) < 5e-5

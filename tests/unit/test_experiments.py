@@ -365,7 +365,8 @@ class TestStoredFigures:
             result = session.run(use_cache=False)
         shards = list(result.iter_shards())
         if source == "event":
-            assert all(shard.process is None for shard in shards)
+            # one block per trial, one shard per process of it
+            assert [len(block.slices) for block in result.iter_column_blocks()] == [2, 2]
         for key in [(0, 0, 0), (1, 1, config.iterations - 1), (1, 0, 3)]:
             want = self._mask_scan(shards, key)
             assert len(want) == config.threads

@@ -253,42 +253,53 @@ class TestAtomicCacheWrites:
         assert healed.dataset.compute_times_s.tobytes() == digest
         assert dataset_digest(healed.dataset) == dataset_digest(result.dataset)
 
-    def test_version_1_entry_is_rewritten_as_version_2(self, config, entry, tmp_path):
-        """An entry written by the 40 B/sample format (one raw blob per
-        column) is removed and recomputed in the current format."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_entry_is_rewritten_as_version_3(
+        self, config, entry, tmp_path, version
+    ):
+        """An entry of an older format is removed and recomputed in the
+        current one: version 1 held one raw blob per column (40 B per
+        sample), version 2 the same cube as version 3 but a manifest that
+        also listed per-sample planes and the producer's shards."""
         path, digest = entry
         samples = len(digest) // 8
         group = path / "group-00000.bin"
-        names = ["compute_time_s", "end_ns", "iteration", "process", "start_ns",
-                 "thread", "trial"]
-        sizes = {"compute_time_s": 8, "end_ns": 8, "start_ns": 8}
-        columns, offset = [], 16
-        for name in names:
-            size = sizes.get(name, 4)
-            kind = "<f8" if name == "compute_time_s" else f"<i{size}"
-            columns.append({"name": name, "dtype": kind, "offset": offset})
-            offset += size * samples
-        group.write_bytes(b"REPRO-SHARD-GRP1" + bytes(offset - 16))
-        manifest = {
-            "format_version": 1,
-            "complete": True,
-            "metadata": {},
-            "total_samples": samples,
-            "groups": [
+        manifest = json.loads((path / "manifest.json").read_text())
+        if version == 1:
+            names = ["compute_time_s", "end_ns", "iteration", "process", "start_ns",
+                     "thread", "trial"]
+            sizes = {"compute_time_s": 8, "end_ns": 8, "start_ns": 8}
+            columns, offset = [], 16
+            for name in names:
+                size = sizes.get(name, 4)
+                kind = "<f8" if name == "compute_time_s" else f"<i{size}"
+                columns.append({"name": name, "dtype": kind, "offset": offset})
+                offset += size * samples
+            group.write_bytes(b"REPRO-SHARD-GRP1" + bytes(offset - 16))
+            manifest["groups"] = [
                 {
                     "file": group.name,
                     "n_samples": samples,
                     "shards": [{"trial": 0, "process": None, "n_samples": samples}],
                     "columns": columns,
                 }
-            ],
-        }
+            ]
+        else:
+            for entry_group in manifest["groups"]:
+                size = entry_group["n_samples"] // len(entry_group["slices"])
+                entry_group["planes"] = []
+                entry_group["shards"] = [
+                    {"trial": trial, "process": process, "n_samples": size}
+                    for trial, process in entry_group["slices"]
+                ]
+        manifest["format_version"] = version
         (path / "manifest.json").write_text(json.dumps(manifest))
         assert open_cached_campaign(path, config) is None
         assert not path.exists()
         CampaignSession(config, cache_dir=tmp_path).run()
         manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["format_version"] == STORE_FORMAT_VERSION == 2
+        assert manifest["format_version"] == STORE_FORMAT_VERSION == 3
+        assert "planes" not in manifest["groups"][0]
         assert group.stat().st_size == 16 + 8 * samples
         hit = open_cached_campaign(path, config)
         assert hit.dataset.compute_times_s.tobytes() == digest

@@ -1,14 +1,14 @@
-"""Unit tests for the OpenMP runtime (team + region execution)."""
+"""Unit tests for the discrete-event reference's OpenMP runtime (team +
+region execution on the event engine)."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.clock import ClockDomain, ClockSpec
-from repro.cluster.noise import NoiseSpec, OSNoiseModel
+from oracles.event import ClockDomain, OpenMPRuntime, ThreadTeam, WindowedNoiseModel
+from repro.cluster.clock import ClockSpec
+from repro.cluster.noise import NoiseSpec
 from repro.cluster.topology import Cluster
-from repro.openmp.runtime import OpenMPRuntime
 from repro.openmp.schedule import DynamicSchedule, StaticSchedule
-from repro.openmp.team import ThreadTeam
 
 
 def _team(n_threads=4, noise_enabled=False, seed=0):
@@ -18,7 +18,7 @@ def _team(n_threads=4, noise_enabled=False, seed=0):
         ClockSpec(read_jitter_ns=0.0, drift_ppm=0.0), np.random.default_rng(seed)
     )
     spec = NoiseSpec() if noise_enabled else NoiseSpec().disabled()
-    noise = OSNoiseModel(spec, np.random.default_rng(seed + 1))
+    noise = WindowedNoiseModel(spec, np.random.default_rng(seed + 1))
     return ThreadTeam(cores, clock_domain, noise, rng=np.random.default_rng(seed + 2))
 
 
@@ -35,12 +35,12 @@ class TestThreadTeam:
     def test_empty_team_rejected(self):
         cluster = Cluster(1)
         clock_domain = ClockDomain(ClockSpec())
-        noise = OSNoiseModel(NoiseSpec())
+        noise = WindowedNoiseModel(NoiseSpec())
         with pytest.raises(ValueError):
             ThreadTeam([], clock_domain, noise)
 
 
-class TestFastPath:
+class TestRegions:
     def test_compute_time_equals_busy_time_without_noise(self):
         team = _team(4)
         runtime = OpenMPRuntime(team)
@@ -58,15 +58,13 @@ class TestFastPath:
             execution.compute_times_s(), execution.wall_times_s(), rtol=1e-6
         )
 
-    def test_history_and_time_advance_across_regions(self):
+    def test_time_advances_across_regions(self):
         team = _team(2)
         runtime = OpenMPRuntime(team)
-        runtime.run_region(np.full(2, 1.0e-3), iteration=0)
-        runtime.run_region(np.full(2, 1.0e-3), iteration=1)
-        assert len(runtime.history) == 2
-        assert runtime.history[1].region_start > runtime.history[0].region_end - 1e-12
-        timings = runtime.timings()
-        assert [t.iteration for t in timings] == [0, 1]
+        first = runtime.run_region(np.full(2, 1.0e-3), iteration=0)
+        second = runtime.run_region(np.full(2, 1.0e-3), iteration=1)
+        assert second.region_start > first.region_end - 1e-12
+        assert [first.iteration, second.iteration] == [0, 1]
 
     def test_reclaimable_time_of_imbalanced_region(self):
         team = _team(2)
@@ -76,25 +74,22 @@ class TestFastPath:
         assert execution.reclaimable_time_s() == pytest.approx(2.0e-3, rel=1e-4)
 
 
-class TestDetailedPath:
-    def test_detailed_matches_fast_path_without_noise(self):
+class TestScheduling:
+    def test_matches_closed_form_fold_without_noise(self):
         costs = np.linspace(0.5e-3, 1.5e-3, 12)
-        fast = OpenMPRuntime(_team(4, seed=3)).run_region(
-            costs, schedule=StaticSchedule(), detailed=False
-        )
         detailed = OpenMPRuntime(_team(4, seed=3)).run_region(
-            costs, schedule=StaticSchedule(), detailed=True
+            costs, schedule=StaticSchedule()
         )
-        np.testing.assert_allclose(
-            fast.compute_times_s(), detailed.compute_times_s(), rtol=1e-9
-        )
+        busy = StaticSchedule().simulate(costs, 4).busy_time
+        # clock readings are whole nanoseconds
+        np.testing.assert_allclose(detailed.compute_times_s(), busy, atol=2e-9)
 
     def test_detailed_dynamic_schedule_executes_all_items(self):
         team = _team(3)
         runtime = OpenMPRuntime(team)
         costs = np.random.default_rng(0).uniform(0.1e-3, 0.4e-3, size=17)
         execution = runtime.run_region(
-            costs, schedule=DynamicSchedule(chunk=2), detailed=True
+            costs, schedule=DynamicSchedule(chunk=2)
         )
         executed = np.concatenate([t.items for t in execution.threads])
         assert sorted(executed.tolist()) == list(range(17))
@@ -104,7 +99,7 @@ class TestDetailedPath:
     def test_noise_accounting_balances_wall_time(self):
         team = _team(4, noise_enabled=True, seed=9)
         runtime = OpenMPRuntime(team)
-        execution = runtime.run_region(np.full(4, 5.0e-3), detailed=True)
+        execution = runtime.run_region(np.full(4, 5.0e-3))
         for thread in execution.threads:
             # wall time = pure work + (jitter + preemption) accounting
             assert thread.wall_s == pytest.approx(thread.work_s + thread.noise_s, rel=1e-9)

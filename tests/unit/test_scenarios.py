@@ -27,6 +27,7 @@ from repro.scenarios import (
     unregister_scenario,
 )
 from repro.scenarios.sources import NoiseSource, PeriodicDaemonSource, SilentSource
+from oracles.event import WindowedNoiseModel, events_in
 
 CORE = Core(0, 0, 0)
 
@@ -51,9 +52,6 @@ class TestNoiseSourceRegistry:
 
             @register_noise_source("silent")
             class Impostor(NoiseSource):
-                def events_in(self, core_key, start_s, end_s, rng):
-                    return []
-
                 def batch_extra(self, work, rng):
                     return np.zeros_like(work)
 
@@ -89,7 +87,7 @@ class TestBuiltinSources:
     def test_events_and_batch_are_physical(self, kind):
         source = make_noise_source(kind)
         rng = np.random.default_rng(5)
-        events = source.events_in(CORE.global_id, 0.0, 5.0, rng)
+        events = events_in(source, CORE.global_id, 0.0, 5.0, rng, {})
         for event in events:
             assert event.duration >= 0.0
             assert np.isfinite(event.start) and np.isfinite(event.duration)
@@ -101,14 +99,15 @@ class TestBuiltinSources:
     def test_silent_source_contributes_nothing(self):
         source = make_noise_source("silent")
         rng = np.random.default_rng(0)
-        assert source.events_in(CORE.global_id, 0.0, 100.0, rng) == []
+        assert events_in(source, CORE.global_id, 0.0, 100.0, rng, {}) == []
         assert not source.batch_extra(np.ones(8), rng).any()
 
     def test_daemon_phase_is_stable_per_core(self):
         source = PeriodicDaemonSource(period_s=0.01, duration_s=1e-6)
         rng = np.random.default_rng(3)
-        first = source.events_in(CORE.global_id, 0.0, 0.1, rng)
-        again = source.events_in(CORE.global_id, 0.0, 0.1, rng)
+        phases = {}
+        first = events_in(source, CORE.global_id, 0.0, 0.1, rng, phases)
+        again = events_in(source, CORE.global_id, 0.0, 0.1, rng, phases)
         assert [e.start for e in first] == [e.start for e in again]
 
     def test_pareto_rejects_non_positive_alpha(self):
@@ -121,7 +120,7 @@ class TestBuiltinSources:
         )
         rng = np.random.default_rng(11)
         start, end = 0.2, 0.45
-        events = source.events_in(CORE.global_id, start, end, rng)
+        events = events_in(source, CORE.global_id, start, end, rng, {})
         assert events, "expected bursts inside a multi-period window"
         assert all(start <= e.start < end for e in events)
 
@@ -131,7 +130,7 @@ class TestBuiltinSources:
         )
         rng = np.random.default_rng(13)
         start, end = 0.1, 0.15
-        events = source.events_in(CORE.global_id, start, end, rng)
+        events = events_in(source, CORE.global_id, start, end, rng, {})
         assert events, "expected storms in a dense window"
         assert all(start <= e.start < end for e in events)
 
@@ -160,11 +159,15 @@ class TestNoiseSpecComposition:
             NoiseSpec(jitter_fraction=0.0), np.random.default_rng(0),
             sources=[SilentSource()],
         )
-        assert model.delay_over(CORE, 0.0, 1.0) == 0.0
         assert not model.batch_delays(np.ones(4)).any()
+        timeline = WindowedNoiseModel(
+            NoiseSpec(jitter_fraction=0.0), np.random.default_rng(0),
+            sources=[SilentSource()],
+        )
+        assert timeline.delay_over(CORE, 0.0, 1.0) == 0.0
 
     def test_composed_model_horizon_sums_sources(self):
-        model = OSNoiseModel(NoiseSpec(), np.random.default_rng(0))
+        model = WindowedNoiseModel(NoiseSpec(), np.random.default_rng(0))
         assert model.horizon_s == pytest.approx(
             NoiseSpec().daemon_period_s + NoiseSpec().interrupt_max_s
         )

@@ -130,20 +130,37 @@ class TestFormat:
         with pytest.raises(ValueError, match="format version"):
             ShardStore.open(path)
 
-    def test_mismatched_column_sets_rejected(self, tmp_path, shards):
+    def test_mismatched_ids_rejected(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store")
         store.append(shards[0])
-        widened = dict(shards[1].columns)
-        widened["start_ns"] = np.zeros(shards[1].n_samples, dtype=np.int64)
+        columns = shards[1].columns
+        keep = np.asarray(columns["iteration"]) < 3
         store.append(
             TimingShard(
                 trial=shards[1].trial,
                 process=shards[1].process,
-                columns=widened,
+                columns={name: np.asarray(values)[keep] for name, values in columns.items()},
             )
         )
-        with pytest.raises(ValueError, match="same column set"):
+        with pytest.raises(ValueError, match="same ids"):
             store.flush()
+
+    def test_raw_clock_columns_are_not_stored(self, tmp_path, shards):
+        # a group holds compute times only: 8 B per sample whatever columns
+        # the appended shard carried
+        store = ShardStore.create(tmp_path / "c.store")
+        widened = dict(shards[0].columns)
+        widened["start_ns"] = np.zeros(shards[0].n_samples, dtype=np.int64)
+        store.append(TimingShard(shards[0].trial, shards[0].process, widened))
+        store.finalize()
+        (stored,) = ShardStore.open(tmp_path / "c.store").iter_shards()
+        assert set(stored.columns) == {
+            "trial", "process", "iteration", "thread", "compute_time_s"
+        }
+        np.testing.assert_array_equal(
+            stored.columns["compute_time_s"], shards[0].columns["compute_time_s"]
+        )
+        assert store.nbytes == 16 + 8 * shards[0].n_samples
 
 
 class TestConcurrentAppend:
