@@ -70,58 +70,24 @@ instead of merging them first::
 >>> report = results.report(include_earlybird=False)
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
 
-__all__ = [
-    "__version__",
-    "TimingDataset",
-    "TimingRecord",
-    "TimingShard",
-    "CampaignConfig",
-    "CampaignSession",
-    "register_backend",
-    "Scenario",
-    "ScenarioMatrix",
-    "register_scenario",
-    "get_scenario",
-    "available_scenarios",
-    "register_machine",
-    "get_machine",
-    "available_machines",
-    "register_noise_source",
-    "make_noise_source",
-    "available_noise_sources",
-    "noise_profile",
-    "AnalysisPass",
-    "register_analysis",
-    "get_analysis",
-    "available_analyses",
-    "analyze_dataset",
-    "run_analyses",
-]
-
 if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.analysis import (
+    from repro.analysis.base import (
         AnalysisPass,
-        analyze_dataset,
         available_analyses,
         get_analysis,
         register_analysis,
-        run_analyses,
     )
+    from repro.analysis.engine import analyze_dataset, run_analyses
     from repro.core.timing import TimingDataset, TimingRecord, TimingShard
     from repro.experiments.backends import register_backend
     from repro.experiments.config import CampaignConfig
     from repro.experiments.session import CampaignSession
-    from repro.scenarios.machines import (
-        available_machines,
-        get_machine,
-        register_machine,
-    )
+    from repro.scenarios.machines import available_machines, get_machine, register_machine
     from repro.scenarios.scenario import (
         Scenario,
         ScenarioMatrix,
@@ -137,51 +103,33 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     )
 
 _LAZY_EXPORTS = {
-    "TimingDataset": ("repro.core.timing", "TimingDataset"),
-    "TimingRecord": ("repro.core.timing", "TimingRecord"),
-    "TimingShard": ("repro.core.timing", "TimingShard"),
-    "CampaignConfig": ("repro.experiments.config", "CampaignConfig"),
-    "CampaignSession": ("repro.experiments.session", "CampaignSession"),
-    "register_backend": ("repro.experiments.backends", "register_backend"),
-    "Scenario": ("repro.scenarios.scenario", "Scenario"),
-    "ScenarioMatrix": ("repro.scenarios.scenario", "ScenarioMatrix"),
-    "register_scenario": ("repro.scenarios.scenario", "register_scenario"),
-    "get_scenario": ("repro.scenarios.scenario", "get_scenario"),
-    "available_scenarios": ("repro.scenarios.scenario", "available_scenarios"),
-    "register_machine": ("repro.scenarios.machines", "register_machine"),
-    "get_machine": ("repro.scenarios.machines", "get_machine"),
-    "available_machines": ("repro.scenarios.machines", "available_machines"),
-    "register_noise_source": ("repro.scenarios.sources", "register_noise_source"),
-    "make_noise_source": ("repro.scenarios.sources", "make_noise_source"),
-    "available_noise_sources": ("repro.scenarios.sources", "available_noise_sources"),
-    "noise_profile": ("repro.scenarios.sources", "noise_profile"),
-    "AnalysisPass": ("repro.analysis", "AnalysisPass"),
-    "register_analysis": ("repro.analysis", "register_analysis"),
-    "get_analysis": ("repro.analysis", "get_analysis"),
-    "available_analyses": ("repro.analysis", "available_analyses"),
-    "analyze_dataset": ("repro.analysis", "analyze_dataset"),
-    "run_analyses": ("repro.analysis", "run_analyses"),
+    "repro.core.timing": ("TimingDataset", "TimingRecord", "TimingShard"),
+    "repro.experiments.config": ("CampaignConfig",),
+    "repro.experiments.session": ("CampaignSession",),
+    "repro.experiments.backends": ("register_backend",),
+    "repro.scenarios.scenario": (
+        "Scenario",
+        "ScenarioMatrix",
+        "register_scenario",
+        "get_scenario",
+        "available_scenarios",
+    ),
+    "repro.scenarios.machines": ("register_machine", "get_machine", "available_machines"),
+    "repro.scenarios.sources": (
+        "register_noise_source",
+        "make_noise_source",
+        "available_noise_sources",
+        "noise_profile",
+    ),
+    "repro.analysis.base": (
+        "AnalysisPass",
+        "register_analysis",
+        "get_analysis",
+        "available_analyses",
+    ),
+    "repro.analysis.engine": ("analyze_dataset", "run_analyses"),
 }
-
-
-def __getattr__(name: str):
-    """Lazily resolve the top-level convenience exports.
-
-    Keeping these imports lazy lets the lightweight substrates
-    (``repro.sim``, ``repro.stats``, ...) be imported on their own without
-    paying for the full analysis stack.
-    """
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))
+# the substrates (repro.sim, repro.stats, ...) import on their own without
+# paying for the analysis stack
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)
+__all__.insert(0, "__version__")

@@ -33,63 +33,39 @@ samples rather than the samples themselves, and the finalizes read them
 back one bounded batch of iterations at a time.
 """
 
-from repro.analysis.base import (
-    AnalysisContext,
-    AnalysisPass,
-    analysis_title,
-    available_analyses,
-    get_analysis,
-    register_analysis,
-    resolve_analyses,
-    unregister_analysis,
-)
-from repro.analysis.engine import (
-    AnalysisResults,
-    ColumnarAnalyzer,
-    analyze_dataset,
-    product_payload,
-    run_analyses,
-    run_campaign_analyses,
-    run_columnar_analyses,
-)
-from repro.analysis.passes import (
-    DEFAULT_EARLYBIRD_MAX_GROUPS,
-    EarlybirdPass,
-    HistogramPass,
-    LaggardsPass,
-    LaggardsResult,
-    NormalityPass,
-    NormalityResult,
-    PercentilesPass,
-    ReclaimablePass,
-)
-from repro.analysis.report import REPORT_ANALYSES, assemble_feasibility_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalysisContext",
-    "AnalysisPass",
-    "AnalysisResults",
-    "ColumnarAnalyzer",
-    "analysis_title",
-    "available_analyses",
-    "get_analysis",
-    "register_analysis",
-    "resolve_analyses",
-    "unregister_analysis",
-    "analyze_dataset",
-    "product_payload",
-    "run_analyses",
-    "run_campaign_analyses",
-    "run_columnar_analyses",
-    "assemble_feasibility_report",
-    "REPORT_ANALYSES",
-    "DEFAULT_EARLYBIRD_MAX_GROUPS",
-    "PercentilesPass",
-    "HistogramPass",
-    "NormalityPass",
-    "NormalityResult",
-    "LaggardsPass",
-    "LaggardsResult",
-    "ReclaimablePass",
-    "EarlybirdPass",
-]
+_LAZY_EXPORTS = {
+    "repro.analysis.base": (
+        "AnalysisContext",
+        "AnalysisPass",
+        "analysis_title",
+        "available_analyses",
+        "get_analysis",
+        "register_analysis",
+        "resolve_analyses",
+        "unregister_analysis",
+    ),
+    "repro.analysis.engine": (
+        "AnalysisResults",
+        "ColumnarAnalyzer",
+        "analyze_dataset",
+        "product_payload",
+        "run_analyses",
+        "run_campaign_analyses",
+        "run_columnar_analyses",
+    ),
+    "repro.analysis.passes": (
+        "DEFAULT_EARLYBIRD_MAX_GROUPS",
+        "EarlybirdPass",
+        "HistogramPass",
+        "LaggardsPass",
+        "LaggardsResult",
+        "NormalityPass",
+        "NormalityResult",
+        "PercentilesPass",
+        "ReclaimablePass",
+    ),
+    "repro.analysis.report": ("REPORT_ANALYSES", "assemble_feasibility_report"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -284,3 +284,8 @@ def resolve_analyses(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate analyses requested: {names}")
     return tuple(resolved)
+
+
+# the built-in passes register themselves when their module runs: load
+# them with the registry, so every query of it sees them
+import repro.analysis.passes  # noqa: E402,F401

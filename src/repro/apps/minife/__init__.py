@@ -10,11 +10,10 @@ process.  This subpackage provides:
   used by the campaign.
 """
 
-from repro.apps.minife.app import MiniFEApp, MiniFEConfig
-from repro.apps.minife.mesh import BrickMesh
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MiniFEApp",
-    "MiniFEConfig",
-    "BrickMesh",
-]
+_LAZY_EXPORTS = {
+    "repro.apps.minife.app": ("MiniFEApp", "MiniFEConfig"),
+    "repro.apps.minife.mesh": ("BrickMesh",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

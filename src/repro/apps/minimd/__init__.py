@@ -11,11 +11,10 @@ of 128³.  This subpackage provides:
   Figure 6).
 """
 
-from repro.apps.minimd.app import MiniMDApp, MiniMDConfig
-from repro.apps.minimd.neighbor import expected_neighbors
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MiniMDApp",
-    "MiniMDConfig",
-    "expected_neighbors",
-]
+_LAZY_EXPORTS = {
+    "repro.apps.minimd.app": ("MiniMDApp", "MiniMDConfig"),
+    "repro.apps.minimd.neighbor": ("expected_neighbors",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -9,9 +9,9 @@ per-walker mover times are normals around per-process walker-population
 statistics.
 """
 
-from repro.apps.miniqmc.app import MiniQMCApp, MiniQMCConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MiniQMCApp",
-    "MiniQMCConfig",
-]
+_LAZY_EXPORTS = {
+    "repro.apps.miniqmc.app": ("MiniQMCApp", "MiniQMCConfig"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

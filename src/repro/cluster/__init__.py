@@ -20,21 +20,12 @@ models the parts of that platform that shape per-thread timing measurements:
   :func:`~repro.cluster.config.manzano`.
 """
 
-from repro.cluster.clock import ClockSpec
-from repro.cluster.config import MachineConfig, laptop, manzano
-from repro.cluster.noise import NoiseSourceSpec, NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Cluster, Core, Node, Socket
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Node",
-    "Socket",
-    "Core",
-    "ClockSpec",
-    "OSNoiseModel",
-    "NoiseSpec",
-    "NoiseSourceSpec",
-    "MachineConfig",
-    "manzano",
-    "laptop",
-]
+_LAZY_EXPORTS = {
+    "repro.cluster.clock": ("ClockSpec",),
+    "repro.cluster.config": ("MachineConfig", "laptop", "manzano"),
+    "repro.cluster.noise": ("NoiseSourceSpec", "NoiseSpec", "OSNoiseModel"),
+    "repro.cluster.topology": ("Cluster", "Core", "Node", "Socket"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

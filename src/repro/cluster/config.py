@@ -13,13 +13,15 @@ factories remain the stable construction API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.cluster.clock import ClockSpec
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Cluster
+
+if TYPE_CHECKING:  # pragma: no cover - static typing only
+    from repro.cluster.topology import Cluster
 
 
 @dataclass
@@ -58,6 +60,8 @@ class MachineConfig:
 
     def build_cluster(self) -> Cluster:
         """Instantiate the :class:`Cluster` topology."""
+        from repro.cluster.topology import Cluster
+
         return Cluster(
             self.n_nodes,
             sockets_per_node=self.sockets_per_node,

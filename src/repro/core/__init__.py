@@ -27,59 +27,36 @@ primitives; campaign analyses run as registered passes in
 materialised dataset).
 """
 
-from repro.core.aggregation import AggregationLevel, GroupedSamples, aggregate
-from repro.core.earlybird import EarlyBirdModel, OverlapWindow
-from repro.core.endtoend import EndToEndModel, EndToEndProjection, StrategyProjection
-from repro.core.instrument import PythonThreadRegion, RegionInstrumenter
-from repro.core.laggard import (
-    IterationClass,
-    LaggardAnalysis,
-    LaggardSummary,
-    classify_iterations,
-)
-from repro.core.normality import NormalityStudy
-from repro.core.reclaimable import ReclaimableSummary, idle_ratio, reclaimable_time
-from repro.core.report import FeasibilityReport
-from repro.core.strategies import (
-    BinnedStrategy,
-    BulkStrategy,
-    DeliveryOutcome,
-    DeliveryStrategy,
-    FineGrainedStrategy,
-    StrategyComparison,
-    TimeoutStrategy,
-    compare_strategies,
-)
-from repro.core.timing import TimingDataset, TimingRecord
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimingDataset",
-    "TimingRecord",
-    "RegionInstrumenter",
-    "PythonThreadRegion",
-    "AggregationLevel",
-    "GroupedSamples",
-    "aggregate",
-    "NormalityStudy",
-    "LaggardAnalysis",
-    "LaggardSummary",
-    "IterationClass",
-    "classify_iterations",
-    "reclaimable_time",
-    "idle_ratio",
-    "ReclaimableSummary",
-    "EarlyBirdModel",
-    "OverlapWindow",
-    "EndToEndModel",
-    "EndToEndProjection",
-    "StrategyProjection",
-    "DeliveryStrategy",
-    "BulkStrategy",
-    "FineGrainedStrategy",
-    "BinnedStrategy",
-    "TimeoutStrategy",
-    "DeliveryOutcome",
-    "StrategyComparison",
-    "compare_strategies",
-    "FeasibilityReport",
-]
+_LAZY_EXPORTS = {
+    "repro.core.aggregation": ("AggregationLevel", "GroupedSamples", "aggregate"),
+    "repro.core.earlybird": ("EarlyBirdModel", "OverlapWindow"),
+    "repro.core.endtoend": (
+        "EndToEndModel",
+        "EndToEndProjection",
+        "StrategyProjection",
+    ),
+    "repro.core.instrument": ("PythonThreadRegion", "RegionInstrumenter"),
+    "repro.core.laggard": (
+        "IterationClass",
+        "LaggardAnalysis",
+        "LaggardSummary",
+        "classify_iterations",
+    ),
+    "repro.core.normality": ("NormalityStudy",),
+    "repro.core.reclaimable": ("ReclaimableSummary", "idle_ratio", "reclaimable_time"),
+    "repro.core.report": ("FeasibilityReport",),
+    "repro.core.strategies": (
+        "BinnedStrategy",
+        "BulkStrategy",
+        "DeliveryOutcome",
+        "DeliveryStrategy",
+        "FineGrainedStrategy",
+        "StrategyComparison",
+        "TimeoutStrategy",
+        "compare_strategies",
+    ),
+    "repro.core.timing": ("TimingDataset", "TimingRecord"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -19,14 +19,15 @@ injection link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mpi.datatypes import DOUBLE, BufferSpec, Datatype
 from repro.mpi.network import NetworkModel, omni_path
-from repro.mpi.partitioned import PartitionedTransfer, partitioned_completion_times
+
+if TYPE_CHECKING:  # pragma: no cover - static typing only
+    from repro.mpi.partitioned import PartitionedTransfer
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,10 @@ class EarlyBirdModel:
 
     def earlybird_transfer(self, arrivals_s: Sequence[float]) -> PartitionedTransfer:
         """Partitioned transfer with one partition per thread, ready at arrival."""
+        # the event-level transfer model: campaign analyses replay it in
+        # closed form (evaluate_groups) and never load it
+        from repro.mpi.partitioned import partitioned_completion_times
+
         arr = np.asarray(arrivals_s, dtype=np.float64)
         sizes = self.partition_sizes(len(arr))
         return partitioned_completion_times(

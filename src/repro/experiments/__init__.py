@@ -21,37 +21,25 @@
   backed by the :mod:`repro.scenarios` registries.
 """
 
-from repro.experiments.backends import (
-    CampaignBackend,
-    ShardSpec,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.experiments.config import CampaignConfig
-from repro.experiments.executor import ShardExecutor
-from repro.experiments.paper import PAPER_REFERENCE
-from repro.experiments.session import (
-    CampaignResult,
-    CampaignSession,
-    campaign_store_path,
-    config_cache_key,
-)
-from repro.experiments.tables import section4_metrics_table, table1
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignSession",
-    "CampaignResult",
-    "CampaignBackend",
-    "ShardSpec",
-    "ShardExecutor",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "config_cache_key",
-    "campaign_store_path",
-    "table1",
-    "section4_metrics_table",
-    "PAPER_REFERENCE",
-]
+_LAZY_EXPORTS = {
+    "repro.experiments.backends": (
+        "CampaignBackend",
+        "ShardSpec",
+        "available_backends",
+        "get_backend",
+        "register_backend",
+    ),
+    "repro.experiments.config": ("CampaignConfig",),
+    "repro.experiments.executor": ("ShardExecutor",),
+    "repro.experiments.paper": ("PAPER_REFERENCE",),
+    "repro.experiments.session": (
+        "CampaignResult",
+        "CampaignSession",
+        "campaign_store_path",
+        "config_cache_key",
+    ),
+    "repro.experiments.tables": ("section4_metrics_table", "table1"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

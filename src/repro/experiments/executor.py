@@ -41,13 +41,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import multiprocessing
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
-from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
@@ -66,6 +62,11 @@ _MODES = ("process", "thread")
 def make_pool(mode: str, workers: int):
     """The worker pool of ``mode`` (``fork``-started processes where the
     platform has them)."""
+    # the pool's standard library loads on the pooled path only (here and
+    # in the shared-memory transport): a serial run never imports it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
     if mode == "thread":
         return ThreadPoolExecutor(max_workers=workers)
     try:
@@ -85,6 +86,8 @@ def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
     undelivered completed results (shared-memory segments, spilled payload
     files) so nothing leaks.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = make_pool(mode, workers)
     task_iter = iter(tasks)
     pending: deque = deque()
@@ -135,6 +138,8 @@ def pack_block(block: ColumnBlock) -> Tuple[str, ColumnBlock]:
     Returns the segment name and the block's cube-free skeleton for
     :func:`unpack_block`.
     """
+    from multiprocessing import resource_tracker, shared_memory
+
     cube = np.ascontiguousarray(block.cube, dtype=np.float64)
     segment = shared_memory.SharedMemory(create=True, size=max(1, cube.nbytes))
     # The parent's attach re-registers the segment with the (fork-shared)
@@ -153,6 +158,8 @@ def unpack_block(segment_name: str, skeleton: ColumnBlock) -> ColumnBlock:
     """Copy a packed block's cube out of shared memory and unlink it
     (parent side).  One copy — the fork-shared resource tracker then
     forgets the segment cleanly."""
+    from multiprocessing import shared_memory
+
     shape = (len(skeleton.slices), len(skeleton.iterations), len(skeleton.threads))
     segment = shared_memory.SharedMemory(name=segment_name)
     try:
@@ -165,6 +172,8 @@ def unpack_block(segment_name: str, skeleton: ColumnBlock) -> ColumnBlock:
 
 def discard_shm(segment_name: str) -> None:
     """Unlink an undelivered worker segment (cancelled consumer)."""
+    from multiprocessing import shared_memory
+
     try:
         segment = shared_memory.SharedMemory(name=segment_name)
     except FileNotFoundError:

@@ -34,8 +34,10 @@ byte-identical to the in-memory run.  The samples stay on disk; the exact
 analyses keep a few numbers per process-iteration group (about 1 B per
 sample: the laggard and reclaimable statistics; the application-level
 normality row is selected in bounded memory) and hold one open file per
-store group until they finalize.  A larger ``--spill-mb`` folds larger
-groups at once, and the fold's working set grows with the group::
+store group until they finalize.  Each store group folds as one block, so
+the fold's working set is about 5x one store group (``--spill-mb``): at
+25 M samples the default ``--spill-mb 256`` peaks at 1266 MB, against
+131 MB at ``--spill-mb 8``::
 
     python -m repro --scale paper --trials 60 --out-of-core --spill-mb 64
 
@@ -79,16 +81,10 @@ from repro.experiments.tables import (
     section41_normality_table,
     table1,
 )
-from repro.io.dataset_io import save_dataset
 from repro.openmp.schedule import schedule_from_name
-from repro.scenarios import (
-    available_machines,
-    available_noise_profiles,
-    available_noise_sources,
-    available_scenarios,
-    get_machine,
-    get_scenario,
-)
+# every run's noise model draws from the noise-source registry; the machine
+# registry and the scenario catalog load only on the flags that read them
+from repro.scenarios.sources import available_noise_profiles, available_noise_sources
 from repro.viz.ascii import ascii_histogram, ascii_percentile_plot, ascii_table
 from repro.viz.export import export_histogram_csv, export_percentiles_csv, export_rows_csv
 
@@ -200,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="spill campaign shards to an on-disk store as they are "
         "produced and stream every analysis/figure from it (samples on "
-        "disk; the analyses keep ~1 B per sample; outputs identical to the "
+        "disk; the analyses keep ~1 B per sample plus a fold working set of "
+        "~5x one store group, see --spill-mb; outputs identical to the "
         "in-memory run)",
     )
     parser.add_argument(
@@ -209,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=256.0,
         metavar="MB",
         help="with --out-of-core: in-memory shard buffer bound before a "
-        "group spills to disk (default: 256)",
+        "group spills to disk (default: 256); the analyses fold one group at "
+        "a time, with a working set of ~5x the group (at 25 M samples: "
+        "1266 MB peak at 256, 131 MB at 8)",
     )
     parser.add_argument(
         "--scenario",
@@ -282,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure(args: argparse.Namespace, application: str) -> CampaignConfig:
     if args.scenario is not None:
+        from repro.scenarios.scenario import get_scenario
+
         # the scenario fixes machine/noise/app/schedule; CLI flags still
         # override campaign dimensions, seed, backend and worker count
         config = get_scenario(args.scenario).campaign_config(
@@ -302,6 +303,11 @@ def _configure(args: argparse.Namespace, application: str) -> CampaignConfig:
             iterations=args.iterations,
             threads=args.threads,
         )
+        machine = config.machine
+        if args.machine is not None:
+            from repro.scenarios.machines import get_machine
+
+            machine = get_machine(args.machine)
         # replace() (rather than attribute assignment) re-runs __post_init__,
         # so CLI overrides go through the same validation as constructed
         # configs
@@ -310,9 +316,7 @@ def _configure(args: argparse.Namespace, application: str) -> CampaignConfig:
             seed=args.seed if args.seed is not None else config.seed,
             backend=args.backend if args.backend is not None else config.backend,
             max_workers=args.max_workers,
-            machine=(
-                get_machine(args.machine) if args.machine is not None else config.machine
-            ),
+            machine=machine,
             schedule=args.schedule if args.schedule is not None else config.schedule,
         )
     if args.no_noise:
@@ -321,6 +325,9 @@ def _configure(args: argparse.Namespace, application: str) -> CampaignConfig:
 
 
 def _print_catalogs(args: argparse.Namespace) -> None:
+    from repro.scenarios.machines import available_machines, get_machine
+    from repro.scenarios.scenario import available_scenarios, get_scenario
+
     if args.list_analyses:
         for name in available_analyses():
             if args.porcelain:
@@ -454,6 +461,8 @@ def _run_application(
         flush=True,
     )
     if args.save_datasets:
+        from repro.io.dataset_io import save_dataset
+
         save_dataset(result.dataset, output / f"dataset_{application}.npz")
     return products, exemplar
 
@@ -532,6 +541,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"--{flag} conflicts with --scenario (the scenario fixes "
                     "machine, schedule and application)"
                 )
+        from repro.scenarios.scenario import get_scenario
+
         applications = [get_scenario(args.scenario).application]
     else:
         applications = args.apps or ["minife", "minimd", "miniqmc"]

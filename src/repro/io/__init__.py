@@ -8,23 +8,16 @@ export: NumPy ``.npz`` + JSON metadata round-trips (written atomically)
 and CSV.
 """
 
-from repro.io.cache_tier import CacheTier
-from repro.io.dataset_io import dataset_to_csv, load_dataset, save_dataset
-from repro.io.schema import DATASET_FORMAT_VERSION, validate_columns
-from repro.io.shard_store import (
-    DEFAULT_SPILL_THRESHOLD_BYTES,
-    ShardStore,
-    publish_store,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "save_dataset",
-    "load_dataset",
-    "dataset_to_csv",
-    "DATASET_FORMAT_VERSION",
-    "validate_columns",
-    "ShardStore",
-    "publish_store",
-    "DEFAULT_SPILL_THRESHOLD_BYTES",
-    "CacheTier",
-]
+_LAZY_EXPORTS = {
+    "repro.io.cache_tier": ("CacheTier",),
+    "repro.io.dataset_io": ("dataset_to_csv", "load_dataset", "save_dataset"),
+    "repro.io.schema": ("DATASET_FORMAT_VERSION", "validate_columns"),
+    "repro.io.shard_store": (
+        "DEFAULT_SPILL_THRESHOLD_BYTES",
+        "ShardStore",
+        "publish_store",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -15,26 +15,16 @@ transfer itself:
   and the closed-form variant the early-bird feasibility model evaluates.
 """
 
-from repro.mpi.datatypes import BYTE, DOUBLE, FLOAT, INT, Datatype
-from repro.mpi.network import NetworkModel, NICModel, omni_path
-from repro.mpi.partitioned import (
-    PartitionedRecvRequest,
-    PartitionedSendRequest,
-    PartitionedTransfer,
-    partitioned_completion_times,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Datatype",
-    "DOUBLE",
-    "FLOAT",
-    "INT",
-    "BYTE",
-    "NetworkModel",
-    "NICModel",
-    "omni_path",
-    "PartitionedSendRequest",
-    "PartitionedRecvRequest",
-    "PartitionedTransfer",
-    "partitioned_completion_times",
-]
+_LAZY_EXPORTS = {
+    "repro.mpi.datatypes": ("BYTE", "DOUBLE", "FLOAT", "INT", "Datatype"),
+    "repro.mpi.network": ("NetworkModel", "NICModel", "omni_path"),
+    "repro.mpi.partitioned": (
+        "PartitionedRecvRequest",
+        "PartitionedSendRequest",
+        "PartitionedTransfer",
+        "partitioned_completion_times",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

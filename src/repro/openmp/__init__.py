@@ -15,20 +15,16 @@ are assigned to threads:
   discrete-event engine.
 """
 
-from repro.openmp.barrier import Barrier
-from repro.openmp.schedule import (
-    DynamicSchedule,
-    GuidedSchedule,
-    LoopSchedule,
-    StaticSchedule,
-    schedule_from_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Barrier",
-    "LoopSchedule",
-    "StaticSchedule",
-    "DynamicSchedule",
-    "GuidedSchedule",
-    "schedule_from_name",
-]
+_LAZY_EXPORTS = {
+    "repro.openmp.barrier": ("Barrier",),
+    "repro.openmp.schedule": (
+        "DynamicSchedule",
+        "GuidedSchedule",
+        "LoopSchedule",
+        "StaticSchedule",
+        "schedule_from_name",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

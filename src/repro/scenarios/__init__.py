@@ -20,52 +20,34 @@ adds a declarative :class:`Scenario` layer on top:
   :class:`~repro.experiments.session.CampaignSession` directly.
 """
 
-from repro.scenarios.machines import (
-    available_machines,
-    get_machine,
-    register_machine,
-    unregister_machine,
-)
-from repro.scenarios.scenario import (
-    Scenario,
-    ScenarioMatrix,
-    available_scenarios,
-    get_scenario,
-    register_scenario,
-    unregister_scenario,
-)
-from repro.scenarios.sources import (
-    NoiseSource,
-    available_noise_profiles,
-    available_noise_sources,
-    build_noise_sources,
-    get_noise_source,
-    make_noise_source,
-    noise_profile,
-    register_noise_profile,
-    register_noise_source,
-    unregister_noise_source,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NoiseSource",
-    "register_noise_source",
-    "unregister_noise_source",
-    "available_noise_sources",
-    "get_noise_source",
-    "make_noise_source",
-    "build_noise_sources",
-    "noise_profile",
-    "register_noise_profile",
-    "available_noise_profiles",
-    "register_machine",
-    "unregister_machine",
-    "available_machines",
-    "get_machine",
-    "Scenario",
-    "ScenarioMatrix",
-    "register_scenario",
-    "unregister_scenario",
-    "available_scenarios",
-    "get_scenario",
-]
+_LAZY_EXPORTS = {
+    "repro.scenarios.machines": (
+        "available_machines",
+        "get_machine",
+        "register_machine",
+        "unregister_machine",
+    ),
+    "repro.scenarios.scenario": (
+        "Scenario",
+        "ScenarioMatrix",
+        "available_scenarios",
+        "get_scenario",
+        "register_scenario",
+        "unregister_scenario",
+    ),
+    "repro.scenarios.sources": (
+        "NoiseSource",
+        "available_noise_profiles",
+        "available_noise_sources",
+        "build_noise_sources",
+        "get_noise_source",
+        "make_noise_source",
+        "noise_profile",
+        "register_noise_profile",
+        "register_noise_source",
+        "unregister_noise_source",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -35,36 +35,23 @@ service executes the very same backends through the very same executor, and
 the integration tests pin the digests.
 """
 
-from repro.service.api import CampaignService
-from repro.service.dedup import RequestCoalescer
-from repro.service.http import CampaignHTTPServer
-from repro.service.jobs import (
-    Job,
-    JobCancelledError,
-    JobHandle,
-    JobProgress,
-    JobState,
-    ResultEvictedError,
-    dataset_digest,
-    shard_digest,
-    streamed_digest,
-)
-from repro.service.queue import JobQueue, JobScheduler, RejectedError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignService",
-    "CampaignHTTPServer",
-    "Job",
-    "JobCancelledError",
-    "JobHandle",
-    "JobProgress",
-    "JobQueue",
-    "JobScheduler",
-    "JobState",
-    "RejectedError",
-    "RequestCoalescer",
-    "ResultEvictedError",
-    "dataset_digest",
-    "shard_digest",
-    "streamed_digest",
-]
+_LAZY_EXPORTS = {
+    "repro.service.api": ("CampaignService",),
+    "repro.service.dedup": ("RequestCoalescer",),
+    "repro.service.http": ("CampaignHTTPServer",),
+    "repro.service.jobs": (
+        "Job",
+        "JobCancelledError",
+        "JobHandle",
+        "JobProgress",
+        "JobState",
+        "ResultEvictedError",
+        "dataset_digest",
+        "shard_digest",
+        "streamed_digest",
+    ),
+    "repro.service.queue": ("JobQueue", "JobScheduler", "RejectedError"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -18,17 +18,12 @@ Determinism: with identical seeds and identical process creation order every
 run produces bit-identical event traces.
 """
 
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Delay, SimEvent, Signal, WaitEvent
-from repro.sim.process import SimProcess
-from repro.sim.random import RandomStreams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimulationEngine",
-    "SimProcess",
-    "SimEvent",
-    "Delay",
-    "WaitEvent",
-    "Signal",
-    "RandomStreams",
-]
+_LAZY_EXPORTS = {
+    "repro.sim.engine": ("SimulationEngine",),
+    "repro.sim.events": ("Delay", "SimEvent", "Signal", "WaitEvent"),
+    "repro.sim.process": ("SimProcess",),
+    "repro.sim.random": ("RandomStreams",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -23,34 +23,21 @@ Public entry points
   the histogram pass of :mod:`repro.analysis`.
 """
 
-from repro.stats.anderson import AndersonDarlingResult, anderson_darling
-from repro.stats.battery import NormalityBattery, NormalityReport, TestOutcome
-from repro.stats.dagostino import DAgostinoResult, dagostino_k2, kurtosis_test, skewness_test
-from repro.stats.histogram import FixedWidthHistogram, fixed_width_histogram
-from repro.stats.moments import kurtosis, skewness, standardize
-from repro.stats.percentiles import PercentileSeries, iqr, percentile_table
-from repro.stats.shapiro import ShapiroWilkResult, shapiro_wilk
-from repro.stats.streaming import StreamingHistogram
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "dagostino_k2",
-    "skewness_test",
-    "kurtosis_test",
-    "DAgostinoResult",
-    "shapiro_wilk",
-    "ShapiroWilkResult",
-    "anderson_darling",
-    "AndersonDarlingResult",
-    "NormalityBattery",
-    "NormalityReport",
-    "TestOutcome",
-    "skewness",
-    "kurtosis",
-    "standardize",
-    "iqr",
-    "percentile_table",
-    "PercentileSeries",
-    "fixed_width_histogram",
-    "FixedWidthHistogram",
-    "StreamingHistogram",
-]
+_LAZY_EXPORTS = {
+    "repro.stats.anderson": ("AndersonDarlingResult", "anderson_darling"),
+    "repro.stats.battery": ("NormalityBattery", "NormalityReport", "TestOutcome"),
+    "repro.stats.dagostino": (
+        "DAgostinoResult",
+        "dagostino_k2",
+        "kurtosis_test",
+        "skewness_test",
+    ),
+    "repro.stats.histogram": ("FixedWidthHistogram", "fixed_width_histogram"),
+    "repro.stats.moments": ("kurtosis", "skewness", "standardize"),
+    "repro.stats.percentiles": ("PercentileSeries", "iqr", "percentile_table"),
+    "repro.stats.shapiro": ("ShapiroWilkResult", "shapiro_wilk"),
+    "repro.stats.streaming": ("StreamingHistogram",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

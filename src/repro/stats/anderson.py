@@ -15,7 +15,8 @@ Two decision interfaces are provided, because the paper reports the 5 %
 significance level:
 
 * :meth:`AndersonDarlingResult.passes` — compare ``A*²`` against Stephens'
-  critical value table (identical to ``scipy.stats.anderson``).
+  critical value table (the one older ``scipy.stats.anderson`` releases
+  used; SciPy 1.17 pairs this correction with D'Agostino's 1986 points).
 * ``pvalue`` — the D'Agostino & Stephens (1986) approximation, convenient for
   plotting and for the battery's uniform interface.
 

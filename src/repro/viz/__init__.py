@@ -5,14 +5,14 @@ ASCII (for terminal inspection in the examples) and exported as CSV series
 (for external plotting).
 """
 
-from repro.viz.ascii import ascii_histogram, ascii_percentile_plot, ascii_table
-from repro.viz.export import export_histogram_csv, export_percentiles_csv, export_rows_csv
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ascii_histogram",
-    "ascii_percentile_plot",
-    "ascii_table",
-    "export_histogram_csv",
-    "export_percentiles_csv",
-    "export_rows_csv",
-]
+_LAZY_EXPORTS = {
+    "repro.viz.ascii": ("ascii_histogram", "ascii_percentile_plot", "ascii_table"),
+    "repro.viz.export": (
+        "export_histogram_csv",
+        "export_percentiles_csv",
+        "export_rows_csv",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

@@ -10,6 +10,11 @@ registry.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,18 @@ SEED_DIGESTS = CAMPAIGN_SMOKE_DIGESTS
 # agreement with the closed-form path), and per-core noise is now a single
 # consistent realisation instead of independent redraws per query window.
 SEED_EVENT_DIGEST = "d9415bf79ddd3ecdc48bfaec62aacb9cefbca28fd0322557f1abf3127b615a33"
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: CLI invocations that read a registry; "?" is no backend, so argparse
+#: lists --backend's choices
+REGISTRY_QUERIES = [
+    ["--list-analyses", "--porcelain"],
+    ["--list-noise-sources", "--porcelain"],
+    ["--list-scenarios", "--porcelain"],
+    ["--list-machines", "--porcelain"],
+    ["--list-analyses", "--list-noise-sources", "--list-scenarios", "--list-machines"],
+    ["--backend", "?"],
+]
 
 
 def _digest(dataset) -> str:
@@ -145,7 +162,46 @@ class TestScenarioExecution:
         assert not np.array_equal(a, b)
 
 
+def _cli(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with the package alone on the path."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestCLI:
+    def test_registries_are_complete_when_queried(self):
+        # each query in its own fresh interpreter must print what it prints
+        # once every registering module is imported up front: a registration
+        # that rode on an import the CLI no longer makes shows up here
+        eager = _cli(
+            "-c",
+            "import contextlib, io, json, sys\n"
+            "import repro.analysis.passes, repro.scenarios.machines\n"
+            "import repro.scenarios.sources, repro.scenarios.scenario\n"
+            "from repro.experiments.runner import main\n"
+            "outputs = []\n"
+            "for query in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            code = main(query)\n"
+            "        except SystemExit as exit:\n"
+            "            code = exit.code\n"
+            "    outputs.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(outputs))",
+            json.dumps(REGISTRY_QUERIES),
+        )
+        assert eager.returncode == 0, eager.stderr
+        for query, (code, out, err) in zip(REGISTRY_QUERIES, json.loads(eager.stdout)):
+            lazy = _cli("-m", "repro", *query)
+            assert (lazy.returncode, lazy.stdout, lazy.stderr) == (code, out, err), query
+        assert "campaign" in err  # the last query lists the backend choices
+
     def test_list_scenarios_porcelain(self, capsys):
         assert runner_main(["--list-scenarios", "--porcelain"]) == 0
         names = capsys.readouterr().out.split()

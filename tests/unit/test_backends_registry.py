@@ -68,27 +68,54 @@ class TestRegistry:
         assert run.returncode == 2
         assert f"invalid choice: '{oracle}'" in run.stderr
 
-    def test_default_cli_import_loads_no_event_stack_or_oracle(self):
+    def test_default_cli_import_loads_no_event_stack_or_oracle(self, tmp_path):
         # with the test tree importable too: the runner must not pull in
-        # the discrete-event runtime or a reference sampler
+        # the discrete-event runtime, a reference sampler, the pool's
+        # standard library or a module only another path runs
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
-        probe = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro.experiments.runner; print(*sorted(sys.modules))",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert probe.returncode == 0, probe.stderr
-        loaded = set(probe.stdout.split())
+
+        def loaded_by(*argv: str) -> set:
+            probe = subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "import sys, repro.experiments.runner as runner\n"
+                    "if sys.argv[1:]:\n"
+                    "    assert runner.main(sys.argv[1:]) == 0\n"
+                    "print(*sorted(sys.modules))",
+                    *argv,
+                ],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert probe.returncode == 0, probe.stderr
+            return set(probe.stdout.splitlines()[-1].split())
+
+        loaded = loaded_by()
         assert "repro.experiments.runner" in loaded
-        for name in ("repro.openmp.runtime", "repro.openmp.team", "repro.openmp.forloop"):
+        for name in (
+            "repro.openmp.runtime",
+            "repro.openmp.team",
+            "repro.openmp.forloop",
+            "multiprocessing",
+            "concurrent.futures",
+            "repro.mpi.partitioned",
+            "repro.sim.engine",
+            "repro.core.strategies",
+            "repro.core.endtoend",
+            "repro.io.cache_tier",
+            "repro.io.shard_store",
+        ):
             assert name not in loaded
         assert not {name for name in loaded if name.split(".")[0] == "oracles"}
+        # the deferral is real: a serial run never loads the pool ...
+        smoke = ("--scale", "smoke", "--output")
+        assert "multiprocessing" not in loaded_by(*smoke, str(tmp_path / "serial"))
+        # ... and a pooled run does, so the probe sees it when it is there
+        pooled = loaded_by(*smoke, str(tmp_path / "pooled"), "--max-workers", "2")
+        assert "multiprocessing" in pooled
 
     def test_get_backend_returns_named_instances(self):
         for name in available_backends():

@@ -1,33 +1,30 @@
 """Unit tests for the top-level package API (lazy exports, metadata)."""
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
 import repro
+
+PACKAGES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+)
+
+
+def _origins(package) -> dict:
+    """Each lazily exported name of ``package`` -> the module defining it."""
+    table = getattr(package, "_LAZY_EXPORTS", {})
+    return {name: module for module, names in table.items() for name in names}
 
 
 class TestTopLevelApi:
     def test_version_is_exposed(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
-
-    def test_lazy_exports_resolve(self):
-        assert repro.TimingDataset is importlib.import_module(
-            "repro.core.timing"
-        ).TimingDataset
-        assert repro.analyze_dataset is importlib.import_module(
-            "repro.analysis.engine"
-        ).analyze_dataset
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            repro.does_not_exist  # noqa: B018
-
-    def test_dir_lists_lazy_exports(self):
-        listing = dir(repro)
-        for name in repro.__all__:
-            assert name in listing
 
     @pytest.mark.parametrize(
         "module",
@@ -60,13 +57,53 @@ class TestTopLevelApi:
         comparison = compare_strategies(arrivals, buffer_bytes=8 << 20)
         assert comparison.speedup_over_bulk()["bulk"] == pytest.approx(1.0)
 
-    def test_new_campaign_api_lazy_exports(self):
+
+class TestLazyExports:
+    """Every package resolves its ``__all__`` through one lazy-export table
+    (``repro._lazy``), so a stale entry fails here, not in a user's import."""
+
+    def test_every_subpackage_is_covered(self):
+        assert {"repro.core", "repro.experiments", "repro.apps.minife"} <= set(PACKAGES)
+
+    @pytest.mark.parametrize("name", PACKAGES)
+    def test_exports_resolve_to_the_defining_module(self, name):
+        package = importlib.import_module(name)
+        origins = _origins(package)
+        for export in package.__all__:
+            value = getattr(package, export)
+            if export not in origins:
+                # bound when the package imports (the version string, the
+                # application registry)
+                assert export in vars(package)
+                continue
+            module = importlib.import_module(origins[export])
+            assert vars(module)[export] is value, (name, export)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, (name, export)
+
+    @pytest.mark.parametrize("name", PACKAGES)
+    def test_dir_lists_every_export(self, name):
+        package = importlib.import_module(name)
+        assert set(package.__all__) <= set(dir(package))
+
+    @pytest.mark.parametrize("name", PACKAGES)
+    def test_unknown_attribute_raises(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match="does_not_exist"):
+            package.does_not_exist  # noqa: B018
+
+    def test_readme_names_resolve(self):
+        import repro.core
+        import repro.experiments
+
+        assert repro.core.aggregate is importlib.import_module("repro.core.aggregation").aggregate
+        assert repro.core.IterationClass is importlib.import_module("repro.core.laggard").IterationClass
+        assert repro.core.compare_strategies is importlib.import_module(
+            "repro.core.strategies"
+        ).compare_strategies
+        backends = importlib.import_module("repro.experiments.backends")
+        assert repro.experiments.CampaignBackend is backends.CampaignBackend
+        assert repro.experiments.register_backend is backends.register_backend
         assert repro.CampaignSession is importlib.import_module(
             "repro.experiments.session"
         ).CampaignSession
-        assert repro.register_backend is importlib.import_module(
-            "repro.experiments.backends"
-        ).register_backend
-        assert repro.TimingShard is importlib.import_module(
-            "repro.core.timing"
-        ).TimingShard

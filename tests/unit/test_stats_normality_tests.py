@@ -1,5 +1,8 @@
 """Unit tests for the three normality tests, validated against SciPy."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -86,11 +89,26 @@ class TestShapiroWilk:
             shapiro_weights(5001)
 
 
+#: SciPy 1.17 deprecates calling ``anderson`` without a p-value ``method``
+ANDERSON_METHOD = (
+    {"method": "interpolate"}
+    if "method" in inspect.signature(scipy_stats.anderson).parameters
+    else {}
+)
+#: Stephens (1974) points for the normal case with estimated parameters,
+#: the table Table 1's AD column decides at
+STEPHENS_1974 = {15.0: 0.576, 10.0: 0.656, 5.0: 0.787, 2.5: 0.918, 1.0: 1.092}
+#: D'Agostino (1986) points for A*² = A²(1 + 0.75/n + 2.25/n²), which SciPy
+#: pairs with that correction today; CRITICAL_VALUES keeps Stephens' (1974)
+#: points, the table SciPy paired with it before
+DAGOSTINO_1986 = {15.0: 0.561, 10.0: 0.631, 5.0: 0.752, 2.5: 0.873, 1.0: 1.035}
+
+
 class TestAndersonDarling:
     def test_raw_statistic_matches_scipy(self, normal_batch):
         result = anderson_darling(normal_batch)
         expected = np.array(
-            [scipy_stats.anderson(row).statistic for row in normal_batch]
+            [scipy_stats.anderson(row, **ANDERSON_METHOD).statistic for row in normal_batch]
         )
         np.testing.assert_allclose(result.raw_statistic, expected, rtol=1e-9)
 
@@ -102,9 +120,29 @@ class TestAndersonDarling:
             result.statistic, result.raw_statistic * factor, rtol=1e-12
         )
 
+    def test_critical_value_table_is_stephens_1974(self):
+        assert list(CRITICAL_VALUES) == list(STEPHENS_1974)
+        assert CRITICAL_VALUES == STEPHENS_1974
+
     def test_critical_value_table_matches_scipy(self):
-        assert CRITICAL_VALUES[5.0] == pytest.approx(0.787)
-        assert list(CRITICAL_VALUES) == [15.0, 10.0, 5.0, 2.5, 1.0]
+        # SciPy divides its points by the small-sample correction and rounds
+        # to 3 decimals; at n = 100 000 that division rounds away, leaving
+        # the points themselves
+        sample = np.random.default_rng(0).normal(size=100_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FutureWarning)
+            result = scipy_stats.anderson(sample)
+        if not hasattr(result, "critical_values"):
+            pytest.skip("this SciPy no longer returns critical_values/significance_level")
+        table = dict(zip(result.significance_level.tolist(), result.critical_values.tolist()))
+        assert list(table) == list(CRITICAL_VALUES)
+        # the one disagreement known (ROADMAP item 8): any other table fails
+        if CRITICAL_VALUES == STEPHENS_1974 and table == pytest.approx(DAGOSTINO_1986):
+            pytest.xfail(
+                "this SciPy uses D'Agostino's (1986) points for A*²; CRITICAL_VALUES "
+                "keeps the Stephens (1974) points older SciPy used"
+            )
+        assert table == pytest.approx(CRITICAL_VALUES)
 
     def test_pass_rate_near_alpha_for_normal_data(self, normal_batch):
         assert anderson_darling(normal_batch).passes(0.05).mean() > 0.85
