@@ -1,32 +1,70 @@
 """Common interface of the proxy applications.
 
-A :class:`ProxyApplication` answers two questions for the campaign runner:
+A :class:`ProxyApplication` is its whole-campaign work model: for a chunk of
+``(trial, process)`` shards it returns every thread's compute time of every
+iteration as one ``(shards, iterations, threads)`` tensor
+(:meth:`~ProxyApplication.thread_compute_times_campaign`).  An application
+implements the hooks that tensor is built from:
 
-* ``item_costs(process, iteration, rng)`` — the pure compute cost of every
-  iteration of the *timed loop* (the unit the OpenMP schedule distributes),
-  with ``application_delays`` the application-level variability on top;
-  the per-iteration reference samplers in the test tree replay these.
-* ``thread_compute_times_campaign(...)`` — the per-thread compute time of a
-  whole chunk of (trial, process) shards as one ``(shards, iterations,
-  threads)`` tensor, including application-level variability, execution
-  jitter and OS noise; used by the campaign tensor backend.
+* ``begin_campaign`` — per-process state (optional);
+* ``item_costs_campaign`` — the pure compute cost of every item of the
+  *timed loop* (the unit the OpenMP schedule distributes), folded through
+  the schedule into per-thread busy times;
+* ``application_delays_campaign`` — application-level variability on top
+  (optional).
 
-Both share the same underlying work decomposition, so the samplers built
-on them agree in distribution; the integration tests check that they agree
-closely when noise is disabled.
+Execution jitter and OS noise come last.  Every shard-varying draw goes
+through :func:`stack_shards`, which scopes it under the shard's absolute
+``("shard", trial, process)`` key, so any chunking of the shard axis and any
+worker assignment sample bit-identical tensors.  The per-iteration
+reference samplers in the test tree replay the same calibrated models one
+process-iteration at a time; the agreement tests check that the two agree
+in distribution.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.noise import OSNoiseModel
 from repro.openmp.schedule import LoopSchedule, StaticSchedule
 from repro.sim.random import maybe_scope
+
+
+def stack_shards(
+    shards: Sequence[tuple],
+    rng: np.random.Generator,
+    draw: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """Stack one plane per shard, ``draw(index)`` for the shard at ``index``
+    of ``shards``, each drawn under its absolute ``("shard", trial,
+    process)`` scope.  A plane may be a scalar (one state value per shard).
+
+    Under a :class:`~repro.sim.random.PurposeSplitRNG` a shard's plane then
+    depends only on the shard, whatever chunk or worker draws it; a plain
+    ``Generator`` draws the planes in shard order.  Every plane must have
+    the first one's shape (e.g. the same item count in every process):
+    a plane of another shape raises ``ValueError`` rather than broadcast.
+    """
+    planes = None
+    for index, (trial, process) in enumerate(shards):
+        with maybe_scope(rng, "shard", int(trial), int(process)):
+            plane = draw(index)
+        if planes is None:
+            planes = np.empty((len(shards),) + np.shape(plane))
+        elif np.shape(plane) != planes.shape[1:]:
+            raise ValueError(
+                f"shard {(int(trial), int(process))} drew a plane of shape "
+                f"{np.shape(plane)}, shard {tuple(map(int, shards[0]))} one of "
+                f"shape {planes.shape[1:]}: planes that differ per shard "
+                "(e.g. item counts that differ per process) are not supported"
+            )
+        planes[index] = plane
+    return planes
 
 
 @dataclass
@@ -59,129 +97,31 @@ class ProxyApplication(ABC):
         self.config = config if config is not None else ApplicationConfig()
 
     # ------------------------------------------------------------------
-    # per-process lifecycle
-    # ------------------------------------------------------------------
-    def begin_process(self, process: int, rng: np.random.Generator) -> None:
-        """Hook invoked once per (trial, process) before its iterations run.
-
-        Applications that carry per-process state across iterations (e.g.
-        MiniQMC's walker population, whose composition sets that process's
-        mover-time statistics for the whole trial) draw it here.  The default
-        is stateless.
-        """
-
-    # ------------------------------------------------------------------
-    # work decomposition
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def item_costs(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Pure compute cost (seconds) of every item of the timed loop."""
-
-    def application_delays(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Application-level per-thread extra delays (seconds).
-
-        Models variability that comes from the application rather than the
-        OS: cache/bandwidth contention stragglers in MiniFE, neighbour-list
-        warm-up in MiniMD, ...  The default is no extra delay.
-        """
-        return np.zeros(self.config.n_threads)
-
-    # ------------------------------------------------------------------
-    # per-shard planes (stacked by the default campaign hooks)
-    # ------------------------------------------------------------------
-    def item_costs_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Cost matrix ``(n_iterations, n_items)`` of a whole shard's loops.
-
-        The default stacks per-iteration :meth:`item_costs` calls (same
-        draws, same order); applications whose per-iteration randomness
-        factors into a single distribution override this with one 2-D draw
-        so an entire (trial, process) shard costs a handful of NumPy calls.
-        """
-        return np.stack(
-            [self.item_costs(process, it, rng) for it in range(n_iterations)]
-        )
-
-    def application_delays_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Application-level delays ``(n_iterations, n_threads)`` of a shard.
-
-        The default stacks per-iteration :meth:`application_delays` calls.
-        """
-        return np.stack(
-            [self.application_delays(process, it, rng) for it in range(n_iterations)]
-        )
-
-    # ------------------------------------------------------------------
-    # whole-campaign tensor decomposition (the ``"campaign"`` backend)
+    # whole-campaign work model (the ``"campaign"`` backend)
     # ------------------------------------------------------------------
     def begin_campaign(
         self, shards: Sequence[tuple], rng: np.random.Generator
     ) -> None:
         """Hook invoked once per shard chunk before its campaign draws.
 
-        The chunk analogue of :meth:`begin_process` for ``shards``, a
-        sequence of ``(trial, process)`` pairs.  The default calls
-        :meth:`begin_process` for every shard under its absolute
-        ``("shard", trial, process)`` scope, so chunking cannot change the
-        draws.  All of a chunk's shards begin before any cost is drawn, so
-        the default per-shard plane hooks re-begin each shard's state right
-        before drawing its planes (:meth:`_resume_shard`).  Applications
-        that draw every shard's state in one go (MiniQMC's walker
-        populations) override this and keep one state per shard.
+        Applications that carry per-process state across iterations (e.g.
+        MiniQMC's walker populations, whose composition sets a process's
+        mover-time statistics for the whole trial) draw one state per
+        ``(trial, process)`` pair of ``shards`` here.  The default is
+        stateless.
         """
-        for trial, process in shards:
-            with maybe_scope(rng, "shard", int(trial), int(process)):
-                self.begin_process(int(process), rng)
 
-    def _resume_shard(self, rng: np.random.Generator, trial: int, process: int) -> None:
-        """Make one shard's :meth:`begin_process` state current again.
-
-        Replays ``begin_process`` under the shard's original
-        ``("state", "shard", trial, process)`` path, which restores exactly
-        the state the default :meth:`begin_campaign` began it with.  A no-op
-        for stateless apps, for apps that override :meth:`begin_campaign`
-        and for plain ``Generator`` callers.
-        """
-        cls = type(self)
-        if (
-            cls.begin_process is ProxyApplication.begin_process
-            or cls.begin_campaign is not ProxyApplication.begin_campaign
-            or not hasattr(rng, "rooted")
-        ):
-            return
-        with rng.rooted("state"), rng.scope("shard", trial, process):
-            self.begin_process(process, rng)
-
+    @abstractmethod
     def item_costs_campaign(
         self, shards: Sequence[tuple], n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Cost tensor ``(n_shards, n_iterations, n_items)`` of many shards.
+        """Cost tensor ``(n_shards, n_iterations, n_items)`` of many shards:
+        the pure compute cost (seconds) of every item of the timed loop
+        (the unit the OpenMP schedule distributes).
 
-        The default stacks :meth:`item_costs_batch` planes, each under its
-        absolute ``("shard", trial, process)`` scope, so chunking the shard
-        axis cannot change the draws.  The planes must share one item
-        count: item counts that differ per process are not supported.
+        Draw each shard's plane through :func:`stack_shards`, so chunking
+        the shard axis cannot change the draws.
         """
-        planes = []
-        for trial, process in shards:
-            self._resume_shard(rng, int(trial), int(process))
-            with maybe_scope(rng, "shard", int(trial), int(process)):
-                planes.append(self.item_costs_batch(int(process), n_iterations, rng))
-        if len({plane.shape for plane in planes}) > 1:
-            raise ValueError(
-                f"application {self.name!r} has item counts that differ per "
-                "process, which the campaign backend's shard-stacked cost "
-                "tensor cannot hold: item counts that differ per process are "
-                "not supported"
-            )
-        return np.stack(planes)
 
     def base_thread_times_campaign(
         self, shards: Sequence[tuple], n_iterations: int, rng: np.random.Generator
@@ -197,52 +137,14 @@ class ProxyApplication(ABC):
     def application_delays_campaign(
         self, shards: Sequence[tuple], n_iterations: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Application delays ``(n_shards, n_iterations, n_threads)``.
+        """Application-level extra delays ``(n_shards, n_iterations,
+        n_threads)`` in seconds.
 
-        The default stacks :meth:`application_delays_batch` planes under
-        absolute per-shard scopes (chunk-invariant).
+        Models variability that comes from the application rather than the
+        OS: cache/bandwidth contention stragglers in MiniFE, neighbour-list
+        warm-up in MiniMD, ...  The default is no extra delay.
         """
-        planes = []
-        for trial, process in shards:
-            self._resume_shard(rng, int(trial), int(process))
-            with maybe_scope(rng, "shard", int(trial), int(process)):
-                planes.append(
-                    self.application_delays_batch(int(process), n_iterations, rng)
-                )
-        return np.stack(planes)
-
-    def _apply_campaign_noise(
-        self,
-        times: np.ndarray,
-        shards: Sequence[tuple],
-        rng: np.random.Generator,
-        noise: Optional[OSNoiseModel],
-    ) -> np.ndarray:
-        """Apply execution jitter and OS noise plane by plane.
-
-        Each shard's jitter and noise draws sit under its absolute
-        ``("shard", trial, process)`` scope (nested inside the ``"jitter"`` /
-        ``"noise"`` stage scopes), so a shard's samples depend only on its
-        own identity — the invariant that lets chunks run in any order, in
-        any partition, on any worker, and still assemble bit-identically.
-        """
-        if noise is None:
-            return times
-        if noise.spec.enabled and noise.spec.jitter_fraction > 0:
-            jitter = np.empty_like(times)
-            with maybe_scope(rng, "jitter"):
-                for index, (trial, process) in enumerate(shards):
-                    with maybe_scope(rng, "shard", int(trial), int(process)):
-                        jitter[index] = rng.normal(
-                            1.0, noise.spec.jitter_fraction, size=times.shape[1:]
-                        )
-            times = times * np.clip(jitter, 0.5, None)
-        delays = np.empty_like(times)
-        with maybe_scope(rng, "noise"):
-            for index, (trial, process) in enumerate(shards):
-                with maybe_scope(rng, "shard", int(trial), int(process)):
-                    delays[index] = noise.batch_delays(times[index], rng)
-        return times + delays
+        return np.zeros((len(shards), n_iterations, self.config.n_threads))
 
     def finalize_campaign_times(
         self,
@@ -255,9 +157,11 @@ class ProxyApplication(ABC):
         """Apply delays, jitter and OS noise to a folded busy-time tensor.
 
         The last step of :meth:`thread_compute_times_campaign`, after the
-        schedule fold: the per-shard delays, jitter and noise are drawn
-        under the ``delays``/``jitter``/``noise`` scopes of ``rng``, so any
-        partition of the shard axis draws the same values.
+        schedule fold: the delays, jitter and noise are drawn under the
+        ``delays``/``jitter``/``noise`` stage scopes of ``rng``, and the
+        jitter and noise of each shard under its own shard scope
+        (:func:`stack_shards`), so any partition of the shard axis draws the
+        same values.
         """
         with maybe_scope(rng, "delays"):
             extra = self.application_delays_campaign(shards, n_iterations, rng)
@@ -266,7 +170,22 @@ class ProxyApplication(ABC):
                 "application_delays_campaign must return one value per "
                 "(shard, iteration, thread)"
             )
-        return self._apply_campaign_noise(base + extra, shards, rng, noise)
+        times = base + extra
+        if noise is None:
+            return times
+        spec = noise.spec
+        if spec.enabled and spec.jitter_fraction > 0:
+            shape = times.shape[1:]
+            with maybe_scope(rng, "jitter"):
+                jitter = stack_shards(
+                    shards, rng, lambda _: rng.normal(1.0, spec.jitter_fraction, size=shape)
+                )
+            times = times * np.clip(jitter, 0.5, None)
+        with maybe_scope(rng, "noise"):
+            delays = stack_shards(
+                shards, rng, lambda index: noise.batch_delays(times[index], rng)
+            )
+        return times + delays
 
     def thread_compute_times_campaign(
         self,
@@ -284,9 +203,7 @@ class ProxyApplication(ABC):
         normally the campaign backend's
         :class:`~repro.sim.random.PurposeSplitRNG`), so any partition of the
         shard axis — serial or across worker processes — produces
-        bit-identical samples.  Applications that only implement the
-        per-shard hooks run through the same driver: the default
-        ``*_campaign`` hooks stack their planes.
+        bit-identical samples.
         """
         n_iter = self.config.n_iterations if n_iterations is None else n_iterations
         if n_iter < 1:

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.base import ApplicationConfig, ProxyApplication
+from repro.apps.base import ApplicationConfig, ProxyApplication, stack_shards
 from repro.apps.minife.mesh import BrickMesh
 
 #: The paper's mean median arrival time for MiniFE (seconds).
@@ -103,12 +103,6 @@ class MiniFEApp(ProxyApplication):
     # ------------------------------------------------------------------
     # work model
     # ------------------------------------------------------------------
-    def item_costs(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Cost of every (z, y) pencil of the mat-vec loop."""
-        return self._item_costs
-
     def base_thread_times(
         self, process: int, iteration: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -121,43 +115,9 @@ class MiniFEApp(ProxyApplication):
             self._base_times_cache = outcome.busy_time
         return self._base_times_cache
 
-    def application_delays(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Occasional single-thread straggler from memory-system contention."""
-        delays = np.zeros(self.config.n_threads)
-        if rng.uniform() < self.config.straggler_probability:
-            victim = int(rng.integers(self.config.n_threads))
-            delays[victim] = rng.uniform(
-                self.config.straggler_min_s, self.config.straggler_max_s
-            )
-        return delays
-
-    # ------------------------------------------------------------------
-    # whole-campaign work model (the ``"campaign"`` backend)
-    # ------------------------------------------------------------------
-    def application_delays_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """All of the shard's straggler events in three vectorised draws:
-        which iterations straggle, which thread is the victim, how long.
-
-        The default ``application_delays_campaign`` stacks these planes,
-        each under its absolute ``("shard", trial, process)`` scope, so any
-        chunking or worker assignment replays identical events."""
-        cfg = self.config
-        delays = np.zeros((n_iterations, cfg.n_threads))
-        hit = rng.uniform(size=n_iterations) < cfg.straggler_probability
-        n_hit = int(hit.sum())
-        if n_hit:
-            victims = rng.integers(cfg.n_threads, size=n_hit)
-            delays[np.flatnonzero(hit), victims] = rng.uniform(
-                cfg.straggler_min_s, cfg.straggler_max_s, size=n_hit
-            )
-        return delays
-
     def item_costs_campaign(self, shards, n_iterations, rng):
-        """Deterministic matrix: broadcast the pencil costs (zero draws)."""
+        """Cost of every (z, y) pencil of the mat-vec loop: the matrix is
+        deterministic, so the pencil costs are broadcast (zero draws)."""
         return np.broadcast_to(
             self._item_costs, (len(shards), n_iterations, self._item_costs.size)
         )
@@ -168,6 +128,25 @@ class MiniFEApp(ProxyApplication):
         campaign kernel replays identical rows to identical sums)."""
         row = self.base_thread_times(0, 0, rng)
         return np.broadcast_to(row, (len(shards), n_iterations, row.size))
+
+    def application_delays_campaign(self, shards, n_iterations, rng):
+        """Occasional single-thread straggler from memory-system contention:
+        each shard's events in three draws — which iterations straggle,
+        which thread is the victim, how long."""
+        cfg = self.config
+
+        def stragglers(_):
+            delays = np.zeros((n_iterations, cfg.n_threads))
+            hit = rng.uniform(size=n_iterations) < cfg.straggler_probability
+            n_hit = int(hit.sum())
+            if n_hit:
+                victims = rng.integers(cfg.n_threads, size=n_hit)
+                delays[np.flatnonzero(hit), victims] = rng.uniform(
+                    cfg.straggler_min_s, cfg.straggler_max_s, size=n_hit
+                )
+            return delays
+
+        return stack_shards(shards, rng, stragglers)
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

@@ -33,13 +33,15 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.base import ApplicationConfig, ProxyApplication
+from repro.apps.base import ApplicationConfig, ProxyApplication, stack_shards
 from repro.apps.minimd.neighbor import DEFAULT_CUTOFF, DEFAULT_DENSITY, expected_neighbors
 
 #: The paper's mean median arrival time for MiniMD (seconds).
 TARGET_MEDIAN_ARRIVAL_S = 24.74e-3
 #: Warm-up phase median (paper: "a median of between 25 ms and 26 ms").
 TARGET_WARMUP_MEDIAN_S = 25.75e-3
+#: Centre of the per-thread warm-up delay (seconds).
+WARMUP_OFFSET_S = TARGET_WARMUP_MEDIAN_S - TARGET_MEDIAN_ARRIVAL_S
 
 
 @dataclass
@@ -107,70 +109,44 @@ class MiniMDApp(ProxyApplication):
     # ------------------------------------------------------------------
     # work model
     # ------------------------------------------------------------------
-    def item_costs(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    @property
+    def block_cost_s(self) -> float:
+        """Mean cost of one thread's atom block (seconds): the block's atoms
+        times their stored neighbours times the cost per pair."""
+        atoms_per_thread = self.atoms_per_process / self.config.n_threads
+        return atoms_per_thread * self.pairs_per_atom * self._time_per_pair
+
+    def item_costs_campaign(self, shards, n_iterations, rng):
         """Cost of every atom block of the force loop.
 
         Atoms are pre-grouped into ``n_threads`` blocks (the static schedule
         then maps one block per thread); each block's cost fluctuates slightly
-        with the realised neighbour counts.
+        with the realised neighbour counts: one 2-D normal draw per shard.
         """
         cfg = self.config
-        atoms_per_thread = self.atoms_per_process / cfg.n_threads
-        base = atoms_per_thread * self.pairs_per_atom * self._time_per_pair
-        fluctuation = rng.normal(1.0, cfg.work_imbalance_fraction, size=cfg.n_threads)
-        return base * np.clip(fluctuation, 0.5, None)
-
-    def application_delays(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Warm-up phase: neighbour-list build / layout settling per thread."""
-        cfg = self.config
-        if not self.in_warmup(iteration):
-            return np.zeros(cfg.n_threads)
-        centre = TARGET_WARMUP_MEDIAN_S - TARGET_MEDIAN_ARRIVAL_S
-        return np.clip(
-            centre + rng.uniform(-cfg.warmup_spread_s, cfg.warmup_spread_s, cfg.n_threads),
-            0.0,
-            None,
+        fluctuation = stack_shards(
+            shards,
+            rng,
+            lambda _: rng.normal(
+                1.0, cfg.work_imbalance_fraction, size=(n_iterations, cfg.n_threads)
+            ),
         )
+        return self.block_cost_s * np.clip(fluctuation, 0.5, None)
 
-    # ------------------------------------------------------------------
-    # per-shard planes (the ``"campaign"`` backend)
-    # ------------------------------------------------------------------
-    def item_costs_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """A shard's neighbour-count fluctuations as one 2-D normal draw."""
+    def application_delays_campaign(self, shards, n_iterations, rng):
+        """Warm-up phase: neighbour-list build / layout settling per thread,
+        one 2-D uniform draw per shard over its (at most
+        ``warmup_iterations``) warm-up rows."""
         cfg = self.config
-        atoms_per_thread = self.atoms_per_process / cfg.n_threads
-        base = atoms_per_thread * self.pairs_per_atom * self._time_per_pair
-        fluctuation = rng.normal(
-            1.0, cfg.work_imbalance_fraction, size=(n_iterations, cfg.n_threads)
-        )
-        return base * np.clip(fluctuation, 0.5, None)
-
-    def application_delays_batch(
-        self, process: int, n_iterations: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Warm-up settling of the whole shard as one 2-D uniform draw over
-        the (at most ``warmup_iterations``) warm-up rows."""
-        cfg = self.config
-        delays = np.zeros((n_iterations, cfg.n_threads))
+        delays = np.zeros((len(shards), n_iterations, cfg.n_threads))
         n_warm = min(cfg.warmup_iterations, n_iterations)
         if n_warm:
-            centre = TARGET_WARMUP_MEDIAN_S - TARGET_MEDIAN_ARRIVAL_S
-            spread = rng.uniform(
-                -cfg.warmup_spread_s, cfg.warmup_spread_s, size=(n_warm, cfg.n_threads)
+            half_width, shape = cfg.warmup_spread_s, (n_warm, cfg.n_threads)
+            spread = stack_shards(
+                shards, rng, lambda _: rng.uniform(-half_width, half_width, size=shape)
             )
-            delays[:n_warm] = np.clip(centre + spread, 0.0, None)
+            delays[:, :n_warm] = np.clip(WARMUP_OFFSET_S + spread, 0.0, None)
         return delays
-
-    # costs and warm-up delays reach the campaign through the default
-    # *_campaign hooks: each shard's 2-D plane draws sit under its absolute
-    # ("shard", trial, process) scope, so any chunking or worker assignment
-    # replays identical fluctuations and warm-up settling
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

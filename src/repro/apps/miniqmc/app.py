@@ -28,8 +28,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.base import ApplicationConfig, ProxyApplication
-from repro.sim.random import maybe_scope
+from repro.apps.base import ApplicationConfig, ProxyApplication, stack_shards
 
 #: The paper's mean median arrival time for MiniQMC (seconds).
 TARGET_MEDIAN_ARRIVAL_S = 60.91e-3
@@ -91,15 +90,12 @@ class MiniQMCApp(ProxyApplication):
             raise ValueError("mover_relative_sd must be non-negative")
         if not 0.0 <= self.config.process_sd_spread < 1.0:
             raise ValueError("process_sd_spread must be in [0, 1)")
-        # neutral per-process walker-population parameters until begin_process
-        self._process_mean_scale = 1.0
-        self._process_sd_scale = 1.0
 
     # ------------------------------------------------------------------
-    # per-process lifecycle
+    # work model
     # ------------------------------------------------------------------
-    def begin_process(self, process: int, rng: np.random.Generator) -> None:
-        """Draw the walker-population statistics of this (trial, process).
+    def begin_campaign(self, shards, rng) -> None:
+        """Draw the walker-population statistics of every (trial, process).
 
         A process's walkers keep their character for the whole trial: some
         populations are on average cheaper/dearer to move and some are more
@@ -107,96 +103,56 @@ class MiniQMCApp(ProxyApplication):
         (so Table 1's ~95 % pass rate holds), but pooling processes with
         different variances produces the heavier-than-normal aggregate the
         paper observes at the application and application-iteration levels.
+
+        The realized per-process (mean, sd) scales shape every cost draw of
+        a shard, so they are the first two draws of the shard's own
+        ``"work"`` stream — the stream the per-iteration reference samplers
+        begin the process from — and the mixture components are identical
+        to theirs, which keeps distributional agreement for small process
+        ensembles.  Each shard reads a *fresh* generator of its stream, so
+        the scales depend only on the shard, whatever the chunking and
+        however often a context re-begins it.
         """
         cfg = self.config
-        self._process_mean_scale = float(
-            np.clip(rng.normal(1.0, cfg.process_mean_spread), 0.5, 1.5)
-        )
-        self._process_sd_scale = float(
-            rng.uniform(1.0 - cfg.process_sd_spread, 1.0 + cfg.process_sd_spread)
-        )
+        sd_bounds = (1.0 - cfg.process_sd_spread, 1.0 + cfg.process_sd_spread)
+        streams = getattr(rng, "root_streams", None)
+        if streams is not None:
+            means = np.empty(len(shards))
+            sds = np.empty(len(shards))
+            for index, (trial, process) in enumerate(shards):
+                work = streams.fresh(self.name, "work", int(trial), int(process))
+                means[index] = np.clip(
+                    work.normal(1.0, cfg.process_mean_spread), 0.5, 1.5
+                )
+                sds[index] = work.uniform(*sd_bounds)
+        else:
+            # plain-Generator fallback: shard-major tensor draws
+            means = np.clip(
+                rng.normal(1.0, cfg.process_mean_spread, size=len(shards)), 0.5, 1.5
+            )
+            sds = rng.uniform(*sd_bounds, size=len(shards))
+        self._campaign_mean_scales = means
+        self._campaign_sd_scales = sds
 
-    # ------------------------------------------------------------------
-    # work model
-    # ------------------------------------------------------------------
-    def item_costs(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Cost of every mover (one loop item per thread).
+    def item_costs_campaign(self, shards, n_iterations, rng):
+        """Cost of every mover (one loop item per thread): one plane draw
+        per shard with that shard's realized (mean, sd) scales.
 
         Per-walker times are independent normals around the process's mean;
         the truncation at 20 % of the mean only guards against (astronomically
         unlikely) negative draws and does not measurably distort normality.
         """
         cfg = self.config
-        mean = self.mover_mean_s * self._process_mean_scale
-        sd = self.mover_mean_s * self.mover_relative_sd * self._process_sd_scale
-        draws = rng.normal(mean, sd, size=cfg.n_threads)
+        means = self.mover_mean_s * self._campaign_mean_scales
+        sds = self.mover_mean_s * self.mover_relative_sd * self._campaign_sd_scales
+        draws = stack_shards(
+            shards,
+            rng,
+            lambda index: rng.normal(
+                means[index], sds[index], size=(n_iterations, cfg.n_threads)
+            ),
+        )
         return np.clip(draws, 0.2 * self.mover_mean_s, None) * cfg.sweeps_per_iteration
-
-    # ------------------------------------------------------------------
-    # whole-campaign work model (the ``"campaign"`` backend)
-    # ------------------------------------------------------------------
-    def begin_campaign(self, shards, rng) -> None:
-        """Walker-population statistics of *all* shards (the tensor analogue
-        of :meth:`begin_process`).
-
-        The realized per-process (mean, sd) parameters shape every cost draw
-        of a shard, so they are taken from the *same* per-shard ``"work"``
-        streams :meth:`begin_process` consumes under the per-iteration
-        reference samplers — the campaign backend's mixture components are
-        then bit-identical to theirs, and distributional agreement holds even
-        for small process ensembles.  Each shard reads a *fresh*
-        generator of its stream (the same first two draws), so the
-        parameters depend only on the shard, whatever the chunking and
-        however often a context re-begins it.
-        """
-        cfg = self.config
-        streams = getattr(rng, "root_streams", None)
-        if streams is not None:
-            means = np.empty(len(shards))
-            sds = np.empty(len(shards))
-            for index, (trial, process) in enumerate(shards):
-                work_rng = streams.fresh(self.name, "work", int(trial), int(process))
-                self.begin_process(int(process), work_rng)
-                means[index] = self._process_mean_scale
-                sds[index] = self._process_sd_scale
-            self._campaign_mean_scales = means
-            self._campaign_sd_scales = sds
-            return
-        # plain-Generator fallback: shard-major tensor draws
-        self._campaign_mean_scales = np.clip(
-            rng.normal(1.0, cfg.process_mean_spread, size=len(shards)), 0.5, 1.5
-        )
-        self._campaign_sd_scales = rng.uniform(
-            1.0 - cfg.process_sd_spread,
-            1.0 + cfg.process_sd_spread,
-            size=len(shards),
-        )
-
-    def item_costs_campaign(self, shards, n_iterations, rng):
-        """All shards' per-walker mover times, one plane draw per shard with
-        that shard's realized (mean, sd) parameters.
-
-        Each plane sits under its absolute ``("shard", trial, process)``
-        scope, so a shard's mover times depend only on its own identity —
-        any chunking or worker assignment replays identical draws.
-        """
-        cfg = self.config
-        planes = np.empty((len(shards), n_iterations, cfg.n_threads))
-        for index, (trial, process) in enumerate(shards):
-            mean = self.mover_mean_s * self._campaign_mean_scales[index]
-            sd = (
-                self.mover_mean_s
-                * self.mover_relative_sd
-                * self._campaign_sd_scales[index]
-            )
-            with maybe_scope(rng, "shard", int(trial), int(process)):
-                planes[index] = rng.normal(
-                    mean, sd, size=(n_iterations, cfg.n_threads)
-                )
-        draws = np.clip(planes, 0.2 * self.mover_mean_s, None)
-        return draws * cfg.sweeps_per_iteration
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

@@ -7,7 +7,6 @@ partitioned communication) instead of waiting for the slowest thread (classic
 bulk-synchronous send)?  Answering it quantitatively needs a model of the
 transfer itself:
 
-* :mod:`~repro.mpi.datatypes` — element types and buffer descriptors.
 * :mod:`~repro.mpi.network` — a LogGP-style network/NIC model with an
   Omni-Path-like preset (the paper's interconnect).
 * :mod:`~repro.mpi.partitioned` — MPI-4.0-style partitioned transfers
@@ -18,7 +17,6 @@ transfer itself:
 from repro._lazy import lazy_exports
 
 _LAZY_EXPORTS = {
-    "repro.mpi.datatypes": ("BYTE", "DOUBLE", "FLOAT", "INT", "Datatype"),
     "repro.mpi.network": ("NetworkModel", "NICModel", "omni_path"),
     "repro.mpi.partitioned": (
         "PartitionedRecvRequest",

@@ -146,8 +146,8 @@ class PurposeSplitRNG:
     worker).
 
     * :meth:`scope` pushes a name onto the scope stack (the backend scopes
-      stages like ``"costs"``/``"noise"``, the apps scope each shard, the
-      noise model scopes each source index);
+      stages like ``"costs"``/``"noise"``, :func:`repro.apps.base.stack_shards`
+      scopes each shard, the noise model scopes each source index);
     * every proxied method call is numbered *within* its scope entry by
       method name, and the numbering resets each time the scope is
       re-entered — so the second ``poisson`` of a source maps to the same
@@ -166,10 +166,11 @@ class PurposeSplitRNG:
 
     def __init__(self, streams: RandomStreams, *scope) -> None:
         #: the *underived* streams this facade was built from.  Draw sites
-        #: that must realize the exact same values as the event backend
-        #: (e.g. per-process application state, whose realization feeds every
-        #: downstream cost draw) reach through this to the shared per-shard
-        #: streams instead of the purpose-split namespace.
+        #: that must realize the exact same values as the per-iteration
+        #: reference samplers (e.g. per-process application state, whose
+        #: realization feeds every downstream cost draw) reach through this
+        #: to the shared per-shard streams instead of the purpose-split
+        #: namespace.
         self.root_streams = streams
         self._streams = streams.derive(*scope) if scope else streams
         self._scope: List[Tuple] = []
@@ -187,24 +188,6 @@ class PurposeSplitRNG:
         finally:
             self._scope.pop()
             self._counts.pop()
-
-    @contextmanager
-    def rooted(self, *name):
-        """Enter a scope at the root, as if no other scope were open.
-
-        Replays the draws of another stage's scope path from inside the
-        current one: the campaign hooks re-begin a shard's per-process state
-        under its original ``("state", "shard", trial, process)`` path from
-        within the cost and delay stages.
-        """
-        if not name:
-            raise ValueError("rooted() requires at least one name component")
-        saved = self._scope, self._counts
-        self._scope, self._counts = [tuple(name)], [{}, {}]
-        try:
-            yield self
-        finally:
-            self._scope, self._counts = saved
 
     def generator(self, method: str) -> np.random.Generator:
         """A fresh generator keyed by ``method``'s occurrence in this scope."""
@@ -247,7 +230,7 @@ def maybe_scope(rng, *name):
     """``rng.scope(*name)`` when supported, else a no-op.
 
     Lets shared draw sites (the noise model's per-source loop, the apps'
-    batch kernels) scope their draws under a :class:`PurposeSplitRNG`
+    per-shard planes) scope their draws under a :class:`PurposeSplitRNG`
     without changing the byte-for-byte draw sequence of plain
     ``numpy.random.Generator`` callers — existing backends keep their
     pinned digests.

@@ -21,7 +21,8 @@ for that comparison:
   time;
 * :class:`ThreadTeam` / :class:`OpenMPRuntime` — one process's thread team
   and its ``parallel for nowait`` regions on the event engine;
-* :class:`EventBackend` — one unit of work per trial.
+* :class:`EventBackend` — one unit of work per trial, whose threads run
+  the applications' per-iteration models (:mod:`oracles.models`).
 
 Importing this module registers the backend (``tests/conftest.py`` and
 ``benchmarks/conftest.py`` do).
@@ -55,6 +56,8 @@ from repro.scenarios.sources import (
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import Delay
 from repro.sim.random import RandomStreams
+
+from oracles.models import iteration_model
 
 CoreKey = Tuple[int, int, int]
 
@@ -581,6 +584,7 @@ def record_trial(config, trial: int) -> TimingDataset:
     """
     streams = RandomStreams(config.seed)
     app = build_application(config)
+    model = iteration_model(app)
     placements = config.machine.build_cluster().place_processes(
         config.processes, config.threads
     )
@@ -592,13 +596,13 @@ def record_trial(config, trial: int) -> TimingDataset:
             config.machine.noise_spec, streams.get(app.name, "noise", trial, process)
         )
         team_rng = streams.get(app.name, "team", trial, process)
-        app.begin_process(process, work_rng)
+        model.begin(process, work_rng)
         runtime = OpenMPRuntime(
             ThreadTeam(placements[process], clock_domain, noise, rng=team_rng)
         )
         for iteration in range(config.iterations):
-            costs = app.item_costs(process, iteration, work_rng)
-            delays = app.application_delays(process, iteration, work_rng)
+            costs = model.item_costs(process, iteration, work_rng)
+            delays = model.application_delays(process, iteration, work_rng)
             execution = runtime.run_region(
                 costs, schedule=app.config.schedule, region=app.region, iteration=iteration
             )

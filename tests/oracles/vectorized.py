@@ -2,13 +2,14 @@
 backend.
 
 It samples the applications' calibrated work/cost/noise models one
-process-iteration at a time, in the readable nested-loop order: for each
-(trial, process) shard it re-derives that process's ``work``/``noise``
-streams by name, begins the process and replays its iterations.  The
-production ``"campaign"`` backend lifts the same models to whole shard
-chunks and draws its randomness in a different order, so the two agree in
-distribution, not bit-for-bit: the agreement tests and the throughput
-guards compare the campaign backend against this one.
+process-iteration at a time (:mod:`oracles.models`), in the readable
+nested-loop order: for each (trial, process) shard it re-derives that
+process's ``work``/``noise`` streams by name, begins the process's model
+and replays its iterations.  The production ``"campaign"`` backend lifts
+the same models to whole shard chunks and draws its randomness in a
+different order, so the two agree in distribution, not bit-for-bit: the
+agreement tests and the throughput guards compare the campaign backend
+against this one.
 
 Importing this module registers the backend (``tests/conftest.py`` and
 ``benchmarks/conftest.py`` do).
@@ -20,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.apps.base import ProxyApplication
 from repro.cluster.noise import OSNoiseModel
 from repro.core.aggregation import ColumnBlock, campaign_block
 from repro.experiments.backends import (
@@ -31,27 +31,11 @@ from repro.experiments.backends import (
 )
 from repro.sim.random import RandomStreams
 
-
-def base_thread_times(
-    app: ProxyApplication, process: int, iteration: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-thread pure compute time of one process-iteration under the
-    application's loop schedule.
-
-    MiniFE serves its one deterministic row from its own cache: refolding
-    it every iteration gives the same bits but makes this reference ~1.75x
-    slower on MiniFE, which would inflate the throughput guards'
-    campaign-over-reference speedups.
-    """
-    cached = getattr(app, "base_thread_times", None)
-    if cached is not None:
-        return cached(process, iteration, rng)
-    costs = app.item_costs(process, iteration, rng)
-    return app.config.schedule.simulate(costs, app.config.n_threads).busy_time
+from oracles.models import IterationModel, iteration_model
 
 
 def thread_compute_times(
-    app: ProxyApplication,
+    model: IterationModel,
     *,
     process: int,
     iteration: int,
@@ -63,10 +47,8 @@ def thread_compute_times(
     Combines the schedule's per-thread busy time, application-level
     delays, execution jitter and OS-noise preemptions.
     """
-    base = base_thread_times(app, process, iteration, rng)
-    extra = app.application_delays(process, iteration, rng)
-    if extra.shape != base.shape:
-        raise ValueError("application_delays must return one value per thread")
+    base = model.base_thread_times(process, iteration, rng)
+    extra = model.application_delays(process, iteration, rng)
     times = base + extra
     if noise is not None:
         if noise.spec.enabled and noise.spec.jitter_fraction > 0:
@@ -88,14 +70,15 @@ class VectorizedBackend(CampaignBackend):
     def unit_block(self, config, spec: ShardSpec) -> ColumnBlock:
         streams = RandomStreams(config.seed)
         app = build_application(config)
+        model = iteration_model(app)
         trial, process = spec.trial, spec.process
         work_rng = streams.get(app.name, "work", trial, process)
         noise_rng = streams.get(app.name, "noise", trial, process)
         noise = config.machine.build_noise_model(noise_rng)
-        app.begin_process(process, work_rng)
+        model.begin(process, work_rng)
         times = [
             thread_compute_times(
-                app, process=process, iteration=iteration, rng=work_rng, noise=noise
+                model, process=process, iteration=iteration, rng=work_rng, noise=noise
             )
             for iteration in range(config.iterations)
         ]

@@ -7,6 +7,8 @@ from repro.apps.minife import BrickMesh, MiniFEApp, MiniFEConfig
 from repro.apps.minife.app import TARGET_MEDIAN_ARRIVAL_S
 from repro.openmp.schedule import StaticSchedule
 
+from oracles.models import IterationModel, MiniFEModel
+
 
 def _brute_force_pencil_nonzeros(nx, ny, nz):
     """Count every node's in-mesh 27-point neighbours, summed per (z, y)."""
@@ -69,11 +71,15 @@ class TestMiniFEApp:
     def test_straggler_probability_controls_delays(self):
         config = MiniFEConfig(straggler_probability=1.0)
         app = MiniFEApp(config)
-        delays = app.application_delays(0, 0, np.random.default_rng(1))
-        assert np.count_nonzero(delays) == 1
-        assert config.straggler_min_s <= delays.max() <= config.straggler_max_s
+        delays = app.application_delays_campaign([(0, 0)], 20, np.random.default_rng(1))[0]
+        assert np.all(np.count_nonzero(delays, axis=1) == 1)
+        values = delays[delays > 0]
+        assert np.all(values >= config.straggler_min_s)
+        assert np.all(values <= config.straggler_max_s)
         quiet = MiniFEApp(MiniFEConfig(straggler_probability=0.0))
-        assert np.all(quiet.application_delays(0, 0, np.random.default_rng(1)) == 0.0)
+        assert np.all(
+            quiet.application_delays_campaign([(0, 0)], 20, np.random.default_rng(1)) == 0.0
+        )
 
     def test_describe_includes_calibration(self):
         info = MiniFEApp().describe()
@@ -112,17 +118,34 @@ class TestCampaignWorkModel:
         base = app.base_thread_times_campaign(shards, 6, np.random.default_rng(4))
         assert np.all(times >= base)
 
-    def test_application_delays_batch_straggler_statistics(self):
+    def test_application_delays_campaign_straggler_statistics(self):
         app = MiniFEApp(
             MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, straggler_probability=0.5)
         )
-        delays = app.application_delays_batch(0, 400, np.random.default_rng(1))
-        assert delays.shape == (400, 8)
+        delays = app.application_delays_campaign(
+            [(0, 0), (0, 1)], 400, np.random.default_rng(1)
+        )
+        assert delays.shape == (2, 400, 8)
         struck = delays > 0
         # at most one victim per iteration, delay inside the configured range
-        assert np.all(struck.sum(axis=1) <= 1)
-        hit_rows = struck.any(axis=1)
+        assert np.all(struck.sum(axis=2) <= 1)
+        hit_rows = struck.any(axis=2)
         assert 0.35 < hit_rows.mean() < 0.65
         values = delays[struck]
         assert np.all(values >= app.config.straggler_min_s)
         assert np.all(values <= app.config.straggler_max_s)
+
+    def test_reference_model_folds_the_same_pencil_costs(self):
+        """The per-iteration reference model serves the campaign hook's
+        pencil costs and busy-time row."""
+        app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8))
+        rng = np.random.default_rng(0)
+        model = MiniFEModel(app)
+        costs = model.item_costs(0, 0, rng)
+        np.testing.assert_array_equal(
+            costs, app.item_costs_campaign([(0, 0)], 1, rng)[0, 0]
+        )
+        np.testing.assert_array_equal(
+            IterationModel.base_thread_times(model, 0, 0, rng),
+            app.base_thread_times_campaign([(0, 0)], 1, rng)[0, 0],
+        )

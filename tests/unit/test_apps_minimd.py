@@ -7,6 +7,8 @@ from repro.apps.minimd import MiniMDApp, MiniMDConfig, expected_neighbors
 from repro.apps.minimd.app import TARGET_MEDIAN_ARRIVAL_S, TARGET_WARMUP_MEDIAN_S
 from repro.apps.minimd.neighbor import DEFAULT_DENSITY
 
+from oracles.models import MiniMDModel
+
 FCC_BASIS = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
 
 
@@ -55,6 +57,11 @@ class TestMiniMDApp:
             TARGET_MEDIAN_ARRIVAL_S, rel=0.01
         )
 
+    def test_block_cost_is_the_calibrated_median(self):
+        """Each thread's atom block costs the paper's median arrival time
+        before neighbour-count fluctuation."""
+        assert MiniMDApp().block_cost_s == pytest.approx(TARGET_MEDIAN_ARRIVAL_S)
+
     def test_warmup_phase_widens_and_shifts_arrivals(self):
         app = MiniMDApp()
         times = _shard_times(app, np.random.default_rng(1))
@@ -80,24 +87,35 @@ class TestMiniMDApp:
             MiniMDConfig(warmup_iterations=-1)
 
 
-class TestBatchedWorkModel:
-    def test_item_costs_batch_shape_and_scale(self):
+class TestCampaignWorkModel:
+    """The campaign hooks draw what the per-iteration reference model draws:
+    under a plain ``Generator`` a shard's first cost row and its warm-up rows
+    are bit-equal to the model's iterations."""
+
+    def test_first_cost_row_matches_the_reference_model(self):
         app = MiniMDApp(MiniMDConfig(n_threads=8, n_iterations=10))
-        costs = app.item_costs_batch(0, 10, np.random.default_rng(0))
-        assert costs.shape == (10, 8)
-        single = app.item_costs(0, 0, np.random.default_rng(0))
+        costs = app.item_costs_campaign([(0, 0)], 10, np.random.default_rng(0))
+        assert costs.shape == (1, 10, 8)
+        single = MiniMDModel(app).item_costs(0, 0, np.random.default_rng(0))
+        np.testing.assert_array_equal(costs[0, 0], single)
         assert costs.mean() == pytest.approx(single.mean(), rel=0.01)
 
-    def test_application_delays_batch_limits_to_warmup_rows(self):
+    def test_warmup_rows_match_the_reference_model(self):
         app = MiniMDApp(MiniMDConfig(n_threads=8, warmup_iterations=3))
-        delays = app.application_delays_batch(0, 10, np.random.default_rng(1))
-        assert delays.shape == (10, 8)
-        assert np.all(delays[:3] >= 0)
-        assert np.any(delays[:3] > 0)
-        assert np.all(delays[3:] == 0)
+        delays = app.application_delays_campaign([(0, 0)], 10, np.random.default_rng(1))
+        assert delays.shape == (1, 10, 8)
+        assert np.all(delays[0, :3] >= 0)
+        assert np.any(delays[0, :3] > 0)
+        assert np.all(delays[0, 3:] == 0)
+        model, rng = MiniMDModel(app), np.random.default_rng(1)
+        np.testing.assert_array_equal(
+            delays[0], np.stack([model.application_delays(0, it, rng) for it in range(10)])
+        )
 
     def test_short_shards_clip_the_warmup_window(self):
         app = MiniMDApp(MiniMDConfig(n_threads=4, warmup_iterations=19))
-        delays = app.application_delays_batch(0, 5, np.random.default_rng(2))
-        assert delays.shape == (5, 4)
-        assert np.any(delays > 0)
+        delays = app.application_delays_campaign(
+            [(0, 0), (0, 1)], 5, np.random.default_rng(2)
+        )
+        assert delays.shape == (2, 5, 4)
+        assert np.all(delays > 0)

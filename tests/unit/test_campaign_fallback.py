@@ -1,14 +1,16 @@
-"""Per-shard-only applications on the campaign backend.
+"""Custom applications on the campaign backend.
 
-Custom applications that only implement the per-shard API
-(:meth:`~repro.apps.base.ProxyApplication.item_costs` and friends) run
-through the same 3-D campaign driver as the built-ins: the default
-``*_campaign`` hooks stack per-shard cost/delay planes under absolute shard
-scopes, feeding one whole-campaign schedule fold plus per-shard
-jitter/noise passes.  These tests pin that path's contracts — chunk
-invariance (bit-identical samples for any partition of the shard axis),
-distributional agreement with the per-iteration ``"vectorized"`` backend,
-and a clear error for apps whose item counts differ per process.
+A third-party application implements the whole-campaign hooks
+(:meth:`~repro.apps.base.ProxyApplication.item_costs_campaign` and, where
+it needs them, ``application_delays_campaign`` / ``begin_campaign``),
+drawing each shard's plane through :func:`~repro.apps.base.stack_shards`,
+and runs through the same 3-D campaign path as the built-ins: one
+whole-campaign schedule fold plus per-shard jitter/noise passes.  These
+tests pin that path's contracts — chunk invariance (bit-identical samples
+for any partition of the shard axis), worker-pool bit-identity, absolute
+shard scopes, distributional agreement with the per-iteration
+``"vectorized"`` reference sampler, and clear errors for planes that differ
+per shard and for delay tensors of the wrong shape.
 """
 
 from contextlib import contextmanager
@@ -17,21 +19,25 @@ import numpy as np
 import pytest
 
 from repro.apps import APPLICATIONS
-from repro.apps.base import ApplicationConfig, ProxyApplication
+from repro.apps.base import ApplicationConfig, ProxyApplication, stack_shards
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 from repro.sim.random import PurposeSplitRNG, RandomStreams
 
+from oracles import models
+
 
 class ToyApp(ProxyApplication):
-    """Minimal third-party app: per-iteration lognormal item costs only."""
+    """Minimal third-party app: lognormal item costs only."""
 
     name = "unit-toy"
     region = "compute"
 
-    def item_costs(self, process, iteration, rng):
-        return rng.lognormal(mean=-9.0, sigma=0.3, size=64)
+    def item_costs_campaign(self, shards, n_iterations, rng):
+        return stack_shards(
+            shards, rng, lambda _: rng.lognormal(-9.0, 0.3, size=(n_iterations, 64))
+        )
 
 
 class RaggedApp(ToyApp):
@@ -39,8 +45,14 @@ class RaggedApp(ToyApp):
 
     name = "unit-ragged"
 
-    def item_costs(self, process, iteration, rng):
-        return rng.lognormal(mean=-9.0, sigma=0.3, size=48 + 16 * process)
+    def item_costs_campaign(self, shards, n_iterations, rng):
+        return stack_shards(
+            shards,
+            rng,
+            lambda index: rng.lognormal(
+                -9.0, 0.3, size=(n_iterations, 48 + 16 * shards[index][1])
+            ),
+        )
 
 
 class DelayedApp(ToyApp):
@@ -48,34 +60,74 @@ class DelayedApp(ToyApp):
 
     name = "unit-delayed"
 
-    def application_delays(self, process, iteration, rng):
-        return rng.exponential(2.0e-5, size=self.config.n_threads)
+    def application_delays_campaign(self, shards, n_iterations, rng):
+        shape = (n_iterations, self.config.n_threads)
+        return stack_shards(shards, rng, lambda _: rng.exponential(2.0e-5, size=shape))
 
 
-class StatefulApp(ToyApp):
-    """Per-process state drawn in ``begin_process`` scales that process's
+class StatefulApp(DelayedApp):
+    """Per-process state drawn in ``begin_campaign`` scales that process's
     later costs and delays (a per-process working-set factor)."""
 
     name = "unit-stateful"
 
-    def begin_process(self, process, rng):
-        self.scale = rng.lognormal(0.0, 0.02)
+    def begin_campaign(self, shards, rng):
+        self.scales = stack_shards(shards, rng, lambda _: rng.lognormal(0.0, 0.02))
+
+    def item_costs_campaign(self, shards, n_iterations, rng):
+        costs = super().item_costs_campaign(shards, n_iterations, rng)
+        return self.scales[:, None, None] * costs
+
+    def application_delays_campaign(self, shards, n_iterations, rng):
+        delays = super().application_delays_campaign(shards, n_iterations, rng)
+        return self.scales[:, None, None] * delays
+
+
+class ToyModel(models.IterationModel):
+    """Per-iteration reference model of :class:`ToyApp` (and its
+    subclasses), read by the ``"vectorized"`` and ``"event"`` samplers."""
+
+    scale = 1.0
 
     def item_costs(self, process, iteration, rng):
-        return self.scale * super().item_costs(process, iteration, rng)
+        return self.scale * rng.lognormal(-9.0, 0.3, size=64)
 
+
+class RaggedModel(ToyModel):
+    def item_costs(self, process, iteration, rng):
+        return rng.lognormal(-9.0, 0.3, size=48 + 16 * process)
+
+
+class DelayedModel(ToyModel):
     def application_delays(self, process, iteration, rng):
-        return self.scale * rng.exponential(2.0e-5, size=self.config.n_threads)
+        return self.scale * rng.exponential(2.0e-5, size=self.n_threads)
+
+
+class StatefulModel(DelayedModel):
+    def begin(self, process, rng):
+        self.scale = rng.lognormal(0.0, 0.02)
+
+
+REFERENCE_MODELS = {
+    ToyApp: ToyModel,
+    RaggedApp: RaggedModel,
+    DelayedApp: DelayedModel,
+    StatefulApp: StatefulModel,
+}
 
 
 @contextmanager
 def registered(app_cls):
+    """Register ``app_cls`` and its per-iteration reference model."""
     assert app_cls.name not in APPLICATIONS
+    assert app_cls.name not in models.MODELS
     APPLICATIONS[app_cls.name] = app_cls
+    models.MODELS[app_cls.name] = REFERENCE_MODELS[app_cls]
     try:
         yield
     finally:
         del APPLICATIONS[app_cls.name]
+        del models.MODELS[app_cls.name]
 
 
 def _config(app_cls, **overrides):
@@ -162,7 +214,8 @@ class TestParallelWorkers:
 class TestDistributionalAgreement:
     @pytest.mark.parametrize("app_cls", [ToyApp, DelayedApp, StatefulApp])
     def test_matches_vectorized_backend(self, app_cls):
-        """Campaign and per-iteration vectorized paths agree in distribution.
+        """The campaign hooks and the app's per-iteration reference model
+        agree in distribution through the whole sampling path.
 
         Draw order necessarily differs (per-shard planes vs per iteration),
         so the comparison is on summary statistics, not bits.
@@ -182,15 +235,14 @@ class TestDistributionalAgreement:
 
     def test_ragged_item_counts_are_rejected(self):
         """Item counts that differ per process cannot stack into one cost
-        tensor: the error names the app and the limitation (the
-        discrete-event reference sampler still runs such an app)."""
+        tensor: ``stack_shards`` names the shards and the limitation (the
+        discrete-event reference sampler still runs such a model)."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=15)
-            with pytest.raises(ValueError, match="'unit-ragged'.*differ per process are not supported"):
+            with pytest.raises(ValueError, match="differ per process.*not supported"):
                 _dataset(config)
             dataset = _dataset(config.with_backend("event"))
             assert dataset.n_samples == 3 * 2 * 15 * 16
-
 
     @pytest.mark.parametrize("entry_point", ["stream", "workers"])
     def test_ragged_rejection_reaches_every_campaign_entry_point(
@@ -200,7 +252,7 @@ class TestDistributionalAgreement:
         ``run`` rather than a shape error from a later stage."""
         with registered(RaggedApp):
             config = _config(RaggedApp, iterations=4)
-            with pytest.raises(ValueError, match="'unit-ragged'.*differ per process are not supported"):
+            with pytest.raises(ValueError, match="differ per process.*not supported"):
                 if entry_point == "stream":
                     list(CampaignSession(config).stream())
                 else:
@@ -234,39 +286,58 @@ class TestAppLevelContract:
         alone = sample([(0, 1)])
         np.testing.assert_array_equal(together[1], alone[0])
 
-    def test_begin_process_runs_once_per_shard_under_its_scope(self):
-        """The default ``begin_campaign`` begins every shard of the chunk,
-        each under its absolute shard scope: a shard's state draw does not
-        depend on which chunk carries it.  The cost and delay stages replay
-        the same draw before each shard's planes."""
+    def test_state_draws_are_shard_scoped(self):
+        """``begin_campaign``'s per-shard state, drawn through
+        ``stack_shards``, does not depend on which chunk carries the shard."""
 
-        class ProbedApp(ToyApp):
-            def __init__(self, config):
-                super().__init__(config)
-                self.begun = []
-
-            def begin_process(self, process, rng):
-                self.begun.append((process, rng.random()))
-
-        def begin(shards):
-            app = ProbedApp(ApplicationConfig(n_threads=8, n_iterations=4))
+        def scales(shards):
+            app = StatefulApp(ApplicationConfig(n_threads=8, n_iterations=4))
             rng = PurposeSplitRNG(RandomStreams(99), "unit-toy", "campaign")
             app.thread_compute_times_campaign(shards=shards, rng=rng)
-            return app.begun
+            return app.scales
 
-        together = begin([(0, 0), (0, 1), (1, 0)])
-        first = together[:3]
-        assert [process for process, _ in first] == [0, 1, 0]
-        assert len({draw for _, draw in first}) == 3
-        # begin_campaign, then one replay in each of the costs and delays stages
-        assert together == first * 3
-        assert begin([(0, 1)]) == [first[1]] * 3
-        assert begin([(1, 0)]) == [first[2]] * 3
+        together = scales([(0, 0), (0, 1), (1, 0)])
+        assert together.shape == (3,)
+        assert len(set(together)) == 3
+        assert scales([(0, 1)])[0] == together[1]
+        assert scales([(1, 0)])[0] == together[2]
+
+    def test_stack_shards_draws_plain_generators_in_shard_order(self):
+        """Under a plain ``Generator`` the planes are consecutive draws."""
+        rng = np.random.default_rng(3)
+        shards = [(0, 0), (0, 1), (1, 0)]
+        planes = stack_shards(shards, rng, lambda _: rng.normal(size=(2, 4)))
+        np.testing.assert_array_equal(
+            planes, np.random.default_rng(3).normal(size=(3, 2, 4))
+        )
+
+    def test_item_costs_campaign_is_required(self):
+        class NoCosts(ProxyApplication):
+            name = "unit-no-costs"
+
+        with pytest.raises(TypeError, match="item_costs_campaign"):
+            NoCosts()
+
+    def test_stack_shards_rejects_planes_that_would_broadcast(self):
+        """A later plane that would broadcast into the first one's shape
+        (here a scalar) is an error, not a silently repeated value."""
+        rng = np.random.default_rng(3)
+        shards = [(0, 0), (0, 1)]
+        draws = [np.ones(4), np.ones(1)]
+        with pytest.raises(ValueError, match=r"shard \(0, 1\) drew a plane of shape \(1,\)"):
+            stack_shards(shards, rng, lambda index: draws[index])
+
+    def test_default_delays_are_zero(self):
+        app = ToyApp(ApplicationConfig(n_threads=8, n_iterations=5))
+        delays = app.application_delays_campaign(
+            [(0, 0), (1, 1)], 5, np.random.default_rng(0)
+        )
+        np.testing.assert_array_equal(delays, np.zeros((2, 5, 8)))
 
     def test_delay_shape_mismatch_rejected(self):
         class BadDelays(ToyApp):
-            def application_delays_batch(self, process, n_iterations, rng):
-                return np.zeros((n_iterations, 3))
+            def application_delays_campaign(self, shards, n_iterations, rng):
+                return np.zeros((len(shards), n_iterations, 3))
 
         app = BadDelays(ApplicationConfig(n_threads=8, n_iterations=5))
         with pytest.raises(ValueError, match="application_delays_campaign"):

@@ -1,36 +1,8 @@
-"""Unit tests for the network / NIC model and datatypes."""
+"""Unit tests for the network / NIC model."""
 
-import numpy as np
 import pytest
 
-from repro.mpi.datatypes import BYTE, DOUBLE, BufferSpec, Datatype
 from repro.mpi.network import NetworkModel, NICModel, omni_path
-
-
-class TestDatatypes:
-    def test_extent(self):
-        assert DOUBLE.extent(10) == 80
-        assert BYTE.extent(3) == 3
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            Datatype("bad", 0)
-        with pytest.raises(ValueError):
-            DOUBLE.extent(-1)
-
-    def test_buffer_partition_contiguous_and_complete(self):
-        array = np.arange(10, dtype=np.float64)
-        spec = BufferSpec(10, DOUBLE, array)
-        pieces = spec.partition(3)
-        assert [p.count for p in pieces] == [4, 3, 3]
-        np.testing.assert_array_equal(
-            np.concatenate([p.array for p in pieces]), array
-        )
-        assert sum(p.nbytes for p in pieces) == spec.nbytes
-
-    def test_buffer_mismatched_array_rejected(self):
-        with pytest.raises(ValueError):
-            BufferSpec(5, DOUBLE, np.zeros(4))
 
 
 class TestNetworkModel:
