@@ -21,9 +21,9 @@ the map-reduce-style lifecycle
   product (a :class:`~repro.stats.percentiles.PercentileSeries`, a
   histogram, a laggard summary, ...).
 
-Passes register by name with :func:`register_analysis` — the third registry
-of the campaign layer, next to the execution backends and the scenario
-catalog — and the engine (:mod:`repro.analysis.engine`), the campaign
+Passes register by name with :func:`register_analysis` (one
+:class:`~repro._registry.Registry`, the policy every catalog shares) and the
+engine (:mod:`repro.analysis.engine`), the campaign
 session and the CLI resolve them with :func:`get_analysis` /
 :func:`available_analyses`.
 """
@@ -35,7 +35,6 @@ from abc import ABC, abstractmethod
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Iterable,
     Mapping,
     Optional,
@@ -46,6 +45,7 @@ from typing import (
 
 import numpy as np
 
+from repro._registry import Registry
 from repro.core.aggregation import ColumnBlock, shard_block
 from repro.core.timing import TimingDataset, TimingShard
 
@@ -201,68 +201,29 @@ class AnalysisPass(ABC):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_ANALYSES: Dict[str, Type[AnalysisPass]] = {}
+_ANALYSES: Registry[Type[AnalysisPass]] = Registry(
+    "analysis",
+    "analyses",
+    accepts=lambda cls: isinstance(cls, type) and issubclass(cls, AnalysisPass),
+    expects="an AnalysisPass subclass",
+    write_back=True,
+)
 
-
-def register_analysis(name=None, *, replace: bool = False):
-    """Class decorator registering an :class:`AnalysisPass` by name.
-
-    Usable bare (``@register_analysis`` — uses the class's ``name``) or with
-    an explicit name (``@register_analysis("percentiles")``).  Registering a
-    name twice raises unless ``replace=True`` (or the class is identical,
-    which makes module re-imports idempotent).
-    """
-
-    def decorator(cls: Type[AnalysisPass]) -> Type[AnalysisPass]:
-        if not (isinstance(cls, type) and issubclass(cls, AnalysisPass)):
-            raise TypeError("register_analysis expects an AnalysisPass subclass")
-        key = (name if isinstance(name, str) else cls.name).strip().lower()
-        if not key or key == "abstract":
-            raise ValueError("analysis pass needs a concrete registration name")
-        existing = _ANALYSES.get(key)
-        if existing is not None and existing is not cls and not replace:
-            raise ValueError(
-                f"analysis {key!r} is already registered ({existing.__name__}); "
-                "pass replace=True to override"
-            )
-        cls.name = key
-        _ANALYSES[key] = cls
-        return cls
-
-    if isinstance(name, type):  # bare @register_analysis
-        cls, name = name, None
-        return decorator(cls)
-    return decorator
-
-
-def available_analyses() -> Tuple[str, ...]:
-    """Names of all registered analysis passes, sorted."""
-    return tuple(sorted(_ANALYSES))
+#: class decorator registering an :class:`AnalysisPass`, bare (under its
+#: ``name``) or named (``@register_analysis("percentiles", replace=...)``)
+register_analysis = _ANALYSES.register
+available_analyses = _ANALYSES.names
+unregister_analysis = _ANALYSES.unregister
 
 
 def get_analysis(name: str) -> AnalysisPass:
     """Instantiate the pass registered under ``name`` (default parameters)."""
-    key = str(name).strip().lower()
-    try:
-        cls = _ANALYSES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown analysis {name!r}; registered analyses: "
-            f"{', '.join(available_analyses()) or '(none)'}"
-        ) from None
-    return cls()
+    return _ANALYSES.lookup(name)()
 
 
 def analysis_title(name: str) -> str:
     """The one-line description of a registered pass."""
-    key = str(name).strip().lower()
-    cls = _ANALYSES.get(key)
-    return cls.title if cls is not None else ""
-
-
-def unregister_analysis(name: str) -> None:
-    """Remove a pass from the registry (primarily for tests)."""
-    _ANALYSES.pop(str(name).strip().lower(), None)
+    return _ANALYSES.lookup(name).title
 
 
 def resolve_analyses(

@@ -104,10 +104,6 @@ class GroupedSamples:
     def group_size(self) -> int:
         return self.values.shape[1]
 
-    def values_ms(self) -> np.ndarray:
-        """Group matrix in milliseconds (the figures' unit)."""
-        return self.values * 1.0e3
-
     def group(self, key: Tuple[int, ...]) -> np.ndarray:
         """Samples of the group identified by ``key`` (O(1) after the first
         lookup builds the key index)."""
@@ -122,13 +118,6 @@ class GroupedSamples:
         if self._index is None:
             self._index = {key: idx for idx, key in enumerate(self.keys)}
         return self._index
-
-    def iteration_of(self, row: int) -> int:
-        """Application-iteration index of group ``row`` (last key element)."""
-        key = self.keys[row]
-        if not key:
-            raise ValueError("application-level groups have no iteration key")
-        return int(key[-1])
 
 
 def aggregate(

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.earlybird import EarlyBirdModel
 from repro.mpi.network import NetworkModel, NICModel, omni_path
 
 
@@ -78,7 +79,7 @@ class DeliveryStrategy(ABC):
         if buffer_bytes <= 0:
             raise ValueError("buffer_bytes must be positive")
         net = network if network is not None else omni_path()
-        sizes = _partition_sizes(buffer_bytes, arr.size)
+        sizes = EarlyBirdModel(net, buffer_bytes=buffer_bytes).partition_sizes(arr.size)
         plan = self.flush_plan(arr, sizes)
         if not plan:
             raise RuntimeError(f"strategy {self.name} produced no messages")
@@ -103,14 +104,6 @@ class DeliveryStrategy(ABC):
             bytes_sent=total_planned,
             exposed_after_compute_s=max(float(max(deliveries)) - float(arr.max()), 0.0),
         )
-
-
-def _partition_sizes(buffer_bytes: int, n_partitions: int) -> np.ndarray:
-    base = buffer_bytes // n_partitions
-    remainder = buffer_bytes % n_partitions
-    sizes = np.full(n_partitions, base, dtype=np.int64)
-    sizes[:remainder] += 1
-    return sizes
 
 
 class BulkStrategy(DeliveryStrategy):

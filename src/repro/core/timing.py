@@ -415,16 +415,6 @@ class TimingDataset:
                 end_ns=end,
             )
 
-    def concat(self, other: "TimingDataset") -> "TimingDataset":
-        """Concatenate two datasets (metadata of ``self`` wins on conflicts)."""
-        common = set(self._data) & set(other._data)
-        columns = {
-            name: np.concatenate([self._data[name], other._data[name]])
-            for name in sorted(common)
-        }
-        metadata = {**other.metadata, **self.metadata}
-        return TimingDataset(columns, metadata)
-
     def with_metadata(self, **updates: object) -> "TimingDataset":
         """Copy of the dataset with extra metadata entries.
 

@@ -39,6 +39,7 @@ import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
+from repro._registry import Registry
 from repro.apps import get_application
 from repro.apps.base import ProxyApplication
 from repro.core.aggregation import ColumnBlock, campaign_block
@@ -138,61 +139,24 @@ class CampaignBackend(ABC):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_BACKENDS: Dict[str, Type[CampaignBackend]] = {}
+_BACKENDS: Registry[Type[CampaignBackend]] = Registry(
+    "campaign backend",
+    "backends",
+    accepts=lambda cls: isinstance(cls, type) and issubclass(cls, CampaignBackend),
+    expects="a CampaignBackend subclass",
+    write_back=True,
+)
 
-
-def register_backend(name=None, *, replace: bool = False):
-    """Class decorator registering a :class:`CampaignBackend` by name.
-
-    Usable bare (``@register_backend`` — uses the class's ``name``) or with
-    an explicit name (``@register_backend("my-backend")``).  Registering a
-    name twice raises unless ``replace=True`` (or the class is identical,
-    which makes module re-imports idempotent).
-    """
-
-    def decorator(cls: Type[CampaignBackend]) -> Type[CampaignBackend]:
-        if not (isinstance(cls, type) and issubclass(cls, CampaignBackend)):
-            raise TypeError("register_backend expects a CampaignBackend subclass")
-        key = (name if isinstance(name, str) else cls.name).strip().lower()
-        if not key or key == "abstract":
-            raise ValueError("backend needs a concrete registration name")
-        existing = _BACKENDS.get(key)
-        if existing is not None and existing is not cls and not replace:
-            raise ValueError(
-                f"backend {key!r} is already registered ({existing.__name__}); "
-                "pass replace=True to override"
-            )
-        cls.name = key
-        _BACKENDS[key] = cls
-        return cls
-
-    if isinstance(name, type):  # bare @register_backend
-        cls, name = name, None
-        return decorator(cls)
-    return decorator
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, sorted."""
-    return tuple(sorted(_BACKENDS))
+#: class decorator registering a :class:`CampaignBackend`, bare (under its
+#: ``name``) or named (``@register_backend("my-backend", replace=...)``)
+register_backend = _BACKENDS.register
+available_backends = _BACKENDS.names
+unregister_backend = _BACKENDS.unregister
 
 
 def get_backend(name: str) -> CampaignBackend:
     """Instantiate the backend registered under ``name``."""
-    key = str(name).strip().lower()
-    try:
-        cls = _BACKENDS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown campaign backend {name!r}; registered backends: "
-            f"{', '.join(available_backends()) or '(none)'}"
-        ) from None
-    return cls()
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry (primarily for tests)."""
-    _BACKENDS.pop(str(name).strip().lower(), None)
+    return _BACKENDS.lookup(name)()
 
 
 # ----------------------------------------------------------------------

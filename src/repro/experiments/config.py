@@ -76,11 +76,6 @@ class CampaignConfig:
         """Total number of thread-timing samples the campaign produces."""
         return self.trials * self.processes * self.iterations * self.threads
 
-    @property
-    def process_iterations(self) -> int:
-        """Number of process-iteration groups (Table-1 granularity)."""
-        return self.trials * self.processes * self.iterations
-
     def for_application(self, application: str) -> "CampaignConfig":
         """Copy of this configuration targeting another application."""
         return replace(self, application=application)
@@ -131,13 +126,3 @@ class CampaignConfig:
         """Tiny configuration for unit/integration tests."""
         return cls(application=application, trials=1, processes=2, iterations=12,
                    threads=16, seed=seed, machine=manzano(n_nodes=1))
-
-    @classmethod
-    def from_scenario(
-        cls, name: str, scale: str = "smoke", **overrides
-    ) -> "CampaignConfig":
-        """The configuration of a registered scenario (see
-        :mod:`repro.scenarios`) at the given scale."""
-        from repro.scenarios.scenario import get_scenario
-
-        return get_scenario(name).campaign_config(scale, **overrides)

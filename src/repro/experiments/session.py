@@ -214,9 +214,10 @@ class CampaignResult:
 
     @property
     def n_samples(self) -> int:
-        if self._dataset is None and self.store is not None:
+        """Samples in the campaign, counted without merging a dataset."""
+        if self._blocks is None:
             return self.store.n_samples
-        return self.dataset.n_samples
+        return sum(block.n_samples for block in self._blocks)
 
     # ------------------------------------------------------------------
     def analyze(

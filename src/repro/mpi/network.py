@@ -93,12 +93,6 @@ class NetworkModel:
             + self.o_recv_s
         )
 
-    def effective_bandwidth(self, nbytes: int, hops: int = 1) -> float:
-        """Achieved bandwidth of one message (bytes/s), for reporting."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.message_time(nbytes, hops)
-
 
 def omni_path() -> NetworkModel:
     """An Intel Omni-Path-like preset (100 Gb/s-class fabric, ~1 µs latency)."""

@@ -57,11 +57,6 @@ class PartitionedTransfer:
         """Delivery time of the last partition (message fully delivered)."""
         return max(p.delivery_time for p in self.partitions)
 
-    @property
-    def first_delivery_time(self) -> float:
-        """Delivery time of the earliest partition (first usable data)."""
-        return min(p.delivery_time for p in self.partitions)
-
     def delivery_times(self) -> np.ndarray:
         return np.array([p.delivery_time for p in self.partitions])
 
@@ -75,7 +70,6 @@ def partitioned_completion_times(
     network: NetworkModel,
     *,
     hops: int = 1,
-    per_partition_overhead_s: Optional[float] = None,
 ) -> PartitionedTransfer:
     """Closed-form partitioned transfer over a FIFO-injection NIC.
 
@@ -89,10 +83,9 @@ def partitioned_completion_times(
     network:
         Timing parameters.
     hops:
-        Network hops between sender and receiver.
-    per_partition_overhead_s:
-        CPU overhead of each ``Pready`` (defaults to the network's
-        ``o_send_s``).
+        Network hops between sender and receiver.  Each partition is one
+        :meth:`~repro.mpi.network.NICModel.submit` at its ready time, so
+        each ``Pready`` costs the network's ``o_send_s``.
 
     Returns
     -------
@@ -112,30 +105,19 @@ def partitioned_completion_times(
     if np.any(sizes < 0):
         raise ValueError("partition sizes must be non-negative")
 
-    overhead = (
-        per_partition_overhead_s if per_partition_overhead_s is not None else network.o_send_s
-    )
-    nic = NICModel(network, hops=hops)
-    order = np.argsort(times, kind="stable")
-    records: List[Optional[PartitionRecord]] = [None] * times.size
-    for idx in order:
-        ready = float(times[idx])
-        nbytes = int(sizes[idx])
-        post_done = ready + overhead + network.protocol_overhead(nbytes)
-        start = max(post_done, nic.busy_until)
-        injection_done = start + network.serialization_time(nbytes)
-        delivery = injection_done + network.wire_latency(hops) + network.o_recv_s
-        nic._free_at = injection_done
-        records[idx] = PartitionRecord(
-            index=int(idx),
-            nbytes=nbytes,
-            ready_time=ready,
-            injection_start=start,
-            injection_done=injection_done,
-            delivery_time=delivery,
-        )
+    sent = NICModel(network, hops=hops).submit_many(sizes, times)
     return PartitionedTransfer(
-        partitions=[rec for rec in records if rec is not None],
+        partitions=[
+            PartitionRecord(
+                index=idx,
+                nbytes=rec.nbytes,
+                ready_time=rec.request_time,
+                injection_start=rec.start_time,
+                injection_done=rec.injection_done,
+                delivery_time=rec.delivery_time,
+            )
+            for idx, rec in enumerate(sent)
+        ],
         total_bytes=int(sizes.sum()),
     )
 

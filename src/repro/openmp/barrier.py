@@ -64,17 +64,6 @@ class Barrier:
             yield WaitEvent(release)
         return generation
 
-    # ------------------------------------------------------------------
-    def idle_time(self, generation: int) -> Dict[int, float]:
-        """Per-thread wait time (release − arrival) for one episode."""
-        release = self.release_times[generation]
-        if release is None:
-            raise ValueError(f"barrier generation {generation} has not released")
-        return {
-            thread: release - arrival
-            for thread, arrival in self.arrival_times[generation].items()
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Barrier({self.name!r}, n={self.n_threads}, "

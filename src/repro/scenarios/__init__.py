@@ -47,6 +47,7 @@ _LAZY_EXPORTS = {
         "noise_profile",
         "register_noise_profile",
         "register_noise_source",
+        "unregister_noise_profile",
         "unregister_noise_source",
     ),
 }

@@ -17,48 +17,27 @@ which are forwarded verbatim, so presets stay parametric.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable
 
+from repro._registry import Registry
 from repro.cluster.clock import ClockSpec
 from repro.cluster.config import MachineConfig, laptop, manzano
 
 MachineFactory = Callable[..., MachineConfig]
 
-_MACHINES: Dict[str, MachineFactory] = {}
+_MACHINES: Registry[MachineFactory] = Registry(
+    "machine",
+    "machines",
+    accepts=callable,
+    expects="a MachineConfig factory",
+    name_attr="__name__",
+)
 
-
-def register_machine(name=None, *, replace: bool = False):
-    """Decorator registering a :class:`MachineConfig` factory by name.
-
-    Usable bare (``@register_machine`` — uses the factory's ``__name__``) or
-    with an explicit name (``@register_machine("cloudvm")``).  Registering a
-    name twice raises unless ``replace=True`` (or the factory is identical,
-    which makes module re-imports idempotent).
-    """
-
-    def decorator(factory: MachineFactory) -> MachineFactory:
-        if not callable(factory):
-            raise TypeError("register_machine expects a MachineConfig factory")
-        key = (name if isinstance(name, str) else factory.__name__).strip().lower()
-        if not key:
-            raise ValueError("machine needs a registration name")
-        existing = _MACHINES.get(key)
-        if existing is not None and existing is not factory and not replace:
-            raise ValueError(
-                f"machine {key!r} is already registered; pass replace=True to override"
-            )
-        _MACHINES[key] = factory
-        return factory
-
-    if callable(name) and not isinstance(name, str):  # bare @register_machine
-        factory, name = name, None
-        return decorator(factory)
-    return decorator
-
-
-def available_machines() -> Tuple[str, ...]:
-    """Names of all registered machines, sorted."""
-    return tuple(sorted(_MACHINES))
+#: decorator registering a :class:`MachineConfig` factory, bare (under its
+#: ``__name__``) or named (``@register_machine("cloudvm", replace=...)``)
+register_machine = _MACHINES.register
+available_machines = _MACHINES.names
+unregister_machine = _MACHINES.unregister
 
 
 def get_machine(name: str, **overrides) -> MachineConfig:
@@ -66,26 +45,13 @@ def get_machine(name: str, **overrides) -> MachineConfig:
 
     Keyword overrides are forwarded to the factory (e.g. ``n_nodes=4``).
     """
-    key = str(name).strip().lower()
-    try:
-        factory = _MACHINES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown machine {name!r}; registered machines: "
-            f"{', '.join(available_machines()) or '(none)'}"
-        ) from None
-    config = factory(**overrides)
+    config = _MACHINES.lookup(name)(**overrides)
     if not isinstance(config, MachineConfig):
         raise TypeError(
-            f"machine factory {key!r} returned {type(config).__name__}, "
+            f"machine factory {name!r} returned {type(config).__name__}, "
             "expected MachineConfig"
         )
     return config
-
-
-def unregister_machine(name: str) -> None:
-    """Remove a machine from the registry (primarily for tests)."""
-    _MACHINES.pop(str(name).strip().lower(), None)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro._registry import Registry
 from repro.scenarios.machines import get_machine
 from repro.scenarios.sources import noise_profile
 
@@ -167,47 +168,20 @@ class Scenario:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_SCENARIOS: Dict[str, Scenario] = {}
+_SCENARIOS: Registry[Scenario] = Registry(
+    "scenario",
+    "scenarios",
+    accepts=lambda scenario: isinstance(scenario, Scenario),
+    expects="a Scenario instance",
+)
 
-
-def register_scenario(scenario: Scenario, *, replace: bool = False) -> Scenario:
-    """Register a :class:`Scenario` under its own name.
-
-    Registering a name twice raises unless ``replace=True`` (or the scenario
-    is equal, which makes module re-imports idempotent).
-    """
-    if not isinstance(scenario, Scenario):
-        raise TypeError("register_scenario expects a Scenario instance")
-    key = scenario.name.strip().lower()
-    existing = _SCENARIOS.get(key)
-    if existing is not None and existing != scenario and not replace:
-        raise ValueError(
-            f"scenario {key!r} is already registered; pass replace=True to override"
-        )
-    _SCENARIOS[key] = scenario
-    return scenario
-
-
-def available_scenarios() -> Tuple[str, ...]:
-    """Names of all registered scenarios, sorted."""
-    return tuple(sorted(_SCENARIOS))
-
-
-def get_scenario(name: str) -> Scenario:
-    """The scenario registered under ``name``."""
-    key = str(name).strip().lower()
-    try:
-        return _SCENARIOS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; registered scenarios: "
-            f"{', '.join(available_scenarios()) or '(none)'}"
-        ) from None
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a scenario from the registry (primarily for tests)."""
-    _SCENARIOS.pop(str(name).strip().lower(), None)
+#: ``register_scenario(scenario, replace=...)`` registers a
+#: :class:`Scenario` under its own name
+register_scenario = _SCENARIOS.register
+available_scenarios = _SCENARIOS.names
+#: the :class:`Scenario` registered under a name
+get_scenario = _SCENARIOS.lookup
+unregister_scenario = _SCENARIOS.unregister
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Tuple, Type
 
 import numpy as np
 
+from repro._registry import Registry
 from repro.cluster.noise import NoiseSourceSpec, NoiseSpec
 from repro.openmp.schedule import segment_sums
 
@@ -66,55 +67,22 @@ class NoiseSource(ABC):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_NOISE_SOURCES: Dict[str, Type[NoiseSource]] = {}
+_NOISE_SOURCES: Registry[Type[NoiseSource]] = Registry(
+    "noise source",
+    "sources",
+    accepts=lambda cls: isinstance(cls, type) and issubclass(cls, NoiseSource),
+    expects="a NoiseSource subclass",
+    name_attr="kind",
+    write_back=True,
+)
 
-
-def register_noise_source(name=None, *, replace: bool = False):
-    """Class decorator registering a :class:`NoiseSource` by kind name.
-
-    Usable bare (``@register_noise_source`` — uses the class's ``kind``) or
-    with an explicit name (``@register_noise_source("pareto-interrupts")``).
-    Registering a name twice raises unless ``replace=True`` (or the class is
-    identical, which makes module re-imports idempotent).
-    """
-
-    def decorator(cls: Type[NoiseSource]) -> Type[NoiseSource]:
-        if not (isinstance(cls, type) and issubclass(cls, NoiseSource)):
-            raise TypeError("register_noise_source expects a NoiseSource subclass")
-        key = (name if isinstance(name, str) else cls.kind).strip().lower()
-        if not key or key == "abstract":
-            raise ValueError("noise source needs a concrete registration name")
-        existing = _NOISE_SOURCES.get(key)
-        if existing is not None and existing is not cls and not replace:
-            raise ValueError(
-                f"noise source {key!r} is already registered ({existing.__name__}); "
-                "pass replace=True to override"
-            )
-        cls.kind = key
-        _NOISE_SOURCES[key] = cls
-        return cls
-
-    if isinstance(name, type):  # bare @register_noise_source
-        cls, name = name, None
-        return decorator(cls)
-    return decorator
-
-
-def available_noise_sources() -> Tuple[str, ...]:
-    """Kinds of all registered noise sources, sorted."""
-    return tuple(sorted(_NOISE_SOURCES))
-
-
-def get_noise_source(kind: str) -> Type[NoiseSource]:
-    """The :class:`NoiseSource` class registered under ``kind``."""
-    key = str(kind).strip().lower()
-    try:
-        return _NOISE_SOURCES[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown noise source {kind!r}; registered sources: "
-            f"{', '.join(available_noise_sources()) or '(none)'}"
-        ) from None
+#: class decorator registering a :class:`NoiseSource`, bare (under its
+#: ``kind``) or named (``@register_noise_source("pareto-interrupts")``)
+register_noise_source = _NOISE_SOURCES.register
+available_noise_sources = _NOISE_SOURCES.names
+#: the :class:`NoiseSource` class registered under a kind
+get_noise_source = _NOISE_SOURCES.lookup
+unregister_noise_source = _NOISE_SOURCES.unregister
 
 
 def make_noise_source(kind: str, **params) -> NoiseSource:
@@ -125,11 +93,6 @@ def make_noise_source(kind: str, **params) -> NoiseSource:
 def build_noise_sources(specs) -> Tuple[NoiseSource, ...]:
     """Instantiate a sequence of :class:`NoiseSourceSpec` declarations."""
     return tuple(make_noise_source(spec.kind, **spec.as_dict()) for spec in specs)
-
-
-def unregister_noise_source(kind: str) -> None:
-    """Remove a noise source from the registry (primarily for tests)."""
-    _NOISE_SOURCES.pop(str(kind).strip().lower(), None)
 
 
 def _require_non_negative(**values: float) -> None:
@@ -382,40 +345,26 @@ class SilentSource(NoiseSource):
 # ----------------------------------------------------------------------
 # noise profiles: named NoiseSpec compositions
 # ----------------------------------------------------------------------
-_NOISE_PROFILES: Dict[str, Callable[[], NoiseSpec]] = {}
-
-
-def register_noise_profile(name: str, factory: Callable[[], NoiseSpec], *, replace: bool = False):
-    """Register a named zero-argument :class:`NoiseSpec` factory."""
-    key = str(name).strip().lower()
-    if not key:
-        raise ValueError("noise profile needs a name")
-    existing = _NOISE_PROFILES.get(key)
+_NOISE_PROFILES: Registry[Callable[[], NoiseSpec]] = Registry(
+    "noise profile",
+    "profiles",
+    accepts=callable,
+    expects="a zero-argument NoiseSpec factory",
+    name_attr="__name__",
     # equal specs make re-registration idempotent even for distinct lambdas
-    if existing is not None and not replace and existing() != factory():
-        raise ValueError(
-            f"noise profile {key!r} is already registered; "
-            "pass replace=True to override"
-        )
-    _NOISE_PROFILES[key] = factory
-    return factory
+    same=lambda existing, factory: existing is factory or existing() == factory(),
+)
 
-
-def available_noise_profiles() -> Tuple[str, ...]:
-    """Names of all registered noise profiles, sorted."""
-    return tuple(sorted(_NOISE_PROFILES))
+#: ``register_noise_profile(name, factory, replace=...)`` registers a named
+#: zero-argument :class:`NoiseSpec` factory
+register_noise_profile = _NOISE_PROFILES.register
+available_noise_profiles = _NOISE_PROFILES.names
+unregister_noise_profile = _NOISE_PROFILES.unregister
 
 
 def noise_profile(name: str) -> NoiseSpec:
     """The :class:`NoiseSpec` registered under profile ``name``."""
-    key = str(name).strip().lower()
-    try:
-        return _NOISE_PROFILES[key]()
-    except KeyError:
-        raise ValueError(
-            f"unknown noise profile {name!r}; registered profiles: "
-            f"{', '.join(available_noise_profiles()) or '(none)'}"
-        ) from None
+    return _NOISE_PROFILES.lookup(name)()
 
 
 # parameterless specs fall back to the source classes' constructor defaults,

@@ -62,12 +62,6 @@ class SimulationEngine:
         heapq.heappush(self._queue, entry)
         return entry
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], None]
-    ) -> _ScheduledCallback:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        return self.schedule(time - self._now, callback)
-
     # ------------------------------------------------------------------
     # processes
     # ------------------------------------------------------------------
@@ -87,14 +81,6 @@ class SimulationEngine:
         self._processes.append(process)
         self.schedule(start_delay, process._step_initial)
         return process
-
-    def spawn_all(
-        self, generators: Iterable[Generator[Any, Any, Any]], *, prefix: str = "p"
-    ) -> List[SimProcess]:
-        """Spawn one process per generator, named ``{prefix}{index}``."""
-        return [
-            self.spawn(gen, name=f"{prefix}{i}") for i, gen in enumerate(generators)
-        ]
 
     @property
     def processes(self) -> List[SimProcess]:
@@ -195,13 +181,3 @@ class SimulationEngine:
             f"SimulationEngine(now={self._now:.9f}, "
             f"pending={self.pending_events()}, processes={len(self._processes)})"
         )
-
-
-def run_simple(generators: Iterable[Generator[Any, Any, Any]]) -> float:
-    """Convenience: run a set of generator processes to completion.
-
-    Returns the final simulation time.
-    """
-    engine = SimulationEngine()
-    procs = engine.spawn_all(generators)
-    return engine.run_until_complete(procs)

@@ -76,11 +76,6 @@ class NormalityReport:
         """
         return all(outcome.pass_rate == 0.0 for outcome in self.outcomes.values())
 
-    def unanimous_pass(self) -> np.ndarray:
-        """Mask of groups passed by *all* tests."""
-        masks = [outcome.passed for outcome in self.outcomes.values()]
-        return np.logical_and.reduce(masks)
-
     def table_row(self, label: str = "") -> Dict[str, object]:
         """One row of Table 1: percentage of groups passing each test."""
         row: Dict[str, object] = {"application": label}

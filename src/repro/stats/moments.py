@@ -97,12 +97,3 @@ def standardize(x, *, ddof: int = 1) -> np.ndarray:
     safe = np.where(std > 0, std, 1.0)
     out = (arr - mean) / safe
     return np.where(std > 0, out, 0.0)
-
-
-def coefficient_of_variation(x) -> np.ndarray:
-    """Standard deviation divided by the mean (last axis)."""
-    arr = _as_float_array(x)
-    mean = arr.mean(axis=-1)
-    std = arr.std(axis=-1, ddof=1) if arr.shape[-1] > 1 else np.zeros_like(mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(mean != 0, std / mean, 0.0)

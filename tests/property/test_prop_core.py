@@ -72,7 +72,6 @@ def test_partitioned_deliveries_follow_ready_order_on_fifo_nic(arrivals):
     order_by_ready = np.argsort(transfer.ready_times(), kind="stable")
     deliveries = transfer.delivery_times()[order_by_ready]
     assert np.all(np.diff(deliveries) >= -1e-12)
-    assert transfer.completion_time >= transfer.first_delivery_time
 
 
 @given(arrivals_strategy, st.integers(50_000, 2_000_000))

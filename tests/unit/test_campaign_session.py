@@ -38,6 +38,12 @@ class TestSessionFacade:
         assert result.dataset is dataset  # merged exactly once
         assert isinstance(result.analyze(), AnalysisResults)
 
+    def test_n_samples_counts_without_merging(self, smoke_config):
+        result = CampaignSession(smoke_config).run()
+        assert result.n_samples == smoke_config.samples_per_application
+        assert result._dataset is None
+        assert result.n_samples == result.dataset.n_samples
+
     def test_result_iterates_over_shards(self, smoke_config):
         result = CampaignSession(smoke_config).run()
         shards = list(result)

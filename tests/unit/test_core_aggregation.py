@@ -46,18 +46,10 @@ class TestAggregationLevels:
         with pytest.raises(ValueError):
             AggregationLevel.from_name("bogus")
 
-    def test_values_ms_scaling(self, dataset):
-        grouped = aggregate(dataset, AggregationLevel.APPLICATION)
-        np.testing.assert_allclose(grouped.values_ms(), grouped.values * 1e3)
-
     def test_unknown_group_key_raises(self, dataset):
         grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
         with pytest.raises(KeyError):
             grouped.group((99, 99, 99))
-
-    def test_iteration_of_row(self, dataset):
-        grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-        assert grouped.iteration_of(0) == grouped.keys[0][-1]
 
     def test_per_iteration_samples_matrix(self, dataset):
         matrix = per_iteration_samples(dataset)

@@ -115,13 +115,6 @@ class TestTimingDatasetAccessors:
         assert subset.n_iterations == 2
         assert subset.is_dense()
 
-    def test_concat_preserves_length_and_metadata(self):
-        a, _ = _dense_dataset(seed=1)
-        b, _ = _dense_dataset(seed=2)
-        combined = a.concat(b)
-        assert len(combined) == len(a) + len(b)
-        assert combined.application == "demo"
-
     def test_with_metadata_does_not_mutate_original(self):
         ds, _ = _dense_dataset()
         updated = ds.with_metadata(application="other")

@@ -61,7 +61,6 @@ class TestCampaignConfig:
             48,
         )
         assert config.samples_per_application == 768_000
-        assert config.process_iterations == 16_000
         assert config.machine.name == "manzano"
 
     def test_machine_grows_to_fit_job(self):

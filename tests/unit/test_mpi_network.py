@@ -25,10 +25,6 @@ class TestNetworkModel:
         net = NetworkModel(bandwidth_bytes_per_s=1e9)
         assert net.serialization_time(1_000_000) == pytest.approx(1e-3)
 
-    def test_effective_bandwidth_below_link_rate(self):
-        net = omni_path()
-        assert net.effective_bandwidth(1 << 20) < net.bandwidth_bytes_per_s
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             NetworkModel(bandwidth_bytes_per_s=0.0)

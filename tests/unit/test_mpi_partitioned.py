@@ -26,7 +26,7 @@ FLAT = NetworkModel(
 class TestClosedForm:
     def test_simultaneous_partitions_serialise_like_one_message(self):
         transfer = partitioned_completion_times(
-            [0.0, 0.0, 0.0, 0.0], 1000, FLAT, hops=0, per_partition_overhead_s=0.0
+            [0.0, 0.0, 0.0, 0.0], 1000, FLAT, hops=0
         )
         assert transfer.completion_time == pytest.approx(4e-3)
         assert transfer.total_bytes == 4000
@@ -36,14 +36,14 @@ class TestClosedForm:
         # inject: the NIC is never the bottleneck, completion tracks the last
         # ready time plus one injection
         transfer = partitioned_completion_times(
-            [0.0, 2e-3, 4e-3, 6e-3], 1000, FLAT, hops=0, per_partition_overhead_s=0.0
+            [0.0, 2e-3, 4e-3, 6e-3], 1000, FLAT, hops=0
         )
         assert transfer.completion_time == pytest.approx(7e-3)
-        assert transfer.first_delivery_time == pytest.approx(1e-3)
+        assert transfer.delivery_times().min() == pytest.approx(1e-3)
 
     def test_per_partition_sizes_respected(self):
         transfer = partitioned_completion_times(
-            [0.0, 0.0], [1000, 3000], FLAT, hops=0, per_partition_overhead_s=0.0
+            [0.0, 0.0], [1000, 3000], FLAT, hops=0
         )
         assert transfer.completion_time == pytest.approx(4e-3)
         sizes = [p.nbytes for p in transfer.partitions]
@@ -102,7 +102,7 @@ class TestEventDriven:
         )
         engine.run()
         closed = partitioned_completion_times(
-            ready, 1000, FLAT, hops=0, per_partition_overhead_s=0.0
+            ready, 1000, FLAT, hops=0
         )
         assert send.completion_time() == pytest.approx(closed.completion_time)
 

@@ -32,13 +32,6 @@ class TestBarrier:
         assert barrier.release_times[0] == pytest.approx(5.0)
         assert all(t == pytest.approx(5.0) for t in finish.values())
 
-    def test_idle_time_matches_arrival_gaps(self):
-        _, barrier, _ = _run_team([1.0, 2.0, 5.0])
-        idle = barrier.idle_time(0)
-        assert idle[0] == pytest.approx(4.0)
-        assert idle[1] == pytest.approx(3.0)
-        assert idle[2] == pytest.approx(0.0)
-
     def test_barrier_is_reusable_across_generations(self):
         _, barrier, finish = _run_team([1.0, 3.0], n_rounds=3)
         assert barrier.generation == 3
@@ -48,12 +41,6 @@ class TestBarrier:
         _, barrier, finish = _run_team([2.0])
         assert finish[0] == pytest.approx(2.0)
         assert barrier.generation == 1
-
-    def test_idle_time_before_release_rejected(self):
-        engine = SimulationEngine()
-        barrier = Barrier(engine, 2)
-        with pytest.raises(ValueError):
-            barrier.idle_time(0)
 
     def test_invalid_thread_count_rejected(self):
         with pytest.raises(ValueError):

@@ -291,13 +291,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="unknown scale"):
             get_scenario("manzano-default").campaign_config("galactic")
 
-    def test_from_scenario_classmethod(self):
-        config = CampaignConfig.from_scenario("laptop-bursty", "smoke")
-        assert config.machine.name == "laptop"
-        assert any(
-            s.kind == "cron-burst" for s in config.machine.noise_spec.sources
-        )
-
     def test_scenario_requires_name(self):
         with pytest.raises(ValueError, match="name"):
             Scenario(name="  ")

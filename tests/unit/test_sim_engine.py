@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import SimulationEngine, run_simple
+from repro.sim.engine import SimulationEngine
 from repro.sim.events import Delay, Signal, WaitEvent
 
 
@@ -49,13 +49,6 @@ class TestScheduling:
         engine.run(until=2.0)
         assert hits == [1]
         assert engine.now == 2.0
-
-    def test_schedule_at_absolute_time(self):
-        engine = SimulationEngine()
-        times = []
-        engine.schedule_at(3.0, lambda: times.append(engine.now))
-        engine.run()
-        assert times == [3.0]
 
     def test_max_events_guard(self):
         engine = SimulationEngine()
@@ -134,12 +127,6 @@ class TestProcesses:
         engine.spawn(body())
         with pytest.raises(TypeError):
             engine.run()
-
-    def test_run_simple_returns_final_time(self):
-        def body(duration):
-            yield Delay(duration)
-
-        assert run_simple([body(1.0), body(3.0), body(2.0)]) == pytest.approx(3.0)
 
     def test_trace_records_resumptions(self):
         engine = SimulationEngine(trace=True)

@@ -45,12 +45,6 @@ class TestNormalityBattery:
         assert row["application"] == "MiniX"
         assert all(0.0 <= row[label] <= 100.0 for label in row if label != "application")
 
-    def test_unanimous_pass_is_intersection(self, rng):
-        report = NormalityBattery().run(rng.normal(size=(100, 48)))
-        unanimous = report.unanimous_pass()
-        for name in TEST_NAMES:
-            assert np.all(unanimous <= report.outcomes[name].passed)
-
     def test_subset_of_tests(self, rng):
         battery = NormalityBattery(tests=["dagostino"])
         report = battery.run(rng.normal(size=(10, 48)))

@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from repro.stats.moments import (
     central_moment,
-    coefficient_of_variation,
     kurtosis,
     skewness,
     skewness_kurtosis,
@@ -70,12 +69,6 @@ class TestMoments:
     def test_standardize_constant_rows_are_zero(self):
         z = standardize(np.full((2, 5), 3.0))
         np.testing.assert_array_equal(z, 0.0)
-
-    def test_coefficient_of_variation(self):
-        data = np.array([[10.0, 10.0, 10.0], [1.0, 2.0, 3.0]])
-        cv = coefficient_of_variation(data)
-        assert cv[0] == 0.0
-        assert cv[1] == pytest.approx(1.0 / 2.0, rel=1e-12)
 
     def test_empty_last_axis_rejected(self):
         with pytest.raises(ValueError):
