@@ -6,9 +6,9 @@ sha256, and prints one JSON line with the process's *own* peak RSS
 (``ru_maxrss``) — the whole point of the subprocess: the parent's high-water
 mark is cumulative across scales, a child's is exactly one measurement.
 
-The digest is computed the same way in both modes (per-shard
-``compute_time_s`` bytes in campaign order), so equal digests mean the
-spilled campaign is bit-identical to the in-memory one.  With
+The digest is computed the same way in both modes (each (trial, process)
+slice's compute-time buffer in campaign order, hashed in place), so equal
+digests mean the spilled campaign is bit-identical to the in-memory one.  With
 ``--analyses`` the child then folds every registered analysis pass over
 the finished campaign (``CampaignResult.analyze``), so the peak RSS covers
 the analyses as well; ``elapsed_s`` still times the campaign alone.
@@ -52,18 +52,14 @@ def measure(args: argparse.Namespace) -> dict:
                 store=True,
                 spill_threshold_bytes=args.spill_mb * 2**20,
             )
-            shards = result.store.iter_shards()
         else:
             result = session.run(args.application, use_cache=False)
-            shards = iter(result.shards)
         digest = hashlib.sha256()
         samples = 0
-        for shard in shards:
-            column = np.ascontiguousarray(
-                shard.columns["compute_time_s"], dtype=np.float64
-            )
-            digest.update(column.tobytes())
-            samples += column.size
+        for block in result.iter_column_blocks():
+            for times in block.cube:  # one (trial, process) slice at a time
+                digest.update(np.ascontiguousarray(times, dtype=np.float64))
+                samples += times.size
         elapsed = time.perf_counter() - start
         analyses = []
         if args.analyses:

@@ -15,9 +15,9 @@ analyses need out of core is guarded by
 ``bench_out_of_core.py::test_out_of_core_analyses_memory_guard``.
 
 The columnar sweep (``analysis-columnar`` group) additionally times the
-shard stream folded as one-shard blocks (``run_analyses``) against the
-same campaign folded as one whole column block (``run_columnar_analyses``)
-on a paper-scale campaign, per pass set, tagging each ``bench.json`` entry
+campaign's shards folded as one-slice blocks against the same campaign
+folded as one whole column block (both ``run_columnar_analyses``) on a
+paper-scale campaign, per pass set, tagging each ``bench.json`` entry
 with ``analysis_path``/``analysis_passes``/``samples_per_second`` for the
 CI benchmark table; ``test_columnar_analysis_speedup_guard`` is the ≥2x
 regression guard on the pure group-fold pass set, and
@@ -42,10 +42,9 @@ from repro.analysis import (
     PercentilesPass,
     ReclaimablePass,
     analyze_dataset,
-    run_analyses,
     run_columnar_analyses,
 )
-from repro.core.aggregation import ShardSlice, canonical_block
+from repro.core.aggregation import canonical_block
 from repro.experiments.backends import get_backend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
@@ -84,23 +83,26 @@ SWEEP_PASSES = {
 
 
 def _paper_scale_inputs():
-    """Materialized shards, the equivalent column block, and the context of
-    a paper-scale MiniFE campaign (10 trials x 8 processes x 200 x 48)."""
+    """Materialized shards (one-slice blocks), the equivalent column block,
+    and the context of a paper-scale MiniFE campaign (10 trials x 8
+    processes x 200 x 48)."""
     config = CampaignConfig(
         application="minife", trials=10, processes=8, iterations=200,
         threads=48, seed=1, backend="campaign",
     )
     backend = get_backend(config.backend)
-    shards = list(CampaignSession(config).stream())
-    columns = {
-        name: np.concatenate([np.asarray(shard.columns[name]) for shard in shards])
-        for name in shards[0].columns
-    }
+    shards = [
+        block.rows(sl)
+        for block in CampaignSession(config).stream()
+        for sl in block.slices
+    ]
+    parts = [shard.columns for shard in shards]
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     slices = []
     start = 0
     for shard in shards:
         slices.append(
-            ShardSlice(shard.trial, shard.process, start, start + shard.n_samples)
+            shard.slices[0]._replace(start=start, stop=start + shard.n_samples)
         )
         start += shard.n_samples
     context = AnalysisContext.from_config(config, metadata=backend.metadata(config))
@@ -114,10 +116,9 @@ def paper_inputs():
 
 def _fold(path: str, inputs, passes) -> None:
     shards, block, context = inputs
-    if path == "one-shard-blocks":
-        run_analyses(iter(shards), passes, context)
-    else:
-        run_columnar_analyses(iter([block]), passes, context)
+    run_columnar_analyses(
+        iter(shards if path == "one-shard-blocks" else [block]), passes, context
+    )
 
 
 def _config(trials: int = 2) -> CampaignConfig:
@@ -175,7 +176,7 @@ def test_analysis_fold_throughput(benchmark, paper_inputs, path, passes):
 def test_columnar_analysis_speedup_guard():
     """Regression guard for block amortisation: on a paper-scale MiniFE
     campaign, folding the whole campaign as one column block must stay
-    >= 2x folding its shards as one-shard blocks (``run_analyses``) on the
+    >= 2x folding its shards as one-slice blocks on the
     ``group-fold`` pass set (earlybird + reclaimable + histogram).  Both
     paths run the same pass kernels; what a whole block saves is the
     per-block canonicalisation and Python dispatch of every pass, so that

@@ -36,7 +36,7 @@ contribution (thread-timing instrumentation and analysis) on top:
     :class:`ScenarioMatrix` expansion for sweeps.
 ``repro.analysis``
     The streaming analysis engine: registered shard-mergeable analysis
-    passes (``@register_analysis``) that fold campaign shards through a
+    passes (``@register_analysis``) that fold campaign column blocks through a
     ``prepare → accumulate → merge → finalize`` lifecycle, so §4 analyses
     run in one parallel pass without materialising the merged dataset.
 
@@ -51,7 +51,7 @@ True
 
 ``CampaignConfig(max_workers=4)`` fans the campaign's (trial, process)
 shards out across a worker pool with bit-identical results;
-``session.stream()`` iterates shard-by-shard without materialising the dense
+``session.stream()`` iterates block by block without materialising the dense
 dataset; ``repro.experiments.register_backend`` plugs in new execution
 strategies alongside the built-in ``campaign`` backend.
 
@@ -62,7 +62,7 @@ Scenarios name full experimental settings and feed the same session::
 >>> result.dataset.metadata["noise_enabled"]
 False
 
-Campaign-scale analysis streams shards through registered analysis passes
+Campaign-scale analysis streams blocks through registered analysis passes
 instead of merging them first::
 
 >>> results = session.analyze(analyses=["percentiles", "laggards",
@@ -82,8 +82,8 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
         get_analysis,
         register_analysis,
     )
-    from repro.analysis.engine import analyze_dataset, run_analyses
-    from repro.core.timing import TimingDataset, TimingRecord, TimingShard
+    from repro.analysis.engine import analyze_dataset
+    from repro.core.timing import TimingDataset
     from repro.experiments.backends import register_backend
     from repro.experiments.config import CampaignConfig
     from repro.experiments.session import CampaignSession
@@ -103,7 +103,7 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
     )
 
 _LAZY_EXPORTS = {
-    "repro.core.timing": ("TimingDataset", "TimingRecord", "TimingShard"),
+    "repro.core.timing": ("TimingDataset",),
     "repro.experiments.config": ("CampaignConfig",),
     "repro.experiments.session": ("CampaignSession",),
     "repro.experiments.backends": ("register_backend",),
@@ -127,7 +127,7 @@ _LAZY_EXPORTS = {
         "get_analysis",
         "available_analyses",
     ),
-    "repro.analysis.engine": ("analyze_dataset", "run_analyses"),
+    "repro.analysis.engine": ("analyze_dataset",),
 }
 # the substrates (repro.sim, repro.stats, ...) import on their own without
 # paying for the analysis stack

@@ -4,8 +4,8 @@ The §4 analyses used to require the entire merged
 :class:`~repro.core.timing.TimingDataset` in memory.  This subpackage
 refactors them into a registry of :class:`AnalysisPass` objects following a
 ``prepare → accumulate_columns_split(block) → merge → finalize``
-lifecycle over canonical column blocks, so a campaign's shards or column
-blocks — serial or parallel — are analysed in one pass without
+lifecycle over canonical column blocks, so a campaign's column blocks —
+serial or parallel — are analysed in one pass without
 materialising the merged dataset:
 
 >>> from repro.experiments import CampaignConfig, CampaignSession
@@ -51,7 +51,6 @@ _LAZY_EXPORTS = {
         "ColumnarAnalyzer",
         "analyze_dataset",
         "product_payload",
-        "run_analyses",
         "run_campaign_analyses",
         "run_columnar_analyses",
     ),

@@ -12,8 +12,6 @@ the map-reduce-style lifecycle
 * :meth:`AnalysisPass.accumulate_columns_split` folds a canonical
   :class:`~repro.core.aggregation.ColumnBlock` into one partial state per
   (trial, process) slice — the only way a pass sees data.
-  :meth:`AnalysisPass.accumulate` folds a single shard through the same
-  method, as its block.
 * :meth:`AnalysisPass.merge` combines two states (any grouping of slices,
   any order — the built-in passes are written so the finalised product does
   not depend on how the campaign was chunked).
@@ -46,8 +44,8 @@ from typing import (
 import numpy as np
 
 from repro._registry import Registry
-from repro.core.aggregation import ColumnBlock, shard_block
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import ColumnBlock
+from repro.core.timing import TimingDataset
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.experiments.config import CampaignConfig
@@ -175,24 +173,6 @@ class AnalysisPass(ABC):
     @abstractmethod
     def finalize(self, state: Any, context: AnalysisContext) -> Any:
         """Turn the merged state into the pass's product."""
-
-    def accumulate(
-        self, state: Any, shard: TimingShard, context: AnalysisContext
-    ) -> Any:
-        """Fold one shard into ``state`` (the shard as its block)."""
-        for partial in self.accumulate_columns_split(shard_block(shard), context):
-            state = self.merge(state, partial)
-        return state
-
-    # ------------------------------------------------------------------
-    def run(
-        self, shards: Iterable[TimingShard], context: AnalysisContext
-    ) -> Any:
-        """Convenience serial driver: fold all shards, finalize."""
-        state = self.prepare(context)
-        for shard in shards:
-            state = self.accumulate(state, shard, context)
-        return self.finalize(state, context)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -11,9 +11,6 @@ Every driver folds :class:`~repro.core.aggregation.ColumnBlock` s with
   :class:`~repro.core.timing.TimingDataset` as one block
   (:func:`~repro.core.aggregation.canonical_block` of its columns, one
   declared slice per (trial, process)).
-* :func:`run_analyses` — fold an existing shard iterable (e.g.
-  ``CampaignSession.stream()`` or an in-memory list), each shard as its
-  block (:func:`~repro.core.aggregation.shard_block`).
 * :func:`run_campaign_analyses` — execute a campaign *and* analyse it in
   one parallel pass: each executor worker folds the block it produced into
   per-pass partials, returning only those to the parent; the
@@ -55,13 +52,8 @@ from repro.analysis.base import (
     resolve_analyses,
 )
 from repro.analysis.report import assemble_feasibility_report
-from repro.core.aggregation import (
-    ColumnBlock,
-    ShardSlice,
-    canonical_block,
-    shard_block,
-)
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import ColumnBlock, ShardSlice, canonical_block
+from repro.core.timing import TimingDataset
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
     from repro.core.report import FeasibilityReport
@@ -174,8 +166,9 @@ def run_columnar_analyses(
 ) -> AnalysisResults:
     """Fold an iterable of column blocks through passes.
 
-    Blocks must arrive in serial (trial-major) shard order, like the shard
-    iterables of :func:`run_analyses` — the per-slice partials of each block
+    Blocks must arrive in serial (trial-major) shard order (a campaign
+    result's or a store's :meth:`iter_column_blocks`, or
+    ``CampaignSession.stream()``) — the per-slice partials of each block
     then merge in serial order, so the states do not depend on how the
     campaign was chunked into blocks.
     """
@@ -212,8 +205,8 @@ def analyze_dataset(
     """Fold a materialised dataset through the requested passes.
 
     The dataset is one canonical column block (a stable sort by trial and
-    process, one slice per (trial, process)), so the products are bit-identical to folding the
-    same campaign's shards or store groups.
+    process, one slice per (trial, process)), so the products are
+    bit-identical to folding the same campaign's blocks or store groups.
 
     >>> results = analyze_dataset(dataset)
     >>> results["percentiles"].mean_median()
@@ -243,18 +236,6 @@ def _reduce_partials(
     # after it do not hold it
     products = {p.name: p.finalize(merged.pop(p.name), context) for p in passes}
     return AnalysisResults(products, context)
-
-
-def run_analyses(
-    shards: Iterable[TimingShard],
-    analyses: Union[None, str, Iterable[Union[str, AnalysisPass]]],
-    context: AnalysisContext,
-) -> AnalysisResults:
-    """Fold an iterable of shards through the requested passes (serial)."""
-    passes = resolve_analyses(analyses)
-    mapper = ColumnarAnalyzer(passes, context)
-    partials = (partial for shard in shards for partial in mapper(shard_block(shard)))
-    return _reduce_partials(passes, partials, context)
 
 
 def run_campaign_analyses(

@@ -16,27 +16,30 @@ so each application provides the two things that shape those arrival times:
 Use :func:`get_application` to construct one by name.
 """
 
+from typing import Type
+
+from repro._registry import Registry
 from repro.apps.base import ApplicationConfig, ProxyApplication
 from repro.apps.minife.app import MiniFEApp
 from repro.apps.minimd.app import MiniMDApp
 from repro.apps.miniqmc.app import MiniQMCApp
 
-#: Registry of application constructors by canonical name.
-APPLICATIONS = {
-    "minife": MiniFEApp,
-    "minimd": MiniMDApp,
-    "miniqmc": MiniQMCApp,
-}
+#: the application catalog: :class:`ProxyApplication` subclasses by
+#: canonical name (``APPLICATIONS.register`` / ``.unregister`` / ``.names``)
+APPLICATIONS: Registry[Type[ProxyApplication]] = Registry(
+    "application",
+    "applications",
+    accepts=lambda cls: isinstance(cls, type) and issubclass(cls, ProxyApplication),
+    expects="a ProxyApplication subclass",
+    write_back=True,
+)
+for _app in (MiniFEApp, MiniMDApp, MiniQMCApp):
+    APPLICATIONS.register(_app)
 
 
 def get_application(name: str, **kwargs) -> ProxyApplication:
     """Construct a proxy application by name (``'minife'``, ``'minimd'``, ``'miniqmc'``)."""
-    key = name.strip().lower()
-    if key not in APPLICATIONS:
-        raise ValueError(
-            f"unknown application {name!r}; available: {sorted(APPLICATIONS)}"
-        )
-    return APPLICATIONS[key](**kwargs)
+    return APPLICATIONS.lookup(name)(**kwargs)
 
 
 __all__ = [

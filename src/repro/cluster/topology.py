@@ -14,7 +14,7 @@ The layout serves two purposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 
 @dataclass(frozen=True)

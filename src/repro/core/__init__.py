@@ -2,9 +2,9 @@
 
 Layer map (bottom → top):
 
-* :mod:`~repro.core.timing` — :class:`TimingRecord` / :class:`TimingDataset`,
-  the columnar store of per-thread region timings (trial, process, iteration,
-  thread, enter/exit timestamps, derived compute time).
+* :mod:`~repro.core.timing` — :class:`TimingDataset`, the columnar store of
+  per-thread region timings (trial, process, iteration, thread, enter/exit
+  timestamps, derived compute time).
 * :mod:`~repro.core.instrument` — the Listing-1 analogue: record region
   timings from simulated executions or from real Python thread pools.
 * :mod:`~repro.core.aggregation` — the three aggregation levels of §4.1
@@ -57,6 +57,6 @@ _LAZY_EXPORTS = {
         "TimeoutStrategy",
         "compare_strategies",
     ),
-    "repro.core.timing": ("TimingDataset", "TimingRecord"),
+    "repro.core.timing": ("TimingDataset",),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _LAZY_EXPORTS)

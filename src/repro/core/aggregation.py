@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import (
     Any,
     Dict,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -43,7 +42,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.timing import CubeColumns, TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 
 
 class AggregationLevel(enum.Enum):
@@ -170,9 +169,8 @@ class ShardSlice(NamedTuple):
 
     A block's samples are several shards' rows laid end to end (the cube's
     slices in order, ``n_iterations * n_threads`` rows each); ``start:stop``
-    delimits one shard's rows.  Mirrors the identity attributes of
-    :class:`~repro.core.timing.TimingShard`, so partials built from a slice
-    carry the shard's serial ordering key.
+    delimits one shard's rows, and (trial, process) its serial ordering
+    key.
     """
 
     trial: int
@@ -186,19 +184,8 @@ class ShardSlice(NamedTuple):
 
     @property
     def sort_key(self) -> Tuple[int, int]:
-        """Position in the serial (trial-major) shard order (=
-        :attr:`~repro.core.timing.TimingShard.sort_key`)."""
+        """Position in the serial (trial-major) shard order."""
         return (self.trial, self.process)
-
-    @classmethod
-    def of(cls, shard: TimingShard) -> "ShardSlice":
-        """The slice addressing all of ``shard``'s own columns."""
-        return cls(shard.trial, shard.process, 0, shard.n_samples)
-
-    def shard(self, block: "ColumnBlock") -> TimingShard:
-        """This address's rows of ``block`` as a shard: a lazy view over
-        the block's cube (:class:`~repro.core.timing.CubeColumns`)."""
-        return TimingShard(self.trial, self.process, CubeColumns(block.rows(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +195,10 @@ class ColumnBlock:
 
     ``cube[s]`` is slice ``s``'s ``(n_iterations, n_threads)`` matrix of
     compute times (seconds), its process-iteration groups; ``slices[s]`` is
-    its (trial, process), one campaign shard.  Every slice lists the same
+    its (trial, process), one campaign shard, and ``rows(slices[s])`` that
+    shard's samples as a one-slice block.  Every slice lists the same
     ascending ``iterations`` and ``threads``, so the id columns are a base
-    plus the shape: :attr:`columns` and the views of :meth:`iter_shards`
-    derive them only when read.  ``stored``
+    plus the shape: :attr:`columns` derives them only when read.  ``stored``
     (:class:`~repro.io.shard_store.StoredRows`) is set on blocks read from a
     shard store, for re-reading a slice's samples later.
     """
@@ -228,12 +215,19 @@ class ColumnBlock:
 
     @property
     def columns(self) -> Dict[str, np.ndarray]:
-        """The block's flat columns, built on demand (ids included)."""
-        return dict(CubeColumns(self))
-
-    def iter_shards(self) -> Iterator[TimingShard]:
-        """The block's shards, one per slice, as lazy views."""
-        return (sl.shard(self) for sl in self.slices)
+        """The block's flat columns, built on demand: the ids from the
+        slices and the shape (not cached), ``compute_time_s`` a flat view
+        of the cube."""
+        n_slices, n_iterations, n_threads = self.cube.shape
+        ids = np.array([sl.sort_key for sl in self.slices], dtype=np.int32)
+        iteration = np.repeat(self.iterations.astype(np.int32), n_threads)
+        return {
+            "trial": np.repeat(ids[:, 0], n_iterations * n_threads),
+            "process": np.repeat(ids[:, 1], n_iterations * n_threads),
+            "iteration": np.tile(iteration, n_slices),
+            "thread": np.tile(self.threads.astype(np.int32), n_slices * n_iterations),
+            "compute_time_s": self.cube.reshape(-1),
+        }
 
     def rows(self, shard: ShardSlice) -> "ColumnBlock":
         """The rows of ``shard`` (one of :attr:`slices`) as a block of their
@@ -284,14 +278,6 @@ def campaign_block(
         np.arange(n_iterations, dtype=np.int32),
         np.arange(n_threads, dtype=np.int32),
     )
-
-
-def shard_block(shard: TimingShard) -> ColumnBlock:
-    """The block of one shard: the block a shard view reads, else
-    :func:`canonical_block` of its columns."""
-    if isinstance(shard.columns, CubeColumns):
-        return shard.columns.block
-    return canonical_block(shard.columns, [ShardSlice.of(shard)])
 
 
 def canonical_block(

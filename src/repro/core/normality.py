@@ -12,12 +12,12 @@ way the paper reports them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.aggregation import AggregationLevel, GroupedSamples, aggregate
+from repro.core.aggregation import AggregationLevel, aggregate
 from repro.core.timing import TimingDataset
 from repro.stats.battery import TEST_LABELS, TEST_NAMES, NormalityBattery, NormalityReport
 

@@ -10,7 +10,7 @@ one per application).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.stats.battery import TEST_LABELS, TEST_NAMES
 

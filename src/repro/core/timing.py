@@ -1,11 +1,11 @@
-"""Timing records and the columnar timing dataset.
+"""The columnar timing dataset.
 
-One :class:`TimingRecord` corresponds to one row of the paper's measurement:
-*thread ``t`` of process ``p`` spent ``compute_time`` nanoseconds inside the
-instrumented compute region of iteration ``i`` of trial ``r``*.  A full paper
-campaign has 10 trials × 8 processes × 200 iterations × 48 threads = 768 000
-records per application, so the dataset stores them as parallel NumPy columns
-rather than as objects.
+One row of a :class:`TimingDataset` is one sample of the paper's
+measurement: *thread ``t`` of process ``p`` spent ``compute_time`` seconds
+inside the instrumented compute region of iteration ``i`` of trial ``r``*.
+A full paper campaign has 10 trials × 8 processes × 200 iterations × 48
+threads = 768 000 samples per application, so the dataset stores them as
+parallel NumPy columns rather than as objects.
 
 The *compute time* column is the derived measurement of §3.1: raw
 ``CLOCK_MONOTONIC`` readings are kept (``start_ns`` / ``end_ns``) but are only
@@ -14,139 +14,16 @@ comparable within one thread; all analysis uses ``compute_time_s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-#: Column names of the dataset, in storage order.
-COLUMNS: Tuple[str, ...] = (
-    "trial",
-    "process",
-    "iteration",
-    "thread",
-    "start_ns",
-    "end_ns",
-    "compute_time_s",
-)
-
-
-@dataclass(frozen=True)
-class TimingRecord:
-    """One per-thread, per-iteration measurement."""
-
-    trial: int
-    process: int
-    iteration: int
-    thread: int
-    start_ns: int
-    end_ns: int
-
-    def __post_init__(self) -> None:
-        if self.end_ns < self.start_ns:
-            raise ValueError(
-                "end_ns must be >= start_ns (monotonic clock on a single core)"
-            )
-
-    @property
-    def compute_time_s(self) -> float:
-        """Derived compute time in seconds (the paper's arrival estimate)."""
-        return (self.end_ns - self.start_ns) * 1.0e-9
-
-    @property
-    def compute_time_ms(self) -> float:
-        return self.compute_time_s * 1.0e3
-
-
-class CubeColumns(Mapping):
-    """The flat columns of a :class:`~repro.core.aggregation.ColumnBlock`,
-    derived on access.
-
-    The block's cube holds one ``(n_iterations, n_threads)`` matrix per
-    (trial, process) slice, every slice listing the same iteration and
-    thread ids, so the id columns are built from the shape when read (and
-    not cached); ``compute_time_s`` is a flat view of the cube.
-    """
-
-    __slots__ = ("block",)
-
-    def __init__(self, block) -> None:
-        self.block = block
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(("trial", "process", "iteration", "thread", "compute_time_s"))
-
-    def __len__(self) -> int:
-        return 5
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        block = self.block
-        n_slices, n_iterations, n_threads = block.cube.shape
-        if name == "compute_time_s":
-            return block.cube.reshape(-1)
-        if name in ("trial", "process"):
-            ids = np.array([getattr(sl, name) for sl in block.slices], dtype=np.int32)
-            return np.repeat(ids, n_iterations * n_threads)
-        if name == "iteration":
-            labels = np.repeat(block.iterations.astype(np.int32), n_threads)
-            return np.tile(labels, n_slices)
-        if name == "thread":
-            return np.tile(block.threads.astype(np.int32), n_slices * n_iterations)
-        raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class TimingShard:
-    """One campaign shard: the timing columns of a (trial, process) slice.
-
-    Each shard holds the columns of one process of one trial and knows where
-    it belongs, so a set of shards can be merged back into a
-    :class:`TimingDataset` in the deterministic serial order regardless of the
-    order in which workers produced them.  A shard viewed out of a :class:`~repro.core.aggregation.ColumnBlock`
-    holds :class:`CubeColumns`, which derive the ids on access.
-    """
-
-    trial: int
-    process: int
-    columns: Mapping[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.columns, CubeColumns):
-            return  # consistent by construction
-        required = {"trial", "process", "iteration", "thread", "compute_time_s"}
-        missing = required - set(self.columns)
-        if missing:
-            raise ValueError(f"shard is missing required columns: {sorted(missing)}")
-        lengths = {name: len(arr) for name, arr in self.columns.items()}
-        if len(set(lengths.values())) != 1:
-            raise ValueError(f"shard columns have unequal lengths: {lengths}")
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.columns["compute_time_s"])
-
-    @property
-    def sort_key(self) -> Tuple[int, int]:
-        """Position of this shard in the serial (trial-major) row order."""
-        return (self.trial, self.process)
-
-    @classmethod
-    def from_dataset(
-        cls, dataset: "TimingDataset", *, trial: int, process: int
-    ) -> "TimingShard":
-        """Wrap an already-built dataset slice as a shard."""
-        columns = {name: dataset.column(name) for name in dataset.columns}
-        return cls(trial=trial, process=process, columns=columns)
-
-    def to_dataset(
-        self, metadata: Optional[Dict[str, object]] = None
-    ) -> "TimingDataset":
-        """Materialise this shard alone as a :class:`TimingDataset`."""
-        return TimingDataset(dict(self.columns), metadata)
+if TYPE_CHECKING:  # pragma: no cover - static typing only
+    from repro.core.aggregation import ColumnBlock
 
 
 class TimingDataset:
-    """Columnar collection of :class:`TimingRecord` rows plus metadata.
+    """Columnar collection of per-thread timing samples plus metadata.
 
     Parameters
     ----------
@@ -199,27 +76,6 @@ class TimingDataset:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[TimingRecord],
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> "TimingDataset":
-        """Build a dataset from an iterable of :class:`TimingRecord`."""
-        rows = list(records)
-        if not rows:
-            raise ValueError("cannot build a dataset from zero records")
-        columns = {
-            "trial": np.array([r.trial for r in rows]),
-            "process": np.array([r.process for r in rows]),
-            "iteration": np.array([r.iteration for r in rows]),
-            "thread": np.array([r.thread for r in rows]),
-            "start_ns": np.array([r.start_ns for r in rows], dtype=np.int64),
-            "end_ns": np.array([r.end_ns for r in rows], dtype=np.int64),
-            "compute_time_s": np.array([r.compute_time_s for r in rows]),
-        }
-        return cls(columns, metadata)
-
-    @classmethod
     def from_compute_times(
         cls,
         compute_times_s: np.ndarray,
@@ -245,31 +101,40 @@ class TimingDataset:
     @classmethod
     def merge(
         cls,
-        shards: Iterable[TimingShard],
+        blocks: Iterable["ColumnBlock"],
         metadata: Optional[Dict[str, object]] = None,
     ) -> "TimingDataset":
-        """Merge campaign shards into one dataset, in serial row order.
+        """Merge column blocks into one dataset, in serial row order.
 
-        Shards are ordered by ``(trial, process)`` before concatenation, so
-        the merged dataset is bit-identical to the one a serial trial-major /
-        process-minor campaign loop would have produced — whichever order the
-        parallel executor completed the shards in.
+        The blocks' slices are ordered by ``(trial, process)`` before
+        concatenation, so the merged dataset is bit-identical to the one a
+        serial trial-major / process-minor campaign loop would have
+        produced — whichever order the parallel executor completed them
+        in.  The blocks must share their iteration and thread ids.
         """
-        parts = sorted(shards, key=lambda shard: shard.sort_key)
+        from repro.core.aggregation import ColumnBlock
+
+        parts = sorted(
+            ((sl.sort_key, block, sl) for block in blocks for sl in block.slices),
+            key=lambda part: part[0],
+        )
         if not parts:
-            raise ValueError("cannot merge zero shards")
-        names = set(parts[0].columns)
-        for shard in parts[1:]:
-            if set(shard.columns) != names:
-                raise ValueError(
-                    "shards have mismatching columns: "
-                    f"{sorted(names)} vs {sorted(shard.columns)}"
-                )
-        columns = {
-            name: np.concatenate([np.asarray(shard.columns[name]) for shard in parts])
-            for name in parts[0].columns
-        }
-        return cls(columns, metadata)
+            raise ValueError("cannot merge zero blocks")
+        first = parts[0][1]
+        for _, block, _ in parts:
+            if not (
+                np.array_equal(block.iterations, first.iterations)
+                and np.array_equal(block.threads, first.threads)
+            ):
+                raise ValueError("merged blocks need the same iteration and thread ids")
+        cube = np.concatenate([block.rows(sl).cube for _, block, sl in parts])
+        size = cube.shape[1] * cube.shape[2]
+        slices = tuple(
+            sl._replace(start=k * size, stop=(k + 1) * size)
+            for k, (_, _, sl) in enumerate(parts)
+        )
+        merged = ColumnBlock(cube, slices, first.iterations, first.threads)
+        return cls(merged.columns, metadata)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -396,25 +261,6 @@ class TimingDataset:
     # ------------------------------------------------------------------
     # iteration & combination
     # ------------------------------------------------------------------
-    def iter_records(self) -> Iterator[TimingRecord]:
-        """Yield rows as :class:`TimingRecord` objects (slow path; for tests)."""
-        has_raw = "start_ns" in self._data and "end_ns" in self._data
-        for idx in range(len(self)):
-            if has_raw:
-                start = int(self._data["start_ns"][idx])
-                end = int(self._data["end_ns"][idx])
-            else:
-                start = 0
-                end = int(round(self._data["compute_time_s"][idx] * 1e9))
-            yield TimingRecord(
-                trial=int(self._data["trial"][idx]),
-                process=int(self._data["process"][idx]),
-                iteration=int(self._data["iteration"][idx]),
-                thread=int(self._data["thread"][idx]),
-                start_ns=start,
-                end_ns=end,
-            )
-
     def with_metadata(self, **updates: object) -> "TimingDataset":
         """Copy of the dataset with extra metadata entries.
 

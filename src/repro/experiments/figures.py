@@ -10,7 +10,7 @@ analysis run (``CampaignSession.analyze`` or
 :func:`~repro.analysis.analyze_dataset`); the merged dataset is never
 needed.  The exemplar histograms of Figures 5/7/9 need raw samples a
 finalized product cannot carry, so those generators also take the
-campaign's ``shards`` — a shard sequence, a
+campaign's ``shards`` — a
 :class:`~repro.experiments.session.CampaignResult` or a
 :class:`~repro.io.shard_store.ShardStore` — and read the exemplar group
 as one row of the campaign's cube (the merged dataset's group, bit for
@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.engine import AnalysisResults
-from repro.core.aggregation import shard_block
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, LaggardAnalysis
 from repro.experiments.paper import FIGURE_PARAMETERS
@@ -112,16 +111,12 @@ def _group_samples(shards, key: Tuple[int, int, int]) -> np.ndarray:
     found by address (the slice of its (trial, process), the row of its
     iteration), a fresh copy equal to the dense path's group.
 
-    ``shards`` is a shard sequence (each read as its block) or anything with
-    ``iter_column_blocks()`` (a store or a campaign result); a stored row
-    is read alone through the block's :class:`~repro.io.shard_store.StoredRows`.
+    ``shards`` is anything with ``iter_column_blocks()`` (a store or a
+    campaign result); a stored row is read alone through the block's
+    :class:`~repro.io.shard_store.StoredRows`.
     """
     trial, process, iteration = (int(part) for part in key)
-    if hasattr(shards, "iter_column_blocks"):
-        blocks = shards.iter_column_blocks()
-    else:
-        blocks = (shard_block(shard) for shard in shards)
-    for block in blocks:
+    for block in shards.iter_column_blocks():
         for s, sl in enumerate(block.slices):
             if (sl.trial, sl.process) != (trial, process):
                 continue

@@ -121,10 +121,10 @@ def _schedule_clause(value: str) -> str:
 
 
 def _application(value: str) -> str:
-    if value.strip().lower() not in APPLICATIONS:
-        raise argparse.ArgumentTypeError(
-            f"unknown application {value!r}; available: {', '.join(sorted(APPLICATIONS))}"
-        )
+    try:
+        APPLICATIONS.lookup(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
     return value
 
 

@@ -15,11 +15,11 @@ in-process, or across its pool when ``config.max_workers > 1`` — and
 hands back a :class:`CampaignResult` that
 keeps the producer's column blocks and merges them into a dense
 :class:`~repro.core.timing.TimingDataset` only on demand.  ``stream()``
-exposes the same execution as a lazy shard iterator for memory-bounded
+exposes the same execution as a lazy block iterator for memory-bounded
 consumers.
 
 ``analyze()`` drives the streaming analysis engine (:mod:`repro.analysis`):
-the campaign's shards or column blocks are folded through the requested
+the campaign's column blocks are folded through the requested
 registered passes (all of them by default) — in parallel, with only
 per-pass partial states returning from the workers — and the merged
 dataset is never materialised.  Both :meth:`CampaignSession.analyze` and
@@ -62,7 +62,7 @@ from typing import (
     Union,
 )
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import CampaignBackend, get_backend
 from repro.experiments.executor import ShardExecutor
 
@@ -125,12 +125,12 @@ class CampaignResult:
     ``campaign`` chunk) or a :class:`~repro.io.shard_store.ShardStore`
     (out-of-core run or cache hit).  A block is a cube of compute times
     plus its slice keys, 8 B per sample, so a finished in-memory result
-    holds no id columns.
-    Iterating yields the shards — lazy views of the blocks that derive
-    their id columns on access; :attr:`dataset` merges them — once — into
-    the dense :class:`~repro.core.timing.TimingDataset`.  Store-backed
-    results keep nothing dense resident: :meth:`iter_shards` streams
-    memory-mapped views group by group, and :attr:`n_samples` /
+    holds no id columns.  :meth:`iter_column_blocks` streams the blocks
+    (``block.rows(sl)`` for ``sl in block.slices`` is one shard's samples);
+    :attr:`dataset` merges them — once — into the dense
+    :class:`~repro.core.timing.TimingDataset`.  Store-backed results keep
+    nothing dense resident: :meth:`iter_column_blocks` streams
+    memory-mapped groups one at a time, and :attr:`n_samples` /
     :attr:`metadata` come straight from the store's manifest.
     """
 
@@ -158,21 +158,7 @@ class CampaignResult:
     def application(self) -> str:
         return self.config.application
 
-    @property
-    def shards(self) -> Tuple[TimingShard, ...]:
-        """All of :meth:`iter_shards` at once (a store-backed result's
-        tuple keeps the whole store mapped while it is held)."""
-        return tuple(self.iter_shards())
-
-    def iter_shards(self) -> Iterator[TimingShard]:
-        """Stream the campaign's shards: lazy views of the held blocks, or
-        a store-backed result's mmap views one group at a time (the
-        bounded working set every out-of-core consumer should use)."""
-        if self._blocks is None:
-            return self.store.iter_shards()
-        return (shard for block in self._blocks for shard in block.iter_shards())
-
-    def iter_column_blocks(self):
+    def iter_column_blocks(self) -> Iterator["ColumnBlock"]:
         """Stream the campaign as :class:`~repro.core.aggregation.ColumnBlock` s.
 
         The analysis engine's input
@@ -191,15 +177,12 @@ class CampaignResult:
         else:
             yield from self.store.iter_column_blocks()
 
-    def __iter__(self) -> Iterator[TimingShard]:
-        return self.iter_shards()
-
     @property
     def dataset(self) -> TimingDataset:
-        """The dense timing dataset (shards merged on first access)."""
+        """The dense timing dataset (blocks merged on first access)."""
         if self._dataset is None:
             self._dataset = TimingDataset.merge(
-                self.iter_shards(), metadata=self.metadata
+                self.iter_column_blocks(), metadata=self.metadata
             )
         return self._dataset
 
@@ -588,7 +571,7 @@ class CampaignSession:
         * ``True`` — out-of-core run: shards spill into the cache entry
           (``cache_dir`` required) as the executor produces them instead of
           accumulating in memory, and the returned result is store-backed
-          (stream it with :meth:`CampaignResult.iter_shards`).
+          (stream it with :meth:`CampaignResult.iter_column_blocks`).
         * a path — the same, into an explicit store directory (a complete
           store there is reused under ``use_cache``, anything else is
           rebuilt).
@@ -669,18 +652,17 @@ class CampaignSession:
         self._results[config.application] = result
         return result
 
-    def stream(self, application: Optional[str] = None) -> Iterator[TimingShard]:
-        """Lazily yield the campaign's shards in serial (trial-major) order.
+    def stream(self, application: Optional[str] = None) -> Iterator["ColumnBlock"]:
+        """Lazily yield the campaign's column blocks in serial (trial-major)
+        order, as the executor produces them.
 
-        Yields lazy views of the executor's column blocks without
-        retaining earlier blocks, so paper-scale campaigns can be consumed
-        with one unit of work (a shard, or a ``campaign`` chunk) resident
-        at a time.  Bypasses the result cache.
+        Earlier blocks are not retained, so paper-scale campaigns can be
+        consumed with one unit of work (a ``campaign`` chunk) resident at a
+        time.  Bypasses the result cache.
         """
         config = self.config_for(application)
         backend = get_backend(config.backend)
-        for block in self._executor().iter_blocks(backend, config):
-            yield from block.iter_shards()
+        yield from self._executor().iter_blocks(backend, config)
 
     def run_all(
         self,
@@ -692,7 +674,7 @@ class CampaignSession:
         if applications is None:
             from repro.apps import APPLICATIONS
 
-            applications = sorted(APPLICATIONS)
+            applications = APPLICATIONS.names()
         return {
             name: self.run(name, use_cache=use_cache) for name in applications
         }

@@ -18,23 +18,22 @@ A group file is one :class:`~repro.core.aggregation.ColumnBlock`: the
 16-byte magic, then one ``(n_slices, n_iterations, n_threads)`` float64
 cube of compute times — 8 B per sample.  The manifest holds the ids: per
 group its (trial, process) slice keys, iterations, threads and a
-``zlib.crc32`` of the file.  ``append_block`` (or
-``append(shard)``) buffers blocks until their bytes exceed
-:attr:`~ShardStore.spill_threshold_bytes`, then flushes them as one group.
-``iter_column_blocks()`` memory-maps one group at a time as a block and
-``iter_shards()`` views its shards **zero-copy** (ids derived on access);
-advancing releases each group's pages once its last view is dropped, so a
-full-store scan keeps roughly one group resident, which is what bounds
-the peak RSS of an out-of-core campaign.
+``zlib.crc32`` of the file.  ``append_block`` buffers blocks until their
+bytes exceed :attr:`~ShardStore.spill_threshold_bytes`, then flushes them
+as one group.  ``iter_column_blocks()`` memory-maps one group at a time as
+a block, **zero-copy** (ids derived on access); advancing releases each
+group's pages once its last view is dropped, so a full-store scan keeps
+roughly one group resident, which is what bounds the peak RSS of an
+out-of-core campaign.
 
 Durability and sharing:
 
 * group files and the manifest are written to a sibling ``*.tmp-<pid>`` and
   published with :func:`os.replace`, so a crashed writer can never leave a
   half-written group visible — readers only ever see a consistent manifest;
-* ``iter_shards()`` on a read-only store re-reads the manifest per call
-  (snapshot semantics: iteration sees every group flushed before the call
-  and is unaffected by concurrent ``append``/``flush``);
+* ``iter_column_blocks()`` on a read-only store re-reads the manifest per
+  call (snapshot semantics: iteration sees every group flushed before the
+  call and is unaffected by concurrent ``append_block``/``flush``);
 * round-trips are **bit-identical**: the cube is stored as the raw bytes
   of the arrays that were appended, so a stored-and-reloaded campaign
   merges into the same dataset — and the same digest — as the in-memory
@@ -66,8 +65,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.aggregation import ColumnBlock, ShardSlice, shard_block
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import ColumnBlock, ShardSlice
+from repro.core.timing import TimingDataset
 
 PathLike = Union[str, Path]
 
@@ -242,8 +241,8 @@ class ShardStore:
         ``path``), ``"a"`` opens-or-creates for appending, ``"r"`` opens an
         existing store read-only.
     spill_threshold_bytes:
-        In-memory buffer bound: ``append`` flushes the buffered shards into
-        a new group file once their column bytes reach this threshold.
+        In-memory buffer bound: ``append_block`` flushes the buffered
+        blocks into a new group file once their bytes reach this threshold.
         This is the RAM-budget knob of an out-of-core campaign — together
         with group-at-a-time reads it caps the store's working set at
         roughly one group on each side.
@@ -351,16 +350,6 @@ class ShardStore:
         if self._buffered_bytes >= self.spill_threshold_bytes:
             self.flush()
 
-    def append(self, shard: TimingShard) -> None:
-        """Buffer one shard as its block
-        (:func:`~repro.core.aggregation.shard_block`)."""
-        self.append_block(shard_block(shard))
-
-    def extend(self, shards: Sequence[TimingShard]) -> None:
-        """Append several shards."""
-        for shard in shards:
-            self.append(shard)
-
     def flush(self) -> None:
         """Spill the buffered blocks into a new on-disk group (if any)."""
         if self.mode == "r":
@@ -452,17 +441,21 @@ class ShardStore:
         )
         return ColumnBlock(cube, slices, iterations, threads, stored)
 
-    def iter_column_blocks(self):
+    def iter_column_blocks(self) -> Iterator[ColumnBlock]:
         """Stream the store group by group as column blocks.
 
-        The columnar dual of :meth:`iter_shards`: each stored group is
-        yielded once, as the zero-copy mmap block of :meth:`group_block`,
-        in manifest (serial shard) order.  Feed
-        the blocks to
+        Each stored group is yielded once, as the zero-copy mmap block of
+        :meth:`group_block`, in manifest (serial shard) order.  Writable
+        stores flush their buffer first, so the scan covers everything
+        appended so far.  Read-only stores re-read the manifest, snapshotting
+        whatever groups a concurrent writer has published by now; groups
+        appearing later are picked up by the next call.  Each group's
+        mappings are released as the consumer advances past it — hold on to
+        every yielded block (or a one-slice view of one) and the whole store
+        stays mapped; stream them and roughly one group's pages are hot at a
+        time.  Feed the blocks to
         :func:`~repro.analysis.engine.run_columnar_analyses` to analyse an
-        out-of-core campaign without materialising shards; the same
-        snapshot/flush semantics as :meth:`iter_shards` apply, and roughly
-        one group's pages are hot at a time.
+        out-of-core campaign.
 
         Each block keeps its group file open while it, or a
         :class:`StoredRows` handle on it, is held — and the analyses hold
@@ -482,38 +475,14 @@ class ShardStore:
         for group in groups:
             yield self.group_block(group)
 
-    def iter_shards(self) -> Iterator[TimingShard]:
-        """Stream every stored shard as zero-copy memory-mapped views.
-
-        Writable stores flush their buffer first, so the iteration always
-        covers everything appended so far and every yielded shard is a mmap
-        view.  Read-only stores re-read the manifest, snapshotting whatever
-        groups a concurrent writer has published by now; groups appearing
-        later are picked up by the next ``iter_shards()`` call.  Each
-        group's mappings are released as the consumer advances past it —
-        hold on to all yielded shards and the whole store stays mapped;
-        stream them and roughly one group is resident at a time.
-        """
-        if self.mode == "r":
-            manifest = self._read_manifest()
-            self._manifest = manifest
-        else:
-            self.flush()
-            manifest = self._manifest
-        for group in list(manifest["groups"]):  # type: ignore[index]
-            yield from self.group_block(group).iter_shards()
-
-    def __iter__(self) -> Iterator[TimingShard]:
-        return self.iter_shards()
-
     def dataset(
         self, metadata: Optional[Dict[str, object]] = None
     ) -> TimingDataset:
-        """Merge the stored shards into a dense dataset (materialises!)."""
+        """Merge the stored groups into a dense dataset (materialises!)."""
         merged_metadata = dict(self.metadata)
         if metadata is not None:
             merged_metadata.update(metadata)
-        return TimingDataset.merge(self.iter_shards(), metadata=merged_metadata)
+        return TimingDataset.merge(self.iter_column_blocks(), metadata=merged_metadata)
 
     def verify(self) -> "ShardStore":
         """Check that the store is complete and every group file intact.

@@ -20,8 +20,8 @@ Execution bridges the synchronous campaign machinery into asyncio with
 sized to the worker count, iterates
 :meth:`ShardExecutor.iter_blocks <repro.experiments.executor.ShardExecutor.iter_blocks>`
 (the documented incremental block contract) and posts every block's shards
-(zero-copy views) back to the event loop, where the job broadcasts them to
-stream subscribers.  The thread polls the job's cancel flag between shards,
+(one-slice blocks of zero-copy views) back to the event loop, where the job
+broadcasts them to stream subscribers.  The thread polls the job's cancel flag between shards,
 so cancellation stops a running job at the next shard boundary (closing the
 executor's iterator cancels its queued units).
 """
@@ -373,7 +373,11 @@ class CampaignService:
             post(job._mark_cancelled)
             return True
         # read the store once, without caching its views on the result
-        shards = list(result.iter_shards())
+        shards = [
+            block.rows(sl)
+            for block in result.iter_column_blocks()
+            for sl in block.slices
+        ]
         post(setattr, job.progress, "shards_total", len(shards))
         for shard in shards:
             post(job._deliver, shard)
@@ -403,13 +407,11 @@ class CampaignService:
             backend = get_backend(config.backend)
             executor = ShardExecutor(mode=self.executor_mode)
             blocks = []
-            shards = []
             for block in executor.iter_blocks(backend, config):
                 blocks.append(block)
-                for shard in block.iter_shards():
+                for sl in block.slices:
                     check_cancel()
-                    shards.append(shard)
-                    post(job._deliver, shard)
+                    post(job._deliver, block.rows(sl))
             check_cancel()
             result = CampaignResult(
                 config, blocks=blocks, metadata=backend.metadata(config)
@@ -421,7 +423,7 @@ class CampaignService:
                     result.metadata,
                     tier=self.cache_tier,
                 )
-            digest = streamed_digest(shards)
+            digest = streamed_digest(blocks)
             post(functools.partial(job._finish, result, digest, from_cache=False))
         except _CancelledBetweenShards:
             post(job._mark_cancelled)

@@ -30,9 +30,10 @@ Requests are bounded: a body over :data:`MAX_BODY_BYTES` or a malformed
 lines or a header line over :data:`MAX_LINE_BYTES` is a ``431``; a client
 that has not sent its whole request within :data:`REQUEST_READ_TIMEOUT_S`
 gets a ``408``.  The stream endpoint is the HTTP face of
-``async for shard in handle.stream()``: shards are serialised as summaries
-(trial, process, sample count, shard digest) rather than raw arrays, which is
-what the CLI progress printer and the CI smoke check consume; the full
+``async for shard in handle.stream()``: each shard (a one-slice column
+block) is serialised as a summary (trial, process, sample count, shard
+digest) rather than raw arrays, which is what the CLI progress printer
+and the CI smoke check consume; the full
 dataset digest arrives with the ``done`` event and is compared against the
 pinned scenario-matrix digests.
 """
@@ -347,8 +348,8 @@ class CampaignHTTPServer:
                     {
                         "event": "shard",
                         "index": index,
-                        "trial": shard.trial,
-                        "process": shard.process,
+                        "trial": shard.slices[0].trial,
+                        "process": shard.slices[0].process,
                         "n_samples": shard.n_samples,
                         "digest": shard_digest(shard),
                     }

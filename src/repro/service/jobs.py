@@ -3,8 +3,10 @@
 A submitted campaign request becomes a :class:`Job`: one unit of scheduled
 work with a lifecycle (:class:`JobState`), a priority and live progress
 counters (:class:`JobProgress`).  While it runs, a job buffers the shards
-it has delivered so late stream subscribers can catch up; once done, it
-drops that buffer and replays its shards from its result instead.
+it has delivered — one-slice :class:`~repro.core.aggregation.ColumnBlock`
+views, one per (trial, process) — so late stream subscribers can catch up;
+once done, it drops that buffer and replays its shards from its result
+instead.
 Clients never touch jobs directly — they hold :class:`JobHandle`\\ s,
 which several concurrent clients can share when their submissions
 coalesce onto one job (see :mod:`repro.service.dedup`).
@@ -43,10 +45,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 from repro.experiments.session import CampaignResult, config_cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
+    from repro.core.aggregation import ColumnBlock
     from repro.experiments.config import CampaignConfig
 
 
@@ -61,27 +64,28 @@ def dataset_digest(dataset: TimingDataset) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def streamed_digest(shards: Iterable[TimingShard]) -> str:
-    """:func:`dataset_digest` of the shards' merge, without merging them.
+def streamed_digest(blocks: Iterable["ColumnBlock"]) -> str:
+    """:func:`dataset_digest` of the blocks' merge, without merging them.
 
-    Hashes each shard's ``compute_time_s`` column in ``sort_key`` order —
-    the order :meth:`TimingDataset.merge` concatenates in — so no dense
-    dataset is ever built.
+    Hashes each slice's samples in ``sort_key`` order — the order
+    :meth:`TimingDataset.merge` concatenates in — so no dense dataset is
+    ever built.
     """
+    parts = sorted(
+        ((sl.sort_key, block.rows(sl)) for block in blocks for sl in block.slices),
+        key=lambda part: part[0],
+    )
     digest = hashlib.sha256()
-    for shard in sorted(shards, key=lambda shard: shard.sort_key):
-        digest.update(
-            np.ascontiguousarray(shard.columns["compute_time_s"], dtype=np.float64)
-        )
+    for _, shard in parts:
+        digest.update(np.ascontiguousarray(shard.cube, dtype=np.float64))
     return digest.hexdigest()
 
 
-def shard_digest(shard: TimingShard) -> str:
-    """sha256 of one shard's ``compute_time_s`` column."""
-    column = np.ascontiguousarray(
-        shard.columns["compute_time_s"], dtype=np.float64
-    )
-    return hashlib.sha256(column.tobytes()).hexdigest()
+def shard_digest(shard: "ColumnBlock") -> str:
+    """sha256 of one shard's compute times (a one-slice block's cube)."""
+    return hashlib.sha256(
+        np.ascontiguousarray(shard.cube, dtype=np.float64)
+    ).hexdigest()
 
 
 class JobState(str, enum.Enum):
@@ -204,7 +208,7 @@ class Job:
         self.from_cache = False
         #: polled by the worker thread between shards (cooperative cancel)
         self.cancel_requested = ThreadEvent()
-        self._shards: List[TimingShard] = []
+        self._shards: List["ColumnBlock"] = []
         self._subscribers: List[asyncio.Queue] = []
         self._done = asyncio.Event()
         self._done_callbacks: List[Callable[["Job"], None]] = []
@@ -219,8 +223,9 @@ class Job:
         return self.state in TERMINAL_STATES
 
     @property
-    def shards(self) -> List[TimingShard]:
-        """The shards delivered so far (all of them once the job is done).
+    def shards(self) -> List["ColumnBlock"]:
+        """The shards delivered so far (all of them once the job is done),
+        each a one-slice block.
 
         A done job reads them back from its result — from disk when that
         is a store-backed cache entry, raising :class:`ResultEvictedError`
@@ -229,7 +234,11 @@ class Job:
         if self.state is not JobState.DONE:
             return list(self._shards)
         with self.reading_result() as result:
-            return list(result.iter_shards())
+            return [
+                block.rows(sl)
+                for block in result.iter_column_blocks()
+                for sl in block.slices
+            ]
 
     @contextlib.contextmanager
     def reading_result(self) -> Iterator[CampaignResult]:
@@ -262,7 +271,7 @@ class Job:
         self.state = JobState.RUNNING
         self.progress.started_at = time.perf_counter()
 
-    def _deliver(self, shard: TimingShard) -> None:
+    def _deliver(self, shard: "ColumnBlock") -> None:
         """Buffer one produced shard and broadcast it to subscribers."""
         if self.finished:
             return
@@ -436,10 +445,10 @@ class JobHandle:
         await self._job.wait()
         return self._job.result_or_raise()
 
-    async def stream(self) -> AsyncIterator[TimingShard]:
-        """Yield the job's shards incrementally, as the executor produces
-        them (already-produced shards are replayed first for late
-        subscribers).  After the last shard, failed/cancelled jobs raise
+    async def stream(self) -> AsyncIterator["ColumnBlock"]:
+        """Yield the job's shards (one-slice blocks) incrementally, as the
+        executor produces them (already-produced shards are replayed first
+        for late subscribers).  After the last shard, failed/cancelled jobs raise
         exactly like :meth:`result`.
         """
         queue = self._job.subscribe()

@@ -13,7 +13,7 @@ import heapq
 import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.sim.events import Delay, SimEvent, Signal, WaitEvent, _ScheduledCallback
+from repro.sim.events import SimEvent, _ScheduledCallback
 from repro.sim.process import SimProcess
 
 

@@ -14,7 +14,7 @@ sort each block once and derive every order statistic from that sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np

@@ -108,7 +108,6 @@ def executor_dataset():
 
     def run(backend, config, mode="process"):
         blocks = ShardExecutor(mode=mode).iter_blocks(backend, config)
-        shards = (shard for block in blocks for shard in block.iter_shards())
-        return TimingDataset.merge(shards, metadata=backend.metadata(config))
+        return TimingDataset.merge(blocks, metadata=backend.metadata(config))
 
     return run

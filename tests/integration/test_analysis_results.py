@@ -10,6 +10,7 @@ application and backend.
 
 import json
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.experiments.tables import (
 )
 from repro.io.shard_store import ShardStore
 from repro.stats.histogram import fixed_width_histogram
+from shards import shards_of
 
 APPLICATIONS = ("minife", "minimd", "miniqmc")
 BACKENDS = ("campaign", "event", "vectorized")
@@ -112,14 +114,17 @@ EXEMPLAR_HISTOGRAMS = {
 
 
 def _shard_source(result, source: str, tmp_path):
+    shards = shards_of(result.iter_column_blocks())
     if source == "sequence":
-        # out of serial order: the scan must sort shards itself
-        return list(reversed(result.shards))
+        # one-slice blocks out of serial order: the scan finds the group
+        # by address, not by position
+        return SimpleNamespace(iter_column_blocks=lambda: reversed(shards))
     if source == "result":
         return result
     # one group file per shard: the scan crosses group boundaries
     store = ShardStore.create(tmp_path / "store", spill_threshold_bytes=1)
-    store.extend(result.shards)
+    for shard in shards:
+        store.append_block(shard)
     store.finalize(result.metadata)
     return ShardStore.open(tmp_path / "store")
 
@@ -132,7 +137,7 @@ def test_exemplar_histograms_match_dense_groups(figure_id, source, backend, tmp_
     result = _result(application, backend)
     results = result.analyze(["laggards"])
     figure = generator(results, shards=_shard_source(result, source, tmp_path))
-    reference = generator(results, shards=list(result.shards))
+    reference = generator(results, shards=result)
     grouped = aggregate(result.dataset, AggregationLevel.PROCESS_ITERATION)
 
     histograms = [k for k in reference.payload if k.endswith("histogram")]

@@ -317,7 +317,7 @@ class TestParallelBitIdentity:
         serial = CampaignSession(_smoke(application, trials=3)).run().dataset
         config = _smoke(application, trials=3, max_workers=2)
         streamed = list(CampaignSession(config, executor_mode="thread").stream())
-        assert [(s.trial, s.process) for s in streamed] == [
+        assert [sl.sort_key for block in streamed for sl in block.slices] == [
             (trial, process) for trial in range(3) for process in range(2)
         ]
         merged = TimingDataset.merge(streamed)
@@ -340,11 +340,11 @@ class TestParallelBitIdentity:
         ShardExecutor(mode="process").run_to_store(
             backend, _smoke("minife", trials=3, max_workers=max_workers), store
         )
-        live = TimingDataset.merge(store.iter_shards())
+        live = TimingDataset.merge(store.iter_column_blocks())
         assert np.array_equal(serial.compute_times_s, live.compute_times_s)
         store.finalize()
         reread = TimingDataset.merge(
-            ShardStore(tmp_path / "store", mode="r").iter_shards()
+            ShardStore(tmp_path / "store", mode="r").iter_column_blocks()
         )
         assert np.array_equal(serial.compute_times_s, reread.compute_times_s)
 

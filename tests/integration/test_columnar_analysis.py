@@ -17,18 +17,17 @@ from repro.analysis import (
     AnalysisContext,
     ColumnarAnalyzer,
     resolve_analyses,
-    run_analyses,
     run_campaign_analyses,
     run_columnar_analyses,
 )
 from repro.analysis.engine import _dataset_block, _reduce_partials, analyze_dataset
-from repro.core.aggregation import ShardSlice, canonical_block
-from repro.core.timing import TimingShard
+from repro.core.aggregation import canonical_block
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignResult, CampaignSession
 from repro.io.shard_store import ShardStore, StoredRows
+from shards import dataset_shards, joined_columns, shards_of
 
 CONFIG = CampaignConfig(
     application="minife",
@@ -57,10 +56,11 @@ def _products(results):
 
 @pytest.fixture(scope="module")
 def reference():
-    """Per-shard streaming products and their context."""
+    """Per-shard streaming products (one-slice blocks) and their context."""
     metadata = CampaignTensorBackend().metadata(CONFIG)
     context = AnalysisContext.from_config(CONFIG, metadata=metadata)
-    results = run_analyses(CampaignSession(CONFIG).stream(), "all", context)
+    shards = shards_of(CampaignSession(CONFIG).stream())
+    results = run_columnar_analyses(shards, "all", context)
     return _products(results), context
 
 
@@ -83,8 +83,8 @@ class TestStoreBackedBlocks:
     def test_store_groups_match_per_shard_path(self, tmp_path, reference):
         ref, context = reference
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
-        for shard in CampaignSession(CONFIG).stream():
-            store.append(shard)
+        for shard in shards_of(CampaignSession(CONFIG).stream()):
+            store.append_block(shard)
         store.finalize()
         reopened = ShardStore.open(tmp_path / "c.store")
         assert reopened.n_groups > 1  # the reduction really crosses groups
@@ -98,8 +98,8 @@ class TestStoreBackedBlocks:
         ref, context = reference
         path = tmp_path / "c.store"
         store = ShardStore.create(path, spill_threshold_bytes=4096)
-        for shard in CampaignSession(CONFIG).stream():
-            store.append(shard)
+        for shard in shards_of(CampaignSession(CONFIG).stream()):
+            store.append_block(shard)
         store.finalize()
         reopened = ShardStore.open(path)
         held = ColumnarAnalyzer(resolve_analyses(["percentiles"]), context)(
@@ -121,8 +121,8 @@ class TestStoreBackedBlocks:
 
     def test_group_blocks_are_mmap_views(self, tmp_path):
         store = ShardStore.create(tmp_path / "c.store")
-        for shard in CampaignSession(CONFIG).stream():
-            store.append(shard)
+        for shard in shards_of(CampaignSession(CONFIG).stream()):
+            store.append_block(shard)
         store.finalize()
         blocks = list(ShardStore.open(tmp_path / "c.store").iter_column_blocks())
         assert blocks
@@ -144,17 +144,9 @@ class TestInMemoryBlocks:
         """Dataset-derived shards (flat columns, not block-shaped) are
         sorted into (trial, process) slices and still match exactly."""
         dataset = CampaignSession(CONFIG).run().dataset
-        shards = [
-            TimingShard.from_dataset(
-                dataset.select(trial=int(trial), process=int(process)),
-                trial=int(trial),
-                process=int(process),
-            )
-            for trial in dataset.trials
-            for process in dataset.processes
-        ]
+        shards = dataset_shards(dataset)
         context = AnalysisContext.from_dataset(dataset)
-        ref = _products(run_analyses(shards, "all", context))
+        ref = _products(run_columnar_analyses(shards, "all", context))
         block = _dataset_block(dataset)
         got = _products(run_columnar_analyses([block], "all", context))
         assert got == ref
@@ -199,9 +191,10 @@ class TestInMemoryBlocks:
         blocks = list(result.iter_column_blocks())
         assert len(blocks) == 2
         owners = [block for block in blocks for _ in block.slices]
-        assert len(result.shards) == len(owners)
-        for shard, block in zip(result.shards, owners):
-            assert np.shares_memory(shard.columns["compute_time_s"], block.cube)
+        shards = shards_of(blocks)
+        assert len(shards) == len(owners)
+        for shard, block in zip(shards, owners):
+            assert np.shares_memory(shard.cube, block.cube)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_vectorized_yields_one_slice_blocks(self, workers):
@@ -236,20 +229,7 @@ class TestShardOrderInvariance:
         finalize to the same report (the segment keys carry the serial
         order, so merge order cannot matter)."""
         ref, context = reference
-        shards = list(CampaignSession(CONFIG).stream())
-        columns = {
-            name: np.concatenate(
-                [np.asarray(shard.columns[name]) for shard in shards]
-            )
-            for name in shards[0].columns
-        }
-        slices = []
-        start = 0
-        for shard in shards:
-            slices.append(
-                ShardSlice(shard.trial, shard.process, start, start + shard.n_samples)
-            )
-            start += shard.n_samples
+        columns, slices = joined_columns(shards_of(CampaignSession(CONFIG).stream()))
         passes = resolve_analyses("all")
         mapper = ColumnarAnalyzer(passes, context)
         # partials are mutated by the reduction — map once per direction

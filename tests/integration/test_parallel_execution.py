@@ -11,6 +11,7 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments import executor as executor_module
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import CampaignSession
+from shards import shards_of
 
 
 def _assert_bit_identical(a, b):
@@ -79,16 +80,12 @@ class TestParallelBitIdentical:
 
     def test_parallel_stream_matches_serial_stream(self):
         config = CampaignConfig.smoke().with_backend("vectorized")
-        serial_shards = list(CampaignSession(config).stream())
-        parallel_shards = list(CampaignSession(config.parallel(4)).stream())
-        assert [s.sort_key for s in serial_shards] == [
-            s.sort_key for s in parallel_shards
-        ]
+        serial_shards = shards_of(CampaignSession(config).stream())
+        parallel_shards = shards_of(CampaignSession(config.parallel(4)).stream())
+        assert [s.slices for s in serial_shards] == [s.slices for s in parallel_shards]
         for a, b in zip(serial_shards, parallel_shards):
-            for name in a.columns:
-                np.testing.assert_array_equal(
-                    np.asarray(a.columns[name]), np.asarray(b.columns[name])
-                )
+            for name, values in a.columns.items():
+                np.testing.assert_array_equal(values, b.columns[name])
 
 
 def _pool_sizes(monkeypatch):
@@ -132,12 +129,7 @@ class TestShardExecutor:
         config = CampaignConfig.smoke().parallel(2)
         backend = get_backend(config.backend)
         merged = TimingDataset.merge(
-            (
-                shard
-                for block in _run_blocks(config, mode="process")
-                for shard in block.iter_shards()
-            ),
-            metadata=backend.metadata(config),
+            _run_blocks(config, mode="process"), metadata=backend.metadata(config)
         )
         serial = CampaignSession(CampaignConfig.smoke()).run(use_cache=False).dataset
         _assert_bit_identical(merged, serial)

@@ -9,6 +9,7 @@ makes the streaming/cancellation ordering deterministic.
 
 import asyncio
 import gc
+import hashlib
 import json
 import threading
 import tracemalloc
@@ -46,6 +47,11 @@ SCENARIO = "manzano-default"
 #: the service-smoke digest of ``SCENARIO`` at smoke scale (MiniFE's smoke
 #: recipe on the default campaign backend)
 PINNED_DIGEST = CAMPAIGN_SMOKE_DIGESTS["minife"]
+#: sha256 of ``json.dumps`` of the ordered ``[index, trial, process,
+#: n_samples, digest]`` of every ``shard`` event a fresh smoke ``SCENARIO``
+#: job's ``GET /jobs/<id>/stream`` sends: the NDJSON wire format, pinned
+#: when shards became one-slice column blocks
+PINNED_STREAM_EVENTS = "430864c479e1aae05938741bc876933a1dcd2a06eba63b17d5c9155b915d3b02"
 
 
 def _session_digest(config: CampaignConfig) -> str:
@@ -161,7 +167,7 @@ class TestAsyncAPI:
         digests, streams = asyncio.run(scenario())
         assert campaign_folds == []
         for config, digest, shards in zip(configs, digests, streams):
-            assert [(s.trial, s.process) for s in shards] == [
+            assert [s.slices[0].sort_key for s in shards] == [
                 (trial, process)
                 for trial in range(config.trials)
                 for process in range(config.processes)
@@ -180,7 +186,7 @@ class TestAsyncAPI:
 
         async def collect(handle):
             return [
-                ((s.trial, s.process), shard_digest(s))
+                (s.slices[0].sort_key, shard_digest(s))
                 async for s in handle.stream()
             ]
 
@@ -218,12 +224,12 @@ class TestAsyncAPI:
                 # the first shard arrived while the campaign is still running
                 assert handle.state is JobState.STREAMING
                 assert not handle.job.finished
-                assert (first.trial, first.process) == (0, 0)
+                assert first.slices[0].sort_key == (0, 0)
                 for gate in gated_backend.gates.values():
                     gate.set()
                 rest = [shard async for shard in stream]
                 result = await handle.result()
-                assert [s.process for s in [first, *rest]] == [0, 1, 2]
+                assert [s.slices[0].process for s in [first, *rest]] == [0, 1, 2]
                 merged = TimingDataset.merge([first, *rest])
                 assert dataset_digest(merged) == handle.digest
                 assert dataset_digest(result.dataset) == handle.digest
@@ -240,7 +246,7 @@ class TestAsyncAPI:
                 queue = handle.job.subscribe()
                 gated_backend.gates[(0, 0)].set()
                 shard = await asyncio.wait_for(queue.get(), timeout=10)
-                assert shard.process == 0
+                assert shard.slices[0].process == 0
                 assert handle.cancel() is True
                 # release the remaining gates: the worker thread produces the
                 # next shard, then observes the flag at the shard boundary
@@ -532,6 +538,32 @@ class TestHTTPFrontEnd:
             json.dumps(CampaignSession(config).analyze(analyses="all").as_payload())
         )
         asyncio.run(scenario())
+
+    def test_stream_wire_format_is_pinned(self):
+        async def scenario():
+            service = CampaignService(workers=1, executor_mode="thread")
+            async with CampaignHTTPServer(service, port=0) as server:
+                host, port = server.host, server.port
+                _, body = await _http_request(
+                    host, port, "POST", "/jobs",
+                    body={"scenario": SCENARIO, "scale": "smoke"},
+                )
+                job_id = json.loads(body)["job_id"]
+                status, body = await _http_request(
+                    host, port, "GET", f"/jobs/{job_id}/stream"
+                )
+                assert status == 200
+                return [json.loads(line) for line in body.splitlines() if line]
+
+        events = asyncio.run(scenario())
+        shards = [
+            [e[k] for k in ("index", "trial", "process", "n_samples", "digest")]
+            for e in events
+            if e["event"] == "shard"
+        ]
+        assert events[-1]["digest"] == PINNED_DIGEST
+        blob = json.dumps(shards).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == PINNED_STREAM_EVENTS
 
     def test_http_error_paths(self):
         async def scenario():

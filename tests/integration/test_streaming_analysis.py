@@ -16,10 +16,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
+from repro.analysis import AnalysisContext, analyze_dataset, run_columnar_analyses
 from repro.experiments.config import CampaignConfig
 from repro.experiments.runner import main as runner_main
 from repro.experiments.session import CampaignSession
+from shards import shards_of
 
 # sha256 of json.dumps(report.as_dict(), sort_keys=True) for the smoke
 # campaigns (seed 7, 1 trial x 2 processes x 12 iterations x 16 threads) on
@@ -100,12 +101,12 @@ class TestStreamingEqualsInMemory:
 
     def test_shard_order_invariance_of_merged_accumulators(self):
         session = CampaignSession(CampaignConfig.smoke("miniqmc"))
-        shards = list(session.stream())
+        shards = shards_of(session.stream())
         context = AnalysisContext.from_config(
             session.config, metadata=session.backend_for().metadata(session.config)
         )
-        forward = run_analyses(shards, "all", context)
-        backward = run_analyses(list(reversed(shards)), "all", context)
+        forward = run_columnar_analyses(shards, "all", context)
+        backward = run_columnar_analyses(list(reversed(shards)), "all", context)
         assert forward.report().as_dict() == backward.report().as_dict()
         np.testing.assert_array_equal(
             forward["percentiles"].values, backward["percentiles"].values

@@ -1,9 +1,10 @@
 """The service's streamed digest is the merged dataset's digest (hypothesis).
 
-:func:`repro.service.streamed_digest` hashes a campaign's shards one by one
-in ``sort_key`` order instead of merging them first; whatever order the
-shards arrive in, and whether they are in-memory views or views read back
-from a shard store, it must equal ``dataset_digest`` of their merge.
+:func:`repro.service.streamed_digest` hashes a campaign's shards (one-slice
+column blocks) one by one in ``sort_key`` order instead of merging them
+first; whatever order the shards arrive in, and whether they are in-memory
+views or views read back from a shard store, it must equal
+``dataset_digest`` of their merge.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.timing import TimingDataset
 from repro.experiments.session import CampaignSession
 from repro.scenarios import get_scenario
 from repro.service import dataset_digest, streamed_digest
+from shards import shards_of
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +30,8 @@ def campaign(tmp_path_factory):
     stored = CampaignSession(config, cache_dir=cache_dir).run()
     assert fresh.store is None and stored.store is not None
     shards = {
-        "memory": list(fresh.iter_shards()),
-        "store": list(stored.iter_shards()),
+        "memory": shards_of(fresh.iter_column_blocks()),
+        "store": shards_of(stored.iter_column_blocks()),
     }
     assert len(shards["store"]) == 6
     return shards, dataset_digest(fresh.dataset)

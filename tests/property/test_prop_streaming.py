@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.analysis import AnalysisContext, analyze_dataset, run_analyses
-from repro.core.timing import TimingDataset, TimingShard
+from repro.analysis import AnalysisContext, analyze_dataset, run_columnar_analyses
+from repro.core.aggregation import ShardSlice, canonical_block
+from repro.core.timing import TimingDataset
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.streaming import StreamingHistogram
 
@@ -67,7 +68,7 @@ def test_exact_products_independent_of_shard_layout(
         part = dataset.select(trial=trial, process=process)
         order = rng.permutation(len(part)) if permute else np.arange(len(part))
         columns = {name: part.column(name)[order] for name in part.columns}
-        return TimingShard(trial=trial, process=process, columns=columns)
+        return canonical_block(columns, [ShardSlice(trial, process, 0, len(part))])
 
     canonical = [
         shard(int(t), int(p), permute=False)
@@ -75,9 +76,9 @@ def test_exact_products_independent_of_shard_layout(
         for p in dataset.processes
     ]
     if granularity == "process":
-        layout = [shard(sh.trial, sh.process, permute=True) for sh in canonical]
+        layout = [shard(*sh.slices[0].sort_key, permute=True) for sh in canonical]
         layout = [layout[i] for i in rng.permutation(len(layout))]
-        products = run_analyses(layout, "all", context)
+        products = run_columnar_analyses(layout, "all", context)
     else:
         order = rng.permutation(len(dataset))
         shuffled = TimingDataset(
@@ -86,5 +87,5 @@ def test_exact_products_independent_of_shard_layout(
         )
         products = analyze_dataset(shuffled)
     assert _exact_product_bytes(products) == _exact_product_bytes(
-        run_analyses(canonical, "all", context)
+        run_columnar_analyses(canonical, "all", context)
     )

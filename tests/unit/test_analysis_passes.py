@@ -18,7 +18,6 @@ from repro.analysis import (
     get_analysis,
     register_analysis,
     resolve_analyses,
-    run_analyses,
     run_columnar_analyses,
     unregister_analysis,
 )
@@ -37,18 +36,18 @@ from repro.core.aggregation import (
     campaign_block,
     canonical_block,
     per_iteration_samples,
-    shard_block,
 )
 from repro.core.earlybird import EarlyBirdModel
 from repro.core.laggard import IterationClass, analyze_laggards, group_laggard_metrics
 from repro.core.normality import NormalityStudy, stratified_subsample
 from repro.core.reclaimable import summarize_reclaimable
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 from repro.io.shard_store import ShardStore, StoredRows
 from repro.stats.histogram import fixed_width_histogram
 from repro.stats.percentiles import percentile_table
+from shards import dataset_shard, dataset_shards, joined_columns, shards_of
 
 README = Path(__file__).resolve().parents[2] / "README.md"
 
@@ -65,14 +64,8 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def shards(dataset):
-    """Per-(trial, process) shards of the dataset."""
-    return [
-        TimingShard.from_dataset(
-            dataset.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
-        )
-        for t in dataset.trials
-        for p in dataset.processes
-    ]
+    """Per-(trial, process) shards of the dataset (one-slice blocks)."""
+    return dataset_shards(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +95,10 @@ class TestRegistry:
         (source,) = [b for b in blocks if '@register_analysis("max-arrival")' in b]
         namespace = {}
         exec(source, namespace)
-        expected = max(float(s.columns["compute_time_s"].max()) for s in shards)
+        expected = max(float(s.cube.max()) for s in shards)
         try:
-            results = run_analyses(shards, ["max-arrival"], context)
+            results = run_columnar_analyses(shards, ["max-arrival"], context)
             assert results["max-arrival"] == expected
-            assert namespace["MaxArrivalPass"]().run(shards, context) == expected
         finally:
             unregister_analysis("max-arrival")
         assert "max-arrival" not in available_analyses()
@@ -173,22 +165,24 @@ class TestCanonicalBlock:
     def test_event_backend_blocks_hold_one_slice_per_process(self):
         config = CampaignConfig.smoke("minife").with_backend("event")
         result = CampaignSession(config).run()
-        assert [(s.trial, s.process) for s in result.shards] == [(0, 0), (0, 1)]
-        for shard in result.shards:
-            block = canonical_block(dict(shard.columns), [ShardSlice.of(shard)])
-            _assert_dense_cube(block, shard.to_dataset())
+        shards = shards_of(result.iter_column_blocks())
+        assert [shard.slices[0].sort_key for shard in shards] == [(0, 0), (0, 1)]
+        for shard in shards:
+            block = canonical_block(shard.columns, shard.slices)
+            _assert_dense_cube(block, TimingDataset(shard.columns))
 
     def test_producer_blocks_are_zero_copy(self):
         times = np.abs(np.random.default_rng(1).normal(1e-3, 1e-4, (3, 4, 5)))
         block = campaign_block([(0, 0), (0, 1), (1, 0)], times)
         assert block.cube is times
         assert [(sl.trial, sl.process) for sl in block.slices] == [(0, 0), (0, 1), (1, 0)]
-        for shard, plane in zip(block.iter_shards(), times):
+        for sl, plane in zip(block.slices, times):
+            shard = block.rows(sl)
             assert np.shares_memory(shard.columns["compute_time_s"], plane)
-            assert np.shares_memory(shard_block(shard).cube, plane)
+            assert np.shares_memory(shard.cube, plane)
 
     def test_non_dense_rows_rejected(self, shards):
-        columns, slices = _column_block(shards[:1])
+        columns, slices = joined_columns(shards[:1])
         short = slices[0]._replace(stop=slices[0].stop - 1)
         with pytest.raises(ValueError, match="not dense"):
             canonical_block(columns, [short])
@@ -198,7 +192,7 @@ class TestCanonicalBlock:
             canonical_block(repeated, slices)
 
     def test_rows_outside_declared_slice_rejected(self, shards):
-        columns, slices = _column_block(shards[:1])
+        columns, slices = joined_columns(shards[:1])
         (sl,) = slices
         with pytest.raises(ValueError, match="outside"):
             canonical_block(columns, [sl._replace(trial=sl.trial + 1)])
@@ -206,7 +200,7 @@ class TestCanonicalBlock:
             canonical_block(columns, [sl._replace(process=sl.process + 1)])
 
     def test_empty_slice_list_rejected(self, shards):
-        columns, _ = _column_block(shards)
+        columns, _ = joined_columns(shards)
         with pytest.raises(ValueError):
             canonical_block(columns, [])
 
@@ -239,7 +233,7 @@ def case(request, dataset, shards, context):
     result = CampaignSession(CampaignConfig.smoke(app).with_backend(backend)).run()
     return (
         result.dataset,
-        list(result.shards),
+        shards_of(result.iter_column_blocks()),
         AnalysisContext.from_dataset(result.dataset),
     )
 
@@ -250,7 +244,7 @@ class TestPassesAgainstDenseOracles:
 
     def test_percentiles(self, case):
         ds, shards, context = case
-        series = run_analyses(shards, ["percentiles"], context)["percentiles"]
+        series = run_columnar_analyses(shards, ["percentiles"], context)["percentiles"]
         expected = percentile_table(
             per_iteration_samples(ds) * 1.0e3, series.percentiles, axis=-1
         )
@@ -258,14 +252,14 @@ class TestPassesAgainstDenseOracles:
 
     def test_histogram(self, case):
         ds, shards, context = case
-        hist = run_analyses(shards, [HistogramPass(50e-6)], context)["histogram"]
+        hist = run_columnar_analyses(shards, [HistogramPass(50e-6)], context)["histogram"]
         expected = fixed_width_histogram(ds.compute_times_s, 50e-6)
         np.testing.assert_array_equal(hist.counts, expected.counts)
         np.testing.assert_array_equal(hist.edges, expected.edges)
 
     def test_laggards(self, case):
         ds, shards, context = case
-        result = run_analyses(shards, ["laggards"], context)["laggards"]
+        result = run_columnar_analyses(shards, ["laggards"], context)["laggards"]
         expected = analyze_laggards(ds)
         assert result.laggard_fraction == expected.laggard_fraction
         assert result.analysis.keys == expected.keys
@@ -277,12 +271,12 @@ class TestPassesAgainstDenseOracles:
 
     def test_reclaimable(self, case):
         ds, shards, context = case
-        summary = run_analyses(shards, ["reclaimable"], context)["reclaimable"]
+        summary = run_columnar_analyses(shards, ["reclaimable"], context)["reclaimable"]
         assert summary == summarize_reclaimable(ds)
 
     def test_normality(self, case):
         ds, shards, context = case
-        result = run_analyses(shards, ["normality"], context)["normality"]
+        result = run_columnar_analyses(shards, ["normality"], context)["normality"]
         study = NormalityStudy(ds)
         assert result.application_rejected == study.application_rejects_normality()
         assert (
@@ -300,7 +294,7 @@ class TestPassesAgainstDenseOracles:
 
     def test_earlybird(self, case):
         ds, shards, context = case
-        result = run_analyses(shards, ["earlybird"], context)["earlybird"]
+        result = run_columnar_analyses(shards, ["earlybird"], context)["earlybird"]
         groups = aggregate(ds, AggregationLevel.PROCESS_ITERATION).values
         stride = max(len(groups) // DEFAULT_EARLYBIRD_MAX_GROUPS, 1)
         expected = EarlyBirdModel().evaluate_groups(groups[::stride])
@@ -310,7 +304,7 @@ class TestPassesAgainstDenseOracles:
 
     def test_full_report(self, case):
         ds, shards, context = case
-        results = run_analyses(shards, "all", context)
+        results = run_columnar_analyses(shards, "all", context)
         streaming = results.report().as_dict()
         merged = analyze_dataset(ds).report().as_dict()
         assert streaming == merged
@@ -321,8 +315,8 @@ class TestShardOrderInvariance:
         rng = np.random.default_rng(7)
         shuffled = list(shards)
         rng.shuffle(shuffled)
-        a = run_analyses(shards, "all", context)
-        b = run_analyses(shuffled, "all", context)
+        a = run_columnar_analyses(shards, "all", context)
+        b = run_columnar_analyses(shuffled, "all", context)
         assert a.report().as_dict() == b.report().as_dict()
         np.testing.assert_array_equal(
             a["percentiles"].values, b["percentiles"].values
@@ -336,17 +330,17 @@ class TestShardOrderInvariance:
         the dense per-iteration rows: percentiles and the
         application-iteration normality counts equal the dense oracles."""
         shards = [
-            TimingShard.from_dataset(
+            dataset_shard(
                 dataset.select(trial=int(t), process=int(p)).select_iterations(part),
-                trial=int(t),
-                process=int(p),
+                t,
+                p,
             )
             for t in dataset.trials
             for p in dataset.processes
             for part in (slice(0, 3 + int(p)), slice(3 + int(p), None))
         ]
         np.random.default_rng(11).shuffle(shards)
-        results = run_analyses(shards, ["percentiles", "normality"], context)
+        results = run_columnar_analyses(shards, ["percentiles", "normality"], context)
         series = results["percentiles"]
         expected = percentile_table(
             per_iteration_samples(dataset) * 1.0e3, series.percentiles, axis=-1
@@ -388,9 +382,7 @@ class TestShardOrderInvariance:
         segments = [
             segment
             for shard in reversed(shards)
-            for segment in passes._slice_segments(
-                canonical_block(shard.columns, [ShardSlice.of(shard)])
-            )
+            for segment in passes._slice_segments(shard)
         ]
         # each iteration pools 4 slices x 32 threads
         batches = list(passes._iteration_batches(segments, size * 128))
@@ -407,14 +399,8 @@ class TestShardOrderInvariance:
         times = rng.normal(25e-3, 0.1e-3, size=(3, 40, 3, 48))
         times[:, :, 1] = rng.lognormal(-3.7, 0.5, size=(3, 40, 48))
         big = TimingDataset.from_compute_times(times, {"application": "wide"})
-        big_shards = [
-            TimingShard.from_dataset(
-                big.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
-            )
-            for t in big.trials
-            for p in big.processes
-        ]
-        result = run_analyses(
+        big_shards = dataset_shards(big)
+        result = run_columnar_analyses(
             big_shards, ["normality"], AnalysisContext.from_dataset(big)
         )["normality"]
         study = NormalityStudy(big)
@@ -430,18 +416,18 @@ class TestShardOrderInvariance:
         keys and classes are the dense oracle's, and both orders give the
         same products byte for byte."""
         pieces = [
-            TimingShard.from_dataset(
+            dataset_shard(
                 dataset.select(trial=int(t), process=int(p)).select_iterations(part),
-                trial=int(t),
-                process=int(p),
+                t,
+                p,
             )
             for t in dataset.trials
             for p in dataset.processes
             for part in (slice(0, 4), slice(4, None))
         ]
         names = ["laggards", "reclaimable", "percentiles", "normality"]
-        forward = run_analyses(pieces, names, context)
-        backward = run_analyses(pieces[::-1], names, context)
+        forward = run_columnar_analyses(pieces, names, context)
+        backward = run_columnar_analyses(pieces[::-1], names, context)
         dense = analyze_laggards(dataset)
         for results in (forward, backward):
             assert results["laggards"].analysis.keys == dense.keys
@@ -472,32 +458,21 @@ def _layout_shards(dataset, layout):
             else:
                 pieces = [slice(None)]
             shards.extend(
-                TimingShard.from_dataset(
-                    part.select_iterations(piece), trial=int(t), process=int(p)
-                )
-                for piece in pieces
+                dataset_shard(part.select_iterations(piece), t, p) for piece in pieces
             )
     np.random.default_rng(13).shuffle(shards)
     return shards
 
 
 def _segments(shards):
-    return [
-        segment
-        for shard in shards
-        for segment in passes._slice_segments(
-            canonical_block(shard.columns, [ShardSlice.of(shard)])
-        )
-    ]
+    return [segment for shard in shards for segment in passes._slice_segments(shard)]
 
 
 def _pooled_rows(dataset, shards):
     """Each iteration's samples, (trial, process) by (trial, process) in
     serial order, from the slices that hold that iteration."""
     held = {
-        (shard.trial, shard.process, int(i))
-        for shard in shards
-        for i in np.unique(shard.columns["iteration"])
+        (*shard.slices[0].sort_key, int(i)) for shard in shards for i in shard.iterations
     }
     return [
         np.concatenate(
@@ -564,7 +539,8 @@ class TestIterationBatches:
         self, tmp_path, dataset, shards, max_samples
     ):
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=4096)
-        store.extend(shards)
+        for shard in shards:
+            store.append_block(shard)
         store.finalize()
         segments = [
             segment
@@ -582,7 +558,7 @@ class TestIterationBatches:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_application_row_is_the_stratified_sample(self, dataset, layout, limit):
         shards = _layout_shards(dataset, layout)
-        samples = np.concatenate([shard.columns["compute_time_s"] for shard in shards])
+        samples = np.concatenate([shard.cube.reshape(-1) for shard in shards])
         row = passes._application_row(_segments(shards), limit)
         if len(samples) > limit:
             np.testing.assert_array_equal(row, stratified_subsample(samples, limit))
@@ -598,7 +574,7 @@ class TestExemplars:
     @pytest.mark.parametrize("cls", list(IterationClass), ids=lambda c: c.value)
     def test_exemplar_is_the_dense_exemplar_of_its_class(self, case, cls):
         ds, shards, context = case
-        result = run_analyses(shards, ["laggards"], context)["laggards"]
+        result = run_columnar_analyses(shards, ["laggards"], context)["laggards"]
         dense = analyze_laggards(ds)
         key = result.exemplar(cls)
         assert key == dense.exemplar(cls)
@@ -612,8 +588,8 @@ class TestExemplars:
     def test_exemplars_are_shard_order_free(self, shards, context):
         shuffled = list(shards)
         np.random.default_rng(17).shuffle(shuffled)
-        a = run_analyses(shards, ["laggards"], context)["laggards"]
-        b = run_analyses(shuffled, ["laggards"], context)["laggards"]
+        a = run_columnar_analyses(shards, ["laggards"], context)["laggards"]
+        b = run_columnar_analyses(shuffled, ["laggards"], context)["laggards"]
         assert a.exemplar(IterationClass.LAGGARD) is not None
         for cls in IterationClass:
             assert a.exemplar(cls) == b.exemplar(cls)
@@ -624,11 +600,11 @@ class TestCompactLaggardState:
     group, and its analysis still answers as the dense oracle does."""
 
     def test_partials_hold_slice_keys_and_arrays(self, shards, context):
-        block = shard_block(shards[0])
+        block = shards[0]
         (state,) = LaggardsPass().accumulate_columns_split(block, context)
         ((_, payload),) = state["segments"]
         slice_key, iterations, *metrics, codes = payload
-        assert slice_key == (shards[0].trial, shards[0].process)
+        assert slice_key == block.slices[0].sort_key
         assert isinstance(iterations, np.ndarray)
         np.testing.assert_array_equal(iterations, block.iterations)
         assert all(isinstance(array, np.ndarray) for array in metrics)
@@ -636,7 +612,7 @@ class TestCompactLaggardState:
 
     def test_fractions_counts_and_exemplars_equal_the_dense_oracle(self, case):
         ds, shards, context = case
-        analysis = run_analyses(shards, ["laggards"], context)["laggards"].analysis
+        analysis = run_columnar_analyses(shards, ["laggards"], context)["laggards"].analysis
         # the oracle: the dense grouping's per-group metrics, classes and
         # key tuples, each exemplar picked by hand
         grouped = aggregate(ds, AggregationLevel.PROCESS_ITERATION)
@@ -663,7 +639,7 @@ class TestCompactLaggardState:
             assert analysis.exemplar(cls) == grouped.keys[best]
 
     def test_the_product_pickles(self, shards, context):
-        analysis = run_analyses(shards, ["laggards"], context)["laggards"].analysis
+        analysis = run_columnar_analyses(shards, ["laggards"], context)["laggards"].analysis
         again = pickle.loads(pickle.dumps(analysis))
         assert again.keys == analysis.keys
         assert again.exemplar(IterationClass.LAGGARD) == analysis.exemplar(
@@ -681,19 +657,12 @@ class TestLargeIterationRows:
         times = rng.normal(25e-3, 0.1e-3, size=(3, 40, 3, 48))
         times[:, :, 1] = rng.lognormal(-3.7, 0.5, size=(3, 40, 48))
         big = TimingDataset.from_compute_times(times, {"application": "wide"})
-        shards = [
-            TimingShard.from_dataset(
-                big.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
-            )
-            for t in big.trials
-            for p in big.processes
-        ]
-        return big, shards
+        return big, dataset_shards(big)
 
     @pytest.mark.parametrize("limit", [500, 2000, 5000])
     def test_pass_matches_the_oracle_at_every_limit(self, wide, limit):
         big, shards = wide
-        result = run_analyses(
+        result = run_columnar_analyses(
             shards,
             [passes.NormalityPass(max_application_samples=limit)],
             AnalysisContext.from_dataset(big),
@@ -720,7 +689,7 @@ class TestLargeIterationRows:
 class TestPassValidation:
     def test_empty_shard_stream_rejected(self, context):
         with pytest.raises(ValueError):
-            run_analyses([], ["percentiles"], context)
+            run_columnar_analyses([], ["percentiles"], context)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -729,29 +698,14 @@ class TestPassValidation:
             LaggardsPass(threshold_s=-1.0)
 
     def test_report_requires_core_passes(self, shards, context):
-        results = run_analyses(shards, ["percentiles"], context)
+        results = run_columnar_analyses(shards, ["percentiles"], context)
         with pytest.raises(ValueError):
             results.report()
 
 
-def _column_block(shard_list):
-    """The shards' columns concatenated into one block, plus their slices."""
-    columns = {
-        name: np.concatenate([np.asarray(shard.columns[name]) for shard in shard_list])
-        for name in shard_list[0].columns
-    }
-    slices, start = [], 0
-    for shard in shard_list:
-        slices.append(
-            ShardSlice(shard.trial, shard.process, start, start + shard.n_samples)
-        )
-        start += shard.n_samples
-    return columns, slices
-
-
 def _block(shard_list):
     """The shards as one canonical block."""
-    return canonical_block(*_column_block(shard_list))
+    return canonical_block(*joined_columns(shard_list))
 
 
 def _partial_bytes(partials):
@@ -774,9 +728,9 @@ class TestColumnarAnalyzer:
             return layout(*args)
 
         monkeypatch.setattr(aggregation, "_layout", counting)
-        times = np.stack([shard_block(shard).cube[0] for shard in shards])
+        times = np.stack([shard.cube[0] for shard in shards])
         calls.clear()
-        block = campaign_block([(s.trial, s.process) for s in shards], times)
+        block = campaign_block([s.slices[0].sort_key for s in shards], times)
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
         partials = mapper(block)
         assert len(partials) == len(block.slices)
@@ -785,9 +739,7 @@ class TestColumnarAnalyzer:
     def test_block_partials_equal_one_shard_partials(self, shards, context):
         mapper = ColumnarAnalyzer(resolve_analyses(BUILTIN), context)
         whole = mapper(_block(shards))
-        one_by_one = [
-            partial for shard in shards for partial in mapper(shard_block(shard))
-        ]
+        one_by_one = [partial for shard in shards for partial in mapper(shard)]
         assert _partial_bytes(whole) == _partial_bytes(one_by_one)
 
     def test_dataset_block_yields_one_partial_per_process(self, dataset, context):

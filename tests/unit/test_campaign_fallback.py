@@ -119,14 +119,14 @@ REFERENCE_MODELS = {
 @contextmanager
 def registered(app_cls):
     """Register ``app_cls`` and its per-iteration reference model."""
-    assert app_cls.name not in APPLICATIONS
+    assert app_cls.name not in APPLICATIONS.names()
     assert app_cls.name not in models.MODELS
-    APPLICATIONS[app_cls.name] = app_cls
+    APPLICATIONS.register(app_cls)
     models.MODELS[app_cls.name] = REFERENCE_MODELS[app_cls]
     try:
         yield
     finally:
-        del APPLICATIONS[app_cls.name]
+        APPLICATIONS.unregister(app_cls.name)
         del models.MODELS[app_cls.name]
 
 

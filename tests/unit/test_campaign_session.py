@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import AnalysisResults, analyze_dataset
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.timing import TimingDataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import (
     CampaignResult,
@@ -14,6 +14,7 @@ from repro.experiments.session import (
     campaign_store_path,
     config_cache_key,
 )
+from shards import shards_of
 
 
 def _assert_columns_equal(a: TimingDataset, b: TimingDataset) -> None:
@@ -44,14 +45,11 @@ class TestSessionFacade:
         assert result._dataset is None
         assert result.n_samples == result.dataset.n_samples
 
-    def test_result_iterates_over_shards(self, smoke_config):
+    def test_result_blocks_hold_every_shard_in_order(self, smoke_config):
         result = CampaignSession(smoke_config).run()
-        shards = list(result)
-        assert len(shards) == smoke_config.trials * smoke_config.processes
-        assert all(isinstance(shard, TimingShard) for shard in shards)
-        assert [shard.sort_key for shard in shards] == sorted(
-            shard.sort_key for shard in shards
-        )
+        keys = [sl.sort_key for block in result.iter_column_blocks() for sl in block.slices]
+        assert len(keys) == smoke_config.trials * smoke_config.processes
+        assert keys == sorted(keys)
 
     def test_run_retargets_application(self, smoke_config):
         session = CampaignSession(smoke_config)
@@ -69,10 +67,12 @@ class TestSessionFacade:
 
     def test_stream_yields_shards_that_merge_to_run_dataset(self, smoke_config):
         session = CampaignSession(smoke_config)
-        shards = list(session.stream())
-        assert len(shards) == smoke_config.trials * smoke_config.processes
+        blocks = list(session.stream())
+        assert sum(len(block.slices) for block in blocks) == (
+            smoke_config.trials * smoke_config.processes
+        )
         backend = session.backend_for()
-        merged = TimingDataset.merge(shards, metadata=backend.metadata(smoke_config))
+        merged = TimingDataset.merge(blocks, metadata=backend.metadata(smoke_config))
         _assert_columns_equal(merged, session.run().dataset)
 
     @pytest.mark.parametrize("sources", ["neither", "both"])
@@ -127,7 +127,7 @@ class TestShardStream:
     def test_stream_is_lazy(self, smoke_config):
         stream = CampaignSession(smoke_config.with_backend("vectorized")).stream()
         first = next(stream)
-        assert (first.trial, first.process) == (0, 0)
+        assert [sl.sort_key for sl in first.slices] == [(0, 0)]
         assert first.n_samples == smoke_config.iterations * smoke_config.threads
 
 
@@ -167,16 +167,13 @@ class TestResultCaching:
     def test_cached_result_reconstructs_shards(self, smoke_config, tmp_path):
         first = CampaignSession(smoke_config, cache_dir=tmp_path).run()
         cached = CampaignSession(smoke_config, cache_dir=tmp_path).run()
-        shards = list(cached)
+        shards = shards_of(cached.iter_column_blocks())
+        originals = shards_of(first.iter_column_blocks())
         # a hit streams exactly the shards the run stored
-        assert [(s.trial, s.process) for s in shards] == [
-            (s.trial, s.process) for s in first.shards
-        ]
-        for stored, original in zip(shards, first.shards):
-            for name in original.columns:
-                np.testing.assert_array_equal(
-                    stored.columns[name], original.columns[name]
-                )
+        assert [s.slices for s in shards] == [s.slices for s in originals]
+        for stored, original in zip(shards, originals):
+            for name, values in original.columns.items():
+                np.testing.assert_array_equal(stored.columns[name], values)
         merged = TimingDataset.merge(shards)
         np.testing.assert_array_equal(
             merged.compute_times_s, cached.dataset.compute_times_s

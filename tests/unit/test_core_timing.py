@@ -1,9 +1,10 @@
-"""Unit tests for TimingRecord / TimingDataset."""
+"""Unit tests for TimingDataset."""
 
 import numpy as np
 import pytest
 
-from repro.core.timing import TimingDataset, TimingRecord
+from repro.core.aggregation import campaign_block
+from repro.core.timing import TimingDataset
 
 
 def _dense_dataset(trials=2, processes=2, iterations=3, threads=4, seed=0):
@@ -12,33 +13,7 @@ def _dense_dataset(trials=2, processes=2, iterations=3, threads=4, seed=0):
     return TimingDataset.from_compute_times(times, {"application": "demo"}), times
 
 
-class TestTimingRecord:
-    def test_compute_time_derivation(self):
-        record = TimingRecord(0, 0, 0, 0, start_ns=1_000_000, end_ns=3_500_000)
-        assert record.compute_time_s == pytest.approx(2.5e-3)
-        assert record.compute_time_ms == pytest.approx(2.5)
-
-    def test_backwards_clock_rejected(self):
-        with pytest.raises(ValueError):
-            TimingRecord(0, 0, 0, 0, start_ns=10, end_ns=5)
-
-
 class TestTimingDatasetConstruction:
-    def test_from_records_round_trip(self):
-        records = [
-            TimingRecord(t, p, i, th, 0, int(1e6 * (th + 1)))
-            for t in range(2)
-            for p in range(2)
-            for i in range(2)
-            for th in range(3)
-        ]
-        ds = TimingDataset.from_records(records, {"application": "demo"})
-        assert len(ds) == 24
-        assert ds.n_threads == 3
-        assert ds.is_dense()
-        round_tripped = list(ds.iter_records())
-        assert round_tripped[0].compute_time_s == records[0].compute_time_s
-
     def test_from_compute_times_shape_checks(self):
         with pytest.raises(ValueError):
             TimingDataset.from_compute_times(np.zeros((2, 2, 2)))
@@ -59,10 +34,6 @@ class TestTimingDatasetConstruction:
         with pytest.raises(ValueError):
             TimingDataset(bad)
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            TimingDataset.from_records([])
-
     def test_columns_of_the_right_dtype_are_not_copied(self):
         n = 6
         columns = {
@@ -80,6 +51,20 @@ class TestTimingDatasetConstruction:
         widened = TimingDataset(dict(columns, trial=columns["trial"].astype(np.int64)))
         assert widened.column("trial").dtype == np.int32
         assert not np.shares_memory(widened.column("trial"), columns["trial"])
+
+    def test_merge_orders_slices_and_rejects_mismatched_blocks(self):
+        ds, times = _dense_dataset()
+        cube = times.reshape(-1, *times.shape[2:])
+        keys = [(t, p) for t in range(2) for p in range(2)]
+        late, early = campaign_block(keys[2:], cube[2:]), campaign_block(keys[:2], cube[:2])
+        merged = TimingDataset.merge([late, early], {"application": "demo"})
+        for name in ds.columns:
+            np.testing.assert_array_equal(merged.column(name), ds.column(name))
+        with pytest.raises(ValueError, match="zero blocks"):
+            TimingDataset.merge([])
+        fewer = campaign_block(keys[2:], cube[2:, :2])
+        with pytest.raises(ValueError, match="same iteration and thread ids"):
+            TimingDataset.merge([early, fewer])
 
 
 class TestTimingDatasetAccessors:

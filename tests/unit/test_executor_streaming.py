@@ -111,9 +111,7 @@ class TestIncrementalContract:
 
     def test_merged_blocks_cover_the_campaign(self, config):
         blocks = list(ShardExecutor().iter_blocks(CountingBackend(), config))
-        dataset = TimingDataset.merge(
-            shard for block in blocks for shard in block.iter_shards()
-        )
+        dataset = TimingDataset.merge(blocks)
         sizes = [sl.n_samples for block in blocks for sl in block.slices]
         assert len(sizes) == 6
         assert sum(sizes) == dataset.n_samples

@@ -3,12 +3,12 @@
 import gc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import analyze_dataset
-from repro.core.timing import TimingShard
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 from repro.experiments.figures import (
@@ -31,19 +31,14 @@ from repro.experiments.tables import (
     section41_normality_table,
     table1,
 )
+from shards import dataset_shards, shards_of
 
 
 def _shards(dataset):
-    """The dataset's per-(trial, process) shards."""
-    return [
-        TimingShard.from_dataset(
-            dataset.select(trial=int(t), process=int(p)),
-            trial=int(t),
-            process=int(p),
-        )
-        for t in dataset.trials
-        for p in dataset.processes
-    ]
+    """The dataset's per-(trial, process) shards, served as a campaign
+    result serves its column blocks."""
+    shards = dataset_shards(dataset)
+    return SimpleNamespace(iter_column_blocks=lambda: iter(shards))
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +330,7 @@ class TestStoredFigures:
         """The exemplar group as a sample scan over id masks."""
         trial, process, iteration = key
         parts = []
-        for shard in sorted(shards, key=lambda s: s.sort_key):
+        for shard in sorted(shards, key=lambda s: s.slices[0].sort_key):
             columns = shard.columns
             mask = (
                 (np.asarray(columns["trial"]) == trial)
@@ -362,17 +357,16 @@ class TestStoredFigures:
             assert result.store is not None and result.store.n_groups > 1
         else:
             result = session.run(use_cache=False)
-        shards = list(result.iter_shards())
+        shards = shards_of(result.iter_column_blocks())
         if source == "event":
             # one block per trial, one shard per process of it
             assert [len(block.slices) for block in result.iter_column_blocks()] == [2, 2]
         for key in [(0, 0, 0), (1, 1, config.iterations - 1), (1, 0, 3)]:
             want = self._mask_scan(shards, key)
             assert len(want) == config.threads
-            for given in (result, shards):
-                got = _group_samples(given, key)
-                assert got.dtype == np.float64
-                np.testing.assert_array_equal(got, want)
+            got = _group_samples(result, key)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
         with pytest.raises(KeyError):
             _group_samples(result, (0, 0, config.iterations))
 

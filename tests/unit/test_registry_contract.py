@@ -1,7 +1,7 @@
 """The one registry contract, checked on every catalog.
 
-Backends, analysis passes, noise sources, noise profiles, machines and
-scenarios share one name → entry policy (:mod:`repro._registry`); each case
+Applications, backends, analysis passes, noise sources, noise profiles,
+machines and scenarios share one name → entry policy (:mod:`repro._registry`); each case
 below drives a catalog through its public functions only.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import available_analyses, get_analysis, register_analysis, unregister_analysis
 from repro.analysis.passes import PercentilesPass
+from repro.apps import APPLICATIONS, MiniQMCApp, get_application
 from repro.cluster.config import MachineConfig
 from repro.cluster.noise import NoiseSpec
 from repro.experiments.backends import (
@@ -83,6 +84,13 @@ def _machine(own, variant):
 
 
 CATALOGS = {
+    "applications": Catalog(
+        APPLICATIONS.register,
+        get_application,
+        APPLICATIONS.names,
+        APPLICATIONS.unregister,
+        _subclass(MiniQMCApp, "name"),
+    ),
     "backends": Catalog(
         register_backend,
         get_backend,

@@ -11,8 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.aggregation import shard_block
-from repro.core.timing import TimingShard
+from repro.core.aggregation import ColumnBlock, campaign_block
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignResult
 from repro.service import (
@@ -34,15 +33,9 @@ def _job(job_id: str, priority: int = 0) -> Job:
     return Job(job_id, _config(), priority=priority)
 
 
-def _shard(trial: int = 0, process: int = 0, n: int = 4) -> TimingShard:
-    columns = {
-        "trial": np.full(n, trial),
-        "process": np.full(n, process),
-        "iteration": np.zeros(n, dtype=np.int64),
-        "thread": np.arange(n),
-        "compute_time_s": np.full(n, 1.0e-3),
-    }
-    return TimingShard(trial=trial, process=process, columns=columns)
+def _shard(trial: int = 0, process: int = 0, n: int = 4) -> ColumnBlock:
+    """A one-slice block: one iteration of ``n`` threads."""
+    return campaign_block([(trial, process)], np.full((1, 1, n), 1.0e-3))
 
 
 class TestJobQueue:
@@ -207,9 +200,8 @@ class TestJobScheduler:
                 shards = [_shard(trial=trial) for trial in range(3)]
                 for shard in shards:
                     job._deliver(shard)
-                blocks = [shard_block(shard) for shard in shards]
                 job._finish(
-                    CampaignResult(job.config, blocks=blocks), "", from_cache=False
+                    CampaignResult(job.config, blocks=shards), "", from_cache=False
                 )
 
             scheduler = JobScheduler(handler, workers=1, max_queue=8)
@@ -222,7 +214,7 @@ class TestJobScheduler:
             # replayed from the job's result once the buffer is dropped
             assert job._shards == []
             handle = JobHandle(job)
-            trials = [shard.trial async for shard in handle.stream()]
+            trials = [shard.slices[0].trial async for shard in handle.stream()]
             assert trials == [0, 1, 2]
 
         asyncio.run(scenario())

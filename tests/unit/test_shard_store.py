@@ -13,7 +13,8 @@ import pytest
 
 from digests import CAMPAIGN_SMOKE_DIGESTS
 from repro.analysis import AnalysisContext, run_columnar_analyses
-from repro.core.timing import TimingDataset, TimingShard
+from repro.core.aggregation import canonical_block
+from repro.core.timing import TimingDataset
 from repro.experiments.backends import CampaignTensorBackend
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession, campaign_store_path
@@ -26,6 +27,7 @@ from repro.io.shard_store import (
     publish_store,
 )
 from repro.service.jobs import dataset_digest
+from shards import dataset_shards, shards_of
 
 # The default-backend smoke digests the scenario matrix pins
 # (tests/digests.py): a campaign that goes through the store must merge
@@ -35,33 +37,30 @@ SEED_DIGESTS = CAMPAIGN_SMOKE_DIGESTS
 
 @pytest.fixture(scope="module")
 def shards():
+    """Per-(trial, process) shards (one-slice blocks) of a toy campaign."""
     rng = np.random.default_rng(99)
     times = np.abs(rng.normal(20e-3, 1e-3, size=(2, 3, 4, 8)))
     dataset = TimingDataset.from_compute_times(times, {"application": "toy"})
-    return [
-        TimingShard.from_dataset(
-            dataset.select(trial=int(t), process=int(p)), trial=int(t), process=int(p)
-        )
-        for t in dataset.trials
-        for p in dataset.processes
-    ]
+    return dataset_shards(dataset)
+
+
+def _extend(store, shards):
+    for shard in shards:
+        store.append_block(shard)
 
 
 class TestFormat:
     def test_round_trip_is_bit_identical(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=1)
-        store.extend(shards)
+        _extend(store, shards)
         store.finalize({"application": "toy"})
 
         reloaded = ShardStore.open(tmp_path / "c.store")
         assert reloaded.complete
         assert reloaded.metadata == {"application": "toy"}
         assert reloaded.n_shards == len(shards)
-        for original, stored in zip(shards, reloaded.iter_shards()):
-            assert (stored.trial, stored.process) == (
-                original.trial,
-                original.process,
-            )
+        for original, stored in zip(shards, shards_of(reloaded.iter_column_blocks())):
+            assert stored.slices == original.slices
             for name, values in original.columns.items():
                 recovered = stored.columns[name]
                 assert np.asarray(recovered).dtype == np.asarray(values).dtype
@@ -69,7 +68,7 @@ class TestFormat:
 
     def test_spill_threshold_controls_grouping(self, tmp_path, shards):
         eager = ShardStore.create(tmp_path / "eager.store", spill_threshold_bytes=1)
-        eager.extend(shards)
+        _extend(eager, shards)
         eager.flush()
         assert eager.n_groups == len(shards)
 
@@ -77,7 +76,7 @@ class TestFormat:
             tmp_path / "lazy.store",
             spill_threshold_bytes=DEFAULT_SPILL_THRESHOLD_BYTES,
         )
-        lazy.extend(shards)
+        _extend(lazy, shards)
         assert lazy.n_groups == 0  # still buffered
         assert lazy.n_shards == len(shards)  # but visible to introspection
         lazy.flush()
@@ -85,9 +84,10 @@ class TestFormat:
 
     def test_reads_are_memory_mapped_views(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store")
-        store.extend(shards)
+        _extend(store, shards)
         store.flush()
-        shard = next(ShardStore.open(tmp_path / "c.store").iter_shards())
+        block = next(ShardStore.open(tmp_path / "c.store").iter_column_blocks())
+        shard = block.rows(block.slices[0])
         # the samples are mapped; the ids are derived from the manifest
         assert isinstance(shard.columns["compute_time_s"], np.memmap)
         for name in ("trial", "process", "iteration", "thread"):
@@ -95,7 +95,7 @@ class TestFormat:
 
     def test_dataset_merges_with_store_metadata(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store", spill_threshold_bytes=1)
-        store.extend(shards)
+        _extend(store, shards)
         store.finalize({"application": "toy"})
         merged = store.dataset()
         direct = TimingDataset.merge(shards, metadata={"application": "toy"})
@@ -105,23 +105,23 @@ class TestFormat:
     def test_writable_lifecycle_errors(self, tmp_path, shards):
         path = tmp_path / "c.store"
         store = ShardStore.create(path)
-        store.append(shards[0])
+        store.append_block(shards[0])
         store.finalize()
         with pytest.raises(ValueError, match="finalized"):
-            store.append(shards[1])
+            store.append_block(shards[1])
         with pytest.raises(FileExistsError):
             ShardStore.create(path)
         with pytest.raises(FileNotFoundError):
             ShardStore.open(tmp_path / "missing.store")
         with pytest.raises(ValueError, match="read-only"):
-            ShardStore.open(path).append(shards[0])
+            ShardStore.open(path).append_block(shards[0])
         with pytest.raises(ValueError, match="mode"):
             ShardStore(path, mode="x")
 
     def test_unsupported_format_version_rejected(self, tmp_path, shards):
         path = tmp_path / "c.store"
         store = ShardStore.create(path)
-        store.append(shards[0])
+        store.append_block(shards[0])
         store.finalize()
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         assert manifest["format_version"] == STORE_FORMAT_VERSION
@@ -132,28 +132,24 @@ class TestFormat:
 
     def test_mismatched_ids_rejected(self, tmp_path, shards):
         store = ShardStore.create(tmp_path / "c.store")
-        store.append(shards[0])
+        store.append_block(shards[0])
         columns = shards[1].columns
-        keep = np.asarray(columns["iteration"]) < 3
-        store.append(
-            TimingShard(
-                trial=shards[1].trial,
-                process=shards[1].process,
-                columns={name: np.asarray(values)[keep] for name, values in columns.items()},
-            )
-        )
+        keep = columns["iteration"] < 3
+        kept = {name: values[keep] for name, values in columns.items()}
+        (sl,) = shards[1].slices
+        store.append_block(canonical_block(kept, [sl._replace(stop=int(keep.sum()))]))
         with pytest.raises(ValueError, match="same ids"):
             store.flush()
 
     def test_raw_clock_columns_are_not_stored(self, tmp_path, shards):
         # a group holds compute times only: 8 B per sample whatever columns
-        # the appended shard carried
+        # the appended shard was built from
         store = ShardStore.create(tmp_path / "c.store")
         widened = dict(shards[0].columns)
         widened["start_ns"] = np.zeros(shards[0].n_samples, dtype=np.int64)
-        store.append(TimingShard(shards[0].trial, shards[0].process, widened))
+        store.append_block(canonical_block(widened, shards[0].slices))
         store.finalize()
-        (stored,) = ShardStore.open(tmp_path / "c.store").iter_shards()
+        (stored,) = ShardStore.open(tmp_path / "c.store").iter_column_blocks()
         assert set(stored.columns) == {
             "trial", "process", "iteration", "thread", "compute_time_s"
         }
@@ -167,29 +163,29 @@ class TestConcurrentAppend:
     def test_reader_snapshots_published_groups(self, tmp_path, shards):
         path = tmp_path / "c.store"
         writer = ShardStore(path, mode="a", spill_threshold_bytes=1)
-        writer.append(shards[0])  # threshold 1: every append publishes
+        writer.append_block(shards[0])  # threshold 1: every append publishes
 
         reader = ShardStore.open(path)
-        assert len(list(reader.iter_shards())) == 1
+        assert len(shards_of(reader.iter_column_blocks())) == 1
 
-        writer.append(shards[1])
-        writer.append(shards[2])
+        writer.append_block(shards[1])
+        writer.append_block(shards[2])
         # the same reader sees the new groups on its *next* iteration
-        assert len(list(reader.iter_shards())) == 3
+        assert len(shards_of(reader.iter_column_blocks())) == 3
 
     def test_in_flight_iteration_is_unaffected_by_appends(self, tmp_path, shards):
         path = tmp_path / "c.store"
         writer = ShardStore(path, mode="a", spill_threshold_bytes=1)
         for shard in shards[:2]:
-            writer.append(shard)
+            writer.append_block(shard)
 
         reader = ShardStore.open(path)
-        iterator = reader.iter_shards()
+        iterator = reader.iter_column_blocks()
         first = next(iterator)
         np.testing.assert_array_equal(
             first.columns["compute_time_s"], shards[0].columns["compute_time_s"]
         )
-        writer.append(shards[2])  # published mid-iteration
+        writer.append_block(shards[2])  # published mid-iteration
         # the running iterator still covers exactly its snapshot
         assert len(list(iterator)) == 1
 
@@ -197,9 +193,9 @@ class TestConcurrentAppend:
         self, tmp_path, shards
     ):
         writer = ShardStore(tmp_path / "c.store", mode="a")
-        writer.extend(shards)
-        # iter_shards on a writable store flushes first: nothing is lost
-        assert len(list(writer.iter_shards())) == len(shards)
+        _extend(writer, shards)
+        # iter_column_blocks on a writable store flushes first: nothing is lost
+        assert len(shards_of(writer.iter_column_blocks())) == len(shards)
         assert writer.n_groups == 1
 
 
@@ -208,7 +204,7 @@ class TestPublish:
         staged = tmp_path / "final.store.tmp-123"
         final = tmp_path / "final.store"
         store = ShardStore.create(staged, spill_threshold_bytes=1)
-        store.extend(shards)
+        _extend(store, shards)
         store.finalize()
         assert publish_store(staged, final) == final
         assert not staged.exists()
@@ -217,12 +213,12 @@ class TestPublish:
     def test_losing_the_publish_race_discards_staged(self, tmp_path, shards):
         final = tmp_path / "final.store"
         winner = ShardStore.create(final, spill_threshold_bytes=1)
-        winner.append(shards[0])
+        winner.append_block(shards[0])
         winner.finalize()
 
         staged = tmp_path / "final.store.tmp-456"
         loser = ShardStore.create(staged, spill_threshold_bytes=1)
-        loser.append(shards[0])
+        loser.append_block(shards[0])
         loser.finalize()
         publish_store(staged, final)
         assert not staged.exists()
@@ -234,7 +230,7 @@ class TestPublish:
         (final / "stray.txt").write_text("not a store")
         staged = tmp_path / "final.store.tmp-789"
         store = ShardStore.create(staged, spill_threshold_bytes=1)
-        store.append(shards[0])
+        store.append_block(shards[0])
         store.finalize()
         with pytest.raises(OSError):
             publish_store(staged, final)
@@ -278,7 +274,7 @@ class TestStoredRows:
     @staticmethod
     def _blocks(path, shards, spill_threshold_bytes=DEFAULT_SPILL_THRESHOLD_BYTES):
         store = ShardStore.create(path, spill_threshold_bytes=spill_threshold_bytes)
-        store.extend(shards)
+        _extend(store, shards)
         store.finalize()
         return list(ShardStore.open(path).iter_column_blocks())
 
@@ -375,7 +371,7 @@ class TestStoredRows:
     def test_group_block_maps_the_cube(self, tmp_path, shards):
         path = tmp_path / "c.store"
         store = ShardStore.create(path)
-        store.extend(shards)
+        _extend(store, shards)
         store.finalize()
         (group,) = ShardStore.open(path)._read_manifest()["groups"]
         block = ShardStore.open(path).group_block(group)
@@ -387,8 +383,8 @@ class TestStoredRows:
             np.testing.assert_array_equal(
                 values, np.concatenate([shard.columns[name] for shard in shards])
             )
-        assert [(sl.trial, sl.process) for sl in block.slices] == [
-            (shard.trial, shard.process) for shard in shards
+        assert [sl.sort_key for sl in block.slices] == [
+            shard.slices[0].sort_key for shard in shards
         ]
 
 
@@ -410,7 +406,7 @@ class TestOpenFileLimit:
     def store(self, tmp_path):
         path = tmp_path / "c.store"
         store = ShardStore.create(path, spill_threshold_bytes=1)
-        store.extend(list(CampaignSession(self.CONFIG).stream()))
+        _extend(store, shards_of(CampaignSession(self.CONFIG).stream()))
         store.finalize()
         return ShardStore.open(path)
 
