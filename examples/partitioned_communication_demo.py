@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Event-driven demo of early-bird partitioned communication between ranks.
+"""Early-bird partitioned communication between two ranks, partition by partition.
 
-Everything else in the package evaluates early-bird delivery in closed form;
-this example runs the *mechanism* on the discrete-event engine, end to end:
+Figure 1 of the paper in numbers, for one message:
 
-* two simulated MPI ranks on the Manzano-like machine model,
-* the sender's OpenMP team executes an instrumented compute region whose
-  per-thread arrival times come from the MiniQMC work model,
-* each thread calls ``Pready`` on its partition the moment it finishes,
-* the receiver observes ``Parrived`` events and reports when the first and
-  last partitions landed, compared against a bulk send issued after the last
-  thread.
+* the sender's OpenMP team executes one instrumented compute region whose
+  per-thread arrival times come from the MiniQMC work model on the
+  Manzano-like machine model,
+* each thread calls ``Pready`` on its partition the moment it finishes, and
+  the partitions queue on the sender's NIC (a FIFO injection link on an
+  Omni-Path-like fabric),
+* the report shows when the first and last partitions land at the receiver,
+  compared against a bulk send issued after the last thread.
+
+The early-bird model evaluates this transfer in closed form
+(:meth:`repro.core.earlybird.EarlyBirdModel.evaluate`), the same path
+Figure 1 and the campaign analyses use.
 
 Run with::
 
@@ -23,11 +27,8 @@ import numpy as np
 
 from repro.apps.miniqmc import MiniQMCApp
 from repro.cluster.config import manzano
+from repro.core.earlybird import EarlyBirdModel
 from repro.mpi.network import omni_path
-from repro.mpi.partitioned import PartitionedRecvRequest, PartitionedSendRequest
-from repro.openmp.barrier import Barrier
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Delay, WaitEvent
 from repro.viz import ascii_table
 
 N_THREADS = 16
@@ -36,8 +37,6 @@ BUFFER_BYTES = 16 * 1024 * 1024
 
 def main() -> None:
     machine = manzano()
-    network = omni_path()
-    engine = SimulationEngine()
 
     # per-thread compute times for one MiniQMC-like iteration: a campaign of
     # one (trial, process) shard and one iteration
@@ -48,59 +47,35 @@ def main() -> None:
         shards=[(0, 0)], n_iterations=1, rng=rng, noise=machine.build_noise_model(rng)
     )[0, 0]
 
-    # partitioned request pair: one partition per thread
-    receiver = PartitionedRecvRequest(engine, N_THREADS)
-    sender = PartitionedSendRequest(
-        engine,
-        network,
-        N_THREADS,
-        BUFFER_BYTES // N_THREADS,
-        hops=2,
-        receiver=receiver,
+    # one partition per thread, marked ready when its thread finishes
+    model = EarlyBirdModel(omni_path(), buffer_bytes=BUFFER_BYTES, hops=2)
+    outcome = model.evaluate(compute_times)
+    delivered = outcome.earlybird_transfer.delivery_times()
+    print(f"[t={delivered.min() * 1e3:8.3f} ms] first partition arrived at the receiver")
+    print(
+        f"[t={outcome.earlybird_completion_s * 1e3:8.3f} ms] "
+        "all partitions arrived (early-bird complete)"
     )
-    sender.start()
-    barrier = Barrier(engine, N_THREADS, name="region.entry")
-
-    def worker(thread_id: int):
-        yield from barrier.wait(thread_id)
-        yield Delay(float(compute_times[thread_id]))
-        sender.pready(thread_id)
-
-    def observer():
-        first = yield WaitEvent(receiver._events[int(np.argmin(compute_times))])
-        print(f"[t={first * 1e3:8.3f} ms] first partition arrived at the receiver")
-        completion = yield WaitEvent(receiver.all_arrived)
-        print(f"[t={completion * 1e3:8.3f} ms] all partitions arrived (early-bird complete)")
-
-    workers = [engine.spawn(worker(t), name=f"thread{t}") for t in range(N_THREADS)]
-    engine.spawn(observer(), name="observer")
-    engine.run_until_complete(workers)
-    engine.run()
-
-    earlybird_completion = receiver.all_arrived.trigger_time
-    last_arrival = float(compute_times.max())
-    bulk_completion = last_arrival + network.message_time(BUFFER_BYTES, hops=2)
 
     rows = [
         {
             "event": "last thread finishes compute",
-            "time (ms)": last_arrival * 1e3,
+            "time (ms)": outcome.last_arrival_s * 1e3,
         },
         {
             "event": "early-bird partitioned message fully delivered",
-            "time (ms)": earlybird_completion * 1e3,
+            "time (ms)": outcome.earlybird_completion_s * 1e3,
         },
         {
             "event": "bulk (BSP) message fully delivered",
-            "time (ms)": bulk_completion * 1e3,
+            "time (ms)": outcome.bulk_completion_s * 1e3,
         },
     ]
     print()
     print(ascii_table(rows))
-    gain_us = (bulk_completion - earlybird_completion) * 1e6
     print(
-        f"\nearly-bird delivery completes {gain_us:.1f} µs earlier than the bulk "
-        f"send for this {BUFFER_BYTES // (1024 * 1024)} MB message "
+        f"\nearly-bird delivery completes {outcome.improvement_s * 1e6:.1f} µs earlier "
+        f"than the bulk send for this {BUFFER_BYTES // (1024 * 1024)} MB message "
         f"({N_THREADS} partitions, Omni-Path-like fabric)."
     )
 

@@ -5,15 +5,14 @@ The package is organised as a stack of substrates with the paper's
 contribution (thread-timing instrumentation and analysis) on top:
 
 ``repro.sim``
-    Deterministic discrete-event simulation engine.
+    Named, reproducible random streams.
 ``repro.cluster``
-    Machine model: nodes, sockets, cores, the per-core clock population and
-    an OS-noise model (the "Manzano" test platform of the paper is a preset).
+    Machine model: the node layout and an OS-noise model (the "Manzano" test
+    platform of the paper is a preset).
 ``repro.openmp``
-    Simulated OpenMP loop schedules (``static``/``dynamic``/``guided``) and
-    barriers.
+    Simulated OpenMP loop schedules (``static``/``dynamic``/``guided``).
 ``repro.mpi``
-    Simulated MPI-4.0-style partitioned communication on a LogGP network
+    Closed-form MPI-4.0-style partitioned communication on a LogGP network
     model (the transfer the early-bird feasibility model evaluates).
 ``repro.stats``
     Batch-vectorised normality tests (D'Agostino K², Shapiro–Wilk,

@@ -1,8 +1,8 @@
 """Machine configuration presets.
 
-A :class:`MachineConfig` bundles the cluster layout, the clock population and
-the OS-noise population into a single object the campaign runner can pass
-around.  :func:`manzano` reproduces the paper's test platform (§3.2).
+A :class:`MachineConfig` bundles the node layout and the OS-noise
+population into a single object the campaign runner can pass around.
+:func:`manzano` reproduces the paper's test platform (§3.2).
 
 The presets here are also registered by name in the machine registry
 (:mod:`repro.scenarios.machines`, ``get_machine("manzano")``), alongside the
@@ -13,15 +13,11 @@ factories remain the stable construction API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.cluster.clock import ClockSpec
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
-
-if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.cluster.topology import Cluster
 
 
 @dataclass
@@ -31,9 +27,8 @@ class MachineConfig:
     Parameters
     ----------
     n_nodes, sockets_per_node, cores_per_socket, frequency_ghz, memory_gb:
-        Cluster layout (see :class:`repro.cluster.topology.Cluster`).
-    clock_spec:
-        Per-core clock population (see :class:`repro.cluster.clock.ClockSpec`).
+        Node layout: ``n_nodes`` identical nodes of ``sockets_per_node``
+        sockets with ``cores_per_socket`` cores each.
     noise_spec:
         OS noise population (see :class:`repro.cluster.noise.NoiseSpec`).
     name:
@@ -45,7 +40,6 @@ class MachineConfig:
     cores_per_socket: int = 24
     frequency_ghz: float = 2.9
     memory_gb: float = 192.0
-    clock_spec: ClockSpec = field(default_factory=ClockSpec)
     noise_spec: NoiseSpec = field(default_factory=NoiseSpec)
     name: str = "generic"
 
@@ -57,19 +51,6 @@ class MachineConfig:
     @property
     def cores_per_node(self) -> int:
         return self.sockets_per_node * self.cores_per_socket
-
-    def build_cluster(self) -> Cluster:
-        """Instantiate the :class:`Cluster` topology."""
-        from repro.cluster.topology import Cluster
-
-        return Cluster(
-            self.n_nodes,
-            sockets_per_node=self.sockets_per_node,
-            cores_per_socket=self.cores_per_socket,
-            frequency_ghz=self.frequency_ghz,
-            memory_gb=self.memory_gb,
-            name=self.name,
-        )
 
     def build_noise_model(self, rng: Optional[np.random.Generator] = None) -> OSNoiseModel:
         """Instantiate the OS-noise model (one per process/trial)."""
@@ -100,7 +81,7 @@ def manzano(n_nodes: int = 2) -> MachineConfig:
 
     Two 24-core Intel Cascade Lake sockets per node at 2.90 GHz, 192 GB RAM,
     RHEL7 (standard HPC noise profile), Omni-Path interconnect (modelled in
-    :mod:`repro.mpi.network`), no ``tsc_reliable``.
+    :mod:`repro.mpi.network`).
     """
     return MachineConfig(
         n_nodes=n_nodes,
@@ -108,7 +89,6 @@ def manzano(n_nodes: int = 2) -> MachineConfig:
         cores_per_socket=24,
         frequency_ghz=2.9,
         memory_gb=192.0,
-        clock_spec=ClockSpec(tsc_reliable=False),
         noise_spec=NoiseSpec(),
         name="manzano",
     )
@@ -122,7 +102,6 @@ def laptop() -> MachineConfig:
         cores_per_socket=8,
         frequency_ghz=3.2,
         memory_gb=32.0,
-        clock_spec=ClockSpec(tsc_reliable=False),
         noise_spec=NoiseSpec(),
         name="laptop",
     )

@@ -3,10 +3,10 @@
 Layer map (bottom → top):
 
 * :mod:`~repro.core.timing` — :class:`TimingDataset`, the columnar store of
-  per-thread region timings (trial, process, iteration, thread, enter/exit
-  timestamps, derived compute time).
-* :mod:`~repro.core.instrument` — the Listing-1 analogue: record region
-  timings from simulated executions or from real Python thread pools.
+  per-thread region timings (trial, process, iteration, thread, derived
+  compute time).
+* :mod:`~repro.core.instrument` — the Listing-1 analogue: measure region
+  compute times on a real Python thread pool.
 * :mod:`~repro.core.aggregation` — the three aggregation levels of §4.1
   (application, application-iteration, process-iteration).
 * :mod:`~repro.core.normality` — the three-test battery applied per level
@@ -37,7 +37,7 @@ _LAZY_EXPORTS = {
         "EndToEndProjection",
         "StrategyProjection",
     ),
-    "repro.core.instrument": ("PythonThreadRegion", "RegionInstrumenter"),
+    "repro.core.instrument": ("PythonThreadRegion",),
     "repro.core.laggard": (
         "IterationClass",
         "LaggardAnalysis",

@@ -1,17 +1,13 @@
-"""Region instrumentation — the Listing-1 analogue.
+"""Region instrumentation on real threads — the Listing-1 analogue.
 
-Two instrumenters are provided:
-
-* :class:`RegionInstrumenter` — accumulates per-thread enter/exit timestamps
-  (raw monotonic readings) or derived compute times into a
-  :class:`~repro.core.timing.TimingDataset`.  The discrete-event reference
-  sampler in the test tree records its simulated clocks through it.
-* :class:`PythonThreadRegion` — applies the same methodology to a real Python
-  thread pool using ``time.monotonic_ns()``.  It exists so the quickstart can
-  demonstrate the measurement procedure end-to-end on real threads; because of
-  the GIL and the coarse scheduling granularity of CPython the absolute values
-  are *not* comparable to native OpenMP measurements (this is exactly the
-  limitation that motivates the simulated substrate).
+:class:`PythonThreadRegion` applies the paper's measurement procedure to a
+real Python thread pool using ``time.monotonic_ns()`` and returns the
+derived per-thread compute times as a
+:class:`~repro.core.timing.TimingDataset`.  It exists so the quickstart can
+demonstrate the procedure end to end on real threads; because of the GIL
+and the coarse scheduling granularity of CPython the absolute values are
+*not* comparable to native OpenMP measurements (this is exactly the
+limitation that motivates the simulated substrate).
 """
 
 from __future__ import annotations
@@ -19,110 +15,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
 from repro.core.timing import TimingDataset
-
-
-class RegionInstrumenter:
-    """Accumulates per-thread region timings into a dataset.
-
-    Parameters
-    ----------
-    region:
-        Name of the instrumented compute region (e.g. ``"matvec"``).
-    application:
-        Application label stored in the dataset metadata.
-    metadata:
-        Extra metadata merged into the dataset.
-    """
-
-    def __init__(
-        self,
-        region: str = "compute",
-        application: str = "unknown",
-        metadata: Optional[Dict[str, object]] = None,
-    ) -> None:
-        self.region = region
-        self.application = application
-        self.extra_metadata = dict(metadata or {})
-        self._rows: Dict[str, List] = {
-            "trial": [],
-            "process": [],
-            "iteration": [],
-            "thread": [],
-            "start_ns": [],
-            "end_ns": [],
-            "compute_time_s": [],
-        }
-
-    # ------------------------------------------------------------------
-    def record_thread(
-        self,
-        *,
-        trial: int,
-        process: int,
-        iteration: int,
-        thread: int,
-        start_ns: int,
-        end_ns: int,
-    ) -> None:
-        """Record one thread's enter/exit timestamps (raw monotonic readings)."""
-        if end_ns < start_ns:
-            raise ValueError("end_ns must be >= start_ns")
-        self._rows["trial"].append(trial)
-        self._rows["process"].append(process)
-        self._rows["iteration"].append(iteration)
-        self._rows["thread"].append(thread)
-        self._rows["start_ns"].append(start_ns)
-        self._rows["end_ns"].append(end_ns)
-        self._rows["compute_time_s"].append((end_ns - start_ns) * 1.0e-9)
-
-    def record_compute_times(
-        self,
-        *,
-        trial: int,
-        process: int,
-        iteration: int,
-        compute_times_s: Sequence[float],
-    ) -> None:
-        """Record derived compute times directly (one iteration of
-        :class:`PythonThreadRegion`)."""
-        times = np.asarray(compute_times_s, dtype=np.float64)
-        if np.any(times < 0):
-            raise ValueError("compute times must be non-negative")
-        n = len(times)
-        self._rows["trial"].extend([trial] * n)
-        self._rows["process"].extend([process] * n)
-        self._rows["iteration"].extend([iteration] * n)
-        self._rows["thread"].extend(range(n))
-        self._rows["start_ns"].extend([0] * n)
-        self._rows["end_ns"].extend((times * 1e9).astype(np.int64).tolist())
-        self._rows["compute_time_s"].extend(times.tolist())
-
-    # ------------------------------------------------------------------
-    @property
-    def n_records(self) -> int:
-        return len(self._rows["compute_time_s"])
-
-    def dataset(self) -> TimingDataset:
-        """Materialise the accumulated records as a :class:`TimingDataset`."""
-        if self.n_records == 0:
-            raise ValueError("no records collected yet")
-        columns = {name: np.asarray(values) for name, values in self._rows.items()}
-        metadata = {
-            "application": self.application,
-            "region": self.region,
-            **self.extra_metadata,
-        }
-        return TimingDataset(columns, metadata)
-
-    def reset(self) -> None:
-        """Discard all collected records."""
-        for values in self._rows.values():
-            values.clear()
 
 
 @dataclass
@@ -205,13 +102,13 @@ class PythonThreadRegion:
         """Run ``n_iterations`` instrumented iterations and return the dataset."""
         if n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
-        instrumenter = RegionInstrumenter(region=region, application=application)
-        for iteration in range(n_iterations):
-            times = self.run_iteration()
-            instrumenter.record_compute_times(
-                trial=0, process=0, iteration=iteration, compute_times_s=times
-            )
-        return instrumenter.dataset().with_metadata(
-            backend="python-threads",
-            caveat="GIL-bound measurement; relative shapes only",
+        times = np.stack([self.run_iteration() for _ in range(n_iterations)])
+        return TimingDataset.from_compute_times(
+            times[np.newaxis, np.newaxis],
+            {
+                "application": application,
+                "region": region,
+                "backend": "python-threads",
+                "caveat": "GIL-bound measurement; relative shapes only",
+            },
         )

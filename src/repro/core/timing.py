@@ -8,8 +8,9 @@ threads = 768 000 samples per application, so the dataset stores them as
 parallel NumPy columns rather than as objects.
 
 The *compute time* column is the derived measurement of §3.1: raw
-``CLOCK_MONOTONIC`` readings are kept (``start_ns`` / ``end_ns``) but are only
-comparable within one thread; all analysis uses ``compute_time_s``.
+``CLOCK_MONOTONIC`` readings (the optional ``start_ns`` / ``end_ns``
+columns) are only comparable within one thread; all analysis uses
+``compute_time_s``.
 """
 
 from __future__ import annotations

@@ -83,10 +83,10 @@ if TYPE_CHECKING:  # pragma: no cover - static typing only
 def config_cache_key(config: "CampaignConfig") -> str:
     """Stable hash of everything that determines a campaign's samples.
 
-    Includes the full machine description (clock and noise populations) and
-    the scenario's schedule override; excludes knobs that cannot change the
-    data, such as ``max_workers`` (a parallel run hits the cache entry of a
-    serial one) and the ``scenario`` label.
+    Includes the full machine description (node layout and noise
+    population) and the scenario's schedule override; excludes knobs that
+    cannot change the data, such as ``max_workers`` (a parallel run hits the
+    cache entry of a serial one) and the ``scenario`` label.
     """
     payload = {
         "application": config.application,

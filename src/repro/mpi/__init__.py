@@ -10,8 +10,8 @@ transfer itself:
 * :mod:`~repro.mpi.network` — a LogGP-style network/NIC model with an
   Omni-Path-like preset (the paper's interconnect).
 * :mod:`~repro.mpi.partitioned` — MPI-4.0-style partitioned transfers
-  (``Psend_init`` / ``Pready`` / ``Parrived``), in both an event-driven form
-  and the closed-form variant the early-bird feasibility model evaluates.
+  (``Psend_init`` / ``Pready`` / ``Parrived``) in closed form: the
+  per-partition delivery times the early-bird feasibility model evaluates.
 """
 
 from repro._lazy import lazy_exports
@@ -19,8 +19,6 @@ from repro._lazy import lazy_exports
 _LAZY_EXPORTS = {
     "repro.mpi.network": ("NetworkModel", "NICModel", "omni_path"),
     "repro.mpi.partitioned": (
-        "PartitionedRecvRequest",
-        "PartitionedSendRequest",
         "PartitionedTransfer",
         "partitioned_completion_times",
     ),

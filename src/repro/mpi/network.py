@@ -133,12 +133,6 @@ class NICModel:
         self.network = network
         self.hops = hops
         self._free_at = 0.0
-        self.log: List[NICTransmission] = []
-
-    def reset(self) -> None:
-        """Forget all queued work (new iteration)."""
-        self._free_at = 0.0
-        self.log.clear()
 
     @property
     def busy_until(self) -> float:
@@ -156,7 +150,7 @@ class NICModel:
         injection_done = start + self.network.serialization_time(nbytes)
         delivery = injection_done + self.network.wire_latency(self.hops) + self.network.o_recv_s
         self._free_at = injection_done
-        record = NICTransmission(
+        return NICTransmission(
             label=label,
             nbytes=nbytes,
             request_time=at_time,
@@ -164,8 +158,6 @@ class NICModel:
             injection_done=injection_done,
             delivery_time=delivery,
         )
-        self.log.append(record)
-        return record
 
     def submit_many(
         self, sizes: Sequence[int], times: Sequence[float], labels: Optional[Sequence[str]] = None

@@ -11,14 +11,11 @@ are assigned to threads:
   assignment policies (OpenMP ``schedule(...)`` clauses), each with two
   folds: ``simulate`` for one loop instance and ``simulate_campaign`` for a
   whole campaign's cost tensor.
-* :class:`~repro.openmp.barrier.Barrier` — a reusable barrier on the
-  discrete-event engine.
 """
 
 from repro._lazy import lazy_exports
 
 _LAZY_EXPORTS = {
-    "repro.openmp.barrier": ("Barrier",),
     "repro.openmp.schedule": (
         "DynamicSchedule",
         "GuidedSchedule",

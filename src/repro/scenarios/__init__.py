@@ -12,7 +12,7 @@ adds a declarative :class:`Scenario` layer on top:
   :class:`~repro.cluster.noise.NoiseSpec` bundles.
 * :mod:`repro.scenarios.machines` — the ``@register_machine`` registry with
   the paper's ``manzano`` platform, the ``laptop`` preset, a 128-core
-  ``fatnode`` and a noisy wide-clock ``cloudvm``.
+  ``fatnode`` and a noisy oversubscribed ``cloudvm``.
 * :mod:`repro.scenarios.scenario` — the :class:`Scenario` dataclass
   (machine × noise × application × schedule), the ``@register_scenario``
   catalog the CLI's ``--scenario``/``--list-scenarios`` flags resolve

@@ -318,7 +318,7 @@ _BUILTIN_SCENARIOS = (
     Scenario(
         name="manzano-quiet",
         noise="none",
-        description="Noise-off ablation (A2): pure schedule imbalance and clocks",
+        description="Noise-off ablation (A2): pure schedule and work imbalance",
     ),
     Scenario(
         name="manzano-heavytail",
@@ -358,13 +358,13 @@ _BUILTIN_SCENARIOS = (
     Scenario(
         name="fatnode-default",
         machine="fatnode",
-        description="128-core fat node with synchronised TSC (wide-team regime)",
+        description="128-core fat node (wide-team regime)",
     ),
     Scenario(
         name="cloudvm-default",
         machine="cloudvm",
-        description="Noisy oversubscribed cloud VM: wide clock spread, steal "
-        "ticks, heavy tails and storms",
+        description="Noisy oversubscribed cloud VM: steal ticks, heavy tails "
+        "and storms",
     ),
 )
 

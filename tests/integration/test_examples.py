@@ -58,6 +58,11 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "all partitions arrived" in result.stdout
         assert "bulk (BSP) message fully delivered" in result.stdout
+        # the figures of this seed
+        assert "[t=  49.252 ms] first partition arrived" in result.stdout
+        assert "[t=  72.617 ms] all partitions arrived" in result.stdout
+        assert "| 73.87" in result.stdout
+        assert "completes 1258.3 µs earlier" in result.stdout
 
     def test_paper_reproduction_smoke(self, tmp_path):
         result = _run(

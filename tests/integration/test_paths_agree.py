@@ -13,6 +13,7 @@ from oracles.event import record_trial
 from repro.analysis import analyze_dataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
+from repro.scenarios import get_machine
 from repro.stats.histogram import fixed_width_histogram, histogram_overlap
 
 
@@ -72,3 +73,21 @@ class TestBackendAgreement:
         # raw readings are *not* aligned across threads (unsynchronised
         # clocks), which is exactly why the derived compute time is used
         assert starts.std() > 1e6
+
+    def test_event_compute_times_are_the_elapsed_clock_readings(self):
+        # on cloudvm's wide clock population (epochs up to 1e16 ns) too
+        config = CampaignConfig(
+            application="minimd",
+            trials=1,
+            processes=2,
+            iterations=4,
+            threads=8,
+            seed=5,
+            machine=get_machine("cloudvm"),
+            backend="event",
+        )
+        dataset = record_trial(config, trial=0)
+        elapsed_ns = dataset.column("end_ns") - dataset.column("start_ns")
+        assert np.array_equal(dataset.compute_times_s, elapsed_ns * 1.0e-9)
+        assert dataset.column("start_ns").max() > 1e13
+        assert dataset.metadata == {"application": "minimd", "region": "force_lj"}

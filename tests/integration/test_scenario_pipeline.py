@@ -213,6 +213,15 @@ class TestCLI:
         assert "manzano" in out and "cloudvm" in out
         assert "pareto-interrupts" in out and "profiles:" in out
 
+    def test_list_machines_describes_each_layout(self, capsys):
+        assert runner_main(["--list-machines"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "cloudvm    1 node(s) x 1 socket(s) x 16 cores @ 2.50 GHz, 64 GB",
+            "fatnode    1 node(s) x 2 socket(s) x 64 cores @ 2.45 GHz, 1024 GB",
+            "laptop     1 node(s) x 1 socket(s) x 8 cores @ 3.20 GHz, 32 GB",
+            "manzano    2 node(s) x 2 socket(s) x 24 cores @ 2.90 GHz, 192 GB",
+        ]
+
     def test_scenario_run_end_to_end(self, tmp_path, capsys):
         code = runner_main(
             [

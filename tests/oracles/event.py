@@ -1,8 +1,8 @@
 """The discrete-event reference sampler, registered as the ``"event"``
 backend.
 
-It runs the paper's Listing 1 on the simulated machine: every OpenMP thread
-is a process on the discrete-event engine (:mod:`repro.sim.engine`), the
+It runs the paper's Listing 1 on a simulated machine: every OpenMP thread
+is a process on the discrete-event kernel (:mod:`oracles.engine`), the
 entry and exit barriers, each chunk of loop work and every OS-noise
 preemption happen as events, and each thread reads its start and end
 timestamps from its own core's monotonic clock.  Those clocks are not
@@ -14,8 +14,11 @@ noise populations in closed form, so the two agree in distribution, not
 bit-for-bit: the agreement tests compare them.  The pieces here exist only
 for that comparison:
 
-* :class:`MonotonicClock` / :class:`ClockDomain` — per-core clocks drawn
-  from the machine's :class:`~repro.cluster.clock.ClockSpec`;
+* :class:`Core` / :func:`place_processes` — the cores of a machine's
+  layout and the ranks' placement on them;
+* :class:`ClockSpec` / :class:`MonotonicClock` / :class:`ClockDomain` —
+  per-core clocks drawn from each machine's clock population
+  (:func:`clock_spec`);
 * :class:`WindowedNoiseModel` — each core's noise as one timeline of
   discrete events (:func:`events_in` of every source), drawn a window at a
   time;
@@ -35,14 +38,11 @@ from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequen
 
 import numpy as np
 
-from repro.cluster.clock import ClockSpec
+from repro.cluster.config import MachineConfig
 from repro.cluster.noise import OSNoiseModel
-from repro.cluster.topology import Core
 from repro.core.aggregation import ColumnBlock, campaign_block
-from repro.core.instrument import RegionInstrumenter
 from repro.core.timing import TimingDataset
 from repro.experiments.backends import CampaignBackend, build_application, register_backend
-from repro.openmp.barrier import Barrier
 from repro.openmp.schedule import LoopSchedule, StaticSchedule
 from repro.scenarios.sources import (
     CronBurstSource,
@@ -53,18 +53,101 @@ from repro.scenarios.sources import (
     PoissonInterruptSource,
     SilentSource,
 )
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import Delay
 from repro.sim.random import RandomStreams
 
+from oracles.engine import Barrier, Delay, SimulationEngine
 from oracles.models import iteration_model
 
 CoreKey = Tuple[int, int, int]
 
 
 # ----------------------------------------------------------------------
+# the machine's cores
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Core:
+    """One core, identified by ``(node_id, socket_id, core_id)``; it owns a
+    thread's clock and receives that core's OS noise."""
+
+    node_id: int
+    socket_id: int
+    core_id: int
+
+    @property
+    def global_id(self) -> CoreKey:
+        return (self.node_id, self.socket_id, self.core_id)
+
+
+def place_processes(
+    machine: MachineConfig, n_processes: int, threads_per_process: int
+) -> List[List[Core]]:
+    """Each process's cores, filling ``machine``'s nodes in order.
+
+    Mirrors a ``--map-by node --bind-to core`` launch: each process gets
+    ``threads_per_process`` consecutive cores (socket-major) of the first
+    node with that many left.
+    """
+    if n_processes < 1 or threads_per_process < 1:
+        raise ValueError("n_processes and threads_per_process must be >= 1")
+    per_node = machine.cores_per_node
+    placements: List[List[Core]] = []
+    node, first = 0, 0
+    for _ in range(n_processes):
+        if first + threads_per_process > per_node:
+            node, first = node + 1, 0
+        if node >= machine.n_nodes or threads_per_process > per_node:
+            raise ValueError(
+                f"cannot place {n_processes} processes × {threads_per_process} threads "
+                f"on {machine.n_nodes} node(s) of {per_node} cores"
+            )
+        placements.append(
+            [
+                Core(node, *divmod(core, machine.cores_per_socket))
+                for core in range(first, first + threads_per_process)
+            ]
+        )
+        first += threads_per_process
+    return placements
+
+
+# ----------------------------------------------------------------------
 # per-core monotonic clocks
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ClockSpec:
+    """A machine's per-core ``CLOCK_MONOTONIC`` population.
+
+    Every core's clock has a private epoch offset drawn uniformly from
+    ``[0, max_offset_s]``, a relative drift of ``drift_ppm`` parts per
+    million (standard deviation) and a uniform read jitter of
+    ``±read_jitter_ns``.  With ``tsc_reliable`` every core shares one
+    offset and has no drift (a synchronised, invariant TSC); the paper's
+    platform lacks that flag, which is why it derives compute times.
+    """
+
+    max_offset_s: float = 1.0e6
+    drift_ppm: float = 2.0
+    read_jitter_ns: float = 15.0
+    tsc_reliable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_offset_s < 0 or self.drift_ppm < 0 or self.read_jitter_ns < 0:
+            raise ValueError("ClockSpec parameters must be non-negative")
+
+
+#: the clock populations of the machines whose clocks are not the default
+#: :class:`ClockSpec`: a synchronised TSC, and migrated cloud guests
+CLOCK_SPECS: Dict[str, ClockSpec] = {
+    "fatnode": ClockSpec(tsc_reliable=True, read_jitter_ns=10.0),
+    "cloudvm": ClockSpec(max_offset_s=1.0e7, drift_ppm=40.0, read_jitter_ns=60.0),
+}
+
+
+def clock_spec(machine: MachineConfig) -> ClockSpec:
+    """The clock population of ``machine`` (by its registered name)."""
+    return CLOCK_SPECS.get(machine.name, ClockSpec())
+
+
 class MonotonicClock:
     """The ``CLOCK_MONOTONIC`` source of one core: a private epoch offset,
     a relative drift and bounded read jitter; reads on one core never go
@@ -509,8 +592,8 @@ class OpenMPRuntime:
         schedule = schedule if schedule is not None else StaticSchedule()
         costs = np.asarray(item_costs, dtype=np.float64)
         engine, team, n_threads = self.engine, self.team, self.team.n_threads
-        entry_barrier = Barrier(engine, n_threads, name=f"{region}.entry")
-        exit_barrier = Barrier(engine, n_threads, name=f"{region}.exit")
+        entry_barrier = Barrier(n_threads)
+        exit_barrier = Barrier(n_threads)
         static_assignment = schedule.static_assignment(len(costs), n_threads)
         cursor = [0]
         records: List[Optional[ThreadExecution]] = [None] * n_threads
@@ -530,7 +613,7 @@ class OpenMPRuntime:
             thread = team.threads[thread_id]
             if engine.now < region_start:
                 yield Delay(region_start - engine.now)
-            yield from entry_barrier.wait(thread_id)
+            yield from entry_barrier.wait()
             start_time = engine.now
             start_ns = thread.clock.read_ns(start_time)
             work_total = noise_total = 0.0
@@ -558,7 +641,7 @@ class OpenMPRuntime:
                 start_ns=start_ns,
                 end_ns=thread.clock.read_ns(engine.now),
             )
-            yield from exit_barrier.wait(thread_id)
+            yield from exit_barrier.wait()
 
         engine.run_until_complete(
             [
@@ -585,11 +668,10 @@ def record_trial(config, trial: int) -> TimingDataset:
     streams = RandomStreams(config.seed)
     app = build_application(config)
     model = iteration_model(app)
-    placements = config.machine.build_cluster().place_processes(
-        config.processes, config.threads
-    )
-    clock_domain = ClockDomain(config.machine.clock_spec, streams.get("clocks", trial))
-    instrumenter = RegionInstrumenter(region=app.region, application=app.name)
+    placements = place_processes(config.machine, config.processes, config.threads)
+    clock_domain = ClockDomain(clock_spec(config.machine), streams.get("clocks", trial))
+    # one (process, iteration, thread, start_ns, end_ns) row per sample
+    readings: List[Tuple[int, int, int, int, int]] = []
     for process in range(config.processes):
         work_rng = streams.get(app.name, "work", trial, process)
         noise = WindowedNoiseModel(
@@ -608,16 +690,30 @@ def record_trial(config, trial: int) -> TimingDataset:
             )
             # application-level delays act after the loop body (e.g. a
             # straggler thread's extra stall): they stretch the exit reading
-            for thread in execution.threads:
-                instrumenter.record_thread(
-                    trial=trial,
-                    process=process,
-                    iteration=iteration,
-                    thread=thread.thread_id,
-                    start_ns=thread.start_ns,
-                    end_ns=thread.end_ns + int(round(delays[thread.thread_id] * 1e9)),
+            readings.extend(
+                (
+                    process,
+                    iteration,
+                    thread.thread_id,
+                    thread.start_ns,
+                    thread.end_ns + int(round(delays[thread.thread_id] * 1e9)),
                 )
-    return instrumenter.dataset()
+                for thread in execution.threads
+            )
+    process, iteration, thread, start_ns, end_ns = (
+        np.array(column, dtype=np.int64) for column in zip(*readings)
+    )
+    columns = {
+        "trial": np.full(len(readings), trial),
+        "process": process,
+        "iteration": iteration,
+        "thread": thread,
+        "start_ns": start_ns,
+        "end_ns": end_ns,
+        # elapsed time on the thread's own clock, the paper's derived metric
+        "compute_time_s": (end_ns - start_ns) * 1.0e-9,
+    }
+    return TimingDataset(columns, {"application": app.name, "region": app.region})
 
 
 @register_backend("event")

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles.event import MonotonicClock, WindowedNoiseModel
+from oracles.event import Core, MonotonicClock, WindowedNoiseModel
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Core
 from repro.core.aggregation import AggregationLevel, aggregate
 from repro.core.timing import TimingDataset
 from repro.io.dataset_io import load_dataset, save_dataset

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles.event import WindowedNoiseModel, events_in
+from oracles.event import Core, WindowedNoiseModel, events_in
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Core
 from repro.scenarios import (
     available_noise_profiles,
     available_noise_sources,

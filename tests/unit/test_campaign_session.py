@@ -1,5 +1,6 @@
 """Unit tests for the CampaignSession facade and result caching."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -213,10 +214,29 @@ class TestResultCaching:
         assert config_cache_key(smoke_config) != config_cache_key(
             smoke_config.for_application("minimd")
         )
+        # the machine is part of the key: its noise population and its size
+        machine = smoke_config.machine
+        for other in (
+            machine.with_noise_profile("heavy-tail"),
+            machine.without_noise(),
+            dataclasses.replace(machine, n_nodes=machine.n_nodes + 2),
+        ):
+            assert config_cache_key(smoke_config) != config_cache_key(
+                dataclasses.replace(smoke_config, machine=other)
+            )
+        assert config_cache_key(smoke_config) == config_cache_key(
+            dataclasses.replace(smoke_config, machine=dataclasses.replace(machine))
+        )
         # execution knobs that cannot change the samples share the cache entry
         assert config_cache_key(smoke_config) == config_cache_key(
             smoke_config.parallel(4)
         )
+
+
+    def test_cache_key_is_pinned(self):
+        # a new key orphans every cache entry written under the old one, so
+        # the payload (and with it this value) changes only on purpose
+        assert config_cache_key(CampaignConfig.smoke()) == "658a5f37d82b2963"
 
 
 class TestAnalysisProductCaching:

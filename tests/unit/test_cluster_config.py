@@ -13,23 +13,15 @@ class TestPresets:
         assert config.cores_per_socket == 24
         assert config.cores_per_node == 48
         assert config.frequency_ghz == pytest.approx(2.9)
-        assert config.clock_spec.tsc_reliable is False
 
     def test_laptop_is_smaller(self):
         assert laptop().cores_per_node < manzano().cores_per_node
 
 
 class TestBuilders:
-    def test_build_cluster_uses_layout(self):
-        cluster = manzano(n_nodes=3).build_cluster()
-        assert cluster.n_nodes == 3
-        assert cluster.cores_per_node == 48
-
-    def test_build_noise_model_and_clock_spec(self):
-        config = manzano()
-        noise = config.build_noise_model(np.random.default_rng(0))
+    def test_build_noise_model(self):
+        noise = manzano().build_noise_model(np.random.default_rng(0))
         assert noise.spec.enabled
-        assert not config.clock_spec.tsc_reliable
 
     def test_without_noise_is_a_disabled_copy(self):
         config = manzano()

@@ -5,9 +5,8 @@ from, and the discrete-event reference's per-core timelines
 import numpy as np
 import pytest
 
-from oracles.event import WindowedNoiseModel
+from oracles.event import Core, WindowedNoiseModel
 from repro.cluster.noise import NoiseSpec, OSNoiseModel
-from repro.cluster.topology import Core
 
 CORE = Core(0, 0, 0)
 OTHER_CORE = Core(0, 0, 1)

@@ -1,51 +1,9 @@
-"""Unit tests for the region instrumenters."""
+"""Unit tests for the real-thread region instrumenter."""
 
 import numpy as np
 import pytest
 
-from repro.core.instrument import PythonThreadRegion, RegionInstrumenter
-
-
-class TestRegionInstrumenter:
-    def test_record_thread_and_dataset(self):
-        instr = RegionInstrumenter(region="matvec", application="minife")
-        instr.record_thread(
-            trial=0, process=1, iteration=2, thread=3, start_ns=100, end_ns=2_000_100
-        )
-        ds = instr.dataset()
-        assert len(ds) == 1
-        assert ds.metadata["region"] == "matvec"
-        assert ds.compute_times_s[0] == pytest.approx(2.0e-3)
-
-    def test_backwards_timestamps_rejected(self):
-        instr = RegionInstrumenter()
-        with pytest.raises(ValueError):
-            instr.record_thread(
-                trial=0, process=0, iteration=0, thread=0, start_ns=10, end_ns=5
-            )
-
-    def test_record_compute_times_assigns_thread_ids(self):
-        instr = RegionInstrumenter(application="x")
-        instr.record_compute_times(
-            trial=0, process=0, iteration=0, compute_times_s=[1e-3, 2e-3, 3e-3]
-        )
-        ds = instr.dataset()
-        assert ds.n_threads == 3
-        np.testing.assert_allclose(
-            np.sort(ds.compute_times_s), [1e-3, 2e-3, 3e-3]
-        )
-
-    def test_empty_instrumenter_cannot_build_dataset(self):
-        with pytest.raises(ValueError):
-            RegionInstrumenter().dataset()
-
-    def test_reset_clears_records(self):
-        instr = RegionInstrumenter()
-        instr.record_compute_times(
-            trial=0, process=0, iteration=0, compute_times_s=[1e-3]
-        )
-        instr.reset()
-        assert instr.n_records == 0
+from repro.core.instrument import PythonThreadRegion
 
 
 class TestPythonThreadRegion:
@@ -61,7 +19,23 @@ class TestPythonThreadRegion:
         assert ds.n_threads == 3
         assert ds.n_iterations == 4
         assert np.all(ds.compute_times_s >= 0.0)
-        assert ds.metadata["backend"] == "python-threads"
+        assert ds.metadata == {
+            "application": "pool-demo",
+            "region": "loop",
+            "backend": "python-threads",
+            "caveat": "GIL-bound measurement; relative shapes only",
+        }
+        # only derived compute times: the raw readings never leave the run
+        assert "start_ns" not in ds.columns
+
+    def test_samples_are_indexed_by_iteration_and_thread(self):
+        region = PythonThreadRegion(n_threads=3, work_fn=lambda i: None, n_items=6)
+        ds = region.run(n_iterations=2)
+        assert len(ds) == 6
+        np.testing.assert_array_equal(ds.column("trial"), 0)
+        np.testing.assert_array_equal(ds.column("process"), 0)
+        np.testing.assert_array_equal(ds.column("iteration"), [0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(ds.column("thread"), [0, 1, 2, 0, 1, 2])
 
     def test_block_assignment_covers_all_items(self):
         region = PythonThreadRegion(n_threads=4, work_fn=lambda i: None, n_items=10)

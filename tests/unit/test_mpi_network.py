@@ -59,10 +59,8 @@ class TestNICModel:
         # result order matches input order, but service order follows times
         assert records[1].start_time < records[2].start_time < records[0].start_time
 
-    def test_reset_clears_queue(self):
+    def test_busy_until_is_the_last_injection_end(self):
         nic = NICModel(omni_path())
-        nic.submit(1 << 20, at_time=0.0)
-        assert nic.busy_until > 0.0
-        nic.reset()
         assert nic.busy_until == 0.0
-        assert nic.log == []
+        record = nic.submit(1 << 20, at_time=0.0)
+        assert nic.busy_until == record.injection_done > 0.0

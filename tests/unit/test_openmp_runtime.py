@@ -4,16 +4,22 @@ region execution on the event engine)."""
 import numpy as np
 import pytest
 
-from oracles.event import ClockDomain, OpenMPRuntime, ThreadTeam, WindowedNoiseModel
-from repro.cluster.clock import ClockSpec
+from oracles.event import (
+    ClockDomain,
+    ClockSpec,
+    OpenMPRuntime,
+    ThreadTeam,
+    WindowedNoiseModel,
+    place_processes,
+)
+from repro.cluster.config import MachineConfig
 from repro.cluster.noise import NoiseSpec
-from repro.cluster.topology import Cluster
 from repro.openmp.schedule import DynamicSchedule, StaticSchedule
 
 
 def _team(n_threads=4, noise_enabled=False, seed=0):
-    cluster = Cluster(1, sockets_per_node=2, cores_per_socket=max(n_threads // 2, 1))
-    cores = cluster.cores_of(0)[:n_threads]
+    machine = MachineConfig(sockets_per_node=2, cores_per_socket=(n_threads + 1) // 2)
+    (cores,) = place_processes(machine, 1, n_threads)
     clock_domain = ClockDomain(
         ClockSpec(read_jitter_ns=0.0, drift_ppm=0.0), np.random.default_rng(seed)
     )
@@ -33,7 +39,6 @@ class TestThreadTeam:
         assert team.spans_sockets()
 
     def test_empty_team_rejected(self):
-        cluster = Cluster(1)
         clock_domain = ClockDomain(ClockSpec())
         noise = WindowedNoiseModel(NoiseSpec())
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 """Unit tests for the top-level package API (lazy exports, metadata)."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +110,30 @@ class TestLazyExports:
         assert repro.CampaignSession is importlib.import_module(
             "repro.experiments.session"
         ).CampaignSession
+
+
+class TestShippedPackage:
+    """The package holds only what its own paths run; the reference
+    samplers and the discrete-event kernel live in the test tree."""
+
+    def test_no_module_imports_the_test_tree(self):
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                assert not {"oracles", "tests", "conftest"} & set(roots), (path, roots)
+
+    def test_event_kernel_clocks_and_topology_are_not_shipped(self):
+        for name in (
+            "repro.sim.engine",
+            "repro.sim.events",
+            "repro.sim.process",
+            "repro.openmp.barrier",
+            "repro.cluster.clock",
+            "repro.cluster.topology",
+        ):
+            assert importlib.util.find_spec(name) is None, name
