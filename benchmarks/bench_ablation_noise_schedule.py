@@ -93,8 +93,8 @@ def test_dynamic_schedule_rebalances_minife(benchmark):
     rng = np.random.default_rng(0)
     static_base = MiniFEApp(
         MiniFEConfig(straggler_probability=0.0)
-    ).base_thread_times(0, 0, rng)
-    dynamic_base = app.base_thread_times(0, 0, rng)
+    ).base_thread_times_campaign([(0, 0)], 1, rng)[0, 0]
+    dynamic_base = app.base_thread_times_campaign([(0, 0)], 1, rng)[0, 0]
     # dynamic scheduling narrows the spread of pure work per thread and in
     # particular removes the early boundary threads of the static blocks
     assert dynamic_base.std() < static_base.std()

@@ -20,8 +20,9 @@ and shrinks once the transfer outlasts it.
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_dataset
 from repro.core.aggregation import AggregationLevel, aggregate
-from repro.core.laggard import IterationClass, analyze_laggards
+from repro.core.laggard import IterationClass
 from repro.core.strategies import (
     BinnedStrategy,
     BulkStrategy,
@@ -39,12 +40,10 @@ GAIN_SWEEP_MB = (1, 16, 64, 256, 1024, 4096)
 
 
 def _arrivals_of_class(dataset, iteration_class):
-    grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-    analysis = analyze_laggards(grouped)
-    key = analysis.exemplar(iteration_class)
+    key = analyze_dataset(dataset, ["laggards"])["laggards"].exemplar(iteration_class)
     if key is None:
         return None
-    return grouped.group(key)
+    return aggregate(dataset, AggregationLevel.PROCESS_ITERATION).group(key)
 
 
 def test_strategies_on_miniqmc_wide_distribution(benchmark, miniqmc_ds):

@@ -23,8 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.aggregation import AggregationLevel
-from repro.core.normality import NormalityStudy
+from repro.analysis import analyze_dataset
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession
 from repro.stats._normal import ndtr
@@ -53,26 +52,23 @@ def _best_time(kernel, matrix, repeats: int = 7) -> float:
 
 
 def _study_all_levels(dataset):
-    study = NormalityStudy(dataset)
-    study.level_result(AggregationLevel.APPLICATION)
-    study.level_result(AggregationLevel.APPLICATION_ITERATION)
-    study.level_result(AggregationLevel.PROCESS_ITERATION)
-    return study
+    """The shipped normality pass: all three §4.1 levels in one fold."""
+    return analyze_dataset(dataset, ["normality"])["normality"]
 
 
 def test_section41_minife(benchmark, minife_ds):
     study = benchmark(_study_all_levels, minife_ds)
-    assert study.application_rejects_normality()
-    passes = study.application_iteration_pass_counts()
+    assert study.application_rejected
+    passes = study.application_iteration_pass_counts
     assert max(passes.values()) <= 5  # essentially never normal when pooled
 
 
 def test_section41_minimd(benchmark, minimd_ds):
     study = benchmark(_study_all_levels, minimd_ds)
-    assert study.application_rejects_normality()
+    assert study.application_rejected
     # pooling across processes rejects more often than single process teams
-    pooled = study.application_iteration_pass_counts()["dagostino"] / 200.0
-    per_team = study.process_iteration_pass_rates()["dagostino"]
+    pooled = study.application_iteration_pass_counts["dagostino"] / 200.0
+    per_team = study.process_iteration_pass_rates["dagostino"]
     assert pooled < per_team
 
 
@@ -92,11 +88,11 @@ def miniqmc_populations_ds():
 
 def test_section41_miniqmc(benchmark, miniqmc_populations_ds):
     study = benchmark(_study_all_levels, miniqmc_populations_ds)
-    rates = study.process_iteration_pass_rates()
+    rates = study.process_iteration_pass_rates
     assert min(rates.values()) > 0.85
     # the coarse levels pool heterogeneous walker populations and therefore
     # pass (much) less often than the per-process-iteration level
-    pooled = study.application_iteration_pass_counts()["shapiro_wilk"] / 200.0
+    pooled = study.application_iteration_pass_counts["shapiro_wilk"] / 200.0
     assert pooled < rates["shapiro_wilk"]
 
 

@@ -26,7 +26,8 @@ subclass :class:`AnalysisPass` and register with :func:`register_analysis`
 — the third registry of the campaign layer, after execution backends and
 scenarios.
 
-Every pass is bit-identical to the dense reference analyses over
+Each §4 product has one implementation, its pass, and every pass is
+bit-identical to the same statistics computed over the dense grouping of
 :func:`~repro.core.aggregation.aggregate`, in memory and out of core.  A
 campaign analysed through the shard store keeps re-readable handles on its
 samples rather than the samples themselves, and the finalizes read them

@@ -17,10 +17,12 @@ reclaimable   :class:`~repro.core.reclaimable.ReclaimableSummary`   §4.2
 earlybird     dict of mean early-bird gains                         Fig 1/2
 ============  ====================================================  =========
 
+These passes are the package's one implementation of each product.
 Exactness contract (checked by the pinned-digest integration tests and
-against the dense :func:`~repro.core.aggregation.aggregate` oracles): every
-pass produces results *bit-identical* to the dense reference analyses, for
-any shard decomposition and any shard order.  The trick is that
+against the test tree's dense references): every pass produces results
+*bit-identical* to the same statistics computed at once over a whole
+dataset's :func:`~repro.core.aggregation.aggregate` grouping, for any
+shard decomposition and any shard order.  The trick is that
 accumulators never merge floating-point partials — they keep exact
 per-slice segments keyed by the slice's serial (trial, process, first
 iteration) position and re-assemble the dense-order arrays at finalize.
@@ -72,7 +74,6 @@ from repro.core.laggard import (
     LaggardAnalysis,
     group_laggard_codes,
 )
-from repro.core.normality import stratified_ranks, stratified_subsample
 from repro.core.reclaimable import ReclaimableSummary, reclaim_and_idle_ratio
 from repro.stats.battery import TEST_NAMES, NormalityBattery
 from repro.stats.histogram import FixedWidthHistogram
@@ -82,7 +83,7 @@ from repro.stats.percentiles import (
     sorted_median,
     sorted_percentiles,
 )
-from repro.stats.selection import select_sorted
+from repro.stats.selection import select_sorted, stratified_ranks, stratified_subsample
 from repro.stats.streaming import StreamingHistogram
 
 #: samples of pooled iteration rows the percentiles and normality
@@ -233,7 +234,7 @@ def _application_row(segments, limit: int) -> np.ndarray:
 
     Up to ``limit`` samples, the row is every slice's samples in serial
     order.  Above it, the strided ranks of
-    :func:`~repro.core.normality.stratified_subsample` are selected from
+    :func:`~repro.stats.selection.stratified_subsample` are selected from
     the segments in a few counting passes
     (:func:`~repro.stats.selection.select_sorted`), bit for bit the values
     of the sorted row, without reading the row into memory.
@@ -432,9 +433,10 @@ class NormalityPass(AnalysisPass):
         """Battery pass counts at the application-iteration level.
 
         Each iteration's row is the dense path's pooled per-iteration
-        vector, bit for bit (:func:`_iteration_batches`), stratified like
-        the dense oracle's, so the counts match
-        :meth:`NormalityStudy.application_iteration_pass_counts` exactly.
+        vector, bit for bit (:func:`_iteration_batches`), stratified by
+        :func:`~repro.stats.selection.stratified_subsample`, so the counts
+        are exactly those of the battery run on the application-iteration
+        rows of :func:`~repro.core.aggregation.aggregate`.
         """
         counts = dict.fromkeys(TEST_NAMES, 0)
         n_iterations = 0
@@ -563,8 +565,8 @@ class LaggardsPass(AnalysisPass):
     def accumulate_columns_split(self, block, context):
         n_slices, n_iterations, n_threads = block.cube.shape
         ordered = block.sorted_cube.reshape(n_slices * n_iterations, n_threads)
-        # the per-group operations of group_laggard_metrics, over the whole
-        # block at once, read off the block's shared sort bit for bit; a
+        # each group's np.median, max and np.percentile quartiles, over the
+        # whole block at once, read off the block's shared sort bit for bit; a
         # slice keeps its medians, maxima, IQRs and class codes (the gaps
         # and flags are derived again at finalize)
         median = sorted_median(ordered)
@@ -695,8 +697,9 @@ class EarlybirdPass(AnalysisPass):
 
     The global index of each process-iteration group (via the context)
     determines whether it lies on the evaluation stride, so the evaluated
-    subset — and therefore every mean — is that of the dense
-    ``aggregate(dataset, PROCESS_ITERATION).values[::stride]`` regardless
+    subset — and therefore every mean — is every ``stride``-th group in
+    serial (trial, process, iteration) order, as in
+    ``dataset.to_dense().reshape(-1, n_threads)[::stride]``, regardless
     of sharding.  Accumulation only keeps the selected groups' arrival
     rows, keyed by global index; finalize replays the FIFO injection model
     once over all of them (:meth:`EarlyBirdModel.evaluate_groups`, whose

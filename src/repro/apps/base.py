@@ -129,8 +129,8 @@ class ProxyApplication(ABC):
         """Pure compute times ``(n_shards, n_iterations, n_threads)`` of many
         shards, folded through the schedule's whole-campaign kernel — one
         :meth:`~repro.openmp.schedule.LoopSchedule.simulate_campaign` call
-        for the entire chunk, each row bit-identical to the per-iteration
-        ``simulate`` fold."""
+        for the entire chunk, each row bit-identical to folding that row
+        alone."""
         costs = self.item_costs_campaign(shards, n_iterations, rng)
         return self.config.schedule.simulate_campaign(costs, self.config.n_threads)
 

@@ -79,7 +79,7 @@ class MiniFEApp(ProxyApplication):
         # item costs are deterministic (the matrix does not change between
         # iterations), so compute them once
         self._item_costs = self._pencil_nnz * self._time_per_nonzero
-        self._base_times_cache: Optional[np.ndarray] = None
+        self._busy_row: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _calibrate_time_per_nonzero(self) -> float:
@@ -91,9 +91,10 @@ class MiniFEApp(ProxyApplication):
         # *median thread* of a static schedule lands exactly on the target.
         from repro.openmp.schedule import StaticSchedule
 
-        outcome = StaticSchedule().simulate(self._pencil_nnz, self.config.n_threads)
-        median_nnz = float(np.median(outcome.busy_time))
-        return TARGET_MEDIAN_ARRIVAL_S / median_nnz
+        busy = StaticSchedule().simulate_campaign(
+            self._pencil_nnz[np.newaxis, np.newaxis], self.config.n_threads
+        )
+        return TARGET_MEDIAN_ARRIVAL_S / float(np.median(busy))
 
     @property
     def time_per_nonzero_s(self) -> float:
@@ -103,18 +104,6 @@ class MiniFEApp(ProxyApplication):
     # ------------------------------------------------------------------
     # work model
     # ------------------------------------------------------------------
-    def base_thread_times(
-        self, process: int, iteration: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-thread pure mat-vec time under the configured loop schedule
-        (cached: the matrix never changes)."""
-        if self._base_times_cache is None:
-            outcome = self.config.schedule.simulate(
-                self._item_costs, self.config.n_threads
-            )
-            self._base_times_cache = outcome.busy_time
-        return self._base_times_cache
-
     def item_costs_campaign(self, shards, n_iterations, rng):
         """Cost of every (z, y) pencil of the mat-vec loop: the matrix is
         deterministic, so the pencil costs are broadcast (zero draws)."""
@@ -123,10 +112,17 @@ class MiniFEApp(ProxyApplication):
         )
 
     def base_thread_times_campaign(self, shards, n_iterations, rng):
-        """Broadcast the cached busy-time row over all shards and iterations
-        (bit-identical to folding the broadcast cost tensor: every schedule's
-        campaign kernel replays identical rows to identical sums)."""
-        row = self.base_thread_times(0, 0, rng)
+        """Per-thread pure mat-vec time under the configured loop schedule:
+        the matrix never changes, so the schedule folds the one ``(1, 1,
+        n_pencils)`` cost row once per app and the busy row is broadcast
+        over all shards and iterations (bit-identical to folding the
+        broadcast cost tensor: every schedule's fold replays identical rows
+        to identical sums)."""
+        if self._busy_row is None:
+            self._busy_row = self.config.schedule.simulate_campaign(
+                self._item_costs[np.newaxis, np.newaxis], self.config.n_threads
+            )[0, 0]
+        row = self._busy_row
         return np.broadcast_to(row, (len(shards), n_iterations, row.size))
 
     def application_delays_campaign(self, shards, n_iterations, rng):

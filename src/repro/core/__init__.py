@@ -8,11 +8,11 @@ Layer map (bottom → top):
 * :mod:`~repro.core.instrument` — the Listing-1 analogue: measure region
   compute times on a real Python thread pool.
 * :mod:`~repro.core.aggregation` — the three aggregation levels of §4.1
-  (application, application-iteration, process-iteration).
-* :mod:`~repro.core.normality` — the three-test battery applied per level
-  (Table 1 and the §4.1 discussion).
-* :mod:`~repro.core.laggard` — laggard-thread detection and iteration
-  classification (Figures 5/7, the 22.4 % / 4.8 % laggard rates).
+  (application, application-iteration, process-iteration): the column
+  blocks every analysis folds, and :func:`aggregate` for group access to
+  a materialised dataset.
+* :mod:`~repro.core.laggard` — laggard-thread classes and the per-group
+  :class:`LaggardAnalysis` (Figures 5/7, the 22.4 % / 4.8 % laggard rates).
 * :mod:`~repro.core.reclaimable` — reclaimable time and idle-ratio metrics.
 * :mod:`~repro.core.earlybird` / :mod:`~repro.core.strategies` — the
   early-bird feasibility model: what the measured arrival distributions imply
@@ -20,10 +20,10 @@ Layer map (bottom → top):
 * :mod:`~repro.core.report` — :class:`FeasibilityReport`, the
   per-application summary.
 
-The dense modules here (:func:`aggregate`, :class:`NormalityStudy`, the
-laggard and reclaimable summaries) are the reference oracles and numeric
-primitives; campaign analyses run as registered passes in
-:mod:`repro.analysis` (:func:`~repro.analysis.analyze_dataset` for a
+Each §4 product — the normality battery at the three levels (Table 1 and
+the §4.1 discussion), the laggard and the reclaimable-time metrics — is
+computed once, by a registered pass of :mod:`repro.analysis`, on the
+primitives here (:func:`~repro.analysis.analyze_dataset` for a
 materialised dataset).
 """
 
@@ -38,13 +38,7 @@ _LAZY_EXPORTS = {
         "StrategyProjection",
     ),
     "repro.core.instrument": ("PythonThreadRegion",),
-    "repro.core.laggard": (
-        "IterationClass",
-        "LaggardAnalysis",
-        "LaggardSummary",
-        "classify_iterations",
-    ),
-    "repro.core.normality": ("NormalityStudy",),
+    "repro.core.laggard": ("IterationClass", "LaggardAnalysis"),
     "repro.core.reclaimable": ("ReclaimableSummary", "idle_ratio", "reclaimable_time"),
     "repro.core.report": ("FeasibilityReport",),
     "repro.core.strategies": (

@@ -158,12 +158,6 @@ def aggregate(
     return GroupedSamples(level=level, keys=keys, values=values)
 
 
-def per_iteration_samples(dataset: TimingDataset) -> np.ndarray:
-    """Matrix ``(n_iterations, samples_per_iteration)`` (percentile-plot input)."""
-    grouped = aggregate(dataset, AggregationLevel.APPLICATION_ITERATION)
-    return grouped.values
-
-
 class ShardSlice(NamedTuple):
     """Address of one shard's rows inside a multi-shard column block.
 

@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import AggregationLevel, aggregate
 from repro.core.strategies import (
     BinnedStrategy,
     BulkStrategy,
@@ -164,9 +163,10 @@ class EndToEndModel:
             deterministic) — enough for stable means without evaluating all
             16 000 paper-scale groups.
         """
-        grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-        stride = max(grouped.n_groups // max_iterations, 1)
-        arrivals_matrix = grouped.values[::stride]
+        # the process-iteration groups in (trial, process, iteration) order
+        groups = dataset.to_dense().reshape(-1, dataset.n_threads)
+        stride = max(len(groups) // max_iterations, 1)
+        arrivals_matrix = groups[::stride]
         n_evaluated = arrivals_matrix.shape[0]
 
         projection = EndToEndProjection(

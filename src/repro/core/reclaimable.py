@@ -24,9 +24,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.aggregation import AggregationLevel, GroupedSamples, aggregate
-from repro.core.timing import TimingDataset
-
 
 def reclaimable_time(arrivals_s) -> np.ndarray:
     """Reclaimable time of each group: ``Σ_t (max − t_i)`` along the last axis."""
@@ -80,39 +77,3 @@ class ReclaimableSummary:
             "n_threads": float(self.n_threads),
         }
 
-
-def summarize_reclaimable(
-    dataset_or_groups: TimingDataset | GroupedSamples,
-) -> ReclaimableSummary:
-    """Average reclaimable time and idle ratio over all process-iterations."""
-    if isinstance(dataset_or_groups, TimingDataset):
-        grouped = aggregate(dataset_or_groups, AggregationLevel.PROCESS_ITERATION)
-    else:
-        grouped = dataset_or_groups
-    reclaim, ratios = reclaim_and_idle_ratio(grouped.values)
-    n_threads = grouped.group_size
-    return ReclaimableSummary(
-        mean_reclaimable_s=float(np.mean(reclaim)),
-        median_reclaimable_s=float(np.median(reclaim)),
-        max_reclaimable_s=float(np.max(reclaim)),
-        mean_idle_ratio=float(np.mean(ratios)),
-        mean_per_thread_idle_s=float(np.mean(reclaim) / n_threads),
-        n_groups=grouped.n_groups,
-        n_threads=n_threads,
-    )
-
-
-def per_iteration_reclaimable(dataset: TimingDataset) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-application-iteration mean reclaimable time and idle ratio.
-
-    Averages the per-process-iteration metrics over trials and processes for
-    each application iteration — the trajectory view used by the ablation
-    benchmarks.
-    """
-    grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
-    reclaim, ratios = reclaim_and_idle_ratio(grouped.values)
-    iterations = np.array([key[-1] for key in grouped.keys])
-    unique = np.unique(iterations)
-    mean_reclaim = np.array([reclaim[iterations == it].mean() for it in unique])
-    mean_ratio = np.array([ratios[iterations == it].mean() for it in unique])
-    return mean_reclaim, mean_ratio

@@ -221,8 +221,7 @@ class CampaignTensorBackend(CampaignBackend):
     samples agree with a per-iteration sampling loop in distribution
     (property-tested against the tests' reference sampler), not
     bit-for-bit; the backend pins its own smoke digests.  The schedule
-    fold itself keeps per-row bit-identity with the per-iteration
-    ``simulate``.
+    fold itself is bit-identical per row to folding that row alone.
 
     The campaign is one unit of work per *chunk*, not per shard:
     :meth:`work_units` cuts the campaign into chunks and :meth:`unit_block`

@@ -8,9 +8,9 @@ are assigned to threads:
 * :class:`~repro.openmp.schedule.StaticSchedule` /
   :class:`~repro.openmp.schedule.DynamicSchedule` /
   :class:`~repro.openmp.schedule.GuidedSchedule` — loop iteration-to-thread
-  assignment policies (OpenMP ``schedule(...)`` clauses), each with two
-  folds: ``simulate`` for one loop instance and ``simulate_campaign`` for a
-  whole campaign's cost tensor.
+  assignment policies (OpenMP ``schedule(...)`` clauses), each with one
+  fold, ``simulate_campaign``, of a whole campaign's cost tensor (one loop
+  instance is a ``(1, 1, n_items)`` tensor).
 """
 
 from repro._lazy import lazy_exports

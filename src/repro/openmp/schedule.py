@@ -1,21 +1,14 @@
 """OpenMP loop schedules.
 
 A schedule maps loop iterations (work items) to threads.  Every schedule
-offers the same two folds of a per-item cost array into per-thread busy
-times, one per execution path:
-
-* :meth:`LoopSchedule.simulate` — one loop instance (a 1-D cost vector).
-  Besides the busy times it returns the realised assignment.  For
-  work-stealing-style schedules (``dynamic``, ``guided``) the assignment
-  depends on execution order, so the fold replays the "grab the next chunk
-  when idle" policy against the costs.
-* :meth:`LoopSchedule.simulate_campaign` — a whole campaign's
-  ``(n_shards, n_instances, n_items)`` cost tensor at once (the
-  ``"campaign"`` backend), every row bit-identical to :meth:`simulate`.
-
-:meth:`LoopSchedule.static_assignment` additionally returns the item indices
-of every thread for schedules whose assignment is known before execution
-(``static`` and ``static,chunk``).
+has one fold, :meth:`LoopSchedule.simulate_campaign`: a whole campaign's
+``(n_shards, n_instances, n_items)`` cost tensor becomes the
+``(n_shards, n_instances, n_threads)`` per-thread busy times.  One loop
+instance is a ``(1, 1, n_items)`` tensor.  Chunk boundaries depend only on
+the loop's geometry, never on the realised costs, so the static clauses
+fold in closed form and the work-stealing-style ones (``dynamic``,
+``guided``) replay the "grab the next chunk when idle" policy for every
+row at once.
 
 The default for the proxy applications is ``static`` — the OpenMP default for
 ``parallel for`` in the Mantevo apps the paper instruments — which is exactly
@@ -24,9 +17,7 @@ what creates MiniFE's deterministic imbalance (200 planes over 48 threads).
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -68,9 +59,9 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 def _static_block_offsets(n_items: int, n_threads: int) -> np.ndarray:
     """Memoized boundaries of the chunk-less static split (read-only).
 
-    The per-iteration paths (MiniFE's calibration, the reference samplers)
-    ask for the same ``(n_items, n_threads)`` split every call; the answer
-    never changes, so it is computed once and shared.
+    Every fold of one loop geometry asks for the same ``(n_items,
+    n_threads)`` split; the answer never changes, so it is computed once
+    and shared.
     """
     base = n_items // n_threads
     remainder = n_items % n_threads
@@ -87,9 +78,9 @@ def _dynamic_chunk_layout(n_items: int, chunk: int) -> Tuple[np.ndarray, np.ndar
 
     ``sizes`` are the hand-out chunk lengths; ``bounds`` are the cumulative
     boundaries clamped to ``n_items`` (the last chunk may be short).  Both
-    arrays are shared and read-only: every ``simulate``/``simulate_campaign``
-    call on a ``dynamic`` clause re-asks for the same ``(n_items, chunk)``
-    layout, so it is computed once.
+    arrays are shared and read-only: every fold of a ``dynamic`` clause
+    re-asks for the same ``(n_items, chunk)`` layout, so it is computed
+    once.
     """
     n_chunks = (n_items + chunk - 1) // chunk
     sizes = np.full(n_chunks, chunk, dtype=np.int64)
@@ -107,8 +98,8 @@ def _guided_chunk_layout(
 
     The geometrically shrinking sizing loop is pure Python; memoizing per
     ``(n_items, n_threads, min_chunk)`` runs it once per layout instead of
-    once per call (read-only shared arrays, mirroring
-    :func:`_static_assignment_cached`).
+    once per call (read-only shared arrays, like
+    :func:`_dynamic_chunk_layout`'s).
     """
     size_list: List[int] = []
     remaining = n_items
@@ -124,74 +115,12 @@ def _guided_chunk_layout(
     return sizes, bounds
 
 
-@lru_cache(maxsize=1024)
-def _static_assignment_cached(
-    n_items: int, n_threads: int, chunk: Optional[int]
-) -> Tuple[np.ndarray, ...]:
-    """Memoized static item-to-thread assignment (read-only arrays)."""
-    indices = np.arange(n_items)
-    if chunk is None:
-        offsets = _static_block_offsets(n_items, n_threads)
-        parts = [indices[offsets[t] : offsets[t + 1]] for t in range(n_threads)]
-    else:
-        chunks = [
-            indices[start : start + chunk] for start in range(0, n_items, chunk)
-        ]
-        dealt: List[List[np.ndarray]] = [[] for _ in range(n_threads)]
-        for idx, piece in enumerate(chunks):
-            dealt[idx % n_threads].append(piece)
-        parts = [
-            np.concatenate(p) if p else np.empty(0, dtype=np.int64) for p in dealt
-        ]
-    for part in parts:
-        part.setflags(write=False)
-    return tuple(parts)
-
-
-@dataclass
-class ScheduleOutcome:
-    """Result of replaying a schedule against a per-item cost vector.
-
-    Attributes
-    ----------
-    assignment:
-        ``assignment[t]`` is the array of item indices executed by thread ``t``
-        in execution order.
-    busy_time:
-        Total compute time per thread (sum of its items' costs).
-    chunks:
-        The chunks handed out, as ``(thread, start_item, n_items)`` tuples in
-        hand-out order (useful for tests and traces).
-    """
-
-    assignment: List[np.ndarray]
-    busy_time: np.ndarray
-    chunks: List[Tuple[int, int, int]]
-
-
-#: what each axis of a cost array holds, by dimensionality
-_COST_AXES = {
-    1: "one entry per iteration",
-    3: "shards x instances x items",
-}
-
-
 class LoopSchedule(ABC):
-    """Abstract iteration-to-thread assignment policy.
-
-    Every schedule has exactly two folds: :meth:`simulate` replays one loop
-    instance (the per-iteration oracle, which also returns the realised
-    assignment) and :meth:`simulate_campaign` folds a whole campaign's
-    ``(n_shards, n_instances, n_items)`` cost tensor at once, every row
-    bit-identical to :meth:`simulate`.
-    """
+    """Abstract iteration-to-thread assignment policy, folded by
+    :meth:`simulate_campaign`."""
 
     #: schedule kind string, e.g. ``"static"``
     kind: str = "abstract"
-
-    @abstractmethod
-    def simulate(self, costs: np.ndarray, n_threads: int) -> ScheduleOutcome:
-        """Replay the schedule on ``costs`` (one entry per loop iteration)."""
 
     @abstractmethod
     def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
@@ -200,22 +129,15 @@ class LoopSchedule(ABC):
         ``costs`` has shape ``(n_shards, n_instances, n_items)`` — one plane
         per (trial, process) shard, one row per application iteration; the
         return value is the ``(n_shards, n_instances, n_threads)`` busy-time
-        tensor.  Every row is bit-identical to
-        ``simulate(costs[s, i], n_threads).busy_time``.
+        tensor.
         """
-
-    def static_assignment(
-        self, n_items: int, n_threads: int
-    ) -> Optional[List[np.ndarray]]:
-        """Assignment independent of costs, or ``None`` if execution-dependent."""
-        return None
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _validate(costs: np.ndarray, n_threads: int, ndim: int = 1) -> np.ndarray:
+    def _validate(costs: np.ndarray, n_threads: int) -> np.ndarray:
         arr = np.asarray(costs, dtype=np.float64)
-        if arr.ndim != ndim:
-            raise ValueError(f"costs must be a {ndim}-D array ({_COST_AXES[ndim]})")
+        if arr.ndim != 3:
+            raise ValueError("costs must be a 3-D array (shards x instances x items)")
         if np.any(arr < 0):
             raise ValueError("per-iteration costs must be non-negative")
         if n_threads < 1:
@@ -245,47 +167,20 @@ class StaticSchedule(LoopSchedule):
     @staticmethod
     def _block_offsets(n_items: int, n_threads: int) -> np.ndarray:
         """Boundaries of the ``n_threads`` contiguous near-equal blocks —
-        the single source of the chunk-less split policy, shared by
-        :meth:`static_assignment` and both folds.  Memoized (read-only
-        array)."""
+        the chunk-less split policy.  Memoized (read-only array)."""
         return _static_block_offsets(int(n_items), int(n_threads))
-
-    def static_assignment(self, n_items: int, n_threads: int) -> List[np.ndarray]:
-        """Item indices per thread.  Memoized per ``(n_items, n_threads,
-        chunk)``; the returned arrays are shared and read-only."""
-        if n_items < 0:
-            raise ValueError("n_items must be non-negative")
-        return list(_static_assignment_cached(int(n_items), int(n_threads), self.chunk))
 
     def _chunk_offsets(self, n_items: int) -> np.ndarray:
         """Segment boundaries of the round-robin chunk decomposition."""
         starts = np.arange(0, n_items, self.chunk, dtype=np.int64)
         return np.concatenate((starts, [n_items]))
 
-    def simulate(self, costs: np.ndarray, n_threads: int) -> ScheduleOutcome:
-        arr = self._validate(costs, n_threads)
-        assignment = self.static_assignment(len(arr), n_threads)
-        if self.chunk is None:
-            # contiguous blocks: one vectorised reduceat instead of a
-            # per-thread Python summation loop
-            busy = segment_sums(arr, self._block_offsets(len(arr), n_threads))
-        else:
-            # round-robin chunks: per-chunk sums via reduceat, scattered to
-            # their dealt thread
-            chunk_sums = segment_sums(arr, self._chunk_offsets(len(arr)))
-            busy = np.zeros(n_threads)
-            np.add.at(busy, np.arange(len(chunk_sums)) % n_threads, chunk_sums)
-        chunks = [
-            (t, int(idx[0]), len(idx)) for t, idx in enumerate(assignment) if len(idx)
-        ]
-        return ScheduleOutcome(assignment=assignment, busy_time=busy, chunks=chunks)
-
     def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
         """Closed form: the assignment is cost-independent, so the chunk-less
         split folds the whole tensor through one :func:`segment_sums`; the
         round-robin clause sums chunks over the flattened ``(rows, items)``
         view and scatters them to their dealt threads in one ``np.add.at``."""
-        arr = self._validate(costs, n_threads, ndim=3)
+        arr = self._validate(costs, n_threads)
         n_shards, n_instances, n_items = arr.shape
         if self.chunk is None:
             return segment_sums(arr, self._block_offsets(n_items, n_threads))
@@ -314,48 +209,6 @@ class _WorkQueueSchedule(LoopSchedule):
         work-queue replay of :meth:`simulate_campaign` possible."""
         raise NotImplementedError
 
-    def _chunk_sizes(self, n_items: int, n_threads: int) -> np.ndarray:
-        """Hand-out chunk lengths (memoized read-only array)."""
-        return self._chunk_layout(n_items, n_threads)[0]
-
-    def simulate(self, costs: np.ndarray, n_threads: int) -> ScheduleOutcome:
-        arr = self._validate(costs, n_threads)
-        sizes, bounds = self._chunk_layout(len(arr), n_threads)
-        # non-empty chunks form a prefix (sizes are positive; clamping only
-        # flattens the tail)
-        n_chunks = int(np.count_nonzero(np.diff(bounds)))
-        # pre-sum every chunk in one vectorised reduceat
-        chunk_costs = segment_sums(arr, bounds)
-        # priority queue of (available_time, thread); ties broken by thread
-        # id.  The loop body is deliberately minimal — heap bookkeeping and
-        # the busy accumulation only; the per-chunk item arrays are rebuilt
-        # vectorised below (repeat + stable argsort) instead of one
-        # ``np.arange`` per chunk, which dominated wide loops like MiniFE's
-        # 40k-pencil mat-vec.
-        heap = [(0.0, t) for t in range(n_threads)]
-        heapq.heapify(heap)
-        busy = np.zeros(n_threads)
-        picks = np.empty(n_chunks, dtype=np.int64)
-        for k in range(n_chunks):
-            available, thread = heapq.heappop(heap)
-            cost = float(chunk_costs[k])
-            busy[thread] += cost
-            picks[k] = thread
-            heapq.heappush(heap, (available + cost, thread))
-        eff_sizes = np.diff(bounds[: n_chunks + 1])
-        chunks = [
-            (int(picks[k]), int(bounds[k]), int(eff_sizes[k]))
-            for k in range(n_chunks)
-        ]
-        # items sorted by executing thread, stable, is exactly "each thread's
-        # chunks concatenated in hand-out order" (chunks are handed out in
-        # ascending item order)
-        item_threads = np.repeat(picks, eff_sizes)
-        order = np.argsort(item_threads, kind="stable")
-        counts = np.bincount(item_threads, minlength=n_threads)
-        assignment = list(np.split(order, np.cumsum(counts)[:-1]))
-        return ScheduleOutcome(assignment=assignment, busy_time=busy, chunks=chunks)
-
     def simulate_campaign(self, costs: np.ndarray, n_threads: int) -> np.ndarray:
         """Row-vectorised work-queue replay of every loop instance at once.
 
@@ -363,13 +216,13 @@ class _WorkQueueSchedule(LoopSchedule):
         so every row shares the same hand-out sequence; only *which thread*
         grabs chunk ``k`` depends on the realised costs.  The tensor is
         flattened to its ``(rows, items)`` view and replayed by
-        :meth:`_workqueue_replay`: ``n_shards * n_instances`` heap replays
-        collapse into ``n_chunks`` vectorised steps, every row bit-identical
-        to ``simulate(row, n_threads).busy_time`` (same chunk sums, same
-        adds in the same order — Hypothesis-pinned in
-        ``tests/property/test_prop_schedule.py``).
+        :meth:`_workqueue_replay`: ``n_shards * n_instances`` per-row heap
+        replays collapse into ``n_chunks`` vectorised steps, every row
+        bit-identical to a heap replay of it (same chunk sums, same adds in
+        the same order — Hypothesis-pinned against the test tree's heap
+        replay in ``tests/property/test_prop_schedule.py``).
         """
-        arr = self._validate(costs, n_threads, ndim=3)
+        arr = self._validate(costs, n_threads)
         n_shards, n_instances, n_items = arr.shape
         busy, _ = self._workqueue_replay(
             arr.reshape(n_shards * n_instances, n_items), n_threads, want_picks=False
@@ -383,33 +236,32 @@ class _WorkQueueSchedule(LoopSchedule):
         of an ``(n_rows, n_items)`` matrix simultaneously.
 
         Pre-sums every row's chunks in one :func:`segment_sums`, then keeps
-        an ``(n_rows, n_threads)`` available-time matrix: one ``argmin`` per
-        chunk (first minimum == lowest thread id, exactly the heap's
-        ``(time, thread)`` tie-break) and one fancy-indexed add per chunk.
-        Returns ``(busy, picks)``; with ``want_picks`` ``picks[i, k]`` is
-        the thread that executed hand-out chunk ``k`` of row ``i`` (the
-        analogue of ``ScheduleOutcome.chunks``), otherwise ``None``.
+        an ``(n_rows, n_threads)`` busy-time matrix, which is also each
+        thread's next available time: one ``argmin`` per chunk (first
+        minimum == lowest thread id, exactly a heap's ``(time, thread)``
+        tie-break) and one fancy-indexed add per chunk.  Returns ``(busy,
+        picks)``; with ``want_picks`` ``picks[i, k]`` is the thread that
+        executed hand-out chunk ``k`` of row ``i``, otherwise ``None``.
         """
         n_rows, n_items = arr.shape
         _, bounds = self._chunk_layout(n_items, n_threads)
         # non-empty chunks form a prefix (sizes are positive; clamping only
-        # flattens the tail), matching the heap replay's early break
+        # flattens the tail)
         n_chunks = int(np.count_nonzero(np.diff(bounds)))
-        chunk_costs = segment_sums(arr, bounds)
-        available = np.zeros((n_rows, n_threads), dtype=np.float64)
+        # chunk-major, so each step reads one contiguous row of costs
+        chunk_costs = np.ascontiguousarray(segment_sums(arr, bounds).T)
         busy = np.zeros((n_rows, n_threads), dtype=np.float64)
+        cells = busy.reshape(-1)
+        row_starts = np.arange(n_rows) * n_threads
         picks = np.empty((n_rows, n_chunks), dtype=np.int64) if want_picks else None
-        rows = np.arange(n_rows)
         for k in range(n_chunks):
             # first minimum per row == lowest thread id among the earliest
             # available, the heap's (time, thread) ordering
-            thread = np.argmin(available, axis=1)
-            cost = chunk_costs[:, k]
+            thread = np.argmin(busy, axis=1)
             # each row adds to exactly one (row, thread) cell, so the
             # buffered fancy-indexed add is safe (and far faster than
             # np.add.at)
-            available[rows, thread] += cost
-            busy[rows, thread] += cost
+            cells[row_starts + thread] += chunk_costs[k]
             if picks is not None:
                 picks[:, k] = thread
         return busy, picks

@@ -29,6 +29,11 @@ and ``+0.0`` as equal, in no fixed order, while the keys put every
 ``-0.0`` first; and a NaN with its sign bit set selects as the canonical
 NaN.  A campaign's compute times are non-negative, so neither case
 arises in a campaign.
+
+The normality battery tests a group above Shapiro–Wilk's n = 5000 on a
+deterministic stratified subsample: :func:`stratified_ranks` are its
+evenly strided ranks, and :func:`stratified_subsample` takes them from
+rows held in memory.
 """
 
 from __future__ import annotations
@@ -224,3 +229,23 @@ def select_sorted(parts: Sequence, ranks: np.ndarray) -> np.ndarray:
         at = np.searchsorted(starts, wanted, side="right") - 1
         selected[index] = pool[offsets[at] + wanted - starts[at]]
     return key_values(selected)
+
+
+def stratified_ranks(n: int, limit: int) -> np.ndarray:
+    """The ``limit`` evenly strided ranks out of ``n`` sorted samples that
+    :func:`stratified_subsample` keeps."""
+    return np.floor(np.arange(limit) * (n / limit)).astype(np.int64)
+
+
+def stratified_subsample(values: np.ndarray, limit: int) -> np.ndarray:
+    """Deterministic stratified subsample along the last axis.
+
+    Sorts, then takes ``limit`` evenly strided order statistics — therefore
+    independent of the input order, which is what makes the application-level
+    normality verdict identical between the in-memory path (dense row order)
+    and the shard-streaming path (shards concatenated in merge order).
+    """
+    n = values.shape[-1]
+    if n <= limit:
+        return values
+    return np.sort(values, axis=-1)[..., stratified_ranks(n, limit)]

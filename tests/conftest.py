@@ -78,9 +78,9 @@ def smoke_config() -> CampaignConfig:
 
 @pytest.fixture()
 def campaign_folds(monkeypatch) -> list:
-    """Records every whole-campaign schedule fold
-    (``simulate_campaign``, on any schedule class that defines one) as
-    its schedule's class name, in call order."""
+    """Records every schedule fold (``simulate_campaign``, on any schedule
+    class that defines one) as ``(class name, cost tensor shape)``, in call
+    order."""
     from repro.openmp.schedule import LoopSchedule
 
     folds: list = []
@@ -91,9 +91,9 @@ def campaign_folds(monkeypatch) -> list:
         if "simulate_campaign" not in vars(cls):
             continue
 
-        def counting(self, *args, _fold=vars(cls)["simulate_campaign"], **kwargs):
-            folds.append(type(self).__name__)
-            return _fold(self, *args, **kwargs)
+        def counting(self, costs, *args, _fold=vars(cls)["simulate_campaign"], **kwargs):
+            folds.append((type(self).__name__, np.shape(costs)))
+            return _fold(self, costs, *args, **kwargs)
 
         monkeypatch.setattr(cls, "simulate_campaign", counting)
     return folds

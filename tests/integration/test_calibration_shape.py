@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_dataset
-from repro.core.normality import NormalityStudy
 from repro.experiments.config import CampaignConfig
 from repro.experiments.paper import SECTION4_METRICS, TABLE1_PASS_PERCENT
 from repro.experiments.session import CampaignSession
@@ -125,10 +124,10 @@ class TestNormalityClasses:
     def test_application_level_rejected_for_miniqmc_with_many_processes(
         self, miniqmc_multiprocess_dataset
     ):
-        study = NormalityStudy(miniqmc_multiprocess_dataset)
-        assert study.application_rejects_normality()
+        result = analyze_dataset(miniqmc_multiprocess_dataset, ["normality"])["normality"]
+        assert result.application_rejected
         # while the individual process-iterations remain overwhelmingly normal
-        rates = study.process_iteration_pass_rates()
+        rates = result.process_iteration_pass_rates
         assert min(rates.values()) > 0.85
 
     def test_table1_qualitative_classes(self, reports, minimd_full_run_report):

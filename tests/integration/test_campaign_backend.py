@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from digests import CAMPAIGN_SMOKE_DIGESTS
+from repro.apps.minife import MiniFEConfig
 from repro.experiments.backends import (
     CampaignTensorBackend,
     available_backends,
@@ -452,10 +453,14 @@ class TestScenarioSweep:
     def test_scenario_matrix_runs_every_entry_solo(self, campaign_folds):
         # every entry runs its own session: MiniFE's campaign hook
         # broadcasts one cached busy row, so no whole-campaign schedule
-        # fold runs, and each dataset is the solo run's, bit for bit
+        # fold runs (each fold is one (1, 1, n_pencils) row: the
+        # calibration or the busy row), and each dataset is the solo
+        # run's, bit for bit
         matrix = ScenarioMatrix(applications=("minife",), noises=(None, "heavy-tail"))
         results = matrix.run(scale="smoke", backend="campaign")
-        assert campaign_folds == []
+        pencils = MiniFEConfig().ny * MiniFEConfig().nz
+        assert campaign_folds
+        assert {shape for _, shape in campaign_folds} == {(1, 1, pencils)}
         assert list(results) == [scenario.name for scenario in matrix]
         for scenario in matrix:
             solo = scenario.session(scale="smoke", backend="campaign").run()

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from digests import CAMPAIGN_SMOKE_DIGESTS
+from repro.apps.minife import MiniFEConfig
 from repro.core.aggregation import campaign_block
 from repro.core.timing import TimingDataset
 from repro.experiments.backends import (
@@ -144,7 +145,8 @@ class TestAsyncAPI:
         """Three distinct ``campaign`` jobs queued behind one worker each
         run on their own: every job streams its per-(trial, process)
         shards, no whole-campaign schedule fold runs (MiniFE broadcasts
-        one cached busy row), and every digest is the session's."""
+        one cached busy row: each fold is one ``(1, 1, n_pencils)`` row),
+        and every digest is the session's."""
         configs = [
             get_scenario(SCENARIO).campaign_config(
                 "smoke", backend="campaign", seed=seed, max_workers=max_workers
@@ -165,7 +167,9 @@ class TestAsyncAPI:
                 return [handle.digest for handle in handles], streams
 
         digests, streams = asyncio.run(scenario())
-        assert campaign_folds == []
+        pencils = MiniFEConfig().ny * MiniFEConfig().nz
+        assert campaign_folds
+        assert {shape for _, shape in campaign_folds} == {(1, 1, pencils)}
         for config, digest, shards in zip(configs, digests, streams):
             assert [s.slices[0].sort_key for s in shards] == [
                 (trial, process)

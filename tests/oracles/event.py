@@ -57,6 +57,7 @@ from repro.sim.random import RandomStreams
 
 from oracles.engine import Barrier, Delay, SimulationEngine
 from oracles.models import iteration_model
+from oracles.schedule import static_assignment
 
 CoreKey = Tuple[int, int, int]
 
@@ -594,7 +595,7 @@ class OpenMPRuntime:
         engine, team, n_threads = self.engine, self.team, self.team.n_threads
         entry_barrier = Barrier(n_threads)
         exit_barrier = Barrier(n_threads)
-        static_assignment = schedule.static_assignment(len(costs), n_threads)
+        assigned = static_assignment(schedule, len(costs), n_threads)
         cursor = [0]
         records: List[Optional[ThreadExecution]] = [None] * n_threads
         region_start = self.current_time + self.fork_overhead_s
@@ -619,8 +620,8 @@ class OpenMPRuntime:
             work_total = noise_total = 0.0
             executed: List[np.ndarray] = []
             chunks = None
-            if static_assignment is not None:
-                mine = static_assignment[thread_id]
+            if assigned is not None:
+                mine = assigned[thread_id]
                 chunks = [mine] if len(mine) else []
             while (items := next_items(chunks)) is not None:
                 work = float(costs[items].sum())

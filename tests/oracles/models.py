@@ -17,6 +17,8 @@ import numpy as np
 from repro.apps.base import ProxyApplication
 from repro.apps.minimd.app import WARMUP_OFFSET_S
 
+from oracles.schedule import simulate
+
 
 class IterationModel:
     """A stateless application model with no application delays."""
@@ -39,7 +41,7 @@ class IterationModel:
     ) -> np.ndarray:
         """Per-thread pure compute time under the application's schedule."""
         costs = self.item_costs(process, iteration, rng)
-        return self.app.config.schedule.simulate(costs, self.n_threads).busy_time
+        return simulate(self.app.config.schedule, costs, self.n_threads).busy_time
 
     def application_delays(
         self, process: int, iteration: int, rng: np.random.Generator
@@ -54,10 +56,11 @@ class MiniFEModel(IterationModel):
         return self.app.item_costs_campaign([(0, 0)], 1, rng)[0, 0]
 
     def base_thread_times(self, process, iteration, rng):
-        # served from the app's cache: refolding the one deterministic row
-        # every iteration gives the same bits but makes the reference ~1.75x
-        # slower, which would inflate the throughput guards' speedups
-        return self.app.base_thread_times(process, iteration, rng)
+        # served from the app's cached busy row: refolding the one
+        # deterministic row every iteration gives the same bits but makes
+        # the reference ~1.75x slower, which would inflate the throughput
+        # guards' speedups
+        return self.app.base_thread_times_campaign([(0, process)], 1, rng)[0, 0]
 
     def application_delays(self, process, iteration, rng):
         cfg = self.app.config

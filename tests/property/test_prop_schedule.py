@@ -1,4 +1,5 @@
-"""Property-based tests of the OpenMP loop schedules."""
+"""Property-based tests of the OpenMP loop schedules: the program's
+campaign folds against the per-row heap replay of :mod:`oracles.schedule`."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.openmp.schedule import DynamicSchedule, GuidedSchedule, StaticSchedule
+
+from oracles.schedule import simulate, static_assignment
 
 costs_strategy = hnp.arrays(
     dtype=np.float64,
@@ -21,7 +24,7 @@ schedule_strategy = st.sampled_from(
 @given(costs_strategy, threads_strategy, schedule_strategy)
 @settings(max_examples=120, deadline=None)
 def test_every_item_executed_exactly_once(costs, n_threads, schedule):
-    outcome = schedule.simulate(costs, n_threads)
+    outcome = simulate(schedule, costs, n_threads)
     executed = np.concatenate([np.asarray(a, dtype=np.int64) for a in outcome.assignment])
     assert sorted(executed.tolist()) == list(range(len(costs)))
 
@@ -29,7 +32,7 @@ def test_every_item_executed_exactly_once(costs, n_threads, schedule):
 @given(costs_strategy, threads_strategy, schedule_strategy)
 @settings(max_examples=120, deadline=None)
 def test_work_is_conserved(costs, n_threads, schedule):
-    outcome = schedule.simulate(costs, n_threads)
+    outcome = simulate(schedule, costs, n_threads)
     np.testing.assert_allclose(
         outcome.busy_time.sum(), costs.sum(), rtol=1e-9, atol=1e-15
     )
@@ -40,7 +43,7 @@ def test_work_is_conserved(costs, n_threads, schedule):
 @given(costs_strategy, threads_strategy)
 @settings(max_examples=80, deadline=None)
 def test_static_blocks_are_contiguous_and_ordered(costs, n_threads):
-    assignment = StaticSchedule().static_assignment(len(costs), n_threads)
+    assignment = static_assignment(StaticSchedule(), len(costs), n_threads)
     previous_end = 0
     for block in assignment:
         if len(block) == 0:
@@ -54,7 +57,7 @@ def test_static_blocks_are_contiguous_and_ordered(costs, n_threads):
 @given(costs_strategy, st.integers(2, 32))
 @settings(max_examples=80, deadline=None)
 def test_dynamic_makespan_never_worse_than_serial_and_not_better_than_ideal(costs, n_threads):
-    outcome = DynamicSchedule(1).simulate(costs, n_threads)
+    outcome = simulate(DynamicSchedule(1), costs, n_threads)
     makespan = outcome.busy_time.max() if len(costs) else 0.0
     ideal = costs.sum() / n_threads
     assert makespan <= costs.sum() + 1e-12
@@ -110,7 +113,7 @@ def test_workqueue_campaign_bit_identical_to_per_row_replay(costs, n_threads, sc
     replayed, picks = schedule._workqueue_replay(rows, n_threads, want_picks=True)
     assert np.array_equal(replayed, busy.reshape(n_shards * n_instances, n_threads))
     for i, row in enumerate(rows):
-        outcome = schedule.simulate(row, n_threads)
+        outcome = simulate(schedule, row, n_threads)
         assert np.array_equal(replayed[i], outcome.busy_time), f"row {i} busy diverged"
         assert picks[i].tolist() == [thread for thread, _, _ in outcome.chunks], (
             f"row {i} chunk assignment diverged"
@@ -128,4 +131,4 @@ def test_static_campaign_bit_identical_to_per_row_simulate(costs, n_threads, sch
     np.add.at) must reproduce simulate's busy times bit for bit."""
     busy = schedule.simulate_campaign(costs, n_threads)
     for index in np.ndindex(*costs.shape[:2]):
-        assert np.array_equal(busy[index], schedule.simulate(costs[index], n_threads).busy_time)
+        assert np.array_equal(busy[index], simulate(schedule, costs[index], n_threads).busy_time)

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.analysis import passes
-from repro.core.normality import stratified_ranks
 from repro.io.shard_store import StoredRows, _GroupFile
 from repro.stats import selection
+from repro.stats.selection import stratified_ranks
 
 #: a few repeated values (heavy ties, both zeros, NaN of either sign) or
 #: any finite or infinite double, subnormals included

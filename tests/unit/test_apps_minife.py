@@ -5,9 +5,10 @@ import pytest
 
 from repro.apps.minife import BrickMesh, MiniFEApp, MiniFEConfig
 from repro.apps.minife.app import TARGET_MEDIAN_ARRIVAL_S
-from repro.openmp.schedule import StaticSchedule
+from repro.openmp.schedule import StaticSchedule, schedule_from_name
 
 from oracles.models import IterationModel, MiniFEModel
+from oracles.schedule import simulate
 
 
 def _brute_force_pencil_nonzeros(nx, ny, nz):
@@ -42,7 +43,8 @@ class TestBrickMesh:
     def test_boundary_blocks_carry_less_work(self):
         """The mechanism behind MiniFE's early threads (§4.2.1)."""
         mesh = BrickMesh(40, 40, 40)
-        blocks = StaticSchedule().simulate(mesh.pencil_nonzeros(), 8).busy_time
+        pencils = mesh.pencil_nonzeros()[np.newaxis, np.newaxis]
+        blocks = StaticSchedule().simulate_campaign(pencils, 8)[0, 0]
         interior = blocks[1:-1]
         assert blocks[0] < interior.min()
         assert blocks[-1] < interior.min()
@@ -57,13 +59,13 @@ class TestMiniFEApp:
     def test_calibration_hits_target_median(self):
         app = MiniFEApp()
         rng = np.random.default_rng(0)
-        base = app.base_thread_times(0, 0, rng)
+        base = app.base_thread_times_campaign([(0, 0)], 1, rng)[0, 0]
         assert np.median(base) == pytest.approx(TARGET_MEDIAN_ARRIVAL_S, rel=1e-6)
         assert len(base) == 48
 
     def test_boundary_threads_arrive_early(self):
         app = MiniFEApp()
-        base = app.base_thread_times(0, 0, np.random.default_rng(0))
+        base = app.base_thread_times_campaign([(0, 0)], 1, np.random.default_rng(0))[0, 0]
         interior_median = np.median(base)
         assert base[0] < interior_median - 1e-3
         assert base[-1] < interior_median - 1e-3
@@ -103,8 +105,25 @@ class TestCampaignWorkModel:
         rng = np.random.default_rng(0)
         tensor = app.base_thread_times_campaign([(0, 0), (0, 1), (1, 0)], 5, rng)
         assert tensor.shape == (3, 5, 8)
-        row = app.base_thread_times(0, 0, np.random.default_rng(0))
-        np.testing.assert_array_equal(tensor, np.tile(row, (3, 5, 1)))
+        row = simulate(app.config.schedule, app.item_costs_campaign([(0, 0)], 1, rng)[0, 0], 8)
+        np.testing.assert_array_equal(tensor, np.tile(row.busy_time, (3, 5, 1)))
+
+    @pytest.mark.parametrize("clause", ["static", "static,4", "dynamic", "dynamic,4", "guided"])
+    def test_busy_row_is_the_heap_replay_of_the_pencil_costs(self, clause):
+        """The one ``(1, 1, n_pencils)`` fold behind the cached busy row
+        and the calibration equals the per-row heap replay, bit for bit."""
+        config = MiniFEConfig(
+            nx=24, ny=24, nz=24, n_threads=8, schedule=schedule_from_name(clause)
+        )
+        app = MiniFEApp(config)
+        rng = np.random.default_rng(0)
+        costs = app.item_costs_campaign([(0, 0)], 1, rng)[0, 0]
+        np.testing.assert_array_equal(
+            app.base_thread_times_campaign([(0, 0)], 1, rng)[0, 0],
+            simulate(config.schedule, costs, 8).busy_time,
+        )
+        pencils = simulate(StaticSchedule(), app.mesh.pencil_nonzeros(), 8).busy_time
+        assert app.time_per_nonzero_s == TARGET_MEDIAN_ARRIVAL_S / float(np.median(pencils))
 
     def test_thread_compute_times_campaign_shape_and_positivity(self):
         app = MiniFEApp(MiniFEConfig(nx=24, ny=24, nz=24, n_threads=8, n_iterations=6))

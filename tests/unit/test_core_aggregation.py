@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregation import AggregationLevel, aggregate, per_iteration_samples
+from repro.core.aggregation import AggregationLevel, aggregate
 from repro.core.timing import TimingDataset
 
 
@@ -50,10 +50,6 @@ class TestAggregationLevels:
         grouped = aggregate(dataset, AggregationLevel.PROCESS_ITERATION)
         with pytest.raises(KeyError):
             grouped.group((99, 99, 99))
-
-    def test_per_iteration_samples_matrix(self, dataset):
-        matrix = per_iteration_samples(dataset)
-        assert matrix.shape == (4, 2 * 3 * 6)
 
     def test_sparse_dataset_rejected(self, dataset):
         columns = {name: dataset.column(name)[:-1] for name in dataset.columns}

@@ -1,19 +1,17 @@
-"""Unit tests for laggard detection and reclaimable-time metrics."""
+"""Unit tests for laggard detection and reclaimable-time metrics, and the
+laggards and reclaimable passes that report them."""
 
 import numpy as np
 import pytest
 
-from repro.core.laggard import (
-    IterationClass,
-    analyze_laggards,
-    classify_iterations,
-)
+from repro.analysis import analyze_dataset
+from repro.analysis.passes import LaggardsPass
+from repro.core.aggregation import AggregationLevel, aggregate
+from repro.core.laggard import IterationClass
 from repro.core.reclaimable import (
     idle_ratio,
-    per_iteration_reclaimable,
     reclaim_and_idle_ratio,
     reclaimable_time,
-    summarize_reclaimable,
 )
 from repro.core.timing import TimingDataset
 
@@ -27,27 +25,32 @@ def _dataset_with_known_laggards():
     return TimingDataset.from_compute_times(base, {"application": "synthetic"})
 
 
+def _laggards(dataset, **options):
+    return analyze_dataset(dataset, [LaggardsPass(**options)])["laggards"]
+
+
+def _laggard_analysis(dataset, **options):
+    return _laggards(dataset, **options).analysis
+
+
 class TestLaggardAnalysis:
     def test_laggard_detection_threshold(self):
-        analysis = analyze_laggards(_dataset_with_known_laggards())
+        analysis = _laggard_analysis(_dataset_with_known_laggards())
         flagged = {key[-1] for key, has in zip(analysis.keys, analysis.has_laggard) if has}
         assert 1 in flagged          # the +5 ms thread
         assert 0 not in flagged      # perfectly balanced iteration
         assert 3 not in flagged      # early arrival is not a laggard
 
     def test_classification(self):
-        classes = classify_iterations(_dataset_with_known_laggards())
-        class_of = {}
-        for cls, keys in classes.items():
-            for key in keys:
-                class_of[key[-1]] = cls
+        analysis = _laggard_analysis(_dataset_with_known_laggards())
+        class_of = {key[-1]: cls for key, cls in zip(analysis.keys, analysis.classes)}
         assert class_of[0] is IterationClass.NO_LAGGARD
         assert class_of[1] is IterationClass.LAGGARD
         assert class_of[2] is IterationClass.WIDE
         assert class_of[3] is IterationClass.NO_LAGGARD
 
     def test_fractions_and_counts_consistent(self):
-        analysis = analyze_laggards(_dataset_with_known_laggards())
+        analysis = _laggard_analysis(_dataset_with_known_laggards())
         counts = analysis.class_counts()
         assert sum(counts.values()) == analysis.n_groups
         assert analysis.laggard_fraction == pytest.approx(
@@ -55,7 +58,7 @@ class TestLaggardAnalysis:
         )
 
     def test_exemplar_returns_group_of_requested_class(self):
-        analysis = analyze_laggards(_dataset_with_known_laggards())
+        analysis = _laggard_analysis(_dataset_with_known_laggards())
         key = analysis.exemplar(IterationClass.LAGGARD)
         assert key is not None and key[-1] == 1
         assert analysis.exemplar(IterationClass.WIDE)[-1] == 2
@@ -63,22 +66,21 @@ class TestLaggardAnalysis:
     def test_exemplar_missing_class_returns_none(self):
         times = np.full((1, 1, 2, 4), 10.0e-3)
         ds = TimingDataset.from_compute_times(times, {"application": "flat"})
-        assert analyze_laggards(ds).exemplar(IterationClass.LAGGARD) is None
+        assert _laggard_analysis(ds).exemplar(IterationClass.LAGGARD) is None
 
     def test_summary_units(self):
-        summary = analyze_laggards(_dataset_with_known_laggards()).summary()
-        payload = summary.as_dict()
+        payload = _laggards(_dataset_with_known_laggards()).as_dict()
         assert payload["threshold_ms"] == pytest.approx(1.0)
         assert payload["mean_median_ms"] == pytest.approx(25.0, rel=0.05)
 
     def test_custom_threshold_changes_sensitivity(self):
         ds = _dataset_with_known_laggards()
-        strict = analyze_laggards(ds, threshold_s=10.0e-3)
+        strict = _laggard_analysis(ds, threshold_s=10.0e-3)
         assert strict.laggard_fraction == 0.0
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            analyze_laggards(_dataset_with_known_laggards(), threshold_s=0.0)
+            LaggardsPass(threshold_s=0.0)
 
 
 class TestReclaimable:
@@ -118,7 +120,9 @@ class TestReclaimable:
         assert np.all(ratios >= 0.0) and np.all(ratios < 1.0)
 
     def test_summary_over_dataset(self):
-        summary = summarize_reclaimable(_dataset_with_known_laggards())
+        summary = analyze_dataset(_dataset_with_known_laggards(), ["reclaimable"])[
+            "reclaimable"
+        ]
         assert summary.n_groups == 4
         assert summary.n_threads == 8
         assert summary.max_reclaimable_s >= summary.mean_reclaimable_s
@@ -126,8 +130,9 @@ class TestReclaimable:
             summary.mean_reclaimable_s / 8
         )
 
-    def test_per_iteration_trajectories(self):
-        reclaim, ratio = per_iteration_reclaimable(_dataset_with_known_laggards())
+    def test_per_group_metrics_order_the_known_iterations(self):
+        groups = aggregate(_dataset_with_known_laggards(), AggregationLevel.PROCESS_ITERATION)
+        reclaim, ratio = reclaim_and_idle_ratio(groups.values)
         assert reclaim.shape == (4,)
         assert reclaim[1] > reclaim[0]
         assert ratio[2] > ratio[0]

@@ -85,7 +85,7 @@ class TestScheduling:
         detailed = OpenMPRuntime(_team(4, seed=3)).run_region(
             costs, schedule=StaticSchedule()
         )
-        busy = StaticSchedule().simulate(costs, 4).busy_time
+        busy = StaticSchedule().simulate_campaign(costs[np.newaxis, np.newaxis], 4)[0, 0]
         # clock readings are whole nanoseconds
         np.testing.assert_allclose(detailed.compute_times_s(), busy, atol=2e-9)
 

@@ -1,4 +1,6 @@
-"""Unit tests for OpenMP loop schedules."""
+"""Unit tests for OpenMP loop schedules: the program's campaign folds and
+the per-row heap replay (:mod:`oracles.schedule`) they are checked
+against."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from repro.openmp.schedule import (
     schedule_from_name,
     segment_sums,
 )
+
+from oracles.schedule import simulate, static_assignment
 
 
 class TestSegmentSums:
@@ -60,7 +64,7 @@ def _coverage_ok(assignment, n_items):
 class TestStaticSchedule:
     def test_blocks_are_contiguous_and_cover_items(self):
         schedule = StaticSchedule()
-        assignment = schedule.static_assignment(200, 48)
+        assignment = static_assignment(schedule, 200, 48)
         assert _coverage_ok(assignment, 200)
         sizes = [len(a) for a in assignment]
         # 200 = 48*4 + 8: the first 8 threads get 5 items
@@ -72,18 +76,18 @@ class TestStaticSchedule:
 
     def test_chunked_static_deals_round_robin(self):
         schedule = StaticSchedule(chunk=2)
-        assignment = schedule.static_assignment(8, 2)
+        assignment = static_assignment(schedule, 8, 2)
         assert assignment[0].tolist() == [0, 1, 4, 5]
         assert assignment[1].tolist() == [2, 3, 6, 7]
 
     def test_more_threads_than_items_gives_empty_blocks(self):
-        assignment = StaticSchedule().static_assignment(3, 8)
+        assignment = static_assignment(StaticSchedule(), 3, 8)
         assert _coverage_ok(assignment, 3)
         assert sum(len(a) == 0 for a in assignment) == 5
 
     def test_simulate_busy_time_sums_costs(self):
         costs = np.arange(1.0, 11.0)
-        outcome = StaticSchedule().simulate(costs, 2)
+        outcome = simulate(StaticSchedule(), costs, 2)
         np.testing.assert_allclose(outcome.busy_time, [15.0, 40.0])
 
     def test_invalid_chunk_rejected(self):
@@ -92,13 +96,13 @@ class TestStaticSchedule:
 
     def test_negative_costs_rejected(self):
         with pytest.raises(ValueError):
-            StaticSchedule().simulate(np.array([-1.0]), 2)
+            simulate(StaticSchedule(), np.array([-1.0]), 2)
 
 
 class TestDynamicSchedule:
     def test_covers_all_items(self):
         costs = np.random.default_rng(0).uniform(0.5, 1.5, size=101)
-        outcome = DynamicSchedule(chunk=4).simulate(costs, 7)
+        outcome = simulate(DynamicSchedule(chunk=4), costs, 7)
         assert _coverage_ok(outcome.assignment, 101)
         assert outcome.busy_time.sum() == pytest.approx(costs.sum())
 
@@ -108,12 +112,12 @@ class TestDynamicSchedule:
         # the remaining items
         costs = np.ones(64)
         costs[0] = 50.0
-        static = StaticSchedule().simulate(costs, 8)
-        dynamic = DynamicSchedule(chunk=1).simulate(costs, 8)
+        static = simulate(StaticSchedule(), costs, 8)
+        dynamic = simulate(DynamicSchedule(chunk=1), costs, 8)
         assert dynamic.busy_time.max() < static.busy_time.max()
 
     def test_chunk_size_respected(self):
-        outcome = DynamicSchedule(chunk=5).simulate(np.ones(23), 4)
+        outcome = simulate(DynamicSchedule(chunk=5), np.ones(23), 4)
         chunk_sizes = [n for _, _, n in outcome.chunks]
         assert chunk_sizes[:-1] == [5] * 4
         assert chunk_sizes[-1] == 3
@@ -121,7 +125,7 @@ class TestDynamicSchedule:
 
 class TestGuidedSchedule:
     def test_chunks_shrink(self):
-        outcome = GuidedSchedule(min_chunk=2).simulate(np.ones(100), 4)
+        outcome = simulate(GuidedSchedule(min_chunk=2), np.ones(100), 4)
         sizes = [n for _, _, n in outcome.chunks]
         assert sizes[0] > sizes[-1]
         assert min(sizes[:-1]) >= 2
@@ -129,7 +133,8 @@ class TestGuidedSchedule:
 
 
 class TestSimulateCampaign:
-    """The campaign folds must be row-for-row bit-identical to simulate()."""
+    """The campaign folds must be row-for-row bit-identical to the heap
+    replay."""
 
     SCHEDULES = [
         StaticSchedule(),
@@ -147,7 +152,7 @@ class TestSimulateCampaign:
         assert folded.shape == (2, 5, n_threads)
         for index in np.ndindex(2, 5):
             np.testing.assert_array_equal(
-                folded[index], schedule.simulate(costs[index], n_threads).busy_time
+                folded[index], simulate(schedule, costs[index], n_threads).busy_time
             )
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: repr(s))
@@ -161,7 +166,7 @@ class TestSimulateCampaign:
 
     def test_simulate_rejects_non_1d_costs(self):
         with pytest.raises(ValueError, match="1-D"):
-            StaticSchedule().simulate(np.ones((2, 8)), 2)
+            simulate(StaticSchedule(), np.ones((2, 8)), 2)
 
 
 class TestWorkQueueReplay:
@@ -180,7 +185,7 @@ class TestWorkQueueReplay:
         busy = GuidedSchedule().simulate_campaign(costs, 16)
         for i, row in enumerate(costs[0]):
             np.testing.assert_array_equal(
-                busy[0, i], GuidedSchedule().simulate(row, 16).busy_time
+                busy[0, i], simulate(GuidedSchedule(), row, 16).busy_time
             )
 
     def test_empty_loop_gives_zero_busy_times(self):
@@ -193,7 +198,7 @@ class TestWorkQueueReplay:
         for schedule in (DynamicSchedule(5), GuidedSchedule(2)):
             _, picks = schedule._workqueue_replay(costs, 7, want_picks=True)
             for i, row in enumerate(costs):
-                outcome = schedule.simulate(row, 7)
+                outcome = simulate(schedule, row, 7)
                 assert picks[i].tolist() == [t for t, _, _ in outcome.chunks]
 
 
@@ -226,19 +231,19 @@ class TestWorkQueueLayoutMemoization:
         assert g_sizes.sum() == 100 and g_bounds[-1] == 100
 
     def test_guided_layouts_key_on_thread_count(self):
-        narrow = GuidedSchedule(1)._chunk_sizes(96, 2)
-        wide = GuidedSchedule(1)._chunk_sizes(96, 16)
+        narrow = GuidedSchedule(1)._chunk_layout(96, 2)[0]
+        wide = GuidedSchedule(1)._chunk_layout(96, 16)[0]
         assert narrow[0] == 24 and wide[0] == 3
 
 
 class TestStaticAssignmentMemoization:
     def test_repeated_calls_share_the_cached_arrays(self):
-        first = StaticSchedule().static_assignment(200, 48)
-        second = StaticSchedule().static_assignment(200, 48)
+        first = static_assignment(StaticSchedule(), 200, 48)
+        second = static_assignment(StaticSchedule(), 200, 48)
         assert all(a is b for a, b in zip(first, second))
 
     def test_cached_arrays_are_read_only(self):
-        assignment = StaticSchedule(chunk=4).static_assignment(64, 8)
+        assignment = static_assignment(StaticSchedule(chunk=4), 64, 8)
         with pytest.raises(ValueError):
             assignment[0][0] = 99
         offsets = StaticSchedule._block_offsets(200, 48)
@@ -246,8 +251,8 @@ class TestStaticAssignmentMemoization:
             offsets[0] = 99
 
     def test_chunked_and_chunkless_keys_do_not_collide(self):
-        plain = StaticSchedule().static_assignment(8, 2)
-        chunked = StaticSchedule(chunk=2).static_assignment(8, 2)
+        plain = static_assignment(StaticSchedule(), 8, 2)
+        chunked = static_assignment(StaticSchedule(chunk=2), 8, 2)
         assert plain[0].tolist() == [0, 1, 2, 3]
         assert chunked[0].tolist() == [0, 1, 4, 5]
 

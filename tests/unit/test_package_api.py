@@ -137,3 +137,27 @@ class TestShippedPackage:
             "repro.cluster.topology",
         ):
             assert importlib.util.find_spec(name) is None, name
+
+    def test_one_fold_per_schedule_and_one_implementation_per_analysis(self):
+        # the per-row schedule replay and the dense analysis twins live in
+        # tests/oracles/ (schedule.py, dense.py), not in the package
+        import repro.core
+        from repro.openmp.schedule import LoopSchedule, StaticSchedule
+
+        assert importlib.util.find_spec("repro.core.normality") is None
+        assert not hasattr(LoopSchedule, "simulate")
+        assert not hasattr(StaticSchedule, "static_assignment")
+        moved = {
+            "NormalityStudy",
+            "LevelResult",
+            "analyze_laggards",
+            "group_laggard_metrics",
+            "classify_iterations",
+            "LaggardSummary",
+            "summarize_reclaimable",
+            "per_iteration_reclaimable",
+            "per_iteration_samples",
+            "ScheduleOutcome",
+        }
+        assert not moved & set(repro.core.__all__)
+        assert not moved & set(repro.__all__)
