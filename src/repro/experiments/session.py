@@ -38,9 +38,11 @@ the service — reopens the stored shards instead of recomputing 768 000
 samples.
 Streaming analyses get their own cache layer: each pass's *finalized
 product* is pickled under a key derived from (config hash, pass name, pass
-parameters), so repeating an ``analyze()`` call
-loads products directly — no campaign execution, no shard folding.  The
-session counts ``analysis_cache_hits`` / ``analysis_cache_misses``.
+parameters) (:func:`analysis_cache_path`), so repeating an ``analyze()``
+call loads products directly — no campaign execution, no shard folding.
+:func:`cached_analysis_products` loads, folds and stores them for both
+the session and the service, and each counts ``analysis_cache_hits`` /
+``analysis_cache_misses``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -334,6 +337,184 @@ def open_cached_campaign(
     return CampaignResult(config, store=store, metadata=metadata, from_cache=True)
 
 
+# ----------------------------------------------------------------------
+# analysis-product cache
+# ----------------------------------------------------------------------
+def describe_param(value: object, _depth: int = 0) -> Optional[str]:
+    """Stable, collision-resistant description of one pass parameter.
+
+    Arrays are digested over their full contents (``repr`` would elide
+    large arrays to ``...``, colliding distinct parameters).  Objects
+    without a custom ``__repr__`` — e.g. the earlybird pass's
+    ``EarlyBirdModel`` — are described from their class name and
+    attributes (``__dict__`` or ``__slots__``) instead of the default
+    ``<... object at 0x...>`` repr, whose embedded memory address would
+    change every run and make the cross-session cache permanently miss.
+    Everything else round-trips through ``repr``, which is stable for
+    the primitive thresholds/widths the built-in passes hold.
+
+    Returns ``None`` when no stable description exists (an attribute-less
+    default-repr object, or pathological nesting): the caller then skips
+    caching for that pass — an honest recompute beats both a permanent
+    silent miss and a key collision.
+    """
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes())
+        return f"ndarray{value.shape}:{value.dtype}:{digest.hexdigest()}"
+    if _depth < 6 and isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
+        parts = [describe_param(item, _depth + 1) for item in items]
+        if any(part is None for part in parts):
+            return None
+        return f"{type(value).__qualname__}[{';'.join(parts)}]"
+    if _depth < 6 and isinstance(value, dict):
+        parts = []
+        for name, item in sorted(value.items(), key=lambda kv: repr(kv[0])):
+            described = describe_param(item, _depth + 1)
+            if described is None:
+                return None
+            parts.append(f"{name!r}:{described}")
+        return f"dict{{{';'.join(parts)}}}"
+    if type(value).__repr__ is not object.__repr__:
+        return repr(value)
+    attrs = getattr(value, "__dict__", None)
+    if attrs is None:
+        slots = [
+            name
+            for klass in type(value).__mro__
+            for name in (getattr(klass, "__slots__", ()) or ())
+        ]
+        if not slots:
+            return None
+        attrs = {name: getattr(value, name) for name in slots if hasattr(value, name)}
+    if _depth >= 6:
+        return None
+    parts = []
+    for name, attr in sorted(attrs.items()):
+        described = describe_param(attr, _depth + 1)
+        if described is None:
+            return None
+        parts.append(f"{name}={described}")
+    return f"{type(value).__qualname__}({';'.join(parts)})"
+
+
+def analysis_cache_path(
+    cache_dir: Optional[Path],
+    config: "CampaignConfig",
+    analysis_pass: "AnalysisPass",
+) -> Optional[Path]:
+    """Cache file of one pass's finalized product, or ``None`` without a
+    ``cache_dir``.  The key hashes everything that determines the
+    product: the campaign's sample-determining config hash, the pass
+    name, the pass's parameters (its instance attributes) and
+    :data:`ANALYSIS_PRODUCT_FORMAT`."""
+    if cache_dir is None:
+        return None
+    descriptions = []
+    for name, value in sorted(vars(analysis_pass).items()):
+        described = describe_param(value)
+        if described is None:
+            import warnings
+
+            warnings.warn(
+                f"analysis pass {analysis_pass.name!r}: parameter {name!r} "
+                f"({type(value).__qualname__}) has no stable description "
+                "(define __repr__ on it); skipping the product cache for "
+                "this pass",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+            return None
+        descriptions.append(f"{name}={described}")
+    params = ";".join(descriptions)
+    blob = "|".join(
+        (
+            config_cache_key(config),
+            analysis_pass.name,
+            params,
+            f"format={ANALYSIS_PRODUCT_FORMAT}",
+        )
+    )
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return cache_dir / f"analysis_{config.application}_{analysis_pass.name}_{key}.pkl"
+
+
+def load_analysis_product(path: Optional[Path]) -> Tuple[bool, object]:
+    """``(True, product)`` from the entry at ``path``, else ``(False, None)``
+    (no path, no entry, or a corrupt one, which the next store overwrites)."""
+    if path is None or not path.exists():
+        return False, None
+    import pickle
+
+    try:
+        with path.open("rb") as handle:
+            return True, pickle.load(handle)
+    except Exception:  # corrupt/stale entry: recompute and overwrite
+        return False, None
+
+
+def store_analysis_product(
+    path: Optional[Path], product: object, *, tier: Optional["CacheTier"] = None
+) -> None:
+    """Publish ``product`` at ``path`` (nothing without a path) and admit it
+    to ``tier``."""
+    if path is None:
+        return
+    import pickle
+    import threading
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # temp + replace like every other cache write: a crashed writer cannot
+    # leave a truncated pickle at the final path; per-writer names because
+    # the service's job threads share a pid
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        with tmp.open("wb") as handle:
+            pickle.dump(product, handle)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    if tier is not None:
+        tier.admit(path)
+
+
+def cached_analysis_products(
+    cache_dir: Optional[Path],
+    config: "CampaignConfig",
+    passes: Sequence["AnalysisPass"],
+    fold: Callable[[List["AnalysisPass"]], "AnalysisResults"],
+    *,
+    tier: Optional["CacheTier"] = None,
+) -> Tuple[Dict[str, object], Optional["AnalysisResults"], int]:
+    """Every pass's product, loaded from its cache entry or folded.
+
+    ``fold(missing)`` runs once, on the passes without an entry (all of
+    them without a ``cache_dir``), and their products are stored.  Shared
+    by :meth:`CampaignSession.analyze` and the campaign service.  Returns
+    the products in pass order, the fold's results (``None`` when every
+    pass hit) and the number of hits.
+    """
+    products: Dict[str, object] = {}
+    missing = []
+    for analysis_pass in passes:
+        path = analysis_cache_path(cache_dir, config, analysis_pass)
+        hit, product = load_analysis_product(path)
+        if hit:
+            products[analysis_pass.name] = product
+        else:
+            missing.append((analysis_pass, path))
+    fresh = None
+    if missing:
+        fresh = fold([analysis_pass for analysis_pass, _ in missing])
+        for analysis_pass, path in missing:
+            products[analysis_pass.name] = fresh[analysis_pass.name]
+            store_analysis_product(path, fresh[analysis_pass.name], tier=tier)
+    ordered = {p.name: products[p.name] for p in passes}
+    return ordered, fresh, len(passes) - len(missing)
+
+
 class CampaignSession:
     """Fluent, cache-aware driver of one or more measurement campaigns.
 
@@ -398,139 +579,6 @@ class CampaignSession:
 
     def _executor(self) -> ShardExecutor:
         return ShardExecutor(mode=self.executor_mode)
-
-    # ------------------------------------------------------------------
-    # streaming-analysis product cache
-    # ------------------------------------------------------------------
-    @classmethod
-    def _describe_param(cls, value: object, _depth: int = 0) -> Optional[str]:
-        """Stable, collision-resistant description of one pass parameter.
-
-        Arrays are digested over their full contents (``repr`` would elide
-        large arrays to ``...``, colliding distinct parameters).  Objects
-        without a custom ``__repr__`` — e.g. the earlybird pass's
-        ``EarlyBirdModel`` — are described from their class name and
-        attributes (``__dict__`` or ``__slots__``) instead of the default
-        ``<... object at 0x...>`` repr, whose embedded memory address would
-        change every run and make the cross-session cache permanently miss.
-        Everything else round-trips through ``repr``, which is stable for
-        the primitive thresholds/widths the built-in passes hold.
-
-        Returns ``None`` when no stable description exists (an attribute-less
-        default-repr object, or pathological nesting): the caller then skips
-        caching for that pass — an honest recompute beats both a permanent
-        silent miss and a key collision.
-        """
-        import numpy as np
-
-        if isinstance(value, np.ndarray):
-            digest = hashlib.sha256(np.ascontiguousarray(value).tobytes())
-            return f"ndarray{value.shape}:{value.dtype}:{digest.hexdigest()}"
-        if _depth < 6 and isinstance(value, (list, tuple, set, frozenset)):
-            items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
-            parts = [cls._describe_param(item, _depth + 1) for item in items]
-            if any(part is None for part in parts):
-                return None
-            return f"{type(value).__qualname__}[{';'.join(parts)}]"
-        if _depth < 6 and isinstance(value, dict):
-            parts = []
-            for name, item in sorted(value.items(), key=lambda kv: repr(kv[0])):
-                described = cls._describe_param(item, _depth + 1)
-                if described is None:
-                    return None
-                parts.append(f"{name!r}:{described}")
-            return f"dict{{{';'.join(parts)}}}"
-        if type(value).__repr__ is not object.__repr__:
-            return repr(value)
-        attrs = getattr(value, "__dict__", None)
-        if attrs is None:
-            slots = [
-                name
-                for klass in type(value).__mro__
-                for name in (getattr(klass, "__slots__", ()) or ())
-            ]
-            if not slots:
-                return None
-            attrs = {name: getattr(value, name) for name in slots if hasattr(value, name)}
-        if _depth >= 6:
-            return None
-        parts = []
-        for name, attr in sorted(attrs.items()):
-            described = cls._describe_param(attr, _depth + 1)
-            if described is None:
-                return None
-            parts.append(f"{name}={described}")
-        return f"{type(value).__qualname__}({';'.join(parts)})"
-
-    def _analysis_cache_path(
-        self, config: "CampaignConfig", analysis_pass: "AnalysisPass"
-    ) -> Optional[Path]:
-        """Cache file of one pass's finalized product, or ``None`` without a
-        ``cache_dir``.  The key hashes everything that determines the
-        product: the campaign's sample-determining config hash, the pass
-        name, the pass's parameters (its instance attributes) and
-        :data:`ANALYSIS_PRODUCT_FORMAT`."""
-        if self.cache_dir is None:
-            return None
-        descriptions = []
-        for name, value in sorted(vars(analysis_pass).items()):
-            described = self._describe_param(value)
-            if described is None:
-                import warnings
-
-                warnings.warn(
-                    f"analysis pass {analysis_pass.name!r}: parameter {name!r} "
-                    f"({type(value).__qualname__}) has no stable description "
-                    "(define __repr__ on it); skipping the product cache for "
-                    "this pass",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return None
-            descriptions.append(f"{name}={described}")
-        params = ";".join(descriptions)
-        blob = "|".join(
-            (
-                config_cache_key(config),
-                analysis_pass.name,
-                params,
-                f"format={ANALYSIS_PRODUCT_FORMAT}",
-            )
-        )
-        key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-        return (
-            self.cache_dir
-            / f"analysis_{config.application}_{analysis_pass.name}_{key}.pkl"
-        )
-
-    def _load_analysis_product(self, path: Optional[Path]) -> Tuple[bool, object]:
-        if path is None or not path.exists():
-            return False, None
-        import pickle
-
-        try:
-            with path.open("rb") as handle:
-                return True, pickle.load(handle)
-        except Exception:  # corrupt/stale entry: recompute and overwrite
-            return False, None
-
-    def _store_analysis_product(self, path: Optional[Path], product: object) -> None:
-        if path is None:
-            return
-        import pickle
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # temp + replace like every other cache write: a crashed writer
-        # cannot leave a truncated pickle at the final path
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(product, handle)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        if self.cache_tier is not None:
-            self.cache_tier.admit(path)
 
     # ------------------------------------------------------------------
     # execution
@@ -729,40 +777,28 @@ class CampaignSession:
         config = self.config_for(application)
         result = self._results.get(config.application)
         passes = resolve_analyses(analyses)
-        products: Dict[str, object] = {}
-        missing = list(passes)
-        if self.cache_dir is not None:
-            missing = []
-            for p in passes:
-                hit, product = self._load_analysis_product(
-                    self._analysis_cache_path(config, p)
-                )
-                if hit:
-                    products[p.name] = product
-                    self.analysis_cache_hits += 1
-                else:
-                    missing.append(p)
-                    self.analysis_cache_misses += 1
-        context: Optional[AnalysisContext] = None
-        if missing:
+
+        def fold(missing: List["AnalysisPass"]) -> "AnalysisResults":
             if result is not None:
                 # the campaign already ran in this session — fold its
                 # columns through the passes instead of re-executing it
-                fresh = result.analyze(missing)
-            else:
-                fresh = run_campaign_analyses(
-                    get_backend(config.backend),
-                    config,
-                    missing,
-                    executor=self._executor(),
-                )
+                return result.analyze(missing)
+            return run_campaign_analyses(
+                get_backend(config.backend),
+                config,
+                missing,
+                executor=self._executor(),
+            )
+
+        products, fresh, hits = cached_analysis_products(
+            self.cache_dir, config, passes, fold, tier=self.cache_tier
+        )
+        if self.cache_dir is not None:
+            self.analysis_cache_hits += hits
+            self.analysis_cache_misses += len(passes) - hits
+        if fresh is not None:
             context = fresh.context
-            for p in missing:
-                products[p.name] = fresh[p.name]
-                self._store_analysis_product(
-                    self._analysis_cache_path(config, p), fresh[p.name]
-                )
-        if context is None:
+        else:
             # every product came from the cache — rebuild the campaign
             # frame (cheap; no samples involved) for report assembly
             metadata = (
@@ -771,8 +807,7 @@ class CampaignSession:
                 else get_backend(config.backend).metadata(config)
             )
             context = AnalysisContext.from_config(config, metadata=metadata)
-        ordered = {p.name: products[p.name] for p in passes}
-        return AnalysisResults(ordered, context)
+        return AnalysisResults(products, context)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,6 +24,14 @@ sized to the worker count, iterates
 broadcasts them to stream subscribers.  The thread polls the job's cancel flag between shards,
 so cancellation stops a running job at the next shard boundary (closing the
 executor's iterator cancels its queued units).
+
+A done job's analyses (:meth:`CampaignService.job_analyses`) come from the
+same cache directory: each pass's finalized product is one entry of the
+analysis-product cache ``CampaignSession.analyze`` uses, folded from the
+job's result only where it is missing, and the JSON payload is rebuilt
+from the products on every request.  A finished job so keeps its status,
+digest and store handle, not its payload; only a service without a cache
+directory memoises payloads in memory.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments.executor import ShardExecutor
 from repro.experiments.session import (
     CampaignResult,
+    cached_analysis_products,
     campaign_store_path,
     config_cache_key,
     open_cached_campaign,
@@ -73,10 +82,12 @@ class CampaignService:
         Campaign cache shared with
         :class:`~repro.experiments.session.CampaignSession` (one shard store
         per config hash); completed configurations are served from it
-        without re-execution (``cache_hits`` counter).  ``None`` disables
-        caching.  Entries are published atomically and corrupt ones are
-        detected and recomputed, so many service workers and sessions can
-        share one directory.
+        without re-execution (``cache_hits`` counter), and every pass's
+        analysis product is kept there rather than on the heap
+        (``analysis_cache_hits``/``analysis_cache_misses``).  ``None``
+        disables caching.  Entries are published atomically and corrupt
+        ones are detected and recomputed, so many service workers and
+        sessions can share one directory.
     cache_max_bytes:
         Size budget of the shared cache tier
         (:class:`~repro.io.cache_tier.CacheTier`): every write LRU-evicts
@@ -125,6 +136,8 @@ class CampaignService:
             "rejected": 0,
             "cache_hits": 0,
             "cache_misses": 0,
+            "analysis_cache_hits": 0,
+            "analysis_cache_misses": 0,
         }
         self._next_id = 0
 
@@ -251,61 +264,82 @@ class CampaignService:
 
         Blocks until the job is terminal (raising, as
         :meth:`JobHandle.result` does, for failed or cancelled jobs), then
-        folds the job's result through every registered pass — on the
-        execution pool, over its column blocks
-        (:meth:`CampaignResult.analyze`), so the products are
-        bit-identical to every other route through the engine.  The payload
-        is computed once per job and memoised; concurrent callers share
-        one computation.  Once it is memoised, a fresh job whose samples
-        the cache holds swaps its in-memory result for that store-backed
-        entry, so a finished job keeps no samples on the heap.  A cache
-        hit whose entry was evicted before the fold raises
+        builds the payload from every registered pass's product.  With a
+        ``cache_dir`` the products live in the analysis-product cache
+        shared with :class:`~repro.experiments.session.CampaignSession`:
+        every call loads them, and only passes without an entry are
+        folded — on the execution pool, over the job's column blocks
+        (:meth:`CampaignResult.analyze`), so the products are bit-identical
+        to every other route through the engine — and stored, so a
+        finished job keeps no payload.  Without a ``cache_dir`` the payload
+        is computed once per job and memoised.  Concurrent callers of one
+        job share one computation.  A fresh job whose samples the cache
+        holds also swaps its in-memory result for that store-backed entry,
+        so a finished job keeps no samples on the heap either.  A job whose
+        entry was evicted before the fold raises
         :class:`~repro.service.jobs.ResultEvictedError`.
         """
         await job.wait()
         job.result_or_raise()
-        if job.id not in self._analyses:
+        payload = self._analyses.get(job.id)
+        if payload is None:
             lock = self._analyses_locks.setdefault(job.id, asyncio.Lock())
             try:
                 async with lock:
-                    if job.id not in self._analyses:
+                    payload = self._analyses.get(job.id)
+                    if payload is None:
                         assert self._pool is not None
                         loop = asyncio.get_running_loop()
                         payload, result = await loop.run_in_executor(
                             self._pool, self._compute_analyses, job
                         )
-                        self._analyses[job.id] = payload
                         job.result = result
+                        if self.cache_dir is None:
+                            self._analyses[job.id] = payload
             finally:
                 self._analyses_locks.pop(job.id, None)
-        return {
-            "job_id": job.id,
-            "digest": job.digest,
-            "analyses": self._analyses[job.id],
-        }
+        return {"job_id": job.id, "digest": job.digest, "analyses": payload}
 
     def _compute_analyses(
         self, job: Job
     ) -> Tuple[Dict[str, object], CampaignResult]:
         """Synchronous analysis body (worker thread).
 
-        Folds the job's result over its column blocks — the in-memory
-        ones of a fresh job, which are faster to fold than the store —
-        and returns the payload with the result the job keeps: the
-        published cache entry in place of in-memory blocks when there is
-        one, else the result itself.
+        Loads each pass's product from the cache and folds the rest over
+        the job's column blocks — the in-memory ones of a fresh job, which
+        are faster to fold than the store — storing what it folds
+        (:func:`~repro.experiments.session.cached_analysis_products`).
+        Returns the payload with the result the job keeps: the published
+        cache entry in place of in-memory blocks when there is one, else
+        the result itself.  The entry is opened (and its LRU clock bumped)
+        before the products are stored, so the tier evicts a job's samples
+        before its products.
         """
-        with job.reading_result() as result:
-            payload = result.analyze().as_payload()
-        if self.cache_dir is not None and result.store is None:
+        from repro.analysis import AnalysisContext, AnalysisResults, resolve_analyses
+
+        kept = job.result_or_raise()
+        if self.cache_dir is not None and kept.store is None:
             stored = open_cached_campaign(
                 campaign_store_path(self.cache_dir, job.config),
                 job.config,
                 tier=self.cache_tier,
             )
             if stored is not None:
-                result = stored
-        return payload, result
+                kept = stored
+
+        def fold(missing):
+            with job.reading_result() as result:
+                return result.analyze(missing)
+
+        passes = resolve_analyses("all")
+        products, _, hits = cached_analysis_products(
+            self.cache_dir, job.config, passes, fold, tier=self.cache_tier
+        )
+        if self.cache_dir is not None:
+            self._count("analysis_cache_hits", hits)
+            self._count("analysis_cache_misses", len(passes) - hits)
+        context = AnalysisContext.from_config(job.config, metadata=kept.metadata)
+        return AnalysisResults(products, context).as_payload(), kept
 
     # ------------------------------------------------------------------
     # stats

@@ -15,10 +15,11 @@ to remote clients:
                           (``410`` when a done job's cache entry, which
                           its shards are replayed from, was evicted)
 ``GET /jobs/<id>/analyses`` block until terminal, then every finalized
-                          analysis-pass product as JSON (computed once per
-                          job over its column blocks; ``409`` for
-                          failed or cancelled jobs, ``410`` for a cache
-                          hit whose entry was evicted before the fold)
+                          analysis-pass product as JSON (read from the
+                          product cache, folded over the job's column
+                          blocks only where it misses; ``409`` for
+                          failed or cancelled jobs, ``410`` for a job
+                          whose entry was evicted before the fold)
 ``POST /jobs/<id>/cancel``request cooperative cancellation
 ``GET /stats``            service counters (queue depth, coalescing, caches)
 ========================  ====================================================

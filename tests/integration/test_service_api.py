@@ -310,8 +310,46 @@ class TestAsyncAPI:
                 assert json.dumps(hit_analyses["analyses"], sort_keys=True) == (
                     json.dumps(miss_analyses["analyses"], sort_keys=True)
                 )
-                # the one cache entry is a shard store; nothing else is written
-                assert [p.suffix for p in tmp_path.iterdir()] == [".store"]
+                # the cache holds one shard store and one product per pass;
+                # nothing else is written
+                assert sorted(p.suffix for p in tmp_path.iterdir()) == (
+                    [".pkl"] * 6 + [".store"]
+                )
+
+        asyncio.run(scenario())
+
+    def test_analysed_config_is_answered_without_a_fold(self, tmp_path, monkeypatch):
+        """A second job of an analysed config loads every pass's product
+        from the cache: the same payload, and no fold of its samples."""
+        import repro.analysis as analysis
+
+        folds = []
+        fold = analysis.run_columnar_analyses
+
+        def recording_fold(blocks, *args, **kwargs):
+            folds.append(args)
+            return fold(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "run_columnar_analyses", recording_fold)
+
+        async def scenario():
+            async with CampaignService(
+                workers=1, executor_mode="thread", cache_dir=tmp_path
+            ) as service:
+                first = await service.submit(SCENARIO, scale="smoke")
+                miss = await service.job_analyses(first.job)
+                assert len(folds) == 1
+                second = await service.submit(SCENARIO, scale="smoke")
+                hit = await service.job_analyses(second.job)
+                assert second.job.from_cache
+                assert len(folds) == 1
+                assert hit["digest"] == miss["digest"] == PINNED_DIGEST
+                assert json.dumps(hit["analyses"], sort_keys=True) == (
+                    json.dumps(miss["analyses"], sort_keys=True)
+                )
+                stats = service.stats()
+                assert stats["analysis_cache_misses"] == 6
+                assert stats["analysis_cache_hits"] == 6
 
         asyncio.run(scenario())
 
@@ -376,8 +414,9 @@ def _seed_configs(seeds, scale="smoke"):
 
 
 class TestRetention:
-    """What a finished job keeps: its status, digest and analyses payload,
-    with its samples in the cache entry rather than on the heap."""
+    """What a finished job keeps: its status, digest and store handle, with
+    its samples and analysis products in cache entries rather than on the
+    heap."""
 
     def test_analysed_jobs_read_their_samples_back_from_the_store(self, tmp_path):
         configs = _seed_configs((21, 22, 23))
@@ -424,7 +463,8 @@ class TestRetention:
 
     def test_retained_memory_per_analysed_job_is_bounded(self, tmp_path):
         """Twenty more benchmark-scale jobs, analyses fetched, each keep
-        far less than their 1.5 MB of samples (traced heap growth)."""
+        far less than their 1.5 MB of samples and less than their ~60 KB
+        analyses payload (traced heap growth)."""
         n_warm, n_jobs = 3, 20
         configs = _seed_configs(range(100, 100 + n_warm + n_jobs), "benchmark")
 
@@ -446,7 +486,7 @@ class TestRetention:
             per_job = asyncio.run(scenario())
         finally:
             tracemalloc.stop()
-        assert per_job < 0.25e6, f"{per_job / 1e6:.2f} MB retained per job"
+        assert per_job < 40e3, f"{per_job / 1e3:.1f} KB retained per job"
 
 
 async def _http_request(host, port, method, path, body=None):
@@ -724,10 +764,19 @@ class TestHTTPFrontEnd:
 
     def test_stream_of_an_evicted_job_is_gone(self, tmp_path):
         """A done job whose cache entry was evicted cannot replay: its
-        stream is a 410 with the job status, not a half-written stream."""
-        job_a, job_b = _seed_configs((31, 32))
+        stream is a 410 with the job status, not a half-written stream.
+
+        The budget holds one and a half analysed jobs (a shard store and
+        its six product entries).  At benchmark scale the products are
+        about a seventh of the store, so B's store evicts A's store, the
+        least recently used entry, and A's products stay; at smoke scale
+        they outweigh the store and no budget could evict one without
+        the other."""
+        job_a, job_b = _seed_configs((31, 32), "benchmark")
         probe = tmp_path / "probe"
-        CampaignSession(job_a, cache_dir=probe).run()
+        session = CampaignSession(job_a, cache_dir=probe)
+        session.run()
+        session.analyze()
         entry_bytes = CacheTier(probe).total_bytes
 
         async def scenario():
@@ -760,7 +809,8 @@ class TestHTTPFrontEnd:
                 assert gone["state"] == "done"
                 assert gone["digest"] == first.digest
                 assert "evicted" in gone["error"]
-                # A's analyses were memoised before the eviction
+                # A's product entries are newer than A's store, so the tier
+                # evicted the store first: its analyses load without a fold
                 status, body = await _http_request(
                     server.host, server.port,
                     "GET", f"/jobs/{first.job.id}/analyses",

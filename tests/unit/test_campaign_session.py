@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +14,12 @@ from repro.experiments.config import CampaignConfig
 from repro.experiments.session import (
     CampaignResult,
     CampaignSession,
+    analysis_cache_path,
     campaign_store_path,
     config_cache_key,
+    describe_param,
+    load_analysis_product,
+    store_analysis_product,
 )
 from shards import shards_of
 
@@ -299,13 +305,12 @@ class TestAnalysisProductCaching:
         # must not embed its memory address (which changes every process)
         from repro.analysis import get_analysis
 
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
         paths = {
-            session._analysis_cache_path(smoke_config, get_analysis("earlybird"))
+            analysis_cache_path(tmp_path, smoke_config, get_analysis("earlybird"))
             for _ in range(3)
         }
         assert len(paths) == 1
-        key = session._describe_param(get_analysis("earlybird").model)
+        key = describe_param(get_analysis("earlybird").model)
         assert "0x" not in key and "EarlyBirdModel" in key
 
     def test_earlybird_products_hit_the_cache_across_sessions(
@@ -323,29 +328,27 @@ class TestAnalysisProductCaching:
         # repr() elides big arrays to '...'; the key must hash full contents
         from repro.analysis import get_analysis
 
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
         a, b = get_analysis("percentiles"), get_analysis("percentiles")
         a.big, b.big = np.arange(10_000), np.arange(10_000) * 2
-        path_a = session._analysis_cache_path(smoke_config, a)
-        path_b = session._analysis_cache_path(smoke_config, b)
+        path_a = analysis_cache_path(tmp_path, smoke_config, a)
+        path_b = analysis_cache_path(tmp_path, smoke_config, b)
         assert path_a != path_b
         b.big = np.arange(10_000)
-        assert session._analysis_cache_path(smoke_config, b) == path_a
+        assert analysis_cache_path(tmp_path, smoke_config, b) == path_a
 
     def test_container_parameters_describe_their_contents(self, smoke_config, tmp_path):
         # repr() of a list/dict elides nested big arrays and embeds object
         # addresses; containers must be described element-wise instead
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
-        a = session._describe_param([np.arange(5000)])
-        b = session._describe_param([np.arange(5000) * 2])
+        a = describe_param([np.arange(5000)])
+        b = describe_param([np.arange(5000) * 2])
         assert a != b and "..." not in a
-        assert "ndarray" in session._describe_param({"edges": np.arange(5000)})
+        assert "ndarray" in describe_param({"edges": np.arange(5000)})
 
         class Opaque:
             __slots__ = ()
 
-        assert session._describe_param({"model": Opaque()}) is None
-        assert session._describe_param((1, "x", 2.5)) == "tuple[1;'x';2.5]"
+        assert describe_param({"model": Opaque()}) is None
+        assert describe_param((1, "x", 2.5)) == "tuple[1;'x';2.5]"
 
     def test_slotted_parameters_are_described_stably(self, smoke_config, tmp_path):
         from repro.analysis import get_analysis
@@ -356,14 +359,13 @@ class TestAnalysisProductCaching:
             def __init__(self, threshold):
                 self.threshold = threshold
 
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
         p = get_analysis("percentiles")
         p.knob = SlottedParam(0.5)
-        described = session._describe_param(p.knob)
+        described = describe_param(p.knob)
         assert "0x" not in described and "threshold=0.5" in described
-        assert session._analysis_cache_path(
-            smoke_config, p
-        ) == session._analysis_cache_path(smoke_config, p)
+        assert analysis_cache_path(
+            tmp_path, smoke_config, p
+        ) == analysis_cache_path(tmp_path, smoke_config, p)
 
     def test_indescribable_parameters_disable_caching_with_a_warning(
         self, smoke_config, tmp_path
@@ -373,8 +375,39 @@ class TestAnalysisProductCaching:
         class Opaque:  # default repr, no __dict__, no slots payload
             __slots__ = ()
 
-        session = CampaignSession(smoke_config, cache_dir=tmp_path)
         p = get_analysis("percentiles")
         p.knob = Opaque()
         with pytest.warns(RuntimeWarning, match="no stable description"):
-            assert session._analysis_cache_path(smoke_config, p) is None
+            assert analysis_cache_path(tmp_path, smoke_config, p) is None
+
+    def test_concurrent_writers_of_one_product_publish_a_whole_entry(self, tmp_path):
+        """The service's job threads share a pid: writers racing on one
+        product entry must each stage their own file, so every store
+        publishes and the entry always loads whole."""
+        path = tmp_path / "analysis_minife_percentiles_0000.pkl"
+        product = {"values": np.arange(20_000, dtype=np.float64)}
+        errors = []
+
+        def write():
+            try:
+                for _ in range(20):
+                    store_analysis_product(path, product)
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        hit, loaded = load_analysis_product(path)
+        assert hit
+        np.testing.assert_array_equal(loaded["values"], product["values"])
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
