@@ -38,8 +38,12 @@ the service — reopens the stored shards instead of recomputing 768 000
 samples.
 Streaming analyses get their own cache layer: each pass's *finalized
 product* is pickled under a key derived from (config hash, pass name, pass
-parameters) (:func:`analysis_cache_path`), so repeating an ``analyze()``
-call loads products directly — no campaign execution, no shard folding.
+parameters) in the cache's ``products/`` subdirectory
+(:func:`analysis_cache_path`), so repeating an ``analyze()`` call loads
+products directly — no campaign execution, no shard folding.  Products
+are kept outside the cache tier's budget (see
+:mod:`repro.io.cache_tier`), so evicting a campaign's store never takes
+its products with it.
 :func:`cached_analysis_products` loads, folds and stores them for both
 the session and the service, and each counts ``analysis_cache_hits`` /
 ``analysis_cache_misses``.
@@ -405,13 +409,15 @@ def analysis_cache_path(
     config: "CampaignConfig",
     analysis_pass: "AnalysisPass",
 ) -> Optional[Path]:
-    """Cache file of one pass's finalized product, or ``None`` without a
-    ``cache_dir``.  The key hashes everything that determines the
-    product: the campaign's sample-determining config hash, the pass
-    name, the pass's parameters (its instance attributes) and
-    :data:`ANALYSIS_PRODUCT_FORMAT`."""
+    """Cache file of one pass's finalized product (in ``cache_dir``'s
+    products subdirectory), or ``None`` without a ``cache_dir``.  The key
+    hashes everything that determines the product: the campaign's
+    sample-determining config hash, the pass name, the pass's parameters
+    (its instance attributes) and :data:`ANALYSIS_PRODUCT_FORMAT`."""
     if cache_dir is None:
         return None
+    from repro.io.cache_tier import PRODUCTS_DIR
+
     descriptions = []
     for name, value in sorted(vars(analysis_pass).items()):
         described = describe_param(value)
@@ -438,7 +444,8 @@ def analysis_cache_path(
         )
     )
     key = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return cache_dir / f"analysis_{config.application}_{analysis_pass.name}_{key}.pkl"
+    name = f"analysis_{config.application}_{analysis_pass.name}_{key}.pkl"
+    return cache_dir / PRODUCTS_DIR / name
 
 
 def load_analysis_product(path: Optional[Path]) -> Tuple[bool, object]:
@@ -455,11 +462,8 @@ def load_analysis_product(path: Optional[Path]) -> Tuple[bool, object]:
         return False, None
 
 
-def store_analysis_product(
-    path: Optional[Path], product: object, *, tier: Optional["CacheTier"] = None
-) -> None:
-    """Publish ``product`` at ``path`` (nothing without a path) and admit it
-    to ``tier``."""
+def store_analysis_product(path: Optional[Path], product: object) -> None:
+    """Publish ``product`` at ``path`` (nothing without a path)."""
     if path is None:
         return
     import pickle
@@ -476,8 +480,6 @@ def store_analysis_product(
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    if tier is not None:
-        tier.admit(path)
 
 
 def cached_analysis_products(
@@ -485,8 +487,6 @@ def cached_analysis_products(
     config: "CampaignConfig",
     passes: Sequence["AnalysisPass"],
     fold: Callable[[List["AnalysisPass"]], "AnalysisResults"],
-    *,
-    tier: Optional["CacheTier"] = None,
 ) -> Tuple[Dict[str, object], Optional["AnalysisResults"], int]:
     """Every pass's product, loaded from its cache entry or folded.
 
@@ -510,7 +510,7 @@ def cached_analysis_products(
         fresh = fold([analysis_pass for analysis_pass, _ in missing])
         for analysis_pass, path in missing:
             products[analysis_pass.name] = fresh[analysis_pass.name]
-            store_analysis_product(path, fresh[analysis_pass.name], tier=tier)
+            store_analysis_product(path, fresh[analysis_pass.name])
     ordered = {p.name: products[p.name] for p in passes}
     return ordered, fresh, len(passes) - len(missing)
 
@@ -528,9 +528,10 @@ class CampaignSession:
         per configuration, see :func:`campaign_store_path`); ``None``
         (default) disables caching.
     cache_max_bytes:
-        Size budget of the cache tier: every write is admitted through a
-        :class:`~repro.io.cache_tier.CacheTier` that LRU-evicts entries over
-        budget.  ``None`` defers to ``$REPRO_CACHE_MAX_BYTES`` and, failing
+        Size budget of the cache tier: every store write is admitted
+        through a :class:`~repro.io.cache_tier.CacheTier` that LRU-evicts
+        stores over budget (analysis products are kept outside it).
+        ``None`` defers to ``$REPRO_CACHE_MAX_BYTES`` and, failing
         that, leaves the tier unbounded.
     executor_mode:
         Worker-pool flavour for ``max_workers > 1``: ``"process"`` (default)
@@ -791,7 +792,7 @@ class CampaignSession:
             )
 
         products, fresh, hits = cached_analysis_products(
-            self.cache_dir, config, passes, fold, tier=self.cache_tier
+            self.cache_dir, config, passes, fold
         )
         if self.cache_dir is not None:
             self.analysis_cache_hits += hits

@@ -2,8 +2,9 @@
 
 The ``cache_dir`` the session and the service share holds two artifact
 kinds — campaigns, one shard store per configuration (``*.store``
-directories), and pickled analysis-pass products (``analysis_*``).
-:class:`CacheTier` promotes that directory into a real storage tier:
+directories), and pickled analysis-pass products (``analysis_*`` files in
+the ``products/`` subdirectory).  :class:`CacheTier` promotes that
+directory into a real storage tier for the campaigns:
 
 * **recency tracking** — every cache hit bumps the entry's mtime
   (:meth:`touch`), so the modification time *is* the LRU clock;
@@ -17,6 +18,14 @@ directories), and pickled analysis-pass products (``analysis_*``).
   tenant (the writes themselves are atomic renames, so eviction racing a
   writer or reader is safe — open mmaps keep evicted data alive until
   released).
+
+The products are not tier entries: they are neither counted against the
+budget nor evicted.  A configuration's products are a few tens of KB
+whatever its sample count, while its store grows with the campaign, and
+an analysed service job is answered from its products alone once its
+store is gone — so a store is evicted before its own products, which a
+byte budget shared with them could not guarantee (at smoke scale the six
+products outweigh the store).  :meth:`CacheTier.stats` reports them apart.
 
 ``python -m repro cache --stats`` / ``--prune`` expose the tier on the
 command line; the ``REPRO_CACHE_MAX_BYTES`` environment variable supplies a
@@ -41,6 +50,9 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 
 #: lock file guarding prune against concurrent pruners
 LOCK_NAME = ".tier.lock"
+
+#: subdirectory of the analysis-pass products, kept outside the budget
+PRODUCTS_DIR = "products"
 
 #: age after which tmp leftovers and locks count as crashed-writer debris
 DEFAULT_STALE_AFTER_S = 3600.0
@@ -121,8 +133,8 @@ class CacheTier:
         except FileNotFoundError:
             return []
         for child in children:
-            if child.name == LOCK_NAME or ".tmp-" in child.name:
-                continue  # the lock and in-flight writes are not entries
+            if child.name in (LOCK_NAME, PRODUCTS_DIR) or ".tmp-" in child.name:
+                continue  # the lock, products and in-flight writes are not entries
             try:
                 stat = child.stat()
                 nbytes = _tree_bytes(child) if child.is_dir() else stat.st_size
@@ -144,19 +156,30 @@ class CacheTier:
         return sum(entry.nbytes for entry in self.entries())
 
     def stats(self) -> Dict[str, object]:
-        """Tier inventory (the ``cache --stats`` / service payload)."""
+        """Tier inventory (the ``cache --stats`` / service payload), with the
+        analysis products outside the budget under ``"products"``."""
         entries = self.entries()
         by_kind: Dict[str, Dict[str, int]] = {}
         for entry in entries:
             bucket = by_kind.setdefault(entry.kind, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += entry.nbytes
+        products = {"entries": 0, "bytes": 0}
+        for path in (self.root / PRODUCTS_DIR).glob("analysis_*"):
+            if ".tmp-" in path.name:
+                continue
+            try:
+                products["bytes"] += path.stat().st_size
+            except OSError:
+                continue  # raced a writer's rename
+            products["entries"] += 1
         return {
             "root": str(self.root),
             "max_bytes": self.max_bytes,
             "entries": len(entries),
             "total_bytes": sum(entry.nbytes for entry in entries),
             "by_kind": by_kind,
+            "products": products,
         }
 
     # ------------------------------------------------------------------
@@ -197,12 +220,15 @@ class CacheTier:
                 pass
 
     def _sweep_stale_tmp(self) -> None:
-        """Drop ``*.tmp-*`` leftovers a crashed writer abandoned."""
+        """Drop ``*.tmp-*`` leftovers a crashed writer abandoned (products
+        included)."""
         deadline = time.time() - self.stale_after_s
-        try:
-            children = list(self.root.iterdir())
-        except FileNotFoundError:
-            return
+        children: List[Path] = []
+        for directory in (self.root, self.root / PRODUCTS_DIR):
+            try:
+                children.extend(directory.iterdir())
+            except FileNotFoundError:
+                pass
         for child in children:
             if ".tmp-" not in child.name:
                 continue
@@ -301,6 +327,11 @@ def format_stats(stats: Dict[str, object]) -> str:
             f"{'y' if bucket['entries'] == 1 else 'ies'}, "
             f"{bucket['bytes']:,} bytes"
         )
+    products = stats["products"]
+    lines.append(
+        f"  products   {products['entries']:4d} "  # type: ignore[index]
+        f"(outside the budget), {products['bytes']:,} bytes"  # type: ignore[index]
+    )
     return "\n".join(lines)
 
 
@@ -361,4 +392,5 @@ __all__ = [
     "format_stats",
     "main",
     "CACHE_MAX_BYTES_ENV",
+    "PRODUCTS_DIR",
 ]

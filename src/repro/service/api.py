@@ -90,9 +90,11 @@ class CampaignService:
         sessions can share one directory.
     cache_max_bytes:
         Size budget of the shared cache tier
-        (:class:`~repro.io.cache_tier.CacheTier`): every write LRU-evicts
-        entries over budget.  ``None`` defers to ``$REPRO_CACHE_MAX_BYTES``
-        and, failing that, leaves the tier unbounded.
+        (:class:`~repro.io.cache_tier.CacheTier`): every store write
+        LRU-evicts stores over budget; analysis products are kept outside
+        it, so an analysed job's ``/analyses`` outlives its store.
+        ``None`` defers to ``$REPRO_CACHE_MAX_BYTES`` and, failing that,
+        leaves the tier unbounded.
     executor_mode:
         Worker-pool flavour for within-job shard parallelism (``"process"``
         or ``"thread"``), as in :class:`CampaignSession`.
@@ -275,9 +277,10 @@ class CampaignService:
         is computed once per job and memoised.  Concurrent callers of one
         job share one computation.  A fresh job whose samples the cache
         holds also swaps its in-memory result for that store-backed entry,
-        so a finished job keeps no samples on the heap either.  A job whose
-        entry was evicted before the fold raises
-        :class:`~repro.service.jobs.ResultEvictedError`.
+        so a finished job keeps no samples on the heap either.  The tier
+        never evicts products, so a job analysed once is answered after its
+        store is evicted; a job whose store was evicted before its first
+        analyses raises :class:`~repro.service.jobs.ResultEvictedError`.
         """
         await job.wait()
         job.result_or_raise()
@@ -311,11 +314,9 @@ class CampaignService:
         (:func:`~repro.experiments.session.cached_analysis_products`).
         Returns the payload with the result the job keeps: the published
         cache entry in place of in-memory blocks when there is one, else
-        the result itself.  The entry is opened (and its LRU clock bumped)
-        before the products are stored, so the tier evicts a job's samples
-        before its products.
+        the result itself.
         """
-        from repro.analysis import AnalysisContext, AnalysisResults, resolve_analyses
+        from repro.analysis import product_payload, resolve_analyses
 
         kept = job.result_or_raise()
         if self.cache_dir is not None and kept.store is None:
@@ -333,13 +334,13 @@ class CampaignService:
 
         passes = resolve_analyses("all")
         products, _, hits = cached_analysis_products(
-            self.cache_dir, job.config, passes, fold, tier=self.cache_tier
+            self.cache_dir, job.config, passes, fold
         )
         if self.cache_dir is not None:
             self._count("analysis_cache_hits", hits)
             self._count("analysis_cache_misses", len(passes) - hits)
-        context = AnalysisContext.from_config(job.config, metadata=kept.metadata)
-        return AnalysisResults(products, context).as_payload(), kept
+        payload = {name: product_payload(products[name]) for name in sorted(products)}
+        return payload, kept
 
     # ------------------------------------------------------------------
     # stats

@@ -20,9 +20,6 @@ radix select over the IEEE-754 bit patterns:
    reads back only those buckets' keys and sorts them.  A bucket refined down to a single key needs no read at all, so
    heavy ties cost no memory.
 
-When all the samples fit that read-back budget, the one pass reads every
-key back and sorts them, with no counting pass.
-
 A campaign's application row (768 000 samples at paper scale) takes three
 passes: the top 16 bits, one split, the read back.
 
@@ -140,17 +137,6 @@ def select_sorted(parts: Sequence, ranks: np.ndarray) -> np.ndarray:
     selected = np.empty(len(ranks), dtype=np.uint64)
     if not len(ranks):
         return key_values(selected)
-    n = sum(math.prod(rows.shape) for rows in parts)
-    if n <= BUCKET_SAMPLES * len(ranks):
-        # every sample fits the read-back budget: read all the keys back
-        # and sort them, with no counting pass
-        pool = np.empty(n, dtype=np.uint64)
-        filled = 0
-        for keys in _chunk_keys(parts):
-            pool[filled : filled + len(keys)] = keys
-            filled += len(keys)
-        pool.sort()
-        return key_values(pool[ranks])
     levels: List[_Level] = []
     # the counted buckets come in blocks, one per refined parent: the
     # block's first id, the parent's key prefix, the key bits below it,

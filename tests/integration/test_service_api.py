@@ -29,7 +29,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments.config import CampaignConfig
 from repro.experiments.session import CampaignSession, campaign_store_path
-from repro.io.cache_tier import CacheTier
+from repro.io.cache_tier import PRODUCTS_DIR, CacheTier
 from repro.scenarios import get_scenario
 from repro.service import (
     CampaignHTTPServer,
@@ -310,11 +310,14 @@ class TestAsyncAPI:
                 assert json.dumps(hit_analyses["analyses"], sort_keys=True) == (
                     json.dumps(miss_analyses["analyses"], sort_keys=True)
                 )
-                # the cache holds one shard store and one product per pass;
-                # nothing else is written
-                assert sorted(p.suffix for p in tmp_path.iterdir()) == (
-                    [".pkl"] * 6 + [".store"]
+                # the cache holds one shard store and, in its products
+                # directory, one product per pass; nothing else is written
+                store = campaign_store_path(tmp_path, miss.job.config)
+                assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+                    [PRODUCTS_DIR, store.name]
                 )
+                products = (tmp_path / PRODUCTS_DIR).iterdir()
+                assert sorted(p.suffix for p in products) == [".pkl"] * 6
 
         asyncio.run(scenario())
 
@@ -764,19 +767,10 @@ class TestHTTPFrontEnd:
 
     def test_stream_of_an_evicted_job_is_gone(self, tmp_path):
         """A done job whose cache entry was evicted cannot replay: its
-        stream is a 410 with the job status, not a half-written stream.
-
-        The budget holds one and a half analysed jobs (a shard store and
-        its six product entries).  At benchmark scale the products are
-        about a seventh of the store, so B's store evicts A's store, the
-        least recently used entry, and A's products stay; at smoke scale
-        they outweigh the store and no budget could evict one without
-        the other."""
-        job_a, job_b = _seed_configs((31, 32), "benchmark")
+        stream is a 410 with the job status, not a half-written stream."""
+        job_a, job_b = _seed_configs((31, 32))
         probe = tmp_path / "probe"
-        session = CampaignSession(job_a, cache_dir=probe)
-        session.run()
-        session.analyze()
+        CampaignSession(job_a, cache_dir=probe).run()
         entry_bytes = CacheTier(probe).total_bytes
 
         async def scenario():
@@ -809,14 +803,15 @@ class TestHTTPFrontEnd:
                 assert gone["state"] == "done"
                 assert gone["digest"] == first.digest
                 assert "evicted" in gone["error"]
-                # A's product entries are newer than A's store, so the tier
-                # evicted the store first: its analyses load without a fold
+                # A's products are kept outside the tier's budget, so its
+                # analyses outlive its store and load without a fold
                 status, body = await _http_request(
                     server.host, server.port,
                     "GET", f"/jobs/{first.job.id}/analyses",
                 )
                 assert status == 200
                 assert json.loads(body)["digest"] == first.digest
+                assert service.stats()["analysis_cache_hits"] == 6
                 # B's entry is intact and still streams
                 status, body = await _http_request(
                     server.host, server.port,

@@ -133,21 +133,14 @@ def test_keys_sort_like_the_values_and_invert(samples):
     assert np.isnan(back[~finite]).all()
 
 
-def test_inputs_within_the_read_back_budget_take_no_counting_pass():
-    """At ``BUCKET_SAMPLES`` samples per rank or fewer, every key is read
-    back and sorted with no counting pass; one sample more counts first.
-    Both sides of the budget select ``np.sort``'s values bit for bit."""
+def test_inputs_either_side_of_the_read_back_budget_select_exactly():
+    """At ``BUCKET_SAMPLES`` samples per rank (the read-back budget) and
+    one sample either side of it, the selection is ``np.sort``'s values
+    bit for bit."""
     rng = np.random.default_rng(38)
     n_ranks = 50
     budget = selection.BUCKET_SAMPLES * n_ranks
-    counted = []
-    bucket_ids = selection._bucket_ids
-
-    def counting(levels, keys):
-        counted.append(len(keys))
-        return bucket_ids(levels, keys)
-
-    for n, counts in ((budget - 1, False), (budget, False), (budget + 1, True)):
+    for n in (budget - 1, budget, budget + 1):
         # ties, both zeros and a wide spread of exponents
         spread = n - n // 4
         samples = np.concatenate(
@@ -158,9 +151,6 @@ def test_inputs_within_the_read_back_budget_take_no_counting_pass():
         )
         rng.shuffle(samples)
         ranks = stratified_ranks(n, n_ranks)
-        counted.clear()
-        with mock.patch.object(selection, "_bucket_ids", counting):
-            parts = np.array_split(samples.reshape(-1, 1), 3)
-            got = selection.select_sorted(parts, ranks)
-        assert bool(counted) is counts, n
+        parts = np.array_split(samples.reshape(-1, 1), 3)
+        got = selection.select_sorted(parts, ranks)
         _assert_same_selection(got, np.sort(samples)[ranks])

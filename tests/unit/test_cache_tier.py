@@ -7,6 +7,7 @@ import pytest
 
 from repro.io.cache_tier import (
     CACHE_MAX_BYTES_ENV,
+    PRODUCTS_DIR,
     CacheTier,
     format_stats,
     main as cache_main,
@@ -115,6 +116,31 @@ class TestEviction:
         _entry(tmp_path, "analysis_a.pkl", KB, age_s=20)
         _entry(tmp_path, "analysis_b.pkl", KB, age_s=10)
         assert [p.name for p in tier.prune()] == ["analysis_a.pkl"]
+
+
+class TestProducts:
+    def test_products_are_outside_the_budget(self, tmp_path):
+        tier = CacheTier(tmp_path, max_bytes=0)
+        store = _entry(tmp_path, "shards_x.store", 4 * KB, age_s=5)
+        (tmp_path / PRODUCTS_DIR).mkdir()
+        product = _entry(tmp_path / PRODUCTS_DIR, "analysis_x.pkl", 2 * KB, age_s=30)
+        assert [e.path for e in tier.entries()] == [store]
+        assert tier.prune() == [store]
+        assert product.exists()
+        stats = tier.stats()
+        assert stats["total_bytes"] == 0
+        assert stats["products"] == {"entries": 1, "bytes": 2 * KB}
+        assert "outside the budget" in format_stats(stats)
+
+    def test_stale_product_tmp_debris_is_swept(self, tmp_path):
+        tier = CacheTier(tmp_path, max_bytes=64 * KB, stale_after_s=5.0)
+        (tmp_path / PRODUCTS_DIR).mkdir()
+        stale = _entry(tmp_path / PRODUCTS_DIR, "analysis_x.pkl.tmp-1", KB, age_s=60)
+        fresh = _entry(tmp_path / PRODUCTS_DIR, "analysis_y.pkl.tmp-2", KB)
+        tier.prune()
+        assert not stale.exists()
+        assert fresh.exists()
+        assert tier.stats()["products"] == {"entries": 0, "bytes": 0}
 
 
 class TestCrashTolerance:

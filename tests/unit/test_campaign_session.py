@@ -21,6 +21,7 @@ from repro.experiments.session import (
     load_analysis_product,
     store_analysis_product,
 )
+from repro.io.cache_tier import PRODUCTS_DIR, CacheTier
 from shards import shards_of
 
 
@@ -251,7 +252,7 @@ class TestAnalysisProductCaching:
         first = session.analyze(analyses=["percentiles", "laggards"])
         assert session.analysis_cache_hits == 0
         assert session.analysis_cache_misses == 2
-        assert len(list(tmp_path.glob("analysis_minife_*.pkl"))) == 2
+        assert len(list((tmp_path / PRODUCTS_DIR).glob("analysis_minife_*.pkl"))) == 2
         second = session.analyze(analyses=["percentiles", "laggards"])
         assert session.analysis_cache_hits == 2
         assert session.analysis_cache_misses == 2
@@ -268,6 +269,28 @@ class TestAnalysisProductCaching:
         assert fresh.analysis_cache_hits == 1
         assert fresh.analysis_cache_misses == 0
         assert hit.application == "minife"
+        np.testing.assert_array_equal(
+            reference["percentiles"].mean_median(),
+            hit["percentiles"].mean_median(),
+        )
+
+    def test_products_outlive_their_evicted_store(self, smoke_config, tmp_path):
+        """The tier's budget evicts stores, never products: a config's
+        products still answer ``analyze`` once its store is gone."""
+        probe = tmp_path / "probe"
+        CampaignSession(smoke_config, cache_dir=probe).run()
+        budget = CacheTier(probe).total_bytes * 3 // 2
+        cache = tmp_path / "cache"
+        first = CampaignSession(smoke_config, cache_dir=cache, cache_max_bytes=budget)
+        first.run()
+        reference = first.analyze(analyses=["percentiles", "laggards"])
+        other = CampaignConfig.smoke(seed=8)
+        CampaignSession(other, cache_dir=cache, cache_max_bytes=budget).run()
+        assert not campaign_store_path(cache, smoke_config).exists()
+        assert campaign_store_path(cache, other).exists()
+        again = CampaignSession(smoke_config, cache_dir=cache, cache_max_bytes=budget)
+        hit = again.analyze(analyses=["percentiles", "laggards"])
+        assert (again.analysis_cache_hits, again.analysis_cache_misses) == (2, 0)
         np.testing.assert_array_equal(
             reference["percentiles"].mean_median(),
             hit["percentiles"].mean_median(),
