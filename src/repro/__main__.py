@@ -1,13 +1,13 @@
-"""``python -m repro`` — entry point aliasing the ``repro-campaign`` CLI.
+"""``python -m repro`` — the ``repro-campaign`` command line.
 
-Keeps the campaign runner reachable without installing console scripts
-(``PYTHONPATH=src python -m repro --list-scenarios``), which is how the CI
-scenario-matrix job drives it.
+Keeps the campaign runner and the service and cache subcommands reachable
+without installing console scripts (``PYTHONPATH=src python -m repro
+--list-scenarios``), which is how the CI scenario-matrix job drives it.
 """
 
 import sys
 
-from repro.experiments.runner import main
+from repro.commands import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -25,8 +25,11 @@ bounded-window pool driver, with :func:`_run_unit` as the one worker body:
   a finished group payload and the parent adopts the file.
 
 ``config.max_workers <= 1`` (or a single unit) runs the same unit bodies
-in-process, one unit at a time, with no pool.  Two pool modes are
-supported:
+in-process, one unit at a time, with no pool.  An executor built with a
+``pool`` (:func:`make_pool`; the CLI opens one per run) submits every
+unit to that pool and leaves it open; without one, each call builds its
+own pool and shuts it down when its blocks are consumed.  Two pool modes
+are supported:
 
 * ``"process"`` (default) — a :class:`~concurrent.futures.ProcessPoolExecutor`
   using the cheap ``fork`` start method where available.  This is the mode
@@ -76,19 +79,27 @@ def make_pool(mode: str, workers: int):
     return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
-def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
+def map_pooled(
+    tasks, workers: int, mode: str, *, discard=None, pool=None
+) -> Iterator:
     """Run ``(fn, args)`` tasks on a pool; yield results in submission
     order through a bounded in-flight window (~2 x workers).
 
-    A worker process that dies mid-task surfaces as a clear
-    ``RuntimeError`` (never a hang); closing the consumer cancels the
-    queued tasks at the next task boundary, and ``discard`` releases any
-    undelivered completed results (shared-memory segments, spilled payload
-    files) so nothing leaks.
+    ``pool`` is a caller-owned pool to submit to (it stays open); without
+    one, a pool of ``mode`` is built here and shut down at the end.  A
+    worker process that dies mid-task surfaces as a clear ``RuntimeError``
+    (never a hang).  Closing the consumer cancels this call's queued tasks
+    (and only those: a shared pool's other work runs on), waits for its
+    running ones, and ``discard`` releases any undelivered completed
+    results (shared-memory segments, spilled payload files) so nothing
+    leaks.
     """
+    from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = make_pool(mode, workers)
+    owned = pool is None
+    if owned:
+        pool = make_pool(mode, workers)
     task_iter = iter(tasks)
     pending: deque = deque()
 
@@ -100,19 +111,23 @@ def map_pooled(tasks, workers: int, mode: str, *, discard=None) -> Iterator:
         for _ in range(2 * workers):
             submit_next()
         while pending:
-            future = pending.popleft()
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                raise RuntimeError(
-                    "a campaign pool worker died mid-unit (the pool is "
-                    "broken); re-run serially (max_workers=1) to isolate "
-                    "the failing unit"
-                ) from exc
+            result = pending.popleft().result()
             submit_next()
             yield result
+    except BrokenProcessPool as exc:
+        # raised by a result, or by a submit to a shared pool that an
+        # earlier task broke
+        raise RuntimeError(
+            "a campaign pool worker died mid-unit (the pool is "
+            "broken); re-run serially (max_workers=1) to isolate "
+            "the failing unit"
+        ) from exc
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        if owned:
+            pool.shutdown(wait=True)
         for future in pending:
             if future.cancelled():
                 continue
@@ -240,12 +255,16 @@ class ShardExecutor:
 
     The pool size is ``config.max_workers``, capped by the campaign's unit
     count; ``mode`` is ``"process"`` or ``"thread"`` (see module docstring).
+    ``pool`` is a caller-owned pool of that mode (:func:`make_pool`) that
+    every pooled call submits to instead of building its own; the caller
+    shuts it down.
     """
 
-    def __init__(self, *, mode: str = "process") -> None:
+    def __init__(self, *, mode: str = "process", pool=None) -> None:
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         self.mode = mode
+        self.pool = pool
 
     # ------------------------------------------------------------------
     def _pooled(
@@ -260,7 +279,7 @@ class ShardExecutor:
         if workers <= 1:
             return None
         tasks = ((_run_unit, (backend, config, unit, apply)) for unit in units)
-        return map_pooled(tasks, workers, self.mode, discard=discard)
+        return map_pooled(tasks, workers, self.mode, discard=discard, pool=self.pool)
 
     def iter_blocks(
         self, backend: "CampaignBackend", config: "CampaignConfig"

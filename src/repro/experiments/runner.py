@@ -22,9 +22,15 @@ pass products land in ``analyses_<app>.json``::
     python -m repro --analyses percentiles laggards reclaimable normality
     python -m repro --list-analyses --porcelain
 
-Applications run one after another, and each campaign is released once
-its analyses and its exemplar histograms (Figures 5/7/9) are done, so the
-run holds one campaign at a time plus every application's products.
+Applications are sampled one after another.  With ``--max-workers N``
+(N > 1) the run opens one worker pool of N processes, and every pooled
+step of every application submits to it.  In memory, each campaign is
+analysed in this process, where its samples live, and released once its
+analyses and its exemplar histograms (Figures 5/7/9) are done, so the run
+holds one campaign at a time plus every application's products.  Out of
+core on a pool, each published store's analyses and exemplar run as one
+pool task while the next application samples; the products are collected
+in application order, so the outputs are the serial run's.
 
 ``--out-of-core`` runs the whole pipeline against the spillable shard store
 (:mod:`repro.io.shard_store`): shards flush to disk as they are produced,
@@ -55,7 +61,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     REPORT_ANALYSES,
@@ -64,9 +70,11 @@ from repro.analysis import (
     available_analyses,
 )
 from repro.apps import APPLICATIONS
+from repro.commands import positive_int, run_subcommand
+from repro.experiments import executor
 from repro.experiments.backends import available_backends
 from repro.experiments.config import CampaignConfig
-from repro.experiments.session import CampaignSession
+from repro.experiments.session import CampaignResult, CampaignSession
 from repro.experiments.figures import (
     FigureData,
     figure3_histogram,
@@ -93,13 +101,6 @@ SCALES = {
     "benchmark": CampaignConfig.benchmark_scale,
     "paper": CampaignConfig.paper_scale,
 }
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
-    return number
 
 
 def _positive_float(value: str) -> float:
@@ -149,16 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign size preset (default: benchmark)",
     )
     parser.add_argument(
-        "--trials", type=_positive_int, default=None, help="override trial count"
+        "--trials", type=positive_int, default=None, help="override trial count"
     )
     parser.add_argument(
-        "--processes", type=_positive_int, default=None, help="override process count"
+        "--processes", type=positive_int, default=None, help="override process count"
     )
     parser.add_argument(
-        "--iterations", type=_positive_int, default=None, help="override iteration count"
+        "--iterations", type=positive_int, default=None, help="override iteration count"
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=None, help="override thread count"
+        "--threads", type=positive_int, default=None, help="override thread count"
     )
     parser.add_argument("--seed", type=int, default=None, help="override the campaign seed")
     parser.add_argument(
@@ -172,10 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-workers",
-        type=_positive_int,
+        type=positive_int,
         default=1,
-        help="parallel shard workers (default: 1 = serial; results are "
-        "bit-identical at any worker count)",
+        help="worker processes of the run's one pool (default: 1 = serial, "
+        "no pool; results are bit-identical at any worker count); "
+        "--out-of-core runs analyse each application on the pool while the "
+        "next one samples, in-memory runs analyse in the parent",
     )
     parser.add_argument(
         "--cache-dir",
@@ -373,7 +376,7 @@ def _product_payload(product) -> object:
 
 
 def _run_streaming_analyses(
-    args: argparse.Namespace, applications: Sequence[str], output: Path
+    args: argparse.Namespace, applications: Sequence[str], output: Path, pool
 ) -> int:
     """``--analyses`` mode: stream shards through passes, no merged dataset."""
     analyses = (
@@ -383,7 +386,7 @@ def _run_streaming_analyses(
     for application in applications:
         config = _configure(args, application)
         started = time.perf_counter()
-        session = CampaignSession(config, cache_dir=args.cache_dir)
+        session = CampaignSession(config, cache_dir=args.cache_dir, pool=pool)
         results = session.analyze(application, analyses=analyses)
         elapsed = time.perf_counter() - started
         print(
@@ -414,14 +417,35 @@ _EXEMPLAR_FIGURES = {
 }
 
 
-def _run_application(
-    args: argparse.Namespace, application: str, output: Path
+def _analyse(
+    session: CampaignSession, application: str, result: CampaignResult
 ) -> Tuple[AnalysisResults, Optional[FigureData]]:
-    """Run and analyse one application's campaign.
+    """One application's analysis products (through the session's
+    analysis-product cache) and its exemplar figure (Figures 5/7/9), binned
+    from the campaign's samples.
 
-    Returns its analysis products and its exemplar figure (Figures 5/7/9),
-    binned from the campaign's samples while they are alive; the campaign
-    itself is released on return, so no campaign outlives its analysis.
+    Also the pool task of an out-of-core run: the session and its
+    store-backed result travel pickled, the worker reopens the published
+    store by path (its checksums are not verified again) and the products
+    and figure come back.
+    """
+    products = session.analyze(application, analyses="all")
+    generator = _EXEMPLAR_FIGURES.get(application)
+    exemplar = generator(products, shards=result) if generator else None
+    return products, exemplar
+
+
+def _run_application(
+    args: argparse.Namespace, application: str, output: Path, pool
+) -> Callable[[], Tuple[AnalysisResults, Optional[FigureData]]]:
+    """Run one application's campaign and start its analysis.
+
+    Returns a callable that waits for the analysis products and exemplar
+    figure and prints the application's timing line.  On a ``pool``, an
+    out-of-core campaign's analysis is a pool task that runs while the
+    caller samples the next application; otherwise it runs here.  Either
+    way this process releases the campaign on return, so no campaign
+    outlives its analysis.
     """
     config = _configure(args, application)
     started = time.perf_counter()
@@ -439,7 +463,7 @@ def _run_application(
         int(args.cache_max_mb * 2**20) if args.cache_max_mb is not None else None
     )
     session = CampaignSession(
-        config, cache_dir=args.cache_dir, cache_max_bytes=cache_max_bytes
+        config, cache_dir=args.cache_dir, cache_max_bytes=cache_max_bytes, pool=pool
     )
     if args.out_of_core:
         # shards spill to the store as they arrive; analyses and figures
@@ -450,21 +474,30 @@ def _run_application(
         )
     else:
         result = session.run()
-    products = session.analyze(application, analyses="all")
-    generator = _EXEMPLAR_FIGURES.get(application)
-    exemplar = generator(products, shards=result) if generator else None
-    elapsed = time.perf_counter() - started
     origin = " (cached)" if result.from_cache else ""
-    print(
-        f"[repro-campaign]   {config.samples_per_application} samples "
-        f"in {elapsed:.1f} s{origin}",
-        flush=True,
-    )
+
+    def finished(analysis):
+        elapsed = time.perf_counter() - started
+        print(
+            f"[repro-campaign]   {config.samples_per_application} samples "
+            f"in {elapsed:.1f} s{origin}",
+            flush=True,
+        )
+        return analysis
+
+    if pool is not None and args.out_of_core:
+        future = pool.submit(_analyse, session, application, result)
+        if session.cache_tier.max_bytes is not None:
+            # under a cache budget the next application's store could
+            # evict this one mid-read: finish reading it first
+            future.result()
+        return lambda: finished(future.result())
+    analysis = finished(_analyse(session, application, result))
     if args.save_datasets:
         from repro.io.dataset_io import save_dataset
 
         save_dataset(result.dataset, output / f"dataset_{application}.npz")
-    return products, exemplar
+    return lambda: analysis
 
 
 def _write_figures(
@@ -511,17 +544,9 @@ def _write_figures(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-campaign`` console script."""
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] in ("serve", "submit"):
-        # service subcommands (imported lazily: the flat campaign CLI must
-        # not pay for the asyncio service machinery)
-        from repro.service.cli import serve_main, submit_main
-
-        dispatch = serve_main if arguments[0] == "serve" else submit_main
-        return dispatch(arguments[1:])
-    if arguments and arguments[0] == "cache":
-        from repro.io.cache_tier import main as cache_main
-
-        return cache_main(arguments[1:])
+    code = run_subcommand(arguments)
+    if code is not None:
+        return code
     parser = build_parser()
     args = parser.parse_args(arguments)
     if (
@@ -557,15 +582,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cache_dir is None:
             # the spilled stores need a home; keep them with the results
             args.cache_dir = output / "cache"
-    if args.analyses is not None:
-        if args.save_datasets:
-            # the streaming engine never materialises the datasets the flag
-            # would save — reject instead of silently dropping it
-            parser.error(
-                "--save-datasets conflicts with --analyses (the streaming "
-                "engine never materialises the merged datasets)"
-            )
-        return _run_streaming_analyses(args, applications, output)
+    if args.analyses is not None and args.save_datasets:
+        # the streaming engine never materialises the datasets the flag
+        # would save — reject instead of silently dropping it
+        parser.error(
+            "--save-datasets conflicts with --analyses (the streaming "
+            "engine never materialises the merged datasets)"
+        )
+    # one pool for the whole run: every pooled step of every application
+    # submits to it, and it is shut down on every exit path
+    pool = executor.make_pool("process", args.max_workers) if args.max_workers > 1 else None
+    try:
+        if args.analyses is not None:
+            return _run_streaming_analyses(args, applications, output, pool)
+        return _run_campaigns(args, applications, output, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_campaigns(
+    args: argparse.Namespace, applications: Sequence[str], output: Path, pool
+) -> int:
+    """The default route: campaigns, analyses, tables, figures, report."""
     # the default path streams: every table/figure below reads the
     # analysis products plus each campaign's binned exemplar histograms, and
     # a merged dataset is only materialised when --save-datasets asks for
@@ -573,8 +612,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     products: Dict[str, AnalysisResults] = {}
     exemplars: Dict[str, FigureData] = {}
     report_lines: List[str] = []
-    for application in applications:
-        products[application], exemplar = _run_application(args, application, output)
+    # every application is sampled first and the analyses are collected in
+    # application order, so a pool task's analysis overlaps the sampling of
+    # the applications after it
+    collectors = [
+        _run_application(args, application, output, pool)
+        for application in applications
+    ]
+    for application, collect in zip(applications, collectors):
+        products[application], exemplar = collect()
         if exemplar is not None:
             exemplars[application] = exemplar
 

@@ -536,6 +536,11 @@ class CampaignSession:
     executor_mode:
         Worker-pool flavour for ``max_workers > 1``: ``"process"`` (default)
         or ``"thread"``.
+    pool:
+        A caller-owned worker pool of that flavour
+        (:func:`~repro.experiments.executor.make_pool`) that every pooled
+        step submits to; ``None`` (default) builds a pool per step.  The
+        caller shuts it down.  A pickled session leaves it behind.
     """
 
     def __init__(
@@ -545,10 +550,12 @@ class CampaignSession:
         cache_dir: Optional[Union[str, Path]] = None,
         cache_max_bytes: Optional[int] = None,
         executor_mode: str = "process",
+        pool=None,
     ) -> None:
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.executor_mode = executor_mode
+        self.pool = pool
         self.cache_tier: Optional["CacheTier"] = None
         if self.cache_dir is not None:
             from repro.io.cache_tier import CacheTier
@@ -579,7 +586,11 @@ class CampaignSession:
         return campaign_store_path(self.cache_dir, config)
 
     def _executor(self) -> ShardExecutor:
-        return ShardExecutor(mode=self.executor_mode)
+        return ShardExecutor(mode=self.executor_mode, pool=self.pool)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # a pool does not cross a process boundary
+        return {**self.__dict__, "pool": None}
 
     # ------------------------------------------------------------------
     # execution

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro._registry import Registry
 from repro.cluster.noise import NoiseSourceSpec, NoiseSpec
-from repro.openmp.schedule import segment_sums
 
 
 class NoiseSource(ABC):
@@ -106,27 +105,27 @@ def _sum_per_window(
 ) -> np.ndarray:
     """Sum ``durations`` into windows sized by ``flat_counts``.
 
-    Fast path: one vectorised ``reduceat``
-    (:func:`~repro.openmp.schedule.segment_sums`) instead of the seed's
-    per-window ``np.split`` list comprehension — with the campaign tensor
-    kernel a single call covers an entire ``(n_iterations, n_threads)``
-    shard, i.e. thousands of windows.
+    One weighted ``np.bincount`` scatter over the events, so the cost
+    follows the event count rather than the window count (at the shipped
+    rates about 1 % of a shard's windows hold an event).
 
-    Bit-continuity: ``reduceat`` sums strictly left-to-right while
-    ``ndarray.sum`` may reorder (SIMD/pairwise accumulation), so the two
-    can differ in the last ULP once a window holds 3+ events.  Windows
-    with 0-2 events are provably identical either way, and at the shipped
-    noise rates expected counts are ≪ 1, so virtually every window rides
-    the vectorised path; the rare crowded window is re-summed with the
-    seed's exact ``ndarray.sum``, keeping same-seed datasets reproducible
-    bit-for-bit against pre-batched recordings.
+    Bit-continuity: the scatter adds each window's events left to right
+    onto 0.0, while ``ndarray.sum`` may reorder (SIMD/pairwise
+    accumulation), so the two can differ in the last ULP once a window
+    holds 3+ events.  Windows with 0-2 events are provably identical either
+    way; the rare crowded window is re-summed with the seed's exact
+    ``ndarray.sum``, keeping same-seed datasets reproducible bit-for-bit
+    against pre-batched recordings.
     """
     flat_counts = np.asarray(flat_counts)
-    offsets = np.concatenate(([0], np.cumsum(flat_counts)))
-    sums = segment_sums(durations, offsets)
-    durations = np.asarray(durations)
-    for k in np.flatnonzero(flat_counts >= 3):
-        sums[k] = durations[offsets[k] : offsets[k + 1]].sum()
+    durations = np.asarray(durations, dtype=np.float64)
+    windows = np.repeat(np.arange(flat_counts.size), flat_counts)
+    sums = np.bincount(windows, weights=durations, minlength=flat_counts.size)
+    crowded = np.flatnonzero(flat_counts >= 3)
+    if crowded.size:
+        offsets = np.concatenate(([0], np.cumsum(flat_counts)))
+        for k in crowded:
+            sums[k] = durations[offsets[k] : offsets[k + 1]].sum()
     return sums.reshape(shape)
 
 

@@ -38,7 +38,7 @@ import urllib.request
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.runner import _positive_int
+from repro.commands import positive_int
 
 #: the serve subcommand's default bind (shared with submit's default URL)
 DEFAULT_HOST = "127.0.0.1"
@@ -60,13 +60,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=positive_int,
         default=2,
         help="concurrent jobs (default: 2)",
     )
     parser.add_argument(
         "--max-queue",
-        type=_positive_int,
+        type=positive_int,
         default=32,
         help="admission bound: queued jobs beyond this are rejected with "
         "HTTP 429 (default: 32)",

@@ -253,20 +253,34 @@ class TestParallelExecution:
         assert np.array_equal(serial.compute_times_s, parallel.compute_times_s)
 
     def test_executor_routes_through_the_chunk_parallel_path(self, monkeypatch):
-        calls = {"pooled": 0}
+        calls = []
         original = executor_module.map_pooled
 
         def counting(tasks, workers, mode, **kwargs):
-            calls["pooled"] += 1
+            calls.append(kwargs.get("pool"))
             return original(tasks, workers, mode, **kwargs)
 
         monkeypatch.setattr(executor_module, "map_pooled", counting)
         blocks = list(ShardExecutor(mode="thread").iter_blocks(
             get_backend("campaign"), _smoke("minife", trials=3, max_workers=4)
         ))
-        assert calls["pooled"] == 1
+        # one pooled call, which builds its own pool
+        assert calls == [None]
         # 6 shards on 4 workers: chunks of 2 shards
         assert [len(block.slices) for block in blocks] == [2, 2, 2]
+
+        # an executor given a pool routes every call through that pool
+        pool = executor_module.make_pool("thread", 4)
+        try:
+            executor = ShardExecutor(mode="thread", pool=pool)
+            for _ in range(2):
+                shared = list(executor.iter_blocks(
+                    get_backend("campaign"), _smoke("minife", trials=3, max_workers=4)
+                ))
+                assert [b.slices for b in shared] == [b.slices for b in blocks]
+        finally:
+            pool.shutdown()
+        assert calls == [None, pool, pool]
 
     def test_executor_streams_per_process_shards(self):
         config = _smoke("minimd", max_workers=4)
@@ -392,6 +406,27 @@ class TestEarlyClose:
         )
         next(blocks)
         blocks.close()
+        assert _shm_entries() - before == set()
+
+    def test_closing_one_stream_leaves_the_shared_pool_running(self, backend_name):
+        """On a shared pool, closing one stream cancels and discards only
+        that stream's units: other work on the pool runs on, and the pool
+        serves the next stream."""
+        backend = get_backend(backend_name)
+        config = _pooled_smoke(backend_name)
+        want = [b.slices for b in ShardExecutor().iter_blocks(backend, config)]
+        before = _shm_entries()
+        pool = executor_module.make_pool("process", 2)
+        try:
+            executor = ShardExecutor(pool=pool)
+            blocks = executor.iter_blocks(backend, config)
+            next(blocks)
+            other = pool.submit(sum, range(10))
+            blocks.close()
+            assert other.result() == 45
+            assert [b.slices for b in executor.iter_blocks(backend, config)] == want
+        finally:
+            pool.shutdown()
         assert _shm_entries() - before == set()
 
     def test_abandoning_a_store_fill_after_the_first_unit(

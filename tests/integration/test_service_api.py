@@ -850,3 +850,55 @@ class TestHTTPFrontEnd:
                 assert handle.job.id in gone["error"]
 
         asyncio.run(scenario())
+
+
+#: the campaign CLI's own modules, which a serving process never uses
+_CAMPAIGN_CLI_MODULES = (
+    "repro.experiments.runner",
+    "repro.experiments.figures",
+    "repro.experiments.tables",
+    "repro.experiments.paper",
+    "repro.viz",
+)
+
+#: the ``serve`` subcommand's start-up (stopped at its parser), then one
+#: served job; prints the campaign CLI modules loaded by then
+_SERVE_THEN_ONE_JOB = f"""
+import asyncio, json, sys
+from repro.commands import main
+try:
+    main(["serve", "--help"])
+except SystemExit:
+    pass
+from repro.service import CampaignService
+
+async def job():
+    async with CampaignService(workers=1, executor_mode="thread") as service:
+        handle = await service.submit({SCENARIO!r}, scale="smoke")
+        await handle.result()
+        await service.job_analyses(handle.job)
+
+asyncio.run(job())
+print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith({_CAMPAIGN_CLI_MODULES!r})
+)))
+"""
+
+
+def test_serving_never_loads_the_campaign_cli():
+    """``python -m repro serve`` dispatches before the campaign runner is
+    imported, and a served job loads none of the CLI's modules."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _SERVE_THEN_ONE_JOB],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr.decode()[-2000:]
+    assert json.loads(run.stdout.decode().splitlines()[-1]) == []

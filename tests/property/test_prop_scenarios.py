@@ -123,3 +123,43 @@ def _legacy_batch_delays(spec, gen, work):
                 [seg.sum() for seg in np.split(durations, boundaries)]
             ).reshape(work.shape)
     return extra
+
+
+def _reduceat_window_sums(durations, flat_counts, shape):
+    """The window sums as the sources took them before the bincount
+    scatter: a left-to-right ``np.add.reduceat`` per non-empty window, then
+    an exact ``ndarray.sum`` for every window of 3+ events."""
+    offsets = np.concatenate(([0], np.cumsum(flat_counts)))
+    sums = np.zeros(len(flat_counts))
+    nonempty = flat_counts > 0
+    if nonempty.any():
+        sums[nonempty] = np.add.reduceat(
+            durations[: offsets[-1]], offsets[:-1][nonempty]
+        )
+    for k in np.flatnonzero(flat_counts >= 3):
+        sums[k] = durations[offsets[k] : offsets[k + 1]].sum()
+    return sums.reshape(shape)
+
+
+@given(
+    counts=hnp.arrays(
+        dtype=np.int64,
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 24)),
+        # mostly empty windows, some with one or two events, a few crowded
+        elements=st.sampled_from([0, 0, 0, 0, 1, 2, 3, 7, 40]),
+    ),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_sums_equal_the_reduceat_sums(counts, seed, scale):
+    from repro.scenarios.sources import _sum_per_window
+
+    flat_counts = counts.ravel()
+    rng = np.random.default_rng(seed)
+    durations = rng.exponential(scale, size=int(flat_counts.sum()))
+    got = _sum_per_window(durations, flat_counts, counts.shape)
+    want = _reduceat_window_sums(durations, flat_counts, counts.shape)
+    assert got.shape == counts.shape
+    np.testing.assert_array_equal(got, want)
+    assert (got[counts == 0] == 0.0).all()
